@@ -1,26 +1,23 @@
 # BlockPilot CI entry points. `make ci` is what the tier-1 gate runs:
-# vet + build + full test suite + race detector on the concurrency-heavy
-# packages (OCC-WSI core, MV-STM engine, mempool, pipeline, network, sim,
-# telemetry, flight recorder, health recorder) + the flight-recorder,
-# block-tracer and health-recorder disabled-path budget gates + a live
-# health-sampler smoke (health-smoke)
-# + a short-mode smoke of the contention benchmark suite + the
-# contention-adaptive scheduler smoke (adaptive-smoke) + the
-# cluster-simulator scenario matrix with its mutation self-check and span-chain
-# oracle (sim-smoke) + the disk-backed state persistence battery at 500k
-# accounts (state-smoke) + a short corpus pass over the fuzz targets
-# (fuzz-smoke).
+# vet + build + full test suite (the concurrency packages additionally under
+# -cpu 1,2,4, so a 1-CPU runner cannot hide a scheduling-dependent bug) +
+# race detector on the concurrency-heavy packages (OCC-WSI core, MV-STM
+# engine, mempool, pipeline, network, sim, telemetry, flight recorder, health
+# recorder) + the flight-recorder, block-tracer and health-recorder
+# disabled-path budget gates + a live health-sampler smoke (health-smoke)
+# + the MV-STM engine smoke (bench-smoke) + the contention-adaptive scheduler
+# smoke (adaptive-smoke) + the cluster-simulator scenario matrix with its
+# mutation self-check and span-chain oracle (sim-smoke) + the disk-backed
+# state persistence battery at 500k accounts (state-smoke) + a short corpus
+# pass over the fuzz targets (fuzz-smoke).
 # See docs/TESTING.md for the oracle definitions, the scenario matrix, and
 # seed-replay instructions.
 #
-# `make bench` records the performance baseline: the contention suite
-# (striped vs single-lock MVState, mempool batching, end-to-end Propose)
-# written to BENCH_proposer.json, the validator wall-clock suite written to
-# BENCH_validator.json, the state-commit suite (parallel commit & Merkle root
-# hashing vs the serial tail) written to BENCH_state.json, plus the Go
-# micro-benchmarks with -benchmem. `make bench-check` re-records the suites
-# and fails when a headline metric regressed >15% vs the committed baselines.
-# See docs/PERFORMANCE.md for methodology.
+# `make bench` runs the one regression harness, `go run ./benchmark`
+# (propose → broadcast → pipelined validate → commit on real cores; see
+# benchmark/README.md and BENCHMARK.json); `make bench-compare BASE=a.json
+# OTHER=b.json` gives the verdict between two sets of recorded runs. See
+# docs/PERFORMANCE.md.
 #
 # `make trace-demo` runs a short skewed workload with the flight recorder on
 # and leaves trace.json (open at https://ui.perfetto.dev) plus the hot-key
@@ -28,7 +25,7 @@
 
 GO ?= go
 
-.PHONY: all ci vet build test race race-all flight-budget trace-budget health-budget health-smoke bench-smoke adaptive-smoke sim-smoke state-smoke fuzz-smoke bench bench-go bench-state bench-check telemetry-bench flight-bench trace-demo crit-demo health-demo clean
+.PHONY: all ci vet build test race race-all flight-budget trace-budget health-budget health-smoke bench-smoke adaptive-smoke sim-smoke state-smoke fuzz-smoke bench bench-compare bench-go telemetry-bench flight-bench trace-demo crit-demo health-demo clean
 
 all: ci
 
@@ -40,11 +37,18 @@ vet:
 build:
 	$(GO) build ./...
 
+# The packages whose behaviour depends on how goroutines interleave: tested
+# at GOMAXPROCS 1, 2 and 4 so a single-CPU runner still exercises real
+# concurrency (and a many-core one still exercises the 1-CPU schedule).
+CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/scheduler/...
+
 test:
 	$(GO) test ./...
+	$(GO) test -cpu 1,2,4 $(CONCURRENCY_PKGS)
 
 race:
-	$(GO) test -race ./internal/adaptive/... ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/network/... ./internal/telemetry/... ./internal/flight/... ./internal/trace/... ./internal/health/... ./internal/trie/... ./internal/trie/store/... ./internal/state/...
+	$(GO) test -race -timeout 30m -cpu 1,2,4 $(CONCURRENCY_PKGS)
+	$(GO) test -race ./internal/adaptive/... ./internal/network/... ./internal/telemetry/... ./internal/flight/... ./internal/trace/... ./internal/health/... ./internal/trie/... ./internal/trie/store/... ./internal/state/...
 
 # Race detector over the *entire* module, cluster simulator included. Slower
 # than `race`; run before merging concurrency changes.
@@ -73,12 +77,9 @@ health-budget:
 health-smoke:
 	$(GO) test -short -count=1 -run TestHealthSmoke ./internal/health/
 
-# Short-mode pass over the contention + state-commit suites (every code
-# path, seconds of runtime, no artifact written) plus the MV-STM engine
-# smoke: one mixed block through the Block-STM proposer, serializability
-# checked against a serial replay.
+# MV-STM engine smoke: one mixed block through the Block-STM proposer,
+# serializability checked against a serial replay.
 bench-smoke:
-	$(GO) test -short -run 'TestContentionSmoke|TestStateCommitSmoke' ./internal/bench/
 	$(GO) test -short -count=1 -run 'TestMVSmoke' ./internal/core/
 
 # Contention-adaptive scheduler gate: the serial-lane / commutative-merge
@@ -114,41 +115,24 @@ fuzz-smoke:
 # bounded-heap asserted, final root reopen-verified. The full 5M-account
 # acceptance run is the same test at BLOCKPILOT_SCALE_ACCOUNTS=5000000.
 state-smoke:
-	BLOCKPILOT_SCALE_ACCOUNTS=500000 $(GO) test -count=1 -timeout 30m -run 'TestDiskStateScale' ./internal/bench/
-	$(GO) test -count=1 -run 'TestDiskStateSmoke|TestDiskSnapshotParity|TestCrashRecoveryEveryOffset' ./internal/bench/ ./internal/state/ ./internal/trie/store/
+	BLOCKPILOT_SCALE_ACCOUNTS=500000 $(GO) test -count=1 -timeout 30m -run 'TestDiskStateScale' ./internal/state/
+	$(GO) test -count=1 -run 'TestDiskStateSmoke|TestDiskSnapshotParity|TestCrashRecoveryEveryOffset' ./internal/state/ ./internal/trie/store/
 
-# Full baseline: contention suite -> BENCH_proposer.json, validator suite ->
-# BENCH_validator.json, state-commit suite -> BENCH_state.json, then the Go
-# micro-benchmarks (allocation counts via -benchmem).
-bench: bench-go
-	$(GO) run ./cmd/bpbench -exp contention -telemetry-report=false -bench-out BENCH_proposer.json
-	$(GO) run ./cmd/bpbench -exp validator -telemetry-report=false -bench-out BENCH_validator.json
-	$(GO) run ./cmd/bpbench -exp state -telemetry-report=false -bench-out BENCH_state.json
+# The regression harness: every BENCHMARK.json workload end to end on real
+# cores, timed and traced passes (see benchmark/README.md).
+bench:
+	$(GO) run ./benchmark
 
-# Bench regression gate: re-record the three suites into a scratch dir and
-# diff their headline metrics (best commits/s and txs/s per workload, best
-# commits/s per (workload, engine) of the OCC-WSI vs MV-STM ablation —
-# notably the MV-STM Zipfian row — state-commit speedup) against the
-# committed BENCH_*.json baselines with cmd/benchdiff, failing when one
-# regressed more than BENCH_THRESHOLD.
-BENCH_THRESHOLD ?= 0.15
-bench-check:
-	@mkdir -p .bench-check
-	$(GO) run ./cmd/bpbench -exp contention -telemetry-report=false -bench-out .bench-check/BENCH_proposer.json
-	$(GO) run ./cmd/bpbench -exp validator -telemetry-report=false -bench-out .bench-check/BENCH_validator.json
-	$(GO) run ./cmd/bpbench -exp state -telemetry-report=false -bench-out .bench-check/BENCH_state.json
-	$(GO) run ./cmd/benchdiff -threshold $(BENCH_THRESHOLD) \
-		BENCH_proposer.json .bench-check/BENCH_proposer.json \
-		BENCH_validator.json .bench-check/BENCH_validator.json \
-		BENCH_state.json .bench-check/BENCH_state.json
+# Verdict per (workload, metric) between two record files written with
+# `go run ./benchmark -out FILE` (e.g. the parent commit's runs vs this
+# one's): make bench-compare BASE=base.json OTHER=other.json
+bench-compare:
+	$(GO) run ./benchmark compare $(BASE) $(OTHER)
 
-# State-commit suite alone (the commit & root-hash tail across worker
-# counts): writes BENCH_state.json.
-bench-state:
-	$(GO) run ./cmd/bpbench -exp state -telemetry-report=false -bench-out BENCH_state.json
-
+# Go micro-benchmarks of the remaining testing.B loops (allocation counts via
+# -benchmem).
 bench-go:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/bench/ ./internal/scheduler/ ./internal/mempool/
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/scheduler/ ./internal/mempool/
 
 telemetry-bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/telemetry/

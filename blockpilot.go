@@ -118,12 +118,6 @@ type ProposerOptions struct {
 	Coinbase Address
 	// Time is the block timestamp.
 	Time uint64
-	// Stripes is the multi-version state's lock-stripe count (0 = default;
-	// 1 = the single-lock ablation baseline).
-	Stripes int
-	// PopBatch is how many transactions each worker claims from the pool
-	// per lock acquisition (0 = default).
-	PopBatch int
 }
 
 // ProposeResult is a packed block plus its committed post-state and stats.
@@ -140,8 +134,6 @@ func Propose(c *Chain, pool *TxPool, opts ProposerOptions) (*ProposeResult, erro
 		Threads:  opts.Threads,
 		Coinbase: opts.Coinbase,
 		Time:     opts.Time,
-		Stripes:  opts.Stripes,
-		PopBatch: opts.PopBatch,
 	}, c.Params())
 }
 

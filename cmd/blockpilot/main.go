@@ -64,8 +64,6 @@ func main() {
 	threads := flag.Int("threads", 8, "execution threads per node")
 	engineFlag := flag.String("engine", core.EngineOCCWSI, "proposer execution engine: occ-wsi (abort+retry) or mv-stm (Block-STM multi-version)")
 	adaptiveOn := flag.Bool("adaptive", false, "enable contention-adaptive scheduling on proposers: hot-key serial lane, commutative credit merge, abort-aware mempool ordering")
-	stripes := flag.Int("stripes", 0, "proposer MVState lock stripes (0 = default, 1 = single-lock ablation)")
-	popBatch := flag.Int("pop-batch", 0, "transactions claimed from the mempool per worker trip (0 = default)")
 	forkProb := flag.Float64("fork-prob", 0.35, "per-round fork probability")
 	txs := flag.Int("txs", 132, "transactions per block")
 	seed := flag.Int64("seed", 1, "workload + consensus seed")
@@ -80,7 +78,6 @@ func main() {
 	healthInterval := flag.Duration("health-interval", 250*time.Millisecond, "health sampler interval")
 	healthOut := flag.String("health-out", "", "append health samples as JSONL to this path (implies -health)")
 	healthIncidents := flag.String("health-incidents", "", "write watchdog incident bundles under this directory (implies -health)")
-	commitWorkers := flag.Int("commit-workers", 0, "state commit & root hashing workers at every seal/verify site (0 = auto, 1 = serial ablation)")
 	stateBackend := flag.String("state-backend", "mem", "world-state backend: mem (per-process maps) or disk (persistent node store with flat-snapshot reads)")
 	stateDir := flag.String("state-dir", "", "disk backend: directory for the node store (\"\" = temp dir, removed at exit)")
 	flag.Parse()
@@ -182,7 +179,6 @@ func main() {
 		os.Exit(1)
 	}
 	params := chain.DefaultParams()
-	params.CommitWorkers = *commitWorkers
 
 	// Proposer identities double as coinbases.
 	ids := make([]types.Address, *proposers)
@@ -286,8 +282,6 @@ func main() {
 				Threads:  *threads,
 				Coinbase: coinbase,
 				Time:     uint64(r + 1),
-				Stripes:  *stripes,
-				PopBatch: *popBatch,
 				Node:     pn.name,
 				Adaptive: pn.adaptive,
 			}, params)

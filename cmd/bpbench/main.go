@@ -23,24 +23,155 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
-	"time"
 
 	"blockpilot/internal/bench"
 	"blockpilot/internal/core"
-	"blockpilot/internal/health"
 	"blockpilot/internal/sim"
 	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trace"
 )
 
+// renderer is what every experiment returns: a text block mirroring the
+// paper's rows (or, for sim, the per-scenario oracle reports).
+type renderer interface{ Render() string }
+
+// runConfig is everything an experiment row may read.
+type runConfig struct {
+	opts        bench.Options
+	maxPipeline int
+	// sim carries the -exp sim flags laid over each scenario's preset:
+	// Scenario may be "all"; Heights/Validators 0 keep the preset's value.
+	sim sim.Config
+}
+
+// experiment is one -exp value. The table below is the single source of the
+// flag help, the "unknown experiment" error and dispatch.
+type experiment struct {
+	name  string
+	inAll bool // run by -exp all
+	run   func(runConfig) (renderer, error)
+}
+
+// rendered widens a Run* result to the row signature (a nil *Result must not
+// become a non-nil renderer).
+func rendered[R renderer](res R, err error) (renderer, error) {
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// paper adapts a bench.Run* function to a table row.
+func paper[R renderer](f func(bench.Options) (R, error)) func(runConfig) (renderer, error) {
+	return func(c runConfig) (renderer, error) { return rendered(f(c.opts)) }
+}
+
+var experiments = []experiment{
+	{"correctness", true, paper(bench.RunCorrectness)},
+	{"fig6", true, paper(bench.RunProposer)},
+	{"fig7a", true, paper(bench.RunValidator)},
+	{"fig7b", false, paper(bench.RunValidator)}, // same run as fig7a; "all" runs it once
+	{"fig8", true, paper(bench.RunHotspot)},
+	{"fig9", true, func(c runConfig) (renderer, error) {
+		return rendered(bench.RunPipeline(c.opts, c.maxPipeline))
+	}},
+	{"ablation-sched", true, paper(bench.RunSchedulingAblation)},
+	{"ablation-keys", true, paper(bench.RunGranularityAblation)},
+	{"ablation-proposer-keys", true, paper(bench.RunProposerKeysAblation)},
+	// The cluster simulator is a correctness harness, not a paper figure, so
+	// "all" skips it. A failing run renders its oracle violations and returns
+	// the exact repro line(s).
+	{"sim", false, runSim},
+}
+
+// experimentNames is the -exp vocabulary: "all" plus every table row.
+func experimentNames() string {
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(names, "|")
+}
+
+// simReports renders every scenario's report in run order.
+type simReports []*sim.Report
+
+func (rs simReports) Render() string {
+	parts := make([]string, len(rs))
+	for i, r := range rs {
+		parts[i] = r.Render()
+	}
+	return strings.Join(parts, "\n")
+}
+
+func runSim(c runConfig) (renderer, error) {
+	scenarios := sim.Scenarios()
+	if c.sim.Scenario != "all" {
+		scenarios = []string{c.sim.Scenario}
+	}
+	var (
+		reports simReports
+		failed  []error
+	)
+	for _, name := range scenarios {
+		cfg, err := sim.Preset(name, c.sim.Seed)
+		if err != nil {
+			return nil, err
+		}
+		if c.sim.Heights > 0 {
+			cfg.Heights = c.sim.Heights
+		}
+		if c.sim.Validators > 0 {
+			cfg.Validators = c.sim.Validators
+		}
+		cfg.Engine = c.sim.Engine
+		cfg.Adaptive = c.sim.Adaptive
+		cfg.StateBackend = c.sim.StateBackend
+		cfg.MutationCheck = c.sim.MutationCheck
+		rep, err := sim.Run(cfg)
+		if err != nil {
+			return nil, err
+		}
+		reports = append(reports, rep)
+		if !rep.OK() {
+			failed = append(failed, fmt.Errorf("sim oracle failure — repro: %s", rep.ReproLine()))
+		}
+	}
+	return reports, errors.Join(failed...)
+}
+
+// run executes the experiment named exp ("all" = every inAll row), writing
+// each result's rendering to out.
+func run(exp string, c runConfig, out io.Writer) error {
+	ran := false
+	for _, e := range experiments {
+		if exp != e.name && !(exp == "all" && e.inAll) {
+			continue
+		}
+		ran = true
+		res, err := e.run(c)
+		if res != nil {
+			fmt.Fprintln(out, res.Render())
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if !ran {
+		return fmt.Errorf("unknown experiment %q; want one of %s", exp, experimentNames())
+	}
+	return nil
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|correctness|fig6|fig7a|fig7b|fig8|fig9|ablation-sched|ablation-keys|ablation-proposer-keys|contention|validator|state|sim")
+	exp := flag.String("exp", "all", "experiment: "+experimentNames())
 	blocks := flag.Int("blocks", 20, "blocks per experiment")
 	repeats := flag.Int("repeats", 3, "timing repeats per point")
 	mode := flag.String("mode", "virtual", "timing mode: virtual|wall")
@@ -48,57 +179,37 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	jsonOut := flag.Bool("json", false, "emit the end-of-run telemetry snapshot as JSON on stdout")
 	report := flag.Bool("telemetry-report", true, "print the telemetry report table after the run (text mode)")
-	benchOut := flag.String("bench-out", "", "contention: also write the result as JSON to this file (e.g. BENCH_proposer.json)")
-	quick := flag.Bool("quick", false, "contention: use the reduced CI-smoke workload")
-	commitWorkers := flag.Int("commit-workers", 0, "state commit & root hashing workers at every seal/verify site (0 = auto, 1 = serial ablation)")
-	engine := flag.String("engine", core.EngineOCCWSI, "sim: proposer execution engine ("+strings.Join(core.Engines(), "|")+"); contention always sweeps both")
-	adaptiveOn := flag.Bool("adaptive", false, "sim: attach the contention-adaptive scheduler to the canonical proposer; contention always sweeps on and off")
+	engine := flag.String("engine", core.EngineOCCWSI, "sim: proposer execution engine ("+strings.Join(core.Engines(), "|")+")")
+	adaptiveOn := flag.Bool("adaptive", false, "sim: attach the contention-adaptive scheduler to the canonical proposer")
 	scenario := flag.String("scenario", "all", "sim: fault scenario ("+strings.Join(sim.Scenarios(), "|")+") or \"all\"")
 	simHeights := flag.Int("sim-heights", 0, "sim: canonical blocks per run (0 = scenario default)")
 	simValidators := flag.Int("sim-validators", 0, "sim: validator nodes per run (0 = scenario default)")
 	simMutation := flag.Bool("sim-mutation", true, "sim: also run the seeded-bug mutation self-check")
 	stateBackend := flag.String("state-backend", sim.StateBackendMem, "sim: world-state backend (mem|disk); disk runs the whole cluster on the persistent node store")
-	stateDir := flag.String("state-dir", "", "state: directory for the disk series' node store (\"\" = temp dir, removed afterwards)")
 	traceOn := flag.Bool("trace", false, "enable the block lifecycle tracer and print a critical-path/stall summary after the run")
-	healthOn := flag.Bool("health", false, "enable the runtime health recorder during the run (peaks land in BENCH_*.json env metadata)")
-	healthInterval := flag.Duration("health-interval", 250*time.Millisecond, "health sampler interval")
-	healthOut := flag.String("health-out", "", "append health samples as JSONL to this path (implies -health)")
 	flag.Parse()
 
 	telemetry.Enable()
 	if *traceOn {
 		trace.Enable(0)
 	}
-	if *healthOut != "" {
-		*healthOn = true
-	}
-	var healthFile *os.File
-	if *healthOn {
-		opts := health.Options{
-			Interval:    *healthInterval,
-			IncidentDir: filepath.Join(os.TempDir(), "bpbench-incidents"),
-		}
-		if *healthOut != "" {
-			f, err := os.Create(*healthOut)
-			fatalIf(err)
-			healthFile = f
-			opts.Out = f
-		}
-		_, err := health.Enable(opts)
-		fatalIf(err)
-		fmt.Printf("health recorder: enabled (interval %v, incidents under %s)\n", *healthInterval, opts.IncidentDir)
-	}
 
-	o := bench.DefaultOptions()
-	o.Blocks = *blocks
-	o.Repeats = *repeats
-	o.Workload.Seed = *seed
-	o.Params.CommitWorkers = *commitWorkers
+	c := runConfig{
+		opts:        bench.DefaultOptions(),
+		maxPipeline: *maxPipeline,
+		sim: sim.Config{
+			Scenario: *scenario, Seed: *seed, Heights: *simHeights, Validators: *simValidators,
+			Engine: *engine, Adaptive: *adaptiveOn, StateBackend: *stateBackend, MutationCheck: *simMutation,
+		},
+	}
+	c.opts.Blocks = *blocks
+	c.opts.Repeats = *repeats
+	c.opts.Workload.Seed = *seed
 	switch *mode {
 	case "virtual":
-		o.Mode = bench.Virtual
+		c.opts.Mode = bench.Virtual
 	case "wall":
-		o.Mode = bench.Wall
+		c.opts.Mode = bench.Wall
 		if runtime.NumCPU() < 4 {
 			fmt.Fprintf(os.Stderr, "warning: wall mode on %d CPU(s) cannot show parallel speedup; use -mode virtual\n", runtime.NumCPU())
 		}
@@ -107,160 +218,13 @@ func main() {
 	}
 
 	fmt.Printf("BlockPilot evaluation — mode=%s, blocks=%d, repeats=%d, %d-CPU host\n\n",
-		*mode, o.Blocks, o.Repeats, runtime.NumCPU())
+		*mode, c.opts.Blocks, c.opts.Repeats, runtime.NumCPU())
 
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-	ran := false
-
-	if want("correctness") {
-		ran = true
-		res, err := bench.RunCorrectness(o)
-		fatalIf(err)
-		fmt.Println(res.Render())
-	}
-	if want("fig6") {
-		ran = true
-		res, err := bench.RunProposer(o)
-		fatalIf(err)
-		fmt.Println(res.Render())
-	}
-	if want("fig7a") || want("fig7b") {
-		ran = true
-		res, err := bench.RunValidator(o)
-		fatalIf(err)
-		fmt.Println(res.Render())
-	}
-	if want("fig8") {
-		ran = true
-		res, err := bench.RunHotspot(o)
-		fatalIf(err)
-		fmt.Println(res.Render())
-	}
-	if want("fig9") {
-		ran = true
-		res, err := bench.RunPipeline(o, *maxPipeline)
-		fatalIf(err)
-		fmt.Println(res.Render())
-	}
-	if want("ablation-sched") {
-		ran = true
-		res, err := bench.RunSchedulingAblation(o)
-		fatalIf(err)
-		fmt.Println(res.Render())
-	}
-	if want("ablation-keys") {
-		ran = true
-		res, err := bench.RunGranularityAblation(o)
-		fatalIf(err)
-		fmt.Println(res.Render())
-	}
-	if want("ablation-proposer-keys") {
-		ran = true
-		res, err := bench.RunProposerKeysAblation(o)
-		fatalIf(err)
-		fmt.Println(res.Render())
-	}
-	// The contention suite measures real wall-clock lock behavior, so it is
-	// deliberately excluded from "all" (which defaults to the single-core
-	// safe virtual mode); run it explicitly with -exp contention.
-	if *exp == "contention" {
-		ran = true
-		co := bench.DefaultContentionOptions()
-		if *quick {
-			co = bench.QuickContentionOptions()
-		}
-		co.Seed = *seed
-		res, err := bench.RunContention(co)
-		fatalIf(err)
-		fmt.Println(res.Render())
-		if *benchOut != "" {
-			fatalIf(res.WriteJSON(*benchOut))
-			fmt.Printf("wrote %s\n", *benchOut)
-		}
-	}
-	// The validator wall-clock suite, like contention, measures real elapsed
-	// time and is excluded from "all"; run it explicitly with -exp validator.
-	if *exp == "validator" {
-		ran = true
-		vo := bench.DefaultValidatorBenchOptions()
-		if *quick {
-			vo = bench.QuickValidatorBenchOptions()
-		}
-		vo.Seed = *seed
-		res, err := bench.RunValidatorBench(vo)
-		fatalIf(err)
-		fmt.Println(res.Render())
-		if *benchOut != "" {
-			fatalIf(res.WriteJSON(*benchOut))
-			fmt.Printf("wrote %s\n", *benchOut)
-		}
-	}
-	// The state-commit suite, like contention, measures real elapsed time and
-	// is excluded from "all"; run it explicitly with -exp state.
-	if *exp == "state" {
-		ran = true
-		so := bench.DefaultStateBenchOptions()
-		if *quick {
-			so = bench.QuickStateBenchOptions()
-		}
-		so.Seed = *seed
-		res, err := bench.RunStateBench(so)
-		fatalIf(err)
-		do := bench.DefaultDiskStateOptions()
-		if *quick {
-			do = bench.QuickDiskStateOptions()
-		}
-		do.Seed = *seed
-		do.Dir = *stateDir
-		res.Disk, err = bench.RunDiskStateBench(do)
-		fatalIf(err)
-		fmt.Println(res.Render())
-		if *benchOut != "" {
-			fatalIf(res.WriteJSON(*benchOut))
-			fmt.Printf("wrote %s\n", *benchOut)
-		}
-	}
-	// The cluster simulator is a correctness harness, not a benchmark, so it
-	// is excluded from "all"; run it explicitly with -exp sim. A failing run
-	// prints its oracle violations and the exact repro line, then exits 1.
-	if *exp == "sim" {
-		ran = true
-		scenarios := sim.Scenarios()
-		if *scenario != "all" {
-			scenarios = []string{*scenario}
-		}
-		failed := false
-		for _, name := range scenarios {
-			cfg, err := sim.Preset(name, *seed)
-			fatalIf(err)
-			if *simHeights > 0 {
-				cfg.Heights = *simHeights
-			}
-			if *simValidators > 0 {
-				cfg.Validators = *simValidators
-			}
-			cfg.Engine = *engine
-			cfg.Adaptive = *adaptiveOn
-			cfg.StateBackend = *stateBackend
-			cfg.MutationCheck = *simMutation
-			rep, err := sim.Run(cfg)
-			fatalIf(err)
-			fmt.Println(rep.Render())
-			if !rep.OK() {
-				failed = true
-				fmt.Fprintf(os.Stderr, "bpbench: sim oracle failure — repro: %s\n", rep.ReproLine())
-			}
-		}
-		if failed {
-			os.Exit(1)
-		}
-	}
-	if !ran {
-		fatal(fmt.Errorf("unknown experiment %q; want one of all|correctness|fig6|fig7a|fig7b|fig8|fig9|ablation-sched|ablation-keys|ablation-proposer-keys|contention|validator|state|sim", *exp))
+	if err := run(*exp, c, os.Stdout); err != nil {
+		fatal(err)
 	}
 
-	// End-of-run telemetry: machine-readable snapshot (-json) so BENCH_*.json
-	// trajectories can carry abort-rate / phase-latency columns, or the
+	// End-of-run telemetry: machine-readable snapshot (-json) or the
 	// human-readable report table.
 	snap := telemetry.TakeSnapshot()
 	if *jsonOut {
@@ -280,28 +244,6 @@ func main() {
 		win := tr.Window(0, "")
 		fmt.Printf("block tracer: %d spans buffered (%d recorded)\n", tr.Len(), tr.Total())
 		fmt.Print(trace.RenderWindowView(win.View()))
-	}
-	if rec := health.Active(); rec != nil {
-		incidents, dropped := rec.Incidents()
-		if !*jsonOut {
-			fmt.Printf("health recorder: %d samples, %d incident(s)\n", len(rec.Series()), len(incidents))
-			for _, inc := range incidents {
-				fmt.Printf("  incident #%d %s: %s → %s\n", inc.Seq, inc.Rule, inc.Detail, inc.BundleDir)
-			}
-			if dropped > 0 {
-				fmt.Printf("  (%d incident(s) dropped past the cap)\n", dropped)
-			}
-		}
-		health.Disable() // final poll + JSONL flush
-		if healthFile != nil {
-			healthFile.Close()
-		}
-	}
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fatal(err)
 	}
 }
 

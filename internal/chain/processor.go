@@ -60,12 +60,12 @@ func ExecuteSerial(parent *state.Snapshot, header *types.Header, txs []*types.Tr
 }
 
 // CommitAndRoot commits total onto parent and computes the post-state root,
-// parallelized per params.CommitWorkers (see Params.ResolveCommitWorkers).
-// This is the single seal/verify commit tail shared by the serial processor,
-// the OCC-WSI proposer, the parallel validator, and the OCC baseline — every
-// worker count produces bit-identical snapshots and roots, so the knob is
-// purely a performance ablation. Both phases are recorded in telemetry
-// (state commit duration, root hash duration, account / storage-trie fanout).
+// parallelized over Params.ResolveCommitWorkers workers. This is the single
+// seal/verify commit tail shared by the serial processor, the OCC-WSI
+// proposer, the parallel validator, and the OCC baseline — every worker
+// count produces bit-identical snapshots and roots. Both phases are recorded
+// in telemetry (state commit duration, root hash duration, account /
+// storage-trie fanout).
 func CommitAndRoot(parent *state.Snapshot, total *state.ChangeSet, params Params, height uint64) (*state.Snapshot, types.Hash) {
 	w := params.ResolveCommitWorkers()
 

@@ -32,32 +32,19 @@ type Params struct {
 	ChainID     uint64
 	GasLimit    uint64 // block gas limit
 	BlockReward uint64 // credited to the coinbase at block finalization
-	// CommitWorkers sets the parallelism of the state commit & Merkle root
-	// hashing tail at every seal/verify site (proposer, validator, serial
-	// processor). 0 = auto (GOMAXPROCS capped at MaxAutoCommitWorkers);
-	// 1 = the pre-parallel serial path, kept as the ablation behind the
-	// `-commit-workers` CLI flag. Purely a performance knob: every worker
-	// count produces bit-identical roots.
-	CommitWorkers int
 }
 
-// MaxAutoCommitWorkers caps auto-resolved commit parallelism: beyond ~8
-// workers the accounts-trie batch insert (the serial tail of the tail)
-// dominates and extra goroutines only add scheduling noise.
-const MaxAutoCommitWorkers = 8
+// MaxCommitWorkers caps commit parallelism: beyond ~8 workers the
+// accounts-trie batch insert (the serial tail of the tail) dominates and
+// extra goroutines only add scheduling noise.
+const MaxCommitWorkers = 8
 
-// ResolveCommitWorkers maps the CommitWorkers knob to an effective worker
-// count: 0 → min(GOMAXPROCS, MaxAutoCommitWorkers), otherwise the value
-// itself (1 = serial ablation).
-func (p Params) ResolveCommitWorkers() int {
-	if p.CommitWorkers > 0 {
-		return p.CommitWorkers
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > MaxAutoCommitWorkers {
-		w = MaxAutoCommitWorkers
-	}
-	return w
+// ResolveCommitWorkers is the parallelism of the state commit & Merkle root
+// hashing tail at every seal/verify site (proposer, validator, serial
+// processor): min(GOMAXPROCS, MaxCommitWorkers). Every worker count
+// produces bit-identical roots (internal/state's commit parity suite).
+func (Params) ResolveCommitWorkers() int {
+	return min(runtime.GOMAXPROCS(0), MaxCommitWorkers)
 }
 
 // DefaultParams mirrors a mainnet-ish configuration.

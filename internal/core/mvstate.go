@@ -92,9 +92,9 @@ func NewMVState(base *state.Snapshot) *MVState {
 	return NewMVStateStripes(base, DefaultStripes)
 }
 
-// NewMVStateStripes wraps a parent snapshot with an explicit stripe count.
-// n is clamped to [1, 64] and rounded up to a power of two; n = 1 reproduces
-// the pre-striping single-lock MVState exactly (the ablation baseline).
+// NewMVStateStripes wraps a parent snapshot with an explicit stripe count
+// (the stripe-torture test runs 1, 4 and 64). n is clamped to [1, 64] and
+// rounded up to a power of two; n = 1 is a single-lock MVState.
 func NewMVStateStripes(base *state.Snapshot, n int) *MVState {
 	if n < 1 {
 		n = DefaultStripes
@@ -176,8 +176,8 @@ func (mv *MVState) View(v types.Version) state.Reader {
 // commitStripes computes the bitmask of stripes a commit must hold: every
 // stripe owning a read key (reserve validation), a write key (reserve
 // update), or a change-set entry (version installation). The write set does
-// not always cover the change set: the AccountLevelKeys ablation coarsens
-// access-set keys to whole accounts while the change set stays
+// not always cover the change set: the granularity ablation (CoarsenAccessSet)
+// coarsens access-set keys to whole accounts while the change set stays
 // slot-granular.
 func (mv *MVState) commitStripes(access *types.AccessSet, cs *state.ChangeSet) uint64 {
 	var set uint64

@@ -35,19 +35,6 @@ type ProposerConfig struct {
 	// serializability oracle must reject the resulting blocks. Never set
 	// outside that check.
 	MVFaultStaleReads bool
-	// AccountLevelKeys coarsens the reserve table to whole accounts
-	// (ablation, DESIGN.md §5.1): two transactions touching different
-	// storage slots of one contract then conflict and one aborts. The
-	// default (false) uses the paper's account+slot granularity.
-	AccountLevelKeys bool
-	// Stripes sets the MVState lock-stripe count (rounded to a power of
-	// two, max 64). 0 selects core.DefaultStripes; 1 reproduces the
-	// pre-striping single-lock MVState (ablation, DESIGN.md §5.4).
-	Stripes int
-	// PopBatch is how many transactions a worker claims from the mempool
-	// per lock acquisition (0 = DefaultPopBatch). Larger batches amortize
-	// pool contention; smaller batches keep the price ordering tighter.
-	PopBatch int
 	// Node names this proposer in block-trace spans (default "proposer").
 	Node string
 	// Tracer injects a block-trace collector; nil falls back to the
@@ -78,9 +65,9 @@ func CoarsenAccessSet(a *types.AccessSet) *types.AccessSet {
 // DefaultMaxRetries bounds livelock from pathologically conflicting txs.
 const DefaultMaxRetries = 128
 
-// DefaultPopBatch is the default mempool claim size per worker trip: large
-// enough to amortize the pool's heap lock, small enough that the tail of a
-// block still spreads across workers.
+// DefaultPopBatch is the mempool claim size per worker trip: large enough to
+// amortize the pool's heap lock, small enough that the tail of a block still
+// spreads across workers.
 const DefaultPopBatch = 4
 
 // ProposeResult is the outcome of packing one block.
@@ -142,10 +129,6 @@ func proposeOCC(parent *state.Snapshot, parentHeader *types.Header, pool *mempoo
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = DefaultMaxRetries
 	}
-	batch := cfg.PopBatch
-	if batch < 1 {
-		batch = DefaultPopBatch
-	}
 	header := &types.Header{
 		ParentHash: parentHeader.Hash(),
 		Number:     parentHeader.Number + 1,
@@ -165,7 +148,7 @@ func proposeOCC(parent *state.Snapshot, parentHeader *types.Header, pool *mempoo
 		sealStart = time.Now()
 	}
 	bc := chain.BlockContextFor(header, params.ChainID)
-	mv := NewMVStateStripes(parent, cfg.Stripes)
+	mv := NewMVState(parent)
 
 	// Contention-adaptive scheduling: roll the controller's window forward
 	// and configure the pool's abort-aware ordering for this block. With no
@@ -265,9 +248,6 @@ func proposeOCC(parent *state.Snapshot, parentHeader *types.Header, pool *mempoo
 			}
 		}
 		commitView := overlay.Access()
-		if cfg.AccountLevelKeys {
-			commitView = CoarsenAccessSet(commitView)
-		}
 		cs := overlay.ChangeSet()
 		merged := credits != nil && mergeableCredit(ctrl, view, tx, cs)
 		if merged {
@@ -363,7 +343,7 @@ func proposeOCC(parent *state.Snapshot, parentHeader *types.Header, pool *mempoo
 
 	worker := func(id int) {
 		for !gasFull.Load() {
-			txs := pool.PopBatch(batch)
+			txs := pool.PopBatch(DefaultPopBatch)
 			if len(txs) == 0 {
 				// Blocking wait with a drained-pool exit path: no spin when
 				// inFlight > 0 but the heap is empty.

@@ -71,11 +71,6 @@ var mvSealOrderHook func(claimed, sealed []*types.Transaction)
 // Process-global is fine: a node runs one proposer.
 var mvWindowHint atomic.Int64
 
-// ResetMVWindowHint forgets the carried speculation window. Benchmarks call
-// it between sweep points so each (workload, engine, threads) measurement
-// starts from the same fully-speculative state.
-func ResetMVWindowHint() { mvWindowHint.Store(0) }
-
 // proposeMV packs a block with the MV-STM engine. Transactions are claimed
 // from the pool in rounds (PopBatch yields at most one transaction per
 // sender per round, so same-sender nonce chains always occupy ascending

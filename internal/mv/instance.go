@@ -195,10 +195,13 @@ func (in *Instance) tryExecute(sched *Scheduler, worker int, task Task) (Task, b
 			return Task{}, false
 		}
 		in.executions.Add(1)
-		if task.Inc > 0 {
+		// A re-execution is a completed incarnation of a transaction that
+		// already completed one. task.Inc > 0 is not that: a transaction
+		// that suspended on an ESTIMATE resumes under a fresh incarnation
+		// number, so its first completed run may carry Inc > 0.
+		if in.data[task.Idx].Swap(res) != nil {
 			in.reexecutions.Add(1)
 		}
-		in.data[task.Idx].Store(res)
 		wroteNew := in.mem.Record(task.Idx, task.Inc, res.reads, res.out.Writes)
 		return sched.FinishExecution(task.Idx, task.Inc, wroteNew)
 	}
@@ -254,8 +257,12 @@ func (in *Instance) Data(idx int) any {
 }
 
 // Purge evicts transaction idx's writes (gas-limit cut at finalization).
-// Purge the highest index first.
-func (in *Instance) Purge(idx int) { in.mem.Purge(idx) }
+// Purge the highest index first. The transaction's completed incarnation is
+// forgotten with its writes.
+func (in *Instance) Purge(idx int) {
+	in.mem.Purge(idx)
+	in.data[idx].Store(nil)
+}
 
 // Flatten merges every surviving write into one change set, equivalent to
 // applying the claimed transactions serially in index order.

@@ -229,9 +229,8 @@ func (s *Snapshot) Copy() *Snapshot {
 }
 
 // Commit applies a change set and returns the resulting snapshot. The
-// receiver is unchanged. This is the serial reference path (and the
-// `-commit-workers 1` ablation); CommitParallel must produce a bit-identical
-// snapshot.
+// receiver is unchanged. This is the serial reference path; CommitParallel
+// must produce a bit-identical snapshot.
 func (s *Snapshot) Commit(cs *ChangeSet) *Snapshot {
 	if s.db != nil {
 		return s.commitDisk(cs)

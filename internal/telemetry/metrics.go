@@ -145,8 +145,8 @@ var (
 
 // DerivedStats computes the evaluation-facing rates the paper reports from
 // a snapshot: abort rate, drop rate, reject rate, and per-phase latency
-// quantiles in milliseconds. Used by `bpbench -json` so BENCH trajectories
-// can carry abort-rate / phase-latency columns directly.
+// quantiles in milliseconds. Printed by the telemetry report and emitted by
+// `bpbench -json`.
 func DerivedStats(s *Snapshot) map[string]float64 {
 	d := make(map[string]float64)
 	commits := s.Counter("blockpilot_proposer_commits_total")

@@ -187,22 +187,6 @@ type DBStats struct {
 	FileBytes     int64
 }
 
-// CacheHitRatio returns LRU hits per resolution (1.0 when nothing resolved).
-func (s DBStats) CacheHitRatio() float64 {
-	if s.Resolves == 0 {
-		return 1
-	}
-	return float64(s.CacheHits) / float64(s.Resolves)
-}
-
-// ReadAmplification returns disk reads per logical state read.
-func (s DBStats) ReadAmplification() float64 {
-	if s.LogicalReads == 0 {
-		return 0
-	}
-	return float64(s.DiskReads) / float64(s.LogicalReads)
-}
-
 // Stats returns the backend's counters.
 func (db *Database) Stats() DBStats {
 	ss := db.st.Stats()
