@@ -12,8 +12,9 @@ import (
 // Differential test: random straight-line stack programs are executed by
 // the interpreter and by an independent reference stack machine built on
 // the (separately verified) uint256 package; results must agree. This
-// exercises opcode dispatch, operand order, PUSH immediate decoding, and
-// DUP/SWAP indexing across thousands of programs.
+// exercises opcode dispatch, operand order, PUSH1..PUSH32 immediate decoding
+// (including a truncated PUSH at the tail), and DUP/SWAP indexing across
+// thousands of programs.
 
 type refOp struct {
 	op    evm.OpCode
@@ -100,9 +101,12 @@ func TestDifferentialStackPrograms(t *testing.T) {
 		for i := 0; i < depth; i++ {
 			w := randWord(r)
 			stack = append(stack, w)
+			// Any PUSHn wide enough for the word, zero-extended on the left.
 			b := w.Bytes32()
-			code = append(code, byte(evm.PUSH32))
-			code = append(code, b[:]...)
+			n := max(1, len(w.Bytes()))
+			n += r.Intn(32 - n + 1)
+			code = append(code, byte(evm.PUSH1)+byte(n-1))
+			code = append(code, b[32-n:]...)
 		}
 		// Random op sequence, keeping the stack non-empty.
 		steps := 1 + r.Intn(8)
@@ -148,6 +152,11 @@ func TestDifferentialStackPrograms(t *testing.T) {
 		code = append(code,
 			byte(evm.PUSH1), 0, byte(evm.MSTORE),
 			byte(evm.PUSH1), 32, byte(evm.PUSH1), 0, byte(evm.RETURN))
+		// A PUSHn cut short by the end of the code closes every program: it
+		// is never reached, but it is analysed with the rest.
+		n := 1 + r.Intn(32)
+		code = append(code, byte(evm.PUSH1)+byte(n-1))
+		code = append(code, make([]byte, r.Intn(n))...)
 
 		base := state.NewGenesisBuilder().
 			AddContract(contractAddr, uint256.NewInt(0), code, nil).

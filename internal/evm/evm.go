@@ -92,13 +92,13 @@ type frame struct {
 	value    uint256.Int
 	input    []byte
 	code     []byte
+	an       *analysis // of code
 	gas      uint64
 	pc       uint64
 	stack    *Stack
 	mem      *Memory
 	ret      []byte // payload set by RETURN / REVERT
 	retData  []byte // return data of the most recent inner call
-	jumpOK   []bool // valid JUMPDEST positions
 	readOnly bool   // STATICCALL context: state mutation forbidden
 }
 
@@ -147,8 +147,8 @@ func (e *EVM) call(caller, to types.Address, input []byte, gas uint64, value *ui
 		caller:   caller,
 		input:    input,
 		code:     code,
+		an:       analysisFor(e.State.GetCodeHash(to), code),
 		gas:      gas,
-		stack:    newStack(),
 		mem:      newMemory(),
 		readOnly: readOnly,
 	}
@@ -185,8 +185,8 @@ func (e *EVM) delegateCall(parent *frame, to types.Address, input []byte, gas ui
 		value:    parent.value,
 		input:    input,
 		code:     code,
+		an:       analysisFor(e.State.GetCodeHash(to), code),
 		gas:      gas,
-		stack:    newStack(),
 		mem:      newMemory(),
 		readOnly: parent.readOnly,
 	}
@@ -252,8 +252,8 @@ func (e *EVM) CreateAt(caller types.Address, initCode []byte, gas uint64, value 
 		caller:  caller,
 		input:   nil,
 		code:    initCode,
+		an:      analyse(initCode), // runs once: not worth a cache entry
 		gas:     gas,
-		stack:   newStack(),
 		mem:     newMemory(),
 	}
 	if value != nil {
@@ -286,28 +286,11 @@ func (e *EVM) CreateAt(caller types.Address, initCode []byte, gas uint64, value 
 	return ret, addr, gasLeft, nil
 }
 
-// analyzeJumpdests marks code offsets that are valid JUMPDEST targets
-// (JUMPDEST bytes not inside PUSH immediate data).
-func analyzeJumpdests(code []byte) []bool {
-	valid := make([]bool, len(code))
-	for i := 0; i < len(code); {
-		op := OpCode(code[i])
-		switch {
-		case op == JUMPDEST:
-			valid[i] = true
-			i++
-		case op >= PUSH1 && op <= PUSH32:
-			i += int(op-PUSH1) + 2
-		default:
-			i++
-		}
-	}
-	return valid
-}
-
-// run executes the frame to completion.
+// run executes the frame to completion on a pooled operand stack, which
+// goes back to the pool on every exit path.
 func (e *EVM) run(f *frame) ([]byte, error) {
-	f.jumpOK = analyzeJumpdests(f.code)
+	f.stack = newStack()
+	defer f.stack.release()
 	for {
 		if f.pc >= uint64(len(f.code)) {
 			return nil, nil // implicit STOP

@@ -626,3 +626,156 @@ func BenchmarkEVMLoop(b *testing.B) {
 		}
 	}
 }
+
+// TestMemoryWordWalkGas grows memory one word at a time to 64 KiB. Memory
+// capacity grows geometrically underneath; the gas charged must not notice.
+func TestMemoryWordWalkGas(t *testing.T) {
+	ret, gasUsed, err, _ := runCode(t, asm.MustAssemble(`
+		PUSH1 0
+	loop:
+		JUMPDEST
+		DUP1
+		DUP1
+		MSTORE            ; mem[off] = off
+		PUSH1 32
+		ADD
+		DUP1
+		PUSH3 0x010000
+		GT                ; 64 KiB > off
+		PUSH @loop
+		JUMPI
+		POP
+		MSIZE
+	`+ret32), nil, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msize uint256.Int
+	msize.SetBytes(ret)
+	if msize.Uint64() != 65536 {
+		t.Fatalf("MSIZE = %d, want 65536", msize.Uint64())
+	}
+	// 2048 iterations × 38 constant gas, 3·2048 + 2048²/512 expansion, 19
+	// for prologue and epilogue: also what the interpreter charged when
+	// resize still reallocated the whole store on every expansion.
+	if want := uint64(2048*38 + 3*2048 + 2048*2048/512 + 19); gasUsed != want {
+		t.Fatalf("gas used = %d, want %d", gasUsed, want)
+	}
+	// Every word must read back: growth may not drop or shift old contents.
+	ret, _, err, _ = runCode(t, asm.MustAssemble(`
+		PUSH1 0
+	fill:
+		JUMPDEST
+		DUP1
+		DUP1
+		MSTORE
+		PUSH1 32
+		ADD
+		DUP1
+		PUSH3 0x010000
+		GT
+		PUSH @fill
+		JUMPI
+		POP
+		PUSH1 0           ; [off]
+		PUSH1 0           ; [sum off]
+	sum:
+		JUMPDEST
+		DUP2
+		MLOAD
+		ADD               ; [sum+mem[off] off]
+		SWAP1
+		PUSH1 32
+		ADD
+		SWAP1             ; [sum off+32]
+		DUP2
+		PUSH3 0x010000
+		GT
+		PUSH @sum
+		JUMPI
+	`+ret32), nil, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum uint256.Int
+	sum.SetBytes(ret)
+	if want := uint64(32 * 2047 * 2048 / 2); sum.Uint64() != want {
+		t.Fatalf("sum of stored words = %d, want %d", sum.Uint64(), want)
+	}
+}
+
+func TestJumpdestInsidePushData(t *testing.T) {
+	// pc 0: PUSH32 with an all-0x5b immediate (pc 1..32), pc 33: POP, then a
+	// jump. Its only valid target is the real JUMPDEST that ends the code.
+	prefix := append([]byte{byte(evm.PUSH32)}, bytes.Repeat([]byte{byte(evm.JUMPDEST)}, 32)...)
+	prefix = append(prefix, byte(evm.POP))
+	for _, taken := range []bool{false, true} {
+		jump := func(dest byte) []byte {
+			code := append([]byte{}, prefix...)
+			if taken {
+				return append(code, byte(evm.PUSH1), 1, byte(evm.PUSH1), dest, byte(evm.JUMPI), byte(evm.JUMPDEST))
+			}
+			return append(code, byte(evm.PUSH1), dest, byte(evm.JUMP), byte(evm.JUMPDEST))
+		}
+		for _, dest := range []byte{1, 16, 32} {
+			if _, _, err, _ := runCode(t, jump(dest), nil, 100000); !errors.Is(err, evm.ErrInvalidJump) {
+				t.Fatalf("JUMPI=%v into PUSH32 data byte %d: err = %v, want invalid jump", taken, dest, err)
+			}
+		}
+		last := byte(len(jump(0)) - 1)
+		if _, _, err, _ := runCode(t, jump(last), nil, 100000); err != nil {
+			t.Fatalf("JUMPI=%v to the real JUMPDEST at %d: %v", taken, last, err)
+		}
+	}
+}
+
+// TestPushImmediateDistinguishesCode: two contracts whose code differs only
+// inside a PUSH immediate must not share decoded immediates.
+func TestPushImmediateDistinguishesCode(t *testing.T) {
+	for _, want := range []uint64{0x1234, 0x1235} {
+		code := append([]byte{byte(evm.PUSH1 + 1), byte(want >> 8), byte(want)}, asm.MustAssemble(ret32)...)
+		ret, _, err, _ := runCode(t, code, nil, 100000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got uint256.Int
+		got.SetBytes(ret)
+		if got.Uint64() != want {
+			t.Fatalf("PUSH2 %#x returned %#x", want, got.Uint64())
+		}
+	}
+}
+
+func TestStackDepthBoundary(t *testing.T) {
+	fill := func(n int) []byte { return bytes.Repeat([]byte{byte(evm.PUSH1), 0xAA}, n) }
+	if _, _, err, _ := runCode(t, fill(1024), nil, 100000); err != nil {
+		t.Fatalf("1024 pushes: %v", err)
+	}
+	if _, _, err, _ := runCode(t, fill(1025), nil, 100000); !errors.Is(err, evm.ErrStackOverflow) {
+		t.Fatalf("1025 pushes: err = %v, want stack overflow", err)
+	}
+	// DUP at exactly the limit overflows too; one below it is fine.
+	if _, _, err, _ := runCode(t, append(fill(1024), byte(evm.DUP1)), nil, 100000); !errors.Is(err, evm.ErrStackOverflow) {
+		t.Fatalf("DUP1 at depth 1024: err = %v, want stack overflow", err)
+	}
+	if _, _, err, _ := runCode(t, append(fill(1023), byte(evm.DUP1)), nil, 100000); err != nil {
+		t.Fatalf("DUP1 at depth 1023: %v", err)
+	}
+	// The frames above left 0xAA in every word of a recycled stack. A frame
+	// that is 15 deep must still underflow on DUP16 and SWAP15, not read them.
+	for _, op := range []evm.OpCode{evm.DUP1 + 15, evm.SWAP1 + 14} {
+		code := append(bytes.Repeat([]byte{byte(evm.PUSH0)}, 15), byte(op))
+		if _, _, err, _ := runCode(t, code, nil, 100000); !errors.Is(err, evm.ErrStackUnderflow) {
+			t.Fatalf("%v at depth 15: err = %v, want stack underflow", op, err)
+		}
+	}
+	// At depth 16 DUP16 reads this frame's bottom word, a zero.
+	code := append(bytes.Repeat([]byte{byte(evm.PUSH0)}, 16), byte(evm.DUP1+15))
+	ret, _, err, _ := runCode(t, append(code, asm.MustAssemble(ret32)...), nil, 100000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ret, make([]byte, 32)) {
+		t.Fatalf("DUP16 at depth 16 read %x, want zero", ret)
+	}
+}

@@ -228,8 +228,9 @@ func opSar(e *EVM, f *frame) error {
 func opSha3(e *EVM, f *frame) error {
 	off := f.stack.pop()
 	size := f.stack.peek()
-	data := f.mem.view(off.Uint64(), size.Uint64())
-	size.SetBytes(crypto.Keccak256(data))
+	var h [32]byte
+	crypto.Keccak256Into(&h, f.mem.view(off.Uint64(), size.Uint64()))
+	size.SetBytes(h[:])
 	return nil
 }
 
@@ -267,11 +268,11 @@ func opCallValue(e *EVM, f *frame) error {
 
 func opCallDataLoad(e *EVM, f *frame) error {
 	off := f.stack.peek()
-	if !off.IsUint64() {
-		off.Clear()
-		return nil
+	var word [32]byte // zero-padded past the end of the calldata
+	if off.IsUint64() && off.Uint64() < uint64(len(f.input)) {
+		copy(word[:], f.input[off.Uint64():])
 	}
-	off.SetBytes(getData(f.input, off.Uint64(), 32))
+	off.SetBytes(word[:])
 	return nil
 }
 
@@ -441,7 +442,7 @@ func opSstore(e *EVM, f *frame) error {
 
 func opJump(e *EVM, f *frame) error {
 	dest := f.stack.pop()
-	if !dest.IsUint64() || dest.Uint64() >= uint64(len(f.code)) || !f.jumpOK[dest.Uint64()] {
+	if !f.an.validJump(&dest) {
 		return ErrInvalidJump
 	}
 	f.pc = dest.Uint64()
@@ -455,7 +456,7 @@ func opJumpi(e *EVM, f *frame) error {
 		f.pc++
 		return nil
 	}
-	if !dest.IsUint64() || dest.Uint64() >= uint64(len(f.code)) || !f.jumpOK[dest.Uint64()] {
+	if !f.an.validJump(&dest) {
 		return ErrInvalidJump
 	}
 	f.pc = dest.Uint64()
@@ -485,24 +486,11 @@ func opPush0(e *EVM, f *frame) error {
 	return nil
 }
 
-// makePush builds the PUSHn implementation: n immediate bytes, zero-padded
-// on the right when the code ends early.
+// makePush builds the PUSHn implementation: the immediate was decoded by
+// the code analysis, so a push is one word copy.
 func makePush(n uint64) executionFunc {
 	return func(e *EVM, f *frame) error {
-		codeLen := uint64(len(f.code))
-		start := f.pc + 1
-		if start > codeLen {
-			start = codeLen
-		}
-		end := f.pc + 1 + n
-		if end > codeLen {
-			end = codeLen
-		}
-		var buf [32]byte
-		copy(buf[:n], f.code[start:end])
-		var v uint256.Int
-		v.SetBytes(buf[:n])
-		f.stack.push(&v)
+		f.stack.push(&f.an.pushes[f.an.slot[f.pc]])
 		f.pc += n
 		return nil
 	}

@@ -15,15 +15,15 @@ func newMemory() *Memory { return &Memory{} }
 // len returns the current memory size in bytes.
 func (m *Memory) len() uint64 { return uint64(len(m.store)) }
 
-// resize grows memory to at least size bytes, rounded up to a word.
+// resize grows memory to at least size bytes, rounded up to a word. The new
+// bytes are zero; capacity grows geometrically, so a contract that walks
+// memory word by word copies O(n) bytes in total, not O(n²).
 func (m *Memory) resize(size uint64) {
 	if size <= m.len() {
 		return
 	}
 	size = (size + 31) / 32 * 32
-	grown := make([]byte, size)
-	copy(grown, m.store)
-	m.store = grown
+	m.store = append(m.store, make([]byte, size-m.len())...)
 }
 
 // set writes value at [offset, offset+len(value)). Memory must already be

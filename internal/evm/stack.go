@@ -1,41 +1,56 @@
 package evm
 
-import "blockpilot/internal/uint256"
+import (
+	"sync"
+
+	"blockpilot/internal/uint256"
+)
 
 // stackLimit is the EVM's maximum stack depth.
 const stackLimit = 1024
 
-// Stack is the EVM operand stack of 256-bit words.
+// Stack is the EVM operand stack of 256-bit words: a fixed array, so a push
+// is a store and an index bump. Depth is pre-checked by the interpreter's
+// per-op minStack/maxStack validation; the array bound is the backstop.
 type Stack struct {
-	data []uint256.Int
+	data [stackLimit]uint256.Int
+	n    int
 }
+
+// stackPool recycles the 32 KiB stacks across call frames. Words above n are
+// stale but unreachable: every read is depth-checked against n first.
+var stackPool = sync.Pool{New: func() any { return new(Stack) }}
 
 func newStack() *Stack {
-	return &Stack{data: make([]uint256.Int, 0, 16)}
+	s := stackPool.Get().(*Stack)
+	s.n = 0
+	return s
 }
 
-func (s *Stack) len() int { return len(s.data) }
+// release returns s to the pool; s must not be used afterwards.
+func (s *Stack) release() { stackPool.Put(s) }
+
+func (s *Stack) len() int { return s.n }
 
 func (s *Stack) push(v *uint256.Int) {
-	s.data = append(s.data, *v)
+	s.data[s.n] = *v
+	s.n++
 }
 
-// pop removes and returns the top element. Depth is pre-checked by the
-// interpreter's minStack validation.
+// pop removes and returns the top element.
 func (s *Stack) pop() uint256.Int {
-	v := s.data[len(s.data)-1]
-	s.data = s.data[:len(s.data)-1]
-	return v
+	s.n--
+	return s.data[s.n]
 }
 
 // peek returns a pointer to the top element (mutable in place).
 func (s *Stack) peek() *uint256.Int {
-	return &s.data[len(s.data)-1]
+	return &s.data[s.n-1]
 }
 
 // back returns the n-th element from the top (0 = top).
 func (s *Stack) back(n int) *uint256.Int {
-	return &s.data[len(s.data)-1-n]
+	return &s.data[s.n-1-n]
 }
 
 // dup pushes a copy of the n-th element from the top (1-based, DUPn).
@@ -45,6 +60,6 @@ func (s *Stack) dup(n int) {
 
 // swap exchanges the top with the n-th element below it (1-based, SWAPn).
 func (s *Stack) swap(n int) {
-	top := len(s.data) - 1
+	top := s.n - 1
 	s.data[top], s.data[top-n] = s.data[top-n], s.data[top]
 }
