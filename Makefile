@@ -1,12 +1,12 @@
 # BlockPilot CI entry points. `make ci` is what the tier-1 gate runs:
 # vet + build + full test suite (the concurrency packages additionally under
-# -cpu 1,2,4, so a 1-CPU runner cannot hide a scheduling-dependent bug) +
+# -cpu 1,2,4, so a 1-CPU runner cannot hide a scheduling-dependent bug; every
+# Propose test rides both engines with and without the adaptive controller) +
 # race detector on the concurrency-heavy packages (OCC-WSI core, MV-STM
 # engine, mempool, pipeline, network, sim, telemetry, flight recorder, health
 # recorder) + the flight-recorder, block-tracer and health-recorder
 # disabled-path budget gates + a live health-sampler smoke (health-smoke)
-# + the MV-STM engine smoke (bench-smoke) + the contention-adaptive scheduler
-# smoke (adaptive-smoke) + the cluster-simulator scenario matrix with its
+# + the cluster-simulator scenario matrix with its
 # mutation self-check and span-chain oracle (sim-smoke) + the disk-backed
 # state persistence battery at 500k accounts (state-smoke) + a short corpus
 # pass over the fuzz targets (fuzz-smoke).
@@ -25,11 +25,11 @@
 
 GO ?= go
 
-.PHONY: all ci vet build test race race-all flight-budget trace-budget health-budget health-smoke bench-smoke adaptive-smoke sim-smoke state-smoke fuzz-smoke bench bench-compare bench-go telemetry-bench flight-bench trace-demo crit-demo health-demo clean
+.PHONY: all ci vet build test race race-all flight-budget trace-budget health-budget health-smoke sim-smoke state-smoke fuzz-smoke bench bench-compare bench-go telemetry-bench flight-bench trace-demo crit-demo health-demo lines clean
 
 all: ci
 
-ci: vet build test race flight-budget trace-budget health-budget health-smoke bench-smoke adaptive-smoke sim-smoke state-smoke fuzz-smoke
+ci: vet build test race flight-budget trace-budget health-budget health-smoke sim-smoke state-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -44,9 +44,12 @@ build:
 # the one state its frames share across goroutines.
 CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/scheduler/... ./internal/evm/
 
+# The TopK pass repeats because an order-dependent heavy-hitter sketch (map
+# iteration deciding a tie) fails about one run in eight, not every run.
 test:
 	$(GO) test ./...
 	$(GO) test -cpu 1,2,4 $(CONCURRENCY_PKGS)
+	$(GO) test -count=20 -run TopK ./internal/flight/
 
 race:
 	$(GO) test -race -timeout 30m -cpu 1,2,4 $(CONCURRENCY_PKGS)
@@ -78,18 +81,6 @@ health-budget:
 # enabled path.
 health-smoke:
 	$(GO) test -short -count=1 -run TestHealthSmoke ./internal/health/
-
-# MV-STM engine smoke: one mixed block through the Block-STM proposer,
-# serializability checked against a serial replay.
-bench-smoke:
-	$(GO) test -short -count=1 -run 'TestMVSmoke' ./internal/core/
-
-# Contention-adaptive scheduler gate: the serial-lane / commutative-merge
-# torture (three chained hotspot blocks per engine, serializability-checked
-# against a serial replay) plus the short adaptive smoke, both engines.
-adaptive-smoke:
-	$(GO) test -count=1 -run 'TestAdaptiveLaneTorture|TestAdaptiveSmoke' ./internal/core/
-	$(GO) test -count=1 ./internal/adaptive/
 
 # Cluster-simulator gate: every fault scenario (9) at 4 seeds under BOTH
 # proposer engines (TestScenarioMatrix = occ-wsi, TestScenarioMatrixMVSTM =
@@ -159,6 +150,14 @@ crit-demo:
 # history over a short local run (see docs/OBSERVABILITY.md).
 health-demo:
 	$(GO) run ./cmd/bpinspect health -blocks 4 -threads 8
+
+# Non-test Go lines per internal/* package (sub-packages included) and their
+# total: the size a simplicity PR quotes before and after.
+lines:
+	@total=0; for d in internal/*/; do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%-22s %6d\n' $$d $$n; total=$$((total + n)); \
+	done; printf '%-22s %6d\n' total $$total
 
 clean:
 	$(GO) clean ./...

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"blockpilot/internal/blockdb"
-	"blockpilot/internal/adaptive"
 	"blockpilot/internal/chain"
 	"blockpilot/internal/consensus"
 	"blockpilot/internal/core"
@@ -40,21 +39,20 @@ import (
 	"blockpilot/internal/pipeline"
 	"blockpilot/internal/state"
 	"blockpilot/internal/telemetry"
-	"blockpilot/internal/trie"
 	"blockpilot/internal/trace"
+	"blockpilot/internal/trie"
 	"blockpilot/internal/types"
 	"blockpilot/internal/validator"
 	"blockpilot/internal/workload"
 )
 
 type node struct {
-	name     string
-	chain    *chain.Chain
-	pipe     *pipeline.Pipeline
-	net      *network.Node
-	adaptive *adaptive.Controller // per-proposer contention controller (-adaptive)
-	seen     int                  // blocks validated
-	mu       sync.Mutex
+	name  string
+	chain *chain.Chain
+	pipe  *pipeline.Pipeline
+	net   *network.Node
+	seen  int // blocks validated
+	mu    sync.Mutex
 }
 
 func main() {
@@ -62,8 +60,6 @@ func main() {
 	proposers := flag.Int("proposers", 3, "proposer nodes")
 	validators := flag.Int("validators", 2, "validator-only nodes")
 	threads := flag.Int("threads", 8, "execution threads per node")
-	engineFlag := flag.String("engine", core.EngineOCCWSI, "proposer execution engine: occ-wsi (abort+retry) or mv-stm (Block-STM multi-version)")
-	adaptiveOn := flag.Bool("adaptive", false, "enable contention-adaptive scheduling on proposers: hot-key serial lane, commutative credit merge, abort-aware mempool ordering")
 	forkProb := flag.Float64("fork-prob", 0.35, "per-round fork probability")
 	txs := flag.Int("txs", 132, "transactions per block")
 	seed := flag.Int64("seed", 1, "workload + consensus seed")
@@ -204,14 +200,7 @@ func main() {
 	}
 	proposerNodes := make(map[types.Address]*node, *proposers)
 	for i, id := range ids {
-		pn := addNode(fmt.Sprintf("proposer-%d", i))
-		if *adaptiveOn {
-			// One controller per proposer for the process lifetime: the
-			// contention window is proposer-local state that persists
-			// across rounds, like the mempool it schedules.
-			pn.adaptive = adaptive.New(adaptive.Config{})
-		}
-		proposerNodes[id] = pn
+		proposerNodes[id] = addNode(fmt.Sprintf("proposer-%d", i))
 	}
 	for i := 0; i < *validators; i++ {
 		addNode(fmt.Sprintf("validator-%d", i))
@@ -278,12 +267,10 @@ func main() {
 			head := pn.chain.Head()
 			start := time.Now()
 			res, err := core.Propose(pn.chain.StateOf(head.Hash()), &head.Header, pool, core.ProposerConfig{
-				Engine:   *engineFlag,
 				Threads:  *threads,
 				Coinbase: coinbase,
 				Time:     uint64(r + 1),
 				Node:     pn.name,
-				Adaptive: pn.adaptive,
 			}, params)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "propose: %v\n", err)

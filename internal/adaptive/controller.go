@@ -12,7 +12,7 @@
 //     transactions keep full parallelism. Both engines wire the lane the
 //     same way (OCC-WSI routes popped hot txs to a lane goroutine; MV-STM
 //     runs the hot suffix of each claim round at one thread), so the
-//     -engine flag remains a clean ablation.
+//     engine choice remains a clean ablation.
 //  2. Commutative merge: pure balance credits to a hot account are folded
 //     through a per-block delta accumulator (CreditPool) and materialized
 //     once at seal, eliminating the hot-account conflict entirely — the
@@ -23,11 +23,12 @@
 //     forever). The controller only switches the policy on; the pool owns
 //     the bookkeeping.
 //
-// Everything is off by default and sits behind ProposerConfig.Adaptive /
-// the -adaptive flag. One Controller persists across blocks (the window is
-// the whole point); BlockStart decays the sketches and republishes the hot
-// set as an atomic pointer, so the per-transaction queries on the proposer
-// hot path are one atomic load plus two map probes, lock-free.
+// Everything is off by default and sits behind ProposerConfig.Adaptive
+// (bpbench -exp sim -adaptive, bpinspect adaptive). One Controller persists
+// across blocks (the window is the whole point); BlockStart decays the
+// sketches and republishes the hot set as an atomic pointer, so the
+// per-transaction queries on the proposer hot path are an atomic load and a
+// map probe per account, lock-free.
 package adaptive
 
 import (
@@ -39,58 +40,33 @@ import (
 	"blockpilot/internal/types"
 )
 
-// Config sizes the controller. The zero value selects every default.
+// Config switches off individual decisions for ablations. The zero value is
+// the full controller.
 type Config struct {
-	// TopK is the capacity of the windowed hot-key/hot-sender sketches
-	// (0 = flight.DefaultTopK).
-	TopK int
-	// HotKeys / HotSenders bound how many top sketch entries drive the
-	// scheduling decisions each block (0 = DefaultHotN). Small on purpose:
-	// the serial lane must stay a lane, not become the block.
-	HotKeys    int
-	HotSenders int
-	// MinCount is the windowed abort count a sketch entry needs before it
-	// is considered hot (0 = DefaultMinCount). Below it the controller
-	// publishes an empty hot set and the proposer runs exactly as with
-	// adaptive off — no contention, no intervention.
-	MinCount uint64
-	// Decay is the per-block sketch decay factor in (0, 1)
-	// (0 = DefaultDecay). Counts halve per block at the default, so the
-	// window is effectively the last ~log₂(count) blocks.
-	Decay float64
-	// DisableMerge / DisableDemotion switch off decisions (2) and (3) for
-	// ablations; the serial lane is the controller's reason to exist and
-	// has no separate switch.
+	// DisableMerge / DisableDemotion switch off decisions (2) and (3); the
+	// serial lane is the controller's reason to exist and has no separate
+	// switch.
 	DisableMerge    bool
 	DisableDemotion bool
 }
 
-// Defaults for the zero Config.
 const (
-	DefaultHotN     = 8
-	DefaultMinCount = 2
+	// hotN bounds how many top hot-key and hot-sender sketch entries drive
+	// the scheduling decisions each block. Small on purpose: the serial lane
+	// must stay a lane, not become the block.
+	hotN = 8
+	// minCount is the windowed abort count a sketch entry needs before it is
+	// considered hot. Below it the controller publishes an empty hot set and
+	// the proposer runs exactly as with adaptive off — no contention, no
+	// intervention.
+	minCount = 2
 )
 
-// DefaultDecay halves every windowed count per block.
-const DefaultDecay = 0.5
-
-func (c *Config) normalize() {
-	if c.TopK <= 0 {
-		c.TopK = flight.DefaultTopK
-	}
-	if c.HotKeys <= 0 {
-		c.HotKeys = DefaultHotN
-	}
-	if c.HotSenders <= 0 {
-		c.HotSenders = DefaultHotN
-	}
-	if c.MinCount == 0 {
-		c.MinCount = DefaultMinCount
-	}
-	if c.Decay <= 0 || c.Decay >= 1 {
-		c.Decay = DefaultDecay
-	}
-}
+// Decay is the per-block decay factor of the window: the sketches' and
+// stripe counters' here, and the pool's per-sender abort EWMA the proposer
+// ages alongside them. Counts halve per block, so the window is effectively
+// the last ~log₂(count) blocks.
+const Decay = 0.5
 
 // HotSet is one published scheduling decision table: the accounts whose
 // transactions divert to the serial lane (and qualify for commutative
@@ -126,18 +102,14 @@ type Controller struct {
 	abortsSeen    atomic.Uint64
 }
 
-// New returns a controller with cfg (zero value = defaults).
+// New returns a controller with cfg (zero value = every decision on).
 func New(cfg Config) *Controller {
-	cfg.normalize()
 	return &Controller{
 		cfg:     cfg,
-		keys:    flight.NewTopK[types.StateKey](cfg.TopK),
-		senders: flight.NewTopK[types.Address](cfg.TopK),
+		keys:    flight.NewTopK[types.StateKey](flight.DefaultTopK),
+		senders: flight.NewTopK[types.Address](flight.DefaultTopK),
 	}
 }
-
-// Config returns the normalized configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // MergeEnabled reports whether commutative credit merging is on.
 func (c *Controller) MergeEnabled() bool { return !c.cfg.DisableMerge }
@@ -162,34 +134,6 @@ func (c *Controller) NoteAbort(sender types.Address, key types.StateKey, stripe 
 	c.mu.Unlock()
 }
 
-// SeedFromFlight warm-starts the windowed sketches from an installed flight
-// recorder's run-lifetime attribution, capped per entry so stale history
-// cannot outweigh the live window for more than a few blocks of decay.
-func (c *Controller) SeedFromFlight(rec *flight.Recorder) {
-	if rec == nil {
-		return
-	}
-	const seedCap = 16
-	obs := func(count uint64) uint64 {
-		if count > seedCap {
-			return seedCap
-		}
-		return count
-	}
-	c.mu.Lock()
-	for _, k := range rec.HotKeySketch(c.cfg.TopK) {
-		for i := uint64(0); i < obs(k.Count); i++ {
-			c.keys.Observe(k.Key)
-		}
-	}
-	for _, s := range rec.HotSenderSketch(c.cfg.TopK) {
-		for i := uint64(0); i < obs(s.Count); i++ {
-			c.senders.Observe(s.Key)
-		}
-	}
-	c.mu.Unlock()
-}
-
 // BlockStart rolls the window forward one block: decay the sketches and the
 // stripe counters, rebuild the hot set from the surviving heavy hitters,
 // and publish it atomically for the proposer's per-transaction queries.
@@ -197,28 +141,28 @@ func (c *Controller) SeedFromFlight(rec *flight.Recorder) {
 func (c *Controller) BlockStart() {
 	c.blocks.Add(1)
 	c.mu.Lock()
-	c.keys.Decay(c.cfg.Decay)
-	c.senders.Decay(c.cfg.Decay)
+	c.keys.Decay(Decay)
+	c.senders.Decay(Decay)
 	for i := range c.stripeAborts {
-		c.stripeAborts[i] *= c.cfg.Decay
+		c.stripeAborts[i] *= Decay
 	}
-	c.windowAborts *= c.cfg.Decay
+	c.windowAborts *= Decay
 
 	hs := &HotSet{
 		Accounts:     make(map[types.Address]struct{}),
-		Keys:         c.keys.Top(c.cfg.HotKeys),
-		Senders:      c.senders.Top(c.cfg.HotSenders),
+		Keys:         c.keys.Top(hotN),
+		Senders:      c.senders.Top(hotN),
 		WindowAborts: uint64(c.windowAborts),
 	}
 	c.mu.Unlock()
 
 	for _, k := range hs.Keys {
-		if k.Count >= c.cfg.MinCount {
+		if k.Count >= minCount {
 			hs.Accounts[k.Key.Addr] = struct{}{}
 		}
 	}
 	for _, s := range hs.Senders {
-		if s.Count >= c.cfg.MinCount {
+		if s.Count >= minCount {
 			hs.Accounts[s.Key] = struct{}{}
 		}
 	}
@@ -230,22 +174,10 @@ func (c *Controller) BlockStart() {
 func (c *Controller) Hot() *HotSet { return c.hot.Load() }
 
 // IsHot reports whether tx's static access hints — sender and recipient
-// account — intersect the hot set: lane traffic. One atomic load and at
-// most two map probes; never blocks the worker hot path.
+// account — intersect the hot set: lane traffic. Never blocks the worker hot
+// path.
 func (c *Controller) IsHot(tx *types.Transaction) bool {
-	hs := c.hot.Load()
-	if hs == nil || len(hs.Accounts) == 0 {
-		return false
-	}
-	if _, ok := hs.Accounts[tx.From]; ok {
-		return true
-	}
-	if !tx.CreateContract {
-		if _, ok := hs.Accounts[tx.To]; ok {
-			return true
-		}
-	}
-	return false
+	return c.HotAccount(tx.From) || (!tx.CreateContract && c.HotAccount(tx.To))
 }
 
 // HotAccount reports whether addr itself is in the hot set (the commutative

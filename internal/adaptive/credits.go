@@ -21,7 +21,6 @@ import (
 type CreditPool struct {
 	mu     sync.Mutex
 	deltas map[types.Address]*uint256.Int
-	n      uint64
 }
 
 // NewCreditPool returns an empty pool.
@@ -39,22 +38,7 @@ func (p *CreditPool) Add(addr types.Address, value *uint256.Int) {
 		p.deltas[addr] = d
 	}
 	d.Add(d, value)
-	p.n++
 	p.mu.Unlock()
-}
-
-// Credits returns how many individual credits were folded in.
-func (p *CreditPool) Credits() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.n
-}
-
-// Empty reports whether the pool holds no deltas.
-func (p *CreditPool) Empty() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.deltas) == 0
 }
 
 // Materialize turns the accumulated deltas into a change set against r: for

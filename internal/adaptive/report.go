@@ -3,9 +3,6 @@ package adaptive
 import (
 	"fmt"
 	"strings"
-
-	"blockpilot/internal/flight"
-	"blockpilot/internal/types"
 )
 
 // StripeAbortRow is one stripe's windowed (decayed) abort mass.
@@ -24,10 +21,7 @@ type Snapshot struct {
 	// WindowAborts is the decayed abort mass at the last publish.
 	WindowAborts uint64 `json:"window_aborts"`
 	HotAccounts  int    `json:"hot_accounts"`
-	// Keys / Senders are the published hot set's windowed sketch rows.
-	Keys    []flight.Counted[types.StateKey] `json:"-"`
-	Senders []flight.Counted[types.Address]  `json:"-"`
-	// KeyRows / SenderRows are the same rows with stringified keys for JSON.
+	// KeyRows / SenderRows are the published hot set's windowed sketch rows.
 	KeyRows    []HotRow         `json:"keys,omitempty"`
 	SenderRows []HotRow         `json:"senders,omitempty"`
 	Stripes    []StripeAbortRow `json:"stripes,omitempty"`
@@ -51,14 +45,12 @@ func (c *Controller) Snapshot() *Snapshot {
 	if hs := c.hot.Load(); hs != nil {
 		s.WindowAborts = hs.WindowAborts
 		s.HotAccounts = len(hs.Accounts)
-		s.Keys = hs.Keys
-		s.Senders = hs.Senders
-	}
-	for _, k := range s.Keys {
-		s.KeyRows = append(s.KeyRows, HotRow{Key: k.Key.String(), Count: k.Count, Err: k.Err})
-	}
-	for _, sd := range s.Senders {
-		s.SenderRows = append(s.SenderRows, HotRow{Key: sd.Key.String(), Count: sd.Count, Err: sd.Err})
+		for _, k := range hs.Keys {
+			s.KeyRows = append(s.KeyRows, HotRow{Key: k.Key.String(), Count: k.Count, Err: k.Err})
+		}
+		for _, sd := range hs.Senders {
+			s.SenderRows = append(s.SenderRows, HotRow{Key: sd.Key.String(), Count: sd.Count, Err: sd.Err})
+		}
 	}
 	c.mu.Lock()
 	for i, a := range c.stripeAborts {

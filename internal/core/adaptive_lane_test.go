@@ -68,7 +68,8 @@ func warmHot(ctrl *adaptive.Controller, addr types.Address) {
 // must replay serially to the identical state root (the commit-order /
 // version-order invariant — a lane tx committed out of serialization order,
 // or a mis-merged credit, diverges the root), and MV-STM's sealed order
-// must remain a subsequence of its claimed order. Run under -race by the
+// must remain a subsequence of its claimed order; every sealed profile must
+// match what the replay observes, merged credits included. Run under -race by the
 // Makefile race target. The hot address doubles as the coinbase, so the
 // merged credits materializing before FinalizationChange is also on trial.
 func TestAdaptiveLaneTorture(t *testing.T) {
@@ -88,8 +89,8 @@ func TestAdaptiveLaneTorture(t *testing.T) {
 			parent, blocks := adaptiveTortureWorld(16, 4, hot)
 			parentHeader := &types.Header{Number: 0, StateRoot: parent.Root(), GasLimit: params.GasLimit}
 			ctrl := adaptive.New(adaptive.Config{})
-			// Start from a warmed window — the state SeedFromFlight hands
-			// the controller after a contended block — so every block routes
+			// Start from a warmed window — the state a contended block
+			// leaves the controller in — so every block routes
 			// through the lane and the merge deterministically. Organic
 			// formation is timing-dependent for sub-microsecond native
 			// transfers (both engines can drain 64 of them before workers
@@ -122,6 +123,13 @@ func TestAdaptiveLaneTorture(t *testing.T) {
 					snap := ctrl.Snapshot()
 					t.Fatalf("block %d not serializable in block order (lane=%d merged=%d): serial %s != proposed %s",
 						b, snap.LaneTxs, snap.MergedCredits, serial.State.Root(), res.Block.Header.StateRoot)
+				}
+				// A merged credit leaves the engine's conflict footprint, never
+				// the sealed profile: a validator replays and compares it.
+				for i, want := range serial.Profile.Txs {
+					if !want.SameAccessKeys(res.Block.Profile.Txs[i]) {
+						t.Fatalf("block %d tx %d: sealed profile differs from the replay's access keys", b, i)
+					}
 				}
 				parent = res.State
 				parentHeader = &res.Block.Header

@@ -1,0 +1,320 @@
+package core
+
+import (
+	"cmp"
+	"errors"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"blockpilot/internal/adaptive"
+	"blockpilot/internal/chain"
+	"blockpilot/internal/evm"
+	"blockpilot/internal/flight"
+	"blockpilot/internal/health"
+	"blockpilot/internal/mempool"
+	"blockpilot/internal/state"
+	"blockpilot/internal/telemetry"
+	"blockpilot/internal/trace"
+	"blockpilot/internal/types"
+	"blockpilot/internal/uint256"
+)
+
+// committedTx is one packed transaction awaiting block assembly.
+type committedTx struct {
+	version types.Version
+	tx      *types.Transaction
+	receipt *types.Receipt
+	profile *types.TxProfile
+}
+
+// mvSealOrderHook, when set (tests only), observes the claimed transaction
+// list and the sealed block order after every MV propose — the engine-parity
+// suite asserts the block preserves the claimed index order.
+var mvSealOrderHook func(claimed, sealed []*types.Transaction)
+
+// blockBuild is the one block-building harness under both engines: begin
+// (header, spans, the adaptive window roll), claim (pool → engine, with the
+// hot set applied once), reject and commit (a claimed transaction's two ways
+// out of the engine) and seal (block assembly, finalization credit, state
+// commit, header roots). An engine body supplies only what differs: how
+// claimed transactions are executed, ordered and retried. Validators, the
+// flight recorder and the sim oracles therefore cannot tell the engines
+// apart, and Engine stays a clean ablation by construction.
+type blockBuild struct {
+	parent *state.Snapshot
+	pool   *mempool.Pool
+	cfg    ProposerConfig // Threads normalized to ≥ 1
+	params chain.Params
+	header *types.Header
+	height uint64
+	bc     evm.BlockContext
+
+	span      telemetry.Span
+	tr        *trace.Collector // nil: block tracing off
+	sealStart time.Time
+
+	// Contention-adaptive scheduling; all nil/zero with no controller, and
+	// every adaptive branch below is then dead — the engine runs stock.
+	ctrl    *adaptive.Controller
+	credits *adaptive.CreditPool // nil unless the controller merges credits
+
+	retries sync.Map // tx hash → *atomic.Int64 aborts so far
+	dropped atomic.Int64
+
+	mu          sync.Mutex // guards everything below
+	committed   []committedTx
+	fees        uint256.Int
+	laneCommits int // commits that came through the serial lane
+}
+
+// begin opens a block on top of parent: the header skeleton, the telemetry
+// and trace spans that cover the whole packing run, and — with a controller
+// attached — the adaptive window roll and the pool's abort-aware ordering for
+// this block. SetAbortAware(false) also restores a pool a previous adaptive
+// run left demoting.
+func begin(parent *state.Snapshot, parentHeader *types.Header, pool *mempool.Pool,
+	cfg ProposerConfig, params chain.Params) *blockBuild {
+
+	if cfg.Threads < 1 {
+		cfg.Threads = 1
+	}
+	if cfg.Node == "" {
+		cfg.Node = "proposer"
+	}
+	header := &types.Header{
+		ParentHash: parentHeader.Hash(),
+		Number:     parentHeader.Number + 1,
+		Coinbase:   cfg.Coinbase,
+		GasLimit:   params.GasLimit,
+		Time:       cfg.Time,
+	}
+	b := &blockBuild{
+		parent: parent,
+		pool:   pool,
+		cfg:    cfg,
+		params: params,
+		header: header,
+		height: header.Number,
+		bc:     chain.BlockContextFor(header, params.ChainID),
+		span:   telemetry.StartSpan("proposer.propose", header.Number, telemetry.ProposerBlockSeconds),
+		tr:     trace.Resolve(cfg.Tracer),
+		ctrl:   cfg.Adaptive,
+	}
+	if b.tr != nil {
+		b.sealStart = time.Now()
+	}
+	pool.SetAbortAware(b.ctrl != nil && b.ctrl.DemotionEnabled())
+	if b.ctrl != nil {
+		b.ctrl.BlockStart()
+		if b.ctrl.DemotionEnabled() {
+			pool.AgeAborts(adaptive.Decay)
+		}
+		if b.ctrl.MergeEnabled() {
+			b.credits = adaptive.NewCreditPool()
+		}
+	}
+	return b
+}
+
+// claim pops up to n transactions for the given flight-recorder lane and
+// splits them by the controller's hot set — lane traffic in hot, everything
+// else in cold, each preserving pop (price) order. The hot set is consulted
+// here and nowhere else; with no controller hot is always empty.
+func (b *blockBuild) claim(worker, n int) (cold, hot []*types.Transaction) {
+	txs := b.pool.PopBatch(n)
+	if flight.Enabled() {
+		for _, tx := range txs {
+			flight.Pop(worker, tx, b.height)
+		}
+	}
+	if b.ctrl == nil {
+		return txs, nil
+	}
+	cold = txs[:0]
+	for _, tx := range txs {
+		if b.ctrl.IsHot(tx) {
+			hot = append(hot, tx)
+		} else {
+			cold = append(cold, tx)
+		}
+	}
+	return cold, hot
+}
+
+// reject retires a claimed transaction that failed its validity checks.
+func (b *blockBuild) reject(worker int, tx *types.Transaction, err error) {
+	if errors.Is(err, chain.ErrNonceTooHigh) {
+		// An earlier-nonce tx aborted, was dropped or was cut after this one
+		// queued behind it: retry once the chain settles.
+		b.requeueOrDrop(worker, tx)
+		return
+	}
+	// Nonce too low / unfunded: permanently invalid here.
+	b.drop(worker, tx, false)
+}
+
+// requeueOrDrop retries tx unless it has exhausted its abort budget, in which
+// case it is dropped for good and counted under both the general drops metric
+// and the retry-budget-specific blockpilot_proposer_dropped_total.
+func (b *blockBuild) requeueOrDrop(worker int, tx *types.Transaction) {
+	counter, _ := b.retries.LoadOrStore(tx.Hash(), new(atomic.Int64))
+	if counter.(*atomic.Int64).Add(1) > DefaultMaxRetries {
+		b.drop(worker, tx, true)
+		return
+	}
+	telemetry.ProposerRetries.Inc()
+	flight.Requeue(worker, tx, b.height)
+	b.pool.Requeue(tx)
+}
+
+func (b *blockBuild) drop(worker int, tx *types.Transaction, retryBudget bool) {
+	b.pool.Done(tx)
+	b.dropped.Add(1)
+	telemetry.ProposerDrops.Inc()
+	if retryBudget {
+		telemetry.ProposerDroppedRetryBudget.Inc()
+	}
+	flight.Drop(worker, tx, b.height, retryBudget)
+}
+
+// commit records one transaction the engine has made final at serialization
+// number c.version. merged folds its value into the credit pool (the engine
+// kept the recipient out of its own write set); lane counts it as serial-lane
+// traffic.
+func (b *blockBuild) commit(worker int, c committedTx, fee *uint256.Int, merged, lane bool) {
+	if merged {
+		b.credits.Add(c.tx.To, &c.tx.Value)
+		b.ctrl.NoteMerge()
+	}
+	b.mu.Lock()
+	b.fees.Add(&b.fees, fee)
+	b.committed = append(b.committed, c)
+	if lane {
+		b.laneCommits++
+	}
+	b.mu.Unlock()
+	b.pool.Done(c.tx)
+	telemetry.ProposerCommits.Inc()
+	health.Heartbeat(health.CompProposer)
+	flight.Commit(worker, c.tx, c.version, b.height)
+}
+
+// seal assembles and commits the block from what the engine made final:
+// total is the engine store's flattened change set, gasUsed the gas of the
+// committed transactions, aborts the engine's conflict count, and claimed —
+// MV-STM only — the claim order for mvSealOrderHook.
+func (b *blockBuild) seal(total *state.ChangeSet, gasUsed uint64, aborts int, claimed []*types.Transaction) *ProposeResult {
+	defer b.span.End()
+
+	// Block order is serialization order: commit version under OCC-WSI,
+	// claimed index under MV-STM (already ascending there).
+	committed := b.committed
+	slices.SortFunc(committed, func(x, y committedTx) int { return cmp.Compare(x.version, y.version) })
+	txs := make([]*types.Transaction, len(committed))
+	receipts := make([]*types.Receipt, len(committed))
+	profile := &types.BlockProfile{Txs: make([]*types.TxProfile, len(committed))}
+	var cumulative uint64
+	for i, c := range committed {
+		txs[i] = c.tx
+		cumulative += c.receipt.GasUsed
+		c.receipt.CumulativeGasUsed = cumulative
+		receipts[i] = c.receipt
+		profile.Txs[i] = c.profile
+		flight.Seal(c.tx, c.version, i, b.height)
+	}
+
+	// Finalize: aggregate fee + reward credit to the coinbase, then commit.
+	// Merged hot-account credits materialize first — over the accumulated
+	// block state and into the total change set — so FinalizationChange sees
+	// them (the coinbase itself can be hot).
+	accum := state.NewMemory(b.parent)
+	accum.ApplyChangeSet(total)
+	if b.credits != nil {
+		if ccs := b.credits.Materialize(accum); ccs != nil {
+			accum.ApplyChangeSet(ccs)
+			total.Merge(ccs)
+		}
+	}
+	total.Merge(chain.FinalizationChange(accum, b.cfg.Coinbase, &b.fees, b.params))
+	var scStart, scEnd time.Time
+	if b.tr != nil {
+		scStart = time.Now()
+	}
+	postState, stateRoot := chain.CommitAndRoot(b.parent, total, b.params, b.height)
+	if b.tr != nil {
+		scEnd = time.Now()
+	}
+
+	if b.ctrl != nil {
+		occ := 0.0
+		if len(committed) > 0 {
+			occ = float64(b.laneCommits) / float64(len(committed))
+		}
+		telemetry.AdaptiveLaneOccupancy.Set(occ)
+	}
+	telemetry.ProposerBlockTxs.Observe(uint64(len(committed)))
+	header := b.header
+	header.GasUsed = gasUsed
+	header.StateRoot = stateRoot
+	header.TxRoot = types.ComputeTxRoot(txs)
+	header.ReceiptRoot = types.ComputeReceiptRoot(receipts)
+	header.LogsBloom = types.CreateBloom(receipts)
+
+	blk := &types.Block{Header: *header, Txs: txs, Profile: profile}
+	if b.tr != nil {
+		// The block hash only exists once every header commitment is filled
+		// in, so the seal span (covering the whole packing run) is recorded
+		// here; ContextFor picks it up as the trace root when the block is
+		// broadcast.
+		bh := blk.Hash()
+		b.tr.RecordSpan(b.cfg.Node, trace.StageStateCommit, bh, b.height, scStart, scEnd)
+		b.tr.RecordSpan(b.cfg.Node, trace.StageSeal, bh, b.height, b.sealStart, time.Now())
+	}
+	if mvSealOrderHook != nil && claimed != nil {
+		mvSealOrderHook(claimed, txs)
+	}
+
+	return &ProposeResult{
+		Block:     blk,
+		Receipts:  receipts,
+		State:     postState,
+		GasUsed:   gasUsed,
+		Committed: len(committed),
+		Aborts:    aborts,
+		Dropped:   int(b.dropped.Load()),
+	}
+}
+
+// mergeableCredit reports whether the executed tx is a pure balance credit
+// to a hot account whose effect can ride the commutative credit pool instead
+// of the engine's conflict detection (the engine then keeps the recipient out
+// of what it publishes and passes merged=true to commit if the tx lands):
+// a plain transfer — no calldata, no create, no self-send, nonzero value —
+// to a code-free recipient whose only executed change is balance += value
+// with the nonce untouched. The shape is checked against the actual change
+// set, not inferred from the transaction: anything the execution did beyond
+// the plain credit disqualifies it. Balance addition commutes and the
+// sender-side funds check only ever sees a balance ≥ the merged-out true
+// value, so folding the credits and materializing the sum once at seal is
+// final-state-equivalent to any serial interleaving — the same argument
+// that already backs the per-block coinbase fee aggregation (DESIGN.md §4).
+func (b *blockBuild) mergeableCredit(view state.Reader, tx *types.Transaction, cs *state.ChangeSet) bool {
+	if b.credits == nil || tx.CreateContract || len(tx.Data) != 0 || tx.To == tx.From || tx.Value.IsZero() {
+		return false
+	}
+	if !b.ctrl.HotAccount(tx.To) {
+		return false
+	}
+	chg := cs.Accounts[tx.To]
+	if chg == nil || chg.CodeSet || len(chg.Storage) != 0 {
+		return false
+	}
+	if len(view.Code(tx.To)) != 0 || chg.Nonce != view.Nonce(tx.To) {
+		return false
+	}
+	want := view.Balance(tx.To)
+	want.Add(&want, &tx.Value)
+	return want.Eq(&chg.Balance)
+}

@@ -51,23 +51,28 @@ func TestProposeWithDeployments(t *testing.T) {
 		txs = append(txs, call)
 	}
 
-	res := proposeBlock(t, 4, txs, parent, params)
-	if res.Committed != len(txs) {
-		t.Fatalf("committed %d of %d (dropped %d)", res.Committed, len(txs), res.Dropped)
-	}
-	serial, err := chain.ExecuteSerial(parent, &res.Block.Header, res.Block.Txs, params)
-	if err != nil {
-		t.Fatalf("serial replay: %v", err)
-	}
-	if serial.State.Root() != res.Block.Header.StateRoot {
-		t.Fatalf("deploy block not serializable (aborts %d)", res.Aborts)
-	}
-	// Every contract deployed; counters reflect the calls that landed after
-	// their deployment in the packed order.
-	for _, d := range deployers {
-		target := types.CreateAddress(d, 0)
-		if len(res.State.Code(target)) == 0 {
-			t.Fatalf("contract of %s not deployed", d)
+	// Both engines: the calls resolve code and code hash through the shared
+	// store's code path (ResolveCode, ChainCodeHash). In the adaptive cells
+	// one to-be-deployed contract is hot and the coinbase.
+	forEachVariant(t, func(t *testing.T, v variant) {
+		res := proposeBlock(t, v, 4, txs, parent, params)
+		if res.Committed != len(txs) {
+			t.Fatalf("committed %d of %d (dropped %d)", res.Committed, len(txs), res.Dropped)
 		}
-	}
+		serial, err := chain.ExecuteSerial(parent, &res.Block.Header, res.Block.Txs, params)
+		if err != nil {
+			t.Fatalf("serial replay: %v", err)
+		}
+		if serial.State.Root() != res.Block.Header.StateRoot {
+			t.Fatalf("deploy block not serializable (aborts %d)", res.Aborts)
+		}
+		// Every contract deployed; counters reflect the calls that landed
+		// after their deployment in the packed order.
+		for _, d := range deployers {
+			target := types.CreateAddress(d, 0)
+			if len(res.State.Code(target)) == 0 {
+				t.Fatalf("contract of %s not deployed", d)
+			}
+		}
+	})
 }

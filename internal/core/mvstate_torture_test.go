@@ -115,7 +115,7 @@ func TestMVStateTorture(t *testing.T) {
 
 	// The flattened change set must reflect, per account, the LAST commit.
 	flat := mv.Flatten()
-	latest := mv.Latest()
+	latest := mv.View(mv.Version())
 	for _, a := range addrs {
 		want := latest.Balance(a)
 		got := flat.Accounts[a].Balance
@@ -132,7 +132,7 @@ func TestMVStateTorture(t *testing.T) {
 // property the proposer relies on: the version order returned by TryCommit
 // IS the serialization order (commit order = version order). Run with -race.
 func TestMVStateStripedTorture(t *testing.T) {
-	for _, stripes := range []int{1, 4, DefaultStripes} {
+	for _, stripes := range []int{1, 4, state.DefaultStripes} {
 		stripes := stripes
 		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
 			tortureStripes(t, stripes)
@@ -153,9 +153,6 @@ func tortureStripes(t *testing.T, stripes int) {
 		g.AddAccount(addrs[i], uint256.NewInt(0))
 	}
 	mv := NewMVStateStripes(g.Build(), stripes)
-	if got := mv.Stripes(); stripes > 1 && got < 2 {
-		t.Fatalf("Stripes() = %d for requested %d", got, stripes)
-	}
 
 	// Each commit writes one value into the balance of TWO accounts and into
 	// one storage slot of the first. Writers record every version TryCommit
@@ -279,7 +276,7 @@ func tortureStripes(t *testing.T, stripes int) {
 	// Last-writer-wins per account, across stripes: the latest view and the
 	// flattened change set must both show the value of the max-version
 	// commit that touched each account.
-	latest := mv.Latest()
+	latest := mv.View(mv.Version())
 	flat := mv.Flatten()
 	for i, a := range addrs {
 		want := lastWriter[i].val
@@ -338,7 +335,7 @@ func TestMVStateStripedVsSingleLock(t *testing.T) {
 		return mv.Flatten()
 	}
 	single := build(1)
-	striped := build(DefaultStripes)
+	striped := build(state.DefaultStripes)
 	if len(single.Accounts) != len(striped.Accounts) {
 		t.Fatalf("account count differs: %d vs %d", len(single.Accounts), len(striped.Accounts))
 	}

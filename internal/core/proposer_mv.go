@@ -1,37 +1,16 @@
 package core
 
 import (
-	"errors"
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"blockpilot/internal/adaptive"
 	"blockpilot/internal/chain"
 	"blockpilot/internal/flight"
-	"blockpilot/internal/health"
-	"blockpilot/internal/mempool"
 	"blockpilot/internal/mv"
 	"blockpilot/internal/state"
 	"blockpilot/internal/telemetry"
-	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 	"blockpilot/internal/uint256"
 )
-
-// Proposer engine identifiers (ProposerConfig.Engine, -engine flag).
-const (
-	// EngineOCCWSI is the paper's OCC-WSI engine (proposer.go): abort a
-	// conflicted transaction outright and re-execute it from the pool.
-	EngineOCCWSI = "occ-wsi"
-	// EngineMVSTM is the Block-STM-style engine (internal/mv): multi-version
-	// memory with ESTIMATE sentinels, read-set validation by transaction
-	// index, and dependency suspension instead of blind re-execution.
-	EngineMVSTM = "mv-stm"
-)
-
-// Engines lists the selectable proposer engines (flag help, benches).
-func Engines() []string { return []string{EngineOCCWSI, EngineMVSTM} }
 
 // mvRoundCap bounds how many transactions one claim round may pull from the
 // pool; a round is otherwise sized by the remaining gas estimate.
@@ -58,11 +37,6 @@ type mvTxOut struct {
 	merged bool
 }
 
-// mvSealOrderHook, when set (tests only), observes the claimed transaction
-// list and the sealed block order after every MV propose — the engine-parity
-// suite asserts the block preserves the claimed index order.
-var mvSealOrderHook func(claimed, sealed []*types.Transaction)
-
 // mvWindowHint carries the MV-STM speculation window across blocks (stored
 // as window+1; 0 means no hint yet, so the first block starts fully
 // speculative). Contention is a property of the traffic, not of one block:
@@ -81,62 +55,17 @@ var mvWindowHint atomic.Int64
 // dropped exactly like OCC-WSI aborts, and the first transaction that
 // overflows the gas limit cuts the block — it and every higher index are
 // purged from the multi-version memory (highest first, so no survivor read
-// a purged value) and returned to the pool. The seal tail — flatten,
-// finalization credit, CommitAndRoot, header roots, trace spans — is the
-// same as the OCC-WSI engine's, so validators, the flight recorder, and the
-// sim oracles cannot tell the engines apart.
-func proposeMV(parent *state.Snapshot, parentHeader *types.Header, pool *mempool.Pool,
-	cfg ProposerConfig, params chain.Params) (*ProposeResult, error) {
-
-	if cfg.Threads < 1 {
-		cfg.Threads = 1
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	header := &types.Header{
-		ParentHash: parentHeader.Hash(),
-		Number:     parentHeader.Number + 1,
-		Coinbase:   cfg.Coinbase,
-		GasLimit:   params.GasLimit,
-		Time:       cfg.Time,
-	}
-	span := telemetry.StartSpan("proposer.propose", header.Number, telemetry.ProposerBlockSeconds)
-	defer span.End()
-	tr := trace.Resolve(cfg.Tracer)
-	node := cfg.Node
-	if node == "" {
-		node = "proposer"
-	}
-	var sealStart, scStart, scEnd time.Time
-	if tr != nil {
-		sealStart = time.Now()
-	}
-	bc := chain.BlockContextFor(header, params.ChainID)
-	height := header.Number
-
-	// Contention-adaptive scheduling: identical setup to the OCC-WSI engine
-	// so -engine stays a clean ablation (see proposeOCC).
-	ctrl := cfg.Adaptive
-	pool.SetAbortAware(ctrl != nil && ctrl.DemotionEnabled())
-	var credits *adaptive.CreditPool
-	if ctrl != nil {
-		ctrl.BlockStart()
-		if ctrl.DemotionEnabled() {
-			pool.AgeAborts(ctrl.Config().Decay)
-		}
-		if ctrl.MergeEnabled() {
-			credits = adaptive.NewCreditPool()
-		}
-	}
+// a purged value) and returned to the pool.
+func proposeMV(b *blockBuild) *ProposeResult {
+	pool, ctrl, gasLimit := b.pool, b.ctrl, b.params.GasLimit
 
 	var claimed []*types.Transaction
-	inst := mv.NewInstance(parent, func(idx, worker int, view state.Reader) mv.ExecResult {
+	inst := mv.NewInstance(b.parent, func(idx, worker int, view state.Reader) mv.ExecResult {
 		tx := claimed[idx]
-		flight.ExecStart(worker, tx, height)
-		defer flight.ExecEnd(worker, tx, height)
+		flight.ExecStart(worker, tx, b.height)
+		defer flight.ExecEnd(worker, tx, b.height)
 		overlay := state.NewOverlay(view, types.Version(idx+1))
-		receipt, fee, err := chain.ApplyTransaction(overlay, tx, bc)
+		receipt, fee, err := chain.ApplyTransaction(overlay, tx, b.bc)
 		if err != nil {
 			// Validity checks precede the first overlay write, so a failed
 			// transaction is a pure no-op: keep its read set (a later write
@@ -149,7 +78,7 @@ func proposeMV(parent *state.Snapshot, parentHeader *types.Header, pool *mempool
 			fee:     fee,
 			profile: types.ProfileFromAccessSet(overlay.Access(), receipt.GasUsed),
 		}
-		if credits != nil && mergeableCredit(ctrl, view, tx, cs) {
+		if b.mergeableCredit(view, tx, cs) {
 			// Strip the hot recipient from the write set: its credit rides
 			// the commutative pool, so the version chain on that account
 			// stops invalidating every later reader. Decided per
@@ -163,108 +92,69 @@ func proposeMV(parent *state.Snapshot, parentHeader *types.Header, pool *mempool
 	if ctrl != nil {
 		// MV-STM contention surfaces two ways: read-set validation failures
 		// (rare — the window suppresses most doomed runs) and ESTIMATE
-		// suspensions (the common case). Feed both into the controller's
-		// windowed sketches with the contended key; no stripe attribution
-		// in this engine.
-		inst.SetValidationFailHook(func(idx int, r mv.ReadRecord) {
-			ctrl.NoteAbort(claimed[idx].From, r.Key(), -1)
-		})
-		inst.SetEstimateHitHook(func(idx int, key types.StateKey) {
+		// suspensions (the common case). Both feed the controller's windowed
+		// sketches with the contended key; no stripe attribution in this
+		// engine.
+		inst.SetContentionHook(func(idx int, key types.StateKey) {
 			ctrl.NoteAbort(claimed[idx].From, key, -1)
 		})
 	}
-	if cfg.MVFaultStaleReads {
+	if b.cfg.MVFaultStaleReads {
 		inst.SetStaleReads(true)
 	}
 	if h := mvWindowHint.Load(); h > 0 {
 		inst.SetWindowHint(h - 1)
 	}
 
-	var (
-		committed    []committedTx
-		fees         uint256.Int
-		gasUsed      uint64
-		dropped      atomic.Int64
-		droppedRetry atomic.Int64
-		retries      sync.Map
-		laneCommits  int
-	)
+	var gasUsed uint64
 	gasFull := false
 	for !gasFull {
 		// Claim one round, bounded by the optimistic gas estimate (sum of
 		// gas limits): enough to fill the block, never unboundedly more.
-		var round []*types.Transaction
+		// The MV-STM shape of the serial lane: the round is a cold prefix
+		// and a hot suffix, each preserving pop (price) order. The cold
+		// prefix runs at full parallelism; the hot suffix runs as a second
+		// sub-round at one thread, after every cold write has validated, so
+		// hot txs execute serially in claimed order and commit with ~zero
+		// re-executions.
+		var round, hot []*types.Transaction
 		est := gasUsed
-		for est < params.GasLimit && len(round) < mvRoundCap {
-			n := mvClaimBatch
-			if len(round)+n > mvRoundCap {
-				n = mvRoundCap - len(round)
-			}
-			got := pool.PopBatch(n)
-			if len(got) == 0 {
+		for est < gasLimit && len(round)+len(hot) < mvRoundCap {
+			c, h := b.claim(mvLane, min(mvClaimBatch, mvRoundCap-len(round)-len(hot)))
+			if len(c)+len(h) == 0 {
 				break
 			}
-			for _, tx := range got {
-				flight.Pop(mvLane, tx, height)
+			round, hot = append(round, c...), append(hot, h...)
+			for _, tx := range c {
 				est += tx.Gas
 			}
-			round = append(round, got...)
+			for _, tx := range h {
+				est += tx.Gas
+			}
 		}
+		hotStart := len(round)
+		round = append(round, hot...)
 		if len(round) == 0 {
 			break
 		}
-		hotStart := len(round)
-		if ctrl != nil {
-			// The MV-STM shape of the serial lane: partition the round into
-			// a cold prefix and a hot suffix, each preserving pop (price)
-			// order. The cold prefix runs at full parallelism; the hot
-			// suffix runs as a second sub-round at one thread, after every
-			// cold write has validated, so hot txs execute serially in
-			// claimed order and commit with ~zero re-executions.
-			cold := make([]*types.Transaction, 0, len(round))
-			var hot []*types.Transaction
-			for _, tx := range round {
-				if ctrl.IsHot(tx) {
-					hot = append(hot, tx)
-				} else {
-					cold = append(cold, tx)
-				}
-			}
-			hotStart = len(cold)
-			round = append(cold, hot...)
-		}
 		lo := len(claimed)
 		claimed = append(claimed, round...)
-		if hotStart < len(round) {
-			inst.Run(hotStart, cfg.Threads)
-			inst.Run(len(round)-hotStart, 1)
-			for range round[hotStart:] {
-				ctrl.NoteLaneTx()
-			}
-		} else {
-			inst.Run(len(round), cfg.Threads)
+		inst.Run(hotStart, b.cfg.Threads)
+		inst.Run(len(hot), 1)
+		for range hot {
+			ctrl.NoteLaneTx()
 		}
 
 		// Finalize the round in claimed (index) order.
 		cut := -1
-		for rel := range round {
+		for rel, tx := range round {
 			idx := lo + rel
 			out := inst.Data(idx).(*mvTxOut)
 			if out.err != nil {
-				switch {
-				case errors.Is(out.err, chain.ErrNonceTooHigh):
-					// An earlier-nonce tx was dropped or cut after this one
-					// queued behind it: retry once the chain settles.
-					requeueOrDrop(mvLane, pool, claimed[idx], &retries, cfg.MaxRetries, height, &dropped, &droppedRetry)
-				default:
-					pool.Done(claimed[idx])
-					dropped.Add(1)
-					telemetry.ProposerDrops.Inc()
-					flight.Drop(mvLane, claimed[idx], height, false)
-				}
+				b.reject(mvLane, tx, out.err)
 				continue
 			}
-			if gasUsed+out.receipt.GasUsed > params.GasLimit {
+			if gasUsed+out.receipt.GasUsed > gasLimit {
 				// Cut here: idx and everything above may have been read by
 				// nothing below it, so the whole tail is evicted together.
 				cut = idx
@@ -272,34 +162,22 @@ func proposeMV(parent *state.Snapshot, parentHeader *types.Header, pool *mempool
 				break
 			}
 			gasUsed += out.receipt.GasUsed
-			fees.Add(&fees, out.fee)
-			if out.merged {
-				credits.Add(claimed[idx].To, &claimed[idx].Value)
-				ctrl.NoteMerge()
-			}
-			if ctrl != nil && rel >= hotStart {
-				laneCommits++
-			}
-			committed = append(committed, committedTx{
+			b.commit(mvLane, committedTx{
 				version: types.Version(idx + 1),
-				tx:      claimed[idx],
+				tx:      tx,
 				receipt: out.receipt,
 				profile: out.profile,
-			})
-			pool.Done(claimed[idx])
-			telemetry.ProposerCommits.Inc()
-			health.Heartbeat(health.CompProposer)
-			flight.Commit(mvLane, claimed[idx], types.Version(idx+1), height)
+			}, out.fee, out.merged, rel >= hotStart)
 		}
 		if cut >= 0 {
 			for idx := len(claimed) - 1; idx >= cut; idx-- {
 				inst.Purge(idx)
 			}
-			for idx := cut; idx < len(claimed); idx++ {
+			for _, tx := range claimed[cut:] {
 				// Leave the tail for the next block (OCC does the same on a
 				// filled block), valid or not — the pool re-sorts it.
-				flight.Requeue(mvLane, claimed[idx], height)
-				pool.Requeue(claimed[idx])
+				flight.Requeue(mvLane, tx, b.height)
+				pool.Requeue(tx)
 				telemetry.ProposerRetries.Inc()
 			}
 		}
@@ -314,75 +192,5 @@ func proposeMV(parent *state.Snapshot, parentHeader *types.Header, pool *mempool
 	telemetry.MVEstimateHits.Add(stats.EstimateHits)
 	telemetry.MVValidationFails.Add(stats.ValidationFails)
 
-	// Assemble the block in index order (committed is already sorted: the
-	// finalize walk appends ascending).
-	txs := make([]*types.Transaction, len(committed))
-	receipts := make([]*types.Receipt, len(committed))
-	profile := &types.BlockProfile{Txs: make([]*types.TxProfile, len(committed))}
-	var cumulative uint64
-	for i, c := range committed {
-		txs[i] = c.tx
-		cumulative += c.receipt.GasUsed
-		c.receipt.CumulativeGasUsed = cumulative
-		receipts[i] = c.receipt
-		profile.Txs[i] = c.profile
-		flight.Seal(c.tx, c.version, i, height)
-	}
-
-	// Finalize: aggregate fee + reward credit to the coinbase, then commit —
-	// the exact seal tail of the OCC-WSI engine, merged hot-account credits
-	// first so FinalizationChange sees them (the coinbase itself can be hot).
-	total := inst.Flatten()
-	accum := state.NewMemory(parent)
-	accum.ApplyChangeSet(total)
-	if credits != nil {
-		if ccs := credits.Materialize(accum); ccs != nil {
-			accum.ApplyChangeSet(ccs)
-			total.Merge(ccs)
-		}
-	}
-	total.Merge(chain.FinalizationChange(accum, cfg.Coinbase, &fees, params))
-	if tr != nil {
-		scStart = time.Now()
-	}
-	postState, stateRoot := chain.CommitAndRoot(parent, total, params, height)
-	if tr != nil {
-		scEnd = time.Now()
-	}
-
-	if ctrl != nil {
-		occ := 0.0
-		if len(committed) > 0 {
-			occ = float64(laneCommits) / float64(len(committed))
-		}
-		telemetry.AdaptiveLaneOccupancy.Set(occ)
-	}
-	telemetry.ProposerBlockTxs.Observe(uint64(len(committed)))
-	header.GasUsed = gasUsed
-	header.StateRoot = stateRoot
-	header.TxRoot = types.ComputeTxRoot(txs)
-	header.ReceiptRoot = types.ComputeReceiptRoot(receipts)
-	header.LogsBloom = types.CreateBloom(receipts)
-
-	blk := &types.Block{Header: *header, Txs: txs, Profile: profile}
-	if tr != nil {
-		bh := blk.Hash()
-		tr.RecordSpan(node, trace.StageStateCommit, bh, height, scStart, scEnd)
-		tr.RecordSpan(node, trace.StageSeal, bh, height, sealStart, time.Now())
-	}
-	if mvSealOrderHook != nil {
-		mvSealOrderHook(claimed, txs)
-	}
-
-	return &ProposeResult{
-		Block:        blk,
-		Receipts:     receipts,
-		State:        postState,
-		Fees:         fees,
-		GasUsed:      gasUsed,
-		Committed:    len(committed),
-		Aborts:       int(stats.Reexecutions),
-		Dropped:      int(dropped.Load()),
-		DroppedRetry: int(droppedRetry.Load()),
-	}, nil
+	return b.seal(inst.Flatten(), gasUsed, int(stats.Reexecutions), claimed)
 }

@@ -50,33 +50,6 @@ func (r *Recorder) noteStripeWait(set uint64, d time.Duration) {
 	}
 }
 
-// HotKeySketch returns the recorder's run-lifetime hot-key heavy hitters
-// (highest abort count first). The adaptive controller seeds its windowed
-// sketches from these on startup so the first adaptive block already knows
-// the contention profile the recorder accumulated.
-func (r *Recorder) HotKeySketch(n int) []Counted[types.StateKey] {
-	attributionMu.Lock()
-	defer attributionMu.Unlock()
-	return r.hotKeys.Top(n)
-}
-
-// HotSenderSketch returns the recorder's run-lifetime hot-sender heavy
-// hitters (highest abort count first).
-func (r *Recorder) HotSenderSketch(n int) []Counted[types.Address] {
-	attributionMu.Lock()
-	defer attributionMu.Unlock()
-	return r.hotSenders.Top(n)
-}
-
-// StripeAborts returns the per-stripe abort counters (run-lifetime).
-func (r *Recorder) StripeAborts() [StripeSlots]uint64 {
-	var out [StripeSlots]uint64
-	for i := range r.stripes {
-		out[i] = r.stripes[i].aborts.Load()
-	}
-	return out
-}
-
 // HotKey is one attributed abort source.
 type HotKey struct {
 	Key   string  `json:"key"`

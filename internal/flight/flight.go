@@ -190,7 +190,7 @@ const (
 	DefaultRings        = 16
 	DefaultRingCapacity = 8192
 	DefaultTopK         = 64
-	// StripeSlots mirrors core.maxStripes: the per-stripe attribution
+	// StripeSlots mirrors state.DefaultStripes: the per-stripe attribution
 	// arrays cover every possible MVState stripe index.
 	StripeSlots = 64
 )

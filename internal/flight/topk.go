@@ -1,6 +1,9 @@
 package flight
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // TopK is a space-saving heavy-hitter sketch (Metwally, Agrawal, El Abbadi,
 // "Efficient computation of frequent and top-k elements in data streams",
@@ -12,14 +15,23 @@ import "sort"
 //
 // The sketch is mutex-guarded: it is touched only on the abort path, which
 // is orders of magnitude rarer than the per-event ring writes.
+//
+// Both orders the sketch exposes — which candidate is evicted, and the rank
+// order Top reports — are total: every candidate is stamped with the sequence
+// number at which it entered, and ties on count fall back to it, never to
+// map iteration order. The same observation stream therefore always yields
+// the same sketch and the same Top, so the adaptive hot set cut off at rank n
+// and the rows of `bpinspect hotkeys` do not vary run to run.
 type TopK[K comparable] struct {
 	k       int
+	seq     uint64 // candidates admitted so far
 	entries map[K]*topkEntry
 }
 
 type topkEntry struct {
 	count uint64
 	err   uint64
+	seq   uint64 // admission order: smaller = older
 }
 
 // Counted is one reported heavy hitter. Count overestimates the true
@@ -45,30 +57,36 @@ func (t *TopK[K]) Observe(key K) {
 		e.count++
 		return
 	}
+	t.seq++
 	if len(t.entries) < t.k {
-		t.entries[key] = &topkEntry{count: 1}
+		t.entries[key] = &topkEntry{count: 1, seq: t.seq}
 		return
 	}
-	// Evict the minimum-count candidate; the newcomer inherits its count
-	// (the space-saving replacement rule).
+	// Evict the minimum-count candidate — the youngest of them on a tie, so
+	// an established key outlives a one-block blip — and let the newcomer
+	// inherit its count (the space-saving replacement rule).
 	var minKey K
 	var minE *topkEntry
 	for k2, e := range t.entries {
-		if minE == nil || e.count < minE.count {
+		if minE == nil || e.count < minE.count || (e.count == minE.count && e.seq > minE.seq) {
 			minKey, minE = k2, e
 		}
 	}
 	delete(t.entries, minKey)
-	t.entries[key] = &topkEntry{count: minE.count + 1, err: minE.count}
+	t.entries[key] = &topkEntry{count: minE.count + 1, err: minE.count, seq: t.seq}
 }
 
-// Top returns up to n heavy hitters, highest count first (n ≤ 0 = all).
+// Top returns up to n heavy hitters (n ≤ 0 = all): highest count first, then
+// smallest error bound, then oldest.
 func (t *TopK[K]) Top(n int) []Counted[K] {
 	out := make([]Counted[K], 0, len(t.entries))
 	for k2, e := range t.entries {
 		out = append(out, Counted[K]{Key: k2, Count: e.count, Err: e.err})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
+	slices.SortFunc(out, func(a, b Counted[K]) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Err, b.Err),
+			cmp.Compare(t.entries[a.Key].seq, t.entries[b.Key].seq))
+	})
 	if n > 0 && len(out) > n {
 		out = out[:n]
 	}

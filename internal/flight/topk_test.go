@@ -182,3 +182,35 @@ func TestTopKMinCapacity(t *testing.T) {
 		t.Fatalf("Len = %d, want 1 (k clamped to 1)", s.Len())
 	}
 }
+
+// TestTopKDeterministic: the sketch is a pure function of its observation
+// stream. The same observe/decay script — full of equal counts at the
+// eviction minimum and at the Top cut-off — must yield the identical Top
+// slice every time, never map-iteration order.
+func TestTopKDeterministic(t *testing.T) {
+	script := func() []Counted[int] {
+		s := NewTopK[int](8)
+		for round := 0; round < 6; round++ {
+			for k := 0; k < 12; k++ { // 12 keys through 8 slots: evictions on ties
+				for i := 0; i <= (k+round)%3; i++ {
+					s.Observe(k)
+				}
+			}
+			s.Decay(0.5)
+			s.Observe(100 + round) // a newcomer against an all-tied minimum
+		}
+		return s.Top(5)
+	}
+	want := script()
+	if len(want) != 5 {
+		t.Fatalf("Top(5) returned %d rows", len(want))
+	}
+	for run := 1; run < 100; run++ {
+		got := script()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("run %d: Top[%d] = %+v, first run had %+v", run, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -1,8 +1,10 @@
 package mv
 
 import (
+	"slices"
 	"testing"
 
+	"blockpilot/internal/crypto"
 	"blockpilot/internal/state"
 	"blockpilot/internal/types"
 	"blockpilot/internal/uint256"
@@ -60,20 +62,21 @@ func (cm *chainModel) resolve(kind readKind, addr, slot, before int) (tx int, e 
 	return tx, e
 }
 
-func (cm *chainModel) validate(tx int) bool {
+// validate mirrors Memory.ValidateReadSet: ok, or the first stale read.
+func (cm *chainModel) validate(tx int) (ReadRecord, bool) {
 	for _, r := range cm.reads[tx] {
 		wtx, e := cm.resolve(r.Kind, int(r.Addr[0])-1, int(r.Slot[0])-1, tx)
 		if wtx < 0 {
 			if r.Tx != baseVersion {
-				return false
+				return r, false
 			}
 			continue
 		}
 		if e.estimate || wtx != r.Tx || e.inc != r.Inc {
-			return false
+			return r, false
 		}
 	}
-	return true
+	return ReadRecord{}, true
 }
 
 // FuzzMVVersionChain drives random interleaved writes, validation aborts
@@ -117,18 +120,18 @@ func FuzzMVVersionChain(f *testing.F) {
 				// resolutions must agree between memory and model.
 				var recs []ReadRecord
 				rAddr := (addr + 1) % numAddrs
-				e, ok := m.resolveAcct(addrOf(rAddr), tx)
+				e, ok := m.store.ResolveAccount(addrOf(rAddr), uint64(tx))
 				wtx, me := cm.resolve(readScalar, rAddr, 0, tx)
 				if ok != (wtx >= 0) {
 					t.Fatalf("scalar resolve divergence for addr %d before %d: mem=%v model=%v", rAddr, tx, ok, wtx >= 0)
 				}
 				if ok {
-					if e.tx != wtx || e.inc != me.inc || e.estimate != me.estimate || e.balance.Uint64() != me.val {
+					if int(e.Key) != wtx || e.Inc != me.inc || e.Estimate != me.estimate || e.Val.Balance.Uint64() != me.val {
 						t.Fatalf("scalar resolve mismatch: mem {tx=%d inc=%d est=%v val=%d} model {tx=%d inc=%d est=%v val=%d}",
-							e.tx, e.inc, e.estimate, e.balance.Uint64(), wtx, me.inc, me.estimate, me.val)
+							int(e.Key), e.Inc, e.Estimate, e.Val.Balance.Uint64(), wtx, me.inc, me.estimate, me.val)
 					}
-					if !e.estimate { // an executor would suspend on an estimate
-						recs = append(recs, ReadRecord{Addr: addrOf(rAddr), Kind: readScalar, Tx: e.tx, Inc: e.inc})
+					if !e.Estimate { // an executor would suspend on an estimate
+						recs = append(recs, ReadRecord{Addr: addrOf(rAddr), Kind: readScalar, Tx: int(e.Key), Inc: e.Inc})
 					}
 				} else {
 					recs = append(recs, ReadRecord{Addr: addrOf(rAddr), Kind: readScalar, Tx: baseVersion})
@@ -164,7 +167,7 @@ func FuzzMVVersionChain(f *testing.F) {
 				}
 				wantNew := false
 				for _, l := range locs {
-					if !containsLoc(cm.writes[tx], l) {
+					if !slices.Contains(cm.writes[tx], l) {
 						wantNew = true
 					}
 				}
@@ -172,7 +175,7 @@ func FuzzMVVersionChain(f *testing.F) {
 					t.Fatalf("wrote-new divergence for tx %d inc %d: mem=%v model=%v", tx, inc, gotNew, wantNew)
 				}
 				for _, l := range cm.writes[tx] {
-					if !containsLoc(locs, l) {
+					if !slices.Contains(locs, l) {
 						cm.removeLoc(tx, l)
 					}
 				}
@@ -218,45 +221,95 @@ func FuzzMVVersionChain(f *testing.F) {
 				slot := (b / 4) % numSlots
 				switch kind {
 				case readScalar:
-					e, ok := m.resolveAcct(addrOf(addr), tx)
+					e, ok := m.store.ResolveAccount(addrOf(addr), uint64(tx))
 					wtx, me := cm.resolve(readScalar, addr, 0, tx)
-					if ok != (wtx >= 0) || (ok && (e.tx != wtx || e.estimate != me.estimate || e.balance.Uint64() != me.val)) {
+					if ok != (wtx >= 0) || (ok && (int(e.Key) != wtx || e.Estimate != me.estimate || e.Val.Balance.Uint64() != me.val)) {
 						t.Fatalf("scalar read divergence addr %d before %d", addr, tx)
 					}
 				case readCode:
-					e, ok := m.resolveCode(addrOf(addr), tx)
+					e, ok := m.store.ResolveCode(addrOf(addr), uint64(tx))
 					wtx, me := cm.resolve(readCode, addr, 0, tx)
-					if ok != (wtx >= 0) || (ok && (e.tx != wtx || e.estimate != me.estimate || e.code[0] != byte(me.val))) {
+					if ok != (wtx >= 0) || (ok && (int(e.Key) != wtx || e.Estimate != me.estimate || e.Val.Code[0] != byte(me.val))) {
 						t.Fatalf("code read divergence addr %d before %d", addr, tx)
 					}
 				default:
-					e, ok := m.resolveSlot(addrOf(addr), hashOf(slot), tx)
+					e, ok := m.store.ResolveSlot(addrOf(addr), hashOf(slot), uint64(tx))
 					wtx, me := cm.resolve(readSlot, addr, slot, tx)
-					if ok != (wtx >= 0) || (ok && (e.tx != wtx || e.estimate != me.estimate || e.value.Uint64() != me.val)) {
+					if ok != (wtx >= 0) || (ok && (int(e.Key) != wtx || e.Estimate != me.estimate || e.Val.Uint64() != me.val)) {
 						t.Fatalf("slot read divergence addr %d slot %d before %d", addr, slot, tx)
 					}
 				}
 
 			case 4: // validate a read set
-				got := m.ValidateReadSet(tx)
-				want := cm.validate(tx)
-				if got != want {
-					t.Fatalf("validation divergence for tx %d: mem=%v model=%v", tx, got, want)
+				gotRead, got := m.ValidateReadSet(tx)
+				wantRead, want := cm.validate(tx)
+				if got != want || gotRead != wantRead {
+					t.Fatalf("validation divergence for tx %d: mem=%v (stale read %+v) model=%v (%+v)", tx, got, gotRead, want, wantRead)
 				}
 			}
 		}
 
 		// Final sweep: every path resolution and every read set must agree.
 		for addr := 0; addr < numAddrs; addr++ {
-			e, ok := m.resolveAcct(addrOf(addr), maxTx)
+			e, ok := m.store.ResolveAccount(addrOf(addr), uint64(maxTx))
 			wtx, me := cm.resolve(readScalar, addr, 0, maxTx)
-			if ok != (wtx >= 0) || (ok && (e.tx != wtx || e.balance.Uint64() != me.val)) {
+			if ok != (wtx >= 0) || (ok && (int(e.Key) != wtx || e.Val.Balance.Uint64() != me.val)) {
 				t.Fatalf("final scalar divergence addr %d", addr)
 			}
 		}
 		for tx := 0; tx < maxTx; tx++ {
-			if m.ValidateReadSet(tx) != cm.validate(tx) {
+			_, got := m.ValidateReadSet(tx)
+			if _, want := cm.validate(tx); got != want {
 				t.Fatalf("final validation divergence tx %d", tx)
+			}
+		}
+
+		// The view's code-hash rule (state.ChainCodeHash; the fake base knows
+		// no code hash at all): in-block code hashes to itself, an account
+		// that exists only through a chain entry reports EmptyCodeHash.
+		for tx := 0; tx <= maxTx; tx++ {
+			for addr := 0; addr < numAddrs; addr++ {
+				ctx, ce := cm.resolve(readCode, addr, 0, tx)
+				stx, se := cm.resolve(readScalar, addr, 0, tx)
+				if (ctx >= 0 && ce.estimate) || (ctx < 0 && stx >= 0 && se.estimate) {
+					continue // the view would suspend on the ESTIMATE
+				}
+				var want types.Hash
+				if ctx >= 0 {
+					want = types.Hash(crypto.Sum256([]byte{byte(ce.val)}))
+				} else if stx >= 0 {
+					want = state.EmptyCodeHash
+				}
+				if got := newView(m, tx).CodeHash(addrOf(addr)); got != want {
+					t.Fatalf("code hash divergence addr %d before %d: %x, want %x", addr, tx, got[:4], want[:4])
+				}
+			}
+		}
+
+		// Flatten: last writer wins per path, in index order.
+		flat := m.Flatten()
+		for addr := 0; addr < numAddrs; addr++ {
+			ch := flat.Accounts[addrOf(addr)]
+			stx, se := cm.resolve(readScalar, addr, 0, maxTx)
+			if (ch != nil) != (stx >= 0) {
+				t.Fatalf("flatten: addr %d present=%v, model writer %d", addr, ch != nil, stx)
+			}
+			if ch == nil {
+				continue
+			}
+			if ch.Balance.Uint64() != se.val {
+				t.Fatalf("flatten: addr %d balance %d, model %d", addr, ch.Balance.Uint64(), se.val)
+			}
+			ctx, ce := cm.resolve(readCode, addr, 0, maxTx)
+			if ch.CodeSet != (ctx >= 0) || (ch.CodeSet && ch.Code[0] != byte(ce.val)) {
+				t.Fatalf("flatten: addr %d code %v/%x, model writer %d", addr, ch.CodeSet, ch.Code, ctx)
+			}
+			for slot := 0; slot < numSlots; slot++ {
+				v, ok := ch.Storage[hashOf(slot)]
+				wtx, we := cm.resolve(readSlot, addr, slot, maxTx)
+				if ok != (wtx >= 0) || (ok && v.Uint64() != we.val) {
+					t.Fatalf("flatten: addr %d slot %d = %d/%v, model writer %d", addr, slot, v.Uint64(), ok, wtx)
+				}
 			}
 		}
 	})

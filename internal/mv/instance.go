@@ -54,19 +54,14 @@ type Instance struct {
 	estimateHits    atomic.Int64
 	validationFails atomic.Int64
 
-	// validationFailHook, when set, observes each validation abort with the
-	// first read that no longer resolves (abort attribution for the
-	// adaptive controller). Called from worker goroutines; must be
-	// thread-safe and cheap. Set before the first Run.
-	validationFailHook func(idx int, r ReadRecord)
-
-	// estimateHitHook, when set, observes each ESTIMATE suspension with the
-	// contended key. Under Block-STM hot-key pressure mostly shows up here
-	// rather than as validation aborts — the speculation window and ESTIMATE
-	// markers prevent the doomed execution — so this is the primary
-	// contention feed for the adaptive controller. Same thread-safety
-	// contract as validationFailHook.
-	estimateHitHook func(idx int, key types.StateKey)
+	// contentionHook, when set, observes the contended key of each ESTIMATE
+	// suspension and of each validation abort (its first read that no longer
+	// resolves): the adaptive controller's contention feed. Under Block-STM
+	// hot-key pressure mostly shows up as suspensions — the speculation
+	// window and ESTIMATE markers prevent the doomed execution — so both
+	// signals are needed. Called from worker goroutines; must be thread-safe
+	// and cheap.
+	contentionHook func(idx int, key types.StateKey)
 }
 
 // NewInstance returns an empty instance over base.
@@ -74,16 +69,10 @@ func NewInstance(base state.Reader, exec ExecFunc) *Instance {
 	return &Instance{mem: NewMemory(base), exec: exec, lastWindow: -1}
 }
 
-// SetValidationFailHook installs (or, with nil, removes) the per-abort
-// attribution callback. Must be called before the first Run.
-func (in *Instance) SetValidationFailHook(f func(idx int, r ReadRecord)) {
-	in.validationFailHook = f
-}
-
-// SetEstimateHitHook installs (or, with nil, removes) the per-suspension
-// attribution callback. Must be called before the first Run.
-func (in *Instance) SetEstimateHitHook(f func(idx int, key types.StateKey)) {
-	in.estimateHitHook = f
+// SetContentionHook installs the contended-key callback. Must be called
+// before the first Run.
+func (in *Instance) SetContentionHook(f func(idx int, key types.StateKey)) {
+	in.contentionHook = f
 }
 
 // SetStaleReads enables the seeded-bug fault injection used by the
@@ -92,9 +81,6 @@ func (in *Instance) SetEstimateHitHook(f func(idx int, key types.StateKey)) {
 // its multi-version resolution and validation pass broken out. The
 // serializability oracle must catch the resulting block.
 func (in *Instance) SetStaleReads(v bool) { in.mem.stale = v }
-
-// Count returns how many transactions have been claimed so far.
-func (in *Instance) Count() int { return in.n }
 
 // WindowHint returns the speculation window after the last round, or -1 if
 // no round has run. The proposer carries it across blocks the way TCP
@@ -186,8 +172,8 @@ func (in *Instance) tryExecute(sched *Scheduler, worker int, task Task) (Task, b
 		res, dep := in.execOnce(worker, task.Idx)
 		if dep != nil {
 			in.estimateHits.Add(1)
-			if in.estimateHitHook != nil {
-				in.estimateHitHook(task.Idx, dep.key)
+			if in.contentionHook != nil {
+				in.contentionHook(task.Idx, dep.key)
 			}
 			if !sched.AddDependency(task.Idx, dep.blocking) {
 				continue // dependency already landed: retry this incarnation
@@ -235,12 +221,10 @@ func (in *Instance) execOnce(worker, idx int) (res *txExec, dep *depError) {
 // aborts it (writes become ESTIMATEs) and re-arms its next incarnation.
 func (in *Instance) validate(sched *Scheduler, task Task) (Task, bool) {
 	aborted := false
-	if !in.mem.ValidateReadSet(task.Idx) && sched.TryValidationAbort(task.Idx, task.Inc) {
+	if stale, ok := in.mem.ValidateReadSet(task.Idx); !ok && sched.TryValidationAbort(task.Idx, task.Inc) {
 		in.validationFails.Add(1)
-		if in.validationFailHook != nil {
-			if r, ok := in.mem.FirstInvalidRead(task.Idx); ok {
-				in.validationFailHook(task.Idx, r)
-			}
+		if in.contentionHook != nil {
+			in.contentionHook(task.Idx, stale.Key())
 		}
 		in.mem.ConvertToEstimates(task.Idx)
 		aborted = true

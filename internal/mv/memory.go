@@ -1,6 +1,7 @@
 // Package mv implements BlockPilot's second proposer engine: a
 // Block-STM-style multi-version in-memory state (PAPERS.md, Gelashvili et
-// al.) as a one-flag alternative to the OCC-WSI engine in internal/core.
+// al.) as a one-field (core.ProposerConfig.Engine) alternative to the OCC-WSI
+// engine in internal/core.
 //
 // Where OCC-WSI aborts a conflicted transaction outright and re-executes it
 // from the mempool, MV-STM keeps one version chain per state key: every
@@ -22,12 +23,11 @@
 package mv
 
 import (
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"blockpilot/internal/state"
 	"blockpilot/internal/types"
-	"blockpilot/internal/uint256"
 )
 
 // readKind distinguishes the three independently versioned paths of one
@@ -59,42 +59,10 @@ type ReadRecord struct {
 // This is the granularity the adaptive controller's hot-key sketch uses, so
 // MV-STM validation failures and OCC-WSI commit conflicts attribute to the
 // same keys.
-func (r ReadRecord) Key() types.StateKey {
-	if r.Kind == readSlot {
-		return types.StorageKey(r.Addr, r.Slot)
-	}
-	return types.AccountKey(r.Addr)
-}
+func (r ReadRecord) Key() types.StateKey { return writeLoc{r.Addr, r.Slot, r.Kind}.key() }
 
 // baseVersion marks a read that resolved below every multi-version entry.
 const baseVersion = -1
-
-// acctEntry is transaction Tx's write to an account's scalar (and optionally
-// code) paths. Estimate marks an aborted incarnation's write: the key WILL
-// be rewritten by Tx's next incarnation, so readers suspend instead of
-// reading around it.
-type acctEntry struct {
-	tx       int
-	inc      int
-	estimate bool
-	nonce    uint64
-	balance  uint256.Int
-	code     []byte
-	codeSet  bool
-}
-
-// slotEntry is transaction Tx's write to one storage slot.
-type slotEntry struct {
-	tx       int
-	inc      int
-	estimate bool
-	value    uint256.Int
-}
-
-type slotKey struct {
-	addr types.Address
-	slot types.Hash
-}
 
 // writeLoc names one written path, at path granularity (scalar/code/slot):
 // the unit of the wrote-new-path test that decides whether higher
@@ -105,34 +73,24 @@ type writeLoc struct {
 	kind readKind
 }
 
-// stripe is one lock stripe of the multi-version maps. Chains are kept
-// sorted by writing transaction index. codeCnt counts the code-setting
-// entries per account chain so a code read on a chain nobody deployed to
-// (the overwhelmingly common case — a hotspot block calls one contract
-// thousands of times and deploys nothing) resolves without scanning the
-// chain at all. Padding keeps neighbouring mutexes off each other's cache
-// lines.
-type stripe struct {
-	mu       sync.RWMutex
-	accounts map[types.Address][]acctEntry
-	slots    map[slotKey][]slotEntry
-	codeCnt  map[types.Address]int
-	_        [24]byte
+// key is the store chain the path lives on: a code path shares the account
+// chain (and entry) with the scalar path.
+func (l writeLoc) key() types.StateKey {
+	if l.kind == readSlot {
+		return types.StorageKey(l.addr, l.slot)
+	}
+	return types.AccountKey(l.addr)
 }
 
-// memStripes fixes the stripe count; like core.DefaultStripes, 64 keeps
-// disjoint keys off each other's locks at every realistic thread count.
-const memStripes = 64
-
 // Memory is the multi-version memory shared by every worker of one MV-STM
-// block: per-key version chains over an immutable base snapshot, plus the
-// per-transaction last-write locations and read sets the validation pass
-// needs. Chains grow monotonically across claim rounds; within a round all
-// methods are safe for concurrent use.
+// block: a state.VersionStore ordered by transaction index over an immutable
+// base snapshot, plus what is Block-STM about it — the per-transaction
+// last-write locations and read sets the validation pass needs. Chains grow
+// monotonically across claim rounds; within a round all methods are safe for
+// concurrent use.
 type Memory struct {
-	base    state.Reader
-	stripes [memStripes]stripe
-	mask    uint64
+	base  state.Reader
+	store *state.VersionStore
 
 	// stale, when set, makes every read resolve from the base snapshot and
 	// every validation pass vacuously — the seeded-bug fault injection for
@@ -152,13 +110,7 @@ type Memory struct {
 
 // NewMemory returns an empty multi-version memory over base.
 func NewMemory(base state.Reader) *Memory {
-	m := &Memory{base: base, mask: memStripes - 1}
-	for i := range m.stripes {
-		m.stripes[i].accounts = make(map[types.Address][]acctEntry)
-		m.stripes[i].slots = make(map[slotKey][]slotEntry)
-		m.stripes[i].codeCnt = make(map[types.Address]int)
-	}
-	return m
+	return &Memory{base: base, store: state.NewVersionStore(state.DefaultStripes)}
 }
 
 // grow extends the per-transaction bookkeeping to n transactions. Called
@@ -174,173 +126,12 @@ func (m *Memory) grow(n int) {
 	}
 }
 
-// fnv-1a + Fibonacci finalizer, the same stripe hash the OCC-WSI MVState
-// uses (core/mvstate.go) so both engines shard comparably.
-func hashAddr(addr *types.Address) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range addr {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return h
-}
-
-func hashSlot(h uint64, slot *types.Hash) uint64 {
-	for _, b := range slot {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return h
-}
-
-func (m *Memory) acctStripe(addr *types.Address) *stripe {
-	return &m.stripes[(hashAddr(addr)*0x9E3779B97F4A7C15)>>32&m.mask]
-}
-
-func (m *Memory) slotStripe(addr *types.Address, slot *types.Hash) *stripe {
-	return &m.stripes[(hashSlot(hashAddr(addr), slot)*0x9E3779B97F4A7C15)>>32&m.mask]
-}
-
-// searchAcct returns the first index whose entry has tx >= before (the
-// chain is sorted ascending by tx, one entry per tx). The newest entry
-// below before is therefore at index searchAcct(...)-1.
-func searchAcct(list []acctEntry, before int) int {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if list[mid].tx < before {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-func searchSlot(list []slotEntry, before int) int {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if list[mid].tx < before {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// resolveAcct returns a copy of the newest scalar entry written by a
-// transaction with index < before (ok=false: no such entry, read the base).
-// The caller checks .estimate.
-func (m *Memory) resolveAcct(addr types.Address, before int) (acctEntry, bool) {
-	st := m.acctStripe(&addr)
-	st.mu.RLock()
-	list := st.accounts[addr]
-	if i := searchAcct(list, before); i > 0 {
-		e := list[i-1]
-		st.mu.RUnlock()
-		return e, true
-	}
-	st.mu.RUnlock()
-	return acctEntry{}, false
-}
-
-// resolveCode returns the newest code-setting entry below before. Entries
-// that did not set code are skipped even when they are ESTIMATEs: the code
-// path is versioned independently, and a re-execution that newly deploys
-// code counts as writing a new path, which revalidates every higher
-// transaction (scheduler.FinishExecution). The codeCnt index short-circuits
-// the common chain-with-no-deploys case without touching the chain.
-func (m *Memory) resolveCode(addr types.Address, before int) (acctEntry, bool) {
-	st := m.acctStripe(&addr)
-	st.mu.RLock()
-	if st.codeCnt[addr] == 0 {
-		st.mu.RUnlock()
-		return acctEntry{}, false
-	}
-	list := st.accounts[addr]
-	for i := searchAcct(list, before) - 1; i >= 0; i-- {
-		if list[i].codeSet {
-			e := list[i]
-			st.mu.RUnlock()
-			return e, true
-		}
-	}
-	st.mu.RUnlock()
-	return acctEntry{}, false
-}
-
-// resolveSlot returns the newest slot entry below before.
-func (m *Memory) resolveSlot(addr types.Address, slot types.Hash, before int) (slotEntry, bool) {
-	st := m.slotStripe(&addr, &slot)
-	st.mu.RLock()
-	list := st.slots[slotKey{addr: addr, slot: slot}]
-	if i := searchSlot(list, before); i > 0 {
-		e := list[i-1]
-		st.mu.RUnlock()
-		return e, true
-	}
-	st.mu.RUnlock()
-	return slotEntry{}, false
-}
-
-// upsertAcct installs e into addr's chain, replacing an existing entry of
-// the same transaction (a re-execution) or inserting sorted by index. The
-// second return value is the change in code-setting entries (-1, 0 or +1)
-// for the stripe's codeCnt index.
-func upsertAcct(list []acctEntry, e acctEntry) ([]acctEntry, int) {
-	i := searchAcct(list, e.tx+1) // first index with tx > e.tx
-	codeDelta := 0
-	if e.codeSet {
-		codeDelta = 1
-	}
-	if i > 0 && list[i-1].tx == e.tx {
-		if list[i-1].codeSet {
-			codeDelta--
-		}
-		list[i-1] = e
-		return list, codeDelta
-	}
-	list = append(list, acctEntry{})
-	copy(list[i+1:], list[i:])
-	list[i] = e
-	return list, codeDelta
-}
-
-func upsertSlot(list []slotEntry, e slotEntry) []slotEntry {
-	i := searchSlot(list, e.tx+1)
-	if i > 0 && list[i-1].tx == e.tx {
-		list[i-1] = e
-		return list
-	}
-	list = append(list, slotEntry{})
-	copy(list[i+1:], list[i:])
-	list[i] = e
-	return list
-}
-
-// removeAcct deletes tx's entry; the second return value reports whether
-// the removed entry set code (codeCnt bookkeeping).
-func removeAcct(list []acctEntry, tx int) ([]acctEntry, bool) {
-	if i := searchAcct(list, tx+1) - 1; i >= 0 && list[i].tx == tx {
-		hadCode := list[i].codeSet
-		return append(list[:i], list[i+1:]...), hadCode
-	}
-	return list, false
-}
-
-func removeSlot(list []slotEntry, tx int) []slotEntry {
-	if i := searchSlot(list, tx+1) - 1; i >= 0 && list[i].tx == tx {
-		return append(list[:i], list[i+1:]...)
-	}
-	return list
-}
-
 // Record installs transaction tx's (incarnation inc's) writes and read set:
-// one acctEntry per changed account, one slotEntry per written slot, and it
-// removes any location the previous incarnation wrote that this one did
-// not. It reports whether the incarnation wrote a path its predecessor did
-// not — the scheduler then revalidates every higher transaction, which is
-// what makes the per-path resolution (resolveCode skipping non-code
+// one account entry per changed account, one slot entry per written slot,
+// and it removes any location the previous incarnation wrote that this one
+// did not. It reports whether the incarnation wrote a path its predecessor
+// did not — the scheduler then revalidates every higher transaction, which
+// is what makes the per-path resolution (ResolveCode skipping non-code
 // entries) sound.
 func (m *Memory) Record(tx, inc int, reads []ReadRecord, cs *state.ChangeSet) (wroteNew bool) {
 	var locs []writeLoc
@@ -354,40 +145,19 @@ func (m *Memory) Record(tx, inc int, reads []ReadRecord, cs *state.ChangeSet) (w
 				locs = append(locs, writeLoc{addr: addr, slot: slot, kind: readSlot})
 			}
 		}
-		for addr, ch := range cs.Accounts {
-			e := acctEntry{tx: tx, inc: inc, nonce: ch.Nonce, balance: ch.Balance}
-			if ch.CodeSet {
-				e.code, e.codeSet = ch.Code, true
-			}
-			st := m.acctStripe(&addr)
-			st.mu.Lock()
-			var codeDelta int
-			st.accounts[addr], codeDelta = upsertAcct(st.accounts[addr], e)
-			if codeDelta != 0 {
-				if n := st.codeCnt[addr] + codeDelta; n > 0 {
-					st.codeCnt[addr] = n
-				} else {
-					delete(st.codeCnt, addr)
-				}
-			}
-			st.mu.Unlock()
-			for slot, val := range ch.Storage {
-				ss := m.slotStripe(&addr, &slot)
-				ss.mu.Lock()
-				k := slotKey{addr: addr, slot: slot}
-				ss.slots[k] = upsertSlot(ss.slots[k], slotEntry{tx: tx, inc: inc, value: val})
-				ss.mu.Unlock()
-			}
-		}
+		set := m.store.StripesOf(cs)
+		m.store.Lock(set)
+		m.store.Put(uint64(tx), inc, cs)
+		m.store.Unlock(set)
 	}
 	prev := m.writes[tx]
 	for _, p := range prev {
-		if !containsLoc(locs, p) {
+		if !slices.Contains(locs, p) {
 			m.removeLoc(tx, p)
 		}
 	}
 	for _, l := range locs {
-		if !containsLoc(prev, l) {
+		if !slices.Contains(prev, l) {
 			wroteNew = true
 			break
 		}
@@ -397,47 +167,12 @@ func (m *Memory) Record(tx, inc int, reads []ReadRecord, cs *state.ChangeSet) (w
 	return wroteNew
 }
 
-func containsLoc(list []writeLoc, l writeLoc) bool {
-	for _, x := range list {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
 // removeLoc deletes tx's entry for one written path. A code loc shares its
-// entry with the scalar loc: the upsert of the new incarnation already
-// cleared codeSet, so only orphaned scalar/slot entries are removed here.
+// entry with the scalar loc: the Put of the new incarnation already cleared
+// CodeSet, so only orphaned scalar/slot entries are removed here.
 func (m *Memory) removeLoc(tx int, l writeLoc) {
-	switch l.kind {
-	case readScalar:
-		st := m.acctStripe(&l.addr)
-		st.mu.Lock()
-		list, hadCode := removeAcct(st.accounts[l.addr], tx)
-		if len(list) > 0 {
-			st.accounts[l.addr] = list
-		} else {
-			delete(st.accounts, l.addr)
-		}
-		if hadCode {
-			if n := st.codeCnt[l.addr] - 1; n > 0 {
-				st.codeCnt[l.addr] = n
-			} else {
-				delete(st.codeCnt, l.addr)
-			}
-		}
-		st.mu.Unlock()
-	case readSlot:
-		ss := m.slotStripe(&l.addr, &l.slot)
-		ss.mu.Lock()
-		k := slotKey{addr: l.addr, slot: l.slot}
-		if list := removeSlot(ss.slots[k], tx); len(list) > 0 {
-			ss.slots[k] = list
-		} else {
-			delete(ss.slots, k)
-		}
-		ss.mu.Unlock()
+	if l.kind != readCode {
+		m.store.Remove(l.key(), uint64(tx))
 	}
 }
 
@@ -446,29 +181,8 @@ func (m *Memory) removeLoc(tx int, l writeLoc) {
 // on tx until its next incarnation lands.
 func (m *Memory) ConvertToEstimates(tx int) {
 	for _, l := range m.writes[tx] {
-		switch l.kind {
-		case readScalar:
-			st := m.acctStripe(&l.addr)
-			st.mu.Lock()
-			list := st.accounts[l.addr]
-			for i := range list {
-				if list[i].tx == tx {
-					list[i].estimate = true
-					break
-				}
-			}
-			st.mu.Unlock()
-		case readSlot:
-			ss := m.slotStripe(&l.addr, &l.slot)
-			ss.mu.Lock()
-			list := ss.slots[slotKey{addr: l.addr, slot: l.slot}]
-			for i := range list {
-				if list[i].tx == tx {
-					list[i].estimate = true
-					break
-				}
-			}
-			ss.mu.Unlock()
+		if l.kind != readCode {
+			m.store.MarkEstimate(l.key(), uint64(tx))
 		}
 	}
 }
@@ -487,116 +201,45 @@ func (m *Memory) Purge(tx int) {
 
 // ValidateReadSet re-resolves transaction tx's recorded read set against
 // the current multi-version state: every read must resolve to the same
-// version it observed (and to a non-ESTIMATE value). A tx with no recorded
-// reads (never executed) is vacuously valid.
-func (m *Memory) ValidateReadSet(tx int) bool {
-	if m.stale {
-		return true
-	}
+// version it observed (and to a non-ESTIMATE value). It returns ok=false
+// with the first read that no longer does (abort attribution). A tx with no
+// recorded reads (never executed) is vacuously valid.
+func (m *Memory) ValidateReadSet(tx int) (stale ReadRecord, ok bool) {
 	recs := m.reads[tx].Load()
-	if recs == nil {
-		return true
+	if m.stale || recs == nil {
+		return ReadRecord{}, true
 	}
+	before := uint64(tx)
 	for _, r := range *recs {
+		var same bool
 		switch r.Kind {
 		case readScalar:
-			e, ok := m.resolveAcct(r.Addr, tx)
-			if !sameVersion(ok, e.tx, e.inc, e.estimate, r) {
-				return false
-			}
+			e, found := m.store.ResolveAccount(r.Addr, before)
+			same = sameVersion(e, found, r)
 		case readCode:
-			e, ok := m.resolveCode(r.Addr, tx)
-			if !sameVersion(ok, e.tx, e.inc, e.estimate, r) {
-				return false
-			}
+			e, found := m.store.ResolveCode(r.Addr, before)
+			same = sameVersion(e, found, r)
 		case readSlot:
-			e, ok := m.resolveSlot(r.Addr, r.Slot, tx)
-			if !sameVersion(ok, e.tx, e.inc, e.estimate, r) {
-				return false
-			}
+			e, found := m.store.ResolveSlot(r.Addr, r.Slot, before)
+			same = sameVersion(e, found, r)
+		}
+		if !same {
+			return r, false
 		}
 	}
-	return true
+	return ReadRecord{}, true
 }
 
-// FirstInvalidRead returns the first read-set entry that no longer resolves
-// to the version it observed, for abort attribution. Only called on the
-// (rare) validation-failure path — the hot validation loop stays boolean.
-func (m *Memory) FirstInvalidRead(tx int) (ReadRecord, bool) {
-	if m.stale {
-		return ReadRecord{}, false
-	}
-	recs := m.reads[tx].Load()
-	if recs == nil {
-		return ReadRecord{}, false
-	}
-	for _, r := range *recs {
-		switch r.Kind {
-		case readScalar:
-			e, ok := m.resolveAcct(r.Addr, tx)
-			if !sameVersion(ok, e.tx, e.inc, e.estimate, r) {
-				return r, true
-			}
-		case readCode:
-			e, ok := m.resolveCode(r.Addr, tx)
-			if !sameVersion(ok, e.tx, e.inc, e.estimate, r) {
-				return r, true
-			}
-		case readSlot:
-			e, ok := m.resolveSlot(r.Addr, r.Slot, tx)
-			if !sameVersion(ok, e.tx, e.inc, e.estimate, r) {
-				return r, true
-			}
-		}
-	}
-	return ReadRecord{}, false
-}
-
-func sameVersion(ok bool, tx, inc int, estimate bool, r ReadRecord) bool {
-	if !ok {
+// sameVersion reports whether a re-resolution (found=false: the base) is the
+// version read r observed.
+func sameVersion[V any](e state.Versioned[V], found bool, r ReadRecord) bool {
+	if !found {
 		return r.Tx == baseVersion
 	}
-	return !estimate && tx == r.Tx && inc == r.Inc
+	return !e.Estimate && int(e.Key) == r.Tx && e.Inc == r.Inc
 }
 
 // Flatten returns the merged change set of every surviving entry — the
-// last-writer-wins merge in transaction-index order, shaped exactly like
-// core.MVState.Flatten so the shared seal path applies it identically. The
-// caller must be done executing (and must have purged any cut tail).
-func (m *Memory) Flatten() *state.ChangeSet {
-	cs := state.NewChangeSet()
-	for i := range m.stripes {
-		st := &m.stripes[i]
-		st.mu.RLock()
-		for addr, list := range st.accounts {
-			last := list[len(list)-1]
-			c := &state.AccountChange{
-				Nonce:   last.nonce,
-				Balance: last.balance,
-				Storage: make(map[types.Hash]uint256.Int),
-			}
-			for j := len(list) - 1; j >= 0; j-- {
-				if list[j].codeSet {
-					c.Code, c.CodeSet = list[j].code, true
-					break
-				}
-			}
-			cs.Accounts[addr] = c
-		}
-		st.mu.RUnlock()
-	}
-	for i := range m.stripes {
-		st := &m.stripes[i]
-		st.mu.RLock()
-		for sk, list := range st.slots {
-			c := cs.Accounts[sk.addr]
-			if c == nil { // defensive: a slot without a scalar entry
-				c = &state.AccountChange{Storage: make(map[types.Hash]uint256.Int)}
-				cs.Accounts[sk.addr] = c
-			}
-			c.Storage[sk.slot] = list[len(list)-1].value
-		}
-		st.mu.RUnlock()
-	}
-	return cs
-}
+// last-writer-wins merge in transaction-index order. The caller must be done
+// executing (and must have purged any cut tail).
+func (m *Memory) Flatten() *state.ChangeSet { return m.store.Flatten() }

@@ -253,15 +253,15 @@ func TestEstimateSuspension(t *testing.T) {
 		t.Fatal("first incarnation must report a new path")
 	}
 
-	e, ok := m.resolveAcct(a, 2)
-	if !ok || e.estimate || e.balance.Uint64() != 150 {
-		t.Fatalf("resolution before abort: ok=%v est=%v bal=%d", ok, e.estimate, e.balance.Uint64())
+	e, ok := m.store.ResolveAccount(a, uint64(2))
+	if !ok || e.Estimate || e.Val.Balance.Uint64() != 150 {
+		t.Fatalf("resolution before abort: ok=%v est=%v bal=%d", ok, e.Estimate, e.Val.Balance.Uint64())
 	}
 
 	m.ConvertToEstimates(0)
-	e, ok = m.resolveAcct(a, 2)
-	if !ok || !e.estimate || e.tx != 0 {
-		t.Fatalf("resolution after abort must be an ESTIMATE on tx 0: ok=%v est=%v tx=%d", ok, e.estimate, e.tx)
+	e, ok = m.store.ResolveAccount(a, uint64(2))
+	if !ok || !e.Estimate || int(e.Key) != 0 {
+		t.Fatalf("resolution after abort must be an ESTIMATE on tx 0: ok=%v est=%v tx=%d", ok, e.Estimate, int(e.Key))
 	}
 	// A view read must suspend with the blocking index.
 	func() {
@@ -285,9 +285,9 @@ func TestEstimateSuspension(t *testing.T) {
 	if wroteNew := m.Record(0, 1, reads, cs2); wroteNew {
 		t.Fatal("same-path re-execution must not report a new path")
 	}
-	e, ok = m.resolveAcct(a, 2)
-	if !ok || e.estimate || e.inc != 1 || e.balance.Uint64() != 175 {
-		t.Fatalf("resolution after re-record: ok=%v est=%v inc=%d bal=%d", ok, e.estimate, e.inc, e.balance.Uint64())
+	e, ok = m.store.ResolveAccount(a, uint64(2))
+	if !ok || e.Estimate || e.Inc != 1 || e.Val.Balance.Uint64() != 175 {
+		t.Fatalf("resolution after re-record: ok=%v est=%v inc=%d bal=%d", ok, e.Estimate, e.Inc, e.Val.Balance.Uint64())
 	}
 }
 
@@ -301,7 +301,7 @@ func TestValidateReadSet(t *testing.T) {
 
 	// Tx 2 read the base.
 	m.Record(2, 0, []ReadRecord{{Addr: a, Kind: readScalar, Tx: baseVersion}}, nil)
-	if !m.ValidateReadSet(2) {
+	if _, ok := m.ValidateReadSet(2); !ok {
 		t.Fatal("base read with no lower writes must validate")
 	}
 
@@ -311,17 +311,17 @@ func TestValidateReadSet(t *testing.T) {
 	ch.Balance.SetUint64(7)
 	cs.Accounts[a] = ch
 	m.Record(1, 0, nil, cs)
-	if m.ValidateReadSet(2) {
+	if _, ok := m.ValidateReadSet(2); ok {
 		t.Fatal("base read must fail once tx 1 wrote the key")
 	}
 
 	// Tx 2 re-reads tx 1's value: validates — until tx 1 aborts.
 	m.Record(2, 1, []ReadRecord{{Addr: a, Kind: readScalar, Tx: 1, Inc: 0}}, nil)
-	if !m.ValidateReadSet(2) {
+	if _, ok := m.ValidateReadSet(2); !ok {
 		t.Fatal("read of tx 1's current incarnation must validate")
 	}
 	m.ConvertToEstimates(1)
-	if m.ValidateReadSet(2) {
+	if _, ok := m.ValidateReadSet(2); ok {
 		t.Fatal("read of an ESTIMATE must fail validation")
 	}
 }
@@ -346,13 +346,13 @@ func TestPurge(t *testing.T) {
 	}
 	m.Purge(2)
 	m.Purge(1)
-	e, ok := m.resolveAcct(a, 3)
-	if !ok || e.tx != 0 || e.balance.Uint64() != 10 {
-		t.Fatalf("after purging 2,1 the newest entry must be tx 0: ok=%v tx=%d bal=%d", ok, e.tx, e.balance.Uint64())
+	e, ok := m.store.ResolveAccount(a, uint64(3))
+	if !ok || int(e.Key) != 0 || e.Val.Balance.Uint64() != 10 {
+		t.Fatalf("after purging 2,1 the newest entry must be tx 0: ok=%v tx=%d bal=%d", ok, int(e.Key), e.Val.Balance.Uint64())
 	}
-	s, ok := m.resolveSlot(a, hashOf(0), 3)
-	if !ok || s.tx != 0 || s.value.Uint64() != 100 {
-		t.Fatalf("purge left slot state: ok=%v tx=%d val=%d", ok, s.tx, s.value.Uint64())
+	s, ok := m.store.ResolveSlot(a, hashOf(0), uint64(3))
+	if !ok || s.Key != 0 || s.Val.Uint64() != 100 {
+		t.Fatalf("purge left slot state: ok=%v tx=%d val=%d", ok, s.Key, s.Val.Uint64())
 	}
 	flat := m.Flatten()
 	if got := flat.Accounts[a].Balance.Uint64(); got != 10 {
@@ -377,11 +377,11 @@ func TestCodePathIndependence(t *testing.T) {
 	m.ConvertToEstimates(1)
 
 	// A code read above it resolves from the base, not the estimate.
-	if _, ok := m.resolveCode(a, 3); ok {
+	if _, ok := m.store.ResolveCode(a, uint64(3)); ok {
 		t.Fatal("balance-only estimate must not shadow the code path")
 	}
 	m.Record(3, 0, []ReadRecord{{Addr: a, Kind: readCode, Tx: baseVersion}}, nil)
-	if !m.ValidateReadSet(3) {
+	if _, ok := m.ValidateReadSet(3); !ok {
 		t.Fatal("code read must stay valid across a balance-only estimate")
 	}
 
@@ -394,7 +394,7 @@ func TestCodePathIndependence(t *testing.T) {
 	if wroteNew := m.Record(2, 0, nil, cs2); !wroteNew {
 		t.Fatal("a deploy is a new path")
 	}
-	if m.ValidateReadSet(3) {
+	if _, ok := m.ValidateReadSet(3); ok {
 		t.Fatal("code read must fail once tx 2 deployed")
 	}
 }
@@ -416,7 +416,7 @@ func TestStaleReadsFault(t *testing.T) {
 		t.Fatalf("stale view must read the base: got %d", got.Uint64())
 	}
 	m.Record(2, 0, []ReadRecord{{Addr: a, Kind: readScalar, Tx: baseVersion}}, nil)
-	if !m.ValidateReadSet(2) {
+	if _, ok := m.ValidateReadSet(2); !ok {
 		t.Fatal("stale-mode validation must pass vacuously")
 	}
 }

@@ -134,18 +134,11 @@ func (s *Scheduler) Done() bool { return s.done.Load() }
 // happened in between (the && evaluation order performs the double read).
 func (s *Scheduler) checkDone() {
 	observed := s.decreaseCnt.Load()
-	if min64(s.executionIdx.Load(), s.validationIdx.Load()) >= int64(s.hi) &&
+	if min(s.executionIdx.Load(), s.validationIdx.Load()) >= int64(s.hi) &&
 		s.numActive.Load() == 0 &&
 		observed == s.decreaseCnt.Load() {
 		s.done.Store(true)
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // decrease moves cursor down to at (never up) and bumps the decrease count

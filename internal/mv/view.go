@@ -1,7 +1,6 @@
 package mv
 
 import (
-	"blockpilot/internal/crypto"
 	"blockpilot/internal/state"
 	"blockpilot/internal/types"
 	"blockpilot/internal/uint256"
@@ -43,10 +42,15 @@ type viewAcct struct {
 	balance    uint256.Int
 	exists     bool
 
-	codeDone  bool
-	chainCode bool // code resolved from a chain entry
-	code      []byte
-	codeHash  types.Hash
+	codeDone     bool
+	chainCode    bool // code resolved from a chain entry
+	code         []byte
+	baseCodeHash types.Hash // the base's answer; unset when chainCode
+}
+
+type slotKey struct {
+	addr types.Address
+	slot types.Hash
 }
 
 func newView(m *Memory, idx int) *view {
@@ -58,26 +62,31 @@ func newView(m *Memory, idx int) *view {
 	}
 }
 
-// resolveScalar materializes the account's scalar fields, recording the
-// read on first resolution.
-func (v *view) resolveScalar(addr types.Address) *viewAcct {
+func (v *view) account(addr types.Address) *viewAcct {
 	va := v.acct[addr]
 	if va == nil {
 		va = &viewAcct{}
 		v.acct[addr] = va
 	}
+	return va
+}
+
+// resolveScalar materializes the account's scalar fields, recording the
+// read on first resolution.
+func (v *view) resolveScalar(addr types.Address) *viewAcct {
+	va := v.account(addr)
 	if va.scalarDone {
 		return va
 	}
 	if !v.m.stale {
-		if e, ok := v.m.resolveAcct(addr, v.idx); ok {
-			if e.estimate {
-				panic(depError{blocking: e.tx, key: types.AccountKey(addr)})
+		if e, ok := v.m.store.ResolveAccount(addr, uint64(v.idx)); ok {
+			if e.Estimate {
+				panic(depError{blocking: int(e.Key), key: types.AccountKey(addr)})
 			}
-			va.nonce, va.balance, va.exists = e.nonce, e.balance, true
+			va.nonce, va.balance, va.exists = e.Val.Nonce, e.Val.Balance, true
 			va.chainAcct = true
 			va.scalarDone = true
-			v.recs = append(v.recs, ReadRecord{Addr: addr, Kind: readScalar, Tx: e.tx, Inc: e.inc})
+			v.recs = append(v.recs, ReadRecord{Addr: addr, Kind: readScalar, Tx: int(e.Key), Inc: e.Inc})
 			return va
 		}
 	}
@@ -94,29 +103,24 @@ func (v *view) resolveScalar(addr types.Address) *viewAcct {
 // resolveCode materializes the account's code path, recording the read on
 // first resolution.
 func (v *view) resolveCode(addr types.Address) *viewAcct {
-	va := v.acct[addr]
-	if va == nil {
-		va = &viewAcct{}
-		v.acct[addr] = va
-	}
+	va := v.account(addr)
 	if va.codeDone {
 		return va
 	}
 	if !v.m.stale {
-		if e, ok := v.m.resolveCode(addr, v.idx); ok {
-			if e.estimate {
-				panic(depError{blocking: e.tx, key: types.AccountKey(addr)})
+		if e, ok := v.m.store.ResolveCode(addr, uint64(v.idx)); ok {
+			if e.Estimate {
+				panic(depError{blocking: int(e.Key), key: types.AccountKey(addr)})
 			}
-			va.code = e.code
-			va.codeHash = types.Hash(crypto.Sum256(e.code))
+			va.code = e.Val.Code
 			va.chainCode = true
 			va.codeDone = true
-			v.recs = append(v.recs, ReadRecord{Addr: addr, Kind: readCode, Tx: e.tx, Inc: e.inc})
+			v.recs = append(v.recs, ReadRecord{Addr: addr, Kind: readCode, Tx: int(e.Key), Inc: e.Inc})
 			return va
 		}
 	}
 	va.code = v.m.base.Code(addr)
-	va.codeHash = v.m.base.CodeHash(addr)
+	va.baseCodeHash = v.m.base.CodeHash(addr)
 	va.codeDone = true
 	v.recs = append(v.recs, ReadRecord{Addr: addr, Kind: readCode, Tx: baseVersion})
 	return va
@@ -134,19 +138,13 @@ func (v *view) Exists(addr types.Address) bool { return v.resolveScalar(addr).ex
 // Code implements state.Reader.
 func (v *view) Code(addr types.Address) []byte { return v.resolveCode(addr).code }
 
-// CodeHash implements state.Reader. Mirrors the OCC mvView: an account
-// created by an earlier in-block transaction without code reports
-// EmptyCodeHash, everything else falls through.
+// CodeHash implements state.Reader by the rule the OCC mvView follows too
+// (state.ChainCodeHash). The scalar path is resolved — and so recorded as a
+// read — only when the code did not come from a chain entry.
 func (v *view) CodeHash(addr types.Address) types.Hash {
 	va := v.resolveCode(addr)
-	if va.chainCode {
-		return va.codeHash
-	}
-	sa := v.resolveScalar(addr)
-	if sa.chainAcct && va.codeHash == (types.Hash{}) {
-		return state.EmptyCodeHash
-	}
-	return va.codeHash
+	scalarOK := !va.chainCode && v.resolveScalar(addr).chainAcct
+	return state.ChainCodeHash(va.code, va.chainCode, scalarOK, va.baseCodeHash)
 }
 
 // Storage implements state.Reader.
@@ -157,13 +155,13 @@ func (v *view) Storage(addr types.Address, slot types.Hash) uint256.Int {
 	}
 	var val uint256.Int
 	if !v.m.stale {
-		if e, ok := v.m.resolveSlot(addr, slot, v.idx); ok {
-			if e.estimate {
-				panic(depError{blocking: e.tx, key: types.StorageKey(addr, slot)})
+		if e, ok := v.m.store.ResolveSlot(addr, slot, uint64(v.idx)); ok {
+			if e.Estimate {
+				panic(depError{blocking: int(e.Key), key: types.StorageKey(addr, slot)})
 			}
-			val = e.value
+			val = e.Val
 			v.slots[sk] = val
-			v.recs = append(v.recs, ReadRecord{Addr: addr, Slot: slot, Kind: readSlot, Tx: e.tx, Inc: e.inc})
+			v.recs = append(v.recs, ReadRecord{Addr: addr, Slot: slot, Kind: readSlot, Tx: int(e.Key), Inc: e.Inc})
 			return val
 		}
 	}

@@ -15,10 +15,7 @@ package state
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
-	"blockpilot/internal/crypto"
 	"blockpilot/internal/rlp"
 	"blockpilot/internal/trie"
 	"blockpilot/internal/types"
@@ -129,60 +126,58 @@ func (s *Snapshot) ForEachStorage(addr types.Address, fn func(hashedSlot types.H
 	})
 }
 
-// commitDisk is the serial disk-backend commit: the same account loop as
-// Commit, with dirty storage tries and the accounts trie persisted behind
-// one barrier and the diff pushed onto the flat stack. An I/O failure
-// panics: a state commit that cannot reach disk is as fatal as OOM, and the
-// Commit signature (shared with the hot in-memory path) carries no error.
-func (s *Snapshot) commitDisk(cs *ChangeSet) *Snapshot {
-	ns := &Snapshot{
-		accounts: s.accounts.Copy(),
-		storage:  s.storage,
-		codes:    s.codes,
-		keys:     s.keys,
-		db:       s.db,
-	}
-	batch := s.db.NewBatch()
-	flatAccts := make(map[types.Address]flatAccount, len(cs.Accounts))
-	var flatStorage map[types.Address]map[types.Hash]uint256.Int
+// diskInstaller stages one disk-backend commit: dirty storage tries and code
+// into the batch, the diff into the next flat layer.
+type diskInstaller struct {
+	batch       *trie.Batch
+	flatAccts   map[types.Address]flatAccount
+	flatStorage map[types.Address]map[types.Hash]uint256.Int
+}
 
-	for addr, ch := range cs.Accounts {
-		hashedAddr := s.hashedAddr(addr)
-		old, existed := s.accountDisk(addr, hashedAddr, false)
-		acct := old
-		acct.nonce = ch.Nonce
-		acct.balance = ch.Balance
-		if !existed {
-			acct.codeHash = EmptyCodeHash
-			acct.storageRoot = types.Hash(trie.EmptyRoot)
-		}
-		if ch.CodeSet {
-			h := types.Hash(crypto.Sum256(ch.Code))
-			acct.codeHash = h
-			batch.PutCode([32]byte(h), ch.Code)
-		}
-		if len(ch.Storage) > 0 {
-			st := s.storageTrie(acct.storageRoot)
-			s.applyStorage(st, ch.Storage)
-			// Storage tries persist before the accounts trie so the account
-			// leaf's storageRoot edge resolves inside the same batch.
-			acct.storageRoot = types.Hash(batch.PersistTrie(st))
-			if flatStorage == nil {
-				flatStorage = make(map[types.Address]map[types.Hash]uint256.Int)
-			}
-			flatStorage[addr] = copySlots(ch.Storage)
-		}
-		ns.accounts.Update(hashedAddr,
-			encodeAccount(acct.nonce, &acct.balance, acct.storageRoot, acct.codeHash))
-		flatAccts[addr] = flatAccount{nonce: acct.nonce, balance: acct.balance, storageRoot: acct.storageRoot, codeHash: acct.codeHash}
-	}
+func (s *Snapshot) newDiskInstaller(n int) *diskInstaller {
+	return &diskInstaller{batch: s.db.NewBatch(), flatAccts: make(map[types.Address]flatAccount, n)}
+}
 
-	root := batch.PersistTrie(ns.accounts)
-	if err := batch.Commit(root); err != nil {
+func (d *diskInstaller) install(addr types.Address, ch *AccountChange, r *resolvedChange, flat flatAccount) {
+	if r.codeSet {
+		d.batch.PutCode([32]byte(r.codeHash), r.code)
+	}
+	if r.storage != nil {
+		// Storage tries persist before the accounts trie so the account
+		// leaf's storageRoot edge resolves inside the same batch.
+		d.batch.PersistTrie(r.storage)
+		if d.flatStorage == nil {
+			d.flatStorage = make(map[types.Address]map[types.Hash]uint256.Int)
+		}
+		d.flatStorage[addr] = copySlots(ch.Storage)
+	}
+	d.flatAccts[addr] = flat
+}
+
+// finish persists the accounts trie behind the batch's one barrier, anchors
+// its root and pushes the flat layer. An I/O failure panics: a state commit
+// that cannot reach disk is as fatal as OOM, and the Commit signature (shared
+// with the hot in-memory path) carries no error.
+func (d *diskInstaller) finish(parent, ns *Snapshot) *Snapshot {
+	root := d.batch.PersistTrie(ns.accounts)
+	if err := d.batch.Commit(root); err != nil {
 		panic(fmt.Errorf("state: disk commit: %w", err))
 	}
-	ns.flat = pushFlatLayer(s.flat, flatAccts, flatStorage)
+	ns.flat = pushFlatLayer(parent.flat, d.flatAccts, d.flatStorage)
 	return ns
+}
+
+// commitDisk is the serial disk-backend commit: the same account loop as
+// Commit, installed through a diskInstaller.
+func (s *Snapshot) commitDisk(cs *ChangeSet) *Snapshot {
+	ns := s.child()
+	inst := s.newDiskInstaller(len(cs.Accounts))
+	for addr, ch := range cs.Accounts {
+		r, flat := s.resolveChange(addr, ch)
+		inst.install(addr, ch, &r, flat)
+		ns.accounts.Update(r.hashedAddr, r.leaf)
+	}
+	return inst.finish(s, ns)
 }
 
 // commitParallelDisk is CommitParallel on the disk backend: identical
@@ -195,105 +190,18 @@ func (s *Snapshot) commitParallelDisk(cs *ChangeSet, workers int) *Snapshot {
 	if workers <= 1 || n < minParallelCommitAccounts {
 		return s.commitDisk(cs)
 	}
-	if workers > n {
-		workers = n
-	}
+	addrs, results, flats := s.resolveChanges(cs, min(workers, n))
 
-	type job struct {
-		addr types.Address
-		ch   *AccountChange
-	}
-	type result struct {
-		hashedAddr []byte
-		leaf       []byte
-		storage    *trie.Trie // nil when the account has no dirty slots
-		acct       flatAccount
-		codeHash   types.Hash
-		code       []byte
-		codeSet    bool
-	}
-	jobs := make([]job, 0, n)
-	for addr, ch := range cs.Accounts {
-		jobs = append(jobs, job{addr: addr, ch: ch})
-	}
-	results := make([]result, n)
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				addr, ch := jobs[i].addr, jobs[i].ch
-				hashedAddr := s.hashedAddr(addr)
-				old, existed := s.accountDisk(addr, hashedAddr, false)
-				acct := old
-				acct.nonce = ch.Nonce
-				acct.balance = ch.Balance
-				if !existed {
-					acct.codeHash = EmptyCodeHash
-					acct.storageRoot = types.Hash(trie.EmptyRoot)
-				}
-				r := &results[i]
-				if ch.CodeSet {
-					h := types.Hash(crypto.Sum256(ch.Code))
-					acct.codeHash = h
-					r.codeHash, r.code, r.codeSet = h, ch.Code, true
-				}
-				if len(ch.Storage) > 0 {
-					st := s.storageTrie(acct.storageRoot)
-					r.storage = s.applyStorage(st, ch.Storage)
-					acct.storageRoot = types.Hash(r.storage.Hash())
-				}
-				r.hashedAddr = hashedAddr
-				r.leaf = encodeAccount(acct.nonce, &acct.balance, acct.storageRoot, acct.codeHash)
-				r.acct = flatAccount{nonce: acct.nonce, balance: acct.balance, storageRoot: acct.storageRoot, codeHash: acct.codeHash}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Serial tail: batch the account leaves, persist everything, push flat.
-	ns := &Snapshot{
-		accounts: s.accounts.Copy(),
-		storage:  s.storage,
-		codes:    s.codes,
-		keys:     s.keys,
-		db:       s.db,
-	}
-	batch := s.db.NewBatch()
-	flatAccts := make(map[types.Address]flatAccount, n)
-	var flatStorage map[types.Address]map[types.Hash]uint256.Int
+	ns := s.child()
+	inst := s.newDiskInstaller(n)
 	keys := make([][]byte, n)
 	leaves := make([][]byte, n)
 	for i := range results {
-		r := &results[i]
-		keys[i] = r.hashedAddr
-		leaves[i] = r.leaf
-		if r.codeSet {
-			batch.PutCode([32]byte(r.codeHash), r.code)
-		}
-		if r.storage != nil {
-			batch.PersistTrie(r.storage)
-			if flatStorage == nil {
-				flatStorage = make(map[types.Address]map[types.Hash]uint256.Int)
-			}
-			flatStorage[jobs[i].addr] = copySlots(jobs[i].ch.Storage)
-		}
-		flatAccts[jobs[i].addr] = r.acct
+		inst.install(addrs[i], cs.Accounts[addrs[i]], &results[i], flats[i])
+		keys[i], leaves[i] = results[i].hashedAddr, results[i].leaf
 	}
 	ns.accounts.Batch(keys, leaves)
-	root := batch.PersistTrie(ns.accounts)
-	if err := batch.Commit(root); err != nil {
-		panic(fmt.Errorf("state: disk commit: %w", err))
-	}
-	ns.flat = pushFlatLayer(s.flat, flatAccts, flatStorage)
-	return ns
+	return inst.finish(s, ns)
 }
 
 // copySlots snapshots a change set's dirty-slot map for the flat layer: the

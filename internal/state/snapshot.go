@@ -228,6 +228,137 @@ func (s *Snapshot) Copy() *Snapshot {
 	return ns
 }
 
+// resolvedChange is one account of a change set resolved against the parent
+// snapshot: what a commit path needs to install it, besides the account's
+// decoded fields (a flatAccount, which only the disk backend keeps).
+type resolvedChange struct {
+	hashedAddr []byte
+	leaf       []byte     // the account's new accounts-trie leaf
+	storage    *trie.Trie // the account's new storage trie; nil when no slot is dirty
+	codeHash   types.Hash // the code's key, when codeSet
+	code       []byte
+	codeSet    bool
+}
+
+// resolveChange is the per-account body under all four commit paths
+// (serial/parallel × mem/disk): parent lookup, new scalar fields and code
+// hash, storage-trie batch and root, leaf encoding. It only reads the
+// immutable parent, so the parallel paths call it from worker goroutines;
+// the callers keep what differs — how leaves reach the accounts trie and
+// where tries, code and flat layers are stored.
+func (s *Snapshot) resolveChange(addr types.Address, ch *AccountChange) (resolvedChange, flatAccount) {
+	// One keccak(addr) per account, shared by the lookup and the caller's
+	// accounts-trie update.
+	r := resolvedChange{hashedAddr: s.hashedAddr(addr)}
+	var (
+		old     decodedAccount
+		existed bool
+	)
+	if s.db != nil {
+		old, existed = s.accountDisk(addr, r.hashedAddr, false)
+	} else {
+		old, existed = s.lookupHashed(r.hashedAddr)
+	}
+	acct := flatAccount(old)
+	acct.nonce = ch.Nonce
+	acct.balance = ch.Balance
+	if !existed {
+		acct.codeHash = EmptyCodeHash
+		acct.storageRoot = types.Hash(trie.EmptyRoot)
+	}
+	if ch.CodeSet {
+		acct.codeHash = types.Hash(crypto.Sum256(ch.Code))
+		r.codeHash, r.code, r.codeSet = acct.codeHash, ch.Code, true
+	}
+	if len(ch.Storage) > 0 {
+		var st *trie.Trie
+		switch {
+		case s.db != nil:
+			st = s.storageTrie(acct.storageRoot)
+		case s.storage[addr] != nil:
+			st = s.storage[addr].Copy() // tries are persistent; Commit replaces, never mutates
+		default:
+			st = trie.New()
+		}
+		r.storage = s.applyStorage(st, ch.Storage)
+		acct.storageRoot = types.Hash(r.storage.Hash())
+	}
+	r.leaf = encodeAccount(acct.nonce, &acct.balance, acct.storageRoot, acct.codeHash)
+	return r, acct
+}
+
+// resolveChanges runs resolveChange over every account of cs on `workers`
+// goroutines (accounts are independent by construction: one storage trie
+// each, disjoint leaves in the accounts trie) and returns the results with
+// their addresses, index-aligned; flats only on the disk backend.
+func (s *Snapshot) resolveChanges(cs *ChangeSet, workers int) (addrs []types.Address, results []resolvedChange, flats []flatAccount) {
+	addrs = make([]types.Address, 0, len(cs.Accounts))
+	for addr := range cs.Accounts {
+		addrs = append(addrs, addr)
+	}
+	results = make([]resolvedChange, len(addrs))
+	if s.db != nil {
+		flats = make([]flatAccount, len(addrs))
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(addrs) {
+					return
+				}
+				r, flat := s.resolveChange(addrs[i], cs.Accounts[addrs[i]])
+				results[i] = r
+				if flats != nil {
+					flats[i] = flat
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return addrs, results, flats
+}
+
+// child returns the shell of s's successor: a private handle on the accounts
+// trie, everything else shared until a commit path replaces it.
+func (s *Snapshot) child() *Snapshot {
+	return &Snapshot{accounts: s.accounts.Copy(), storage: s.storage, codes: s.codes, keys: s.keys, db: s.db}
+}
+
+// memInstaller copies a mem-backend snapshot's storage and code maps on
+// first write, so a commit that touches neither shares both with its parent.
+type memInstaller struct {
+	ns                         *Snapshot
+	storageCopied, codesCopied bool
+}
+
+func (m *memInstaller) install(addr types.Address, r *resolvedChange) {
+	if r.codeSet {
+		if !m.codesCopied {
+			codes := make(map[types.Hash][]byte, len(m.ns.codes)+1)
+			for k, v := range m.ns.codes {
+				codes[k] = v
+			}
+			m.ns.codes, m.codesCopied = codes, true
+		}
+		m.ns.codes[r.codeHash] = r.code
+	}
+	if r.storage != nil {
+		if !m.storageCopied {
+			storage := make(map[types.Address]*trie.Trie, len(m.ns.storage)+1)
+			for k, v := range m.ns.storage {
+				storage[k] = v
+			}
+			m.ns.storage, m.storageCopied = storage, true
+		}
+		m.ns.storage[addr] = r.storage
+	}
+}
+
 // Commit applies a change set and returns the resulting snapshot. The
 // receiver is unchanged. This is the serial reference path; CommitParallel
 // must produce a bit-identical snapshot.
@@ -235,59 +366,12 @@ func (s *Snapshot) Commit(cs *ChangeSet) *Snapshot {
 	if s.db != nil {
 		return s.commitDisk(cs)
 	}
-	ns := &Snapshot{
-		accounts: s.accounts.Copy(),
-		storage:  s.storage,
-		codes:    s.codes,
-		keys:     s.keys,
-	}
-	storageCopied, codesCopied := false, false
-
+	ns := s.child()
+	inst := memInstaller{ns: ns}
 	for addr, ch := range cs.Accounts {
-		// One keccak(addr) per account, shared by the lookup and the
-		// trailing accounts.Update (it used to be computed twice).
-		hashedAddr := s.hashedAddr(addr)
-		old, existed := s.lookupHashed(hashedAddr)
-		acct := old
-		acct.nonce = ch.Nonce
-		acct.balance = ch.Balance
-		if !existed {
-			acct.codeHash = EmptyCodeHash
-			acct.storageRoot = types.Hash(trie.EmptyRoot)
-		}
-		if ch.CodeSet {
-			h := types.Hash(crypto.Sum256(ch.Code))
-			acct.codeHash = h
-			if !codesCopied {
-				codes := make(map[types.Hash][]byte, len(ns.codes)+1)
-				for k, v := range ns.codes {
-					codes[k] = v
-				}
-				ns.codes = codes
-				codesCopied = true
-			}
-			ns.codes[h] = ch.Code
-		}
-		if len(ch.Storage) > 0 {
-			if !storageCopied {
-				storage := make(map[types.Address]*trie.Trie, len(ns.storage)+1)
-				for k, v := range ns.storage {
-					storage[k] = v
-				}
-				ns.storage = storage
-				storageCopied = true
-			}
-			st := ns.storage[addr]
-			if st == nil {
-				st = trie.New()
-			} else {
-				st = st.Copy()
-			}
-			ns.storage[addr] = s.applyStorage(st, ch.Storage)
-			acct.storageRoot = types.Hash(ns.storage[addr].Hash())
-		}
-		ns.accounts.Update(hashedAddr,
-			encodeAccount(acct.nonce, &acct.balance, acct.storageRoot, acct.codeHash))
+		r, _ := s.resolveChange(addr, ch)
+		inst.install(addr, &r)
+		ns.accounts.Update(r.hashedAddr, r.leaf)
 	}
 	return ns
 }
@@ -315,12 +399,10 @@ func (s *Snapshot) applyStorage(st *trie.Trie, slots map[types.Hash]uint256.Int)
 // fan-out costs more than the trie work it parallelizes.
 const minParallelCommitAccounts = 4
 
-// CommitParallel is Commit with the per-account work — parent lookup,
-// storage-trie update, storage-root hashing, account-leaf encoding — fanned
-// across `workers` goroutines. Accounts are independent by construction
-// (one storage trie each, disjoint leaves in the accounts trie), so the
-// only serial remainder is the map bookkeeping and a single batch insert
-// into the accounts trie. The resulting snapshot is bit-identical to
+// CommitParallel is Commit with the per-account work (resolveChange) fanned
+// across `workers` goroutines, so the only serial remainder is the map
+// bookkeeping and a single batch insert into the accounts trie (sorted
+// bottom-up build, one pass). The resulting snapshot is bit-identical to
 // Commit(cs): same tries, same roots (parity suite in commit_test.go).
 //
 // workers <= 1 (the ablation) or a small change set falls back to Commit.
@@ -332,109 +414,15 @@ func (s *Snapshot) CommitParallel(cs *ChangeSet, workers int) *Snapshot {
 	if workers <= 1 || n < minParallelCommitAccounts {
 		return s.Commit(cs)
 	}
-	if workers > n {
-		workers = n
-	}
+	addrs, results, _ := s.resolveChanges(cs, min(workers, n))
 
-	type job struct {
-		addr types.Address
-		ch   *AccountChange
-	}
-	type result struct {
-		hashedAddr []byte
-		leaf       []byte
-		storage    *trie.Trie // nil when the account has no dirty slots
-		codeHash   types.Hash
-		code       []byte
-		codeSet    bool
-	}
-	jobs := make([]job, 0, n)
-	for addr, ch := range cs.Accounts {
-		jobs = append(jobs, job{addr: addr, ch: ch})
-	}
-	results := make([]result, n)
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				addr, ch := jobs[i].addr, jobs[i].ch
-				hashedAddr := s.hashedAddr(addr)
-				old, existed := s.lookupHashed(hashedAddr)
-				acct := old
-				acct.nonce = ch.Nonce
-				acct.balance = ch.Balance
-				if !existed {
-					acct.codeHash = EmptyCodeHash
-					acct.storageRoot = types.Hash(trie.EmptyRoot)
-				}
-				r := &results[i]
-				if ch.CodeSet {
-					h := types.Hash(crypto.Sum256(ch.Code))
-					acct.codeHash = h
-					r.codeHash, r.code, r.codeSet = h, ch.Code, true
-				}
-				if len(ch.Storage) > 0 {
-					st := s.storage[addr] // reads of the immutable parent are safe
-					if st == nil {
-						st = trie.New()
-					} else {
-						st = st.Copy()
-					}
-					r.storage = s.applyStorage(st, ch.Storage)
-					acct.storageRoot = types.Hash(r.storage.Hash())
-				}
-				r.hashedAddr = hashedAddr
-				r.leaf = encodeAccount(acct.nonce, &acct.balance, acct.storageRoot, acct.codeHash)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Serial tail: assemble the maps and batch the account leaves into the
-	// accounts trie (sorted bottom-up build, one pass).
-	ns := &Snapshot{
-		accounts: s.accounts.Copy(),
-		storage:  s.storage,
-		codes:    s.codes,
-		keys:     s.keys,
-	}
-	storageCopied, codesCopied := false, false
+	ns := s.child()
+	inst := memInstaller{ns: ns}
 	keys := make([][]byte, n)
 	leaves := make([][]byte, n)
 	for i := range results {
-		r := &results[i]
-		keys[i] = r.hashedAddr
-		leaves[i] = r.leaf
-		if r.codeSet {
-			if !codesCopied {
-				codes := make(map[types.Hash][]byte, len(ns.codes)+1)
-				for k, v := range ns.codes {
-					codes[k] = v
-				}
-				ns.codes = codes
-				codesCopied = true
-			}
-			ns.codes[r.codeHash] = r.code
-		}
-		if r.storage != nil {
-			if !storageCopied {
-				storage := make(map[types.Address]*trie.Trie, len(ns.storage)+1)
-				for k, v := range ns.storage {
-					storage[k] = v
-				}
-				ns.storage = storage
-				storageCopied = true
-			}
-			ns.storage[jobs[i].addr] = r.storage
-		}
+		inst.install(addrs[i], &results[i])
+		keys[i], leaves[i] = results[i].hashedAddr, results[i].leaf
 	}
 	ns.accounts.Batch(keys, leaves)
 	return ns
