@@ -40,8 +40,8 @@ build:
 # The packages whose behaviour depends on how goroutines interleave: tested
 # at GOMAXPROCS 1, 2 and 4 so a single-CPU runner still exercises real
 # concurrency (and a many-core one still exercises the 1-CPU schedule).
-# internal/evm is here for its code-analysis cache and operand-stack pool,
-# the one state its frames share across goroutines.
+# internal/evm is here for its code-analysis cache (segments included) and
+# operand-stack pool, the one state its frames share across goroutines.
 CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/scheduler/... ./internal/evm/
 
 # The TopK pass repeats because an order-dependent heavy-hitter sketch (map
@@ -103,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMVVersionChain -fuzztime 3s ./internal/mv/
 	$(GO) test -run '^$$' -fuzz FuzzNodeStore -fuzztime 3s ./internal/trie/store/
 	$(GO) test -run '^$$' -fuzz FuzzKeccak256VsReference -fuzztime 3s ./internal/crypto/
+	$(GO) test -run '^$$' -fuzz FuzzRunVsReference -fuzztime 3s ./internal/evm/
 
 # Disk-backed state gate: the persistence battery's CI short-mode scale run —
 # a 500k-account chunked genesis plus chained block commits with pruning,
@@ -126,7 +127,7 @@ bench-compare:
 # Go micro-benchmarks of the remaining testing.B loops (allocation counts via
 # -benchmem).
 bench-go:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/scheduler/ ./internal/mempool/ ./internal/evm/ ./internal/crypto/
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/scheduler/ ./internal/mempool/ ./internal/evm/ ./internal/crypto/ ./internal/uint256/
 
 telemetry-bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/telemetry/

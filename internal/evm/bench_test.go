@@ -32,7 +32,7 @@ func BenchmarkRunSpinLoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.pc, f.gas = 0, gas
+		f.gas = gas
 		if _, err := e.run(f); err != nil {
 			b.Fatal(err)
 		}

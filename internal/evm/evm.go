@@ -94,7 +94,6 @@ type frame struct {
 	code     []byte
 	an       *analysis // of code
 	gas      uint64
-	pc       uint64
 	stack    *Stack
 	mem      *Memory
 	ret      []byte // payload set by RETURN / REVERT
@@ -286,54 +285,233 @@ func (e *EVM) CreateAt(caller types.Address, initCode []byte, gas uint64, value 
 	return ret, addr, gasLeft, nil
 }
 
+// checkOp is the per-op check of an op that no segment entry check covered:
+// it charges the op's gas and sizes memory for it, or returns the error the
+// op fails with before executing. f.stack.n must be current.
+func (e *EVM) checkOp(f *frame, oper *operation) error {
+	if !oper.defined() {
+		return ErrInvalidOpcode
+	}
+	if f.stack.n < oper.minStack {
+		return ErrStackUnderflow
+	}
+	if f.stack.n > oper.maxStack {
+		return ErrStackOverflow
+	}
+	if !f.useGas(oper.constantGas) {
+		return ErrOutOfGas
+	}
+	var memSize uint64
+	if oper.memorySize != nil {
+		ms, overflow := oper.memorySize(f)
+		if overflow {
+			return ErrGasUintOverflow
+		}
+		memSize = ms
+	}
+	if oper.dynamicGas != nil {
+		dg, overflow := oper.dynamicGas(e, f, memSize)
+		if overflow || !f.useGas(dg) {
+			return ErrOutOfGas
+		}
+	}
+	if memSize > 0 {
+		f.mem.resize(memSize)
+	}
+	return nil
+}
+
 // run executes the frame to completion on a pooled operand stack, which
 // goes back to the pool on every exit path.
+//
+// Gas and both stack bounds are checked once per segment (see segment): when
+// the entry check of the segment starting at pc passes, its ops run with no
+// check of their own until pc reaches its end. Every op outside a segment,
+// and every op of a segment whose entry check failed, goes through checkOp
+// instead, so the op that fails, its error and every effect before it are
+// those of checking each op.
+//
+// The opcodes that only compute on stack words are cases of the dispatch
+// switch, working on the stack array with pc and the stack height in locals;
+// the rest go through jumpTable with the stack's own height synced around
+// the call. The cases up to PUSH0 are dense enough in opcode space for the
+// switch to compile to a jump table, which the three wide families would
+// thin out: they are told apart by range in the default arm.
 func (e *EVM) run(f *frame) ([]byte, error) {
-	f.stack = newStack()
-	defer f.stack.release()
+	st := newStack()
+	f.stack = st
+	defer st.release()
+	var (
+		code   = f.code
+		an     = f.an
+		stack  = &st.data
+		sp     int    // stack height; st.n is stale between syncs
+		pc     uint64 // of the op being dispatched
+		segEnd uint64 // ops at pc < segEnd passed their segment's entry check
+		push   uint32 // index in an.pushes of the next PUSH's immediate
+	)
 	for {
-		if f.pc >= uint64(len(f.code)) {
-			return nil, nil // implicit STOP
-		}
-		op := OpCode(f.code[f.pc])
-		oper := &jumpTable[op]
-		if oper.execute == nil {
-			return nil, ErrInvalidOpcode
-		}
-		if f.stack.len() < oper.minStack {
-			return nil, ErrStackUnderflow
-		}
-		if f.stack.len() > oper.maxStack {
-			return nil, ErrStackOverflow
-		}
-		if !f.useGas(oper.constantGas) {
-			return nil, ErrOutOfGas
-		}
-		var memSize uint64
-		if oper.memorySize != nil {
-			ms, overflow := oper.memorySize(f)
-			if overflow {
-				return nil, ErrGasUintOverflow
+		if pc >= segEnd {
+			if pc >= uint64(len(code)) {
+				return nil, nil // implicit STOP
 			}
-			memSize = ms
-		}
-		if oper.dynamicGas != nil {
-			dg, overflow := oper.dynamicGas(e, f, memSize)
-			if overflow || !f.useGas(dg) {
-				return nil, ErrOutOfGas
+			var seg *segment
+			if s := an.slot[pc] & segIndexMask; s != 0 {
+				seg = &an.segs[s-1]
+				push = seg.push
+			}
+			if seg != nil && sp >= int(seg.need) && sp+int(seg.peak) <= stackLimit && f.useGas(seg.gas) {
+				segEnd = uint64(seg.end)
+			} else {
+				st.n = sp
+				if err := e.checkOp(f, &jumpTable[code[pc]]); err != nil {
+					return nil, err
+				}
 			}
 		}
-		if memSize > 0 {
-			f.mem.resize(memSize)
+		switch op := OpCode(code[pc]); op {
+		case STOP:
+			return nil, nil
+		case ADD:
+			sp--
+			stack[sp-1].Add(&stack[sp], &stack[sp-1])
+		case MUL:
+			sp--
+			stack[sp-1].Mul(&stack[sp], &stack[sp-1])
+		case SUB:
+			sp--
+			stack[sp-1].Sub(&stack[sp], &stack[sp-1])
+		case DIV:
+			sp--
+			stack[sp-1].Div(&stack[sp], &stack[sp-1])
+		case SDIV:
+			sp--
+			stack[sp-1].SDiv(&stack[sp], &stack[sp-1])
+		case MOD:
+			sp--
+			stack[sp-1].Mod(&stack[sp], &stack[sp-1])
+		case SMOD:
+			sp--
+			stack[sp-1].SMod(&stack[sp], &stack[sp-1])
+		case ADDMOD:
+			sp -= 2
+			stack[sp-1].AddMod(&stack[sp+1], &stack[sp], &stack[sp-1])
+		case MULMOD:
+			sp -= 2
+			stack[sp-1].MulMod(&stack[sp+1], &stack[sp], &stack[sp-1])
+		case EXP:
+			sp--
+			stack[sp-1].Exp(&stack[sp], &stack[sp-1])
+		case SIGNEXTEND:
+			sp--
+			stack[sp-1].SignExtend(&stack[sp], &stack[sp-1])
+		case LT:
+			sp--
+			boolWord(&stack[sp-1], stack[sp].Lt(&stack[sp-1]))
+		case GT:
+			sp--
+			boolWord(&stack[sp-1], stack[sp].Gt(&stack[sp-1]))
+		case SLT:
+			sp--
+			boolWord(&stack[sp-1], stack[sp].Slt(&stack[sp-1]))
+		case SGT:
+			sp--
+			boolWord(&stack[sp-1], stack[sp].Sgt(&stack[sp-1]))
+		case EQ:
+			sp--
+			boolWord(&stack[sp-1], stack[sp] == stack[sp-1])
+		case ISZERO:
+			boolWord(&stack[sp-1], stack[sp-1].IsZero())
+		case AND:
+			sp--
+			stack[sp-1].And(&stack[sp], &stack[sp-1])
+		case OR:
+			sp--
+			stack[sp-1].Or(&stack[sp], &stack[sp-1])
+		case XOR:
+			sp--
+			stack[sp-1].Xor(&stack[sp], &stack[sp-1])
+		case NOT:
+			stack[sp-1].Not(&stack[sp-1])
+		case BYTE:
+			sp--
+			stack[sp-1].Byte(&stack[sp], &stack[sp-1])
+		case SHL, SHR, SAR:
+			sp--
+			x, n := &stack[sp-1], uint(256) // shifts of 256 and more all give the same word
+			if shift := &stack[sp]; shift.IsUint64() && shift.Uint64() < 256 {
+				n = uint(shift.Uint64())
+			}
+			switch op {
+			case SHL:
+				x.Lsh(x, n)
+			case SHR:
+				x.Rsh(x, n)
+			default:
+				x.SRsh(x, n)
+			}
+		case POP:
+			sp--
+		case JUMP, JUMPI:
+			sp--
+			dest := &stack[sp]
+			if op == JUMPI {
+				sp--
+				if stack[sp].IsZero() {
+					break
+				}
+			}
+			if !an.validJump(dest) {
+				return nil, ErrInvalidJump
+			}
+			pc, segEnd = dest.Uint64(), 0
+			continue
+		case PC:
+			stack[sp].SetUint64(pc)
+			sp++
+		case JUMPDEST:
+		case PUSH0:
+			stack[sp].Clear()
+			sp++
+		default:
+			switch {
+			case op >= PUSH1 && op <= PUSH32:
+				if an.slot[pc]&constJumpSlot != 0 && pc < segEnd {
+					// PUSHn dest; JUMP or JUMPI, checked with their segment
+					// and resolved by the analysis.
+					if OpCode(code[segEnd-1]) == JUMPI {
+						sp--
+						if stack[sp].IsZero() {
+							pc = segEnd
+							continue
+						}
+					}
+					pc, segEnd = an.pushes[push][0], 0
+					continue
+				}
+				stack[sp] = an.pushes[push]
+				sp++
+				push++
+				pc += uint64(op - PUSH1 + 1)
+			case op >= DUP1 && op <= DUP16:
+				stack[sp] = stack[sp-1-int(op-DUP1)]
+				sp++
+			case op >= SWAP1 && op <= SWAP16:
+				top, other := &stack[sp-1], &stack[sp-2-int(op-SWAP1)]
+				x, y := *top, *other // through values: pointer to pointer compiles to memmove calls
+				*top, *other = y, x
+			default:
+				oper := &jumpTable[op]
+				st.n = sp
+				if err := oper.execute(e, f); err != nil {
+					return f.ret, err
+				}
+				if oper.halts {
+					return f.ret, nil
+				}
+				sp = st.n
+			}
 		}
-		if err := oper.execute(e, f); err != nil {
-			return f.ret, err
-		}
-		if oper.halts {
-			return f.ret, nil
-		}
-		if !oper.jumps {
-			f.pc++
-		}
+		pc++
 	}
 }

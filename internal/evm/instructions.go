@@ -24,203 +24,13 @@ func getData(data []byte, off, size uint64) []byte {
 	return out
 }
 
-// --- arithmetic ---
-
-func opAdd(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.peek()
-	y.Add(&x, y)
-	return nil
-}
-
-func opMul(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.peek()
-	y.Mul(&x, y)
-	return nil
-}
-
-func opSub(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.peek()
-	y.Sub(&x, y)
-	return nil
-}
-
-func opDiv(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.peek()
-	y.Div(&x, y)
-	return nil
-}
-
-func opSdiv(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.peek()
-	y.SDiv(&x, y)
-	return nil
-}
-
-func opMod(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.peek()
-	y.Mod(&x, y)
-	return nil
-}
-
-func opSmod(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.peek()
-	y.SMod(&x, y)
-	return nil
-}
-
-func opAddmod(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.pop()
-	m := f.stack.peek()
-	m.AddMod(&x, &y, m)
-	return nil
-}
-
-func opMulmod(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.pop()
-	m := f.stack.peek()
-	m.MulMod(&x, &y, m)
-	return nil
-}
-
-func opExp(e *EVM, f *frame) error {
-	base := f.stack.pop()
-	exp := f.stack.peek()
-	exp.Exp(&base, exp)
-	return nil
-}
-
-func opSignExtend(e *EVM, f *frame) error {
-	b := f.stack.pop()
-	x := f.stack.peek()
-	x.SignExtend(&b, x)
-	return nil
-}
-
-// --- comparison & bitwise ---
-
+// boolWord sets z to 1 or 0.
 func boolWord(z *uint256.Int, b bool) {
 	if b {
 		z.SetUint64(1)
 	} else {
 		z.Clear()
 	}
-}
-
-func opLt(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.peek()
-	boolWord(y, x.Lt(y))
-	return nil
-}
-
-func opGt(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.peek()
-	boolWord(y, x.Gt(y))
-	return nil
-}
-
-func opSlt(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.peek()
-	boolWord(y, x.Slt(y))
-	return nil
-}
-
-func opSgt(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.peek()
-	boolWord(y, x.Sgt(y))
-	return nil
-}
-
-func opEq(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.peek()
-	boolWord(y, x.Eq(y))
-	return nil
-}
-
-func opIszero(e *EVM, f *frame) error {
-	x := f.stack.peek()
-	boolWord(x, x.IsZero())
-	return nil
-}
-
-func opAnd(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.peek()
-	y.And(&x, y)
-	return nil
-}
-
-func opOr(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.peek()
-	y.Or(&x, y)
-	return nil
-}
-
-func opXor(e *EVM, f *frame) error {
-	x := f.stack.pop()
-	y := f.stack.peek()
-	y.Xor(&x, y)
-	return nil
-}
-
-func opNot(e *EVM, f *frame) error {
-	x := f.stack.peek()
-	x.Not(x)
-	return nil
-}
-
-func opByte(e *EVM, f *frame) error {
-	n := f.stack.pop()
-	x := f.stack.peek()
-	x.Byte(&n, x)
-	return nil
-}
-
-func opShl(e *EVM, f *frame) error {
-	shift := f.stack.pop()
-	x := f.stack.peek()
-	if !shift.IsUint64() || shift.Uint64() >= 256 {
-		x.Clear()
-		return nil
-	}
-	x.Lsh(x, uint(shift.Uint64()))
-	return nil
-}
-
-func opShr(e *EVM, f *frame) error {
-	shift := f.stack.pop()
-	x := f.stack.peek()
-	if !shift.IsUint64() || shift.Uint64() >= 256 {
-		x.Clear()
-		return nil
-	}
-	x.Rsh(x, uint(shift.Uint64()))
-	return nil
-}
-
-func opSar(e *EVM, f *frame) error {
-	shift := f.stack.pop()
-	x := f.stack.peek()
-	n := uint(256)
-	if shift.IsUint64() && shift.Uint64() < 256 {
-		n = uint(shift.Uint64())
-	}
-	x.SRsh(x, n)
-	return nil
 }
 
 // --- keccak ---
@@ -396,12 +206,7 @@ func opSelfBalance(e *EVM, f *frame) error {
 	return nil
 }
 
-// --- stack, memory, storage, flow ---
-
-func opPop(e *EVM, f *frame) error {
-	f.stack.pop()
-	return nil
-}
+// --- memory, storage ---
 
 func opMload(e *EVM, f *frame) error {
 	off := f.stack.peek()
@@ -440,34 +245,6 @@ func opSstore(e *EVM, f *frame) error {
 	return nil
 }
 
-func opJump(e *EVM, f *frame) error {
-	dest := f.stack.pop()
-	if !f.an.validJump(&dest) {
-		return ErrInvalidJump
-	}
-	f.pc = dest.Uint64()
-	return nil
-}
-
-func opJumpi(e *EVM, f *frame) error {
-	dest := f.stack.pop()
-	cond := f.stack.pop()
-	if cond.IsZero() {
-		f.pc++
-		return nil
-	}
-	if !f.an.validJump(&dest) {
-		return ErrInvalidJump
-	}
-	f.pc = dest.Uint64()
-	return nil
-}
-
-func opPc(e *EVM, f *frame) error {
-	f.stack.push(uint256.NewInt(f.pc))
-	return nil
-}
-
 func opMsize(e *EVM, f *frame) error {
 	f.stack.push(uint256.NewInt(f.mem.len()))
 	return nil
@@ -476,38 +253,6 @@ func opMsize(e *EVM, f *frame) error {
 func opGas(e *EVM, f *frame) error {
 	f.stack.push(uint256.NewInt(f.gas))
 	return nil
-}
-
-func opJumpdest(e *EVM, f *frame) error { return nil }
-
-func opPush0(e *EVM, f *frame) error {
-	var zero uint256.Int
-	f.stack.push(&zero)
-	return nil
-}
-
-// makePush builds the PUSHn implementation: the immediate was decoded by
-// the code analysis, so a push is one word copy.
-func makePush(n uint64) executionFunc {
-	return func(e *EVM, f *frame) error {
-		f.stack.push(&f.an.pushes[f.an.slot[f.pc]])
-		f.pc += n
-		return nil
-	}
-}
-
-func makeDup(n int) executionFunc {
-	return func(e *EVM, f *frame) error {
-		f.stack.dup(n)
-		return nil
-	}
-}
-
-func makeSwap(n int) executionFunc {
-	return func(e *EVM, f *frame) error {
-		f.stack.swap(n)
-		return nil
-	}
 }
 
 func makeLog(topics int) executionFunc {
@@ -745,11 +490,6 @@ func opExtCodeHash(e *EVM, f *frame) error {
 	addr := types.BytesToAddress(types.WordToHash(slot).Bytes())
 	h := e.State.GetCodeHash(addr)
 	slot.SetBytes(h.Bytes())
-	return nil
-}
-
-func opStop(e *EVM, f *frame) error {
-	f.ret = nil
 	return nil
 }
 

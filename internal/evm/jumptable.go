@@ -9,6 +9,8 @@ type executionFunc func(e *EVM, f *frame) error
 
 // operation describes one opcode's dispatch entry.
 type operation struct {
+	// execute is nil for the opcodes (*EVM).run implements as cases of its
+	// dispatch switch.
 	execute     executionFunc
 	constantGas uint64
 	minStack    int
@@ -18,9 +20,16 @@ type operation struct {
 	// dynamicGas returns the op's variable cost (memory expansion included);
 	// the bool reports overflow, treated as out-of-gas.
 	dynamicGas func(e *EVM, f *frame, memSize uint64) (uint64, bool)
-	halts      bool // op ends the frame successfully (STOP, RETURN)
-	jumps      bool // op manages pc itself (JUMP, JUMPI)
+	halts      bool // op ends the frame successfully (RETURN)
+	// admitted ops may be part of a segment: their whole cost is constantGas,
+	// their stack effect is minStack/maxStack, and they neither read f.gas
+	// nor end the frame early except as a segment's last op.
+	admitted bool
 }
+
+// defined reports whether the opcode exists (entry leaves maxStack ≥
+// stackLimit-1).
+func (o *operation) defined() bool { return o.maxStack != 0 }
 
 // maxStackFor returns the stack-size ceiling before an op that pops `pop`
 // and pushes `push` words.
@@ -178,33 +187,33 @@ func entry(op OpCode, exec executionFunc, gas uint64, pop, push int) *operation 
 }
 
 func init() {
-	entry(STOP, opStop, 0, 0, 0).halts = true
-	entry(ADD, opAdd, GasFastestStep, 2, 1)
-	entry(MUL, opMul, GasFastStep, 2, 1)
-	entry(SUB, opSub, GasFastestStep, 2, 1)
-	entry(DIV, opDiv, GasFastStep, 2, 1)
-	entry(SDIV, opSdiv, GasFastStep, 2, 1)
-	entry(MOD, opMod, GasFastStep, 2, 1)
-	entry(SMOD, opSmod, GasFastStep, 2, 1)
-	entry(ADDMOD, opAddmod, GasMidStep, 3, 1)
-	entry(MULMOD, opMulmod, GasMidStep, 3, 1)
-	entry(EXP, opExp, GasSlowStep, 2, 1).dynamicGas = gasExp
-	entry(SIGNEXTEND, opSignExtend, GasFastStep, 2, 1)
+	entry(STOP, nil, 0, 0, 0)
+	entry(ADD, nil, GasFastestStep, 2, 1)
+	entry(MUL, nil, GasFastStep, 2, 1)
+	entry(SUB, nil, GasFastestStep, 2, 1)
+	entry(DIV, nil, GasFastStep, 2, 1)
+	entry(SDIV, nil, GasFastStep, 2, 1)
+	entry(MOD, nil, GasFastStep, 2, 1)
+	entry(SMOD, nil, GasFastStep, 2, 1)
+	entry(ADDMOD, nil, GasMidStep, 3, 1)
+	entry(MULMOD, nil, GasMidStep, 3, 1)
+	entry(EXP, nil, GasSlowStep, 2, 1).dynamicGas = gasExp
+	entry(SIGNEXTEND, nil, GasFastStep, 2, 1)
 
-	entry(LT, opLt, GasFastestStep, 2, 1)
-	entry(GT, opGt, GasFastestStep, 2, 1)
-	entry(SLT, opSlt, GasFastestStep, 2, 1)
-	entry(SGT, opSgt, GasFastestStep, 2, 1)
-	entry(EQ, opEq, GasFastestStep, 2, 1)
-	entry(ISZERO, opIszero, GasFastestStep, 1, 1)
-	entry(AND, opAnd, GasFastestStep, 2, 1)
-	entry(OR, opOr, GasFastestStep, 2, 1)
-	entry(XOR, opXor, GasFastestStep, 2, 1)
-	entry(NOT, opNot, GasFastestStep, 1, 1)
-	entry(BYTE, opByte, GasFastestStep, 2, 1)
-	entry(SHL, opShl, GasFastestStep, 2, 1)
-	entry(SHR, opShr, GasFastestStep, 2, 1)
-	entry(SAR, opSar, GasFastestStep, 2, 1)
+	entry(LT, nil, GasFastestStep, 2, 1)
+	entry(GT, nil, GasFastestStep, 2, 1)
+	entry(SLT, nil, GasFastestStep, 2, 1)
+	entry(SGT, nil, GasFastestStep, 2, 1)
+	entry(EQ, nil, GasFastestStep, 2, 1)
+	entry(ISZERO, nil, GasFastestStep, 1, 1)
+	entry(AND, nil, GasFastestStep, 2, 1)
+	entry(OR, nil, GasFastestStep, 2, 1)
+	entry(XOR, nil, GasFastestStep, 2, 1)
+	entry(NOT, nil, GasFastestStep, 1, 1)
+	entry(BYTE, nil, GasFastestStep, 2, 1)
+	entry(SHL, nil, GasFastestStep, 2, 1)
+	entry(SHR, nil, GasFastestStep, 2, 1)
+	entry(SAR, nil, GasFastestStep, 2, 1)
 
 	sha3 := entry(SHA3, opSha3, GasSha3, 2, 1)
 	sha3.memorySize = memRange(0, 1)
@@ -239,7 +248,7 @@ func init() {
 	entry(CHAINID, opChainID, GasQuickStep, 0, 1)
 	entry(SELFBALANCE, opSelfBalance, GasFastStep, 0, 1)
 
-	entry(POP, opPop, GasQuickStep, 1, 0)
+	entry(POP, nil, GasQuickStep, 1, 0)
 	ml := entry(MLOAD, opMload, GasFastestStep, 1, 1)
 	ml.memorySize = memFixed32(0)
 	ml.dynamicGas = gasMemOnly
@@ -252,22 +261,22 @@ func init() {
 	entry(SLOAD, opSload, GasSload, 1, 1)
 	ss := entry(SSTORE, opSstore, 0, 2, 0)
 	ss.dynamicGas = gasSstore
-	entry(JUMP, opJump, GasMidStep, 1, 0).jumps = true
-	entry(JUMPI, opJumpi, GasSlowStep, 2, 0).jumps = true
-	entry(PC, opPc, GasQuickStep, 0, 1)
+	entry(JUMP, nil, GasMidStep, 1, 0)
+	entry(JUMPI, nil, GasSlowStep, 2, 0)
+	entry(PC, nil, GasQuickStep, 0, 1)
 	entry(MSIZE, opMsize, GasQuickStep, 0, 1)
 	entry(GAS, opGas, GasQuickStep, 0, 1)
-	entry(JUMPDEST, opJumpdest, GasJumpdest, 0, 0)
-	entry(PUSH0, opPush0, GasQuickStep, 0, 1)
+	entry(JUMPDEST, nil, GasJumpdest, 0, 0)
+	entry(PUSH0, nil, GasQuickStep, 0, 1)
 
-	for n := uint64(1); n <= 32; n++ {
-		entry(PUSH1+OpCode(n-1), makePush(n), GasFastestStep, 0, 1)
+	for n := 1; n <= 32; n++ {
+		entry(PUSH1+OpCode(n-1), nil, GasFastestStep, 0, 1)
 	}
 	for n := 1; n <= 16; n++ {
-		entry(DUP1+OpCode(n-1), makeDup(n), GasFastestStep, n, n+1)
+		entry(DUP1+OpCode(n-1), nil, GasFastestStep, n, n+1)
 	}
 	for n := 1; n <= 16; n++ {
-		entry(SWAP1+OpCode(n-1), makeSwap(n), GasFastestStep, n+1, n+1)
+		entry(SWAP1+OpCode(n-1), nil, GasFastestStep, n+1, n+1)
 	}
 	for n := 0; n <= 4; n++ {
 		lg := entry(LOG0+OpCode(n), makeLog(n), 0, n+2, 0)
@@ -310,4 +319,10 @@ func init() {
 	rev.dynamicGas = gasMemOnly
 
 	entry(INVALID, opInvalid, 0, 0, 0)
+
+	for op := range jumpTable {
+		oper := &jumpTable[op]
+		oper.admitted = oper.defined() && oper.memorySize == nil && oper.dynamicGas == nil &&
+			OpCode(op) != GAS && OpCode(op) != INVALID
+	}
 }

@@ -10,8 +10,10 @@ import (
 const stackLimit = 1024
 
 // Stack is the EVM operand stack of 256-bit words: a fixed array, so a push
-// is a store and an index bump. Depth is pre-checked by the interpreter's
-// per-op minStack/maxStack validation; the array bound is the backstop.
+// is a store and an index bump. Depth is pre-checked by the interpreter, per
+// segment or per op against minStack/maxStack; the array bound is the
+// backstop. (*EVM).run works on data directly and keeps the height in a
+// local: n is current only while an op outside run's switch executes.
 type Stack struct {
 	data [stackLimit]uint256.Int
 	n    int
@@ -29,8 +31,6 @@ func newStack() *Stack {
 
 // release returns s to the pool; s must not be used afterwards.
 func (s *Stack) release() { stackPool.Put(s) }
-
-func (s *Stack) len() int { return s.n }
 
 func (s *Stack) push(v *uint256.Int) {
 	s.data[s.n] = *v
@@ -51,15 +51,4 @@ func (s *Stack) peek() *uint256.Int {
 // back returns the n-th element from the top (0 = top).
 func (s *Stack) back(n int) *uint256.Int {
 	return &s.data[s.n-1-n]
-}
-
-// dup pushes a copy of the n-th element from the top (1-based, DUPn).
-func (s *Stack) dup(n int) {
-	s.push(s.back(n - 1))
-}
-
-// swap exchanges the top with the n-th element below it (1-based, SWAPn).
-func (s *Stack) swap(n int) {
-	top := s.n - 1
-	s.data[top], s.data[top-n] = s.data[top-n], s.data[top]
 }

@@ -12,6 +12,7 @@ package trie
 
 import (
 	"bytes"
+	"sync"
 	"sync/atomic"
 
 	"blockpilot/internal/crypto"
@@ -301,53 +302,84 @@ func concatNibbles(a, b []byte) []byte {
 	return append(out, b...)
 }
 
-// hexPrefix encodes a nibble path into compact hex-prefix form.
-// leaf=true sets the terminator flag.
-func hexPrefix(nibbles []byte, leaf bool) []byte {
+// appendHexPrefix appends the compact hex-prefix form of a nibble path to
+// dst. leaf=true sets the terminator flag.
+func appendHexPrefix(dst, nibbles []byte, leaf bool) []byte {
 	flag := byte(0)
 	if leaf {
 		flag = 2
 	}
-	odd := len(nibbles) % 2
-	out := make([]byte, 1+len(nibbles)/2)
-	if odd == 1 {
-		out[0] = (flag+1)<<4 | nibbles[0]
+	if len(nibbles)%2 == 1 {
+		dst = append(dst, (flag+1)<<4|nibbles[0])
 		nibbles = nibbles[1:]
 	} else {
-		out[0] = flag << 4
+		dst = append(dst, flag<<4)
 	}
 	for i := 0; i < len(nibbles); i += 2 {
-		out[1+i/2] = nibbles[i]<<4 | nibbles[i+1]
+		dst = append(dst, nibbles[i]<<4|nibbles[i+1])
 	}
-	return out
+	return dst
 }
 
-// encodeNode returns the RLP encoding of n (the full node body).
-func encodeNode(n node) []byte {
+// maxListHeader is the longest RLP list header: a prefix byte and an 8-byte
+// length.
+const maxListHeader = 9
+
+// appendNode appends the RLP encoding of n (the full node body) to dst. It
+// allocates nothing when dst has room: children contribute their cached
+// references and the compact key is built on the stack.
+func appendNode(dst []byte, n node) []byte {
+	// The list header's length depends on the payload's: write the payload
+	// past room for the longest header, then close the gap.
+	start := len(dst)
+	dst = append(dst, make([]byte, maxListHeader)...)
+	var compact [40]byte // a 32-byte key's 64 nibbles take 33
 	switch nd := n.(type) {
 	case *leafNode:
-		return rlp.EncodeList(
-			rlp.EncodeString(hexPrefix(nd.key, true)),
-			rlp.EncodeString(nd.val),
-		)
+		dst = rlp.AppendString(dst, appendHexPrefix(compact[:0], nd.key, true))
+		dst = rlp.AppendString(dst, nd.val)
 	case *extNode:
-		return rlp.EncodeList(
-			rlp.EncodeString(hexPrefix(nd.key, false)),
-			nodeRef(nd.child),
-		)
+		dst = rlp.AppendString(dst, appendHexPrefix(compact[:0], nd.key, false))
+		dst = append(dst, nodeRef(nd.child)...)
 	case *branchNode:
-		items := make([][]byte, 17)
-		for i, c := range nd.children {
+		for _, c := range nd.children {
 			if c == nil {
-				items[i] = rlp.EncodeString(nil)
+				dst = append(dst, 0x80) // the empty string
 			} else {
-				items[i] = nodeRef(c)
+				dst = append(dst, nodeRef(c)...)
 			}
 		}
-		items[16] = rlp.EncodeString(nd.value)
-		return rlp.EncodeList(items...)
+		dst = rlp.AppendString(dst, nd.value)
+	default:
+		return append(dst[:start], 0x80)
 	}
-	return rlp.EncodeString(nil)
+	payload := dst[start+maxListHeader:]
+	dst = rlp.AppendListHeader(dst[:start], len(payload))
+	return append(dst, payload...)
+}
+
+// encScratch recycles the buffers nodes are encoded into when only a hash or
+// a copy of the encoding outlives the call.
+var encScratch = sync.Pool{New: func() any {
+	buf := make([]byte, 0, 1024) // a full branch of hashed children takes 532
+	return &buf
+}}
+
+// scratchEncode encodes n into a pooled buffer; the caller puts it back into
+// encScratch once done with the bytes.
+func scratchEncode(n node) *[]byte {
+	buf := encScratch.Get().(*[]byte)
+	*buf = appendNode((*buf)[:0], n)
+	return buf
+}
+
+// encodeNode returns the RLP encoding of n (the full node body) in a slice
+// of its own.
+func encodeNode(n node) []byte {
+	buf := scratchEncode(n)
+	enc := bytes.Clone(*buf)
+	encScratch.Put(buf)
+	return enc
 }
 
 // nodeRef returns how a child is referenced inside its parent: embedded
@@ -364,13 +396,16 @@ func nodeRef(n node) []byte {
 		slot.Store(&ref)
 		return ref
 	}
-	enc := encodeNode(n)
+	buf := scratchEncode(n)
 	var ref []byte
-	if len(enc) < 32 {
-		ref = enc
+	if enc := *buf; len(enc) < 32 {
+		ref = bytes.Clone(enc)
 	} else {
-		ref = rlp.EncodeString(crypto.Keccak256(enc))
+		ref = make([]byte, 1+32)
+		ref[0] = 0x80 + 32
+		crypto.Keccak256Into((*[32]byte)(ref[1:]), enc)
 	}
+	encScratch.Put(buf)
 	slot.Store(&ref)
 	return ref
 }
@@ -384,7 +419,10 @@ func (t *Trie) Hash() [32]byte {
 	case *hashNode:
 		return nd.hash // persisted root: the hash is already known
 	default:
-		return crypto.Sum256(encodeNode(t.root))
+		buf := scratchEncode(t.root)
+		hash := crypto.Sum256(*buf)
+		encScratch.Put(buf)
+		return hash
 	}
 }
 

@@ -198,26 +198,41 @@ func (z *Int) Neg(x *Int) *Int {
 	return z.Sub(&Int{}, x)
 }
 
-// Mul sets z = x * y mod 2^256 and returns z.
+// mulAdd returns x*y + a + b as a 128-bit (hi, lo) pair; it cannot overflow.
+func mulAdd(x, y, a, b uint64) (hi, lo uint64) {
+	hi, lo = bits.Mul64(x, y)
+	var c uint64
+	lo, c = bits.Add64(lo, a, 0)
+	hi += c
+	lo, c = bits.Add64(lo, b, 0)
+	hi += c
+	return hi, lo
+}
+
+// Mul sets z = x * y mod 2^256 and returns z: the schoolbook product unrolled
+// row by row, each row stopping at limb 3, where the high halves fall off the
+// word and a plain wrapping multiply is enough.
 func (z *Int) Mul(x, y *Int) *Int {
-	var res Int
-	for i := 0; i < 4; i++ {
-		if x[i] == 0 {
-			continue
-		}
-		var carry uint64
-		for j := 0; i+j < 4; j++ {
-			hi, lo := bits.Mul64(x[i], y[j])
-			var c uint64
-			lo, c = bits.Add64(lo, carry, 0)
-			hi += c
-			lo, c = bits.Add64(lo, res[i+j], 0)
-			hi += c
-			res[i+j] = lo
-			carry = hi
-		}
+	if x.IsUint64() && y.IsUint64() {
+		hi, lo := bits.Mul64(x[0], y[0])
+		*z = Int{lo, hi}
+		return z
 	}
-	*z = res
+	var r0, r1, r2, r3, c uint64
+	c, r0 = bits.Mul64(x[0], y[0])
+	c, r1 = mulAdd(x[0], y[1], c, 0)
+	c, r2 = mulAdd(x[0], y[2], c, 0)
+	r3 = x[0]*y[3] + c
+
+	c, r1 = mulAdd(x[1], y[0], r1, 0)
+	c, r2 = mulAdd(x[1], y[1], r2, c)
+	r3 += x[1]*y[2] + c
+
+	c, r2 = mulAdd(x[2], y[0], r2, 0)
+	r3 += x[2]*y[1] + c
+
+	r3 += x[3] * y[0]
+	*z = Int{r0, r1, r2, r3}
 	return z
 }
 
@@ -230,14 +245,7 @@ func mulFull(x, y *Int) [8]uint64 {
 		}
 		var carry uint64
 		for j := 0; j < 4; j++ {
-			hi, lo := bits.Mul64(x[i], y[j])
-			var c uint64
-			lo, c = bits.Add64(lo, carry, 0)
-			hi += c
-			lo, c = bits.Add64(lo, res[i+j], 0)
-			hi += c
-			res[i+j] = lo
-			carry = hi
+			carry, res[i+j] = mulAdd(x[i], y[j], carry, res[i+j])
 		}
 		res[i+4] = carry
 	}

@@ -83,6 +83,26 @@ func TestSub(t *testing.T) {
 
 func TestMul(t *testing.T) {
 	checkBinop(t, "Mul", (*Int).Mul, func(x, y *big.Int) *big.Int { return new(big.Int).Mul(x, y) })
+	// Operands on both sides of the one-limb fast path, in every pairing and
+	// with the result aliasing either of them.
+	max64, max256 := ^uint64(0), Int{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	edges := []Int{{}, {1}, {max64}, {max64 - 1}, {0, 1}, {1, 1}, {max64, 1}, {0, 0, 0, 1}, {0, 0, 0, 1 << 63},
+		{max64, max64}, {0, max64, max64, max64}, max256}
+	for _, x := range edges {
+		for _, y := range edges {
+			want := mod256(new(big.Int).Mul(x.ToBig(), y.ToBig()))
+			var z Int
+			if z.Mul(&x, &y); z.ToBig().Cmp(want) != 0 {
+				t.Errorf("Mul(%s, %s) = %s, want %s", x.Hex(), y.Hex(), z.Hex(), want.Text(16))
+			}
+			if z = x; z.Mul(&z, &y).ToBig().Cmp(want) != 0 {
+				t.Errorf("x.Mul(x, y) with x %s, y %s = %s, want %s", x.Hex(), y.Hex(), z.Hex(), want.Text(16))
+			}
+			if z = y; z.Mul(&x, &z).ToBig().Cmp(want) != 0 {
+				t.Errorf("y.Mul(x, y) with x %s, y %s = %s, want %s", x.Hex(), y.Hex(), z.Hex(), want.Text(16))
+			}
+		}
+	}
 }
 
 func TestDiv(t *testing.T) {
