@@ -5,7 +5,8 @@
 # race detector on the concurrency-heavy packages (OCC-WSI core, MV-STM
 # engine, mempool, pipeline, network, sim, telemetry, flight recorder, health
 # recorder) + the flight-recorder, block-tracer and health-recorder
-# disabled-path budget gates + a live health-sampler smoke (health-smoke)
+# disabled-path budget gates + the state path's lookup and allocation budget
+# (state-budget) + a live health-sampler smoke (health-smoke)
 # + the cluster-simulator scenario matrix with its
 # mutation self-check and span-chain oracle (sim-smoke) + the disk-backed
 # state persistence battery at 500k accounts (state-smoke) + a short corpus
@@ -25,11 +26,11 @@
 
 GO ?= go
 
-.PHONY: all ci vet build test race race-all flight-budget trace-budget health-budget health-smoke sim-smoke state-smoke fuzz-smoke bench bench-compare bench-go telemetry-bench flight-bench trace-demo crit-demo health-demo lines clean
+.PHONY: all ci vet build test race race-all flight-budget trace-budget health-budget state-budget health-smoke sim-smoke state-smoke fuzz-smoke bench bench-compare bench-go telemetry-bench flight-bench trace-demo crit-demo health-demo lines clean
 
 all: ci
 
-ci: vet build test race flight-budget trace-budget health-budget health-smoke sim-smoke state-smoke fuzz-smoke
+ci: vet build test race flight-budget trace-budget health-budget state-budget health-smoke sim-smoke state-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -76,6 +77,14 @@ trace-budget:
 health-budget:
 	$(GO) test -run TestDisabledPathBudget -count=1 ./internal/health/
 
+# The state path's budget (docs/PERFORMANCE.md §9): an overlay costs its base
+# one Account call per account and one Code call per contract, through Memory
+# and through the proposer's view alike; ApplyChangeSet reads nothing; a
+# decoded branch is two allocations. A fourth lookup or a re-grown slice fails
+# here, without running the benchmark.
+state-budget:
+	$(GO) test -count=1 -run 'TestOverlayReadsEachAccountOnce|TestApplyChangeSetReadsNothing|TestDecodeNodeAllocs' ./internal/state/ ./internal/core/ ./internal/trie/
+
 # Live end-to-end pass of the health recorder: a real sampler at a fast
 # interval over actual runtime metrics, heartbeats flowing through the
 # enabled path.
@@ -101,6 +110,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockProfileRoundTrip -fuzztime 3s ./internal/types/
 	$(GO) test -run '^$$' -fuzz FuzzMempoolAdmit -fuzztime 3s ./internal/mempool/
 	$(GO) test -run '^$$' -fuzz FuzzMVVersionChain -fuzztime 3s ./internal/mv/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeNodeVsReference -fuzztime 3s ./internal/trie/
+	$(GO) test -run '^$$' -fuzz FuzzNodeEdgesVsReference -fuzztime 3s ./internal/trie/
 	$(GO) test -run '^$$' -fuzz FuzzNodeStore -fuzztime 3s ./internal/trie/store/
 	$(GO) test -run '^$$' -fuzz FuzzKeccak256VsReference -fuzztime 3s ./internal/crypto/
 	$(GO) test -run '^$$' -fuzz FuzzRunVsReference -fuzztime 3s ./internal/evm/

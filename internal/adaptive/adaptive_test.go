@@ -111,13 +111,14 @@ func TestCreditPoolCommutes(t *testing.T) {
 	merged := state.NewMemory(base)
 	merged.ApplyChangeSet(cs)
 	for _, who := range []types.Address{a, b} {
-		sb, mb := serial.Balance(who), merged.Balance(who)
-		if !sb.Eq(&mb) {
-			t.Fatalf("balance(%v): serial %s != merged %s", who, sb.String(), mb.String())
+		sa, _ := serial.Account(who)
+		ma, _ := merged.Account(who)
+		if !sa.Balance.Eq(&ma.Balance) {
+			t.Fatalf("balance(%v): serial %s != merged %s", who, sa.Balance.String(), ma.Balance.String())
 		}
 	}
-	if merged.Nonce(a) != 7 {
-		t.Fatalf("materialize must carry the nonce through, got %d", merged.Nonce(a))
+	if ma, _ := merged.Account(a); ma.Nonce != 7 {
+		t.Fatalf("materialize must carry the nonce through, got %d", ma.Nonce)
 	}
 	if p.Materialize(base) == nil {
 		t.Fatalf("materialize must be repeatable (pool unchanged)")

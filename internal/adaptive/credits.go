@@ -42,7 +42,7 @@ func (p *CreditPool) Add(addr types.Address, value *uint256.Int) {
 }
 
 // Materialize turns the accumulated deltas into a change set against r: for
-// each credited account, balance = r.Balance(addr) + delta with the nonce
+// each credited account, balance = its balance in r + delta with the nonce
 // carried through unchanged. r must already reflect every committed
 // transaction of the block (the flattened block change set applied over the
 // parent), so a hot account that was also written normally — e.g. it sent a
@@ -64,11 +64,11 @@ func (p *CreditPool) Materialize(r state.Reader) *state.ChangeSet {
 		return string(addrs[i][:]) < string(addrs[j][:])
 	})
 	for _, addr := range addrs {
-		bal := r.Balance(addr)
-		bal.Add(&bal, p.deltas[addr])
+		acct, _ := r.Account(addr)
+		acct.Balance.Add(&acct.Balance, p.deltas[addr])
 		cs.Accounts[addr] = &state.AccountChange{
-			Nonce:   r.Nonce(addr),
-			Balance: bal,
+			Nonce:   acct.Nonce,
+			Balance: acct.Balance,
 		}
 	}
 	return cs

@@ -169,7 +169,7 @@ func ValidateOCC(parent *state.Snapshot, parentHeader *types.Header, block *type
 		fees.Add(&fees, &fee)
 	}
 
-	total.Merge(chain.FinalizationChange(accum, h.Coinbase, &fees, params))
+	total.Merge(chain.FinalizationChange(parent, total, h.Coinbase, &fees, params))
 	postState, postRoot := chain.CommitAndRoot(parent, total, params, h.Number)
 	if cumulative != h.GasUsed ||
 		types.ComputeReceiptRoot(receipts) != h.ReceiptRoot ||

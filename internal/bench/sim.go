@@ -89,7 +89,7 @@ func measureBlockCosts(parent *state.Snapshot, block *types.Block, params chain.
 			total.Merge(cs)
 		}
 		start := time.Now()
-		total.Merge(chain.FinalizationChange(accum, block.Header.Coinbase, &fees, params))
+		total.Merge(chain.FinalizationChange(parent, total, block.Header.Coinbase, &fees, params))
 		post := parent.Commit(total)
 		if post.Root() != block.Header.StateRoot {
 			return nil, fmt.Errorf("measure: root mismatch")
@@ -313,10 +313,7 @@ func simPropose(parent *state.Snapshot, parentHeader *types.Header, txs []*types
 	}
 
 	// Sanity: the packed schedule must commit to a valid state.
-	total := mv.Flatten()
-	accum := state.NewMemory(parent)
-	accum.ApplyChangeSet(total)
-	post := parent.Commit(total)
+	post := parent.Commit(mv.Flatten())
 	_ = post.Root()
 
 	// Execution-phase time only — block sealing (commit + roots) is the

@@ -281,3 +281,60 @@ func TestChainReceiptsAndTxIndex(t *testing.T) {
 		t.Fatal("found nonexistent tx")
 	}
 }
+
+// finalizationChangeRef is FinalizationChange as it was when seal and commit
+// materialised the whole block into a Memory just to read the coinbase.
+func finalizationChangeRef(accum *state.Memory, coinbase types.Address, fees *uint256.Int, params Params) *state.ChangeSet {
+	var reward uint256.Int
+	reward.SetUint64(params.BlockReward)
+	reward.Add(&reward, fees)
+
+	acct, _ := accum.Account(coinbase)
+	acct.Balance.Add(&acct.Balance, &reward)
+	cs := state.NewChangeSet()
+	cs.Accounts[coinbase] = &state.AccountChange{Nonce: acct.Nonce, Balance: acct.Balance}
+	return cs
+}
+
+// TestFinalizationMatchesMemory: reading the coinbase from the block's change
+// set, else from the parent, equals reading it from parent + block
+// materialised — with the coinbase touched by the block, untouched, and
+// absent from the parent.
+func TestFinalizationMatchesMemory(t *testing.T) {
+	parent := state.NewGenesisBuilder().
+		AddAccount(alice, u(10_000_000)).
+		AddAccount(miner, u(77)).
+		Build()
+	params := DefaultParams()
+	fees := u(4242)
+	block := func(touched ...types.Address) *state.ChangeSet {
+		cs := state.NewChangeSet()
+		cs.Accounts[alice] = &state.AccountChange{Nonce: 1, Balance: *u(9_000_000)}
+		for i, a := range touched {
+			cs.Accounts[a] = &state.AccountChange{Nonce: uint64(3 + i), Balance: *u(uint64(500 + i))}
+		}
+		return cs
+	}
+	for _, tc := range []struct {
+		name     string
+		coinbase types.Address
+		total    *state.ChangeSet
+	}{
+		{"touched", miner, block(miner)},
+		{"untouched", miner, block()},
+		{"absent from the parent", bob, block()},
+		{"absent from the parent, created by the block", bob, block(bob)},
+	} {
+		accum := state.NewMemory(parent)
+		accum.ApplyChangeSet(tc.total)
+		want := finalizationChangeRef(accum, tc.coinbase, fees, params)
+		got := FinalizationChange(parent, tc.total, tc.coinbase, fees, params)
+		if len(got.Accounts) != 1 || got.Accounts[tc.coinbase] == nil {
+			t.Fatalf("%s: change set %+v", tc.name, got.Accounts)
+		}
+		g, w := got.Accounts[tc.coinbase], want.Accounts[tc.coinbase]
+		if g.Nonce != w.Nonce || g.Balance != w.Balance || g.CodeSet || len(g.Storage) != 0 {
+			t.Fatalf("%s: %+v, reference %+v", tc.name, g, w)
+		}
+	}
+}

@@ -51,7 +51,7 @@ func ExecuteSerial(parent *state.Snapshot, header *types.Header, txs []*types.Tr
 
 	// Finalization: credit aggregated fees plus the block reward to the
 	// coinbase as a single commutative delta (outside conflict detection).
-	final := FinalizationChange(accum, header.Coinbase, &res.Fees, params)
+	final := FinalizationChange(parent, total, header.Coinbase, &res.Fees, params)
 	total.Merge(final)
 
 	res.State, _ = CommitAndRoot(parent, total, params, header.Number)
@@ -89,19 +89,23 @@ func CommitAndRoot(parent *state.Snapshot, total *state.ChangeSet, params Params
 }
 
 // FinalizationChange builds the coinbase credit (fees + block reward) as a
-// change set, reading the coinbase's current balance from accum.
-func FinalizationChange(accum *state.Memory, coinbase types.Address, fees *uint256.Int, params Params) *state.ChangeSet {
+// change set. total is everything the block's transactions changed on top of
+// parent: the coinbase's current nonce and balance come from total when the
+// block touched the account, else from parent — one lookup, no block-sized
+// accumulation state.
+func FinalizationChange(parent state.Reader, total *state.ChangeSet, coinbase types.Address, fees *uint256.Int, params Params) *state.ChangeSet {
+	var credit state.AccountChange
+	if ch, ok := total.Accounts[coinbase]; ok {
+		credit.Nonce, credit.Balance = ch.Nonce, ch.Balance
+	} else {
+		acct, _ := parent.Account(coinbase)
+		credit.Nonce, credit.Balance = acct.Nonce, acct.Balance
+	}
 	var reward uint256.Int
 	reward.SetUint64(params.BlockReward)
-	reward.Add(&reward, fees)
-
-	bal := accum.Balance(coinbase)
-	bal.Add(&bal, &reward)
+	credit.Balance.Add(&credit.Balance, reward.Add(&reward, fees))
 	cs := state.NewChangeSet()
-	cs.Accounts[coinbase] = &state.AccountChange{
-		Nonce:   accum.Nonce(coinbase),
-		Balance: bal,
-	}
+	cs.Accounts[coinbase] = &credit
 	return cs
 }
 

@@ -229,15 +229,14 @@ func (b *blockBuild) seal(total *state.ChangeSet, gasUsed uint64, aborts int, cl
 	// Merged hot-account credits materialize first — over the accumulated
 	// block state and into the total change set — so FinalizationChange sees
 	// them (the coinbase itself can be hot).
-	accum := state.NewMemory(b.parent)
-	accum.ApplyChangeSet(total)
 	if b.credits != nil {
+		accum := state.NewMemory(b.parent)
+		accum.ApplyChangeSet(total)
 		if ccs := b.credits.Materialize(accum); ccs != nil {
-			accum.ApplyChangeSet(ccs)
 			total.Merge(ccs)
 		}
 	}
-	total.Merge(chain.FinalizationChange(accum, b.cfg.Coinbase, &b.fees, b.params))
+	total.Merge(chain.FinalizationChange(b.parent, total, b.cfg.Coinbase, &b.fees, b.params))
 	var scStart, scEnd time.Time
 	if b.tr != nil {
 		scStart = time.Now()
@@ -311,10 +310,11 @@ func (b *blockBuild) mergeableCredit(view state.Reader, tx *types.Transaction, c
 	if chg == nil || chg.CodeSet || len(chg.Storage) != 0 {
 		return false
 	}
-	if len(view.Code(tx.To)) != 0 || chg.Nonce != view.Nonce(tx.To) {
+	to, _ := view.Account(tx.To)
+	if to.HasCode() || chg.Nonce != to.Nonce {
 		return false
 	}
-	want := view.Balance(tx.To)
+	want := to.Balance
 	want.Add(&want, &tx.Value)
 	return want.Eq(&chg.Balance)
 }

@@ -272,11 +272,11 @@ func TestMVStateVersionedReads(t *testing.T) {
 		t.Fatal("commit failed")
 	}
 
-	if b := viewEarly.Balance(addr); !b.Eq(uint256.NewInt(100)) {
+	if b := balanceOf(viewEarly, addr); !b.Eq(uint256.NewInt(100)) {
 		t.Fatalf("pinned view sees later commit: %s", b.String())
 	}
 	late := mv.View(mv.Version())
-	if b := late.Balance(addr); !b.Eq(uint256.NewInt(50)) {
+	if b := balanceOf(late, addr); !b.Eq(uint256.NewInt(50)) {
 		t.Fatalf("late view misses commit: %s", b.String())
 	}
 }

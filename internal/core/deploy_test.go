@@ -52,7 +52,7 @@ func TestProposeWithDeployments(t *testing.T) {
 	}
 
 	// Both engines: the calls resolve code and code hash through the shared
-	// store's code path (ResolveCode, ChainCodeHash). In the adaptive cells
+	// store's code path (ResolveCode, AccountFields.Over). In the adaptive cells
 	// one to-be-deployed contract is hot and the coinbase.
 	forEachVariant(t, func(t *testing.T, v variant) {
 		res := proposeBlock(t, v, 4, txs, parent, params)

@@ -158,20 +158,16 @@ type mvView struct {
 	before uint64
 }
 
-// Nonce implements state.Reader.
-func (v *mvView) Nonce(addr types.Address) uint64 {
-	if e, ok := v.mv.store.ResolveAccount(addr, v.before); ok {
-		return e.Val.Nonce
+// Account implements state.Reader: one chain resolution, the parent
+// snapshot underneath (every committed account version exists). Code below
+// resolves separately and still agrees with the hash reported here: entries
+// at or below the pinned version are fully installed and never change.
+func (v *mvView) Account(addr types.Address) (state.Account, bool) {
+	e, code, ok := v.mv.store.ResolveAccount(addr, v.before)
+	if !ok {
+		return v.mv.base.Account(addr)
 	}
-	return v.mv.base.Nonce(addr)
-}
-
-// Balance implements state.Reader.
-func (v *mvView) Balance(addr types.Address) uint256.Int {
-	if e, ok := v.mv.store.ResolveAccount(addr, v.before); ok {
-		return e.Val.Balance
-	}
-	return v.mv.base.Balance(addr)
+	return e.Val.Over(&code.Val, v.mv.base, addr), true
 }
 
 // Code implements state.Reader.
@@ -182,25 +178,10 @@ func (v *mvView) Code(addr types.Address) []byte {
 	return v.mv.base.Code(addr)
 }
 
-// CodeHash implements state.Reader.
-func (v *mvView) CodeHash(addr types.Address) types.Hash {
-	code, codeOK := v.mv.store.ResolveCode(addr, v.before)
-	_, scalarOK := v.mv.store.ResolveAccount(addr, v.before)
-	return state.ChainCodeHash(code.Val.Code, codeOK, scalarOK, v.mv.base.CodeHash(addr))
-}
-
 // Storage implements state.Reader.
 func (v *mvView) Storage(addr types.Address, slot types.Hash) uint256.Int {
 	if e, ok := v.mv.store.ResolveSlot(addr, slot, v.before); ok {
 		return e.Val
 	}
 	return v.mv.base.Storage(addr, slot)
-}
-
-// Exists implements state.Reader: every committed account version exists.
-func (v *mvView) Exists(addr types.Address) bool {
-	if _, ok := v.mv.store.ResolveAccount(addr, v.before); ok {
-		return true
-	}
-	return v.mv.base.Exists(addr)
 }

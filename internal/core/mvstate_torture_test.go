@@ -12,6 +12,12 @@ import (
 	"blockpilot/internal/uint256"
 )
 
+// balanceOf reads one balance through a Reader's Account.
+func balanceOf(r state.Reader, a types.Address) uint256.Int {
+	acct, _ := r.Account(a)
+	return acct.Balance
+}
+
 // TestMVStateTorture hammers the multi-version state from many goroutines:
 // writers race to commit versioned balance updates while readers pin
 // snapshot versions and verify consistency rules. Run with -race.
@@ -43,7 +49,7 @@ func TestMVStateTorture(t *testing.T) {
 				for {
 					v := mv.Version()
 					view := mv.View(v)
-					_ = view.Balance(addr) // snapshot read
+					_ = balanceOf(view, addr) // snapshot read
 
 					acc := types.NewAccessSet()
 					acc.NoteRead(types.AccountKey(addr), v)
@@ -80,7 +86,7 @@ func TestMVStateTorture(t *testing.T) {
 				pin := mv.Version()
 				view := mv.View(pin)
 				for _, a := range addrs {
-					b := view.Balance(a)
+					b := balanceOf(view, a)
 					if b.Uint64() > uint64(pin) {
 						readerErr.Store("pinned view saw a future commit")
 						return
@@ -90,8 +96,8 @@ func TestMVStateTorture(t *testing.T) {
 				// identical values even as commits continue.
 				again := mv.View(pin)
 				for _, a := range addrs {
-					b1 := view.Balance(a)
-					b2 := again.Balance(a)
+					b1 := balanceOf(view, a)
+					b2 := balanceOf(again, a)
 					if !b1.Eq(&b2) {
 						readerErr.Store("pinned view not stable")
 					}
@@ -117,7 +123,7 @@ func TestMVStateTorture(t *testing.T) {
 	flat := mv.Flatten()
 	latest := mv.View(mv.Version())
 	for _, a := range addrs {
-		want := latest.Balance(a)
+		want := balanceOf(latest, a)
 		got := flat.Accounts[a].Balance
 		if !got.Eq(&want) {
 			t.Fatalf("flatten diverges from latest view for %s", a)
@@ -180,7 +186,7 @@ func tortureStripes(t *testing.T, stripes int) {
 				for {
 					v := mv.Version()
 					view := mv.View(v)
-					_ = view.Balance(addrs[ai])
+					_ = balanceOf(view, addrs[ai])
 					_ = view.Storage(addrs[ai], slot)
 
 					acc := types.NewAccessSet()
@@ -226,7 +232,7 @@ func tortureStripes(t *testing.T, stripes int) {
 				pin := mv.Version()
 				view := mv.View(pin)
 				for _, a := range addrs {
-					if b := view.Balance(a); b.Uint64() > uint64(pin) {
+					if b := balanceOf(view, a); b.Uint64() > uint64(pin) {
 						readerErr.Store("pinned view saw a future balance")
 						return
 					}
@@ -280,7 +286,7 @@ func tortureStripes(t *testing.T, stripes int) {
 	flat := mv.Flatten()
 	for i, a := range addrs {
 		want := lastWriter[i].val
-		if got := latest.Balance(a); got.Uint64() != want {
+		if got := balanceOf(latest, a); got.Uint64() != want {
 			t.Fatalf("account %d: latest balance %d, want last-writer value %d (version %d)",
 				i, got.Uint64(), want, lastWriter[i].v)
 		}
@@ -319,7 +325,7 @@ func TestMVStateStripedVsSingleLock(t *testing.T) {
 			bc := cs.Accounts[b]
 			if bc == nil {
 				bc = &state.AccountChange{}
-				if vb := mv.View(v).Balance(b); true {
+				if vb := balanceOf(mv.View(v), b); true {
 					bc.Balance = vb // keep b's scalars at their current value
 				}
 				cs.Accounts[b] = bc

@@ -178,7 +178,12 @@ func TestSegmentAdmission(t *testing.T) {
 			if err != nil && !slices.Contains(failures, err) {
 				t.Errorf("%v returned %v, not among its listed failures %v", op, err, failures)
 			}
-			results[i] = f.stack.data[0]
+			// STOP and JUMPDEST write no stack word: data[0] would be whatever
+			// the pooled stack last held, which differs whenever the pool
+			// hands out another stack (after a GC; at random under -race).
+			if oper.minStack > 0 || oper.maxStack < stackLimit {
+				results[i] = f.stack.data[0]
+			}
 		}
 		if results[0] != results[1] {
 			t.Errorf("%v: result depends on the gas left (%v, %v)", op, &results[0], &results[1])

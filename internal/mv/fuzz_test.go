@@ -97,9 +97,10 @@ func FuzzMVVersionChain(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		base := &fakeBase{bal: map[types.Address]uint64{}, slot: map[slotKey]uint64{}}
-		for i := 0; i < numAddrs; i++ {
+		for i := 0; i < numAddrs-1; i++ { // the last address is new to the base
 			base.bal[addrOf(i)] = uint64(50 * (i + 1))
 		}
+		base.codeHash = map[types.Address]types.Hash{addrOf(0): hashOf(9)} // a contract below
 		m := NewMemory(base)
 		m.grow(maxTx)
 		cm := newChainModel()
@@ -120,7 +121,7 @@ func FuzzMVVersionChain(f *testing.F) {
 				// resolutions must agree between memory and model.
 				var recs []ReadRecord
 				rAddr := (addr + 1) % numAddrs
-				e, ok := m.store.ResolveAccount(addrOf(rAddr), uint64(tx))
+				e, _, ok := m.store.ResolveAccount(addrOf(rAddr), uint64(tx))
 				wtx, me := cm.resolve(readScalar, rAddr, 0, tx)
 				if ok != (wtx >= 0) {
 					t.Fatalf("scalar resolve divergence for addr %d before %d: mem=%v model=%v", rAddr, tx, ok, wtx >= 0)
@@ -221,7 +222,7 @@ func FuzzMVVersionChain(f *testing.F) {
 				slot := (b / 4) % numSlots
 				switch kind {
 				case readScalar:
-					e, ok := m.store.ResolveAccount(addrOf(addr), uint64(tx))
+					e, _, ok := m.store.ResolveAccount(addrOf(addr), uint64(tx))
 					wtx, me := cm.resolve(readScalar, addr, 0, tx)
 					if ok != (wtx >= 0) || (ok && (int(e.Key) != wtx || e.Estimate != me.estimate || e.Val.Balance.Uint64() != me.val)) {
 						t.Fatalf("scalar read divergence addr %d before %d", addr, tx)
@@ -251,7 +252,7 @@ func FuzzMVVersionChain(f *testing.F) {
 
 		// Final sweep: every path resolution and every read set must agree.
 		for addr := 0; addr < numAddrs; addr++ {
-			e, ok := m.store.ResolveAccount(addrOf(addr), uint64(maxTx))
+			e, _, ok := m.store.ResolveAccount(addrOf(addr), uint64(maxTx))
 			wtx, me := cm.resolve(readScalar, addr, 0, maxTx)
 			if ok != (wtx >= 0) || (ok && (int(e.Key) != wtx || e.Val.Balance.Uint64() != me.val)) {
 				t.Fatalf("final scalar divergence addr %d", addr)
@@ -264,24 +265,30 @@ func FuzzMVVersionChain(f *testing.F) {
 			}
 		}
 
-		// The view's code-hash rule (state.ChainCodeHash; the fake base knows
-		// no code hash at all): in-block code hashes to itself, an account
-		// that exists only through a chain entry reports EmptyCodeHash.
+		// The view's account rule (state.AccountFields.Over): nonce and
+		// balance of the newest scalar entry; the hash of the newest code set
+		// at or below it — read through an ESTIMATE, the scalar record covers
+		// it — else the base's code hash, else, for an account only the chain
+		// knows, EmptyCodeHash.
 		for tx := 0; tx <= maxTx; tx++ {
 			for addr := 0; addr < numAddrs; addr++ {
-				ctx, ce := cm.resolve(readCode, addr, 0, tx)
 				stx, se := cm.resolve(readScalar, addr, 0, tx)
-				if (ctx >= 0 && ce.estimate) || (ctx < 0 && stx >= 0 && se.estimate) {
+				if stx >= 0 && se.estimate {
 					continue // the view would suspend on the ESTIMATE
 				}
-				var want types.Hash
-				if ctx >= 0 {
-					want = types.Hash(crypto.Sum256([]byte{byte(ce.val)}))
-				} else if stx >= 0 {
-					want = state.EmptyCodeHash
+				want, wantOK := base.Account(addrOf(addr))
+				if stx >= 0 {
+					if !wantOK {
+						want.CodeHash = state.EmptyCodeHash
+					}
+					if ctx, ce := cm.resolve(readCode, addr, 0, tx); ctx >= 0 {
+						want.CodeHash = types.Hash(crypto.Sum256([]byte{byte(ce.val)}))
+					}
+					want.Balance.SetUint64(se.val)
+					wantOK = true
 				}
-				if got := newView(m, tx).CodeHash(addrOf(addr)); got != want {
-					t.Fatalf("code hash divergence addr %d before %d: %x, want %x", addr, tx, got[:4], want[:4])
+				if got, ok := newView(m, tx).Account(addrOf(addr)); got != want || ok != wantOK {
+					t.Fatalf("account divergence addr %d before %d: %+v/%v, want %+v/%v", addr, tx, got, ok, want, wantOK)
 				}
 			}
 		}

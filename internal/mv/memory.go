@@ -214,7 +214,7 @@ func (m *Memory) ValidateReadSet(tx int) (stale ReadRecord, ok bool) {
 		var same bool
 		switch r.Kind {
 		case readScalar:
-			e, found := m.store.ResolveAccount(r.Addr, before)
+			e, _, found := m.store.ResolveAccount(r.Addr, before)
 			same = sameVersion(e, found, r)
 		case readCode:
 			e, found := m.store.ResolveCode(r.Addr, before)

@@ -1,10 +1,12 @@
 package mv
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"blockpilot/internal/crypto"
 	"blockpilot/internal/state"
 	"blockpilot/internal/types"
 	"blockpilot/internal/uint256"
@@ -12,24 +14,40 @@ import (
 
 // fakeBase is a fixed base snapshot for engine-level tests.
 type fakeBase struct {
-	bal  map[types.Address]uint64
-	slot map[slotKey]uint64
+	bal      map[types.Address]uint64
+	slot     map[slotKey]uint64
+	codeHash map[types.Address]types.Hash // EmptyCodeHash where unset
 }
 
-func (f *fakeBase) Nonce(types.Address) uint64 { return 0 }
-func (f *fakeBase) Balance(a types.Address) uint256.Int {
-	var v uint256.Int
-	v.SetUint64(f.bal[a])
-	return v
+func (f *fakeBase) Account(a types.Address) (state.Account, bool) {
+	bal, ok := f.bal[a]
+	if !ok {
+		return state.Account{}, false
+	}
+	acct := state.Account{CodeHash: state.EmptyCodeHash}
+	if h, ok := f.codeHash[a]; ok {
+		acct.CodeHash = h
+	}
+	acct.Balance.SetUint64(bal)
+	return acct, true
 }
-func (f *fakeBase) Code(types.Address) []byte         { return nil }
-func (f *fakeBase) CodeHash(types.Address) types.Hash { return types.Hash{} }
+func (f *fakeBase) Code(types.Address) []byte { return nil }
 func (f *fakeBase) Storage(a types.Address, s types.Hash) uint256.Int {
 	var v uint256.Int
 	v.SetUint64(f.slot[slotKey{addr: a, slot: s}])
 	return v
 }
-func (f *fakeBase) Exists(a types.Address) bool { _, ok := f.bal[a]; return ok }
+
+// balanceOf and nonceOf read one field through a Reader's Account.
+func balanceOf(r state.Reader, a types.Address) uint256.Int {
+	acct, _ := r.Account(a)
+	return acct.Balance
+}
+
+func nonceOf(r state.Reader, a types.Address) uint64 {
+	acct, _ := r.Account(a)
+	return acct.Nonce
+}
 
 func addrOf(i int) types.Address {
 	var a types.Address
@@ -65,7 +83,7 @@ func runSynth(ops []synthOp, view state.Reader) (*state.ChangeSet, uint64) {
 		if op.slot < 0 {
 			cur, ok := localBal[a]
 			if !ok {
-				b := view.Balance(a)
+				b := balanceOf(view, a)
 				cur = b.Uint64()
 			}
 			sum = sum*31 + cur
@@ -82,13 +100,13 @@ func runSynth(ops []synthOp, view state.Reader) (*state.ChangeSet, uint64) {
 			// A slot write also rewrites the owner's scalar entry (like a
 			// real change set does), so read the balance too.
 			if _, ok := localBal[a]; !ok {
-				b := view.Balance(a)
+				b := balanceOf(view, a)
 				localBal[a] = b.Uint64()
 			}
 		}
 	}
 	for a, b := range localBal {
-		ch := &state.AccountChange{Nonce: view.Nonce(a)}
+		ch := &state.AccountChange{Nonce: nonceOf(view, a)}
 		ch.Balance.SetUint64(b)
 		cs.Accounts[a] = ch
 	}
@@ -253,13 +271,13 @@ func TestEstimateSuspension(t *testing.T) {
 		t.Fatal("first incarnation must report a new path")
 	}
 
-	e, ok := m.store.ResolveAccount(a, uint64(2))
+	e, _, ok := m.store.ResolveAccount(a, uint64(2))
 	if !ok || e.Estimate || e.Val.Balance.Uint64() != 150 {
 		t.Fatalf("resolution before abort: ok=%v est=%v bal=%d", ok, e.Estimate, e.Val.Balance.Uint64())
 	}
 
 	m.ConvertToEstimates(0)
-	e, ok = m.store.ResolveAccount(a, uint64(2))
+	e, _, ok = m.store.ResolveAccount(a, uint64(2))
 	if !ok || !e.Estimate || int(e.Key) != 0 {
 		t.Fatalf("resolution after abort must be an ESTIMATE on tx 0: ok=%v est=%v tx=%d", ok, e.Estimate, int(e.Key))
 	}
@@ -272,7 +290,7 @@ func TestEstimateSuspension(t *testing.T) {
 				t.Fatalf("expected depError{0}, got %v", r)
 			}
 		}()
-		newView(m, 2).Balance(a)
+		balanceOf(newView(m, 2), a)
 		t.Fatal("read of an ESTIMATE must suspend")
 	}()
 
@@ -285,7 +303,7 @@ func TestEstimateSuspension(t *testing.T) {
 	if wroteNew := m.Record(0, 1, reads, cs2); wroteNew {
 		t.Fatal("same-path re-execution must not report a new path")
 	}
-	e, ok = m.store.ResolveAccount(a, uint64(2))
+	e, _, ok = m.store.ResolveAccount(a, uint64(2))
 	if !ok || e.Estimate || e.Inc != 1 || e.Val.Balance.Uint64() != 175 {
 		t.Fatalf("resolution after re-record: ok=%v est=%v inc=%d bal=%d", ok, e.Estimate, e.Inc, e.Val.Balance.Uint64())
 	}
@@ -346,7 +364,7 @@ func TestPurge(t *testing.T) {
 	}
 	m.Purge(2)
 	m.Purge(1)
-	e, ok := m.store.ResolveAccount(a, uint64(3))
+	e, _, ok := m.store.ResolveAccount(a, uint64(3))
 	if !ok || int(e.Key) != 0 || e.Val.Balance.Uint64() != 10 {
 		t.Fatalf("after purging 2,1 the newest entry must be tx 0: ok=%v tx=%d bal=%d", ok, int(e.Key), e.Val.Balance.Uint64())
 	}
@@ -399,6 +417,84 @@ func TestCodePathIndependence(t *testing.T) {
 	}
 }
 
+// TestViewCodeMatchesHashAcrossReRecord re-records lower transactions between
+// a view's Account and its Code (and the other way round): the code hash the
+// one reported must be the hash of what the other returns — the EVM files its
+// code analysis under that hash — and the incarnation's read set must then
+// fail validation, so the torn-looking world is never committed.
+func TestViewCodeMatchesHashAcrossReRecord(t *testing.T) {
+	x := addrOf(0)
+	codeA, codeA2 := []byte{0x60, 0x01, 0x00}, []byte{0x5b, 0x5b, 0x60, 0x02, 0x56}
+	deploy := func(code []byte) *state.ChangeSet {
+		cs := state.NewChangeSet()
+		cs.Accounts[x] = &state.AccountChange{Nonce: 1, Code: code, CodeSet: code != nil}
+		return cs
+	}
+	cases := []struct {
+		name     string
+		before   func(m *Memory) // the world the first call sees
+		between  func(m *Memory) // what lower transactions re-record before the second
+		wantCode []byte
+	}{
+		{"deploy moves to a lower tx with other code",
+			func(m *Memory) { m.Record(3, 0, nil, deploy(codeA)) },
+			func(m *Memory) { m.Record(3, 1, nil, state.NewChangeSet()); m.Record(2, 0, nil, deploy(codeA2)) },
+			codeA},
+		{"deploy re-recorded with other code",
+			func(m *Memory) { m.Record(3, 0, nil, deploy(codeA)) },
+			func(m *Memory) { m.Record(3, 1, nil, deploy(codeA2)) },
+			codeA},
+		{"deploy re-recorded as a plain write",
+			func(m *Memory) { m.Record(3, 0, nil, deploy(codeA)) },
+			func(m *Memory) { m.Record(3, 1, nil, deploy(nil)) },
+			codeA},
+		{"deploy removed",
+			func(m *Memory) { m.Record(2, 0, nil, deploy(nil)); m.Record(3, 0, nil, deploy(codeA)) },
+			func(m *Memory) { m.Record(3, 1, nil, state.NewChangeSet()) },
+			codeA},
+		{"deploy lands above a plain write",
+			func(m *Memory) { m.Record(2, 0, nil, deploy(nil)) },
+			func(m *Memory) { m.Record(3, 0, nil, deploy(codeA)) },
+			nil},
+		{"deploy lands over the base",
+			func(m *Memory) {},
+			func(m *Memory) { m.Record(3, 0, nil, deploy(codeA)) },
+			nil},
+	}
+	for _, tc := range cases {
+		for _, codeFirst := range []bool{false, true} {
+			m := NewMemory(&fakeBase{bal: map[types.Address]uint64{x: 5}})
+			m.grow(8)
+			tc.before(m)
+			v := newView(m, 5)
+			var acct state.Account
+			var code []byte
+			if codeFirst {
+				code = v.Code(x)
+				tc.between(m)
+				acct, _ = v.Account(x)
+			} else {
+				acct, _ = v.Account(x)
+				tc.between(m)
+				code = v.Code(x)
+			}
+			if !bytes.Equal(code, tc.wantCode) {
+				t.Errorf("%s (code first %v): code %x, want the first call's world %x", tc.name, codeFirst, code, tc.wantCode)
+			}
+			if got := types.Hash(crypto.Sum256(code)); got != acct.CodeHash {
+				t.Errorf("%s (code first %v): Account says code hash %x, Code returns code hashing to %x", tc.name, codeFirst, acct.CodeHash[:], got[:])
+			}
+			if len(v.recs) != 2 {
+				t.Fatalf("%s: %d read records, want one per path", tc.name, len(v.recs))
+			}
+			m.Record(5, 0, v.recs, nil)
+			if _, ok := m.ValidateReadSet(5); ok {
+				t.Errorf("%s (code first %v): reads %+v still validate after the re-record", tc.name, codeFirst, v.recs)
+			}
+		}
+	}
+}
+
 // TestStaleReadsFault checks the mutation-check fault injection: reads skip
 // the chains and validation passes vacuously.
 func TestStaleReadsFault(t *testing.T) {
@@ -412,7 +508,7 @@ func TestStaleReadsFault(t *testing.T) {
 	ch.Balance.SetUint64(999)
 	cs.Accounts[a] = ch
 	m.Record(0, 0, nil, cs)
-	if got := newView(m, 2).Balance(a); got.Uint64() != 100 {
+	if got := balanceOf(newView(m, 2), a); got.Uint64() != 100 {
 		t.Fatalf("stale view must read the base: got %d", got.Uint64())
 	}
 	m.Record(2, 0, []ReadRecord{{Addr: a, Kind: readScalar, Tx: baseVersion}}, nil)

@@ -21,11 +21,9 @@ type depError struct {
 
 // view is the state.Reader one incarnation of one transaction executes
 // against. Every read resolves through the multi-version chains exactly
-// once per (key, path) and is cached for the rest of the incarnation — the
-// Overlay on top loads an account's existence, nonce and balance as three
-// separate base calls, and a torn resolution across a concurrent re-record
-// would hand the EVM an inconsistent account. The cache also is the read
-// set: one ReadRecord per resolution, with the version observed.
+// once per key and is cached for the rest of the incarnation, so the base
+// sees at most one Account and one Code call per account. The cache also is
+// the read set: one ReadRecord per path read, with the version observed.
 type view struct {
 	m   *Memory
 	idx int
@@ -35,17 +33,21 @@ type view struct {
 	recs  []ReadRecord
 }
 
+// viewAcct is one account's single store resolution — the scalar entry and
+// the code-setting entry at or below it, taken under one lock — and what the
+// two paths answered from it. Account and Code both serve from this pair, so
+// the code hash the one reports is the hash of what the other returns even
+// when a lower transaction re-records (another deploy, or none) between the
+// two calls: the EVM's per-code-hash analysis cache depends on it.
 type viewAcct struct {
+	chain   bool // scalar path resolved from a chain entry
+	e, code state.AccountVersion
+
 	scalarDone bool
-	chainAcct  bool // scalar resolved from a chain entry (account exists)
-	nonce      uint64
-	balance    uint256.Int
+	account    state.Account
 	exists     bool
 
-	codeDone     bool
-	chainCode    bool // code resolved from a chain entry
-	code         []byte
-	baseCodeHash types.Hash // the base's answer; unset when chainCode
+	codeDone bool // code.Val.Code is the answer, the base's when !code.Val.CodeSet
 }
 
 type slotKey struct {
@@ -62,89 +64,60 @@ func newView(m *Memory, idx int) *view {
 	}
 }
 
-func (v *view) account(addr types.Address) *viewAcct {
+// resolve looks addr up in the store, once per incarnation. It records
+// nothing: each path is recorded when it is first read.
+func (v *view) resolve(addr types.Address) *viewAcct {
 	va := v.acct[addr]
 	if va == nil {
 		va = &viewAcct{}
+		if !v.m.stale {
+			va.e, va.code, va.chain = v.m.store.ResolveAccount(addr, uint64(v.idx))
+		}
 		v.acct[addr] = va
 	}
 	return va
 }
 
-// resolveScalar materializes the account's scalar fields, recording the
-// read on first resolution.
-func (v *view) resolveScalar(addr types.Address) *viewAcct {
-	va := v.account(addr)
-	if va.scalarDone {
-		return va
-	}
-	if !v.m.stale {
-		if e, ok := v.m.store.ResolveAccount(addr, uint64(v.idx)); ok {
-			if e.Estimate {
-				panic(depError{blocking: int(e.Key), key: types.AccountKey(addr)})
-			}
-			va.nonce, va.balance, va.exists = e.Val.Nonce, e.Val.Balance, true
-			va.chainAcct = true
-			va.scalarDone = true
-			v.recs = append(v.recs, ReadRecord{Addr: addr, Kind: readScalar, Tx: int(e.Key), Inc: e.Inc})
-			return va
+// read records the first read of one path of addr at the version e it
+// resolved to (chain=false: the base), suspending on an ESTIMATE.
+func (v *view) read(addr types.Address, kind readKind, e *state.AccountVersion, chain bool) {
+	rec := ReadRecord{Addr: addr, Kind: kind, Tx: baseVersion}
+	if chain {
+		if e.Estimate {
+			panic(depError{blocking: int(e.Key), key: types.AccountKey(addr)})
 		}
+		rec.Tx, rec.Inc = int(e.Key), e.Inc
 	}
-	if v.m.base.Exists(addr) {
-		va.nonce = v.m.base.Nonce(addr)
-		va.balance = v.m.base.Balance(addr)
-		va.exists = true
-	}
-	va.scalarDone = true
-	v.recs = append(v.recs, ReadRecord{Addr: addr, Kind: readScalar, Tx: baseVersion})
-	return va
+	v.recs = append(v.recs, rec)
 }
 
-// resolveCode materializes the account's code path, recording the read on
-// first resolution.
-func (v *view) resolveCode(addr types.Address) *viewAcct {
-	va := v.account(addr)
-	if va.codeDone {
-		return va
-	}
-	if !v.m.stale {
-		if e, ok := v.m.store.ResolveCode(addr, uint64(v.idx)); ok {
-			if e.Estimate {
-				panic(depError{blocking: int(e.Key), key: types.AccountKey(addr)})
-			}
-			va.code = e.Val.Code
-			va.chainCode = true
-			va.codeDone = true
-			v.recs = append(v.recs, ReadRecord{Addr: addr, Kind: readCode, Tx: int(e.Key), Inc: e.Inc})
-			return va
+// Account implements state.Reader. The code hash rides the scalar record:
+// every code-setting entry is a scalar entry too.
+func (v *view) Account(addr types.Address) (state.Account, bool) {
+	va := v.resolve(addr)
+	if !va.scalarDone {
+		v.read(addr, readScalar, &va.e, va.chain)
+		if va.chain {
+			va.account, va.exists = va.e.Val.Over(&va.code.Val, v.m.base, addr), true
+		} else {
+			va.account, va.exists = v.m.base.Account(addr)
 		}
+		va.scalarDone = true
 	}
-	va.code = v.m.base.Code(addr)
-	va.baseCodeHash = v.m.base.CodeHash(addr)
-	va.codeDone = true
-	v.recs = append(v.recs, ReadRecord{Addr: addr, Kind: readCode, Tx: baseVersion})
-	return va
+	return va.account, va.exists
 }
-
-// Nonce implements state.Reader.
-func (v *view) Nonce(addr types.Address) uint64 { return v.resolveScalar(addr).nonce }
-
-// Balance implements state.Reader.
-func (v *view) Balance(addr types.Address) uint256.Int { return v.resolveScalar(addr).balance }
-
-// Exists implements state.Reader.
-func (v *view) Exists(addr types.Address) bool { return v.resolveScalar(addr).exists }
 
 // Code implements state.Reader.
-func (v *view) Code(addr types.Address) []byte { return v.resolveCode(addr).code }
-
-// CodeHash implements state.Reader by the rule the OCC mvView follows too
-// (state.ChainCodeHash). The scalar path is resolved — and so recorded as a
-// read — only when the code did not come from a chain entry.
-func (v *view) CodeHash(addr types.Address) types.Hash {
-	va := v.resolveCode(addr)
-	scalarOK := !va.chainCode && v.resolveScalar(addr).chainAcct
-	return state.ChainCodeHash(va.code, va.chainCode, scalarOK, va.baseCodeHash)
+func (v *view) Code(addr types.Address) []byte {
+	va := v.resolve(addr)
+	if !va.codeDone {
+		v.read(addr, readCode, &va.code, va.code.Val.CodeSet)
+		if !va.code.Val.CodeSet {
+			va.code.Val.Code = v.m.base.Code(addr)
+		}
+		va.codeDone = true
+	}
+	return va.code.Val.Code
 }
 
 // Storage implements state.Reader.

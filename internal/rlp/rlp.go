@@ -198,16 +198,23 @@ func SplitList(b []byte) (content, rest []byte, err error) {
 }
 
 // ListElems splits a list payload into the full encodings of its elements.
+// It counts the elements first so the result is allocated once, at its final
+// size, however long the list.
 func ListElems(content []byte) ([][]byte, error) {
-	var elems [][]byte
-	for len(content) > 0 {
-		_, itemContent, rest, err := Split(content)
-		if err != nil {
+	n := 0
+	for rest := content; len(rest) > 0; n++ {
+		var err error
+		if _, _, rest, err = Split(rest); err != nil {
 			return nil, err
 		}
-		full := content[:len(content)-len(rest)]
-		_ = itemContent
-		elems = append(elems, full)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	elems := make([][]byte, 0, n)
+	for len(content) > 0 {
+		_, _, rest, _ := Split(content) // validated by the counting pass
+		elems = append(elems, content[:len(content)-len(rest)])
 		content = rest
 	}
 	return elems, nil

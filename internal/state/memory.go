@@ -20,9 +20,8 @@ type memAccount struct {
 	balance  uint256.Int
 	code     []byte
 	codeHash types.Hash
-	hasCode  bool // code field authoritative (otherwise fall through to base)
+	hasCode  bool // code fields authoritative (otherwise fall through to base)
 	storage  map[types.Hash]uint256.Int
-	exists   bool
 }
 
 // NewMemory returns a Memory view over base (base may be nil for an empty
@@ -31,26 +30,27 @@ func NewMemory(base Reader) *Memory {
 	return &Memory{base: base, accounts: make(map[types.Address]*memAccount)}
 }
 
-// Nonce implements Reader.
-func (m *Memory) Nonce(addr types.Address) uint64 {
-	if a, ok := m.accounts[addr]; ok {
-		return a.nonce
+// Account implements Reader. An entry is authoritative for nonce, balance
+// and existence; an entry that never set code keeps the base's code hash,
+// EmptyCodeHash when the base has never heard of the account — one base
+// lookup, the same one an untouched account costs (AccountFields.Over).
+func (m *Memory) Account(addr types.Address) (Account, bool) {
+	a, ok := m.accounts[addr]
+	if ok && a.hasCode {
+		return Account{Nonce: a.nonce, Balance: a.balance, CodeHash: a.codeHash}, true
 	}
+	acct, inBase := Account{}, false
 	if m.base != nil {
-		return m.base.Nonce(addr)
+		acct, inBase = m.base.Account(addr)
 	}
-	return 0
-}
-
-// Balance implements Reader.
-func (m *Memory) Balance(addr types.Address) uint256.Int {
-	if a, ok := m.accounts[addr]; ok {
-		return a.balance
+	if !ok {
+		return acct, inBase
 	}
-	if m.base != nil {
-		return m.base.Balance(addr)
+	if !inBase {
+		acct.CodeHash = EmptyCodeHash
 	}
-	return uint256.Int{}
+	acct.Nonce, acct.Balance = a.nonce, a.balance
+	return acct, true
 }
 
 // Code implements Reader.
@@ -62,17 +62,6 @@ func (m *Memory) Code(addr types.Address) []byte {
 		return m.base.Code(addr)
 	}
 	return nil
-}
-
-// CodeHash implements Reader.
-func (m *Memory) CodeHash(addr types.Address) types.Hash {
-	if a, ok := m.accounts[addr]; ok && a.hasCode {
-		return a.codeHash
-	}
-	if m.base != nil {
-		return m.base.CodeHash(addr)
-	}
-	return types.Hash{}
 }
 
 // Storage implements Reader. A slot written locally shadows the base; other
@@ -89,51 +78,47 @@ func (m *Memory) Storage(addr types.Address, slot types.Hash) uint256.Int {
 	return uint256.Int{}
 }
 
-// Exists implements Reader.
-func (m *Memory) Exists(addr types.Address) bool {
-	if a, ok := m.accounts[addr]; ok {
-		return a.exists
+// ensure returns addr's entry for the field setters below: a fresh entry
+// starts from the base's nonce and balance, so setting one field keeps the
+// others.
+func (m *Memory) ensure(addr types.Address) *memAccount {
+	a, ok := m.accounts[addr]
+	if !ok {
+		a = &memAccount{}
+		if m.base != nil {
+			below, _ := m.base.Account(addr)
+			a.nonce, a.balance = below.Nonce, below.Balance
+		}
+		m.accounts[addr] = a
 	}
-	if m.base != nil {
-		return m.base.Exists(addr)
-	}
-	return false
+	return a
 }
 
-// ensure materializes an account entry, pulling current values from base.
-func (m *Memory) ensure(addr types.Address) *memAccount {
-	if a, ok := m.accounts[addr]; ok {
-		return a
+// setSlot writes one slot, allocating the map on an entry's first slot (most
+// entries — every plain transfer's two — never have one).
+func (a *memAccount) setSlot(slot types.Hash, v uint256.Int) {
+	if a.storage == nil {
+		a.storage = make(map[types.Hash]uint256.Int)
 	}
-	a := &memAccount{storage: make(map[types.Hash]uint256.Int)}
-	if m.base != nil && m.base.Exists(addr) {
-		a.nonce = m.base.Nonce(addr)
-		a.balance = m.base.Balance(addr)
-		a.exists = true
-	}
-	m.accounts[addr] = a
-	return a
+	a.storage[slot] = v
 }
 
 // SetBalance sets an account balance (creating the account).
 func (m *Memory) SetBalance(addr types.Address, v *uint256.Int) {
 	a := m.ensure(addr)
 	a.balance = *v
-	a.exists = true
 }
 
 // AddBalance adds to an account balance (creating the account).
 func (m *Memory) AddBalance(addr types.Address, v *uint256.Int) {
 	a := m.ensure(addr)
 	a.balance.Add(&a.balance, v)
-	a.exists = true
 }
 
 // SetNonce sets an account nonce (creating the account).
 func (m *Memory) SetNonce(addr types.Address, n uint64) {
 	a := m.ensure(addr)
 	a.nonce = n
-	a.exists = true
 }
 
 // SetCode installs contract code (creating the account).
@@ -142,30 +127,32 @@ func (m *Memory) SetCode(addr types.Address, code []byte) {
 	a.code = append([]byte(nil), code...)
 	a.codeHash = types.Hash(crypto.Sum256(code))
 	a.hasCode = true
-	a.exists = true
 }
 
 // SetStorage sets one storage slot (creating the account).
 func (m *Memory) SetStorage(addr types.Address, slot types.Hash, v uint256.Int) {
-	a := m.ensure(addr)
-	a.storage[slot] = v
-	a.exists = true
+	m.ensure(addr).setSlot(slot, v)
 }
 
-// ApplyChangeSet applies a materialized write set to the memory state.
+// ApplyChangeSet applies a materialized write set to the memory state. A
+// change carries the account's full post-nonce and post-balance, so nothing
+// is read from the base: code and untouched slots keep falling through.
 func (m *Memory) ApplyChangeSet(cs *ChangeSet) {
 	for addr, ch := range cs.Accounts {
-		a := m.ensure(addr)
+		a, ok := m.accounts[addr]
+		if !ok {
+			a = &memAccount{}
+			m.accounts[addr] = a
+		}
 		a.nonce = ch.Nonce
 		a.balance = ch.Balance
-		a.exists = true
 		if ch.CodeSet {
 			a.code = ch.Code
 			a.codeHash = types.Hash(crypto.Sum256(ch.Code))
 			a.hasCode = true
 		}
 		for slot, v := range ch.Storage {
-			a.storage[slot] = v
+			a.setSlot(slot, v)
 		}
 	}
 }

@@ -119,7 +119,8 @@ func (o *Overlay) Version() types.Version { return o.version }
 // Access returns the recorded access set.
 func (o *Overlay) Access() *types.AccessSet { return o.access }
 
-// load materializes the account cache entry (no access recording).
+// load materializes the account cache entry (no access recording): the
+// overlay's one Account call for addr, which also brings the code hash.
 func (o *Overlay) load(addr types.Address) *ovAccount {
 	if a, ok := o.accounts[addr]; ok {
 		return a
@@ -128,10 +129,10 @@ func (o *Overlay) load(addr types.Address) *ovAccount {
 		storage:    make(map[types.Hash]uint256.Int),
 		dirtySlots: make(map[types.Hash]bool),
 	}
-	if o.base != nil && o.base.Exists(addr) {
-		a.nonce = o.base.Nonce(addr)
-		a.balance = o.base.Balance(addr)
-		a.exists = true
+	if o.base != nil {
+		var acct Account
+		acct, a.exists = o.base.Account(addr)
+		a.nonce, a.balance, a.codeHash = acct.Nonce, acct.Balance, acct.CodeHash
 	}
 	o.accounts[addr] = a
 	return a
@@ -217,17 +218,20 @@ func (o *Overlay) SetNonce(addr types.Address, n uint64) {
 	o.noteAccountWrite(addr)
 }
 
-// loadCode pulls code from the base into the cache.
+// loadCode pulls code from the base into the cache — only when the code hash
+// that load brought says there is some: an EOA or an absent account costs the
+// base no Code call.
 func (o *Overlay) loadCode(addr types.Address, a *ovAccount) {
 	if a.codeLoaded {
 		return
 	}
-	if o.base != nil {
+	switch {
+	case a.codeHash == (types.Hash{}):
+		if a.exists { // absent below, created in this overlay
+			a.codeHash = EmptyCodeHash
+		}
+	case a.codeHash != EmptyCodeHash:
 		a.code = o.base.Code(addr)
-		a.codeHash = o.base.CodeHash(addr)
-	}
-	if a.codeHash == (types.Hash{}) && a.exists {
-		a.codeHash = EmptyCodeHash
 	}
 	a.codeLoaded = true
 }

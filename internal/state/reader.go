@@ -11,22 +11,21 @@ import (
 	"blockpilot/internal/uint256"
 )
 
-// Reader is the read-only view of a world state. Snapshot, Memory and
-// Overlay all implement it, so overlays can stack on any of them.
+// Reader is the read-only view of a world state. Snapshot, Memory and the
+// proposer engines' version-store views implement it, so overlays can stack
+// on any of them. An account's scalar fields and code hash come from one
+// Account call — one resolution through however many layers sit underneath —
+// which is what lets an Overlay load an account once and ask for Code only
+// when the hash says there is some (DESIGN.md, "The Reader contract").
 type Reader interface {
-	// Nonce returns the account's transaction count.
-	Nonce(addr types.Address) uint64
-	// Balance returns the account's balance.
-	Balance(addr types.Address) uint256.Int
+	// Account returns the account's nonce, balance and code hash
+	// (EmptyCodeHash for an account without code); ok is false, and the
+	// Account zero, when the account is absent.
+	Account(addr types.Address) (acct Account, ok bool)
 	// Code returns the account's contract code (nil for EOAs and absents).
 	Code(addr types.Address) []byte
-	// CodeHash returns the keccak of the account's code; EmptyCodeHash for
-	// existing accounts without code, the zero hash for absent accounts.
-	CodeHash(addr types.Address) types.Hash
 	// Storage returns the value of one contract storage slot.
 	Storage(addr types.Address, slot types.Hash) uint256.Int
-	// Exists reports whether the account is present in the state.
-	Exists(addr types.Address) bool
 }
 
 // EmptyCodeHash is keccak256 of empty code.
@@ -37,6 +36,11 @@ type Account struct {
 	Nonce    uint64
 	Balance  uint256.Int
 	CodeHash types.Hash
+}
+
+// HasCode reports whether the account carries contract code.
+func (a *Account) HasCode() bool {
+	return a.CodeHash != EmptyCodeHash && a.CodeHash != (types.Hash{})
 }
 
 // AccountChange is the per-account part of a ChangeSet: the full post-values

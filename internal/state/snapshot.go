@@ -130,41 +130,53 @@ func (s *Snapshot) lookupHashed(hashedAddr []byte) (decodedAccount, bool) {
 	return decodeAccount(leaf)
 }
 
-// Nonce implements Reader.
-func (s *Snapshot) Nonce(addr types.Address) uint64 {
-	a, _ := s.lookup(addr)
-	return a.nonce
+// Account implements Reader: one lookup — one trie walk (or flat hit) and one
+// leaf decode — answers every scalar field. A leaf stored with a zero code
+// hash reads as EmptyCodeHash.
+func (s *Snapshot) Account(addr types.Address) (Account, bool) {
+	a, ok := s.lookup(addr)
+	if !ok {
+		return Account{}, false
+	}
+	if a.codeHash == (types.Hash{}) {
+		a.codeHash = EmptyCodeHash
+	}
+	return Account{Nonce: a.nonce, Balance: a.balance, CodeHash: a.codeHash}, true
 }
 
-// Balance implements Reader.
+// Nonce, Balance, CodeHash (zero for absent accounts) and Exists are
+// single-field conveniences over Account for tools and tests.
+func (s *Snapshot) Nonce(addr types.Address) uint64 {
+	a, _ := s.Account(addr)
+	return a.Nonce
+}
+
 func (s *Snapshot) Balance(addr types.Address) uint256.Int {
-	a, _ := s.lookup(addr)
-	return a.balance
+	a, _ := s.Account(addr)
+	return a.Balance
+}
+
+func (s *Snapshot) CodeHash(addr types.Address) types.Hash {
+	a, _ := s.Account(addr)
+	return a.CodeHash
+}
+
+func (s *Snapshot) Exists(addr types.Address) bool {
+	_, ok := s.Account(addr)
+	return ok
 }
 
 // Code implements Reader.
 func (s *Snapshot) Code(addr types.Address) []byte {
-	a, ok := s.lookup(addr)
-	if !ok || a.codeHash == EmptyCodeHash || a.codeHash == (types.Hash{}) {
+	a, _ := s.Account(addr)
+	if !a.HasCode() {
 		return nil
 	}
 	if s.db != nil {
-		code, _ := s.db.Code([32]byte(a.codeHash))
+		code, _ := s.db.Code([32]byte(a.CodeHash))
 		return code
 	}
-	return s.codes[a.codeHash]
-}
-
-// CodeHash implements Reader.
-func (s *Snapshot) CodeHash(addr types.Address) types.Hash {
-	a, ok := s.lookup(addr)
-	if !ok {
-		return types.Hash{}
-	}
-	if a.codeHash == (types.Hash{}) {
-		return EmptyCodeHash
-	}
-	return a.codeHash
+	return s.codes[a.CodeHash]
 }
 
 // Storage implements Reader.
@@ -187,12 +199,6 @@ func (s *Snapshot) Storage(addr types.Address, slot types.Hash) uint256.Int {
 	}
 	v.SetBytes(content)
 	return v
-}
-
-// Exists implements Reader.
-func (s *Snapshot) Exists(addr types.Address) bool {
-	_, ok := s.lookup(addr)
-	return ok
 }
 
 // Root returns the world-state root hash committed in block headers.

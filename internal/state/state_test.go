@@ -135,8 +135,8 @@ func TestMemoryShadowing(t *testing.T) {
 		AddContract(addr(1), u(5), []byte{0xfe}, map[types.Hash]uint256.Int{slot(1): *u(11), slot(2): *u(22)}).
 		Build()
 	m := NewMemory(base)
-	if b := m.Balance(addr(1)); !b.Eq(u(5)) {
-		t.Fatal("fall-through balance")
+	if a, _ := m.Account(addr(1)); !a.Balance.Eq(u(5)) || a.CodeHash != base.CodeHash(addr(1)) {
+		t.Fatal("fall-through account")
 	}
 	m.SetStorage(addr(1), slot(1), *u(99))
 	if v := m.Storage(addr(1), slot(1)); !v.Eq(u(99)) {
@@ -146,7 +146,7 @@ func TestMemoryShadowing(t *testing.T) {
 		t.Fatal("unshadowed slot must fall through")
 	}
 	m.AddBalance(addr(3), u(7))
-	if b := m.Balance(addr(3)); !b.Eq(u(7)) || !m.Exists(addr(3)) {
+	if a, ok := m.Account(addr(3)); !ok || !a.Balance.Eq(u(7)) || a.CodeHash != EmptyCodeHash {
 		t.Fatal("AddBalance create")
 	}
 	if m.Code(addr(1))[0] != 0xfe {
@@ -337,11 +337,12 @@ func TestOverlayViewEqualsChangeSetOnMemory(t *testing.T) {
 	m.ApplyChangeSet(o.ChangeSet())
 	for i := byte(0); i < 10; i++ {
 		a := addr(i)
-		ob, mb := o.GetBalance(a), m.Balance(a)
+		ma, _ := m.Account(a)
+		ob, mb := o.GetBalance(a), ma.Balance
 		if !ob.Eq(&mb) {
 			t.Fatalf("balance mismatch at %d: %s vs %s", i, ob.String(), mb.String())
 		}
-		if o.GetNonce(a) != m.Nonce(a) {
+		if o.GetNonce(a) != ma.Nonce {
 			t.Fatalf("nonce mismatch at %d", i)
 		}
 		for j := byte(0); j < 5; j++ {

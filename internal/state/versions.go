@@ -237,12 +237,22 @@ func (c chains[K, V]) remove(k K, key uint64) (old V, ok bool) {
 }
 
 // ResolveAccount returns the newest scalar entry with key < before
-// (ok=false: no such entry, read the base). The caller checks Estimate.
-func (s *VersionStore) ResolveAccount(addr types.Address, before uint64) (AccountVersion, bool) {
+// (ok=false: no such entry, read the base) and, from the same look under the
+// same lock, the newest code-setting entry at or below it: the entry itself
+// when it set code, CodeSet false when nobody in this block has. Every
+// code-setting entry is a scalar entry too, so that is ResolveCode(before)'s
+// answer as of this call — a view that serves an account's code hash and its
+// code from one such pair can never report a hash that is not the code's
+// (AccountFields.Over), whatever is re-recorded in between. The caller checks
+// Estimate on whichever entry it serves from.
+func (s *VersionStore) ResolveAccount(addr types.Address, before uint64) (e, code AccountVersion, ok bool) {
 	st := &s.stripes[s.stripeHash(&addr, nil)]
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.accounts.resolve(addr, before)
+	if e, ok = st.accounts.resolve(addr, before); ok {
+		code, _ = st.resolveCode(addr, e.Key+1)
+	}
+	return e, code, ok
 }
 
 // ResolveCode returns the newest code-setting entry with key < before.
@@ -254,6 +264,10 @@ func (s *VersionStore) ResolveCode(addr types.Address, before uint64) (AccountVe
 	st := &s.stripes[s.stripeHash(&addr, nil)]
 	st.mu.RLock()
 	defer st.mu.RUnlock()
+	return st.resolveCode(addr, before)
+}
+
+func (st *versionStripe) resolveCode(addr types.Address, before uint64) (AccountVersion, bool) {
 	if st.codeCnt[addr] == 0 {
 		return AccountVersion{}, false
 	}
@@ -274,20 +288,23 @@ func (s *VersionStore) ResolveSlot(addr types.Address, slot types.Hash, before u
 	return st.slots.resolve(slotKey{addr: addr, slot: slot}, before)
 }
 
-// ChainCodeHash is the code-hash rule every view over a VersionStore
-// promises, given what the code and scalar paths of one account resolved to
-// and the base state's answer: code set in this block hashes to itself; an
-// account created in this block (its scalar path resolved from a chain
-// entry, the base has never heard of it) without code reports EmptyCodeHash;
-// everything else is the base's answer.
-func ChainCodeHash(code []byte, codeOK, scalarOK bool, base types.Hash) types.Hash {
-	switch {
-	case codeOK:
-		return types.Hash(crypto.Sum256(code))
-	case scalarOK && base == (types.Hash{}):
-		return EmptyCodeHash
+// Over is the account a ResolveAccount pair — f the scalar entry, code the
+// code-setting entry at or below it — describes on top of base, the rule every
+// view over a VersionStore promises: the entry's own nonce and balance; the
+// hash of the code set in this block, else the base's code hash, else — an
+// account created in this block, the base has never heard of it —
+// EmptyCodeHash. The chain carries no code hashes (AccountChange has none to
+// give), so an entry without in-block code costs the base one Account lookup:
+// what the reader would have paid had nobody written the account, once per
+// (overlay, account) because overlays and views cache the answer.
+func (f *AccountFields) Over(code *AccountFields, base Reader, addr types.Address) Account {
+	acct := Account{Nonce: f.Nonce, Balance: f.Balance, CodeHash: EmptyCodeHash}
+	if code.CodeSet {
+		acct.CodeHash = types.Hash(crypto.Sum256(code.Code))
+	} else if below, ok := base.Account(addr); ok {
+		acct.CodeHash = below.CodeHash
 	}
-	return base
+	return acct
 }
 
 // Put installs cs as the writes of ordering key `key` (incarnation inc): one

@@ -116,16 +116,14 @@ const (
 func vsAddr(i int) types.Address { return types.Address{0: byte(i + 1), 19: 0xA0} }
 func vsSlot(i int) types.Hash    { return types.Hash{0: byte(i + 1)} }
 
-// vsBaseHash is the base state's CodeHash answer: a contract, an EOA, and
-// four addresses it has never heard of.
-func vsBaseHash(i int) types.Hash {
-	switch i {
-	case 0:
-		return types.Hash(crypto.Sum256([]byte{0xC0, 0xDE}))
-	case 1, 2:
-		return EmptyCodeHash
-	}
-	return types.Hash{}
+// vsBase is the base state under the store: a contract, two EOAs, and four
+// addresses it has never heard of.
+func vsBase() *Memory {
+	m := NewMemory(nil)
+	m.SetCode(vsAddr(0), []byte{0xC0, 0xDE})
+	m.SetNonce(vsAddr(1), 1)
+	m.SetNonce(vsAddr(2), 1)
+	return m
 }
 
 // randomWrites builds one transaction's change set over the small key space.
@@ -148,13 +146,14 @@ func randomWrites(rng *rand.Rand, tag uint64) *ChangeSet {
 }
 
 // checkAgainst compares every path resolution before every key in [0, max],
-// the ChainCodeHash rule on top of them, and Flatten.
+// the AccountFields.Over rule on top of them, and Flatten.
 func checkAgainst(t *testing.T, s *VersionStore, ref refStore, max uint64) {
 	t.Helper()
+	base := vsBase()
 	for before := uint64(0); before <= max; before++ {
 		for a := 0; a < vsAddrs; a++ {
 			addr := vsAddr(a)
-			got, ok := s.ResolveAccount(addr, before)
+			got, gotCode, ok := s.ResolveAccount(addr, before)
 			want, wok := ref.resolve(slotKey{addr: addr}, before, false)
 			if ok != wok || ok && (got.Key != want.key || got.Inc != want.inc || got.Estimate != want.estimate ||
 				got.Val.Nonce != want.acct.Nonce || !got.Val.Balance.Eq(&want.acct.Balance)) {
@@ -165,18 +164,26 @@ func checkAgainst(t *testing.T, s *VersionStore, ref refStore, max uint64) {
 			if cok != wcok || cok && (code.Key != wcode.key || code.Estimate != wcode.estimate || !bytes.Equal(code.Val.Code, wcode.acct.Code)) {
 				t.Fatalf("code %d before %d: store %+v/%v, reference %+v/%v", a, before, code, cok, wcode, wcok)
 			}
-			// The rule both engine views promise: in-block code hashes to
-			// itself, an account created in-block without code reports
-			// EmptyCodeHash, everything else is the base's answer.
-			wantHash := vsBaseHash(a)
-			switch {
-			case wcok:
-				wantHash = types.Hash(crypto.Sum256(wcode.acct.Code))
-			case wok && a >= 3:
-				wantHash = EmptyCodeHash
+			// The code entry ResolveAccount hands out beside the scalar entry
+			// is ResolveCode's answer, or unset.
+			if gotCode.Val.CodeSet != cok || cok && (gotCode.Key != code.Key || gotCode.Inc != code.Inc ||
+				gotCode.Estimate != code.Estimate || !bytes.Equal(gotCode.Val.Code, code.Val.Code)) {
+				t.Fatalf("account %d before %d carries code %+v, ResolveCode says %+v/%v", a, before, gotCode, code, cok)
 			}
-			if h := ChainCodeHash(code.Val.Code, cok, ok, vsBaseHash(a)); h != wantHash {
-				t.Fatalf("code hash %d before %d: %x, want %x", a, before, h[:4], wantHash[:4])
+			// The rule both engine views promise (AccountFields.Over): the
+			// entry's nonce and balance; in-block code at or below the entry
+			// hashes to itself, an account created in-block without code
+			// reports EmptyCodeHash, everything else is the base's answer.
+			if ok {
+				wantAcct := Account{Nonce: want.acct.Nonce, Balance: want.acct.Balance, CodeHash: EmptyCodeHash}
+				if below, inBase := base.Account(addr); wcok {
+					wantAcct.CodeHash = types.Hash(crypto.Sum256(wcode.acct.Code))
+				} else if inBase {
+					wantAcct.CodeHash = below.CodeHash
+				}
+				if acct := got.Val.Over(&gotCode.Val, base, addr); acct != wantAcct {
+					t.Fatalf("account %d before %d: %+v, want %+v", a, before, acct, wantAcct)
+				}
 			}
 			for sl := 0; sl < vsSlots; sl++ {
 				gs, sok := s.ResolveSlot(addr, vsSlot(sl), before)

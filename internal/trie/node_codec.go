@@ -11,6 +11,26 @@ import (
 	"blockpilot/internal/rlp"
 )
 
+// nodeElems is the element encodings of one node list, split in place: a
+// branch's seventeen is the most a node has, so the array lives on the
+// caller's stack and decoding a node allocates nothing but the node.
+type nodeElems [17][]byte
+
+// split fills e from a list payload and returns the element count; ok is
+// false on a malformed element, and on an eighteenth.
+func (e *nodeElems) split(content []byte) (n int, ok bool) {
+	for len(content) > 0 {
+		_, _, rest, err := rlp.Split(content)
+		if err != nil || n == len(e) {
+			return 0, false
+		}
+		e[n] = content[:len(content)-len(rest)]
+		content = rest
+		n++
+	}
+	return n, true
+}
+
 // decodeNode parses a full node encoding back into an in-memory node.
 // 32-byte child references become hashNodes (resolved lazily against the
 // Database); embedded small children are decoded inline.
@@ -19,11 +39,12 @@ func decodeNode(enc []byte) (node, error) {
 	if err != nil || kind != rlp.KindList || len(rest) != 0 {
 		return nil, fmt.Errorf("trie: node encoding is not an RLP list")
 	}
-	elems, err := rlp.ListElems(content)
-	if err != nil {
-		return nil, fmt.Errorf("trie: node list: %w", err)
+	var elems nodeElems
+	n, ok := elems.split(content)
+	if !ok {
+		return nil, fmt.Errorf("trie: node list is malformed or longer than a branch")
 	}
-	switch len(elems) {
+	switch n {
 	case 2:
 		pathContent, _, err := rlp.SplitString(elems[0])
 		if err != nil {
@@ -37,7 +58,7 @@ func decodeNode(enc []byte) (node, error) {
 			}
 			return &leafNode{key: path, val: val}, nil
 		}
-		child, err := decodeChildRef(elems[1])
+		child, err := decodeChildRef(elems[1], nil)
 		if err != nil {
 			return nil, err
 		}
@@ -47,8 +68,17 @@ func decodeNode(enc []byte) (node, error) {
 		return &extNode{key: path, child: child}, nil
 	case 17:
 		b := &branchNode{}
-		for i := 0; i < 16; i++ {
-			c, err := decodeChildRef(elems[i])
+		// A branch's hashNodes come from one allocation. Only a hash reference
+		// (0xa0 || hash) is 33 bytes long: an embedded child is shorter.
+		refs := 0
+		for _, elem := range elems[:16] {
+			if len(elem) == 33 {
+				refs++
+			}
+		}
+		slab := make([]hashNode, refs)
+		for i, elem := range elems[:16] {
+			c, err := decodeChildRef(elem, &slab)
 			if err != nil {
 				return nil, err
 			}
@@ -63,12 +93,13 @@ func decodeNode(enc []byte) (node, error) {
 		}
 		return b, nil
 	}
-	return nil, fmt.Errorf("trie: node with %d elements", len(elems))
+	return nil, fmt.Errorf("trie: node with %d elements", n)
 }
 
 // decodeChildRef interprets one child slot of a decoded node: empty string →
-// nil, 32-byte string → hashNode, embedded list → decoded inline.
-func decodeChildRef(elem []byte) (node, error) {
+// nil, 32-byte string → hashNode (the next of slab while it has one), embedded
+// list → decoded inline.
+func decodeChildRef(elem []byte, slab *[]hashNode) (node, error) {
 	kind, content, _, err := rlp.Split(elem)
 	if err != nil {
 		return nil, fmt.Errorf("trie: child ref: %w", err)
@@ -78,9 +109,14 @@ func decodeChildRef(elem []byte) (node, error) {
 		case 0:
 			return nil, nil
 		case 32:
-			var h [32]byte
-			copy(h[:], content)
-			return newHashNode(h), nil
+			var h *hashNode
+			if slab != nil && len(*slab) > 0 {
+				h, *slab = &(*slab)[0], (*slab)[1:]
+			} else {
+				h = new(hashNode)
+			}
+			copy(h.hash[:], content)
+			return h, nil
 		default:
 			return nil, fmt.Errorf("trie: child hash of %d bytes", len(content))
 		}
@@ -107,17 +143,15 @@ func collectEdges(enc []byte, has func([32]byte) bool, out *[][32]byte) {
 	if err != nil || kind != rlp.KindList {
 		return
 	}
-	elems, err := rlp.ListElems(content)
-	if err != nil {
-		return
-	}
-	switch len(elems) {
+	var elems nodeElems
+	n, _ := elems.split(content) // n = 0 when malformed: no edges
+	switch n {
 	case 2:
 		pathContent, _, err := rlp.SplitString(elems[0])
 		if err != nil {
 			return
 		}
-		if _, isLeaf := decodeHexPrefix(pathContent); isLeaf {
+		if isLeafPath(pathContent) {
 			if val, _, err := rlp.SplitString(elems[1]); err == nil {
 				accountEdge(val, has, out)
 			}
@@ -125,6 +159,11 @@ func collectEdges(enc []byte, has func([32]byte) bool, out *[][32]byte) {
 		}
 		childEdge(elems[1], has, out)
 	case 17:
+		if *out == nil {
+			// Every edge is a 33-byte hash reference inside enc: one allocation
+			// holds a branch's sixteen. A leaf or an extension has at most one.
+			*out = make([][32]byte, 0, len(enc)/33)
+		}
 		for i := 0; i < 16; i++ {
 			childEdge(elems[i], has, out)
 		}
@@ -163,13 +202,13 @@ func accountEdge(val []byte, has func([32]byte) bool, out *[][32]byte) {
 	if err != nil || kind != rlp.KindList || len(rest) != 0 {
 		return
 	}
-	elems, err := rlp.ListElems(content)
-	if err != nil || len(elems) != 4 {
+	var elems nodeElems
+	if n, _ := elems.split(content); n != 4 {
 		return
 	}
 	maxLens := [4]int{8, 32, 32, 32}
 	var fields [4][]byte
-	for i, e := range elems {
+	for i, e := range elems[:4] {
 		s, _, err := rlp.SplitString(e)
 		if err != nil || len(s) > maxLens[i] {
 			return

@@ -166,14 +166,16 @@ func decodeHexPrefix(b []byte) (nibbles []byte, isLeaf bool) {
 	if len(b) == 0 {
 		return nil, false
 	}
-	flag := b[0] >> 4
-	isLeaf = flag >= 2
-	odd := flag&1 == 1
+	odd := b[0]>>4&1 == 1
+	nibbles = make([]byte, 0, 2*len(b))
 	if odd {
 		nibbles = append(nibbles, b[0]&0x0f)
 	}
 	for _, c := range b[1:] {
 		nibbles = append(nibbles, c>>4, c&0x0f)
 	}
-	return nibbles, isLeaf
+	return nibbles, isLeafPath(b)
 }
+
+// isLeafPath reads a hex-prefix path's leaf flag without decoding the path.
+func isLeafPath(b []byte) bool { return len(b) > 0 && b[0]>>4 >= 2 }

@@ -253,9 +253,10 @@ func (s *Store) rebuildRefs() error {
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].e.off < nodes[j].e.off })
 	has := func(h [32]byte) bool { _, ok := s.idx[h]; return ok }
+	var enc []byte // reused: Edges copies the hashes out
 	for _, n := range nodes {
-		enc, err := s.readPayload(n.e)
-		if err != nil {
+		var err error
+		if enc, err = s.readPayload(n.e, enc); err != nil {
 			return fmt.Errorf("store: rebuild refs: %w", err)
 		}
 		for _, child := range s.opts.Edges(enc, has) {
@@ -274,8 +275,14 @@ func (s *Store) rebuildRefs() error {
 	return nil
 }
 
-func (s *Store) readPayload(e entry) ([]byte, error) {
-	buf := make([]byte, e.vlen)
+// readPayload reads one record's payload into buf's backing array when it is
+// large enough (a caller that is done with each payload before the next read
+// passes the previous result back in), else into a fresh buffer.
+func (s *Store) readPayload(e entry, buf []byte) ([]byte, error) {
+	if cap(buf) < int(e.vlen) {
+		buf = make([]byte, e.vlen)
+	}
+	buf = buf[:e.vlen]
 	if _, err := s.f.ReadAt(buf, e.off); err != nil {
 		return nil, err
 	}
@@ -296,7 +303,7 @@ func (s *Store) Get(h [32]byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %x", ErrNotFound, h)
 	}
-	return s.readPayload(e) // ReadAt is safe without the lock
+	return s.readPayload(e, nil) // ReadAt is safe without the lock
 }
 
 // Has reports whether a node is live.
@@ -319,7 +326,7 @@ func (s *Store) Code(h [32]byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: code %x", ErrNotFound, h)
 	}
-	return s.readPayload(e)
+	return s.readPayload(e, nil)
 }
 
 // appendRecord stages one record into buf and returns the new buf. The
@@ -329,14 +336,10 @@ func appendRecord(buf []byte, kind byte, key [32]byte, payload []byte) []byte {
 	hdr[0] = kind
 	copy(hdr[1:33], key[:])
 	binary.BigEndian.PutUint32(hdr[33:], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	crc.Write(payload)
 	buf = append(buf, hdr[:]...)
 	buf = append(buf, payload...)
-	var sum [recCRCLen]byte
-	binary.BigEndian.PutUint32(sum[:], crc.Sum32())
-	return append(buf, sum[:]...)
+	sum := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload)
+	return binary.BigEndian.AppendUint32(buf, sum)
 }
 
 // Batch stages one state commit: put/code records followed by a commit
@@ -402,14 +405,22 @@ func (b *Batch) Commit(root [32]byte) error {
 		return ErrClosed
 	}
 
-	var buf []byte
 	type applied struct {
 		key  [32]byte
 		e    entry
 		enc  []byte
 		code bool
 	}
-	var writes []applied
+	// Both sized from what is staged: every record plus the barrier.
+	size := recOverhead
+	for _, p := range b.codes {
+		size += recOverhead + len(p.enc)
+	}
+	for _, p := range b.nodes {
+		size += recOverhead + len(p.enc)
+	}
+	buf := make([]byte, 0, size)
+	writes := make([]applied, 0, len(b.codes)+len(b.nodes))
 	off := s.size
 	for _, p := range b.codes {
 		if _, dup := s.codes[p.key]; dup {
@@ -496,11 +507,7 @@ func (s *Store) Release(root [32]byte) error {
 
 	// Plan the cascade against a scratch view of the counts so nothing is
 	// mutated before the records are durably written.
-	type deadNode struct {
-		key [32]byte
-		enc []byte
-	}
-	var dead []deadNode
+	var dead [][32]byte
 	scratch := make(map[[32]byte]int32)
 	refsOf := func(h [32]byte) (int32, bool) {
 		if r, ok := scratch[h]; ok {
@@ -532,6 +539,7 @@ func (s *Store) Release(root [32]byte) error {
 		}
 	}
 	dec(root)
+	var enc []byte // one payload buffer for the cascade: only a dead node's key outlives its visit
 	for len(stack) > 0 {
 		h := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -539,20 +547,20 @@ func (s *Store) Release(root [32]byte) error {
 		if !ok {
 			continue
 		}
-		enc, err := s.readPayload(e)
-		if err != nil {
+		var err error
+		if enc, err = s.readPayload(e, enc); err != nil {
 			return fmt.Errorf("store: release cascade: %w", err)
 		}
 		scratch[h] = -1 // dead marker: has() excludes it for edge extraction
-		dead = append(dead, deadNode{key: h, enc: enc})
+		dead = append(dead, h)
 		for _, child := range s.opts.Edges(enc, has) {
 			dec(child)
 		}
 	}
 
-	var buf []byte
-	for _, d := range dead {
-		buf = appendRecord(buf, recDel, d.key, nil)
+	buf := make([]byte, 0, (len(dead)+1)*recOverhead)
+	for _, h := range dead {
+		buf = appendRecord(buf, recDel, h, nil)
 	}
 	buf = appendRecord(buf, recRelease, root, nil)
 	if _, err := s.f.WriteAt(buf, s.size); err != nil {
@@ -668,7 +676,7 @@ func (s *Store) Phantoms() ([][32]byte, error) {
 		}
 		reached[h] = true
 		e := s.idx[h]
-		enc, err := s.readPayload(e)
+		enc, err := s.readPayload(e, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -313,9 +313,7 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 	if got := types.CreateBloom(receipts); got != h.LogsBloom {
 		return nil, fmt.Errorf("%w: logs bloom mismatch", ErrBadBlock)
 	}
-	accum := state.NewMemory(parent)
-	accum.ApplyChangeSet(total)
-	total.Merge(chain.FinalizationChange(accum, h.Coinbase, &fees, params))
+	total.Merge(chain.FinalizationChange(parent, total, h.Coinbase, &fees, params))
 	scStart := time.Now()
 	postState, got := chain.CommitAndRoot(parent, total, params, h.Number)
 	scEnd := time.Now()
