@@ -1,11 +1,11 @@
 # BlockPilot CI entry points. `make ci` is what the tier-1 gate runs:
-# vet + build + full test suite (the concurrency packages additionally under
+# vet (go vet + a gofmt check) + build + full test suite (the concurrency packages additionally under
 # -cpu 1,2,4, so a 1-CPU runner cannot hide a scheduling-dependent bug; every
 # Propose test rides both engines with and without the adaptive controller) +
 # race detector on the concurrency-heavy packages (OCC-WSI core, MV-STM
 # engine, mempool, pipeline, network, sim, telemetry, flight recorder, health
-# recorder) + the flight-recorder, block-tracer and health-recorder
-# disabled-path budget gates + the state path's lookup and allocation budget
+# recorder) + the flight-recorder and block-tracer disabled-path budget
+# gates + the state path's lookup and allocation budget
 # (state-budget) + a live health-sampler smoke (health-smoke)
 # + the cluster-simulator scenario matrix with its
 # mutation self-check and span-chain oracle (sim-smoke) + the disk-backed
@@ -26,14 +26,16 @@
 
 GO ?= go
 
-.PHONY: all ci vet build test race race-all flight-budget trace-budget health-budget state-budget health-smoke sim-smoke state-smoke fuzz-smoke bench bench-compare bench-go telemetry-bench flight-bench trace-demo crit-demo health-demo lines clean
+.PHONY: all ci vet build test race race-all flight-budget trace-budget state-budget health-smoke sim-smoke state-smoke fuzz-smoke bench bench-compare bench-go telemetry-bench flight-bench trace-demo crit-demo health-demo lines clean
 
 all: ci
 
-ci: vet build test race flight-budget trace-budget health-budget state-budget health-smoke sim-smoke state-smoke fuzz-smoke
+ci: vet build test race flight-budget trace-budget state-budget health-smoke sim-smoke state-smoke fuzz-smoke
 
+# gofmt -l prints the files it would rewrite; any output fails the target.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -66,16 +68,12 @@ race-all:
 flight-budget:
 	$(GO) test -run TestDisabledPathBudget -count=1 ./internal/flight/ ./internal/telemetry/
 
-# The block tracer's zero-cost gate: with no collector installed every
-# tracing helper must stay one atomic load, 0 allocs, under the ns budget.
+# The block tracer's zero-cost gate: with no collector installed and
+# telemetry off every tracing helper — the Begin/End pair that times each
+# phase included — must stay atomic loads + nil checks, 0 allocs, under the
+# ns budget.
 trace-budget:
 	$(GO) test -run TestDisabledPathBudget -count=1 ./internal/trace/
-
-# The health recorder's zero-cost gate: with no recorder installed the
-# Heartbeat/Enabled/Active helpers must stay one atomic load, 0 allocs,
-# under the ns budget.
-health-budget:
-	$(GO) test -run TestDisabledPathBudget -count=1 ./internal/health/
 
 # The state path's budget (docs/PERFORMANCE.md §9): an overlay costs its base
 # one Account call per account and one Code call per contract, through Memory
@@ -86,8 +84,7 @@ state-budget:
 	$(GO) test -count=1 -run 'TestOverlayReadsEachAccountOnce|TestApplyChangeSetReadsNothing|TestDecodeNodeAllocs' ./internal/state/ ./internal/core/ ./internal/trie/
 
 # Live end-to-end pass of the health recorder: a real sampler at a fast
-# interval over actual runtime metrics, heartbeats flowing through the
-# enabled path.
+# interval over actual runtime metrics and the live telemetry registry.
 health-smoke:
 	$(GO) test -short -count=1 -run TestHealthSmoke ./internal/health/
 

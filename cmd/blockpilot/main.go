@@ -64,14 +64,11 @@ func main() {
 	txs := flag.Int("txs", 132, "transactions per block")
 	seed := flag.Int64("seed", 1, "workload + consensus seed")
 	datadir := flag.String("datadir", "", "persist validator-0's blocks to this directory (optional)")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /metrics.json, /trace, /report and /debug/pprof on this address (e.g. :9090)")
+	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /metrics.json, /report and /debug/pprof on this address (e.g. :9090)")
 	flightOn := flag.Bool("flight", false, "enable the transaction flight recorder (per-tx lifecycle events + conflict attribution)")
-	flightOut := flag.String("flight-out", "", "write a Perfetto/Chrome trace.json of the run to this path (implies -flight)")
-	flightRing := flag.Int("flight-ring", 0, "flight recorder ring capacity per worker lane (0 = default)")
+	flightOut := flag.String("flight-out", "", "write a Perfetto/Chrome trace.json of the run to this path (implies -flight and -trace)")
 	traceOn := flag.Bool("trace", false, "enable the block lifecycle tracer (cross-node spans, critical paths, stall attribution)")
-	traceRing := flag.Int("trace-ring", 0, "block tracer span ring capacity (0 = default)")
 	healthOn := flag.Bool("health", false, "enable the runtime health recorder (continuous sampling, stall watchdog, incident bundles)")
-	healthInterval := flag.Duration("health-interval", 250*time.Millisecond, "health sampler interval")
 	healthOut := flag.String("health-out", "", "append health samples as JSONL to this path (implies -health)")
 	healthIncidents := flag.String("health-incidents", "", "write watchdog incident bundles under this directory (implies -health)")
 	stateBackend := flag.String("state-backend", "mem", "world-state backend: mem (per-process maps) or disk (persistent node store with flat-snapshot reads)")
@@ -83,14 +80,15 @@ func main() {
 	defer stop()
 
 	if *flightOut != "" {
-		*flightOn = true
+		// The file's per-node phase slices are the block tracer's spans.
+		*flightOn, *traceOn = true, true
 	}
 	if *flightOn {
-		flight.Enable(flight.Options{RingCapacity: *flightRing})
+		flight.Enable(flight.Options{})
 		fmt.Println("flight recorder: enabled")
 	}
 	if *traceOn {
-		trace.Enable(*traceRing)
+		trace.Enable(0)
 		fmt.Println("block tracer: enabled")
 	}
 	if *healthOut != "" || *healthIncidents != "" {
@@ -98,7 +96,7 @@ func main() {
 	}
 	var healthFile *os.File
 	if *healthOn {
-		opts := health.Options{Interval: *healthInterval, IncidentDir: *healthIncidents}
+		opts := health.Options{IncidentDir: *healthIncidents}
 		if opts.IncidentDir == "" {
 			opts.IncidentDir = filepath.Join(os.TempDir(), "blockpilot-incidents")
 		}
@@ -111,11 +109,12 @@ func main() {
 			healthFile = f
 			opts.Out = f
 		}
-		if _, err := health.Enable(opts); err != nil {
+		rec, err := health.Enable(opts)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "blockpilot: health:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("health recorder: enabled (interval %v, incidents under %s)\n", *healthInterval, opts.IncidentDir)
+		fmt.Printf("health recorder: enabled (interval %v, incidents under %s)\n", rec.Interval(), opts.IncidentDir)
 	}
 
 	if *telemetryAddr != "" {
@@ -126,7 +125,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "blockpilot: telemetry server:", err)
 			}
 		}()
-		fmt.Printf("telemetry: serving http://%s/metrics (+ /healthz, /metrics.json, /trace, /trace/blocks, /trace/critical-path, /report, /flight/*, /health/*, /debug/pprof)\n", *telemetryAddr)
+		fmt.Printf("telemetry: serving http://%s/metrics (+ /healthz, /metrics.json, /trace/blocks, /trace/critical-path, /report, /flight/*, /health/*, /debug/pprof)\n", *telemetryAddr)
 	}
 
 	var store *blockdb.Store
@@ -345,17 +344,8 @@ func main() {
 		fmt.Printf("flight recorder: %d events buffered\n", rec.Total())
 		fmt.Print(rec.Attribution(10).Render())
 		if *flightOut != "" {
-			f, err := os.Create(*flightOut)
-			if err != nil {
+			if err := rec.WriteTraceFile(*flightOut); err != nil {
 				fmt.Fprintln(os.Stderr, "blockpilot: flight-out:", err)
-				os.Exit(1)
-			}
-			werr := rec.WriteTraceMerged(f, telemetry.Default().Tracer().Events(), trace.Active().Spans())
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fmt.Fprintln(os.Stderr, "blockpilot: flight-out:", werr)
 				os.Exit(1)
 			}
 			fmt.Printf("flight recorder: wrote %s (open at https://ui.perfetto.dev)\n", *flightOut)

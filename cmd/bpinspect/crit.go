@@ -67,17 +67,8 @@ func critMain(args []string) {
 	printCrit(views, win.View(), *maxPaths)
 
 	if f.traceOut != "" {
-		out, err := os.Create(f.traceOut)
-		if err != nil {
+		if err := rec.WriteTraceFile(f.traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, "bpinspect crit: trace-out:", err)
-			os.Exit(1)
-		}
-		werr := rec.WriteTraceMerged(out, telemetry.Default().Tracer().Events(), tr.Spans())
-		if cerr := out.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "bpinspect crit: trace-out:", werr)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (open at https://ui.perfetto.dev)\n", f.traceOut)

@@ -48,27 +48,22 @@ func (f *flightFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.traceOut, "trace-out", "", "write a Perfetto/Chrome trace.json of the run to this path (local mode only)")
 }
 
-// collectFlightLocal enables the recorder, drives the proposer→pipeline run,
-// and returns the recorder for reporting.
+// collectFlightLocal enables the recorder (and, for -trace-out, the block
+// tracer whose spans are the file's phase slices), drives the
+// proposer→pipeline run, and returns the recorder for reporting.
 func collectFlightLocal(f *flightFlags) *flight.Recorder {
 	telemetry.Enable()
 	rec := flight.Enable(flight.Options{})
+	if f.traceOut != "" {
+		trace.Enable(0)
+	}
 	if err := collectLocal(f.blocks, f.threads, f.txs, f.seed, f.swapRatio, f.pairs); err != nil {
 		fmt.Fprintln(os.Stderr, "bpinspect:", err)
 		os.Exit(1)
 	}
 	if f.traceOut != "" {
-		out, err := os.Create(f.traceOut)
-		if err != nil {
+		if err := rec.WriteTraceFile(f.traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, "bpinspect: trace-out:", err)
-			os.Exit(1)
-		}
-		werr := rec.WriteTraceMerged(out, telemetry.Default().Tracer().Events(), trace.Active().Spans())
-		if cerr := out.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "bpinspect: trace-out:", werr)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (open at https://ui.perfetto.dev)\n", f.traceOut)

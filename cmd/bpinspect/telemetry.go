@@ -29,7 +29,6 @@ func telemetryMain(args []string) {
 	threads := fs.Int("threads", 8, "local collection: execution threads")
 	txPerBlock := fs.Int("txs", 132, "local collection: transactions per block")
 	seed := fs.Int64("seed", 1, "local collection: workload seed")
-	trace := fs.Bool("trace", true, "print the span trace ring after the report")
 	_ = fs.Parse(args)
 
 	if *addr != "" {
@@ -48,10 +47,6 @@ func telemetryMain(args []string) {
 		os.Exit(1)
 	}
 	fmt.Print(telemetry.Report())
-	if *trace {
-		fmt.Println()
-		fmt.Print(telemetry.Default().Tracer().Render(40))
-	}
 }
 
 // scrapeSnapshot fetches /metrics.json from a live node.

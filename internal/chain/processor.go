@@ -65,15 +65,16 @@ func ExecuteSerial(parent *state.Snapshot, header *types.Header, txs []*types.Tr
 // proposer, the parallel validator, and the OCC baseline — every worker
 // count produces bit-identical snapshots and roots. Both phases are recorded
 // in telemetry (state commit duration, root hash duration, account /
-// storage-trie fanout).
-func CommitAndRoot(parent *state.Snapshot, total *state.ChangeSet, params Params, height uint64) (*state.Snapshot, types.Hash) {
+// storage-trie fanout). The trailing block height is unused: the parameter
+// stays because benchmark/ calls with it.
+func CommitAndRoot(parent *state.Snapshot, total *state.ChangeSet, params Params, _ uint64) (*state.Snapshot, types.Hash) {
 	w := params.ResolveCommitWorkers()
 
-	span := telemetry.StartSpan("state.commit", height, telemetry.StateCommitSeconds)
+	span := telemetry.StartSpan(telemetry.StateCommitSeconds)
 	post := parent.CommitParallel(total, w)
 	span.End()
 
-	rspan := telemetry.StartSpan("state.root_hash", height, telemetry.StateRootHashSeconds)
+	rspan := telemetry.StartSpan(telemetry.StateRootHashSeconds)
 	root := post.RootParallel(w)
 	rspan.End()
 

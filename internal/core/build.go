@@ -6,13 +6,11 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"blockpilot/internal/adaptive"
 	"blockpilot/internal/chain"
 	"blockpilot/internal/evm"
 	"blockpilot/internal/flight"
-	"blockpilot/internal/health"
 	"blockpilot/internal/mempool"
 	"blockpilot/internal/state"
 	"blockpilot/internal/telemetry"
@@ -48,12 +46,10 @@ type blockBuild struct {
 	cfg    ProposerConfig // Threads normalized to ≥ 1
 	params chain.Params
 	header *types.Header
-	height uint64
 	bc     evm.BlockContext
 
-	span      telemetry.Span
-	tr        *trace.Collector // nil: block tracing off
-	sealStart time.Time
+	tr      *trace.Collector // nil: block tracing off
+	sealing trace.Phase      // the whole packing run, begin to seal
 
 	// Contention-adaptive scheduling; all nil/zero with no controller, and
 	// every adaptive branch below is then dead — the engine runs stock.
@@ -69,8 +65,8 @@ type blockBuild struct {
 	laneCommits int // commits that came through the serial lane
 }
 
-// begin opens a block on top of parent: the header skeleton, the telemetry
-// and trace spans that cover the whole packing run, and — with a controller
+// begin opens a block on top of parent: the header skeleton, the seal phase
+// that covers the whole packing run, and — with a controller
 // attached — the adaptive window roll and the pool's abort-aware ordering for
 // this block. SetAbortAware(false) also restores a pool a previous adaptive
 // run left demoting.
@@ -96,15 +92,11 @@ func begin(parent *state.Snapshot, parentHeader *types.Header, pool *mempool.Poo
 		cfg:    cfg,
 		params: params,
 		header: header,
-		height: header.Number,
 		bc:     chain.BlockContextFor(header, params.ChainID),
-		span:   telemetry.StartSpan("proposer.propose", header.Number, telemetry.ProposerBlockSeconds),
 		tr:     trace.Resolve(cfg.Tracer),
 		ctrl:   cfg.Adaptive,
 	}
-	if b.tr != nil {
-		b.sealStart = time.Now()
-	}
+	b.sealing = b.tr.Begin(cfg.Node, trace.StageSeal, header.Number)
 	pool.SetAbortAware(b.ctrl != nil && b.ctrl.DemotionEnabled())
 	if b.ctrl != nil {
 		b.ctrl.BlockStart()
@@ -126,7 +118,7 @@ func (b *blockBuild) claim(worker, n int) (cold, hot []*types.Transaction) {
 	txs := b.pool.PopBatch(n)
 	if flight.Enabled() {
 		for _, tx := range txs {
-			flight.Pop(worker, tx, b.height)
+			flight.Pop(worker, tx, b.header.Number)
 		}
 	}
 	if b.ctrl == nil {
@@ -165,7 +157,7 @@ func (b *blockBuild) requeueOrDrop(worker int, tx *types.Transaction) {
 		return
 	}
 	telemetry.ProposerRetries.Inc()
-	flight.Requeue(worker, tx, b.height)
+	flight.Requeue(worker, tx, b.header.Number)
 	b.pool.Requeue(tx)
 }
 
@@ -176,7 +168,7 @@ func (b *blockBuild) drop(worker int, tx *types.Transaction, retryBudget bool) {
 	if retryBudget {
 		telemetry.ProposerDroppedRetryBudget.Inc()
 	}
-	flight.Drop(worker, tx, b.height, retryBudget)
+	flight.Drop(worker, tx, b.header.Number, retryBudget)
 }
 
 // commit records one transaction the engine has made final at serialization
@@ -197,8 +189,7 @@ func (b *blockBuild) commit(worker int, c committedTx, fee *uint256.Int, merged,
 	b.mu.Unlock()
 	b.pool.Done(c.tx)
 	telemetry.ProposerCommits.Inc()
-	health.Heartbeat(health.CompProposer)
-	flight.Commit(worker, c.tx, c.version, b.height)
+	flight.Commit(worker, c.tx, c.version, b.header.Number)
 }
 
 // seal assembles and commits the block from what the engine made final:
@@ -206,8 +197,6 @@ func (b *blockBuild) commit(worker int, c committedTx, fee *uint256.Int, merged,
 // committed transactions, aborts the engine's conflict count, and claimed —
 // MV-STM only — the claim order for mvSealOrderHook.
 func (b *blockBuild) seal(total *state.ChangeSet, gasUsed uint64, aborts int, claimed []*types.Transaction) *ProposeResult {
-	defer b.span.End()
-
 	// Block order is serialization order: commit version under OCC-WSI,
 	// claimed index under MV-STM (already ascending there).
 	committed := b.committed
@@ -222,7 +211,7 @@ func (b *blockBuild) seal(total *state.ChangeSet, gasUsed uint64, aborts int, cl
 		c.receipt.CumulativeGasUsed = cumulative
 		receipts[i] = c.receipt
 		profile.Txs[i] = c.profile
-		flight.Seal(c.tx, c.version, i, b.height)
+		flight.Seal(c.tx, c.version, i, b.header.Number)
 	}
 
 	// Finalize: aggregate fee + reward credit to the coinbase, then commit.
@@ -237,14 +226,6 @@ func (b *blockBuild) seal(total *state.ChangeSet, gasUsed uint64, aborts int, cl
 		}
 	}
 	total.Merge(chain.FinalizationChange(b.parent, total, b.cfg.Coinbase, &b.fees, b.params))
-	var scStart, scEnd time.Time
-	if b.tr != nil {
-		scStart = time.Now()
-	}
-	postState, stateRoot := chain.CommitAndRoot(b.parent, total, b.params, b.height)
-	if b.tr != nil {
-		scEnd = time.Now()
-	}
 
 	if b.ctrl != nil {
 		occ := 0.0
@@ -256,21 +237,24 @@ func (b *blockBuild) seal(total *state.ChangeSet, gasUsed uint64, aborts int, cl
 	telemetry.ProposerBlockTxs.Observe(uint64(len(committed)))
 	header := b.header
 	header.GasUsed = gasUsed
-	header.StateRoot = stateRoot
 	header.TxRoot = types.ComputeTxRoot(txs)
 	header.ReceiptRoot = types.ComputeReceiptRoot(receipts)
 	header.LogsBloom = types.CreateBloom(receipts)
 
+	// The state root goes in last: it completes the header, so the block hash
+	// both phases are stored under exists right after the state commit they
+	// end on. ContextFor picks the seal span up as the trace root when the
+	// block is broadcast. The hash is only computed with a collector.
+	stateCommit := b.tr.Begin(b.cfg.Node, trace.StageStateCommit, header.Number)
+	postState, stateRoot := chain.CommitAndRoot(b.parent, total, b.params, header.Number)
+	header.StateRoot = stateRoot
 	blk := &types.Block{Header: *header, Txs: txs, Profile: profile}
+	var bh types.Hash
 	if b.tr != nil {
-		// The block hash only exists once every header commitment is filled
-		// in, so the seal span (covering the whole packing run) is recorded
-		// here; ContextFor picks it up as the trace root when the block is
-		// broadcast.
-		bh := blk.Hash()
-		b.tr.RecordSpan(b.cfg.Node, trace.StageStateCommit, bh, b.height, scStart, scEnd)
-		b.tr.RecordSpan(b.cfg.Node, trace.StageSeal, bh, b.height, b.sealStart, time.Now())
+		bh = blk.Hash()
 	}
+	stateCommit.End(bh)
+	b.sealing.End(bh)
 	if mvSealOrderHook != nil && claimed != nil {
 		mvSealOrderHook(claimed, txs)
 	}

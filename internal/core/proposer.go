@@ -162,8 +162,8 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 	// processOne executes and tries to commit a single claimed transaction.
 	// worker is the flight-recorder lane id of the calling goroutine.
 	processOne := func(worker int, tx *types.Transaction) {
-		flight.ExecStart(worker, tx, b.height)
-		defer flight.ExecEnd(worker, tx, b.height)
+		flight.ExecStart(worker, tx, b.header.Number)
+		defer flight.ExecEnd(worker, tx, b.header.Number)
 		v := mv.Version()
 		telemetry.ProposerSnapshotBuilds.Inc()
 		view := mv.View(v)
@@ -219,7 +219,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 		gasUsed.Add(^(receipt.GasUsed - 1)) // release the reservation
 		aborts.Add(1)
 		telemetry.ProposerAborts.Inc()
-		flight.Abort(worker, tx, conflict.Key, conflict.Winner, conflict.Stripe, b.height)
+		flight.Abort(worker, tx, conflict.Key, conflict.Winner, conflict.Stripe, b.header.Number)
 		if ctrl != nil {
 			ctrl.NoteAbort(tx.From, conflict.Key, conflict.Stripe)
 		}

@@ -62,8 +62,8 @@ func proposeMV(b *blockBuild) *ProposeResult {
 	var claimed []*types.Transaction
 	inst := mv.NewInstance(b.parent, func(idx, worker int, view state.Reader) mv.ExecResult {
 		tx := claimed[idx]
-		flight.ExecStart(worker, tx, b.height)
-		defer flight.ExecEnd(worker, tx, b.height)
+		flight.ExecStart(worker, tx, b.header.Number)
+		defer flight.ExecEnd(worker, tx, b.header.Number)
 		overlay := state.NewOverlay(view, types.Version(idx+1))
 		receipt, fee, err := chain.ApplyTransaction(overlay, tx, b.bc)
 		if err != nil {
@@ -176,7 +176,7 @@ func proposeMV(b *blockBuild) *ProposeResult {
 			for _, tx := range claimed[cut:] {
 				// Leave the tail for the next block (OCC does the same on a
 				// filled block), valid or not — the pool re-sorts it.
-				flight.Requeue(mvLane, tx, b.height)
+				flight.Requeue(mvLane, tx, b.header.Number)
 				pool.Requeue(tx)
 				telemetry.ProposerRetries.Inc()
 			}

@@ -59,7 +59,10 @@ func TestEndToEndTimeline(t *testing.T) {
 		t.Fatal("no transactions committed")
 	}
 	for _, tx := range res.Block.Txs[:3] {
-		tl := rec.Timeline(tx.Hash())
+		tl, err := rec.TimelineByPrefix(tx.Hash().String())
+		if err != nil {
+			t.Fatal(err)
+		}
 		have := map[flight.EventKind]bool{}
 		for _, ev := range tl {
 			have[ev.Kind] = true

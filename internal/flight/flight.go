@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blockpilot/internal/telemetry"
 	"blockpilot/internal/types"
 )
 
@@ -143,33 +144,21 @@ type Event struct {
 // ring is one worker's event buffer. The owning worker is the only steady-
 // state writer, so the mutex is uncontended except against snapshots.
 type ring struct {
-	mu     sync.Mutex
-	buf    []Event
-	next   int
-	filled bool
-	total  uint64
-	_      [32]byte // keep neighbouring rings' mutexes apart
+	mu  sync.Mutex
+	buf telemetry.Ring[Event]
+	_   [32]byte // keep neighbouring rings' mutexes apart
 }
 
 func (rg *ring) record(ev Event) {
 	rg.mu.Lock()
-	rg.buf[rg.next] = ev
-	rg.next++
-	rg.total++
-	if rg.next == len(rg.buf) {
-		rg.next = 0
-		rg.filled = true
-	}
+	rg.buf.Push(ev)
 	rg.mu.Unlock()
 }
 
 func (rg *ring) snapshot(out []Event) []Event {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
-	if rg.filled {
-		out = append(out, rg.buf[rg.next:]...)
-	}
-	return append(out, rg.buf[:rg.next]...)
+	return rg.buf.AppendTo(out)
 }
 
 // Options sizes a Recorder.
@@ -227,7 +216,7 @@ func NewRecorder(o Options) *Recorder {
 		hotSenders: NewTopK[types.Address](o.TopK),
 	}
 	for i := range r.rings {
-		r.rings[i].buf = make([]Event, o.RingCapacity)
+		r.rings[i].buf = telemetry.NewRing[Event](o.RingCapacity)
 	}
 	return r
 }
@@ -261,9 +250,6 @@ func Active() *Recorder { return active.Load() }
 // Enabled reports whether a recorder is installed.
 func Enabled() bool { return active.Load() != nil }
 
-// Start returns the recorder's epoch (TS = 0).
-func (r *Recorder) Start() time.Time { return r.start }
-
 // record stamps and stores one event into the worker's ring.
 func (r *Recorder) record(worker int, ev Event) {
 	ev.TS = time.Since(r.start).Nanoseconds()
@@ -293,22 +279,10 @@ func (r *Recorder) Total() uint64 {
 	var n uint64
 	for i := range r.rings {
 		r.rings[i].mu.Lock()
-		n += r.rings[i].total
+		n += r.rings[i].buf.Total()
 		r.rings[i].mu.Unlock()
 	}
 	return n
-}
-
-// Timeline returns the buffered lifecycle of one transaction, oldest first.
-func (r *Recorder) Timeline(tx types.Hash) []Event {
-	all := r.Events()
-	out := make([]Event, 0, 16)
-	for _, ev := range all {
-		if ev.Tx == tx {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------

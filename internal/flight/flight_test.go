@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"blockpilot/internal/telemetry"
+	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 )
 
@@ -107,7 +108,10 @@ func TestTimelineLifecycle(t *testing.T) {
 	Verify(tx, true, 5)
 	Commit(0, other, 1, 5)
 
-	tl := Active().Timeline(tx.Hash())
+	tl, err := Active().TimelineByPrefix(tx.Hash().String())
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantKinds := []EventKind{
 		EvAdmit, EvPop, EvExecStart, EvExecEnd, EvAbort, EvRequeue,
 		EvPop, EvExecStart, EvExecEnd, EvCommit, EvSeal,
@@ -276,11 +280,12 @@ func TestWriteTracePerfetto(t *testing.T) {
 	r.record(WorkerSystem, Event{Kind: EvBlockSubmit, Height: 1})
 	r.record(WorkerSystem, Event{Kind: EvBlockDone, Aux: 1, Height: 1})
 
-	spans := []telemetry.TraceEvent{
-		{Name: "proposer.propose", Height: 1, Start: r.Start().Add(time.Microsecond), Dur: 5 * time.Millisecond},
-	}
+	// The proposer's whole packing run: one seal span from the block tracer.
+	c := trace.NewCollector(8)
+	sealStart := r.start.Add(time.Microsecond)
+	c.RecordSpan("proposer", trace.StageSeal, types.Hash{7}, 1, sealStart, sealStart.Add(5*time.Millisecond))
 	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf, spans); err != nil {
+	if err := r.WriteTrace(&buf, c.Spans()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -319,23 +324,25 @@ func TestWriteTracePerfetto(t *testing.T) {
 			if ev.Pid != pidValidator {
 				t.Fatalf("replay slice on pid %d", ev.Pid)
 			}
-		case ev.Ph == "X" && ev.Name == "proposer.propose":
+		case ev.Ph == "X" && strings.HasPrefix(ev.Name, "seal "):
 			phaseSlices++
-			if ev.Pid != pidPipeline || ev.Dur != 5000 {
-				t.Fatalf("phase span pid=%d dur=%f, want pid=%d dur=5000µs", ev.Pid, ev.Dur, pidPipeline)
+			if ev.Pid != pidBlocks || ev.Dur != 5000 {
+				t.Fatalf("phase span pid=%d dur=%f, want pid=%d dur=5000µs", ev.Pid, ev.Dur, pidBlocks)
 			}
+		case ev.Ph == "X":
+			t.Fatalf("unexpected slice %q on pid %d: phases belong to the blocks process only", ev.Name, ev.Pid)
 		case ev.Ph == "i":
 			instants++
 		}
 	}
-	if len(procNames) != 3 {
-		t.Fatalf("process_name metadata = %v, want proposer/validator/pipeline", procNames)
+	if len(procNames) != 4 {
+		t.Fatalf("process_name metadata = %v, want proposer/validator/pipeline/blocks", procNames)
 	}
 	if slices != 2 {
 		t.Fatalf("paired %d complete slices, want 2 (exec + replay)", slices)
 	}
 	if phaseSlices != 1 {
-		t.Fatal("telemetry span missing from the pipeline process")
+		t.Fatal("seal span missing from the blocks process")
 	}
 	// abort instant + block_submit + block_done at minimum.
 	if instants < 3 {

@@ -11,12 +11,11 @@
 package flight
 
 import (
-	"encoding/json"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"blockpilot/internal/telemetry"
+	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 )
 
@@ -27,33 +26,17 @@ func init() {
 	telemetry.RegisterHTTP("/flight/trace.json", http.HandlerFunc(serveTraceJSON))
 }
 
-// requireRecorder fetches the active recorder or writes a 503.
-func requireRecorder(w http.ResponseWriter) *Recorder {
-	r := Active()
-	if r == nil {
-		http.Error(w, "flight recorder not enabled (run with -flight)", http.StatusServiceUnavailable)
-	}
-	return r
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 func serveEvents(w http.ResponseWriter, req *http.Request) {
-	r := requireRecorder(w)
+	r := telemetry.Require(w, Active(), "flight recorder", "-flight")
 	if r == nil {
 		return
 	}
-	writeJSON(w, Views(r.Events()))
+	telemetry.WriteJSON(w, Views(r.Events()))
 }
 
 // serveTxTrace serves /flight/txtrace?tx=0x… — the per-tx timeline payload.
 func serveTxTrace(w http.ResponseWriter, req *http.Request) {
-	r := requireRecorder(w)
+	r := telemetry.Require(w, Active(), "flight recorder", "-flight")
 	if r == nil {
 		return
 	}
@@ -67,31 +50,25 @@ func serveTxTrace(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, Views(evs))
+	telemetry.WriteJSON(w, Views(evs))
 }
 
 func serveHotKeys(w http.ResponseWriter, req *http.Request) {
-	r := requireRecorder(w)
+	r := telemetry.Require(w, Active(), "flight recorder", "-flight")
 	if r == nil {
 		return
 	}
-	topN := 10
-	if s := req.URL.Query().Get("n"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			topN = n
-		}
-	}
-	writeJSON(w, r.Attribution(topN))
+	telemetry.WriteJSON(w, r.Attribution(telemetry.QueryN(req))) // 0 = the default top-N
 }
 
 func serveTraceJSON(w http.ResponseWriter, req *http.Request) {
-	r := requireRecorder(w)
+	r := telemetry.Require(w, Active(), "flight recorder", "-flight")
 	if r == nil {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.Header().Set("Content-Disposition", `attachment; filename="trace.json"`)
-	_ = r.WriteTrace(w, telemetry.Default().Tracer().Events())
+	_ = r.WriteTrace(w, trace.Active().Spans())
 }
 
 // TimelineByPrefix resolves a hex tx-hash string (full or unique prefix,

@@ -1,5 +1,5 @@
 // Chrome trace-event export: renders the flight-recorder event stream plus
-// the telemetry span ring as a Chrome JSON trace that loads directly in
+// the block tracer's spans as a Chrome JSON trace that loads directly in
 // Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 // Track layout:
@@ -9,10 +9,7 @@
 //	                    drop as instant ("i") events
 //	pid 2 "validator" — one tid per execution lane: replay slices plus
 //	                    assign/verify instants
-//	pid 3 "pipeline"  — phase spans from the telemetry trace ring
-//	                    (proposer.propose, pipeline.prepare/execute/
-//	                    validate/commit, validator.block, …), one tid per
-//	                    span name, plus block_submit/block_done instants
+//	pid 3 "pipeline"  — block_submit/block_done instants
 //	pid 4 "blocks"    — block lifecycle spans from internal/trace (seal,
 //	                    transfer, queue, prepare, execute, verify, commit,
 //	                    …), one tid per node, stitched by trace id
@@ -21,9 +18,9 @@ package flight
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"sort"
 
-	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 )
@@ -58,20 +55,13 @@ func metaEvent(pid, tid int, kind, name string) traceEvent {
 
 func short(h types.Hash) string { return h.String()[:10] }
 
-// WriteTrace renders the recorder's buffered events (and, when spans is
-// non-nil, the telemetry span ring) as a Chrome JSON trace. Span start
-// times are re-based onto the recorder's epoch so both sources share one
-// timeline.
-func (r *Recorder) WriteTrace(w io.Writer, spans []telemetry.TraceEvent) error {
-	return r.WriteTraceMerged(w, spans, nil)
-}
-
-// WriteTraceMerged is WriteTrace plus a fourth process ("blocks") carrying
-// block lifecycle spans from internal/trace: one thread per node, every
-// span a complete slice tagged with its trace id, block hash and stage, so
-// the cross-node path of one block reads as aligned slices under a single
+// WriteTrace renders the recorder's buffered events and the given block
+// lifecycle spans as a Chrome JSON trace. The spans land on their own process
+// ("blocks"): one thread per node, every span a complete slice tagged with
+// its trace id, block hash and stage and re-based onto the recorder's epoch,
+// so the cross-node path of one block reads as aligned slices under a single
 // timeline shared with the per-tx flight events.
-func (r *Recorder) WriteTraceMerged(w io.Writer, spans []telemetry.TraceEvent, blocks []trace.Span) error {
+func (r *Recorder) WriteTrace(w io.Writer, blocks []trace.Span) error {
 	evs := r.Events()
 	out := traceFile{DisplayTimeUnit: "ms"}
 
@@ -164,31 +154,6 @@ func (r *Recorder) WriteTraceMerged(w io.Writer, spans []telemetry.TraceEvent, b
 		}
 	}
 
-	// Telemetry phase spans on the pipeline process, one tid per span name.
-	if len(spans) > 0 {
-		nameTid := map[string]int{}
-		names := make([]string, 0, 8)
-		for _, sp := range spans {
-			if _, ok := nameTid[sp.Name]; !ok {
-				names = append(names, sp.Name)
-			}
-			nameTid[sp.Name] = 0
-		}
-		sort.Strings(names)
-		for i, n := range names {
-			nameTid[n] = i + 1
-			out.TraceEvents = append(out.TraceEvents, metaEvent(pidPipeline, i+1, "thread_name", "phase:"+n))
-		}
-		for _, sp := range spans {
-			rel := sp.Start.Sub(r.start).Nanoseconds()
-			out.TraceEvents = append(out.TraceEvents, traceEvent{
-				Name: sp.Name, Ph: "X", TS: us(rel), Dur: us(sp.Dur.Nanoseconds()),
-				Pid: pidPipeline, Tid: nameTid[sp.Name],
-				Args: map[string]any{"height": sp.Height},
-			})
-		}
-	}
-
 	// Block lifecycle spans on their own process, one tid per node.
 	if len(blocks) > 0 {
 		out.TraceEvents = append(out.TraceEvents, metaEvent(pidBlocks, 0, "process_name", "blocks"))
@@ -227,4 +192,18 @@ func (r *Recorder) WriteTraceMerged(w io.Writer, spans []telemetry.TraceEvent, b
 
 	enc := json.NewEncoder(w)
 	return enc.Encode(&out)
+}
+
+// WriteTraceFile writes the trace of the recorder and of the installed block
+// tracer (if any) to path: what -flight-out and -trace-out produce.
+func (r *Recorder) WriteTraceFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := r.WriteTrace(f, trace.Active().Spans())
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }

@@ -3,10 +3,11 @@ package flight
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
-	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 )
@@ -72,9 +73,8 @@ func validateSchema(t *testing.T, f exportFile) {
 	}
 }
 
-// TestWriteTraceMergedSchema drives all three sources — flight events,
-// telemetry phase spans, block lifecycle spans — through one export and
-// schema-validates the result.
+// TestWriteTraceMergedSchema drives both sources — flight events and block
+// lifecycle spans — through the one export and schema-validates the result.
 func TestWriteTraceMergedSchema(t *testing.T) {
 	r := NewRecorder(Options{Rings: 1, RingCapacity: 64})
 	var tx types.Hash
@@ -82,10 +82,6 @@ func TestWriteTraceMergedSchema(t *testing.T) {
 	r.record(3, Event{Kind: EvExecStart, Tx: tx, Height: 7})
 	r.record(3, Event{Kind: EvExecEnd, Tx: tx, Height: 7})
 	r.record(WorkerSystem, Event{Kind: EvBlockSubmit, Height: 7, Aux: 1})
-
-	spans := []telemetry.TraceEvent{
-		{Name: "pipeline.execute", Height: 7, Start: r.start.Add(time.Millisecond), Dur: 2 * time.Millisecond},
-	}
 
 	c := trace.NewCollector(64)
 	var blk types.Hash
@@ -96,7 +92,7 @@ func TestWriteTraceMergedSchema(t *testing.T) {
 	c.RecordSpan("v0", trace.StageCommit, blk, 7, base.Add(2*time.Millisecond), base.Add(3*time.Millisecond))
 
 	var buf bytes.Buffer
-	if err := r.WriteTraceMerged(&buf, spans, c.Spans()); err != nil {
+	if err := r.WriteTrace(&buf, c.Spans()); err != nil {
 		t.Fatal(err)
 	}
 	f := decodeTrace(t, &buf)
@@ -132,7 +128,7 @@ func TestWriteTraceMergedBlockOrdering(t *testing.T) {
 	c.RecordSpan("v0", trace.StageCommit, blk, 3, base.Add(8*time.Millisecond), base.Add(9*time.Millisecond))
 
 	var buf bytes.Buffer
-	if err := r.WriteTraceMerged(&buf, nil, c.Spans()); err != nil {
+	if err := r.WriteTrace(&buf, c.Spans()); err != nil {
 		t.Fatal(err)
 	}
 	f := decodeTrace(t, &buf)
@@ -186,7 +182,7 @@ func TestWriteTraceMergedBlockOrdering(t *testing.T) {
 func TestWriteTraceMergedEmpty(t *testing.T) {
 	r := NewRecorder(Options{Rings: 1, RingCapacity: 8})
 	var buf bytes.Buffer
-	if err := r.WriteTraceMerged(&buf, nil, nil); err != nil {
+	if err := r.WriteTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	f := decodeTrace(t, &buf)
@@ -196,12 +192,50 @@ func TestWriteTraceMergedEmpty(t *testing.T) {
 			t.Fatalf("empty export contains non-metadata event %+v", ev)
 		}
 	}
-	// Legacy entry point must keep producing the same empty-but-valid shape.
-	var buf2 bytes.Buffer
-	if err := r.WriteTrace(&buf2, nil); err != nil {
+}
+
+// TestWriteTraceFile: the one helper behind -flight-out / -trace-out writes
+// the recorder plus the installed block tracer's spans, works with no tracer
+// installed, and reports an unwritable path.
+func TestWriteTraceFile(t *testing.T) {
+	trace.Disable()
+	t.Cleanup(func() { trace.Disable() })
+	r := NewRecorder(Options{Rings: 1, RingCapacity: 8})
+	r.record(WorkerSystem, Event{Kind: EvBlockSubmit, Height: 1})
+	slicesIn := func(path string) int {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := decodeTrace(t, bytes.NewBuffer(raw))
+		validateSchema(t, f)
+		n := 0
+		for _, ev := range f.TraceEvents {
+			if ev.Pid == pidBlocks && ev.Ph == "X" {
+				n++
+			}
+		}
+		return n
+	}
+
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := r.WriteTraceFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("WriteTrace and WriteTraceMerged(..., nil) diverge on empty input")
+	if n := slicesIn(path); n != 0 {
+		t.Fatalf("no tracer installed, yet %d block slices", n)
+	}
+
+	c := trace.Enable(8)
+	c.RecordSpan("v0", trace.StageCommit, types.Hash{1}, 1, r.start, r.start.Add(time.Millisecond))
+	if err := r.WriteTraceFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if n := slicesIn(path); n != 1 {
+		t.Fatalf("%d block slices, want the installed tracer's 1", n)
+	}
+
+	if err := r.WriteTraceFile(filepath.Join(t.TempDir(), "no", "such", "dir.json")); err == nil {
+		t.Fatal("unwritable path reported no error")
 	}
 }

@@ -119,10 +119,3 @@ func (t *TopK[K]) Decay(factor float64) {
 		}
 	}
 }
-
-// Reset drops every candidate (a hard window cut, vs Decay's soft one).
-func (t *TopK[K]) Reset() {
-	for k := range t.entries {
-		delete(t.entries, k)
-	}
-}

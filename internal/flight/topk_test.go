@@ -153,8 +153,8 @@ func TestTopKDecayEvictionInteraction(t *testing.T) {
 	}
 }
 
-// TestTopKDecayClampAndReset: factor ≥ 1 is a no-op, factor < 0 clears, and
-// Reset drops everything outright.
+// TestTopKDecayClampAndReset: factor ≥ 1 is a no-op, factor < 0 resets the
+// sketch.
 func TestTopKDecayClampAndReset(t *testing.T) {
 	s := NewTopK[string](4)
 	s.Observe("a")
@@ -166,11 +166,6 @@ func TestTopKDecayClampAndReset(t *testing.T) {
 	s.Decay(-1)
 	if s.Len() != 0 {
 		t.Fatalf("Decay(-1) must clear the sketch, Len = %d", s.Len())
-	}
-	s.Observe("b")
-	s.Reset()
-	if s.Len() != 0 {
-		t.Fatalf("Reset must clear the sketch, Len = %d", s.Len())
 	}
 }
 

@@ -1,9 +1,6 @@
 package health
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // disableForTest uninstalls any recorder and restores it afterwards.
 func disableForTest(tb testing.TB) {
@@ -11,74 +8,6 @@ func disableForTest(tb testing.TB) {
 	prev := Active()
 	active.Store(nil)
 	tb.Cleanup(func() { active.Store(prev) })
-}
-
-// TestDisabledPathBudget enforces the zero-cost gate: with no recorder
-// installed the hot-path hooks must be a single atomic load and allocate
-// nothing. Run by `make health-budget` / `make ci`.
-func TestDisabledPathBudget(t *testing.T) {
-	disableForTest(t)
-
-	// Allocation half of the gate: hard zero, checked even under -race.
-	allocs := testing.AllocsPerRun(1000, func() {
-		Heartbeat(CompPipeline)
-		Heartbeat(CompProposer)
-		_ = Enabled()
-		_ = Active()
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled helpers allocated %.1f times per run, want 0", allocs)
-	}
-
-	if testing.Short() {
-		t.Skip("timing half skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("timing half skipped under the race detector")
-	}
-
-	const iters = 2_000_000
-	const budget = 25 * time.Nanosecond
-	best := time.Duration(1<<63 - 1)
-	for attempt := 0; attempt < 3; attempt++ {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			Heartbeat(CompPipeline)
-		}
-		if d := time.Since(start) / iters; d < best {
-			best = d
-		}
-	}
-	if best > budget {
-		t.Fatalf("disabled Heartbeat costs %v per call, budget %v", best, budget)
-	}
-}
-
-func BenchmarkHeartbeatDisabled(b *testing.B) {
-	disableForTest(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Heartbeat(CompPipeline)
-	}
-}
-
-func BenchmarkHeartbeatEnabled(b *testing.B) {
-	r, err := New(Options{
-		Runtime: func() RuntimeStats { return RuntimeStats{} },
-		Probe:   func() (map[string]float64, map[string]float64) { return nil, nil },
-		Rules:   []Rule{},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	prev := Active()
-	active.Store(r)
-	b.Cleanup(func() { active.Store(prev) })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Heartbeat(CompPipeline)
-	}
 }
 
 func BenchmarkPoll(b *testing.B) {

@@ -15,6 +15,7 @@ import (
 
 	"blockpilot/internal/flight"
 	"blockpilot/internal/telemetry"
+	"blockpilot/internal/trace"
 )
 
 // incidentBundle is the incident.json payload: the incident plus the sample
@@ -56,8 +57,12 @@ func writeBundle(baseDir string, inc *Incident, window []Sample, reg *telemetry.
 	if fr := flight.Active(); fr != nil {
 		keep(writeJSON(filepath.Join(dir, "flight.json"), fr.Events()))
 	}
-	if ev := reg.Tracer().Events(); len(ev) > 0 {
-		keep(writeJSON(filepath.Join(dir, "trace.json"), ev))
+	if spans := trace.Active().Spans(); len(spans) > 0 {
+		views := make([]trace.SpanView, len(spans))
+		for i := range spans {
+			views[i] = spans[i].View()
+		}
+		keep(writeJSON(filepath.Join(dir, "trace.json"), views))
 	}
 	return dir, firstErr
 }

@@ -6,15 +6,14 @@
 // emits auto-triage Incident bundles (goroutine dump, telemetry snapshot,
 // recent samples) when one fires.
 //
-// Like flight and trace, the package is budget-gated: with no recorder
-// enabled, the hot-path hooks (Heartbeat, Enabled) are a single atomic
-// pointer load — see TestDisabledPathBudget.
+// The package has no hot-path hook: progress is read from the telemetry
+// counters the proposer, validator and pipeline bump unconditionally, so a
+// node without -health pays nothing for it.
 package health
 
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -34,28 +33,6 @@ type Sample struct {
 	Counters map[string]float64 `json:"counters,omitempty"`
 	Deltas   map[string]float64 `json:"deltas,omitempty"`
 	Gauges   map[string]float64 `json:"gauges,omitempty"`
-}
-
-// Component identifies a heartbeat source. Heartbeats are liveness pulses
-// from hot paths (pipeline outcome emission, proposer commits) folded into
-// each sample as health_heartbeat_* counters, giving the watchdog a
-// progress signal that works even when telemetry itself is disabled.
-type Component uint8
-
-const (
-	CompPipeline Component = iota
-	CompProposer
-	numComponents
-)
-
-func (c Component) String() string {
-	switch c {
-	case CompPipeline:
-		return "pipeline"
-	case CompProposer:
-		return "proposer"
-	}
-	return fmt.Sprintf("component(%d)", int(c))
 }
 
 // Options configures a Recorder. The zero value is usable: 250ms interval,
@@ -119,12 +96,8 @@ func (o *Options) normalize() {
 type Recorder struct {
 	opts Options
 
-	heartbeats [numComponents]atomic.Uint64
-
 	mu           sync.Mutex
-	ring         []Sample // fixed capacity, write index head
-	head         int
-	count        int
+	ring         telemetry.Ring[Sample]
 	seq          uint64
 	prevCounters map[string]float64
 	enc          *json.Encoder
@@ -151,7 +124,7 @@ func New(opts Options) (*Recorder, error) {
 	opts.normalize()
 	r := &Recorder{
 		opts: opts,
-		ring: make([]Sample, opts.RingCapacity),
+		ring: telemetry.NewRing[Sample](opts.RingCapacity),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -212,10 +185,7 @@ func (r *Recorder) Poll() {
 		counters, gauges = scrapeRegistry(r.opts.Registry)
 	}
 	if counters == nil {
-		counters = map[string]float64{}
-	}
-	for c := Component(0); c < numComponents; c++ {
-		counters["health_heartbeat_"+c.String()] = float64(r.heartbeats[c].Load())
+		counters = map[string]float64{} // non-nil: the next sample's baseline
 	}
 
 	r.mu.Lock()
@@ -231,11 +201,7 @@ func (r *Recorder) Poll() {
 	}
 	r.prevCounters = counters
 
-	r.ring[r.head] = s
-	r.head = (r.head + 1) % len(r.ring)
-	if r.count < len(r.ring) {
-		r.count++
-	}
+	r.ring.Push(s)
 	if r.enc != nil {
 		_ = r.enc.Encode(&s)
 	}
@@ -312,15 +278,7 @@ func (r *Recorder) Series() []Sample {
 }
 
 func (r *Recorder) seriesLocked() []Sample {
-	out := make([]Sample, 0, r.count)
-	start := r.head - r.count
-	if start < 0 {
-		start += len(r.ring)
-	}
-	for i := 0; i < r.count; i++ {
-		out = append(out, r.ring[(start+i)%len(r.ring)])
-	}
-	return out
+	return r.ring.AppendTo(make([]Sample, 0, r.ring.Len()))
 }
 
 // Incidents returns recorded incidents in firing order, plus the count of
@@ -342,9 +300,6 @@ var active atomic.Pointer[Recorder]
 // is disabled. One atomic load.
 func Active() *Recorder { return active.Load() }
 
-// Enabled reports whether a global recorder is running. One atomic load.
-func Enabled() bool { return active.Load() != nil }
-
 // Enable builds, starts, and installs the process-global recorder. An
 // already-active recorder is stopped first.
 func Enable(opts Options) (*Recorder, error) {
@@ -364,14 +319,4 @@ func Disable() {
 	if prev := active.Swap(nil); prev != nil {
 		prev.Stop()
 	}
-}
-
-// Heartbeat is the hot-path liveness pulse. Disabled cost: one atomic
-// pointer load and a nil check, zero allocations.
-func Heartbeat(c Component) {
-	r := active.Load()
-	if r == nil {
-		return
-	}
-	r.heartbeats[c].Add(1)
 }

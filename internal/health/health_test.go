@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"blockpilot/internal/telemetry"
 )
 
 // fakeClock advances a deterministic amount per call.
@@ -116,28 +118,6 @@ func TestCounterDeltas(t *testing.T) {
 	}
 }
 
-func TestHeartbeatCountersInSamples(t *testing.T) {
-	r := testRecorder(t, Options{}, nil)
-	prev := Active()
-	active.Store(r)
-	t.Cleanup(func() { active.Store(prev) })
-
-	r.Poll()
-	Heartbeat(CompPipeline)
-	Heartbeat(CompPipeline)
-	Heartbeat(CompProposer)
-	r.Poll()
-
-	s := r.Series()
-	last := s[len(s)-1]
-	if got := last.Counters["health_heartbeat_pipeline"]; got != 2 {
-		t.Fatalf("pipeline heartbeat = %v, want 2", got)
-	}
-	if got := last.Deltas["health_heartbeat_proposer"]; got != 1 {
-		t.Fatalf("proposer heartbeat delta = %v, want 1", got)
-	}
-}
-
 func TestJSONLSpill(t *testing.T) {
 	var buf bytes.Buffer
 	p := &probeState{counters: map[string]float64{"x_total": 1}}
@@ -175,7 +155,7 @@ func TestHealthSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer Disable()
-	if !Enabled() || Active() != r {
+	if Active() != r {
 		t.Fatal("Enable did not install the recorder")
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -185,9 +165,13 @@ func TestHealthSmoke(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	Heartbeat(CompPipeline)
+	// The progress signal is a plain telemetry counter, scraped from the live
+	// registry: pulse the one the proposer bumps per commit.
+	const pulse = "blockpilot_proposer_commits_total"
+	base := r.Series()[0].Counters[pulse]
+	telemetry.ProposerCommits.Inc()
 	Disable()
-	if Enabled() {
+	if Active() != nil {
 		t.Fatal("Disable left the recorder installed")
 	}
 	s := r.Series()
@@ -195,12 +179,9 @@ func TestHealthSmoke(t *testing.T) {
 	if last.Runtime.Goroutines <= 0 || last.Runtime.HeapInUseBytes == 0 {
 		t.Fatalf("live runtime stats look empty: %+v", last.Runtime)
 	}
-	if _, ok := last.Counters["health_heartbeat_pipeline"]; !ok {
-		t.Fatal("samples lack heartbeat counters")
-	}
-	// Stop() took a final sample after the heartbeat above.
-	if last.Counters["health_heartbeat_pipeline"] != 1 {
-		t.Fatalf("heartbeat counter = %v, want 1", last.Counters["health_heartbeat_pipeline"])
+	// Stop() took a final sample after the pulse above.
+	if got, ok := last.Counters[pulse]; !ok || got != base+1 {
+		t.Fatalf("%s = %v (present %v), want %v", pulse, got, ok, base+1)
 	}
 }
 

@@ -9,9 +9,7 @@
 package health
 
 import (
-	"encoding/json"
 	"net/http"
-	"strconv"
 
 	"blockpilot/internal/telemetry"
 )
@@ -19,22 +17,6 @@ import (
 func init() {
 	telemetry.RegisterHTTP("/health/series", http.HandlerFunc(serveSeries))
 	telemetry.RegisterHTTP("/health/incidents", http.HandlerFunc(serveIncidents))
-}
-
-// requireRecorder fetches the active recorder or writes a 503.
-func requireRecorder(w http.ResponseWriter) *Recorder {
-	r := Active()
-	if r == nil {
-		http.Error(w, "health recorder not enabled (run with -health)", http.StatusServiceUnavailable)
-	}
-	return r
-}
-
-func writeHTTPJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
 
 // SeriesPayload is the /health/series answer.
@@ -50,24 +32,22 @@ type IncidentsPayload struct {
 }
 
 func serveSeries(w http.ResponseWriter, req *http.Request) {
-	r := requireRecorder(w)
+	r := telemetry.Require(w, Active(), "health recorder", "-health")
 	if r == nil {
 		return
 	}
 	samples := r.Series()
-	if s := req.URL.Query().Get("n"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 && n < len(samples) {
-			samples = samples[len(samples)-n:]
-		}
+	if n := telemetry.QueryN(req); n > 0 && n < len(samples) {
+		samples = samples[len(samples)-n:]
 	}
-	writeHTTPJSON(w, SeriesPayload{IntervalS: r.Interval().Seconds(), Samples: samples})
+	telemetry.WriteJSON(w, SeriesPayload{IntervalS: r.Interval().Seconds(), Samples: samples})
 }
 
 func serveIncidents(w http.ResponseWriter, req *http.Request) {
-	r := requireRecorder(w)
+	r := telemetry.Require(w, Active(), "health recorder", "-health")
 	if r == nil {
 		return
 	}
 	incidents, dropped := r.Incidents()
-	writeHTTPJSON(w, IncidentsPayload{Incidents: incidents, Dropped: dropped})
+	telemetry.WriteJSON(w, IncidentsPayload{Incidents: incidents, Dropped: dropped})
 }

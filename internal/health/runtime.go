@@ -67,9 +67,6 @@ func bucketEdges(h *metrics.Float64Histogram, i int) (lo, hi float64) {
 	if math.IsInf(hi, 1) {
 		hi = lo
 	}
-	if math.IsInf(lo, -1) || math.IsInf(hi, 1) { // fully unbounded bucket
-		return 0, 0
-	}
 	return lo, hi
 }
 

@@ -137,7 +137,9 @@ type StallRule struct {
 }
 
 // NewStallRule returns the production stall detector wired to the pipeline
-// in-flight gauges and the commit-progress counters plus heartbeats.
+// in-flight gauges and the progress counters: a validated block, a rejected
+// block (an outcome is progress even when it is a refusal) and a proposer
+// commit.
 func NewStallRule() *StallRule {
 	return &StallRule{
 		WorkGauges: []string{
@@ -146,9 +148,8 @@ func NewStallRule() *StallRule {
 		},
 		ProgressCounters: []string{
 			"blockpilot_validator_blocks_total",
+			"blockpilot_validator_rejects_total",
 			"blockpilot_proposer_commits_total",
-			"health_heartbeat_pipeline",
-			"health_heartbeat_proposer",
 		},
 	}
 }

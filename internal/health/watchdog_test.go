@@ -6,6 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"blockpilot/internal/trace"
+	"blockpilot/internal/types"
 )
 
 // stallProbe produces a stalled pipeline: work in flight, no progress.
@@ -86,6 +90,36 @@ func TestStallRuleNoFlapOnNoisyTick(t *testing.T) {
 	}
 	if inc, _ := r.Incidents(); len(inc) != 0 {
 		t.Fatalf("watchdog flapped on noisy ticks: %+v", inc)
+	}
+}
+
+// TestProductionStallRuleFromCounters drives NewStallRule — the rule a
+// node runs — from the three telemetry counters alone. A wedged pipeline
+// (blocks in flight, none of the three moving) fires exactly once; a
+// pipeline whose every outcome is a rejection is busy, not wedged: a
+// rejected block is an outcome, and the rejects counter says so.
+func TestProductionStallRuleFromCounters(t *testing.T) {
+	const rejects = "blockpilot_validator_rejects_total"
+	p := stallProbe()
+	p.counters[rejects] = 0
+	r := testRecorder(t, Options{Rules: []Rule{NewStallRule()}}, p)
+	for i := 0; i < 12; i++ {
+		r.Poll()
+	}
+	inc, _ := r.Incidents()
+	if len(inc) != 1 || inc[0].Rule != "stall" {
+		t.Fatalf("wedged pipeline: incidents = %+v, want exactly one stall", inc)
+	}
+
+	p = stallProbe()
+	p.counters[rejects] = 0
+	r = testRecorder(t, Options{Rules: []Rule{NewStallRule()}}, p)
+	for i := 0; i < 12; i++ {
+		p.counters[rejects]++ // every outcome a rejected block
+		r.Poll()
+	}
+	if inc, _ := r.Incidents(); len(inc) != 0 {
+		t.Fatalf("reject-only run read as a stall: %+v", inc)
 	}
 }
 
@@ -208,6 +242,10 @@ func TestDeterministicIncidents(t *testing.T) {
 func TestIncidentBundleContents(t *testing.T) {
 	dir := t.TempDir()
 	p := stallProbe()
+	// An installed block tracer contributes its spans as trace.json.
+	tr := trace.Enable(8)
+	t.Cleanup(func() { trace.Disable() })
+	tr.RecordSpan("v0", trace.StageCommit, types.Hash{1}, 1, time.Unix(1, 0), time.Unix(2, 0))
 	r := testRecorder(t, Options{
 		IncidentDir: dir,
 		Rules: []Rule{&StallRule{
@@ -263,6 +301,18 @@ func TestIncidentBundleContents(t *testing.T) {
 	}
 	if _, ok := snap["counters"]; !ok {
 		t.Fatal("telemetry.json lacks counters")
+	}
+
+	var spans []trace.SpanView
+	raw, err = os.ReadFile(filepath.Join(inc[0].BundleDir, "trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &spans); err != nil {
+		t.Fatalf("trace.json invalid: %v", err)
+	}
+	if len(spans) != 1 || spans[0].Stage != "commit" || spans[0].Node != "v0" || spans[0].DurNS != int64(time.Second) {
+		t.Fatalf("trace.json = %+v, want the collector's one commit span", spans)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"blockpilot/internal/chain"
 	"blockpilot/internal/flight"
-	"blockpilot/internal/health"
 	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
@@ -245,7 +244,6 @@ func (p *Pipeline) run(pb *pendingBlock) {
 	telemetry.PipelineBlockSeconds.ObserveDuration(out.Elapsed)
 	flight.BlockDone(block.Header.Number, out.Err == nil)
 	p.results <- out
-	health.Heartbeat(health.CompPipeline)
 
 	p.mu.Lock()
 	if out.Err == nil {
@@ -279,7 +277,6 @@ func (p *Pipeline) failSubtreeLocked(parent types.Hash, cause error) int {
 	n := len(children)
 	for _, c := range children {
 		p.results <- Outcome{Block: c.block, Err: cause, Elapsed: time.Since(c.arrived)}
-		health.Heartbeat(health.CompPipeline)
 		n += p.failSubtreeLocked(c.block.Hash(), cause)
 	}
 	return n

@@ -3,8 +3,13 @@ package pipeline
 import (
 	"testing"
 
+	"blockpilot/internal/chain"
+	"blockpilot/internal/core"
+	"blockpilot/internal/mempool"
 	"blockpilot/internal/telemetry"
+	"blockpilot/internal/trace"
 	"blockpilot/internal/validator"
+	"blockpilot/internal/workload"
 )
 
 // TestEndToEndTelemetry drives the full propose → pipeline path with
@@ -14,6 +19,8 @@ import (
 func TestEndToEndTelemetry(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()
+	tr := trace.Enable(0)
+	defer trace.Disable()
 	before := telemetry.TakeSnapshot()
 
 	c, heights := buildChain(t, 3, 0)
@@ -64,15 +71,88 @@ func TestEndToEndTelemetry(t *testing.T) {
 	if v := after.Gauge("blockpilot_pipeline_blocks_inflight"); v != 0 {
 		t.Errorf("inflight gauge = %f after Close, want 0", v)
 	}
-	// Phase spans landed in the trace ring with height labels.
+	// The same phases landed in the block tracer with height labels.
 	found := false
-	for _, ev := range telemetry.Default().Tracer().Events() {
-		if ev.Name == "pipeline.commit" && ev.Height >= 1 {
+	for _, sp := range tr.Spans() {
+		if sp.Stage == trace.StageCommit && sp.Height >= 1 {
 			found = true
 			break
 		}
 	}
 	if !found {
-		t.Error("no pipeline.commit span with a height label in the trace ring")
+		t.Error("no commit span with a height label in the block tracer")
+	}
+}
+
+// TestPhaseTimedOnce: each phase is one interval with two sinks. With
+// telemetry on and a private collector, one proposed and validated block
+// must leave, for seal / prepare / execute / verify / commit, a histogram
+// whose Sum grew by exactly the recorded span's duration — to the nanosecond,
+// which two separate clock pairs around the same code cannot produce.
+func TestPhaseTimedOnce(t *testing.T) {
+	telemetry.Enable()
+	defer telemetry.Disable()
+	tr := trace.NewCollector(0)
+
+	cfg := workload.Default()
+	cfg.NumAccounts = 400
+	cfg.TxPerBlock = 60
+	g := workload.New(cfg)
+	genesis := g.GenesisState()
+	params := chain.DefaultParams()
+	c := chain.NewChain(genesis, params)
+	pool := mempool.New()
+	pool.AddAll(g.NextBlockTxs())
+
+	before := telemetry.TakeSnapshot()
+	res, err := core.Propose(genesis, &c.Genesis().Header, pool, core.ProposerConfig{
+		Threads: 4, Coinbase: coinbase, Time: 1, Tracer: tr,
+	}, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(c, validator.DefaultConfig(4), nil)
+	p.SetTracer(tr)
+	p.Submit(res.Block)
+	p.Close()
+	for out := range p.Results() {
+		if out.Err != nil {
+			t.Fatalf("block %d: %v", out.Block.Number(), out.Err)
+		}
+	}
+	after := telemetry.TakeSnapshot()
+
+	spans := tr.SpansFor(res.Block.Hash())
+	for _, tc := range []struct {
+		stage trace.Stage
+		hist  string
+	}{
+		{trace.StageSeal, "blockpilot_proposer_block_duration_ns"},
+		{trace.StagePrepare, "blockpilot_pipeline_prepare_duration_ns"},
+		{trace.StageExecute, "blockpilot_pipeline_execute_duration_ns"},
+		{trace.StageVerify, "blockpilot_pipeline_validate_duration_ns"},
+		{trace.StageCommit, "blockpilot_pipeline_commit_duration_ns"},
+	} {
+		var span *trace.Span
+		for i := range spans {
+			if spans[i].Stage == tc.stage {
+				if span != nil {
+					t.Fatalf("%s: more than one span for one block", tc.stage)
+				}
+				span = &spans[i]
+			}
+		}
+		if span == nil {
+			t.Errorf("%s: no span recorded", tc.stage)
+			continue
+		}
+		h, prev := after.Histogram(tc.hist), before.Histogram(tc.hist)
+		if h == nil || prev == nil || h.Count-prev.Count != 1 {
+			t.Errorf("%s: histogram %s did not record exactly one observation", tc.stage, tc.hist)
+			continue
+		}
+		if got, want := h.Sum-prev.Sum, uint64(span.Dur()); got != want {
+			t.Errorf("%s: histogram observed %d ns, span lasted %d ns — the phase was timed twice", tc.stage, got, want)
+		}
 	}
 }

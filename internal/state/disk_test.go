@@ -52,7 +52,7 @@ func diskRandChangeSet(r *rand.Rand, base *Snapshot, pool []types.Address) *Chan
 				slot[0] = byte(r.Intn(6))
 				var v uint256.Int
 				if r.Intn(4) != 0 {
-					v = *uint256.NewInt(uint64(1 + r.Intn(1 << 20)))
+					v = *uint256.NewInt(uint64(1 + r.Intn(1<<20)))
 				}
 				ch.Storage[slot] = v
 			}

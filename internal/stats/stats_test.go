@@ -125,10 +125,10 @@ func TestHistogramBuckets(t *testing.T) {
 // samples below the first edge used to land in bucket 0, inflating it.
 func TestHistogramUnderflow(t *testing.T) {
 	h := NewHistogram(10, 20)
-	h.Add(5)   // below first edge
-	h.Add(-3)  // below first edge
-	h.Add(10)  // bucket 0
-	h.Add(25)  // overflow bucket
+	h.Add(5)  // below first edge
+	h.Add(-3) // below first edge
+	h.Add(10) // bucket 0
+	h.Add(25) // overflow bucket
 	if h.Underflow() != 2 {
 		t.Fatalf("underflow = %d, want 2", h.Underflow())
 	}

@@ -53,7 +53,7 @@ func BenchmarkSpanDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp := StartSpan("bench.phase", uint64(i), benchHist)
+		sp := StartSpan(benchHist)
 		sp.End()
 	}
 }
@@ -64,7 +64,7 @@ func BenchmarkSpanEnabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp := StartSpan("bench.phase", uint64(i), benchHist)
+		sp := StartSpan(benchHist)
 		sp.End()
 	}
 }
@@ -99,7 +99,7 @@ func TestDisabledPathBudget(t *testing.T) {
 	for attempt := 0; attempt < 3; attempt++ {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			sp := StartSpan("budget.phase", uint64(i), benchHist)
+			sp := StartSpan(benchHist)
 			benchHist.Observe(uint64(i))
 			sp.End()
 		}

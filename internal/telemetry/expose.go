@@ -1,6 +1,6 @@
-// HTTP exposition: Prometheus text format, JSON snapshots, the trace ring,
-// and net/http/pprof — everything cmd/blockpilot mounts behind
-// -telemetry-addr.
+// HTTP exposition: Prometheus text format, JSON snapshots and net/http/pprof —
+// everything cmd/blockpilot mounts behind -telemetry-addr — plus what the
+// sibling packages' endpoints share: RegisterHTTP, WriteJSON and Require.
 package telemetry
 
 import (
@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -82,7 +83,6 @@ func (s *Snapshot) PrometheusText() string {
 //	/metrics              Prometheus text (or JSON with ?format=json)
 //	/metrics.json         JSON snapshot (indented; ?rates=1 adds windowed
 //	                      per-counter deltas and per-second rates)
-//	/trace                buffered trace events as JSON
 //	/debug/pprof/...      the standard runtime profiles
 //	/                     a plain-text index
 func Handler(r *Registry) http.Handler {
@@ -92,7 +92,7 @@ func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Query().Get("format") == "json" {
-			serveJSON(w, r.Snapshot())
+			WriteJSON(w, r.Snapshot())
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -103,13 +103,10 @@ func Handler(r *Registry) http.Handler {
 		// since the previous rated request (first such request seeds the
 		// baseline and reports values only).
 		if req.URL.Query().Get("rates") == "1" {
-			serveJSON(w, r.SnapshotRates())
+			WriteJSON(w, r.SnapshotRates())
 			return
 		}
-		serveJSON(w, r.Snapshot())
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
-		serveJSON(w, r.Tracer().Events())
+		WriteJSON(w, r.Snapshot())
 	})
 	mux.HandleFunc("/report", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -117,7 +114,7 @@ func Handler(r *Registry) http.Handler {
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		info := ReadRuntimeInfo()
-		serveJSON(w, HealthzPayload{
+		WriteJSON(w, HealthzPayload{
 			Status:           "ok",
 			TelemetryEnabled: Enabled(),
 			UptimeS:          info.UptimeS,
@@ -128,13 +125,11 @@ func Handler(r *Registry) http.Handler {
 		})
 	})
 	extraMu.Lock()
-	extraPaths := make([]string, 0, len(extraHandlers))
-	for path, h := range extraHandlers {
-		mux.Handle(path, h)
-		extraPaths = append(extraPaths, path)
+	extraPaths := sortedKeys(extraHandlers)
+	for _, path := range extraPaths {
+		mux.Handle(path, extraHandlers[path])
 	}
 	extraMu.Unlock()
-	sort.Strings(extraPaths)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -147,7 +142,7 @@ func Handler(r *Registry) http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "blockpilot telemetry endpoints:")
-		for _, p := range []string{"/healthz", "/metrics", "/metrics.json", "/trace", "/report", "/debug/pprof/"} {
+		for _, p := range []string{"/healthz", "/metrics", "/metrics.json", "/report", "/debug/pprof/"} {
 			fmt.Fprintln(w, "  "+p)
 		}
 		for _, p := range extraPaths {
@@ -157,38 +152,51 @@ func Handler(r *Registry) http.Handler {
 	return mux
 }
 
-func serveJSON(w http.ResponseWriter, v any) {
+// WriteJSON answers with v as indented JSON: the one responder behind every
+// JSON endpoint on the mux.
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 }
 
-// Serve starts the exposition server on addr in a background goroutine and
-// enables telemetry. The returned server can be Closed by the caller; the
-// error channel receives the terminal ListenAndServe error.
-func Serve(addr string, r *Registry) (*http.Server, <-chan error) {
-	return ServeContext(context.Background(), addr, r)
+// Require passes an installed recorder through, or — when rec is nil —
+// answers 503 naming what is off and the flag that turns it on. Handlers
+// return when it yields nil.
+func Require[T any](w http.ResponseWriter, rec *T, what, flag string) *T {
+	if rec == nil {
+		http.Error(w, what+" not enabled (run with "+flag+")", http.StatusServiceUnavailable)
+	}
+	return rec
 }
 
-// ServeContext is Serve with lifecycle management: when ctx is cancelled the
-// server drains in-flight requests (up to 2 s) and shuts down, so the
-// listener no longer leaks past the caller's run. The error channel receives
-// the terminal ListenAndServe error; on a clean context shutdown that error
-// is http.ErrServerClosed.
+// QueryN reads the ?n= row limit the list endpoints take: the positive
+// integer given, else 0 (no limit asked for).
+func QueryN(req *http.Request) int {
+	if n, err := strconv.Atoi(req.URL.Query().Get("n")); err == nil && n > 0 {
+		return n
+	}
+	return 0
+}
+
+// ServeContext starts the exposition server on addr in a background
+// goroutine and enables telemetry. When ctx is cancelled the server drains
+// in-flight requests (up to 2 s) and shuts down, so the listener does not
+// leak past the caller's run. The error channel receives the terminal
+// ListenAndServe error; on a clean context shutdown that error is
+// http.ErrServerClosed.
 func ServeContext(ctx context.Context, addr string, r *Registry) (*http.Server, <-chan error) {
 	Enable()
 	srv := &http.Server{Addr: addr, Handler: Handler(r), ReadHeaderTimeout: 5 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	if ctx.Done() != nil { // context.Background() can never fire; skip the watcher
-		go func() {
-			<-ctx.Done()
-			shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(shutCtx)
-		}()
-	}
+	go func() {
+		<-ctx.Done()
+		shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(shutCtx)
+	}()
 	return srv, errc
 }
 

@@ -1,14 +1,16 @@
 // Package telemetry is BlockPilot's dependency-free observability core: an
 // atomic metrics registry (counters, gauges, lock-free sharded latency
-// histograms with exponential buckets) plus lightweight phase-span tracing
-// with a ring-buffered event log.
+// histograms with exponential buckets), a value-type histogram timer, and
+// the pieces the sibling observability packages share — the one Ring
+// (ring.go) and the HTTP mux, JSON responder and 503 guard (expose.go).
+// Block phases are timed by internal/trace, which feeds these histograms.
 //
 // Design constraints (ISSUE 1):
 //
 //   - Hot-path instrumentation is zero-allocation. Counters and gauges are
 //     plain atomics; histograms shard their buckets to dodge false sharing;
 //     spans are value types.
-//   - When telemetry is disabled (the default — no sink attached), spans
+//   - When telemetry is disabled (the default — no sink attached), timers
 //     and histograms reduce to a single atomic load and return: the no-op
 //     path costs a few nanoseconds (see bench_test.go). Counters and gauges
 //     always count — they are single atomic adds and the evaluation
@@ -31,11 +33,11 @@ import (
 	"time"
 )
 
-// enabled gates the time-measuring instrumentation (spans, histograms).
+// enabled gates the time-measuring instrumentation (timers, histograms).
 // Counters and gauges are always live.
 var enabled atomic.Bool
 
-// Enable turns on span timing, histogram recording and trace capture.
+// Enable turns on phase timing and histogram recording.
 func Enable() { enabled.Store(true) }
 
 // Disable returns telemetry to the no-op fast path.
@@ -47,7 +49,6 @@ func Enabled() bool { return enabled.Load() }
 // metric is anything the registry can snapshot.
 type metric interface {
 	metricName() string
-	metricHelp() string
 }
 
 // Registry holds named metrics. Registration happens at package init (cold
@@ -57,7 +58,6 @@ type Registry struct {
 	mu      sync.Mutex
 	ordered []metric
 	byName  map[string]metric
-	tracer  *Tracer
 
 	// Rate baseline for SnapshotRates (guarded by rateMu): counter values
 	// at the previous SnapshotRates call.
@@ -66,9 +66,9 @@ type Registry struct {
 	rateAt   time.Time
 }
 
-// NewRegistry returns an empty registry with its own tracer.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]metric), tracer: NewTracer(DefaultTraceCapacity)}
+	return &Registry{byName: make(map[string]metric)}
 }
 
 // defaultRegistry backs the package-level constructors.
@@ -90,9 +90,6 @@ func (r *Registry) register(m metric) metric {
 	r.ordered = append(r.ordered, m)
 	return m
 }
-
-// Tracer returns the registry's span tracer.
-func (r *Registry) Tracer() *Tracer { return r.tracer }
 
 // ---------------------------------------------------------------------------
 // Counter
@@ -122,7 +119,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 func (c *Counter) metricName() string { return c.name }
-func (c *Counter) metricHelp() string { return c.help }
 
 // ---------------------------------------------------------------------------
 // Gauge
@@ -152,7 +148,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 func (g *Gauge) metricName() string { return g.name }
-func (g *Gauge) metricHelp() string { return g.help }
 
 // FloatGauge is an atomic instantaneous float value (stored as bits).
 type FloatGauge struct {
@@ -176,7 +171,6 @@ func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 func (g *FloatGauge) metricName() string { return g.name }
-func (g *FloatGauge) metricHelp() string { return g.help }
 
 // ---------------------------------------------------------------------------
 // Histogram
@@ -247,11 +241,35 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(uint64(d))
 }
 
-// Unit returns the histogram's value unit annotation.
-func (h *Histogram) Unit() string { return h.unit }
+// Span times one interval into one histogram — for the intervals that are not
+// a block lifecycle stage (those are timed by trace.Collector.Begin). It is a
+// value type: starting and ending one allocates nothing, and the zero Span
+// (telemetry disabled) makes End a no-op.
+type Span struct {
+	start time.Time
+	hist  *Histogram
+}
+
+// StartSpan begins timing into hist. Returns the zero Span while telemetry is
+// disabled.
+func StartSpan(hist *Histogram) Span {
+	if !enabled.Load() {
+		return Span{}
+	}
+	return Span{start: time.Now(), hist: hist}
+}
+
+// End observes the elapsed time and returns it. Safe on the zero Span.
+func (s Span) End() time.Duration {
+	if s.hist == nil {
+		return 0
+	}
+	d := time.Since(s.start)
+	s.hist.ObserveDuration(d)
+	return d
+}
 
 func (h *Histogram) metricName() string { return h.name }
-func (h *Histogram) metricHelp() string { return h.help }
 
 // snapshotInto sums the shards. Individual bucket counts are each read
 // atomically; the aggregate is a monitoring-grade (not transactional) view.
@@ -436,9 +454,6 @@ func (r *Registry) SnapshotRates() *Snapshot {
 	}
 	return s
 }
-
-// TakeSnapshotRates is SnapshotRates on the default registry.
-func TakeSnapshotRates() *Snapshot { return defaultRegistry.SnapshotRates() }
 
 // Counter returns the frozen value of a counter by name (0 if absent).
 func (s *Snapshot) Counter(name string) float64 { return findNumber(s.Counters, name) }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -100,58 +101,53 @@ func TestHistogramDisabledIsNoop(t *testing.T) {
 	}
 }
 
-func TestSpanRecordsHistogramAndTrace(t *testing.T) {
+func TestSpanRecordsHistogram(t *testing.T) {
 	withEnabled(t, true)
 	r := NewRegistry()
 	h := r.NewHistogram("span_ns", "test", "ns")
-	sp := r.StartSpan("phase.test", 42, h)
+	sp := StartSpan(h)
 	time.Sleep(time.Millisecond)
 	d := sp.End()
 	if d <= 0 {
 		t.Fatalf("span duration = %v", d)
 	}
-	if hs := r.Snapshot().Histogram("span_ns"); hs.Count != 1 {
-		t.Fatalf("span histogram count = %d", hs.Count)
-	}
-	evs := r.Tracer().Events()
-	if len(evs) != 1 || evs[0].Name != "phase.test" || evs[0].Height != 42 || evs[0].Dur != d {
-		t.Fatalf("trace events = %+v", evs)
-	}
-	sum := r.Tracer().Summarize()
-	if len(sum) != 1 || sum[0].Count != 1 || sum[0].Name != "phase.test" {
-		t.Fatalf("summary = %+v", sum)
+	if hs := r.Snapshot().Histogram("span_ns"); hs.Count != 1 || hs.Sum != uint64(d) {
+		t.Fatalf("span histogram count = %d sum = %d, want 1 observation of %d", hs.Count, hs.Sum, d)
 	}
 }
 
 func TestSpanDisabledIsZero(t *testing.T) {
 	withEnabled(t, false)
 	r := NewRegistry()
-	sp := r.StartSpan("phase.test", 1, nil)
+	h := r.NewHistogram("span_ns", "test", "ns")
+	sp := StartSpan(h)
 	if d := sp.End(); d != 0 {
 		t.Fatalf("disabled span measured %v", d)
 	}
-	if r.Tracer().Len() != 0 {
-		t.Fatal("disabled span recorded a trace event")
+	withEnabled(t, true) // a span begun while disabled stays a no-op
+	sp.End()
+	if hs := r.Snapshot().Histogram("span_ns"); hs.Count != 0 {
+		t.Fatalf("disabled span recorded %d observations", hs.Count)
 	}
 }
 
-func TestTracerRingWraps(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 10; i++ {
-		tr.Record(TraceEvent{Name: "e", Height: uint64(i)})
-	}
-	if tr.Len() != 4 || tr.Total() != 10 {
-		t.Fatalf("len=%d total=%d", tr.Len(), tr.Total())
-	}
-	evs := tr.Events()
-	for i, ev := range evs {
-		if ev.Height != uint64(6+i) {
-			t.Fatalf("ring order: %+v", evs)
+func TestRingWraps(t *testing.T) {
+	rg := NewRing[uint64](4)
+	for i := uint64(0); i < 10; i++ {
+		old, evicted := rg.Push(i)
+		if evicted != (i >= 4) || (evicted && old != i-4) {
+			t.Fatalf("push %d: old=%d evicted=%v", i, old, evicted)
 		}
 	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Total() != 0 {
-		t.Fatal("reset did not clear")
+	if rg.Len() != 4 || rg.Total() != 10 {
+		t.Fatalf("len=%d total=%d", rg.Len(), rg.Total())
+	}
+	got := rg.AppendTo([]uint64{99})
+	if want := []uint64{99, 6, 7, 8, 9}; !slices.Equal(got, want) {
+		t.Fatalf("ring order: %v, want %v", got, want)
+	}
+	if small := NewRing[int](0); small.Len() != 0 || len(small.buf) != 1 {
+		t.Fatalf("capacity floor: %+v", small)
 	}
 }
 
@@ -222,8 +218,8 @@ func TestHTTPHandler(t *testing.T) {
 	if code, body := get("/metrics.json"); code != 200 || !strings.Contains(body, `"hits_total"`) {
 		t.Fatalf("/metrics.json: %d %q", code, body)
 	}
-	if code, _ := get("/trace"); code != 200 {
-		t.Fatalf("/trace: %d", code)
+	if code, _ := get("/trace"); code != 404 {
+		t.Fatalf("/trace: %d, want 404 (spans are served under /trace/blocks)", code)
 	}
 	if code, body := get("/report"); code != 200 || !strings.Contains(body, "telemetry report") {
 		t.Fatalf("/report: %d %q", code, body)
@@ -289,7 +285,7 @@ func TestConcurrentObservers(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				h.Observe(uint64(w*1000 + i))
-				sp := r.StartSpan("s", uint64(i), nil)
+				sp := StartSpan(h)
 				sp.End()
 			}
 		}(w)
@@ -300,7 +296,7 @@ func TestConcurrentObservers(t *testing.T) {
 	if c.Value() != 8000 {
 		t.Fatalf("counter = %d", c.Value())
 	}
-	if hs := r.Snapshot().Histogram("h"); hs.Count != 8000 {
+	if hs := r.Snapshot().Histogram("h"); hs.Count != 16000 {
 		t.Fatalf("histogram count = %d", hs.Count)
 	}
 }
@@ -314,7 +310,7 @@ func TestZeroAllocationInstrumentation(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		h.Observe(1234)
-		sp := r.StartSpan("phase", 7, h)
+		sp := StartSpan(h)
 		sp.End()
 	}); n != 0 {
 		t.Fatalf("disabled path allocates %.1f per op", n)
@@ -324,7 +320,7 @@ func TestZeroAllocationInstrumentation(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		h.Observe(1234)
-		sp := r.StartSpan("phase", 7, h)
+		sp := StartSpan(h)
 		sp.End()
 	}); n != 0 {
 		t.Fatalf("enabled path allocates %.1f per op", n)

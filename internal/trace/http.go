@@ -12,9 +12,7 @@
 package trace
 
 import (
-	"encoding/json"
 	"net/http"
-	"strconv"
 
 	"blockpilot/internal/telemetry"
 )
@@ -24,28 +22,9 @@ func init() {
 	telemetry.RegisterHTTP("/trace/critical-path", http.HandlerFunc(serveCriticalPath))
 }
 
-// requireCollector fetches the installed collector or replies 503.
-func requireCollector(w http.ResponseWriter) (*Collector, bool) {
-	c := Active()
-	if c == nil {
-		http.Error(w, "block tracer not enabled (start the node with -trace)", http.StatusServiceUnavailable)
-		return nil, false
-	}
-	return c, true
-}
-
-func intQuery(req *http.Request, key string, def int) int {
-	if v := req.URL.Query().Get(key); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-	}
-	return def
-}
-
 func serveBlocks(w http.ResponseWriter, req *http.Request) {
-	c, ok := requireCollector(w)
-	if !ok {
+	c := telemetry.Require(w, Active(), "block tracer", "-trace")
+	if c == nil {
 		return
 	}
 	node := req.URL.Query().Get("node")
@@ -58,32 +37,25 @@ func serveBlocks(w http.ResponseWriter, req *http.Request) {
 			}
 			views = append(views, spans[i].View())
 		}
-		serveJSON(w, views)
+		telemetry.WriteJSON(w, views)
 		return
 	}
 	paths := c.Paths(node)
-	if n := intQuery(req, "n", 0); n > 0 && len(paths) > n {
+	if n := telemetry.QueryN(req); n > 0 && len(paths) > n {
 		paths = paths[len(paths)-n:]
 	}
 	views := make([]PathView, 0, len(paths))
 	for i := range paths {
 		views = append(views, paths[i].View())
 	}
-	serveJSON(w, views)
+	telemetry.WriteJSON(w, views)
 }
 
 func serveCriticalPath(w http.ResponseWriter, req *http.Request) {
-	c, ok := requireCollector(w)
-	if !ok {
+	c := telemetry.Require(w, Active(), "block tracer", "-trace")
+	if c == nil {
 		return
 	}
-	win := c.Window(intQuery(req, "n", 0), req.URL.Query().Get("node"))
-	serveJSON(w, win.View())
-}
-
-func serveJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	win := c.Window(telemetry.QueryN(req), req.URL.Query().Get("node"))
+	telemetry.WriteJSON(w, win.View())
 }

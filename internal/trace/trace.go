@@ -13,11 +13,17 @@
 // telemetry.RegisterHTTP, and render.go draws the per-block waterfall that
 // `bpinspect crit` and cmd/blockpilot print.
 //
+// The package is also the one place a phase's duration is measured: Begin /
+// End read the clock once per boundary and hand that single interval to the
+// stage's telemetry histogram (stageHist) and to the span store, so the two
+// can never disagree.
+//
 // Design constraints (mirroring internal/flight, ISSUE 6):
 //
-//   - The disabled path (the default) is one atomic pointer load and a nil
-//     check: 0 allocations, < 25 ns — enforced by TestDisabledPathBudget,
-//     run by `make ci` (trace-budget).
+//   - The disabled path (the default: no collector, telemetry off) is one
+//     atomic pointer load, one atomic bool load and a nil check: 0
+//     allocations, < 25 ns — enforced by TestDisabledPathBudget, run by
+//     `make ci` (trace-budget).
 //   - Instrumented packages resolve a collector per call site with
 //     Resolve(instance): an explicitly injected *Collector (the cluster
 //     simulator gives every run a private one so parallel runs never share
@@ -32,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blockpilot/internal/telemetry"
 	"blockpilot/internal/types"
 )
 
@@ -75,6 +82,16 @@ var stageNames = [...]string{
 	StageCommit:      "commit",
 	StageStateCommit: "state_commit",
 	StageInsert:      "insert",
+}
+
+// stageHist is the latency histogram each stage's interval feeds while
+// telemetry is enabled; stages without one are stored as spans only.
+var stageHist = [len(stageNames)]*telemetry.Histogram{
+	StageSeal:    telemetry.ProposerBlockSeconds,
+	StagePrepare: telemetry.PipelinePrepareSeconds,
+	StageExecute: telemetry.PipelineExecuteSeconds,
+	StageVerify:  telemetry.PipelineValidateSeconds,
+	StageCommit:  telemetry.PipelineCommitSeconds,
 }
 
 // String returns the stage's wire name.
@@ -123,10 +140,13 @@ func (s *Span) Dur() time.Duration {
 }
 
 // binding ties a block hash to its trace: the shared trace id and the root
-// (seal) span if one was recorded.
+// (seal) span if one was recorded. It lives exactly as long as the ring
+// buffers a span of its block (live counts them), so the table is bounded by
+// the ring's capacity.
 type binding struct {
 	traceID  uint64
 	rootSpan uint64
+	live     int
 }
 
 // DefaultCapacity bounds the span ring (spans, not bytes). Block spans are
@@ -141,10 +161,7 @@ type Collector struct {
 	seq atomic.Uint64 // span + trace id source
 
 	mu      sync.Mutex
-	spans   []Span
-	next    int
-	filled  bool
-	total   uint64
+	spans   telemetry.Ring[Span]
 	byBlock map[types.Hash]*binding
 }
 
@@ -155,7 +172,7 @@ func NewCollector(capacity int) *Collector {
 		capacity = DefaultCapacity
 	}
 	return &Collector{
-		spans:   make([]Span, capacity),
+		spans:   telemetry.NewRing[Span](capacity),
 		byBlock: make(map[types.Hash]*binding),
 	}
 }
@@ -182,9 +199,6 @@ func Disable() *Collector {
 // Active returns the installed collector, or nil when disabled.
 func Active() *Collector { return active.Load() }
 
-// Enabled reports whether a collector is installed.
-func Enabled() bool { return active.Load() != nil }
-
 // Resolve returns the collector a call site should record into: the
 // explicitly injected one when non-nil, the installed process-wide one
 // otherwise. With neither, the nil result makes every method a no-op —
@@ -196,24 +210,16 @@ func Resolve(c *Collector) *Collector {
 	return active.Load()
 }
 
-// bindingFor returns (creating if needed) the block's binding. Caller holds mu.
-func (c *Collector) bindingFor(block types.Hash) *binding {
-	b := c.byBlock[block]
-	if b == nil {
-		b = &binding{traceID: c.seq.Add(1)}
-		c.byBlock[block] = b
-	}
-	return b
-}
-
-// append stores one span in the ring. Caller holds mu.
-func (c *Collector) append(sp Span) {
-	c.spans[c.next] = sp
-	c.next++
-	c.total++
-	if c.next == len(c.spans) {
-		c.next = 0
-		c.filled = true
+// append stores one span of b's block in the ring and drops the binding of
+// the block whose last buffered span it overwrote. Caller holds mu.
+func (c *Collector) append(b *binding, sp Span) {
+	b.live++
+	if old, evicted := c.spans.Push(sp); evicted {
+		if ob := c.byBlock[old.Block]; ob.live > 1 {
+			ob.live--
+		} else {
+			delete(c.byBlock, old.Block)
+		}
 	}
 }
 
@@ -224,7 +230,11 @@ func (c *Collector) RecordSpan(node string, stage Stage, block types.Hash, heigh
 	}
 	id := c.seq.Add(1)
 	c.mu.Lock()
-	b := c.bindingFor(block)
+	b := c.byBlock[block]
+	if b == nil {
+		b = &binding{traceID: c.seq.Add(1)}
+		c.byBlock[block] = b
+	}
 	sp := Span{
 		TraceID: b.traceID, SpanID: id, Parent: b.rootSpan,
 		Stage: stage, Node: node, Height: height, Block: block,
@@ -234,73 +244,67 @@ func (c *Collector) RecordSpan(node string, stage Stage, block types.Hash, heigh
 		b.rootSpan = id
 		sp.Parent = 0
 	}
-	c.append(sp)
+	c.append(b, sp)
 	c.mu.Unlock()
 }
 
-// SpanRef is an in-flight stage measurement for a block whose hash is
-// already known. The zero SpanRef (tracing disabled) makes End a no-op.
-type SpanRef struct {
+// Phase is one in-flight stage measurement. The zero Phase (no collector and
+// no histogram to feed) makes End and Drop no-ops; it is a value type, so
+// beginning and ending one allocates nothing.
+type Phase struct {
 	c      *Collector
 	node   string
+	height uint64
+	start  time.Time
 	stage  Stage
-	block  types.Hash
-	height uint64
-	start  time.Time
 }
 
-// StartStage begins a stage span. Safe on nil (returns the zero SpanRef).
-func (c *Collector) StartStage(node string, stage Stage, block types.Hash, height uint64) SpanRef {
-	if c == nil {
-		return SpanRef{}
+// Begin starts timing one stage of the block at height on node. Safe on nil:
+// with no collector the phase still feeds the stage's histogram while
+// telemetry is enabled, and is the zero Phase otherwise.
+func (c *Collector) Begin(node string, stage Stage, height uint64) Phase {
+	if c == nil && (stageHist[stage] == nil || !telemetry.Enabled()) {
+		return Phase{}
 	}
-	return SpanRef{c: c, node: node, stage: stage, block: block, height: height, start: time.Now()}
+	return Phase{c: c, node: node, height: height, start: time.Now(), stage: stage}
 }
 
-// End completes the stage span. Safe on the zero SpanRef.
-func (s SpanRef) End() {
-	if s.c == nil {
+// End completes the stage: one clock read closes the interval, which is
+// observed by the stage's histogram and stored as the block's span. The hash
+// comes late because a sealing block has none until its header is complete.
+func (p Phase) End(block types.Hash) {
+	if p.stage == stageInvalid {
 		return
 	}
-	s.c.RecordSpan(s.node, s.stage, s.block, s.height, s.start, time.Now())
-}
-
-// SealRef is an in-flight seal measurement: the block hash only exists once
-// the header is complete, so End takes it late.
-type SealRef struct {
-	c      *Collector
-	node   string
-	height uint64
-	start  time.Time
-}
-
-// StartSeal begins the proposer's seal span. Safe on nil.
-func (c *Collector) StartSeal(node string, height uint64) SealRef {
-	if c == nil {
-		return SealRef{}
+	end := time.Now()
+	if h := stageHist[p.stage]; h != nil {
+		h.ObserveDuration(end.Sub(p.start))
 	}
-	return SealRef{c: c, node: node, height: height, start: time.Now()}
+	p.c.RecordSpan(p.node, p.stage, block, p.height, p.start, end)
 }
 
-// End completes the seal span against the now-known block hash, binding the
-// block's trace id and root span. Safe on the zero SealRef.
-func (s SealRef) End(block types.Hash) {
-	if s.c == nil {
-		return
-	}
-	s.c.RecordSpan(s.node, StageSeal, block, s.height, s.start, time.Now())
+// Drop completes the stage of an attempt that is being rejected: the
+// histogram still observes it, no span is stored.
+func (p Phase) Drop() {
+	p.c = nil
+	p.End(types.Hash{})
 }
 
 // ContextFor returns the propagated trace header for a block about to be
-// broadcast, stamping the send time. Safe on nil (returns the zero Context,
-// which receivers ignore).
+// broadcast, stamping the send time. A block with no buffered span yet (it
+// was not sealed here) gets a fresh trace id that the first Delivered binds.
+// Safe on nil (returns the zero Context, which receivers ignore).
 func (c *Collector) ContextFor(block types.Hash) Context {
 	if c == nil {
 		return Context{}
 	}
+	var ctx Context
 	c.mu.Lock()
-	b := c.bindingFor(block)
-	ctx := Context{TraceID: b.traceID, ParentSpan: b.rootSpan}
+	if b := c.byBlock[block]; b != nil {
+		ctx = Context{TraceID: b.traceID, ParentSpan: b.rootSpan}
+	} else {
+		ctx.TraceID = c.seq.Add(1)
+	}
 	c.mu.Unlock()
 	ctx.SentUnixNano = time.Now().UnixNano()
 	return ctx
@@ -326,7 +330,7 @@ func (c *Collector) Delivered(from, to string, height uint64, block types.Hash, 
 		b = &binding{traceID: ctx.TraceID, rootSpan: ctx.ParentSpan}
 		c.byBlock[block] = b
 	}
-	c.append(Span{
+	c.append(b, Span{
 		TraceID: b.traceID, SpanID: id, Parent: ctx.ParentSpan,
 		Stage: StageTransfer, Node: to, From: from,
 		Height: height, Block: block, Start: start, End: end,
@@ -341,13 +345,7 @@ func (c *Collector) Spans() []Span {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.filled {
-		return append([]Span(nil), c.spans[:c.next]...)
-	}
-	out := make([]Span, 0, len(c.spans))
-	out = append(out, c.spans[c.next:]...)
-	out = append(out, c.spans[:c.next]...)
-	return out
+	return c.spans.AppendTo(make([]Span, 0, c.spans.Len()))
 }
 
 // SpansFor returns the buffered spans of one block, oldest-first.
@@ -371,7 +369,7 @@ func (c *Collector) Total() uint64 {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.total
+	return c.spans.Total()
 }
 
 // Len returns how many spans are currently buffered.
@@ -381,8 +379,5 @@ func (c *Collector) Len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.filled {
-		return len(c.spans)
-	}
-	return c.next
+	return c.spans.Len()
 }

@@ -52,8 +52,9 @@ func synthExact(c *Collector, blk types.Hash, height uint64, node string, t0 tim
 func TestNilCollectorIsNoOp(t *testing.T) {
 	var c *Collector
 	c.RecordSpan("n", StageCommit, hash(1), 1, time.Now(), time.Now())
-	c.StartStage("n", StagePrepare, hash(1), 1).End()
-	c.StartSeal("n", 1).End(hash(1))
+	c.Begin("n", StagePrepare, 1).End(hash(1))
+	c.Begin("n", StageSeal, 1).End(hash(1))
+	c.Begin("n", StageCommit, 1).Drop()
 	c.Delivered("a", "b", 1, hash(1), Context{TraceID: 9})
 	if ctx := c.ContextFor(hash(1)); ctx.TraceID != 0 {
 		t.Fatalf("nil collector returned non-zero context %+v", ctx)
@@ -267,11 +268,73 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
+// The block → trace binding table must stay bounded by the span ring: a
+// binding goes when the last buffered span of its block is overwritten, and
+// a ContextFor for a block without spans stores nothing at all.
+func TestBindingsBoundedByRing(t *testing.T) {
+	const capacity = 64
+	c := NewCollector(capacity)
+	t0 := time.Now()
+	bindings := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.byBlock)
+	}
+	blockOf := func(i int) types.Hash {
+		var h types.Hash
+		h[0], h[1], h[2] = byte(i), byte(i>>8), 0xb1
+		return h
+	}
+	for i := 0; i < 10*capacity; i++ {
+		blk := blockOf(i)
+		if ctx := c.ContextFor(blockOf(i + 1<<20)); ctx.TraceID == 0 {
+			t.Fatal("ContextFor for an unsealed block carried no trace id")
+		}
+		c.RecordSpan("proposer", StageSeal, blk, uint64(i), t0, t0)
+		c.Delivered("proposer", "v0", uint64(i), blk, c.ContextFor(blk))
+		if n := bindings(); n > capacity {
+			t.Fatalf("after %d blocks the binding table holds %d entries, ring capacity %d", i+1, n, capacity)
+		}
+	}
+	if n, want := bindings(), capacity/2; n != want {
+		t.Fatalf("binding table holds %d entries, want one per buffered block (%d)", n, want)
+	}
+
+	// A block whose spans are all still buffered stitches as before, under
+	// one trace id, while older blocks keep leaving.
+	blk := hash(0xee)
+	synthExact(c, blk, 9, "v0", t0)
+	p, ok := c.PathFor(blk, "v0")
+	if !ok || !p.Complete {
+		t.Fatalf("buffered block did not stitch: ok=%v missing=%v", ok, p.Missing)
+	}
+	for _, sp := range c.SpansFor(blk) {
+		if sp.TraceID != p.TraceID {
+			t.Fatalf("span %s has trace id %d, path has %d", sp.Stage, sp.TraceID, p.TraceID)
+		}
+	}
+	// Once every span of it has been overwritten the binding is gone, and a
+	// late span starts a fresh trace instead of resurrecting the old id.
+	for i := 0; i < capacity; i++ {
+		c.RecordSpan("n", StageInsert, blockOf(i), 1, t0, t0)
+	}
+	c.mu.Lock()
+	_, kept := c.byBlock[blk]
+	c.mu.Unlock()
+	if kept {
+		t.Fatal("binding outlived the last buffered span of its block")
+	}
+	c.RecordSpan("v0", StageInsert, blk, 9, t0, t0)
+	if got := c.SpansFor(blk); len(got) != 1 || got[0].TraceID == p.TraceID {
+		t.Fatalf("late span after eviction: %+v (old trace id %d)", got, p.TraceID)
+	}
+}
+
 func TestEnableDisable(t *testing.T) {
 	prev := Active()
 	t.Cleanup(func() { active.Store(prev) })
 	c := Enable(64)
-	if Active() != c || !Enabled() {
+	if Active() != c {
 		t.Fatal("Enable did not install the collector")
 	}
 	if Resolve(nil) != c {
@@ -284,7 +347,7 @@ func TestEnableDisable(t *testing.T) {
 	if got := Disable(); got != c {
 		t.Fatalf("Disable returned %p, want %p", got, c)
 	}
-	if Enabled() {
+	if Active() != nil {
 		t.Fatal("still enabled after Disable")
 	}
 }

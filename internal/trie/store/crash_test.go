@@ -17,9 +17,9 @@ import (
 
 // barrierState is the expected store state after one durable barrier.
 type barrierState struct {
-	size  int64       // file size at the barrier
-	roots [][32]byte  // live roots (sorted)
-	nodes int         // live node count
+	size  int64      // file size at the barrier
+	roots [][32]byte // live roots (sorted)
+	nodes int        // live node count
 }
 
 func snapshotState(t *testing.T, s *Store) barrierState {

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"blockpilot/internal/chain"
 	"blockpilot/internal/flight"
@@ -58,10 +57,11 @@ type Config struct {
 	// (paper §4.3).
 	Spawn func(f func())
 	// SkipProfileCheck disables the applier's per-transaction access-set and
-	// gas verification against the block profile. Only the no-profile
-	// speculative path sets this: there the profile is a local prediction
-	// used purely for scheduling, and the state root remains the sole
-	// acceptance criterion.
+	// gas verification against the block profile, leaving the state root as
+	// the sole acceptance criterion. No production path sets it: it is the
+	// seeded bug of the simulator's mutation self-check
+	// (internal/sim/mutation.go), which proves the corruption oracle notices
+	// a validator that stopped checking profiles.
 	SkipProfileCheck bool
 	// Node names this validator in block-trace spans (default "validator").
 	Node string
@@ -97,7 +97,7 @@ type txResult struct {
 // transaction, access set or gas different from the profile, root mismatch —
 // rejects the block.
 func ValidateParallel(parent *state.Snapshot, parentHeader *types.Header, block *types.Block, cfg Config, params chain.Params) (*Result, error) {
-	span := telemetry.StartSpan("validator.block", block.Header.Number, telemetry.ValidatorBlockSeconds)
+	span := telemetry.StartSpan(telemetry.ValidatorBlockSeconds)
 	res, err := validateParallel(parent, parentHeader, block, cfg, params)
 	span.End()
 	if err != nil {
@@ -136,9 +136,11 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 		return nil, fmt.Errorf("%w: tx root mismatch", ErrBadBlock)
 	}
 
-	// Block-trace identity for this validation attempt. The hash is only
-	// computed when a collector is installed (Header.Hash is keccak over RLP
-	// on every call).
+	// Block-trace identity for this validation attempt. Every phase below is
+	// one tr.Begin / End pair: a single interval that feeds the phase's
+	// histogram and, with a collector installed, the block's span. The hash is
+	// only computed with a collector (Header.Hash is keccak over RLP on every
+	// call).
 	tr := trace.Resolve(cfg.Tracer)
 	node := cfg.Node
 	if node == "" {
@@ -152,15 +154,13 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 	// Preparation phase. The dependency graph's union-find is built with a
 	// parallel partition+merge pass across the validator's threads, so
 	// preparation stops being serial ahead of the gas-LPT assignment.
-	prepStart := time.Now()
-	prepSpan := telemetry.StartSpan("pipeline.prepare", h.Number, telemetry.PipelinePrepareSeconds)
-	graphSpan := telemetry.StartSpan("validator.graph_build", h.Number, telemetry.ValidatorGraphBuildSeconds)
+	prepare := tr.Begin(node, trace.StagePrepare, h.Number)
+	graphSpan := telemetry.StartSpan(telemetry.ValidatorGraphBuildSeconds)
 	components := scheduler.BuildComponentsParallel(block.Profile, cfg.AccountLevel, cfg.Threads)
 	graphSpan.End()
 	sched := cfg.Assign(components, cfg.Threads)
 	stats := scheduler.ComputeStats(components)
-	prepSpan.End()
-	tr.RecordSpan(node, trace.StagePrepare, bh, h.Number, prepStart, time.Now())
+	prepare.End(bh)
 	if telemetry.Enabled() {
 		telemetry.ValidatorSubgraphs.Observe(uint64(stats.ComponentCount))
 		for i := range components {
@@ -188,8 +188,7 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 	}
 
 	// Tx execution phase: one goroutine per scheduled thread.
-	execStart := time.Now()
-	execSpan := telemetry.StartSpan("pipeline.execute", h.Number, telemetry.PipelineExecuteSeconds)
+	execute := tr.Begin(node, trace.StageExecute, h.Number)
 	bc := chain.BlockContextFor(h, params.ChainID)
 	results := make(chan txResult, len(block.Txs))
 	var failed atomic.Bool
@@ -232,20 +231,18 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 	}
 	go func() {
 		wg.Wait()
-		execSpan.End()
-		// Record before close(results): the applier only finishes after the
+		// End before close(results): the applier only finishes after the
 		// channel closes, so the execute span is always buffered by the time
 		// the commit span lands and PathFor assembles the chain.
-		tr.RecordSpan(node, trace.StageExecute, bh, h.Number, execStart, time.Now())
+		execute.End(bh)
 		close(results)
 	}()
 
 	// Block validation phase (the applier, Algorithm 2): reorder into block
 	// order, verify each access set against the profile, aggregate. Note the
-	// validate span overlaps the execute span: the applier consumes results
+	// verify phase overlaps the execute phase: the applier consumes results
 	// as the lanes stream them (paper Fig. 4).
-	valStart := time.Now()
-	valSpan := telemetry.StartSpan("pipeline.validate", h.Number, telemetry.PipelineValidateSeconds)
+	verify := tr.Begin(node, trace.StageVerify, h.Number)
 	total := state.NewChangeSet()
 	receipts := make([]*types.Receipt, len(block.Txs))
 	var fees uint256.Int
@@ -291,8 +288,7 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 			next++
 		}
 	}
-	valSpan.End()
-	tr.RecordSpan(node, trace.StageVerify, bh, h.Number, valStart, time.Now())
+	verify.End(bh)
 	if vErr != nil {
 		return nil, vErr
 	}
@@ -300,10 +296,19 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 		return nil, fmt.Errorf("%w: only %d of %d txs executed", ErrBadBlock, next, len(block.Txs))
 	}
 
-	// Block commitment phase.
-	commitStart := time.Now()
-	commitSpan := telemetry.StartSpan("pipeline.commit", h.Number, telemetry.PipelineCommitSeconds)
-	defer commitSpan.End()
+	// Block commitment phase. A block rejected here still counts in the
+	// commit histogram (Drop), but commit-phase spans are stored on the success
+	// path only: a rejected block never commits, and the sim's tracing oracle
+	// requires a complete chain exactly for committed blocks.
+	commit := tr.Begin(node, trace.StageCommit, h.Number)
+	committed := false
+	defer func() {
+		if committed {
+			commit.End(bh)
+		} else {
+			commit.Drop()
+		}
+	}()
 	if cumulative != h.GasUsed {
 		return nil, fmt.Errorf("%w: gas used %d != header %d", ErrBadBlock, cumulative, h.GasUsed)
 	}
@@ -314,16 +319,12 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 		return nil, fmt.Errorf("%w: logs bloom mismatch", ErrBadBlock)
 	}
 	total.Merge(chain.FinalizationChange(parent, total, h.Coinbase, &fees, params))
-	scStart := time.Now()
+	stateCommit := tr.Begin(node, trace.StageStateCommit, h.Number)
 	postState, got := chain.CommitAndRoot(parent, total, params, h.Number)
-	scEnd := time.Now()
 	if got != h.StateRoot {
 		return nil, fmt.Errorf("%w: state root %s != header %s", ErrBadBlock, got, h.StateRoot)
 	}
-	// Commit-phase spans are recorded on the success path only: a rejected
-	// block never commits, and the sim's tracing oracle requires a complete
-	// chain exactly for committed blocks.
-	tr.RecordSpan(node, trace.StageStateCommit, bh, h.Number, scStart, scEnd)
-	tr.RecordSpan(node, trace.StageCommit, bh, h.Number, commitStart, time.Now())
+	stateCommit.End(bh)
+	committed = true
 	return &Result{State: postState, Receipts: receipts, Stats: stats}, nil
 }
