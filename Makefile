@@ -1,5 +1,6 @@
 # BlockPilot CI entry points. `make ci` is what the tier-1 gate runs:
-# vet (go vet + a gofmt check) + build + full test suite (the concurrency packages additionally under
+# vet (go vet + a gofmt check) + build + full test suite (the concurrency packages — core, mv, mempool,
+# pipeline, evm; not scheduler, which starts no goroutine — additionally under
 # -cpu 1,2,4, so a 1-CPU runner cannot hide a scheduling-dependent bug; every
 # Propose test rides both engines with and without the adaptive controller) +
 # race detector on the concurrency-heavy packages (OCC-WSI core, MV-STM
@@ -23,6 +24,10 @@
 # `make trace-demo` runs a short skewed workload with the flight recorder on
 # and leaves trace.json (open at https://ui.perfetto.dev) plus the hot-key
 # attribution report on stdout. See docs/OBSERVABILITY.md.
+#
+# `make lines` prints non-test Go lines per internal/* package with their
+# total, then cmd/ and the root package: what a simplicity PR quotes before
+# and after.
 
 GO ?= go
 
@@ -45,7 +50,9 @@ build:
 # concurrency (and a many-core one still exercises the 1-CPU schedule).
 # internal/evm is here for its code-analysis cache (segments included) and
 # operand-stack pool, the one state its frames share across goroutines.
-CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/scheduler/... ./internal/evm/
+# internal/scheduler is not: it starts no goroutine (the validator's graph
+# build is serial), so a -cpu sweep or -race over it would buy nothing.
+CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/evm/
 
 # The TopK pass repeats because an order-dependent heavy-hitter sketch (map
 # iteration deciding a tie) fails about one run in eight, not every run.
@@ -133,7 +140,8 @@ bench-compare:
 	$(GO) run ./benchmark compare $(BASE) $(OTHER)
 
 # Go micro-benchmarks of the remaining testing.B loops (allocation counts via
-# -benchmem).
+# -benchmem); internal/scheduler's is the serial graph build on a 400-tx
+# profile.
 bench-go:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/scheduler/ ./internal/mempool/ ./internal/evm/ ./internal/crypto/ ./internal/uint256/
 
@@ -161,12 +169,16 @@ health-demo:
 	$(GO) run ./cmd/bpinspect health -blocks 4 -threads 8
 
 # Non-test Go lines per internal/* package (sub-packages included) and their
-# total: the size a simplicity PR quotes before and after.
+# total — the size a simplicity PR quotes before and after — then cmd/ and
+# the root package on rows of their own, outside the total, so a flag removed
+# from a command shows up too.
 lines:
 	@total=0; for d in internal/*/; do \
 		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		printf '%-22s %6d\n' $$d $$n; total=$$((total + n)); \
-	done; printf '%-22s %6d\n' total $$total
+	done; printf '%-22s %6d\n' total $$total; \
+	printf '%-22s %6d\n' cmd/ $$(find cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	printf '%-22s %6d\n' ./ $$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 
 clean:
 	$(GO) clean ./...

@@ -1,13 +1,12 @@
 // Command bpbench regenerates the paper's evaluation tables and figures
-// (§5.2 correctness, Fig. 6, Fig. 7(a)/(b), Fig. 8, Fig. 9) plus the two
-// design ablations, printing each as text series that mirror the paper's
-// reported rows.
+// (§5.2 correctness, Fig. 6, Fig. 7(a)/(b), Fig. 8, Fig. 9) plus the design
+// ablations, printing each as text series that mirror the paper's reported
+// rows.
 //
 // Usage:
 //
 //	bpbench -exp all                 # everything (default)
 //	bpbench -exp fig7a -blocks 40    # one experiment, more blocks
-//	bpbench -exp fig9 -mode wall     # wall-clock mode (needs a multicore host)
 //	bpbench -exp sim -scenario chaos -seed 7   # fault-injecting cluster sim
 //
 // `-exp sim` runs the deterministic cluster simulator (internal/sim): every
@@ -15,10 +14,10 @@
 // serializability / parity / pipeline-safety / corruption oracles and the
 // mutation self-check. Oracle failures print a repro line and exit 1.
 //
-// Modes: "virtual" (default) measures every transaction's real execution
-// cost and derives parallel makespans with a deterministic simulator of the
-// worker pool — single-core safe and reproducible; "wall" uses real threads
-// and wall-clock time (meaningful only on a multicore host).
+// Every figure is in virtual time: each transaction's real execution cost is
+// measured and a deterministic simulator of the worker pool derives the
+// parallel makespans, so the tables do not depend on the host's core count.
+// They gate nothing; what real cores deliver is `go run ./benchmark`.
 package main
 
 import (
@@ -174,7 +173,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: "+experimentNames())
 	blocks := flag.Int("blocks", 20, "blocks per experiment")
 	repeats := flag.Int("repeats", 3, "timing repeats per point")
-	mode := flag.String("mode", "virtual", "timing mode: virtual|wall")
 	maxPipeline := flag.Int("max-pipeline-blocks", 8, "Fig. 9: max concurrent blocks")
 	seed := flag.Int64("seed", 1, "workload seed")
 	jsonOut := flag.Bool("json", false, "emit the end-of-run telemetry snapshot as JSON on stdout")
@@ -205,20 +203,9 @@ func main() {
 	c.opts.Blocks = *blocks
 	c.opts.Repeats = *repeats
 	c.opts.Workload.Seed = *seed
-	switch *mode {
-	case "virtual":
-		c.opts.Mode = bench.Virtual
-	case "wall":
-		c.opts.Mode = bench.Wall
-		if runtime.NumCPU() < 4 {
-			fmt.Fprintf(os.Stderr, "warning: wall mode on %d CPU(s) cannot show parallel speedup; use -mode virtual\n", runtime.NumCPU())
-		}
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
-	}
 
-	fmt.Printf("BlockPilot evaluation — mode=%s, blocks=%d, repeats=%d, %d-CPU host\n\n",
-		*mode, c.opts.Blocks, c.opts.Repeats, runtime.NumCPU())
+	fmt.Printf("BlockPilot evaluation — virtual time, blocks=%d, repeats=%d, %d-CPU host\n\n",
+		c.opts.Blocks, c.opts.Repeats, runtime.NumCPU())
 
 	if err := run(*exp, c, os.Stdout); err != nil {
 		fatal(err)

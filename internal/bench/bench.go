@@ -7,15 +7,21 @@
 // two design ablations called out in DESIGN.md (scheduling policy and
 // conflict granularity).
 //
+// Every figure is in virtual time (sim.go): transactions execute for real
+// and are timed one by one, and the parallel makespan is derived from those
+// costs, so the tables are the same on one core as on sixteen. The
+// wall-clock counterpart on real cores is the regression harness,
+// `go run ./benchmark`, and nothing here gates anything.
+//
 // Each Run* function returns a result struct with a Render method that
 // prints the same rows/series the paper reports.
 package bench
 
 import (
 	"fmt"
-	"time"
 
 	"blockpilot/internal/chain"
+	"blockpilot/internal/scheduler"
 	"blockpilot/internal/state"
 	"blockpilot/internal/types"
 	"blockpilot/internal/workload"
@@ -26,7 +32,6 @@ type Options struct {
 	Blocks   int   // measured blocks
 	Repeats  int   // timing repeats per point (minimum is taken)
 	Threads  []int // thread sweep
-	Mode     Mode  // Virtual (default; single-core safe) or Wall
 	Workload workload.Config
 	Params   chain.Params
 	Coinbase types.Address
@@ -38,7 +43,6 @@ func DefaultOptions() Options {
 		Blocks:   20,
 		Repeats:  3,
 		Threads:  []int{1, 2, 4, 6, 8, 12, 16},
-		Mode:     Virtual,
 		Workload: workload.Default(),
 		Params:   chain.DefaultParams(),
 		Coinbase: types.HexToAddress("0xc01bbace"),
@@ -46,16 +50,20 @@ func DefaultOptions() Options {
 }
 
 // fixture is a pre-built chain segment: for each measured block, its parent
-// state/header, the sealed block (with profile) and the raw transactions.
+// state/header, the sealed block (with profile), the raw transactions, and
+// what every experiment derives its times from — the block's measured costs
+// and its account-level conflict components (the paper's graph).
 type fixture struct {
 	parents       []*state.Snapshot
 	parentHeaders []*types.Header
 	blocks        []*types.Block
 	txs           [][]*types.Transaction
+	costs         []*blockCosts
+	comps         [][]scheduler.Component
 }
 
 // buildFixture produces o.Blocks sequential sealed blocks via the serial
-// reference executor (profiles included).
+// reference executor (profiles included) and measures each one once.
 func buildFixture(o Options) (*fixture, error) {
 	g := workload.New(o.Workload)
 	st := g.GenesisState()
@@ -73,6 +81,12 @@ func buildFixture(o Options) (*fixture, error) {
 			return nil, fmt.Errorf("fixture block %d: %w", i, err)
 		}
 		block := chain.SealBlock(parentHeader, o.Coinbase, uint64(i+1), txs, res, o.Params)
+		costs, err := measureBlockCosts(st, block, o.Params, o.Repeats)
+		if err != nil {
+			return nil, fmt.Errorf("fixture block %d: %w", i, err)
+		}
+		f.costs = append(f.costs, costs)
+		f.comps = append(f.comps, scheduler.BuildComponents(block.Profile, true))
 		f.parents = append(f.parents, st)
 		f.parentHeaders = append(f.parentHeaders, parentHeader)
 		f.blocks = append(f.blocks, block)
@@ -81,24 +95,6 @@ func buildFixture(o Options) (*fixture, error) {
 		parentHeader = &block.Header
 	}
 	return f, nil
-}
-
-// timeMin runs f `repeats` times and returns the fastest wall time.
-func timeMin(repeats int, f func() error) (time.Duration, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < repeats; i++ {
-		start := time.Now()
-		if err := f(); err != nil {
-			return 0, err
-		}
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best, nil
 }
 
 // geomean-free mean helper.

@@ -5,11 +5,9 @@ import (
 	"strings"
 	"time"
 
-	"blockpilot/internal/baseline"
 	"blockpilot/internal/chain"
 	"blockpilot/internal/core"
 	"blockpilot/internal/mempool"
-	"blockpilot/internal/pipeline"
 	"blockpilot/internal/scheduler"
 	"blockpilot/internal/stats"
 	"blockpilot/internal/types"
@@ -90,7 +88,8 @@ type ProposerResult struct {
 }
 
 // RunProposer measures OCC-WSI block packing against serial packing
-// (the Geth baseline) for each thread count.
+// (the Geth baseline) for each thread count. Only the execution phase counts
+// on either side (see simValidatorTime).
 func RunProposer(o Options) (*ProposerResult, error) {
 	f, err := buildFixture(o)
 	if err != nil {
@@ -102,62 +101,21 @@ func RunProposer(o Options) (*ProposerResult, error) {
 		TotalAborts: make(map[int]int),
 	}
 	for b := range f.blocks {
-		// Serial baseline: pack the same txs in generated order. In virtual
-		// mode only the execution phase counts (see simValidatorTime).
-		var serialTime time.Duration
-		if o.Mode == Virtual {
-			costs, err := measureBlockCosts(f.parents[b], f.blocks[b], o.Params, o.Repeats)
-			if err != nil {
-				return nil, err
-			}
-			serialTime = costs.exec
-		} else {
-			header := &types.Header{
-				ParentHash: f.parentHeaders[b].Hash(), Number: f.parentHeaders[b].Number + 1,
-				Coinbase: o.Coinbase, GasLimit: o.Params.GasLimit, Time: uint64(b + 1),
-			}
-			var err error
-			serialTime, err = timeMin(o.Repeats, func() error {
-				_, err := chain.ExecuteSerial(f.parents[b], header, f.txs[b], o.Params)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
+		serialTime := f.costs[b].exec
 		for _, threads := range o.Threads {
-			threads := threads
 			var aborts int
-			var parTime time.Duration
-			if o.Mode == Virtual {
-				parTime = time.Duration(1<<62 - 1)
-				for r := 0; r < o.Repeats; r++ {
-					sp, err := simPropose(f.parents[b], f.parentHeaders[b], f.txs[b], threads, o.Params, o.Coinbase, false)
-					if err != nil {
-						return nil, err
-					}
-					if sp.parallel < parTime {
-						parTime = sp.parallel
-						aborts = sp.aborts
-					}
-					if sp.committed != len(f.txs[b]) {
-						return nil, fmt.Errorf("sim proposer packed %d of %d", sp.committed, len(f.txs[b]))
-					}
-				}
-			} else {
-				parTime, err = timeMin(o.Repeats, func() error {
-					pool := mempool.New()
-					pool.AddAll(f.txs[b])
-					pres, err := core.Propose(f.parents[b], f.parentHeaders[b], pool, core.ProposerConfig{
-						Threads: threads, Coinbase: o.Coinbase, Time: uint64(b + 1),
-					}, o.Params)
-					if err == nil {
-						aborts = pres.Aborts
-					}
-					return err
-				})
+			parTime := time.Duration(1<<62 - 1)
+			for r := 0; r < o.Repeats; r++ {
+				sp, err := simPropose(f.parents[b], f.parentHeaders[b], f.txs[b], threads, o.Params, o.Coinbase, false)
 				if err != nil {
 					return nil, err
+				}
+				if sp.parallel < parTime {
+					parTime = sp.parallel
+					aborts = sp.aborts
+				}
+				if sp.committed != len(f.txs[b]) {
+					return nil, fmt.Errorf("sim proposer packed %d of %d", sp.committed, len(f.txs[b]))
 				}
 			}
 			res.PerBlock[threads] = append(res.PerBlock[threads], float64(serialTime)/float64(parTime))
@@ -223,60 +181,15 @@ func RunValidator(o Options) (*ValidatorResult, error) {
 	var ratios []float64
 
 	for b := range f.blocks {
-		if o.Mode == Virtual {
-			costs, err := measureBlockCosts(f.parents[b], f.blocks[b], o.Params, o.Repeats)
-			if err != nil {
-				return nil, err
-			}
-			dirty, err := baseline.SpeculateDirty(f.parents[b], f.blocks[b], o.Params)
-			if err != nil {
-				return nil, err
-			}
-			comps := scheduler.BuildComponents(f.blocks[b].Profile, true)
-			ratios = append(ratios, scheduler.ComputeStats(comps).LargestRatio)
-			serial := simSerialTime(costs)
-			for _, threads := range o.Threads {
-				sched := scheduler.AssignLPT(comps, threads)
-				par := simValidatorTime(costs, sched)
-				res.PerBlock[threads] = append(res.PerBlock[threads], float64(serial)/float64(par))
-				occ := simOCCTime(costs, dirty, threads)
-				occPerBlock[threads] = append(occPerBlock[threads], float64(serial)/float64(occ))
-			}
-			continue
-		}
-		serialTime, err := timeMin(o.Repeats, func() error {
-			_, err := chain.VerifyBlockSerial(f.parents[b], f.parentHeaders[b], f.blocks[b], o.Params)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
+		costs, comps := f.costs[b], f.comps[b]
+		dirty := speculateDirty(f.parents[b], f.blocks[b], o.Params)
+		ratios = append(ratios, scheduler.ComputeStats(comps).LargestRatio)
+		serial := simSerialTime(costs)
 		for _, threads := range o.Threads {
-			threads := threads
-			var ratio float64
-			parTime, err := timeMin(o.Repeats, func() error {
-				vres, err := validator.ValidateParallel(f.parents[b], f.parentHeaders[b], f.blocks[b],
-					validator.DefaultConfig(threads), o.Params)
-				if err == nil {
-					ratio = vres.Stats.LargestRatio
-				}
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			res.PerBlock[threads] = append(res.PerBlock[threads], float64(serialTime)/float64(parTime))
-			if threads == o.Threads[len(o.Threads)-1] {
-				ratios = append(ratios, ratio)
-			}
-			occTime, err := timeMin(o.Repeats, func() error {
-				_, err := baseline.ValidateOCC(f.parents[b], f.parentHeaders[b], f.blocks[b], threads, o.Params)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			occPerBlock[threads] = append(occPerBlock[threads], float64(serialTime)/float64(occTime))
+			par := simValidatorTime(costs, scheduler.AssignLPT(comps, threads))
+			res.PerBlock[threads] = append(res.PerBlock[threads], float64(serial)/float64(par))
+			occ := simOCCTime(costs, dirty, threads)
+			occPerBlock[threads] = append(occPerBlock[threads], float64(serial)/float64(occ))
 		}
 	}
 	for _, t := range o.Threads {
@@ -361,38 +274,12 @@ func RunHotspot(o Options) (*HotspotResult, error) {
 			return nil, err
 		}
 		for b := range f.blocks {
-			if o.Mode == Virtual {
-				costs, err := measureBlockCosts(f.parents[b], f.blocks[b], o.Params, o.Repeats)
-				if err != nil {
-					return nil, err
-				}
-				comps := scheduler.BuildComponents(f.blocks[b].Profile, true)
-				ratio := scheduler.ComputeStats(comps).LargestRatio
-				sched := scheduler.AssignLPT(comps, threads)
-				speedup := float64(simSerialTime(costs)) / float64(simValidatorTime(costs, sched))
-				samples = append(samples, sample{ratio: ratio, speedup: speedup})
-				continue
-			}
-			serialTime, err := timeMin(o.Repeats, func() error {
-				_, err := chain.VerifyBlockSerial(f.parents[b], f.parentHeaders[b], f.blocks[b], o.Params)
-				return err
+			costs, comps := f.costs[b], f.comps[b]
+			sched := scheduler.AssignLPT(comps, threads)
+			samples = append(samples, sample{
+				ratio:   scheduler.ComputeStats(comps).LargestRatio,
+				speedup: float64(simSerialTime(costs)) / float64(simValidatorTime(costs, sched)),
 			})
-			if err != nil {
-				return nil, err
-			}
-			var ratio float64
-			parTime, err := timeMin(o.Repeats, func() error {
-				vres, err := validator.ValidateParallel(f.parents[b], f.parentHeaders[b], f.blocks[b],
-					validator.DefaultConfig(threads), o.Params)
-				if err == nil {
-					ratio = vres.Stats.LargestRatio
-				}
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			samples = append(samples, sample{ratio: ratio, speedup: float64(serialTime) / float64(parTime)})
 		}
 	}
 
@@ -442,96 +329,47 @@ func (r *HotspotResult) Render() string {
 // same-height blocks through the pipeline with a fixed worker pool.
 type PipelineResult struct {
 	BlockCounts []int
-	Speedup     []float64 // (k × serial single-block time) / pipeline wall time
+	Speedup     []float64 // (k × serial single-block time) / pipeline time
 	Workers     int
 }
 
-// RunPipeline validates k sibling blocks (same height, shared parent)
-// concurrently through the pipeline, k = 1..MaxBlocks, with a 16-worker
-// shared pool, exactly mirroring the paper's multi-block experiment.
+// RunPipeline derives the time of validating k sibling blocks (same height,
+// shared parent) concurrently through the pipeline, k = 1..maxBlocks, over
+// a shared pool of as many workers as the widest thread sweep point —
+// mirroring the paper's multi-block experiment. The siblings are identical
+// in cost, so one proposer-built block is measured and replicated.
 func RunPipeline(o Options, maxBlocks int) (*PipelineResult, error) {
 	workers := o.Threads[len(o.Threads)-1]
 	g := workload.New(o.Workload)
 	parent := g.GenesisState()
-	// Propose against the chain genesis header so the pipeline (which
-	// creates an identical chain) recognizes the parent.
-	parentHeader := &chain.NewChain(parent, o.Params).Genesis().Header
+	parentHeader := &types.Header{Number: 0, StateRoot: parent.Root(), GasLimit: o.Params.GasLimit}
 	txs := g.NextBlockTxs()
-
-	// Build maxBlocks sibling blocks from the same parent (distinct
-	// coinbases → distinct blocks, like competing fork proposals).
-	siblings := make([]*types.Block, maxBlocks)
-	for i := 0; i < maxBlocks; i++ {
-		pool := mempool.New()
-		pool.AddAll(txs)
-		cb := o.Coinbase
-		cb[19] = byte(i + 1)
-		pres, err := core.Propose(parent, parentHeader, pool, core.ProposerConfig{
-			Threads: 8, Coinbase: cb, Time: 1,
-		}, o.Params)
-		if err != nil {
-			return nil, err
-		}
-		if pres.Committed != len(txs) {
-			return nil, fmt.Errorf("sibling %d packed %d of %d", i, pres.Committed, len(txs))
-		}
-		siblings[i] = pres.Block
-	}
-
-	if o.Mode == Virtual {
-		costs, err := measureBlockCosts(parent, siblings[0], o.Params, o.Repeats)
-		if err != nil {
-			return nil, err
-		}
-		comps := scheduler.BuildComponents(siblings[0].Profile, true)
-		sched := scheduler.AssignLPT(comps, workers)
-		// Fig. 9 compares whole-block processing: a serial validator pays
-		// execution AND commit per block, while the pipeline overlaps
-		// commits of different blocks with execution.
-		serial := costs.exec + costs.commit
-		res := &PipelineResult{Workers: workers}
-		for k := 1; k <= maxBlocks; k++ {
-			wall := simPipelineTime(costs, sched, k, workers)
-			res.BlockCounts = append(res.BlockCounts, k)
-			res.Speedup = append(res.Speedup, float64(k)*float64(serial)/float64(wall))
-		}
-		return res, nil
-	}
-
-	serialTime, err := timeMin(o.Repeats, func() error {
-		_, err := chain.VerifyBlockSerial(parent, parentHeader, siblings[0], o.Params)
-		return err
-	})
+	pool := mempool.New()
+	pool.AddAll(txs)
+	pres, err := core.Propose(parent, parentHeader, pool, core.ProposerConfig{
+		Threads: 8, Coinbase: o.Coinbase, Time: 1,
+	}, o.Params)
 	if err != nil {
 		return nil, err
 	}
+	if pres.Committed != len(txs) {
+		return nil, fmt.Errorf("proposer packed %d of %d", pres.Committed, len(txs))
+	}
 
+	costs, err := measureBlockCosts(parent, pres.Block, o.Params, o.Repeats)
+	if err != nil {
+		return nil, err
+	}
+	sched := scheduler.AssignLPT(scheduler.BuildComponents(pres.Block.Profile, true), workers)
+	// Fig. 9 compares whole-block processing: a serial validator pays
+	// execution AND commit per block, while the pipeline overlaps
+	// commits of different blocks with execution.
+	serial := costs.exec + costs.commit
 	res := &PipelineResult{Workers: workers}
 	for k := 1; k <= maxBlocks; k++ {
-		k := k
-		wall, err := timeMin(o.Repeats, func() error {
-			c := chain.NewChain(parent, o.Params)
-			// The pipeline chain's genesis must be the siblings' parent.
-			pool := pipeline.NewWorkerPool(workers)
-			defer pool.Close()
-			cfg := validator.DefaultConfig(workers)
-			p := pipeline.New(c, cfg, pool)
-			for i := 0; i < k; i++ {
-				p.Submit(siblings[i])
-			}
-			p.Close()
-			for out := range p.Results() {
-				if out.Err != nil {
-					return out.Err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		wall := simPipelineTime(costs, sched, k, workers)
 		res.BlockCounts = append(res.BlockCounts, k)
-		res.Speedup = append(res.Speedup, float64(k)*float64(serialTime)/float64(wall))
+		res.Speedup = append(res.Speedup, float64(k)*float64(serial)/float64(wall))
 	}
 	return res, nil
 }
@@ -575,32 +413,8 @@ func RunSchedulingAblation(o Options) (*AblationResult, error) {
 	for _, v := range variants {
 		var speedups []float64
 		for b := range f.blocks {
-			if o.Mode == Virtual {
-				costs, err := measureBlockCosts(f.parents[b], f.blocks[b], o.Params, o.Repeats)
-				if err != nil {
-					return nil, err
-				}
-				comps := scheduler.BuildComponents(f.blocks[b].Profile, true)
-				sched := v.assign(comps, threads)
-				speedups = append(speedups, float64(simSerialTime(costs))/float64(simValidatorTime(costs, sched)))
-				continue
-			}
-			serialTime, err := timeMin(o.Repeats, func() error {
-				_, err := chain.VerifyBlockSerial(f.parents[b], f.parentHeaders[b], f.blocks[b], o.Params)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			cfg := validator.Config{Threads: threads, AccountLevel: true, Assign: v.assign}
-			parTime, err := timeMin(o.Repeats, func() error {
-				_, err := validator.ValidateParallel(f.parents[b], f.parentHeaders[b], f.blocks[b], cfg, o.Params)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			speedups = append(speedups, float64(serialTime)/float64(parTime))
+			sched := v.assign(f.comps[b], threads)
+			speedups = append(speedups, float64(simSerialTime(f.costs[b]))/float64(simValidatorTime(f.costs[b], sched)))
 		}
 		res.Variants = append(res.Variants, v.name)
 		res.Speedup = append(res.Speedup, mean(speedups))
@@ -622,38 +436,10 @@ func RunGranularityAblation(o Options) (*AblationResult, error) {
 		var speedups []float64
 		var comps []float64
 		for b := range f.blocks {
-			if o.Mode == Virtual {
-				costs, err := measureBlockCosts(f.parents[b], f.blocks[b], o.Params, o.Repeats)
-				if err != nil {
-					return nil, err
-				}
-				cc := scheduler.BuildComponents(f.blocks[b].Profile, accountLevel)
-				sched := scheduler.AssignLPT(cc, threads)
-				speedups = append(speedups, float64(simSerialTime(costs))/float64(simValidatorTime(costs, sched)))
-				comps = append(comps, float64(len(cc)))
-				continue
-			}
-			serialTime, err := timeMin(o.Repeats, func() error {
-				_, err := chain.VerifyBlockSerial(f.parents[b], f.parentHeaders[b], f.blocks[b], o.Params)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			cfg := validator.Config{Threads: threads, AccountLevel: accountLevel}
-			var compCount float64
-			parTime, err := timeMin(o.Repeats, func() error {
-				vres, err := validator.ValidateParallel(f.parents[b], f.parentHeaders[b], f.blocks[b], cfg, o.Params)
-				if err == nil {
-					compCount = float64(vres.Stats.ComponentCount)
-				}
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			speedups = append(speedups, float64(serialTime)/float64(parTime))
-			comps = append(comps, compCount)
+			cc := scheduler.BuildComponents(f.blocks[b].Profile, accountLevel)
+			sched := scheduler.AssignLPT(cc, threads)
+			speedups = append(speedups, float64(simSerialTime(f.costs[b]))/float64(simValidatorTime(f.costs[b], sched)))
+			comps = append(comps, float64(len(cc)))
 		}
 		name := "account-level (paper)"
 		if !accountLevel {
@@ -669,7 +455,6 @@ func RunGranularityAblation(o Options) (*AblationResult, error) {
 // RunProposerKeysAblation compares the OCC-WSI reserve-table granularity:
 // account+slot keys (paper) against account-only keys. Coarser keys turn
 // distinct-slot accesses of one contract into conflicts, inflating aborts.
-// Virtual mode only (the event simulator exposes abort counts cleanly).
 func RunProposerKeysAblation(o Options) (*AblationResult, error) {
 	f, err := buildFixture(o)
 	if err != nil {
@@ -681,15 +466,11 @@ func RunProposerKeysAblation(o Options) (*AblationResult, error) {
 		var speedups []float64
 		totalAborts := 0
 		for b := range f.blocks {
-			costs, err := measureBlockCosts(f.parents[b], f.blocks[b], o.Params, o.Repeats)
-			if err != nil {
-				return nil, err
-			}
 			sp, err := simPropose(f.parents[b], f.parentHeaders[b], f.txs[b], threads, o.Params, o.Coinbase, coarse)
 			if err != nil {
 				return nil, err
 			}
-			speedups = append(speedups, float64(costs.exec)/float64(sp.parallel))
+			speedups = append(speedups, float64(f.costs[b].exec)/float64(sp.parallel))
 			totalAborts += sp.aborts
 		}
 		name := "account+slot (paper)"

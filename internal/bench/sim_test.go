@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"blockpilot/internal/scheduler"
+	"blockpilot/internal/types"
 )
 
 // synthetic costs: n txs of 1ms each, zero overheads except where set.
@@ -65,6 +66,71 @@ func TestSimOCCDirtySerializes(t *testing.T) {
 	// phase1 (1ms, all speculated) + 8ms serial re-execution.
 	if half != 9*time.Millisecond {
 		t.Fatalf("half-dirty OCC = %v, want 9ms", half)
+	}
+}
+
+// speculateBlock builds one block of the mutated small workload and returns
+// its transactions with their speculateDirty flags.
+func speculateBlock(t *testing.T, mutate func(*Options)) ([]*types.Transaction, []bool) {
+	t.Helper()
+	o := smallOptions()
+	o.Blocks = 1
+	o.Workload.TxPerBlock = 100
+	mutate(&o)
+	f, err := buildFixture(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.blocks[0].Txs, speculateDirty(f.parents[0], f.blocks[0], o.Params)
+}
+
+// TestSpeculateDirtyNonceChain: against the block-start state only the
+// first transaction of each sender has a valid nonce, so every successor's
+// speculation fails and must be marked dirty.
+func TestSpeculateDirtyNonceChain(t *testing.T) {
+	txs, dirty := speculateBlock(t, func(o *Options) {
+		o.Workload.NumAccounts = 8 // heavy sender reuse → nonce chains
+		o.Workload.TxPerBlock = 60
+	})
+	seen := map[types.Address]bool{}
+	successors := 0
+	for i, tx := range txs {
+		if seen[tx.From] {
+			successors++
+			if !dirty[i] {
+				t.Fatalf("tx %d follows its sender's earlier tx but is clean", i)
+			}
+		}
+		seen[tx.From] = true
+	}
+	if successors == 0 {
+		t.Fatal("workload produced no sender nonce chain")
+	}
+}
+
+func TestSpeculateDirtyGrowsWithContention(t *testing.T) {
+	count := func(mutate func(*Options)) int {
+		_, dirty := speculateBlock(t, mutate)
+		n := 0
+		for _, d := range dirty {
+			if d {
+				n++
+			}
+		}
+		return n
+	}
+	cold := count(func(o *Options) {
+		o.Workload.SwapRatio = 0.0
+		o.Workload.MixerRatio = 0.6
+	})
+	hot := count(func(o *Options) {
+		o.Workload.NumPairs = 1
+		o.Workload.SwapRatio = 0.9
+		o.Workload.NativeRatio = 0.05
+		o.Workload.MixerRatio = 0.05
+	})
+	if hot <= cold {
+		t.Fatalf("contended block should have more dirty txs: %d (hot) vs %d (cold)", hot, cold)
 	}
 }
 

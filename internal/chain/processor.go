@@ -62,8 +62,8 @@ func ExecuteSerial(parent *state.Snapshot, header *types.Header, txs []*types.Tr
 // CommitAndRoot commits total onto parent and computes the post-state root,
 // parallelized over Params.ResolveCommitWorkers workers. This is the single
 // seal/verify commit tail shared by the serial processor, the OCC-WSI
-// proposer, the parallel validator, and the OCC baseline — every worker
-// count produces bit-identical snapshots and roots. Both phases are recorded
+// proposer and the parallel validator — every worker count produces
+// bit-identical snapshots and roots. Both phases are recorded
 // in telemetry (state commit duration, root hash duration, account /
 // storage-trie fanout). The trailing block height is unused: the parameter
 // stays because benchmark/ calls with it.

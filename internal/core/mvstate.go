@@ -71,9 +71,9 @@ func (mv *MVState) View(v types.Version) state.Reader {
 // commitStripes computes the bitmask of stripes a commit must hold: every
 // stripe owning a read key (reserve validation), a write key (reserve
 // update), or a change-set entry (version installation). The write set does
-// not always cover the change set: the granularity ablation (CoarsenAccessSet)
-// coarsens access-set keys to whole accounts while the change set stays
-// slot-granular.
+// not always cover the change set: internal/bench's reserve-table granularity
+// ablation coarsens access-set keys to whole accounts while the change set
+// stays slot-granular.
 func (mv *MVState) commitStripes(access *types.AccessSet, cs *state.ChangeSet) uint64 {
 	set := mv.store.StripesOf(cs)
 	for key := range access.Reads {

@@ -44,19 +44,6 @@ type ProposerConfig struct {
 	Adaptive *adaptive.Controller
 }
 
-// CoarsenAccessSet maps every key of an access set to its account-level key
-// (the reserve-table granularity ablation).
-func CoarsenAccessSet(a *types.AccessSet) *types.AccessSet {
-	c := types.NewAccessSet()
-	for k, v := range a.Reads {
-		c.NoteRead(types.AccountKey(k.Addr), v)
-	}
-	for k := range a.Writes {
-		c.NoteWrite(types.AccountKey(k.Addr))
-	}
-	return c
-}
-
 // DefaultMaxRetries is how many aborts a transaction is allowed before it is
 // dropped: it bounds livelock from pathologically conflicting txs.
 const DefaultMaxRetries = 128

@@ -1,6 +1,8 @@
 package scheduler
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"blockpilot/internal/types"
@@ -255,5 +257,62 @@ func TestEmptyProfile(t *testing.T) {
 	st := ComputeStats(comps)
 	if st.TxCount != 0 || len(s.ThreadTxs) != 4 {
 		t.Fatal("empty schedule malformed")
+	}
+}
+
+// randomProfile builds a block profile with nTxs transactions over a pool of
+// nAccounts accounts: each tx reads/writes a few random account and storage
+// keys, with a handful of hot keys to force multi-tx components.
+func randomProfile(rng *rand.Rand, nTxs, nAccounts int) *types.BlockProfile {
+	bp := &types.BlockProfile{}
+	for i := 0; i < nTxs; i++ {
+		s := types.NewAccessSet()
+		touches := 1 + rng.Intn(4)
+		for t := 0; t < touches; t++ {
+			var a byte
+			if rng.Intn(4) == 0 {
+				a = byte(1 + rng.Intn(3)) // hot account
+			} else {
+				a = byte(1 + rng.Intn(nAccounts))
+			}
+			addr := types.BytesToAddress([]byte{a})
+			var k types.StateKey
+			if rng.Intn(2) == 0 {
+				k = types.AccountKey(addr)
+			} else {
+				k = types.StorageKey(addr, types.BytesToHash([]byte{byte(rng.Intn(6))}))
+			}
+			if rng.Intn(3) == 0 {
+				s.NoteWrite(k)
+			} else {
+				s.NoteRead(k, 0)
+			}
+		}
+		bp.Txs = append(bp.Txs, types.ProfileFromAccessSet(s, uint64(21000+rng.Intn(200000))))
+	}
+	return bp
+}
+
+// TestBuildComponentsDeterministic: the builder unions in map-iteration
+// order, which Go randomizes per run; the components (their order, their
+// TxIndices, their gas) must not depend on it — schedules, and through them
+// the simulator's digests, are a function of the profile alone.
+func TestBuildComponentsDeterministic(t *testing.T) {
+	bp := randomProfile(rand.New(rand.NewSource(11)), 300, 30)
+	for _, accountLevel := range []bool{true, false} {
+		ref := BuildComponents(bp, accountLevel)
+		for i := 0; i < 20; i++ {
+			if got := BuildComponents(bp, accountLevel); !reflect.DeepEqual(ref, got) {
+				t.Fatalf("accountLevel=%v: build %d diverged from build 0", accountLevel, i)
+			}
+		}
+	}
+}
+
+func BenchmarkBuildComponents(b *testing.B) {
+	bp := randomProfile(rand.New(rand.NewSource(5)), 400, 60)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		BuildComponents(bp, true)
 	}
 }

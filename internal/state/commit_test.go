@@ -78,29 +78,74 @@ func snapshotEqual(t *testing.T, a, b *Snapshot, label string) {
 	}
 }
 
+// commitRef is the serial commit CommitParallel replaced, kept as the
+// reference of the parity suite: one resolveChange and one accounts-trie
+// Update per account, no Batch, no fan-out, on either backend.
+func commitRef(s *Snapshot, cs *ChangeSet) *Snapshot {
+	ns := s.child()
+	mem := memInstaller{ns: ns}
+	var disk *diskInstaller
+	if s.db != nil {
+		disk = s.newDiskInstaller(len(cs.Accounts))
+	}
+	for addr, ch := range cs.Accounts {
+		r, flat := s.resolveChange(addr, ch)
+		if disk != nil {
+			disk.install(addr, ch, &r, flat)
+		} else {
+			mem.install(addr, &r)
+		}
+		ns.accounts.Update(r.hashedAddr, r.leaf)
+	}
+	if disk != nil {
+		disk.finish(s, ns)
+	}
+	return ns
+}
+
 // TestCommitParallelParity is the acceptance-criteria parity suite: a chain
 // of randomized change sets (deletes, code sets, zeroed slots, account
-// overwrites) committed serially and with every worker count must agree on
-// every root at every step.
+// overwrites) committed by the serial reference and by the one commit body
+// with every worker count must agree on every root at every step, on both
+// backends. Every third change set is smaller than
+// minParallelCommitAccounts, so the inline-resolve arm is compared too.
 func TestCommitParallelParity(t *testing.T) {
 	workerCounts := []int{1, 2, 4, 8}
-	for seed := int64(1); seed <= 5; seed++ {
-		serial := NewSnapshot()
-		parallel := make([]*Snapshot, len(workerCounts))
-		for i := range parallel {
-			parallel[i] = NewSnapshot()
+	for _, backend := range []string{"mem", "disk"} {
+		fresh := func() *Snapshot {
+			if backend == "disk" {
+				return NewSnapshotDisk(openStateDB(t, 256))
+			}
+			return NewSnapshot()
 		}
-		r := rand.New(rand.NewSource(seed))
-		for step := 0; step < 6; step++ {
-			cs := randomChangeSet(r, 1+r.Intn(64), 48)
-			serial = serial.Commit(cs)
-			for i, w := range workerCounts {
-				parallel[i] = parallel[i].CommitParallel(cs, w)
-				snapshotEqual(t, serial, parallel[i],
-					fmt.Sprintf("seed %d step %d workers %d", seed, step, w))
-				if got, want := parallel[i].RootParallel(w), serial.Root(); got != want {
-					t.Fatalf("seed %d step %d workers %d: RootParallel %s != Root %s",
-						seed, step, w, got, want)
+		for seed := int64(1); seed <= 5; seed++ {
+			ref := fresh()
+			parallel := make([]*Snapshot, len(workerCounts))
+			for i := range parallel {
+				parallel[i] = fresh()
+			}
+			r := rand.New(rand.NewSource(seed))
+			for step := 0; step < 6; step++ {
+				n := 1 + r.Intn(64)
+				if step%3 == 2 {
+					n = 1 + r.Intn(minParallelCommitAccounts-1)
+				}
+				cs := randomChangeSet(r, n, 48)
+				ref = commitRef(ref, cs)
+				for i, w := range workerCounts {
+					parallel[i] = parallel[i].CommitParallel(cs, w)
+					label := fmt.Sprintf("%s seed %d step %d workers %d", backend, seed, step, w)
+					snapshotEqual(t, ref, parallel[i], label)
+					if got, want := parallel[i].RootParallel(w), ref.Root(); got != want {
+						t.Fatalf("%s: RootParallel %s != Root %s", label, got, want)
+					}
+					if backend == "disk" {
+						got, want := parallel[i].db.Store().Stats(), ref.db.Store().Stats()
+						if got.Puts != want.Puts || got.FileBytes != want.FileBytes {
+							t.Fatalf("%s: store %d puts / %d bytes, reference %d / %d",
+								label, got.Puts, got.FileBytes, want.Puts, want.FileBytes)
+						}
+					}
 				}
 			}
 		}

@@ -158,50 +158,12 @@ func (d *diskInstaller) install(addr types.Address, ch *AccountChange, r *resolv
 // its root and pushes the flat layer. An I/O failure panics: a state commit
 // that cannot reach disk is as fatal as OOM, and the Commit signature (shared
 // with the hot in-memory path) carries no error.
-func (d *diskInstaller) finish(parent, ns *Snapshot) *Snapshot {
+func (d *diskInstaller) finish(parent, ns *Snapshot) {
 	root := d.batch.PersistTrie(ns.accounts)
 	if err := d.batch.Commit(root); err != nil {
 		panic(fmt.Errorf("state: disk commit: %w", err))
 	}
 	ns.flat = pushFlatLayer(parent.flat, d.flatAccts, d.flatStorage)
-	return ns
-}
-
-// commitDisk is the serial disk-backend commit: the same account loop as
-// Commit, installed through a diskInstaller.
-func (s *Snapshot) commitDisk(cs *ChangeSet) *Snapshot {
-	ns := s.child()
-	inst := s.newDiskInstaller(len(cs.Accounts))
-	for addr, ch := range cs.Accounts {
-		r, flat := s.resolveChange(addr, ch)
-		inst.install(addr, ch, &r, flat)
-		ns.accounts.Update(r.hashedAddr, r.leaf)
-	}
-	return inst.finish(s, ns)
-}
-
-// commitParallelDisk is CommitParallel on the disk backend: identical
-// per-account fan-out (lookups through flat+cache+store are all
-// thread-safe), with the persist and flat push in the serial tail. Produces
-// a snapshot bit-identical to commitDisk (the parity suite proves it across
-// worker counts and against the in-memory backend).
-func (s *Snapshot) commitParallelDisk(cs *ChangeSet, workers int) *Snapshot {
-	n := len(cs.Accounts)
-	if workers <= 1 || n < minParallelCommitAccounts {
-		return s.commitDisk(cs)
-	}
-	addrs, results, flats := s.resolveChanges(cs, min(workers, n))
-
-	ns := s.child()
-	inst := s.newDiskInstaller(n)
-	keys := make([][]byte, n)
-	leaves := make([][]byte, n)
-	for i := range results {
-		inst.install(addrs[i], cs.Accounts[addrs[i]], &results[i], flats[i])
-		keys[i], leaves[i] = results[i].hashedAddr, results[i].leaf
-	}
-	ns.accounts.Batch(keys, leaves)
-	return inst.finish(s, ns)
 }
 
 // copySlots snapshots a change set's dirty-slot map for the flat layer: the

@@ -246,12 +246,11 @@ type resolvedChange struct {
 	codeSet    bool
 }
 
-// resolveChange is the per-account body under all four commit paths
-// (serial/parallel × mem/disk): parent lookup, new scalar fields and code
-// hash, storage-trie batch and root, leaf encoding. It only reads the
-// immutable parent, so the parallel paths call it from worker goroutines;
-// the callers keep what differs — how leaves reach the accounts trie and
-// where tries, code and flat layers are stored.
+// resolveChange is the per-account body of a commit: parent lookup, new
+// scalar fields and code hash, storage-trie batch and root, leaf encoding. It
+// only reads the immutable parent, so resolveChanges may call it from worker
+// goroutines; where tries, code and flat layers are stored is the
+// installer's business.
 func (s *Snapshot) resolveChange(addr types.Address, ch *AccountChange) (resolvedChange, flatAccount) {
 	// One keccak(addr) per account, shared by the lookup and the caller's
 	// accounts-trie update.
@@ -293,10 +292,11 @@ func (s *Snapshot) resolveChange(addr types.Address, ch *AccountChange) (resolve
 	return r, acct
 }
 
-// resolveChanges runs resolveChange over every account of cs on `workers`
-// goroutines (accounts are independent by construction: one storage trie
-// each, disjoint leaves in the accounts trie) and returns the results with
-// their addresses, index-aligned; flats only on the disk backend.
+// resolveChanges runs resolveChange over every account of cs and returns the
+// results with their addresses, index-aligned; flats only on the disk
+// backend. With workers > 1 the accounts are fanned over that many goroutines
+// (they are independent by construction: one storage trie each, disjoint
+// leaves in the accounts trie); otherwise the one worker runs inline.
 func (s *Snapshot) resolveChanges(cs *ChangeSet, workers int) (addrs []types.Address, results []resolvedChange, flats []flatAccount) {
 	addrs = make([]types.Address, 0, len(cs.Accounts))
 	for addr := range cs.Accounts {
@@ -307,22 +307,29 @@ func (s *Snapshot) resolveChanges(cs *ChangeSet, workers int) (addrs []types.Add
 		flats = make([]flatAccount, len(addrs))
 	}
 	var next atomic.Int64
+	worker := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(addrs) {
+				return
+			}
+			r, flat := s.resolveChange(addrs[i], cs.Accounts[addrs[i]])
+			results[i] = r
+			if flats != nil {
+				flats[i] = flat
+			}
+		}
+	}
+	if workers <= 1 {
+		worker()
+		return addrs, results, flats
+	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(addrs) {
-					return
-				}
-				r, flat := s.resolveChange(addrs[i], cs.Accounts[addrs[i]])
-				results[i] = r
-				if flats != nil {
-					flats[i] = flat
-				}
-			}
+			worker()
 		}()
 	}
 	wg.Wait()
@@ -365,21 +372,10 @@ func (m *memInstaller) install(addr types.Address, r *resolvedChange) {
 	}
 }
 
-// Commit applies a change set and returns the resulting snapshot. The
-// receiver is unchanged. This is the serial reference path; CommitParallel
-// must produce a bit-identical snapshot.
+// Commit applies a change set and returns the resulting snapshot; the
+// receiver is unchanged. It is CommitParallel on the calling goroutine.
 func (s *Snapshot) Commit(cs *ChangeSet) *Snapshot {
-	if s.db != nil {
-		return s.commitDisk(cs)
-	}
-	ns := s.child()
-	inst := memInstaller{ns: ns}
-	for addr, ch := range cs.Accounts {
-		r, _ := s.resolveChange(addr, ch)
-		inst.install(addr, &r)
-		ns.accounts.Update(r.hashedAddr, r.leaf)
-	}
-	return ns
+	return s.CommitParallel(cs, 1)
 }
 
 // applyStorage batch-applies one account's dirty slots to its (already
@@ -405,32 +401,41 @@ func (s *Snapshot) applyStorage(st *trie.Trie, slots map[types.Hash]uint256.Int)
 // fan-out costs more than the trie work it parallelizes.
 const minParallelCommitAccounts = 4
 
-// CommitParallel is Commit with the per-account work (resolveChange) fanned
-// across `workers` goroutines, so the only serial remainder is the map
-// bookkeeping and a single batch insert into the accounts trie (sorted
-// bottom-up build, one pass). The resulting snapshot is bit-identical to
-// Commit(cs): same tries, same roots (parity suite in commit_test.go).
-//
-// workers <= 1 (the ablation) or a small change set falls back to Commit.
+// CommitParallel is the one commit body, on both backends: resolve every
+// account against the parent (resolveChange, fanned across `workers`
+// goroutines unless workers <= 1 or the change set is small), install the
+// results (storage tries, code and — on disk — the batch and flat layer), one
+// batch insert into the accounts trie (sorted bottom-up build, one pass), and
+// on disk the persist behind one barrier. The snapshot does not depend on the
+// worker count: same tries, same roots, same store bytes (parity suite in
+// commit_test.go against the serial reference it replaced).
 func (s *Snapshot) CommitParallel(cs *ChangeSet, workers int) *Snapshot {
-	if s.db != nil {
-		return s.commitParallelDisk(cs, workers)
-	}
 	n := len(cs.Accounts)
-	if workers <= 1 || n < minParallelCommitAccounts {
-		return s.Commit(cs)
+	if n < minParallelCommitAccounts {
+		workers = 1
 	}
-	addrs, results, _ := s.resolveChanges(cs, min(workers, n))
+	addrs, results, flats := s.resolveChanges(cs, min(workers, n))
 
 	ns := s.child()
-	inst := memInstaller{ns: ns}
+	mem := memInstaller{ns: ns}
+	var disk *diskInstaller
+	if s.db != nil {
+		disk = s.newDiskInstaller(n)
+	}
 	keys := make([][]byte, n)
 	leaves := make([][]byte, n)
 	for i := range results {
-		inst.install(addrs[i], &results[i])
+		if disk != nil {
+			disk.install(addrs[i], cs.Accounts[addrs[i]], &results[i], flats[i])
+		} else {
+			mem.install(addrs[i], &results[i])
+		}
 		keys[i], leaves[i] = results[i].hashedAddr, results[i].leaf
 	}
 	ns.accounts.Batch(keys, leaves)
+	if disk != nil {
+		disk.finish(s, ns)
+	}
 	return ns
 }
 

@@ -42,15 +42,11 @@ var (
 	ErrBadBlock        = errors.New("validator: block invalid")
 )
 
-// Config controls the parallel validator.
+// Config controls the parallel validator. The zero value (plus a thread
+// count) is the paper's configuration: the dependency graph is always
+// account-level and components are always assigned by gas-LPT.
 type Config struct {
 	Threads int
-	// AccountLevel selects conflict granularity for the dependency graph:
-	// true (default in the paper) treats any two touches of one account as
-	// a conflict; false uses storage-slot granularity (ablation).
-	AccountLevel bool
-	// Assign chooses the component→thread policy (default gas-LPT).
-	Assign func(components []scheduler.Component, threads int) *scheduler.Schedule
 	// Spawn runs one execution lane. Default spawns a goroutine; the
 	// multi-block pipeline injects its shared worker pool here so that free
 	// workers execute transactions "regardless of the block information"
@@ -70,9 +66,9 @@ type Config struct {
 	Tracer *trace.Collector
 }
 
-// DefaultConfig is the paper's configuration.
+// DefaultConfig is the paper's configuration at the given thread count.
 func DefaultConfig(threads int) Config {
-	return Config{Threads: threads, AccountLevel: true, Assign: scheduler.AssignLPT}
+	return Config{Threads: threads}
 }
 
 // Result is a successfully validated block's outcome.
@@ -113,9 +109,6 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 	if cfg.Threads < 1 {
 		cfg.Threads = 1
 	}
-	if cfg.Assign == nil {
-		cfg.Assign = scheduler.AssignLPT
-	}
 	if cfg.Spawn == nil {
 		cfg.Spawn = func(f func()) { go f() }
 	}
@@ -151,14 +144,15 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 		bh = block.Hash()
 	}
 
-	// Preparation phase. The dependency graph's union-find is built with a
-	// parallel partition+merge pass across the validator's threads, so
-	// preparation stops being serial ahead of the gas-LPT assignment.
+	// Preparation phase: account-level conflict subgraphs from the shipped
+	// profile, gas-LPT onto the lanes. Serial on purpose — the profile makes
+	// this ≈ 1 % of validation, and a fanned-out build lost to this one on
+	// every block shape the benchmark has (docs/PERFORMANCE.md §2).
 	prepare := tr.Begin(node, trace.StagePrepare, h.Number)
 	graphSpan := telemetry.StartSpan(telemetry.ValidatorGraphBuildSeconds)
-	components := scheduler.BuildComponentsParallel(block.Profile, cfg.AccountLevel, cfg.Threads)
+	components := scheduler.BuildComponents(block.Profile, true)
 	graphSpan.End()
-	sched := cfg.Assign(components, cfg.Threads)
+	sched := scheduler.AssignLPT(components, cfg.Threads)
 	stats := scheduler.ComputeStats(components)
 	prepare.End(bh)
 	if telemetry.Enabled() {

@@ -58,19 +58,30 @@ func makeBlock(t *testing.T, txCount int) (*state.Snapshot, *types.Header, *type
 	return parent, parentHeader, res.Block
 }
 
+// TestValidateHonestBlockAcrossThreads also pins that the graph is a function
+// of the profile alone: Result.Stats is identical at every thread count, and
+// a bare Config{Threads: n} is the paper's configuration, not a variant of it.
 func TestValidateHonestBlockAcrossThreads(t *testing.T) {
 	parent, parentHeader, block := makeBlock(t, 132)
 	params := chain.DefaultParams()
+	var stats *scheduler.Stats
 	for _, threads := range []int{1, 2, 4, 8, 16} {
-		res, err := ValidateParallel(parent, parentHeader, block, DefaultConfig(threads), params)
-		if err != nil {
-			t.Fatalf("threads=%d: %v", threads, err)
-		}
-		if res.State.Root() != block.Header.StateRoot {
-			t.Fatalf("threads=%d: root mismatch", threads)
-		}
-		if len(res.Receipts) != len(block.Txs) {
-			t.Fatalf("threads=%d: receipts", threads)
+		for name, cfg := range map[string]Config{"default": DefaultConfig(threads), "bare": {Threads: threads}} {
+			res, err := ValidateParallel(parent, parentHeader, block, cfg, params)
+			if err != nil {
+				t.Fatalf("threads=%d %s: %v", threads, name, err)
+			}
+			if res.State.Root() != block.Header.StateRoot {
+				t.Fatalf("threads=%d %s: root mismatch", threads, name)
+			}
+			if len(res.Receipts) != len(block.Txs) {
+				t.Fatalf("threads=%d %s: receipts", threads, name)
+			}
+			if stats == nil {
+				stats = &res.Stats
+			} else if res.Stats != *stats {
+				t.Fatalf("threads=%d %s: stats %+v, want %+v", threads, name, res.Stats, *stats)
+			}
 		}
 	}
 }
@@ -96,28 +107,6 @@ func TestValidateMatchesSerialBaseline(t *testing.T) {
 			serial.Receipts[i].CumulativeGasUsed != par.Receipts[i].CumulativeGasUsed {
 			t.Fatalf("receipt %d differs", i)
 		}
-	}
-}
-
-func TestValidateSlotGranularityAblation(t *testing.T) {
-	parent, parentHeader, block := makeBlock(t, 100)
-	params := chain.DefaultParams()
-	cfg := Config{Threads: 8, AccountLevel: false, Assign: scheduler.AssignLPT}
-	res, err := ValidateParallel(parent, parentHeader, block, cfg, params)
-	if err != nil {
-		t.Fatalf("slot-granular validation failed: %v", err)
-	}
-	if res.State.Root() != block.Header.StateRoot {
-		t.Fatal("root mismatch")
-	}
-}
-
-func TestValidateRoundRobinAblation(t *testing.T) {
-	parent, parentHeader, block := makeBlock(t, 100)
-	params := chain.DefaultParams()
-	cfg := Config{Threads: 8, AccountLevel: true, Assign: scheduler.AssignRoundRobin}
-	if _, err := ValidateParallel(parent, parentHeader, block, cfg, params); err != nil {
-		t.Fatalf("round-robin validation failed: %v", err)
 	}
 }
 
