@@ -85,10 +85,11 @@ trace-budget:
 # The state path's budget (docs/PERFORMANCE.md §9): an overlay costs its base
 # one Account call per account and one Code call per contract, through Memory
 # and through the proposer's view alike; ApplyChangeSet reads nothing; a
-# decoded branch is two allocations. A fourth lookup or a re-grown slice fails
-# here, without running the benchmark.
+# decoded branch is two allocations; a Release allocates the same small
+# constant whether it prunes 41 nodes or 1 033. A fourth lookup or a re-grown
+# slice fails here, without running the benchmark.
 state-budget:
-	$(GO) test -count=1 -run 'TestOverlayReadsEachAccountOnce|TestApplyChangeSetReadsNothing|TestDecodeNodeAllocs' ./internal/state/ ./internal/core/ ./internal/trie/
+	$(GO) test -count=1 -run 'TestOverlayReadsEachAccountOnce|TestApplyChangeSetReadsNothing|TestDecodeNodeAllocs|TestReleaseAllocs' ./internal/state/ ./internal/core/ ./internal/trie/ ./internal/trie/store/
 
 # Live end-to-end pass of the health recorder: a real sampler at a fast
 # interval over actual runtime metrics and the live telemetry registry.
@@ -117,6 +118,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeNodeVsReference -fuzztime 3s ./internal/trie/
 	$(GO) test -run '^$$' -fuzz FuzzNodeEdgesVsReference -fuzztime 3s ./internal/trie/
 	$(GO) test -run '^$$' -fuzz FuzzNodeStore -fuzztime 3s ./internal/trie/store/
+	$(GO) test -run '^$$' -fuzz FuzzNodeIndexVsMap -fuzztime 3s ./internal/trie/store/
 	$(GO) test -run '^$$' -fuzz FuzzKeccak256VsReference -fuzztime 3s ./internal/crypto/
 	$(GO) test -run '^$$' -fuzz FuzzRunVsReference -fuzztime 3s ./internal/evm/
 
@@ -141,9 +143,10 @@ bench-compare:
 
 # Go micro-benchmarks of the remaining testing.B loops (allocation counts via
 # -benchmem); internal/scheduler's is the serial graph build on a 400-tx
-# profile.
+# profile, internal/trie's the prune of one version of a 50k-account disk trie
+# (ns and allocations per pruned node).
 bench-go:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/scheduler/ ./internal/mempool/ ./internal/evm/ ./internal/crypto/ ./internal/uint256/
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/scheduler/ ./internal/mempool/ ./internal/evm/ ./internal/crypto/ ./internal/uint256/ ./internal/trie/
 
 telemetry-bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/telemetry/

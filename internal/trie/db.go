@@ -13,7 +13,7 @@
 package trie
 
 import (
-	"container/list"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -102,7 +102,14 @@ func OpenDatabase(path string, cacheNodes int) (*Database, error) {
 	if cacheNodes <= 0 {
 		cacheNodes = DefaultCacheNodes
 	}
-	st, err := store.Open(path, store.Options{Edges: NodeEdges})
+	// The store extracts edges one node at a time under its lock, so all of
+	// its calls share one result buffer (NodeEdges allocates one per call).
+	var edges [][32]byte
+	st, err := store.Open(path, store.Options{Edges: func(enc []byte, has func([32]byte) bool) [][32]byte {
+		edges = edges[:0]
+		collectEdges(enc, has, &edges)
+		return edges
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -286,51 +293,106 @@ func persistNode(sb *store.Batch, n node) []byte {
 // ---------------------------------------------------------------------------
 // Decoded-node LRU
 
+// nodeLRU is a strict LRU of decoded nodes: one slab of entries linked by
+// position — slab[0] is the list's head, its next the most recently used
+// entry and its prev the least — and found through the same kind of table as
+// the store's node index (store/index.go): the hash's first four bytes above
+// a slab position, linear probing, backward-shift delete. A full cache reuses
+// the entry it evicts, so an add allocates nothing.
 type nodeLRU struct {
-	mu  sync.Mutex
-	cap int
-	m   map[[32]byte]*list.Element
-	l   *list.List // front = most recently used
+	mu    sync.Mutex
+	cap   int
+	slab  []lruEntry
+	table []uint64 // power-of-two length, at most three quarters full; 0 = empty
 }
 
 type lruEntry struct {
-	hash [32]byte
-	n    node
+	hash       [32]byte
+	n          node
+	prev, next uint32
 }
 
 func newNodeLRU(capacity int) *nodeLRU {
-	return &nodeLRU{cap: capacity, m: make(map[[32]byte]*list.Element, capacity/4), l: list.New()}
+	return &nodeLRU{cap: capacity, slab: make([]lruEntry, 1), table: make([]uint64, 16)}
+}
+
+func lruPrefix(h *[32]byte) uint64 { return uint64(binary.BigEndian.Uint32(h[:4])) << 32 }
+
+func (c *nodeLRU) find(h *[32]byte) uint32 {
+	prefix, mask := lruPrefix(h), uint64(len(c.table)-1)
+	for i := prefix >> 32 & mask; ; i = (i + 1) & mask {
+		slot := c.table[i]
+		if slot == 0 {
+			return 0
+		}
+		if slot>>32 == prefix>>32 && c.slab[uint32(slot)].hash == *h {
+			return uint32(slot)
+		}
+	}
+}
+
+func (c *nodeLRU) place(slot uint64) {
+	mask := uint64(len(c.table) - 1)
+	i := slot >> 32 & mask
+	for c.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	c.table[i] = slot
+}
+
+// toFront makes slab position j the most recently used entry.
+func (c *nodeLRU) toFront(j uint32) {
+	e, head := &c.slab[j], &c.slab[0]
+	c.slab[e.prev].next, c.slab[e.next].prev = e.next, e.prev // a new entry links to itself
+	e.prev, e.next = 0, head.next
+	c.slab[head.next].prev, head.next = j, j
 }
 
 func (c *nodeLRU) get(h [32]byte) (node, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[h]
-	if !ok {
+	j := c.find(&h)
+	if j == 0 {
 		return nil, false
 	}
-	c.l.MoveToFront(el)
-	return el.Value.(*lruEntry).n, true
+	c.toFront(j)
+	return c.slab[j].n, true
 }
 
 func (c *nodeLRU) add(h [32]byte, n node) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[h]; ok {
-		c.l.MoveToFront(el)
-		el.Value.(*lruEntry).n = n
-		return
+	j := c.find(&h)
+	if j == 0 {
+		if len(c.slab) <= c.cap {
+			j = uint32(len(c.slab))
+			c.slab = append(c.slab, lruEntry{prev: j, next: j})
+			if len(c.slab)*4 > len(c.table)*3 {
+				old := c.table
+				c.table = make([]uint64, 2*len(old))
+				for _, slot := range old {
+					if slot != 0 {
+						c.place(slot)
+					}
+				}
+			}
+		} else { // full: the least recently used entry makes room
+			j = c.slab[0].prev
+			mask := uint64(len(c.table) - 1)
+			i := lruPrefix(&c.slab[j].hash) >> 32 & mask
+			for uint32(c.table[i]) != j {
+				i = (i + 1) & mask
+			}
+			for k := (i + 1) & mask; c.table[k] != 0; k = (k + 1) & mask {
+				if home := c.table[k] >> 32 & mask; (k-home)&mask >= (k-i)&mask {
+					c.table[i], i = c.table[k], k
+				}
+			}
+			c.table[i] = 0
+		}
+		c.slab[j].hash = h
+		c.place(lruPrefix(&h) | uint64(j))
 	}
-	c.m[h] = c.l.PushFront(&lruEntry{hash: h, n: n})
-	for c.l.Len() > c.cap {
-		back := c.l.Back()
-		c.l.Remove(back)
-		delete(c.m, back.Value.(*lruEntry).hash)
-	}
-}
-
-func (c *nodeLRU) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.l.Len()
+	c.slab[j].n = n
+	c.toFront(j)
 }

@@ -29,11 +29,14 @@
 // n. Open rebuilds them in one linear pass using the injected edge
 // extractor (Options.Edges — the trie layer's knowledge of where child
 // hashes live inside a node encoding, including the account-leaf →
-// storage-root cross-trie edge). Incremental maintenance in Put/Release
+// storage-root cross-trie edge). Incremental maintenance in Commit/Release
 // uses the same extractor, so the two always agree.
 package store
 
 import (
+	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,7 +44,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -81,23 +84,18 @@ type Options struct {
 	// (direct or embedded) and, for account leaves, the storage root. The
 	// `has` callback reports whether a hash is currently stored and is used
 	// to disambiguate 32-byte values from node references; a false positive
-	// can only over-retain (leak), never dangle.
+	// can only over-retain (leak), never dangle. The store calls Edges only
+	// with its lock held and is done with the result before the next call,
+	// so an extractor may hand back the same backing array every time.
 	Edges func(enc []byte, has func([32]byte) bool) [][32]byte
 	// Sync fsyncs the file after every barrier (off by default: the crash
 	// battery models torn tails, not lying disks).
 	Sync bool
 }
 
-// entry locates one live record and carries its reference count.
-type entry struct {
-	off  int64
-	vlen uint32
-	refs int32
-}
-
 // Stats is a snapshot of the store's read/write counters.
 type Stats struct {
-	DiskReads     uint64 // payload reads served from the file
+	DiskReads     uint64 // payload reads served from the file (Get, Code, the prune cascade)
 	DiskBytesRead uint64
 	Puts          uint64 // node records written (post-dedup)
 	Dels          uint64 // node records pruned
@@ -113,11 +111,19 @@ type Store struct {
 	f     *os.File
 	path  string
 	size  int64
-	idx   map[[32]byte]entry // live trie nodes
-	codes map[[32]byte]entry // contract code blobs (never pruned)
-	roots map[[32]byte]int   // live root → anchor count
+	idx   nodeIndex        // live trie nodes and their reference counts
+	codes map[[32]byte]loc // contract code blobs (never pruned)
+	roots map[[32]byte]int // live root → anchor count
 	opts  Options
 	open  bool
+
+	// Release's working set, kept between calls so a prune allocates nothing
+	// per node: the undo log (every count dropped), the pruned nodes in
+	// cascade order, the cascade's stack, one payload and one record buffer.
+	rel struct {
+		undo, dead, stack []uint32
+		enc, buf          []byte
+	}
 
 	diskReads atomic.Uint64
 	bytesRead atomic.Uint64
@@ -142,8 +148,8 @@ func Open(path string, opts Options) (*Store, error) {
 	s := &Store{
 		f:     f,
 		path:  path,
-		idx:   make(map[[32]byte]entry),
-		codes: make(map[[32]byte]entry),
+		idx:   newNodeIndex(),
+		codes: make(map[[32]byte]loc),
 		roots: make(map[[32]byte]int),
 		opts:  opts,
 		open:  true,
@@ -155,69 +161,75 @@ func Open(path string, opts Options) (*Store, error) {
 	return s, nil
 }
 
+// scanBuffer is the read-ahead of Open's two passes over the log.
+const scanBuffer = 1 << 20
+
 // recover scans the log, replays every record up to the last valid barrier,
-// truncates the file there, and rebuilds reference counts.
+// truncates the file there, and rebuilds reference counts. The scan is one
+// sequential buffered read; only a record's key, offset and length outlive it.
 func (s *Store) recover() error {
 	type rec struct {
 		kind byte
 		key  [32]byte
-		off  int64 // payload offset
-		vlen uint32
+		loc  // of the payload
 	}
 	var pending []rec // records since the last barrier
-	var hdr [recHeaderLen]byte
 	offset := int64(0)
 	durable := int64(0) // end of the last valid barrier
 
 	apply := func(r rec) {
 		switch r.kind {
 		case recPut:
-			if _, dup := s.idx[r.key]; !dup {
-				s.idx[r.key] = entry{off: r.off, vlen: r.vlen}
+			if s.idx.find(&r.key) == 0 {
+				s.idx.insert(entry{key: r.key, loc: r.loc})
 			}
 		case recCode:
 			if _, dup := s.codes[r.key]; !dup {
-				s.codes[r.key] = entry{off: r.off, vlen: r.vlen}
+				s.codes[r.key] = r.loc
 			}
 		case recDel:
-			delete(s.idx, r.key)
+			if j := s.idx.find(&r.key); j != 0 {
+				s.idx.remove(j)
+			}
 		case recCommit:
 			s.roots[r.key]++
 		case recRelease:
-			if s.roots[r.key] > 1 {
-				s.roots[r.key]--
-			} else {
-				delete(s.roots, r.key)
-			}
+			s.dropAnchor(r.key)
 		}
 	}
 
+	fi, err := s.f.Stat()
+	if err != nil {
+		return err
+	}
+	log := bufio.NewReaderSize(io.NewSectionReader(s.f, 0, fi.Size()), scanBuffer)
+	body := make([]byte, recHeaderLen, 4096) // one record, reused
 	for {
-		if _, err := s.f.ReadAt(hdr[:], offset); err != nil {
+		body = body[:recHeaderLen]
+		if _, err := io.ReadFull(log, body); err != nil {
 			break // EOF or torn header
 		}
-		kind := hdr[0]
+		kind := body[0]
 		if kind < recPut || kind > recRelease {
 			break // corrupt kind
 		}
-		vlen := binary.BigEndian.Uint32(hdr[33:])
-		if vlen > maxPayload {
-			break // corrupt length
+		vlen := binary.BigEndian.Uint32(body[33:])
+		end := offset + recHeaderLen + int64(vlen) + recCRCLen
+		if vlen > maxPayload || end > fi.Size() {
+			break // corrupt length or torn payload
 		}
-		body := make([]byte, int(vlen)+recCRCLen)
-		if n, err := s.f.ReadAt(body, offset+recHeaderLen); err != nil || n != len(body) {
-			break // torn payload
+		body = slices.Grow(body, int(vlen)+recCRCLen)[:recHeaderLen+int(vlen)+recCRCLen]
+		if _, err := io.ReadFull(log, body[recHeaderLen:]); err != nil {
+			break
 		}
-		crc := crc32.NewIEEE()
-		crc.Write(hdr[:])
-		crc.Write(body[:vlen])
-		if crc.Sum32() != binary.BigEndian.Uint32(body[vlen:]) {
+		sum := len(body) - recCRCLen
+		if crc32.ChecksumIEEE(body[:sum]) != binary.BigEndian.Uint32(body[sum:]) {
 			break // checksum mismatch
 		}
-		r := rec{kind: kind, off: offset + recHeaderLen, vlen: vlen}
-		copy(r.key[:], hdr[1:33])
+		r := rec{kind: kind, loc: loc{off: offset + recHeaderLen, vlen: vlen}}
+		copy(r.key[:], body[1:33])
 		pending = append(pending, r)
-		offset += recHeaderLen + int64(vlen) + recCRCLen
+		offset = end
 		if kind == recCommit || kind == recRelease {
 			for _, p := range pending {
 				apply(p)
@@ -235,89 +247,120 @@ func (s *Store) recover() error {
 	return s.rebuildRefs()
 }
 
-// rebuildRefs recomputes every live node's reference count: one linear pass
-// over the index extracting edges, plus the live-root anchors. This is the
-// same accounting Put/Release maintain incrementally, from the same edge
-// extractor, so a reopened store prunes identically to one that never
-// closed.
+// dropAnchor removes one anchor of a live root.
+func (s *Store) dropAnchor(root [32]byte) {
+	if s.roots[root] > 1 {
+		s.roots[root]--
+	} else {
+		delete(s.roots, root)
+	}
+}
+
+// rebuildRefs recomputes every live node's reference count: one pass over
+// the live records in file order extracting edges, plus the live-root
+// anchors. This is the same accounting Commit/Release maintain
+// incrementally, from the same edge extractor, so a reopened store prunes
+// identically to one that never closed.
 func (s *Store) rebuildRefs() error {
-	// Deterministic iteration is not required for correctness (counts are
-	// order-independent) but sequential file access is: sort by offset.
-	type live struct {
-		key [32]byte
-		e   entry
+	x := &s.idx
+	nodes := make([]uint32, 0, x.len())
+	for j := 1; j < len(x.slab); j++ {
+		if x.slab[j].off != 0 { // a vacated position is zeroed; a payload never starts at 0
+			nodes = append(nodes, uint32(j))
+		}
 	}
-	nodes := make([]live, 0, len(s.idx))
-	for k, e := range s.idx {
-		nodes = append(nodes, live{k, e})
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].e.off < nodes[j].e.off })
-	has := func(h [32]byte) bool { _, ok := s.idx[h]; return ok }
+	slices.SortFunc(nodes, func(a, b uint32) int { return cmp.Compare(x.slab[a].off, x.slab[b].off) })
+	log := bufio.NewReaderSize(io.NewSectionReader(s.f, 0, s.size), scanBuffer)
+	pos, has := int64(0), s.has
 	var enc []byte // reused: Edges copies the hashes out
-	for _, n := range nodes {
-		var err error
-		if enc, err = s.readPayload(n.e, enc); err != nil {
+	for _, j := range nodes {
+		l := x.slab[j].loc
+		enc = slices.Grow(enc[:0], int(l.vlen))[:l.vlen]
+		if _, err := log.Discard(int(l.off - pos)); err != nil {
 			return fmt.Errorf("store: rebuild refs: %w", err)
 		}
-		for _, child := range s.opts.Edges(enc, has) {
-			if e, ok := s.idx[child]; ok {
-				e.refs++
-				s.idx[child] = e
-			}
+		if _, err := io.ReadFull(log, enc); err != nil {
+			return fmt.Errorf("store: rebuild refs: %w", err)
 		}
+		pos = l.off + int64(l.vlen)
+		s.countEdges(j, enc, has)
 	}
 	for root, anchors := range s.roots {
-		if e, ok := s.idx[root]; ok {
-			e.refs += int32(anchors)
-			s.idx[root] = e
+		if j := x.find(&root); j != 0 {
+			x.slab[j].refs += int32(anchors)
 		}
 	}
 	return nil
 }
 
+// countEdges adds one reference to every stored node that enc — the payload
+// at slab position j — points at, and flags j when there is none.
+func (s *Store) countEdges(j uint32, enc []byte, has func([32]byte) bool) {
+	x := &s.idx
+	edges := s.opts.Edges(enc, has)
+	n := 0
+	for i := range edges {
+		if c := x.find(&edges[i]); c != 0 {
+			x.slab[c].refs++
+			n++
+		}
+	}
+	if n == 0 {
+		x.slab[j].flags |= flagNoEdges
+	}
+}
+
+// has is the liveness test handed to Edges: stored, and not pruned by the
+// Release in progress. Callers hold s.mu, and bind it once per operation (a
+// method value is an allocation).
+func (s *Store) has(h [32]byte) bool {
+	j := s.idx.find(&h)
+	return j != 0 && s.idx.slab[j].flags&flagDead == 0
+}
+
 // readPayload reads one record's payload into buf's backing array when it is
 // large enough (a caller that is done with each payload before the next read
 // passes the previous result back in), else into a fresh buffer.
-func (s *Store) readPayload(e entry, buf []byte) ([]byte, error) {
-	if cap(buf) < int(e.vlen) {
-		buf = make([]byte, e.vlen)
+func (s *Store) readPayload(l loc, buf []byte) ([]byte, error) {
+	if cap(buf) < int(l.vlen) {
+		buf = make([]byte, l.vlen)
 	}
-	buf = buf[:e.vlen]
-	if _, err := s.f.ReadAt(buf, e.off); err != nil {
+	buf = buf[:l.vlen]
+	if _, err := s.f.ReadAt(buf, l.off); err != nil {
 		return nil, err
 	}
 	s.diskReads.Add(1)
-	s.bytesRead.Add(uint64(e.vlen))
+	s.bytesRead.Add(uint64(l.vlen))
 	return buf, nil
 }
 
 // Get returns a live node's encoding.
 func (s *Store) Get(h [32]byte) ([]byte, error) {
 	s.mu.Lock()
-	e, ok := s.idx[h]
+	j := s.idx.find(&h)
+	l := s.idx.slab[j].loc
 	open := s.open
 	s.mu.Unlock()
 	if !open {
 		return nil, ErrClosed
 	}
-	if !ok {
+	if j == 0 {
 		return nil, fmt.Errorf("%w: %x", ErrNotFound, h)
 	}
-	return s.readPayload(e, nil) // ReadAt is safe without the lock
+	return s.readPayload(l, nil) // ReadAt is safe without the lock
 }
 
 // Has reports whether a node is live.
 func (s *Store) Has(h [32]byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.idx[h]
-	return ok
+	return s.idx.find(&h) != 0
 }
 
 // Code returns a stored code blob.
 func (s *Store) Code(h [32]byte) ([]byte, error) {
 	s.mu.Lock()
-	e, ok := s.codes[h]
+	l, ok := s.codes[h]
 	open := s.open
 	s.mu.Unlock()
 	if !open {
@@ -326,130 +369,23 @@ func (s *Store) Code(h [32]byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: code %x", ErrNotFound, h)
 	}
-	return s.readPayload(e, nil)
+	return s.readPayload(l, nil)
 }
 
 // appendRecord stages one record into buf and returns the new buf. The
 // caller tracks offsets from s.size + len(buf) before the append.
 func appendRecord(buf []byte, kind byte, key [32]byte, payload []byte) []byte {
-	var hdr [recHeaderLen]byte
-	hdr[0] = kind
-	copy(hdr[1:33], key[:])
-	binary.BigEndian.PutUint32(hdr[33:], uint32(len(payload)))
-	buf = append(buf, hdr[:]...)
+	start := len(buf)
+	buf = append(buf, kind)
+	buf = append(buf, key[:]...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = append(buf, payload...)
-	sum := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload)
-	return binary.BigEndian.AppendUint32(buf, sum)
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
-// Batch stages one state commit: put/code records followed by a commit
-// barrier anchoring a root. Nothing is visible (or durable) until Commit
-// returns; the staging order must be children-before-parents and storage
-// tries before the accounts trie, so edge targets always precede their
-// referrers.
-type Batch struct {
-	s      *Store
-	nodes  []stagedPut
-	codes  []stagedPut
-	staged map[[32]byte]int // staged node hash → index into nodes
-}
-
-type stagedPut struct {
-	key [32]byte
-	enc []byte
-}
-
-// NewBatch starts a commit batch.
-func (s *Store) NewBatch() *Batch {
-	return &Batch{s: s, staged: make(map[[32]byte]int)}
-}
-
-// Put stages a node unless it is already stored or staged. It returns true
-// when the node was newly staged.
-func (b *Batch) Put(h [32]byte, enc []byte) bool {
-	if _, ok := b.staged[h]; ok {
-		return false
-	}
-	b.s.mu.Lock()
-	_, exists := b.s.idx[h]
-	b.s.mu.Unlock()
-	if exists {
-		return false
-	}
-	b.staged[h] = len(b.nodes)
-	b.nodes = append(b.nodes, stagedPut{key: h, enc: enc})
-	return true
-}
-
-// Has reports whether a node is stored or staged in this batch.
-func (b *Batch) Has(h [32]byte) bool {
-	if _, ok := b.staged[h]; ok {
-		return true
-	}
-	return b.s.Has(h)
-}
-
-// PutCode stages a code blob (idempotent).
-func (b *Batch) PutCode(h [32]byte, code []byte) {
-	b.codes = append(b.codes, stagedPut{key: h, enc: code})
-}
-
-// Commit writes the staged records plus a commit barrier anchoring root,
-// then applies them to the index and reference counts. A node staged by a
-// concurrent batch that won the race is silently deduplicated.
-func (b *Batch) Commit(root [32]byte) error {
-	s := b.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.open {
-		return ErrClosed
-	}
-
-	type applied struct {
-		key  [32]byte
-		e    entry
-		enc  []byte
-		code bool
-	}
-	// Both sized from what is staged: every record plus the barrier.
-	size := recOverhead
-	for _, p := range b.codes {
-		size += recOverhead + len(p.enc)
-	}
-	for _, p := range b.nodes {
-		size += recOverhead + len(p.enc)
-	}
-	buf := make([]byte, 0, size)
-	writes := make([]applied, 0, len(b.codes)+len(b.nodes))
-	off := s.size
-	for _, p := range b.codes {
-		if _, dup := s.codes[p.key]; dup {
-			continue
-		}
-		already := false
-		for _, w := range writes {
-			if w.code && w.key == p.key {
-				already = true
-				break
-			}
-		}
-		if already {
-			continue
-		}
-		e := entry{off: off + int64(len(buf)) + recHeaderLen, vlen: uint32(len(p.enc))}
-		buf = appendRecord(buf, recCode, p.key, p.enc)
-		writes = append(writes, applied{key: p.key, e: e, code: true})
-	}
-	for _, p := range b.nodes {
-		if _, dup := s.idx[p.key]; dup {
-			continue // a concurrent batch stored it first
-		}
-		e := entry{off: off + int64(len(buf)) + recHeaderLen, vlen: uint32(len(p.enc))}
-		buf = appendRecord(buf, recPut, p.key, p.enc)
-		writes = append(writes, applied{key: p.key, e: e, enc: p.enc})
-	}
-	buf = appendRecord(buf, recCommit, root, nil)
-
+// appendBarrier writes buf — records ending in a barrier — at the end of the
+// file and, when it is durable, accounts for it.
+func (s *Store) appendBarrier(buf []byte) error {
 	if _, err := s.f.WriteAt(buf, s.size); err != nil {
 		return err
 	}
@@ -459,33 +395,108 @@ func (b *Batch) Commit(root [32]byte) error {
 		}
 	}
 	s.size += int64(len(buf))
+	return nil
+}
 
-	// Apply: insert records first (so edge targets resolve), then count
-	// edges of every newly written node, then the root anchor.
-	for _, w := range writes {
-		if w.code {
-			s.codes[w.key] = w.e
-		} else {
-			s.idx[w.key] = w.e
-			s.puts.Add(1)
+// Batch stages one state commit: put/code records followed by a commit
+// barrier anchoring a root. Nothing is visible (or durable) until Commit
+// returns; the staging order must be children-before-parents and storage
+// tries before the accounts trie, so edge targets always precede their
+// referrers.
+type Batch struct {
+	s     *Store
+	nodes []stagedPut
+	codes []stagedPut
+}
+
+type stagedPut struct {
+	key  [32]byte
+	enc  []byte
+	slot uint32 // Commit: the node's slab position, 0 when it was already stored
+}
+
+// NewBatch starts a commit batch.
+func (s *Store) NewBatch() *Batch { return &Batch{s: s} }
+
+// Put stages a node. It touches nothing shared: whether the node is already
+// stored — or staged twice — is decided once, in Commit, under the store's
+// lock, where no Release can come between the answer and its use.
+func (b *Batch) Put(h [32]byte, enc []byte) {
+	b.nodes = append(b.nodes, stagedPut{key: h, enc: enc})
+}
+
+// PutCode stages a code blob (idempotent).
+func (b *Batch) PutCode(h [32]byte, code []byte) {
+	b.codes = append(b.codes, stagedPut{key: h, enc: code})
+}
+
+// Commit writes the staged records plus a commit barrier anchoring root,
+// then counts their edges. A node that is already stored — by an earlier
+// commit, a concurrent batch, or earlier in this one — is written once.
+func (b *Batch) Commit(root [32]byte) error {
+	s := b.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.open {
+		return ErrClosed
+	}
+
+	// Sized from what is staged: every record plus the barrier.
+	size := recOverhead
+	for _, p := range b.codes {
+		size += recOverhead + len(p.enc)
+	}
+	for _, p := range b.nodes {
+		size += recOverhead + len(p.enc)
+	}
+	buf := make([]byte, 0, size)
+	// Codes and nodes enter their index as their record is staged — that is
+	// the dedup, against the store and against this batch alike — and leave it
+	// again if the write fails. Nobody can see them in between: s.mu is held.
+	var codes [][32]byte
+	for _, p := range b.codes {
+		if _, dup := s.codes[p.key]; !dup {
+			s.codes[p.key] = loc{s.size + int64(len(buf)) + recHeaderLen, uint32(len(p.enc))}
+			codes = append(codes, p.key)
+			buf = appendRecord(buf, recCode, p.key, p.enc)
 		}
 	}
-	has := func(h [32]byte) bool { _, ok := s.idx[h]; return ok }
-	for _, w := range writes {
-		if w.code {
-			continue
+	puts := 0
+	for i := range b.nodes {
+		p := &b.nodes[i]
+		p.slot = 0
+		if s.idx.find(&p.key) == 0 {
+			p.slot = s.idx.insert(entry{key: p.key, loc: loc{s.size + int64(len(buf)) + recHeaderLen, uint32(len(p.enc))}})
+			buf = appendRecord(buf, recPut, p.key, p.enc)
+			puts++
 		}
-		for _, child := range s.opts.Edges(w.enc, has) {
-			if e, ok := s.idx[child]; ok {
-				e.refs++
-				s.idx[child] = e
+	}
+	buf = appendRecord(buf, recCommit, root, nil)
+
+	if err := s.appendBarrier(buf); err != nil {
+		for _, h := range codes {
+			delete(s.codes, h)
+		}
+		for i := range b.nodes {
+			if p := &b.nodes[i]; p.slot != 0 {
+				s.idx.remove(p.slot)
 			}
+		}
+		return err
+	}
+
+	// Every record is in (so edge targets resolve): count the edges of each
+	// newly written node, then the root anchor.
+	s.puts.Add(uint64(puts))
+	has := s.has
+	for i := range b.nodes {
+		if p := &b.nodes[i]; p.slot != 0 {
+			s.countEdges(p.slot, p.enc, has)
 		}
 	}
 	s.roots[root]++
-	if e, ok := s.idx[root]; ok {
-		e.refs++
-		s.idx[root] = e
+	if j := s.idx.find(&root); j != 0 {
+		s.idx.slab[j].refs++
 	}
 	return nil
 }
@@ -495,7 +506,11 @@ func (b *Batch) Commit(root [32]byte) error {
 // children — including storage tries hanging off pruned account leaves).
 // The del records precede the release barrier, so a torn release is wholly
 // discarded on reopen: at worst a leak, never a dangling root.
-func (s *Store) Release(root [32]byte) error {
+//
+// The cascade runs on the index itself — a count is dropped where it lies and
+// logged, a pruned node is flagged dead — and a failed read or write replays
+// the log and clears the flags: the store is as it was before the call.
+func (s *Store) Release(root [32]byte) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.open {
@@ -505,93 +520,69 @@ func (s *Store) Release(root [32]byte) error {
 		return fmt.Errorf("%w: %x", ErrNotLiveRoot, root)
 	}
 
-	// Plan the cascade against a scratch view of the counts so nothing is
-	// mutated before the records are durably written.
-	var dead [][32]byte
-	scratch := make(map[[32]byte]int32)
-	refsOf := func(h [32]byte) (int32, bool) {
-		if r, ok := scratch[h]; ok {
-			return r, true
+	x, r, has := &s.idx, &s.rel, s.has
+	r.undo, r.dead, r.stack, r.buf = r.undo[:0], r.dead[:0], r.stack[:0], r.buf[:0]
+	defer func() {
+		if err != nil {
+			for _, j := range r.undo {
+				x.slab[j].refs++
+			}
+			for _, j := range r.dead {
+				x.slab[j].flags &^= flagDead
+			}
 		}
-		e, ok := s.idx[h]
-		if !ok {
-			return 0, false
-		}
-		return e.refs, true
+	}()
+
+	if j := x.find(&root); j != 0 {
+		s.drop(j)
 	}
-	has := func(h [32]byte) bool {
-		if r, ok := scratch[h]; ok && r < 0 {
-			return false
-		}
-		_, ok := s.idx[h]
-		return ok
-	}
-	var stack [][32]byte
-	dec := func(h [32]byte) {
-		r, ok := refsOf(h)
-		if !ok {
-			return
-		}
-		r--
-		scratch[h] = r
-		if r == 0 {
-			stack = append(stack, h)
-		}
-	}
-	dec(root)
-	var enc []byte // one payload buffer for the cascade: only a dead node's key outlives its visit
-	for len(stack) > 0 {
-		h := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		e, ok := s.idx[h]
-		if !ok {
+	for len(r.stack) > 0 {
+		j := r.stack[len(r.stack)-1]
+		r.stack = r.stack[:len(r.stack)-1]
+		e := &x.slab[j]
+		e.flags |= flagDead // Edges' has() no longer sees it
+		r.dead = append(r.dead, j)
+		if e.flags&flagNoEdges != 0 {
 			continue
 		}
-		var err error
-		if enc, err = s.readPayload(e, enc); err != nil {
+		// One payload buffer: only a dead node's position outlives its visit.
+		if r.enc, err = s.readPayload(e.loc, r.enc); err != nil {
 			return fmt.Errorf("store: release cascade: %w", err)
 		}
-		scratch[h] = -1 // dead marker: has() excludes it for edge extraction
-		dead = append(dead, h)
-		for _, child := range s.opts.Edges(enc, has) {
-			dec(child)
-		}
-	}
-
-	buf := make([]byte, 0, (len(dead)+1)*recOverhead)
-	for _, h := range dead {
-		buf = appendRecord(buf, recDel, h, nil)
-	}
-	buf = appendRecord(buf, recRelease, root, nil)
-	if _, err := s.f.WriteAt(buf, s.size); err != nil {
-		return err
-	}
-	if s.opts.Sync {
-		if err := s.f.Sync(); err != nil {
-			return err
-		}
-	}
-	s.size += int64(len(buf))
-
-	// Apply: anchor drop, surviving refcount updates, pruned nodes out.
-	if s.roots[root] > 1 {
-		s.roots[root]--
-	} else {
-		delete(s.roots, root)
-	}
-	for h, r := range scratch {
-		switch {
-		case r < 0:
-			delete(s.idx, h)
-			s.dels.Add(1)
-		default:
-			if e, ok := s.idx[h]; ok {
-				e.refs = r
-				s.idx[h] = e
+		edges := s.opts.Edges(r.enc, has)
+		for i := range edges {
+			if c := x.find(&edges[i]); c != 0 {
+				s.drop(c)
 			}
 		}
 	}
+
+	for _, j := range r.dead {
+		r.buf = appendRecord(r.buf, recDel, x.slab[j].key, nil)
+	}
+	r.buf = appendRecord(r.buf, recRelease, root, nil)
+	if err = s.appendBarrier(r.buf); err != nil {
+		return err
+	}
+
+	// Durable: the anchor goes, the pruned nodes leave the index.
+	s.dropAnchor(root)
+	for _, j := range r.dead {
+		x.remove(j)
+	}
+	s.dels.Add(uint64(len(r.dead)))
 	return nil
+}
+
+// drop takes one reference off the node at slab position j, logs it, and
+// queues the node for pruning when that was its last.
+func (s *Store) drop(j uint32) {
+	r := &s.rel
+	r.undo = append(r.undo, j)
+	e := &s.idx.slab[j]
+	if e.refs--; e.refs == 0 {
+		r.stack = append(r.stack, j)
+	}
 }
 
 // LiveRoots returns the anchored roots (sorted for determinism); the count
@@ -603,14 +594,7 @@ func (s *Store) LiveRoots() [][32]byte {
 	for r := range s.roots {
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(out, func(a, b [32]byte) int { return bytes.Compare(a[:], b[:]) })
 	return out
 }
 
@@ -626,21 +610,21 @@ func (s *Store) Anchors(root [32]byte) int {
 func (s *Store) Refs(h [32]byte) (int32, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.idx[h]
-	return e.refs, ok
+	j := s.idx.find(&h)
+	return s.idx.slab[j].refs, j != 0
 }
 
 // Len returns the number of live node records.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.idx)
+	return s.idx.len()
 }
 
 // Stats returns the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	nodes, roots, size := len(s.idx), len(s.roots), s.size
+	nodes, roots, size := s.idx.len(), len(s.roots), s.size
 	s.mu.Unlock()
 	return Stats{
 		DiskReads:     s.diskReads.Load(),
@@ -660,46 +644,38 @@ func (s *Store) Stats() Stats {
 func (s *Store) Phantoms() ([][32]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	reached := make(map[[32]byte]bool, len(s.idx))
-	has := func(h [32]byte) bool { _, ok := s.idx[h]; return ok }
-	var stack [][32]byte
+	x := &s.idx
+	reached, has := make([]bool, len(x.slab)), s.has
+	var stack []uint32
 	for r := range s.roots {
-		if _, ok := s.idx[r]; ok {
-			stack = append(stack, r)
+		if j := x.find(&r); j != 0 {
+			stack = append(stack, j)
 		}
 	}
 	for len(stack) > 0 {
-		h := stack[len(stack)-1]
+		j := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if reached[h] {
+		if reached[j] {
 			continue
 		}
-		reached[h] = true
-		e := s.idx[h]
-		enc, err := s.readPayload(e, nil)
+		reached[j] = true
+		enc, err := s.readPayload(x.slab[j].loc, nil)
 		if err != nil {
 			return nil, err
 		}
 		for _, child := range s.opts.Edges(enc, has) {
-			if _, ok := s.idx[child]; ok && !reached[child] {
-				stack = append(stack, child)
+			if c := x.find(&child); c != 0 && !reached[c] {
+				stack = append(stack, c)
 			}
 		}
 	}
 	var phantoms [][32]byte
-	for h := range s.idx {
-		if !reached[h] {
-			phantoms = append(phantoms, h)
+	for j := 1; j < len(x.slab); j++ {
+		if x.slab[j].off != 0 && !reached[j] {
+			phantoms = append(phantoms, x.slab[j].key)
 		}
 	}
-	sort.Slice(phantoms, func(i, j int) bool {
-		for k := range phantoms[i] {
-			if phantoms[i][k] != phantoms[j][k] {
-				return phantoms[i][k] < phantoms[j][k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(phantoms, func(a, b [32]byte) int { return bytes.Compare(a[:], b[:]) })
 	return phantoms, nil
 }
 

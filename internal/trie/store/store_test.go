@@ -234,27 +234,30 @@ func TestBatchDedup(t *testing.T) {
 	defer s.Close()
 	h, enc := mkNode([]byte("once"))
 	b := s.NewBatch()
-	if !b.Put(h, enc) {
-		t.Fatal("first Put not staged")
-	}
-	if b.Put(h, enc) {
-		t.Fatal("duplicate Put staged twice")
-	}
-	if !b.Has(h) {
-		t.Fatal("staged node not visible to Batch.Has")
-	}
+	b.Put(h, enc)
+	b.Put(h, enc)
 	if err := b.Commit(h); err != nil {
 		t.Fatal(err)
 	}
+	if puts, want := s.Stats().Puts, uint64(1); puts != want {
+		t.Fatalf("node staged twice in one batch written %d times", puts)
+	}
+	if size, want := s.Size(), int64(2*recOverhead+len(enc)); size != want {
+		t.Fatalf("file is %d bytes, want one put record and a barrier (%d)", size, want)
+	}
 	before := s.Stats().Puts
 	b = s.NewBatch()
-	if b.Put(h, enc) {
-		t.Fatal("Put of stored node staged")
+	b.Put(h, enc)
+	if err := b.Commit(h); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Release(h); err != nil {
 		t.Fatal(err)
 	}
 	if after := s.Stats().Puts; after != before {
 		t.Fatalf("puts counter moved on deduplicated batch: %d → %d", before, after)
+	}
+	if refs, _ := s.Refs(h); refs != 1 || s.Len() != 1 {
+		t.Fatalf("after two commits and one release: refs %d, %d nodes; want 1, 1", refs, s.Len())
 	}
 }
