@@ -86,10 +86,12 @@ trace-budget:
 # one Account call per account and one Code call per contract, through Memory
 # and through the proposer's view alike; ApplyChangeSet reads nothing; a
 # decoded branch is two allocations; a Release allocates the same small
-# constant whether it prunes 41 nodes or 1 033. A fourth lookup or a re-grown
-# slice fails here, without running the benchmark.
+# constant whether it prunes 41 nodes or 1 033; and one 132-transaction block
+# through Propose → Encode → DecodeBlock → ValidateParallel stays within 10 %
+# of its allocation budget (docs/PERFORMANCE.md §10). A fourth lookup, a
+# re-grown slice or a nested encoder fails here, without running the benchmark.
 state-budget:
-	$(GO) test -count=1 -run 'TestOverlayReadsEachAccountOnce|TestApplyChangeSetReadsNothing|TestDecodeNodeAllocs|TestReleaseAllocs' ./internal/state/ ./internal/core/ ./internal/trie/ ./internal/trie/store/
+	$(GO) test -count=1 -run 'TestOverlayReadsEachAccountOnce|TestApplyChangeSetReadsNothing|TestDecodeNodeAllocs|TestReleaseAllocs|TestBlockPathAllocs' ./internal/state/ ./internal/core/ ./internal/trie/ ./internal/trie/store/
 
 # Live end-to-end pass of the health recorder: a real sampler at a fast
 # interval over actual runtime metrics and the live telemetry registry.
@@ -113,6 +115,7 @@ sim-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTrieBatchVsUpdate -fuzztime 3s ./internal/trie/
 	$(GO) test -run '^$$' -fuzz FuzzBlockProfileRoundTrip -fuzztime 3s ./internal/types/
+	$(GO) test -run '^$$' -fuzz FuzzEncodeVsReference -fuzztime 3s ./internal/types/
 	$(GO) test -run '^$$' -fuzz FuzzMempoolAdmit -fuzztime 3s ./internal/mempool/
 	$(GO) test -run '^$$' -fuzz FuzzMVVersionChain -fuzztime 3s ./internal/mv/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeNodeVsReference -fuzztime 3s ./internal/trie/
@@ -144,9 +147,10 @@ bench-compare:
 # Go micro-benchmarks of the remaining testing.B loops (allocation counts via
 # -benchmem); internal/scheduler's is the serial graph build on a 400-tx
 # profile, internal/trie's the prune of one version of a 50k-account disk trie
-# (ns and allocations per pruned node).
+# (ns and allocations per pruned node), internal/types' the encoding and the
+# transaction root of a 132-transaction block.
 bench-go:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/scheduler/ ./internal/mempool/ ./internal/evm/ ./internal/crypto/ ./internal/uint256/ ./internal/trie/
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/scheduler/ ./internal/mempool/ ./internal/evm/ ./internal/crypto/ ./internal/uint256/ ./internal/trie/ ./internal/types/
 
 telemetry-bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/telemetry/

@@ -19,18 +19,19 @@ type ProcessResult struct {
 	Changes  *state.ChangeSet // everything applied, including finalization
 }
 
-// ExecuteSerial executes transactions in order against parent — one overlay
-// per transaction over an accumulating in-memory state. This is the Geth
-// baseline executor and the reference semantics every parallel executor in
-// BlockPilot must reproduce bit-for-bit (same post-state root).
+// ExecuteSerial executes transactions in order against parent — one overlay,
+// re-armed for each transaction, over an accumulating in-memory state. This is
+// the Geth baseline executor and the reference semantics every parallel
+// executor in BlockPilot must reproduce bit-for-bit (same post-state root).
 func ExecuteSerial(parent *state.Snapshot, header *types.Header, txs []*types.Transaction, params Params) (*ProcessResult, error) {
 	bc := BlockContextFor(header, params.ChainID)
 	accum := state.NewMemory(parent)
 	total := state.NewChangeSet()
 	res := &ProcessResult{Profile: &types.BlockProfile{}}
 
+	o := state.NewOverlay(accum, 0)
 	for i, tx := range txs {
-		o := state.NewOverlay(accum, types.Version(i))
+		o.Reset(accum, types.Version(i))
 		receipt, fee, err := ApplyTransaction(o, tx, bc)
 		if err != nil {
 			return nil, fmt.Errorf("tx %d (%s): %w", i, tx.Hash(), err)

@@ -147,14 +147,15 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 	laneID := b.cfg.Threads // flight-recorder lane beyond the worker ids
 
 	// processOne executes and tries to commit a single claimed transaction.
-	// worker is the flight-recorder lane id of the calling goroutine.
-	processOne := func(worker int, tx *types.Transaction) {
+	// worker is the flight-recorder lane id of the calling goroutine, overlay
+	// that goroutine's own, re-armed here for this execution.
+	processOne := func(worker int, overlay *state.Overlay, tx *types.Transaction) {
 		flight.ExecStart(worker, tx, b.header.Number)
 		defer flight.ExecEnd(worker, tx, b.header.Number)
 		v := mv.Version()
 		telemetry.ProposerSnapshotBuilds.Inc()
 		view := mv.View(v)
-		overlay := state.NewOverlay(view, v)
+		overlay.Reset(view, v)
 		receipt, fee, err := chain.ApplyTransaction(overlay, tx, b.bc)
 		if err != nil {
 			b.reject(worker, tx, err)
@@ -229,6 +230,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 	)
 	runLane := func() {
 		defer laneWg.Done()
+		overlay := state.NewOverlay(nil, 0)
 		for {
 			idleMu.Lock()
 			for lane.Len() == 0 && !laneClosed {
@@ -247,7 +249,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 			}
 			tx := lane.Pop()
 			idleMu.Unlock()
-			processOne(laneID, tx)
+			processOne(laneID, overlay, tx)
 			ctrl.NoteLaneTx()
 			settle(1)
 		}
@@ -258,6 +260,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 	}
 
 	worker := func(id int) {
+		overlay := state.NewOverlay(nil, 0)
 		for !gasFull.Load() {
 			cold, hot := b.claim(id, DefaultPopBatch)
 			if len(cold)+len(hot) == 0 {
@@ -301,7 +304,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 					settle(int64(len(rest)))
 					return
 				}
-				processOne(id, tx)
+				processOne(id, overlay, tx)
 				settle(1)
 			}
 		}

@@ -60,11 +60,20 @@ func proposeMV(b *blockBuild) *ProposeResult {
 	pool, ctrl, gasLimit := b.pool, b.ctrl, b.params.GasLimit
 
 	var claimed []*types.Transaction
+	// One overlay per worker id, re-armed for each execution: Run starts one
+	// goroutine per id and rounds do not overlap, so an id has one user at a
+	// time. An execution cut short by an ESTIMATE suspension leaves its
+	// overlay mid-transaction; the next Reset discards that.
+	overlays := make([]*state.Overlay, b.cfg.Threads)
+	for i := range overlays {
+		overlays[i] = state.NewOverlay(nil, 0)
+	}
 	inst := mv.NewInstance(b.parent, func(idx, worker int, view state.Reader) mv.ExecResult {
 		tx := claimed[idx]
 		flight.ExecStart(worker, tx, b.header.Number)
 		defer flight.ExecEnd(worker, tx, b.header.Number)
-		overlay := state.NewOverlay(view, types.Version(idx+1))
+		overlay := overlays[worker]
+		overlay.Reset(view, types.Version(idx+1))
 		receipt, fee, err := chain.ApplyTransaction(overlay, tx, b.bc)
 		if err != nil {
 			// Validity checks precede the first overlay write, so a failed

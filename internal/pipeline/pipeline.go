@@ -217,12 +217,14 @@ func (p *Pipeline) Submit(block *types.Block) {
 // run validates one block whose parent state is available.
 func (p *Pipeline) run(pb *pendingBlock) {
 	block := pb.block
+	// One header encoding + Keccak per run, taken outside p.mu: the hash keys
+	// the spans below and, under the lock, this block's waiting children.
+	bh := block.Hash()
 	if tr := trace.Resolve(p.tracer); tr != nil {
 		// Attribute the pre-validation latency: time parked behind the
 		// parent (parent_wait) and time between release and this goroutine
 		// actually starting (queue_wait / scheduler backpressure).
 		now := time.Now()
-		bh := block.Hash()
 		node := p.nodeName()
 		queuedFrom := pb.arrived
 		if !pb.released.IsZero() {
@@ -248,8 +250,8 @@ func (p *Pipeline) run(pb *pendingBlock) {
 	p.mu.Lock()
 	if out.Err == nil {
 		// Commitment done: release children waiting on this block.
-		children := p.waiting[block.Hash()]
-		delete(p.waiting, block.Hash())
+		children := p.waiting[bh]
+		delete(p.waiting, bh)
 		p.running += len(children)
 		telemetry.PipelineWaiting.Add(-int64(len(children)))
 		telemetry.PipelineInflight.Add(int64(len(children)))
@@ -260,7 +262,7 @@ func (p *Pipeline) run(pb *pendingBlock) {
 		}
 	} else {
 		// A rejected block strands its descendants: fail the subtree.
-		_ = p.failSubtreeLocked(block.Hash(), out.Err)
+		_ = p.failSubtreeLocked(bh, out.Err)
 	}
 	p.running--
 	telemetry.PipelineInflight.Add(-1)

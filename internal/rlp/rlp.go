@@ -1,7 +1,9 @@
 // Package rlp implements Ethereum's Recursive Length Prefix serialization,
 // used to encode trie nodes, transactions, block headers and receipts.
 //
-// The encoder is builder-style (Append* functions and Encode* helpers); the
+// The encoder is builder-style: Append* functions write into a buffer the
+// caller owns, StartList/EndList bracket a list whose size is not known until
+// its elements are written, and the Encode* helpers allocate; the
 // decoder is strict: it rejects non-canonical encodings (dangling bytes,
 // non-minimal lengths, single bytes wrapped in a string header).
 package rlp
@@ -64,6 +66,31 @@ func AppendUint(dst []byte, v uint64) []byte {
 // AppendListHeader appends a list header for a payload of the given size.
 func AppendListHeader(dst []byte, payloadSize int) []byte {
 	return appendLength(dst, 0xc0, uint64(payloadSize))
+}
+
+// StartList opens a list in dst: it reserves the one-byte header a payload of
+// up to 55 bytes takes and returns where the payload starts. The caller
+// appends the elements and closes the list with EndList; lists nest.
+func StartList(dst []byte) (out []byte, payloadStart int) {
+	return append(dst, 0xc0), len(dst) + 1
+}
+
+// EndList closes the list StartList opened at payloadStart. A payload of up to
+// 55 bytes only has its header patched; a longer one is shifted right by the
+// one to eight length bytes the long header form adds.
+func EndList(dst []byte, payloadStart int) []byte {
+	size := len(dst) - payloadStart
+	if size <= 55 {
+		dst[payloadStart-1] = 0xc0 + byte(size)
+		return dst
+	}
+	var buf [8]byte
+	n := putMinimalUint(buf[:], uint64(size))
+	dst = append(dst, buf[8-n:]...) // grow by n; overwritten by the shift
+	copy(dst[payloadStart+n:], dst[payloadStart:payloadStart+size])
+	dst[payloadStart-1] = 0xf7 + byte(n)
+	copy(dst[payloadStart:], buf[8-n:])
+	return dst
 }
 
 // EncodeString returns the RLP encoding of b as a byte-string item.
@@ -197,19 +224,27 @@ func SplitList(b []byte) (content, rest []byte, err error) {
 	return content, rest, nil
 }
 
+// CountItems returns how many items a list payload holds, validating every
+// item header on the way, so a decoder can size its result before filling it.
+func CountItems(content []byte) (int, error) {
+	n := 0
+	for len(content) > 0 {
+		var err error
+		if _, _, content, err = Split(content); err != nil {
+			return 0, err
+		}
+		n++
+	}
+	return n, nil
+}
+
 // ListElems splits a list payload into the full encodings of its elements.
 // It counts the elements first so the result is allocated once, at its final
 // size, however long the list.
 func ListElems(content []byte) ([][]byte, error) {
-	n := 0
-	for rest := content; len(rest) > 0; n++ {
-		var err error
-		if _, _, rest, err = Split(rest); err != nil {
-			return nil, err
-		}
-	}
-	if n == 0 {
-		return nil, nil
+	n, err := CountItems(content)
+	if err != nil || n == 0 {
+		return nil, err
 	}
 	elems := make([][]byte, 0, n)
 	for len(content) > 0 {

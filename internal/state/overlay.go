@@ -18,13 +18,17 @@ import (
 //   - ChangeSet materializes the surviving writes for commit.
 //
 // An Overlay is single-goroutine; concurrency comes from running many
-// overlays over a shared immutable base.
+// overlays over a shared immutable base. A lane — a proposer worker, a
+// validator lane, the serial executor — is serial by construction, so it makes
+// one Overlay and re-arms it with Reset for each transaction (DESIGN.md, "The
+// overlay's reuse contract").
 type Overlay struct {
 	base    Reader
 	version types.Version
 	access  *types.AccessSet
 
 	accounts map[types.Address]*ovAccount
+	free     []*ovAccount // entries of earlier executions, recycled by load
 	logs     []*types.Log
 	journal  []undo
 	refund   uint64
@@ -40,68 +44,80 @@ type ovAccount struct {
 	codeHash   types.Hash
 	codeLoaded bool
 	codeDirty  bool
-	storage    map[types.Hash]uint256.Int // cached clean + dirty slot values
-	dirtySlots map[types.Hash]bool
+	// storage holds the slots read (clean) and written (dirty), made on the
+	// first slot access: an EOA never needs one.
+	storage    map[types.Hash]ovSlot
+	dirtySlots int // dirty entries in storage
 }
 
-// undo is one journal entry.
-type undo interface{ revert(o *Overlay) }
-
-type undoAccount struct {
-	addr    types.Address
-	nonce   uint64
-	balance uint256.Int
-	exists  bool
-	dirty   bool
+// ovSlot is one cached storage slot.
+type ovSlot struct {
+	val   uint256.Int
+	dirty bool
 }
 
-func (u undoAccount) revert(o *Overlay) {
-	a := o.accounts[u.addr]
-	a.nonce, a.balance, a.exists, a.dirty = u.nonce, u.balance, u.exists, u.dirty
-}
-
-type undoCode struct {
-	addr       types.Address
-	code       []byte
-	codeHash   types.Hash
-	codeLoaded bool
-	codeDirty  bool
-}
-
-func (u undoCode) revert(o *Overlay) {
-	a := o.accounts[u.addr]
-	a.code, a.codeHash, a.codeLoaded, a.codeDirty = u.code, u.codeHash, u.codeLoaded, u.codeDirty
-}
-
-type undoSlot struct {
-	addr        types.Address
-	slot        types.Hash
-	prev        uint256.Int
-	prevPresent bool
-	prevDirty   bool
-}
-
-func (u undoSlot) revert(o *Overlay) {
-	a := o.accounts[u.addr]
-	if u.prevPresent {
-		a.storage[u.slot] = u.prev
-	} else {
-		delete(a.storage, u.slot)
+func (a *ovAccount) setSlot(slot types.Hash, s ovSlot) {
+	if a.storage == nil {
+		a.storage = make(map[types.Hash]ovSlot)
 	}
-	if u.prevDirty {
-		a.dirtySlots[u.slot] = true
-	} else {
-		delete(a.dirtySlots, u.slot)
-	}
+	a.storage[slot] = s
 }
 
-type undoLog struct{}
+type undoKind uint8
 
-func (undoLog) revert(o *Overlay) { o.logs = o.logs[:len(o.logs)-1] }
+const (
+	undoAccount undoKind = iota // nonce, balance, exists, dirty
+	undoCode                    // code, codeHash, codeLoaded, codeDirty
+	undoSlot                    // slot, prev, present
+	undoLog                     // pops the last log
+	undoRefund                  // refund
+)
 
-type undoRefund struct{ prev uint64 }
+// undo is one journal entry: the values to put back, tagged with what they
+// belong to. It is a plain struct rather than an interface over one type per
+// kind so that the journal is a single array — journaling a write allocates
+// nothing, and the array outlives Reset.
+type undo struct {
+	kind undoKind
+	addr types.Address
 
-func (u undoRefund) revert(o *Overlay) { o.refund = u.prev }
+	exists, dirty         bool
+	codeLoaded, codeDirty bool
+	present               bool // undoSlot: the slot was cached before the write
+
+	nonce    uint64
+	balance  uint256.Int
+	code     []byte
+	codeHash types.Hash
+	slot     types.Hash
+	prev     ovSlot
+	refund   uint64
+}
+
+func (u *undo) revert(o *Overlay) {
+	switch u.kind {
+	case undoAccount:
+		a := o.accounts[u.addr]
+		a.nonce, a.balance, a.exists, a.dirty = u.nonce, u.balance, u.exists, u.dirty
+	case undoCode:
+		a := o.accounts[u.addr]
+		a.code, a.codeHash, a.codeLoaded, a.codeDirty = u.code, u.codeHash, u.codeLoaded, u.codeDirty
+	case undoSlot:
+		a := o.accounts[u.addr]
+		if u.present {
+			a.storage[u.slot] = u.prev
+		} else {
+			delete(a.storage, u.slot)
+		}
+		if !u.prev.dirty {
+			a.dirtySlots--
+		}
+	case undoLog:
+		o.logs = o.logs[:len(o.logs)-1]
+	case undoRefund:
+		o.refund = u.refund
+	}
+}
 
 // NewOverlay returns an overlay over base, recording reads at version.
 func NewOverlay(base Reader, version types.Version) *Overlay {
@@ -111,6 +127,26 @@ func NewOverlay(base Reader, version types.Version) *Overlay {
 		access:   types.NewAccessSet(),
 		accounts: make(map[types.Address]*ovAccount),
 	}
+}
+
+// Reset re-arms the overlay for the next execution, over base at version: it
+// behaves from here exactly as NewOverlay(base, version) would, but keeps the
+// maps, account entries and journal array the previous execution grew. What
+// that execution handed out by reference — Access() and Logs() — is the
+// overlay's own and is emptied; what it handed out by value — ChangeSet(), a
+// receipt's copy of the logs, a profile built from the access set — stays
+// the caller's and shares nothing with the overlay.
+func (o *Overlay) Reset(base Reader, version types.Version) {
+	o.base, o.version = base, version
+	for _, a := range o.accounts {
+		o.free = append(o.free, a)
+	}
+	clear(o.accounts)
+	clear(o.access.Reads)
+	clear(o.access.Writes)
+	o.logs = nil // a caller may still hold the previous Logs()
+	o.journal = o.journal[:0]
+	o.refund = 0
 }
 
 // Version returns the snapshot version reads are stamped with.
@@ -125,15 +161,22 @@ func (o *Overlay) load(addr types.Address) *ovAccount {
 	if a, ok := o.accounts[addr]; ok {
 		return a
 	}
-	a := &ovAccount{
-		storage:    make(map[types.Hash]uint256.Int),
-		dirtySlots: make(map[types.Hash]bool),
-	}
+	var (
+		acct   Account
+		exists bool
+	)
 	if o.base != nil {
-		var acct Account
-		acct, a.exists = o.base.Account(addr)
-		a.nonce, a.balance, a.codeHash = acct.Nonce, acct.Balance, acct.CodeHash
+		acct, exists = o.base.Account(addr)
 	}
+	var a *ovAccount
+	if n := len(o.free); n > 0 {
+		a, o.free = o.free[n-1], o.free[:n-1]
+		clear(a.storage)
+		*a = ovAccount{storage: a.storage}
+	} else {
+		a = new(ovAccount)
+	}
+	a.nonce, a.balance, a.codeHash, a.exists = acct.Nonce, acct.Balance, acct.CodeHash, exists
 	o.accounts[addr] = a
 	return a
 }
@@ -168,8 +211,8 @@ func (o *Overlay) Exists(addr types.Address) bool {
 
 // journalAccount pushes the account's current scalar fields onto the journal.
 func (o *Overlay) journalAccount(addr types.Address, a *ovAccount) {
-	o.journal = append(o.journal, undoAccount{
-		addr: addr, nonce: a.nonce, balance: a.balance, exists: a.exists, dirty: a.dirty,
+	o.journal = append(o.journal, undo{
+		kind: undoAccount, addr: addr, nonce: a.nonce, balance: a.balance, exists: a.exists, dirty: a.dirty,
 	})
 }
 
@@ -261,8 +304,8 @@ func (o *Overlay) GetCodeSize(addr types.Address) int {
 func (o *Overlay) SetCode(addr types.Address, code []byte) {
 	a := o.load(addr)
 	o.loadCode(addr, a)
-	o.journal = append(o.journal, undoCode{
-		addr: addr, code: a.code, codeHash: a.codeHash,
+	o.journal = append(o.journal, undo{
+		kind: undoCode, addr: addr, code: a.code, codeHash: a.codeHash,
 		codeLoaded: a.codeLoaded, codeDirty: a.codeDirty,
 	})
 	o.journalAccount(addr, a)
@@ -279,19 +322,19 @@ func (o *Overlay) SetCode(addr types.Address, code []byte) {
 // through to the base (reads of this transaction's own writes are private).
 func (o *Overlay) GetState(addr types.Address, slot types.Hash) uint256.Int {
 	a := o.load(addr)
-	if v, ok := a.storage[slot]; ok {
-		if !a.dirtySlots[slot] {
+	if s, ok := a.storage[slot]; ok {
+		if !s.dirty {
 			// Cached clean value: still a base read, but it was recorded on
 			// first load; NoteRead below is idempotent anyway.
 			o.access.NoteRead(types.StorageKey(addr, slot), o.version)
 		}
-		return v
+		return s.val
 	}
 	var v uint256.Int
 	if o.base != nil {
 		v = o.base.Storage(addr, slot)
 	}
-	a.storage[slot] = v
+	a.setSlot(slot, ovSlot{val: v})
 	o.access.NoteRead(types.StorageKey(addr, slot), o.version)
 	return v
 }
@@ -300,11 +343,11 @@ func (o *Overlay) GetState(addr types.Address, slot types.Hash) uint256.Int {
 func (o *Overlay) SetState(addr types.Address, slot types.Hash, v uint256.Int) {
 	a := o.load(addr)
 	prev, present := a.storage[slot]
-	o.journal = append(o.journal, undoSlot{
-		addr: addr, slot: slot, prev: prev, prevPresent: present, prevDirty: a.dirtySlots[slot],
-	})
-	a.storage[slot] = v
-	a.dirtySlots[slot] = true
+	o.journal = append(o.journal, undo{kind: undoSlot, addr: addr, slot: slot, prev: prev, present: present})
+	if !prev.dirty {
+		a.dirtySlots++
+	}
+	a.setSlot(slot, ovSlot{val: v, dirty: true})
 	a.exists = true
 	o.access.NoteWrite(types.StorageKey(addr, slot))
 }
@@ -312,7 +355,7 @@ func (o *Overlay) SetState(addr types.Address, slot types.Hash, v uint256.Int) {
 // AddLog appends an event log.
 func (o *Overlay) AddLog(l *types.Log) {
 	o.logs = append(o.logs, l)
-	o.journal = append(o.journal, undoLog{})
+	o.journal = append(o.journal, undo{kind: undoLog})
 }
 
 // Logs returns the accumulated logs.
@@ -320,13 +363,13 @@ func (o *Overlay) Logs() []*types.Log { return o.logs }
 
 // AddRefund increases the gas refund counter.
 func (o *Overlay) AddRefund(v uint64) {
-	o.journal = append(o.journal, undoRefund{prev: o.refund})
+	o.journal = append(o.journal, undo{kind: undoRefund, refund: o.refund})
 	o.refund += v
 }
 
 // SubRefund decreases the gas refund counter (saturating).
 func (o *Overlay) SubRefund(v uint64) {
-	o.journal = append(o.journal, undoRefund{prev: o.refund})
+	o.journal = append(o.journal, undo{kind: undoRefund, refund: o.refund})
 	if v > o.refund {
 		o.refund = 0
 	} else {
@@ -337,10 +380,11 @@ func (o *Overlay) SubRefund(v uint64) {
 // GetRefund returns the refund counter.
 func (o *Overlay) GetRefund() uint64 { return o.refund }
 
-// ResetRefund zeroes the refund counter (called at transaction start when an
-// overlay is reused across transactions, e.g. by the serial executor).
+// ResetRefund zeroes the refund counter (called at transaction start: an
+// overlay that runs several transactions without a Reset between them starts
+// each with no refund).
 func (o *Overlay) ResetRefund() {
-	o.journal = append(o.journal, undoRefund{prev: o.refund})
+	o.journal = append(o.journal, undo{kind: undoRefund, refund: o.refund})
 	o.refund = 0
 }
 
@@ -370,17 +414,19 @@ func (o *Overlay) RevertToSnapshot(snap int) {
 func (o *Overlay) ChangeSet() *ChangeSet {
 	cs := NewChangeSet()
 	for addr, a := range o.accounts {
-		if !a.dirty && !a.codeDirty && len(a.dirtySlots) == 0 {
+		if !a.dirty && !a.codeDirty && a.dirtySlots == 0 {
 			continue
 		}
 		ch := &AccountChange{Nonce: a.nonce, Balance: a.balance}
 		if a.codeDirty {
 			ch.Code, ch.CodeSet = a.code, true
 		}
-		if len(a.dirtySlots) > 0 {
-			ch.Storage = make(map[types.Hash]uint256.Int, len(a.dirtySlots))
-			for slot := range a.dirtySlots {
-				ch.Storage[slot] = a.storage[slot]
+		if a.dirtySlots > 0 {
+			ch.Storage = make(map[types.Hash]uint256.Int, a.dirtySlots)
+			for slot, s := range a.storage {
+				if s.dirty {
+					ch.Storage[slot] = s.val
+				}
 			}
 		}
 		cs.Accounts[addr] = ch

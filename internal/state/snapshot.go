@@ -1,6 +1,7 @@
 package state
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 
@@ -49,14 +50,16 @@ func NewSnapshot() *Snapshot {
 	}
 }
 
-// encodeAccount serializes an account leaf.
+// encodeAccount serializes an account leaf into a slice of its own, exactly
+// as long: the trie keeps it.
 func encodeAccount(nonce uint64, balance *uint256.Int, storageRoot, codeHash types.Hash) []byte {
-	return rlp.EncodeList(
-		rlp.EncodeUint(nonce),
-		rlp.EncodeString(balance.Bytes()),
-		rlp.EncodeString(storageRoot.Bytes()),
-		rlp.EncodeString(codeHash.Bytes()),
-	)
+	var buf [128]byte // the longest leaf is 2 + 9 + 33 + 33 + 33 bytes
+	enc, list := rlp.StartList(buf[:0])
+	enc = rlp.AppendUint(enc, nonce)
+	enc = rlp.AppendString(enc, balance.Bytes())
+	enc = rlp.AppendString(enc, storageRoot[:])
+	enc = rlp.AppendString(enc, codeHash[:])
+	return bytes.Clone(rlp.EndList(enc, list))
 }
 
 // decodedAccount is the parsed form of an account leaf.
@@ -390,7 +393,8 @@ func (s *Snapshot) applyStorage(st *trie.Trie, slots map[types.Hash]uint256.Int)
 		if val.IsZero() {
 			vals = append(vals, nil)
 		} else {
-			vals = append(vals, rlp.EncodeString(val.Bytes()))
+			b := val.Bytes()
+			vals = append(vals, rlp.AppendString(make([]byte, 0, 1+len(b)), b))
 		}
 	}
 	st.Batch(keys, vals)

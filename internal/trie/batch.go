@@ -12,6 +12,7 @@ package trie
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 )
 
@@ -44,6 +45,11 @@ func (t *Trie) Batch(keys, vals [][]byte) {
 	}
 	puts := make([]kv, 0, len(last))
 	var dels [][]byte
+	size := 0
+	for _, k := range keys {
+		size += 2 * len(k)
+	}
+	slab := make([]byte, 0, size) // every put's nibbles, one allocation
 	for i, k := range keys {
 		if last[string(k)] != i {
 			continue // overwritten later in the batch
@@ -51,14 +57,16 @@ func (t *Trie) Batch(keys, vals [][]byte) {
 		if len(vals[i]) == 0 {
 			dels = append(dels, k)
 		} else {
-			puts = append(puts, kv{key: keybytesToNibbles(k), val: vals[i]})
+			start := len(slab)
+			slab = appendNibbles(slab, k)
+			puts = append(puts, kv{key: slab[start:len(slab):len(slab)], val: vals[i]})
 		}
 	}
-	sort.Slice(puts, func(a, b int) bool { return bytes.Compare(puts[a].key, puts[b].key) < 0 })
+	slices.SortFunc(puts, func(a, b kv) int { return bytes.Compare(a.key, b.key) })
 
 	t.root = batchInsert(t.db, t.root, puts)
 	for _, k := range dels {
-		t.root, _ = remove(t.db, t.root, keybytesToNibbles(k))
+		t.Delete(k)
 	}
 }
 

@@ -83,12 +83,15 @@ var EmptyRoot = crypto.Sum256([]byte{0x80})
 
 // keybytesToNibbles expands key bytes into high-first nibbles.
 func keybytesToNibbles(key []byte) []byte {
-	n := make([]byte, len(key)*2)
-	for i, b := range key {
-		n[i*2] = b >> 4
-		n[i*2+1] = b & 0x0f
+	return appendNibbles(make([]byte, 0, len(key)*2), key)
+}
+
+// appendNibbles appends key's bytes to dst as high-first nibbles.
+func appendNibbles(dst, key []byte) []byte {
+	for _, b := range key {
+		dst = append(dst, b>>4, b&0x0f)
 	}
-	return n
+	return dst
 }
 
 // commonPrefixLen returns the length of the shared prefix of a and b.
@@ -100,9 +103,12 @@ func commonPrefixLen(a, b []byte) int {
 	return n
 }
 
-// Get returns the value stored under key, or nil if absent.
+// Get returns the value stored under key, or nil if absent. Like Update and
+// Delete it expands a key of up to 32 bytes — every state key is a Keccak
+// hash — on the stack: no node keeps a slice of the path it was reached by.
 func (t *Trie) Get(key []byte) []byte {
-	return get(t.db, t.root, keybytesToNibbles(key))
+	var buf [64]byte
+	return get(t.db, t.root, appendNibbles(buf[:0], key))
 }
 
 func get(db *Database, n node, key []byte) []byte {
@@ -143,12 +149,14 @@ func (t *Trie) Update(key, value []byte) {
 		t.Delete(key)
 		return
 	}
-	t.root = insert(t.db, t.root, keybytesToNibbles(key), value)
+	var buf [64]byte
+	t.root = insert(t.db, t.root, appendNibbles(buf[:0], key), value)
 }
 
 // Delete removes key from the trie if present.
 func (t *Trie) Delete(key []byte) {
-	t.root, _ = remove(t.db, t.root, keybytesToNibbles(key))
+	var buf [64]byte
+	t.root, _ = remove(t.db, t.root, appendNibbles(buf[:0], key))
 }
 
 // putIntoBranch stores (key, value) directly under a fresh branch.
@@ -321,18 +329,12 @@ func appendHexPrefix(dst, nibbles []byte, leaf bool) []byte {
 	return dst
 }
 
-// maxListHeader is the longest RLP list header: a prefix byte and an 8-byte
-// length.
-const maxListHeader = 9
-
 // appendNode appends the RLP encoding of n (the full node body) to dst. It
 // allocates nothing when dst has room: children contribute their cached
 // references and the compact key is built on the stack.
 func appendNode(dst []byte, n node) []byte {
-	// The list header's length depends on the payload's: write the payload
-	// past room for the longest header, then close the gap.
 	start := len(dst)
-	dst = append(dst, make([]byte, maxListHeader)...)
+	dst, list := rlp.StartList(dst)
 	var compact [40]byte // a 32-byte key's 64 nibbles take 33
 	switch nd := n.(type) {
 	case *leafNode:
@@ -353,9 +355,7 @@ func appendNode(dst []byte, n node) []byte {
 	default:
 		return append(dst[:start], 0x80)
 	}
-	payload := dst[start+maxListHeader:]
-	dst = rlp.AppendListHeader(dst[:start], len(payload))
-	return append(dst, payload...)
+	return rlp.EndList(dst, list)
 }
 
 // encScratch recycles the buffers nodes are encoded into when only a hash or

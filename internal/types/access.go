@@ -3,7 +3,7 @@ package types
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"blockpilot/internal/rlp"
 )
@@ -46,15 +46,24 @@ func (k StateKey) String() string {
 	return fmt.Sprintf("slot:%s[%s]", k.Addr, k.Slot)
 }
 
-// Less imposes a deterministic total order on keys (for profile encoding).
-func (k StateKey) Less(o StateKey) bool {
+// Compare imposes a deterministic total order on keys (for profile
+// encoding): by kind, then address, then slot.
+func (k *StateKey) Compare(o *StateKey) int {
 	if k.Kind != o.Kind {
-		return k.Kind < o.Kind
+		return int(k.Kind) - int(o.Kind)
 	}
 	if c := bytes.Compare(k.Addr[:], o.Addr[:]); c != 0 {
-		return c < 0
+		return c
 	}
-	return bytes.Compare(k.Slot[:], o.Slot[:]) < 0
+	return bytes.Compare(k.Slot[:], o.Slot[:])
+}
+
+// Less reports whether k sorts before o.
+func (k StateKey) Less(o StateKey) bool { return k.Compare(&o) < 0 }
+
+// sortKeys sorts keys into the profile's canonical order.
+func sortKeys(keys []StateKey) {
+	slices.SortFunc(keys, func(a, b StateKey) int { return a.Compare(&b) })
 }
 
 // Version numbers state snapshots in the proposer's OCC-WSI engine: version
@@ -124,7 +133,7 @@ func (a *AccessSet) Touched() []StateKey {
 	for k := range seen {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	sortKeys(out)
 	return out
 }
 
@@ -150,12 +159,12 @@ func ProfileFromAccessSet(a *AccessSet, gasUsed uint64) *TxProfile {
 	for k, v := range a.Reads {
 		p.Reads = append(p.Reads, KeyVersion{Key: k, Version: v})
 	}
-	sort.Slice(p.Reads, func(i, j int) bool { return p.Reads[i].Key.Less(p.Reads[j].Key) })
+	slices.SortFunc(p.Reads, func(a, b KeyVersion) int { return a.Key.Compare(&b.Key) })
 	p.Writes = make([]StateKey, 0, len(a.Writes))
 	for k := range a.Writes {
 		p.Writes = append(p.Writes, k)
 	}
-	sort.Slice(p.Writes, func(i, j int) bool { return p.Writes[i].Less(p.Writes[j]) })
+	sortKeys(p.Writes)
 	return p
 }
 
@@ -217,42 +226,41 @@ type BlockProfile struct {
 	Txs []*TxProfile
 }
 
-// Encode serializes the profile to RLP for broadcast.
-func (bp *BlockProfile) Encode() []byte {
-	txItems := make([][]byte, len(bp.Txs))
-	for i, tp := range bp.Txs {
-		reads := make([][]byte, len(tp.Reads))
-		for j, kv := range tp.Reads {
-			reads[j] = encodeKeyVersion(kv)
+// AppendTo appends the profile's RLP encoding to dst.
+func (bp *BlockProfile) AppendTo(dst []byte) []byte {
+	dst, txs := rlp.StartList(dst)
+	for _, tp := range bp.Txs {
+		var tx, keys, key int
+		dst, tx = rlp.StartList(dst)
+		dst, keys = rlp.StartList(dst)
+		for i := range tp.Reads {
+			dst, key = rlp.StartList(dst)
+			dst = appendKeyFields(dst, &tp.Reads[i].Key)
+			dst = rlp.AppendUint(dst, tp.Reads[i].Version)
+			dst = rlp.EndList(dst, key)
 		}
-		writes := make([][]byte, len(tp.Writes))
-		for j, k := range tp.Writes {
-			writes[j] = encodeKey(k)
+		dst = rlp.EndList(dst, keys)
+		dst, keys = rlp.StartList(dst)
+		for i := range tp.Writes {
+			dst, key = rlp.StartList(dst)
+			dst = appendKeyFields(dst, &tp.Writes[i])
+			dst = rlp.EndList(dst, key)
 		}
-		txItems[i] = rlp.EncodeList(
-			rlp.EncodeList(reads...),
-			rlp.EncodeList(writes...),
-			rlp.EncodeUint(tp.GasUsed),
-		)
+		dst = rlp.EndList(dst, keys)
+		dst = rlp.AppendUint(dst, tp.GasUsed)
+		dst = rlp.EndList(dst, tx)
 	}
-	return rlp.EncodeList(txItems...)
+	return rlp.EndList(dst, txs)
 }
 
-func encodeKey(k StateKey) []byte {
-	return rlp.EncodeList(
-		rlp.EncodeUint(uint64(k.Kind)),
-		rlp.EncodeString(k.Addr.Bytes()),
-		rlp.EncodeString(k.Slot.Bytes()),
-	)
-}
+// Encode serializes the profile to RLP for broadcast.
+func (bp *BlockProfile) Encode() []byte { return encode(bp) }
 
-func encodeKeyVersion(kv KeyVersion) []byte {
-	return rlp.EncodeList(
-		rlp.EncodeUint(uint64(kv.Key.Kind)),
-		rlp.EncodeString(kv.Key.Addr.Bytes()),
-		rlp.EncodeString(kv.Key.Slot.Bytes()),
-		rlp.EncodeUint(kv.Version),
-	)
+// appendKeyFields appends a key's three fields (inside the caller's list).
+func appendKeyFields(dst []byte, k *StateKey) []byte {
+	dst = rlp.AppendUint(dst, uint64(k.Kind))
+	dst = rlp.AppendString(dst, k.Addr[:])
+	return rlp.AppendString(dst, k.Slot[:])
 }
 
 // DecodeBlockProfile parses a profile from its RLP encoding.
@@ -264,46 +272,60 @@ func DecodeBlockProfile(b []byte) (*BlockProfile, error) {
 	if len(rest) != 0 {
 		return nil, rlp.ErrTrailing
 	}
-	txElems, err := rlp.ListElems(content)
+	n, err := rlp.CountItems(content)
 	if err != nil {
 		return nil, err
 	}
-	bp := &BlockProfile{Txs: make([]*TxProfile, 0, len(txElems))}
-	for _, te := range txElems {
-		tp := &TxProfile{}
-		tc, _, err := rlp.SplitList(te)
-		if err != nil {
+	// One slab for the block's TxProfiles; Reads and Writes are sized from
+	// their element counts, so nothing is grown or thrown away.
+	slab := make([]TxProfile, n)
+	bp := &BlockProfile{Txs: make([]*TxProfile, n)}
+	for i := range slab {
+		tp := &slab[i]
+		bp.Txs[i] = tp
+		var (
+			tc, keys, key []byte
+			count         int
+		)
+		if tc, content, err = rlp.SplitList(content); err != nil {
 			return nil, err
 		}
-		readsList, tc, err := rlp.SplitList(tc)
-		if err != nil {
+		if keys, tc, err = rlp.SplitList(tc); err != nil {
 			return nil, err
 		}
-		readElems, err := rlp.ListElems(readsList)
-		if err != nil {
+		if count, err = rlp.CountItems(keys); err != nil {
 			return nil, err
 		}
-		for _, re := range readElems {
-			kv, err := decodeKeyVersion(re)
-			if err != nil {
+		if count > 0 {
+			tp.Reads = make([]KeyVersion, count)
+		}
+		for j := range tp.Reads {
+			if key, keys, err = rlp.SplitList(keys); err != nil {
 				return nil, err
 			}
-			tp.Reads = append(tp.Reads, kv)
-		}
-		writesList, tc, err := rlp.SplitList(tc)
-		if err != nil {
-			return nil, err
-		}
-		writeElems, err := rlp.ListElems(writesList)
-		if err != nil {
-			return nil, err
-		}
-		for _, we := range writeElems {
-			k, _, err := decodeKey(we)
-			if err != nil {
+			if key, err = decodeKeyFields(&tp.Reads[j].Key, key); err != nil {
 				return nil, err
 			}
-			tp.Writes = append(tp.Writes, k)
+			if tp.Reads[j].Version, _, err = rlp.SplitUint(key); err != nil {
+				return nil, err
+			}
+		}
+		if keys, tc, err = rlp.SplitList(tc); err != nil {
+			return nil, err
+		}
+		if count, err = rlp.CountItems(keys); err != nil {
+			return nil, err
+		}
+		if count > 0 {
+			tp.Writes = make([]StateKey, count)
+		}
+		for j := range tp.Writes {
+			if key, keys, err = rlp.SplitList(keys); err != nil {
+				return nil, err
+			}
+			if _, err = decodeKeyFields(&tp.Writes[j], key); err != nil {
+				return nil, err
+			}
 		}
 		if tp.GasUsed, tc, err = rlp.SplitUint(tc); err != nil {
 			return nil, err
@@ -311,58 +333,28 @@ func DecodeBlockProfile(b []byte) (*BlockProfile, error) {
 		if len(tc) != 0 {
 			return nil, rlp.ErrTrailing
 		}
-		bp.Txs = append(bp.Txs, tp)
 	}
 	return bp, nil
 }
 
-func decodeKey(b []byte) (StateKey, []byte, error) {
-	var k StateKey
-	content, _, err := rlp.SplitList(b)
-	if err != nil {
-		return k, nil, err
-	}
+// decodeKeyFields parses a key's three fields off the front of a key list's
+// payload and returns what follows them.
+func decodeKeyFields(k *StateKey, content []byte) ([]byte, error) {
 	kind, content, err := rlp.SplitUint(content)
 	if err != nil {
-		return k, nil, err
+		return nil, err
 	}
 	k.Kind = KeyKind(kind)
 	var s []byte
 	if s, content, err = rlp.SplitString(content); err != nil {
-		return k, nil, err
+		return nil, err
 	}
 	k.Addr = BytesToAddress(s)
 	if s, content, err = rlp.SplitString(content); err != nil {
-		return k, nil, err
+		return nil, err
 	}
 	k.Slot = BytesToHash(s)
-	return k, content, nil
-}
-
-func decodeKeyVersion(b []byte) (KeyVersion, error) {
-	var kv KeyVersion
-	content, _, err := rlp.SplitList(b)
-	if err != nil {
-		return kv, err
-	}
-	kind, content, err := rlp.SplitUint(content)
-	if err != nil {
-		return kv, err
-	}
-	kv.Key.Kind = KeyKind(kind)
-	var s []byte
-	if s, content, err = rlp.SplitString(content); err != nil {
-		return kv, err
-	}
-	kv.Key.Addr = BytesToAddress(s)
-	if s, content, err = rlp.SplitString(content); err != nil {
-		return kv, err
-	}
-	kv.Key.Slot = BytesToHash(s)
-	if kv.Version, _, err = rlp.SplitUint(content); err != nil {
-		return kv, err
-	}
-	return kv, nil
+	return content, nil
 }
 
 // Equal reports whether two profiles are identical (used by the applier to
@@ -399,6 +391,37 @@ func (p *TxProfile) SameAccessKeys(q *TxProfile) bool {
 	}
 	for i := range p.Writes {
 		if p.Writes[i] != q.Writes[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// MatchesAccessSet reports whether ProfileFromAccessSet(a, _) would pass
+// SameAccessKeys against p, without building that profile: the sorted,
+// duplicate-free keys of a's maps equal p's key lists position by position
+// exactly when the lengths agree, p's lists are strictly ascending and every
+// key of p is in a's map. A shipped profile with duplicate or unsorted keys
+// is therefore rejected, as the positional comparison rejects it.
+func (p *TxProfile) MatchesAccessSet(a *AccessSet) bool {
+	if len(p.Reads) != len(a.Reads) || len(p.Writes) != len(a.Writes) {
+		return false
+	}
+	for i := range p.Reads {
+		k := &p.Reads[i].Key
+		if i > 0 && p.Reads[i-1].Key.Compare(k) >= 0 {
+			return false
+		}
+		if _, ok := a.Reads[*k]; !ok {
+			return false
+		}
+	}
+	for i := range p.Writes {
+		k := &p.Writes[i]
+		if i > 0 && p.Writes[i-1].Compare(k) >= 0 {
+			return false
+		}
+		if _, ok := a.Writes[*k]; !ok {
 			return false
 		}
 	}

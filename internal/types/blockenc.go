@@ -70,23 +70,26 @@ func DecodeHeader(b []byte) (*Header, error) {
 	return h, nil
 }
 
-// Encode serializes the full block: [header, [tx, ...], profile].
+// AppendTo appends the full block to dst: [header, [tx, ...], profile].
 // A block without a profile encodes an empty profile list.
-func (b *Block) Encode() []byte {
-	txItems := make([][]byte, len(b.Txs))
-	for i, tx := range b.Txs {
-		txItems[i] = tx.Encode()
+func (b *Block) AppendTo(dst []byte) []byte {
+	dst, list := rlp.StartList(dst)
+	dst = b.Header.AppendTo(dst)
+	dst, txs := rlp.StartList(dst)
+	for _, tx := range b.Txs {
+		dst = tx.AppendTo(dst)
 	}
-	profile := b.Profile
-	if profile == nil {
-		profile = &BlockProfile{}
+	dst = rlp.EndList(dst, txs)
+	if b.Profile == nil {
+		dst = append(dst, 0xc0) // the empty list
+	} else {
+		dst = b.Profile.AppendTo(dst)
 	}
-	return rlp.EncodeList(
-		b.Header.Encode(),
-		rlp.EncodeList(txItems...),
-		profile.Encode(),
-	)
+	return rlp.EndList(dst, list)
 }
+
+// Encode serializes the full block.
+func (b *Block) Encode() []byte { return encode(b) }
 
 // DecodeBlock parses a full block from its canonical encoding. A block
 // whose profile section is empty but which carries transactions is given a
@@ -114,17 +117,20 @@ func DecodeBlock(data []byte) (*Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("block txs: %w", err)
 	}
-	txElems, err := rlp.ListElems(txList)
+	n, err := rlp.CountItems(txList)
 	if err != nil {
 		return nil, err
 	}
 	blk := &Block{Header: *header}
-	for i, te := range txElems {
-		tx, err := DecodeTransaction(te)
-		if err != nil {
+	if n > 0 {
+		blk.Txs = make([]*Transaction, n)
+	}
+	for i := range blk.Txs {
+		_, _, rest, _ := rlp.Split(txList) // validated by the count
+		if blk.Txs[i], err = DecodeTransaction(txList[:len(txList)-len(rest)]); err != nil {
 			return nil, fmt.Errorf("block tx %d: %w", i, err)
 		}
-		blk.Txs = append(blk.Txs, tx)
+		txList = rest
 	}
 	profile, err := DecodeBlockProfile(elems[2])
 	if err != nil {

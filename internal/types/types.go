@@ -5,8 +5,10 @@
 package types
 
 import (
+	"bytes"
 	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"blockpilot/internal/crypto"
 	"blockpilot/internal/rlp"
@@ -116,22 +118,55 @@ type Transaction struct {
 	hash *Hash // cached
 }
 
-// Encode returns the canonical RLP encoding of the transaction.
-func (tx *Transaction) Encode() []byte {
-	to := tx.To.Bytes()
-	if tx.CreateContract {
-		to = nil
-	}
-	return rlp.EncodeList(
-		rlp.EncodeUint(tx.Nonce),
-		rlp.EncodeString(tx.GasPrice.Bytes()),
-		rlp.EncodeUint(tx.Gas),
-		rlp.EncodeString(to),
-		rlp.EncodeString(tx.Value.Bytes()),
-		rlp.EncodeString(tx.Data),
-		rlp.EncodeString(tx.From.Bytes()),
-	)
+// appender is a wire type: AppendTo appends its canonical RLP encoding to a
+// buffer the caller owns, without intermediate slices (DESIGN.md, "Encoding
+// appends in place").
+type appender interface{ AppendTo(dst []byte) []byte }
+
+// encScratch recycles the buffers wire types are encoded into when only a
+// hash or a right-sized copy of the encoding outlives the call.
+var encScratch = sync.Pool{New: func() any {
+	buf := make([]byte, 0, 1024)
+	return &buf
+}}
+
+// encode returns a's encoding in a slice of its own, exactly as long.
+func encode(a appender) []byte {
+	buf := encScratch.Get().(*[]byte)
+	*buf = a.AppendTo((*buf)[:0])
+	enc := bytes.Clone(*buf)
+	encScratch.Put(buf)
+	return enc
 }
+
+// hashOf returns keccak256 of a's encoding.
+func hashOf(a appender) Hash {
+	buf := encScratch.Get().(*[]byte)
+	*buf = a.AppendTo((*buf)[:0])
+	h := Hash(crypto.Sum256(*buf))
+	encScratch.Put(buf)
+	return h
+}
+
+// AppendTo appends the canonical RLP encoding of the transaction to dst.
+func (tx *Transaction) AppendTo(dst []byte) []byte {
+	dst, list := rlp.StartList(dst)
+	dst = rlp.AppendUint(dst, tx.Nonce)
+	dst = rlp.AppendString(dst, tx.GasPrice.Bytes())
+	dst = rlp.AppendUint(dst, tx.Gas)
+	if tx.CreateContract {
+		dst = rlp.AppendString(dst, nil)
+	} else {
+		dst = rlp.AppendString(dst, tx.To[:])
+	}
+	dst = rlp.AppendString(dst, tx.Value.Bytes())
+	dst = rlp.AppendString(dst, tx.Data)
+	dst = rlp.AppendString(dst, tx.From[:])
+	return rlp.EndList(dst, list)
+}
+
+// Encode returns the canonical RLP encoding of the transaction.
+func (tx *Transaction) Encode() []byte { return encode(tx) }
 
 // DecodeTransaction parses a transaction from its canonical RLP encoding.
 func DecodeTransaction(b []byte) (*Transaction, error) {
@@ -185,7 +220,7 @@ func (tx *Transaction) Hash() Hash {
 	if tx.hash != nil {
 		return *tx.hash
 	}
-	h := Hash(crypto.Sum256(tx.Encode()))
+	h := hashOf(tx)
 	tx.hash = &h
 	return h
 }
@@ -215,27 +250,28 @@ type Header struct {
 	Extra       []byte
 }
 
-// Encode returns the canonical RLP encoding of the header.
-func (h *Header) Encode() []byte {
-	return rlp.EncodeList(
-		rlp.EncodeString(h.ParentHash.Bytes()),
-		rlp.EncodeUint(h.Number),
-		rlp.EncodeString(h.Coinbase.Bytes()),
-		rlp.EncodeString(h.StateRoot.Bytes()),
-		rlp.EncodeString(h.TxRoot.Bytes()),
-		rlp.EncodeString(h.ReceiptRoot.Bytes()),
-		rlp.EncodeString(h.LogsBloom[:]),
-		rlp.EncodeUint(h.GasLimit),
-		rlp.EncodeUint(h.GasUsed),
-		rlp.EncodeUint(h.Time),
-		rlp.EncodeString(h.Extra),
-	)
+// AppendTo appends the canonical RLP encoding of the header to dst.
+func (h *Header) AppendTo(dst []byte) []byte {
+	dst, list := rlp.StartList(dst)
+	dst = rlp.AppendString(dst, h.ParentHash[:])
+	dst = rlp.AppendUint(dst, h.Number)
+	dst = rlp.AppendString(dst, h.Coinbase[:])
+	dst = rlp.AppendString(dst, h.StateRoot[:])
+	dst = rlp.AppendString(dst, h.TxRoot[:])
+	dst = rlp.AppendString(dst, h.ReceiptRoot[:])
+	dst = rlp.AppendString(dst, h.LogsBloom[:])
+	dst = rlp.AppendUint(dst, h.GasLimit)
+	dst = rlp.AppendUint(dst, h.GasUsed)
+	dst = rlp.AppendUint(dst, h.Time)
+	dst = rlp.AppendString(dst, h.Extra)
+	return rlp.EndList(dst, list)
 }
 
+// Encode returns the canonical RLP encoding of the header.
+func (h *Header) Encode() []byte { return encode(h) }
+
 // Hash returns the header (= block) hash.
-func (h *Header) Hash() Hash {
-	return Hash(crypto.Sum256(h.Encode()))
-}
+func (h *Header) Hash() Hash { return hashOf(h) }
 
 // Block bundles a header, its transactions, and the BlockPilot block profile
 // that the proposer ships so validators can schedule and verify in parallel.
@@ -254,11 +290,7 @@ func (b *Block) Number() uint64 { return b.Header.Number }
 // ComputeTxRoot returns the transaction trie root for a transaction list
 // (key = rlp(index), value = tx encoding), per the Ethereum header rule.
 func ComputeTxRoot(txs []*Transaction) Hash {
-	tr := trie.New()
-	for i, tx := range txs {
-		tr.Update(rlp.EncodeUint(uint64(i)), tx.Encode())
-	}
-	return Hash(tr.Hash())
+	return Hash(trie.ListRoot(len(txs), func(dst []byte, i int) []byte { return txs[i].AppendTo(dst) }))
 }
 
 // Log is an EVM event emitted by LOG0..LOG4.
@@ -282,43 +314,48 @@ type Receipt struct {
 	ContractAddress Address
 }
 
-// Encode returns a canonical RLP encoding (for the receipt trie root).
-func (r *Receipt) Encode() []byte {
-	logItems := make([][]byte, len(r.Logs))
-	for i, l := range r.Logs {
-		topicItems := make([][]byte, len(l.Topics))
-		for j, tp := range l.Topics {
-			topicItems[j] = rlp.EncodeString(tp.Bytes())
+// AppendTo appends a canonical RLP encoding (for the receipt trie root) to
+// dst.
+func (r *Receipt) AppendTo(dst []byte) []byte {
+	dst, list := rlp.StartList(dst)
+	dst = rlp.AppendString(dst, r.TxHash[:])
+	dst = rlp.AppendUint(dst, r.Status)
+	dst = rlp.AppendUint(dst, r.GasUsed)
+	dst = rlp.AppendUint(dst, r.CumulativeGasUsed)
+	dst, logs := rlp.StartList(dst)
+	for _, l := range r.Logs {
+		var log, topics int
+		dst, log = rlp.StartList(dst)
+		dst = rlp.AppendString(dst, l.Address[:])
+		dst, topics = rlp.StartList(dst)
+		for i := range l.Topics {
+			dst = rlp.AppendString(dst, l.Topics[i][:])
 		}
-		logItems[i] = rlp.EncodeList(
-			rlp.EncodeString(l.Address.Bytes()),
-			rlp.EncodeList(topicItems...),
-			rlp.EncodeString(l.Data),
-		)
+		dst = rlp.EndList(dst, topics)
+		dst = rlp.AppendString(dst, l.Data)
+		dst = rlp.EndList(dst, log)
 	}
-	return rlp.EncodeList(
-		rlp.EncodeString(r.TxHash.Bytes()),
-		rlp.EncodeUint(r.Status),
-		rlp.EncodeUint(r.GasUsed),
-		rlp.EncodeUint(r.CumulativeGasUsed),
-		rlp.EncodeList(logItems...),
-	)
+	dst = rlp.EndList(dst, logs)
+	return rlp.EndList(dst, list)
 }
+
+// Encode returns a canonical RLP encoding (for the receipt trie root).
+func (r *Receipt) Encode() []byte { return encode(r) }
 
 // ComputeReceiptRoot returns the receipt trie root.
 func ComputeReceiptRoot(receipts []*Receipt) Hash {
-	tr := trie.New()
-	for i, r := range receipts {
-		tr.Update(rlp.EncodeUint(uint64(i)), r.Encode())
-	}
-	return Hash(tr.Hash())
+	return Hash(trie.ListRoot(len(receipts), func(dst []byte, i int) []byte { return receipts[i].AppendTo(dst) }))
 }
 
 // CreateAddress computes the address of a contract deployed by (from, nonce),
 // following Ethereum's keccak(rlp([from, nonce]))[12:] rule.
 func CreateAddress(from Address, nonce uint64) Address {
-	enc := rlp.EncodeList(rlp.EncodeString(from.Bytes()), rlp.EncodeUint(nonce))
-	return BytesToAddress(crypto.Keccak256(enc)[12:])
+	var buf [32]byte // a 20-byte address and a uint64 take at most 31
+	enc, list := rlp.StartList(buf[:0])
+	enc = rlp.AppendString(enc, from[:])
+	enc = rlp.AppendUint(enc, nonce)
+	h := crypto.Sum256(rlp.EndList(enc, list))
+	return BytesToAddress(h[12:])
 }
 
 // Create2Address computes the CREATE2 deployment address:
