@@ -9,6 +9,7 @@ import (
 	"blockpilot/internal/chain"
 	"blockpilot/internal/mempool"
 	"blockpilot/internal/state"
+	"blockpilot/internal/telemetry"
 	"blockpilot/internal/types"
 	"blockpilot/internal/validator"
 	"blockpilot/internal/workload"
@@ -42,14 +43,16 @@ func blockPath(t testing.TB, cfg ProposerConfig, parent *state.Snapshot, txs []*
 
 // The block path's allocation budget (docs/PERFORMANCE.md §10), per
 // transaction of a 132-transaction workload.Default() block at 2 threads:
-// what this tree measures (14.4 KiB, 114 allocations) plus 10 %. The tree
+// what this tree measures (14.3 KiB, 112 allocations) plus 10 %. The tree
 // before the append-style encoders, the one-pass roots and the per-lane
 // overlay measured 30.7 KiB and 360, so losing any one of them fails here,
-// without the benchmark. An OCC abort re-executes a transaction, so the
-// figures move by a percent with the interleaving; 10 % covers that.
+// without the benchmark; the one before Merge and Flatten stopped making a
+// slot map for every EOA, 14.4 KiB and 115. An OCC abort re-executes a
+// transaction, so the figures move by a percent with the interleaving; 10 %
+// covers that.
 const (
-	blockPathBytesPerTx  = 14.4 * 1024 * 1.10
-	blockPathAllocsPerTx = 114 * 1.10
+	blockPathBytesPerTx  = 14.3 * 1024 * 1.10
+	blockPathAllocsPerTx = 112 * 1.10
 )
 
 func TestBlockPathAllocs(t *testing.T) {
@@ -124,4 +127,66 @@ func TestBlockPathSurvivorsMatchFreshOverlays(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBlockPathHotPair is the contended end of the block path: 70 % of each
+// block swaps on the one AMM pair, so nearly every OCC-WSI execution meets a
+// reserve slot rewritten since its snapshot and either extends or aborts. Every
+// block proposed — 20 seeds at 2, 4 and 8 threads — must pack the whole pool,
+// pass the parallel validator after a wire round trip and pass the serial
+// baseline validator: whatever the interleaving, the commit order is a serial
+// order and the sealed profile is what a replay observes.
+func TestBlockPathHotPair(t *testing.T) {
+	params := chain.DefaultParams()
+	extensions, aborts, packed := telemetry.ProposerSnapshotExtensions.Value(), 0, 0
+	for seed := int64(1); seed <= 20; seed++ {
+		cfg := workload.Default()
+		cfg.Seed = seed
+		cfg.TxPerBlock = 64
+		cfg.SwapRatio, cfg.NumPairs = 0.70, 1
+		cfg.SpinMin, cfg.SpinMax = 50, 400 // the schedule, not the compute, is under test
+		g := workload.New(cfg)
+		parent, txs := g.GenesisState(), g.NextBlockTxs()
+		parentHeader := &types.Header{Number: 0, StateRoot: parent.Root(), GasLimit: params.GasLimit}
+		for _, threads := range []int{2, 4, 8} {
+			res, _ := blockPath(t, ProposerConfig{Threads: threads, Coinbase: coinbase, Time: 1}, parent, txs, params)
+			if res.Dropped != 0 {
+				t.Fatalf("seed %d threads %d: %d transactions dropped", seed, threads, res.Dropped)
+			}
+			if _, err := chain.VerifyBlockSerial(parent, parentHeader, res.Block, params); err != nil {
+				t.Fatalf("seed %d threads %d (aborts %d): serial validator: %v", seed, threads, res.Aborts, err)
+			}
+			aborts, packed = aborts+res.Aborts, packed+res.Committed
+		}
+	}
+	extensions = telemetry.ProposerSnapshotExtensions.Value() - extensions
+	t.Logf("%d transactions packed: %d executions re-based on a newer commit, %d aborted", packed, extensions, aborts)
+	if runtime.GOMAXPROCS(0) > 1 && extensions == 0 {
+		t.Fatal("no execution extended its snapshot: the workload no longer exercises extension")
+	}
+}
+
+// BenchmarkProposeHotspot packs one block of the benchmark's hotspot mix (132
+// transactions, 70 % of them swaps on one pair) with OCC-WSI at 2 threads, and
+// reports what the contention cost: aborts per packed transaction.
+func BenchmarkProposeHotspot(b *testing.B) {
+	cfg := workload.Default()
+	cfg.SwapRatio, cfg.NumPairs = 0.70, 1
+	cfg.NativeRatio, cfg.MixerRatio = 0.12, 0.06
+	g := workload.New(cfg)
+	parent, txs := g.GenesisState(), g.NextBlockTxs()
+	params := chain.DefaultParams()
+	parentHeader := &types.Header{Number: 0, StateRoot: parent.Root(), GasLimit: params.GasLimit}
+	aborts, packed := 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pool := mempool.New()
+		pool.AddAll(txs)
+		res, err := Propose(parent, parentHeader, pool, ProposerConfig{Threads: 2, Coinbase: coinbase, Time: 1}, params)
+		if err != nil || res.Committed != len(txs) {
+			b.Fatalf("packed %d of %d: %v", res.Committed, len(txs), err)
+		}
+		aborts, packed = aborts+res.Aborts, packed+res.Committed
+	}
+	b.ReportMetric(float64(aborts)/float64(packed), "aborts/tx")
 }

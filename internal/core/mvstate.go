@@ -63,7 +63,8 @@ func (mv *MVState) Version() types.Version {
 	return mv.version.Load()
 }
 
-// View returns a state.Reader pinned at snapshot version v.
+// View returns a state.Reader pinned at snapshot version v, for callers with
+// no read set to keep current: it never moves.
 func (mv *MVState) View(v types.Version) state.Reader {
 	return &mvView{mv: mv, before: v + 1}
 }
@@ -152,17 +153,102 @@ func (mv *MVState) TryCommitEx(access *types.AccessSet, cs *state.ChangeSet) (ty
 func (mv *MVState) Flatten() *state.ChangeSet { return mv.store.Flatten() }
 
 // mvView is a read-only view of MVState at one snapshot version: the store
-// read before version+1, the parent snapshot underneath.
+// read before version+1, the parent snapshot underneath. View hands out pinned
+// ones. A proposer lane's is bound to the lane's overlay and extends the
+// snapshot under it (extend) rather than serve a read that dooms the commit.
 type mvView struct {
 	mv     *MVState
 	before uint64
+
+	// Bound views only; a pinned view leaves all of it zero.
+	overlay *state.Overlay
+	held    []types.StateKey   // every key served to overlay since begin
+	lane    int                // the flight-recorder lane, block height and
+	height  uint64             // transaction of the execution, for the
+	tx      *types.Transaction // extension event
+}
+
+// bind returns a view bound to an overlay of its own: what one proposer lane
+// (flight-recorder id lane, packing block height) runs its transactions on.
+func (mv *MVState) bind(lane int, height uint64) *mvView {
+	return &mvView{mv: mv, overlay: state.NewOverlay(nil, 0), lane: lane, height: height}
+}
+
+// begin re-arms the bound view and its overlay for one execution of tx at the
+// latest committed version.
+func (v *mvView) begin(tx *types.Transaction) {
+	snapshot := v.mv.Version()
+	v.before, v.held, v.tx = snapshot+1, v.held[:0], tx
+	v.overlay.Reset(v, snapshot)
+}
+
+// extend runs before a bound view serves key with commits above its snapshot.
+// If one of them wrote key — by the reserve table, the authority TryCommitEx
+// aborts on; a chain also grows on storage-only changes that leave the account
+// key alone — the snapshot's value dooms the execution, so the view tries to
+// move to the newest commit instead: it loads that version, then takes the
+// stripes of every key it has served, in ascending order, and checks that the
+// reserve table names no writer above the snapshot for any of them. A commit
+// bumps the version with its stripes held and releases them only after the
+// reserve table and the chains are updated, so every commit at or below the
+// version loaded is visible on a stripe taken afterwards: when the check
+// passes, each value the overlay holds is its value at the new version too, and
+// the execution is the one that would have started there. When it fails the
+// stale read goes ahead and the transaction aborts at commit, as it always has.
+func (v *mvView) extend(key *types.StateKey) {
+	mv := v.mv
+	stripe := mv.store.StripeOfKey(key)
+	mv.store.RLock(1 << stripe)
+	winner := mv.reserve[stripe][*key]
+	mv.store.RUnlock(1 << stripe)
+	if winner < v.before {
+		return
+	}
+	to := mv.version.Load()
+	var set uint64
+	for i := range v.held {
+		set |= 1 << mv.store.StripeOfKey(&v.held[i])
+	}
+	current := true
+	mv.store.RLock(set)
+	for i := range v.held {
+		if mv.reserve[mv.store.StripeOfKey(&v.held[i])][v.held[i]] >= v.before {
+			current = false
+			break
+		}
+	}
+	mv.store.RUnlock(set)
+	if !current {
+		telemetry.ProposerSnapshotExtensionsDeclined.Inc()
+		return
+	}
+	telemetry.ProposerSnapshotExtensions.Inc()
+	flight.Extend(v.lane, v.tx, *key, v.before-1, to, int(stripe), v.height)
+	v.overlay.Rebase(to)
+	v.before = to + 1
+}
+
+// serving runs before a view serves key. A bound one looks at extending when
+// something has committed since its snapshot, and notes that its overlay holds
+// key's value from here on; the rest of the time it costs one atomic load.
+func (v *mvView) serving(key types.StateKey) {
+	if v.overlay == nil {
+		return
+	}
+	if v.mv.version.Load() >= v.before {
+		v.extend(&key)
+	}
+	v.held = append(v.held, key)
 }
 
 // Account implements state.Reader: one chain resolution, the parent
 // snapshot underneath (every committed account version exists). Code below
 // resolves separately and still agrees with the hash reported here: entries
-// at or below the pinned version are fully installed and never change.
+// at or below the snapshot version are fully installed and never change, and
+// the snapshot moves past an account the overlay holds only when nobody has
+// written it.
 func (v *mvView) Account(addr types.Address) (state.Account, bool) {
+	v.serving(types.AccountKey(addr))
 	e, code, ok := v.mv.store.ResolveAccount(addr, v.before)
 	if !ok {
 		return v.mv.base.Account(addr)
@@ -170,7 +256,8 @@ func (v *mvView) Account(addr types.Address) (state.Account, bool) {
 	return e.Val.Over(&code.Val, v.mv.base, addr), true
 }
 
-// Code implements state.Reader.
+// Code implements state.Reader. It rides the account key, which the overlay
+// holds by now: no extension of its own.
 func (v *mvView) Code(addr types.Address) []byte {
 	if e, ok := v.mv.store.ResolveCode(addr, v.before); ok {
 		return e.Val.Code
@@ -180,6 +267,7 @@ func (v *mvView) Code(addr types.Address) []byte {
 
 // Storage implements state.Reader.
 func (v *mvView) Storage(addr types.Address, slot types.Hash) uint256.Int {
+	v.serving(types.StorageKey(addr, slot))
 	if e, ok := v.mv.store.ResolveSlot(addr, slot, v.before); ok {
 		return e.Val
 	}

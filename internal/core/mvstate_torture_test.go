@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -360,4 +361,184 @@ func TestMVStateStripedVsSingleLock(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestExtensionTorture races snapshot extension against TryCommitEx across
+// stripe configurations (run with -race): eight lanes, each with its bound
+// view, run read-modify-write transactions over a small hot key space, with a
+// yield between their first read and the rest so that nearly every execution
+// meets a key rewritten since its snapshot. The shape is the one extension has
+// to get right: a recorded read, then a blind SetState that caches an account
+// without recording it, then — after the yield — a slot read that may
+// re-base the execution, then a read of the cached account. Every commit keeps
+// what it read; replayed in version order on a plain map, each must have read
+// exactly the state its predecessor left (serializability: an extension that
+// moved past a value the overlay held would commit a read nobody can place),
+// and the flattened store must equal the replay's final state.
+func TestExtensionTorture(t *testing.T) {
+	for _, stripes := range []int{1, 4, state.DefaultStripes} {
+		stripes := stripes
+		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
+			tortureExtension(t, stripes)
+		})
+	}
+}
+
+func tortureExtension(t *testing.T, stripes int) {
+	const accounts = 6
+	const lanes = 8
+	const commitsPerLane = 150
+	slot := types.BytesToHash([]byte{0xAA})
+
+	g := state.NewGenesisBuilder()
+	addrs := make([]types.Address, accounts)
+	for i := range addrs {
+		addrs[i] = types.BytesToAddress([]byte{byte(i + 1)})
+		g.AddAccount(addrs[i], uint256.NewInt(uint64(i)))
+	}
+	mv := NewMVStateStripes(g.Build(), stripes)
+
+	type record struct {
+		v          types.Version
+		r1, r2, w  int
+		bal1       uint64 // balance of r1, the first read
+		slot2      uint64 // slot of r2, read after the yield
+		balW       uint64 // balance of w, cached by the blind SetState before the yield
+		newBal     uint64
+		newSlot    uint64
+		readsStamp types.Version
+	}
+	recs := make([][]record, lanes)
+	var wg sync.WaitGroup
+	var aborts, extended atomic.Int64
+	for l := 0; l < lanes; l++ {
+		wg.Add(1)
+		go func(l int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(l)*104729 + 7))
+			view := mv.bind(l, 1)
+			o := view.overlay
+			tx := &types.Transaction{From: addrs[0]}
+			for i := 0; i < commitsPerLane; i++ {
+				w := rng.Intn(accounts)
+				r1 := (w + 1 + rng.Intn(accounts-1)) % accounts
+				r2 := (w + 1 + rng.Intn(accounts-1)) % accounts
+				for {
+					view.begin(tx)
+					pinned := o.Version()
+					bal1 := o.GetBalance(addrs[r1])
+					o.SetState(addrs[w], slot, *uint256.NewInt(1)) // caches w, records no read
+					runtime.Gosched()
+					slot2 := o.GetState(addrs[r2], slot) // may extend
+					balW := o.GetBalance(addrs[w])       // the cached value, stamped with the overlay's version
+					rec := record{
+						r1: r1, r2: r2, w: w,
+						bal1: bal1.Uint64(), slot2: slot2.Uint64(), balW: balW.Uint64(),
+					}
+					rec.newBal = rec.bal1*31 + rec.slot2*17 + rec.balW + 1
+					rec.newSlot = rec.newBal ^ uint64(l)<<32
+					o.SetBalance(addrs[w], uint256.NewInt(rec.newBal))
+					o.SetState(addrs[w], slot, *uint256.NewInt(rec.newSlot))
+					rec.readsStamp = o.Version()
+					for key, stamp := range o.Access().Reads {
+						if stamp != rec.readsStamp {
+							t.Errorf("read of %s stamped %d in an overlay at %d", key, stamp, rec.readsStamp)
+						}
+					}
+					var ok bool
+					if rec.v, _, ok = mv.TryCommitEx(o.Access(), o.ChangeSet()); ok {
+						if rec.readsStamp != pinned {
+							extended.Add(1)
+						}
+						recs[l] = append(recs[l], rec)
+						break
+					}
+					aborts.Add(1)
+				}
+			}
+		}(l)
+	}
+
+	// Pinned views race the lanes: no overlay, so they never move.
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pin := mv.Version()
+				view := mv.View(pin)
+				first := make([]uint256.Int, accounts)
+				for i, a := range addrs {
+					first[i] = view.Storage(a, slot)
+				}
+				runtime.Gosched()
+				for i, a := range addrs {
+					if again := view.Storage(a, slot); !again.Eq(&first[i]) {
+						t.Errorf("pinned view at %d moved: slot of account %d read %s then %s", pin, i, first[i].String(), again.String())
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	if t.Failed() {
+		return
+	}
+
+	total := lanes * commitsPerLane
+	order := make([]*record, total+1)
+	for l := range recs {
+		for i := range recs[l] {
+			rec := &recs[l][i]
+			if rec.v < 1 || int(rec.v) > total || order[rec.v] != nil {
+				t.Fatalf("version %d out of range or duplicated", rec.v)
+			}
+			if rec.readsStamp >= rec.v {
+				t.Fatalf("version %d committed reads stamped %d", rec.v, rec.readsStamp)
+			}
+			order[rec.v] = rec
+		}
+	}
+	bal, slots := make([]uint64, accounts), make([]uint64, accounts)
+	for i := range bal {
+		bal[i] = uint64(i)
+	}
+	for v := 1; v <= total; v++ {
+		rec := order[v]
+		if rec == nil {
+			t.Fatalf("version %d missing", v)
+		}
+		if bal[rec.r1] != rec.bal1 || slots[rec.r2] != rec.slot2 || bal[rec.w] != rec.balW {
+			t.Fatalf("version %d (reads stamped %d) is not serializable: read balance[%d]=%d slot[%d]=%d balance[%d]=%d, the state after version %d has %d, %d, %d",
+				v, rec.readsStamp, rec.r1, rec.bal1, rec.r2, rec.slot2, rec.w, rec.balW, v-1, bal[rec.r1], slots[rec.r2], bal[rec.w])
+		}
+		bal[rec.w], slots[rec.w] = rec.newBal, rec.newSlot
+	}
+	flat := mv.Flatten()
+	for i, a := range addrs {
+		ch := flat.Accounts[a]
+		if ch == nil {
+			if bal[i] != uint64(i) || slots[i] != 0 {
+				t.Fatalf("account %d: written in the replay, absent from the flattened store", i)
+			}
+			continue
+		}
+		if got := ch.Storage[slot]; ch.Balance.Uint64() != bal[i] || got.Uint64() != slots[i] {
+			t.Fatalf("account %d: flattened (%d, %d), replay (%d, %d)", i, ch.Balance.Uint64(), got.Uint64(), bal[i], slots[i])
+		}
+	}
+	if extended.Load() == 0 {
+		t.Fatalf("no commit of %d rode an extended snapshot: the schedule no longer exercises extension", total)
+	}
+	t.Logf("stripes=%d: %d commits, %d of them on an extended snapshot, %d aborts", stripes, total, extended.Load(), aborts.Load())
 }

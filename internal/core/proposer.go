@@ -146,16 +146,14 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 
 	laneID := b.cfg.Threads // flight-recorder lane beyond the worker ids
 
-	// processOne executes and tries to commit a single claimed transaction.
-	// worker is the flight-recorder lane id of the calling goroutine, overlay
-	// that goroutine's own, re-armed here for this execution.
-	processOne := func(worker int, overlay *state.Overlay, tx *types.Transaction) {
+	// processOne executes and tries to commit a single claimed transaction on
+	// the calling goroutine's view, re-armed here for this execution.
+	processOne := func(view *mvView, tx *types.Transaction) {
+		worker, overlay := view.lane, view.overlay
 		flight.ExecStart(worker, tx, b.header.Number)
 		defer flight.ExecEnd(worker, tx, b.header.Number)
-		v := mv.Version()
 		telemetry.ProposerSnapshotBuilds.Inc()
-		view := mv.View(v)
-		overlay.Reset(view, v)
+		view.begin(tx)
 		receipt, fee, err := chain.ApplyTransaction(overlay, tx, b.bc)
 		if err != nil {
 			b.reject(worker, tx, err)
@@ -181,7 +179,10 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 		access := overlay.Access()
 		cs := overlay.ChangeSet()
 		var profile *types.TxProfile
-		merged := b.mergeableCredit(view, tx, cs)
+		// The execution is over: what reads the state from here on gets a
+		// pinned view (made only when a credit could merge at all), which
+		// cannot move the snapshot under the access set just taken.
+		merged := b.credits != nil && b.mergeableCredit(mv.View(overlay.Version()), tx, cs)
 		if merged {
 			// The hot recipient leaves the transaction's conflict footprint:
 			// its credit rides the commutative pool instead of the reserve
@@ -230,7 +231,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 	)
 	runLane := func() {
 		defer laneWg.Done()
-		overlay := state.NewOverlay(nil, 0)
+		view := mv.bind(laneID, b.header.Number)
 		for {
 			idleMu.Lock()
 			for lane.Len() == 0 && !laneClosed {
@@ -249,7 +250,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 			}
 			tx := lane.Pop()
 			idleMu.Unlock()
-			processOne(laneID, overlay, tx)
+			processOne(view, tx)
 			ctrl.NoteLaneTx()
 			settle(1)
 		}
@@ -260,7 +261,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 	}
 
 	worker := func(id int) {
-		overlay := state.NewOverlay(nil, 0)
+		view := mv.bind(id, b.header.Number)
 		for !gasFull.Load() {
 			cold, hot := b.claim(id, DefaultPopBatch)
 			if len(cold)+len(hot) == 0 {
@@ -304,7 +305,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 					settle(int64(len(rest)))
 					return
 				}
-				processOne(id, overlay, tx)
+				processOne(view, tx)
 				settle(1)
 			}
 		}

@@ -159,3 +159,53 @@ func TestEndToEndAbortEvents(t *testing.T) {
 		t.Fatal("recorder saw no events")
 	}
 }
+
+// TestEndToEndExtendEvents: on a block that is all swaps on one pair, the
+// executions the proposer rescued by snapshot extension show up as `extend`
+// events — inside one exec_start … exec_end bracket of the rescuing worker,
+// moving forward, naming a key of the pair — and an extended execution that
+// went on to commit was serialized after the version it moved to.
+func TestEndToEndExtendEvents(t *testing.T) {
+	cfg := workload.Default()
+	cfg.TxPerBlock = 64
+	cfg.SwapRatio = 1.0
+	cfg.NumPairs = 1
+	cfg.NativeRatio = 0
+	cfg.MixerRatio = 0
+	rec, res, _, _ := proposeWithRecorder(t, cfg, 8)
+
+	extends := 0
+	for _, tx := range res.Block.Txs {
+		tl, err := rec.TimelineByPrefix(tx.Hash().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		executing := false
+		var movedTo types.Version
+		for _, ev := range tl {
+			switch ev.Kind {
+			case flight.EvExecStart:
+				executing, movedTo = true, 0
+			case flight.EvExecEnd:
+				executing = false
+			case flight.EvExtend:
+				extends++
+				if !executing || ev.Version <= ev.Aux || ev.Key == (types.StateKey{}) {
+					t.Fatalf("tx %s: malformed extend event (executing=%v):\n%s",
+						tx.Hash(), executing, flight.RenderTimeline(flight.Views(tl)))
+				}
+				movedTo = ev.Version
+			case flight.EvCommit:
+				if executing && ev.Version <= movedTo {
+					t.Fatalf("tx %s committed at version %d after extending to %d:\n%s",
+						tx.Hash(), ev.Version, movedTo, flight.RenderTimeline(flight.Views(tl)))
+				}
+			}
+		}
+	}
+	if extends == 0 {
+		// One processor can run the workers back to back with no overlap.
+		t.Skipf("no execution extended its snapshot (aborts=%d)", res.Aborts)
+	}
+	t.Logf("%d extend events, %d aborts over %d transactions", extends, res.Aborts, res.Committed)
+}

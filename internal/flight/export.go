@@ -59,7 +59,7 @@ func (ev Event) View() EventView {
 	if ev.Sender != (types.Address{}) {
 		v.Sender = ev.Sender.String()
 	}
-	if ev.Kind == EvAbort {
+	if ev.Kind == EvAbort || ev.Kind == EvExtend {
 		v.Key = ev.Key.String()
 		v.Stripe = int(ev.Stripe)
 	}
@@ -80,6 +80,8 @@ func (v EventView) detail() string {
 	switch v.Kind {
 	case "abort":
 		return fmt.Sprintf("key=%s winner=v%d stripe=%d", v.Key, v.Version, v.Stripe)
+	case "extend":
+		return fmt.Sprintf("snapshot v%d -> v%d stale key=%s stripe=%d", v.Aux, v.Version, v.Key, v.Stripe)
 	case "commit":
 		return fmt.Sprintf("version=%d", v.Version)
 	case "seal":

@@ -80,6 +80,11 @@ const (
 	// Aux = 1 on EvBlockDone means the block validated and committed).
 	EvBlockSubmit
 	EvBlockDone
+	// EvExtend: a proposer worker about to read a key overwritten after its
+	// snapshot re-based the execution on the newest commit instead (OCC-WSI
+	// snapshot extension). Key is that key, Stripe its MVState stripe,
+	// Aux the snapshot version left, Version the one moved to.
+	EvExtend
 )
 
 var kindNames = [...]string{
@@ -100,6 +105,7 @@ var kindNames = [...]string{
 	EvVerifyFail:  "verify_fail",
 	EvBlockSubmit: "block_submit",
 	EvBlockDone:   "block_done",
+	EvExtend:      "extend",
 }
 
 // String returns the event kind's wire name.
@@ -131,14 +137,14 @@ type Event struct {
 	Seq     uint64
 	Tx      types.Hash
 	Sender  types.Address
-	Key     types.StateKey // EvAbort only: the conflicting key
-	Version types.Version  // commit version / winning version on abort
+	Key     types.StateKey // EvAbort: the conflicting key; EvExtend: the stale one
+	Version types.Version  // commit version / winning version on abort / extended-to version
 	Aux     uint64         // kind-specific (see the EventKind docs)
 	Aux2    uint64
 	Height  uint64
 	Kind    EventKind
 	Worker  int16
-	Stripe  int16 // EvAbort only: the conflicting key's stripe
+	Stripe  int16 // EvAbort, EvExtend: the key's stripe
 }
 
 // ring is one worker's event buffer. The owning worker is the only steady-
@@ -340,6 +346,20 @@ func Abort(worker int, tx *types.Transaction, key types.StateKey, winner types.V
 		Key: key, Version: winner, Stripe: int16(stripe), Height: height,
 	})
 	r.noteAbort(tx.From, key, stripe)
+}
+
+// Extend records a snapshot extension: the execution of tx on worker moved
+// from snapshot version from to version to because key, which it was about to
+// read, had been overwritten in between.
+func Extend(worker int, tx *types.Transaction, key types.StateKey, from, to types.Version, stripe int, height uint64) {
+	r := active.Load()
+	if r == nil {
+		return
+	}
+	r.record(worker, Event{
+		Kind: EvExtend, Tx: tx.Hash(), Sender: tx.From,
+		Key: key, Version: to, Aux: from, Stripe: int16(stripe), Height: height,
+	})
 }
 
 // Requeue records an aborted/nonce-blocked transaction returning to the pool.

@@ -136,6 +136,11 @@ func (r *Recorder) WriteTrace(w io.Writer, blocks []trace.Span) error {
 				args["key"] = ev.Key.String()
 				args["winner_version"] = ev.Version
 				args["stripe"] = ev.Stripe
+			case EvExtend:
+				args["key"] = ev.Key.String()
+				args["from_version"] = ev.Aux
+				args["to_version"] = ev.Version
+				args["stripe"] = ev.Stripe
 			case EvCommit:
 				args["version"] = ev.Version
 			case EvSeal:

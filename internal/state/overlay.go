@@ -152,6 +152,18 @@ func (o *Overlay) Reset(base Reader, version types.Version) {
 // Version returns the snapshot version reads are stamped with.
 func (o *Overlay) Version() types.Version { return o.version }
 
+// Rebase moves the snapshot to version: the reads recorded so far are
+// re-stamped with it and later ones carry it. Only the base can call it, and
+// only once it has established that every value it has served this overlay
+// since Reset is its value at version too — the execution is then the one
+// NewOverlay(base, version) would have run (core.mvView's snapshot extension).
+func (o *Overlay) Rebase(version types.Version) {
+	o.version = version
+	for key := range o.access.Reads {
+		o.access.Reads[key] = version
+	}
+}
+
 // Access returns the recorded access set.
 func (o *Overlay) Access() *types.AccessSet { return o.access }
 

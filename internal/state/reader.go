@@ -70,7 +70,7 @@ func (cs *ChangeSet) Merge(other *ChangeSet) {
 	for addr, oc := range other.Accounts {
 		c, ok := cs.Accounts[addr]
 		if !ok {
-			c = &AccountChange{Storage: make(map[types.Hash]uint256.Int)}
+			c = &AccountChange{}
 			cs.Accounts[addr] = c
 		}
 		c.Nonce = oc.Nonce
@@ -78,8 +78,8 @@ func (cs *ChangeSet) Merge(other *ChangeSet) {
 		if oc.CodeSet {
 			c.Code, c.CodeSet = oc.Code, true
 		}
-		if c.Storage == nil {
-			c.Storage = make(map[types.Hash]uint256.Int)
+		if c.Storage == nil && len(oc.Storage) > 0 { // an EOA never needs one
+			c.Storage = make(map[types.Hash]uint256.Int, len(oc.Storage))
 		}
 		for k, v := range oc.Storage {
 			c.Storage[k] = v

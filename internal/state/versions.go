@@ -158,6 +158,23 @@ func (s *VersionStore) Unlock(set uint64) {
 	}
 }
 
+// RLock is Lock for a holder that only reads what the stripes guard (OCC-WSI's
+// snapshot extension looking up the reserve table): same ascending order, so
+// readers and commits stay deadlock-free against each other, and readers do not
+// exclude one another.
+func (s *VersionStore) RLock(set uint64) {
+	for ; set != 0; set &= set - 1 {
+		s.stripes[bits.TrailingZeros64(set)].mu.RLock()
+	}
+}
+
+// RUnlock releases the stripes RLock(set) acquired.
+func (s *VersionStore) RUnlock(set uint64) {
+	for ; set != 0; set &= set - 1 {
+		s.stripes[bits.TrailingZeros64(set)].mu.RUnlock()
+	}
+}
+
 // chains is one stripe's share of one kind of version chain (account or
 // slot), each sorted ascending by Key with one entry per key.
 type chains[K comparable, V any] map[K][]Versioned[V]
@@ -383,11 +400,7 @@ func (s *VersionStore) Flatten() *ChangeSet {
 		st.mu.RLock()
 		for addr, list := range st.accounts {
 			last := list[len(list)-1].Val
-			c := &AccountChange{
-				Nonce:   last.Nonce,
-				Balance: last.Balance,
-				Storage: make(map[types.Hash]uint256.Int),
-			}
+			c := &AccountChange{Nonce: last.Nonce, Balance: last.Balance}
 			for j := len(list) - 1; j >= 0; j-- {
 				if list[j].Val.CodeSet {
 					c.Code, c.CodeSet = list[j].Val.Code, true
@@ -399,15 +412,19 @@ func (s *VersionStore) Flatten() *ChangeSet {
 		st.mu.RUnlock()
 	}
 	// Pass 2: storage slots (their owning account's scalar entry always
-	// exists after pass 1 — put installs slots only via cs.Accounts).
+	// exists after pass 1 — put installs slots only via cs.Accounts). The slot
+	// map is made on an account's first slot: most changed accounts are EOAs.
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.RLock()
 		for sk, list := range st.slots {
 			c := cs.Accounts[sk.addr]
 			if c == nil { // defensive: a slot without a scalar entry
-				c = &AccountChange{Storage: make(map[types.Hash]uint256.Int)}
+				c = &AccountChange{}
 				cs.Accounts[sk.addr] = c
+			}
+			if c.Storage == nil {
+				c.Storage = make(map[types.Hash]uint256.Int)
 			}
 			c.Storage[sk.slot] = list[len(list)-1].Val
 		}

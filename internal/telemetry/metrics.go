@@ -9,6 +9,10 @@ var (
 		"Transactions committed through the reserve-table validation (Alg. 1).")
 	ProposerAborts = NewCounter("blockpilot_proposer_aborts_total",
 		"WSI conflict aborts: commit attempts rejected by a stale read.")
+	ProposerSnapshotExtensions = NewCounter("blockpilot_proposer_snapshot_extensions_total",
+		"Executions re-based on the newest commit before reading a key overwritten after their snapshot (would-be aborts rescued).")
+	ProposerSnapshotExtensionsDeclined = NewCounter("blockpilot_proposer_snapshot_extensions_declined_total",
+		"Snapshot extensions refused because a value the execution already held was overwritten too: the stale read proceeds and aborts at commit.")
 	ProposerRetries = NewCounter("blockpilot_proposer_retries_total",
 		"Aborted or nonce-blocked transactions requeued into the pending pool.")
 	ProposerDrops = NewCounter("blockpilot_proposer_drops_total",
