@@ -1,10 +1,10 @@
 # BlockPilot CI entry points. `make ci` is what the tier-1 gate runs:
 # vet (go vet + a gofmt check) + build + full test suite (the concurrency packages — core, mv, mempool,
-# pipeline, evm; not scheduler, which starts no goroutine — additionally under
+# pipeline, validator, evm; not scheduler, which starts no goroutine — additionally under
 # -cpu 1,2,4, so a 1-CPU runner cannot hide a scheduling-dependent bug; every
 # Propose test rides both engines with and without the adaptive controller) +
 # race detector on the concurrency-heavy packages (OCC-WSI core, MV-STM
-# engine, mempool, pipeline, network, sim, telemetry, flight recorder, health
+# engine, mempool, pipeline, validator, network, sim, telemetry, flight recorder, health
 # recorder) + the flight-recorder and block-tracer disabled-path budget
 # gates + the state path's lookup and allocation budget
 # (state-budget) + a live health-sampler smoke (health-smoke)
@@ -49,10 +49,12 @@ build:
 # at GOMAXPROCS 1, 2 and 4 so a single-CPU runner still exercises real
 # concurrency (and a many-core one still exercises the 1-CPU schedule).
 # internal/evm is here for its code-analysis cache (segments included) and
-# operand-stack pool, the one state its frames share across goroutines.
+# operand-stack pool, the one state its frames share across goroutines;
+# internal/validator for the sibling record its lanes read while another
+# block's lanes fill it.
 # internal/scheduler is not: it starts no goroutine (the validator's graph
 # build is serial), so a -cpu sweep or -race over it would buy nothing.
-CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/evm/
+CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/validator/... ./internal/evm/
 
 # The TopK pass repeats because an order-dependent heavy-hitter sketch (map
 # iteration deciding a tie) fails about one run in eight, not every run.

@@ -77,24 +77,34 @@ func BlockContextFor(h *types.Header, chainID uint64) evm.BlockContext {
 // execution failures (revert, out of gas) do NOT return an error: the
 // transaction is included with Status == 0 and its gas is consumed.
 func ApplyTransaction(o *state.Overlay, tx *types.Transaction, bc evm.BlockContext) (*types.Receipt, *uint256.Int, error) {
+	receipt, fee, _, err := ApplyTransactionCoinbase(o, tx, bc)
+	return receipt, fee, err
+}
+
+// ApplyTransactionCoinbase is ApplyTransaction that also reports whether the
+// execution read bc.Coinbase (evm.EVM.ReadCoinbase). Apart from the coinbase,
+// the result is a function of the state the overlay read and of bc's Number,
+// Time, GasLimit and ChainID — what lets a validator take a sibling block's
+// result for the same transaction (internal/validator, Siblings).
+func ApplyTransactionCoinbase(o *state.Overlay, tx *types.Transaction, bc evm.BlockContext) (*types.Receipt, *uint256.Int, bool, error) {
 	nonce := o.GetNonce(tx.From)
 	switch {
 	case tx.Nonce < nonce:
-		return nil, nil, fmt.Errorf("%w: have %d, tx %d", ErrNonceTooLow, nonce, tx.Nonce)
+		return nil, nil, false, fmt.Errorf("%w: have %d, tx %d", ErrNonceTooLow, nonce, tx.Nonce)
 	case tx.Nonce > nonce:
-		return nil, nil, fmt.Errorf("%w: have %d, tx %d", ErrNonceTooHigh, nonce, tx.Nonce)
+		return nil, nil, false, fmt.Errorf("%w: have %d, tx %d", ErrNonceTooHigh, nonce, tx.Nonce)
 	}
 	intrinsic := evm.IntrinsicGas(tx.Data)
 	if tx.CreateContract {
 		intrinsic += evm.GasCreate
 	}
 	if tx.Gas < intrinsic {
-		return nil, nil, fmt.Errorf("%w: limit %d, need %d", ErrIntrinsicGas, tx.Gas, intrinsic)
+		return nil, nil, false, fmt.Errorf("%w: limit %d, need %d", ErrIntrinsicGas, tx.Gas, intrinsic)
 	}
 	balance := o.GetBalance(tx.From)
 	cost := tx.Cost()
 	if balance.Lt(&cost) {
-		return nil, nil, fmt.Errorf("%w: balance %s, cost %s", ErrInsufficientFunds, balance.String(), cost.String())
+		return nil, nil, false, fmt.Errorf("%w: balance %s, cost %s", ErrInsufficientFunds, balance.String(), cost.String())
 	}
 
 	// Buy gas and bump the nonce.
@@ -152,5 +162,5 @@ func ApplyTransaction(o *state.Overlay, tx *types.Transaction, bc evm.BlockConte
 	} else if tx.CreateContract {
 		receipt.ContractAddress = contractAddr
 	}
-	return receipt, &fee, nil
+	return receipt, &fee, e.ReadCoinbase, nil
 }

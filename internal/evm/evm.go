@@ -78,6 +78,9 @@ type EVM struct {
 	Block BlockContext
 	Tx    TxContext
 	depth int
+	// ReadCoinbase records that the execution ran COINBASE: the one block
+	// context field in which same-parent sibling blocks differ.
+	ReadCoinbase bool
 }
 
 // New returns an EVM for one transaction.

@@ -175,6 +175,7 @@ func opBlockhash(e *EVM, f *frame) error {
 }
 
 func opCoinbase(e *EVM, f *frame) error {
+	e.ReadCoinbase = true
 	w := e.Block.Coinbase.Word()
 	f.stack.push(&w)
 	return nil

@@ -11,6 +11,7 @@ import (
 	"blockpilot/internal/core"
 	"blockpilot/internal/flight"
 	"blockpilot/internal/mempool"
+	"blockpilot/internal/pipeline"
 	"blockpilot/internal/types"
 	"blockpilot/internal/validator"
 	"blockpilot/internal/workload"
@@ -208,4 +209,72 @@ func TestEndToEndExtendEvents(t *testing.T) {
 		t.Skipf("no execution extended its snapshot (aborts=%d)", res.Aborts)
 	}
 	t.Logf("%d extend events, %d aborts over %d transactions", extends, res.Aborts, res.Committed)
+}
+
+// TestEndToEndReuseEvents: two proposals on one parent from one pool go
+// through a pipeline. Every transaction the follower took from the leader
+// shows one `reuse` event on a validator lane, naming the leader's index of
+// that same transaction, and one replay (the leader's) instead of two.
+func TestEndToEndReuseEvents(t *testing.T) {
+	rec := flight.Enable(flight.Options{})
+	t.Cleanup(func() { flight.Disable() })
+
+	cfg := workload.Default()
+	cfg.TxPerBlock = 64
+	g := workload.New(cfg)
+	genesis := g.GenesisState()
+	params := chain.DefaultParams()
+	c := chain.NewChain(genesis, params)
+	txs := g.NextBlockTxs()
+	var blocks [2]*types.Block
+	for side := range blocks {
+		pool := mempool.New()
+		pool.AddAll(txs)
+		res, err := core.Propose(genesis, &c.Genesis().Header, pool, core.ProposerConfig{
+			Threads: 2, Coinbase: types.Address{19: byte(side + 1)}, Time: 1,
+		}, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks[side] = res.Block
+	}
+	p := pipeline.New(c, validator.DefaultConfig(2), nil)
+	for _, b := range blocks {
+		p.Submit(b)
+	}
+	p.Close()
+	reused := 0
+	for out := range p.Results() {
+		if out.Err != nil {
+			t.Fatal(out.Err)
+		}
+		reused += out.Result.Reused
+	}
+	if reused == 0 {
+		t.Fatal("the follower took no result")
+	}
+
+	replays := map[types.Hash]int{}
+	var reuses []flight.Event
+	for _, ev := range rec.Events() {
+		switch ev.Kind {
+		case flight.EvReplayStart:
+			replays[ev.Tx]++
+		case flight.EvReuse:
+			reuses = append(reuses, ev)
+		}
+	}
+	if len(reuses) != reused {
+		t.Fatalf("%d reuse events, the follower took %d results", len(reuses), reused)
+	}
+	leader := blocks[0]
+	for _, ev := range reuses {
+		if int(ev.Worker) < flight.ValidatorLaneBase || ev.Aux >= uint64(len(leader.Txs)) || leader.Txs[ev.Aux].Hash() != ev.Tx {
+			t.Fatalf("malformed reuse event %+v", ev.View())
+		}
+		if replays[ev.Tx] != 1 {
+			tl, _ := rec.TimelineByPrefix(ev.Tx.String())
+			t.Fatalf("taken tx %s replayed %d times:\n%s", ev.Tx, replays[ev.Tx], flight.RenderTimeline(flight.Views(tl)))
+		}
+	}
 }

@@ -93,6 +93,8 @@ func (v EventView) detail() string {
 		return "invalid"
 	case "assign":
 		return fmt.Sprintf("component=%d gas=%d", v.Aux, v.Aux2)
+	case "reuse":
+		return fmt.Sprintf("taken from leader tx %d", v.Aux)
 	case "block_done":
 		if v.Aux == 1 {
 			return "committed"

@@ -3,8 +3,8 @@
 // mempool admission, pop, speculative attempt start/end, WSI abort (with the
 // conflicting key, the winning committed version and the stripe), commit
 // (version and block position), drop, validator component assignment,
-// replay, and verify pass/fail — each with nanosecond timestamps and worker
-// ids.
+// replay or reuse of a sibling's result, and verify pass/fail — each with
+// nanosecond timestamps and worker ids.
 //
 // On top of the raw event stream the package aggregates *conflict
 // attribution*: the top-K hot state keys and hot senders by abort count
@@ -85,6 +85,10 @@ const (
 	// snapshot extension). Key is that key, Stripe its MVState stripe,
 	// Aux the snapshot version left, Version the one moved to.
 	EvExtend
+	// EvReuse: a validator lane took a same-parent sibling's verified result
+	// for the transaction instead of re-executing it. Aux = the transaction's
+	// index in the sibling (the leader) whose result was taken.
+	EvReuse
 )
 
 var kindNames = [...]string{
@@ -106,6 +110,7 @@ var kindNames = [...]string{
 	EvBlockSubmit: "block_submit",
 	EvBlockDone:   "block_done",
 	EvExtend:      "extend",
+	EvReuse:       "reuse",
 }
 
 // String returns the event kind's wire name.
@@ -435,6 +440,16 @@ func ReplayEnd(lane int, tx *types.Transaction, height uint64) {
 		return
 	}
 	r.record(ValidatorLane(lane), Event{Kind: EvReplayEnd, Tx: tx.Hash(), Sender: tx.From, Height: height})
+}
+
+// Reuse records validator lane taking the result of tx from the sibling block
+// that executed it first, where it sat at index leaderIndex.
+func Reuse(lane int, tx *types.Transaction, leaderIndex int, height uint64) {
+	r := active.Load()
+	if r == nil {
+		return
+	}
+	r.record(ValidatorLane(lane), Event{Kind: EvReuse, Tx: tx.Hash(), Sender: tx.From, Aux: uint64(leaderIndex), Height: height})
 }
 
 // Verify records the applier's profile check outcome for tx.

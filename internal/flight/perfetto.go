@@ -8,7 +8,7 @@
 //	                    complete ("X") slices, pop/abort/requeue/commit/
 //	                    drop as instant ("i") events
 //	pid 2 "validator" — one tid per execution lane: replay slices plus
-//	                    assign/verify instants
+//	                    assign/reuse/verify instants
 //	pid 3 "pipeline"  — block_submit/block_done instants
 //	pid 4 "blocks"    — block lifecycle spans from internal/trace (seal,
 //	                    transfer, queue, prepare, execute, verify, commit,
@@ -149,6 +149,8 @@ func (r *Recorder) WriteTrace(w io.Writer, blocks []trace.Span) error {
 			case EvAssign:
 				args["component"] = ev.Aux
 				args["component_gas"] = ev.Aux2
+			case EvReuse:
+				args["leader_index"] = ev.Aux
 			case EvDrop:
 				args["retry_exhausted"] = ev.Aux == 1
 			}

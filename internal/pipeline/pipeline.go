@@ -3,10 +3,17 @@
 // execution, block validation, block commitment — that processes several
 // blocks concurrently.
 //
-// Blocks at the same height are independent (they share a validated parent
-// state) and overlap fully; a block only waits for its *parent* to finish
-// the validation phase. All in-flight blocks share one worker pool, so free
-// workers execute transactions regardless of which block they belong to.
+// A block waits for its *parent* to commit. Blocks on the same parent —
+// siblings — share one validator.Siblings record. The first to start leads:
+// it executes, and publishes every result its lanes verify. Each later one,
+// a follower, waits in its own goroutine until every lane of the leader has
+// started, then queues its own; a follower lane takes the leader's verified
+// result for every transaction the last-writer rule proves unchanged, and
+// executes the rest. Siblings therefore do not run
+// their executions side by side: a follower's lanes run in the leader's
+// execution tail and commit, on the workers the leader frees. All in-flight
+// blocks share one worker pool, so free workers execute transactions
+// regardless of which block they belong to.
 package pipeline
 
 import (
@@ -134,18 +141,29 @@ type Pipeline struct {
 	node    string           // span node identity; "" = "validator"
 	tracer  *trace.Collector // injected collector; nil = process-global
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	running int                            // active validations
-	waiting map[types.Hash][]*pendingBlock // parent hash → parked blocks
+	mu       sync.Mutex
+	cond     *sync.Cond
+	running  int                            // active validations
+	waiting  map[types.Hash][]*pendingBlock // parent hash → parked blocks
+	siblings map[types.Hash]siblingRef      // parent hash → the record its running children share
 
 	results chan Outcome
+}
+
+// siblingRef is one parent's sibling record and the number of running
+// validations that hold it: the record is recycled when the last returns,
+// never earlier, since a follower reads the leader's results in its lanes.
+type siblingRef struct {
+	sib  *validator.Siblings
+	refs int
 }
 
 type pendingBlock struct {
 	block    *types.Block
 	arrived  time.Time
-	released time.Time // when the parent's commitment unparked it (zero if never parked)
+	released time.Time           // when the parent's commitment unparked it (zero if never parked)
+	sib      *validator.Siblings // shared with the running blocks on the same parent
+	lead     bool                // this block's validation fills sib
 }
 
 // New builds a pipeline over a chain. cfg.Threads bounds each block's lane
@@ -159,13 +177,14 @@ func New(c *chain.Chain, cfg validator.Config, pool *WorkerPool) *Pipeline {
 	}
 	cfg.Spawn = pool.Submit
 	p := &Pipeline{
-		chain:   c,
-		cfg:     cfg,
-		params:  c.Params(),
-		pool:    pool,
-		ownPool: own,
-		waiting: make(map[types.Hash][]*pendingBlock),
-		results: make(chan Outcome, 4096),
+		chain:    c,
+		cfg:      cfg,
+		params:   c.Params(),
+		pool:     pool,
+		ownPool:  own,
+		waiting:  make(map[types.Hash][]*pendingBlock),
+		siblings: make(map[types.Hash]siblingRef),
+		results:  make(chan Outcome, 4096),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
@@ -197,8 +216,8 @@ func (p *Pipeline) nodeName() string {
 }
 
 // Submit hands a block to the pipeline. Blocks may arrive in any order; a
-// block waits until its parent has been validated, while blocks at the same
-// height proceed concurrently.
+// block waits until its parent has been validated, and a block on the same
+// parent as one already running follows it (see the package comment).
 func (p *Pipeline) Submit(block *types.Block) {
 	flight.BlockSubmit(block.Header.Number)
 	pb := &pendingBlock{block: block, arrived: time.Now()}
@@ -209,6 +228,21 @@ func (p *Pipeline) Submit(block *types.Block) {
 		telemetry.PipelineWaiting.Add(1)
 		return
 	}
+	p.startLocked(pb)
+}
+
+// startLocked launches pb's validation. The first block started on a parent
+// leads that parent's sibling record. Caller holds p.mu.
+func (p *Pipeline) startLocked(pb *pendingBlock) {
+	parent := pb.block.Header.ParentHash
+	ref, ok := p.siblings[parent]
+	if !ok {
+		ref.sib = validator.NewSiblings(pb.block)
+		pb.lead = true
+	}
+	ref.refs++
+	p.siblings[parent] = ref
+	pb.sib = ref.sib
 	p.running++
 	telemetry.PipelineInflight.Add(1)
 	go p.run(pb)
@@ -236,7 +270,7 @@ func (p *Pipeline) run(pb *pendingBlock) {
 	parentBlock := p.chain.Block(block.Header.ParentHash)
 	parentState := p.chain.StateOf(block.Header.ParentHash)
 
-	res, err := validator.ValidateParallel(parentState, &parentBlock.Header, block, p.cfg, p.params)
+	res, err := validator.ValidateSibling(parentState, &parentBlock.Header, block, p.cfg, p.params, pb.sib, pb.lead)
 	out := Outcome{Block: block, Result: res, Err: err, Elapsed: time.Since(pb.arrived)}
 	if err == nil {
 		if insErr := p.chain.InsertWithReceipts(block, res.State, res.Receipts); insErr != nil {
@@ -248,17 +282,23 @@ func (p *Pipeline) run(pb *pendingBlock) {
 	p.results <- out
 
 	p.mu.Lock()
+	parent := block.Header.ParentHash
+	if ref := p.siblings[parent]; ref.refs == 1 {
+		delete(p.siblings, parent)
+		ref.sib.Release()
+	} else {
+		ref.refs--
+		p.siblings[parent] = ref
+	}
 	if out.Err == nil {
 		// Commitment done: release children waiting on this block.
 		children := p.waiting[bh]
 		delete(p.waiting, bh)
-		p.running += len(children)
 		telemetry.PipelineWaiting.Add(-int64(len(children)))
-		telemetry.PipelineInflight.Add(int64(len(children)))
 		now := time.Now()
 		for _, c := range children {
 			c.released = now
-			go p.run(c)
+			p.startLocked(c)
 		}
 	} else {
 		// A rejected block strands its descendants: fail the subtree.

@@ -60,6 +60,7 @@ func (r *runner) stats() Stats {
 		Committed:       make(map[string]int),
 		Rejections:      make(map[string]int),
 		Incarnations:    make(map[string]int),
+		Reused:          make(map[string]int),
 	}
 	for _, v := range r.vals {
 		n := 0
@@ -75,6 +76,7 @@ func (r *runner) stats() Stats {
 				if rec.err != nil {
 					rej++
 				}
+				s.Reused[v.name] += rec.reused
 			}
 		}
 		v.mu.Unlock()

@@ -21,6 +21,10 @@ type Stats struct {
 	Committed       map[string]int // validator → blocks in its final chain
 	Rejections      map[string]int // validator → rejection outcomes observed
 	Incarnations    map[string]int // validator → lifetimes (1 + crash-restarts)
+	// Reused counts, per validator, the transactions its accepted blocks
+	// took from a same-parent sibling instead of executing. It depends on
+	// how the sibling validations interleave, so no digest covers it.
+	Reused map[string]int
 }
 
 // Report is the outcome of one simulation run.

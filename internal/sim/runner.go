@@ -31,9 +31,10 @@ var proposerCoinbase = types.HexToAddress("0x00000000000000000000000000000000000
 
 // outcomeRec is one pipeline outcome in arrival order.
 type outcomeRec struct {
-	block *types.Block
-	err   error
-	root  types.Hash // committed post-state root (zero when rejected)
+	block  *types.Block
+	err    error
+	root   types.Hash // committed post-state root (zero when rejected)
+	reused int        // transactions taken from a sibling instead of executed
 }
 
 // incarnation is the outcome stream of one validator lifetime (between
@@ -91,6 +92,7 @@ func (v *valNode) start(genesis *state.Snapshot, params chain.Params, threads in
 			if out.Err == nil {
 				if out.Result != nil {
 					rec.root = out.Result.State.Root()
+					rec.reused = out.Result.Reused
 				}
 				_ = db.Put(out.Block) // durability: accepted blocks only
 			}

@@ -208,6 +208,25 @@ func TestForkScenarioSeesForks(t *testing.T) {
 	}
 }
 
+// TestForkScenarioReusesSiblings: in every fork burst the siblings carry the
+// canonical block's transactions, so each validator's pipeline must take
+// some of them from the first sibling it validated instead of executing —
+// which puts sibling reuse under every oracle the scenario checks.
+func TestForkScenarioReusesSiblings(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		rep := run(t, "forks", seed)
+		if len(rep.Stats.Reused) == 0 {
+			t.Fatalf("seed %d: no validator reported", seed)
+		}
+		t.Logf("seed %d: transactions taken per validator %v", seed, rep.Stats.Reused)
+		for name, n := range rep.Stats.Reused {
+			if n == 0 {
+				t.Errorf("seed %d: %s took no sibling result (%d blocks committed)", seed, name, rep.Stats.Committed[name])
+			}
+		}
+	}
+}
+
 // TestGasLimitScenarioSpills: the squeezed gas limit must force the
 // proposer to spill transactions across blocks while conserving them.
 func TestGasLimitScenarioSpills(t *testing.T) {

@@ -76,6 +76,9 @@ type Result struct {
 	State    *state.Snapshot
 	Receipts []*types.Receipt
 	Stats    scheduler.Stats
+	// Reused counts the transactions taken from a sibling's verified results
+	// instead of executed (ValidateSibling; 0 for a leader).
+	Reused int
 }
 
 // txResult is what a worker streams to the applier for one transaction.
@@ -86,6 +89,7 @@ type txResult struct {
 	// accessOK: the observed access set matches the shipped profile. The lane
 	// decides — its overlay recycles the access set for the next transaction.
 	accessOK bool
+	taken    bool // the lane took a sibling's result instead of executing
 	changes  *state.ChangeSet
 	err      error
 }
@@ -95,19 +99,34 @@ type txResult struct {
 // transaction, access set or gas different from the profile, root mismatch —
 // rejects the block.
 func ValidateParallel(parent *state.Snapshot, parentHeader *types.Header, block *types.Block, cfg Config, params chain.Params) (*Result, error) {
+	return ValidateSibling(parent, parentHeader, block, cfg, params, nil, false)
+}
+
+// ValidateSibling is ValidateParallel for one of the blocks on parent that
+// share sib. The leader (lead) publishes into sib each result that passes
+// the applier's per-transaction checks. A follower plans its reuse in its
+// preparation phase, waits in the calling goroutine until every lane of the
+// leader has started, and then each of its lanes takes every leader result
+// that is takeable when the lane reaches it and executes the rest. A nil sib
+// is ValidateParallel.
+func ValidateSibling(parent *state.Snapshot, parentHeader *types.Header, block *types.Block, cfg Config, params chain.Params, sib *Siblings, lead bool) (*Result, error) {
 	span := telemetry.StartSpan(telemetry.ValidatorBlockSeconds)
-	res, err := validateParallel(parent, parentHeader, block, cfg, params)
+	res, err := validateParallel(parent, parentHeader, block, cfg, params, sib, lead)
 	span.End()
 	if err != nil {
 		telemetry.ValidatorRejects.Inc()
 	} else {
 		telemetry.ValidatorBlocks.Inc()
+		reusedTotal.Add(int64(res.Reused))
 	}
 	return res, err
 }
 
-// validateParallel is ValidateParallel without the outer accounting span.
-func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block *types.Block, cfg Config, params chain.Params) (*Result, error) {
+// validateParallel is ValidateSibling without the outer accounting span.
+func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block *types.Block, cfg Config, params chain.Params, sib *Siblings, lead bool) (*Result, error) {
+	if lead {
+		defer sib.lanesQueued() // a leader that fails before queueing its lanes publishes nothing
+	}
 	if cfg.Threads < 1 {
 		cfg.Threads = 1
 	}
@@ -156,6 +175,12 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 	graphSpan.End()
 	sched := scheduler.AssignLPT(components, cfg.Threads)
 	stats := scheduler.ComputeStats(components)
+	var fw *follower
+	if sib != nil && !lead {
+		if fw = sib.follow(block); fw != nil {
+			defer fw.done() // every lane has returned by then
+		}
+	}
 	prepare.End(bh)
 	if telemetry.Enabled() {
 		telemetry.ValidatorSubgraphs.Observe(uint64(stats.ComponentCount))
@@ -183,6 +208,14 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 		}
 	}
 
+	// A follower waits here, off the worker pool, until every lane of the
+	// leader has started: its own then run on the workers the leader frees,
+	// by when the leader has verified most of what they can take. Never
+	// longer: a worker the leader leaves idle runs a follower lane at once.
+	if fw != nil {
+		sib.started.Wait()
+	}
+
 	// Tx execution phase: one goroutine per scheduled thread.
 	execute := tr.Begin(node, trace.StageExecute, h.Number)
 	bc := chain.BlockContextFor(h, params.ChainID)
@@ -195,19 +228,35 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 			continue
 		}
 		wg.Add(1)
+		if lead {
+			sib.started.Add(1)
+		}
 		lane := txIdxs
 		laneID := t
 		cfg.Spawn(func() {
 			defer wg.Done()
+			if lead {
+				sib.started.Done()
+			}
 			accum := state.NewMemory(parent)
 			overlay := state.NewOverlay(accum, 0)
 			for _, i := range lane {
 				if failed.Load() {
 					return
 				}
+				if fw != nil && fw.takeable(int32(i)) {
+					// This block's applier sets CumulativeGasUsed: it gets a
+					// receipt of its own.
+					r := &sib.results[fw.take[i]]
+					flight.Reuse(laneID, block.Txs[i], int(fw.take[i]), h.Number)
+					accum.ApplyChangeSet(r.changes)
+					receipt := r.receipt
+					results <- txResult{index: i, receipt: &receipt, fee: r.fee, accessOK: true, taken: true, changes: r.changes}
+					continue
+				}
 				flight.ReplayStart(laneID, block.Txs[i], h.Number)
 				overlay.Reset(accum, types.Version(i))
-				receipt, fee, err := chain.ApplyTransaction(overlay, block.Txs[i], bc)
+				receipt, fee, readCoinbase, err := chain.ApplyTransactionCoinbase(overlay, block.Txs[i], bc)
 				flight.ReplayEnd(laneID, block.Txs[i], h.Number)
 				if err != nil {
 					failed.Store(true)
@@ -216,15 +265,18 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 				}
 				cs := overlay.ChangeSet()
 				accum.ApplyChangeSet(cs)
-				results <- txResult{
-					index:    i,
-					receipt:  receipt,
-					fee:      *fee,
-					accessOK: block.Profile.Txs[i].MatchesAccessSet(overlay.Access()),
-					changes:  cs,
+				accessOK := block.Profile.Txs[i].MatchesAccessSet(overlay.Access())
+				// The applier's checks, made here too: the lane publishes
+				// without waiting for the applier to get this far.
+				if lead && accessOK && receipt.GasUsed == block.Profile.Txs[i].GasUsed {
+					sib.publish(i, receipt, fee, cs, readCoinbase)
 				}
+				results <- txResult{index: i, receipt: receipt, fee: *fee, accessOK: accessOK, changes: cs}
 			}
 		})
+	}
+	if lead {
+		sib.lanesQueued()
 	}
 	go func() {
 		wg.Wait()
@@ -244,6 +296,7 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 	receipts := make([]*types.Receipt, len(block.Txs))
 	var fees uint256.Int
 	var cumulative uint64
+	reused := 0
 	pending := make(map[int]txResult)
 	next := 0
 	var vErr error
@@ -280,6 +333,9 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 					fees.Add(&fees, &cur.fee)
 					total.Merge(cur.changes)
 					flight.Verify(block.Txs[next], true, h.Number)
+					if cur.taken {
+						reused++
+					}
 				}
 			}
 			next++
@@ -323,5 +379,5 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 	}
 	stateCommit.End(bh)
 	committed = true
-	return &Result{State: postState, Receipts: receipts, Stats: stats}, nil
+	return &Result{State: postState, Receipts: receipts, Stats: stats, Reused: reused}, nil
 }
