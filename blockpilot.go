@@ -26,7 +26,7 @@
 //	p.Close()
 //	for out := range p.Results() { ... }
 //
-// See examples/ for runnable programs and DESIGN.md for the architecture.
+// The package examples run this flow; DESIGN.md describes the architecture.
 package blockpilot
 
 import (

@@ -84,7 +84,7 @@ func main() {
 		*flightOn, *traceOn = true, true
 	}
 	if *flightOn {
-		flight.Enable(flight.Options{})
+		flight.Enable()
 		fmt.Println("flight recorder: enabled")
 	}
 	if *traceOn {

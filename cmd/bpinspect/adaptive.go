@@ -14,7 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"blockpilot/internal/adaptive"
 	"blockpilot/internal/chain"
@@ -25,7 +25,7 @@ import (
 	"blockpilot/internal/workload"
 )
 
-func adaptiveMain(args []string) {
+func adaptiveMain(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("bpinspect adaptive", flag.ExitOnError)
 	blocks := fs.Int("blocks", 4, "blocks to propose with the controller attached")
 	threads := fs.Int("threads", 8, "proposer execution threads")
@@ -65,32 +65,31 @@ func adaptiveMain(args []string) {
 			Adaptive: ctrl,
 		}, params)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bpinspect:", err)
-			os.Exit(1)
+			return err
 		}
 		if err := c.InsertWithReceipts(res.Block, res.State, res.Receipts); err != nil {
-			fmt.Fprintln(os.Stderr, "bpinspect:", err)
-			os.Exit(1)
+			return err
 		}
 	}
 
 	snap := ctrl.Snapshot()
-	fmt.Print(snap.Render())
+	fmt.Fprint(w, snap.Render())
 
-	fmt.Printf("\nAdaptive telemetry:\n")
-	fmt.Printf("  %-36s %d\n", "blockpilot_adaptive_serial_lane_txs_total", telemetry.AdaptiveSerialLaneTxs.Value())
-	fmt.Printf("  %-36s %d\n", "blockpilot_adaptive_merged_credits_total", telemetry.AdaptiveMergedCredits.Value())
-	fmt.Printf("  %-36s %d\n", "blockpilot_adaptive_demoted_senders_total", telemetry.AdaptiveDemotedSenders.Value())
-	fmt.Printf("  %-36s %d\n", "blockpilot_adaptive_hot_accounts", telemetry.AdaptiveHotAccounts.Value())
-	fmt.Printf("  %-36s %.3f\n", "blockpilot_adaptive_lane_occupancy", telemetry.AdaptiveLaneOccupancy.Value())
+	fmt.Fprintf(w, "\nAdaptive telemetry:\n")
+	fmt.Fprintf(w, "  %-36s %d\n", "blockpilot_adaptive_serial_lane_txs_total", telemetry.AdaptiveSerialLaneTxs.Value())
+	fmt.Fprintf(w, "  %-36s %d\n", "blockpilot_adaptive_merged_credits_total", telemetry.AdaptiveMergedCredits.Value())
+	fmt.Fprintf(w, "  %-36s %d\n", "blockpilot_adaptive_demoted_senders_total", telemetry.AdaptiveDemotedSenders.Value())
+	fmt.Fprintf(w, "  %-36s %d\n", "blockpilot_adaptive_hot_accounts", telemetry.AdaptiveHotAccounts.Value())
+	fmt.Fprintf(w, "  %-36s %.3f\n", "blockpilot_adaptive_lane_occupancy", telemetry.AdaptiveLaneOccupancy.Value())
 
 	if stats := pool.TopRequeued(*topN); len(stats) > 0 {
-		fmt.Printf("\nMost requeued senders (abort-aware ordering input):\n")
-		fmt.Printf("  %-44s %9s %5s\n", "sender", "requeues", "tier")
+		fmt.Fprintf(w, "\nMost requeued senders (abort-aware ordering input):\n")
+		fmt.Fprintf(w, "  %-44s %9s %5s\n", "sender", "requeues", "tier")
 		for _, s := range stats {
-			fmt.Printf("  %-44s %9d %5d\n", s.Sender, s.Requeues, s.Tier)
+			fmt.Fprintf(w, "  %-44s %9d %5d\n", s.Sender, s.Requeues, s.Tier)
 		}
 	} else {
-		fmt.Printf("\nNo sender was ever requeued in this run.\n")
+		fmt.Fprintf(w, "\nNo sender was ever requeued in this run.\n")
 	}
+	return nil
 }

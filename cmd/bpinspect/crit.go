@@ -1,8 +1,7 @@
 // The `bpinspect crit` subcommand: per-block critical-path waterfalls and
-// the windowed stall-attribution summary from the block lifecycle tracer.
-// Works against a running node's -telemetry-addr endpoint (remote scrape of
-// /trace/blocks + /trace/critical-path) or by collecting from a short local
-// proposer→pipeline run with tracing enabled.
+// the windowed stall-attribution summary from the block lifecycle tracer's
+// /trace/blocks and /trace/critical-path, on a running node or after a short
+// local proposer→pipeline run with tracing enabled.
 //
 //	bpinspect crit -blocks 4 -threads 8               # local, default workload
 //	bpinspect crit -swap-ratio 0.85 -pairs 3          # local, skewed hotspot
@@ -13,72 +12,42 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/url"
-	"os"
 
-	"blockpilot/internal/flight"
-	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trace"
 )
 
 // critMain implements `bpinspect crit`.
-func critMain(args []string) {
+func critMain(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("bpinspect crit", flag.ExitOnError)
-	var f flightFlags
+	var f runFlags
 	f.register(fs)
 	window := fs.Int("n", 0, "window size: newest n block paths (0 = everything buffered)")
 	node := fs.String("node", "", "only show paths observed on this node")
 	maxPaths := fs.Int("paths", 8, "per-block waterfalls to print, newest last (0 = summary only)")
 	_ = fs.Parse(args)
 
-	if f.addr != "" {
-		q := fmt.Sprintf("?n=%d&node=%s", *window, url.QueryEscape(*node))
-		var paths []trace.PathView
-		if err := scrapeFlight(f.addr, "/trace/blocks"+q, &paths); err != nil {
-			fmt.Fprintln(os.Stderr, "bpinspect crit:", err)
-			os.Exit(1)
-		}
-		var win trace.WindowView
-		if err := scrapeFlight(f.addr, "/trace/critical-path"+q, &win); err != nil {
-			fmt.Fprintln(os.Stderr, "bpinspect crit:", err)
-			os.Exit(1)
-		}
-		printCrit(paths, win, *maxPaths)
-		return
+	if err := f.collect(false, true); err != nil {
+		return err
 	}
-
-	telemetry.Enable()
-	tr := trace.Enable(0)
-	rec := flight.Enable(flight.Options{})
-	if err := collectLocal(f.blocks, f.threads, f.txs, f.seed, f.swapRatio, f.pairs); err != nil {
-		fmt.Fprintln(os.Stderr, "bpinspect crit:", err)
-		os.Exit(1)
+	q := fmt.Sprintf("?n=%d&node=%s", *window, url.QueryEscape(*node))
+	var paths []trace.PathView
+	if err := fetch(f.addr, "/trace/blocks"+q, &paths); err != nil {
+		return err
 	}
-
-	paths := tr.Paths(*node)
-	if *window > 0 && len(paths) > *window {
-		paths = paths[len(paths)-*window:]
+	var win trace.WindowView
+	if err := fetch(f.addr, "/trace/critical-path"+q, &win); err != nil {
+		return err
 	}
-	views := make([]trace.PathView, 0, len(paths))
-	for i := range paths {
-		views = append(views, paths[i].View())
-	}
-	win := tr.Window(*window, *node)
-	printCrit(views, win.View(), *maxPaths)
-
-	if f.traceOut != "" {
-		if err := rec.WriteTraceFile(f.traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "bpinspect crit: trace-out:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (open at https://ui.perfetto.dev)\n", f.traceOut)
-	}
+	printCrit(w, paths, win, *maxPaths)
+	return f.writeTrace()
 }
 
 // printCrit renders the newest waterfalls followed by the window summary.
-func printCrit(paths []trace.PathView, win trace.WindowView, maxPaths int) {
+func printCrit(w io.Writer, paths []trace.PathView, win trace.WindowView, maxPaths int) {
 	if len(paths) == 0 {
-		fmt.Println("no block paths recorded (is tracing enabled?)")
+		fmt.Fprintln(w, "no block paths recorded (is tracing enabled?)")
 		return
 	}
 	show := paths
@@ -86,11 +55,11 @@ func printCrit(paths []trace.PathView, win trace.WindowView, maxPaths int) {
 		show = show[len(show)-maxPaths:]
 	}
 	for i := range show {
-		fmt.Print(trace.RenderPathView(show[i]))
+		fmt.Fprint(w, trace.RenderPathView(show[i]))
 	}
 	if len(show) < len(paths) {
-		fmt.Printf("(%d older path(s) not shown; raise -paths)\n", len(paths)-len(show))
+		fmt.Fprintf(w, "(%d older path(s) not shown; raise -paths)\n", len(paths)-len(show))
 	}
-	fmt.Println()
-	fmt.Print(trace.RenderWindowView(win))
+	fmt.Fprintln(w)
+	fmt.Fprint(w, trace.RenderWindowView(win))
 }

@@ -1,8 +1,7 @@
 // The `bpinspect health` subcommand: runtime health time-series sparklines
-// and watchdog incident history. Works against a running node's
-// -telemetry-addr endpoint (remote scrape of /health/series +
-// /health/incidents) or by sampling a short local proposer→pipeline run at a
-// fast interval.
+// and watchdog incident history from /health/series and /health/incidents,
+// on a running node or after a short local proposer→pipeline run sampled at
+// a fast interval.
 //
 //	bpinspect health -blocks 4 -threads 8        # local, default workload
 //	bpinspect health -addr localhost:9090 -n 120 # live node, newest 120 samples
@@ -11,57 +10,43 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"blockpilot/internal/health"
-	"blockpilot/internal/telemetry"
 )
 
 // healthMain implements `bpinspect health`.
-func healthMain(args []string) {
+func healthMain(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("bpinspect health", flag.ExitOnError)
-	var f flightFlags
+	var f runFlags
 	f.register(fs)
 	window := fs.Int("n", 0, "newest n samples (0 = everything buffered)")
 	interval := fs.Duration("interval", 10*time.Millisecond, "local collection: sampler interval (fast, to catch a short run)")
 	_ = fs.Parse(args)
 
-	if f.addr != "" {
-		var series health.SeriesPayload
-		if err := scrapeFlight(f.addr, fmt.Sprintf("/health/series?n=%d", *window), &series); err != nil {
-			fmt.Fprintln(os.Stderr, "bpinspect health:", err)
-			os.Exit(1)
+	if f.addr == "" {
+		if _, err := health.Enable(health.Options{Interval: *interval}); err != nil {
+			return err
 		}
-		var incidents health.IncidentsPayload
-		if err := scrapeFlight(f.addr, "/health/incidents", &incidents); err != nil {
-			fmt.Fprintln(os.Stderr, "bpinspect health:", err)
-			os.Exit(1)
-		}
-		fmt.Print(health.RenderSeries(series.Samples, time.Duration(series.IntervalS*float64(time.Second))))
-		fmt.Println()
-		fmt.Print(health.RenderIncidents(incidents.Incidents, incidents.Dropped))
-		return
+	}
+	if err := f.collect(false, false); err != nil {
+		return err
+	}
+	if rec := health.Active(); rec != nil {
+		rec.Stop() // a final quiescent sample; the recorder stays installed so /health/* answers
 	}
 
-	telemetry.Enable()
-	rec, err := health.Enable(health.Options{Interval: *interval})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bpinspect health:", err)
-		os.Exit(1)
+	var series health.SeriesPayload
+	if err := fetch(f.addr, fmt.Sprintf("/health/series?n=%d", *window), &series); err != nil {
+		return err
 	}
-	if err := collectLocal(f.blocks, f.threads, f.txs, f.seed, f.swapRatio, f.pairs); err != nil {
-		fmt.Fprintln(os.Stderr, "bpinspect health:", err)
-		os.Exit(1)
+	var incidents health.IncidentsPayload
+	if err := fetch(f.addr, "/health/incidents", &incidents); err != nil {
+		return err
 	}
-	health.Disable() // stop the sampler; Stop takes a final quiescent sample
-
-	samples := rec.Series()
-	if *window > 0 && len(samples) > *window {
-		samples = samples[len(samples)-*window:]
-	}
-	incidents, dropped := rec.Incidents()
-	fmt.Print(health.RenderSeries(samples, rec.Interval()))
-	fmt.Println()
-	fmt.Print(health.RenderIncidents(incidents, dropped))
+	fmt.Fprint(w, health.RenderSeries(series.Samples, time.Duration(series.IntervalS*float64(time.Second))))
+	fmt.Fprintln(w)
+	fmt.Fprint(w, health.RenderIncidents(incidents.Incidents, incidents.Dropped))
+	return f.writeTrace()
 }

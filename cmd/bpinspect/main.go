@@ -6,40 +6,30 @@
 //	bpinspect -blocks 3 -threads 16
 //	bpinspect -swap-ratio 0.9 -pairs 1        # force a pathological hotspot
 //
-// The `telemetry` subcommand renders the metrics registry as a table —
-// either scraped from a running node's -telemetry-addr endpoint, or
-// collected from a short local proposer→pipeline run:
+// The subcommands read a node's telemetry endpoints — the metrics registry
+// (`telemetry`), the transaction flight recorder's conflict attribution and
+// per-transaction timelines (`hotkeys`, `txtrace`), the block lifecycle
+// tracer's critical paths (`crit`) and the runtime health recorder
+// (`health`). With -addr they read a live node's -telemetry-addr; without
+// it they first drive a short local proposer→pipeline run and read the
+// same endpoints from this process, so both modes render the same JSON
+// views the same way:
 //
-//	bpinspect telemetry -addr localhost:9090  # scrape a live node
-//	bpinspect telemetry -blocks 4 -threads 8  # local collection
-//
-// The `hotkeys` and `txtrace` subcommands read the transaction flight
-// recorder — conflict attribution (hot keys, hot senders, stripe skew) and
-// per-transaction lifecycle timelines — from a live node's /flight
-// endpoints or from a short local run:
-//
+//	bpinspect telemetry -addr localhost:9090  # a live node
+//	bpinspect telemetry -blocks 4 -threads 8  # a local run
 //	bpinspect hotkeys -blocks 3 -swap-ratio 0.9 -pairs 2
 //	bpinspect txtrace -addr localhost:9090 0x3fa2
-//
-// The `crit` subcommand reads the block lifecycle tracer: per-block
-// critical-path waterfalls and the windowed stall-attribution summary, from
-// a live node's /trace endpoints or from a short local run:
-//
-//	bpinspect crit -blocks 4 -threads 8
-//	bpinspect crit -addr localhost:9090 -n 16
-//
-// The `health` subcommand reads the runtime health recorder: time-series
-// sparklines of goroutines / heap / commit progress and the watchdog
-// incident history, from a live node's /health endpoints or a short local
-// run sampled at a fast interval:
-//
+//	bpinspect crit -addr localhost:9090 -n 16 -trace-out trace.json
 //	bpinspect health -blocks 4 -threads 8
-//	bpinspect health -addr localhost:9090 -n 120
+//
+// `adaptive` drives a contended local proposer run with the
+// contention-adaptive controller attached and prints what it saw.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -53,26 +43,24 @@ import (
 	"blockpilot/internal/workload"
 )
 
+// subcommands are the views bpinspect renders besides the default block
+// anatomy; each writes its report to w.
+var subcommands = map[string]func(args []string, w io.Writer) error{
+	"telemetry": telemetryMain,
+	"hotkeys":   hotkeysMain,
+	"txtrace":   txtraceMain,
+	"crit":      critMain,
+	"health":    healthMain,
+	"adaptive":  adaptiveMain,
+}
+
 func main() {
 	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "telemetry":
-			telemetryMain(os.Args[2:])
-			return
-		case "hotkeys":
-			hotkeysMain(os.Args[2:])
-			return
-		case "txtrace":
-			txtraceMain(os.Args[2:])
-			return
-		case "crit":
-			critMain(os.Args[2:])
-			return
-		case "health":
-			healthMain(os.Args[2:])
-			return
-		case "adaptive":
-			adaptiveMain(os.Args[2:])
+		if run, ok := subcommands[os.Args[1]]; ok {
+			if err := run(os.Args[2:], os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "bpinspect %s: %v\n", os.Args[1], err)
+				os.Exit(1)
+			}
 			return
 		}
 	}

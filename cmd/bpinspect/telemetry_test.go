@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"blockpilot/internal/flight"
+	"blockpilot/internal/telemetry"
 )
 
 func TestScrapeSnapshotOK(t *testing.T) {
@@ -24,11 +25,11 @@ func TestScrapeSnapshotOK(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	// scrapeSnapshot accepts both a bare host:port and a full URL.
+	// fetch accepts both a bare host:port and a full URL.
 	for _, addr := range []string{srv.URL, strings.TrimPrefix(srv.URL, "http://")} {
-		snap, err := scrapeSnapshot(addr)
-		if err != nil {
-			t.Fatalf("scrapeSnapshot(%q): %v", addr, err)
+		var snap telemetry.Snapshot
+		if err := fetch(addr, "/metrics.json", &snap); err != nil {
+			t.Fatalf("fetch(%q): %v", addr, err)
 		}
 		if len(snap.Counters) != 1 || snap.Counters[0].Name != "blockpilot_proposer_tx_committed_total" || snap.Counters[0].Value != 264 {
 			t.Fatalf("counters = %+v", snap.Counters)
@@ -45,7 +46,8 @@ func TestScrapeSnapshotMalformedJSON(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	_, err := scrapeSnapshot(srv.URL)
+	var snap telemetry.Snapshot
+	err := fetch(srv.URL, "/metrics.json", &snap)
 	if err == nil {
 		t.Fatal("want a decode error for malformed JSON")
 	}
@@ -60,7 +62,8 @@ func TestScrapeSnapshotHTTPError(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	_, err := scrapeSnapshot(srv.URL)
+	var snap telemetry.Snapshot
+	err := fetch(srv.URL, "/metrics.json", &snap)
 	if err == nil || !strings.Contains(err.Error(), "500") {
 		t.Fatalf("want a status error mentioning 500, got %v", err)
 	}
@@ -72,7 +75,8 @@ func TestScrapeSnapshotConnectionRefused(t *testing.T) {
 	addr := strings.TrimPrefix(srv.URL, "http://")
 	srv.Close()
 
-	if _, err := scrapeSnapshot(addr); err == nil {
+	var snap telemetry.Snapshot
+	if err := fetch(addr, "/metrics.json", &snap); err == nil {
 		t.Fatal("want a connection error when nothing is listening")
 	}
 }
@@ -89,7 +93,7 @@ func TestScrapeFlightOK(t *testing.T) {
 	defer srv.Close()
 
 	var rep flight.AttributionReport
-	if err := scrapeFlight(strings.TrimPrefix(srv.URL, "http://"), "/flight/hotkeys?n=5", &rep); err != nil {
+	if err := fetch(strings.TrimPrefix(srv.URL, "http://"), "/flight/hotkeys?n=5", &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.TotalAborts != 7 || len(rep.Keys) != 1 || rep.Keys[0].Key != "acct:0xab" {
@@ -109,10 +113,10 @@ func TestScrapeFlightErrors(t *testing.T) {
 	defer srv.Close()
 
 	var views []flight.EventView
-	if err := scrapeFlight(srv.URL, "/flight/events", &views); err == nil || !strings.Contains(err.Error(), "decoding /flight/events") {
+	if err := fetch(srv.URL, "/flight/events", &views); err == nil || !strings.Contains(err.Error(), "decoding /flight/events") {
 		t.Fatalf("malformed payload: err = %v", err)
 	}
-	if err := scrapeFlight(srv.URL, "/flight/txtrace?tx=0x1", &views); err == nil || !strings.Contains(err.Error(), "503") {
+	if err := fetch(srv.URL, "/flight/txtrace?tx=0x1", &views); err == nil || !strings.Contains(err.Error(), "503") {
 		t.Fatalf("503 endpoint: err = %v", err)
 	}
 }

@@ -1,0 +1,141 @@
+package blockpilot_test
+
+import (
+	"fmt"
+	"log"
+
+	"blockpilot"
+	"blockpilot/internal/evm/asm"
+	"blockpilot/internal/types"
+)
+
+// Build a two-account chain, pack a transfer block with the OCC-WSI
+// proposer, check that it replays serially, validate it in parallel and read
+// the committed state.
+func Example() {
+	alice := blockpilot.HexToAddress("0xa11ce")
+	bob := blockpilot.HexToAddress("0xb0b")
+	miner := blockpilot.HexToAddress("0x000000000000000000000000000000000000314e5")
+
+	// Genesis: fund alice.
+	genesis := blockpilot.NewGenesisBuilder().
+		AddAccount(alice, blockpilot.NewUint256(1_000_000_000)).
+		Build()
+	c := blockpilot.NewChain(genesis, blockpilot.DefaultParams())
+
+	// Pending pool: three transfers from alice to bob.
+	pool := blockpilot.NewTxPool()
+	for nonce := uint64(0); nonce < 3; nonce++ {
+		tx := &blockpilot.Transaction{Nonce: nonce, Gas: 21000, To: bob, From: alice}
+		tx.GasPrice.SetUint64(nonce + 1)
+		tx.Value.SetUint64(1000 * (nonce + 1))
+		pool.Add(tx)
+	}
+
+	// Proposing context: pack the block with parallel OCC-WSI workers.
+	res, err := blockpilot.Propose(c, pool, blockpilot.ProposerOptions{Threads: 4, Coinbase: miner, Time: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("proposed block %s: %d txs, %d gas, %d aborts\n",
+		res.Block.Hash(), res.Committed, res.GasUsed, res.Aborts)
+
+	// A parallel-packed block is serializable: the serial replay reproduces
+	// the exact state root.
+	if err := blockpilot.VerifySerial(c, res.Block); err != nil {
+		log.Fatalf("block is not serializable: %v", err)
+	}
+
+	// Validation context: re-execute in parallel against the block profile
+	// and commit.
+	vres, err := blockpilot.Validate(c, res.Block, 4)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("validated: %d dependency subgraphs, largest holds %.0f%% of txs\n",
+		vres.Stats.ComponentCount, vres.Stats.LargestRatio*100)
+
+	head := c.HeadState()
+	bobBal, minerBal := head.Balance(bob), head.Balance(miner)
+	fmt.Printf("bob's balance:   %s\n", bobBal.String())
+	fmt.Printf("miner's balance: %s (fees + block reward)\n", minerBal.String())
+	fmt.Printf("chain height:    %d, state root %s\n", c.Height(), head.Root())
+	// Output:
+	// proposed block 0x9ade64d1ccb61ecfda206d6a07f426cbe28b3a81d16746e0b508eebb068ef023: 3 txs, 63000 gas, 0 aborts
+	// validated: 1 dependency subgraphs, largest holds 100% of txs
+	// bob's balance:   6000
+	// miner's balance: 2000126000 (fees + block reward)
+	// chain height:    1, state root 0xb60eb2ab7a9a403ec5a3641e3e1ad4044753559e18b320ed0b5d43f5127ebd1f
+}
+
+// Author a contract in EVM assembly, deploy it with a contract-creation
+// transaction packed by the parallel proposer, and call it in the next block.
+// Deployments take part in conflict detection like any other write.
+func Example_deploy() {
+	alice := blockpilot.HexToAddress("0xa11ce")
+	genesis := blockpilot.NewGenesisBuilder().
+		AddAccount(alice, blockpilot.NewUint256(1<<40)).
+		Build()
+	c := blockpilot.NewChain(genesis, blockpilot.DefaultParams())
+
+	// A "greeter": returns the 32-byte word stored at slot 0, which the init
+	// code sets to 42 before returning the runtime.
+	runtime := asm.MustAssemble(`
+		PUSH1 0
+		SLOAD
+		PUSH1 0x00
+		MSTORE
+		PUSH1 0x20
+		PUSH1 0x00
+		RETURN
+	`)
+	// Init: store 42 at slot 0, then copy the runtime (appended after the
+	// init code) to memory and return it.
+	init := asm.MustAssemble(fmt.Sprintf(`
+		PUSH1 42
+		PUSH1 0
+		SSTORE
+		PUSH1 %d       ; runtime size
+		PUSH @runtime  ; runtime offset inside this init code
+		PUSH1 0
+		CODECOPY
+		PUSH1 %d
+		PUSH1 0
+		RETURN
+	runtime:
+	`, len(runtime), len(runtime)))
+	init = append(init, runtime...)
+
+	// mine packs one transaction into a block and validates it.
+	mine := func(tx *blockpilot.Transaction, time uint64) *blockpilot.ProposeResult {
+		tx.GasPrice.SetUint64(1)
+		pool := blockpilot.NewTxPool()
+		pool.Add(tx)
+		res, err := blockpilot.Propose(c, pool, blockpilot.ProposerOptions{Threads: 4, Coinbase: alice, Time: time})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if _, err := blockpilot.Validate(c, res.Block, 4); err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
+
+	// Block 1: the deployment transaction.
+	res := mine(&blockpilot.Transaction{Nonce: 0, Gas: 500_000, Data: init, From: alice, CreateContract: true}, 1)
+	contract := res.Receipts[0].ContractAddress
+	fmt.Printf("deployed greeter at %s (%d bytes of runtime code)\n",
+		contract, len(c.HeadState().Code(contract)))
+
+	// Block 2: call it.
+	res = mine(&blockpilot.Transaction{Nonce: 1, Gas: 100_000, To: contract, From: alice}, 2)
+	var answer types.Hash
+	copy(answer[:], res.Receipts[0].ReturnData)
+	word := answer.Word()
+	fmt.Printf("greeter returned: %s\n", word.String())
+	fmt.Printf("chain height %d; every root verified by the parallel validator\n", c.Height())
+	// Output:
+	// deployed greeter at 0x6b182f1488e8efeb2eb298155ed5bd7ff8a14042 (11 bytes of runtime code)
+	// greeter returned: 42
+	// chain height 2; every root verified by the parallel validator
+}

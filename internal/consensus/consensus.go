@@ -58,6 +58,3 @@ func (e *Engine) ProposersForRound(round uint64) []types.Address {
 	}
 	return out
 }
-
-// Proposers returns the full identity set.
-func (e *Engine) Proposers() []types.Address { return e.proposers }

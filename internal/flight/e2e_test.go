@@ -22,7 +22,7 @@ import (
 // round trip.
 func proposeWithRecorder(t *testing.T, cfg workload.Config, threads int) (*flight.Recorder, *core.ProposeResult, *validator.Result, []*types.Transaction) {
 	t.Helper()
-	rec := flight.Enable(flight.Options{})
+	rec := flight.Enable()
 	t.Cleanup(func() { flight.Disable() })
 
 	g := workload.New(cfg)
@@ -216,7 +216,7 @@ func TestEndToEndExtendEvents(t *testing.T) {
 // shows one `reuse` event on a validator lane, naming the leader's index of
 // that same transaction, and one replay (the leader's) instead of two.
 func TestEndToEndReuseEvents(t *testing.T) {
-	rec := flight.Enable(flight.Options{})
+	rec := flight.Enable()
 	t.Cleanup(func() { flight.Disable() })
 
 	cfg := workload.Default()

@@ -172,20 +172,10 @@ func (rg *ring) snapshot(out []Event) []Event {
 	return rg.buf.AppendTo(out)
 }
 
-// Options sizes a Recorder.
-type Options struct {
-	// Rings is the number of per-worker ring buffers (worker id modulo
-	// Rings selects the ring). 0 = DefaultRings.
-	Rings int
-	// RingCapacity is the event capacity of each ring. 0 = DefaultRingCapacity.
-	RingCapacity int
-	// TopK is the heavy-hitter sketch capacity for hot keys and hot
-	// senders. 0 = DefaultTopK.
-	TopK int
-}
-
-// Defaults: 16 rings × 8192 events ≈ 131k buffered events — several blocks
-// of full lifecycle traffic at the paper's 132 tx/block.
+// A recorder's sizes: 16 per-worker rings (worker id modulo DefaultRings
+// selects the ring) × 8192 events ≈ 131k buffered events — several blocks of
+// full lifecycle traffic at the paper's 132 tx/block — and a 64-entry
+// heavy-hitter sketch each for hot keys and hot senders.
 const (
 	DefaultRings        = 16
 	DefaultRingCapacity = 8192
@@ -208,26 +198,21 @@ type Recorder struct {
 	stripes    [StripeSlots]stripeStat
 }
 
-// NewRecorder builds a recorder without installing it (tests use this to
-// keep recorders private).
-func NewRecorder(o Options) *Recorder {
-	if o.Rings <= 0 {
-		o.Rings = DefaultRings
-	}
-	if o.RingCapacity <= 0 {
-		o.RingCapacity = DefaultRingCapacity
-	}
-	if o.TopK <= 0 {
-		o.TopK = DefaultTopK
-	}
+// NewRecorder builds a recorder without installing it.
+func NewRecorder() *Recorder {
+	return newRecorder(DefaultRings, DefaultRingCapacity, DefaultTopK)
+}
+
+// newRecorder builds a recorder of the given sizes (tests want tiny rings).
+func newRecorder(rings, ringCapacity, topK int) *Recorder {
 	r := &Recorder{
 		start:      time.Now(),
-		rings:      make([]ring, o.Rings),
-		hotKeys:    NewTopK[types.StateKey](o.TopK),
-		hotSenders: NewTopK[types.Address](o.TopK),
+		rings:      make([]ring, rings),
+		hotKeys:    NewTopK[types.StateKey](topK),
+		hotSenders: NewTopK[types.Address](topK),
 	}
 	for i := range r.rings {
-		r.rings[i].buf = telemetry.NewRing[Event](o.RingCapacity)
+		r.rings[i].buf = telemetry.NewRing[Event](ringCapacity)
 	}
 	return r
 }
@@ -240,8 +225,8 @@ var active atomic.Pointer[Recorder]
 // Enable installs a fresh recorder (replacing any previous one) and returns
 // it. The /flight HTTP endpoints always serve the currently installed
 // recorder.
-func Enable(o Options) *Recorder {
-	r := NewRecorder(o)
+func Enable() *Recorder {
+	r := NewRecorder()
 	active.Store(r)
 	return r
 }

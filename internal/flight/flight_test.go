@@ -20,18 +20,18 @@ func mktx(n byte, nonce uint64) *types.Transaction {
 	return &types.Transaction{Nonce: nonce, Gas: 21000, To: types.HexToAddress("0xdead"), From: from}
 }
 
-// install swaps in a fresh recorder for one test and restores the previous
-// global state afterwards.
-func install(t *testing.T, o Options) *Recorder {
+// install swaps in r for one test and restores the previous global state
+// afterwards.
+func install(t *testing.T, r *Recorder) *Recorder {
 	t.Helper()
 	prev := Active()
-	r := Enable(o)
+	active.Store(r)
 	t.Cleanup(func() { active.Store(prev) })
 	return r
 }
 
 func TestRingWraparound(t *testing.T) {
-	r := NewRecorder(Options{Rings: 1, RingCapacity: 4})
+	r := newRecorder(1, 4, DefaultTopK)
 	for i := 0; i < 10; i++ {
 		r.record(0, Event{Kind: EvPop, Height: uint64(i)})
 	}
@@ -54,7 +54,7 @@ func TestRingWraparound(t *testing.T) {
 }
 
 func TestEventsMergedAcrossRings(t *testing.T) {
-	r := NewRecorder(Options{Rings: 4, RingCapacity: 16})
+	r := newRecorder(4, 16, DefaultTopK)
 	// Interleave workers so each ring holds a strided slice of the sequence.
 	for i := 0; i < 32; i++ {
 		r.record(i%4, Event{Kind: EvExecStart, Height: uint64(i)})
@@ -86,7 +86,7 @@ func TestEventsMergedAcrossRings(t *testing.T) {
 // TestTimelineLifecycle drives the public helpers through one transaction's
 // full proposer+validator lifecycle and checks the reconstructed order.
 func TestTimelineLifecycle(t *testing.T) {
-	install(t, Options{Rings: 2, RingCapacity: 64})
+	install(t, newRecorder(2, 64, DefaultTopK))
 	tx := mktx(1, 0)
 	other := mktx(2, 0)
 
@@ -155,7 +155,7 @@ func TestTimelineLifecycle(t *testing.T) {
 }
 
 func TestTimelineByPrefix(t *testing.T) {
-	r := NewRecorder(Options{Rings: 1, RingCapacity: 256})
+	r := newRecorder(1, 256, DefaultTopK)
 	// 17 distinct hashes guarantee (pigeonhole over 16 nibble values) that at
 	// least two share a first hex digit — a deterministic ambiguity case.
 	txs := make([]*types.Transaction, 17)
@@ -203,7 +203,7 @@ func TestEnableDisable(t *testing.T) {
 	prev := Active()
 	t.Cleanup(func() { active.Store(prev) })
 
-	r := Enable(Options{Rings: 1, RingCapacity: 8})
+	r := Enable()
 	if Active() != r || !Enabled() {
 		t.Fatal("Enable did not install the recorder")
 	}
@@ -268,7 +268,7 @@ func TestLaneNames(t *testing.T) {
 // TestWriteTracePerfetto checks the Chrome trace-event export is valid JSON
 // with the expected track structure (the ISSUE 3 "loads in Perfetto" gate).
 func TestWriteTracePerfetto(t *testing.T) {
-	r := NewRecorder(Options{Rings: 2, RingCapacity: 128})
+	r := newRecorder(2, 128, DefaultTopK)
 	tx := mktx(1, 0)
 	tx2 := mktx(2, 1)
 
@@ -354,7 +354,7 @@ func TestWriteTracePerfetto(t *testing.T) {
 // attribution layer and checks the ≥80% top-10 acceptance quantity, the
 // skew gauges and the stripe accounting.
 func TestAttributionReport(t *testing.T) {
-	r := NewRecorder(Options{Rings: 1, RingCapacity: 64, TopK: 32})
+	r := newRecorder(1, 64, 32)
 
 	hotKey := types.AccountKey(types.HexToAddress("0xaaaa"))
 	warmKey := types.StorageKey(types.HexToAddress("0xbbbb"), types.Hash{1})

@@ -43,7 +43,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	// Install a recorder and record one abort-then-commit lifecycle.
-	Enable(Options{Rings: 1, RingCapacity: 64})
+	Enable()
 	tx := mktx(0x11, 0)
 	Pop(0, tx, 3)
 	Abort(0, tx, types.AccountKey(tx.To), 1, 2, 3)

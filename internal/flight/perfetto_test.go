@@ -76,7 +76,7 @@ func validateSchema(t *testing.T, f exportFile) {
 // TestWriteTraceMergedSchema drives both sources — flight events and block
 // lifecycle spans — through the one export and schema-validates the result.
 func TestWriteTraceMergedSchema(t *testing.T) {
-	r := NewRecorder(Options{Rings: 1, RingCapacity: 64})
+	r := newRecorder(1, 64, DefaultTopK)
 	var tx types.Hash
 	tx[0] = 0xaa
 	r.record(3, Event{Kind: EvExecStart, Tx: tx, Height: 7})
@@ -116,7 +116,7 @@ func TestWriteTraceMergedSchema(t *testing.T) {
 // re-base onto the recorder epoch in recorded order, nodes map to stable
 // tids, and cross-node spans carry the shared trace id in args.
 func TestWriteTraceMergedBlockOrdering(t *testing.T) {
-	r := NewRecorder(Options{Rings: 1, RingCapacity: 8})
+	r := newRecorder(1, 8, DefaultTopK)
 	c := trace.NewCollector(64)
 	var blk types.Hash
 	blk[0] = 0x42
@@ -180,7 +180,7 @@ func TestWriteTraceMergedBlockOrdering(t *testing.T) {
 // TestWriteTraceMergedEmpty: all-empty sources must still produce a valid,
 // loadable trace (process metadata only, no slices).
 func TestWriteTraceMergedEmpty(t *testing.T) {
-	r := NewRecorder(Options{Rings: 1, RingCapacity: 8})
+	r := newRecorder(1, 8, DefaultTopK)
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf, nil); err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestWriteTraceMergedEmpty(t *testing.T) {
 func TestWriteTraceFile(t *testing.T) {
 	trace.Disable()
 	t.Cleanup(func() { trace.Disable() })
-	r := NewRecorder(Options{Rings: 1, RingCapacity: 8})
+	r := newRecorder(1, 8, DefaultTopK)
 	r.record(WorkerSystem, Event{Kind: EvBlockSubmit, Height: 1})
 	slicesIn := func(path string) int {
 		raw, err := os.ReadFile(path)

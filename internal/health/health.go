@@ -35,22 +35,25 @@ type Sample struct {
 	Gauges   map[string]float64 `json:"gauges,omitempty"`
 }
 
+// A recorder keeps the newest ringCapacity samples (10 minutes at the
+// default interval) and the first maxIncidents incidents; further
+// violations are counted but dropped.
+const (
+	ringCapacity = 2400
+	maxIncidents = 32
+)
+
 // Options configures a Recorder. The zero value is usable: 250ms interval,
-// 2400-sample ring (10 minutes at the default interval), default registry,
-// DefaultRules, wall clock, live runtime readings.
+// DefaultRules, wall clock, live runtime readings scraped with the default
+// telemetry registry.
 type Options struct {
 	// Interval between background samples (Start). Default 250ms.
 	Interval time.Duration
-	// RingCapacity bounds the in-memory series. Default 2400 samples.
-	RingCapacity int
 	// Out, when non-nil, receives every sample as one JSON line (spill).
 	Out io.Writer
 	// IncidentDir is where incident bundles are written. Empty disables
 	// bundle writing (incidents are still recorded in memory).
 	IncidentDir string
-	// Registry supplies counters/gauges when Probe is nil. Default registry
-	// when nil.
-	Registry *telemetry.Registry
 	// Rules are the watchdog invariants. nil → DefaultRules(). An explicit
 	// empty non-nil slice disables the watchdog.
 	Rules []Rule
@@ -59,24 +62,15 @@ type Options struct {
 	// Runtime reads runtime stats. Default ReadRuntimeStats. Tests inject a
 	// synthetic reader for determinism.
 	Runtime func() RuntimeStats
-	// Probe, when non-nil, replaces the registry scrape entirely: it returns
+	// Probe, when non-nil, replaces the default-registry scrape: it returns
 	// the (counters, gauges) maps folded into each sample. The sim uses a
 	// private probe so concurrently running tests don't share global state.
 	Probe func() (counters, gauges map[string]float64)
-	// MaxIncidents caps recorded incidents. Default 32; further violations
-	// are counted but dropped.
-	MaxIncidents int
 }
 
 func (o *Options) normalize() {
 	if o.Interval <= 0 {
 		o.Interval = 250 * time.Millisecond
-	}
-	if o.RingCapacity <= 0 {
-		o.RingCapacity = 2400
-	}
-	if o.Registry == nil {
-		o.Registry = telemetry.Default()
 	}
 	if o.Rules == nil {
 		o.Rules = DefaultRules()
@@ -86,9 +80,6 @@ func (o *Options) normalize() {
 	}
 	if o.Runtime == nil {
 		o.Runtime = ReadRuntimeStats
-	}
-	if o.MaxIncidents <= 0 {
-		o.MaxIncidents = 32
 	}
 }
 
@@ -104,7 +95,8 @@ type Recorder struct {
 	rules        []ruleState
 	incidents    []Incident
 	incidentSeq  uint64
-	dropped      uint64 // incidents beyond MaxIncidents
+	maxIncidents int
+	dropped      uint64 // incidents beyond maxIncidents
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -121,12 +113,19 @@ type ruleState struct {
 // New builds a Recorder. It does not start the background sampler — call
 // Start, or drive it manually with Poll (tests, sim).
 func New(opts Options) (*Recorder, error) {
+	return newRecorder(opts, ringCapacity, maxIncidents)
+}
+
+// newRecorder is New with the ring and incident caps given (tests want tiny
+// ones).
+func newRecorder(opts Options, ringCap, incidentCap int) (*Recorder, error) {
 	opts.normalize()
 	r := &Recorder{
-		opts: opts,
-		ring: telemetry.NewRing[Sample](opts.RingCapacity),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		opts:         opts,
+		ring:         telemetry.NewRing[Sample](ringCap),
+		maxIncidents: incidentCap,
+		stop:         make(chan struct{}),
+		done:         make(chan struct{}),
 	}
 	if opts.Out != nil {
 		r.enc = json.NewEncoder(opts.Out)
@@ -182,7 +181,7 @@ func (r *Recorder) Poll() {
 	if r.opts.Probe != nil {
 		counters, gauges = r.opts.Probe()
 	} else {
-		counters, gauges = scrapeRegistry(r.opts.Registry)
+		counters, gauges = scrapeRegistry(telemetry.Default())
 	}
 	if counters == nil {
 		counters = map[string]float64{} // non-nil: the next sample's baseline
@@ -248,7 +247,7 @@ func (r *Recorder) evaluateLocked(latest *Sample) {
 
 // fireLocked records an incident and writes its bundle (if configured).
 func (r *Recorder) fireLocked(rule Rule, latest *Sample, detail string, window []Sample) {
-	if len(r.incidents) >= r.opts.MaxIncidents {
+	if len(r.incidents) >= r.maxIncidents {
 		r.dropped++
 		return
 	}
@@ -261,7 +260,7 @@ func (r *Recorder) fireLocked(rule Rule, latest *Sample, detail string, window [
 		Detail:    detail,
 	}
 	if r.opts.IncidentDir != "" {
-		dir, err := writeBundle(r.opts.IncidentDir, &inc, window, r.opts.Registry)
+		dir, err := writeBundle(r.opts.IncidentDir, &inc, window, telemetry.Default())
 		inc.BundleDir = dir
 		if err != nil {
 			inc.BundleErr = err.Error()
@@ -282,7 +281,7 @@ func (r *Recorder) seriesLocked() []Sample {
 }
 
 // Incidents returns recorded incidents in firing order, plus the count of
-// incidents dropped beyond MaxIncidents.
+// incidents dropped beyond the cap.
 func (r *Recorder) Incidents() ([]Incident, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -47,6 +47,12 @@ func (p *probeState) probe() (map[string]float64, map[string]float64) {
 // synthetic probe, zeroed runtime stats, and no rules unless given.
 func testRecorder(t *testing.T, opts Options, probe *probeState) *Recorder {
 	t.Helper()
+	return testRecorderSized(t, opts, probe, ringCapacity, maxIncidents)
+}
+
+// testRecorderSized is testRecorder with the ring and incident caps given.
+func testRecorderSized(t *testing.T, opts Options, probe *probeState, ringCap, incidentCap int) *Recorder {
+	t.Helper()
 	opts.Now = newFakeClock().Now
 	if opts.Runtime == nil {
 		opts.Runtime = func() RuntimeStats { return RuntimeStats{} }
@@ -59,7 +65,7 @@ func testRecorder(t *testing.T, opts Options, probe *probeState) *Recorder {
 	if opts.Rules == nil {
 		opts.Rules = []Rule{} // non-nil empty: watchdog off
 	}
-	r, err := New(opts)
+	r, err := newRecorder(opts, ringCap, incidentCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +73,7 @@ func testRecorder(t *testing.T, opts Options, probe *probeState) *Recorder {
 }
 
 func TestRingWraparound(t *testing.T) {
-	r := testRecorder(t, Options{RingCapacity: 4}, nil)
+	r := testRecorderSized(t, Options{}, nil, 4, maxIncidents)
 	for i := 0; i < 10; i++ {
 		r.Poll()
 	}
@@ -150,7 +156,7 @@ func TestJSONLSpill(t *testing.T) {
 // runtime and registry for a few ticks. Wired into `make ci` (short mode).
 func TestHealthSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	r, err := Enable(Options{Interval: 5 * time.Millisecond, Out: &buf, RingCapacity: 64})
+	r, err := Enable(Options{Interval: 5 * time.Millisecond, Out: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -318,12 +318,11 @@ func TestIncidentBundleContents(t *testing.T) {
 
 func TestMaxIncidentsCap(t *testing.T) {
 	g := 0
-	r := testRecorder(t, Options{
-		MaxIncidents: 2,
+	r := testRecorderSized(t, Options{
 		// Alternate growth episodes and flat ticks to fire repeatedly.
 		Rules:   []Rule{&GoroutineGrowthRule{Windows: 2, MinGrowth: 1}},
 		Runtime: func() RuntimeStats { g += 10; return RuntimeStats{Goroutines: g} },
-	}, nil)
+	}, nil, ringCapacity, 2)
 	flat := func() { v := g; r.opts.Runtime = func() RuntimeStats { return RuntimeStats{Goroutines: v} } }
 	grow := func() { r.opts.Runtime = func() RuntimeStats { g += 10; return RuntimeStats{Goroutines: g} } }
 	for episode := 0; episode < 4; episode++ {

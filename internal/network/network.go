@@ -109,15 +109,6 @@ func (n *Network) SetDefaultFaults(f LinkFaults) {
 	n.defaults = f
 }
 
-// ClearFaults removes all per-link and default fault configuration and
-// delivers nothing from the reorder holdbacks (use Flush for that first).
-func (n *Network) ClearFaults() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.faults = make(map[linkKey]LinkFaults)
-	n.defaults = LinkFaults{}
-}
-
 // SetPartitions splits the fabric: a message is blocked iff both endpoints
 // are assigned to (different) groups. Nodes not named in any group keep
 // full connectivity. Replaces any previous partition.

@@ -103,9 +103,6 @@ func (p *WorkerPool) TrySubmit(f func()) bool {
 	return true
 }
 
-// Depth returns the current task-queue depth (pending, unstarted lanes).
-func (p *WorkerPool) Depth() int { return len(p.tasks) }
-
 // Close drains and stops the workers. Further Submit calls panic with
 // ErrPoolClosed; further TrySubmit calls return false.
 func (p *WorkerPool) Close() {

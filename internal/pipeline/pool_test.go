@@ -49,26 +49,3 @@ func TestWorkerPoolDoubleClose(t *testing.T) {
 	p.Close()
 	p.Close()
 }
-
-// TestWorkerPoolDepth: queued-but-unstarted lanes are visible.
-func TestWorkerPoolDepth(t *testing.T) {
-	p := NewWorkerPool(1)
-	defer p.Close()
-	gate := make(chan struct{})
-	p.Submit(func() { <-gate }) // occupies the single worker
-	// Wait for the worker to pick the blocker up.
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Depth() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("blocker never dequeued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for i := 0; i < 5; i++ {
-		p.Submit(func() {})
-	}
-	if d := p.Depth(); d != 5 {
-		t.Fatalf("depth = %d, want 5", d)
-	}
-	close(gate)
-}

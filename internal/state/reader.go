@@ -86,6 +86,3 @@ func (cs *ChangeSet) Merge(other *ChangeSet) {
 		}
 	}
 }
-
-// Empty reports whether the change set contains no changes.
-func (cs *ChangeSet) Empty() bool { return len(cs.Accounts) == 0 }

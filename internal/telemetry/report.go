@@ -1,7 +1,8 @@
-// Human-readable reporting: Report renders the registry as aligned text
-// tables, reusing internal/stats histogram rendering for the latency and
-// size distributions. cmd/bpbench prints this at the end of a run and
-// `bpinspect telemetry` renders fetched snapshots through it.
+// Human-readable reporting: ReportSnapshot renders a registry snapshot as
+// aligned text tables, reusing internal/stats histogram rendering for the
+// latency and size distributions. cmd/bpbench prints one at the end of a
+// run, /report serves one, and `bpinspect telemetry` renders the fetched
+// /metrics.json through it.
 package telemetry
 
 import (
@@ -11,9 +12,6 @@ import (
 
 	"blockpilot/internal/stats"
 )
-
-// Report renders the default registry's current state.
-func Report() string { return ReportSnapshot(defaultRegistry.Snapshot()) }
 
 // ReportSnapshot renders a frozen snapshot as text tables.
 func ReportSnapshot(s *Snapshot) string {

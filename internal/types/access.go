@@ -99,44 +99,6 @@ func (a *AccessSet) NoteWrite(key StateKey) {
 	a.Writes[key] = struct{}{}
 }
 
-// ConflictsWith reports whether the two access sets have a read-write,
-// write-read or write-write overlap — i.e. whether the two executions must
-// be ordered. Read-read overlap is not a conflict.
-func (a *AccessSet) ConflictsWith(b *AccessSet) bool {
-	// Iterate over the smaller write set against the larger maps.
-	for k := range a.Writes {
-		if _, ok := b.Writes[k]; ok {
-			return true
-		}
-		if _, ok := b.Reads[k]; ok {
-			return true
-		}
-	}
-	for k := range b.Writes {
-		if _, ok := a.Reads[k]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-// Touched returns every key in the set (reads ∪ writes), deterministic order.
-func (a *AccessSet) Touched() []StateKey {
-	seen := make(map[StateKey]struct{}, len(a.Reads)+len(a.Writes))
-	for k := range a.Reads {
-		seen[k] = struct{}{}
-	}
-	for k := range a.Writes {
-		seen[k] = struct{}{}
-	}
-	out := make([]StateKey, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sortKeys(out)
-	return out
-}
-
 // KeyVersion pairs a state key with the snapshot version it was read at.
 type KeyVersion struct {
 	Key     StateKey

@@ -10,71 +10,6 @@ func sk(addr, slot byte) StateKey {
 	return StorageKey(BytesToAddress([]byte{addr}), BytesToHash([]byte{slot}))
 }
 
-func TestAccessSetConflicts(t *testing.T) {
-	cases := []struct {
-		name string
-		a, b func() *AccessSet
-		want bool
-	}{
-		{"read-read no conflict", func() *AccessSet {
-			s := NewAccessSet()
-			s.NoteRead(k(1), 0)
-			return s
-		}, func() *AccessSet {
-			s := NewAccessSet()
-			s.NoteRead(k(1), 0)
-			return s
-		}, false},
-		{"write-write conflict", func() *AccessSet {
-			s := NewAccessSet()
-			s.NoteWrite(k(1))
-			return s
-		}, func() *AccessSet {
-			s := NewAccessSet()
-			s.NoteWrite(k(1))
-			return s
-		}, true},
-		{"read-write conflict", func() *AccessSet {
-			s := NewAccessSet()
-			s.NoteRead(k(1), 0)
-			return s
-		}, func() *AccessSet {
-			s := NewAccessSet()
-			s.NoteWrite(k(1))
-			return s
-		}, true},
-		{"disjoint", func() *AccessSet {
-			s := NewAccessSet()
-			s.NoteWrite(k(1))
-			s.NoteRead(sk(2, 1), 0)
-			return s
-		}, func() *AccessSet {
-			s := NewAccessSet()
-			s.NoteWrite(k(3))
-			s.NoteRead(sk(2, 2), 0)
-			return s
-		}, false},
-		{"slot vs account distinct", func() *AccessSet {
-			s := NewAccessSet()
-			s.NoteWrite(sk(1, 1))
-			return s
-		}, func() *AccessSet {
-			s := NewAccessSet()
-			s.NoteWrite(k(1))
-			return s
-		}, false},
-	}
-	for _, c := range cases {
-		a, b := c.a(), c.b()
-		if got := a.ConflictsWith(b); got != c.want {
-			t.Errorf("%s: ConflictsWith = %v, want %v", c.name, got, c.want)
-		}
-		if got := b.ConflictsWith(a); got != c.want {
-			t.Errorf("%s (sym): ConflictsWith = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 func TestNoteReadFirstObservationWins(t *testing.T) {
 	s := NewAccessSet()
 	s.NoteRead(k(1), 5)
@@ -201,22 +136,5 @@ func TestSameAccessKeysIgnoresVersions(t *testing.T) {
 	pb = ProfileFromAccessSet(b, 6)
 	if pa.SameAccessKeys(pb) {
 		t.Fatal("SameAccessKeys missed extra write")
-	}
-}
-
-func TestTouchedSortedUnion(t *testing.T) {
-	s := NewAccessSet()
-	s.NoteRead(k(2), 0)
-	s.NoteWrite(k(2))
-	s.NoteWrite(k(1))
-	s.NoteRead(sk(1, 1), 0)
-	got := s.Touched()
-	if len(got) != 3 {
-		t.Fatalf("Touched len = %d, want 3", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if !got[i-1].Less(got[i]) {
-			t.Fatal("Touched not sorted")
-		}
 	}
 }
