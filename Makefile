@@ -5,8 +5,9 @@
 # Propose test rides both engines with and without the adaptive controller) +
 # race detector on the concurrency-heavy packages (OCC-WSI core, MV-STM
 # engine, mempool, pipeline, validator, network, sim, telemetry, flight recorder, health
-# recorder) + the flight-recorder and block-tracer disabled-path budget
-# gates + the state path's lookup and allocation budget
+# recorder) + one disabled-path budget gate over telemetry, the flight
+# recorder and the block tracer (obs-budget) + the state path's lookup and
+# allocation budget
 # (state-budget) + a live health-sampler smoke (health-smoke)
 # + the cluster-simulator scenario matrix with its
 # mutation self-check and span-chain oracle (sim-smoke) + the disk-backed
@@ -31,11 +32,11 @@
 
 GO ?= go
 
-.PHONY: all ci vet build test race race-all flight-budget trace-budget state-budget health-smoke sim-smoke state-smoke fuzz-smoke bench bench-compare bench-go telemetry-bench flight-bench trace-demo crit-demo health-demo lines clean
+.PHONY: all ci vet build test race race-all obs-budget state-budget health-smoke sim-smoke state-smoke fuzz-smoke bench bench-compare bench-go telemetry-bench flight-bench trace-demo crit-demo health-demo lines clean
 
 all: ci
 
-ci: vet build test race flight-budget trace-budget state-budget health-smoke sim-smoke state-smoke fuzz-smoke
+ci: vet build test race obs-budget state-budget health-smoke sim-smoke state-smoke fuzz-smoke
 
 # gofmt -l prints the files it would rewrite; any output fails the target.
 vet:
@@ -72,17 +73,12 @@ race:
 race-all:
 	$(GO) test -race ./...
 
-# The flight recorder's zero-cost gate: with no recorder installed the
-# hot-path helpers must stay within the ns budget and allocate nothing.
-flight-budget:
-	$(GO) test -run TestDisabledPathBudget -count=1 ./internal/flight/ ./internal/telemetry/
-
-# The block tracer's zero-cost gate: with no collector installed and
-# telemetry off every tracing helper — the Begin/End pair that times each
-# phase included — must stay atomic loads + nil checks, 0 allocs, under the
-# ns budget.
-trace-budget:
-	$(GO) test -run TestDisabledPathBudget -count=1 ./internal/trace/
+# The observability zero-cost gate: with telemetry off and no flight
+# recorder or block tracer installed, every hot-path helper — the Begin/End
+# pair that times each phase included — must stay atomic loads + nil checks:
+# 0 allocations, within a small factor of a reference atomic load.
+obs-budget:
+	$(GO) test -run TestDisabledPathBudget -count=1 ./internal/telemetry/ ./internal/flight/ ./internal/trace/
 
 # The state path's budget (docs/PERFORMANCE.md §9): an overlay costs its base
 # one Account call per account and one Code call per contract, through Memory

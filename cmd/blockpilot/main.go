@@ -88,7 +88,7 @@ func main() {
 		fmt.Println("flight recorder: enabled")
 	}
 	if *traceOn {
-		trace.Enable(0)
+		trace.Enable()
 		fmt.Println("block tracer: enabled")
 	}
 	if *healthOut != "" || *healthIncidents != "" {
@@ -338,7 +338,7 @@ func main() {
 		win := tr.Window(0, "")
 		fmt.Println()
 		fmt.Printf("block tracer: %d spans buffered (%d recorded)\n", tr.Len(), tr.Total())
-		fmt.Print(trace.RenderWindowView(win.View()))
+		fmt.Print(trace.RenderWindowView(win))
 	}
 	if rec := flight.Active(); rec != nil {
 		fmt.Printf("flight recorder: %d events buffered\n", rec.Total())

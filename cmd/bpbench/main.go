@@ -189,7 +189,7 @@ func main() {
 
 	telemetry.Enable()
 	if *traceOn {
-		trace.Enable(0)
+		trace.Enable()
 	}
 
 	c := runConfig{
@@ -230,7 +230,7 @@ func main() {
 	if tr := trace.Active(); tr != nil && !*jsonOut {
 		win := tr.Window(0, "")
 		fmt.Printf("block tracer: %d spans buffered (%d recorded)\n", tr.Len(), tr.Total())
-		fmt.Print(trace.RenderWindowView(win.View()))
+		fmt.Print(trace.RenderWindowView(win))
 	}
 }
 

@@ -32,11 +32,11 @@ func critMain(args []string, w io.Writer) error {
 		return err
 	}
 	q := fmt.Sprintf("?n=%d&node=%s", *window, url.QueryEscape(*node))
-	var paths []trace.PathView
+	var paths []trace.BlockPath
 	if err := fetch(f.addr, "/trace/blocks"+q, &paths); err != nil {
 		return err
 	}
-	var win trace.WindowView
+	var win trace.WindowSummary
 	if err := fetch(f.addr, "/trace/critical-path"+q, &win); err != nil {
 		return err
 	}
@@ -45,7 +45,7 @@ func critMain(args []string, w io.Writer) error {
 }
 
 // printCrit renders the newest waterfalls followed by the window summary.
-func printCrit(w io.Writer, paths []trace.PathView, win trace.WindowView, maxPaths int) {
+func printCrit(w io.Writer, paths []trace.BlockPath, win trace.WindowSummary, maxPaths int) {
 	if len(paths) == 0 {
 		fmt.Fprintln(w, "no block paths recorded (is tracing enabled?)")
 		return

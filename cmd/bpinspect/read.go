@@ -72,7 +72,7 @@ func (f *runFlags) collect(withFlight, withTrace bool) error {
 		flight.Enable()
 	}
 	if withTrace || f.traceOut != "" {
-		trace.Enable(0)
+		trace.Enable()
 	}
 	return collectLocal(f)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"blockpilot/internal/chain"
@@ -65,9 +66,17 @@ func TestBlockPathAllocs(t *testing.T) {
 	params := chain.DefaultParams()
 	pcfg := ProposerConfig{Threads: 2, Coinbase: coinbase, Time: 1}
 
+	// Re-growing a block-sized buffer is not the path's cost, but the
+	// encoders' sync.Pools miss more often the more Ps there are to park a
+	// buffer on, and a collection in mid-run empties them. So the passes run
+	// on the two Ps the budget was set at, with the collector off, and the
+	// least of three is taken.
+	procs := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 	blockPath(t, pcfg, parent, txs, params) // warm the code-analysis cache and the pools
-	// The least of three runs: a collection in mid-run empties the encoders'
-	// sync.Pools, and re-growing a block-sized buffer is not the path's cost.
+	runtime.GC()
+	gcPercent := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(gcPercent) })
 	n := float64(len(txs))
 	bytes, allocs := math.Inf(1), math.Inf(1)
 	for run := 0; run < 3; run++ {

@@ -9,7 +9,6 @@ package crypto
 import (
 	"encoding/binary"
 	"math/bits"
-	"sync"
 )
 
 // roundConstants are the keccak-f[1600] iota round constants.
@@ -195,9 +194,6 @@ func (k *Keccak) finish(dst *[32]byte) {
 // Size returns the digest length in bytes.
 func (k *Keccak) Size() int { return 32 }
 
-// BlockSize returns the sponge rate in bytes.
-func (k *Keccak) BlockSize() int { return rate }
-
 // Keccak256 returns the Keccak-256 digest of the concatenation of the inputs.
 func Keccak256(data ...[]byte) []byte {
 	var out [32]byte
@@ -209,24 +205,6 @@ func Keccak256(data ...[]byte) []byte {
 func Sum256(data []byte) (out [32]byte) {
 	Keccak256Into(&out, data)
 	return out
-}
-
-// hasherPool recycles Keccak states across the trie/state commit hot paths.
-// A Keccak is ~350 bytes of pure value state, so pooling avoids both the
-// allocation and the zeroing cost when a hash is computed deep inside a
-// per-node loop. Callers must Reset-and-return via PutHasher.
-var hasherPool = sync.Pool{New: func() any { return new(Keccak) }}
-
-// GetHasher returns a reset Keccak-256 hasher from the shared pool.
-func GetHasher() *Keccak {
-	return hasherPool.Get().(*Keccak)
-}
-
-// PutHasher resets k and returns it to the shared pool. k must not be used
-// after the call.
-func PutHasher(k *Keccak) {
-	k.Reset()
-	hasherPool.Put(k)
 }
 
 // Keccak256Into writes the Keccak-256 digest of the concatenation of the

@@ -93,7 +93,8 @@ func TestKeccakFMatchesReference(t *testing.T) {
 }
 
 // FuzzKeccak256VsReference checks every way of hashing the same bytes —
-// one-shot, pooled, and a streaming hasher fed in two writes split anywhere —
+// one-shot, into a caller's array, and a streaming hasher fed in two writes
+// split anywhere —
 // against the reference sponge.
 func FuzzKeccak256VsReference(f *testing.F) {
 	r := rand.New(rand.NewSource(3))
@@ -117,8 +118,7 @@ func FuzzKeccak256VsReference(f *testing.F) {
 		if got != want {
 			t.Fatalf("Keccak256Into split at %d of %d diverges from the reference", cut, len(data))
 		}
-		k := GetHasher()
-		defer PutHasher(k)
+		k := NewKeccak()
 		k.Write(data[:cut])
 		k.SumInto(&got) // a mid-stream digest must not disturb the sponge
 		k.Write(data[cut:])
@@ -246,21 +246,6 @@ func TestSumIntoDoesNotDisturbState(t *testing.T) {
 	k.SumInto(&got)
 	if !bytes.Equal(got[:], Keccak256([]byte("hello world"))) {
 		t.Fatal("SumInto disturbed absorbing state")
-	}
-}
-
-func TestPooledHasherReuse(t *testing.T) {
-	k := GetHasher()
-	k.Write([]byte("junk"))
-	PutHasher(k)
-	k2 := GetHasher()
-	defer PutHasher(k2)
-	k2.Write([]byte("abc"))
-	var got [32]byte
-	k2.SumInto(&got)
-	want, _ := hex.DecodeString(katVectors[1].want)
-	if !bytes.Equal(got[:], want) {
-		t.Fatal("pooled hasher came back dirty")
 	}
 }
 

@@ -1,5 +1,6 @@
 // Wire/JSON views of flight events: the per-tx timeline payload served by
-// /flight/txtrace and rendered by `bpinspect txtrace`.
+// /flight/txtrace and rendered by `bpinspect txtrace`, and the prefix lookup
+// that finds one transaction's events.
 package flight
 
 import (
@@ -122,3 +123,48 @@ func RenderTimeline(views []EventView) string {
 	}
 	return b.String()
 }
+
+// TimelineByPrefix resolves a hex tx-hash string (full or unique prefix,
+// with or without 0x) against the buffered events and returns that
+// transaction's timeline. Errors distinguish "no match" from "ambiguous".
+func (r *Recorder) TimelineByPrefix(s string) ([]Event, error) {
+	want := strings.ToLower(strings.TrimPrefix(s, "0x"))
+	if want == "" {
+		return nil, errEmptyPrefix
+	}
+	evs := r.Events()
+	var match types.Hash
+	found := false
+	for _, ev := range evs {
+		if ev.Tx == (types.Hash{}) {
+			continue
+		}
+		h := strings.TrimPrefix(ev.Tx.String(), "0x")
+		if strings.HasPrefix(h, want) {
+			if found && ev.Tx != match {
+				return nil, errAmbiguousPrefix
+			}
+			match, found = ev.Tx, true
+		}
+	}
+	if !found {
+		return nil, errNoSuchTx
+	}
+	out := evs[:0:0]
+	for _, ev := range evs {
+		if ev.Tx == match {
+			out = append(out, ev)
+		}
+	}
+	return out, nil
+}
+
+var (
+	errEmptyPrefix     = errString("empty tx prefix")
+	errAmbiguousPrefix = errString("tx prefix matches multiple transactions; give more digits")
+	errNoSuchTx        = errString("no buffered events match that tx")
+)
+
+type errString string
+
+func (e errString) Error() string { return string(e) }

@@ -11,7 +11,8 @@
 // (space-saving heavy-hitter sketch, attribution.go) and per-stripe
 // abort/wait skew gauges wired into the telemetry registry. Exports include
 // per-transaction JSON timelines, a Chrome-trace-event (Perfetto-compatible)
-// rendering (perfetto.go), and HTTP endpoints under /flight/ (http.go).
+// rendering (perfetto.go), and HTTP endpoints under /flight/, served through
+// the recorder's telemetry.Slot.
 //
 // Design constraints (ISSUE 3):
 //
@@ -27,12 +28,14 @@
 package flight
 
 import (
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"blockpilot/internal/telemetry"
+	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 )
 
@@ -220,11 +223,41 @@ func newRecorder(rings, ringCapacity, topK int) *Recorder {
 // active is the installed recorder; nil = flight recording disabled. The
 // hot-path helpers below reduce to one atomic load + nil check when
 // disabled.
-var active atomic.Pointer[Recorder]
+var active telemetry.Slot[Recorder]
+
+// The /flight/ endpoints, served from the installed recorder.
+func init() {
+	active.Serve("flight recorder", "-flight", map[string]telemetry.View[Recorder]{
+		"/flight/events": func(r *Recorder, _ *http.Request) (any, error) { return Views(r.Events()), nil },
+		// One transaction's timeline: ?tx=<hash or unique prefix>.
+		"/flight/txtrace": func(r *Recorder, req *http.Request) (any, error) {
+			tx := req.URL.Query().Get("tx")
+			if tx == "" {
+				return nil, errString("missing ?tx=<hash or unique prefix>")
+			}
+			evs, err := r.TimelineByPrefix(tx)
+			if err != nil {
+				return nil, err
+			}
+			return Views(evs), nil
+		},
+		// The conflict-attribution report: ?n= heavy hitters (default 10).
+		"/flight/hotkeys": func(r *Recorder, req *http.Request) (any, error) {
+			return r.Attribution(telemetry.QueryN(req)), nil
+		},
+		// The Perfetto file, events plus the installed block tracer's spans.
+		"/flight/trace.json": func(r *Recorder, _ *http.Request) (any, error) {
+			return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				w.Header().Set("Content-Type", "application/json; charset=utf-8")
+				w.Header().Set("Content-Disposition", `attachment; filename="trace.json"`)
+				_ = r.WriteTrace(w, trace.Active().Spans())
+			}), nil
+		},
+	})
+}
 
 // Enable installs a fresh recorder (replacing any previous one) and returns
-// it. The /flight HTTP endpoints always serve the currently installed
-// recorder.
+// it. The /flight endpoints always serve the currently installed recorder.
 func Enable() *Recorder {
 	r := NewRecorder()
 	active.Store(r)
@@ -234,11 +267,7 @@ func Enable() *Recorder {
 // Disable uninstalls the recorder; the hot-path helpers return to the no-op
 // fast path. The previously installed recorder (if any) is returned so its
 // buffered events can still be exported.
-func Disable() *Recorder {
-	r := active.Load()
-	active.Store(nil)
-	return r
-}
+func Disable() *Recorder { return active.Swap(nil) }
 
 // Active returns the installed recorder, or nil when disabled.
 func Active() *Recorder { return active.Load() }
@@ -288,38 +317,30 @@ func (r *Recorder) Total() uint64 {
 
 // Admit records a mempool admission (no worker context).
 func Admit(tx *types.Transaction) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		r.record(WorkerSystem, Event{Kind: EvAdmit, Tx: tx.Hash(), Sender: tx.From})
 	}
-	r.record(WorkerSystem, Event{Kind: EvAdmit, Tx: tx.Hash(), Sender: tx.From})
 }
 
 // Pop records a proposer worker claiming tx from the pool.
 func Pop(worker int, tx *types.Transaction, height uint64) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		r.record(worker, Event{Kind: EvPop, Tx: tx.Hash(), Sender: tx.From, Height: height})
 	}
-	r.record(worker, Event{Kind: EvPop, Tx: tx.Hash(), Sender: tx.From, Height: height})
 }
 
 // ExecStart records the beginning of one speculative execution attempt.
 func ExecStart(worker int, tx *types.Transaction, height uint64) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		r.record(worker, Event{Kind: EvExecStart, Tx: tx.Hash(), Sender: tx.From, Height: height})
 	}
-	r.record(worker, Event{Kind: EvExecStart, Tx: tx.Hash(), Sender: tx.From, Height: height})
 }
 
 // ExecEnd records the end of one speculative execution attempt.
 func ExecEnd(worker int, tx *types.Transaction, height uint64) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		r.record(worker, Event{Kind: EvExecEnd, Tx: tx.Hash(), Sender: tx.From, Height: height})
 	}
-	r.record(worker, Event{Kind: EvExecEnd, Tx: tx.Hash(), Sender: tx.From, Height: height})
 }
 
 // Abort records a WSI conflict abort: key is the stale-read key that failed
@@ -327,158 +348,130 @@ func ExecEnd(worker int, tx *types.Transaction, height uint64) {
 // it, stripe the key's MVState stripe. The abort also feeds the hot-key /
 // hot-sender sketches and the per-stripe abort counters.
 func Abort(worker int, tx *types.Transaction, key types.StateKey, winner types.Version, stripe int, height uint64) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		r.record(worker, Event{
+			Kind: EvAbort, Tx: tx.Hash(), Sender: tx.From,
+			Key: key, Version: winner, Stripe: int16(stripe), Height: height,
+		})
+		r.noteAbort(tx.From, key, stripe)
 	}
-	r.record(worker, Event{
-		Kind: EvAbort, Tx: tx.Hash(), Sender: tx.From,
-		Key: key, Version: winner, Stripe: int16(stripe), Height: height,
-	})
-	r.noteAbort(tx.From, key, stripe)
 }
 
 // Extend records a snapshot extension: the execution of tx on worker moved
 // from snapshot version from to version to because key, which it was about to
 // read, had been overwritten in between.
 func Extend(worker int, tx *types.Transaction, key types.StateKey, from, to types.Version, stripe int, height uint64) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		r.record(worker, Event{
+			Kind: EvExtend, Tx: tx.Hash(), Sender: tx.From,
+			Key: key, Version: to, Aux: from, Stripe: int16(stripe), Height: height,
+		})
 	}
-	r.record(worker, Event{
-		Kind: EvExtend, Tx: tx.Hash(), Sender: tx.From,
-		Key: key, Version: to, Aux: from, Stripe: int16(stripe), Height: height,
-	})
 }
 
 // Requeue records an aborted/nonce-blocked transaction returning to the pool.
 func Requeue(worker int, tx *types.Transaction, height uint64) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		r.record(worker, Event{Kind: EvRequeue, Tx: tx.Hash(), Sender: tx.From, Height: height})
 	}
-	r.record(worker, Event{Kind: EvRequeue, Tx: tx.Hash(), Sender: tx.From, Height: height})
 }
 
 // Commit records a successful commit with its serialization version.
 func Commit(worker int, tx *types.Transaction, version types.Version, height uint64) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		r.record(worker, Event{Kind: EvCommit, Tx: tx.Hash(), Sender: tx.From, Version: version, Height: height})
 	}
-	r.record(worker, Event{Kind: EvCommit, Tx: tx.Hash(), Sender: tx.From, Version: version, Height: height})
 }
 
 // Seal records the transaction's final position in the assembled block.
 func Seal(tx *types.Transaction, version types.Version, position int, height uint64) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		r.record(WorkerSystem, Event{
+			Kind: EvSeal, Tx: tx.Hash(), Sender: tx.From,
+			Version: version, Aux: uint64(position), Height: height,
+		})
 	}
-	r.record(WorkerSystem, Event{
-		Kind: EvSeal, Tx: tx.Hash(), Sender: tx.From,
-		Version: version, Aux: uint64(position), Height: height,
-	})
 }
 
 // Drop records a permanently abandoned transaction. retryExhausted
 // distinguishes retry-budget exhaustion from outright invalidity.
 func Drop(worker int, tx *types.Transaction, height uint64, retryExhausted bool) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		var aux uint64
+		if retryExhausted {
+			aux = 1
+		}
+		r.record(worker, Event{Kind: EvDrop, Tx: tx.Hash(), Sender: tx.From, Aux: aux, Height: height})
 	}
-	var aux uint64
-	if retryExhausted {
-		aux = 1
-	}
-	r.record(worker, Event{Kind: EvDrop, Tx: tx.Hash(), Sender: tx.From, Aux: aux, Height: height})
 }
 
 // Assign records the validator scheduler's placement of tx: dependency
 // component id, the component's gas weight, and the execution lane.
 func Assign(lane int, tx *types.Transaction, component int, componentGas uint64, height uint64) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		r.record(ValidatorLane(lane), Event{
+			Kind: EvAssign, Tx: tx.Hash(), Sender: tx.From,
+			Aux: uint64(component), Aux2: componentGas, Height: height,
+		})
 	}
-	r.record(ValidatorLane(lane), Event{
-		Kind: EvAssign, Tx: tx.Hash(), Sender: tx.From,
-		Aux: uint64(component), Aux2: componentGas, Height: height,
-	})
 }
 
 // ReplayStart records the beginning of the validator's re-execution of tx.
 func ReplayStart(lane int, tx *types.Transaction, height uint64) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		r.record(ValidatorLane(lane), Event{Kind: EvReplayStart, Tx: tx.Hash(), Sender: tx.From, Height: height})
 	}
-	r.record(ValidatorLane(lane), Event{Kind: EvReplayStart, Tx: tx.Hash(), Sender: tx.From, Height: height})
 }
 
 // ReplayEnd records the end of the validator's re-execution of tx.
 func ReplayEnd(lane int, tx *types.Transaction, height uint64) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		r.record(ValidatorLane(lane), Event{Kind: EvReplayEnd, Tx: tx.Hash(), Sender: tx.From, Height: height})
 	}
-	r.record(ValidatorLane(lane), Event{Kind: EvReplayEnd, Tx: tx.Hash(), Sender: tx.From, Height: height})
 }
 
 // Reuse records validator lane taking the result of tx from the sibling block
 // that executed it first, where it sat at index leaderIndex.
 func Reuse(lane int, tx *types.Transaction, leaderIndex int, height uint64) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		r.record(ValidatorLane(lane), Event{Kind: EvReuse, Tx: tx.Hash(), Sender: tx.From, Aux: uint64(leaderIndex), Height: height})
 	}
-	r.record(ValidatorLane(lane), Event{Kind: EvReuse, Tx: tx.Hash(), Sender: tx.From, Aux: uint64(leaderIndex), Height: height})
 }
 
 // Verify records the applier's profile check outcome for tx.
 func Verify(tx *types.Transaction, pass bool, height uint64) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		kind := EvVerifyPass
+		if !pass {
+			kind = EvVerifyFail
+		}
+		r.record(WorkerSystem, Event{Kind: kind, Tx: tx.Hash(), Sender: tx.From, Height: height})
 	}
-	kind := EvVerifyPass
-	if !pass {
-		kind = EvVerifyFail
-	}
-	r.record(WorkerSystem, Event{Kind: kind, Tx: tx.Hash(), Sender: tx.From, Height: height})
 }
 
 // BlockSubmit records a block entering the validation pipeline.
 func BlockSubmit(height uint64) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		r.record(WorkerSystem, Event{Kind: EvBlockSubmit, Height: height})
 	}
-	r.record(WorkerSystem, Event{Kind: EvBlockSubmit, Height: height})
 }
 
 // BlockDone records a block leaving the pipeline (ok = validated+committed).
 func BlockDone(height uint64, ok bool) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		var aux uint64
+		if ok {
+			aux = 1
+		}
+		r.record(WorkerSystem, Event{Kind: EvBlockDone, Aux: aux, Height: height})
 	}
-	var aux uint64
-	if ok {
-		aux = 1
-	}
-	r.record(WorkerSystem, Event{Kind: EvBlockDone, Aux: aux, Height: height})
 }
 
 // StripeWait attributes one commit attempt's stripe-lock wait to every
 // stripe in the touched set (a hot stripe appears in many sets, so convoy
 // time concentrates on it). set is the MVState stripe bitmask.
 func StripeWait(set uint64, d time.Duration) {
-	r := active.Load()
-	if r == nil {
-		return
+	if r := active.Load(); r != nil {
+		r.noteStripeWait(set, d)
 	}
-	r.noteStripeWait(set, d)
 }

@@ -12,9 +12,9 @@ import (
 	"blockpilot/internal/types"
 )
 
-// TestHTTPEndpoints exercises the /flight/* handlers mounted onto the
-// telemetry mux via RegisterHTTP: 503 while disabled, JSON payloads while a
-// recorder is installed.
+// TestHTTPEndpoints exercises the /flight/* views the recorder's slot mounts
+// on the telemetry mux: 503 while disabled, JSON payloads while a recorder is
+// installed.
 func TestHTTPEndpoints(t *testing.T) {
 	prev := Active()
 	active.Store(nil)

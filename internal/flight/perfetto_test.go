@@ -226,7 +226,7 @@ func TestWriteTraceFile(t *testing.T) {
 		t.Fatalf("no tracer installed, yet %d block slices", n)
 	}
 
-	c := trace.Enable(8)
+	c := trace.Enable()
 	c.RecordSpan("v0", trace.StageCommit, types.Hash{1}, 1, r.start, r.start.Add(time.Millisecond))
 	if err := r.WriteTraceFile(path); err != nil {
 		t.Fatal(err)

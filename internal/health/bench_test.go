@@ -12,8 +12,7 @@ func disableForTest(tb testing.TB) {
 
 func BenchmarkPoll(b *testing.B) {
 	r, err := New(Options{
-		Runtime: ReadRuntimeStats,
-		Rules:   []Rule{},
+		Rules: []Rule{},
 	})
 	if err != nil {
 		b.Fatal(err)

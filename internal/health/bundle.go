@@ -55,7 +55,7 @@ func writeBundle(baseDir string, inc *Incident, window []Sample, reg *telemetry.
 	keep(writeGoroutines(filepath.Join(dir, "goroutines.txt")))
 	keep(writeJSON(filepath.Join(dir, "telemetry.json"), reg.Snapshot()))
 	if fr := flight.Active(); fr != nil {
-		keep(writeJSON(filepath.Join(dir, "flight.json"), fr.Events()))
+		keep(writeJSON(filepath.Join(dir, "flight.json"), flight.Views(fr.Events())))
 	}
 	if spans := trace.Active().Spans(); len(spans) > 0 {
 		views := make([]trace.SpanView, len(spans))

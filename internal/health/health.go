@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,12 +28,12 @@ import (
 // tick, and current gauge readings. The first sample of a series carries no
 // deltas — it only seeds the baseline.
 type Sample struct {
-	Seq      uint64             `json:"seq"`
-	At       time.Time          `json:"at"`
-	Runtime  RuntimeStats       `json:"runtime"`
-	Counters map[string]float64 `json:"counters,omitempty"`
-	Deltas   map[string]float64 `json:"deltas,omitempty"`
-	Gauges   map[string]float64 `json:"gauges,omitempty"`
+	Seq      uint64                `json:"seq"`
+	At       time.Time             `json:"at"`
+	Runtime  telemetry.RuntimeInfo `json:"runtime"`
+	Counters map[string]float64    `json:"counters,omitempty"`
+	Deltas   map[string]float64    `json:"deltas,omitempty"`
+	Gauges   map[string]float64    `json:"gauges,omitempty"`
 }
 
 // A recorder keeps the newest ringCapacity samples (10 minutes at the
@@ -59,9 +60,9 @@ type Options struct {
 	Rules []Rule
 	// Now is the clock (tests inject a fake one). Default time.Now.
 	Now func() time.Time
-	// Runtime reads runtime stats. Default ReadRuntimeStats. Tests inject a
-	// synthetic reader for determinism.
-	Runtime func() RuntimeStats
+	// Runtime reads the runtime. Default telemetry.ReadRuntimeInfo. Tests
+	// inject a synthetic reader for determinism.
+	Runtime func() telemetry.RuntimeInfo
 	// Probe, when non-nil, replaces the default-registry scrape: it returns
 	// the (counters, gauges) maps folded into each sample. The sim uses a
 	// private probe so concurrently running tests don't share global state.
@@ -79,7 +80,7 @@ func (o *Options) normalize() {
 		o.Now = time.Now
 	}
 	if o.Runtime == nil {
-		o.Runtime = ReadRuntimeStats
+		o.Runtime = telemetry.ReadRuntimeInfo
 	}
 }
 
@@ -291,9 +292,42 @@ func (r *Recorder) Incidents() ([]Incident, uint64) {
 // Interval reports the recorder's sampling interval.
 func (r *Recorder) Interval() time.Duration { return r.opts.Interval }
 
-// --- process-global recorder (the flight/trace gating pattern) ---
+// --- process-global recorder ---
 
-var active atomic.Pointer[Recorder]
+// active is the installed process-wide recorder; nil = health recording
+// disabled.
+var active telemetry.Slot[Recorder]
+
+// SeriesPayload is the /health/series answer.
+type SeriesPayload struct {
+	IntervalS float64  `json:"interval_s"`
+	Samples   []Sample `json:"samples"`
+}
+
+// IncidentsPayload is the /health/incidents answer.
+type IncidentsPayload struct {
+	Incidents []Incident `json:"incidents"`
+	Dropped   uint64     `json:"dropped,omitempty"`
+}
+
+// The /health/ endpoints, served from the installed recorder.
+func init() {
+	active.Serve("health recorder", "-health", map[string]telemetry.View[Recorder]{
+		// The sampled window: ?n= keeps the newest n samples.
+		"/health/series": func(r *Recorder, req *http.Request) (any, error) {
+			samples := r.Series()
+			if n := telemetry.QueryN(req); n > 0 && n < len(samples) {
+				samples = samples[len(samples)-n:]
+			}
+			return SeriesPayload{IntervalS: r.Interval().Seconds(), Samples: samples}, nil
+		},
+		// Watchdog incidents with their bundle locations.
+		"/health/incidents": func(r *Recorder, _ *http.Request) (any, error) {
+			incidents, dropped := r.Incidents()
+			return IncidentsPayload{Incidents: incidents, Dropped: dropped}, nil
+		},
+	})
+}
 
 // Active returns the process-global recorder, or nil when health recording
 // is disabled. One atomic load.

@@ -55,7 +55,7 @@ func testRecorderSized(t *testing.T, opts Options, probe *probeState, ringCap, i
 	t.Helper()
 	opts.Now = newFakeClock().Now
 	if opts.Runtime == nil {
-		opts.Runtime = func() RuntimeStats { return RuntimeStats{} }
+		opts.Runtime = func() telemetry.RuntimeInfo { return telemetry.RuntimeInfo{} }
 	}
 	if probe != nil {
 		opts.Probe = probe.probe
@@ -182,7 +182,7 @@ func TestHealthSmoke(t *testing.T) {
 	}
 	s := r.Series()
 	last := s[len(s)-1]
-	if last.Runtime.Goroutines <= 0 || last.Runtime.HeapInUseBytes == 0 {
+	if last.Runtime.Goroutines <= 0 || last.Runtime.HeapInUse == 0 {
 		t.Fatalf("live runtime stats look empty: %+v", last.Runtime)
 	}
 	// Stop() took a final sample after the pulse above.
@@ -202,15 +202,5 @@ func TestStopIdempotentWithoutStart(t *testing.T) {
 	}
 	if len(r.Series()) != 1 {
 		t.Fatalf("Stop should take one final sample, series = %d", len(r.Series()))
-	}
-}
-
-func TestReadRuntimeStatsLive(t *testing.T) {
-	st := ReadRuntimeStats()
-	if st.Goroutines <= 0 {
-		t.Fatalf("Goroutines = %d", st.Goroutines)
-	}
-	if st.HeapInUseBytes == 0 {
-		t.Fatal("HeapInUseBytes = 0")
 	}
 }

@@ -80,9 +80,6 @@ func fmtBytes(v float64) string { return telemetry.FormatBytes(uint64(v)) }
 // renderedSignals is the fixed row set for RenderSeries: runtime health
 // first, then the pipeline/proposer signals named in the issue.
 func renderedSignals() []signal {
-	rt := func(f func(RuntimeStats) float64) func(*Sample) float64 {
-		return func(s *Sample) float64 { return f(s.Runtime) }
-	}
 	gauge := func(name string) func(*Sample) float64 {
 		return func(s *Sample) float64 { return s.Gauges[name] }
 	}
@@ -90,10 +87,10 @@ func renderedSignals() []signal {
 		return func(s *Sample) float64 { return s.Deltas[name] }
 	}
 	return []signal{
-		{"goroutines", rt(func(r RuntimeStats) float64 { return float64(r.Goroutines) }), fmtCount},
-		{"heap_inuse", rt(func(r RuntimeStats) float64 { return float64(r.HeapInUseBytes) }), fmtBytes},
-		{"gc_cycles", rt(func(r RuntimeStats) float64 { return float64(r.GCCycles) }), fmtCount},
-		{"sched_lat_p99", rt(func(r RuntimeStats) float64 { return float64(r.SchedLatP99Ns) }),
+		{"goroutines", func(s *Sample) float64 { return float64(s.Runtime.Goroutines) }, fmtCount},
+		{"heap_inuse", func(s *Sample) float64 { return float64(s.Runtime.HeapInUse) }, fmtBytes},
+		{"gc_cycles", func(s *Sample) float64 { return float64(s.Runtime.GCCycles) }, fmtCount},
+		{"sched_lat_p99", func(s *Sample) float64 { return float64(s.Runtime.SchedLatP99Ns) },
 			func(v float64) string { return time.Duration(v).Round(time.Microsecond).String() }},
 		{"pipeline_inflight", gauge("blockpilot_pipeline_blocks_inflight"), fmtCount},
 		{"mempool_pending", gauge("blockpilot_mempool_pending"), fmtCount},

@@ -50,24 +50,14 @@ func tail(window []Sample, n int) []Sample {
 }
 
 // GoroutineGrowthRule fires when the goroutine count grows strictly
-// monotonically across Windows consecutive samples by at least MinGrowth
-// total — the signature of a goroutine leak rather than load jitter.
-type GoroutineGrowthRule struct {
-	Windows   int // consecutive samples required; default 8
-	MinGrowth int // minimum total growth across the window; default 64
-}
+// monotonically across 8 consecutive samples by at least 64 in total — the
+// signature of a goroutine leak rather than load jitter.
+type GoroutineGrowthRule struct{}
 
 func (r *GoroutineGrowthRule) Name() string { return "goroutine-growth" }
 
 func (r *GoroutineGrowthRule) Check(window []Sample) (string, bool) {
-	windows, minGrowth := r.Windows, r.MinGrowth
-	if windows <= 0 {
-		windows = 8
-	}
-	if minGrowth <= 0 {
-		minGrowth = 64
-	}
-	w := tail(window, windows)
+	w := tail(window, 8)
 	if w == nil {
 		return "", false
 	}
@@ -77,37 +67,27 @@ func (r *GoroutineGrowthRule) Check(window []Sample) (string, bool) {
 		}
 	}
 	growth := w[len(w)-1].Runtime.Goroutines - w[0].Runtime.Goroutines
-	if growth < minGrowth {
+	if growth < 64 {
 		return "", false
 	}
 	return fmt.Sprintf("goroutines grew monotonically %d → %d (+%d) over %d samples",
 		w[0].Runtime.Goroutines, w[len(w)-1].Runtime.Goroutines, growth, len(w)), true
 }
 
-// HeapSlopeRule fires when heap in-use climbs across Windows consecutive
-// samples at an average rate above MaxBytesPerSec — sustained allocation
-// outpacing collection.
-type HeapSlopeRule struct {
-	Windows        int     // consecutive samples required; default 8
-	MaxBytesPerSec float64 // default 64 MiB/s
-}
+// HeapSlopeRule fires when heap in-use climbs across 8 consecutive samples
+// at an average rate of at least 64 MiB/s — sustained allocation outpacing
+// collection.
+type HeapSlopeRule struct{}
 
 func (r *HeapSlopeRule) Name() string { return "heap-slope" }
 
 func (r *HeapSlopeRule) Check(window []Sample) (string, bool) {
-	windows, maxRate := r.Windows, r.MaxBytesPerSec
-	if windows <= 0 {
-		windows = 8
-	}
-	if maxRate <= 0 {
-		maxRate = 64 << 20
-	}
-	w := tail(window, windows)
+	w := tail(window, 8)
 	if w == nil {
 		return "", false
 	}
 	for i := 1; i < len(w); i++ {
-		if w[i].Runtime.HeapInUseBytes <= w[i-1].Runtime.HeapInUseBytes {
+		if w[i].Runtime.HeapInUse <= w[i-1].Runtime.HeapInUse {
 			return "", false
 		}
 	}
@@ -115,15 +95,15 @@ func (r *HeapSlopeRule) Check(window []Sample) (string, bool) {
 	if elapsed <= 0 {
 		return "", false
 	}
-	grown := float64(w[len(w)-1].Runtime.HeapInUseBytes - w[0].Runtime.HeapInUseBytes)
+	grown := float64(w[len(w)-1].Runtime.HeapInUse - w[0].Runtime.HeapInUse)
 	rate := grown / elapsed
-	if rate < maxRate {
+	if rate < 64<<20 {
 		return "", false
 	}
 	return fmt.Sprintf("heap in-use climbed %.1f MiB/s for %d samples (%.1f → %.1f MiB)",
 		rate/(1<<20), len(w),
-		float64(w[0].Runtime.HeapInUseBytes)/(1<<20),
-		float64(w[len(w)-1].Runtime.HeapInUseBytes)/(1<<20)), true
+		float64(w[0].Runtime.HeapInUse)/(1<<20),
+		float64(w[len(w)-1].Runtime.HeapInUse)/(1<<20)), true
 }
 
 // StallRule fires when the pipeline holds work in flight but makes zero
@@ -189,29 +169,15 @@ func (r *StallRule) Check(window []Sample) (string, bool) {
 		work, len(w), elapsed), true
 }
 
-// AbortSpikeRule fires when the proposer abort ratio over the last Windows
-// samples exceeds MaxRatio with at least MinAttempts attempts — speculation
-// thrash rather than occasional conflict noise.
-type AbortSpikeRule struct {
-	Windows     int     // samples aggregated; default 4
-	MinAttempts float64 // minimum commits+aborts in the window; default 256
-	MaxRatio    float64 // aborts/(commits+aborts) threshold; default 0.5
-}
+// AbortSpikeRule fires when the proposer abort ratio over the last 4 samples
+// reaches 0.5 with at least 256 commit attempts — speculation thrash rather
+// than occasional conflict noise.
+type AbortSpikeRule struct{}
 
 func (r *AbortSpikeRule) Name() string { return "abort-spike" }
 
 func (r *AbortSpikeRule) Check(window []Sample) (string, bool) {
-	windows, minAttempts, maxRatio := r.Windows, r.MinAttempts, r.MaxRatio
-	if windows <= 0 {
-		windows = 4
-	}
-	if minAttempts <= 0 {
-		minAttempts = 256
-	}
-	if maxRatio <= 0 {
-		maxRatio = 0.5
-	}
-	w := tail(window, windows)
+	w := tail(window, 4)
 	if w == nil {
 		return "", false
 	}
@@ -224,11 +190,11 @@ func (r *AbortSpikeRule) Check(window []Sample) (string, bool) {
 		aborts += s.Deltas["blockpilot_proposer_aborts_total"]
 	}
 	attempts := commits + aborts
-	if attempts < minAttempts {
+	if attempts < 256 {
 		return "", false
 	}
 	ratio := aborts / attempts
-	if ratio < maxRatio {
+	if ratio < 0.5 {
 		return "", false
 	}
 	return fmt.Sprintf("abort spike: %.0f aborts / %.0f attempts (ratio %.2f) over %d samples",

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"blockpilot/internal/flight"
+	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 )
@@ -127,15 +129,16 @@ func TestGoroutineGrowthRule(t *testing.T) {
 	g := 100
 	grow := true
 	r := testRecorder(t, Options{
-		Rules: []Rule{&GoroutineGrowthRule{Windows: 4, MinGrowth: 30}},
-		Runtime: func() RuntimeStats {
+		Rules: []Rule{&GoroutineGrowthRule{}},
+		Runtime: func() telemetry.RuntimeInfo {
 			if grow {
 				g += 10
 			}
-			return RuntimeStats{Goroutines: g}
+			return telemetry.RuntimeInfo{Goroutines: g}
 		},
 	}, nil)
-	for i := 0; i < 4; i++ {
+	// Eight strictly growing samples, +70 in all: over the 64 threshold.
+	for i := 0; i < 8; i++ {
 		r.Poll()
 	}
 	inc, _ := r.Incidents()
@@ -155,8 +158,8 @@ func TestGoroutineGrowthRule(t *testing.T) {
 func TestGoroutineGrowthBelowThresholdSilent(t *testing.T) {
 	g := 100
 	r := testRecorder(t, Options{
-		Rules:   []Rule{&GoroutineGrowthRule{Windows: 4, MinGrowth: 100}},
-		Runtime: func() RuntimeStats { g += 2; return RuntimeStats{Goroutines: g} }, // +6 per window < 100
+		Rules:   []Rule{&GoroutineGrowthRule{}},
+		Runtime: func() telemetry.RuntimeInfo { g += 2; return telemetry.RuntimeInfo{Goroutines: g} }, // +14 per window < 64
 	}, nil)
 	for i := 0; i < 12; i++ {
 		r.Poll()
@@ -169,11 +172,11 @@ func TestGoroutineGrowthBelowThresholdSilent(t *testing.T) {
 func TestHeapSlopeRule(t *testing.T) {
 	heap := uint64(1 << 20)
 	r := testRecorder(t, Options{
-		// Fake clock steps 250ms/sample; +64MiB/sample = 256MiB/s ≫ 100MiB/s.
-		Rules:   []Rule{&HeapSlopeRule{Windows: 4, MaxBytesPerSec: 100 << 20}},
-		Runtime: func() RuntimeStats { heap += 64 << 20; return RuntimeStats{HeapInUseBytes: heap} },
+		// Fake clock steps 250ms/sample; +64MiB/sample = 256MiB/s ≫ 64MiB/s.
+		Rules:   []Rule{&HeapSlopeRule{}},
+		Runtime: func() telemetry.RuntimeInfo { heap += 64 << 20; return telemetry.RuntimeInfo{HeapInUse: heap} },
 	}, nil)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ {
 		r.Poll()
 	}
 	inc, _ := r.Incidents()
@@ -187,14 +190,12 @@ func TestAbortSpikeRule(t *testing.T) {
 		"blockpilot_proposer_commits_total": 0,
 		"blockpilot_proposer_aborts_total":  0,
 	}}
-	r := testRecorder(t, Options{Rules: []Rule{&AbortSpikeRule{
-		Windows: 4, MinAttempts: 100, MaxRatio: 0.5,
-	}}}, p)
+	r := testRecorder(t, Options{Rules: []Rule{&AbortSpikeRule{}}}, p)
 	r.Poll() // baseline
-	// Healthy phase: lots of commits, few aborts.
+	// Healthy phase: 416 attempts per 4-sample window, few of them aborts.
 	for i := 0; i < 6; i++ {
-		p.counters["blockpilot_proposer_commits_total"] += 50
-		p.counters["blockpilot_proposer_aborts_total"] += 2
+		p.counters["blockpilot_proposer_commits_total"] += 100
+		p.counters["blockpilot_proposer_aborts_total"] += 4
 		r.Poll()
 	}
 	if inc, _ := r.Incidents(); len(inc) != 0 {
@@ -202,8 +203,8 @@ func TestAbortSpikeRule(t *testing.T) {
 	}
 	// Thrash phase: aborts dominate.
 	for i := 0; i < 4; i++ {
-		p.counters["blockpilot_proposer_commits_total"] += 5
-		p.counters["blockpilot_proposer_aborts_total"] += 45
+		p.counters["blockpilot_proposer_commits_total"] += 10
+		p.counters["blockpilot_proposer_aborts_total"] += 90
 		r.Poll()
 	}
 	inc, _ := r.Incidents()
@@ -243,7 +244,7 @@ func TestIncidentBundleContents(t *testing.T) {
 	dir := t.TempDir()
 	p := stallProbe()
 	// An installed block tracer contributes its spans as trace.json.
-	tr := trace.Enable(8)
+	tr := trace.Enable()
 	t.Cleanup(func() { trace.Disable() })
 	tr.RecordSpan("v0", trace.StageCommit, types.Hash{1}, 1, time.Unix(1, 0), time.Unix(2, 0))
 	r := testRecorder(t, Options{
@@ -319,16 +320,23 @@ func TestIncidentBundleContents(t *testing.T) {
 func TestMaxIncidentsCap(t *testing.T) {
 	g := 0
 	r := testRecorderSized(t, Options{
-		// Alternate growth episodes and flat ticks to fire repeatedly.
-		Rules:   []Rule{&GoroutineGrowthRule{Windows: 2, MinGrowth: 1}},
-		Runtime: func() RuntimeStats { g += 10; return RuntimeStats{Goroutines: g} },
+		// Alternate growth episodes (eight samples, +70) and flat ticks to
+		// fire repeatedly.
+		Rules:   []Rule{&GoroutineGrowthRule{}},
+		Runtime: func() telemetry.RuntimeInfo { g += 10; return telemetry.RuntimeInfo{Goroutines: g} },
 	}, nil, ringCapacity, 2)
-	flat := func() { v := g; r.opts.Runtime = func() RuntimeStats { return RuntimeStats{Goroutines: v} } }
-	grow := func() { r.opts.Runtime = func() RuntimeStats { g += 10; return RuntimeStats{Goroutines: g} } }
+	flat := func() {
+		v := g
+		r.opts.Runtime = func() telemetry.RuntimeInfo { return telemetry.RuntimeInfo{Goroutines: v} }
+	}
+	grow := func() {
+		r.opts.Runtime = func() telemetry.RuntimeInfo { g += 10; return telemetry.RuntimeInfo{Goroutines: g} }
+	}
 	for episode := 0; episode < 4; episode++ {
 		grow()
-		r.Poll()
-		r.Poll()
+		for i := 0; i < 8; i++ {
+			r.Poll()
+		}
 		flat()
 		r.Poll()
 	}
@@ -338,5 +346,41 @@ func TestMaxIncidentsCap(t *testing.T) {
 	}
 	if dropped == 0 {
 		t.Fatal("dropped count not reported")
+	}
+}
+
+// TestIncidentBundleFlightViews: with the flight recorder installed, the
+// bundle's flight.json holds the events in the form /flight/events serves.
+func TestIncidentBundleFlightViews(t *testing.T) {
+	fr := flight.Enable()
+	t.Cleanup(func() { flight.Disable() })
+	tx := &types.Transaction{Nonce: 1, Gas: 21000, To: types.HexToAddress("0xdead")}
+	flight.Admit(tx)
+	r := testRecorder(t, Options{
+		IncidentDir: t.TempDir(),
+		Rules: []Rule{&StallRule{
+			Windows:          4,
+			WorkGauges:       []string{"blockpilot_pipeline_blocks_inflight"},
+			ProgressCounters: []string{"blockpilot_validator_blocks_total"},
+		}},
+	}, stallProbe())
+	for i := 0; i < 5; i++ {
+		r.Poll()
+	}
+	inc, _ := r.Incidents()
+	if len(inc) != 1 || inc[0].BundleErr != "" {
+		t.Fatalf("incidents = %+v, want one bundle", inc)
+	}
+	raw, err := os.ReadFile(filepath.Join(inc[0].BundleDir, "flight.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var views []flight.EventView
+	if err := json.Unmarshal(raw, &views); err != nil {
+		t.Fatalf("flight.json invalid: %v", err)
+	}
+	want := flight.Views(fr.Events())
+	if len(views) != 1 || views[0] != want[0] || views[0].Kind != "admit" || views[0].Tx != tx.Hash().String() {
+		t.Fatalf("flight.json = %+v, want %+v", views, want)
 	}
 }

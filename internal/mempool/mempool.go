@@ -467,9 +467,6 @@ func queueInsert(sh *senderShard, s types.Address, tx *types.Transaction) {
 // the heap keep their frozen tier until they are next re-pushed.
 func (p *Pool) SetAbortAware(on bool) { p.abortAware.Store(on) }
 
-// AbortAware reports whether abort-aware ordering is on.
-func (p *Pool) AbortAware() bool { return p.abortAware.Load() }
-
 // AgeAborts decays every sender's abort EWMA by factor — the proposer calls
 // this once per block so demotion pressure fades with time as well as with
 // successes (anti-starvation aging: a parked sender whose transactions never
@@ -491,15 +488,6 @@ func (p *Pool) AgeAborts(factor float64) {
 		}
 		sh.mu.Unlock()
 	}
-}
-
-// SenderRequeues returns how many times transactions from s were requeued
-// (lifetime of the pool).
-func (p *Pool) SenderRequeues(s types.Address) uint64 {
-	sh := p.shardOf(s)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.requeues[s]
 }
 
 // RequeueStat is one sender's requeue pressure for reporting.

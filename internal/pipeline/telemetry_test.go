@@ -19,7 +19,7 @@ import (
 func TestEndToEndTelemetry(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()
-	tr := trace.Enable(0)
+	tr := trace.Enable()
 	defer trace.Disable()
 	before := telemetry.TakeSnapshot()
 

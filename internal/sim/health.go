@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"blockpilot/internal/health"
+	"blockpilot/internal/telemetry"
 	"blockpilot/internal/types"
 )
 
@@ -44,7 +45,7 @@ func (r *runner) setupHealth(dir string) error {
 			ticks++
 			return base.Add(time.Duration(ticks) * 250 * time.Millisecond)
 		},
-		Runtime: func() health.RuntimeStats { return health.RuntimeStats{} },
+		Runtime: func() telemetry.RuntimeInfo { return telemetry.RuntimeInfo{} },
 		Probe: func() (map[string]float64, map[string]float64) {
 			return map[string]float64{healthProbeCounter: float64(v0.outcomeCount())},
 				map[string]float64{healthProbeGauge: float64(v0.pipe.Pending())}

@@ -1,6 +1,7 @@
 // HTTP exposition: Prometheus text format, JSON snapshots and net/http/pprof —
-// everything cmd/blockpilot mounts behind -telemetry-addr — plus what the
-// sibling packages' endpoints share: RegisterHTTP, WriteJSON and Require.
+// everything cmd/blockpilot mounts behind -telemetry-addr — plus the one
+// mechanism the sibling recorders (flight, trace, health) install and serve
+// through: Slot, whose Serve mounts each recorder's JSON views on every mux.
 package telemetry
 
 import (
@@ -13,23 +14,50 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// extraHandlers lets other packages (notably internal/flight, which telemetry
-// must not import) mount endpoints onto every mux Handler builds. Registration
-// is idempotent per path: the latest handler wins.
+// Slot holds the installed instance of one recorder; nil means the recorder
+// is off. Loading it and checking for nil is the whole disabled path of the
+// recorder's hot-path helpers.
+type Slot[T any] struct{ atomic.Pointer[T] }
+
+// View computes one endpoint's answer from the installed recorder: a value
+// served as indented JSON, an http.Handler that writes its own answer, or an
+// error answered 400.
+type View[T any] func(rec *T, req *http.Request) (any, error)
+
+// routes holds the recorder endpoints every Handler mux mounts, by path.
 var (
-	extraMu       sync.Mutex
-	extraHandlers = map[string]http.Handler{}
+	routesMu sync.Mutex
+	routes   = map[string]http.HandlerFunc{}
 )
 
-// RegisterHTTP mounts h at path on every subsequently built Handler mux.
-// Intended for init-time registration by sibling observability packages.
-func RegisterHTTP(path string, h http.Handler) {
-	extraMu.Lock()
-	defer extraMu.Unlock()
-	extraHandlers[path] = h
+// Serve mounts each view at its path on every Handler mux built afterwards
+// (recorder packages call it from init: telemetry must not import them),
+// replacing a route already at that path. While no recorder is installed
+// the views answer 503, naming what is off and the flag that turns it on.
+func (s *Slot[T]) Serve(what, flag string, views map[string]View[T]) {
+	routesMu.Lock()
+	defer routesMu.Unlock()
+	for path, view := range views {
+		routes[path] = func(w http.ResponseWriter, req *http.Request) {
+			rec := s.Load()
+			if rec == nil {
+				http.Error(w, what+" not enabled (run with "+flag+")", http.StatusServiceUnavailable)
+				return
+			}
+			v, err := view(rec, req)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+			} else if h, ok := v.(http.Handler); ok {
+				h.ServeHTTP(w, req)
+			} else {
+				WriteJSON(w, v)
+			}
+		}
+	}
 }
 
 // HealthzPayload is the /healthz liveness answer: a status plus enough
@@ -81,8 +109,7 @@ func (s *Snapshot) PrometheusText() string {
 // Handler serves the registry over HTTP:
 //
 //	/metrics              Prometheus text (or JSON with ?format=json)
-//	/metrics.json         JSON snapshot (indented; ?rates=1 adds windowed
-//	                      per-counter deltas and per-second rates)
+//	/metrics.json         JSON snapshot (indented)
 //	/debug/pprof/...      the standard runtime profiles
 //	/                     a plain-text index
 func Handler(r *Registry) http.Handler {
@@ -99,13 +126,6 @@ func Handler(r *Registry) http.Handler {
 		_, _ = w.Write([]byte(r.Snapshot().PrometheusText()))
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
-		// ?rates=1 adds per-counter delta + per-second rate over the window
-		// since the previous rated request (first such request seeds the
-		// baseline and reports values only).
-		if req.URL.Query().Get("rates") == "1" {
-			WriteJSON(w, r.SnapshotRates())
-			return
-		}
 		WriteJSON(w, r.Snapshot())
 	})
 	mux.HandleFunc("/report", func(w http.ResponseWriter, req *http.Request) {
@@ -124,12 +144,14 @@ func Handler(r *Registry) http.Handler {
 			HeapInUse:        info.HeapInUse,
 		})
 	})
-	extraMu.Lock()
-	extraPaths := sortedKeys(extraHandlers)
-	for _, path := range extraPaths {
-		mux.Handle(path, extraHandlers[path])
+	routesMu.Lock()
+	paths := make([]string, 0, len(routes))
+	for path, serve := range routes {
+		mux.HandleFunc(path, serve)
+		paths = append(paths, path)
 	}
-	extraMu.Unlock()
+	routesMu.Unlock()
+	sort.Strings(paths)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -145,7 +167,7 @@ func Handler(r *Registry) http.Handler {
 		for _, p := range []string{"/healthz", "/metrics", "/metrics.json", "/report", "/debug/pprof/"} {
 			fmt.Fprintln(w, "  "+p)
 		}
-		for _, p := range extraPaths {
+		for _, p := range paths {
 			fmt.Fprintln(w, "  "+p)
 		}
 	})
@@ -159,16 +181,6 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-// Require passes an installed recorder through, or — when rec is nil —
-// answers 503 naming what is off and the flag that turns it on. Handlers
-// return when it yields nil.
-func Require[T any](w http.ResponseWriter, rec *T, what, flag string) *T {
-	if rec == nil {
-		http.Error(w, what+" not enabled (run with "+flag+")", http.StatusServiceUnavailable)
-	}
-	return rec
 }
 
 // QueryN reads the ?n= row limit the list endpoints take: the positive
@@ -198,14 +210,4 @@ func ServeContext(ctx context.Context, addr string, r *Registry) (*http.Server, 
 		_ = srv.Shutdown(shutCtx)
 	}()
 	return srv, errc
-}
-
-// sortedKeys is a tiny helper for deterministic map rendering.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

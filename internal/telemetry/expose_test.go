@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -55,40 +56,56 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-func TestRegisterHTTPMountsExtraHandlers(t *testing.T) {
-	const path = "/test/extra-handler"
-	RegisterHTTP(path, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusTeapot)
-		_, _ = w.Write([]byte("extra"))
-	}))
-	t.Cleanup(func() {
-		extraMu.Lock()
-		delete(extraHandlers, path)
-		extraMu.Unlock()
+// TestSlotServesViews: a slot's views are mounted on every Handler mux and
+// listed on the index; they answer 503 while nothing is installed, then JSON,
+// a handler's own answer, or 400 for an error.
+func TestSlotServesViews(t *testing.T) {
+	type recorder struct{ N int }
+	var slot Slot[recorder]
+	slot.Serve("test recorder", "-test", map[string]View[recorder]{
+		"/test/slot/json": func(rec *recorder, req *http.Request) (any, error) {
+			return rec, nil
+		},
+		"/test/slot/raw": func(rec *recorder, req *http.Request) (any, error) {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(http.StatusTeapot)
+				_, _ = w.Write([]byte("raw"))
+			}), nil
+		},
+		"/test/slot/err": func(rec *recorder, req *http.Request) (any, error) {
+			return nil, errors.New("bad query")
+		},
 	})
 
 	srv := httptest.NewServer(Handler(nil))
 	defer srv.Close()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(b)
+	}
 
-	resp, err := http.Get(srv.URL + path)
-	if err != nil {
-		t.Fatal(err)
+	if code, body := get("/test/slot/json"); code != http.StatusServiceUnavailable ||
+		body != "test recorder not enabled (run with -test)\n" {
+		t.Fatalf("empty slot: status %d body %q", code, body)
 	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTeapot || string(b) != "extra" {
-		t.Fatalf("extra handler: status %d body %q", resp.StatusCode, b)
+	slot.Store(&recorder{N: 7})
+	if code, body := get("/test/slot/json"); code != http.StatusOK || body != "{\n  \"N\": 7\n}\n" {
+		t.Fatalf("json view: status %d body %q", code, body)
 	}
-
-	// The index page advertises the registered path.
-	resp, err = http.Get(srv.URL + "/")
-	if err != nil {
-		t.Fatal(err)
+	if code, body := get("/test/slot/raw"); code != http.StatusTeapot || body != "raw" {
+		t.Fatalf("handler view: status %d body %q", code, body)
 	}
-	b, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(b), path) || !strings.Contains(string(b), "/healthz") {
-		t.Fatalf("index does not list %s and /healthz:\n%s", path, b)
+	if code, body := get("/test/slot/err"); code != http.StatusBadRequest || !strings.Contains(body, "bad query") {
+		t.Fatalf("error view: status %d body %q", code, body)
+	}
+	if _, body := get("/"); !strings.Contains(body, "/test/slot/json") || !strings.Contains(body, "/healthz") {
+		t.Fatalf("index does not list /test/slot/json and /healthz:\n%s", body)
 	}
 }
 

@@ -7,6 +7,7 @@ package telemetry
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -24,16 +25,9 @@ func ReportSnapshot(s *Snapshot) string {
 	b.WriteString("\n")
 
 	if len(s.Counters) > 0 {
-		if s.Interval > 0 {
-			fmt.Fprintf(&b, "counters (rate window %.2fs):\n", s.Interval)
-			for _, c := range s.Counters {
-				fmt.Fprintf(&b, "  %-48s %12s %12s/s\n", c.Name, formatValue(c.Value), formatValue(c.Rate))
-			}
-		} else {
-			b.WriteString("counters:\n")
-			for _, c := range s.Counters {
-				fmt.Fprintf(&b, "  %-48s %12s\n", c.Name, formatValue(c.Value))
-			}
+		b.WriteString("counters:\n")
+		for _, c := range s.Counters {
+			fmt.Fprintf(&b, "  %-48s %12s\n", c.Name, formatValue(c.Value))
 		}
 		b.WriteString("\n")
 	}
@@ -63,7 +57,12 @@ func ReportSnapshot(s *Snapshot) string {
 	}
 	if d := DerivedStats(s); len(d) > 0 {
 		b.WriteString("derived:\n")
-		for _, k := range sortedKeys(d) {
+		keys := make([]string, 0, len(d))
+		for k := range d {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
 			fmt.Fprintf(&b, "  %-48s %12.4f\n", k, d[k])
 		}
 	}

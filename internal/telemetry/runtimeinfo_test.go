@@ -25,6 +25,16 @@ func TestReadRuntimeInfo(t *testing.T) {
 	}
 }
 
+// TestReadRuntimeInfoGCPause: the runtime/metrics histograms are read too —
+// after a forced collection the pause total is non-zero.
+func TestReadRuntimeInfoGCPause(t *testing.T) {
+	runtime.GC()
+	info := ReadRuntimeInfo()
+	if info.GCCycles == 0 || info.GCPauseTotalNs == 0 {
+		t.Fatalf("after runtime.GC: gc_cycles %d, gc_pause_total_ns %d", info.GCCycles, info.GCPauseTotalNs)
+	}
+}
+
 // TestSnapshotCarriesRuntime: every snapshot self-describes its process so
 // scraped reports show the node's runtime, and the text report renders the
 // one-line header.

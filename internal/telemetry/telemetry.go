@@ -2,7 +2,8 @@
 // atomic metrics registry (counters, gauges, lock-free sharded latency
 // histograms with exponential buckets), a value-type histogram timer, and
 // the pieces the sibling observability packages share — the one Ring
-// (ring.go) and the HTTP mux, JSON responder and 503 guard (expose.go).
+// (ring.go), the one runtime reader (runtimeinfo.go) and the recorder Slot
+// with the HTTP mux it mounts views on (expose.go).
 // Block phases are timed by internal/trace, which feeds these histograms.
 //
 // Design constraints (ISSUE 1):
@@ -58,12 +59,6 @@ type Registry struct {
 	mu      sync.Mutex
 	ordered []metric
 	byName  map[string]metric
-
-	// Rate baseline for SnapshotRates (guarded by rateMu): counter values
-	// at the previous SnapshotRates call.
-	rateMu   sync.Mutex
-	ratePrev map[string]float64
-	rateAt   time.Time
 }
 
 // NewRegistry returns an empty registry.
@@ -371,24 +366,17 @@ func (hs *HistogramSnapshot) Quantile(q float64) float64 {
 	return float64(last.UpperBound)
 }
 
-// NumberSnapshot is one counter or gauge's frozen value. Delta and Rate are
-// filled by SnapshotRates only: the counter's increase since the previous
-// rate snapshot, and that increase divided by the interval (per second).
+// NumberSnapshot is one counter or gauge's frozen value.
 type NumberSnapshot struct {
 	Name  string  `json:"name"`
 	Help  string  `json:"help,omitempty"`
 	Value float64 `json:"value"`
-	Delta float64 `json:"delta,omitempty"`
-	Rate  float64 `json:"rate,omitempty"`
 }
 
 // Snapshot is the full registry state at one instant — the payload behind
 // the JSON endpoint, the Prometheus text rendering, and the Report table.
-// Interval is non-zero only for rate snapshots (SnapshotRates): the window
-// in seconds the counters' Delta/Rate fields cover.
 type Snapshot struct {
 	TakenAt    time.Time           `json:"taken_at"`
-	Interval   float64             `json:"interval_s,omitempty"`
 	Runtime    *RuntimeInfo        `json:"runtime,omitempty"`
 	Counters   []NumberSnapshot    `json:"counters"`
 	Gauges     []NumberSnapshot    `json:"gauges"`
@@ -423,37 +411,6 @@ func (r *Registry) Snapshot() *Snapshot {
 
 // Snapshot freezes the default registry.
 func TakeSnapshot() *Snapshot { return defaultRegistry.Snapshot() }
-
-// SnapshotRates freezes every registered metric and, for counters,
-// additionally reports the per-interval delta and per-second rate since the
-// previous SnapshotRates call on this registry. The first call establishes
-// the baseline: it returns a plain snapshot (Interval 0, no rates). Callers
-// polling at a fixed period therefore see windowed rates from the second
-// poll on.
-func (r *Registry) SnapshotRates() *Snapshot {
-	s := r.Snapshot()
-	r.rateMu.Lock()
-	defer r.rateMu.Unlock()
-	prev, prevAt := r.ratePrev, r.rateAt
-	cur := make(map[string]float64, len(s.Counters))
-	for _, c := range s.Counters {
-		cur[c.Name] = c.Value
-	}
-	r.ratePrev, r.rateAt = cur, s.TakenAt
-	if prev == nil {
-		return s
-	}
-	dt := s.TakenAt.Sub(prevAt).Seconds()
-	s.Interval = dt
-	for i := range s.Counters {
-		c := &s.Counters[i]
-		c.Delta = c.Value - prev[c.Name] // new counters: delta from zero
-		if dt > 0 {
-			c.Rate = c.Delta / dt
-		}
-	}
-	return s
-}
 
 // Counter returns the frozen value of a counter by name (0 if absent).
 func (s *Snapshot) Counter(name string) float64 { return findNumber(s.Counters, name) }

@@ -31,7 +31,7 @@ var benchBlock = types.Hash{0xbe, 0xef}
 // collector installed (and none injected) and telemetry off, every
 // instrumentation entry point — the Begin / End pair that times each phase
 // included — must reduce to atomic loads + nil checks and allocate nothing.
-// Run by `make ci` (trace-budget).
+// Run by `make ci` (obs-budget).
 func TestDisabledPathBudget(t *testing.T) {
 	disableForTest(t)
 

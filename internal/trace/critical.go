@@ -21,32 +21,33 @@ const (
 	KindStall SegmentKind = "stall"
 )
 
-// Segment is one contiguous slice of a block's end-to-end latency.
+// Segment is one contiguous slice of a block's end-to-end latency. It is its
+// own JSON wire form: durations encode as integer nanoseconds.
 type Segment struct {
-	Name  string
-	Kind  SegmentKind
-	Start time.Time
-	Dur   time.Duration
-	Share float64 // fraction of the block's total latency
+	Name  string        `json:"name"`
+	Kind  SegmentKind   `json:"kind"`
+	Start time.Time     `json:"-"`
+	Dur   time.Duration `json:"dur_ns"`
+	Share float64       `json:"share"` // fraction of the block's total latency
 }
 
-// BlockPath is one block's tiled lifecycle on one node.
+// BlockPath is one block's tiled lifecycle on one node, and the JSON wire
+// form /trace/blocks serves.
 type BlockPath struct {
-	Node     string
-	Height   uint64
-	Block    types.Hash
-	TraceID  uint64
-	Start    time.Time
-	End      time.Time
-	Total    time.Duration
-	Complete bool     // every required validation stage was found
-	Missing  []string // required stages without a span (when !Complete)
-	Critical string   // the work segment with the largest share
-	Segments []Segment
+	Node     string        `json:"node"`
+	Height   uint64        `json:"height"`
+	Block    types.Hash    `json:"block"`
+	TraceID  uint64        `json:"trace_id"`
+	Start    time.Time     `json:"-"`
+	End      time.Time     `json:"-"`
+	Total    time.Duration `json:"total_ns"`
+	Complete bool          `json:"complete"`          // every required validation stage was found
+	Missing  []string      `json:"missing,omitempty"` // required stages without a span (when !Complete)
+	Critical string        `json:"critical"`          // the work segment with the largest share
 	// CommitTail is the state-commit sub-span inside the commit stage (the
-	// serial Merkle/commit tail PR 4 parallelized) — informational, not a
-	// tiling segment.
-	CommitTail time.Duration
+	// Merkle/commit tail) — informational, not a tiling segment.
+	CommitTail time.Duration `json:"commit_tail_ns,omitempty"`
+	Segments   []Segment     `json:"segments"`
 }
 
 // requiredStages is the validation chain every committed block must carry,
@@ -215,7 +216,7 @@ func (c *Collector) Paths(node string) []BlockPath {
 		node  string
 	}
 	seen := map[key]bool{}
-	var out []BlockPath
+	out := []BlockPath{}
 	for _, sp := range c.Spans() {
 		if sp.Stage != StageCommit {
 			continue
@@ -246,23 +247,24 @@ func (c *Collector) Paths(node string) []BlockPath {
 
 // Bucket is one aggregated segment class across a window of blocks.
 type Bucket struct {
-	Name  string
-	Kind  SegmentKind
-	Total time.Duration
-	Share float64 // fraction of the window's summed block latency
+	Name  string        `json:"name"`
+	Kind  SegmentKind   `json:"kind"`
+	Total time.Duration `json:"total_ns"`
+	Share float64       `json:"share"` // fraction of the window's summed block latency
 }
 
 // WindowSummary aggregates the last N block paths: which stage chain
-// bounded end-to-end latency and where the non-critical time went.
+// bounded end-to-end latency and where the non-critical time went. It is the
+// JSON wire form /trace/critical-path serves.
 type WindowSummary struct {
-	Blocks     int
-	Complete   int
-	Total      time.Duration // summed end-to-end latency across the window
-	Critical   string        // work bucket with the largest share
-	WorkShare  float64
-	StallShare float64
-	Buckets    []Bucket // sorted by total descending
-	CommitTail time.Duration
+	Blocks     int           `json:"blocks"`
+	Complete   int           `json:"complete"`
+	Total      time.Duration `json:"total_ns"` // summed end-to-end latency across the window
+	Critical   string        `json:"critical"` // work bucket with the largest share
+	WorkShare  float64       `json:"work_share"`
+	StallShare float64       `json:"stall_share"`
+	CommitTail time.Duration `json:"commit_tail_ns,omitempty"`
+	Buckets    []Bucket      `json:"buckets"` // sorted by total descending
 }
 
 // Window summarizes the most recent n paths (0 = all buffered), optionally

@@ -26,7 +26,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		}
 	}
 
-	c := Enable(0)
+	c := Enable()
 	synthExact(c, hash(1), 3, "v0", time.Now())
 	synthExact(c, hash(2), 4, "v1", time.Now())
 
@@ -35,7 +35,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/trace/blocks: status %d", rec.Code)
 	}
-	var paths []PathView
+	var paths []BlockPath
 	if err := json.Unmarshal(rec.Body.Bytes(), &paths); err != nil {
 		t.Fatalf("/trace/blocks: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestHTTPEndpoints(t *testing.T) {
 
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/trace/critical-path?n=8", nil))
-	var win WindowView
+	var win WindowSummary
 	if err := json.Unmarshal(rec.Body.Bytes(), &win); err != nil {
 		t.Fatalf("/trace/critical-path: %v", err)
 	}

@@ -1,7 +1,6 @@
-// Text rendering and JSON wire views for block paths: the per-block
-// waterfall + stall-bucket table behind `bpinspect crit`, and the
-// string-keyed view structs the /trace endpoints serve (types.Hash has no
-// JSON text form, so views carry hex strings).
+// Text rendering for block paths — the per-block waterfall + stall-bucket
+// table behind `bpinspect crit` — and the JSON wire form of one span, whose
+// duration is clamped and whose stage is named.
 package trace
 
 import (
@@ -34,106 +33,28 @@ func (s *Span) View() SpanView {
 	}
 }
 
-// SegmentView is the JSON wire form of one path segment.
-type SegmentView struct {
-	Name  string  `json:"name"`
-	Kind  string  `json:"kind"`
-	DurNS int64   `json:"dur_ns"`
-	Share float64 `json:"share"`
-}
-
-// PathView is the JSON wire form of one block path.
-type PathView struct {
-	Node         string        `json:"node"`
-	Height       uint64        `json:"height"`
-	Block        string        `json:"block"`
-	TraceID      uint64        `json:"trace_id"`
-	TotalNS      int64         `json:"total_ns"`
-	Complete     bool          `json:"complete"`
-	Missing      []string      `json:"missing,omitempty"`
-	Critical     string        `json:"critical"`
-	CommitTailNS int64         `json:"commit_tail_ns,omitempty"`
-	Segments     []SegmentView `json:"segments"`
-}
-
-// View converts a path to its wire form.
-func (p *BlockPath) View() PathView {
-	v := PathView{
-		Node: p.Node, Height: p.Height, Block: p.Block.String(),
-		TraceID: p.TraceID, TotalNS: p.Total.Nanoseconds(),
-		Complete: p.Complete, Missing: p.Missing, Critical: p.Critical,
-		CommitTailNS: p.CommitTail.Nanoseconds(),
-	}
-	for _, seg := range p.Segments {
-		v.Segments = append(v.Segments, SegmentView{
-			Name: seg.Name, Kind: string(seg.Kind),
-			DurNS: seg.Dur.Nanoseconds(), Share: seg.Share,
-		})
-	}
-	return v
-}
-
-// BucketView is the JSON wire form of one window bucket.
-type BucketView struct {
-	Name    string  `json:"name"`
-	Kind    string  `json:"kind"`
-	TotalNS int64   `json:"total_ns"`
-	Share   float64 `json:"share"`
-}
-
-// WindowView is the JSON wire form of a window summary.
-type WindowView struct {
-	Blocks       int          `json:"blocks"`
-	Complete     int          `json:"complete"`
-	TotalNS      int64        `json:"total_ns"`
-	Critical     string       `json:"critical"`
-	WorkShare    float64      `json:"work_share"`
-	StallShare   float64      `json:"stall_share"`
-	CommitTailNS int64        `json:"commit_tail_ns,omitempty"`
-	Buckets      []BucketView `json:"buckets"`
-}
-
-// View converts a window summary to its wire form.
-func (w *WindowSummary) View() WindowView {
-	v := WindowView{
-		Blocks: w.Blocks, Complete: w.Complete, TotalNS: w.Total.Nanoseconds(),
-		Critical: w.Critical, WorkShare: w.WorkShare, StallShare: w.StallShare,
-		CommitTailNS: w.CommitTail.Nanoseconds(),
-	}
-	for _, b := range w.Buckets {
-		v.Buckets = append(v.Buckets, BucketView{
-			Name: b.Name, Kind: string(b.Kind), TotalNS: b.Total.Nanoseconds(), Share: b.Share,
-		})
-	}
-	return v
-}
-
 const waterfallWidth = 36
 
 // RenderPathView draws one block's waterfall as aligned text.
-func RenderPathView(p PathView) string {
+func RenderPathView(p BlockPath) string {
 	var b strings.Builder
-	block := p.Block
-	if len(block) > 10 {
-		block = block[:10]
-	}
 	status := ""
 	if !p.Complete {
 		status = " INCOMPLETE missing=" + strings.Join(p.Missing, ",")
 	}
 	fmt.Fprintf(&b, "block %-3d %s node=%-10s total=%-10v critical=%s%s\n",
-		p.Height, block, p.Node, time.Duration(p.TotalNS).Round(time.Microsecond), p.Critical, status)
-	var cum int64
+		p.Height, p.Block.String()[:10], p.Node, p.Total.Round(time.Microsecond), p.Critical, status)
+	var cum time.Duration
 	for _, seg := range p.Segments {
 		lead := 0
-		if p.TotalNS > 0 {
-			lead = int(float64(cum) / float64(p.TotalNS) * waterfallWidth)
+		if p.Total > 0 {
+			lead = int(float64(cum) / float64(p.Total) * waterfallWidth)
 		}
 		width := 0
-		if p.TotalNS > 0 {
+		if p.Total > 0 {
 			width = int(seg.Share*waterfallWidth + 0.5)
 		}
-		if width < 1 && seg.DurNS > 0 {
+		if width < 1 && seg.Dur > 0 {
 			width = 1
 		}
 		if lead+width > waterfallWidth {
@@ -141,38 +62,36 @@ func RenderPathView(p PathView) string {
 		}
 		bar := strings.Repeat(" ", lead) + strings.Repeat("█", width)
 		mark := ""
-		if seg.Kind == string(KindStall) {
+		if seg.Kind == KindStall {
 			mark = " (stall)"
 		}
 		fmt.Fprintf(&b, "  %-14s %-*s %10v %5.1f%%%s\n",
-			seg.Name, waterfallWidth, bar,
-			time.Duration(seg.DurNS).Round(time.Microsecond), seg.Share*100, mark)
-		cum += seg.DurNS
+			seg.Name, waterfallWidth, bar, seg.Dur.Round(time.Microsecond), seg.Share*100, mark)
+		cum += seg.Dur
 	}
-	if p.CommitTailNS > 0 {
+	if p.CommitTail > 0 {
 		fmt.Fprintf(&b, "  %-14s %-*s %10v  (inside commit)\n", "state_commit",
-			waterfallWidth, "", time.Duration(p.CommitTailNS).Round(time.Microsecond))
+			waterfallWidth, "", p.CommitTail.Round(time.Microsecond))
 	}
 	return b.String()
 }
 
 // RenderWindowView draws the aggregated stall/work buckets of a window.
-func RenderWindowView(w WindowView) string {
+func RenderWindowView(w WindowSummary) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "window: %d block(s) (%d complete), total latency %v, critical stage: %s\n",
-		w.Blocks, w.Complete, time.Duration(w.TotalNS).Round(time.Microsecond), w.Critical)
+		w.Blocks, w.Complete, w.Total.Round(time.Microsecond), w.Critical)
 	fmt.Fprintf(&b, "  work %.1f%% / stall %.1f%%\n", w.WorkShare*100, w.StallShare*100)
 	for _, bk := range w.Buckets {
 		mark := ""
-		if bk.Kind == string(KindStall) {
+		if bk.Kind == KindStall {
 			mark = " (stall)"
 		}
-		fmt.Fprintf(&b, "  %-14s %10v %5.1f%%%s\n",
-			bk.Name, time.Duration(bk.TotalNS).Round(time.Microsecond), bk.Share*100, mark)
+		fmt.Fprintf(&b, "  %-14s %10v %5.1f%%%s\n", bk.Name, bk.Total.Round(time.Microsecond), bk.Share*100, mark)
 	}
-	if w.CommitTailNS > 0 {
+	if w.CommitTail > 0 {
 		fmt.Fprintf(&b, "  %-14s %10v  (state-commit tail inside commit)\n",
-			"state_commit", time.Duration(w.CommitTailNS).Round(time.Microsecond))
+			"state_commit", w.CommitTail.Round(time.Microsecond))
 	}
 	return b.String()
 }

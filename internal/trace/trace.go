@@ -8,9 +8,9 @@
 //
 // On top of the span store, critical.go extracts the critical path per block
 // (which stage chain bounded end-to-end latency) and attributes every
-// non-work gap to a named stall bucket with a share of the total; http.go
-// exposes both as /trace/blocks and /trace/critical-path via
-// telemetry.RegisterHTTP, and render.go draws the per-block waterfall that
+// non-work gap to a named stall bucket with a share of the total; the
+// collector's telemetry.Slot serves both as /trace/blocks and
+// /trace/critical-path, and render.go draws the per-block waterfall that
 // `bpinspect crit` and cmd/blockpilot print.
 //
 // The package is also the one place a phase's duration is measured: Begin /
@@ -22,8 +22,8 @@
 //
 //   - The disabled path (the default: no collector, telemetry off) is one
 //     atomic pointer load, one atomic bool load and a nil check: 0
-//     allocations, < 25 ns — enforced by TestDisabledPathBudget, run by
-//     `make ci` (trace-budget).
+//     allocations, within 100× of a bare atomic load — enforced by
+//     TestDisabledPathBudget, run by `make ci` (obs-budget).
 //   - Instrumented packages resolve a collector per call site with
 //     Resolve(instance): an explicitly injected *Collector (the cluster
 //     simulator gives every run a private one so parallel runs never share
@@ -34,6 +34,7 @@
 package trace
 
 import (
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,23 +179,48 @@ func NewCollector(capacity int) *Collector {
 }
 
 // active is the installed process-wide collector; nil = tracing disabled.
-var active atomic.Pointer[Collector]
+var active telemetry.Slot[Collector]
 
-// Enable installs a fresh collector (replacing any previous one) and
-// returns it. capacity ≤ 0 selects DefaultCapacity.
-func Enable(capacity int) *Collector {
-	c := NewCollector(capacity)
+// The /trace/ endpoints, served from the installed collector. ?node= keeps
+// one node's paths and ?n= the newest n.
+func init() {
+	active.Serve("block tracer", "-trace", map[string]telemetry.View[Collector]{
+		// Per-(block, node) critical paths, or with ?spans=1 the raw span ring.
+		"/trace/blocks": func(c *Collector, req *http.Request) (any, error) {
+			node := req.URL.Query().Get("node")
+			if req.URL.Query().Get("spans") == "1" {
+				views := []SpanView{}
+				for _, sp := range c.Spans() {
+					if node == "" || sp.Node == node {
+						views = append(views, sp.View())
+					}
+				}
+				return views, nil
+			}
+			paths := c.Paths(node)
+			if n := telemetry.QueryN(req); n > 0 && len(paths) > n {
+				paths = paths[len(paths)-n:]
+			}
+			return paths, nil
+		},
+		// The sliding-window summary over the newest n paths.
+		"/trace/critical-path": func(c *Collector, req *http.Request) (any, error) {
+			return c.Window(telemetry.QueryN(req), req.URL.Query().Get("node")), nil
+		},
+	})
+}
+
+// Enable installs a fresh DefaultCapacity collector (replacing any previous
+// one) and returns it.
+func Enable() *Collector {
+	c := NewCollector(0)
 	active.Store(c)
 	return c
 }
 
 // Disable uninstalls the collector, returning it (if any) so buffered spans
 // can still be exported.
-func Disable() *Collector {
-	c := active.Load()
-	active.Store(nil)
-	return c
-}
+func Disable() *Collector { return active.Swap(nil) }
 
 // Active returns the installed collector, or nil when disabled.
 func Active() *Collector { return active.Load() }

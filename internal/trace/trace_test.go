@@ -333,7 +333,7 @@ func TestBindingsBoundedByRing(t *testing.T) {
 func TestEnableDisable(t *testing.T) {
 	prev := Active()
 	t.Cleanup(func() { active.Store(prev) })
-	c := Enable(64)
+	c := Enable()
 	if Active() != c {
 		t.Fatal("Enable did not install the collector")
 	}
@@ -356,14 +356,14 @@ func TestRenderers(t *testing.T) {
 	c := NewCollector(0)
 	synthExact(c, hash(1), 5, "v0", time.Now())
 	p, _ := c.PathFor(hash(1), "v0")
-	out := RenderPathView(p.View())
+	out := RenderPathView(p)
 	for _, want := range []string{"block 5", "node=v0", "critical=execute", "(stall)", "state_commit"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("waterfall missing %q:\n%s", want, out)
 		}
 	}
 	w := c.Window(0, "")
-	wout := RenderWindowView(w.View())
+	wout := RenderWindowView(w)
 	for _, want := range []string{"1 block(s)", "critical stage: execute", "work ", "stall "} {
 		if !strings.Contains(wout, want) {
 			t.Fatalf("window render missing %q:\n%s", want, wout)

@@ -88,6 +88,18 @@ func (h Hash) Bytes() []byte { return h[:] }
 
 func (h Hash) String() string { return "0x" + hex.EncodeToString(h[:]) }
 
+// MarshalText encodes the hash in its String form, so JSON carries "0x…".
+func (h Hash) MarshalText() ([]byte, error) { return []byte(h.String()), nil }
+
+// UnmarshalText parses the form MarshalText writes: 0x and 64 hex digits.
+func (h *Hash) UnmarshalText(text []byte) error {
+	if len(text) != 2+2*HashLength || !bytes.HasPrefix(text, []byte("0x")) {
+		return fmt.Errorf("types: hash %q is not 0x and 64 hex digits", text)
+	}
+	_, err := hex.Decode(h[:], text[2:])
+	return err
+}
+
 // Word returns the hash as a 256-bit integer.
 func (h Hash) Word() uint256.Int {
 	var w uint256.Int

@@ -2,6 +2,7 @@ package types
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"blockpilot/internal/uint256"
@@ -137,5 +138,27 @@ func TestReceiptRoot(t *testing.T) {
 	r2b.Status = 1
 	if ComputeReceiptRoot([]*Receipt{r1, &r2b}) == root {
 		t.Fatal("receipt root ignores status")
+	}
+}
+
+// TestHashJSONText: a hash encodes as its String form and decodes back; a
+// malformed one is refused.
+func TestHashJSONText(t *testing.T) {
+	h := Hash{0: 0xab, 31: 0x01}
+	raw, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"` + h.String() + `"`; string(raw) != want {
+		t.Fatalf("json = %s, want %s", raw, want)
+	}
+	var back Hash
+	if err := json.Unmarshal(raw, &back); err != nil || back != h {
+		t.Fatalf("round trip = %v (err %v), want %v", back, err, h)
+	}
+	for _, bad := range []string{`"0xab"`, `"` + h.String()[2:] + `"`, `"0x` + string(bytes.Repeat([]byte("zz"), 32)) + `"`} {
+		if err := json.Unmarshal([]byte(bad), &back); err == nil {
+			t.Fatalf("decoding %s: want an error", bad)
+		}
 	}
 }
