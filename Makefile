@@ -83,13 +83,14 @@ obs-budget:
 # The state path's budget (docs/PERFORMANCE.md §9): an overlay costs its base
 # one Account call per account and one Code call per contract, through Memory
 # and through the proposer's view alike; ApplyChangeSet reads nothing; a
-# decoded branch is two allocations; a Release allocates the same small
+# decoded branch is two allocations; a 256-key trie batch copies no items per
+# level; a Release allocates the same small
 # constant whether it prunes 41 nodes or 1 033; and one 132-transaction block
 # through Propose → Encode → DecodeBlock → ValidateParallel stays within 10 %
 # of its allocation budget (docs/PERFORMANCE.md §10). A fourth lookup, a
 # re-grown slice or a nested encoder fails here, without running the benchmark.
 state-budget:
-	$(GO) test -count=1 -run 'TestOverlayReadsEachAccountOnce|TestApplyChangeSetReadsNothing|TestDecodeNodeAllocs|TestReleaseAllocs|TestBlockPathAllocs' ./internal/state/ ./internal/core/ ./internal/trie/ ./internal/trie/store/
+	$(GO) test -count=1 -run 'TestOverlayReadsEachAccountOnce|TestApplyChangeSetReadsNothing|TestDecodeNodeAllocs|TestBatchAllocs|TestReleaseAllocs|TestBlockPathAllocs' ./internal/state/ ./internal/core/ ./internal/trie/ ./internal/trie/store/
 
 # Live end-to-end pass of the health recorder: a real sampler at a fast
 # interval over actual runtime metrics and the live telemetry registry.
@@ -112,6 +113,7 @@ sim-smoke:
 # without the open-ended fuzzing budget (see docs/TESTING.md for long runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTrieBatchVsUpdate -fuzztime 3s ./internal/trie/
+	$(GO) test -run '^$$' -fuzz FuzzFoldVsMerge -fuzztime 3s ./internal/state/
 	$(GO) test -run '^$$' -fuzz FuzzBlockProfileRoundTrip -fuzztime 3s ./internal/types/
 	$(GO) test -run '^$$' -fuzz FuzzEncodeVsReference -fuzztime 3s ./internal/types/
 	$(GO) test -run '^$$' -fuzz FuzzMempoolAdmit -fuzztime 3s ./internal/mempool/

@@ -1,7 +1,6 @@
 package adaptive
 
 import (
-	"sort"
 	"sync"
 
 	"blockpilot/internal/state"
@@ -41,35 +40,19 @@ func (p *CreditPool) Add(addr types.Address, value *uint256.Int) {
 	p.mu.Unlock()
 }
 
-// Materialize turns the accumulated deltas into a change set against r: for
-// each credited account, balance = its balance in r + delta with the nonce
-// carried through unchanged. r must already reflect every committed
-// transaction of the block (the flattened block change set applied over the
-// parent), so a hot account that was also written normally — e.g. it sent a
-// transaction too — picks up those effects first.
-func (p *CreditPool) Materialize(r state.Reader) *state.ChangeSet {
+// Materialize adds the accumulated deltas to the block's change set total,
+// each by a sorted insert or replace against r: for each credited account,
+// balance = its balance in r + delta with the nonce carried through
+// unchanged. r must already reflect every committed transaction of the block
+// (total applied over the parent) and not read total itself, so a hot account
+// that was also written normally — e.g. it sent a transaction too — picks up
+// those effects first.
+func (p *CreditPool) Materialize(r state.Reader, total *state.ChangeSet) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.deltas) == 0 {
-		return nil
-	}
-	cs := state.NewChangeSet()
-	// Deterministic iteration keeps change-set construction reproducible;
-	// the merge itself is order-free (disjoint keys).
-	addrs := make([]types.Address, 0, len(p.deltas))
-	for addr := range p.deltas {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool {
-		return string(addrs[i][:]) < string(addrs[j][:])
-	})
-	for _, addr := range addrs {
+	for addr, d := range p.deltas { // disjoint accounts: the order is free
 		acct, _ := r.Account(addr)
-		acct.Balance.Add(&acct.Balance, p.deltas[addr])
-		cs.Accounts[addr] = &state.AccountChange{
-			Nonce:   acct.Nonce,
-			Balance: acct.Balance,
-		}
+		acct.Balance.Add(&acct.Balance, d)
+		total.SetAccount(addr, acct.Nonce, acct.Balance)
 	}
-	return cs
 }

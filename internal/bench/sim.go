@@ -57,7 +57,7 @@ func measureBlockCosts(parent *state.Snapshot, block *types.Block, params chain.
 	var commitBest = time.Duration(1<<63 - 1)
 	for r := 0; r < repeats; r++ {
 		accum := state.NewMemory(parent)
-		total := state.NewChangeSet()
+		parts := make([]*state.ChangeSet, len(block.Txs))
 		var fees uint256.Int
 		for i, tx := range block.Txs {
 			o := state.NewOverlay(accum, types.Version(i))
@@ -71,12 +71,12 @@ func measureBlockCosts(parent *state.Snapshot, block *types.Block, params chain.
 			if d < costs.perTx[i] {
 				costs.perTx[i] = d
 			}
-			cs := o.ChangeSet()
-			accum.ApplyChangeSet(cs)
-			total.Merge(cs)
+			parts[i] = o.ChangeSet()
+			accum.ApplyChangeSet(parts[i])
 		}
 		start := time.Now()
-		total.Merge(chain.FinalizationChange(parent, total, block.Header.Coinbase, &fees, params))
+		total := state.Fold(parts...)
+		chain.Finalize(parent, total, block.Header.Coinbase, &fees, params)
 		post := parent.Commit(total)
 		if post.Root() != block.Header.StateRoot {
 			return nil, fmt.Errorf("measure: root mismatch")

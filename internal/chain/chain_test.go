@@ -282,7 +282,7 @@ func TestChainReceiptsAndTxIndex(t *testing.T) {
 	}
 }
 
-// finalizationChangeRef is FinalizationChange as it was when seal and commit
+// finalizationChangeRef is Finalize's credit as it was when seal and commit
 // materialised the whole block into a Memory just to read the coinbase.
 func finalizationChangeRef(accum *state.Memory, coinbase types.Address, fees *uint256.Int, params Params) *state.ChangeSet {
 	var reward uint256.Int
@@ -291,9 +291,7 @@ func finalizationChangeRef(accum *state.Memory, coinbase types.Address, fees *ui
 
 	acct, _ := accum.Account(coinbase)
 	acct.Balance.Add(&acct.Balance, &reward)
-	cs := state.NewChangeSet()
-	cs.Accounts[coinbase] = &state.AccountChange{Nonce: acct.Nonce, Balance: acct.Balance}
-	return cs
+	return state.NewChangeSet(state.AccountChange{Addr: coinbase, Nonce: acct.Nonce, Balance: acct.Balance})
 }
 
 // TestFinalizationMatchesMemory: reading the coinbase from the block's change
@@ -308,12 +306,11 @@ func TestFinalizationMatchesMemory(t *testing.T) {
 	params := DefaultParams()
 	fees := u(4242)
 	block := func(touched ...types.Address) *state.ChangeSet {
-		cs := state.NewChangeSet()
-		cs.Accounts[alice] = &state.AccountChange{Nonce: 1, Balance: *u(9_000_000)}
+		accts := []state.AccountChange{{Addr: alice, Nonce: 1, Balance: *u(9_000_000)}}
 		for i, a := range touched {
-			cs.Accounts[a] = &state.AccountChange{Nonce: uint64(3 + i), Balance: *u(uint64(500 + i))}
+			accts = append(accts, state.AccountChange{Addr: a, Nonce: uint64(3 + i), Balance: *u(uint64(500 + i))})
 		}
-		return cs
+		return state.NewChangeSet(accts...)
 	}
 	for _, tc := range []struct {
 		name     string
@@ -328,12 +325,16 @@ func TestFinalizationMatchesMemory(t *testing.T) {
 		accum := state.NewMemory(parent)
 		accum.ApplyChangeSet(tc.total)
 		want := finalizationChangeRef(accum, tc.coinbase, fees, params)
-		got := FinalizationChange(parent, tc.total, tc.coinbase, fees, params)
-		if len(got.Accounts) != 1 || got.Accounts[tc.coinbase] == nil {
-			t.Fatalf("%s: change set %+v", tc.name, got.Accounts)
+		before := len(tc.total.Accounts)
+		Finalize(parent, tc.total, tc.coinbase, fees, params)
+		if tc.total.Account(tc.coinbase) == nil || tc.total.Account(alice).Nonce != 1 {
+			t.Fatalf("%s: change set %+v", tc.name, tc.total.Accounts)
 		}
-		g, w := got.Accounts[tc.coinbase], want.Accounts[tc.coinbase]
-		if g.Nonce != w.Nonce || g.Balance != w.Balance || g.CodeSet || len(g.Storage) != 0 {
+		if added := len(tc.total.Accounts) - before; added > 1 {
+			t.Fatalf("%s: Finalize added %d accounts", tc.name, added)
+		}
+		g, w := tc.total.Account(tc.coinbase), want.Account(tc.coinbase)
+		if g.Nonce != w.Nonce || g.Balance != w.Balance || g.CodeSet || len(g.Slots) != 0 {
 			t.Fatalf("%s: %+v, reference %+v", tc.name, g, w)
 		}
 	}

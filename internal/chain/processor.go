@@ -26,7 +26,7 @@ type ProcessResult struct {
 func ExecuteSerial(parent *state.Snapshot, header *types.Header, txs []*types.Transaction, params Params) (*ProcessResult, error) {
 	bc := BlockContextFor(header, params.ChainID)
 	accum := state.NewMemory(parent)
-	total := state.NewChangeSet()
+	parts := make([]*state.ChangeSet, len(txs))
 	res := &ProcessResult{Profile: &types.BlockProfile{}}
 
 	o := state.NewOverlay(accum, 0)
@@ -45,15 +45,14 @@ func ExecuteSerial(parent *state.Snapshot, header *types.Header, txs []*types.Tr
 		res.Fees.Add(&res.Fees, fee)
 		res.Profile.Txs = append(res.Profile.Txs, types.ProfileFromAccessSet(o.Access(), receipt.GasUsed))
 
-		cs := o.ChangeSet()
-		accum.ApplyChangeSet(cs)
-		total.Merge(cs)
+		parts[i] = o.ChangeSet()
+		accum.ApplyChangeSet(parts[i])
 	}
 
 	// Finalization: credit aggregated fees plus the block reward to the
 	// coinbase as a single commutative delta (outside conflict detection).
-	final := FinalizationChange(parent, total, header.Coinbase, &res.Fees, params)
-	total.Merge(final)
+	total := state.Fold(parts...)
+	Finalize(parent, total, header.Coinbase, &res.Fees, params)
 
 	res.State, _ = CommitAndRoot(parent, total, params, header.Number)
 	res.Changes = total
@@ -80,8 +79,8 @@ func CommitAndRoot(parent *state.Snapshot, total *state.ChangeSet, params Params
 	rspan.End()
 
 	storageTries := 0
-	for _, ch := range total.Accounts {
-		if len(ch.Storage) > 0 {
+	for i := range total.Accounts {
+		if len(total.Accounts[i].Slots) > 0 {
 			storageTries++
 		}
 	}
@@ -90,25 +89,22 @@ func CommitAndRoot(parent *state.Snapshot, total *state.ChangeSet, params Params
 	return post, root
 }
 
-// FinalizationChange builds the coinbase credit (fees + block reward) as a
-// change set. total is everything the block's transactions changed on top of
-// parent: the coinbase's current nonce and balance come from total when the
-// block touched the account, else from parent — one lookup, no block-sized
+// Finalize adds the coinbase credit (fees + block reward) to total, the
+// block's folded change set on top of parent, by a sorted insert or replace:
+// the coinbase's current nonce and balance come from total when the block
+// touched the account, else from parent — one lookup, no block-sized
 // accumulation state.
-func FinalizationChange(parent state.Reader, total *state.ChangeSet, coinbase types.Address, fees *uint256.Int, params Params) *state.ChangeSet {
-	var credit state.AccountChange
-	if ch, ok := total.Accounts[coinbase]; ok {
-		credit.Nonce, credit.Balance = ch.Nonce, ch.Balance
+func Finalize(parent state.Reader, total *state.ChangeSet, coinbase types.Address, fees *uint256.Int, params Params) {
+	var acct state.Account
+	if ch := total.Account(coinbase); ch != nil {
+		acct.Nonce, acct.Balance = ch.Nonce, ch.Balance
 	} else {
-		acct, _ := parent.Account(coinbase)
-		credit.Nonce, credit.Balance = acct.Nonce, acct.Balance
+		acct, _ = parent.Account(coinbase)
 	}
 	var reward uint256.Int
 	reward.SetUint64(params.BlockReward)
-	credit.Balance.Add(&credit.Balance, reward.Add(&reward, fees))
-	cs := state.NewChangeSet()
-	cs.Accounts[coinbase] = &credit
-	return cs
+	acct.Balance.Add(&acct.Balance, reward.Add(&reward, fees))
+	total.SetAccount(coinbase, acct.Nonce, acct.Balance)
 }
 
 // SealBlock assembles a block from execution results.

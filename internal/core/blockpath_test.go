@@ -44,16 +44,16 @@ func blockPath(t testing.TB, cfg ProposerConfig, parent *state.Snapshot, txs []*
 
 // The block path's allocation budget (docs/PERFORMANCE.md §10), per
 // transaction of a 132-transaction workload.Default() block at 2 threads:
-// what this tree measures (14.3 KiB, 112 allocations) plus 10 %. The tree
+// what this tree measures (11.9 KiB, 89 allocations) plus 10 %. The tree
 // before the append-style encoders, the one-pass roots and the per-lane
 // overlay measured 30.7 KiB and 360, so losing any one of them fails here,
-// without the benchmark; the one before Merge and Flatten stopped making a
-// slot map for every EOA, 14.4 KiB and 115. An OCC abort re-executes a
+// without the benchmark; the one before the sorted change sets and the trie
+// batch that recurses by depth, 14.2 KiB and 111. An OCC abort re-executes a
 // transaction, so the figures move by a percent with the interleaving; 10 %
 // covers that.
 const (
-	blockPathBytesPerTx  = 14.3 * 1024 * 1.10
-	blockPathAllocsPerTx = 112 * 1.10
+	blockPathBytesPerTx  = 11.9 * 1024 * 1.10
+	blockPathAllocsPerTx = 89 * 1.10
 )
 
 func TestBlockPathAllocs(t *testing.T) {

@@ -216,16 +216,14 @@ func (b *blockBuild) seal(total *state.ChangeSet, gasUsed uint64, aborts int, cl
 
 	// Finalize: aggregate fee + reward credit to the coinbase, then commit.
 	// Merged hot-account credits materialize first — over the accumulated
-	// block state and into the total change set — so FinalizationChange sees
-	// them (the coinbase itself can be hot).
+	// block state and into the total change set — so Finalize sees them (the
+	// coinbase itself can be hot).
 	if b.credits != nil {
 		accum := state.NewMemory(b.parent)
 		accum.ApplyChangeSet(total)
-		if ccs := b.credits.Materialize(accum); ccs != nil {
-			total.Merge(ccs)
-		}
+		b.credits.Materialize(accum, total)
 	}
-	total.Merge(chain.FinalizationChange(b.parent, total, b.cfg.Coinbase, &b.fees, b.params))
+	chain.Finalize(b.parent, total, b.cfg.Coinbase, &b.fees, b.params)
 
 	if b.ctrl != nil {
 		occ := 0.0
@@ -290,8 +288,8 @@ func (b *blockBuild) mergeableCredit(view state.Reader, tx *types.Transaction, c
 	if !b.ctrl.HotAccount(tx.To) {
 		return false
 	}
-	chg := cs.Accounts[tx.To]
-	if chg == nil || chg.CodeSet || len(chg.Storage) != 0 {
+	chg := cs.Account(tx.To)
+	if chg == nil || chg.CodeSet || len(chg.Slots) != 0 {
 		return false
 	}
 	to, _ := view.Account(tx.To)

@@ -266,8 +266,7 @@ func TestMVStateVersionedReads(t *testing.T) {
 
 	acc := types.NewAccessSet()
 	acc.NoteWrite(types.AccountKey(addr))
-	cs := state.NewChangeSet()
-	cs.Accounts[addr] = &state.AccountChange{Nonce: 1, Balance: *uint256.NewInt(50)}
+	cs := state.NewChangeSet(state.AccountChange{Addr: addr, Nonce: 1, Balance: *uint256.NewInt(50)})
 	if _, ok := mv.TryCommit(acc, cs); !ok {
 		t.Fatal("commit failed")
 	}
@@ -296,8 +295,7 @@ func TestMVStateWSIAbort(t *testing.T) {
 	// A writer commits version 1 in between.
 	wAcc := types.NewAccessSet()
 	wAcc.NoteWrite(key)
-	cs := state.NewChangeSet()
-	cs.Accounts[addr] = &state.AccountChange{Balance: *uint256.NewInt(1)}
+	cs := state.NewChangeSet(state.AccountChange{Addr: addr, Balance: *uint256.NewInt(1)})
 	if _, ok := mv.TryCommit(wAcc, cs); !ok {
 		t.Fatal("writer commit failed")
 	}

@@ -124,7 +124,7 @@ func (s *schedule) mustRun(tx *types.Transaction) types.Version {
 func (s *schedule) checkSerial() {
 	s.t.Helper()
 	total := s.mv.Flatten()
-	total.Merge(chain.FinalizationChange(s.parent, total, coinbase, &s.fees, s.params))
+	chain.Finalize(s.parent, total, coinbase, &s.fees, s.params)
 	_, root := chain.CommitAndRoot(s.parent, total, s.params, s.header.Number)
 	serial, err := chain.ExecuteSerial(s.parent, s.header, s.sealed, s.params)
 	if err != nil {
@@ -290,10 +290,10 @@ func TestExtensionInsideCallFrame(t *testing.T) {
 		t.Fatalf("slot 0 = %d after the revert, want T2's 1", got.Uint64())
 	}
 	cs := o.ChangeSet()
-	if ch := cs.Accounts[extCounter]; ch != nil {
+	if ch := cs.Account(extCounter); ch != nil {
 		t.Fatalf("reverted frame left a change on the contract: %+v", ch)
 	}
-	if ch := cs.Accounts[extAlice]; ch == nil || ch.Balance.Uint64() != 10_000_000-100 {
+	if ch := cs.Account(extAlice); ch == nil || ch.Balance.Uint64() != 10_000_000-100 {
 		t.Fatalf("alice's surviving change: %+v", ch)
 	}
 	readVersions(t, o, t2)

@@ -55,11 +55,10 @@ func TestMVStateTorture(t *testing.T) {
 					acc := types.NewAccessSet()
 					acc.NoteRead(types.AccountKey(addr), v)
 					acc.NoteWrite(types.AccountKey(addr))
-					cs := state.NewChangeSet()
 					// Balance value = the version this commit will get; we
 					// don't know it pre-commit, so write v+1 speculatively
 					// and retry if another writer takes that slot first.
-					cs.Accounts[addr] = &state.AccountChange{Balance: *uint256.NewInt(uint64(v + 1))}
+					cs := state.NewChangeSet(state.AccountChange{Addr: addr, Balance: *uint256.NewInt(uint64(v + 1))})
 					got, ok := mv.TryCommit(acc, cs)
 					if ok {
 						_ = got
@@ -125,7 +124,7 @@ func TestMVStateTorture(t *testing.T) {
 	latest := mv.View(mv.Version())
 	for _, a := range addrs {
 		want := balanceOf(latest, a)
-		got := flat.Accounts[a].Balance
+		got := flat.Account(a).Balance
 		if !got.Eq(&want) {
 			t.Fatalf("flatten diverges from latest view for %s", a)
 		}
@@ -195,16 +194,15 @@ func tortureStripes(t *testing.T, stripes int) {
 					acc.NoteWrite(types.AccountKey(addrs[ai]))
 					acc.NoteWrite(types.AccountKey(addrs[bi]))
 					acc.NoteWrite(types.StorageKey(addrs[ai], slot))
-					cs := state.NewChangeSet()
 					// Speculative value: ≤ the version this commit will get
 					// (commits that don't touch ai may slip in between, so it
 					// can lag, but it can never exceed it).
 					val := *uint256.NewInt(uint64(v + 1))
-					cs.Accounts[addrs[ai]] = &state.AccountChange{
+					cs := state.NewChangeSet(state.AccountChange{
+						Addr:    addrs[ai],
 						Balance: val,
-						Storage: map[types.Hash]uint256.Int{slot: val},
-					}
-					cs.Accounts[addrs[bi]] = &state.AccountChange{Balance: val}
+						Slots:   []state.SlotChange{{Slot: slot, Val: val}},
+					}, state.AccountChange{Addr: addrs[bi], Balance: val})
 					got, ok := mv.TryCommit(acc, cs)
 					if ok {
 						recs[w] = append(recs[w], record{v: got, a: ai, b: bi, val: val.Uint64()})
@@ -291,7 +289,7 @@ func tortureStripes(t *testing.T, stripes int) {
 			t.Fatalf("account %d: latest balance %d, want last-writer value %d (version %d)",
 				i, got.Uint64(), want, lastWriter[i].v)
 		}
-		if ac := flat.Accounts[a]; ac == nil || ac.Balance.Uint64() != want {
+		if ac := flat.Account(a); ac == nil || ac.Balance.Uint64() != want {
 			t.Fatalf("account %d: flatten diverges from last-writer value %d", i, want)
 		}
 	}
@@ -321,20 +319,13 @@ func TestMVStateStripedVsSingleLock(t *testing.T) {
 			acc.NoteRead(types.AccountKey(a), v)
 			acc.NoteWrite(types.AccountKey(a))
 			acc.NoteWrite(types.StorageKey(b, slot))
-			cs := state.NewChangeSet()
-			cs.Accounts[a] = &state.AccountChange{Balance: *uint256.NewInt(uint64(i))}
-			bc := cs.Accounts[b]
-			if bc == nil {
-				bc = &state.AccountChange{}
-				if vb := balanceOf(mv.View(v), b); true {
-					bc.Balance = vb // keep b's scalars at their current value
-				}
-				cs.Accounts[b] = bc
+			ac := state.AccountChange{Addr: a, Balance: *uint256.NewInt(uint64(i))}
+			bc := state.AccountChange{Addr: b, Balance: ac.Balance}
+			if b != a {
+				bc.Balance = balanceOf(mv.View(v), b) // keep b's scalars at their current value
 			}
-			if bc.Storage == nil {
-				bc.Storage = make(map[types.Hash]uint256.Int)
-			}
-			bc.Storage[slot] = *uint256.NewInt(uint64(i * 3))
+			bc.Slots = []state.SlotChange{{Slot: slot, Val: *uint256.NewInt(uint64(i * 3))}}
+			cs := state.NewChangeSet(ac, bc)
 			if _, ok := mv.TryCommit(acc, cs); !ok {
 				t.Fatalf("serial commit %d aborted", i)
 			}
@@ -346,18 +337,19 @@ func TestMVStateStripedVsSingleLock(t *testing.T) {
 	if len(single.Accounts) != len(striped.Accounts) {
 		t.Fatalf("account count differs: %d vs %d", len(single.Accounts), len(striped.Accounts))
 	}
-	for a, sc := range single.Accounts {
-		tc := striped.Accounts[a]
+	for _, sc := range single.Accounts {
+		a := sc.Addr
+		tc := striped.Account(a)
 		if tc == nil || !tc.Balance.Eq(&sc.Balance) || tc.Nonce != sc.Nonce {
 			t.Fatalf("account %s differs between single-lock and striped flatten", a)
 		}
-		if len(sc.Storage) != len(tc.Storage) {
-			t.Fatalf("account %s storage size differs: %d vs %d", a, len(sc.Storage), len(tc.Storage))
+		if len(sc.Slots) != len(tc.Slots) {
+			t.Fatalf("account %s storage size differs: %d vs %d", a, len(sc.Slots), len(tc.Slots))
 		}
-		for s, v := range sc.Storage {
-			got, ok := tc.Storage[s]
-			if !ok || !got.Eq(&v) {
-				t.Fatalf("slot %s/%s differs between single-lock and striped flatten", a, s)
+		for _, s := range sc.Slots {
+			got, ok := tc.Slot(s.Slot)
+			if !ok || !got.Eq(&s.Val) {
+				t.Fatalf("slot %s/%s differs between single-lock and striped flatten", a, s.Slot)
 			}
 		}
 	}
@@ -526,14 +518,14 @@ func tortureExtension(t *testing.T, stripes int) {
 	}
 	flat := mv.Flatten()
 	for i, a := range addrs {
-		ch := flat.Accounts[a]
+		ch := flat.Account(a)
 		if ch == nil {
 			if bal[i] != uint64(i) || slots[i] != 0 {
 				t.Fatalf("account %d: written in the replay, absent from the flattened store", i)
 			}
 			continue
 		}
-		if got := ch.Storage[slot]; ch.Balance.Uint64() != bal[i] || got.Uint64() != slots[i] {
+		if got, _ := ch.Slot(slot); ch.Balance.Uint64() != bal[i] || got.Uint64() != slots[i] {
 			t.Fatalf("account %d: flattened (%d, %d), replay (%d, %d)", i, ch.Balance.Uint64(), got.Uint64(), bal[i], slots[i])
 		}
 	}

@@ -194,7 +194,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 			key := types.AccountKey(tx.To)
 			delete(access.Reads, key)
 			delete(access.Writes, key)
-			delete(cs.Accounts, tx.To)
+			cs.Drop(tx.To)
 		}
 		version, conflict, ok := mv.TryCommitEx(access, cs)
 		if ok {

@@ -93,7 +93,7 @@ func proposeMV(b *blockBuild) *ProposeResult {
 			// stops invalidating every later reader. Decided per
 			// incarnation; only the final incarnation's flag is credited at
 			// finalize, and Record reconciles a changed write set.
-			delete(cs.Accounts, tx.To)
+			cs.Drop(tx.To)
 			out.merged = true
 		}
 		return mv.ExecResult{Writes: cs, Data: out}

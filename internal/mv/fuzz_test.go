@@ -141,19 +141,18 @@ func FuzzMVVersionChain(f *testing.F) {
 				// Build the change set.
 				val := valCounter
 				valCounter++
-				cs := state.NewChangeSet()
 				ch := &state.AccountChange{}
 				ch.Balance.SetUint64(val)
 				if withCode {
 					ch.Code, ch.CodeSet = []byte{byte(val)}, true
 				}
 				if withSlot {
-					ch.Storage = map[types.Hash]uint256.Int{}
 					var sv uint256.Int
 					sv.SetUint64(val + 1000)
-					ch.Storage[hashOf(slot)] = sv
+					ch.Slots = append(ch.Slots, state.SlotChange{Slot: hashOf(slot), Val: sv})
 				}
-				cs.Accounts[addrOf(addr)] = ch
+				ch.Addr = addrOf(addr)
+				cs := state.NewChangeSet(*ch)
 
 				gotNew := m.Record(tx, inc, recs, cs)
 
@@ -296,7 +295,7 @@ func FuzzMVVersionChain(f *testing.F) {
 		// Flatten: last writer wins per path, in index order.
 		flat := m.Flatten()
 		for addr := 0; addr < numAddrs; addr++ {
-			ch := flat.Accounts[addrOf(addr)]
+			ch := flat.Account(addrOf(addr))
 			stx, se := cm.resolve(readScalar, addr, 0, maxTx)
 			if (ch != nil) != (stx >= 0) {
 				t.Fatalf("flatten: addr %d present=%v, model writer %d", addr, ch != nil, stx)
@@ -312,7 +311,7 @@ func FuzzMVVersionChain(f *testing.F) {
 				t.Fatalf("flatten: addr %d code %v/%x, model writer %d", addr, ch.CodeSet, ch.Code, ctx)
 			}
 			for slot := 0; slot < numSlots; slot++ {
-				v, ok := ch.Storage[hashOf(slot)]
+				v, ok := ch.Slot(hashOf(slot))
 				wtx, we := cm.resolve(readSlot, addr, slot, maxTx)
 				if ok != (wtx >= 0) || (ok && v.Uint64() != we.val) {
 					t.Fatalf("flatten: addr %d slot %d = %d/%v, model writer %d", addr, slot, v.Uint64(), ok, wtx)

@@ -136,13 +136,14 @@ func (m *Memory) grow(n int) {
 func (m *Memory) Record(tx, inc int, reads []ReadRecord, cs *state.ChangeSet) (wroteNew bool) {
 	var locs []writeLoc
 	if cs != nil {
-		for addr, ch := range cs.Accounts {
-			locs = append(locs, writeLoc{addr: addr, kind: readScalar})
+		for i := range cs.Accounts {
+			ch := &cs.Accounts[i]
+			locs = append(locs, writeLoc{addr: ch.Addr, kind: readScalar})
 			if ch.CodeSet {
-				locs = append(locs, writeLoc{addr: addr, kind: readCode})
+				locs = append(locs, writeLoc{addr: ch.Addr, kind: readCode})
 			}
-			for slot := range ch.Storage {
-				locs = append(locs, writeLoc{addr: addr, slot: slot, kind: readSlot})
+			for _, s := range ch.Slots {
+				locs = append(locs, writeLoc{addr: ch.Addr, slot: s.Slot, kind: readSlot})
 			}
 		}
 		set := m.store.StripesOf(cs)

@@ -74,7 +74,6 @@ type synthOp struct {
 // runSynth executes one synthetic transaction against a view, returning its
 // change set and the checksum of every value it observed.
 func runSynth(ops []synthOp, view state.Reader) (*state.ChangeSet, uint64) {
-	cs := state.NewChangeSet()
 	var sum uint64
 	localBal := map[types.Address]uint64{}
 	localSlot := map[slotKey]uint64{}
@@ -105,21 +104,21 @@ func runSynth(ops []synthOp, view state.Reader) (*state.ChangeSet, uint64) {
 			}
 		}
 	}
+	var accts []state.AccountChange
+	owner := map[types.Address]int{}
 	for a, b := range localBal {
-		ch := &state.AccountChange{Nonce: nonceOf(view, a)}
+		ch := state.AccountChange{Addr: a, Nonce: nonceOf(view, a)}
 		ch.Balance.SetUint64(b)
-		cs.Accounts[a] = ch
+		owner[a] = len(accts)
+		accts = append(accts, ch)
 	}
 	for sk, v := range localSlot {
-		ch := cs.Accounts[sk.addr]
-		if ch.Storage == nil {
-			ch.Storage = make(map[types.Hash]uint256.Int)
-		}
 		var val uint256.Int
 		val.SetUint64(v)
-		ch.Storage[sk.slot] = val
+		ch := &accts[owner[sk.addr]]
+		ch.Slots = append(ch.Slots, state.SlotChange{Slot: sk.slot, Val: val})
 	}
-	return cs, sum
+	return state.NewChangeSet(accts...), sum
 }
 
 // serialOracle applies the programs in index order over plain maps,
@@ -223,7 +222,7 @@ func TestInstanceMatchesSerial(t *testing.T) {
 				}
 				flat := inst.Flatten()
 				for a, want := range wantBal {
-					ch := flat.Accounts[a]
+					ch := flat.Account(a)
 					var got uint64
 					if ch != nil {
 						got = ch.Balance.Uint64()
@@ -235,11 +234,11 @@ func TestInstanceMatchesSerial(t *testing.T) {
 					}
 				}
 				for sk, want := range wantSlots {
-					ch := flat.Accounts[sk.addr]
+					ch := flat.Account(sk.addr)
 					if ch == nil {
 						t.Fatalf("flatten lost account %v", sk.addr)
 					}
-					v := ch.Storage[sk.slot]
+					v, _ := ch.Slot(sk.slot)
 					if v.Uint64() != want {
 						t.Fatalf("final slot %v: got %d, want %d", sk, v.Uint64(), want)
 					}
@@ -263,10 +262,10 @@ func TestEstimateSuspension(t *testing.T) {
 	a := addrOf(0)
 
 	reads := []ReadRecord{{Addr: a, Kind: readScalar, Tx: baseVersion}}
-	cs := state.NewChangeSet()
 	ch := &state.AccountChange{}
 	ch.Balance.SetUint64(150)
-	cs.Accounts[a] = ch
+	ch.Addr = a
+	cs := state.NewChangeSet(*ch)
 	if wroteNew := m.Record(0, 0, reads, cs); !wroteNew {
 		t.Fatal("first incarnation must report a new path")
 	}
@@ -298,8 +297,8 @@ func TestEstimateSuspension(t *testing.T) {
 	// wroteNew is false (same path), and readers see the new incarnation.
 	ch2 := &state.AccountChange{}
 	ch2.Balance.SetUint64(175)
-	cs2 := state.NewChangeSet()
-	cs2.Accounts[a] = ch2
+	ch2.Addr = a
+	cs2 := state.NewChangeSet(*ch2)
 	if wroteNew := m.Record(0, 1, reads, cs2); wroteNew {
 		t.Fatal("same-path re-execution must not report a new path")
 	}
@@ -324,10 +323,10 @@ func TestValidateReadSet(t *testing.T) {
 	}
 
 	// Tx 1 lands a write below it: the base read is now stale.
-	cs := state.NewChangeSet()
 	ch := &state.AccountChange{}
 	ch.Balance.SetUint64(7)
-	cs.Accounts[a] = ch
+	ch.Addr = a
+	cs := state.NewChangeSet(*ch)
 	m.Record(1, 0, nil, cs)
 	if _, ok := m.ValidateReadSet(2); ok {
 		t.Fatal("base read must fail once tx 1 wrote the key")
@@ -352,14 +351,13 @@ func TestPurge(t *testing.T) {
 	m.grow(4)
 	a := addrOf(0)
 	for tx := 0; tx < 3; tx++ {
-		cs := state.NewChangeSet()
 		ch := &state.AccountChange{}
 		ch.Balance.SetUint64(uint64(10 + tx))
-		ch.Storage = map[types.Hash]uint256.Int{}
 		var sv uint256.Int
 		sv.SetUint64(uint64(100 + tx))
-		ch.Storage[hashOf(0)] = sv
-		cs.Accounts[a] = ch
+		ch.Slots = append(ch.Slots, state.SlotChange{Slot: hashOf(0), Val: sv})
+		ch.Addr = a
+		cs := state.NewChangeSet(*ch)
 		m.Record(tx, 0, nil, cs)
 	}
 	m.Purge(2)
@@ -373,7 +371,7 @@ func TestPurge(t *testing.T) {
 		t.Fatalf("purge left slot state: ok=%v tx=%d val=%d", ok, s.Key, s.Val.Uint64())
 	}
 	flat := m.Flatten()
-	if got := flat.Accounts[a].Balance.Uint64(); got != 10 {
+	if got := flat.Account(a).Balance.Uint64(); got != 10 {
 		t.Fatalf("flatten after purge: balance %d, want 10", got)
 	}
 }
@@ -387,10 +385,10 @@ func TestCodePathIndependence(t *testing.T) {
 	a := addrOf(0)
 
 	// Tx 1 writes only the balance, then aborts (ESTIMATE).
-	cs := state.NewChangeSet()
 	ch := &state.AccountChange{}
 	ch.Balance.SetUint64(6)
-	cs.Accounts[a] = ch
+	ch.Addr = a
+	cs := state.NewChangeSet(*ch)
 	m.Record(1, 0, nil, cs)
 	m.ConvertToEstimates(1)
 
@@ -405,10 +403,10 @@ func TestCodePathIndependence(t *testing.T) {
 
 	// A deploy below it invalidates the code read, and the new-path report
 	// is what forces the revalidation sweep.
-	cs2 := state.NewChangeSet()
 	ch2 := &state.AccountChange{Code: []byte{0x60}, CodeSet: true}
 	ch2.Balance.SetUint64(6)
-	cs2.Accounts[a] = ch2
+	ch2.Addr = a
+	cs2 := state.NewChangeSet(*ch2)
 	if wroteNew := m.Record(2, 0, nil, cs2); !wroteNew {
 		t.Fatal("a deploy is a new path")
 	}
@@ -426,9 +424,7 @@ func TestViewCodeMatchesHashAcrossReRecord(t *testing.T) {
 	x := addrOf(0)
 	codeA, codeA2 := []byte{0x60, 0x01, 0x00}, []byte{0x5b, 0x5b, 0x60, 0x02, 0x56}
 	deploy := func(code []byte) *state.ChangeSet {
-		cs := state.NewChangeSet()
-		cs.Accounts[x] = &state.AccountChange{Nonce: 1, Code: code, CodeSet: code != nil}
-		return cs
+		return state.NewChangeSet(state.AccountChange{Addr: x, Nonce: 1, Code: code, CodeSet: code != nil})
 	}
 	cases := []struct {
 		name     string
@@ -503,10 +499,10 @@ func TestStaleReadsFault(t *testing.T) {
 	m.grow(4)
 	m.stale = true
 	a := addrOf(0)
-	cs := state.NewChangeSet()
 	ch := &state.AccountChange{}
 	ch.Balance.SetUint64(999)
-	cs.Accounts[a] = ch
+	ch.Addr = a
+	cs := state.NewChangeSet(*ch)
 	m.Record(0, 0, nil, cs)
 	if got := balanceOf(newView(m, 2), a); got.Uint64() != 100 {
 		t.Fatalf("stale view must read the base: got %d", got.Uint64())

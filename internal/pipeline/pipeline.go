@@ -33,6 +33,10 @@ import (
 // ErrParentUnavailable fails blocks whose parent never validated.
 var ErrParentUnavailable = errors.New("pipeline: parent block never validated")
 
+// afterInsert, when set (tests only), runs between a block's insert into the
+// chain and the send of its outcome.
+var afterInsert func(*types.Block)
+
 // ErrPoolClosed reports a submission to a closed worker pool.
 var ErrPoolClosed = errors.New("pipeline: worker pool closed")
 
@@ -141,6 +145,7 @@ type Pipeline struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	running  int                            // active validations
+	unsent   map[types.Hash]bool            // blocks in the chain whose commit outcome is not sent yet
 	waiting  map[types.Hash][]*pendingBlock // parent hash → parked blocks
 	siblings map[types.Hash]siblingRef      // parent hash → the record its running children share
 
@@ -157,6 +162,7 @@ type siblingRef struct {
 
 type pendingBlock struct {
 	block    *types.Block
+	hash     types.Hash
 	arrived  time.Time
 	released time.Time           // when the parent's commitment unparked it (zero if never parked)
 	sib      *validator.Siblings // shared with the running blocks on the same parent
@@ -179,6 +185,7 @@ func New(c *chain.Chain, cfg validator.Config, pool *WorkerPool) *Pipeline {
 		params:   c.Params(),
 		pool:     pool,
 		ownPool:  own,
+		unsent:   make(map[types.Hash]bool),
 		waiting:  make(map[types.Hash][]*pendingBlock),
 		siblings: make(map[types.Hash]siblingRef),
 		results:  make(chan Outcome, 4096),
@@ -213,14 +220,17 @@ func (p *Pipeline) nodeName() string {
 }
 
 // Submit hands a block to the pipeline. Blocks may arrive in any order; a
-// block waits until its parent has been validated, and a block on the same
-// parent as one already running follows it (see the package comment).
+// block waits until its parent has been validated and its outcome sent, and a
+// block on the same parent as one already running follows it (see the
+// package comment).
 func (p *Pipeline) Submit(block *types.Block) {
 	flight.BlockSubmit(block.Header.Number)
-	pb := &pendingBlock{block: block, arrived: time.Now()}
+	// One header encoding + Keccak per block, taken outside p.mu: the hash
+	// keys the block's spans and, under the lock, its waiting children.
+	pb := &pendingBlock{block: block, hash: block.Hash(), arrived: time.Now()}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.chain.StateOf(block.Header.ParentHash) == nil {
+	if parent := block.Header.ParentHash; p.chain.StateOf(parent) == nil || p.unsent[parent] {
 		p.waiting[block.Header.ParentHash] = append(p.waiting[block.Header.ParentHash], pb)
 		telemetry.PipelineWaiting.Add(1)
 		return
@@ -247,10 +257,7 @@ func (p *Pipeline) startLocked(pb *pendingBlock) {
 
 // run validates one block whose parent state is available.
 func (p *Pipeline) run(pb *pendingBlock) {
-	block := pb.block
-	// One header encoding + Keccak per run, taken outside p.mu: the hash keys
-	// the spans below and, under the lock, this block's waiting children.
-	bh := block.Hash()
+	block, bh := pb.block, pb.hash
 	if tr := trace.Resolve(p.tracer); tr != nil {
 		// Attribute the pre-validation latency: time parked behind the
 		// parent (parent_wait) and time between release and this goroutine
@@ -270,15 +277,29 @@ func (p *Pipeline) run(pb *pendingBlock) {
 	res, err := validator.ValidateSibling(parentState, &parentBlock.Header, block, p.cfg, p.params, pb.sib, pb.lead)
 	out := Outcome{Block: block, Result: res, Err: err, Elapsed: time.Since(pb.arrived)}
 	if err == nil {
+		// Marked before the insert makes the state visible, so a child
+		// submitted from here on parks until this outcome is sent. Only a
+		// block that validated marks its hash: a same-hash tampered copy
+		// running beside it must not clear the mark.
+		p.mu.Lock()
+		p.unsent[bh] = true
+		p.mu.Unlock()
 		if insErr := p.chain.InsertWithReceipts(block, res.State, res.Receipts); insErr != nil {
 			out.Err = insErr
 		}
+	}
+	if afterInsert != nil {
+		afterInsert(block)
 	}
 	telemetry.PipelineBlockSeconds.ObserveDuration(out.Elapsed)
 	flight.BlockDone(block.Header.Number, out.Err == nil)
 	p.results <- out
 
+	// The outcome is sent: a child parked behind this block may start.
 	p.mu.Lock()
+	if err == nil {
+		delete(p.unsent, bh)
+	}
 	parent := block.Header.ParentHash
 	if ref := p.siblings[parent]; ref.refs == 1 {
 		delete(p.siblings, parent)
@@ -297,8 +318,9 @@ func (p *Pipeline) run(pb *pendingBlock) {
 			c.released = now
 			p.startLocked(c)
 		}
-	} else {
-		// A rejected block strands its descendants: fail the subtree.
+	} else if p.chain.StateOf(bh) == nil {
+		// A rejected block strands its descendants: fail the subtree — unless
+		// a same-hash copy is in the chain, whose own send releases them.
 		_ = p.failSubtreeLocked(bh, out.Err)
 	}
 	p.running--
@@ -316,7 +338,7 @@ func (p *Pipeline) failSubtreeLocked(parent types.Hash, cause error) int {
 	n := len(children)
 	for _, c := range children {
 		p.results <- Outcome{Block: c.block, Err: cause, Elapsed: time.Since(c.arrived)}
-		n += p.failSubtreeLocked(c.block.Hash(), cause)
+		n += p.failSubtreeLocked(c.hash, cause)
 	}
 	return n
 }

@@ -196,3 +196,38 @@ func TestSharedWorkerPool(t *testing.T) {
 		}
 	}
 }
+
+// TestChildReportsAfterParent holds a parent between its insert into the
+// chain and the send of its outcome, and submits its child there: the child
+// must wait for that send, so Results reports the parent first.
+func TestChildReportsAfterParent(t *testing.T) {
+	c, heights := buildChain(t, 2, 0)
+	parent, child := heights[0][0], heights[1][0]
+	inserted, proceed := make(chan struct{}), make(chan struct{})
+	afterInsert = func(b *types.Block) {
+		if b == parent {
+			close(inserted)
+			<-proceed
+		}
+	}
+	t.Cleanup(func() { afterInsert = nil })
+	p := New(c, validator.DefaultConfig(4), nil)
+	p.Submit(parent)
+	<-inserted
+	p.Submit(child)
+	p.mu.Lock()
+	parked := len(p.waiting[parent.Hash()])
+	p.mu.Unlock()
+	close(proceed)
+	p.Close()
+	var order []uint64
+	for out := range p.Results() {
+		if out.Err != nil {
+			t.Fatalf("block %d: %v", out.Block.Number(), out.Err)
+		}
+		order = append(order, out.Block.Number())
+	}
+	if parked != 1 || len(order) != 2 || order[0] != 1 {
+		t.Fatalf("child parked %d, outcomes in order %v: a child started before its parent reported", parked, order)
+	}
+}

@@ -137,7 +137,7 @@ func checkBadDependencyGraph(f *mutFixture) MutationCheck {
 func checkSkippedWSI(f *mutFixture) MutationCheck {
 	m := MutationCheck{Name: "skipped-wsi-validation"}
 	bc := chain.BlockContextFor(&f.block.Header, f.params.ChainID)
-	total := state.NewChangeSet()
+	var parts []*state.ChangeSet
 	applied := 0
 	for i, tx := range f.block.Txs {
 		// The buggy proposer never re-executes: stale snapshot for everyone.
@@ -145,14 +145,14 @@ func checkSkippedWSI(f *mutFixture) MutationCheck {
 		if _, _, err := chain.ApplyTransaction(o, tx, bc); err != nil {
 			continue // a second same-sender tx aborts on the stale nonce — skip, like a dropped tx
 		}
-		total.Merge(o.ChangeSet())
+		parts = append(parts, o.ChangeSet())
 		applied++
 	}
 	if applied < 2 {
 		m.Detail = "fixture produced too few applicable txs"
 		return m
 	}
-	_, mergedRoot := chain.CommitAndRoot(f.genesis, total, f.params, 1)
+	_, mergedRoot := chain.CommitAndRoot(f.genesis, state.Fold(parts...), f.params, 1)
 	if mergedRoot != f.block.Header.StateRoot {
 		m.Caught = true
 		m.Detail = fmt.Sprintf("stale-read merged root %s != serializable root %s (%d txs merged)", mergedRoot, f.block.Header.StateRoot, applied)

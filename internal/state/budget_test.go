@@ -2,6 +2,7 @@ package state_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"blockpilot/internal/chain"
@@ -167,8 +168,8 @@ func (m *memoryRef) ensure(addr types.Address) *memAccountRef {
 }
 
 func (m *memoryRef) applyChangeSet(cs *state.ChangeSet) {
-	for addr, ch := range cs.Accounts {
-		a := m.ensure(addr)
+	for _, ch := range cs.Accounts {
+		a := m.ensure(ch.Addr)
 		a.nonce = ch.Nonce
 		a.balance = ch.Balance
 		a.exists = true
@@ -177,8 +178,8 @@ func (m *memoryRef) applyChangeSet(cs *state.ChangeSet) {
 			a.codeHash = types.Hash(crypto.Sum256(ch.Code))
 			a.hasCode = true
 		}
-		for slot, v := range ch.Storage {
-			a.storage[slot] = v
+		for _, s := range ch.Slots {
+			a.storage[s.Slot] = s.Val
 		}
 	}
 }
@@ -241,20 +242,23 @@ func TestApplyChangeSetReadsNothing(t *testing.T) {
 		m := state.NewMemory(base)
 		ref := &memoryRef{base: genesis, accounts: map[types.Address]*memAccountRef{}}
 		for n := 1 + rng.Intn(4); n > 0; n-- {
-			cs := state.NewChangeSet()
+			var accts []state.AccountChange
 			for k := 1 + rng.Intn(5); k > 0; k-- {
-				ch := &state.AccountChange{Nonce: uint64(rng.Intn(9)), Balance: *uint256.NewInt(uint64(rng.Intn(1000)))}
+				ch := state.AccountChange{Nonce: uint64(rng.Intn(9)), Balance: *uint256.NewInt(uint64(rng.Intn(1000)))}
 				if rng.Intn(4) == 0 {
 					ch.Code, ch.CodeSet = []byte{0x60, byte(rng.Intn(3))}, true
 				}
 				for s := rng.Intn(3); s > 0; s-- {
-					if ch.Storage == nil {
-						ch.Storage = map[types.Hash]uint256.Int{}
-					}
-					ch.Storage[slot(rng.Intn(slots))] = *uint256.NewInt(uint64(rng.Intn(3))) // zeroes included
+					ch.Slots = append(ch.Slots, state.SlotChange{Slot: slot(rng.Intn(slots)), Val: *uint256.NewInt(uint64(rng.Intn(3)))}) // zeroes included
 				}
-				cs.Accounts[addr(rng.Intn(addrs))] = ch
+				ch.Addr = addr(rng.Intn(addrs))
+				if i := slices.IndexFunc(accts, func(c state.AccountChange) bool { return c.Addr == ch.Addr }); i >= 0 {
+					accts[i] = ch // a later write of the account replaces the earlier one
+				} else {
+					accts = append(accts, ch)
+				}
 			}
+			cs := state.NewChangeSet(accts...)
 			m.ApplyChangeSet(cs)
 			ref.applyChangeSet(cs)
 		}

@@ -15,14 +15,15 @@ import (
 // Addresses overlap run-to-run for a given rng so successive commits touch
 // existing accounts too.
 func randomChangeSet(r *rand.Rand, nAccounts, addrSpace int) *ChangeSet {
-	cs := NewChangeSet()
-	for len(cs.Accounts) < nAccounts {
+	var accts []AccountChange
+	index := make(map[types.Address]int)
+	for len(accts) < nAccounts {
 		var addr types.Address
 		v := r.Intn(addrSpace * 8) // 8× headroom over nAccounts, still collision-heavy
 		addr[0] = byte(v)
 		addr[1] = byte(v >> 8)
 		addr[19] = 0xEE
-		ch := &AccountChange{Nonce: uint64(r.Intn(1000))}
+		ch := AccountChange{Addr: addr, Nonce: uint64(r.Intn(1000))}
 		ch.Balance.SetUint64(uint64(r.Int63()))
 		switch r.Intn(4) {
 		case 0: // plain EOA change
@@ -32,7 +33,6 @@ func randomChangeSet(r *rand.Rand, nAccounts, addrSpace int) *ChangeSet {
 			ch.Code, ch.CodeSet = code, true
 			fallthrough
 		default: // storage writes, some zeroed (deletes)
-			ch.Storage = make(map[types.Hash]uint256.Int)
 			for s := 0; s < 1+r.Intn(12); s++ {
 				var slot types.Hash
 				slot[0] = byte(r.Intn(32)) // collide across commits
@@ -41,12 +41,17 @@ func randomChangeSet(r *rand.Rand, nAccounts, addrSpace int) *ChangeSet {
 				if r.Intn(4) != 0 {
 					v.SetUint64(uint64(r.Int63()))
 				} // else zero → slot delete
-				ch.Storage[slot] = v
+				ch.Slots = append(ch.Slots, SlotChange{Slot: slot, Val: v}) // a repeated slot: the last write wins
 			}
 		}
-		cs.Accounts[addr] = ch
+		if i, ok := index[addr]; ok {
+			accts[i] = ch // an overwritten account
+		} else {
+			index[addr] = len(accts)
+			accts = append(accts, ch)
+		}
 	}
-	return cs
+	return NewChangeSet(accts...)
 }
 
 // snapshotEqual checks full observable parity, not just the root.
@@ -88,12 +93,13 @@ func commitRef(s *Snapshot, cs *ChangeSet) *Snapshot {
 	if s.db != nil {
 		disk = s.newDiskInstaller(len(cs.Accounts))
 	}
-	for addr, ch := range cs.Accounts {
-		r, flat := s.resolveChange(addr, ch)
+	for i := range cs.Accounts {
+		ch := &cs.Accounts[i]
+		r, flat := s.resolveChange(ch)
 		if disk != nil {
-			disk.install(addr, ch, &r, flat)
+			disk.install(ch, &r, flat)
 		} else {
-			mem.install(addr, &r)
+			mem.install(ch.Addr, &r)
 		}
 		ns.accounts.Update(r.hashedAddr, r.leaf)
 	}
@@ -205,11 +211,13 @@ func TestHashedKeyCacheParity(t *testing.T) {
 	cs := randomChangeSet(r, 50, 48)
 	warm := NewSnapshot().Commit(cs) // cache warmed during commit
 	cold := NewSnapshot().Commit(cs)
-	for addr, ch := range cs.Accounts {
+	for _, ch := range cs.Accounts {
+		addr := ch.Addr
 		if warm.Nonce(addr) != cold.Nonce(addr) {
 			t.Fatalf("nonce mismatch through key cache for %s", addr)
 		}
-		for slot := range ch.Storage {
+		for _, s := range ch.Slots {
+			slot := s.Slot
 			w, c := warm.Storage(addr, slot), cold.Storage(addr, slot)
 			if w.Cmp(&c) != 0 {
 				t.Fatalf("storage mismatch through key cache for %s %s", addr, slot)

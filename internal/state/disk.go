@@ -131,14 +131,14 @@ func (s *Snapshot) ForEachStorage(addr types.Address, fn func(hashedSlot types.H
 type diskInstaller struct {
 	batch       *trie.Batch
 	flatAccts   map[types.Address]flatAccount
-	flatStorage map[types.Address]map[types.Hash]uint256.Int
+	flatStorage map[types.Address][]SlotChange
 }
 
 func (s *Snapshot) newDiskInstaller(n int) *diskInstaller {
 	return &diskInstaller{batch: s.db.NewBatch(), flatAccts: make(map[types.Address]flatAccount, n)}
 }
 
-func (d *diskInstaller) install(addr types.Address, ch *AccountChange, r *resolvedChange, flat flatAccount) {
+func (d *diskInstaller) install(ch *AccountChange, r *resolvedChange, flat flatAccount) {
 	if r.codeSet {
 		d.batch.PutCode([32]byte(r.codeHash), r.code)
 	}
@@ -147,11 +147,11 @@ func (d *diskInstaller) install(addr types.Address, ch *AccountChange, r *resolv
 		// leaf's storageRoot edge resolves inside the same batch.
 		d.batch.PersistTrie(r.storage)
 		if d.flatStorage == nil {
-			d.flatStorage = make(map[types.Address]map[types.Hash]uint256.Int)
+			d.flatStorage = make(map[types.Address][]SlotChange)
 		}
-		d.flatStorage[addr] = copySlots(ch.Storage)
+		d.flatStorage[ch.Addr] = ch.Slots // the set is immutable: the layer keeps its slots
 	}
-	d.flatAccts[addr] = flat
+	d.flatAccts[ch.Addr] = flat
 }
 
 // finish persists the accounts trie behind the batch's one barrier, anchors
@@ -164,17 +164,6 @@ func (d *diskInstaller) finish(parent, ns *Snapshot) {
 		panic(fmt.Errorf("state: disk commit: %w", err))
 	}
 	ns.flat = pushFlatLayer(parent.flat, d.flatAccts, d.flatStorage)
-}
-
-// copySlots snapshots a change set's dirty-slot map for the flat layer: the
-// caller may reuse or merge the change set after Commit returns, and flat
-// layers are read concurrently.
-func copySlots(slots map[types.Hash]uint256.Int) map[types.Hash]uint256.Int {
-	out := make(map[types.Hash]uint256.Int, len(slots))
-	for k, v := range slots {
-		out[k] = v
-	}
-	return out
 }
 
 // defaultGenesisChunk is BuildInto's commit granularity in weight units
@@ -196,23 +185,22 @@ func (g *GenesisBuilder) BuildInto(db *trie.Database, chunk int) *Snapshot {
 		chunk = defaultGenesisChunk
 	}
 	st := NewSnapshotDisk(db)
-	cs := NewChangeSet()
+	var accts []AccountChange
 	weight := 0
 	var prevRoot types.Hash
 	havePrev := false
 	flush := func() {
-		if len(cs.Accounts) == 0 {
+		if len(accts) == 0 {
 			return
 		}
-		st = st.CommitParallel(cs, runtime.GOMAXPROCS(0))
+		st = st.CommitParallel(NewChangeSet(accts...), runtime.GOMAXPROCS(0))
 		if havePrev {
 			if err := db.Release([32]byte(prevRoot)); err != nil {
 				panic(fmt.Errorf("state: genesis chunk release: %w", err))
 			}
 		}
 		prevRoot, havePrev = st.Root(), true
-		cs = NewChangeSet()
-		weight = 0
+		accts, weight = accts[:0], 0
 	}
 
 	for addr, acct := range g.accounts {
@@ -223,12 +211,8 @@ func (g *GenesisBuilder) BuildInto(db *trie.Database, chunk int) *Snapshot {
 			pending := make(map[types.Hash]uint256.Int, chunk)
 			first := true
 			emit := func() {
-				ch := &AccountChange{Nonce: acct.Nonce, Balance: acct.Balance, Storage: pending}
-				if first && len(acct.Code) > 0 {
-					ch.Code, ch.CodeSet = acct.Code, true
-				}
+				accts = append(accts, acct.change(addr, pending, first))
 				first = false
-				cs.Accounts[addr] = ch
 				flush()
 				pending = make(map[types.Hash]uint256.Int, chunk)
 			}
@@ -243,11 +227,7 @@ func (g *GenesisBuilder) BuildInto(db *trie.Database, chunk int) *Snapshot {
 			}
 			continue
 		}
-		ch := &AccountChange{Nonce: acct.Nonce, Balance: acct.Balance, Storage: acct.Storage}
-		if len(acct.Code) > 0 {
-			ch.Code, ch.CodeSet = acct.Code, true
-		}
-		cs.Accounts[addr] = ch
+		accts = append(accts, acct.change(addr, acct.Storage, true))
 		weight += 1 + len(acct.Storage)
 		if weight >= chunk {
 			flush()

@@ -41,12 +41,12 @@ func runDiskChain(t *testing.T, db *trie.Database, accounts, blocks, txAccounts 
 	r := rand.New(rand.NewSource(1))
 	window := []types.Hash{st.Root()}
 	for b := 0; b < blocks; b++ {
-		cs := NewChangeSet()
-		for len(cs.Accounts) < txAccounts {
+		var accts []AccountChange
+		index := make(map[types.Address]int)
+		for len(accts) < txAccounts {
 			addr := diskChainAddr(r.Intn(accounts))
-			ch := &AccountChange{Nonce: st.Nonce(addr) + 1, Balance: st.Balance(addr)}
+			ch := AccountChange{Addr: addr, Nonce: st.Nonce(addr) + 1, Balance: st.Balance(addr)}
 			if r.Intn(3) == 0 {
-				ch.Storage = make(map[types.Hash]uint256.Int)
 				for s := 0; s < 1+r.Intn(8); s++ {
 					var slot types.Hash
 					slot[0] = byte(r.Intn(64))
@@ -54,12 +54,17 @@ func runDiskChain(t *testing.T, db *trie.Database, accounts, blocks, txAccounts 
 					if r.Intn(4) != 0 {
 						v.SetUint64(uint64(r.Int63()))
 					}
-					ch.Storage[slot] = v
+					ch.Slots = append(ch.Slots, SlotChange{Slot: slot, Val: v})
 				}
 			}
-			cs.Accounts[addr] = ch
+			if i, ok := index[addr]; ok {
+				accts[i] = ch
+			} else {
+				index[addr] = len(accts)
+				accts = append(accts, ch)
+			}
 		}
-		st = st.CommitParallel(cs, 4)
+		st = st.CommitParallel(NewChangeSet(accts...), 4)
 		window = append(window, st.Root())
 		for len(window) > diskChainKeepRoots {
 			if err := db.Release([32]byte(window[0])); err != nil {

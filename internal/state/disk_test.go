@@ -26,17 +26,18 @@ func openStateDB(t *testing.T, cacheNodes int) *trie.Database {
 // accounts that are touched in many change sets — the messy shapes the
 // parity property must hold under.
 func diskRandChangeSet(r *rand.Rand, base *Snapshot, pool []types.Address) *ChangeSet {
-	cs := NewChangeSet()
+	var accts []AccountChange
+	scalars := make(map[types.Address]AccountChange) // an account's first write: later ones keep its nonce and balance
 	n := 1 + r.Intn(12)
 	for i := 0; i < n; i++ {
 		addr := pool[r.Intn(len(pool))]
-		ch, ok := cs.Accounts[addr]
+		ch, ok := scalars[addr]
 		if !ok {
-			ch = &AccountChange{Nonce: base.Nonce(addr) + 1}
+			ch = AccountChange{Addr: addr, Nonce: base.Nonce(addr) + 1}
 			bal := base.Balance(addr)
 			bal.Add(&bal, uint256.NewInt(uint64(1+r.Intn(1000))))
 			ch.Balance = bal
-			cs.Accounts[addr] = ch
+			scalars[addr] = ch
 		}
 		switch r.Intn(4) {
 		case 0: // balance/nonce only
@@ -44,9 +45,6 @@ func diskRandChangeSet(r *rand.Rand, base *Snapshot, pool []types.Address) *Chan
 			ch.Code = []byte(fmt.Sprintf("code-%d-%d", r.Intn(4), r.Intn(4)))
 			ch.CodeSet = true
 		default: // touch 1..4 slots, ~1-in-4 a zero write (delete)
-			if ch.Storage == nil {
-				ch.Storage = make(map[types.Hash]uint256.Int)
-			}
 			for s := 0; s < 1+r.Intn(4); s++ {
 				var slot types.Hash
 				slot[0] = byte(r.Intn(6))
@@ -54,11 +52,12 @@ func diskRandChangeSet(r *rand.Rand, base *Snapshot, pool []types.Address) *Chan
 				if r.Intn(4) != 0 {
 					v = *uint256.NewInt(uint64(1 + r.Intn(1<<20)))
 				}
-				ch.Storage[slot] = v
+				ch.Slots = append(ch.Slots, SlotChange{Slot: slot, Val: v})
 			}
 		}
+		accts = append(accts, ch)
 	}
-	return cs
+	return NewChangeSet(accts...) // folded: code sticks, slots form a union
 }
 
 // dumpAccounts materializes the full iterated account state.

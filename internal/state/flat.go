@@ -38,13 +38,13 @@ const flatMaxLayerAccounts = 4096
 type flatLayer struct {
 	parent   atomic.Pointer[flatLayer]
 	accounts map[types.Address]flatAccount
-	storage  map[types.Address]map[types.Hash]uint256.Int
+	storage  map[types.Address][]SlotChange // one commit's sorted slots, as its change set holds them
 }
 
 // pushFlatLayer stacks one commit's diff on parent and enforces the depth
 // cap. Oversized diffs return parent unchanged (the commit is served by the
 // trie alone).
-func pushFlatLayer(parent *flatLayer, accounts map[types.Address]flatAccount, storage map[types.Address]map[types.Hash]uint256.Int) *flatLayer {
+func pushFlatLayer(parent *flatLayer, accounts map[types.Address]flatAccount, storage map[types.Address][]SlotChange) *flatLayer {
 	if len(accounts) == 0 || len(accounts) > flatMaxLayerAccounts {
 		return parent
 	}
@@ -77,8 +77,9 @@ func (l *flatLayer) account(addr types.Address) (flatAccount, bool) {
 // trie's "absent reads as zero".
 func (l *flatLayer) slot(addr types.Address, slot types.Hash) (uint256.Int, bool) {
 	for cur := l; cur != nil; cur = cur.parent.Load() {
-		if m, ok := cur.storage[addr]; ok {
-			if v, ok := m[slot]; ok {
+		if slots, ok := cur.storage[addr]; ok {
+			ch := AccountChange{Slots: slots}
+			if v, ok := ch.Slot(slot); ok {
 				return v, true
 			}
 		}

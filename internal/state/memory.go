@@ -138,11 +138,11 @@ func (m *Memory) SetStorage(addr types.Address, slot types.Hash, v uint256.Int) 
 // change carries the account's full post-nonce and post-balance, so nothing
 // is read from the base: code and untouched slots keep falling through.
 func (m *Memory) ApplyChangeSet(cs *ChangeSet) {
-	for addr, ch := range cs.Accounts {
-		a, ok := m.accounts[addr]
+	for _, ch := range cs.Accounts {
+		a, ok := m.accounts[ch.Addr]
 		if !ok {
 			a = &memAccount{}
-			m.accounts[addr] = a
+			m.accounts[ch.Addr] = a
 		}
 		a.nonce = ch.Nonce
 		a.balance = ch.Balance
@@ -151,8 +151,8 @@ func (m *Memory) ApplyChangeSet(cs *ChangeSet) {
 			a.codeHash = types.Hash(crypto.Sum256(ch.Code))
 			a.hasCode = true
 		}
-		for slot, v := range ch.Storage {
-			a.setSlot(slot, v)
+		for _, s := range ch.Slots {
+			a.setSlot(s.Slot, s.Val)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package state
 
 import (
+	"slices"
+
 	"blockpilot/internal/crypto"
 	"blockpilot/internal/types"
 	"blockpilot/internal/uint256"
@@ -422,26 +424,37 @@ func (o *Overlay) RevertToSnapshot(snap int) {
 	o.journal = o.journal[:snap]
 }
 
-// ChangeSet materializes the surviving writes.
+// ChangeSet materializes the surviving writes as a sorted set of two arrays:
+// the accounts, and one slot array that every account's Slots sub-slices.
 func (o *Overlay) ChangeSet() *ChangeSet {
-	cs := NewChangeSet()
+	n, slots := 0, 0
+	for _, a := range o.accounts {
+		if a.dirty || a.codeDirty || a.dirtySlots > 0 {
+			n, slots = n+1, slots+a.dirtySlots
+		}
+	}
+	cs := &ChangeSet{Accounts: make([]AccountChange, 0, n)}
+	all := make([]SlotChange, 0, slots) // a zero capacity allocates nothing
 	for addr, a := range o.accounts {
 		if !a.dirty && !a.codeDirty && a.dirtySlots == 0 {
 			continue
 		}
-		ch := &AccountChange{Nonce: a.nonce, Balance: a.balance}
+		ch := AccountChange{Addr: addr, Nonce: a.nonce, Balance: a.balance}
 		if a.codeDirty {
 			ch.Code, ch.CodeSet = a.code, true
 		}
 		if a.dirtySlots > 0 {
-			ch.Storage = make(map[types.Hash]uint256.Int, a.dirtySlots)
+			start := len(all)
 			for slot, s := range a.storage {
 				if s.dirty {
-					ch.Storage[slot] = s.val
+					all = append(all, SlotChange{Slot: slot, Val: s.val})
 				}
 			}
+			ch.Slots = all[start:len(all):len(all)]
+			sortSlots(ch.Slots)
 		}
-		cs.Accounts[addr] = ch
+		cs.Accounts = append(cs.Accounts, ch)
 	}
+	slices.SortFunc(cs.Accounts, func(a, b AccountChange) int { return compareAddr(&a.Addr, &b.Addr) })
 	return cs
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"blockpilot/internal/chain"
@@ -153,17 +154,10 @@ func (s survivors) deepCopy() survivors {
 	for _, l := range s.receipt.Logs {
 		r.Logs = append(r.Logs, &types.Log{Address: l.Address, Topics: append([]types.Hash(nil), l.Topics...), Data: bytes.Clone(l.Data)})
 	}
-	cs := state.NewChangeSet()
-	for a, ch := range s.changes.Accounts {
-		c := *ch
-		c.Code = bytes.Clone(ch.Code)
-		if ch.Storage != nil {
-			c.Storage = make(map[types.Hash]uint256.Int, len(ch.Storage))
-			for k, v := range ch.Storage {
-				c.Storage[k] = v
-			}
-		}
-		cs.Accounts[a] = &c
+	cs := &state.ChangeSet{Accounts: slices.Clone(s.changes.Accounts)}
+	for i := range cs.Accounts {
+		cs.Accounts[i].Code = bytes.Clone(cs.Accounts[i].Code)
+		cs.Accounts[i].Slots = slices.Clone(cs.Accounts[i].Slots)
 	}
 	p := &types.TxProfile{GasUsed: s.profile.GasUsed,
 		Reads: append([]types.KeyVersion(nil), s.profile.Reads...), Writes: append([]types.StateKey(nil), s.profile.Writes...)}
@@ -231,10 +225,10 @@ func TestResetDoesNotAliasSurvivors(t *testing.T) {
 		}
 	}
 	// The program must actually have produced every kind of survivor.
-	if len(held[0].receipt.Logs) != 1 || len(held[0].receipt.ReturnData) != 32 || len(held[0].changes.Accounts[budgetContract].Storage) != 1 {
+	if len(held[0].receipt.Logs) != 1 || len(held[0].receipt.ReturnData) != 32 || len(held[0].changes.Account(budgetContract).Slots) != 1 {
 		t.Fatalf("tx 0 handed out %+v", held[0].receipt)
 	}
-	deployed := held[1].changes.Accounts[held[1].receipt.ContractAddress]
+	deployed := held[1].changes.Account(held[1].receipt.ContractAddress)
 	if deployed == nil || !deployed.CodeSet || len(deployed.Code) != 16 {
 		t.Fatalf("tx 1 deployed %+v", deployed)
 	}

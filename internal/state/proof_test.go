@@ -85,12 +85,10 @@ func TestStorageProofAgainstWrongRootFails(t *testing.T) {
 
 func TestProofTracksCommits(t *testing.T) {
 	s := proofGenesis()
-	cs := NewChangeSet()
-	cs.Accounts[addr(2)] = &AccountChange{
-		Nonce: 0, Balance: *u(7),
-		Storage: map[types.Hash]uint256.Int{slot(1): *u(999)},
-	}
-	s2 := s.Commit(cs)
+	s2 := s.Commit(NewChangeSet(AccountChange{
+		Addr: addr(2), Nonce: 0, Balance: *u(7),
+		Slots: []SlotChange{{Slot: slot(1), Val: *u(999)}},
+	}))
 
 	// Old root proves the old value; new root proves the new one.
 	v, err := VerifyStorageProof(s.Root(), s.ProveStorage(addr(2), slot(1)))

@@ -2,6 +2,7 @@ package state
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -254,9 +255,10 @@ type resolvedChange struct {
 // only reads the immutable parent, so resolveChanges may call it from worker
 // goroutines; where tries, code and flat layers are stored is the
 // installer's business.
-func (s *Snapshot) resolveChange(addr types.Address, ch *AccountChange) (resolvedChange, flatAccount) {
+func (s *Snapshot) resolveChange(ch *AccountChange) (resolvedChange, flatAccount) {
 	// One keccak(addr) per account, shared by the lookup and the caller's
 	// accounts-trie update.
+	addr := ch.Addr
 	r := resolvedChange{hashedAddr: s.hashedAddr(addr)}
 	var (
 		old     decodedAccount
@@ -278,7 +280,7 @@ func (s *Snapshot) resolveChange(addr types.Address, ch *AccountChange) (resolve
 		acct.codeHash = types.Hash(crypto.Sum256(ch.Code))
 		r.codeHash, r.code, r.codeSet = acct.codeHash, ch.Code, true
 	}
-	if len(ch.Storage) > 0 {
+	if len(ch.Slots) > 0 {
 		var st *trie.Trie
 		switch {
 		case s.db != nil:
@@ -288,7 +290,7 @@ func (s *Snapshot) resolveChange(addr types.Address, ch *AccountChange) (resolve
 		default:
 			st = trie.New()
 		}
-		r.storage = s.applyStorage(st, ch.Storage)
+		r.storage = s.applyStorage(st, ch.Slots)
 		acct.storageRoot = types.Hash(r.storage.Hash())
 	}
 	r.leaf = encodeAccount(acct.nonce, &acct.balance, acct.storageRoot, acct.codeHash)
@@ -296,27 +298,23 @@ func (s *Snapshot) resolveChange(addr types.Address, ch *AccountChange) (resolve
 }
 
 // resolveChanges runs resolveChange over every account of cs and returns the
-// results with their addresses, index-aligned; flats only on the disk
-// backend. With workers > 1 the accounts are fanned over that many goroutines
-// (they are independent by construction: one storage trie each, disjoint
-// leaves in the accounts trie); otherwise the one worker runs inline.
-func (s *Snapshot) resolveChanges(cs *ChangeSet, workers int) (addrs []types.Address, results []resolvedChange, flats []flatAccount) {
-	addrs = make([]types.Address, 0, len(cs.Accounts))
-	for addr := range cs.Accounts {
-		addrs = append(addrs, addr)
-	}
-	results = make([]resolvedChange, len(addrs))
+// results index-aligned with cs.Accounts; flats only on the disk backend.
+// With workers > 1 the accounts are fanned over that many goroutines (they
+// are independent by construction: one storage trie each, disjoint leaves in
+// the accounts trie); otherwise the one worker runs inline.
+func (s *Snapshot) resolveChanges(cs *ChangeSet, workers int) (results []resolvedChange, flats []flatAccount) {
+	results = make([]resolvedChange, len(cs.Accounts))
 	if s.db != nil {
-		flats = make([]flatAccount, len(addrs))
+		flats = make([]flatAccount, len(cs.Accounts))
 	}
 	var next atomic.Int64
 	worker := func() {
 		for {
 			i := int(next.Add(1)) - 1
-			if i >= len(addrs) {
+			if i >= len(cs.Accounts) {
 				return
 			}
-			r, flat := s.resolveChange(addrs[i], cs.Accounts[addrs[i]])
+			r, flat := s.resolveChange(&cs.Accounts[i])
 			results[i] = r
 			if flats != nil {
 				flats[i] = flat
@@ -325,7 +323,7 @@ func (s *Snapshot) resolveChanges(cs *ChangeSet, workers int) (addrs []types.Add
 	}
 	if workers <= 1 {
 		worker()
-		return addrs, results, flats
+		return results, flats
 	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -336,7 +334,7 @@ func (s *Snapshot) resolveChanges(cs *ChangeSet, workers int) (addrs []types.Add
 		}()
 	}
 	wg.Wait()
-	return addrs, results, flats
+	return results, flats
 }
 
 // child returns the shell of s's successor: a private handle on the accounts
@@ -385,16 +383,13 @@ func (s *Snapshot) Commit(cs *ChangeSet) *Snapshot {
 // copied, privately owned) storage trie. Zeroed slots become deletes —
 // trie.Batch treats empty values as deletions, matching Ethereum state
 // semantics.
-func (s *Snapshot) applyStorage(st *trie.Trie, slots map[types.Hash]uint256.Int) *trie.Trie {
-	keys := make([][]byte, 0, len(slots))
-	vals := make([][]byte, 0, len(slots))
-	for slot, val := range slots {
-		keys = append(keys, s.hashedSlot(slot))
-		if val.IsZero() {
-			vals = append(vals, nil)
-		} else {
-			b := val.Bytes()
-			vals = append(vals, rlp.AppendString(make([]byte, 0, 1+len(b)), b))
+func (s *Snapshot) applyStorage(st *trie.Trie, slots []SlotChange) *trie.Trie {
+	keys := make([][]byte, len(slots))
+	vals := make([][]byte, len(slots))
+	for i := range slots {
+		keys[i] = s.hashedSlot(slots[i].Slot)
+		if b := slots[i].Val.Bytes(); len(b) > 0 {
+			vals[i] = rlp.AppendString(make([]byte, 0, 1+len(b)), b)
 		}
 	}
 	st.Batch(keys, vals)
@@ -418,7 +413,7 @@ func (s *Snapshot) CommitParallel(cs *ChangeSet, workers int) *Snapshot {
 	if n < minParallelCommitAccounts {
 		workers = 1
 	}
-	addrs, results, flats := s.resolveChanges(cs, min(workers, n))
+	results, flats := s.resolveChanges(cs, min(workers, n))
 
 	ns := s.child()
 	mem := memInstaller{ns: ns}
@@ -430,9 +425,9 @@ func (s *Snapshot) CommitParallel(cs *ChangeSet, workers int) *Snapshot {
 	leaves := make([][]byte, n)
 	for i := range results {
 		if disk != nil {
-			disk.install(addrs[i], cs.Accounts[addrs[i]], &results[i], flats[i])
+			disk.install(&cs.Accounts[i], &results[i], flats[i])
 		} else {
-			mem.install(addrs[i], &results[i])
+			mem.install(cs.Accounts[i].Addr, &results[i])
 		}
 		keys[i], leaves[i] = results[i].hashedAddr, results[i].leaf
 	}
@@ -516,17 +511,23 @@ func (g *GenesisBuilder) AddContract(addr types.Address, balance *uint256.Int, c
 
 // Build produces the genesis snapshot.
 func (g *GenesisBuilder) Build() *Snapshot {
-	cs := NewChangeSet()
+	accts := make([]AccountChange, 0, len(g.accounts))
 	for addr, acct := range g.accounts {
-		ch := &AccountChange{
-			Nonce:   acct.Nonce,
-			Balance: acct.Balance,
-			Storage: acct.Storage,
-		}
-		if len(acct.Code) > 0 {
-			ch.Code, ch.CodeSet = acct.Code, true
-		}
-		cs.Accounts[addr] = ch
+		accts = append(accts, acct.change(addr, acct.Storage, true))
 	}
-	return NewSnapshot().Commit(cs)
+	return NewSnapshot().Commit(NewChangeSet(accts...))
+}
+
+// change is the account's genesis write with the given slots; withCode adds
+// its code.
+func (acct *genesisAccount) change(addr types.Address, storage map[types.Hash]uint256.Int, withCode bool) AccountChange {
+	ch := AccountChange{Addr: addr, Nonce: acct.Nonce, Balance: acct.Balance}
+	if withCode && len(acct.Code) > 0 {
+		ch.Code, ch.CodeSet = acct.Code, true
+	}
+	for slot, v := range storage {
+		ch.Slots = append(ch.Slots, SlotChange{Slot: slot, Val: v})
+	}
+	slices.SortFunc(ch.Slots, compareSlot) // unique keys; sorted, Fold's stable sort is one pass
+	return ch
 }

@@ -45,9 +45,7 @@ func TestCommitImmutability(t *testing.T) {
 	s0 := NewGenesisBuilder().AddAccount(addr(1), u(100)).Build()
 	root0 := s0.Root()
 
-	cs := NewChangeSet()
-	cs.Accounts[addr(1)] = &AccountChange{Nonce: 1, Balance: *u(50)}
-	cs.Accounts[addr(2)] = &AccountChange{Balance: *u(50)}
+	cs := NewChangeSet(AccountChange{Addr: addr(1), Nonce: 1, Balance: *u(50)}, AccountChange{Addr: addr(2), Balance: *u(50)})
 	s1 := s0.Commit(cs)
 
 	if b := s0.Balance(addr(1)); !b.Eq(u(100)) {
@@ -72,8 +70,7 @@ func TestCommitImmutability(t *testing.T) {
 
 func TestCommitStorageAffectsRoot(t *testing.T) {
 	s0 := NewGenesisBuilder().AddContract(addr(1), u(0), []byte{1}, nil).Build()
-	cs := NewChangeSet()
-	cs.Accounts[addr(1)] = &AccountChange{Storage: map[types.Hash]uint256.Int{slot(7): *u(9)}}
+	cs := NewChangeSet(AccountChange{Addr: addr(1), Slots: []SlotChange{{Slot: slot(7), Val: *u(9)}}})
 	s1 := s0.Commit(cs)
 	if s1.Root() == s0.Root() {
 		t.Fatal("storage change did not change root")
@@ -82,8 +79,7 @@ func TestCommitStorageAffectsRoot(t *testing.T) {
 		t.Fatal("storage not committed")
 	}
 	// Writing zero deletes the slot: root returns to the original.
-	cs2 := NewChangeSet()
-	cs2.Accounts[addr(1)] = &AccountChange{Storage: map[types.Hash]uint256.Int{slot(7): {}}}
+	cs2 := NewChangeSet(AccountChange{Addr: addr(1), Slots: []SlotChange{{Slot: slot(7)}}})
 	s2 := s1.Commit(cs2)
 	if s2.Root() != s0.Root() {
 		t.Fatal("zeroing slot did not restore root")
@@ -95,16 +91,17 @@ func TestCommitDeterministicRoot(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		s := NewSnapshot()
 		for i := 0; i < 20; i++ {
-			cs := NewChangeSet()
+			var accts []AccountChange
 			for j := 0; j < 5; j++ {
 				a := addr(byte(r.Intn(30)))
-				cs.Accounts[a] = &AccountChange{
+				accts = append(accts, AccountChange{
+					Addr:    a,
 					Nonce:   uint64(r.Intn(10)),
 					Balance: *u(uint64(r.Intn(100000))),
-					Storage: map[types.Hash]uint256.Int{slot(byte(r.Intn(8))): *u(uint64(r.Intn(50)))},
-				}
+					Slots:   []SlotChange{{Slot: slot(byte(r.Intn(8))), Val: *u(uint64(r.Intn(50)))}},
+				})
 			}
-			s = s.Commit(cs)
+			s = s.Commit(NewChangeSet(accts...))
 		}
 		return s.Root()
 	}
@@ -119,9 +116,7 @@ func TestCommitDeterministicRoot(t *testing.T) {
 func TestSnapshotCopyIndependence(t *testing.T) {
 	s := NewGenesisBuilder().AddAccount(addr(1), u(10)).Build()
 	c := s.Copy()
-	cs := NewChangeSet()
-	cs.Accounts[addr(1)] = &AccountChange{Balance: *u(99)}
-	s2 := c.Commit(cs)
+	s2 := c.Commit(NewChangeSet(AccountChange{Addr: addr(1), Balance: *u(99)}))
 	if b := s.Balance(addr(1)); !b.Eq(u(10)) {
 		t.Fatal("original affected by copy's commit")
 	}
@@ -224,10 +219,10 @@ func TestOverlayRevert(t *testing.T) {
 	}
 	// The change set must reflect only surviving writes.
 	cs := o.ChangeSet()
-	if ch := cs.Accounts[addr(1)]; ch == nil || ch.Nonce != 1 {
+	if ch := cs.Account(addr(1)); ch == nil || ch.Nonce != 1 {
 		t.Fatal("changeset missing surviving nonce write")
 	}
-	if _, ok := cs.Accounts[addr(3)]; ok {
+	if cs.Account(addr(3)) != nil {
 		t.Fatal("changeset contains reverted account")
 	}
 }
@@ -290,26 +285,23 @@ func TestOverlayChangeSetRoundTrip(t *testing.T) {
 }
 
 func TestChangeSetMerge(t *testing.T) {
-	a := NewChangeSet()
-	a.Accounts[addr(1)] = &AccountChange{Nonce: 1, Balance: *u(10),
-		Storage: map[types.Hash]uint256.Int{slot(1): *u(1)}}
-	b := NewChangeSet()
-	b.Accounts[addr(1)] = &AccountChange{Nonce: 2, Balance: *u(20),
-		Storage: map[types.Hash]uint256.Int{slot(2): *u(2)}}
-	b.Accounts[addr(3)] = &AccountChange{Balance: *u(5)}
+	a := NewChangeSet(AccountChange{Addr: addr(1), Nonce: 1, Balance: *u(10),
+		Slots: []SlotChange{{Slot: slot(1), Val: *u(1)}}})
+	b := NewChangeSet(AccountChange{Addr: addr(1), Nonce: 2, Balance: *u(20),
+		Slots: []SlotChange{{Slot: slot(2), Val: *u(2)}}}, AccountChange{Addr: addr(3), Balance: *u(5)})
 
-	a.Merge(b)
-	ch := a.Accounts[addr(1)]
+	a = Fold(a, b)
+	ch := a.Account(addr(1))
 	if ch.Nonce != 2 || !ch.Balance.Eq(u(20)) {
 		t.Fatal("merge did not overwrite scalars")
 	}
-	if v := ch.Storage[slot(1)]; !v.Eq(u(1)) {
+	if v, _ := ch.Slot(slot(1)); !v.Eq(u(1)) {
 		t.Fatal("merge lost earlier slot")
 	}
-	if v := ch.Storage[slot(2)]; !v.Eq(u(2)) {
+	if v, _ := ch.Slot(slot(2)); !v.Eq(u(2)) {
 		t.Fatal("merge lost later slot")
 	}
-	if _, ok := a.Accounts[addr(3)]; !ok {
+	if a.Account(addr(3)) == nil {
 		t.Fatal("merge lost new account")
 	}
 }
@@ -390,9 +382,7 @@ func BenchmarkSnapshotCommit(b *testing.B) {
 	s := NewGenesisBuilder().AddAccount(addr(1), u(1e6)).Build()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cs := NewChangeSet()
-		cs.Accounts[addr(byte(i%200))] = &AccountChange{Balance: *u(uint64(i))}
-		s = s.Commit(cs)
+		s = s.Commit(NewChangeSet(AccountChange{Addr: addr(byte(i % 200)), Balance: *u(uint64(i))}))
 	}
 }
 

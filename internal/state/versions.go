@@ -1,7 +1,10 @@
 package state
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
+	"sort"
 	"sync"
 
 	"blockpilot/internal/crypto"
@@ -134,10 +137,10 @@ func (s *VersionStore) StripeOfKey(k *types.StateKey) uint64 {
 // StripesOf returns the bitmask of stripes Put(…, cs) writes.
 func (s *VersionStore) StripesOf(cs *ChangeSet) uint64 {
 	var set uint64
-	for addr, ch := range cs.Accounts {
-		set |= 1 << s.stripeHash(&addr, nil)
-		for slot := range ch.Storage {
-			set |= 1 << s.stripeHash(&addr, &slot)
+	for _, ch := range cs.Accounts {
+		set |= 1 << s.stripeHash(&ch.Addr, nil)
+		for j := range ch.Slots {
+			set |= 1 << s.stripeHash(&ch.Addr, &ch.Slots[j].Slot)
 		}
 	}
 	return set
@@ -330,16 +333,16 @@ func (f *AccountFields) Over(code *AccountFields, base Reader, addr types.Addres
 // caller holds every stripe of StripesOf(cs), so the whole change set appears
 // to readers at once.
 func (s *VersionStore) Put(key uint64, inc int, cs *ChangeSet) {
-	for addr, ch := range cs.Accounts {
+	for _, ch := range cs.Accounts {
 		e := AccountVersion{Key: key, Inc: inc, Val: AccountFields{Nonce: ch.Nonce, Balance: ch.Balance}}
 		if ch.CodeSet {
 			e.Val.Code, e.Val.CodeSet = ch.Code, true
 		}
-		st := &s.stripes[s.stripeHash(&addr, nil)]
-		st.addCode(addr, e.Val.CodeSet, st.accounts.upsert(addr, e).CodeSet)
-		for slot, val := range ch.Storage {
-			ss := &s.stripes[s.stripeHash(&addr, &slot)]
-			ss.slots.upsert(slotKey{addr: addr, slot: slot}, SlotVersion{Key: key, Inc: inc, Val: val})
+		st := &s.stripes[s.stripeHash(&ch.Addr, nil)]
+		st.addCode(ch.Addr, e.Val.CodeSet, st.accounts.upsert(ch.Addr, e).CodeSet)
+		for _, sc := range ch.Slots {
+			ss := &s.stripes[s.stripeHash(&ch.Addr, &sc.Slot)]
+			ss.slots.upsert(slotKey{addr: ch.Addr, slot: sc.Slot}, SlotVersion{Key: key, Inc: inc, Val: sc.Val})
 		}
 	}
 }
@@ -387,48 +390,58 @@ func (s *VersionStore) MarkEstimate(k types.StateKey, key uint64) {
 }
 
 // Flatten returns the merged change set of every entry in the store,
-// equivalent to merging every installed change set in key order (last writer
-// wins per field). The caller must be done writing (proposer finalization);
-// Flatten reconstructs the set from the chains so the write hot path carries
-// no running-merge bookkeeping at all.
+// equivalent to folding every installed change set in key order (last writer
+// wins per field), in sorted form. The caller must be done writing (proposer
+// finalization); Flatten reconstructs the set from the chains so the write hot
+// path carries no running-merge bookkeeping at all.
 func (s *VersionStore) Flatten() *ChangeSet {
-	cs := NewChangeSet()
-	// Pass 1: account scalar fields. Every change-set entry installed an
-	// account entry, so this pass discovers every changed account.
+	type flatSlot struct {
+		addr types.Address
+		SlotChange
+	}
+	n, m := 0, 0
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.mu.RLock()
+		n, m = n+len(st.accounts), m+len(st.slots)
+		st.mu.RUnlock()
+	}
+	cs := &ChangeSet{Accounts: make([]AccountChange, 0, n+1)} // room for the finalization credit
+	slots := make([]flatSlot, 0, m)
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.RLock()
 		for addr, list := range st.accounts {
 			last := list[len(list)-1].Val
-			c := &AccountChange{Nonce: last.Nonce, Balance: last.Balance}
+			c := AccountChange{Addr: addr, Nonce: last.Nonce, Balance: last.Balance}
 			for j := len(list) - 1; j >= 0; j-- {
 				if list[j].Val.CodeSet {
 					c.Code, c.CodeSet = list[j].Val.Code, true
 					break
 				}
 			}
-			cs.Accounts[addr] = c
+			cs.Accounts = append(cs.Accounts, c)
+		}
+		for sk, list := range st.slots {
+			slots = append(slots, flatSlot{sk.addr, SlotChange{Slot: sk.slot, Val: list[len(list)-1].Val}})
 		}
 		st.mu.RUnlock()
 	}
-	// Pass 2: storage slots (their owning account's scalar entry always
-	// exists after pass 1 — put installs slots only via cs.Accounts). The slot
-	// map is made on an account's first slot: most changed accounts are EOAs.
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.RLock()
-		for sk, list := range st.slots {
-			c := cs.Accounts[sk.addr]
-			if c == nil { // defensive: a slot without a scalar entry
-				c = &AccountChange{}
-				cs.Accounts[sk.addr] = c
-			}
-			if c.Storage == nil {
-				c.Storage = make(map[types.Hash]uint256.Int)
-			}
-			c.Storage[sk.slot] = list[len(list)-1].Val
+	sort.Slice(cs.Accounts, func(i, j int) bool { return compareAddr(&cs.Accounts[i].Addr, &cs.Accounts[j].Addr) < 0 })
+	slices.SortFunc(slots, func(a, b flatSlot) int {
+		return cmp.Or(compareAddr(&a.addr, &b.addr), compareSlot(a.SlotChange, b.SlotChange))
+	})
+	all := make([]SlotChange, len(slots))
+	for i := 0; i < len(slots); {
+		start, addr := i, slots[i].addr
+		for ; i < len(slots) && slots[i].addr == addr; i++ {
+			all[i] = slots[i].SlotChange
 		}
-		st.mu.RUnlock()
+		j, ok := cs.search(addr)
+		if !ok { // defensive: a slot without a scalar entry
+			cs.Accounts = slices.Insert(cs.Accounts, j, AccountChange{Addr: addr})
+		}
+		cs.Accounts[j].Slots = all[start:i:i]
 	}
 	return cs
 }

@@ -34,11 +34,11 @@ func (r refStore) put(key uint64, inc int, cs *ChangeSet) {
 		}
 		r[k] = append(r[k], e)
 	}
-	for addr, ch := range cs.Accounts {
-		set(slotKey{addr: addr}, refEntry{key: key, inc: inc,
+	for _, ch := range cs.Accounts {
+		set(slotKey{addr: ch.Addr}, refEntry{key: key, inc: inc,
 			acct: AccountFields{Nonce: ch.Nonce, Balance: ch.Balance, Code: ch.Code, CodeSet: ch.CodeSet}})
-		for slot, val := range ch.Storage {
-			set(slotKey{addr: addr, slot: slot}, refEntry{key: key, inc: inc, val: val})
+		for _, s := range ch.Slots {
+			set(slotKey{addr: ch.Addr, slot: s.Slot}, refEntry{key: key, inc: inc, val: s.Val})
 		}
 	}
 }
@@ -73,33 +73,37 @@ func (r refStore) resolve(k slotKey, before uint64, codeOnly bool) (best refEntr
 }
 
 func (r refStore) flatten() *ChangeSet {
-	cs := NewChangeSet()
+	accts := map[types.Address]*AccountChange{}
 	for k := range r {
 		if k.slot != (types.Hash{}) || len(r[k]) == 0 {
 			continue
 		}
 		last, _ := r.resolve(k, ^uint64(0), false)
-		c := &AccountChange{Nonce: last.acct.Nonce, Balance: last.acct.Balance, Storage: map[types.Hash]uint256.Int{}}
+		c := &AccountChange{Addr: k.addr, Nonce: last.acct.Nonce, Balance: last.acct.Balance}
 		if code, ok := r.resolve(k, ^uint64(0), true); ok {
 			c.Code, c.CodeSet = code.acct.Code, true
 		}
-		cs.Accounts[k.addr] = c
+		accts[k.addr] = c
 	}
 	for k := range r {
 		if last, ok := r.resolve(k, ^uint64(0), false); ok && k.slot != (types.Hash{}) {
-			cs.Accounts[k.addr].Storage[k.slot] = last.val
+			accts[k.addr].Slots = append(accts[k.addr].Slots, SlotChange{Slot: k.slot, Val: last.val})
 		}
 	}
-	return cs
+	var list []AccountChange
+	for _, c := range accts {
+		list = append(list, *c)
+	}
+	return NewChangeSet(list...)
 }
 
 func describe(cs *ChangeSet) string {
 	var lines []string
-	for addr, c := range cs.Accounts {
-		line := fmt.Sprintf("%x n=%d b=%s code=%v/%x", addr[:2], c.Nonce, c.Balance.String(), c.CodeSet, c.Code)
+	for _, c := range cs.Accounts {
+		line := fmt.Sprintf("%x n=%d b=%s code=%v/%x", c.Addr[:2], c.Nonce, c.Balance.String(), c.CodeSet, c.Code)
 		var slots []string
-		for s, v := range c.Storage {
-			slots = append(slots, fmt.Sprintf(" %x=%s", s[:1], v.String()))
+		for _, s := range c.Slots {
+			slots = append(slots, fmt.Sprintf(" %x=%s", s.Slot[:1], s.Val.String()))
 		}
 		sort.Strings(slots)
 		lines = append(lines, line+fmt.Sprint(slots))
@@ -128,21 +132,23 @@ func vsBase() *Memory {
 
 // randomWrites builds one transaction's change set over the small key space.
 func randomWrites(rng *rand.Rand, tag uint64) *ChangeSet {
-	cs := NewChangeSet()
+	var accts []AccountChange
 	for n := 1 + rng.Intn(2); n > 0; n-- {
-		ch := &AccountChange{Nonce: tag, Balance: *uint256.NewInt(tag * 10)}
+		ch := AccountChange{Nonce: tag, Balance: *uint256.NewInt(tag * 10)}
 		if rng.Intn(4) == 0 {
 			ch.Code, ch.CodeSet = []byte{byte(tag), 0x60}, true
 		}
 		for s := rng.Intn(3); s > 0; s-- {
-			if ch.Storage == nil {
-				ch.Storage = map[types.Hash]uint256.Int{}
-			}
-			ch.Storage[vsSlot(rng.Intn(vsSlots))] = *uint256.NewInt(tag*100 + uint64(s))
+			ch.Slots = append(ch.Slots, SlotChange{Slot: vsSlot(rng.Intn(vsSlots)), Val: *uint256.NewInt(tag*100 + uint64(s))})
 		}
-		cs.Accounts[vsAddr(rng.Intn(vsAddrs))] = ch
+		ch.Addr = vsAddr(rng.Intn(vsAddrs))
+		if len(accts) > 0 && accts[0].Addr == ch.Addr {
+			accts[0] = ch // the second write of an account replaces the first
+		} else {
+			accts = append(accts, ch)
+		}
 	}
-	return cs
+	return NewChangeSet(accts...)
 }
 
 // checkAgainst compares every path resolution before every key in [0, max],
@@ -242,16 +248,17 @@ func TestVersionStoreAgainstReference(t *testing.T) {
 				put(s, tx, inc, cs)
 				ref.put(tx, inc, cs)
 				if prev := writes[tx]; prev != nil {
-					for addr, ch := range prev.Accounts {
-						var kept map[types.Hash]uint256.Int
-						if now := cs.Accounts[addr]; now != nil {
-							kept = now.Storage
-						} else {
+					for _, ch := range prev.Accounts {
+						addr := ch.Addr
+						now := cs.Account(addr)
+						if now == nil {
+							now = &AccountChange{}
 							s.Remove(types.AccountKey(addr), tx)
 							ref.remove(slotKey{addr: addr}, tx)
 						}
-						for slot := range ch.Storage {
-							if _, ok := kept[slot]; !ok {
+						for _, sc := range ch.Slots {
+							slot := sc.Slot
+							if _, ok := now.Slot(slot); !ok {
 								s.Remove(types.StorageKey(addr, slot), tx)
 								ref.remove(slotKey{addr: addr, slot: slot}, tx)
 							}
@@ -268,12 +275,12 @@ func TestVersionStoreAgainstReference(t *testing.T) {
 			// Abort a third of them, then re-execute half of those with a
 			// fresh (often smaller or different) write set.
 			for _, tx := range rng.Perm(txs)[:txs/3] {
-				for addr, ch := range writes[tx].Accounts {
-					s.MarkEstimate(types.AccountKey(addr), uint64(tx))
-					ref.at(slotKey{addr: addr}, uint64(tx)).estimate = true
-					for slot := range ch.Storage {
-						s.MarkEstimate(types.StorageKey(addr, slot), uint64(tx))
-						ref.at(slotKey{addr: addr, slot: slot}, uint64(tx)).estimate = true
+				for _, ch := range writes[tx].Accounts {
+					s.MarkEstimate(types.AccountKey(ch.Addr), uint64(tx))
+					ref.at(slotKey{addr: ch.Addr}, uint64(tx)).estimate = true
+					for _, sc := range ch.Slots {
+						s.MarkEstimate(types.StorageKey(ch.Addr, sc.Slot), uint64(tx))
+						ref.at(slotKey{addr: ch.Addr, slot: sc.Slot}, uint64(tx)).estimate = true
 					}
 				}
 				if rng.Intn(2) == 0 {

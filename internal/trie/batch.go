@@ -12,15 +12,18 @@ package trie
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
 	"sort"
 )
 
-// kv is one pending insertion inside a batch: the key's remaining nibble
-// path at the current recursion depth and its value.
+// kv is one pending item of a batch: the key's full nibble path, its value
+// (empty: a delete) and its place in the batch. The recursion reads the path
+// from its depth on.
 type kv struct {
 	key []byte // nibbles
 	val []byte
+	at  int
 }
 
 // Batch applies all (keys[i], vals[i]) pairs to the trie at once. Semantics
@@ -38,74 +41,67 @@ func (t *Trie) Batch(keys, vals [][]byte) {
 		return
 	}
 
-	// Deduplicate (last write wins) and split into puts and deletes.
-	last := make(map[string]int, len(keys))
-	for i, k := range keys {
-		last[string(k)] = i
-	}
-	puts := make([]kv, 0, len(last))
-	var dels [][]byte
 	size := 0
 	for _, k := range keys {
 		size += 2 * len(k)
 	}
-	slab := make([]byte, 0, size) // every put's nibbles, one allocation
+	slab := make([]byte, 0, size) // every key's nibbles, one allocation
+	items := make([]kv, len(keys))
 	for i, k := range keys {
-		if last[string(k)] != i {
-			continue // overwritten later in the batch
-		}
-		if len(vals[i]) == 0 {
-			dels = append(dels, k)
-		} else {
-			start := len(slab)
-			slab = appendNibbles(slab, k)
-			puts = append(puts, kv{key: slab[start:len(slab):len(slab)], val: vals[i]})
+		start := len(slab)
+		slab = appendNibbles(slab, k)
+		items[i] = kv{key: slab[start:len(slab):len(slab)], val: vals[i], at: i}
+	}
+	// Deduplicate: a stable sort — by key, then place — keeps each key's writes
+	// in batch order, and the last of each run wins: a delete at once, a put
+	// compacted in place for the one bottom-up insert. The keys are unique by
+	// then, so the order of the two cannot change the (canonical) trie.
+	slices.SortFunc(items, func(a, b kv) int { return cmp.Or(bytes.Compare(a.key, b.key), cmp.Compare(a.at, b.at)) })
+	puts := items[:0]
+	for i, it := range items {
+		switch {
+		case i+1 < len(items) && bytes.Equal(it.key, items[i+1].key): // overwritten later in the batch
+		case len(it.val) == 0:
+			t.root, _ = remove(t.db, t.root, it.key)
+		default:
+			puts = append(puts, it)
 		}
 	}
-	slices.SortFunc(puts, func(a, b kv) int { return bytes.Compare(a.key, b.key) })
-
-	t.root = batchInsert(t.db, t.root, puts)
-	for _, k := range dels {
-		t.Delete(k)
-	}
+	t.root = batchInsert(t.db, t.root, puts, 0)
 }
 
-// batchInsert returns a new subtree equal to n with all items stored. items
-// must be sorted by nibble key and duplicate-free.
-func batchInsert(db *Database, n node, items []kv) node {
+// batchInsert returns a new subtree equal to n, the node at depth d, with all
+// items stored. items must be sorted by nibble key, duplicate-free, and share
+// their first d nibbles.
+func batchInsert(db *Database, n node, items []kv, d int) node {
 	if len(items) == 0 {
 		return n
 	}
 	if len(items) == 1 {
-		return insert(db, n, items[0].key, items[0].val)
+		return insert(db, n, items[0].key[d:], items[0].val)
 	}
 	n = resolved(db, n)
 	switch nd := n.(type) {
 	case nil:
-		return buildSubtree(db, items)
+		return buildSubtree(db, items, d)
 
 	case *leafNode:
 		// Fold the existing leaf in as one more item; batch items win on an
 		// equal key. The merged set stays sorted.
-		merged := mergeLeaf(items, kv{key: nd.key, val: nd.val})
-		return buildSubtree(db, merged)
+		return buildSubtree(db, mergeLeaf(items, d, nd), d)
 
 	case *extNode:
 		// How far do ALL items follow the extension's compressed path?
 		cp := len(nd.key)
 		for i := range items {
-			if c := commonPrefixLen(nd.key, items[i].key); c < cp {
+			if c := commonPrefixLen(nd.key, items[i].key[d:]); c < cp {
 				cp = c
 			}
 		}
 		if cp == len(nd.key) {
-			// Every item continues below the extension: strip and recurse,
-			// building the child subtree once.
-			stripped := make([]kv, len(items))
-			for i, it := range items {
-				stripped[i] = kv{key: it.key[cp:], val: it.val}
-			}
-			return &extNode{key: nd.key, child: batchInsert(db, nd.child, stripped)}
+			// Every item continues below the extension: recurse, building
+			// the child subtree once.
+			return &extNode{key: nd.key, child: batchInsert(db, nd.child, items, d+cp)}
 		}
 		// Some item diverges inside the extension: split it at cp into a
 		// fresh branch (same shape rule as the single-key insert), then
@@ -117,11 +113,7 @@ func batchInsert(db *Database, n node, items []kv) node {
 		} else {
 			b.children[idx] = &extNode{key: append([]byte(nil), rest...), child: nd.child}
 		}
-		stripped := make([]kv, len(items))
-		for i, it := range items {
-			stripped[i] = kv{key: it.key[cp:], val: it.val}
-		}
-		out := batchIntoBranch(db, b, stripped)
+		out := batchIntoBranch(db, b, items, d+cp)
 		if cp > 0 {
 			return &extNode{key: append([]byte(nil), nd.key[:cp]...), child: out}
 		}
@@ -129,72 +121,57 @@ func batchInsert(db *Database, n node, items []kv) node {
 
 	case *branchNode:
 		nb := &branchNode{children: nd.children, value: nd.value, hasValue: nd.hasValue}
-		return batchIntoBranch(db, nb, items)
+		return batchIntoBranch(db, nb, items, d)
 	}
 	return n
 }
 
 // batchIntoBranch distributes sorted items into a freshly allocated (and
-// therefore privately mutable) branch node: one recursion per distinct next
-// nibble, so the branch is written once regardless of item count.
-func batchIntoBranch(db *Database, b *branchNode, items []kv) node {
+// therefore privately mutable) branch node at depth d: one recursion per
+// distinct next nibble, each over a sub-slice of items, so the branch is
+// written once regardless of item count.
+func batchIntoBranch(db *Database, b *branchNode, items []kv, d int) node {
 	i := 0
-	// Sorted order puts the (unique) empty-key item first: it terminates at
-	// this branch and becomes its value.
-	if i < len(items) && len(items[i].key) == 0 {
-		b.value, b.hasValue = items[i].val, true
+	// Sorted order puts the (unique) item that ends here first: it becomes
+	// the branch's value.
+	if len(items[0].key) == d {
+		b.value, b.hasValue = items[0].val, true
 		i++
 	}
 	for i < len(items) {
-		nib := items[i].key[0]
+		nib := items[i].key[d]
 		j := i
-		for j < len(items) && items[j].key[0] == nib {
+		for j < len(items) && items[j].key[d] == nib {
 			j++
 		}
-		group := make([]kv, j-i)
-		for g := i; g < j; g++ {
-			group[g-i] = kv{key: items[g].key[1:], val: items[g].val}
-		}
-		b.children[nib] = batchInsert(db, b.children[nib], group)
+		b.children[nib] = batchInsert(db, b.children[nib], items[i:j], d+1)
 		i = j
 	}
 	return b
 }
 
-// buildSubtree constructs the canonical subtree holding items (sorted,
-// duplicate-free, len >= 1) with no pre-existing node underneath.
-func buildSubtree(db *Database, items []kv) node {
+// buildSubtree constructs the canonical subtree at depth d holding items
+// (sorted, duplicate-free, len >= 1) with no pre-existing node underneath.
+// Leaf and extension keys are copies: no node keeps the batch's slab.
+func buildSubtree(db *Database, items []kv, d int) node {
 	if len(items) == 1 {
-		return &leafNode{key: append([]byte(nil), items[0].key...), val: items[0].val}
+		return &leafNode{key: append([]byte(nil), items[0].key[d:]...), val: items[0].val}
 	}
 	// Sorted order means the minimum pairwise common prefix is attained by
 	// the first and last items.
-	cp := commonPrefixLen(items[0].key, items[len(items)-1].key)
-	if cp > 0 {
-		stripped := make([]kv, len(items))
-		for i, it := range items {
-			stripped[i] = kv{key: it.key[cp:], val: it.val}
-		}
-		return &extNode{
-			key:   append([]byte(nil), items[0].key[:cp]...),
-			child: buildSubtree(db, stripped),
-		}
+	if cp := commonPrefixLen(items[0].key[d:], items[len(items)-1].key[d:]); cp > 0 {
+		return &extNode{key: append([]byte(nil), items[0].key[d:d+cp]...), child: buildSubtree(db, items, d+cp)}
 	}
-	return batchIntoBranch(db, &branchNode{}, items)
+	return batchIntoBranch(db, &branchNode{}, items, d)
 }
 
-// mergeLeaf inserts extra into sorted items, keeping order; an existing item
-// with the same key wins (the batch overwrites the old leaf).
-func mergeLeaf(items []kv, extra kv) []kv {
-	pos := sort.Search(len(items), func(i int) bool {
-		return bytes.Compare(items[i].key, extra.key) >= 0
-	})
-	if pos < len(items) && bytes.Equal(items[pos].key, extra.key) {
-		return items // batch value overwrites the leaf
+// mergeLeaf inserts the existing leaf at depth d into sorted items, keeping
+// order; an item with the same key wins (the batch overwrites the leaf).
+func mergeLeaf(items []kv, d int, leaf *leafNode) []kv {
+	key := append(items[0].key[:d:d], leaf.key...) // the leaf's full path
+	pos := sort.Search(len(items), func(i int) bool { return bytes.Compare(items[i].key, key) >= 0 })
+	if pos < len(items) && bytes.Equal(items[pos].key, key) {
+		return items
 	}
-	merged := make([]kv, 0, len(items)+1)
-	merged = append(merged, items[:pos]...)
-	merged = append(merged, extra)
-	merged = append(merged, items[pos:]...)
-	return merged
+	return slices.Insert(items[:len(items):len(items)], pos, kv{key: key, val: leaf.val}) // a copy: items is the caller's
 }

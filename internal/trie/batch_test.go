@@ -235,3 +235,34 @@ func BenchmarkTrieHashParallel8(b *testing.B) {
 		_ = tr.HashParallel(8)
 	}
 }
+
+// TestBatchAllocs pins what one 256-key batch into a populated trie
+// allocates: the nibble slab and the item array, the nodes on the new paths
+// and a leaf's merge — and no copy of the items per trie level, which would
+// add one allocation for every branch the batch passes through.
+func TestBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	key := func(i int) []byte { return crypto.Keccak256([]byte{byte(i), byte(i >> 8)}) }
+	base := New()
+	var keys, vals [][]byte
+	for i := 0; i < 4096; i++ {
+		keys, vals = append(keys, key(i)), append(vals, []byte{byte(i), 1})
+	}
+	base.Batch(keys, vals)
+	keys, vals = keys[:0], vals[:0]
+	for i := 0; i < 256; i++ { // half the keys are new, one in sixteen a delete
+		keys = append(keys, key(4096-128+i))
+		val := []byte{byte(i), 2}
+		if i%16 == 0 {
+			val = nil
+		}
+		vals = append(vals, val)
+	}
+	// 882 at the change that made the recursion go by depth; the copying
+	// recursion before it made 1 474.
+	if got := testing.AllocsPerRun(20, func() { base.Copy().Batch(keys, vals) }); got > 882 {
+		t.Errorf("Batch of 256 keys: %v allocations, pinned at 882", got)
+	}
+}

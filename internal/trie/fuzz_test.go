@@ -16,6 +16,11 @@ func FuzzTrieBatchVsUpdate(f *testing.F) {
 	f.Add([]byte{2, 'a', 'b', 1, 'x', 2, 'a', 'c', 1, 'y', 2, 'a', 'b', 0}) // shared prefix + delete
 	f.Add([]byte{1, 'k', 1, '1', 1, 'k', 1, '2'})                           // duplicate key, last wins
 	f.Add(bytes.Repeat([]byte{3, 0xaa, 0xbb, 0xcc, 1, 0x11}, 8))
+	// A duplicate one-byte key's writes in batch order, next to other keys:
+	// the last of the run wins, whether it is a put or a delete.
+	f.Add([]byte{0, 'j', 1, '0', 0, 'k', 1, '1', 0, 'k', 0, 0, 'l', 0, 0, 'm', 1, '2'})      // put → delete
+	f.Add([]byte{0, 'a', 0, 0, 'k', 0, 0, 'k', 1, '1', 0, 'a', 1, '3', 1, 'a', 'b', 0})      // delete → put
+	f.Add([]byte{0, 'k', 1, '1', 0, 'b', 0, 0, 'k', 1, '2', 0, 'c', 1, '3', 0, 'k', 1, '4'}) // put → put
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var keys, vals [][]byte

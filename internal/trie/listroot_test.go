@@ -43,7 +43,7 @@ func TestAppendSubtreeMatchesBuild(t *testing.T) {
 		}
 		slices.SortFunc(items, func(a, b kv) int { return bytes.Compare(a.key, b.key) })
 
-		want := (&Trie{root: buildSubtree(nil, items)}).Hash()
+		want := (&Trie{root: buildSubtree(nil, items, 0)}).Hash()
 		prefix := []byte("kept")
 		enc := appendSubtree(append([]byte(nil), prefix...), items, 0)
 		if !bytes.HasPrefix(enc, prefix) {

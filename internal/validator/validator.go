@@ -292,7 +292,7 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 	// verify phase overlaps the execute phase: the applier consumes results
 	// as the lanes stream them (paper Fig. 4).
 	verify := tr.Begin(node, trace.StageVerify, h.Number)
-	total := state.NewChangeSet()
+	parts := make([]*state.ChangeSet, len(block.Txs)) // block order, folded at commit
 	receipts := make([]*types.Receipt, len(block.Txs))
 	var fees uint256.Int
 	var cumulative uint64
@@ -331,7 +331,7 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 					cur.receipt.CumulativeGasUsed = cumulative
 					receipts[next] = cur.receipt
 					fees.Add(&fees, &cur.fee)
-					total.Merge(cur.changes)
+					parts[next] = cur.changes
 					flight.Verify(block.Txs[next], true, h.Number)
 					if cur.taken {
 						reused++
@@ -371,7 +371,8 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 	if got := types.CreateBloom(receipts); got != h.LogsBloom {
 		return nil, fmt.Errorf("%w: logs bloom mismatch", ErrBadBlock)
 	}
-	total.Merge(chain.FinalizationChange(parent, total, h.Coinbase, &fees, params))
+	total := state.Fold(parts...)
+	chain.Finalize(parent, total, h.Coinbase, &fees, params)
 	stateCommit := tr.Begin(node, trace.StageStateCommit, h.Number)
 	postState, got := chain.CommitAndRoot(parent, total, params, h.Number)
 	if got != h.StateRoot {
