@@ -1,6 +1,6 @@
 # BlockPilot CI entry points. `make ci` is what the tier-1 gate runs:
 # vet (go vet + a gofmt check) + build + full test suite (the concurrency packages — core, mv, mempool,
-# pipeline, validator, evm; not scheduler, which starts no goroutine — additionally under
+# pipeline, validator, evm, node; not scheduler, which starts no goroutine — additionally under
 # -cpu 1,2,4, so a 1-CPU runner cannot hide a scheduling-dependent bug; every
 # Propose test rides both engines with and without the adaptive controller) +
 # race detector on the concurrency-heavy packages (OCC-WSI core, MV-STM
@@ -53,9 +53,11 @@ build:
 # operand-stack pool, the one state its frames share across goroutines;
 # internal/validator for the sibling record its lanes read while another
 # block's lanes fill it.
+# internal/node for a proposer packing while a validator's pipeline runs
+# beside it.
 # internal/scheduler is not: it starts no goroutine (the validator's graph
 # build is serial), so a -cpu sweep or -race over it would buy nothing.
-CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/validator/... ./internal/evm/
+CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/validator/... ./internal/evm/ ./internal/node/
 
 # The TopK pass repeats because an order-dependent heavy-hitter sketch (map
 # iteration deciding a tie) fails about one run in eight, not every run.

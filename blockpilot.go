@@ -7,24 +7,20 @@
 // through a four-phase pipeline.
 //
 // This top-level package is the stable facade over the implementation
-// packages. The typical flow:
+// packages. A node has both execution contexts; the typical flow runs two:
 //
 //	gen := blockpilot.NewWorkload(blockpilot.DefaultWorkload()) // or your own txs
-//	c := blockpilot.NewChain(gen.GenesisState(), blockpilot.DefaultParams())
+//	cfg := blockpilot.NodeConfig{Genesis: gen.GenesisState(), Params: blockpilot.DefaultParams(), Threads: 8}
+//	proposer, validator := blockpilot.NewNode(cfg), blockpilot.NewNode(cfg)
 //
 //	// Proposing context: pack a block in parallel (OCC-WSI, Algorithm 1).
-//	pool := blockpilot.NewTxPool()
-//	pool.AddAll(gen.NextBlockTxs())
-//	res, err := blockpilot.Propose(c, pool, blockpilot.ProposerOptions{Threads: 8})
+//	proposer.Pool.AddAll(gen.NextBlockTxs())
+//	res, err := proposer.Propose()
 //
-//	// Validation context: re-execute in parallel and commit (Algorithm 2).
-//	vres, err := blockpilot.Validate(c, res.Block, 8)
-//
-//	// Or validate many blocks concurrently through the pipeline (Fig. 5).
-//	p := blockpilot.NewPipeline(c, 16)
-//	p.Submit(res.Block)
-//	p.Close()
-//	for out := range p.Results() { ... }
+//	// Validation context: the pipeline re-executes blocks in parallel
+//	// (Algorithm 2), several at once (Fig. 5), and commits them.
+//	validator.Pipe.Submit(res.Block)
+//	out := <-validator.Pipe.Results()
 //
 // The package examples run this flow; DESIGN.md describes the architecture.
 package blockpilot
@@ -32,12 +28,11 @@ package blockpilot
 import (
 	"blockpilot/internal/chain"
 	"blockpilot/internal/core"
-	"blockpilot/internal/mempool"
+	"blockpilot/internal/node"
 	"blockpilot/internal/pipeline"
 	"blockpilot/internal/state"
 	"blockpilot/internal/types"
 	"blockpilot/internal/uint256"
-	"blockpilot/internal/validator"
 	"blockpilot/internal/workload"
 )
 
@@ -70,13 +65,15 @@ type (
 	// Params are chain-wide constants (gas limit, reward, chain id).
 	Params = chain.Params
 
-	// TxPool is the proposer's pending pool (price-ordered, nonce-aware).
-	TxPool = mempool.Pool
-
-	// Pipeline processes multiple blocks concurrently (paper Fig. 5).
-	Pipeline = pipeline.Pipeline
-	// PipelineOutcome reports one block's passage through the pipeline.
-	PipelineOutcome = pipeline.Outcome
+	// Node is a chain with the pending pool it proposes from and the
+	// pipeline that validates other nodes' blocks (paper Fig. 5).
+	Node = node.Node
+	// NodeConfig describes a node: genesis, parameters, thread count and
+	// coinbase.
+	NodeConfig = node.Config
+	// ProposeResult is a packed block plus its committed post-state and
+	// stats.
+	ProposeResult = core.ProposeResult
 
 	// Workload generates mainnet-like synthetic blocks.
 	Workload = workload.Generator
@@ -96,76 +93,14 @@ func DefaultParams() Params { return chain.DefaultParams() }
 // NewGenesisBuilder returns an empty genesis builder.
 func NewGenesisBuilder() *GenesisBuilder { return state.NewGenesisBuilder() }
 
-// NewChain creates a chain whose genesis holds the given state.
-func NewChain(genesis *WorldState, params Params) *Chain {
-	return chain.NewChain(genesis, params)
-}
-
-// NewTxPool returns an empty pending-transaction pool.
-func NewTxPool() *TxPool { return mempool.New() }
+// NewNode builds a node over cfg.Genesis. Close it to stop its pipeline.
+func NewNode(cfg NodeConfig) *Node { return node.New(cfg) }
 
 // DefaultWorkload is the calibrated mainnet-like workload configuration.
 func DefaultWorkload() WorkloadConfig { return workload.Default() }
 
 // NewWorkload creates a deterministic workload generator.
 func NewWorkload(cfg WorkloadConfig) *Workload { return workload.New(cfg) }
-
-// ProposerOptions configures Propose.
-type ProposerOptions struct {
-	// Threads is the OCC-WSI worker count (default 1).
-	Threads int
-	// Coinbase receives fees and the block reward.
-	Coinbase Address
-	// Time is the block timestamp.
-	Time uint64
-}
-
-// ProposeResult is a packed block plus its committed post-state and stats.
-type ProposeResult = core.ProposeResult
-
-// Propose packs a new block on top of the chain head using OCC-WSI parallel
-// execution (paper Algorithm 1) and returns it together with the committed
-// post-state. The block is not inserted into the chain: broadcast it and/or
-// Validate it first, as a real proposer would.
-func Propose(c *Chain, pool *TxPool, opts ProposerOptions) (*ProposeResult, error) {
-	head := c.Head()
-	parentState := c.StateOf(head.Hash())
-	return core.Propose(parentState, &head.Header, pool, core.ProposerConfig{
-		Threads:  opts.Threads,
-		Coinbase: opts.Coinbase,
-		Time:     opts.Time,
-	}, c.Params())
-}
-
-// ValidationResult is a validated block's outcome.
-type ValidationResult = validator.Result
-
-// Validate re-executes a block in parallel against its parent (which must
-// already be in the chain), verifies every commitment — per-transaction
-// read/write sets against the block profile, gas, receipt root, state root —
-// and inserts the block on success.
-func Validate(c *Chain, block *Block, threads int) (*ValidationResult, error) {
-	parent := c.Block(block.Header.ParentHash)
-	if parent == nil {
-		return nil, pipeline.ErrParentUnavailable
-	}
-	res, err := validator.ValidateParallel(c.StateOf(parent.Hash()), &parent.Header, block,
-		validator.DefaultConfig(threads), c.Params())
-	if err != nil {
-		return nil, err
-	}
-	if err := c.InsertWithReceipts(block, res.State, res.Receipts); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// NewPipeline builds a multi-block validation pipeline over the chain with
-// the given shared worker count. Submitted blocks may arrive in any order
-// and in fork multiples; same-height blocks validate concurrently.
-func NewPipeline(c *Chain, workers int) *Pipeline {
-	return pipeline.New(c, validator.DefaultConfig(workers), nil)
-}
 
 // VerifySerial re-executes a block with the serial reference executor (the
 // Geth baseline) and checks every header commitment, without inserting it.

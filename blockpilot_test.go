@@ -6,82 +6,62 @@ import (
 	"blockpilot"
 )
 
-// TestFacadeEndToEnd drives the whole public API: genesis → pool → parallel
-// propose → serializability check → parallel validate → pipeline over forks.
+// TestFacadeEndToEnd drives the whole public API: genesis → node → parallel
+// propose → serializability check → a second node's pipeline, blocks
+// submitted child first.
 func TestFacadeEndToEnd(t *testing.T) {
 	cfg := blockpilot.DefaultWorkload()
 	cfg.NumAccounts = 400
 	cfg.TxPerBlock = 60
 	gen := blockpilot.NewWorkload(cfg)
-	c := blockpilot.NewChain(gen.GenesisState(), blockpilot.DefaultParams())
+	ncfg := blockpilot.NodeConfig{
+		Genesis: gen.GenesisState(), Params: blockpilot.DefaultParams(),
+		Threads: 4, Coinbase: blockpilot.HexToAddress("0xc01bbace"),
+	}
+	proposer := blockpilot.NewNode(ncfg)
+	defer proposer.Close()
 
-	// Height 1: propose and validate.
-	txs := gen.NextBlockTxs()
-	pool := blockpilot.NewTxPool()
-	pool.AddAll(txs)
-	res, err := blockpilot.Propose(c, pool, blockpilot.ProposerOptions{
-		Threads:  4,
-		Coinbase: blockpilot.HexToAddress("0xc01bbace"),
-		Time:     1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Committed != len(txs) {
-		t.Fatalf("packed %d of %d", res.Committed, len(txs))
-	}
-	if err := blockpilot.VerifySerial(c, res.Block); err != nil {
-		t.Fatalf("not serializable: %v", err)
-	}
-	vres, err := blockpilot.Validate(c, res.Block, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vres.Stats.TxCount != len(txs) {
-		t.Fatalf("stats cover %d txs", vres.Stats.TxCount)
-	}
-	if c.Height() != 1 {
-		t.Fatalf("height = %d", c.Height())
-	}
-
-	// Height 2 and 3 through the pipeline, submitted out of order.
 	var blocks []*blockpilot.Block
-	for h := uint64(2); h <= 3; h++ {
-		pool := blockpilot.NewTxPool()
-		pool.AddAll(gen.NextBlockTxs())
-		r, err := blockpilot.Propose(c, pool, blockpilot.ProposerOptions{
-			Threads: 4, Coinbase: blockpilot.HexToAddress("0xc01bbace"), Time: h,
-		})
+	for h := uint64(1); h <= 3; h++ {
+		txs := gen.NextBlockTxs()
+		proposer.Pool.AddAll(txs)
+		res, err := proposer.Propose()
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocks = append(blocks, r.Block)
-		// Advance the producer's view so the next proposal has a parent.
-		if _, err := blockpilot.Validate(c, r.Block, 4); err != nil {
-			t.Fatal(err)
+		if res.Committed != len(txs) {
+			t.Fatalf("height %d: packed %d of %d", h, res.Committed, len(txs))
 		}
+		if err := blockpilot.VerifySerial(proposer.Chain, res.Block); err != nil {
+			t.Fatalf("height %d not serializable: %v", h, err)
+		}
+		if got := proposer.Chain.Height(); got != h {
+			t.Fatalf("proposer height = %d after proposing %d", got, h)
+		}
+		blocks = append(blocks, res.Block)
 	}
 
-	// A separate consumer node validates them via the pipeline, child first.
-	node := blockpilot.NewChain(gen.GenesisState(), blockpilot.DefaultParams())
-	// Height-1 block first has to land; submit everything reversed.
-	p := blockpilot.NewPipeline(node, 4)
-	p.Submit(blocks[1])
-	p.Submit(blocks[0])
-	p.Submit(res.Block)
-	p.Close()
+	// A separate validator node takes them through its pipeline, child first.
+	validator := blockpilot.NewNode(ncfg)
+	for i := len(blocks) - 1; i >= 0; i-- {
+		validator.Pipe.Submit(blocks[i])
+	}
+	validator.Close()
 	ok := 0
-	for out := range p.Results() {
+	for out := range validator.Pipe.Results() {
 		if out.Err != nil {
 			t.Fatalf("pipeline rejected height %d: %v", out.Block.Number(), out.Err)
 		}
+		if out.Result.Stats.TxCount != len(out.Block.Txs) {
+			t.Fatalf("stats cover %d of %d txs", out.Result.Stats.TxCount, len(out.Block.Txs))
+		}
 		ok++
 	}
-	if ok != 3 || node.Height() != 3 {
-		t.Fatalf("pipeline validated %d, height %d", ok, node.Height())
+	if ok != 3 || validator.Chain.Height() != 3 {
+		t.Fatalf("pipeline validated %d, height %d", ok, validator.Chain.Height())
 	}
-	if node.HeadState().Root() != c.HeadState().Root() {
-		t.Fatal("consumer node diverged from producer")
+	if validator.Chain.HeadState().Root() != proposer.Chain.HeadState().Root() {
+		t.Fatal("validator diverged from proposer")
 	}
 }
 
@@ -92,24 +72,25 @@ func TestFacadeGenesisBuilder(t *testing.T) {
 	genesis := blockpilot.NewGenesisBuilder().
 		AddAccount(alice, blockpilot.NewUint256(1_000_000)).
 		Build()
-	c := blockpilot.NewChain(genesis, blockpilot.DefaultParams())
+	cfg := blockpilot.NodeConfig{Genesis: genesis, Params: blockpilot.DefaultParams(), Threads: 2, Coinbase: bob}
+	proposer, validator := blockpilot.NewNode(cfg), blockpilot.NewNode(cfg)
+	defer proposer.Close()
 
 	tx := &blockpilot.Transaction{Nonce: 0, Gas: 21000, To: bob, From: alice}
 	tx.GasPrice.SetUint64(1)
 	tx.Value.SetUint64(777)
-	pool := blockpilot.NewTxPool()
-	pool.Add(tx)
+	proposer.Pool.Add(tx)
 
-	res, err := blockpilot.Propose(c, pool, blockpilot.ProposerOptions{
-		Threads: 2, Coinbase: bob, Time: 1,
-	})
+	res, err := proposer.Propose()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := blockpilot.Validate(c, res.Block, 2); err != nil {
-		t.Fatal(err)
+	validator.Pipe.Submit(res.Block)
+	validator.Close()
+	if out := <-validator.Pipe.Results(); out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	got := c.HeadState().Balance(bob)
+	got := validator.Chain.HeadState().Balance(bob)
 	// value + fee + block reward
 	want := blockpilot.NewUint256(777 + 21000 + blockpilot.DefaultParams().BlockReward)
 	if !got.Eq(want) {

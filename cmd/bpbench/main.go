@@ -32,6 +32,7 @@ import (
 
 	"blockpilot/internal/bench"
 	"blockpilot/internal/core"
+	"blockpilot/internal/node"
 	"blockpilot/internal/sim"
 	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trace"
@@ -183,7 +184,7 @@ func main() {
 	simHeights := flag.Int("sim-heights", 0, "sim: canonical blocks per run (0 = scenario default)")
 	simValidators := flag.Int("sim-validators", 0, "sim: validator nodes per run (0 = scenario default)")
 	simMutation := flag.Bool("sim-mutation", true, "sim: also run the seeded-bug mutation self-check")
-	stateBackend := flag.String("state-backend", sim.StateBackendMem, "sim: world-state backend (mem|disk); disk runs the whole cluster on the persistent node store")
+	stateBackend := flag.String("state-backend", node.BackendMem, "sim: world-state backend (mem|disk); disk runs the whole cluster on the persistent node store")
 	traceOn := flag.Bool("trace", false, "enable the block lifecycle tracer and print a critical-path/stall summary after the run")
 	flag.Parse()
 

@@ -7,6 +7,7 @@ import (
 
 	"blockpilot/internal/bench"
 	"blockpilot/internal/core"
+	"blockpilot/internal/node"
 	"blockpilot/internal/sim"
 )
 
@@ -17,7 +18,7 @@ func smallConfig() runConfig {
 		maxPipeline: 2,
 		sim: sim.Config{
 			Scenario: "baseline", Seed: 1, Engine: core.EngineOCCWSI,
-			StateBackend: sim.StateBackendMem, MutationCheck: true,
+			StateBackend: node.BackendMem, MutationCheck: true,
 		},
 	}
 	c.opts.Blocks = 2

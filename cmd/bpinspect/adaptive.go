@@ -19,7 +19,7 @@ import (
 	"blockpilot/internal/adaptive"
 	"blockpilot/internal/chain"
 	"blockpilot/internal/core"
-	"blockpilot/internal/mempool"
+	"blockpilot/internal/node"
 	"blockpilot/internal/telemetry"
 	"blockpilot/internal/types"
 	"blockpilot/internal/workload"
@@ -49,25 +49,15 @@ func adaptiveMain(args []string, w io.Writer) error {
 		cfg.NumPairs = *pairs
 	}
 	gen := workload.New(cfg)
-	params := chain.DefaultParams()
-	c := chain.NewChain(gen.GenesisState(), params)
-
 	ctrl := adaptive.New(adaptive.Config{})
-	pool := mempool.New()
+	n := node.New(node.Config{
+		Genesis: gen.GenesisState(), Params: chain.DefaultParams(), Threads: *threads,
+		Coinbase: types.HexToAddress("0xc01bbace"), Engine: *engine, Adaptive: ctrl,
+	})
+	defer n.Close()
 	for b := 0; b < *blocks; b++ {
-		pool.AddAll(gen.NextBlockTxs())
-		head := c.Head()
-		res, err := core.Propose(c.StateOf(head.Hash()), &head.Header, pool, core.ProposerConfig{
-			Engine:   *engine,
-			Threads:  *threads,
-			Coinbase: types.HexToAddress("0xc01bbace"),
-			Time:     uint64(b + 1),
-			Adaptive: ctrl,
-		}, params)
-		if err != nil {
-			return err
-		}
-		if err := c.InsertWithReceipts(res.Block, res.State, res.Receipts); err != nil {
+		n.Pool.AddAll(gen.NextBlockTxs())
+		if _, err := n.Propose(); err != nil {
 			return err
 		}
 	}
@@ -82,7 +72,7 @@ func adaptiveMain(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "  %-36s %d\n", "blockpilot_adaptive_hot_accounts", telemetry.AdaptiveHotAccounts.Value())
 	fmt.Fprintf(w, "  %-36s %.3f\n", "blockpilot_adaptive_lane_occupancy", telemetry.AdaptiveLaneOccupancy.Value())
 
-	if stats := pool.TopRequeued(*topN); len(stats) > 0 {
+	if stats := n.Pool.TopRequeued(*topN); len(stats) > 0 {
 		fmt.Fprintf(w, "\nMost requeued senders (abort-aware ordering input):\n")
 		fmt.Fprintf(w, "  %-44s %9s %5s\n", "sender", "requeues", "tier")
 		for _, s := range stats {

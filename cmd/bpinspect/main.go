@@ -31,14 +31,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"blockpilot/internal/chain"
+	"blockpilot/internal/node"
 	"blockpilot/internal/scheduler"
 	"blockpilot/internal/state"
-	"blockpilot/internal/trie"
 	"blockpilot/internal/types"
 	"blockpilot/internal/workload"
 )
@@ -70,7 +69,7 @@ func main() {
 	swapRatio := flag.Float64("swap-ratio", -1, "override hotspot swap ratio (0..1)")
 	pairs := flag.Int("pairs", -1, "override AMM pair count")
 	seed := flag.Int64("seed", 1, "workload seed")
-	stateBackend := flag.String("state-backend", "mem", "world-state backend for the inspected run (mem|disk)")
+	stateBackend := flag.String("state-backend", node.BackendMem, "world-state backend for the inspected run (mem|disk)")
 	flag.Parse()
 
 	cfg := workload.Default()
@@ -83,28 +82,12 @@ func main() {
 		cfg.NumPairs = *pairs
 	}
 	g := workload.New(cfg)
-	var st *state.Snapshot
-	switch *stateBackend {
-	case "mem":
-		st = g.GenesisState()
-	case "disk":
-		tmp, err := os.MkdirTemp("", "bpinspect-state-*")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bpinspect:", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(tmp)
-		sdb, err := trie.OpenDatabase(filepath.Join(tmp, "state.db"), 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bpinspect:", err)
-			os.Exit(1)
-		}
-		defer sdb.Close()
-		st = g.GenesisStateInto(sdb, 0)
-	default:
-		fmt.Fprintf(os.Stderr, "bpinspect: unknown -state-backend %q (want mem|disk)\n", *stateBackend)
+	st, closeGenesis, err := node.OpenGenesis(g, *stateBackend, "")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bpinspect:", err)
 		os.Exit(1)
 	}
+	defer closeGenesis()
 	params := chain.DefaultParams()
 	parentHeader := &types.Header{Number: 0, StateRoot: st.Root(), GasLimit: params.GasLimit}
 	coinbase := types.HexToAddress("0xc01bbace")

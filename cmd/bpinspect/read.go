@@ -18,13 +18,10 @@ import (
 	"time"
 
 	"blockpilot/internal/chain"
-	"blockpilot/internal/core"
 	"blockpilot/internal/flight"
-	"blockpilot/internal/mempool"
-	"blockpilot/internal/pipeline"
+	"blockpilot/internal/node"
 	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trace"
-	"blockpilot/internal/validator"
 	"blockpilot/internal/workload"
 )
 
@@ -77,7 +74,7 @@ func (f *runFlags) collect(withFlight, withTrace bool) error {
 	return collectLocal(f)
 }
 
-// collectLocal drives the full proposer → pipeline path over a generated
+// collectLocal drives a proposer node and a validator node over a generated
 // workload so every hot-path metric fires at least once. A non-negative
 // swapRatio and a positive pairs override the workload's hotspot knobs —
 // the flight subcommands use them to force a skewed conflict distribution.
@@ -92,15 +89,15 @@ func collectLocal(f *runFlags) error {
 		cfg.NumPairs = f.pairs
 	}
 	gen := workload.New(cfg)
-	params := chain.DefaultParams()
-	proposerChain := chain.NewChain(gen.GenesisState(), params)
-	validatorChain := chain.NewChain(gen.GenesisState(), params)
-	pipe := pipeline.New(validatorChain, validator.DefaultConfig(f.threads), nil)
+	genesis, params := gen.GenesisState(), chain.DefaultParams()
+	proposer := node.New(node.Config{Name: "proposer", Genesis: genesis, Params: params, Threads: f.threads})
+	defer proposer.Close()
+	validator := node.New(node.Config{Name: "validator", Genesis: genesis, Params: params, Threads: f.threads})
 
 	done := make(chan error, 1)
 	go func() {
 		var firstErr error
-		for out := range pipe.Results() {
+		for out := range validator.Pipe.Results() {
 			if out.Err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("block %d rejected: %w", out.Block.Number(), out.Err)
 			}
@@ -109,22 +106,15 @@ func collectLocal(f *runFlags) error {
 	}()
 
 	for b := 0; b < f.blocks; b++ {
-		pool := mempool.New()
-		pool.AddAll(gen.NextBlockTxs())
-		head := proposerChain.Head()
-		res, err := core.Propose(proposerChain.StateOf(head.Hash()), &head.Header, pool, core.ProposerConfig{
-			Threads: f.threads,
-			Time:    uint64(b + 1),
-		}, params)
+		proposer.Pool.AddAll(gen.NextBlockTxs())
+		res, err := proposer.Propose()
 		if err != nil {
+			validator.Close()
 			return fmt.Errorf("propose block %d: %w", b+1, err)
 		}
-		if err := proposerChain.InsertWithReceipts(res.Block, res.State, res.Receipts); err != nil {
-			return fmt.Errorf("insert block %d: %w", b+1, err)
-		}
-		pipe.Submit(res.Block)
+		validator.Pipe.Submit(res.Block)
 	}
-	pipe.Close()
+	validator.Close()
 	return <-done
 }
 

@@ -9,9 +9,9 @@ import (
 	"blockpilot/internal/types"
 )
 
-// Build a two-account chain, pack a transfer block with the OCC-WSI
-// proposer, check that it replays serially, validate it in parallel and read
-// the committed state.
+// Start a proposer and a validator on a two-account genesis, pack a transfer
+// block on the proposer with OCC-WSI, check that it replays serially,
+// validate it in parallel on the validator and read the committed state.
 func Example() {
 	alice := blockpilot.HexToAddress("0xa11ce")
 	bob := blockpilot.HexToAddress("0xb0b")
@@ -21,19 +21,20 @@ func Example() {
 	genesis := blockpilot.NewGenesisBuilder().
 		AddAccount(alice, blockpilot.NewUint256(1_000_000_000)).
 		Build()
-	c := blockpilot.NewChain(genesis, blockpilot.DefaultParams())
+	cfg := blockpilot.NodeConfig{Genesis: genesis, Params: blockpilot.DefaultParams(), Threads: 4, Coinbase: miner}
+	proposer, validator := blockpilot.NewNode(cfg), blockpilot.NewNode(cfg)
+	defer proposer.Close()
 
 	// Pending pool: three transfers from alice to bob.
-	pool := blockpilot.NewTxPool()
 	for nonce := uint64(0); nonce < 3; nonce++ {
 		tx := &blockpilot.Transaction{Nonce: nonce, Gas: 21000, To: bob, From: alice}
 		tx.GasPrice.SetUint64(nonce + 1)
 		tx.Value.SetUint64(1000 * (nonce + 1))
-		pool.Add(tx)
+		proposer.Pool.Add(tx)
 	}
 
 	// Proposing context: pack the block with parallel OCC-WSI workers.
-	res, err := blockpilot.Propose(c, pool, blockpilot.ProposerOptions{Threads: 4, Coinbase: miner, Time: 1})
+	res, err := proposer.Propose()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,24 +43,26 @@ func Example() {
 
 	// A parallel-packed block is serializable: the serial replay reproduces
 	// the exact state root.
-	if err := blockpilot.VerifySerial(c, res.Block); err != nil {
+	if err := blockpilot.VerifySerial(proposer.Chain, res.Block); err != nil {
 		log.Fatalf("block is not serializable: %v", err)
 	}
 
 	// Validation context: re-execute in parallel against the block profile
 	// and commit.
-	vres, err := blockpilot.Validate(c, res.Block, 4)
-	if err != nil {
-		log.Fatal(err)
+	validator.Pipe.Submit(res.Block)
+	validator.Close()
+	out := <-validator.Pipe.Results()
+	if out.Err != nil {
+		log.Fatal(out.Err)
 	}
 	fmt.Printf("validated: %d dependency subgraphs, largest holds %.0f%% of txs\n",
-		vres.Stats.ComponentCount, vres.Stats.LargestRatio*100)
+		out.Result.Stats.ComponentCount, out.Result.Stats.LargestRatio*100)
 
-	head := c.HeadState()
+	head := validator.Chain.HeadState()
 	bobBal, minerBal := head.Balance(bob), head.Balance(miner)
 	fmt.Printf("bob's balance:   %s\n", bobBal.String())
 	fmt.Printf("miner's balance: %s (fees + block reward)\n", minerBal.String())
-	fmt.Printf("chain height:    %d, state root %s\n", c.Height(), head.Root())
+	fmt.Printf("chain height:    %d, state root %s\n", validator.Chain.Height(), head.Root())
 	// Output:
 	// proposed block 0x9ade64d1ccb61ecfda206d6a07f426cbe28b3a81d16746e0b508eebb068ef023: 3 txs, 63000 gas, 0 aborts
 	// validated: 1 dependency subgraphs, largest holds 100% of txs
@@ -76,7 +79,10 @@ func Example_deploy() {
 	genesis := blockpilot.NewGenesisBuilder().
 		AddAccount(alice, blockpilot.NewUint256(1<<40)).
 		Build()
-	c := blockpilot.NewChain(genesis, blockpilot.DefaultParams())
+	cfg := blockpilot.NodeConfig{Genesis: genesis, Params: blockpilot.DefaultParams(), Threads: 4, Coinbase: alice}
+	proposer, validator := blockpilot.NewNode(cfg), blockpilot.NewNode(cfg)
+	defer proposer.Close()
+	defer validator.Close()
 
 	// A "greeter": returns the 32-byte word stored at slot 0, which the init
 	// code sets to 42 before returning the runtime.
@@ -107,33 +113,33 @@ func Example_deploy() {
 	init = append(init, runtime...)
 
 	// mine packs one transaction into a block and validates it.
-	mine := func(tx *blockpilot.Transaction, time uint64) *blockpilot.ProposeResult {
+	mine := func(tx *blockpilot.Transaction) *blockpilot.ProposeResult {
 		tx.GasPrice.SetUint64(1)
-		pool := blockpilot.NewTxPool()
-		pool.Add(tx)
-		res, err := blockpilot.Propose(c, pool, blockpilot.ProposerOptions{Threads: 4, Coinbase: alice, Time: time})
+		proposer.Pool.Add(tx)
+		res, err := proposer.Propose()
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := blockpilot.Validate(c, res.Block, 4); err != nil {
-			log.Fatal(err)
+		validator.Pipe.Submit(res.Block)
+		if out := <-validator.Pipe.Results(); out.Err != nil {
+			log.Fatal(out.Err)
 		}
 		return res
 	}
 
 	// Block 1: the deployment transaction.
-	res := mine(&blockpilot.Transaction{Nonce: 0, Gas: 500_000, Data: init, From: alice, CreateContract: true}, 1)
+	res := mine(&blockpilot.Transaction{Nonce: 0, Gas: 500_000, Data: init, From: alice, CreateContract: true})
 	contract := res.Receipts[0].ContractAddress
 	fmt.Printf("deployed greeter at %s (%d bytes of runtime code)\n",
-		contract, len(c.HeadState().Code(contract)))
+		contract, len(validator.Chain.HeadState().Code(contract)))
 
 	// Block 2: call it.
-	res = mine(&blockpilot.Transaction{Nonce: 1, Gas: 100_000, To: contract, From: alice}, 2)
+	res = mine(&blockpilot.Transaction{Nonce: 1, Gas: 100_000, To: contract, From: alice})
 	var answer types.Hash
 	copy(answer[:], res.Receipts[0].ReturnData)
 	word := answer.Word()
 	fmt.Printf("greeter returned: %s\n", word.String())
-	fmt.Printf("chain height %d; every root verified by the parallel validator\n", c.Height())
+	fmt.Printf("chain height %d; every root verified by the parallel validator\n", validator.Chain.Height())
 	// Output:
 	// deployed greeter at 0x6b182f1488e8efeb2eb298155ed5bd7ff8a14042 (11 bytes of runtime code)
 	// greeter returned: 42

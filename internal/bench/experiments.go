@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"blockpilot/internal/chain"
-	"blockpilot/internal/core"
-	"blockpilot/internal/mempool"
+	"blockpilot/internal/node"
 	"blockpilot/internal/scheduler"
 	"blockpilot/internal/stats"
-	"blockpilot/internal/types"
 	"blockpilot/internal/validator"
 	"blockpilot/internal/workload"
 )
@@ -29,16 +27,15 @@ type CorrectnessResult struct {
 // (paper §5.2, scaled down: the paper replays 10M mainnet blocks).
 func RunCorrectness(o Options) (*CorrectnessResult, error) {
 	g := workload.New(o.Workload)
-	st := g.GenesisState()
-	parentHeader := &types.Header{Number: 0, StateRoot: st.Root(), GasLimit: o.Params.GasLimit}
+	p := node.New(node.Config{Genesis: g.GenesisState(), Params: o.Params, Threads: 8, Coinbase: o.Coinbase})
+	defer p.Close()
 
 	for i := 0; i < o.Blocks; i++ {
+		parent := p.Chain.Head()
+		st, parentHeader := p.Chain.StateOf(parent.Hash()), &parent.Header
 		txs := g.NextBlockTxs()
-		pool := mempool.New()
-		pool.AddAll(txs)
-		prop, err := core.Propose(st, parentHeader, pool, core.ProposerConfig{
-			Threads: 8, Coinbase: o.Coinbase, Time: uint64(i + 1),
-		}, o.Params)
+		p.Pool.AddAll(txs)
+		prop, err := p.Propose()
 		if err != nil {
 			return nil, fmt.Errorf("block %d: propose: %w", i, err)
 		}
@@ -57,8 +54,6 @@ func RunCorrectness(o Options) (*CorrectnessResult, error) {
 			return &CorrectnessResult{Blocks: i, AllRootsMatch: false,
 				Detail: fmt.Sprintf("block %d roots diverge", i)}, nil
 		}
-		st = vres.State
-		parentHeader = &prop.Block.Header
 	}
 	return &CorrectnessResult{
 		Blocks:        o.Blocks,
@@ -342,13 +337,11 @@ func RunPipeline(o Options, maxBlocks int) (*PipelineResult, error) {
 	workers := o.Threads[len(o.Threads)-1]
 	g := workload.New(o.Workload)
 	parent := g.GenesisState()
-	parentHeader := &types.Header{Number: 0, StateRoot: parent.Root(), GasLimit: o.Params.GasLimit}
+	p := node.New(node.Config{Genesis: parent, Params: o.Params, Threads: 8, Coinbase: o.Coinbase})
+	defer p.Close()
 	txs := g.NextBlockTxs()
-	pool := mempool.New()
-	pool.AddAll(txs)
-	pres, err := core.Propose(parent, parentHeader, pool, core.ProposerConfig{
-		Threads: 8, Coinbase: o.Coinbase, Time: 1,
-	}, o.Params)
+	p.Pool.AddAll(txs)
+	pres, err := p.Propose()
 	if err != nil {
 		return nil, err
 	}

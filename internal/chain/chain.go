@@ -3,10 +3,8 @@ package chain
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"blockpilot/internal/state"
-	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 )
 
@@ -28,22 +26,6 @@ type Chain struct {
 	txIndex  map[types.Hash]TxLocation       // tx hash → canonical location
 	byHeight map[uint64][]types.Hash
 	head     types.Hash
-
-	// Block-trace identity: traceNode names this chain's owner in insert
-	// marks, tracer is the explicitly injected collector. Insert marks are
-	// only recorded when a collector was injected via SetTrace — a chain
-	// has no node identity of its own, so the global fallback stays off.
-	traceNode string
-	tracer    *trace.Collector
-}
-
-// SetTrace names this chain's owning node and injects the block-trace
-// collector its insert marks are recorded to. Call before inserting.
-func (c *Chain) SetTrace(node string, tr *trace.Collector) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.traceNode = node
-	c.tracer = tr
 }
 
 // TxLocation records where a transaction landed.
@@ -162,13 +144,6 @@ func (c *Chain) InsertWithReceipts(block *types.Block, postState *state.Snapshot
 		for i, tx := range block.Txs {
 			c.txIndex[tx.Hash()] = TxLocation{BlockHash: h, Height: block.Number(), Index: i}
 		}
-	}
-	if c.tracer != nil {
-		// Zero-duration mark: when the block became part of this node's
-		// chain (the span ring is time-ordered, so this anchors reorg and
-		// anti-entropy analysis without affecting critical-path tiling).
-		now := time.Now()
-		c.tracer.RecordSpan(c.traceNode, trace.StageInsert, h, block.Number(), now, now)
 	}
 	return nil
 }

@@ -139,8 +139,6 @@ type Pipeline struct {
 	params  chain.Params
 	pool    *WorkerPool
 	ownPool bool
-	node    string           // span node identity; "" = "validator"
-	tracer  *trace.Collector // injected collector; nil = process-global
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -170,8 +168,9 @@ type pendingBlock struct {
 }
 
 // New builds a pipeline over a chain. cfg.Threads bounds each block's lane
-// count; pool is the shared execution pool (nil = create one with
-// cfg.Threads workers, owned and closed by the pipeline).
+// count, cfg.Node and cfg.Tracer name the node and collector of its spans;
+// pool is the shared execution pool (nil = create one with cfg.Threads
+// workers, owned and closed by the pipeline).
 func New(c *chain.Chain, cfg validator.Config, pool *WorkerPool) *Pipeline {
 	own := false
 	if pool == nil {
@@ -179,6 +178,9 @@ func New(c *chain.Chain, cfg validator.Config, pool *WorkerPool) *Pipeline {
 		own = true
 	}
 	cfg.Spawn = pool.Submit
+	if cfg.Node == "" {
+		cfg.Node = "validator"
+	}
 	p := &Pipeline{
 		chain:    c,
 		cfg:      cfg,
@@ -196,28 +198,6 @@ func New(c *chain.Chain, cfg validator.Config, pool *WorkerPool) *Pipeline {
 
 // Results delivers one Outcome per submitted block.
 func (p *Pipeline) Results() <-chan Outcome { return p.results }
-
-// SetNode names this pipeline's node for block-trace spans (default
-// "validator"). Call before the first Submit.
-func (p *Pipeline) SetNode(name string) {
-	p.node = name
-	p.cfg.Node = name
-}
-
-// SetTracer injects a block-trace collector (nil = process-global). Call
-// before the first Submit.
-func (p *Pipeline) SetTracer(c *trace.Collector) {
-	p.tracer = c
-	p.cfg.Tracer = c
-}
-
-// nodeName returns the span identity for this pipeline.
-func (p *Pipeline) nodeName() string {
-	if p.node == "" {
-		return "validator"
-	}
-	return p.node
-}
 
 // Submit hands a block to the pipeline. Blocks may arrive in any order; a
 // block waits until its parent has been validated and its outcome sent, and a
@@ -258,12 +238,12 @@ func (p *Pipeline) startLocked(pb *pendingBlock) {
 // run validates one block whose parent state is available.
 func (p *Pipeline) run(pb *pendingBlock) {
 	block, bh := pb.block, pb.hash
-	if tr := trace.Resolve(p.tracer); tr != nil {
+	node, tr := p.cfg.Node, trace.Resolve(p.cfg.Tracer)
+	if tr != nil {
 		// Attribute the pre-validation latency: time parked behind the
 		// parent (parent_wait) and time between release and this goroutine
 		// actually starting (queue_wait / scheduler backpressure).
 		now := time.Now()
-		node := p.nodeName()
 		queuedFrom := pb.arrived
 		if !pb.released.IsZero() {
 			tr.RecordSpan(node, trace.StageParentWait, bh, block.Header.Number, pb.arrived, pb.released)
@@ -286,6 +266,12 @@ func (p *Pipeline) run(pb *pendingBlock) {
 		p.mu.Unlock()
 		if insErr := p.chain.InsertWithReceipts(block, res.State, res.Receipts); insErr != nil {
 			out.Err = insErr
+		} else if tr != nil {
+			// Zero-duration mark: when the block became part of this node's
+			// chain (the span ring is time-ordered, so this anchors reorg and
+			// anti-entropy analysis without affecting critical-path tiling).
+			now := time.Now()
+			tr.RecordSpan(node, trace.StageInsert, bh, block.Header.Number, now, now)
 		}
 	}
 	if afterInsert != nil {

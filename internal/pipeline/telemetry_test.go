@@ -88,7 +88,8 @@ func TestEndToEndTelemetry(t *testing.T) {
 // telemetry on and a private collector, one proposed and validated block
 // must leave, for seal / prepare / execute / verify / commit, a histogram
 // whose Sum grew by exactly the recorded span's duration — to the nanosecond,
-// which two separate clock pairs around the same code cannot produce.
+// which two separate clock pairs around the same code cannot produce. The
+// block also carries an insert mark under the pipeline's configured node.
 func TestPhaseTimedOnce(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()
@@ -111,8 +112,9 @@ func TestPhaseTimedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(c, validator.DefaultConfig(4), nil)
-	p.SetTracer(tr)
+	vcfg := validator.DefaultConfig(4)
+	vcfg.Node, vcfg.Tracer = "v0", tr
+	p := New(c, vcfg, nil)
 	p.Submit(res.Block)
 	p.Close()
 	for out := range p.Results() {
@@ -154,5 +156,12 @@ func TestPhaseTimedOnce(t *testing.T) {
 		if got, want := h.Sum-prev.Sum, uint64(span.Dur()); got != want {
 			t.Errorf("%s: histogram observed %d ns, span lasted %d ns — the phase was timed twice", tc.stage, got, want)
 		}
+	}
+	inserted := false
+	for _, sp := range spans {
+		inserted = inserted || sp.Stage == trace.StageInsert && sp.Node == "v0"
+	}
+	if !inserted {
+		t.Error("validated block has no insert mark under node v0")
 	}
 }

@@ -48,7 +48,7 @@ func (r *runner) setupHealth(dir string) error {
 		Runtime: func() telemetry.RuntimeInfo { return telemetry.RuntimeInfo{} },
 		Probe: func() (map[string]float64, map[string]float64) {
 			return map[string]float64{healthProbeCounter: float64(v0.outcomeCount())},
-				map[string]float64{healthProbeGauge: float64(v0.pipe.Pending())}
+				map[string]float64{healthProbeGauge: float64(v0.node.Pipe.Pending())}
 		},
 		Rules: []health.Rule{&health.StallRule{
 			Windows:          simStallWindows,
@@ -68,7 +68,7 @@ func (r *runner) setupHealth(dir string) error {
 // quiesce can tell when the outcome consumer has caught up.
 func (v *valNode) submit(b *types.Block) {
 	v.submitted.Add(1)
-	v.pipe.Submit(b)
+	v.node.Pipe.Submit(b)
 }
 
 // outcomeCount is the progress counter: outcomes recorded across every
@@ -92,17 +92,17 @@ func (v *valNode) outcomeCount() int {
 // in health-enabled scenarios every delivered block's parent eventually
 // arrives, so no submission stays parked forever at a quiesce point.
 func (v *valNode) quiesce() {
-	v.pipe.Wait()
+	v.node.Pipe.Wait()
 	for int64(v.outcomeCount()) < v.submitted.Load()-v.parkedCount() {
 		time.Sleep(50 * time.Microsecond)
-		v.pipe.Wait()
+		v.node.Pipe.Wait()
 	}
 }
 
 // parkedCount is how many submissions are currently parked behind a missing
 // parent (they have not produced an outcome yet and won't until released).
 func (v *valNode) parkedCount() int64 {
-	return int64(v.pipe.Pending()) // Wait() returned, so running == 0: all pending are parked
+	return int64(v.node.Pipe.Pending()) // Wait() returned, so running == 0: all pending are parked
 }
 
 // healthPoll takes one quiesced sample of v0.

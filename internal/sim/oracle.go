@@ -34,8 +34,8 @@ func (r *runner) sortedGenuine() []*types.Block {
 func (r *runner) checkSerializability(serialRoots map[types.Hash]types.Hash) []string {
 	var problems []string
 	for _, b := range r.sortedGenuine() {
-		parent := r.ref.Block(b.Header.ParentHash)
-		pState := r.ref.StateOf(b.Header.ParentHash)
+		parent := r.prop.Chain.Block(b.Header.ParentHash)
+		pState := r.prop.Chain.StateOf(b.Header.ParentHash)
 		if parent == nil || pState == nil {
 			problems = append(problems, fmt.Sprintf("serializability: block %d %s has no reference parent", b.Number(), b.Hash()))
 			continue
@@ -94,7 +94,7 @@ func (r *runner) checkParity(serialRoots map[types.Hash]types.Hash) []string {
 // mempool conserves transactions across requeues.
 func (r *runner) checkPipelineSafety() []string {
 	var problems []string
-	genesisHash := r.ref.Genesis().Hash()
+	genesisHash := r.prop.Chain.Genesis().Hash()
 	for _, v := range r.vals {
 		v.mu.Lock()
 		for incID, inc := range v.incs {
@@ -114,7 +114,7 @@ func (r *runner) checkPipelineSafety() []string {
 		// Final spine: one block per height, carrying that height's
 		// canonical transactions exactly once.
 		seen := make(map[types.Hash]int)
-		for n := v.chain.Head(); n != nil && n.Number() > 0; n = v.chain.Block(n.Header.ParentHash) {
+		for n := v.node.Chain.Head(); n != nil && n.Number() > 0; n = v.node.Chain.Block(n.Header.ParentHash) {
 			h := n.Number()
 			if h > uint64(len(r.canonical)) {
 				problems = append(problems, fmt.Sprintf("pipeline: %s spine has block at impossible height %d", v.name, h))
@@ -148,8 +148,8 @@ func (r *runner) checkPipelineSafety() []string {
 	if r.txDropped != 0 {
 		problems = append(problems, fmt.Sprintf("pipeline: proposer dropped %d valid txs", r.txDropped))
 	}
-	if r.txGenerated != r.txCommitted+r.pool.Len()+r.txDropped {
-		problems = append(problems, fmt.Sprintf("pipeline: tx conservation broken: generated %d != committed %d + pending %d + dropped %d", r.txGenerated, r.txCommitted, r.pool.Len(), r.txDropped))
+	if r.txGenerated != r.txCommitted+r.prop.Pool.Len()+r.txDropped {
+		problems = append(problems, fmt.Sprintf("pipeline: tx conservation broken: generated %d != committed %d + pending %d + dropped %d", r.txGenerated, r.txCommitted, r.prop.Pool.Len(), r.txDropped))
 	}
 	return problems
 }
@@ -174,7 +174,7 @@ func (r *runner) checkCorruption() []string {
 					problems = append(problems, fmt.Sprintf("corruption: tamper %d (%s of %s) COMMITTED on %s", idx, ti.kind, ti.base, v.name))
 				}
 			}
-			parentAvailable := v.chain.StateOf(ti.instance.Header.ParentHash) != nil
+			parentAvailable := v.node.Chain.StateOf(ti.instance.Header.ParentHash) != nil
 			if parentAvailable && !classified(recs, ti) {
 				problems = append(problems, fmt.Sprintf("corruption: tamper %d (%s of %s) on %s never rejected as %v (last err: %v)", idx, ti.kind, ti.base, v.name, ti.class, recs[len(recs)-1].err))
 			}
@@ -189,11 +189,11 @@ func (r *runner) checkConvergence() []string {
 	var problems []string
 	for _, v := range r.vals {
 		for _, blk := range r.canonical {
-			if v.chain.StateOf(blk.Hash()) == nil {
+			if v.node.Chain.StateOf(blk.Hash()) == nil {
 				problems = append(problems, fmt.Sprintf("convergence: %s never committed canonical block %d %s", v.name, blk.Number(), blk.Hash()))
 			}
 		}
-		if got := v.chain.Height(); got != uint64(r.cfg.Heights) {
+		if got := v.node.Chain.Height(); got != uint64(r.cfg.Heights) {
 			problems = append(problems, fmt.Sprintf("convergence: %s head height %d, want %d", v.name, got, r.cfg.Heights))
 		}
 	}

@@ -23,7 +23,7 @@ func (r *runner) digest() string {
 	for _, v := range r.vals {
 		var hashes []string
 		for h := uint64(1); h <= uint64(r.cfg.Heights); h++ {
-			for _, b := range v.chain.BlocksAt(h) {
+			for _, b := range v.node.Chain.BlocksAt(h) {
 				hashes = append(hashes, fmt.Sprintf("%d:%s", h, b.Hash()))
 			}
 		}
@@ -41,7 +41,7 @@ func (r *runner) digest() string {
 			i, ti.kind, ti.base, ti.class, strings.Join(to, ",")))
 	}
 	lines = append(lines, fmt.Sprintf("txs generated=%d committed=%d pending=%d dropped=%d",
-		r.txGenerated, r.txCommitted, r.pool.Len(), r.txDropped))
+		r.txGenerated, r.txCommitted, r.prop.Pool.Len(), r.txDropped))
 
 	h := sha256.Sum256([]byte(strings.Join(lines, "\n")))
 	return hex.EncodeToString(h[:])
@@ -55,7 +55,7 @@ func (r *runner) stats() Stats {
 		TamperedCopies:  len(r.tampers),
 		TxGenerated:     r.txGenerated,
 		TxCommitted:     r.txCommitted,
-		TxPending:       r.pool.Len(),
+		TxPending:       r.prop.Pool.Len(),
 		TxDropped:       r.txDropped,
 		Committed:       make(map[string]int),
 		Rejections:      make(map[string]int),
@@ -65,7 +65,7 @@ func (r *runner) stats() Stats {
 	for _, v := range r.vals {
 		n := 0
 		for h := uint64(1); h <= uint64(r.cfg.Heights); h++ {
-			n += len(v.chain.BlocksAt(h))
+			n += len(v.node.Chain.BlocksAt(h))
 		}
 		s.Committed[v.name] = n
 		s.Incarnations[v.name] = len(v.incs)

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"blockpilot/internal/health"
+	"blockpilot/internal/node"
 	"blockpilot/internal/types"
 )
 
@@ -65,7 +66,7 @@ func (r *Report) ReproLine() string {
 	if r.Cfg.Adaptive {
 		line += " -adaptive"
 	}
-	if r.Cfg.StateBackend != "" && r.Cfg.StateBackend != StateBackendMem {
+	if r.Cfg.StateBackend != "" && r.Cfg.StateBackend != node.BackendMem {
 		line += " -state-backend " + r.Cfg.StateBackend
 	}
 	return line

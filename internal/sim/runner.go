@@ -13,16 +13,13 @@ import (
 	"blockpilot/internal/adaptive"
 	"blockpilot/internal/blockdb"
 	"blockpilot/internal/chain"
-	"blockpilot/internal/core"
 	"blockpilot/internal/health"
-	"blockpilot/internal/mempool"
 	"blockpilot/internal/network"
+	"blockpilot/internal/node"
 	"blockpilot/internal/pipeline"
 	"blockpilot/internal/state"
 	"blockpilot/internal/trace"
-	"blockpilot/internal/trie"
 	"blockpilot/internal/types"
-	"blockpilot/internal/validator"
 	"blockpilot/internal/workload"
 )
 
@@ -43,19 +40,18 @@ type incarnation struct {
 	outcomes []outcomeRec
 }
 
-// valNode is one validator: a network endpoint, a durable block log, and a
-// chain+pipeline pair that is discarded and replayed on crash-restart.
+// valNode is one validator: a network endpoint, a durable block log, a
+// worker pool, and a node that is discarded and replayed on crash-restart.
 type valNode struct {
 	name   string
-	node   *network.Node
+	ep     *network.Node
 	wpool  *pipeline.WorkerPool
 	db     *blockdb.Store
 	dbPath string
 	tracer *trace.Collector // the run's private block-trace collector
 
-	chain *chain.Chain
-	pipe  *pipeline.Pipeline
-	done  chan struct{}
+	node *node.Node
+	done chan struct{}
 
 	// baseWrap is the scenario's task wrapper (StallEvery perturbation);
 	// the health stall injection composes its gate around it.
@@ -69,22 +65,21 @@ type valNode struct {
 	delivered map[types.Hash]*types.Block // genuine blocks this node ever received
 }
 
-// start opens a fresh incarnation: new chain from genesis, new pipeline
-// over the shared worker pool, and a consumer goroutine that records
-// outcomes and persists accepted blocks.
+// start opens a fresh incarnation: a new node from genesis over the
+// validator's worker pool, and a consumer goroutine that records outcomes
+// and persists accepted blocks.
 func (v *valNode) start(genesis *state.Snapshot, params chain.Params, threads int) {
-	v.chain = chain.NewChain(genesis, params)
-	v.chain.SetTrace(v.name, v.tracer)
-	v.pipe = pipeline.New(v.chain, validator.DefaultConfig(threads), v.wpool)
-	v.pipe.SetNode(v.name)
-	v.pipe.SetTracer(v.tracer)
+	v.node = node.New(node.Config{
+		Name: v.name, Genesis: genesis, Params: params, Threads: threads,
+		Workers: v.wpool, Tracer: v.tracer,
+	})
 	inc := &incarnation{}
 	v.mu.Lock()
 	v.incs = append(v.incs, inc)
 	v.mu.Unlock()
 	done := make(chan struct{})
 	v.done = done
-	pipe, db := v.pipe, v.db
+	pipe, db := v.node.Pipe, v.db
 	go func() {
 		defer close(done)
 		for out := range pipe.Results() {
@@ -103,16 +98,16 @@ func (v *valNode) start(genesis *state.Snapshot, params chain.Params, threads in
 	}()
 }
 
-// stop closes the current incarnation's pipeline and waits for its outcome
+// stop closes the current incarnation's node and waits for its outcome
 // stream to drain (parked blocks are abandoned with ErrParentUnavailable).
 func (v *valNode) stop() {
-	v.pipe.Close()
+	v.node.Close()
 	<-v.done
 }
 
-// crashRestart models a node crash: the in-memory chain and pipeline are
-// lost; the blockdb log survives and is replayed (ascending heights) into a
-// fresh incarnation — re-validating every persisted block from genesis.
+// crashRestart models a node crash: the in-memory node is lost; the blockdb
+// log survives and is replayed (ascending heights) into a fresh incarnation —
+// re-validating every persisted block from genesis.
 func (v *valNode) crashRestart(genesis *state.Snapshot, params chain.Params, threads int) error {
 	v.stop()
 	if err := v.db.Close(); err != nil {
@@ -133,7 +128,7 @@ func (v *valNode) crashRestart(genesis *state.Snapshot, params chain.Params, thr
 			v.submit(b)
 		}
 	}
-	v.pipe.Wait()
+	v.node.Pipe.Wait()
 	return nil
 }
 
@@ -153,20 +148,13 @@ func (v *valNode) outcomesFor(b *types.Block) []outcomeRec {
 	return out
 }
 
-// branch is a (post-state, header) pair a fork child can extend.
-type branch struct {
-	st     *state.Snapshot
-	header *types.Header
-}
-
 // runner holds one simulation's moving parts.
 type runner struct {
 	cfg    Config
 	params chain.Params
 	rng    *rand.Rand // sim-side choices (tamper target); independent of workload/fault streams
 	gen    *workload.Generator
-	ref    *chain.Chain // reference chain: every genuine block + post-state
-	pool   *mempool.Pool
+	prop   *node.Node // the proposer; its chain holds every genuine block + post-state
 	net    *network.Network
 	vals   []*valNode
 	tracer *trace.Collector // private per-run collector (runs execute concurrently in tests)
@@ -220,7 +208,6 @@ func Run(cfg Config) (*Report, error) {
 		params:    params,
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x5eed51)),
 		gen:       workload.New(wcfg),
-		pool:      mempool.New(),
 		net:       network.New(0),
 		genuine:   make(map[types.Hash]*types.Block),
 		heights:   make(map[types.Hash]uint64),
@@ -229,24 +216,14 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Adaptive {
 		r.adaptive = adaptive.New(adaptive.Config{})
 	}
-	var genesis *state.Snapshot
-	switch cfg.StateBackend {
-	case StateBackendMem:
-		genesis = r.gen.GenesisState()
-	case StateBackendDisk:
-		// One persistent node store backs the whole cluster: the reference
-		// chain, the proposer tip and every validator incarnation commit
-		// through it, so crash-replay re-validation also runs disk-backed.
-		sdb, err := trie.OpenDatabase(filepath.Join(dir, "state.db"), 0)
-		if err != nil {
-			return nil, err
-		}
-		defer sdb.Close()
-		genesis = r.gen.GenesisStateInto(sdb, 0)
-	default:
-		return nil, fmt.Errorf("sim: unknown state backend %q", cfg.StateBackend)
+	// On disk, one persistent node store backs the whole cluster: the
+	// proposer and every validator incarnation commit through it, so
+	// crash-replay re-validation also runs disk-backed.
+	genesis, closeGenesis, err := node.OpenGenesis(r.gen, cfg.StateBackend, dir)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	r.ref = chain.NewChain(genesis, params)
+	defer closeGenesis()
 
 	// Every run gets a private collector — the scenario matrix runs
 	// simulations concurrently, so the process-global collector stays out
@@ -255,6 +232,11 @@ func Run(cfg Config) (*Report, error) {
 	// tracing oracle and digest never observe ring eviction.
 	r.tracer = trace.NewCollector(32768)
 	r.net.SetTracer(r.tracer)
+	r.prop = node.New(node.Config{
+		Name: "proposer", Genesis: genesis, Params: params, Threads: cfg.ProposerThreads,
+		Coinbase: proposerCoinbase, Engine: cfg.Engine, Adaptive: r.adaptive, Tracer: r.tracer,
+	})
+	defer r.prop.Close()
 
 	r.net.SeedFaults(cfg.Seed)
 	r.net.SetDefaultFaults(network.LinkFaults{Drop: cfg.Drop, Duplicate: cfg.Duplicate, Reorder: cfg.Reorder})
@@ -264,7 +246,7 @@ func Run(cfg Config) (*Report, error) {
 		name := fmt.Sprintf("v%d", i)
 		v := &valNode{
 			name:      name,
-			node:      r.net.Join(name, 4096),
+			ep:        r.net.Join(name, 4096),
 			wpool:     pipeline.NewWorkerPool(cfg.ValidatorThreads),
 			dbPath:    filepath.Join(dir, name+".blocks"),
 			tracer:    r.tracer,
@@ -309,8 +291,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	err := r.drive(pnode, genesis)
-	if err != nil {
+	if err := r.drive(pnode, genesis); err != nil {
 		// Tear down what we can before surfacing the error.
 		for _, v := range r.vals {
 			v.stop()
@@ -341,8 +322,7 @@ func Run(cfg Config) (*Report, error) {
 // end-of-run convergence passes, leaving every validator stopped.
 func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 	cfg := r.cfg
-	tip := branch{st: genesis, header: &r.ref.Genesis().Header}
-	var lastFork *branch // first sibling of the previous burst (DeepForks)
+	var lastFork *types.Block // first sibling of the previous burst (DeepForks)
 	tamperN := 0
 
 	for h := 1; h <= cfg.Heights; h++ {
@@ -359,24 +339,19 @@ func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 			r.net.Heal()
 		}
 
-		// Canonical proposal (OCC-WSI) on the proposer's tip.
+		// Canonical proposal on the proposer's head: the canonical block is
+		// inserted before this height's fork blocks, so it stays the head.
+		parent := r.prop.Chain.Head()
 		txs := r.gen.NextBlockTxs()
 		r.txGenerated += len(txs)
-		r.pool.AddAll(txs)
-		res, err := core.Propose(tip.st, tip.header, r.pool, core.ProposerConfig{
-			Engine:  cfg.Engine,
-			Threads: cfg.ProposerThreads, Coinbase: proposerCoinbase, Time: uint64(h),
-			Node: "proposer", Tracer: r.tracer, Adaptive: r.adaptive,
-		}, r.params)
+		r.prop.Pool.AddAll(txs)
+		res, err := r.prop.Propose()
 		if err != nil {
 			return fmt.Errorf("sim: propose height %d: %w", h, err)
 		}
 		r.txCommitted += res.Committed
 		r.txDropped += res.Dropped
 		blk := res.Block
-		if err := r.ref.InsertWithReceipts(blk, res.State, res.Receipts); err != nil {
-			return fmt.Errorf("sim: ref insert height %d: %w", h, err)
-		}
 		r.canonical = append(r.canonical, blk)
 		r.genuine[blk.Hash()] = blk
 		r.heights[blk.Hash()] = uint64(h)
@@ -386,11 +361,10 @@ func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 		// height's canonical transactions (valid there: sibling post-state
 		// has the same nonces as the canonical parent).
 		if cfg.DeepForks && lastFork != nil {
-			child, childBr, err := r.serialBlock(*lastFork, blk.Txs, uint64(h), 0x01)
+			child, err := r.serialBlock(lastFork, blk.Txs, uint64(h), 0x01)
 			if err != nil {
 				return fmt.Errorf("sim: fork child height %d: %w", h, err)
 			}
-			_ = childBr
 			toSend = append(toSend, child)
 			lastFork = nil
 		}
@@ -399,13 +373,13 @@ func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 		// but a distinct coinbase, so they carry distinct hashes and roots.
 		if cfg.ForkEvery > 0 && h%cfg.ForkEvery == 0 {
 			for i := 0; i < cfg.ForkWidth; i++ {
-				sib, sibBr, err := r.serialBlock(tip, blk.Txs, uint64(h), byte(0x10+i))
+				sib, err := r.serialBlock(parent, blk.Txs, uint64(h), byte(0x10+i))
 				if err != nil {
 					return fmt.Errorf("sim: fork sibling height %d: %w", h, err)
 				}
 				toSend = append(toSend, sib)
 				if cfg.DeepForks && i == 0 {
-					lastFork = &sibBr
+					lastFork = sib
 				}
 			}
 		}
@@ -455,8 +429,6 @@ func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 			r.healthPoll()
 		}
 
-		tip = branch{st: res.State, header: &blk.Header}
-
 		if cfg.CrashAt > 0 && h == cfg.CrashAt {
 			v := r.vals[0]
 			if err := v.crashRestart(genesis, r.params, cfg.ValidatorThreads); err != nil {
@@ -470,7 +442,7 @@ func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 	r.net.Flush()
 	for _, v := range r.vals {
 		r.drainInbox(v)
-		v.pipe.Wait()
+		v.node.Pipe.Wait()
 	}
 
 	// Anti-entropy 1: the proposer syncs every validator with the full
@@ -479,13 +451,13 @@ func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 		resent := false
 		for _, v := range r.vals {
 			for _, blk := range r.canonical {
-				if v.chain.Block(blk.Hash()) == nil {
+				if v.node.Chain.Block(blk.Hash()) == nil {
 					v.delivered[blk.Hash()] = blk
 					v.submit(blk)
 					resent = true
 				}
 			}
-			v.pipe.Wait()
+			v.node.Pipe.Wait()
 		}
 		if !resent {
 			break
@@ -500,12 +472,12 @@ func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 		resent := false
 		for _, v := range r.vals {
 			for _, blk := range r.sortedDelivered(v) {
-				if v.chain.Block(blk.Hash()) == nil && v.chain.StateOf(blk.Header.ParentHash) != nil {
+				if v.node.Chain.Block(blk.Hash()) == nil && v.node.Chain.StateOf(blk.Header.ParentHash) != nil {
 					v.submit(blk)
 					resent = true
 				}
 			}
-			v.pipe.Wait()
+			v.node.Pipe.Wait()
 		}
 		if !resent {
 			break
@@ -517,14 +489,14 @@ func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 	// are in, so every delivered corruption ends with a classified verdict.
 	for _, v := range r.vals {
 		for _, ti := range r.tampers {
-			if !ti.deliveredTo[v.name] || v.chain.StateOf(ti.instance.Header.ParentHash) == nil {
+			if !ti.deliveredTo[v.name] || v.node.Chain.StateOf(ti.instance.Header.ParentHash) == nil {
 				continue
 			}
 			if !classified(v.outcomesFor(ti.instance), ti) {
 				v.submit(ti.instance)
 			}
 		}
-		v.pipe.Wait()
+		v.node.Pipe.Wait()
 	}
 
 	for _, v := range r.vals {
@@ -550,7 +522,7 @@ func classified(recs []outcomeRec, ti *tamperedInstance) bool {
 func (r *runner) drainInbox(v *valNode) {
 	for {
 		select {
-		case msg, ok := <-v.node.Inbox():
+		case msg, ok := <-v.ep.Inbox():
 			if !ok {
 				return
 			}
@@ -584,28 +556,29 @@ func (r *runner) sortedDelivered(v *valNode) []*types.Block {
 
 // serialBlock executes txs serially on parent and seals a block whose
 // coinbase's last byte is tag — the reference (Geth-baseline) way to build
-// fork blocks, and byte-deterministic for the digest.
-func (r *runner) serialBlock(parent branch, txs []*types.Transaction, time uint64, tag byte) (*types.Block, branch, error) {
+// fork blocks, and byte-deterministic for the digest. The block joins the
+// proposer's chain beside the canonical one.
+func (r *runner) serialBlock(parent *types.Block, txs []*types.Transaction, time uint64, tag byte) (*types.Block, error) {
 	cb := proposerCoinbase
 	cb[19] = tag
 	header := &types.Header{
-		ParentHash: parent.header.Hash(),
-		Number:     parent.header.Number + 1,
+		ParentHash: parent.Hash(),
+		Number:     parent.Number() + 1,
 		Coinbase:   cb,
 		GasLimit:   r.params.GasLimit,
 		Time:       time,
 	}
-	res, err := chain.ExecuteSerial(parent.st, header, txs, r.params)
+	res, err := chain.ExecuteSerial(r.prop.Chain.StateOf(parent.Hash()), header, txs, r.params)
 	if err != nil {
-		return nil, branch{}, err
+		return nil, err
 	}
-	blk := chain.SealBlock(parent.header, cb, time, txs, res, r.params)
-	if err := r.ref.Insert(blk, res.State); err != nil {
-		return nil, branch{}, err
+	blk := chain.SealBlock(&parent.Header, cb, time, txs, res, r.params)
+	if err := r.prop.Chain.Insert(blk, res.State); err != nil {
+		return nil, err
 	}
 	r.genuine[blk.Hash()] = blk
 	r.heights[blk.Hash()] = blk.Number()
-	return blk, branch{st: res.State, header: &blk.Header}, nil
+	return blk, nil
 }
 
 func lessHash(a, b types.Hash) bool {

@@ -31,6 +31,7 @@ import (
 	"sort"
 
 	"blockpilot/internal/core"
+	"blockpilot/internal/node"
 )
 
 // Config parameterizes one simulator run. The zero value is not runnable;
@@ -45,8 +46,8 @@ type Config struct {
 	Engine string
 
 	// StateBackend selects the world-state backend for every node in the
-	// cluster ("mem" or "disk"). Disk runs the whole cluster — reference
-	// chain, proposer and validators — against one persistent node store
+	// cluster (node.BackendMem or node.BackendDisk). Disk runs the whole
+	// cluster — proposer and validators — against one persistent node store
 	// under Dir; the oracles are backend-blind, and the run digest must be
 	// byte-identical across backends (state persistence cannot change
 	// consensus). Part of the repro line.
@@ -155,15 +156,9 @@ func (c *Config) Normalize() {
 		c.Engine = core.EngineOCCWSI
 	}
 	if c.StateBackend == "" {
-		c.StateBackend = StateBackendMem
+		c.StateBackend = node.BackendMem
 	}
 }
-
-// State backend names (Config.StateBackend, -state-backend).
-const (
-	StateBackendMem  = "mem"
-	StateBackendDisk = "disk"
-)
 
 // presets is the scenario matrix (docs/TESTING.md documents each row).
 var presets = map[string]Config{

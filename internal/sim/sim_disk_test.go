@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"blockpilot/internal/node"
+)
 
 // TestScenarioMatrixDiskBackend (satellite of ISSUE 10): the fault
 // scenarios must hold unchanged when the whole cluster — reference chain,
@@ -19,7 +23,7 @@ func TestScenarioMatrixDiskBackend(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.StateBackend = StateBackendDisk
+				cfg.StateBackend = node.BackendDisk
 				cfg.Dir = t.TempDir()
 				rep, err := Run(cfg)
 				if err != nil {
@@ -29,7 +33,7 @@ func TestScenarioMatrixDiskBackend(t *testing.T) {
 					t.Fatalf("scenario %s seed %d (disk): %d oracle failures (repro: %s)\n%s",
 						scenario, seed, len(rep.Problems), rep.ReproLine(), rep.Render())
 				}
-				if rep.ReproLine() != "" && cfg.StateBackend == StateBackendDisk {
+				if rep.ReproLine() != "" && cfg.StateBackend == node.BackendDisk {
 					if want := " -state-backend disk"; !contains(rep.ReproLine(), want) {
 						t.Fatalf("repro line %q does not tag the backend", rep.ReproLine())
 					}
@@ -69,7 +73,7 @@ func TestDiskBackendDigestParity(t *testing.T) {
 		}
 		return rep.Digest
 	}
-	if m, d := digest(StateBackendMem), digest(StateBackendDisk); m != d {
+	if m, d := digest(node.BackendMem), digest(node.BackendDisk); m != d {
 		t.Fatalf("digest diverged across backends: mem %s disk %s", m, d)
 	}
 }

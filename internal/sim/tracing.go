@@ -28,7 +28,7 @@ func (r *runner) checkTracing() []string {
 	}
 	for _, v := range r.vals {
 		for h := uint64(1); h <= uint64(r.cfg.Heights); h++ {
-			for _, b := range v.chain.BlocksAt(h) {
+			for _, b := range v.node.Chain.BlocksAt(h) {
 				bh := b.Hash()
 				p, ok := r.tracer.PathFor(bh, v.name)
 				if !ok {
@@ -71,7 +71,7 @@ func (r *runner) traceDigest() string {
 	var lines []string
 	for _, v := range r.vals {
 		for h := uint64(1); h <= uint64(r.cfg.Heights); h++ {
-			for _, b := range v.chain.BlocksAt(h) {
+			for _, b := range v.node.Chain.BlocksAt(h) {
 				bh := b.Hash()
 				complete := false
 				if p, ok := r.tracer.PathFor(bh, v.name); ok {

@@ -472,7 +472,7 @@ func TestReleaseAllocs(t *testing.T) {
 			}
 		}
 	}
-	if perRelease[0] != perRelease[1] || perRelease[1] > 2 {
+	if perRelease[0] != perRelease[1] || perRelease[1] > 1 {
 		t.Fatalf("Release allocates %d times for 41 dead nodes and %d for 1033: want the same small constant", perRelease[0], perRelease[1])
 	}
 }
