@@ -85,14 +85,16 @@ obs-budget:
 # The state path's budget (docs/PERFORMANCE.md §9): an overlay costs its base
 # one Account call per account and one Code call per contract, through Memory
 # and through the proposer's view alike; ApplyChangeSet reads nothing; a
-# decoded branch is two allocations; a 256-key trie batch copies no items per
-# level; a Release allocates the same small
+# decoded branch is two allocations, and a reference to it or to a hashed
+# node none (each node keeps its own); a 256-key trie batch copies no items
+# per level and reuses its scratch; a second store Commit reuses the record
+# buffer; a Release allocates the same small
 # constant whether it prunes 41 nodes or 1 033; and one 132-transaction block
 # through Propose → Encode → DecodeBlock → ValidateParallel stays within 10 %
 # of its allocation budget (docs/PERFORMANCE.md §10). A fourth lookup, a
 # re-grown slice or a nested encoder fails here, without running the benchmark.
 state-budget:
-	$(GO) test -count=1 -run 'TestOverlayReadsEachAccountOnce|TestApplyChangeSetReadsNothing|TestDecodeNodeAllocs|TestBatchAllocs|TestReleaseAllocs|TestBlockPathAllocs' ./internal/state/ ./internal/core/ ./internal/trie/ ./internal/trie/store/
+	$(GO) test -count=1 -run 'TestOverlayReadsEachAccountOnce|TestApplyChangeSetReadsNothing|TestDecodeNodeAllocs|TestRefAllocs|TestBatchAllocs|TestCommitReusesBuffer|TestReleaseAllocs|TestBlockPathAllocs' ./internal/state/ ./internal/core/ ./internal/trie/ ./internal/trie/store/
 
 # Live end-to-end pass of the health recorder: a real sampler at a fast
 # interval over actual runtime metrics and the live telemetry registry.
@@ -122,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMVVersionChain -fuzztime 3s ./internal/mv/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeNodeVsReference -fuzztime 3s ./internal/trie/
 	$(GO) test -run '^$$' -fuzz FuzzNodeEdgesVsReference -fuzztime 3s ./internal/trie/
+	$(GO) test -run '^$$' -fuzz FuzzAppendRefVsReference -fuzztime 3s ./internal/trie/
 	$(GO) test -run '^$$' -fuzz FuzzNodeStore -fuzztime 3s ./internal/trie/store/
 	$(GO) test -run '^$$' -fuzz FuzzNodeIndexVsMap -fuzztime 3s ./internal/trie/store/
 	$(GO) test -run '^$$' -fuzz FuzzKeccak256VsReference -fuzztime 3s ./internal/crypto/

@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // kv is one pending item of a batch: the key's full nibble path, its value
@@ -45,8 +46,9 @@ func (t *Trie) Batch(keys, vals [][]byte) {
 	for _, k := range keys {
 		size += 2 * len(k)
 	}
-	slab := make([]byte, 0, size) // every key's nibbles, one allocation
-	items := make([]kv, len(keys))
+	sc := batchScratch.Get().(*batchBuf)
+	slab := slices.Grow(sc.slab[:0], size) // every key's nibbles: the slices below stay put
+	items := slices.Grow(sc.items[:0], len(keys))[:len(keys)]
 	for i, k := range keys {
 		start := len(slab)
 		slab = appendNibbles(slab, k)
@@ -68,7 +70,19 @@ func (t *Trie) Batch(keys, vals [][]byte) {
 		}
 	}
 	t.root = batchInsert(t.db, t.root, puts, 0)
+	clear(items) // the pool keeps no caller's value
+	sc.slab, sc.items = slab, items[:0]
+	batchScratch.Put(sc)
 }
+
+// batchBuf is one Batch's scratch: the keys' nibbles and the item array. No
+// node keeps either, so they are reused from call to call.
+type batchBuf struct {
+	slab  []byte
+	items []kv
+}
+
+var batchScratch = sync.Pool{New: func() any { return new(batchBuf) }}
 
 // batchInsert returns a new subtree equal to n, the node at depth d, with all
 // items stored. items must be sorted by nibble key, duplicate-free, and share

@@ -156,40 +156,52 @@ func TestHashParallelMatchesHash(t *testing.T) {
 	}
 }
 
-// TestConcurrentHashSharedSubtrees drives -race over the node enc caches:
-// many tries sharing almost all structure are hashed from separate
-// goroutines, serial and parallel at once.
+// TestConcurrentHashSharedSubtrees drives -race over the references nodes
+// keep: copies sharing every subtree but one path, none hashed before, are
+// hashed from sixteen goroutines released at once, eight of them through
+// HashParallel. Shared nodes are filled by whichever worker wins, and every
+// root — the losers' included — must equal the one an unshared trie of the
+// same contents hashes to.
 func TestConcurrentHashSharedSubtrees(t *testing.T) {
-	base := New()
 	keys, vals := randomPairs(rand.New(rand.NewSource(5)), 800, 0)
+	diverge := func(tr *Trie, i int) *Trie {
+		tr.Update(crypto.Keccak256([]byte(fmt.Sprintf("diverge-%d", i%4))), []byte{byte(i % 4)})
+		return tr
+	}
+	var want [4][32]byte
+	for i := range want {
+		tr := New()
+		applySerial(tr, keys, vals)
+		want[i] = diverge(tr, i).Hash()
+	}
+	base := New()
 	applySerial(base, keys, vals)
 
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	roots := make([][32]byte, 16)
-	for i := 0; i < 16; i++ {
-		// Each copy diverges by one key, sharing the rest of the structure.
-		cp := base.Copy()
-		cp.Update(crypto.Keccak256([]byte(fmt.Sprintf("diverge-%d", i%4))), []byte{byte(i % 4)})
+	copies := make([]*Trie, len(roots))
+	for i := range copies {
+		copies[i] = diverge(base.Copy(), i)
 		wg.Add(1)
 		go func(i int, cp *Trie) {
 			defer wg.Done()
+			<-start
 			if i%2 == 0 {
 				roots[i] = cp.Hash()
 			} else {
 				roots[i] = cp.HashParallel(4)
 			}
-		}(i, cp)
+		}(i, copies[i])
 	}
+	close(start)
 	wg.Wait()
-	// Copies i and i+4 applied identical divergences: roots must agree
-	// across the serial/parallel split.
-	for i := 0; i < 4; i++ {
-		for j := i; j < 16; j += 4 {
-			if roots[j] != roots[i] {
-				t.Fatalf("shared-subtree hash diverged: root[%d] != root[%d]", j, i)
-			}
+	for i, root := range roots {
+		if root != want[i%4] {
+			t.Fatalf("copy %d: root %x, want %x", i, root, want[i%4])
 		}
 	}
+	checkRefs(t, nil, copies[1].root, true)
 }
 
 func BenchmarkTrieUpdateLoop(b *testing.B) {
@@ -237,9 +249,10 @@ func BenchmarkTrieHashParallel8(b *testing.B) {
 }
 
 // TestBatchAllocs pins what one 256-key batch into a populated trie
-// allocates: the nibble slab and the item array, the nodes on the new paths
-// and a leaf's merge — and no copy of the items per trie level, which would
-// add one allocation for every branch the batch passes through.
+// allocates: the nodes on the new paths and a leaf's merge — not the nibble
+// slab and the item array, which are reused from batch to batch, and no copy
+// of the items per trie level, which would add one allocation for every
+// branch the batch passes through.
 func TestBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -260,9 +273,10 @@ func TestBatchAllocs(t *testing.T) {
 		}
 		vals = append(vals, val)
 	}
-	// 882 at the change that made the recursion go by depth; the copying
-	// recursion before it made 1 474.
-	if got := testing.AllocsPerRun(20, func() { base.Copy().Batch(keys, vals) }); got > 882 {
-		t.Errorf("Batch of 256 keys: %v allocations, pinned at 882", got)
+	// 880 since the slab and the item array are pooled; 882 at the change
+	// that made the recursion go by depth; the copying recursion before it
+	// made 1 474.
+	if got := testing.AllocsPerRun(20, func() { base.Copy().Batch(keys, vals) }); got > 880 {
+		t.Errorf("Batch of 256 keys: %v allocations, pinned at 880", got)
 	}
 }

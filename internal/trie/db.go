@@ -13,28 +13,28 @@
 package trie
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"blockpilot/internal/crypto"
-	"blockpilot/internal/rlp"
 	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trie/store"
 )
 
 // hashNode references a stored node by hash; it is resolved on demand via
 // the trie's Database and is the boundary between the in-memory working set
-// and disk.
+// and disk. It holds no pointer — its reference is 0xa0 ‖ hash, appended
+// where it is needed — so decodeNode's slab of them is noscan.
 type hashNode struct {
 	hash [32]byte
-	enc  atomic.Pointer[[]byte]
 }
 
 func newHashNode(h [32]byte) *hashNode { return &hashNode{hash: h} }
 
-func (n *hashNode) cache() *atomic.Pointer[[]byte] { return &n.enc }
+func (*hashNode) cache() *refCache { return nil }
 
 // MissingNodeError reports a hash reference that could not be resolved — a
 // corrupted or wrongly pruned store, or a Trie used without its Database.
@@ -245,12 +245,16 @@ func (b *Batch) PersistTrie(t *Trie) [32]byte {
 		panic("trie: PersistTrie against a different Database")
 	}
 	persistNode(b.sb, t.root)
-	rootEnc := encodeNode(t.root)
-	rootHash := crypto.Sum256(rootEnc)
-	if len(rootEnc) < 32 {
+	rootHash := t.Hash() // from the reference persistNode left in the root
+	var buf [1 + 32]byte
+	ref, ok := t.root.cache().appendTo(buf[:0])
+	if !ok { // a concurrent hasher is still filling the cache
+		ref = encodeNode(t.root)
+	}
+	if len(ref) < 32 {
 		// Small roots are embedded nowhere (the root has no parent): store
 		// them by hash so the anchor resolves — the Ethereum root-hash rule.
-		b.sb.Put(rootHash, rootEnc)
+		b.sb.Put(rootHash, bytes.Clone(ref))
 	}
 	t.root = newHashNode(rootHash)
 	return rootHash
@@ -261,33 +265,43 @@ func (b *Batch) Commit(root [32]byte) error {
 	return b.sb.Commit(root)
 }
 
-// persistNode stages n's subtree bottom-up and returns n's parent reference,
-// filling the enc cache as it goes (so each node is encoded exactly once per
-// persist, and the parent's encodeNode reuses the children's cached refs).
-func persistNode(sb *store.Batch, n node) []byte {
+// persistNode stages n's fresh subtree bottom-up. Each node is encoded once,
+// for its record, after its children, so the encoding takes their cached
+// references; a node hashed before — a storage trie is hashed before it is
+// persisted — keeps its hash. A node shorter than 32 bytes is embedded in
+// its parent, and so is everything under it: nothing of it is staged.
+func persistNode(sb *store.Batch, n node) {
+	c := n.cache()
+	if c == nil {
+		return // a hashNode: persisted already
+	}
+	var buf [1 + 32]byte
+	if ref, ok := c.appendTo(buf[:0]); ok && len(ref) < 32 {
+		return // embedded
+	}
 	switch nd := n.(type) {
-	case *hashNode:
-		return nodeRef(nd)
 	case *extNode:
 		persistNode(sb, nd.child)
 	case *branchNode:
-		for _, c := range nd.children {
-			if c != nil {
-				persistNode(sb, c)
+		for _, ch := range nd.children {
+			if ch != nil {
+				persistNode(sb, ch)
 			}
 		}
 	}
 	enc := encodeNode(n)
-	var ref []byte
 	if len(enc) < 32 {
-		ref = enc // embedded in the parent, not stored on its own
-	} else {
-		h := crypto.Sum256(enc)
-		sb.Put(h, enc)
-		ref = rlp.EncodeString(h[:])
+		c.set(enc)
+		return
 	}
-	n.cache().Store(&ref)
-	return ref
+	var hash [32]byte
+	if ref, ok := c.appendTo(buf[:0]); ok {
+		hash = [32]byte(ref[1:])
+	} else {
+		hash = crypto.Sum256(enc)
+		c.set(hash[:])
+	}
+	sb.Put(hash, enc)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Parallel root hashing. Hashing a trie is a bottom-up reduction over the
-// node DAG, and the per-node reference cache (the atomic `enc` pointer on
-// every node) makes the reduction idempotent and safe to run concurrently:
-// two goroutines encoding the same shared subtree compute the same bytes
-// and race only on a benign identical Store. HashParallel exploits that by
+// node DAG, and the reference every node keeps (its refCache) makes the
+// reduction idempotent and safe to run concurrently: two goroutines encoding
+// the same shared subtree compute the same bytes, and the one that loses the
+// compare-and-swap keeps its copy to itself. HashParallel exploits that by
 // fanning the root branch's children (recursively, to a small depth) across
 // worker goroutines, warming the caches, and then letting the ordinary
 // serial Hash assemble the root from fully cached children — so the result
@@ -35,8 +35,14 @@ func (t *Trie) HashParallel(workers int) [32]byte {
 	if _, ok := t.root.(*hashNode); ok {
 		return t.Hash() // persisted root: O(1), nothing to fan out
 	}
-	var frontier []node
-	gatherFrontier(t.root, 0, &frontier)
+	fp := frontiers.Get().(*[]node)
+	defer func() {
+		clear(*fp)
+		*fp = (*fp)[:0]
+		frontiers.Put(fp)
+	}()
+	gatherFrontier(t.root, 0, fp)
+	frontier := *fp
 	if len(frontier) < parallelHashMinTasks {
 		return t.Hash()
 	}
@@ -49,18 +55,24 @@ func (t *Trie) HashParallel(workers int) [32]byte {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			buf := encScratch.Get().(*[]byte)
+			defer encScratch.Put(buf)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(frontier) {
 					return
 				}
-				nodeRef(frontier[i]) // warms the subtree's enc caches
+				*buf = appendRef((*buf)[:0], frontier[i]) // fills the subtree's references
 			}
 		}()
 	}
 	wg.Wait()
 	return t.Hash()
 }
+
+// frontiers recycles HashParallel's task lists: one per call would be grown
+// from nil every block.
+var frontiers = sync.Pool{New: func() any { return new([]node) }}
 
 // gatherFrontier collects the roots of independent subtrees at most
 // parallelHashDepth branch levels below n. Extension nodes are transparent

@@ -117,12 +117,15 @@ type Store struct {
 	opts  Options
 	open  bool
 
+	// The record buffer of a Commit or a Release, kept between calls so
+	// neither builds one per call.
+	buf []byte
 	// Release's working set, kept between calls so a prune allocates nothing
 	// per node: the undo log (every count dropped), the pruned nodes in
-	// cascade order, the cascade's stack, one payload and one record buffer.
+	// cascade order, the cascade's stack and one payload buffer.
 	rel struct {
 		undo, dead, stack []uint32
-		enc, buf          []byte
+		enc               []byte
 	}
 
 	diskReads atomic.Uint64
@@ -418,6 +421,11 @@ type stagedPut struct {
 // NewBatch starts a commit batch.
 func (s *Store) NewBatch() *Batch { return &Batch{s: s} }
 
+// maxKeptBuf bounds the record buffer a Commit leaves to the store: a block's
+// records fit many times over, while a genesis chunk's tens of megabytes are
+// let go once written.
+const maxKeptBuf = 4 << 20
+
 // Put stages a node. It touches nothing shared: whether the node is already
 // stored — or staged twice — is decided once, in Commit, under the store's
 // lock, where no Release can come between the answer and its use.
@@ -449,7 +457,7 @@ func (b *Batch) Commit(root [32]byte) error {
 	for _, p := range b.nodes {
 		size += recOverhead + len(p.enc)
 	}
-	buf := make([]byte, 0, size)
+	buf := slices.Grow(s.buf[:0], size)
 	// Codes and nodes enter their index as their record is staged — that is
 	// the dedup, against the store and against this batch alike — and leave it
 	// again if the write fails. Nobody can see them in between: s.mu is held.
@@ -472,6 +480,9 @@ func (b *Batch) Commit(root [32]byte) error {
 		}
 	}
 	buf = appendRecord(buf, recCommit, root, nil)
+	if cap(buf) <= maxKeptBuf {
+		s.buf = buf[:0]
+	}
 
 	if err := s.appendBarrier(buf); err != nil {
 		for _, h := range codes {
@@ -521,7 +532,7 @@ func (s *Store) Release(root [32]byte) (err error) {
 	}
 
 	x, r, has := &s.idx, &s.rel, s.has
-	r.undo, r.dead, r.stack, r.buf = r.undo[:0], r.dead[:0], r.stack[:0], r.buf[:0]
+	r.undo, r.dead, r.stack = r.undo[:0], r.dead[:0], r.stack[:0]
 	defer func() {
 		if err != nil {
 			for _, j := range r.undo {
@@ -557,11 +568,13 @@ func (s *Store) Release(root [32]byte) (err error) {
 		}
 	}
 
+	buf := s.buf[:0]
 	for _, j := range r.dead {
-		r.buf = appendRecord(r.buf, recDel, x.slab[j].key, nil)
+		buf = appendRecord(buf, recDel, x.slab[j].key, nil)
 	}
-	r.buf = appendRecord(r.buf, recRelease, root, nil)
-	if err = s.appendBarrier(r.buf); err != nil {
+	buf = appendRecord(buf, recRelease, root, nil)
+	s.buf = buf[:0]
+	if err = s.appendBarrier(buf); err != nil {
 		return err
 	}
 

@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"blockpilot/internal/crypto"
@@ -259,5 +261,42 @@ func TestBatchDedup(t *testing.T) {
 	}
 	if refs, _ := s.Refs(h); refs != 1 || s.Len() != 1 {
 		t.Fatalf("after two commits and one release: refs %d, %d nodes; want 1, 1", refs, s.Len())
+	}
+}
+
+// TestCommitReusesBuffer: the record buffer is the store's, kept from one
+// Commit to the next, so a second commit of the same size builds none. A
+// release between the two frees the index positions the second takes.
+func TestCommitReusesBuffer(t *testing.T) {
+	s := openTest(t, filepath.Join(t.TempDir(), "state.db"))
+	defer s.Close()
+	const nodes, blob = 64, 1024
+	commit := func(tag byte) (root [32]byte, allocated uint64) {
+		b := s.NewBatch()
+		for i := 0; i < nodes; i++ {
+			root, enc := mkNode(bytes.Repeat([]byte{tag, byte(i)}, blob/2))
+			b.Put(root, enc)
+		}
+		// Mallocs counts the whole process: two Ps and no collector, as in
+		// TestReleaseAllocs.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := b.Commit(root); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return root, m1.TotalAlloc - m0.TotalAlloc
+	}
+	root, first := commit(1)
+	if err := s.Release(root); err != nil {
+		t.Fatal(err)
+	}
+	_, second := commit(2)
+	t.Logf("first commit allocated %d bytes, second %d", first, second)
+	if second >= nodes*blob {
+		t.Fatalf("second commit allocated %d bytes: a record buffer of %d", second, nodes*blob)
 	}
 }

@@ -5,9 +5,9 @@
 // Nodes are immutable: Update and Delete return paths of fresh nodes and
 // share all untouched subtrees with the previous version. A Trie copy is
 // therefore O(1), which is what lets the validator pipeline hold several
-// world-state versions (one per in-flight block) cheaply. Node hashes are
-// cached with atomic pointers, so concurrent hashing of shared subtrees is
-// safe.
+// world-state versions (one per in-flight block) cheaply. Each node keeps
+// its reference inline, filled once by compare-and-swap, so concurrent
+// hashing of shared subtrees is safe.
 package trie
 
 import (
@@ -19,37 +19,72 @@ import (
 	"blockpilot/internal/rlp"
 )
 
-// node is one trie node: *leafNode, *extNode or *branchNode.
+// node is one trie node: *leafNode, *extNode, *branchNode or *hashNode.
 type node interface {
-	// cachedEnc returns the node's reference encoding cache slot.
-	cache() *atomic.Pointer[[]byte]
+	// cache returns the node's reference cache; nil for a hashNode, whose
+	// reference is its hash.
+	cache() *refCache
 }
 
 // leafNode holds a value at the end of a key path (key is in nibbles).
 type leafNode struct {
 	key []byte
 	val []byte
-	enc atomic.Pointer[[]byte]
+	ref refCache
 }
 
 // extNode compresses a shared nibble path leading to a branch.
 type extNode struct {
 	key   []byte
 	child node
-	enc   atomic.Pointer[[]byte]
+	ref   refCache
 }
 
-// branchNode fans out on one nibble; value holds a key that ends here.
+// branchNode fans out on one nibble; value holds a key that ends here. The
+// field order keeps it at 320 bytes, one size class.
 type branchNode struct {
 	children [16]node
 	value    []byte
+	ref      refCache
 	hasValue bool
-	enc      atomic.Pointer[[]byte]
 }
 
-func (n *leafNode) cache() *atomic.Pointer[[]byte]   { return &n.enc }
-func (n *extNode) cache() *atomic.Pointer[[]byte]    { return &n.enc }
-func (n *branchNode) cache() *atomic.Pointer[[]byte] { return &n.enc }
+func (n *leafNode) cache() *refCache   { return &n.ref }
+func (n *extNode) cache() *refCache    { return &n.ref }
+func (n *branchNode) cache() *refCache { return &n.ref }
+
+// refCache holds a node's reference in its parent inside the node: the
+// encoding itself when it is shorter than 32 bytes, else the hash, whose
+// 0xa0 string header is implied. state is 0 while empty, 1 while a writer
+// fills buf, and 2 + len(ref) once buf holds it for good. The first writer
+// wins the compare-and-swap; a concurrent one that loses only appends the
+// same bytes it computed, so racing hashers of a shared subtree agree
+// without a data race.
+type refCache struct {
+	state atomic.Uint32
+	buf   [32]byte
+}
+
+// appendTo appends the cached reference to dst; ok is false while empty.
+func (c *refCache) appendTo(dst []byte) (out []byte, ok bool) {
+	s := c.state.Load()
+	if s < 2 {
+		return dst, false
+	}
+	if s == 2+32 {
+		dst = append(dst, 0x80+32)
+	}
+	return append(dst, c.buf[:s-2]...), true
+}
+
+// set records ref — an embedded encoding or a hash — unless a writer came
+// first.
+func (c *refCache) set(ref []byte) {
+	if c.state.CompareAndSwap(0, 1) {
+		copy(c.buf[:], ref)
+		c.state.Store(2 + uint32(len(ref)))
+	}
+}
 
 // Trie is a persistent Merkle Patricia Trie. The zero value is an empty
 // in-memory trie. A trie opened against a Database resolves hash references
@@ -330,8 +365,8 @@ func appendHexPrefix(dst, nibbles []byte, leaf bool) []byte {
 }
 
 // appendNode appends the RLP encoding of n (the full node body) to dst. It
-// allocates nothing when dst has room: children contribute their cached
-// references and the compact key is built on the stack.
+// allocates nothing when dst has room: children contribute their references
+// (see appendRef) and the compact key is built on the stack.
 func appendNode(dst []byte, n node) []byte {
 	start := len(dst)
 	dst, list := rlp.StartList(dst)
@@ -342,13 +377,13 @@ func appendNode(dst []byte, n node) []byte {
 		dst = rlp.AppendString(dst, nd.val)
 	case *extNode:
 		dst = rlp.AppendString(dst, appendHexPrefix(compact[:0], nd.key, false))
-		dst = append(dst, nodeRef(nd.child)...)
+		dst = appendRef(dst, nd.child)
 	case *branchNode:
 		for _, c := range nd.children {
 			if c == nil {
 				dst = append(dst, 0x80) // the empty string
 			} else {
-				dst = append(dst, nodeRef(c)...)
+				dst = appendRef(dst, c)
 			}
 		}
 		dst = rlp.AppendString(dst, nd.value)
@@ -365,65 +400,56 @@ var encScratch = sync.Pool{New: func() any {
 	return &buf
 }}
 
-// scratchEncode encodes n into a pooled buffer; the caller puts it back into
-// encScratch once done with the bytes.
-func scratchEncode(n node) *[]byte {
-	buf := encScratch.Get().(*[]byte)
-	*buf = appendNode((*buf)[:0], n)
-	return buf
-}
-
 // encodeNode returns the RLP encoding of n (the full node body) in a slice
 // of its own.
 func encodeNode(n node) []byte {
-	buf := scratchEncode(n)
+	buf := encScratch.Get().(*[]byte)
+	*buf = appendNode((*buf)[:0], n)
 	enc := bytes.Clone(*buf)
 	encScratch.Put(buf)
 	return enc
 }
 
-// nodeRef returns how a child is referenced inside its parent: embedded
-// directly when its encoding is shorter than 32 bytes, by keccak hash
-// otherwise. The result is cached on the node. A hashNode's reference IS
-// its hash (hashing the 33-byte hash-string again would be wrong).
-func nodeRef(n node) []byte {
-	slot := n.cache()
-	if p := slot.Load(); p != nil {
-		return *p
+// appendRef appends how n is referenced inside its parent: embedded directly
+// when its encoding is shorter than 32 bytes, as the string of its keccak
+// hash otherwise. A hashNode's reference is its hash; any other node's is
+// computed once — encoded in place at the end of dst, then collapsed to its
+// hash — and kept in the node's refCache.
+func appendRef(dst []byte, n node) []byte {
+	c := n.cache()
+	if c == nil {
+		return append(append(dst, 0x80+32), n.(*hashNode).hash[:]...)
 	}
-	if hn, ok := n.(*hashNode); ok {
-		ref := rlp.EncodeString(hn.hash[:])
-		slot.Store(&ref)
-		return ref
+	if out, ok := c.appendTo(dst); ok {
+		return out
 	}
-	buf := scratchEncode(n)
-	var ref []byte
-	if enc := *buf; len(enc) < 32 {
-		ref = bytes.Clone(enc)
-	} else {
-		ref = make([]byte, 1+32)
-		ref[0] = 0x80 + 32
-		crypto.Keccak256Into((*[32]byte)(ref[1:]), enc)
+	start := len(dst)
+	dst = appendNode(dst, n)
+	if len(dst)-start < 32 {
+		c.set(dst[start:])
+		return dst
 	}
-	encScratch.Put(buf)
-	slot.Store(&ref)
-	return ref
+	var hash [32]byte
+	crypto.Keccak256Into(&hash, dst[start:])
+	c.set(hash[:])
+	return append(append(dst[:start], 0x80+32), hash[:]...)
 }
 
 // Hash returns the trie's root hash (the Ethereum state root rule:
-// keccak256 of the root node encoding, or EmptyRoot for an empty trie).
-func (t *Trie) Hash() [32]byte {
-	switch nd := t.root.(type) {
-	case nil:
+// keccak256 of the root node encoding, or EmptyRoot for an empty trie). The
+// root keeps its reference, so hashing a trie again costs nothing.
+func (t *Trie) Hash() (hash [32]byte) {
+	if t.root == nil {
 		return EmptyRoot
-	case *hashNode:
-		return nd.hash // persisted root: the hash is already known
-	default:
-		buf := scratchEncode(t.root)
-		hash := crypto.Sum256(*buf)
-		encScratch.Put(buf)
-		return hash
 	}
+	buf := encScratch.Get().(*[]byte)
+	if *buf = appendRef((*buf)[:0], t.root); len(*buf) == 1+32 {
+		hash = [32]byte((*buf)[1:])
+	} else {
+		hash = crypto.Sum256(*buf) // a root shorter than 32 bytes is hashed all the same
+	}
+	encScratch.Put(buf)
+	return hash
 }
 
 // Len returns the number of keys in the trie (O(n), for tests and stats).
