@@ -5,7 +5,7 @@
 # Propose test rides both engines with and without the adaptive controller) +
 # race detector on the concurrency-heavy packages (OCC-WSI core, MV-STM
 # engine, mempool, pipeline, validator, network, sim, telemetry, flight recorder, health
-# recorder) + one disabled-path budget gate over telemetry, the flight
+# recorder, and the chain, which prunes its state window while pipeline goroutines read) + one disabled-path budget gate over telemetry, the flight
 # recorder and the block tracer (obs-budget) + the state path's lookup and
 # allocation budget
 # (state-budget) + a live health-sampler smoke (health-smoke)
@@ -68,7 +68,7 @@ test:
 
 race:
 	$(GO) test -race -timeout 30m -cpu 1,2,4 $(CONCURRENCY_PKGS)
-	$(GO) test -race ./internal/adaptive/... ./internal/network/... ./internal/telemetry/... ./internal/flight/... ./internal/trace/... ./internal/health/... ./internal/trie/... ./internal/trie/store/... ./internal/state/...
+	$(GO) test -race ./internal/adaptive/... ./internal/chain/ ./internal/network/... ./internal/telemetry/... ./internal/flight/... ./internal/trace/... ./internal/health/... ./internal/trie/... ./internal/trie/store/... ./internal/state/...
 
 # Race detector over the *entire* module, cluster simulator included. Slower
 # than `race`; run before merging concurrency changes.
@@ -106,11 +106,12 @@ health-smoke:
 # mv-stm, TestScenarioMatrixAdaptive = both engines with the contention
 # controller attached), all five oracles checked per run (serializability,
 # parity, pipeline-safety, corruption-detection, span-chain completeness),
-# digest-determinism double-runs, and the seeded-bug mutation self-check.
+# digest-determinism double-runs, the seeded-bug mutation self-check, and
+# one baseline run past the validators' chain.StateWindow (TestBeyondStateWindow).
 # A failing run prints `bpbench -exp sim -scenario S -seed N -engine E [-adaptive]` to
 # replay it exactly.
 sim-smoke:
-	$(GO) test -count=1 -run 'TestScenarioMatrix|TestDigestDeterminism|TestMutationSelfCheck|TestTraceSpansComplete' ./internal/sim/
+	$(GO) test -count=1 -run 'TestScenarioMatrix|TestDigestDeterminism|TestMutationSelfCheck|TestTraceSpansComplete|TestBeyondStateWindow' ./internal/sim/
 
 # Short corpus pass over the property fuzz targets: a few seconds of input
 # generation per target, enough to exercise the generators and seed corpora

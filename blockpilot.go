@@ -81,6 +81,10 @@ type (
 	WorkloadConfig = workload.Config
 )
 
+// ErrStatePruned reports a block whose parent's state has left the chain's
+// window of the last chain.StateWindow heights.
+var ErrStatePruned = chain.ErrStatePruned
+
 // HexToAddress parses a 0x-prefixed or bare hex address.
 func HexToAddress(s string) Address { return types.HexToAddress(s) }
 
@@ -104,12 +108,18 @@ func NewWorkload(cfg WorkloadConfig) *Workload { return workload.New(cfg) }
 
 // VerifySerial re-executes a block with the serial reference executor (the
 // Geth baseline) and checks every header commitment, without inserting it.
-// Useful for asserting that a parallel-packed block is serializable.
+// Useful for asserting that a parallel-packed block is serializable. A parent
+// deeper than chain.StateWindow below the head has no state left to verify
+// against: ErrStatePruned.
 func VerifySerial(c *Chain, block *Block) error {
 	parent := c.Block(block.Header.ParentHash)
 	if parent == nil {
 		return pipeline.ErrParentUnavailable
 	}
-	_, err := chain.VerifyBlockSerial(c.StateOf(parent.Hash()), &parent.Header, block, c.Params())
+	st := c.StateOf(parent.Hash())
+	if st == nil {
+		return ErrStatePruned
+	}
+	_, err := chain.VerifyBlockSerial(st, &parent.Header, block, c.Params())
 	return err
 }

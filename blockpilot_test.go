@@ -1,6 +1,7 @@
 package blockpilot_test
 
 import (
+	"errors"
 	"testing"
 
 	"blockpilot"
@@ -95,5 +96,28 @@ func TestFacadeGenesisBuilder(t *testing.T) {
 	want := blockpilot.NewUint256(777 + 21000 + blockpilot.DefaultParams().BlockReward)
 	if !got.Eq(want) {
 		t.Fatalf("bob = %s, want %s", got.String(), want.String())
+	}
+}
+
+// TestVerifySerialBelowWindow: once a block's parent is more than
+// chain.StateWindow heights below the head, VerifySerial reports
+// ErrStatePruned instead of re-executing against a missing state.
+func TestVerifySerialBelowWindow(t *testing.T) {
+	genesis := blockpilot.NewGenesisBuilder().Build()
+	proposer := blockpilot.NewNode(blockpilot.NodeConfig{Genesis: genesis, Params: blockpilot.DefaultParams(), Threads: 1})
+	defer proposer.Close()
+	var blocks []*blockpilot.Block
+	for len(blocks) < 70 { // past the 64-height window
+		res, err := proposer.Propose()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, res.Block)
+	}
+	if err := blockpilot.VerifySerial(proposer.Chain, blocks[len(blocks)-1]); err != nil {
+		t.Fatalf("head block: %v", err)
+	}
+	if err := blockpilot.VerifySerial(proposer.Chain, blocks[1]); !errors.Is(err, blockpilot.ErrStatePruned) {
+		t.Fatalf("height 2: err = %v, want ErrStatePruned", err)
 	}
 }

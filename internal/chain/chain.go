@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -8,11 +9,22 @@ import (
 	"blockpilot/internal/types"
 )
 
-// Chain stores blocks, their post-states and the fork structure. Because
-// validators in a Byzantine network receive multiple blocks per height
-// (paper §3.4), the container indexes all blocks at every height, not just
-// a canonical spine; the head is the first block validated at the greatest
-// height.
+// StateWindow is how many heights below its head a Chain keeps post-states,
+// receipts and index entries for: a block waits only for its parent, and
+// forks are siblings at one height (paper §3.4).
+const StateWindow = 64
+
+// ErrStatePruned reports a block on a parent, or at a height, below the window.
+var ErrStatePruned = errors.New("chain: state pruned below the window")
+
+// Chain stores blocks, the fork structure and, for the StateWindow heights
+// below the head, post-states, receipts and the tx index. Because validators
+// in a Byzantine network receive multiple blocks per height (paper §3.4),
+// the container indexes all blocks at every height, not just a canonical
+// spine; the head is the first block validated at the greatest height. When
+// the head reaches n, the blocks at n−StateWindow−1 keep only their place in
+// Block and BlocksAt, and an insert at such a height fails with
+// ErrStatePruned: a deeper re-org is an error.
 //
 // Chain is safe for concurrent use; the validator pipeline inserts from
 // several goroutines.
@@ -88,7 +100,7 @@ func (c *Chain) Block(h types.Hash) *types.Block {
 	return c.blocks[h]
 }
 
-// StateOf returns the post-state of a block (nil if unknown).
+// StateOf returns the post-state of a block (nil if unknown or pruned).
 func (c *Chain) StateOf(h types.Hash) *state.Snapshot {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -130,6 +142,9 @@ func (c *Chain) InsertWithReceipts(block *types.Block, postState *state.Snapshot
 	if _, ok := c.blocks[block.Header.ParentHash]; !ok {
 		return fmt.Errorf("chain: parent %s unknown", block.Header.ParentHash)
 	}
+	if head := c.blocks[c.head].Number(); head > StateWindow && block.Number() < head-StateWindow {
+		return fmt.Errorf("%w: block %d, head %d", ErrStatePruned, block.Number(), head)
+	}
 	if got := postState.Root(); got != block.Header.StateRoot {
 		return fmt.Errorf("chain: post-state root %s does not match header %s", got, block.Header.StateRoot)
 	}
@@ -144,8 +159,25 @@ func (c *Chain) InsertWithReceipts(block *types.Block, postState *state.Snapshot
 		for i, tx := range block.Txs {
 			c.txIndex[tx.Hash()] = TxLocation{BlockHash: h, Height: block.Number(), Index: i}
 		}
+		if block.Number() > StateWindow {
+			c.pruneLocked(block.Number() - StateWindow - 1)
+		}
 	}
 	return nil
+}
+
+// pruneLocked drops the post-states, receipts and index entries of every
+// block at height. Caller holds c.mu.
+func (c *Chain) pruneLocked(height uint64) {
+	for _, h := range c.byHeight[height] {
+		delete(c.states, h)
+		delete(c.receipts, h)
+		for _, tx := range c.blocks[h].Txs {
+			if c.txIndex[tx.Hash()].BlockHash == h {
+				delete(c.txIndex, tx.Hash())
+			}
+		}
+	}
 }
 
 // Receipts returns a block's stored receipts (nil when not recorded).

@@ -147,15 +147,17 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 	laneID := b.cfg.Threads // flight-recorder lane beyond the worker ids
 
 	// processOne executes and tries to commit a single claimed transaction on
-	// the calling goroutine's view, re-armed here for this execution.
+	// the calling goroutine's view, re-armed here for this execution. Its
+	// exec_end is recorded before any requeue: a requeued transaction may be
+	// popped and started by another worker at once.
 	processOne := func(view *mvView, tx *types.Transaction) {
 		worker, overlay := view.lane, view.overlay
 		flight.ExecStart(worker, tx, b.header.Number)
-		defer flight.ExecEnd(worker, tx, b.header.Number)
 		telemetry.ProposerSnapshotBuilds.Inc()
 		view.begin(tx)
 		receipt, fee, err := chain.ApplyTransaction(overlay, tx, b.bc)
 		if err != nil {
+			flight.ExecEnd(worker, tx, b.header.Number)
 			b.reject(worker, tx, err)
 			return
 		}
@@ -168,6 +170,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 			cur := gasUsed.Load()
 			if cur+receipt.GasUsed > gasLimit {
 				gasFull.Store(true)
+				flight.ExecEnd(worker, tx, b.header.Number)
 				pool.Requeue(tx) // leave it for the next block
 				wake()           // unblock idle workers so they observe gasFull
 				return
@@ -203,6 +206,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 			}
 			b.commit(worker, committedTx{version: version, tx: tx, receipt: receipt, profile: profile},
 				fee, merged, worker == laneID)
+			flight.ExecEnd(worker, tx, b.header.Number)
 			return
 		}
 		gasUsed.Add(^(receipt.GasUsed - 1)) // release the reservation
@@ -212,6 +216,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 		if ctrl != nil {
 			ctrl.NoteAbort(tx.From, conflict.Key, conflict.Stripe)
 		}
+		flight.ExecEnd(worker, tx, b.header.Number)
 		b.requeueOrDrop(worker, tx)
 	}
 

@@ -210,8 +210,19 @@ func (p *Pipeline) Submit(block *types.Block) {
 	pb := &pendingBlock{block: block, hash: block.Hash(), arrived: time.Now()}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if parent := block.Header.ParentHash; p.chain.StateOf(parent) == nil || p.unsent[parent] {
-		p.waiting[block.Header.ParentHash] = append(p.waiting[block.Header.ParentHash], pb)
+	parent := block.Header.ParentHash
+	if p.chain.Block(parent) != nil && p.chain.StateOf(parent) == nil {
+		// The parent validated, but its state has left the chain's window:
+		// no commit will release this block, nor what waits on it. (Block
+		// is read first: an insert between the reads then shows its state.)
+		p.results <- Outcome{Block: block, Err: chain.ErrStatePruned, Elapsed: time.Since(pb.arrived)}
+		if p.chain.Block(pb.hash) == nil {
+			_ = p.failSubtreeLocked(pb.hash, chain.ErrStatePruned)
+		}
+		return
+	}
+	if p.chain.StateOf(parent) == nil || p.unsent[parent] {
+		p.waiting[parent] = append(p.waiting[parent], pb)
 		telemetry.PipelineWaiting.Add(1)
 		return
 	}
@@ -254,6 +265,7 @@ func (p *Pipeline) run(pb *pendingBlock) {
 	parentBlock := p.chain.Block(block.Header.ParentHash)
 	parentState := p.chain.StateOf(block.Header.ParentHash)
 
+	// A parent state pruned since Submit is nil here: ErrStatePruned.
 	res, err := validator.ValidateSibling(parentState, &parentBlock.Header, block, p.cfg, p.params, pb.sib, pb.lead)
 	out := Outcome{Block: block, Result: res, Err: err, Elapsed: time.Since(pb.arrived)}
 	if err == nil {
@@ -304,7 +316,7 @@ func (p *Pipeline) run(pb *pendingBlock) {
 			c.released = now
 			p.startLocked(c)
 		}
-	} else if p.chain.StateOf(bh) == nil {
+	} else if p.chain.Block(bh) == nil {
 		// A rejected block strands its descendants: fail the subtree — unless
 		// a same-hash copy is in the chain, whose own send releases them.
 		_ = p.failSubtreeLocked(bh, out.Err)

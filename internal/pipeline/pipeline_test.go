@@ -7,6 +7,7 @@ import (
 	"blockpilot/internal/chain"
 	"blockpilot/internal/core"
 	"blockpilot/internal/mempool"
+	"blockpilot/internal/telemetry"
 	"blockpilot/internal/types"
 	"blockpilot/internal/validator"
 	"blockpilot/internal/workload"
@@ -229,5 +230,39 @@ func TestChildReportsAfterParent(t *testing.T) {
 	}
 	if parked != 1 || len(order) != 2 || order[0] != 1 {
 		t.Fatalf("child parked %d, outcomes in order %v: a child started before its parent reported", parked, order)
+	}
+}
+
+// TestSubmitBelowWindow: a block whose parent validated but has left the
+// chain's StateWindow fails at once with ErrStatePruned instead of parking
+// behind a parent state that will never come back.
+func TestSubmitBelowWindow(t *testing.T) {
+	c, heights := buildChain(t, chain.StateWindow+3, 1)
+	p := New(c, validator.DefaultConfig(4), nil)
+	defer p.Close()
+	for _, level := range heights {
+		p.Submit(level[0])
+		if out := <-p.Results(); out.Err != nil {
+			t.Fatalf("block %d: %v", out.Block.Number(), out.Err)
+		}
+	}
+	p.Wait()
+	waiting := telemetry.PipelineWaiting.Value()
+
+	sib := heights[1][1] // height 2, on a parent pruned at head StateWindow+2
+	p.Submit(sib)
+	select {
+	case out := <-p.Results():
+		if out.Block != sib || !errors.Is(out.Err, chain.ErrStatePruned) {
+			t.Fatalf("block %d: err = %v, want ErrStatePruned", out.Block.Number(), out.Err)
+		}
+	default:
+		t.Fatal("no immediate outcome: the block was parked")
+	}
+	if n := p.Pending(); n != 0 {
+		t.Fatalf("%d blocks pending", n)
+	}
+	if got := telemetry.PipelineWaiting.Value(); got != waiting {
+		t.Fatalf("PipelineWaiting = %d, want %d", got, waiting)
 	}
 }

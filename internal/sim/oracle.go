@@ -28,14 +28,15 @@ func (r *runner) sortedGenuine() []*types.Block {
 }
 
 // checkSerializability (oracle 1) re-executes every genuine block serially
-// in sealed order against its parent's reference state — the Geth-baseline
-// semantics every parallel path must reproduce bit-for-bit. It fills
-// serialRoots for the parity oracle.
+// in sealed order against its parent's reference state, captured at seal
+// time since the proposer's chain keeps only a window of states — the
+// Geth-baseline semantics every parallel path must reproduce bit-for-bit. It
+// fills serialRoots for the parity oracle.
 func (r *runner) checkSerializability(serialRoots map[types.Hash]types.Hash) []string {
 	var problems []string
 	for _, b := range r.sortedGenuine() {
 		parent := r.prop.Chain.Block(b.Header.ParentHash)
-		pState := r.prop.Chain.StateOf(b.Header.ParentHash)
+		pState := r.parents[b.Hash()]
 		if parent == nil || pState == nil {
 			problems = append(problems, fmt.Sprintf("serializability: block %d %s has no reference parent", b.Number(), b.Hash()))
 			continue
@@ -174,7 +175,7 @@ func (r *runner) checkCorruption() []string {
 					problems = append(problems, fmt.Sprintf("corruption: tamper %d (%s of %s) COMMITTED on %s", idx, ti.kind, ti.base, v.name))
 				}
 			}
-			parentAvailable := v.node.Chain.StateOf(ti.instance.Header.ParentHash) != nil
+			parentAvailable := v.node.Chain.Block(ti.instance.Header.ParentHash) != nil
 			if parentAvailable && !classified(recs, ti) {
 				problems = append(problems, fmt.Sprintf("corruption: tamper %d (%s of %s) on %s never rejected as %v (last err: %v)", idx, ti.kind, ti.base, v.name, ti.class, recs[len(recs)-1].err))
 			}
@@ -189,7 +190,7 @@ func (r *runner) checkConvergence() []string {
 	var problems []string
 	for _, v := range r.vals {
 		for _, blk := range r.canonical {
-			if v.node.Chain.StateOf(blk.Hash()) == nil {
+			if v.node.Chain.Block(blk.Hash()) == nil {
 				problems = append(problems, fmt.Sprintf("convergence: %s never committed canonical block %d %s", v.name, blk.Number(), blk.Hash()))
 			}
 		}

@@ -66,6 +66,9 @@ func (r *Report) ReproLine() string {
 	if r.Cfg.Adaptive {
 		line += " -adaptive"
 	}
+	if p, err := Preset(r.Cfg.Scenario, r.Cfg.Seed); err == nil && p.Heights != r.Cfg.Heights {
+		line += fmt.Sprintf(" -sim-heights %d", r.Cfg.Heights)
+	}
 	if r.Cfg.StateBackend != "" && r.Cfg.StateBackend != node.BackendMem {
 		line += " -state-backend " + r.Cfg.StateBackend
 	}

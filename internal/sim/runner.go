@@ -159,10 +159,11 @@ type runner struct {
 	vals   []*valNode
 	tracer *trace.Collector // private per-run collector (runs execute concurrently in tests)
 
-	canonical []*types.Block              // index h-1 = canonical block at height h
-	genuine   map[types.Hash]*types.Block // every honest block ever broadcast
-	heights   map[types.Hash]uint64       // genuine hash → height
-	tampers   []*tamperedInstance         // creation order
+	canonical []*types.Block                 // index h-1 = canonical block at height h
+	genuine   map[types.Hash]*types.Block    // every honest block ever broadcast
+	parents   map[types.Hash]*state.Snapshot // genuine hash → parent state at seal time (outlives the chain's window)
+	heights   map[types.Hash]uint64          // genuine hash → height
+	tampers   []*tamperedInstance            // creation order
 	byPointer map[*types.Block]*tamperedInstance
 
 	health    *health.Recorder     // deterministic v0 recorder (cfg.Health)
@@ -210,6 +211,7 @@ func Run(cfg Config) (*Report, error) {
 		gen:       workload.New(wcfg),
 		net:       network.New(0),
 		genuine:   make(map[types.Hash]*types.Block),
+		parents:   make(map[types.Hash]*state.Snapshot),
 		heights:   make(map[types.Hash]uint64),
 		byPointer: make(map[*types.Block]*tamperedInstance),
 	}
@@ -324,6 +326,7 @@ func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 	cfg := r.cfg
 	var lastFork *types.Block // first sibling of the previous burst (DeepForks)
 	tamperN := 0
+	partitioned := false
 
 	for h := 1; h <= cfg.Heights; h++ {
 		if cfg.PartitionAt > 0 && h == cfg.PartitionAt {
@@ -333,10 +336,12 @@ func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 			}
 			if len(isolated) > 0 {
 				r.net.SetPartitions([]string{"proposer", r.vals[0].name}, isolated)
+				partitioned = true
 			}
 		}
 		if cfg.HealAt > 0 && h == cfg.HealAt {
 			r.net.Heal()
+			partitioned = false
 		}
 
 		// Canonical proposal on the proposer's head: the canonical block is
@@ -354,6 +359,7 @@ func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 		blk := res.Block
 		r.canonical = append(r.canonical, blk)
 		r.genuine[blk.Hash()] = blk
+		r.parents[blk.Hash()] = r.prop.Chain.StateOf(parent.Hash())
 		r.heights[blk.Hash()] = uint64(h)
 		toSend := []*types.Block{blk}
 
@@ -435,6 +441,15 @@ func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 				return err
 			}
 		}
+
+		// The validators keep chain.StateWindow heights of state: sync them
+		// every half window, while all they lack is still in it.
+		if h%(chain.StateWindow/2) == 0 && !partitioned {
+			for _, v := range r.vals {
+				v.node.Pipe.Wait()
+			}
+			r.antiEntropy()
+		}
 	}
 
 	// End of run: heal, flush holdbacks and in-flight deliveries, drain.
@@ -444,10 +459,20 @@ func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 		r.drainInbox(v)
 		v.node.Pipe.Wait()
 	}
+	r.antiEntropy()
 
+	for _, v := range r.vals {
+		v.stop()
+	}
+	r.net.Close()
+	return nil
+}
+
+// antiEntropy syncs every quiesced validator with what the faults cost it.
+func (r *runner) antiEntropy() {
 	// Anti-entropy 1: the proposer syncs every validator with the full
 	// canonical spine (models block fetch / snap sync after faults).
-	for pass := 0; pass < cfg.Heights+2; pass++ {
+	for pass := 0; pass < r.cfg.Heights+2; pass++ {
 		resent := false
 		for _, v := range r.vals {
 			for _, blk := range r.canonical {
@@ -468,7 +493,7 @@ func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 	// transient stranding (a tampered same-hash copy rejected first fails
 	// parked children) are recoverable by resubmission — but only once
 	// their parent actually validated.
-	for pass := 0; pass < cfg.Heights+2; pass++ {
+	for pass := 0; pass < r.cfg.Heights+2; pass++ {
 		resent := false
 		for _, v := range r.vals {
 			for _, blk := range r.sortedDelivered(v) {
@@ -498,12 +523,6 @@ func (r *runner) drive(pnode *network.Node, genesis *state.Snapshot) error {
 		}
 		v.node.Pipe.Wait()
 	}
-
-	for _, v := range r.vals {
-		v.stop()
-	}
-	r.net.Close()
-	return nil
 }
 
 // classified reports whether recs contains a rejection of ti's expected class.
@@ -577,6 +596,7 @@ func (r *runner) serialBlock(parent *types.Block, txs []*types.Transaction, time
 		return nil, err
 	}
 	r.genuine[blk.Hash()] = blk
+	r.parents[blk.Hash()] = r.prop.Chain.StateOf(parent.Hash())
 	r.heights[blk.Hash()] = blk.Number()
 	return blk, nil
 }

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
+	"blockpilot/internal/chain"
 	"blockpilot/internal/core"
 	"blockpilot/internal/validator"
 )
@@ -40,6 +43,28 @@ func TestScenarioMatrix(t *testing.T) {
 				run(t, scenario, seed)
 			}
 		})
+	}
+}
+
+// TestBeyondStateWindow: a baseline run past the validators' StateWindow
+// holds every oracle, and its repro line replays that height count. The
+// oracles read history from the runner, not from the chains' window.
+func TestBeyondStateWindow(t *testing.T) {
+	cfg, err := Preset("baseline", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Heights = chain.StateWindow + 16
+	cfg.Dir = t.TempDir()
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Problems) > 0 {
+		t.Fatalf("%d oracle failures (repro: %s)\n%s", len(rep.Problems), rep.ReproLine(), rep.Render())
+	}
+	if want := fmt.Sprintf("-sim-heights %d", cfg.Heights); !strings.HasSuffix(rep.ReproLine(), want) {
+		t.Fatalf("repro line %q does not end in %q", rep.ReproLine(), want)
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 
 // Snapshot is a committed world state at a block boundary. It is immutable:
 // Commit returns a new Snapshot sharing all unchanged trie nodes with the
-// old one, so holding many historical snapshots (as the validator pipeline
-// does for in-flight blocks) is cheap.
+// old one. Sharing is not free retention, though: each snapshot keeps the
+// nodes its commit replaced in its successors alive, so a chain holds only
+// the snapshots of its last chain.StateWindow heights.
 //
 // Layout follows Ethereum: an accounts trie keyed by keccak(address) whose
 // leaves are rlp([nonce, balance, storageRoot, codeHash]), one storage trie

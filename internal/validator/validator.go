@@ -97,7 +97,8 @@ type txResult struct {
 // ValidateParallel re-executes block against parent using the BlockPilot
 // validator and returns the committed post-state. Any divergence — invalid
 // transaction, access set or gas different from the profile, root mismatch —
-// rejects the block.
+// rejects the block. A nil parent, a state its chain has pruned, fails with
+// chain.ErrStatePruned.
 func ValidateParallel(parent *state.Snapshot, parentHeader *types.Header, block *types.Block, cfg Config, params chain.Params) (*Result, error) {
 	return ValidateSibling(parent, parentHeader, block, cfg, params, nil, false)
 }
@@ -126,6 +127,9 @@ func ValidateSibling(parent *state.Snapshot, parentHeader *types.Header, block *
 func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block *types.Block, cfg Config, params chain.Params, sib *Siblings, lead bool) (*Result, error) {
 	if lead {
 		defer sib.lanesQueued() // a leader that fails before queueing its lanes publishes nothing
+	}
+	if parent == nil {
+		return nil, chain.ErrStatePruned // the caller's chain dropped the parent's state
 	}
 	if cfg.Threads < 1 {
 		cfg.Threads = 1
