@@ -129,31 +129,60 @@ func SealBlock(parent *types.Header, coinbase types.Address, time uint64,
 // serially and checks every header commitment. It returns the process
 // result so the caller can commit the verified state.
 func VerifyBlockSerial(parent *state.Snapshot, parentHeader *types.Header, block *types.Block, params Params) (*ProcessResult, error) {
-	h := &block.Header
-	if h.ParentHash != parentHeader.Hash() {
-		return nil, fmt.Errorf("chain: parent hash mismatch")
+	if err := CheckLink(parentHeader, block); err != nil {
+		return nil, err
 	}
-	if h.Number != parentHeader.Number+1 {
-		return nil, fmt.Errorf("chain: height %d does not follow %d", h.Number, parentHeader.Number)
-	}
-	if got := types.ComputeTxRoot(block.Txs); got != h.TxRoot {
-		return nil, fmt.Errorf("chain: tx root mismatch: %s != %s", got, h.TxRoot)
-	}
-	res, err := ExecuteSerial(parent, h, block.Txs, params)
+	res, err := ExecuteSerial(parent, &block.Header, block.Txs, params)
 	if err != nil {
 		return nil, err
 	}
-	if res.GasUsed != h.GasUsed {
-		return nil, fmt.Errorf("chain: gas used %d != header %d", res.GasUsed, h.GasUsed)
+	if err := CheckExecution(&block.Header, res.GasUsed, res.Receipts); err != nil {
+		return nil, err
 	}
-	if got := types.ComputeReceiptRoot(res.Receipts); got != h.ReceiptRoot {
-		return nil, fmt.Errorf("chain: receipt root mismatch")
-	}
-	if got := types.CreateBloom(res.Receipts); got != h.LogsBloom {
-		return nil, fmt.Errorf("chain: logs bloom mismatch")
-	}
-	if got := res.State.Root(); got != h.StateRoot {
-		return nil, fmt.Errorf("chain: state root mismatch: %s != %s", got, h.StateRoot)
+	if err := CheckStateRoot(&block.Header, res.State.Root()); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// CheckLink checks the header commitments a block can be held to before it
+// executes: it extends parent by one height, and its TxRoot is its
+// transactions' root.
+func CheckLink(parent *types.Header, block *types.Block) error {
+	h := &block.Header
+	if h.ParentHash != parent.Hash() {
+		return fmt.Errorf("chain: parent hash mismatch")
+	}
+	if h.Number != parent.Number+1 {
+		return fmt.Errorf("chain: height %d does not follow %d", h.Number, parent.Number)
+	}
+	if got := types.ComputeTxRoot(block.Txs); got != h.TxRoot {
+		return fmt.Errorf("chain: tx root mismatch: %s != %s", got, h.TxRoot)
+	}
+	return nil
+}
+
+// CheckExecution checks the header commitments to what the block's
+// transactions produced, gasUsed in total and receipts in block order: the
+// gas used, within the gas limit, the receipt root and the logs bloom.
+func CheckExecution(h *types.Header, gasUsed uint64, receipts []*types.Receipt) error {
+	switch {
+	case gasUsed != h.GasUsed:
+		return fmt.Errorf("chain: gas used %d != header %d", gasUsed, h.GasUsed)
+	case gasUsed > h.GasLimit:
+		return fmt.Errorf("%w: gas used %d > limit %d", ErrGasLimitReached, gasUsed, h.GasLimit)
+	case types.ComputeReceiptRoot(receipts) != h.ReceiptRoot:
+		return fmt.Errorf("chain: receipt root mismatch")
+	case types.CreateBloom(receipts) != h.LogsBloom:
+		return fmt.Errorf("chain: logs bloom mismatch")
+	}
+	return nil
+}
+
+// CheckStateRoot checks the header's commitment to the committed post-state.
+func CheckStateRoot(h *types.Header, root types.Hash) error {
+	if root != h.StateRoot {
+		return fmt.Errorf("chain: state root mismatch: %s != %s", root, h.StateRoot)
+	}
+	return nil
 }

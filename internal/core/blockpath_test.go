@@ -44,7 +44,7 @@ func blockPath(t testing.TB, cfg ProposerConfig, parent *state.Snapshot, txs []*
 
 // The block path's allocation budget (docs/PERFORMANCE.md §10), per
 // transaction of a 132-transaction workload.Default() block at 2 threads:
-// what this tree measures (10.6 KiB, 65 allocations) plus 10 %. The tree
+// what this tree measures (10.5 KiB, 65 allocations) plus 10 %. The tree
 // before the append-style encoders, the one-pass roots and the per-lane
 // overlay measured 30.7 KiB and 360, so losing any one of them fails here,
 // without the benchmark; the one before the sorted change sets and the trie
@@ -53,7 +53,7 @@ func blockPath(t testing.TB, cfg ProposerConfig, parent *state.Snapshot, txs []*
 // transaction, so the figures move by a percent with the interleaving; 10 %
 // covers that.
 const (
-	blockPathBytesPerTx  = 10.6 * 1024 * 1.10
+	blockPathBytesPerTx  = 10.5 * 1024 * 1.10
 	blockPathAllocsPerTx = 65 * 1.10
 )
 

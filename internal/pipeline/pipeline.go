@@ -69,9 +69,7 @@ func NewWorkerPool(n int) *WorkerPool {
 }
 
 // Submit enqueues one lane. Submitting to a closed pool panics with
-// ErrPoolClosed — previously it either blocked forever (full queue) or
-// panicked with an opaque "send on closed channel". Callers that may race
-// with Close should use TrySubmit.
+// ErrPoolClosed. Callers that may race with Close should use TrySubmit.
 func (p *WorkerPool) Submit(f func()) {
 	if !p.TrySubmit(f) {
 		panic(ErrPoolClosed)

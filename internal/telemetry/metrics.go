@@ -74,16 +74,14 @@ var (
 )
 
 // Pipeline (multi-block validator workflow, internal/pipeline). The four
-// paper phases are measured inside ValidateParallel; execution and
-// validation overlap by design (the applier consumes streamed results), so
-// their durations cover overlapping wall-clock windows.
+// paper phases are measured inside ValidateParallel, one after the other.
 var (
 	PipelinePrepareSeconds = NewHistogram("blockpilot_pipeline_prepare_duration_ns",
 		"Phase 1 (preparation): profile → subgraphs → thread schedule.", "ns")
 	PipelineExecuteSeconds = NewHistogram("blockpilot_pipeline_execute_duration_ns",
 		"Phase 2 (transaction execution): first spawn → last lane finished.", "ns")
 	PipelineValidateSeconds = NewHistogram("blockpilot_pipeline_validate_duration_ns",
-		"Phase 3 (block validation): applier reorder/verify/aggregate loop.", "ns")
+		"Phase 3 (block validation): the applier's block-order walk of the result array.", "ns")
 	PipelineCommitSeconds = NewHistogram("blockpilot_pipeline_commit_duration_ns",
 		"Phase 4 (block commitment): root checks + state commit.", "ns")
 	PipelineBlockSeconds = NewHistogram("blockpilot_pipeline_block_duration_ns",

@@ -163,7 +163,7 @@ func (c *Collector) PathFor(block types.Hash, node string) (BlockPath, bool) {
 		segStart := cursor
 		segEnd := sp.End
 		if segEnd.Before(cursor) {
-			segEnd = cursor // fully overlapped by the previous stage (execute ⊃ verify)
+			segEnd = cursor // fully overlapped by the previous stage
 		}
 		kind := KindWork
 		if sp.Stage.stall() {

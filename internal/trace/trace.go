@@ -61,7 +61,8 @@ const (
 	StagePrepare
 	// StageExecute: parallel transaction re-execution across the lanes.
 	StageExecute
-	// StageVerify: the applier — block-order reordering and profile checks.
+	// StageVerify: the applier — a block-order walk of the lanes' checked
+	// results, after the last lane returned.
 	StageVerify
 	// StageCommit: header commitment checks + state commit + root compare.
 	StageCommit

@@ -6,18 +6,16 @@ import (
 	"sync/atomic"
 
 	"blockpilot/internal/crypto"
-	"blockpilot/internal/state"
 	"blockpilot/internal/telemetry"
 	"blockpilot/internal/types"
-	"blockpilot/internal/uint256"
 )
 
 // Siblings is the record that the validation of the first block on a given
 // parent, the leader, shares with the validations of later blocks on that
-// parent, the followers (DESIGN.md, "Sibling reuse"). Each leader lane
-// publishes a transaction's result once it has passed the applier's
-// per-transaction checks; a result counts as verified when every result
-// before it in block order is published too, which is when the leader's
+// parent, the followers (DESIGN.md, "Sibling reuse"): the leader's result
+// array. Each leader lane marks a transaction's result done once it has
+// matched the profile's keys and gas; a result counts as verified when every
+// result before it in block order is done too, which is when the leader's
 // applier accepts it. A follower starts its lanes once all the leader's have
 // started, and a follower lane takes a verified result instead of executing
 // wherever the last-writer rule proves the transaction reads what the
@@ -26,17 +24,8 @@ type Siblings struct {
 	leader   *types.Block
 	started  sync.WaitGroup // one count per queued leader lane until it starts, one until all are queued
 	released bool           // the leader dropped its own count of started; touched by the leader only
-	n        atomic.Int32   // results[:n] are published: a verified prefix, maybe not the longest
-	results  []siblingResult
-}
-
-// siblingResult is one published transaction of the leader.
-type siblingResult struct {
-	receipt      types.Receipt // a copy: the leader's applier sets CumulativeGasUsed on its own
-	fee          uint256.Int
-	changes      *state.ChangeSet
-	readCoinbase bool
-	published    atomic.Bool // the fields above are set
+	n        atomic.Int32   // results[:n] are done: a verified prefix, maybe not the longest
+	results  []result
 }
 
 // reusedTotal counts the transactions of accepted blocks that a follower
@@ -44,8 +33,7 @@ type siblingResult struct {
 var reusedTotal = telemetry.NewCounter("blockpilot_validator_reused_total",
 	"Transactions of accepted blocks taken from a same-parent sibling's verified results instead of executed.")
 
-// siblingsPool recycles records, so a block without siblings costs no result
-// array of its own.
+// siblingsPool recycles records with their result arrays.
 var siblingsPool = sync.Pool{New: func() any { return new(Siblings) }}
 
 // NewSiblings returns an empty record for the blocks on leader's parent, with
@@ -76,21 +64,13 @@ func (s *Siblings) lanesQueued() {
 	}
 }
 
-// publish records the leader's result for transaction i, which the lane that
-// ran it found to match the profile's keys and gas.
-func (s *Siblings) publish(i int, receipt *types.Receipt, fee *uint256.Int, cs *state.ChangeSet, readCoinbase bool) {
-	r := &s.results[i]
-	r.receipt, r.fee, r.changes, r.readCoinbase = *receipt, *fee, cs, readCoinbase
-	r.published.Store(true)
-}
-
 // verified reports whether the leader's applier accepts transaction i: its
-// result and every earlier one are published. Follower lanes extend the
+// result and every earlier one are done. Follower lanes extend the
 // shared prefix n as they find it; a lane racing another may store a shorter
 // one, which costs a rescan and nothing else.
 func (s *Siblings) verified(i int32) bool {
 	n := s.n.Load()
-	for n <= i && s.results[n].published.Load() {
+	for n <= i && s.results[n].done.Load() {
 		n++
 	}
 	s.n.Store(n)

@@ -10,11 +10,12 @@
 //	preparation  — build conflict subgraphs from the profile, gas-LPT them
 //	               onto worker threads (internal/scheduler);
 //	tx execution — each thread executes its subgraphs' transactions in
-//	               block order on a private overlay chain, streaming per-tx
-//	               results to the applier;
-//	validation   — the applier reorders results into block order, checks
-//	               access sets and gas against the profile, aggregates the
-//	               write sets and fees;
+//	               block order on a private overlay chain, checks each
+//	               result's access set and gas against the profile, and
+//	               writes it at its block position in one result array;
+//	validation   — once every lane has returned, the applier walks the
+//	               array in block order: the first failure is the verdict,
+//	               else it sums gas, fees and write sets;
 //	commitment   — the assembled post-state is committed and every header
 //	               commitment (gas, receipt root, state root) is checked.
 package validator
@@ -22,6 +23,7 @@ package validator
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -81,18 +83,26 @@ type Result struct {
 	Reused int
 }
 
-// txResult is what a worker streams to the applier for one transaction.
-type txResult struct {
-	index   int
-	receipt *types.Receipt
+// result is one transaction's outcome, at its block position in the
+// validation's result array. The lane that runs the transaction writes it;
+// the applier reads it once every lane has returned; when the validation
+// leads a sibling record, follower lanes read it once done is set.
+type result struct {
+	receipt *types.Receipt // the block's receipt: the applier sets CumulativeGasUsed
 	fee     uint256.Int
-	// accessOK: the observed access set matches the shipped profile. The lane
-	// decides — its overlay recycles the access set for the next transaction.
-	accessOK bool
-	taken    bool // the lane took a sibling's result instead of executing
-	changes  *state.ChangeSet
-	err      error
+	changes *state.ChangeSet
+	err     error // invalid transaction or profile mismatch
+	// shared is a leader's *receipt as its lane left it, what a follower
+	// copies while the leader's applier may be writing receipt.
+	shared       types.Receipt
+	readCoinbase bool
+	taken        bool        // the lane took a sibling's result instead of executing
+	done         atomic.Bool // the fields above are set and match the profile
 }
+
+// resultArrays recycles the arrays of validations that do not lead a
+// sibling record (a leader's array is the record's).
+var resultArrays = sync.Pool{New: func() any { return new([]result) }}
 
 // ValidateParallel re-executes block against parent using the BlockPilot
 // validator and returns the committed post-state. Any divergence — invalid
@@ -104,12 +114,11 @@ func ValidateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 }
 
 // ValidateSibling is ValidateParallel for one of the blocks on parent that
-// share sib. The leader (lead) publishes into sib each result that passes
-// the applier's per-transaction checks. A follower plans its reuse in its
-// preparation phase, waits in the calling goroutine until every lane of the
-// leader has started, and then each of its lanes takes every leader result
-// that is takeable when the lane reaches it and executes the rest. A nil sib
-// is ValidateParallel.
+// share sib. The leader's (lead) result array is sib's. A follower plans its
+// reuse in its preparation phase, waits in the calling goroutine until every
+// lane of the leader has started, and then each of its lanes takes every
+// leader result that is takeable when the lane reaches it and executes the
+// rest. A nil sib is ValidateParallel.
 func ValidateSibling(parent *state.Snapshot, parentHeader *types.Header, block *types.Block, cfg Config, params chain.Params, sib *Siblings, lead bool) (*Result, error) {
 	span := telemetry.StartSpan(telemetry.ValidatorBlockSeconds)
 	res, err := validateParallel(parent, parentHeader, block, cfg, params, sib, lead)
@@ -126,7 +135,7 @@ func ValidateSibling(parent *state.Snapshot, parentHeader *types.Header, block *
 // validateParallel is ValidateSibling without the outer accounting span.
 func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block *types.Block, cfg Config, params chain.Params, sib *Siblings, lead bool) (*Result, error) {
 	if lead {
-		defer sib.lanesQueued() // a leader that fails before queueing its lanes publishes nothing
+		defer sib.lanesQueued() // a leader that fails before queueing its lanes marks nothing done
 	}
 	if parent == nil {
 		return nil, chain.ErrStatePruned // the caller's chain dropped the parent's state
@@ -138,20 +147,14 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 		cfg.Spawn = func(f func()) { go f() }
 	}
 	h := &block.Header
-	if h.ParentHash != parentHeader.Hash() {
-		return nil, fmt.Errorf("%w: parent hash mismatch", ErrBadBlock)
-	}
-	if h.Number != parentHeader.Number+1 {
-		return nil, fmt.Errorf("%w: height %d after %d", ErrBadBlock, h.Number, parentHeader.Number)
+	if err := chain.CheckLink(parentHeader, block); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadBlock, err)
 	}
 	if block.Profile == nil {
 		return nil, ErrNoProfile
 	}
 	if len(block.Profile.Txs) != len(block.Txs) {
 		return nil, fmt.Errorf("%w: profile covers %d of %d txs", ErrProfileMismatch, len(block.Profile.Txs), len(block.Txs))
-	}
-	if got := types.ComputeTxRoot(block.Txs); got != h.TxRoot {
-		return nil, fmt.Errorf("%w: tx root mismatch", ErrBadBlock)
 	}
 
 	// Block-trace identity for this validation attempt. Every phase below is
@@ -220,11 +223,25 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 		sib.started.Wait()
 	}
 
-	// Tx execution phase: one goroutine per scheduled thread.
+	// Tx execution phase: one goroutine per scheduled thread. A lane writes
+	// transaction i's result at res[i] and skips every position past the
+	// first failure in block order, stop: every result before it exists.
 	execute := tr.Begin(node, trace.StageExecute, h.Number)
 	bc := chain.BlockContextFor(h, params.ChainID)
-	results := make(chan txResult, len(block.Txs))
-	var failed atomic.Bool
+	var res []result
+	if lead {
+		res = sib.results
+	} else {
+		arr := resultArrays.Get().(*[]result)
+		res = slices.Grow((*arr)[:0], len(block.Txs))[:len(block.Txs)]
+		defer func() {
+			clear(res)
+			*arr = res
+			resultArrays.Put(arr)
+		}()
+	}
+	var stop atomic.Int32
+	stop.Store(int32(len(block.Txs)))
 	var wg sync.WaitGroup
 	for t := 0; t < cfg.Threads; t++ {
 		txIdxs := sched.ThreadTxs[t]
@@ -245,112 +262,85 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 			accum := state.NewMemory(parent)
 			overlay := state.NewOverlay(accum, 0)
 			for _, i := range lane {
-				if failed.Load() {
-					return
+				if int32(i) > stop.Load() {
+					continue // a lane runs component after component: an earlier position may follow
 				}
+				r, want, accessOK := &res[i], block.Profile.Txs[i], true
 				if fw != nil && fw.takeable(int32(i)) {
-					// This block's applier sets CumulativeGasUsed: it gets a
-					// receipt of its own.
-					r := &sib.results[fw.take[i]]
+					l := &sib.results[fw.take[i]]
 					flight.Reuse(laneID, block.Txs[i], int(fw.take[i]), h.Number)
-					accum.ApplyChangeSet(r.changes)
-					receipt := r.receipt
-					results <- txResult{index: i, receipt: &receipt, fee: r.fee, accessOK: true, taken: true, changes: r.changes}
-					continue
+					receipt := l.shared // this block's applier sets CumulativeGasUsed on its own copy
+					r.receipt, r.fee, r.changes, r.taken = &receipt, l.fee, l.changes, true
+				} else {
+					flight.ReplayStart(laneID, block.Txs[i], h.Number)
+					overlay.Reset(accum, types.Version(i))
+					receipt, fee, readCoinbase, err := chain.ApplyTransactionCoinbase(overlay, block.Txs[i], bc)
+					flight.ReplayEnd(laneID, block.Txs[i], h.Number)
+					if err != nil {
+						r.err = fmt.Errorf("tx %d: %w", i, err)
+						stopAt(&stop, int32(i))
+						continue
+					}
+					r.receipt, r.fee, r.changes, r.readCoinbase = receipt, *fee, overlay.ChangeSet(), readCoinbase
+					accessOK = want.MatchesAccessSet(overlay.Access())
 				}
-				flight.ReplayStart(laneID, block.Txs[i], h.Number)
-				overlay.Reset(accum, types.Version(i))
-				receipt, fee, readCoinbase, err := chain.ApplyTransactionCoinbase(overlay, block.Txs[i], bc)
-				flight.ReplayEnd(laneID, block.Txs[i], h.Number)
-				if err != nil {
-					failed.Store(true)
-					results <- txResult{index: i, err: fmt.Errorf("tx %d: %w", i, err)}
-					return
+				accum.ApplyChangeSet(r.changes)
+				switch {
+				case accessOK && r.receipt.GasUsed == want.GasUsed:
+					if lead {
+						r.shared = *r.receipt
+					}
+					r.done.Store(true)
+				case cfg.SkipProfileCheck:
+					// Accepted unchecked, and never done: no follower takes it.
+				case !accessOK:
+					r.err = fmt.Errorf("%w: tx %d access set differs", ErrProfileMismatch, i)
+				default:
+					r.err = fmt.Errorf("%w: tx %d used %d gas, profile says %d", ErrProfileMismatch, i, r.receipt.GasUsed, want.GasUsed)
 				}
-				cs := overlay.ChangeSet()
-				accum.ApplyChangeSet(cs)
-				accessOK := block.Profile.Txs[i].MatchesAccessSet(overlay.Access())
-				// The applier's checks, made here too: the lane publishes
-				// without waiting for the applier to get this far.
-				if lead && accessOK && receipt.GasUsed == block.Profile.Txs[i].GasUsed {
-					sib.publish(i, receipt, fee, cs, readCoinbase)
+				if r.err != nil {
+					stopAt(&stop, int32(i))
 				}
-				results <- txResult{index: i, receipt: receipt, fee: *fee, accessOK: accessOK, changes: cs}
 			}
 		})
 	}
 	if lead {
 		sib.lanesQueued()
 	}
-	go func() {
-		wg.Wait()
-		// End before close(results): the applier only finishes after the
-		// channel closes, so the execute span is always buffered by the time
-		// the commit span lands and PathFor assembles the chain.
-		execute.End(bh)
-		close(results)
-	}()
+	wg.Wait()
+	execute.End(bh)
 
-	// Block validation phase (the applier, Algorithm 2): reorder into block
-	// order, verify each access set against the profile, aggregate. Note the
-	// verify phase overlaps the execute phase: the applier consumes results
-	// as the lanes stream them (paper Fig. 4).
+	// Block validation phase (the applier, Algorithm 2): walk the results in
+	// block order. The first failure is the verdict, whatever lane reached
+	// its own first; else gas, fees and write sets are summed.
 	verify := tr.Begin(node, trace.StageVerify, h.Number)
 	parts := make([]*state.ChangeSet, len(block.Txs)) // block order, folded at commit
 	receipts := make([]*types.Receipt, len(block.Txs))
 	var fees uint256.Int
 	var cumulative uint64
 	reused := 0
-	pending := make(map[int]txResult)
-	next := 0
 	var vErr error
-	for r := range results {
-		if r.err != nil && vErr == nil {
-			vErr = r.err
-			failed.Store(true)
-			continue
+	for i := range res {
+		r := &res[i]
+		if vErr = r.err; vErr != nil {
+			if errors.Is(vErr, ErrProfileMismatch) {
+				telemetry.ValidatorVerifyFailures.Inc()
+				flight.Verify(block.Txs[i], false, h.Number)
+			}
+			break
 		}
-		pending[r.index] = r
-		for {
-			cur, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if vErr == nil {
-				want := block.Profile.Txs[next]
-				switch {
-				case !cfg.SkipProfileCheck && !cur.accessOK:
-					vErr = fmt.Errorf("%w: tx %d access set differs", ErrProfileMismatch, next)
-					failed.Store(true)
-					telemetry.ValidatorVerifyFailures.Inc()
-					flight.Verify(block.Txs[next], false, h.Number)
-				case !cfg.SkipProfileCheck && cur.receipt.GasUsed != want.GasUsed:
-					vErr = fmt.Errorf("%w: tx %d used %d gas, profile says %d", ErrProfileMismatch, next, cur.receipt.GasUsed, want.GasUsed)
-					failed.Store(true)
-					telemetry.ValidatorVerifyFailures.Inc()
-					flight.Verify(block.Txs[next], false, h.Number)
-				default:
-					cumulative += cur.receipt.GasUsed
-					cur.receipt.CumulativeGasUsed = cumulative
-					receipts[next] = cur.receipt
-					fees.Add(&fees, &cur.fee)
-					parts[next] = cur.changes
-					flight.Verify(block.Txs[next], true, h.Number)
-					if cur.taken {
-						reused++
-					}
-				}
-			}
-			next++
+		cumulative += r.receipt.GasUsed
+		r.receipt.CumulativeGasUsed = cumulative
+		receipts[i], parts[i] = r.receipt, r.changes
+		fees.Add(&fees, &r.fee)
+		flight.Verify(block.Txs[i], true, h.Number)
+		if r.taken {
+			reused++
 		}
 	}
 	verify.End(bh)
 	if vErr != nil {
 		return nil, vErr
-	}
-	if next != len(block.Txs) {
-		return nil, fmt.Errorf("%w: only %d of %d txs executed", ErrBadBlock, next, len(block.Txs))
 	}
 
 	// Block commitment phase. A block rejected here still counts in the
@@ -366,23 +356,23 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 			commit.Drop()
 		}
 	}()
-	if cumulative != h.GasUsed {
-		return nil, fmt.Errorf("%w: gas used %d != header %d", ErrBadBlock, cumulative, h.GasUsed)
-	}
-	if got := types.ComputeReceiptRoot(receipts); got != h.ReceiptRoot {
-		return nil, fmt.Errorf("%w: receipt root mismatch", ErrBadBlock)
-	}
-	if got := types.CreateBloom(receipts); got != h.LogsBloom {
-		return nil, fmt.Errorf("%w: logs bloom mismatch", ErrBadBlock)
+	if err := chain.CheckExecution(h, cumulative, receipts); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadBlock, err)
 	}
 	total := state.Fold(parts...)
 	chain.Finalize(parent, total, h.Coinbase, &fees, params)
 	stateCommit := tr.Begin(node, trace.StageStateCommit, h.Number)
-	postState, got := chain.CommitAndRoot(parent, total, params, h.Number)
-	if got != h.StateRoot {
-		return nil, fmt.Errorf("%w: state root %s != header %s", ErrBadBlock, got, h.StateRoot)
+	postState, root := chain.CommitAndRoot(parent, total, params, h.Number)
+	if err := chain.CheckStateRoot(h, root); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadBlock, err)
 	}
 	stateCommit.End(bh)
 	committed = true
 	return &Result{State: postState, Receipts: receipts, Stats: stats, Reused: reused}, nil
+}
+
+// stopAt lowers stop to i, the lanes' first failing position in block order.
+func stopAt(stop *atomic.Int32, i int32) {
+	for s := stop.Load(); i < s && !stop.CompareAndSwap(s, i); s = stop.Load() {
+	}
 }

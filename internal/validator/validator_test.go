@@ -2,7 +2,9 @@ package validator
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -188,6 +190,61 @@ func TestRejectTamperedGasUsed(t *testing.T) {
 	// the gas check must fire. (Parent hash unaffected: same parent.)
 	if _, err := ValidateParallel(parent, parentHeader, &bad, DefaultConfig(4), params); err == nil {
 		t.Fatal("tampered gas used accepted")
+	}
+}
+
+// TestRejectOverGasLimit: a block whose header GasLimit is one below the gas
+// its transactions use is rejected by the serial and the parallel validator
+// alike, at the shared post-execution check.
+func TestRejectOverGasLimit(t *testing.T) {
+	parent, parentHeader, block := makeBlock(t, 40)
+	params := chain.DefaultParams()
+	bad := *block
+	bad.Header.GasLimit = block.Header.GasUsed - 1
+	if _, err := chain.VerifyBlockSerial(parent, parentHeader, &bad, params); !errors.Is(err, chain.ErrGasLimitReached) {
+		t.Fatalf("serial: err = %v, want gas limit reached", err)
+	}
+	_, err := ValidateParallel(parent, parentHeader, &bad, DefaultConfig(4), params)
+	if !errors.Is(err, ErrBadBlock) || !errors.Is(err, chain.ErrGasLimitReached) {
+		t.Fatalf("parallel: err = %v, want a bad block over its gas limit", err)
+	}
+}
+
+// TestVerdictFirstFailure: a block with two faults in different components —
+// a profile gas mismatch at tx k, a too-high nonce at a later tx j — is
+// rejected for k at every thread count, however the lanes interleave. j is
+// the first transaction after k outside k's component, so at two threads
+// and more its lane can reach j before k's lane reaches k.
+func TestVerdictFirstFailure(t *testing.T) {
+	parent, parentHeader, block := makeBlock(t, 40)
+	params := chain.DefaultParams()
+	const k = 0
+	comp := make(map[int]int)
+	for ci, c := range scheduler.BuildComponents(block.Profile, true) {
+		for _, i := range c.TxIndices {
+			comp[i] = ci
+		}
+	}
+	j := k + 1
+	for comp[j] == comp[k] {
+		j++
+	}
+	bad := *block
+	bad.Profile = &types.BlockProfile{Txs: append([]*types.TxProfile(nil), block.Profile.Txs...)}
+	pk := *bad.Profile.Txs[k]
+	pk.GasUsed++
+	bad.Profile.Txs[k] = &pk
+	bad.Txs = append([]*types.Transaction(nil), block.Txs...)
+	tj := *bad.Txs[j]
+	tj.Nonce++
+	bad.Txs[j] = &tj
+	bad.Header.TxRoot = types.ComputeTxRoot(bad.Txs)
+	want := fmt.Sprintf("tx %d used", k)
+	for threads := 1; threads <= 4; threads++ {
+		_, err := ValidateParallel(parent, parentHeader, &bad, DefaultConfig(threads), params)
+		if !errors.Is(err, ErrProfileMismatch) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("threads=%d: err = %v, want the profile mismatch at tx %d (tx %d has a too-high nonce)", threads, err, k, j)
+		}
 	}
 }
 
