@@ -123,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFoldVsMerge -fuzztime 3s ./internal/state/
 	$(GO) test -run '^$$' -fuzz FuzzBlockProfileRoundTrip -fuzztime 3s ./internal/types/
 	$(GO) test -run '^$$' -fuzz FuzzEncodeVsReference -fuzztime 3s ./internal/types/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 3s ./internal/types/
 	$(GO) test -run '^$$' -fuzz FuzzMempoolAdmit -fuzztime 3s ./internal/mempool/
 	$(GO) test -run '^$$' -fuzz FuzzMVVersionChain -fuzztime 3s ./internal/mv/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeNodeVsReference -fuzztime 3s ./internal/trie/

@@ -64,7 +64,7 @@ func Example() {
 	fmt.Printf("miner's balance: %s (fees + block reward)\n", minerBal.String())
 	fmt.Printf("chain height:    %d, state root %s\n", validator.Chain.Height(), head.Root())
 	// Output:
-	// proposed block 0x9ade64d1ccb61ecfda206d6a07f426cbe28b3a81d16746e0b508eebb068ef023: 3 txs, 63000 gas, 0 aborts
+	// proposed block 0xb6abace020f488398cb60dc0f370e7a38e0b031041222aac94348b33a4ae74a1: 3 txs, 63000 gas, 0 aborts
 	// validated: 1 dependency subgraphs, largest holds 100% of txs
 	// bob's balance:   6000
 	// miner's balance: 2000126000 (fees + block reward)

@@ -162,6 +162,68 @@ func TestExecuteSerialAndVerify(t *testing.T) {
 	}
 }
 
+// TestCheckBody: a block passes CheckBody only with the transactions and the
+// profile its header commits to. Each relay edit below keeps the block's
+// hash and fails with ErrBodyMismatch; a nil and an empty profile are one
+// body.
+func TestCheckBody(t *testing.T) {
+	gen := testGenesis()
+	params := DefaultParams()
+	parentH := &NewChain(gen, params).Genesis().Header
+	seal := func(txs []*types.Transaction) *types.Block {
+		header := &types.Header{ParentHash: parentH.Hash(), Number: 1, Coinbase: miner, GasLimit: params.GasLimit, Time: 1}
+		res, err := ExecuteSerial(gen, header, txs, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return SealBlock(parentH, miner, 1, txs, res, params)
+	}
+	block := seal([]*types.Transaction{transferTx(0, alice, bob, 500, 3), transferTx(1, alice, bob, 700, 2)})
+	if err := CheckBody(block); err != nil {
+		t.Fatalf("sealed block: %v", err)
+	}
+
+	editedTx := *block
+	tx := *block.Txs[1]
+	tx.Data = []byte{0xff}
+	editedTx.Txs = []*types.Transaction{block.Txs[0], &tx}
+
+	addedKey := *block
+	profile, err := types.DecodeBlockProfile(block.Profile.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile.Txs[0].Writes = append(profile.Txs[0].Writes, types.AccountKey(miner))
+	addedKey.Profile = profile
+
+	stripped := *block
+	stripped.Profile = nil
+
+	for name, b := range map[string]*types.Block{"edited tx": &editedTx, "added profile key": &addedKey, "stripped profile": &stripped} {
+		if b.Hash() != block.Hash() {
+			t.Fatalf("%s: the edit changed the block hash", name)
+		}
+		if err := CheckBody(b); !errors.Is(err, ErrBodyMismatch) {
+			t.Fatalf("%s: err = %v, want a body mismatch", name, err)
+		}
+	}
+
+	empty := seal(nil)
+	if empty.Profile == nil || len(empty.Profile.Txs) != 0 {
+		t.Fatalf("empty block sealed with profile %v", empty.Profile)
+	}
+	if types.ComputeProfileRoot(nil) != types.ComputeProfileRoot(&types.BlockProfile{}) {
+		t.Fatal("nil and empty profiles hash differently")
+	}
+	emptyNil := *empty
+	emptyNil.Profile = nil
+	for _, b := range []*types.Block{empty, &emptyNil} {
+		if err := CheckBody(b); err != nil {
+			t.Fatalf("empty block, profile %v: %v", b.Profile, err)
+		}
+	}
+}
+
 func TestSerialDeterminism(t *testing.T) {
 	gen := testGenesis()
 	params := DefaultParams()

@@ -110,26 +110,37 @@ func Finalize(parent state.Reader, total *state.ChangeSet, coinbase types.Addres
 // SealBlock assembles a block from execution results.
 func SealBlock(parent *types.Header, coinbase types.Address, time uint64,
 	txs []*types.Transaction, res *ProcessResult, params Params) *types.Block {
-	header := types.Header{
-		ParentHash:  parent.Hash(),
-		Number:      parent.Number + 1,
-		Coinbase:    coinbase,
-		StateRoot:   res.State.Root(),
-		TxRoot:      types.ComputeTxRoot(txs),
-		ReceiptRoot: types.ComputeReceiptRoot(res.Receipts),
-		LogsBloom:   types.CreateBloom(res.Receipts),
-		GasLimit:    params.GasLimit,
-		GasUsed:     res.GasUsed,
-		Time:        time,
-	}
-	return &types.Block{Header: header, Txs: txs, Profile: res.Profile}
+	blk := &types.Block{Header: types.Header{
+		ParentHash: parent.Hash(),
+		Number:     parent.Number + 1,
+		Coinbase:   coinbase,
+		StateRoot:  res.State.Root(),
+		GasLimit:   params.GasLimit,
+		Time:       time,
+	}, Txs: txs, Profile: res.Profile}
+	SealBody(&blk.Header, txs, res.Profile, res.Receipts, res.GasUsed)
+	return blk
+}
+
+// SealBody fills every header field CheckBody and CheckExecution hold a
+// block to. The state root is the caller's, set once the post-state is
+// committed.
+func SealBody(h *types.Header, txs []*types.Transaction, profile *types.BlockProfile, receipts []*types.Receipt, gasUsed uint64) {
+	h.GasUsed = gasUsed
+	h.TxRoot = types.ComputeTxRoot(txs)
+	h.ProfileRoot = types.ComputeProfileRoot(profile)
+	h.ReceiptRoot = types.ComputeReceiptRoot(receipts)
+	h.LogsBloom = types.CreateBloom(receipts)
 }
 
 // VerifyBlockSerial is the baseline validator: it re-executes the block
 // serially and checks every header commitment. It returns the process
 // result so the caller can commit the verified state.
 func VerifyBlockSerial(parent *state.Snapshot, parentHeader *types.Header, block *types.Block, params Params) (*ProcessResult, error) {
-	if err := CheckLink(parentHeader, block); err != nil {
+	if err := CheckBody(block); err != nil {
+		return nil, err
+	}
+	if err := CheckLink(parentHeader, block, params); err != nil {
 		return nil, err
 	}
 	res, err := ExecuteSerial(parent, &block.Header, block.Txs, params)
@@ -145,19 +156,29 @@ func VerifyBlockSerial(parent *state.Snapshot, parentHeader *types.Header, block
 	return res, nil
 }
 
-// CheckLink checks the header commitments a block can be held to before it
-// executes: it extends parent by one height, and its TxRoot is its
-// transactions' root.
-func CheckLink(parent *types.Header, block *types.Block) error {
+// CheckBody checks that block carries the body its header commits to, the
+// transactions (TxRoot) and the profile (ProfileRoot), else ErrBodyMismatch.
+// The pipeline runs it in Submit; ValidateParallel and VerifyBlockSerial run
+// it for their direct callers.
+func CheckBody(block *types.Block) error {
 	h := &block.Header
-	if h.ParentHash != parent.Hash() {
+	if txs, prof := types.ComputeTxRoot(block.Txs), types.ComputeProfileRoot(block.Profile); txs != h.TxRoot || prof != h.ProfileRoot {
+		return fmt.Errorf("%w: tx root %s, profile root %s; the header's are %s, %s", ErrBodyMismatch, txs, prof, h.TxRoot, h.ProfileRoot)
+	}
+	return nil
+}
+
+// CheckLink checks the header commitments a block can be held to before it
+// executes: it extends parent by one height, under the chain's gas limit.
+func CheckLink(parent *types.Header, block *types.Block, params Params) error {
+	h := &block.Header
+	switch {
+	case h.ParentHash != parent.Hash():
 		return fmt.Errorf("chain: parent hash mismatch")
-	}
-	if h.Number != parent.Number+1 {
+	case h.Number != parent.Number+1:
 		return fmt.Errorf("chain: height %d does not follow %d", h.Number, parent.Number)
-	}
-	if got := types.ComputeTxRoot(block.Txs); got != h.TxRoot {
-		return fmt.Errorf("chain: tx root mismatch: %s != %s", got, h.TxRoot)
+	case h.GasLimit != params.GasLimit:
+		return fmt.Errorf("chain: gas limit %d, the chain's is %d", h.GasLimit, params.GasLimit)
 	}
 	return nil
 }

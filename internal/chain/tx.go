@@ -17,13 +17,15 @@ import (
 )
 
 // Transaction validity errors (the transaction cannot be included at all —
-// distinct from an included transaction whose EVM execution failed).
+// distinct from an included transaction whose EVM execution failed), and a
+// block whose body its header does not commit to (CheckBody).
 var (
 	ErrNonceTooLow       = errors.New("chain: nonce too low")
 	ErrNonceTooHigh      = errors.New("chain: nonce too high")
 	ErrInsufficientFunds = errors.New("chain: insufficient funds for gas * price + value")
 	ErrIntrinsicGas      = errors.New("chain: intrinsic gas exceeds gas limit")
 	ErrGasLimitReached   = errors.New("chain: block gas limit reached")
+	ErrBodyMismatch      = errors.New("chain: body does not match its header")
 )
 
 // Params are chain-wide constants plus node-local execution knobs that every

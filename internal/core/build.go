@@ -234,10 +234,7 @@ func (b *blockBuild) seal(total *state.ChangeSet, gasUsed uint64, aborts int, cl
 	}
 	telemetry.ProposerBlockTxs.Observe(uint64(len(committed)))
 	header := b.header
-	header.GasUsed = gasUsed
-	header.TxRoot = types.ComputeTxRoot(txs)
-	header.ReceiptRoot = types.ComputeReceiptRoot(receipts)
-	header.LogsBloom = types.CreateBloom(receipts)
+	chain.SealBody(header, txs, profile, receipts, gasUsed)
 
 	// The state root goes in last: it completes the header, so the block hash
 	// both phases are stored under exists right after the state commit they

@@ -44,6 +44,30 @@ func txHashSet(txs []*types.Transaction) []types.Hash {
 	return hs
 }
 
+// checkSealParity holds an engine's block to the one header assembly: it
+// passes chain.CheckBody, and chain.SealBlock over a serial replay of its
+// transactions seals a block that passes too, under the same header but for
+// ProfileRoot (profile read versions follow each executor's schedule).
+func checkSealParity(t *testing.T, blk *types.Block, parent *state.Snapshot, parentHeader *types.Header, params chain.Params) {
+	t.Helper()
+	if err := chain.CheckBody(blk); err != nil {
+		t.Fatalf("engine block %d: %v", blk.Number(), err)
+	}
+	serial, err := chain.ExecuteSerial(parent, &blk.Header, blk.Txs, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := chain.SealBlock(parentHeader, blk.Header.Coinbase, blk.Header.Time, blk.Txs, serial, params)
+	if err := chain.CheckBody(sealed); err != nil {
+		t.Fatalf("SealBlock block %d: %v", sealed.Number(), err)
+	}
+	h := sealed.Header
+	h.ProfileRoot = blk.Header.ProfileRoot
+	if h.Hash() != blk.Hash() {
+		t.Fatalf("block %d: SealBlock's header differs from the engine's beyond ProfileRoot:\n%+v\n%+v", blk.Number(), sealed.Header, blk.Header)
+	}
+}
+
 // TestEngineParity runs randomized transfer-only workloads through both
 // proposer engines and demands identical committed state roots and per-block
 // transaction sets. Native transfers commute in the final state, so as long
@@ -80,6 +104,7 @@ func TestEngineParity(t *testing.T) {
 					t.Fatalf("seed %d engine %s block %d: committed %d of %d (dropped %d)",
 						seed, engine, b, res.Committed, len(txs), res.Dropped)
 				}
+				checkSealParity(t, res.Block, parent, parentHeader, params)
 				roots = append(roots, res.Block.Header.StateRoot)
 				sets = append(sets, txHashSet(res.Block.Txs))
 				parent = res.State

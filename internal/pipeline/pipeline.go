@@ -197,15 +197,21 @@ func New(c *chain.Chain, cfg validator.Config, pool *WorkerPool) *Pipeline {
 // Results delivers one Outcome per submitted block.
 func (p *Pipeline) Results() <-chan Outcome { return p.results }
 
-// Submit hands a block to the pipeline. Blocks may arrive in any order; a
-// block waits until its parent has been validated and its outcome sent, and a
-// block on the same parent as one already running follows it (see the
-// package comment).
+// Submit hands a block to the pipeline. A block whose body its header does
+// not commit to (chain.CheckBody) gets its outcome at once and touches
+// nothing else. Blocks may arrive in any order; a block waits until its
+// parent has been validated and its outcome sent, and a block on the same
+// parent as one already running follows it (see the package comment).
 func (p *Pipeline) Submit(block *types.Block) {
 	flight.BlockSubmit(block.Header.Number)
+	arrived := time.Now()
+	if err := chain.CheckBody(block); err != nil {
+		p.results <- Outcome{Block: block, Err: err, Elapsed: time.Since(arrived)}
+		return
+	}
 	// One header encoding + Keccak per block, taken outside p.mu: the hash
 	// keys the block's spans and, under the lock, its waiting children.
-	pb := &pendingBlock{block: block, hash: block.Hash(), arrived: time.Now()}
+	pb := &pendingBlock{block: block, hash: block.Hash(), arrived: arrived}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	parent := block.Header.ParentHash
@@ -214,9 +220,7 @@ func (p *Pipeline) Submit(block *types.Block) {
 		// no commit will release this block, nor what waits on it. (Block
 		// is read first: an insert between the reads then shows its state.)
 		p.results <- Outcome{Block: block, Err: chain.ErrStatePruned, Elapsed: time.Since(pb.arrived)}
-		if p.chain.Block(pb.hash) == nil {
-			_ = p.failSubtreeLocked(pb.hash, chain.ErrStatePruned)
-		}
+		_ = p.failSubtreeLocked(pb.hash, chain.ErrStatePruned)
 		return
 	}
 	if p.chain.StateOf(parent) == nil || p.unsent[parent] {
@@ -269,8 +273,7 @@ func (p *Pipeline) run(pb *pendingBlock) {
 	if err == nil {
 		// Marked before the insert makes the state visible, so a child
 		// submitted from here on parks until this outcome is sent. Only a
-		// block that validated marks its hash: a same-hash tampered copy
-		// running beside it must not clear the mark.
+		// block that validated marks its hash, and only it clears the mark.
 		p.mu.Lock()
 		p.unsent[bh] = true
 		p.mu.Unlock()
@@ -314,9 +317,8 @@ func (p *Pipeline) run(pb *pendingBlock) {
 			c.released = now
 			p.startLocked(c)
 		}
-	} else if p.chain.Block(bh) == nil {
-		// A rejected block strands its descendants: fail the subtree — unless
-		// a same-hash copy is in the chain, whose own send releases them.
+	} else {
+		// A rejected block strands its descendants: fail the subtree.
 		_ = p.failSubtreeLocked(bh, out.Err)
 	}
 	p.running--

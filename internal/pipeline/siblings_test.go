@@ -99,6 +99,8 @@ func TestPipelineTamperedLeaderSparesFollower(t *testing.T) {
 			tp := *bad.Profile.Txs[5]
 			tp.GasUsed++
 			bad.Profile.Txs[5] = &tp
+			// A proposer's lie: the header commits to the edited profile.
+			bad.Header.ProfileRoot = types.ComputeProfileRoot(bad.Profile)
 		}
 		p := New(c, validator.DefaultConfig(2), nil)
 		p.Submit(&bad)
@@ -145,28 +147,35 @@ func TestPipelineFollowerStalledAcrossRecycle(t *testing.T) {
 	follower, _ := serialOn(t, root, txs, 1, params)
 	child, _ := serialOn(t, br, g.NextBlockTxs(), 0, params)
 
-	// One lane per block: the leader's is the first task submitted, the
-	// follower's (queued once the leader's has started) the second; the
-	// child is submitted only after that.
+	// One lane per block: the leader's is the first task submitted, held
+	// until the follower has joined the leader's record; the follower's
+	// (queued once the leader's has started) the second; the child is
+	// submitted only after that.
 	pool := NewWorkerPool(2)
 	defer pool.Close()
 	var submitted atomic.Int64
-	queued, release := make(chan struct{}), make(chan struct{})
+	joined, queued, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	unstall := sync.OnceFunc(func() { close(release) })
 	defer unstall() // before pool.Close, should a check below fail
 	pool.SetTaskWrapper(func(f func()) func() {
-		if submitted.Add(1) != 2 {
+		gate := joined
+		switch submitted.Add(1) {
+		case 1:
+		case 2:
+			close(queued)
+			gate = release
+		default:
 			return f
 		}
-		close(queued)
 		return func() {
-			<-release
+			<-gate
 			f()
 		}
 	})
 	p := New(c, validator.DefaultConfig(1), pool)
 	p.Submit(leader)
 	p.Submit(follower)
+	close(joined)
 	<-queued
 	accepted(t, c, drain(p, 1), leader)
 	p.Submit(child)

@@ -36,8 +36,9 @@ type MutationCheck struct {
 //     validation (every tx reads the stale parent snapshot, change sets
 //     merged blindly) must be caught by the serializability oracle;
 //   - tamper-accepted: a validator with the profile check disabled accepts
-//     an additively profile-tampered block (execution is unchanged, so the
-//     root matches) — the corruption oracle must flag the commitment;
+//     a block whose proposer committed an additively tampered profile
+//     (execution is unchanged, so the root matches) — the corruption oracle
+//     must flag the commitment;
 //   - mv-stale-reads: an MV-STM proposer whose multi-version resolution and
 //     read-set validation are disabled (ProposerConfig.MVFaultStaleReads)
 //     commits conflicting transactions that all read the parent snapshot —
@@ -163,7 +164,8 @@ func checkSkippedWSI(f *mutFixture) MutationCheck {
 }
 
 // checkTamperAccepted disables the validator's per-transaction profile
-// check (the seeded bug) and replays an additively profile-tampered block:
+// check (the seeded bug) and replays a block whose header commits to an
+// additively tampered profile, a proposer's lie that passes the body check:
 // execution is unchanged, so the root matches and the buggy validator
 // accepts. The corruption oracle must flag the acceptance; the control arm
 // confirms the unbroken validator rejects the same block with the expected

@@ -12,9 +12,9 @@ import (
 // hex-encoded sha256: the canonical spine, each validator's final block set,
 // and every tamper's identity, class and delivery set. Everything hashed is
 // a pure function of (seed, scenario): transient ordering effects (which
-// copy of a duplicate arrived first, whether a stranded child needed
-// resubmission) are deliberately excluded, so two runs with the same seed
-// produce the same digest even though their goroutine interleavings differ.
+// copy of a duplicate arrived first) are deliberately excluded, so two runs
+// with the same seed produce the same digest even though their goroutine
+// interleavings differ.
 func (r *runner) digest() string {
 	var lines []string
 	for _, blk := range r.canonical {

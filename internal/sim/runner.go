@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,9 +59,8 @@ type valNode struct {
 	// when the outcome consumer caught up with every produced outcome.
 	submitted atomic.Int64
 
-	mu        sync.Mutex
-	incs      []*incarnation
-	delivered map[types.Hash]*types.Block // genuine blocks this node ever received
+	mu   sync.Mutex
+	incs []*incarnation
 }
 
 // start opens a fresh incarnation: a new node from genesis over the
@@ -247,12 +245,11 @@ func Run(cfg Config) (*Report, error) {
 	for i := 0; i < cfg.Validators; i++ {
 		name := fmt.Sprintf("v%d", i)
 		v := &valNode{
-			name:      name,
-			ep:        r.net.Join(name, 4096),
-			wpool:     pipeline.NewWorkerPool(cfg.ValidatorThreads),
-			dbPath:    filepath.Join(dir, name+".blocks"),
-			tracer:    r.tracer,
-			delivered: make(map[types.Hash]*types.Block),
+			name:   name,
+			ep:     r.net.Join(name, 4096),
+			wpool:  pipeline.NewWorkerPool(cfg.ValidatorThreads),
+			dbPath: filepath.Join(dir, name+".blocks"),
+			tracer: r.tracer,
 		}
 		if cfg.StallEvery > 0 {
 			every := cfg.StallEvery
@@ -477,7 +474,6 @@ func (r *runner) antiEntropy() {
 		for _, v := range r.vals {
 			for _, blk := range r.canonical {
 				if v.node.Chain.Block(blk.Hash()) == nil {
-					v.delivered[blk.Hash()] = blk
 					v.submit(blk)
 					resent = true
 				}
@@ -489,27 +485,7 @@ func (r *runner) antiEntropy() {
 		}
 	}
 
-	// Anti-entropy 2: genuine fork blocks a validator received but lost to
-	// transient stranding (a tampered same-hash copy rejected first fails
-	// parked children) are recoverable by resubmission — but only once
-	// their parent actually validated.
-	for pass := 0; pass < r.cfg.Heights+2; pass++ {
-		resent := false
-		for _, v := range r.vals {
-			for _, blk := range r.sortedDelivered(v) {
-				if v.node.Chain.Block(blk.Hash()) == nil && v.node.Chain.StateOf(blk.Header.ParentHash) != nil {
-					v.submit(blk)
-					resent = true
-				}
-			}
-			v.node.Pipe.Wait()
-		}
-		if !resent {
-			break
-		}
-	}
-
-	// Anti-entropy 3: tampered instances that were only ever abandoned
+	// Anti-entropy 2: tampered instances that were only ever abandoned
 	// (parent missing at the time) get one more delivery now that parents
 	// are in, so every delivered corruption ends with a classified verdict.
 	for _, v := range r.vals {
@@ -536,8 +512,7 @@ func classified(recs []outcomeRec, ti *tamperedInstance) bool {
 }
 
 // drainInbox empties v's inbox, submitting every received block to its
-// pipeline and tracking what was delivered (genuine by hash, tampered by
-// pointer identity).
+// pipeline and noting which tampered copies (by pointer identity) it got.
 func (r *runner) drainInbox(v *valNode) {
 	for {
 		select {
@@ -547,30 +522,12 @@ func (r *runner) drainInbox(v *valNode) {
 			}
 			if ti, tampered := r.byPointer[msg.Block]; tampered {
 				ti.deliveredTo[v.name] = true
-			} else {
-				v.delivered[msg.Block.Hash()] = msg.Block
 			}
 			v.submit(msg.Block)
 		default:
 			return
 		}
 	}
-}
-
-// sortedDelivered returns v's delivered genuine blocks ordered by (height,
-// hash) so resubmission passes are deterministic.
-func (r *runner) sortedDelivered(v *valNode) []*types.Block {
-	out := make([]*types.Block, 0, len(v.delivered))
-	for _, b := range v.delivered {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Number() != out[j].Number() {
-			return out[i].Number() < out[j].Number()
-		}
-		return lessHash(out[i].Hash(), out[j].Hash())
-	})
-	return out
 }
 
 // serialBlock executes txs serially on parent and seals a block whose

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"blockpilot/internal/chain"
 	"blockpilot/internal/types"
 	"blockpilot/internal/validator"
 )
@@ -11,21 +12,21 @@ import (
 type tamperKind string
 
 const (
-	// Profile corruptions keep the block hash (profiles are not part of the
-	// header) and must be *additive* — they claim extra accesses or gas, so
-	// the dependency graph built from them stays conservative and the
-	// rejection is always a profile mismatch, never a mis-scheduling error.
+	// Profile lies: a proposer commits a profile its block does not execute
+	// to (ProfileRoot is re-sealed, so the hash changes). They must be
+	// *additive* — they claim extra accesses or gas, so the dependency
+	// graph built from them stays conservative and the rejection is always
+	// the applier's profile mismatch, never a mis-scheduling error.
 	tamperPhantomRead  tamperKind = "profile-phantom-read"
 	tamperPhantomWrite tamperKind = "profile-phantom-write"
 	tamperProfileGas   tamperKind = "profile-gas"
-	// Stripping the profile entirely is its own failure class.
+	// Relay edits keep the hash, and the body no longer matches the header:
+	// the profile stripped, or a transaction's payload altered.
 	tamperStripProfile tamperKind = "strip-profile"
+	tamperTxData       tamperKind = "tx-data"
 	// Header corruptions change the block hash.
 	tamperStateRoot tamperKind = "header-state-root"
 	tamperGasUsed   tamperKind = "header-gas-used"
-	// Transaction-body corruption keeps the hash (the header's TxRoot no
-	// longer matches the carried transactions).
-	tamperTxData tamperKind = "tx-data"
 )
 
 // tamperCycle is the deterministic order tampered copies cycle through.
@@ -63,8 +64,7 @@ func copyProfile(p *types.BlockProfile) (*types.BlockProfile, error) {
 // makeTamper derives one corrupted copy of b. The genuine block is never
 // modified.
 func makeTamper(b *types.Block, kind tamperKind) (*tamperedInstance, error) {
-	if len(b.Txs) == 0 && (kind == tamperPhantomRead || kind == tamperPhantomWrite ||
-		kind == tamperProfileGas || kind == tamperTxData) {
+	if len(b.Txs) == 0 && kind != tamperStateRoot && kind != tamperGasUsed {
 		kind = tamperStateRoot // nothing to corrupt in an empty body
 	}
 	cp := *b // shallow copy: header by value, shared txs/profile replaced below
@@ -85,11 +85,11 @@ func makeTamper(b *types.Block, kind tamperKind) (*tamperedInstance, error) {
 			prof.Txs[0].GasUsed++
 		}
 		cp.Profile = prof
+		cp.Header.ProfileRoot = types.ComputeProfileRoot(prof)
 		ti.class = validator.ErrProfileMismatch
-		ti.sameHash = true
 	case tamperStripProfile:
 		cp.Profile = nil
-		ti.class = validator.ErrNoProfile
+		ti.class = chain.ErrBodyMismatch
 		ti.sameHash = true
 	case tamperStateRoot:
 		cp.Header.StateRoot[0] ^= 0xff
@@ -106,7 +106,7 @@ func makeTamper(b *types.Block, kind tamperKind) (*tamperedInstance, error) {
 		mut.Data = append(append([]byte(nil), mut.Data...), 0xff)
 		txs[0] = mut
 		cp.Txs = txs
-		ti.class = validator.ErrBadBlock // tx root no longer matches the header
+		ti.class = chain.ErrBodyMismatch
 		ti.sameHash = true
 	default:
 		return nil, fmt.Errorf("sim: unknown tamper kind %q", kind)

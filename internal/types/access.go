@@ -188,8 +188,12 @@ type BlockProfile struct {
 	Txs []*TxProfile
 }
 
-// AppendTo appends the profile's RLP encoding to dst.
+// AppendTo appends the profile's RLP encoding to dst. A nil profile
+// appends the empty list, as an empty one does.
 func (bp *BlockProfile) AppendTo(dst []byte) []byte {
+	if bp == nil {
+		bp = &BlockProfile{}
+	}
 	dst, txs := rlp.StartList(dst)
 	for _, tp := range bp.Txs {
 		var tx, keys, key int

@@ -41,6 +41,10 @@ func DecodeHeader(b []byte) (*Header, error) {
 	}
 	h.TxRoot = BytesToHash(s)
 	if s, content, err = rlp.SplitString(content); err != nil {
+		return nil, fmt.Errorf("header profile root: %w", err)
+	}
+	h.ProfileRoot = BytesToHash(s)
+	if s, content, err = rlp.SplitString(content); err != nil {
 		return nil, fmt.Errorf("header receipt root: %w", err)
 	}
 	h.ReceiptRoot = BytesToHash(s)
@@ -80,11 +84,7 @@ func (b *Block) AppendTo(dst []byte) []byte {
 		dst = tx.AppendTo(dst)
 	}
 	dst = rlp.EndList(dst, txs)
-	if b.Profile == nil {
-		dst = append(dst, 0xc0) // the empty list
-	} else {
-		dst = b.Profile.AppendTo(dst)
-	}
+	dst = b.Profile.AppendTo(dst)
 	return rlp.EndList(dst, list)
 }
 

@@ -36,6 +36,7 @@ func encodeHeaderRef(h *Header) []byte {
 		rlp.EncodeString(h.Coinbase.Bytes()),
 		rlp.EncodeString(h.StateRoot.Bytes()),
 		rlp.EncodeString(h.TxRoot.Bytes()),
+		rlp.EncodeString(h.ProfileRoot.Bytes()),
 		rlp.EncodeString(h.ReceiptRoot.Bytes()),
 		rlp.EncodeString(h.LogsBloom[:]),
 		rlp.EncodeUint(h.GasLimit),
@@ -212,6 +213,7 @@ func (s *fuzzSource) header() Header {
 	s.fill(h.Coinbase[:])
 	s.fill(h.StateRoot[:])
 	s.fill(h.TxRoot[:])
+	s.fill(h.ProfileRoot[:])
 	s.fill(h.ReceiptRoot[:])
 	s.fill(h.LogsBloom[:8])
 	if s.byte()%2 == 0 {

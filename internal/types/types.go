@@ -248,12 +248,14 @@ func (tx *Transaction) Cost() uint256.Int {
 
 // Header is a block header. StateRoot commits to the post-state; a validator
 // accepts the block only if its own re-execution reproduces this root.
+// TxRoot and ProfileRoot commit to the body: one hash names one block.
 type Header struct {
 	ParentHash  Hash
 	Number      uint64
 	Coinbase    Address
 	StateRoot   Hash
 	TxRoot      Hash
+	ProfileRoot Hash
 	ReceiptRoot Hash
 	LogsBloom   Bloom
 	GasLimit    uint64
@@ -270,6 +272,7 @@ func (h *Header) AppendTo(dst []byte) []byte {
 	dst = rlp.AppendString(dst, h.Coinbase[:])
 	dst = rlp.AppendString(dst, h.StateRoot[:])
 	dst = rlp.AppendString(dst, h.TxRoot[:])
+	dst = rlp.AppendString(dst, h.ProfileRoot[:])
 	dst = rlp.AppendString(dst, h.ReceiptRoot[:])
 	dst = rlp.AppendString(dst, h.LogsBloom[:])
 	dst = rlp.AppendUint(dst, h.GasLimit)
@@ -304,6 +307,11 @@ func (b *Block) Number() uint64 { return b.Header.Number }
 func ComputeTxRoot(txs []*Transaction) Hash {
 	return Hash(trie.ListRoot(len(txs), func(dst []byte, i int) []byte { return txs[i].AppendTo(dst) }))
 }
+
+// ComputeProfileRoot returns the Keccak of a profile's canonical encoding,
+// what the header's ProfileRoot commits to. A nil profile hashes as the
+// empty list, the section a block without one encodes.
+func ComputeProfileRoot(p *BlockProfile) Hash { return hashOf(p) }
 
 // Log is an EVM event emitted by LOG0..LOG4.
 type Log struct {

@@ -72,6 +72,11 @@ func TestHeaderHashDistinguishesFields(t *testing.T) {
 	if h.Hash() == h3.Hash() {
 		t.Fatal("headers with different roots share a hash")
 	}
+	h4 := h
+	h4.ProfileRoot[31] = 1
+	if h.Hash() == h4.Hash() {
+		t.Fatal("headers with different profile roots share a hash")
+	}
 }
 
 func TestAddressHelpers(t *testing.T) {

@@ -105,20 +105,24 @@ type result struct {
 var resultArrays = sync.Pool{New: func() any { return new([]result) }}
 
 // ValidateParallel re-executes block against parent using the BlockPilot
-// validator and returns the committed post-state. Any divergence — invalid
-// transaction, access set or gas different from the profile, root mismatch —
-// rejects the block. A nil parent, a state its chain has pruned, fails with
-// chain.ErrStatePruned.
+// validator and returns the committed post-state. Any divergence — a body
+// its header does not commit to, invalid transaction, access set or gas
+// different from the profile, root mismatch — rejects the block. A nil
+// parent, a state its chain has pruned, fails with chain.ErrStatePruned.
 func ValidateParallel(parent *state.Snapshot, parentHeader *types.Header, block *types.Block, cfg Config, params chain.Params) (*Result, error) {
+	if err := chain.CheckBody(block); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadBlock, err)
+	}
 	return ValidateSibling(parent, parentHeader, block, cfg, params, nil, false)
 }
 
 // ValidateSibling is ValidateParallel for one of the blocks on parent that
-// share sib. The leader's (lead) result array is sib's. A follower plans its
-// reuse in its preparation phase, waits in the calling goroutine until every
-// lane of the leader has started, and then each of its lanes takes every
-// leader result that is takeable when the lane reaches it and executes the
-// rest. A nil sib is ValidateParallel.
+// share sib, on a body its caller, the pipeline, has checked
+// (chain.CheckBody). The leader's (lead) result array is sib's. A follower
+// plans its reuse in its preparation phase, waits in the calling goroutine
+// until every lane of the leader has started, and then each of its lanes
+// takes every leader result that is takeable when the lane reaches it and
+// executes the rest. A nil sib validates alone.
 func ValidateSibling(parent *state.Snapshot, parentHeader *types.Header, block *types.Block, cfg Config, params chain.Params, sib *Siblings, lead bool) (*Result, error) {
 	span := telemetry.StartSpan(telemetry.ValidatorBlockSeconds)
 	res, err := validateParallel(parent, parentHeader, block, cfg, params, sib, lead)
@@ -147,7 +151,7 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 		cfg.Spawn = func(f func()) { go f() }
 	}
 	h := &block.Header
-	if err := chain.CheckLink(parentHeader, block); err != nil {
+	if err := chain.CheckLink(parentHeader, block, params); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadBlock, err)
 	}
 	if block.Profile == nil {

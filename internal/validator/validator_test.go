@@ -112,6 +112,12 @@ func TestValidateMatchesSerialBaseline(t *testing.T) {
 	}
 }
 
+// reseal makes b's header commit to b's profile: a proposer's lie, which
+// passes the body check and is left to the applier to catch.
+func reseal(b *types.Block) {
+	b.Header.ProfileRoot = types.ComputeProfileRoot(b.Profile)
+}
+
 func TestRejectTamperedStateRoot(t *testing.T) {
 	parent, parentHeader, block := makeBlock(t, 40)
 	params := chain.DefaultParams()
@@ -131,6 +137,7 @@ func TestRejectTamperedProfileGas(t *testing.T) {
 	tampered.GasUsed += 1000
 	profile.Txs[3] = &tampered
 	bad.Profile = profile
+	reseal(&bad)
 	_, err := ValidateParallel(parent, parentHeader, &bad, DefaultConfig(4), params)
 	if !errors.Is(err, ErrProfileMismatch) {
 		t.Fatalf("err = %v, want profile mismatch", err)
@@ -147,6 +154,7 @@ func TestRejectTamperedProfileKeys(t *testing.T) {
 	tampered.Writes = append(tampered.Writes, types.AccountKey(types.HexToAddress("0xfa4e")))
 	profile.Txs[0] = &tampered
 	bad.Profile = profile
+	reseal(&bad)
 	_, err := ValidateParallel(parent, parentHeader, &bad, DefaultConfig(4), params)
 	if !errors.Is(err, ErrProfileMismatch) {
 		t.Fatalf("err = %v, want profile mismatch", err)
@@ -157,6 +165,7 @@ func TestRejectMissingProfile(t *testing.T) {
 	parent, parentHeader, block := makeBlock(t, 10)
 	bad := *block
 	bad.Profile = nil
+	reseal(&bad)
 	if _, err := ValidateParallel(parent, parentHeader, &bad, DefaultConfig(4), chain.DefaultParams()); !errors.Is(err, ErrNoProfile) {
 		t.Fatalf("err = %v", err)
 	}
@@ -193,20 +202,38 @@ func TestRejectTamperedGasUsed(t *testing.T) {
 	}
 }
 
-// TestRejectOverGasLimit: a block whose header GasLimit is one below the gas
-// its transactions use is rejected by the serial and the parallel validator
-// alike, at the shared post-execution check.
+// TestRejectOverGasLimit: a block whose transactions use one gas more than
+// its header's GasLimit, the chain's, is rejected by the serial and the
+// parallel validator alike, at the shared post-execution check.
 func TestRejectOverGasLimit(t *testing.T) {
 	parent, parentHeader, block := makeBlock(t, 40)
 	params := chain.DefaultParams()
+	params.GasLimit = block.Header.GasUsed - 1
 	bad := *block
-	bad.Header.GasLimit = block.Header.GasUsed - 1
+	bad.Header.GasLimit = params.GasLimit
 	if _, err := chain.VerifyBlockSerial(parent, parentHeader, &bad, params); !errors.Is(err, chain.ErrGasLimitReached) {
 		t.Fatalf("serial: err = %v, want gas limit reached", err)
 	}
 	_, err := ValidateParallel(parent, parentHeader, &bad, DefaultConfig(4), params)
 	if !errors.Is(err, ErrBadBlock) || !errors.Is(err, chain.ErrGasLimitReached) {
 		t.Fatalf("parallel: err = %v, want a bad block over its gas limit", err)
+	}
+}
+
+// TestRejectForeignGasLimit: a block that is valid in every other respect,
+// but whose header GasLimit is not the chain's Params.GasLimit, is rejected
+// by the serial and the parallel validator alike, at the shared
+// pre-execution check (chain.CheckLink).
+func TestRejectForeignGasLimit(t *testing.T) {
+	parent, parentHeader, block := makeBlock(t, 40)
+	params := chain.DefaultParams()
+	params.GasLimit = 2 * block.Header.GasLimit
+	if _, err := chain.VerifyBlockSerial(parent, parentHeader, block, params); err == nil || !strings.Contains(err.Error(), "gas limit") {
+		t.Fatalf("serial: err = %v, want the header's gas limit refused", err)
+	}
+	_, err := ValidateParallel(parent, parentHeader, block, DefaultConfig(4), params)
+	if !errors.Is(err, ErrBadBlock) || !strings.Contains(err.Error(), "gas limit") {
+		t.Fatalf("parallel: err = %v, want a bad block for its header's gas limit", err)
 	}
 }
 
@@ -239,6 +266,7 @@ func TestVerdictFirstFailure(t *testing.T) {
 	tj.Nonce++
 	bad.Txs[j] = &tj
 	bad.Header.TxRoot = types.ComputeTxRoot(bad.Txs)
+	reseal(&bad)
 	want := fmt.Sprintf("tx %d used", k)
 	for threads := 1; threads <= 4; threads++ {
 		_, err := ValidateParallel(parent, parentHeader, &bad, DefaultConfig(threads), params)
@@ -313,6 +341,7 @@ func TestProfileBitFlipFuzz(t *testing.T) {
 		}
 		bad := *block
 		bad.Profile = profile
+		reseal(&bad)
 		_, err = ValidateParallel(parent, parentHeader, &bad, DefaultConfig(4), params)
 		if err == nil && !semanticallySame {
 			t.Fatalf("trial %d: semantically tampered profile accepted (bit %d)", trial, bit)
