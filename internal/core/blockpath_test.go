@@ -104,7 +104,7 @@ func TestBlockPathAllocs(t *testing.T) {
 // produces. A survivor aliasing recycled overlay memory would have been
 // overwritten by the lane's next transaction; under `make race` this is also
 // the concurrent run of Reset through Propose (every engine variant) and
-// validateParallel.
+// the validator's lanes.
 func TestBlockPathSurvivorsMatchFreshOverlays(t *testing.T) {
 	cfg := workload.Default()
 	params := chain.DefaultParams()

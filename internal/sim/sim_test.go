@@ -286,7 +286,7 @@ func TestExpectedClassesAreSentinels(t *testing.T) {
 			t.Fatalf("tamper kind %s missing from class audit", kind)
 		}
 	}
-	for _, c := range []error{validator.ErrProfileMismatch, validator.ErrNoProfile, validator.ErrBadBlock} {
+	for _, c := range []error{validator.ErrProfileMismatch, validator.ErrBadBlock} {
 		if !errors.Is(c, c) {
 			t.Fatal("sentinel identity broken")
 		}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"blockpilot/internal/chain"
 	"blockpilot/internal/core"
@@ -304,5 +305,40 @@ func TestSiblingLeaderRejectedPublishesPrefix(t *testing.T) {
 		if res.Reused != c.reused {
 			t.Fatalf("%s leader: follower took %d results, want %d", c.name, res.Reused, c.reused)
 		}
+	}
+}
+
+// TestPrunedLeaderReleasesFollower: a leader validated on a nil parent, a
+// state its chain has pruned, fails with chain.ErrStatePruned before it
+// queues a lane. A follower on the same record must not wait for those
+// lanes: it returns, and accepts by executing every transaction.
+func TestPrunedLeaderReleasesFollower(t *testing.T) {
+	parent, parentHeader, block := makeBlock(t, 40)
+	params := chain.DefaultParams()
+	sib := NewSiblings(block)
+	if _, err := ValidateSibling(nil, parentHeader, block, DefaultConfig(2), params, sib, true); !errors.Is(err, chain.ErrStatePruned) {
+		t.Fatalf("leader: err = %v, want %v", err, chain.ErrStatePruned)
+	}
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := ValidateSibling(parent, parentHeader, block, DefaultConfig(2), params, sib, false)
+		done <- outcome{res, err}
+	}()
+	var o outcome
+	select {
+	case o = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("the follower still waits for the lanes of a leader that failed before queueing any")
+	}
+	sib.Release()
+	if o.err != nil {
+		t.Fatalf("follower: %v", o.err)
+	}
+	if o.res.Reused != 0 || o.res.State.Root() != block.Header.StateRoot {
+		t.Fatalf("follower took %d results, root %s; want 0 and %s", o.res.Reused, o.res.State.Root(), block.Header.StateRoot)
 	}
 }

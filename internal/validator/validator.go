@@ -5,7 +5,9 @@
 // block order, and accepts the block only if the recomputed state root
 // matches the header.
 //
-// Phases within one block:
+// The paper's four phases within one block (Fig. 5) are two functions:
+// execute runs the first three on a reader of the parent's state and hands
+// commit only the walk's sums; commit runs the last on the parent snapshot.
 //
 //	preparation  — build conflict subgraphs from the profile, gas-LPT them
 //	               onto worker threads (internal/scheduler);
@@ -39,7 +41,6 @@ import (
 
 // Validation errors.
 var (
-	ErrNoProfile       = errors.New("validator: block has no profile")
 	ErrProfileMismatch = errors.New("validator: execution diverged from block profile")
 	ErrBadBlock        = errors.New("validator: block invalid")
 )
@@ -125,7 +126,17 @@ func ValidateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 // executes the rest. A nil sib validates alone.
 func ValidateSibling(parent *state.Snapshot, parentHeader *types.Header, block *types.Block, cfg Config, params chain.Params, sib *Siblings, lead bool) (*Result, error) {
 	span := telemetry.StartSpan(telemetry.ValidatorBlockSeconds)
-	res, err := validateParallel(parent, parentHeader, block, cfg, params, sib, lead)
+	var res *Result
+	err := chain.ErrStatePruned // the caller's chain dropped the parent's state
+	// Test parent before it becomes a state.Reader: a nil *Snapshot is not a nil Reader.
+	if parent != nil {
+		var ex *executed
+		if ex, err = execute(parent, parentHeader, block, cfg, params, sib, lead); err == nil {
+			res, err = ex.commit(parent, params)
+		}
+	} else if lead {
+		sib.lanesQueued() // its followers wait for the lanes it will never queue
+	}
 	span.End()
 	if err != nil {
 		telemetry.ValidatorRejects.Inc()
@@ -136,13 +147,29 @@ func ValidateSibling(parent *state.Snapshot, parentHeader *types.Header, block *
 	return res, err
 }
 
-// validateParallel is ValidateSibling without the outer accounting span.
-func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block *types.Block, cfg Config, params chain.Params, sib *Siblings, lead bool) (*Result, error) {
+// executed is what commitment needs from execution: the sums of the
+// block-order walk over a block whose every transaction was accepted, and
+// the block's trace identity, under which each phase is one tr.Begin / End
+// interval that feeds the phase's histogram and, with a collector, a span.
+type executed struct {
+	header   *types.Header
+	receipts []*types.Receipt
+	parts    []*state.ChangeSet // block order, folded at commit
+	fees     uint256.Int
+	gasUsed  uint64
+	stats    scheduler.Stats
+	reused   int
+	tr       *trace.Collector
+	node     string
+	bh       types.Hash // only computed with a collector: Header.Hash is keccak over RLP
+}
+
+// execute runs the first three phases of block on base, the parent's state:
+// preparation, execution and validation. It returns the walk's sums of a
+// block whose every transaction ran as its profile says, or the verdict.
+func execute(base state.Reader, parentHeader *types.Header, block *types.Block, cfg Config, params chain.Params, sib *Siblings, lead bool) (*executed, error) {
 	if lead {
 		defer sib.lanesQueued() // a leader that fails before queueing its lanes marks nothing done
-	}
-	if parent == nil {
-		return nil, chain.ErrStatePruned // the caller's chain dropped the parent's state
 	}
 	if cfg.Threads < 1 {
 		cfg.Threads = 1
@@ -154,60 +181,46 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 	if err := chain.CheckLink(parentHeader, block, params); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadBlock, err)
 	}
-	if block.Profile == nil {
-		return nil, ErrNoProfile
+	if block.Profile == nil || len(block.Profile.Txs) != len(block.Txs) {
+		return nil, fmt.Errorf("%w: the profile does not cover the block's %d txs", ErrProfileMismatch, len(block.Txs))
 	}
-	if len(block.Profile.Txs) != len(block.Txs) {
-		return nil, fmt.Errorf("%w: profile covers %d of %d txs", ErrProfileMismatch, len(block.Profile.Txs), len(block.Txs))
+	ex := &executed{header: h, tr: trace.Resolve(cfg.Tracer), node: cfg.Node}
+	if ex.node == "" {
+		ex.node = "validator"
 	}
-
-	// Block-trace identity for this validation attempt. Every phase below is
-	// one tr.Begin / End pair: a single interval that feeds the phase's
-	// histogram and, with a collector installed, the block's span. The hash is
-	// only computed with a collector (Header.Hash is keccak over RLP on every
-	// call).
-	tr := trace.Resolve(cfg.Tracer)
-	node := cfg.Node
-	if node == "" {
-		node = "validator"
-	}
-	var bh types.Hash
-	if tr != nil {
-		bh = block.Hash()
+	if ex.tr != nil {
+		ex.bh = block.Hash()
 	}
 
 	// Preparation phase: account-level conflict subgraphs from the shipped
 	// profile, gas-LPT onto the lanes. Serial on purpose — the profile makes
 	// this ≈ 1 % of validation, and a fanned-out build lost to this one on
 	// every block shape the benchmark has (docs/PERFORMANCE.md §2).
-	prepare := tr.Begin(node, trace.StagePrepare, h.Number)
+	prepare := ex.tr.Begin(ex.node, trace.StagePrepare, h.Number)
 	graphSpan := telemetry.StartSpan(telemetry.ValidatorGraphBuildSeconds)
 	components := scheduler.BuildComponents(block.Profile, true)
 	graphSpan.End()
 	sched := scheduler.AssignLPT(components, cfg.Threads)
-	stats := scheduler.ComputeStats(components)
+	ex.stats = scheduler.ComputeStats(components)
 	var fw *follower
 	if sib != nil && !lead {
 		if fw = sib.follow(block); fw != nil {
 			defer fw.done() // every lane has returned by then
 		}
 	}
-	prepare.End(bh)
+	prepare.End(ex.bh)
 	if telemetry.Enabled() {
-		telemetry.ValidatorSubgraphs.Observe(uint64(stats.ComponentCount))
+		telemetry.ValidatorSubgraphs.Observe(uint64(ex.stats.ComponentCount))
 		for i := range components {
 			telemetry.ValidatorSubgraphTxs.Observe(uint64(len(components[i].TxIndices)))
 		}
 		// LPT load imbalance: max per-worker assigned gas over the mean.
-		var maxGas, totalGas uint64
+		var totalGas uint64
 		for _, g := range sched.ThreadGas {
 			totalGas += g
-			if g > maxGas {
-				maxGas = g
-			}
 		}
 		if mean := float64(totalGas) / float64(len(sched.ThreadGas)); mean > 0 {
-			telemetry.ValidatorLPTImbalance.Set(float64(maxGas) / mean)
+			telemetry.ValidatorLPTImbalance.Set(float64(slices.Max(sched.ThreadGas)) / mean)
 		}
 	}
 	if flight.Enabled() {
@@ -230,7 +243,7 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 	// Tx execution phase: one goroutine per scheduled thread. A lane writes
 	// transaction i's result at res[i] and skips every position past the
 	// first failure in block order, stop: every result before it exists.
-	execute := tr.Begin(node, trace.StageExecute, h.Number)
+	executing := ex.tr.Begin(ex.node, trace.StageExecute, h.Number)
 	bc := chain.BlockContextFor(h, params.ChainID)
 	var res []result
 	if lead {
@@ -263,7 +276,7 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 			if lead {
 				sib.started.Done()
 			}
-			accum := state.NewMemory(parent)
+			accum := state.NewMemory(base)
 			overlay := state.NewOverlay(accum, 0)
 			for _, i := range lane {
 				if int32(i) > stop.Load() {
@@ -312,17 +325,14 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 		sib.lanesQueued()
 	}
 	wg.Wait()
-	execute.End(bh)
+	executing.End(ex.bh)
 
 	// Block validation phase (the applier, Algorithm 2): walk the results in
 	// block order. The first failure is the verdict, whatever lane reached
 	// its own first; else gas, fees and write sets are summed.
-	verify := tr.Begin(node, trace.StageVerify, h.Number)
-	parts := make([]*state.ChangeSet, len(block.Txs)) // block order, folded at commit
-	receipts := make([]*types.Receipt, len(block.Txs))
-	var fees uint256.Int
-	var cumulative uint64
-	reused := 0
+	verify := ex.tr.Begin(ex.node, trace.StageVerify, h.Number)
+	ex.parts = make([]*state.ChangeSet, len(block.Txs))
+	ex.receipts = make([]*types.Receipt, len(block.Txs))
 	var vErr error
 	for i := range res {
 		r := &res[i]
@@ -333,46 +343,46 @@ func validateParallel(parent *state.Snapshot, parentHeader *types.Header, block 
 			}
 			break
 		}
-		cumulative += r.receipt.GasUsed
-		r.receipt.CumulativeGasUsed = cumulative
-		receipts[i], parts[i] = r.receipt, r.changes
-		fees.Add(&fees, &r.fee)
+		ex.gasUsed += r.receipt.GasUsed
+		r.receipt.CumulativeGasUsed = ex.gasUsed
+		ex.receipts[i], ex.parts[i] = r.receipt, r.changes
+		ex.fees.Add(&ex.fees, &r.fee)
 		flight.Verify(block.Txs[i], true, h.Number)
 		if r.taken {
-			reused++
+			ex.reused++
 		}
 	}
-	verify.End(bh)
+	verify.End(ex.bh)
 	if vErr != nil {
 		return nil, vErr
 	}
+	return ex, nil
+}
 
-	// Block commitment phase. A block rejected here still counts in the
-	// commit histogram (Drop), but commit-phase spans are stored on the success
-	// path only: a rejected block never commits, and the sim's tracing oracle
-	// requires a complete chain exactly for committed blocks.
-	commit := tr.Begin(node, trace.StageCommit, h.Number)
-	committed := false
-	defer func() {
-		if committed {
-			commit.End(bh)
-		} else {
-			commit.Drop()
-		}
-	}()
-	if err := chain.CheckExecution(h, cumulative, receipts); err != nil {
+// commit is the block commitment phase: it commits the executed block on
+// parent, the snapshot of the state execute ran on, and checks the header's
+// commitments to the outcome. A block rejected here still counts in the
+// commit histogram (Drop), but commit-phase spans are stored on the success
+// path only: a rejected block never commits, and the sim's tracing oracle
+// requires a complete chain exactly for committed blocks.
+func (ex *executed) commit(parent *state.Snapshot, params chain.Params) (*Result, error) {
+	h := ex.header
+	commit := ex.tr.Begin(ex.node, trace.StageCommit, h.Number)
+	if err := chain.CheckExecution(h, ex.gasUsed, ex.receipts); err != nil {
+		commit.Drop()
 		return nil, fmt.Errorf("%w: %w", ErrBadBlock, err)
 	}
-	total := state.Fold(parts...)
-	chain.Finalize(parent, total, h.Coinbase, &fees, params)
-	stateCommit := tr.Begin(node, trace.StageStateCommit, h.Number)
+	total := state.Fold(ex.parts...)
+	chain.Finalize(parent, total, h.Coinbase, &ex.fees, params)
+	stateCommit := ex.tr.Begin(ex.node, trace.StageStateCommit, h.Number)
 	postState, root := chain.CommitAndRoot(parent, total, params, h.Number)
 	if err := chain.CheckStateRoot(h, root); err != nil {
+		commit.Drop()
 		return nil, fmt.Errorf("%w: %w", ErrBadBlock, err)
 	}
-	stateCommit.End(bh)
-	committed = true
-	return &Result{State: postState, Receipts: receipts, Stats: stats, Reused: reused}, nil
+	stateCommit.End(ex.bh)
+	commit.End(ex.bh)
+	return &Result{State: postState, Receipts: ex.receipts, Stats: ex.stats, Reused: ex.reused}, nil
 }
 
 // stopAt lowers stop to i, the lanes' first failing position in block order.

@@ -166,7 +166,7 @@ func TestRejectMissingProfile(t *testing.T) {
 	bad := *block
 	bad.Profile = nil
 	reseal(&bad)
-	if _, err := ValidateParallel(parent, parentHeader, &bad, DefaultConfig(4), chain.DefaultParams()); !errors.Is(err, ErrNoProfile) {
+	if _, err := ValidateParallel(parent, parentHeader, &bad, DefaultConfig(4), chain.DefaultParams()); !errors.Is(err, ErrProfileMismatch) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -366,4 +366,60 @@ func TestStatsReported(t *testing.T) {
 	}
 	t.Logf("block conflict structure: %d components, largest %.1f%%, parallelism bound %.2fx",
 		res.Stats.ComponentCount, res.Stats.LargestRatio*100, res.Stats.ParallelismUpper)
+}
+
+// TestExecuteOnUncommittedParent: a child C executed on its parent P's state
+// before P is committed — a state.Memory holding P's change set over the
+// grandparent's snapshot — and then committed on P's snapshot is accepted
+// with its header's root and the receipts of a plain validation, at every
+// thread count. That is the premise of releasing a child at its parent's
+// verify end.
+func TestExecuteOnUncommittedParent(t *testing.T) {
+	cfg := workload.Default()
+	cfg.NumAccounts = 600
+	grand := workload.New(cfg).GenesisState()
+	params := chain.DefaultParams()
+	grandHeader := &types.Header{Number: 0, StateRoot: grand.Root(), GasLimit: params.GasLimit}
+	propose := func(parent *state.Snapshot, parentHeader *types.Header, txs []*types.Transaction) *types.Block {
+		pool := mempool.New()
+		pool.AddAll(txs)
+		res, err := core.Propose(parent, parentHeader, pool, core.ProposerConfig{Threads: 2, Coinbase: coinbase, Time: parentHeader.Number + 1}, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Committed != len(txs) {
+			t.Fatalf("proposer packed %d of %d", res.Committed, len(txs))
+		}
+		return res.Block
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg.Seed = seed
+		g := workload.New(cfg)
+		p := propose(grand, grandHeader, g.NextBlockTxs())
+		pres, err := chain.VerifyBlockSerial(grand, grandHeader, p, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := propose(pres.State, &p.Header, g.NextBlockTxs())
+		plain, err := ValidateParallel(pres.State, &p.Header, c, DefaultConfig(2), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := state.NewMemory(grand)
+		base.ApplyChangeSet(pres.Changes)
+		for threads := 1; threads <= 4; threads++ {
+			ex, err := execute(base, &p.Header, c, DefaultConfig(threads), params, nil, false)
+			if err != nil {
+				t.Fatalf("seed %d threads %d: execute: %v", seed, threads, err)
+			}
+			res, err := ex.commit(pres.State, params)
+			if err != nil {
+				t.Fatalf("seed %d threads %d: commit: %v", seed, threads, err)
+			}
+			if res.State.Root() != c.Header.StateRoot {
+				t.Fatalf("seed %d threads %d: root %s, header %s", seed, threads, res.State.Root(), c.Header.StateRoot)
+			}
+			sameOutcome(t, res, plain)
+		}
+	}
 }
