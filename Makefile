@@ -91,12 +91,14 @@ obs-budget:
 # node none (each node keeps its own); a 256-key trie batch copies no items
 # per level and reuses its scratch; a second store Commit reuses the record
 # buffer; a Release allocates the same small
-# constant whether it prunes 41 nodes or 1 033; and one 132-transaction block
+# constant whether it prunes 41 nodes or 1 033; a disk commit through a
+# reused trie batch allocates nothing per staged record, only each inner
+# node's write-through hashNodes; and one 132-transaction block
 # through Propose → Encode → DecodeBlock → ValidateParallel stays within 10 %
 # of its allocation budget (docs/PERFORMANCE.md §10). A fourth lookup, a
 # re-grown slice or a nested encoder fails here, without running the benchmark.
 state-budget:
-	$(GO) test -count=1 -run 'TestOverlayReadsEachAccountOnce|TestApplyChangeSetReadsNothing|TestDecodeNodeAllocs|TestRefAllocs|TestBatchAllocs|TestCommitReusesBuffer|TestReleaseAllocs|TestBlockPathAllocs' ./internal/state/ ./internal/core/ ./internal/trie/ ./internal/trie/store/
+	$(GO) test -count=1 -run 'TestOverlayReadsEachAccountOnce|TestApplyChangeSetReadsNothing|TestDecodeNodeAllocs|TestRefAllocs|TestBatchAllocs|TestCommitReusesBuffer|TestReleaseAllocs|TestPersistAllocs|TestBlockPathAllocs' ./internal/state/ ./internal/core/ ./internal/trie/ ./internal/trie/store/
 
 # Live end-to-end pass of the health recorder: a real sampler at a fast
 # interval over actual runtime metrics and the live telemetry registry.

@@ -65,8 +65,11 @@ func ExecuteSerial(parent *state.Snapshot, header *types.Header, txs []*types.Tr
 // proposer and the parallel validator — every worker count produces
 // bit-identical snapshots and roots. Both phases are recorded
 // in telemetry (state commit duration, root hash duration, account /
-// storage-trie fanout). The trailing block height is unused: the parameter
-// stays because benchmark/ calls with it.
+// storage-trie fanout). On the disk backend the commit hashes the accounts
+// trie itself, before it persists it, so hashing falls inside the commit
+// span and the root-hash span reads the persisted root's hash in O(1). The
+// trailing block height is unused: the parameter stays because benchmark/
+// calls with it.
 func CommitAndRoot(parent *state.Snapshot, total *state.ChangeSet, params Params, _ uint64) (*state.Snapshot, types.Hash) {
 	w := params.ResolveCommitWorkers()
 

@@ -434,6 +434,7 @@ func (s *Snapshot) CommitParallel(cs *ChangeSet, workers int) *Snapshot {
 	}
 	ns.accounts.Batch(keys, leaves)
 	if disk != nil {
+		ns.accounts.HashParallel(workers) // the persist walk takes each node's hash
 		disk.finish(s, ns)
 	}
 	return ns

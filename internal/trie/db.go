@@ -9,11 +9,16 @@
 // nodes live only in the Database's cache, and every mutation path
 // (Update/Delete/Batch) copies a decoded node before touching it — exactly
 // the immutability contract the validator pipeline relies on for concurrent
-// reads of shared state versions.
+// reads of shared state versions. The one writer is the persist walk: it
+// rewrites the hash-referenced children of each node it has just staged as
+// hashNodes, while the trie is still private to the commit that built it —
+// before any other goroutine can see it — so that the node takes the shape
+// decodeNode gives its record. The cache then holds written as well as read
+// nodes: once a batch's barrier returns, its branch and extension nodes go
+// in, and Release evicts every node it prunes.
 package trie
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -86,6 +91,7 @@ const DefaultCacheNodes = 262144
 type Database struct {
 	st    *store.Store
 	cache *nodeLRU
+	spare atomic.Pointer[Batch] // the last batch committed, for the next NewBatch
 
 	resolves  atomic.Uint64 // hashNode resolutions (hit + miss)
 	cacheHits atomic.Uint64
@@ -105,15 +111,16 @@ func OpenDatabase(path string, cacheNodes int) (*Database, error) {
 	// The store extracts edges one node at a time under its lock, so all of
 	// its calls share one result buffer (NodeEdges allocates one per call).
 	var edges [][32]byte
+	cache := newNodeLRU(cacheNodes)
 	st, err := store.Open(path, store.Options{Edges: func(enc []byte, has func([32]byte) bool) [][32]byte {
 		edges = edges[:0]
 		collectEdges(enc, has, &edges)
 		return edges
-	}})
+	}, Pruned: cache.remove})
 	if err != nil {
 		return nil, err
 	}
-	return &Database{st: st, cache: newNodeLRU(cacheNodes)}, nil
+	return &Database{st: st, cache: cache}, nil
 }
 
 // node resolves a stored node by hash: LRU first, then the store.
@@ -133,7 +140,7 @@ func (db *Database) node(h [32]byte) (node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("decode %x: %w", h, err)
 	}
-	db.cache.add(h, n)
+	db.cache.add(lruEntry{hash: h, n: n})
 	return n, nil
 }
 
@@ -215,14 +222,25 @@ func (db *Database) Stats() DBStats {
 
 // Batch stages one atomic state commit against the Database: storage tries
 // first, then code blobs, then the accounts trie, then Commit(root) writes
-// everything behind a single durability barrier.
+// everything behind a single durability barrier. A Batch is done with once
+// Commit returns: a committed batch is the Database's next one.
 type Batch struct {
-	db *Database
-	sb *store.Batch
+	db     *Database
+	sb     *store.Batch
+	buf    []byte     // every staged encoding, back to back
+	staged []lruEntry // the branch and extension nodes staged, cached on Commit
 }
 
-// NewBatch starts a commit batch.
+// maxSpareBuf bounds the encodings a batch may have held and still be reused:
+// a block's fit many times over, a genesis chunk's are let go.
+const maxSpareBuf = 4 << 20
+
+// NewBatch starts a commit batch: the last one committed, emptied, when there
+// is one.
 func (db *Database) NewBatch() *Batch {
+	if b := db.spare.Swap(nil); b != nil {
+		return b
+	}
 	return &Batch{db: db, sb: db.st.NewBatch()}
 }
 
@@ -233,7 +251,8 @@ func (b *Batch) PutCode(h [32]byte, code []byte) { b.sb.PutCode(h, code) }
 // (children before parents, stopping at hashNode boundaries — already
 // persisted subtrees cost nothing), then collapses t's root to a hashNode
 // and returns the root hash. After the batch commits, t reads through the
-// Database like any reopened trie, and the nodes it held are garbage.
+// Database like any reopened trie. t's fresh nodes must be private to the
+// caller: persisting rewrites their children.
 func (b *Batch) PersistTrie(t *Trie) [32]byte {
 	if t.root == nil {
 		return EmptyRoot
@@ -244,64 +263,114 @@ func (b *Batch) PersistTrie(t *Trie) [32]byte {
 	if t.db != b.db {
 		panic("trie: PersistTrie against a different Database")
 	}
-	persistNode(b.sb, t.root)
+	b.persistNode(t.root)
 	rootHash := t.Hash() // from the reference persistNode left in the root
-	var buf [1 + 32]byte
-	ref, ok := t.root.cache().appendTo(buf[:0])
-	if !ok { // a concurrent hasher is still filling the cache
-		ref = encodeNode(t.root)
-	}
-	if len(ref) < 32 {
+	if _, ok := hashRef(t.root); !ok {
 		// Small roots are embedded nowhere (the root has no parent): store
 		// them by hash so the anchor resolves — the Ethereum root-hash rule.
-		b.sb.Put(rootHash, bytes.Clone(ref))
+		start := len(b.buf)
+		b.buf = appendNode(b.buf, t.root)
+		b.sb.Put(rootHash, b.buf[start:])
 	}
 	t.root = newHashNode(rootHash)
 	return rootHash
 }
 
-// Commit durably writes the batch behind one barrier, anchoring root.
+// Commit durably writes the batch behind one barrier, anchoring root, and
+// puts the branch and extension nodes it staged into the node cache. A batch
+// that committed becomes the Database's spare; one that failed is dropped.
 func (b *Batch) Commit(root [32]byte) error {
-	return b.sb.Commit(root)
+	if err := b.sb.Commit(root); err != nil {
+		return err
+	}
+	b.db.cache.add(b.staged...)
+	if cap(b.buf) <= maxSpareBuf {
+		clear(b.staged)
+		b.buf, b.staged = b.buf[:0], b.staged[:0]
+		b.sb.Reset()
+		b.db.spare.Store(b)
+	}
+	return nil
 }
 
 // persistNode stages n's fresh subtree bottom-up. Each node is encoded once,
-// for its record, after its children, so the encoding takes their cached
-// references; a node hashed before — a storage trie is hashed before it is
-// persisted — keeps its hash. A node shorter than 32 bytes is embedded in
-// its parent, and so is everything under it: nothing of it is staged.
-func persistNode(sb *store.Batch, n node) {
+// into the batch's buffer, for its record, after its children, so the
+// encoding takes their cached references; a node hashed before keeps its
+// hash. A node shorter than 32 bytes is embedded in its parent, and so is
+// everything under it: nothing of it is staged. A staged branch or extension
+// node then refers to its hash-referenced children by hashNode, as its
+// decoded record would, so that caching it pins no subtree.
+func (b *Batch) persistNode(n node) {
 	c := n.cache()
 	if c == nil {
 		return // a hashNode: persisted already
 	}
-	var buf [1 + 32]byte
-	if ref, ok := c.appendTo(buf[:0]); ok && len(ref) < 32 {
+	var ref [1 + 32]byte
+	if r, ok := c.appendTo(ref[:0]); ok && len(r) < 32 {
 		return // embedded
 	}
 	switch nd := n.(type) {
 	case *extNode:
-		persistNode(sb, nd.child)
+		b.persistNode(nd.child)
 	case *branchNode:
 		for _, ch := range nd.children {
 			if ch != nil {
-				persistNode(sb, ch)
+				b.persistNode(ch)
 			}
 		}
 	}
-	enc := encodeNode(n)
+	start := len(b.buf)
+	b.buf = appendNode(b.buf, n)
+	enc := b.buf[start:]
 	if len(enc) < 32 {
 		c.set(enc)
+		b.buf = b.buf[:start]
 		return
 	}
-	var hash [32]byte
-	if ref, ok := c.appendTo(buf[:0]); ok {
-		hash = [32]byte(ref[1:])
-	} else {
+	hash, ok := hashRef(n)
+	if !ok {
 		hash = crypto.Sum256(enc)
 		c.set(hash[:])
 	}
-	sb.Put(hash, enc)
+	b.sb.Put(hash, enc)
+	switch nd := n.(type) {
+	case *extNode:
+		if h, ok := hashRef(nd.child); ok {
+			nd.child = newHashNode(h)
+		}
+	case *branchNode:
+		refs := 0
+		for _, ch := range nd.children {
+			if _, ok := hashRef(ch); ok {
+				refs++
+			}
+		}
+		if refs == 0 {
+			break // a decoded node is shared: it is written only when it must be
+		}
+		slab := make([]hashNode, refs) // one allocation, as decodeNode's
+		for i, ch := range nd.children {
+			if h, ok := hashRef(ch); ok {
+				slab[0].hash = h
+				nd.children[i], slab = &slab[0], slab[1:]
+			}
+		}
+	default:
+		return // leaves stay out of the cache
+	}
+	b.staged = append(b.staged, lruEntry{hash: hash, n: n})
+}
+
+// hashRef returns the hash n's parent refers to it by, once n's reference is
+// cached; ok is false for nil, a hashNode and an embedded node.
+func hashRef(n node) (h [32]byte, ok bool) {
+	if n != nil && n.cache() != nil {
+		var buf [1 + 32]byte
+		if ref, _ := n.cache().appendTo(buf[:0]); len(ref) == 1+32 {
+			return [32]byte(ref[1:]), true
+		}
+	}
+	return h, false
 }
 
 // ---------------------------------------------------------------------------
@@ -373,40 +442,71 @@ func (c *nodeLRU) get(h [32]byte) (node, bool) {
 	return c.slab[j].n, true
 }
 
-func (c *nodeLRU) add(h [32]byte, n node) {
+// add makes each entry in turn the most recently used, in one locked pass.
+func (c *nodeLRU) add(entries ...lruEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range entries {
+		j := c.find(&e.hash)
+		if j == 0 {
+			if len(c.slab) <= c.cap {
+				j = uint32(len(c.slab))
+				c.slab = append(c.slab, lruEntry{prev: j, next: j})
+				if len(c.slab)*4 > len(c.table)*3 {
+					old := c.table
+					c.table = make([]uint64, 2*len(old))
+					for _, slot := range old {
+						if slot != 0 {
+							c.place(slot)
+						}
+					}
+				}
+			} else { // full: the least recently used entry makes room
+				j = c.slab[0].prev
+				c.unplace(j)
+			}
+			c.slab[j].hash = e.hash
+			c.place(lruPrefix(&e.hash) | uint64(j))
+		}
+		c.slab[j].n = e.n
+		c.toFront(j)
+	}
+}
+
+// unplace takes slab position j's slot out of the table, shifting the rest of
+// its cluster back.
+func (c *nodeLRU) unplace(j uint32) {
+	mask := uint64(len(c.table) - 1)
+	i := lruPrefix(&c.slab[j].hash) >> 32 & mask
+	for uint32(c.table[i]) != j {
+		i = (i + 1) & mask
+	}
+	for k := (i + 1) & mask; c.table[k] != 0; k = (k + 1) & mask {
+		if home := c.table[k] >> 32 & mask; (k-home)&mask >= (k-i)&mask {
+			c.table[i], i = c.table[k], k
+		}
+	}
+	c.table[i] = 0
+}
+
+// remove drops h's entry if there is one; the slab's last entry moves into
+// its position, so the slab stays dense.
+func (c *nodeLRU) remove(h [32]byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	j := c.find(&h)
 	if j == 0 {
-		if len(c.slab) <= c.cap {
-			j = uint32(len(c.slab))
-			c.slab = append(c.slab, lruEntry{prev: j, next: j})
-			if len(c.slab)*4 > len(c.table)*3 {
-				old := c.table
-				c.table = make([]uint64, 2*len(old))
-				for _, slot := range old {
-					if slot != 0 {
-						c.place(slot)
-					}
-				}
-			}
-		} else { // full: the least recently used entry makes room
-			j = c.slab[0].prev
-			mask := uint64(len(c.table) - 1)
-			i := lruPrefix(&c.slab[j].hash) >> 32 & mask
-			for uint32(c.table[i]) != j {
-				i = (i + 1) & mask
-			}
-			for k := (i + 1) & mask; c.table[k] != 0; k = (k + 1) & mask {
-				if home := c.table[k] >> 32 & mask; (k-home)&mask >= (k-i)&mask {
-					c.table[i], i = c.table[k], k
-				}
-			}
-			c.table[i] = 0
-		}
-		c.slab[j].hash = h
-		c.place(lruPrefix(&h) | uint64(j))
+		return
 	}
-	c.slab[j].n = n
-	c.toFront(j)
+	c.unplace(j)
+	e, last := &c.slab[j], uint32(len(c.slab)-1)
+	c.slab[e.prev].next, c.slab[e.next].prev = e.next, e.prev
+	if j != last {
+		c.unplace(last)
+		*e = c.slab[last]
+		c.place(lruPrefix(&e.hash) | uint64(j))
+		c.slab[e.prev].next, c.slab[e.next].prev = j, j
+	}
+	c.slab[last] = lruEntry{}
+	c.slab = c.slab[:last]
 }

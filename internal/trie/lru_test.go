@@ -43,12 +43,21 @@ func (c *lruRef) add(h [32]byte, n node) {
 	}
 }
 
+func (c *lruRef) remove(h [32]byte) {
+	if el, ok := c.m[h]; ok {
+		c.l.Remove(el)
+		delete(c.m, h)
+	}
+}
+
 // TestNodeLRUOrder drives the slab LRU and the container/list reference with
-// one random get/add stream over a key space four times the capacity — a
-// third of the keys sharing their first four bytes, so the table's clusters
-// and its backward-shift delete are exercised — and requires the same answer
-// to every get and, at every step, the same entries in the same recency
-// order. A full cache must add without allocating.
+// one random get/add/remove stream over a key space four times the capacity
+// — a third of the keys sharing their first four bytes, so the table's
+// clusters and its backward-shift delete are exercised — and requires the
+// same answer to every get and, at every step, the same entries in the same
+// recency order. A remove moves the slab's last entry into the hole, so the
+// slab stays as long as the reference. A full cache must add without
+// allocating.
 func TestNodeLRUOrder(t *testing.T) {
 	for _, capacity := range []int{1, 2, 7, 64} {
 		r := rand.New(rand.NewSource(int64(capacity)))
@@ -65,15 +74,19 @@ func TestNodeLRUOrder(t *testing.T) {
 		want := &lruRef{cap: capacity, m: map[[32]byte]*list.Element{}, l: list.New()}
 		for step := 0; step < 4000; step++ {
 			i := r.Intn(len(keys))
-			if r.Intn(3) == 0 {
+			switch op := r.Intn(6); {
+			case op < 2:
 				gn, gok := got.get(keys[i])
 				wn, wok := want.get(keys[i])
 				if gok != wok || gn != wn {
 					t.Fatalf("cap %d step %d: get = (%v, %v), reference (%v, %v)", capacity, step, gn, gok, wn, wok)
 				}
-			} else {
+			case op == 2:
+				got.remove(keys[i])
+				want.remove(keys[i])
+			default:
 				n := nodes[r.Intn(len(nodes))]
-				got.add(keys[i], n)
+				got.add(lruEntry{hash: keys[i], n: n})
 				want.add(keys[i], n)
 			}
 			if n := len(got.slab) - 1; n != want.l.Len() {
@@ -93,7 +106,7 @@ func TestNodeLRUOrder(t *testing.T) {
 		}
 		next := 0
 		if allocs := testing.AllocsPerRun(100, func() {
-			got.add(keys[next%len(keys)], nodes[0])
+			got.add(lruEntry{hash: keys[next%len(keys)], n: nodes[0]})
 			next++
 		}); allocs != 0 {
 			t.Errorf("cap %d: add on a full cache allocates %v times, want 0", capacity, allocs)

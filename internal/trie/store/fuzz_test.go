@@ -12,7 +12,8 @@ import (
 // — the store computes it with incremental reference counts — and the two
 // must agree exactly after every barrier (refcount GC ≡ reachability GC on
 // the acyclic graphs commits can build). Reopens assert the log replay
-// reconstructs the same state.
+// reconstructs the same state, and every Release hands Options.Pruned
+// exactly the nodes that left the oracle's live set, each once.
 //
 // Each fuzz input byte stream drives a small op interpreter:
 //
@@ -30,7 +31,9 @@ func FuzzNodeStore(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.db")
-		s, err := Open(path, Options{Edges: testEdges})
+		var pruned [][32]byte
+		opts := Options{Edges: testEdges, Pruned: func(h [32]byte) { pruned = append(pruned, h) }}
+		s, err := Open(path, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,11 +158,23 @@ func FuzzNodeStore(f *testing.F) {
 				// Deterministic pick: LiveRoots is sorted.
 				roots := s.LiveRoots()
 				r := roots[int(pick)%len(roots)]
+				before := live()
+				pruned = pruned[:0]
 				if err := s.Release(r); err != nil {
 					t.Fatalf("release of live root: %v", err)
 				}
 				anchors[r]--
 				check("release")
+				after, seen := live(), map[[32]byte]bool{}
+				for _, h := range pruned {
+					if seen[h] || !before[h] || after[h] {
+						t.Fatalf("release handed Pruned %x: repeated %v, live before %v, live after %v", h[:4], seen[h], before[h], after[h])
+					}
+					seen[h] = true
+				}
+				if len(seen) != len(before)-len(after) {
+					t.Fatalf("release handed Pruned %d nodes, %d left the live set", len(seen), len(before)-len(after))
+				}
 
 			case op%16 <= 14: // point probes
 				pick, _ := next()
@@ -176,7 +191,7 @@ func FuzzNodeStore(f *testing.F) {
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
 				}
-				s, err = Open(path, Options{Edges: testEdges})
+				s, err = Open(path, opts)
 				if err != nil {
 					t.Fatalf("reopen: %v", err)
 				}

@@ -88,6 +88,10 @@ type Options struct {
 	// with its lock held and is done with the result before the next call,
 	// so an extractor may hand back the same backing array every time.
 	Edges func(enc []byte, has func([32]byte) bool) [][32]byte
+	// Pruned, when set, is called under the store's lock with each node a
+	// Release prunes, once the release barrier is durable: the hook by which
+	// a cache of nodes drops what the store no longer holds.
+	Pruned func(h [32]byte)
 	// Sync fsyncs the file after every barrier (off by default: the crash
 	// battery models torn tails, not lying disks).
 	Sync bool
@@ -421,6 +425,13 @@ type stagedPut struct {
 // NewBatch starts a commit batch.
 func (s *Store) NewBatch() *Batch { return &Batch{s: s} }
 
+// Reset empties the batch for another commit, keeping its arrays.
+func (b *Batch) Reset() {
+	clear(b.nodes)
+	clear(b.codes)
+	b.nodes, b.codes = b.nodes[:0], b.codes[:0]
+}
+
 // maxKeptBuf bounds the record buffer a Commit leaves to the store: a block's
 // records fit many times over, while a genesis chunk's tens of megabytes are
 // let go once written.
@@ -581,6 +592,9 @@ func (s *Store) Release(root [32]byte) (err error) {
 	// Durable: the anchor goes, the pruned nodes leave the index.
 	s.dropAnchor(root)
 	for _, j := range r.dead {
+		if s.opts.Pruned != nil {
+			s.opts.Pruned(x.slab[j].key)
+		}
 		x.remove(j)
 	}
 	s.dels.Add(uint64(len(r.dead)))
