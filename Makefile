@@ -51,8 +51,8 @@ build:
 # concurrency (and a many-core one still exercises the 1-CPU schedule).
 # internal/evm is here for its code-analysis cache (segments included) and
 # operand-stack pool, the one state its frames share across goroutines;
-# internal/validator for the sibling record its lanes read while another
-# block's lanes fill it.
+# internal/validator for the result array its lanes read while other lanes
+# fill it, and the sibling record another block's lanes read.
 # internal/node for a proposer packing while a validator's pipeline runs
 # beside it.
 # internal/scheduler is not: it starts no goroutine (the validator's graph
@@ -62,11 +62,13 @@ CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... 
 # The TopK pass repeats because an order-dependent heavy-hitter sketch (map
 # iteration deciding a tie) fails about one run in eight, not every run; the
 # validator's verdict test because a verdict that follows arrival order
-# rather than block order only shows on some interleavings.
+# rather than block order only shows on some interleavings, and its
+# read-rule tests because a reader that waits on, or skips past, the wrong
+# writer only shows on some too.
 test:
 	$(GO) test ./...
 	$(GO) test -cpu 1,2,4 $(CONCURRENCY_PKGS)
-	$(GO) test -count=20 -run 'TopK|TestVerdictFirstFailure' ./internal/flight/ ./internal/validator/
+	$(GO) test -count=20 -run 'TopK|TestVerdictFirstFailure|TestReadRules' ./internal/flight/ ./internal/validator/
 
 race:
 	$(GO) test -race -timeout 30m -cpu 1,2,4 $(CONCURRENCY_PKGS)

@@ -68,9 +68,9 @@ const (
 	// EvDrop: the transaction was abandoned. Aux = 1 when the retry budget
 	// was exhausted, 0 when it was permanently invalid.
 	EvDrop
-	// EvAssign: the validator's scheduler placed the transaction.
+	// EvAssign: a validator lane claimed the transaction.
 	// Aux = dependency-component id, Aux2 = the component's gas weight,
-	// Worker = the assigned execution lane.
+	// Worker = the claiming lane.
 	EvAssign
 	// EvReplayStart / EvReplayEnd bracket the validator's re-execution.
 	EvReplayStart
@@ -405,8 +405,8 @@ func Drop(worker int, tx *types.Transaction, height uint64, retryExhausted bool)
 	}
 }
 
-// Assign records the validator scheduler's placement of tx: dependency
-// component id, the component's gas weight, and the execution lane.
+// Assign records a validator lane's claim of tx: its dependency component
+// id, the component's gas weight, and the lane.
 func Assign(lane int, tx *types.Transaction, component int, componentGas uint64, height uint64) {
 	if r := active.Load(); r != nil {
 		r.record(ValidatorLane(lane), Event{

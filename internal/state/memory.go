@@ -7,9 +7,9 @@ import (
 )
 
 // Memory is a mutable, map-backed world state view layered over an optional
-// base Reader. It is the fast accumulation state used by validator workers
-// (state of a component after its earlier transactions) and by tests. It is
-// not safe for concurrent mutation.
+// base Reader: the state after a run's earlier transactions, as the serial
+// executor (chain.ExecuteSerial), the proposer's credit materialization and
+// tests accumulate it. It is not safe for concurrent mutation.
 type Memory struct {
 	base     Reader
 	accounts map[types.Address]*memAccount

@@ -62,13 +62,13 @@ var (
 	ValidatorVerifyFailures = NewCounter("blockpilot_validator_verify_failures_total",
 		"Applier profile-verification failures (access-set or gas divergence).")
 	ValidatorGraphBuildSeconds = NewHistogram("blockpilot_validator_graph_build_duration_ns",
-		"Preparation phase: dependency-graph build + LPT assignment time.", "ns")
+		"Preparation phase: dependency-graph build time.", "ns")
 	ValidatorSubgraphs = NewHistogram("blockpilot_validator_subgraphs",
 		"Dependency subgraph (connected component) count per block.", "")
 	ValidatorSubgraphTxs = NewHistogram("blockpilot_validator_subgraph_txs",
 		"Size distribution of dependency subgraphs (transactions each).", "")
 	ValidatorLPTImbalance = NewFloatGauge("blockpilot_validator_lpt_imbalance",
-		"Last block's LPT schedule imbalance: max per-worker assigned gas / mean.")
+		"Last block's imbalance under the paper's static plan, gas-LPT of its subgraphs onto the threads (max per-thread gas / mean); the lanes claim positions in order and do not follow it.")
 	ValidatorBlockSeconds = NewHistogram("blockpilot_validator_block_duration_ns",
 		"Wall time of one ValidateParallel call.", "ns")
 )
@@ -77,7 +77,7 @@ var (
 // paper phases are measured inside ValidateParallel, one after the other.
 var (
 	PipelinePrepareSeconds = NewHistogram("blockpilot_pipeline_prepare_duration_ns",
-		"Phase 1 (preparation): profile → subgraphs → thread schedule.", "ns")
+		"Phase 1 (preparation): profile → writer index and subgraphs.", "ns")
 	PipelineExecuteSeconds = NewHistogram("blockpilot_pipeline_execute_duration_ns",
 		"Phase 2 (transaction execution): first spawn → last lane finished.", "ns")
 	PipelineValidateSeconds = NewHistogram("blockpilot_pipeline_validate_duration_ns",

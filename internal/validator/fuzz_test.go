@@ -30,12 +30,19 @@ var fuzzGenesis = sync.OnceValues(func() (workload.Config, *state.Snapshot) {
 // the same access keys and the same gas. ValidateParallel must accept
 // exactly when the oracle does, and then with the oracle's root.
 //
-// The sealing mode: in four inputs of five the header is re-sealed to the
+// The sealing mode, mode%5: in four inputs of five the header is re-sealed to the
 // mutated body (TxRoot, ProfileRoot), as a lying proposer would; in two of
 // those four the execution commitments (gas used, receipt root, bloom, state
 // root) are re-sealed too, from a serial run of the mutated transactions, so
 // that the profile alone decides. The fifth input leaves the header as
 // sealed, which chain.CheckBody must catch on both sides.
+//
+// The sibling mode, mode/5: when odd, the honest block and the mutated one
+// are also validated as siblings on one record (validatePair), the honest
+// one leading; when mode/10%4 is 0, the mutated one leads instead. Each
+// follower whose body passes chain.CheckBody, the pipeline's condition for
+// sharing a record, must reach its standalone ValidateParallel verdict, and
+// then its root.
 func FuzzValidateVsSerial(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(2), uint8(0), []byte{})
 	f.Add(int64(2), uint8(20), uint8(4), uint8(2), []byte{0, 3, 1, 0})
@@ -45,12 +52,16 @@ func FuzzValidateVsSerial(f *testing.F) {
 	f.Add(int64(6), uint8(14), uint8(2), uint8(2), []byte{6, 4, 0, 1})
 	f.Add(int64(7), uint8(10), uint8(1), uint8(1), []byte{7, 2, 5, 0x40})
 	f.Add(int64(8), uint8(12), uint8(3), uint8(4), []byte{1, 0, 0, 0})
+	f.Add(int64(9), uint8(16), uint8(2), uint8(5), []byte{6, 3, 0, 1})
+	f.Add(int64(10), uint8(20), uint8(4), uint8(17), []byte{1, 2, 0, 0, 7, 9, 1, 3})
+	f.Add(int64(11), uint8(12), uint8(3), uint8(36), []byte{})
 	f.Fuzz(func(t *testing.T, seed int64, size, threads, mode uint8, script []byte) {
 		cfg, genesis := fuzzGenesis()
 		cfg.Seed, cfg.TxPerBlock = seed, 4+int(size)%21
 		params := chain.DefaultParams()
 		header := &types.Header{Number: 0, StateRoot: genesis.Root(), GasLimit: params.GasLimit}
-		block := mutate(sealSerial(t, genesis, header, workload.New(cfg).NextBlockTxs(), 0), script)
+		honest := sealSerial(t, genesis, header, workload.New(cfg).NextBlockTxs(), 0)
+		block := mutate(honest, script)
 		switch mode % 5 {
 		case 0, 1:
 			// Edited transactions that do not run leave the execution commitments as sealed.
@@ -73,6 +84,25 @@ func FuzzValidateVsSerial(f *testing.F) {
 		}
 		if want && got.State.Root() != serial.State.Root() {
 			t.Fatalf("threads=%d: parallel root %s, serial %s", n, got.State.Root(), serial.State.Root())
+		}
+
+		if mode/5%2 == 0 {
+			return
+		}
+		leader, follower, alone, aloneErr := honest, block, got, err
+		if mode/10%4 == 0 {
+			leader, follower = block, honest
+			alone, aloneErr = ValidateParallel(genesis, header, honest, DefaultConfig(n), params)
+		}
+		if chain.CheckBody(leader) != nil || chain.CheckBody(follower) != nil {
+			return
+		}
+		_, fres, _, ferr := validatePair(genesis, header, leader, follower, n, mode%2 == 0)
+		if (ferr == nil) != (aloneErr == nil) {
+			t.Fatalf("threads=%d: follower err = %v, standalone err = %v", n, ferr, aloneErr)
+		}
+		if ferr == nil && fres.State.Root() != alone.State.Root() {
+			t.Fatalf("threads=%d: follower root %s, standalone %s", n, fres.State.Root(), alone.State.Root())
 		}
 	})
 }

@@ -13,9 +13,9 @@ import (
 // Siblings is the record that the validation of the first block on a given
 // parent, the leader, shares with the validations of later blocks on that
 // parent, the followers (DESIGN.md, "Sibling reuse"): the leader's result
-// array. Each leader lane marks a transaction's result done once it has
+// array. Each leader lane marks a transaction's result matched once it has
 // matched the profile's keys and gas; a result counts as verified when every
-// result before it in block order is done too, which is when the leader's
+// result before it in block order is matched too, which is when the leader's
 // applier accepts it. A follower starts its lanes once all the leader's have
 // started, and a follower lane takes a verified result instead of executing
 // wherever the last-writer rule proves the transaction reads what the
@@ -24,7 +24,7 @@ type Siblings struct {
 	leader   *types.Block
 	started  sync.WaitGroup // one count per queued leader lane until it starts, one until all are queued
 	released bool           // the leader dropped its own count of started; touched by the leader only
-	n        atomic.Int32   // results[:n] are done: a verified prefix, maybe not the longest
+	n        atomic.Int32   // results[:n] are matched: a verified prefix, maybe not the longest
 	results  []result
 }
 
@@ -65,12 +65,12 @@ func (s *Siblings) lanesQueued() {
 }
 
 // verified reports whether the leader's applier accepts transaction i: its
-// result and every earlier one are done. Follower lanes extend the
+// result and every earlier one are matched. Follower lanes extend the
 // shared prefix n as they find it; a lane racing another may store a shorter
 // one, which costs a rescan and nothing else.
 func (s *Siblings) verified(i int32) bool {
 	n := s.n.Load()
-	for n <= i && s.results[n].done.Load() {
+	for n <= i && s.results[n].state.Load() == matched {
 		n++
 	}
 	s.n.Store(n)
@@ -106,10 +106,10 @@ func lastWriters(txs []*types.TxProfile, last map[types.StateKey]int32, lw, off 
 // block-sized maps and slices again.
 type follower struct {
 	sib       *Siblings
-	take      []int32 // per transaction: the leader index it may take, −1 = none
-	lw, off   []int32 // the block's lastWriters
-	verdict   []int8  // per transaction: +1 takeable, −1 not, 0 undecided
-	lwL, offL []int32 // the leader's lastWriters
+	take      []int32        // per transaction: the leader index it may take, −1 = none
+	lw, off   []int32        // the block's lastWriters
+	verdict   []atomic.Int32 // per transaction: +1 takeable, −1 not, 0 undecided; set once
+	lwL, offL []int32        // the leader's lastWriters
 	index     map[types.Hash]int32
 	last      map[types.StateKey]int32
 	enc       []byte
@@ -183,15 +183,16 @@ func (fw *follower) done() {
 // each dependency's last writer in this block is takeable too, so taken, or
 // executed on the leader copy's inputs to the same result. A result not yet
 // verified is not waited for: j executes, and that verdict is not kept — a
-// transaction depending on j asks only once j's result is verified too. Only
-// the lane running j's component asks about j and its writers.
+// transaction depending on j asks only once j's result is verified too. Any
+// lane may ask about any transaction, so two can settle j at once: the first
+// verdict stored wins, and both return it.
 //
 // The block's own profile is unverified. One that hides a write of an
 // earlier transaction u can make j look takeable, but u's keys then differ
 // from the leader's, so u executes and fails the applier's access-set check
 // before j's turn: a lie can only get the block rejected.
 func (fw *follower) takeable(j int32) bool {
-	if v := fw.verdict[j]; v != 0 {
+	if v := fw.verdict[j].Load(); v != 0 {
 		return v > 0
 	}
 	i := fw.take[j]
@@ -207,9 +208,10 @@ func (fw *follower) takeable(j int32) bool {
 			ok = fw.takeable(f)
 		}
 	}
-	fw.verdict[j] = -1
+	v := int32(-1)
 	if ok {
-		fw.verdict[j] = 1
+		v = 1
 	}
-	return ok
+	fw.verdict[j].CompareAndSwap(0, v)
+	return fw.verdict[j].Load() > 0
 }

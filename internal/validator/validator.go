@@ -1,5 +1,5 @@
 // Package validator implements BlockPilot's validation context (paper §4.3
-// and Algorithm 2): dependency-graph parallel re-execution of a received
+// and Algorithm 2): profile-guided parallel re-execution of a received
 // block, with an applier that verifies each transaction's observed
 // read/write set against the proposer's block profile, commits results in
 // block order, and accepts the block only if the recomputed state root
@@ -9,12 +9,13 @@
 // execute runs the first three on a reader of the parent's state and hands
 // commit only the walk's sums; commit runs the last on the parent snapshot.
 //
-//	preparation  — build conflict subgraphs from the profile, gas-LPT them
-//	               onto worker threads (internal/scheduler);
-//	tx execution — each thread executes its subgraphs' transactions in
-//	               block order on a private overlay chain, checks each
-//	               result's access set and gas against the profile, and
-//	               writes it at its block position in one result array;
+//	preparation  — index the profile's write sets by key; build the paper's
+//	               conflict subgraphs for Result.Stats (internal/scheduler);
+//	tx execution — lanes claim block positions in order, and a read waits
+//	               only for the lower writer the profile names (view, not
+//	               the paper's subgraph lanes: DESIGN.md §5.12); each result
+//	               is checked against the profile's keys and gas and written
+//	               at its block position in one result array;
 //	validation   — once every lane has returned, the applier walks the
 //	               array in block order: the first failure is the verdict,
 //	               else it sums gas, fees and write sets;
@@ -46,8 +47,8 @@ var (
 )
 
 // Config controls the parallel validator. The zero value (plus a thread
-// count) is the paper's configuration: the dependency graph is always
-// account-level and components are always assigned by gas-LPT.
+// count) is the only configuration; the account-level conflict subgraphs
+// feed Result.Stats and telemetry only, not the lanes.
 type Config struct {
 	Threads int
 	// Spawn runs one execution lane. Default spawns a goroutine; the
@@ -85,9 +86,9 @@ type Result struct {
 }
 
 // result is one transaction's outcome, at its block position in the
-// validation's result array. The lane that runs the transaction writes it;
-// the applier reads it once every lane has returned; when the validation
-// leads a sibling record, follower lanes read it once done is set.
+// validation's result array. The lane that claims the transaction writes it,
+// then publishes state; later readers of its writes, the applier and a
+// leader's followers read it once state says they may.
 type result struct {
 	receipt *types.Receipt // the block's receipt: the applier sets CumulativeGasUsed
 	fee     uint256.Int
@@ -97,9 +98,22 @@ type result struct {
 	// copies while the leader's applier may be writing receipt.
 	shared       types.Receipt
 	readCoinbase bool
-	taken        bool        // the lane took a sibling's result instead of executing
-	done         atomic.Bool // the fields above are set and match the profile
+	taken        bool         // the lane took a sibling's result instead of executing
+	state        atomic.Int32 // pending until the fields above are final
 }
+
+// A result's state. Every claimed position leaves pending, skipped ones too,
+// so that no reader waits on a position forever.
+const (
+	pending int32 = iota
+	failed        // err is set, or the position is past the first failure
+	applied       // accepted without its profile check (Config.SkipProfileCheck)
+	matched       // matches the profile's keys and gas: a follower may take it
+)
+
+// errWriterFailed stops a transaction that reads a key whose writer failed.
+// The block-order walk never reaches it: it stops at that writer or before.
+var errWriterFailed = errors.New("validator: a writer this transaction reads failed")
 
 // resultArrays recycles the arrays of validations that do not lead a
 // sibling record (a leader's array is the record's).
@@ -169,7 +183,7 @@ type executed struct {
 // block whose every transaction ran as its profile says, or the verdict.
 func execute(base state.Reader, parentHeader *types.Header, block *types.Block, cfg Config, params chain.Params, sib *Siblings, lead bool) (*executed, error) {
 	if lead {
-		defer sib.lanesQueued() // a leader that fails before queueing its lanes marks nothing done
+		defer sib.lanesQueued() // a leader that fails before queueing its lanes marks nothing matched
 	}
 	if cfg.Threads < 1 {
 		cfg.Threads = 1
@@ -192,20 +206,23 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 		ex.bh = block.Hash()
 	}
 
-	// Preparation phase: account-level conflict subgraphs from the shipped
-	// profile, gas-LPT onto the lanes. Serial on purpose — the profile makes
+	// Preparation phase: the writer index of the shipped profile, and its
+	// account-level conflict subgraphs, which only Result.Stats, telemetry
+	// and the flight recorder read. Serial on purpose — the profile makes
 	// this ≈ 1 % of validation, and a fanned-out build lost to this one on
 	// every block shape the benchmark has (docs/PERFORMANCE.md §2).
 	prepare := ex.tr.Begin(ex.node, trace.StagePrepare, h.Number)
 	graphSpan := telemetry.StartSpan(telemetry.ValidatorGraphBuildSeconds)
 	components := scheduler.BuildComponents(block.Profile, true)
 	graphSpan.End()
-	sched := scheduler.AssignLPT(components, cfg.Threads)
 	ex.stats = scheduler.ComputeStats(components)
+	wi := writerIndexes.Get().(*writerIndex)
+	defer writerIndexes.Put(wi) // every lane has returned by then
+	wi.build(block.Profile.Txs)
 	var fw *follower
 	if sib != nil && !lead {
 		if fw = sib.follow(block); fw != nil {
-			defer fw.done() // every lane has returned by then
+			defer fw.done()
 		}
 	}
 	prepare.End(ex.bh)
@@ -214,7 +231,9 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 		for i := range components {
 			telemetry.ValidatorSubgraphTxs.Observe(uint64(len(components[i].TxIndices)))
 		}
-		// LPT load imbalance: max per-worker assigned gas over the mean.
+		// The paper's static plan, gas-LPT of the subgraphs onto the
+		// threads: its imbalance, which the lanes no longer follow.
+		sched := scheduler.AssignLPT(components, cfg.Threads)
 		var totalGas uint64
 		for _, g := range sched.ThreadGas {
 			totalGas += g
@@ -223,12 +242,13 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 			telemetry.ValidatorLPTImbalance.Set(float64(slices.Max(sched.ThreadGas)) / mean)
 		}
 	}
+	var txComponent []int // the flight recorder's assign events name each transaction's subgraph
 	if flight.Enabled() {
-		// One assign event per transaction: which component it belongs to,
-		// the component's gas weight, and the execution lane it landed on.
-		for i := range block.Txs {
-			ci := sched.TxComponent[i]
-			flight.Assign(sched.TxThread[i], block.Txs[i], ci, components[ci].Gas, h.Number)
+		txComponent = make([]int, len(block.Txs))
+		for ci := range components {
+			for _, i := range components[ci].TxIndices {
+				txComponent[i] = ci
+			}
 		}
 	}
 
@@ -240,9 +260,10 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 		sib.started.Wait()
 	}
 
-	// Tx execution phase: one goroutine per scheduled thread. A lane writes
-	// transaction i's result at res[i] and skips every position past the
-	// first failure in block order, stop: every result before it exists.
+	// Tx execution phase: the lanes claim block positions in order from one
+	// cursor, and each writes transaction i's result at res[i]. A position
+	// past the first failure in block order, stop, is marked failed without
+	// running: every result before stop exists.
 	executing := ex.tr.Begin(ex.node, trace.StageExecute, h.Number)
 	bc := chain.BlockContextFor(h, params.ChainID)
 	var res []result
@@ -257,67 +278,72 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 			resultArrays.Put(arr)
 		}()
 	}
-	var stop atomic.Int32
-	stop.Store(int32(len(block.Txs)))
+	n := int32(len(block.Txs))
+	var next, stop atomic.Int32
+	stop.Store(n)
 	var wg sync.WaitGroup
-	for t := 0; t < cfg.Threads; t++ {
-		txIdxs := sched.ThreadTxs[t]
-		if len(txIdxs) == 0 {
-			continue
-		}
+	for laneID := range min(cfg.Threads, len(block.Txs)) {
 		wg.Add(1)
 		if lead {
 			sib.started.Add(1)
 		}
-		lane := txIdxs
-		laneID := t
 		cfg.Spawn(func() {
 			defer wg.Done()
 			if lead {
 				sib.started.Done()
 			}
-			accum := state.NewMemory(base)
-			overlay := state.NewOverlay(accum, 0)
-			for _, i := range lane {
-				if int32(i) > stop.Load() {
-					continue // a lane runs component after component: an earlier position may follow
-				}
+			v := &view{base: base, res: res, wi: wi}
+			overlay := state.NewOverlay(v, 0)
+			for i := next.Add(1) - 1; i < n; i = next.Add(1) - 1 {
 				r, want, accessOK := &res[i], block.Profile.Txs[i], true
-				if fw != nil && fw.takeable(int32(i)) {
+				if txComponent != nil {
+					ci := txComponent[i]
+					flight.Assign(laneID, block.Txs[i], ci, components[ci].Gas, h.Number)
+				}
+				if i > stop.Load() {
+					r.state.Store(failed)
+					continue
+				}
+				if fw != nil && fw.takeable(i) {
 					l := &sib.results[fw.take[i]]
 					flight.Reuse(laneID, block.Txs[i], int(fw.take[i]), h.Number)
 					receipt := l.shared // this block's applier sets CumulativeGasUsed on its own copy
 					r.receipt, r.fee, r.changes, r.taken = &receipt, l.fee, l.changes, true
 				} else {
 					flight.ReplayStart(laneID, block.Txs[i], h.Number)
-					overlay.Reset(accum, types.Version(i))
-					receipt, fee, readCoinbase, err := chain.ApplyTransactionCoinbase(overlay, block.Txs[i], bc)
+					v.pos = i
+					overlay.Reset(v, types.Version(i))
+					receipt, fee, readCoinbase, err := apply(overlay, block.Txs[i], bc)
 					flight.ReplayEnd(laneID, block.Txs[i], h.Number)
 					if err != nil {
-						r.err = fmt.Errorf("tx %d: %w", i, err)
-						stopAt(&stop, int32(i))
+						r.err = err
+						if err != errWriterFailed {
+							r.err = fmt.Errorf("tx %d: %w", i, err)
+							stopAt(&stop, i)
+						}
+						r.state.Store(failed)
 						continue
 					}
 					r.receipt, r.fee, r.changes, r.readCoinbase = receipt, *fee, overlay.ChangeSet(), readCoinbase
 					accessOK = want.MatchesAccessSet(overlay.Access())
 				}
-				accum.ApplyChangeSet(r.changes)
 				switch {
 				case accessOK && r.receipt.GasUsed == want.GasUsed:
 					if lead {
 						r.shared = *r.receipt
 					}
-					r.done.Store(true)
+					r.state.Store(matched)
+					continue
 				case cfg.SkipProfileCheck:
-					// Accepted unchecked, and never done: no follower takes it.
+					r.state.Store(applied) // never matched: no follower takes it
+					continue
 				case !accessOK:
 					r.err = fmt.Errorf("%w: tx %d access set differs", ErrProfileMismatch, i)
 				default:
 					r.err = fmt.Errorf("%w: tx %d used %d gas, profile says %d", ErrProfileMismatch, i, r.receipt.GasUsed, want.GasUsed)
 				}
-				if r.err != nil {
-					stopAt(&stop, int32(i))
-				}
+				stopAt(&stop, i)
+				r.state.Store(failed)
 			}
 		})
 	}

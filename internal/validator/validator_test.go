@@ -240,8 +240,10 @@ func TestRejectForeignGasLimit(t *testing.T) {
 // TestVerdictFirstFailure: a block with two faults in different components —
 // a profile gas mismatch at tx k, a too-high nonce at a later tx j — is
 // rejected for k at every thread count, however the lanes interleave. j is
-// the first transaction after k outside k's component, so at two threads
-// and more its lane can reach j before k's lane reaches k.
+// the first transaction after k outside k's component, so it reads nothing
+// k writes: at two threads and more a lane claims j while another runs k,
+// and j's failure, found at its first read, can land before k's, found only
+// once k has run.
 func TestVerdictFirstFailure(t *testing.T) {
 	parent, parentHeader, block := makeBlock(t, 40)
 	params := chain.DefaultParams()
