@@ -95,12 +95,13 @@ obs-budget:
 # buffer; a Release allocates the same small
 # constant whether it prunes 41 nodes or 1 033; a disk commit through a
 # reused trie batch allocates nothing per staged record, only each inner
-# node's write-through hashNodes; and one 132-transaction block
-# through Propose → Encode → DecodeBlock → ValidateParallel stays within 10 %
-# of its allocation budget (docs/PERFORMANCE.md §10). A fourth lookup, a
+# node's write-through hashNodes; a 640-account disk state commit stays
+# within 10 % of its bytes and allocations per account; and one
+# 132-transaction block through Propose → Encode → DecodeBlock →
+# ValidateParallel stays within 10 % of its allocation budget (docs/PERFORMANCE.md §10). A fourth lookup, a
 # re-grown slice or a nested encoder fails here, without running the benchmark.
 state-budget:
-	$(GO) test -count=1 -run 'TestOverlayReadsEachAccountOnce|TestApplyChangeSetReadsNothing|TestDecodeNodeAllocs|TestRefAllocs|TestBatchAllocs|TestCommitReusesBuffer|TestReleaseAllocs|TestPersistAllocs|TestBlockPathAllocs' ./internal/state/ ./internal/core/ ./internal/trie/ ./internal/trie/store/
+	$(GO) test -count=1 -run 'TestOverlayReadsEachAccountOnce|TestApplyChangeSetReadsNothing|TestDecodeNodeAllocs|TestRefAllocs|TestBatchAllocs|TestCommitReusesBuffer|TestReleaseAllocs|TestPersistAllocs|TestDiskCommitAllocs|TestBlockPathAllocs' ./internal/state/ ./internal/core/ ./internal/trie/ ./internal/trie/store/
 
 # Live end-to-end pass of the health recorder: a real sampler at a fast
 # interval over actual runtime metrics and the live telemetry registry.
@@ -145,7 +146,7 @@ fuzz-smoke:
 # acceptance run is the same test at BLOCKPILOT_SCALE_ACCOUNTS=5000000.
 state-smoke:
 	BLOCKPILOT_SCALE_ACCOUNTS=500000 $(GO) test -count=1 -timeout 30m -run 'TestDiskStateScale' ./internal/state/
-	$(GO) test -count=1 -run 'TestDiskStateSmoke|TestDiskSnapshotParity|TestCrashRecoveryEveryOffset' ./internal/state/ ./internal/trie/store/
+	$(GO) test -count=1 -run 'TestDiskStateSmoke|TestDiskSnapshotParity|TestLargeCommitReadsItsOwnWrites|TestCrashRecoveryEveryOffset' ./internal/state/ ./internal/trie/store/
 
 # The regression harness: every BENCHMARK.json workload end to end on real
 # cores, timed and traced passes (see benchmark/README.md).

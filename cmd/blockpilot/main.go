@@ -74,7 +74,7 @@ func run(args []string, w io.Writer) error {
 	healthOn := fs.Bool("health", false, "enable the runtime health recorder (continuous sampling, stall watchdog, incident bundles)")
 	healthOut := fs.String("health-out", "", "append health samples as JSONL to this path (implies -health)")
 	healthIncidents := fs.String("health-incidents", "", "write watchdog incident bundles under this directory (implies -health)")
-	stateBackend := fs.String("state-backend", node.BackendMem, "world-state backend: mem (per-process maps) or disk (persistent node store with flat-snapshot reads)")
+	stateBackend := fs.String("state-backend", node.BackendMem, "world-state backend: mem (per-process maps) or disk (persistent node store read through its node cache)")
 	stateDir := fs.String("state-dir", "", "disk backend: directory for the node store (\"\" = temp dir, removed at exit)")
 	if err := fs.Parse(args); err != nil {
 		return err

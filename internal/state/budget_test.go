@@ -1,7 +1,11 @@
 package state_test
 
 import (
+	"math"
 	"math/rand"
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -10,6 +14,7 @@ import (
 	"blockpilot/internal/evm"
 	"blockpilot/internal/evm/asm"
 	"blockpilot/internal/state"
+	"blockpilot/internal/trie"
 	"blockpilot/internal/types"
 	"blockpilot/internal/uint256"
 )
@@ -279,5 +284,82 @@ func TestApplyChangeSetReadsNothing(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The disk commit's allocation budget, per account of state_disk's block
+// shape — 640 accounts, nonce and balance only, over a 50 000-account store
+// with a 16 384-node cache, on one worker — committed through the
+// Database's reused batch: what this tree measures plus 10 %. It measures
+// 5.75 allocations and 1 036 bytes; about one process in four reads 1 172
+// bytes (the figure follows the process, not the commit), and the budget is
+// set on that. The tree that also built a flat diff layer per commit, a map
+// of the commit's accounts, measured 5.82 allocations and 1 374 to 1 510
+// bytes, so a per-commit copy of the change set fails here.
+const (
+	diskCommitBytesPerAccount  = 1172 * 1.10
+	diskCommitAllocsPerAccount = 5.75 * 1.10
+)
+
+func TestDiskCommitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const accounts, block = 50_000, 640
+	db, err := trie.OpenDatabase(filepath.Join(t.TempDir(), "state.db"), 16_384)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	addr := func(i int) types.Address {
+		return types.Address{0: byte(i), 1: byte(i >> 8), 2: byte(i >> 16), 19: 0xD1}
+	}
+	g := state.NewGenesisBuilder()
+	for i := 0; i < accounts; i++ {
+		g.AddAccount(addr(i), uint256.NewInt(1_000_000))
+	}
+	st := g.BuildInto(db, 0)
+
+	// A block reads each account it writes before the commit, as execution
+	// does, so the commit's parent lookups find the cache the reads warmed.
+	r := rand.New(rand.NewSource(46))
+	nextBlock := func() *state.ChangeSet {
+		accts := make([]state.AccountChange, block)
+		for j, i := range r.Perm(accounts)[:block] {
+			a, _ := st.Account(addr(i))
+			accts[j] = state.AccountChange{Addr: addr(i), Nonce: a.Nonce + 1, Balance: *uint256.NewInt(uint64(r.Intn(1_000_000)))}
+		}
+		return state.NewChangeSet(accts...)
+	}
+	st = st.CommitParallel(nextBlock(), 1) // warm-up: the batch becomes the Database's spare
+
+	// Mallocs counts the whole process: two Ps and no collector, as in
+	// trie.TestPersistAllocs. The encoders' sync.Pools hit or miss with the
+	// P a commit runs on, so the least of three blocks is taken, as in
+	// core.TestBlockPathAllocs.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	bytes, allocs := math.Inf(1), math.Inf(1)
+	for round := 0; round < 3; round++ {
+		cs := nextBlock()
+		runtime.GC()
+		gcPercent := debug.SetGCPercent(-1)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		next := st.CommitParallel(cs, 1)
+		runtime.ReadMemStats(&m1)
+		debug.SetGCPercent(gcPercent)
+		bytes = min(bytes, float64(m1.TotalAlloc-m0.TotalAlloc)/block)
+		allocs = min(allocs, float64(m1.Mallocs-m0.Mallocs)/block)
+		if want := cs.Accounts[0]; next.Nonce(want.Addr) != want.Nonce {
+			t.Fatalf("committed nonce %d, want %d", next.Nonce(want.Addr), want.Nonce)
+		}
+		st = next
+	}
+	t.Logf("%.0f bytes and %.2f allocations per account", bytes, allocs)
+	if bytes > diskCommitBytesPerAccount {
+		t.Errorf("disk commit allocates %.0f bytes per account, budget %.0f", bytes, diskCommitBytesPerAccount)
+	}
+	if allocs > diskCommitAllocsPerAccount {
+		t.Errorf("disk commit makes %.2f allocations per account, budget %.2f", allocs, diskCommitAllocsPerAccount)
 	}
 }

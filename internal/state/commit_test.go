@@ -89,22 +89,18 @@ func snapshotEqual(t *testing.T, a, b *Snapshot, label string) {
 func commitRef(s *Snapshot, cs *ChangeSet) *Snapshot {
 	ns := s.child()
 	mem := memInstaller{ns: ns}
-	var disk *diskInstaller
-	if s.db != nil {
-		disk = s.newDiskInstaller(len(cs.Accounts))
-	}
+	results := make([]resolvedChange, len(cs.Accounts))
 	for i := range cs.Accounts {
 		ch := &cs.Accounts[i]
-		r, flat := s.resolveChange(ch)
-		if disk != nil {
-			disk.install(ch, &r, flat)
-		} else {
+		r := s.resolveChange(ch)
+		if s.db == nil {
 			mem.install(ch.Addr, &r)
 		}
 		ns.accounts.Update(r.hashedAddr, r.leaf)
+		results[i] = r
 	}
-	if disk != nil {
-		disk.finish(s, ns)
+	if s.db != nil {
+		ns.persist(results)
 	}
 	return ns
 }

@@ -3,9 +3,12 @@
 // disappear — storage tries are opened lazily from each account's
 // storageRoot and contract code comes from content-addressed store records
 // — so a snapshot is a root hash plus the shared backend handle, and
-// OpenSnapshot can resume any live root after a restart. Every Commit
-// persists its fresh nodes behind one durability barrier and anchors the
-// new root; stale roots are pruned with Database.Release.
+// OpenSnapshot can resume any live root after a restart. Every account and
+// slot read, and every commit's parent lookup, walks the trie from the
+// hashed key through the Database's decoded-node cache, then the store: a
+// live snapshot reads exactly as an OpenSnapshot of its root does. Every
+// Commit persists its fresh nodes behind one durability barrier and anchors
+// the new root; stale roots are pruned with Database.Release.
 //
 // The backend choice rides inside the Snapshot: chain.CommitAndRoot, both
 // proposer engines, the validator and the simulator call the same
@@ -17,6 +20,7 @@ import (
 	"runtime"
 
 	"blockpilot/internal/rlp"
+	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trie"
 	"blockpilot/internal/types"
 	"blockpilot/internal/uint256"
@@ -48,25 +52,6 @@ func OpenSnapshot(db *trie.Database, root types.Hash) (*Snapshot, error) {
 // Database returns the disk backend handle (nil on the in-memory backend).
 func (s *Snapshot) Database() *trie.Database { return s.db }
 
-// accountDisk resolves an account on the disk backend: flat layers first,
-// then the accounts trie. hashedAddr may be nil (computed on flat miss).
-// countFlat is set only on the point-read path (lookup) so the flat-hit
-// ratio stays a fraction of counted logical reads — the commit and
-// storage-resolution paths fetch accounts too, but those are not the reads
-// the metric samples.
-func (s *Snapshot) accountDisk(addr types.Address, hashedAddr []byte, countFlat bool) (decodedAccount, bool) {
-	if a, ok := s.flat.account(addr); ok {
-		if countFlat {
-			s.db.CountFlatHit()
-		}
-		return decodedAccount{nonce: a.nonce, balance: a.balance, storageRoot: a.storageRoot, codeHash: a.codeHash}, true
-	}
-	if hashedAddr == nil {
-		hashedAddr = s.hashedAddr(addr)
-	}
-	return s.lookupHashed(hashedAddr)
-}
-
 // storageTrie opens the storage trie rooted at root (empty for the empty or
 // zero root).
 func (s *Snapshot) storageTrie(root types.Hash) *trie.Trie {
@@ -76,16 +61,12 @@ func (s *Snapshot) storageTrie(root types.Hash) *trie.Trie {
 	return trie.NewAt(s.db, [32]byte(root))
 }
 
-// storageDisk is Storage on the disk backend: flat slot diff, then the
-// account's storage trie via its storageRoot.
+// storageDisk is Storage on the disk backend: the account's storage trie via
+// its storageRoot.
 func (s *Snapshot) storageDisk(addr types.Address, slot types.Hash) uint256.Int {
 	s.db.CountLogicalRead()
 	var v uint256.Int
-	if fv, ok := s.flat.slot(addr, slot); ok {
-		s.db.CountFlatHit()
-		return fv
-	}
-	a, ok := s.accountDisk(addr, nil, false)
+	a, ok := s.lookupHashed(s.hashedAddr(addr))
 	if !ok || a.storageRoot == types.Hash(trie.EmptyRoot) || a.storageRoot == (types.Hash{}) {
 		return v
 	}
@@ -106,7 +87,7 @@ func (s *Snapshot) storageDisk(addr types.Address, slot types.Hash) uint256.Int 
 func (s *Snapshot) ForEachStorage(addr types.Address, fn func(hashedSlot types.Hash, val uint256.Int) bool) {
 	var st *trie.Trie
 	if s.db != nil {
-		a, ok := s.accountDisk(addr, nil, false)
+		a, ok := s.lookupHashed(s.hashedAddr(addr))
 		if !ok {
 			return
 		}
@@ -126,44 +107,33 @@ func (s *Snapshot) ForEachStorage(addr types.Address, fn func(hashedSlot types.H
 	})
 }
 
-// diskInstaller stages one disk-backend commit: dirty storage tries and code
-// into the batch, the diff into the next flat layer.
-type diskInstaller struct {
-	batch       *trie.Batch
-	flatAccts   map[types.Address]flatAccount
-	flatStorage map[types.Address][]SlotChange
-}
-
-func (s *Snapshot) newDiskInstaller(n int) *diskInstaller {
-	return &diskInstaller{batch: s.db.NewBatch(), flatAccts: make(map[types.Address]flatAccount, n)}
-}
-
-func (d *diskInstaller) install(ch *AccountChange, r *resolvedChange, flat flatAccount) {
-	if r.codeSet {
-		d.batch.PutCode([32]byte(r.codeHash), r.code)
-	}
-	if r.storage != nil {
-		// Storage tries persist before the accounts trie so the account
-		// leaf's storageRoot edge resolves inside the same batch.
-		d.batch.PersistTrie(r.storage)
-		if d.flatStorage == nil {
-			d.flatStorage = make(map[types.Address][]SlotChange)
+// persist writes the disk commit that produced s, whose resolved accounts
+// are results: it stages each dirty storage trie and code blob, then s's
+// accounts trie, into the Database's batch — so every account leaf's
+// storageRoot edge resolves inside the same batch — writes the batch behind
+// its one barrier and anchors s's root. An I/O failure panics: a state
+// commit that cannot reach disk is as fatal as OOM, and the Commit signature
+// (shared with the hot in-memory path) carries no error.
+func (s *Snapshot) persist(results []resolvedChange) {
+	span := telemetry.StartSpan(telemetry.StateCommitPersistSeconds)
+	b := s.db.NewBatch()
+	for i := range results {
+		r := &results[i]
+		if r.codeSet {
+			b.PutCode([32]byte(r.codeHash), r.code)
 		}
-		d.flatStorage[ch.Addr] = ch.Slots // the set is immutable: the layer keeps its slots
+		if r.storage != nil {
+			b.PersistTrie(r.storage)
+		}
 	}
-	d.flatAccts[ch.Addr] = flat
-}
+	root := b.PersistTrie(s.accounts)
+	span.End()
 
-// finish persists the accounts trie behind the batch's one barrier, anchors
-// its root and pushes the flat layer. An I/O failure panics: a state commit
-// that cannot reach disk is as fatal as OOM, and the Commit signature (shared
-// with the hot in-memory path) carries no error.
-func (d *diskInstaller) finish(parent, ns *Snapshot) {
-	root := d.batch.PersistTrie(ns.accounts)
-	if err := d.batch.Commit(root); err != nil {
+	span = telemetry.StartSpan(telemetry.StateCommitBarrierSeconds)
+	if err := b.Commit(root); err != nil {
 		panic(fmt.Errorf("state: disk commit: %w", err))
 	}
-	ns.flat = pushFlatLayer(parent.flat, d.flatAccts, d.flatStorage)
+	span.End()
 }
 
 // defaultGenesisChunk is BuildInto's commit granularity in weight units

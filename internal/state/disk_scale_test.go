@@ -78,7 +78,7 @@ func runDiskChain(t *testing.T, db *trie.Database, accounts, blocks, txAccounts 
 
 // checkDiskChain asserts what every disk chain run must leave behind: a
 // non-empty store, a live-root set no larger than the pruning window, and a
-// head root that a fresh OpenSnapshot handle (no flat layers, cold cache
+// head root that a fresh OpenSnapshot handle (no in-memory trie, cold cache
 // path) re-derives exactly.
 func checkDiskChain(t *testing.T, db *trie.Database, head *Snapshot) {
 	t.Helper()

@@ -78,8 +78,8 @@ func dumpStorage(s *Snapshot, addr types.Address) map[types.Hash]uint256.Int {
 // sets applied to the in-memory backend, a serial disk backend, and a
 // 4-worker parallel disk backend must stay byte-identical — same root after
 // every commit, and identical full iterated account and slot state at the
-// end. Old disk roots are released as the chain advances, so flat-layer
-// reads, trie fallback and pruning all run together.
+// end. Old disk roots are released as the chain advances, so trie reads
+// through the node cache and pruning run together.
 func TestDiskSnapshotParity(t *testing.T) {
 	r := rand.New(rand.NewSource(1001))
 	pool := make([]types.Address, 24)
@@ -159,9 +159,9 @@ func TestDiskSnapshotParity(t *testing.T) {
 		}
 	}
 
-	// Flat-vs-trie consistency: OpenSnapshot at the live root starts with NO
-	// flat layers, so every read goes through the trie — answers must match
-	// the flat-accelerated live snapshot exactly.
+	// Reopen consistency: an OpenSnapshot handle at the live root shares no
+	// in-memory trie with the committed snapshot — answers must match the
+	// live snapshot's exactly.
 	reopened, err := OpenSnapshot(dbSerial, serial.Root())
 	if err != nil {
 		t.Fatal(err)
@@ -171,13 +171,13 @@ func TestDiskSnapshotParity(t *testing.T) {
 	}
 	for _, addr := range pool {
 		if reopened.Nonce(addr) != serial.Nonce(addr) || reopened.Balance(addr) != serial.Balance(addr) {
-			t.Fatalf("reopened account read diverges from flat for %x", addr[:4])
+			t.Fatalf("reopened account read diverges from live for %x", addr[:4])
 		}
 		for slotByte := 0; slotByte < 6; slotByte++ {
 			var slot types.Hash
 			slot[0] = byte(slotByte)
 			if reopened.Storage(addr, slot) != serial.Storage(addr, slot) {
-				t.Fatalf("reopened slot read diverges from flat for %x/%d", addr[:4], slotByte)
+				t.Fatalf("reopened slot read diverges from live for %x/%d", addr[:4], slotByte)
 			}
 		}
 	}
@@ -191,8 +191,61 @@ func TestDiskSnapshotParity(t *testing.T) {
 	}
 }
 
+// TestLargeCommitReadsItsOwnWrites: a commit larger than any block (4 100
+// accounts and more) rewrites an account and a contract slot that the small
+// commit before it wrote. Every account and slot read from the child must
+// equal the mem backend's and an OpenSnapshot's of the same root — the
+// commit's own values, not the small commit's.
+func TestLargeCommitReadsItsOwnWrites(t *testing.T) {
+	db := openStateDB(t, 1_024)
+	eoa, contract := types.Address{19: 0xA0}, types.Address{19: 0xC0}
+	slot, other := types.Hash{31: 1}, types.Hash{31: 2}
+	small := NewChangeSet(
+		AccountChange{Addr: eoa, Nonce: 1, Balance: *uint256.NewInt(10)},
+		AccountChange{Addr: contract, Nonce: 1, Code: []byte{0x60, 0x00}, CodeSet: true,
+			Slots: []SlotChange{{Slot: slot, Val: *uint256.NewInt(1)}, {Slot: other, Val: *uint256.NewInt(7)}}},
+	)
+	accts := []AccountChange{
+		{Addr: eoa, Nonce: 2, Balance: *uint256.NewInt(20)},
+		{Addr: contract, Nonce: 2, Slots: []SlotChange{{Slot: slot, Val: *uint256.NewInt(2)}}},
+	}
+	for i := 0; i < 4_100; i++ {
+		accts = append(accts, AccountChange{Addr: types.Address{0: 0xEE, 1: byte(i >> 8), 2: byte(i)}, Nonce: 1, Balance: *uint256.NewInt(uint64(i))})
+	}
+	large := NewChangeSet(accts...)
+
+	mem := NewSnapshot().Commit(small).Commit(large)
+	disk := NewSnapshotDisk(db).Commit(small).CommitParallel(large, 4)
+	reopened, err := OpenSnapshot(db, disk.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disk.Root() != mem.Root() {
+		t.Fatalf("disk root %s, mem root %s", disk.Root(), mem.Root())
+	}
+	if got := disk.Nonce(eoa); got != 2 {
+		t.Fatalf("nonce %d read back, 2 committed", got)
+	}
+	if got := disk.Storage(contract, slot); got.Uint64() != 2 {
+		t.Fatalf("slot %d read back, 2 committed", got.Uint64())
+	}
+	for _, ch := range large.Accounts {
+		want, _ := mem.Account(ch.Addr)
+		for name, s := range map[string]*Snapshot{"disk": disk, "reopened": reopened} {
+			if got, _ := s.Account(ch.Addr); got != want {
+				t.Fatalf("%s account %x = %+v, mem backend %+v", name, ch.Addr[:4], got, want)
+			}
+			for _, sl := range []types.Hash{slot, other} {
+				if got, want := s.Storage(ch.Addr, sl), mem.Storage(ch.Addr, sl); got != want {
+					t.Fatalf("%s slot %x/%x = %s, mem backend %s", name, ch.Addr[:4], sl[31:], got.String(), want.String())
+				}
+			}
+		}
+	}
+}
+
 // TestDiskSnapshotReopenProcess persists a chain of commits, closes the
-// database (dropping cache, flat layers and every in-memory handle), reopens
+// database (dropping cache and every in-memory handle), reopens
 // the file, and resumes from the root — simulating a process restart.
 func TestDiskSnapshotReopenProcess(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.db")

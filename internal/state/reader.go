@@ -66,8 +66,8 @@ type AccountChange struct {
 
 // ChangeSet is the write set of one or more executions in materialized form:
 // applying it to the base state the execution ran against yields the
-// post-state. Accounts is sorted by address and unique. Commits, flat layers
-// and sibling blocks share a set's arrays, so it is never mutated once its
+// post-state. Accounts is sorted by address and unique. Commits and sibling
+// blocks share a set's arrays, so it is never mutated once its
 // builder (SetAccount, Drop) hands it out.
 type ChangeSet struct {
 	Accounts []AccountChange

@@ -8,6 +8,7 @@ import (
 
 	"blockpilot/internal/crypto"
 	"blockpilot/internal/rlp"
+	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trie"
 	"blockpilot/internal/types"
 	"blockpilot/internal/uint256"
@@ -36,10 +37,9 @@ type Snapshot struct {
 	// Disk backend (nil = the in-memory backend). When set, commits persist
 	// through db (storage tries resolved lazily via each account's
 	// storageRoot, code via content-addressed db records — the storage and
-	// codes maps above stay empty), and flat is the O(1) read acceleration
-	// stack over recent commits (see flat.go, disk.go).
-	db   *trie.Database
-	flat *flatLayer
+	// codes maps above stay empty), and every read walks the trie through
+	// db's decoded-node cache (see disk.go).
+	db *trie.Database
 }
 
 // NewSnapshot returns an empty world state.
@@ -115,11 +115,10 @@ func (s *Snapshot) hashedSlot(slot types.Hash) []byte {
 }
 
 // lookup fetches and decodes an account leaf; ok is false for absents. On
-// the disk backend the flat layers answer first (O(1)), then the trie.
+// the disk backend it counts one logical read.
 func (s *Snapshot) lookup(addr types.Address) (decodedAccount, bool) {
 	if s.db != nil {
 		s.db.CountLogicalRead()
-		return s.accountDisk(addr, nil, true)
 	}
 	return s.lookupHashed(s.hashedAddr(addr))
 }
@@ -135,9 +134,9 @@ func (s *Snapshot) lookupHashed(hashedAddr []byte) (decodedAccount, bool) {
 	return decodeAccount(leaf)
 }
 
-// Account implements Reader: one lookup — one trie walk (or flat hit) and one
-// leaf decode — answers every scalar field. A leaf stored with a zero code
-// hash reads as EmptyCodeHash.
+// Account implements Reader: one lookup — one trie walk and one leaf decode
+// — answers every scalar field. A leaf stored with a zero code hash reads as
+// EmptyCodeHash.
 func (s *Snapshot) Account(addr types.Address) (Account, bool) {
 	a, ok := s.lookup(addr)
 	if !ok {
@@ -221,7 +220,6 @@ func (s *Snapshot) Copy() *Snapshot {
 			codes:    s.codes,
 			keys:     s.keys,
 			db:       s.db,
-			flat:     s.flat,
 		}
 	}
 	ns := &Snapshot{
@@ -240,8 +238,7 @@ func (s *Snapshot) Copy() *Snapshot {
 }
 
 // resolvedChange is one account of a change set resolved against the parent
-// snapshot: what a commit path needs to install it, besides the account's
-// decoded fields (a flatAccount, which only the disk backend keeps).
+// snapshot: what a commit path needs to install it.
 type resolvedChange struct {
 	hashedAddr []byte
 	leaf       []byte     // the account's new accounts-trie leaf
@@ -254,23 +251,13 @@ type resolvedChange struct {
 // resolveChange is the per-account body of a commit: parent lookup, new
 // scalar fields and code hash, storage-trie batch and root, leaf encoding. It
 // only reads the immutable parent, so resolveChanges may call it from worker
-// goroutines; where tries, code and flat layers are stored is the
-// installer's business.
-func (s *Snapshot) resolveChange(ch *AccountChange) (resolvedChange, flatAccount) {
+// goroutines; where tries and code are stored is the commit's business.
+func (s *Snapshot) resolveChange(ch *AccountChange) resolvedChange {
 	// One keccak(addr) per account, shared by the lookup and the caller's
 	// accounts-trie update.
 	addr := ch.Addr
 	r := resolvedChange{hashedAddr: s.hashedAddr(addr)}
-	var (
-		old     decodedAccount
-		existed bool
-	)
-	if s.db != nil {
-		old, existed = s.accountDisk(addr, r.hashedAddr, false)
-	} else {
-		old, existed = s.lookupHashed(r.hashedAddr)
-	}
-	acct := flatAccount(old)
+	acct, existed := s.lookupHashed(r.hashedAddr)
 	acct.nonce = ch.Nonce
 	acct.balance = ch.Balance
 	if !existed {
@@ -295,19 +282,16 @@ func (s *Snapshot) resolveChange(ch *AccountChange) (resolvedChange, flatAccount
 		acct.storageRoot = types.Hash(r.storage.Hash())
 	}
 	r.leaf = encodeAccount(acct.nonce, &acct.balance, acct.storageRoot, acct.codeHash)
-	return r, acct
+	return r
 }
 
 // resolveChanges runs resolveChange over every account of cs and returns the
-// results index-aligned with cs.Accounts; flats only on the disk backend.
-// With workers > 1 the accounts are fanned over that many goroutines (they
-// are independent by construction: one storage trie each, disjoint leaves in
-// the accounts trie); otherwise the one worker runs inline.
-func (s *Snapshot) resolveChanges(cs *ChangeSet, workers int) (results []resolvedChange, flats []flatAccount) {
-	results = make([]resolvedChange, len(cs.Accounts))
-	if s.db != nil {
-		flats = make([]flatAccount, len(cs.Accounts))
-	}
+// results index-aligned with cs.Accounts. With workers > 1 the accounts are
+// fanned over that many goroutines (they are independent by construction:
+// one storage trie each, disjoint leaves in the accounts trie); otherwise the
+// one worker runs inline.
+func (s *Snapshot) resolveChanges(cs *ChangeSet, workers int) []resolvedChange {
+	results := make([]resolvedChange, len(cs.Accounts))
 	var next atomic.Int64
 	worker := func() {
 		for {
@@ -315,16 +299,12 @@ func (s *Snapshot) resolveChanges(cs *ChangeSet, workers int) (results []resolve
 			if i >= len(cs.Accounts) {
 				return
 			}
-			r, flat := s.resolveChange(&cs.Accounts[i])
-			results[i] = r
-			if flats != nil {
-				flats[i] = flat
-			}
+			results[i] = s.resolveChange(&cs.Accounts[i])
 		}
 	}
 	if workers <= 1 {
 		worker()
-		return results, flats
+		return results
 	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -335,7 +315,7 @@ func (s *Snapshot) resolveChanges(cs *ChangeSet, workers int) (results []resolve
 		}()
 	}
 	wg.Wait()
-	return results, flats
+	return results
 }
 
 // child returns the shell of s's successor: a private handle on the accounts
@@ -404,9 +384,10 @@ const minParallelCommitAccounts = 4
 // CommitParallel is the one commit body, on both backends: resolve every
 // account against the parent (resolveChange, fanned across `workers`
 // goroutines unless workers <= 1 or the change set is small), install the
-// results (storage tries, code and — on disk — the batch and flat layer), one
-// batch insert into the accounts trie (sorted bottom-up build, one pass), and
-// on disk the persist behind one barrier. The snapshot does not depend on the
+// results' storage tries and code (in memory only), one batch insert into the
+// accounts trie (sorted bottom-up build, one pass), and on disk the hash and
+// the persist behind one barrier. Each phase is timed into its own
+// blockpilot_state_commit_*_ns histogram. The snapshot does not depend on the
 // worker count: same tries, same roots, same store bytes (parity suite in
 // commit_test.go against the serial reference it replaced).
 func (s *Snapshot) CommitParallel(cs *ChangeSet, workers int) *Snapshot {
@@ -414,28 +395,28 @@ func (s *Snapshot) CommitParallel(cs *ChangeSet, workers int) *Snapshot {
 	if n < minParallelCommitAccounts {
 		workers = 1
 	}
-	results, flats := s.resolveChanges(cs, min(workers, n))
+	span := telemetry.StartSpan(telemetry.StateCommitResolveSeconds)
+	results := s.resolveChanges(cs, min(workers, n))
+	span.End()
 
+	span = telemetry.StartSpan(telemetry.StateCommitInsertSeconds)
 	ns := s.child()
 	mem := memInstaller{ns: ns}
-	var disk *diskInstaller
-	if s.db != nil {
-		disk = s.newDiskInstaller(n)
-	}
 	keys := make([][]byte, n)
 	leaves := make([][]byte, n)
 	for i := range results {
-		if disk != nil {
-			disk.install(&cs.Accounts[i], &results[i], flats[i])
-		} else {
+		if s.db == nil {
 			mem.install(cs.Accounts[i].Addr, &results[i])
 		}
 		keys[i], leaves[i] = results[i].hashedAddr, results[i].leaf
 	}
 	ns.accounts.Batch(keys, leaves)
-	if disk != nil {
+	span.End()
+	if s.db != nil {
+		span = telemetry.StartSpan(telemetry.StateCommitHashSeconds)
 		ns.accounts.HashParallel(workers) // the persist walk takes each node's hash
-		disk.finish(s, ns)
+		span.End()
+		ns.persist(results)
 	}
 	return ns
 }

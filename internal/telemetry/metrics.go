@@ -108,6 +108,22 @@ var (
 		"Contract storage tries rebuilt per state commit (per-account fan-out).", "")
 )
 
+// The phases of one state commit, observed by state.Snapshot.CommitParallel
+// inside the StateCommitSeconds span: resolve and insert on both backends,
+// hash, persist and barrier on the disk backend only.
+var (
+	StateCommitResolveSeconds = NewHistogram("blockpilot_state_commit_resolve_ns",
+		"State commit phase: every account resolved against the parent (lookup, storage trie, leaf).", "ns")
+	StateCommitInsertSeconds = NewHistogram("blockpilot_state_commit_insert_ns",
+		"State commit phase: resolved accounts installed and batch-inserted into the accounts trie.", "ns")
+	StateCommitHashSeconds = NewHistogram("blockpilot_state_commit_hash_ns",
+		"State commit phase (disk backend): accounts-trie hash before the persist walk.", "ns")
+	StateCommitPersistSeconds = NewHistogram("blockpilot_state_commit_persist_ns",
+		"State commit phase (disk backend): storage tries, code and accounts trie staged into the batch.", "ns")
+	StateCommitBarrierSeconds = NewHistogram("blockpilot_state_commit_barrier_ns",
+		"State commit phase (disk backend): the batch written behind its durability barrier and anchored.", "ns")
+)
+
 // Mempool and network fabric.
 var (
 	MempoolPending = NewGauge("blockpilot_mempool_pending",

@@ -99,7 +99,6 @@ type Database struct {
 	// State-layer traffic, counted here because the Database is the one
 	// object every snapshot of a backend shares (see state.Snapshot).
 	logicalReads atomic.Uint64 // account/slot reads against disk snapshots
-	flatHits     atomic.Uint64 // served by the flat snapshot layer
 }
 
 // OpenDatabase opens (or creates) the node store at path with a decoded-node
@@ -184,10 +183,6 @@ func (db *Database) Close() error { return db.st.Close() }
 // amplification headline (disk reads per logical state read).
 func (db *Database) CountLogicalRead() { db.logicalReads.Add(1) }
 
-// CountFlatHit records a logical read served by the flat snapshot layer
-// without touching the trie.
-func (db *Database) CountFlatHit() { db.flatHits.Add(1) }
-
 // DBStats is a snapshot of the backend's read-path counters.
 type DBStats struct {
 	Resolves      uint64 // hashNode resolutions
@@ -195,7 +190,7 @@ type DBStats struct {
 	DiskReads     uint64 // payload reads from the file
 	DiskBytesRead uint64
 	LogicalReads  uint64 // state-layer account/slot reads
-	FlatHits      uint64 // logical reads served by the flat layer
+	FlatHits      uint64 // always 0: no read bypasses the trie (kept for benchmark/)
 	Nodes         int    // live stored nodes
 	Roots         int    // live anchored roots
 	FileBytes     int64
@@ -210,7 +205,6 @@ func (db *Database) Stats() DBStats {
 		DiskReads:     ss.DiskReads,
 		DiskBytesRead: ss.DiskBytesRead,
 		LogicalReads:  db.logicalReads.Load(),
-		FlatHits:      db.flatHits.Load(),
 		Nodes:         ss.Nodes,
 		Roots:         ss.Roots,
 		FileBytes:     ss.FileBytes,
