@@ -1,6 +1,6 @@
 # BlockPilot CI entry points. `make ci` is what the tier-1 gate runs:
 # vet (go vet + a gofmt check) + build + full test suite (the concurrency packages — core, mv, mempool,
-# pipeline, validator, evm, node; not scheduler, which starts no goroutine — additionally under
+# pipeline, validator, evm, node, state; not scheduler, which starts no goroutine — additionally under
 # -cpu 1,2,4, so a 1-CPU runner cannot hide a scheduling-dependent bug; every
 # Propose test rides both engines with and without the adaptive controller) +
 # race detector on the concurrency-heavy packages (OCC-WSI core, MV-STM
@@ -54,10 +54,11 @@ build:
 # internal/validator for the result array its lanes read while other lanes
 # fill it, and the sibling record another block's lanes read.
 # internal/node for a proposer packing while a validator's pipeline runs
-# beside it.
+# beside it. internal/state for the disk commit's persist goroutine, which
+# holds the node store's lock while the caller reads on.
 # internal/scheduler is not: it starts no goroutine (the validator's graph
 # build is serial), so a -cpu sweep or -race over it would buy nothing.
-CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/validator/... ./internal/evm/ ./internal/node/
+CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/validator/... ./internal/evm/ ./internal/node/ ./internal/state/
 
 # The TopK pass repeats because an order-dependent heavy-hitter sketch (map
 # iteration deciding a tie) fails about one run in eight, not every run; the
@@ -72,7 +73,7 @@ test:
 
 race:
 	$(GO) test -race -timeout 30m -cpu 1,2,4 $(CONCURRENCY_PKGS)
-	$(GO) test -race ./internal/adaptive/... ./internal/chain/ ./internal/network/... ./internal/telemetry/... ./internal/flight/... ./internal/trace/... ./internal/health/... ./internal/trie/... ./internal/trie/store/... ./internal/state/...
+	$(GO) test -race ./internal/adaptive/... ./internal/chain/ ./internal/network/... ./internal/telemetry/... ./internal/flight/... ./internal/trace/... ./internal/health/... ./internal/trie/... ./internal/trie/store/...
 
 # Race detector over the *entire* module, cluster simulator included. Slower
 # than `race`; run before merging concurrency changes.
@@ -146,7 +147,7 @@ fuzz-smoke:
 # acceptance run is the same test at BLOCKPILOT_SCALE_ACCOUNTS=5000000.
 state-smoke:
 	BLOCKPILOT_SCALE_ACCOUNTS=500000 $(GO) test -count=1 -timeout 30m -run 'TestDiskStateScale' ./internal/state/
-	$(GO) test -count=1 -run 'TestDiskStateSmoke|TestDiskSnapshotParity|TestLargeCommitReadsItsOwnWrites|TestCrashRecoveryEveryOffset' ./internal/state/ ./internal/trie/store/
+	$(GO) test -count=1 -run 'TestDiskStateSmoke|TestDiskSnapshotParity|TestLargeCommitReadsItsOwnWrites|TestCommitOrdersLaterStoreCalls|TestCrashRecoveryEveryOffset' ./internal/state/ ./internal/trie/store/
 
 # The regression harness: every BENCHMARK.json workload end to end on real
 # cores, timed and traced passes (see benchmark/README.md).

@@ -100,7 +100,7 @@ func commitRef(s *Snapshot, cs *ChangeSet) *Snapshot {
 		results[i] = r
 	}
 	if s.db != nil {
-		ns.persist(results)
+		ns.persist(s.db.NewBatch(), results)
 	}
 	return ns
 }

@@ -10,6 +10,15 @@
 // Commit persists its fresh nodes behind one durability barrier and anchors
 // the new root; stale roots are pruned with Database.Release.
 //
+// A commit returns at its root and persists behind it. Before it returns it
+// reserves the node store's lock for its batch, and a goroutine releases the
+// lock once the batch's barrier is durable: every store call made after the
+// commit — the next commit, Release, Sync, HasRoot, a cache miss's Get, Close
+// — is ordered after that barrier by the lock alone, so the file, its crash
+// recovery and the release order are those of a synchronous commit. The new
+// snapshot answers Root at once; every read of its accounts trie waits until
+// the persist, which rewrites the trie's fresh nodes, is done.
+//
 // The backend choice rides inside the Snapshot: chain.CommitAndRoot, both
 // proposer engines, the validator and the simulator call the same
 // Commit/CommitParallel/Root APIs and never see which backend is active.
@@ -25,6 +34,9 @@ import (
 	"blockpilot/internal/types"
 	"blockpilot/internal/uint256"
 )
+
+var mPersistWaits = telemetry.NewCounter("blockpilot_state_persist_waits_total",
+	"disk snapshot reads that waited for the persist of the commit that made the snapshot")
 
 // NewSnapshotDisk returns an empty world state persisting through db.
 func NewSnapshotDisk(db *trie.Database) *Snapshot {
@@ -109,14 +121,15 @@ func (s *Snapshot) ForEachStorage(addr types.Address, fn func(hashedSlot types.H
 
 // persist writes the disk commit that produced s, whose resolved accounts
 // are results: it stages each dirty storage trie and code blob, then s's
-// accounts trie, into the Database's batch — so every account leaf's
-// storageRoot edge resolves inside the same batch — writes the batch behind
-// its one barrier and anchors s's root. An I/O failure panics: a state
-// commit that cannot reach disk is as fatal as OOM, and the Commit signature
-// (shared with the hot in-memory path) carries no error.
-func (s *Snapshot) persist(results []resolvedChange) {
+// accounts trie, into b — so every account leaf's storageRoot edge resolves
+// inside the same batch — writes the batch behind its one barrier, anchors
+// s's root and closes s.done. CommitParallel runs it on a goroutine of its
+// own with b reserved, so the store's lock is held from before the commit
+// returned until the barrier is durable. An I/O failure panics, on that
+// goroutine: a state commit that cannot reach disk is as fatal as OOM, and
+// the Commit signature (shared with the hot in-memory path) carries no error.
+func (s *Snapshot) persist(b *trie.Batch, results []resolvedChange) {
 	span := telemetry.StartSpan(telemetry.StateCommitPersistSeconds)
-	b := s.db.NewBatch()
 	for i := range results {
 		r := &results[i]
 		if r.codeSet {
@@ -134,6 +147,9 @@ func (s *Snapshot) persist(results []resolvedChange) {
 		panic(fmt.Errorf("state: disk commit: %w", err))
 	}
 	span.End()
+	if s.done != nil {
+		close(s.done)
+	}
 }
 
 // defaultGenesisChunk is BuildInto's commit granularity in weight units

@@ -1,7 +1,10 @@
 package state
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -241,6 +244,137 @@ func TestLargeCommitReadsItsOwnWrites(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCommitOrdersLaterStoreCalls: a disk commit returns at its root and
+// persists behind it, so each check below is the first store call after a
+// commit of 4 100 accounts with slots and code, made while that persist is
+// still running. The commit reserved the store's lock before it returned, so
+// each call must see the commit's barrier: the root live and readable, the
+// barrier record at the file's end after a Sync, the parent releasable
+// without taking a node the child needs — and reads from many goroutines at
+// once wait for the persist instead of racing it. Each check commits its own
+// child of one parent, with values of its own, so no check sees an earlier
+// one's root. Taking the lock on the persist goroutine instead of before the
+// commit returns fails every check but the concurrent reads.
+func TestCommitOrdersLaterStoreCalls(t *testing.T) {
+	const accounts = 8_200 // a child rewrites every other one
+	addr := func(i int) types.Address { return types.Address{0: 0xB0, 1: byte(i >> 8), 2: byte(i)} }
+	slots := []types.Hash{{31: 1}, {31: 2}, {31: 3}}
+	changes := func(round, step int) *ChangeSet {
+		var accts []AccountChange
+		for i := 0; i < accounts; i += step {
+			ch := AccountChange{Addr: addr(i), Nonce: uint64(round), Balance: *uint256.NewInt(uint64(round*accounts + i)),
+				Slots: []SlotChange{{Slot: slots[round%2], Val: *uint256.NewInt(uint64(i + 1))}, {Slot: slots[2], Val: *uint256.NewInt(uint64(round))}}}
+			if i%16 == 0 {
+				ch.Code, ch.CodeSet = []byte(fmt.Sprintf("code-%d-%d", round, i)), true
+			}
+			accts = append(accts, ch)
+		}
+		return NewChangeSet(accts...)
+	}
+
+	// equalToMem reads accounts [from, accounts) by stride from s.
+	equalToMem := func(label string, s, mem *Snapshot, from, stride int) error {
+		for i := from; i < accounts; i += stride {
+			a := addr(i)
+			got, _ := s.Account(a)
+			if want, _ := mem.Account(a); got != want {
+				return fmt.Errorf("%s: account %d = %+v, mem backend %+v", label, i, got, want)
+			}
+			if i%16 == 0 {
+				if got, want := s.Code(a), mem.Code(a); string(got) != string(want) {
+					return fmt.Errorf("%s: code %d = %q, mem backend %q", label, i, got, want)
+				}
+			}
+			for _, sl := range slots {
+				if got, want := s.Storage(a, sl), mem.Storage(a, sl); got != want {
+					return fmt.Errorf("%s: slot %d/%x = %s, mem backend %s", label, i, sl[31:], got.String(), want.String())
+				}
+			}
+		}
+		return nil
+	}
+
+	db := openStateDB(t, 0)
+	parentCS := changes(1, 1)
+	memParent := NewSnapshot().Commit(parentCS)
+	parent := NewSnapshotDisk(db).CommitParallel(parentCS, 4)
+	parent.Nonce(addr(0)) // the parent's persist is done: only each child's is in flight at its check
+	checks := []struct {
+		name  string
+		check func(t *testing.T, child, mem *Snapshot)
+	}{
+		{"HasRoot", func(t *testing.T, child, mem *Snapshot) {
+			if !db.HasRoot([32]byte(child.Root())) {
+				t.Fatal("the committed root is not live")
+			}
+			reopened, err := OpenSnapshot(db, child.Root())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := equalToMem("reopened", reopened, mem, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Sync", func(t *testing.T, child, _ *Snapshot) {
+			if err := db.Store().Sync(); err != nil {
+				t.Fatal(err)
+			}
+			file, err := db.Store().ReadFileForTest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := child.Root()
+			barrier := append(append([]byte{4}, root[:]...), 0, 0, 0, 0) // commit kind, root, empty payload
+			barrier = binary.BigEndian.AppendUint32(barrier, crc32.ChecksumIEEE(barrier))
+			if !bytes.HasSuffix(file, barrier) {
+				t.Fatalf("the file does not end with the commit barrier of %s", root)
+			}
+		}},
+		{"ConcurrentReads", func(t *testing.T, child, mem *Snapshot) {
+			const readers = 8
+			errs := make(chan error, readers)
+			for g := 0; g < readers; g++ {
+				go func() { errs <- equalToMem(fmt.Sprintf("reader %d", g), child, mem, g, readers) }()
+			}
+			for g := 0; g < readers; g++ {
+				if err := <-errs; err != nil {
+					t.Error(err)
+				}
+			}
+		}},
+		{"Release", func(t *testing.T, child, mem *Snapshot) { // last: it prunes the parent
+			if err := db.Release([32]byte(parent.Root())); err != nil {
+				t.Fatal(err)
+			}
+			if err := equalToMem("child", child, mem, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for round, c := range checks {
+		t.Run(c.name, func(t *testing.T) {
+			childCS := changes(2+round, 2)
+			mem := memParent.Commit(childCS)
+			want := mem.Root() // hashed before the commit: nothing may run between it and the check
+			child := parent.CommitParallel(childCS, 4)
+			if child.Root() != want {
+				t.Fatalf("disk root %s, mem root %s", child.Root(), want)
+			}
+			// The next check's child commits alone, and until the child's
+			// barrier the parent alone holds the nodes they share.
+			defer func() {
+				child.Nonce(addr(0))
+				if round < len(checks)-1 {
+					if err := db.Release([32]byte(child.Root())); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+			c.check(t, child, mem)
+		})
 	}
 }
 

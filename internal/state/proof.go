@@ -34,6 +34,7 @@ type StorageProof struct {
 
 // ProveAccount builds the Merkle proof for an account against s's root.
 func (s *Snapshot) ProveAccount(addr types.Address) AccountProof {
+	s.wait()
 	return AccountProof{
 		Address: addr,
 		Nodes:   s.accounts.Prove(crypto.Keccak256(addr.Bytes())),

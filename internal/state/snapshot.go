@@ -40,6 +40,11 @@ type Snapshot struct {
 	// codes maps above stay empty), and every read walks the trie through
 	// db's decoded-node cache (see disk.go).
 	db *trie.Database
+	// A disk commit returns at its root and persists behind it (see
+	// CommitParallel): root is that root, and done closes once the persist
+	// has finished. Both are unset when nothing persists the snapshot.
+	root types.Hash
+	done chan struct{}
 }
 
 // NewSnapshot returns an empty world state.
@@ -127,6 +132,7 @@ func (s *Snapshot) lookup(addr types.Address) (decodedAccount, bool) {
 // path hoists the hash so it is computed once per account instead of once
 // for the lookup and again for the trailing accounts.Update.
 func (s *Snapshot) lookupHashed(hashedAddr []byte) (decodedAccount, bool) {
+	s.wait()
 	leaf := s.accounts.Get(hashedAddr)
 	if leaf == nil {
 		return decodedAccount{}, false
@@ -205,14 +211,37 @@ func (s *Snapshot) Storage(addr types.Address, slot types.Hash) uint256.Int {
 	return v
 }
 
-// Root returns the world-state root hash committed in block headers.
+// wait returns once no persist is rewriting s's accounts trie: every path
+// that walks the trie calls it first. It costs one nil check unless s comes
+// from a disk commit.
+func (s *Snapshot) wait() {
+	if s.done != nil {
+		s.waitPersist()
+	}
+}
+
+func (s *Snapshot) waitPersist() {
+	select {
+	case <-s.done:
+	default:
+		mPersistWaits.Inc()
+		<-s.done
+	}
+}
+
+// Root returns the world-state root hash committed in block headers. It
+// never waits: a disk commit recorded its root before it returned.
 func (s *Snapshot) Root() types.Hash {
+	if s.done != nil {
+		return s.root
+	}
 	return types.Hash(s.accounts.Hash())
 }
 
 // Copy returns an independent snapshot sharing all structure (O(#contracts)
 // in memory, O(1) on the disk backend — its maps are empty by design).
 func (s *Snapshot) Copy() *Snapshot {
+	s.wait()
 	if s.db != nil {
 		return &Snapshot{
 			accounts: s.accounts.Copy(),
@@ -321,6 +350,7 @@ func (s *Snapshot) resolveChanges(cs *ChangeSet, workers int) []resolvedChange {
 // child returns the shell of s's successor: a private handle on the accounts
 // trie, everything else shared until a commit path replaces it.
 func (s *Snapshot) child() *Snapshot {
+	s.wait()
 	return &Snapshot{accounts: s.accounts.Copy(), storage: s.storage, codes: s.codes, keys: s.keys, db: s.db}
 }
 
@@ -385,8 +415,11 @@ const minParallelCommitAccounts = 4
 // account against the parent (resolveChange, fanned across `workers`
 // goroutines unless workers <= 1 or the change set is small), install the
 // results' storage tries and code (in memory only), one batch insert into the
-// accounts trie (sorted bottom-up build, one pass), and on disk the hash and
-// the persist behind one barrier. Each phase is timed into its own
+// accounts trie (sorted bottom-up build, one pass), and on disk the hash.
+// There the commit returns at its root: it reserves the node store's lock
+// for a batch and leaves the persist walk and the barrier to a goroutine (see
+// persist), so that only the root — all a block's seal or check needs — is on
+// the caller's path. Each phase is timed into its own
 // blockpilot_state_commit_*_ns histogram. The snapshot does not depend on the
 // worker count: same tries, same roots, same store bytes (parity suite in
 // commit_test.go against the serial reference it replaced).
@@ -414,16 +447,23 @@ func (s *Snapshot) CommitParallel(cs *ChangeSet, workers int) *Snapshot {
 	span.End()
 	if s.db != nil {
 		span = telemetry.StartSpan(telemetry.StateCommitHashSeconds)
-		ns.accounts.HashParallel(workers) // the persist walk takes each node's hash
+		ns.root = types.Hash(ns.accounts.HashParallel(workers)) // the persist walk takes each node's hash
 		span.End()
-		ns.persist(results)
+		b := s.db.NewBatch()
+		b.Reserve()
+		ns.done = make(chan struct{})
+		go ns.persist(b, results)
 	}
 	return ns
 }
 
 // RootParallel returns the world-state root, hashing the accounts trie's
-// subtrees with up to `workers` goroutines. Bit-identical to Root().
+// subtrees with up to `workers` goroutines. Bit-identical to Root(), and
+// like it never waits.
 func (s *Snapshot) RootParallel(workers int) types.Hash {
+	if s.done != nil {
+		return s.root
+	}
 	return types.Hash(s.accounts.HashParallel(workers))
 }
 
@@ -432,6 +472,7 @@ func (s *Snapshot) RootParallel(workers int) types.Hash {
 // the callback receives the account's decoded fields keyed by hashed
 // address — useful for audits, dumps and invariant checks.
 func (s *Snapshot) ForEachAccount(fn func(hashedAddr types.Hash, acct Account) bool) {
+	s.wait()
 	s.accounts.ForEach(func(key, leaf []byte) bool {
 		dec, ok := decodeAccount(leaf)
 		if !ok {

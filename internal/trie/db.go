@@ -238,6 +238,12 @@ func (db *Database) NewBatch() *Batch {
 	return &Batch{db: db, sb: db.st.NewBatch()}
 }
 
+// Reserve takes the node store's lock for this batch until its Commit's
+// barrier returns (store.Batch.Reserve): the batch may then be staged and
+// committed on another goroutine while every later store call waits for it.
+// Nothing staged may need the store: PersistTrie stops at hashNodes.
+func (b *Batch) Reserve() { b.sb.Reserve() }
+
 // PutCode stages a contract code blob (content-addressed, idempotent).
 func (b *Batch) PutCode(h [32]byte, code []byte) { b.sb.PutCode(h, code) }
 

@@ -411,9 +411,10 @@ func (s *Store) appendBarrier(buf []byte) error {
 // tries before the accounts trie, so edge targets always precede their
 // referrers.
 type Batch struct {
-	s     *Store
-	nodes []stagedPut
-	codes []stagedPut
+	s        *Store
+	nodes    []stagedPut
+	codes    []stagedPut
+	reserved bool // Reserve holds s.mu for Commit
 }
 
 type stagedPut struct {
@@ -430,6 +431,16 @@ func (b *Batch) Reset() {
 	clear(b.nodes)
 	clear(b.codes)
 	b.nodes, b.codes = b.nodes[:0], b.codes[:0]
+}
+
+// Reserve takes the store's lock for this batch ahead of its Commit, which
+// then runs under it and lets it go. Every store call made after Reserve
+// returns — Get, Sync, Release, Close, another Commit — waits for the batch's
+// barrier, so a caller may stage and commit the batch on another goroutine
+// and still order its own later calls after the commit.
+func (b *Batch) Reserve() {
+	b.s.mu.Lock()
+	b.reserved = true
 }
 
 // maxKeptBuf bounds the record buffer a Commit leaves to the store: a block's
@@ -454,7 +465,10 @@ func (b *Batch) PutCode(h [32]byte, code []byte) {
 // commit, a concurrent batch, or earlier in this one — is written once.
 func (b *Batch) Commit(root [32]byte) error {
 	s := b.s
-	s.mu.Lock()
+	if !b.reserved {
+		s.mu.Lock()
+	}
+	b.reserved = false
 	defer s.mu.Unlock()
 	if !s.open {
 		return ErrClosed
