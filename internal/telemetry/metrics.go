@@ -110,7 +110,8 @@ var (
 
 // The phases of one state commit, observed by state.Snapshot.CommitParallel
 // inside the StateCommitSeconds span: resolve and insert on both backends,
-// hash, persist and barrier on the disk backend only.
+// hash, persist and barrier on the disk backend only. The release of a disk
+// root is timed by trie.Database.Release.
 var (
 	StateCommitResolveSeconds = NewHistogram("blockpilot_state_commit_resolve_ns",
 		"State commit phase: every account resolved against the parent (lookup, storage trie, leaf).", "ns")
@@ -122,6 +123,8 @@ var (
 		"State commit phase (disk backend): storage tries, code and accounts trie staged into the batch.", "ns")
 	StateCommitBarrierSeconds = NewHistogram("blockpilot_state_commit_barrier_ns",
 		"State commit phase (disk backend): the batch written behind its durability barrier and anchored.", "ns")
+	StateReleaseSeconds = NewHistogram("blockpilot_state_release_ns",
+		"Disk backend: one state root released, every node only it kept pruned behind a release barrier.", "ns")
 )
 
 // Mempool and network fabric.

@@ -158,6 +158,8 @@ func (db *Database) Release(root [32]byte) error {
 	if root == EmptyRoot {
 		return nil // the empty root is never stored, nothing to release
 	}
+	span := telemetry.StartSpan(telemetry.StateReleaseSeconds)
+	defer span.End()
 	return db.st.Release(root)
 }
 

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+
+	"blockpilot/internal/telemetry"
 )
 
 func openTestDB(t *testing.T, cacheNodes int) *Database {
@@ -217,6 +219,33 @@ func TestDiskTriePruning(t *testing.T) {
 	}
 	if len(phantoms) != 0 {
 		t.Fatalf("%d phantoms after pruning", len(phantoms))
+	}
+}
+
+// TestReleaseTimed: with telemetry on, each Release of a stored root is one
+// observation of blockpilot_state_release_ns; the empty root, which is never
+// stored, is none.
+func TestReleaseTimed(t *testing.T) {
+	telemetry.Enable()
+	defer telemetry.Disable()
+	db := openTestDB(t, 0)
+	tr := NewDB(db)
+	var roots [][32]byte
+	for v := 0; v < 3; v++ {
+		tr.Update([]byte("key"), []byte{byte(v)})
+		roots = append(roots, persistTrie(t, db, tr))
+	}
+	count := func() uint64 {
+		return telemetry.TakeSnapshot().Histogram("blockpilot_state_release_ns").Count
+	}
+	before := count()
+	for _, r := range append(roots[:2], EmptyRoot) {
+		if err := db.Release(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := count() - before; got != 2 {
+		t.Fatalf("%d releases observed, want 2", got)
 	}
 }
 

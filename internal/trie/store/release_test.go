@@ -83,99 +83,118 @@ func (a storeState) equal(b storeState) bool {
 		fmt.Sprint(a.refs) == fmt.Sprint(b.refs) && fmt.Sprint(a.anchors) == fmt.Sprint(b.anchors)
 }
 
+// commitVictim commits a chain, then the victim: a root over six branches
+// (each over a leaf of its own and the chain's leaf) and the chain's middle.
+// It returns the victim's root and every hash.
+func commitVictim(t *testing.T, path string) (s *Store, root [32]byte, known [][32]byte) {
+	t.Helper()
+	s = openTest(t, path)
+	shared := commitChain(t, s, 1)
+	known = append(known, shared[:]...)
+	b := s.NewBatch()
+	var mids [][32]byte
+	for i := 0; i < 6; i++ {
+		leafH, leafEnc := mkNode([]byte{'x', byte(i)})
+		midH, midEnc := mkNode([]byte{'y', byte(i)}, leafH, shared[2])
+		b.Put(leafH, leafEnc)
+		b.Put(midH, midEnc)
+		mids = append(mids, midH)
+		known = append(known, leafH, midH)
+	}
+	rootH, rootEnc := mkNode([]byte("victim"), append(mids, shared[1])...)
+	b.Put(rootH, rootEnc)
+	if err := b.Commit(rootH); err != nil {
+		t.Fatal(err)
+	}
+	return s, rootH, append(known, rootH)
+}
+
 // TestReleaseFailureRollsBack fails a Release after its cascade has dropped
-// counts in place — the write is refused (a read-only handle), or a node
-// half-way down cannot be read back (a handle on a truncated copy) — and
-// requires the store to be exactly as before: every count, anchor, the node
-// count and the file size. The same Release on the healthy handle must then
-// succeed and leave the file byte-identical to a store that never failed.
+// counts in place — the write is refused (a read-only handle) — and requires
+// the store to be exactly as before: every count, anchor, the node count and
+// the file size. The same Release on the healthy handle must then succeed and
+// leave the file byte-identical to a store that never failed.
 func TestReleaseFailureRollsBack(t *testing.T) {
-	for _, fault := range []string{"write", "read"} {
-		t.Run(fault, func(t *testing.T) {
-			dir := t.TempDir()
-			// build commits a chain, then the victim: a root over six
-			// branches (each over a leaf of its own and the chain's leaf)
-			// and the chain's middle. The victim's records run root, then
-			// branch and leaf 5 down to 0 — the order the cascade reads them
-			// in, so a file cut short fails it half-way down. It returns the
-			// victim's root, the third branch it will read, and every hash.
-			build := func(name string) (s *Store, root, third [32]byte, known [][32]byte) {
-				s = openTest(t, filepath.Join(dir, name))
-				shared := commitChain(t, s, 1)
-				known = append(known, shared[:]...)
-				var puts []stagedPut
-				var mids [][32]byte
-				for i := 0; i < 6; i++ {
-					leafH, leafEnc := mkNode([]byte{'x', byte(i)})
-					midH, midEnc := mkNode([]byte{'y', byte(i)}, leafH, shared[2])
-					puts = append([]stagedPut{{key: midH, enc: midEnc}, {key: leafH, enc: leafEnc}}, puts...)
-					mids = append(mids, midH)
-				}
-				rootH, rootEnc := mkNode([]byte("victim"), append(mids, shared[1])...)
-				b := s.NewBatch()
-				b.Put(rootH, rootEnc)
-				for _, p := range puts {
-					b.Put(p.key, p.enc)
-					known = append(known, p.key)
-				}
-				if err := b.Commit(rootH); err != nil {
-					t.Fatal(err)
-				}
-				return s, rootH, mids[3], append(known, rootH)
-			}
-			s, root, third, known := build("failing.db")
-			defer s.Close()
-			before := stateOf(t, s, known)
+	t.Run("write", func(t *testing.T) {
+		dir := t.TempDir()
+		s, root, known := commitVictim(t, filepath.Join(dir, "failing.db"))
+		defer s.Close()
+		before := stateOf(t, s, known)
 
-			healthy := s.f
-			var broken *os.File
-			var err error
-			if fault == "write" {
-				broken, err = os.OpenFile(s.Path(), os.O_RDONLY, 0)
-			} else {
-				full, rerr := s.ReadFileForTest()
-				if rerr != nil {
-					t.Fatal(rerr)
-				}
-				cut := s.idx.slab[s.idx.find(&third)].off
-				short := filepath.Join(dir, "short.db")
-				if err = os.WriteFile(short, full[:cut], 0o644); err == nil {
-					broken, err = os.OpenFile(short, os.O_RDWR, 0)
-				}
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer broken.Close()
-			s.f = broken
-			if err := s.Release(root); err == nil {
-				t.Fatal("Release on a broken handle succeeded")
-			}
-			if fault == "read" && len(s.rel.dead) < 5 {
-				t.Fatalf("setup: the cascade failed after %d nodes, want it half-way down", len(s.rel.dead))
-			}
-			s.f = healthy
-			if after := stateOf(t, s, known); !before.equal(after) {
-				t.Fatalf("failed Release left a trace:\nbefore %+v\nafter  %+v", before, after)
-			}
+		healthy := s.f
+		broken, err := os.OpenFile(s.Path(), os.O_RDONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer broken.Close()
+		s.f = broken
+		if err := s.Release(root); err == nil {
+			t.Fatal("Release on a broken handle succeeded")
+		}
+		s.f = healthy
+		if after := stateOf(t, s, known); !before.equal(after) {
+			t.Fatalf("failed Release left a trace:\nbefore %+v\nafter  %+v", before, after)
+		}
 
-			if err := s.Release(root); err != nil {
-				t.Fatalf("Release after the fault cleared: %v", err)
-			}
-			clean, cleanRoot, _, _ := build("clean.db")
-			defer clean.Close()
-			if err := clean.Release(cleanRoot); err != nil {
-				t.Fatal(err)
-			}
-			got, _ := s.ReadFileForTest()
-			want, _ := clean.ReadFileForTest()
-			if !bytes.Equal(got, want) {
-				t.Fatal("file differs from a store whose Release never failed")
-			}
-			if !stateOf(t, s, known).equal(stateOf(t, clean, known)) {
-				t.Fatal("counts differ from a store whose Release never failed")
-			}
-		})
+		if err := s.Release(root); err != nil {
+			t.Fatalf("Release after the fault cleared: %v", err)
+		}
+		clean, cleanRoot, _ := commitVictim(t, filepath.Join(dir, "clean.db"))
+		defer clean.Close()
+		if err := clean.Release(cleanRoot); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := s.ReadFileForTest()
+		want, _ := clean.ReadFileForTest()
+		if !bytes.Equal(got, want) {
+			t.Fatal("file differs from a store whose Release never failed")
+		}
+		if !stateOf(t, s, known).equal(stateOf(t, clean, known)) {
+			t.Fatal("counts differ from a store whose Release never failed")
+		}
+	})
+}
+
+// TestReleaseReadsNothing: the cascade walks the edges Commit recorded, so a
+// Release on a handle that fails every read (opened write-only) succeeds,
+// counts no disk read, and leaves the file bytes and every count as a Release
+// on a healthy handle does.
+func TestReleaseReadsNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, root, known := commitVictim(t, filepath.Join(dir, "writeonly.db"))
+	defer s.Close()
+	writeOnly, err := os.OpenFile(s.Path(), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writeOnly.Close()
+	if _, err := writeOnly.ReadAt(make([]byte, 1), 0); err == nil {
+		t.Fatal("setup: a read on the write-only handle succeeded")
+	}
+
+	healthy, reads := s.f, s.Stats().DiskReads
+	s.f = writeOnly
+	err = s.Release(root)
+	s.f = healthy
+	if err != nil {
+		t.Fatalf("Release on a write-only handle: %v", err)
+	}
+	if got := s.Stats().DiskReads; got != reads {
+		t.Fatalf("Release read %d payloads", got-reads)
+	}
+
+	clean, cleanRoot, _ := commitVictim(t, filepath.Join(dir, "clean.db"))
+	defer clean.Close()
+	if err := clean.Release(cleanRoot); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := s.ReadFileForTest()
+	want, _ := clean.ReadFileForTest()
+	if !bytes.Equal(got, want) {
+		t.Fatal("file differs from a store that released on a healthy handle")
+	}
+	if !stateOf(t, s, known).equal(stateOf(t, clean, known)) {
+		t.Fatal("counts differ from a store that released on a healthy handle")
 	}
 }
 
@@ -271,7 +290,7 @@ func releaseRef(s *Store, root [32]byte) error {
 		if j == 0 {
 			continue
 		}
-		enc, err := s.readPayload(s.idx.slab[j].loc, nil)
+		enc, err := s.readPayload(s.idx.slab[j].at(), nil)
 		if err != nil {
 			return err
 		}

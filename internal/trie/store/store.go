@@ -29,8 +29,10 @@
 // n. Open rebuilds them in one linear pass using the injected edge
 // extractor (Options.Edges — the trie layer's knowledge of where child
 // hashes live inside a node encoding, including the account-leaf →
-// storage-root cross-trie edge). Incremental maintenance in Commit/Release
-// uses the same extractor, so the two always agree.
+// storage-root cross-trie edge); Commit counts a new node's edges with the
+// same extractor. Nor are edge lists stored: each counted edge is kept in
+// memory only, as a slab position in its referrer's list, which Open rebuilds
+// with the counts; Release drops exactly those, reading nothing back.
 package store
 
 import (
@@ -85,8 +87,9 @@ type Options struct {
 	// `has` callback reports whether a hash is currently stored and is used
 	// to disambiguate 32-byte values from node references; a false positive
 	// can only over-retain (leak), never dangle. The store calls Edges only
-	// with its lock held and is done with the result before the next call,
-	// so an extractor may hand back the same backing array every time.
+	// with its lock held, when Open or Commit counts a node's edges, and is
+	// done with the result before the next call, so an extractor may hand
+	// back the same backing array every time.
 	Edges func(enc []byte, has func([32]byte) bool) [][32]byte
 	// Pruned, when set, is called under the store's lock with each node a
 	// Release prunes, once the release barrier is durable: the hook by which
@@ -99,7 +102,7 @@ type Options struct {
 
 // Stats is a snapshot of the store's read/write counters.
 type Stats struct {
-	DiskReads     uint64 // payload reads served from the file (Get, Code, the prune cascade)
+	DiskReads     uint64 // payload reads served from the file (Get, Code, Phantoms)
 	DiskBytesRead uint64
 	Puts          uint64 // node records written (post-dedup)
 	Dels          uint64 // node records pruned
@@ -126,11 +129,10 @@ type Store struct {
 	buf []byte
 	// Release's working set, kept between calls so a prune allocates nothing
 	// per node: the undo log (every count dropped), the pruned nodes in
-	// cascade order, the cascade's stack and one payload buffer.
-	rel struct {
-		undo, dead, stack []uint32
-		enc               []byte
-	}
+	// cascade order and the cascade's stack.
+	rel struct{ undo, dead, stack []uint32 }
+	// countEdges' scratch: one node's edges, before they enter the index.
+	edgeBuf []uint32
 
 	diskReads atomic.Uint64
 	bytesRead atomic.Uint64
@@ -188,7 +190,7 @@ func (s *Store) recover() error {
 		switch r.kind {
 		case recPut:
 			if s.idx.find(&r.key) == 0 {
-				s.idx.insert(entry{key: r.key, loc: r.loc})
+				s.idx.insert(entry{key: r.key, off: r.off, vlen: r.vlen})
 			}
 		case recCode:
 			if _, dup := s.codes[r.key]; !dup {
@@ -281,7 +283,7 @@ func (s *Store) rebuildRefs() error {
 	pos, has := int64(0), s.has
 	var enc []byte // reused: Edges copies the hashes out
 	for _, j := range nodes {
-		l := x.slab[j].loc
+		l := x.slab[j].at()
 		enc = slices.Grow(enc[:0], int(l.vlen))[:l.vlen]
 		if _, err := log.Discard(int(l.off - pos)); err != nil {
 			return fmt.Errorf("store: rebuild refs: %w", err)
@@ -301,29 +303,23 @@ func (s *Store) rebuildRefs() error {
 }
 
 // countEdges adds one reference to every stored node that enc — the payload
-// at slab position j — points at, and flags j when there is none.
+// at slab position j — points at, and records their positions as j's edges.
 func (s *Store) countEdges(j uint32, enc []byte, has func([32]byte) bool) {
 	x := &s.idx
 	edges := s.opts.Edges(enc, has)
-	n := 0
+	s.edgeBuf = s.edgeBuf[:0]
 	for i := range edges {
 		if c := x.find(&edges[i]); c != 0 {
 			x.slab[c].refs++
-			n++
+			s.edgeBuf = append(s.edgeBuf, c)
 		}
 	}
-	if n == 0 {
-		x.slab[j].flags |= flagNoEdges
-	}
+	x.setEdges(j, s.edgeBuf)
 }
 
-// has is the liveness test handed to Edges: stored, and not pruned by the
-// Release in progress. Callers hold s.mu, and bind it once per operation (a
-// method value is an allocation).
-func (s *Store) has(h [32]byte) bool {
-	j := s.idx.find(&h)
-	return j != 0 && s.idx.slab[j].flags&flagDead == 0
-}
+// has is the liveness test handed to Edges: stored. Callers hold s.mu, and
+// bind it once per operation (a method value is an allocation).
+func (s *Store) has(h [32]byte) bool { return s.idx.find(&h) != 0 }
 
 // readPayload reads one record's payload into buf's backing array when it is
 // large enough (a caller that is done with each payload before the next read
@@ -345,7 +341,7 @@ func (s *Store) readPayload(l loc, buf []byte) ([]byte, error) {
 func (s *Store) Get(h [32]byte) ([]byte, error) {
 	s.mu.Lock()
 	j := s.idx.find(&h)
-	l := s.idx.slab[j].loc
+	l := s.idx.slab[j].at()
 	open := s.open
 	s.mu.Unlock()
 	if !open {
@@ -499,7 +495,7 @@ func (b *Batch) Commit(root [32]byte) error {
 		p := &b.nodes[i]
 		p.slot = 0
 		if s.idx.find(&p.key) == 0 {
-			p.slot = s.idx.insert(entry{key: p.key, loc: loc{s.size + int64(len(buf)) + recHeaderLen, uint32(len(p.enc))}})
+			p.slot = s.idx.insert(entry{key: p.key, off: s.size + int64(len(buf)) + recHeaderLen, vlen: uint32(len(p.enc))})
 			buf = appendRecord(buf, recPut, p.key, p.enc)
 			puts++
 		}
@@ -543,9 +539,10 @@ func (b *Batch) Commit(root [32]byte) error {
 // The del records precede the release barrier, so a torn release is wholly
 // discarded on reopen: at worst a leak, never a dangling root.
 //
-// The cascade runs on the index itself — a count is dropped where it lies and
-// logged, a pruned node is flagged dead — and a failed read or write replays
-// the log and clears the flags: the store is as it was before the call.
+// The cascade runs on the index itself and reads nothing: a pruned node's
+// children are the edges Commit or Open recorded for it, a count is dropped
+// where it lies and logged, and a pruned node is listed. A failed write
+// replays the log: the store is as it was before the call.
 func (s *Store) Release(root [32]byte) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -556,15 +553,12 @@ func (s *Store) Release(root [32]byte) (err error) {
 		return fmt.Errorf("%w: %x", ErrNotLiveRoot, root)
 	}
 
-	x, r, has := &s.idx, &s.rel, s.has
+	x, r := &s.idx, &s.rel
 	r.undo, r.dead, r.stack = r.undo[:0], r.dead[:0], r.stack[:0]
 	defer func() {
 		if err != nil {
 			for _, j := range r.undo {
 				x.slab[j].refs++
-			}
-			for _, j := range r.dead {
-				x.slab[j].flags &^= flagDead
 			}
 		}
 	}()
@@ -575,21 +569,9 @@ func (s *Store) Release(root [32]byte) (err error) {
 	for len(r.stack) > 0 {
 		j := r.stack[len(r.stack)-1]
 		r.stack = r.stack[:len(r.stack)-1]
-		e := &x.slab[j]
-		e.flags |= flagDead // Edges' has() no longer sees it
 		r.dead = append(r.dead, j)
-		if e.flags&flagNoEdges != 0 {
-			continue
-		}
-		// One payload buffer: only a dead node's position outlives its visit.
-		if r.enc, err = s.readPayload(e.loc, r.enc); err != nil {
-			return fmt.Errorf("store: release cascade: %w", err)
-		}
-		edges := s.opts.Edges(r.enc, has)
-		for i := range edges {
-			if c := x.find(&edges[i]); c != 0 {
-				s.drop(c)
-			}
+		for _, c := range x.edges(j) {
+			s.drop(c)
 		}
 	}
 
@@ -681,13 +663,14 @@ func (s *Store) Stats() Stats {
 // Phantoms returns every live node NOT reachable from a live root — the
 // crash battery's "no phantom nodes" oracle. A healthy store always returns
 // an empty slice: commits are atomic at barrier granularity and releases
-// cascade exactly.
+// cascade exactly. It reads back every reachable payload and fails when the
+// edges recorded for a node are not its payload's, resolved in order.
 func (s *Store) Phantoms() ([][32]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	x := &s.idx
 	reached, has := make([]bool, len(x.slab)), s.has
-	var stack []uint32
+	var stack, resolved []uint32
 	for r := range s.roots {
 		if j := x.find(&r); j != 0 {
 			stack = append(stack, j)
@@ -700,14 +683,21 @@ func (s *Store) Phantoms() ([][32]byte, error) {
 			continue
 		}
 		reached[j] = true
-		enc, err := s.readPayload(x.slab[j].loc, nil)
+		enc, err := s.readPayload(x.slab[j].at(), nil)
 		if err != nil {
 			return nil, err
 		}
+		resolved = resolved[:0]
 		for _, child := range s.opts.Edges(enc, has) {
-			if c := x.find(&child); c != 0 && !reached[c] {
-				stack = append(stack, c)
+			if c := x.find(&child); c != 0 {
+				resolved = append(resolved, c)
+				if !reached[c] {
+					stack = append(stack, c)
+				}
 			}
+		}
+		if !slices.Equal(resolved, x.edges(j)) {
+			return nil, fmt.Errorf("store: node %x: recorded edges %v, its payload's %v", x.slab[j].key[:4], x.edges(j), resolved)
 		}
 	}
 	var phantoms [][32]byte
