@@ -56,20 +56,21 @@ build:
 # internal/node for a proposer packing while a validator's pipeline runs
 # beside it. internal/state for the disk commit's persist goroutine, which
 # holds the node store's lock while the caller reads on.
-# internal/scheduler is not: it starts no goroutine (the validator's graph
-# build is serial), so a -cpu sweep or -race over it would buy nothing.
+# internal/scheduler is not: it starts no goroutine, so a -cpu sweep or
+# -race over it would buy nothing.
 CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/validator/... ./internal/evm/ ./internal/node/ ./internal/state/
 
 # The TopK pass repeats because an order-dependent heavy-hitter sketch (map
 # iteration deciding a tie) fails about one run in eight, not every run; the
 # validator's verdict test because a verdict that follows arrival order
-# rather than block order only shows on some interleavings, and its
-# read-rule tests because a reader that waits on, or skips past, the wrong
-# writer only shows on some too.
+# rather than block order only shows on some interleavings, its read-rule
+# tests because a reader that waits on, or skips past, the wrong writer only
+# shows on some too, and its sibling tests because takeable settles each
+# verdict across racing lanes.
 test:
 	$(GO) test ./...
 	$(GO) test -cpu 1,2,4 $(CONCURRENCY_PKGS)
-	$(GO) test -count=20 -run 'TopK|TestVerdictFirstFailure|TestReadRules' ./internal/flight/ ./internal/validator/
+	$(GO) test -count=20 -run 'TopK|TestVerdictFirstFailure|TestReadRules|TestSibling' ./internal/flight/ ./internal/validator/
 
 race:
 	$(GO) test -race -timeout 30m -cpu 1,2,4 $(CONCURRENCY_PKGS)

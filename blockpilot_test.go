@@ -53,8 +53,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 		if out.Err != nil {
 			t.Fatalf("pipeline rejected height %d: %v", out.Block.Number(), out.Err)
 		}
-		if out.Result.Stats.TxCount != len(out.Block.Txs) {
-			t.Fatalf("stats cover %d of %d txs", out.Result.Stats.TxCount, len(out.Block.Txs))
+		if out.Result.Stats().TxCount != len(out.Block.Txs) {
+			t.Fatalf("stats cover %d of %d txs", out.Result.Stats().TxCount, len(out.Block.Txs))
 		}
 		ok++
 	}

@@ -305,9 +305,10 @@ func describe(name string, out pipeline.Outcome, store *blockdb.Store) string {
 			return fmt.Sprintf("  %s persist error: %v", name, err)
 		}
 	}
+	st := out.Result.Stats()
 	return fmt.Sprintf("  %-11s validated %s (height %d) in %v — %d subgraphs, largest %.0f%%",
 		name, short(out.Block.Hash()), out.Block.Number(), out.Elapsed.Round(time.Millisecond),
-		out.Result.Stats.ComponentCount, out.Result.Stats.LargestRatio*100)
+		st.ComponentCount, st.LargestRatio*100)
 }
 
 func short(h types.Hash) string { return h.String()[:10] }

@@ -1,5 +1,5 @@
 // Command bpinspect prints the conflict anatomy of generated blocks: the
-// dependency subgraphs the validator's scheduler sees, the per-phase time
+// paper's dependency subgraphs (internal/scheduler), the per-phase time
 // breakdown (execution vs commit), and the gas-LPT thread assignment.
 // It is the diagnostic companion to cmd/bpbench.
 //

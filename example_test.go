@@ -56,7 +56,7 @@ func Example() {
 		log.Fatal(out.Err)
 	}
 	fmt.Printf("validated: %d dependency subgraphs, largest holds %.0f%% of txs\n",
-		out.Result.Stats.ComponentCount, out.Result.Stats.LargestRatio*100)
+		out.Result.Stats().ComponentCount, out.Result.Stats().LargestRatio*100)
 
 	head := validator.Chain.HeadState()
 	bobBal, minerBal := head.Balance(bob), head.Balance(miner)

@@ -1,8 +1,11 @@
-// Package scheduler implements the validator's preparation phase (paper
-// §4.3): it builds the transaction dependency graph from the block profile's
-// read/write sets, groups conflicting transactions into connected-component
-// subgraphs with union-find, and assigns subgraphs to worker threads by
-// gas-weighted LPT (heaviest component first onto the least-loaded thread).
+// Package scheduler is the paper's validator preparation phase (§4.3) as
+// an analysis: it builds the transaction dependency graph from the block
+// profile's read/write sets, groups conflicting transactions into
+// connected-component subgraphs with union-find, and assigns subgraphs to
+// worker threads by gas-weighted LPT (heaviest component first onto the
+// least-loaded thread). The validator's lanes follow its writer index
+// instead (DESIGN.md §5.12): it builds components only for Result.Stats and
+// the flight recorder's assign events.
 //
 // Gas is the scheduling weight because the costliest EVM operations (SLOAD,
 // SSTORE) carry the highest gas costs, making gas a usable execution-time
@@ -24,40 +27,10 @@ type Component struct {
 
 // Schedule is the thread assignment for one block.
 type Schedule struct {
-	Components []Component
 	// ThreadTxs[i] lists the tx indices thread i executes, in block order.
 	ThreadTxs [][]int
 	// ThreadGas[i] is the scheduled gas weight of thread i.
 	ThreadGas []uint64
-	// TxThread[tx] / TxComponent[tx] invert the assignment: which thread lane
-	// executes a block position, and which dependency subgraph it belongs to.
-	// Built by the assigners; consumed by the flight recorder's assign events.
-	TxThread    []int
-	TxComponent []int
-}
-
-// buildTxLookups populates TxThread/TxComponent from the finished schedule.
-func (s *Schedule) buildTxLookups() {
-	n := 0
-	for _, c := range s.Components {
-		n += len(c.TxIndices)
-	}
-	s.TxThread = make([]int, n)
-	s.TxComponent = make([]int, n)
-	for ci, c := range s.Components {
-		for _, tx := range c.TxIndices {
-			if tx >= 0 && tx < n {
-				s.TxComponent[tx] = ci
-			}
-		}
-	}
-	for t, txs := range s.ThreadTxs {
-		for _, tx := range txs {
-			if tx >= 0 && tx < n {
-				s.TxThread[tx] = t
-			}
-		}
-	}
 }
 
 // Stats summarizes a block's conflict structure (the Fig. 8 statistics).
@@ -186,9 +159,8 @@ func AssignLPT(components []Component, threads int) *Schedule {
 		threads = 1
 	}
 	s := &Schedule{
-		Components: components,
-		ThreadTxs:  make([][]int, threads),
-		ThreadGas:  make([]uint64, threads),
+		ThreadTxs: make([][]int, threads),
+		ThreadGas: make([]uint64, threads),
 	}
 	order := make([]int, len(components))
 	for i := range order {
@@ -211,7 +183,6 @@ func AssignLPT(components []Component, threads int) *Schedule {
 	for t := range s.ThreadTxs {
 		sort.Ints(s.ThreadTxs[t])
 	}
-	s.buildTxLookups()
 	return s
 }
 
@@ -222,9 +193,8 @@ func AssignRoundRobin(components []Component, threads int) *Schedule {
 		threads = 1
 	}
 	s := &Schedule{
-		Components: components,
-		ThreadTxs:  make([][]int, threads),
-		ThreadGas:  make([]uint64, threads),
+		ThreadTxs: make([][]int, threads),
+		ThreadGas: make([]uint64, threads),
 	}
 	for i, c := range components {
 		t := i % threads
@@ -234,7 +204,6 @@ func AssignRoundRobin(components []Component, threads int) *Schedule {
 	for t := range s.ThreadTxs {
 		sort.Ints(s.ThreadTxs[t])
 	}
-	s.buildTxLookups()
 	return s
 }
 

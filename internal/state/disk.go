@@ -27,6 +27,7 @@ package state
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"blockpilot/internal/rlp"
 	"blockpilot/internal/telemetry"
@@ -189,27 +190,26 @@ func (g *GenesisBuilder) BuildInto(db *trie.Database, chunk int) *Snapshot {
 		accts, weight = accts[:0], 0
 	}
 
-	for addr, acct := range g.accounts {
+	// Chunks follow address order, so that one genesis always writes the
+	// same intermediate roots and store bytes.
+	addrs := make([]types.Address, 0, len(g.accounts))
+	for addr := range g.accounts {
+		addrs = append(addrs, addr)
+	}
+	slices.SortFunc(addrs, func(a, b types.Address) int { return compareAddr(&a, &b) })
+	for _, addr := range addrs {
+		acct := g.accounts[addr]
 		if len(acct.Storage) > chunk {
 			// A contract whose storage alone exceeds a chunk: stream its
-			// slots across several commits of the same account (the trie
-			// merges them; nonce/balance re-apply idempotently).
-			pending := make(map[types.Hash]uint256.Int, chunk)
-			first := true
-			emit := func() {
-				accts = append(accts, acct.change(addr, pending, first))
-				first = false
+			// sorted slots across several commits of the same account (the
+			// trie merges them; nonce/balance re-apply idempotently).
+			ch := acct.change(addr, acct.Storage, true)
+			for slots := ch.Slots; len(slots) > 0; {
+				n := min(chunk, len(slots))
+				ch.Slots, slots = slots[:n], slots[n:]
+				accts = append(accts, ch)
 				flush()
-				pending = make(map[types.Hash]uint256.Int, chunk)
-			}
-			for k, v := range acct.Storage {
-				pending[k] = v
-				if len(pending) >= chunk {
-					emit()
-				}
-			}
-			if len(pending) > 0 {
-				emit()
+				ch.Code, ch.CodeSet = nil, false
 			}
 			continue
 		}

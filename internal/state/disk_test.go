@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -449,31 +450,59 @@ func TestDiskSnapshotReopenProcess(t *testing.T) {
 	}
 }
 
+// chunkedGenesis is 300 accounts and one contract whose storage spans
+// several of the small chunks the genesis tests build with.
+func chunkedGenesis() *GenesisBuilder {
+	g := NewGenesisBuilder()
+	for i := 0; i < 300; i++ {
+		var addr types.Address
+		addr[0], addr[1] = byte(i), byte(i>>8)
+		g.AddAccount(addr, uint256.NewInt(uint64(1000+i)))
+	}
+	// One contract with storage far larger than the chunk size below.
+	var big types.Address
+	big[19] = 0xCC
+	slots := make(map[types.Hash]uint256.Int, 200)
+	for i := 0; i < 200; i++ {
+		var slot types.Hash
+		slot[0], slot[1] = byte(i), byte(i>>8)
+		slots[slot] = *uint256.NewInt(uint64(i + 1))
+	}
+	g.AddContract(big, uint256.NewInt(5), []byte("contract-code"), slots)
+	return g
+}
+
+// TestGenesisBuildIntoDeterministic: one genesis built twice, each into a
+// store of its own, with a chunk small enough that several flushes and
+// releases happen and the contract's storage streams across chunks, leaves
+// two byte-identical store files.
+func TestGenesisBuildIntoDeterministic(t *testing.T) {
+	var files [2][]byte
+	for run := range files {
+		path := filepath.Join(t.TempDir(), "state.db")
+		db, err := trie.OpenDatabase(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunkedGenesis().BuildInto(db, 32)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if files[run], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("one genesis wrote two different stores: %d and %d bytes", len(files[0]), len(files[1]))
+	}
+}
+
 // TestGenesisBuildIntoParity: chunked disk genesis — including a contract
 // whose storage alone spans several chunks — must land on exactly the root
 // the in-memory builder computes (MPT canonicality makes chunking
 // unobservable).
 func TestGenesisBuildIntoParity(t *testing.T) {
-	build := func() *GenesisBuilder {
-		g := NewGenesisBuilder()
-		for i := 0; i < 300; i++ {
-			var addr types.Address
-			addr[0], addr[1] = byte(i), byte(i>>8)
-			g.AddAccount(addr, uint256.NewInt(uint64(1000+i)))
-		}
-		// One contract with storage far larger than the chunk size below.
-		var big types.Address
-		big[19] = 0xCC
-		slots := make(map[types.Hash]uint256.Int, 200)
-		for i := 0; i < 200; i++ {
-			var slot types.Hash
-			slot[0], slot[1] = byte(i), byte(i>>8)
-			slots[slot] = *uint256.NewInt(uint64(i + 1))
-		}
-		g.AddContract(big, uint256.NewInt(5), []byte("contract-code"), slots)
-		return g
-	}
-
+	build := chunkedGenesis
 	memRoot := build().Build().Root()
 	for _, chunk := range []int{32, 128, 1 << 20} {
 		db := openStateDB(t, 0)

@@ -53,7 +53,7 @@ var (
 		"Fraction of all WSI aborts attributed to the top-10 hot state keys.")
 )
 
-// Validator (dependency-graph re-execution, internal/validator).
+// Validator (profile-guided re-execution, internal/validator).
 var (
 	ValidatorBlocks = NewCounter("blockpilot_validator_blocks_total",
 		"Blocks accepted by ValidateParallel.")
@@ -61,14 +61,6 @@ var (
 		"Blocks rejected by ValidateParallel (any cause).")
 	ValidatorVerifyFailures = NewCounter("blockpilot_validator_verify_failures_total",
 		"Applier profile-verification failures (access-set or gas divergence).")
-	ValidatorGraphBuildSeconds = NewHistogram("blockpilot_validator_graph_build_duration_ns",
-		"Preparation phase: dependency-graph build time.", "ns")
-	ValidatorSubgraphs = NewHistogram("blockpilot_validator_subgraphs",
-		"Dependency subgraph (connected component) count per block.", "")
-	ValidatorSubgraphTxs = NewHistogram("blockpilot_validator_subgraph_txs",
-		"Size distribution of dependency subgraphs (transactions each).", "")
-	ValidatorLPTImbalance = NewFloatGauge("blockpilot_validator_lpt_imbalance",
-		"Last block's imbalance under the paper's static plan, gas-LPT of its subgraphs onto the threads (max per-thread gas / mean); the lanes claim positions in order and do not follow it.")
 	ValidatorBlockSeconds = NewHistogram("blockpilot_validator_block_duration_ns",
 		"Wall time of one ValidateParallel call.", "ns")
 )
@@ -77,7 +69,7 @@ var (
 // paper phases are measured inside ValidateParallel, one after the other.
 var (
 	PipelinePrepareSeconds = NewHistogram("blockpilot_pipeline_prepare_duration_ns",
-		"Phase 1 (preparation): profile → writer index and subgraphs.", "ns")
+		"Phase 1 (preparation): profile → writer index.", "ns")
 	PipelineExecuteSeconds = NewHistogram("blockpilot_pipeline_execute_duration_ns",
 		"Phase 2 (transaction execution): first spawn → last lane finished.", "ns")
 	PipelineValidateSeconds = NewHistogram("blockpilot_pipeline_validate_duration_ns",
@@ -183,7 +175,6 @@ func DerivedStats(s *Snapshot) map[string]float64 {
 	if total := accepted + rejected; total > 0 {
 		d["validator_reject_rate"] = rejected / total
 	}
-	d["validator_lpt_imbalance"] = s.Gauge("blockpilot_validator_lpt_imbalance")
 	const ms = 1e6 // ns → ms
 	for _, name := range []string{
 		"blockpilot_pipeline_prepare_duration_ns",

@@ -77,24 +77,26 @@ func (s *Siblings) verified(i int32) bool {
 	return n > i
 }
 
-// lastWriters fills lw, for each transaction of txs in order, with the last
-// earlier writer (−1 = the parent) of each of its dependency keys: the keys
-// it reads, then the account of every key it writes, because
-// Overlay.ChangeSet carries a written account's loaded nonce and balance.
-// Transaction i's entries end up at lw[off[i]:off[i+1]]. last is scratch; it
-// holds writer+1, so that a key no transaction wrote reads as −1.
-func lastWriters(txs []*types.TxProfile, last map[types.StateKey]int32, lw, off []int32) ([]int32, []int32) {
-	clear(last)
+// depWriters fills lw, for each transaction of txs in order, with the last
+// earlier writer (−1 = the parent) of each of its dependency keys as wi,
+// txs's writer index, names it: the keys it reads, then the account of
+// every key it writes, because Overlay.ChangeSet carries a written
+// account's loaded nonce and balance. Transaction i's entries end up at
+// lw[off[i]:off[i+1]].
+func (wi *writerIndex) depWriters(txs []*types.TxProfile, lw, off []int32) ([]int32, []int32) {
+	writer := func(k types.StateKey, i int32) int32 {
+		if e := wi.below(k, i); e >= 0 {
+			return wi.list[e].pos
+		}
+		return -1
+	}
 	lw, off = lw[:0], append(off[:0], 0)
 	for i, tp := range txs {
 		for _, kv := range tp.Reads {
-			lw = append(lw, last[kv.Key]-1)
+			lw = append(lw, writer(kv.Key, int32(i)))
 		}
 		for _, k := range tp.Writes {
-			lw = append(lw, last[types.AccountKey(k.Addr)]-1)
-		}
-		for _, k := range tp.Writes {
-			last[k] = int32(i) + 1
+			lw = append(lw, writer(types.AccountKey(k.Addr), int32(i)))
 		}
 		off = append(off, int32(len(lw)))
 	}
@@ -107,26 +109,25 @@ func lastWriters(txs []*types.TxProfile, last map[types.StateKey]int32, lw, off 
 type follower struct {
 	sib       *Siblings
 	take      []int32        // per transaction: the leader index it may take, −1 = none
-	lw, off   []int32        // the block's lastWriters
+	lw, off   []int32        // the block's depWriters
 	verdict   []atomic.Int32 // per transaction: +1 takeable, −1 not, 0 undecided; set once
-	lwL, offL []int32        // the leader's lastWriters
+	lwL, offL []int32        // the leader's depWriters
 	index     map[types.Hash]int32
-	last      map[types.StateKey]int32
 	enc       []byte
 }
 
-var followerPool = sync.Pool{New: func() any {
-	return &follower{index: make(map[types.Hash]int32), last: make(map[types.StateKey]int32)}
-}}
+var followerPool = sync.Pool{New: func() any { return &follower{index: make(map[types.Hash]int32)} }}
 
-// follow plans block's reuse from the two profiles: transaction j may take
+// follow plans block's reuse from the two profiles, reading last writers
+// from wi, block's writer index, and from one it builds over the leader's
+// profile: transaction j may take
 // leader transaction i when they are the same transaction, their profiles
 // name the same keys, and each dependency key's last writer is the parent in
 // both blocks, or in both the same transaction, itself planned to be taken.
 // takeable settles the rest once the leader's lanes reach i. follow returns
 // nil for a leader in another block context or with a malformed profile; a
 // plan goes back with done once the block's lanes have returned.
-func (s *Siblings) follow(block *types.Block) *follower {
+func (s *Siblings) follow(block *types.Block, wi *writerIndex) *follower {
 	l := s.leader
 	h := &block.Header
 	if h.Number != l.Header.Number || h.Time != l.Header.Time || h.GasLimit != l.Header.GasLimit ||
@@ -145,8 +146,11 @@ func (s *Siblings) follow(block *types.Block) *follower {
 	for i, tx := range l.Txs {
 		fw.index[hash(tx)] = int32(i)
 	}
-	fw.lw, fw.off = lastWriters(block.Profile.Txs, fw.last, fw.lw, fw.off)
-	fw.lwL, fw.offL = lastWriters(l.Profile.Txs, fw.last, fw.lwL, fw.offL)
+	fw.lw, fw.off = wi.depWriters(block.Profile.Txs, fw.lw, fw.off)
+	wiL := writerIndexes.Get().(*writerIndex)
+	wiL.build(l.Profile.Txs)
+	fw.lwL, fw.offL = wiL.depWriters(l.Profile.Txs, fw.lwL, fw.offL)
+	writerIndexes.Put(wiL)
 	fw.take = slices.Grow(fw.take[:0], len(block.Txs))[:len(block.Txs)]
 	fw.verdict = slices.Grow(fw.verdict[:0], len(block.Txs))[:len(block.Txs)]
 	clear(fw.verdict)

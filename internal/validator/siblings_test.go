@@ -3,6 +3,7 @@ package validator
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -180,7 +181,7 @@ func TestSiblingBaitRejected(t *testing.T) {
 		block *types.Block
 		take  int32
 	}{{honest, -1}, {&bait, 0}} {
-		fw := sib.follow(c.block)
+		fw := sib.follow(c.block, indexOf(c.block.Profile.Txs))
 		if got := fw.take[1]; got != c.take {
 			t.Fatalf("j planned to take %d, want %d", got, c.take)
 		}
@@ -197,6 +198,113 @@ func TestSiblingBaitRejected(t *testing.T) {
 	if res.Reused != 0 {
 		t.Fatalf("honest follower took %d results; j's input a1 differs from the leader's", res.Reused)
 	}
+}
+
+// indexOf is txs's writer index, as preparation builds it.
+func indexOf(txs []*types.TxProfile) *writerIndex {
+	wi := &writerIndex{head: make(map[types.StateKey]int32)}
+	wi.build(txs)
+	return wi
+}
+
+// lastWritersRef is the reference for depWriters: each transaction's
+// dependency keys in the same order — its reads, then the account of each
+// key it writes — with their last earlier writer (−1 = the parent) looked up
+// in a map of the writes so far.
+func lastWritersRef(txs []*types.TxProfile) (lw, off []int32) {
+	last := make(map[types.StateKey]int32) // writer+1: a key no transaction wrote reads as −1
+	off = []int32{0}
+	for i, tp := range txs {
+		for _, kv := range tp.Reads {
+			lw = append(lw, last[kv.Key]-1)
+		}
+		for _, k := range tp.Writes {
+			lw = append(lw, last[types.AccountKey(k.Addr)]-1)
+		}
+		for _, k := range tp.Writes {
+			last[k] = int32(i) + 1
+		}
+		off = append(off, int32(len(lw)))
+	}
+	return lw, off
+}
+
+// TestSiblingDepWritersMatchReference holds the dependency writers that
+// sibling reuse reads from the writer index equal to lastWritersRef's, for
+// both blocks of the forks-shaped pairs of
+// TestSiblingReuseMatchesPlainValidation and for the profiles of
+// TestSiblingBaitRejected, the bait's hidden write included.
+func TestSiblingDepWritersMatchReference(t *testing.T) {
+	edges := 0
+	check := func(name string, txs []*types.TxProfile) {
+		t.Helper()
+		lw, off := indexOf(txs).depWriters(txs, nil, nil)
+		want, wantOff := lastWritersRef(txs)
+		if !slices.Equal(lw, want) || !slices.Equal(off, wantOff) {
+			t.Fatalf("%s: dependency writers %v at %v, reference %v at %v", name, lw, off, want, wantOff)
+		}
+		for _, w := range lw {
+			if w >= 0 {
+				edges++
+			}
+		}
+	}
+
+	cfg := workload.Default()
+	cfg.NumAccounts = 600
+	g := workload.New(cfg)
+	parent := g.GenesisState()
+	params := chain.DefaultParams()
+	parentHeader := &types.Header{Number: 0, StateRoot: parent.Root(), GasLimit: params.GasLimit}
+	for height := 1; height <= 3; height++ {
+		txs := g.NextBlockTxs()
+		var pair [2]*types.Block
+		var leaderState *state.Snapshot
+		for side := range pair {
+			pool := mempool.New()
+			pool.AddAll(txs)
+			cb := coinbase
+			cb[19] = byte(side)
+			res, err := core.Propose(parent, parentHeader, pool, core.ProposerConfig{Threads: 2, Coinbase: cb, Time: uint64(height)}, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pair[side] = res.Block
+			check(fmt.Sprintf("height %d side %d", height, side), res.Block.Profile.Txs)
+			if side == 0 {
+				leaderState = res.State
+			}
+		}
+		parent, parentHeader = leaderState, &pair[0].Header
+	}
+	if edges == 0 {
+		t.Fatal("no transaction of the forks-shaped pairs depends on another: the parity above checked nothing")
+	}
+
+	cfg.NumAccounts = 8
+	g = workload.New(cfg)
+	parent = g.GenesisState()
+	parentHeader = &types.Header{Number: 0, StateRoot: parent.Root(), GasLimit: params.GasLimit}
+	a := g.Accounts()
+	transfer := func(from, to types.Address) *types.Transaction {
+		tx := &types.Transaction{From: from, To: to, Gas: 21000}
+		tx.GasPrice.SetUint64(1)
+		tx.Value.SetUint64(1000)
+		return tx
+	}
+	u, j := transfer(a[0], a[1]), transfer(a[1], a[2])
+	check("bait leader", sealSerial(t, parent, parentHeader, []*types.Transaction{j}, 1).Profile.Txs)
+	honest := sealSerial(t, parent, parentHeader, []*types.Transaction{u, j}, 2)
+	check("honest follower", honest.Profile.Txs)
+	prof, err := types.DecodeBlockProfile(honest.Profile.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hidden := types.AccountKey(a[1])
+	up := prof.Txs[0]
+	up.Reads = slices.DeleteFunc(up.Reads, func(kv types.KeyVersion) bool { return kv.Key == hidden })
+	up.Writes = slices.DeleteFunc(up.Writes, func(k types.StateKey) bool { return k == hidden })
+	check("bait follower", prof.Txs)
 }
 
 // TestSiblingCoinbaseReaderNeverTaken: a contract call that stores COINBASE

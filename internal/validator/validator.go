@@ -9,8 +9,8 @@
 // execute runs the first three on a reader of the parent's state and hands
 // commit only the walk's sums; commit runs the last on the parent snapshot.
 //
-//	preparation  — index the profile's write sets by key; build the paper's
-//	               conflict subgraphs for Result.Stats (internal/scheduler);
+//	preparation  — index the profile's write sets by key (writerIndex), the
+//	               one structure the lanes and sibling reuse read;
 //	tx execution — lanes claim block positions in order, and a read waits
 //	               only for the lower writer the profile names (view, not
 //	               the paper's subgraph lanes: DESIGN.md §5.12); each result
@@ -47,8 +47,8 @@ var (
 )
 
 // Config controls the parallel validator. The zero value (plus a thread
-// count) is the only configuration; the account-level conflict subgraphs
-// feed Result.Stats and telemetry only, not the lanes.
+// count) is the only configuration: the lanes follow the writer index, and
+// the paper's conflict subgraphs are computed only on demand (Result.Stats).
 type Config struct {
 	Threads int
 	// Spawn runs one execution lane. Default spawns a goroutine; the
@@ -79,10 +79,16 @@ func DefaultConfig(threads int) Config {
 type Result struct {
 	State    *state.Snapshot
 	Receipts []*types.Receipt
-	Stats    scheduler.Stats
 	// Reused counts the transactions taken from a sibling's verified results
 	// instead of executed (ValidateSibling; 0 for a leader).
-	Reused int
+	Reused  int
+	profile *types.BlockProfile
+}
+
+// Stats runs the paper's account-level union-find (Fig. 8) over the
+// validated block's profile: the lanes never build it.
+func (r *Result) Stats() scheduler.Stats {
+	return scheduler.ComputeStats(scheduler.BuildComponents(r.profile, true))
 }
 
 // result is one transaction's outcome, at its block position in the
@@ -171,7 +177,7 @@ type executed struct {
 	parts    []*state.ChangeSet // block order, folded at commit
 	fees     uint256.Int
 	gasUsed  uint64
-	stats    scheduler.Stats
+	profile  *types.BlockProfile
 	reused   int
 	tr       *trace.Collector
 	node     string
@@ -198,7 +204,7 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 	if block.Profile == nil || len(block.Profile.Txs) != len(block.Txs) {
 		return nil, fmt.Errorf("%w: the profile does not cover the block's %d txs", ErrProfileMismatch, len(block.Txs))
 	}
-	ex := &executed{header: h, tr: trace.Resolve(cfg.Tracer), node: cfg.Node}
+	ex := &executed{header: h, profile: block.Profile, tr: trace.Resolve(cfg.Tracer), node: cfg.Node}
 	if ex.node == "" {
 		ex.node = "validator"
 	}
@@ -206,44 +212,24 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 		ex.bh = block.Hash()
 	}
 
-	// Preparation phase: the writer index of the shipped profile, and its
-	// account-level conflict subgraphs, which only Result.Stats, telemetry
-	// and the flight recorder read. Serial on purpose — the profile makes
-	// this ≈ 1 % of validation, and a fanned-out build lost to this one on
-	// every block shape the benchmark has (docs/PERFORMANCE.md §2).
+	// Preparation phase: the writer index of the shipped profile, and a
+	// follower's reuse plan, which reads it.
 	prepare := ex.tr.Begin(ex.node, trace.StagePrepare, h.Number)
-	graphSpan := telemetry.StartSpan(telemetry.ValidatorGraphBuildSeconds)
-	components := scheduler.BuildComponents(block.Profile, true)
-	graphSpan.End()
-	ex.stats = scheduler.ComputeStats(components)
 	wi := writerIndexes.Get().(*writerIndex)
 	defer writerIndexes.Put(wi) // every lane has returned by then
 	wi.build(block.Profile.Txs)
 	var fw *follower
 	if sib != nil && !lead {
-		if fw = sib.follow(block); fw != nil {
+		if fw = sib.follow(block, wi); fw != nil {
 			defer fw.done()
 		}
 	}
 	prepare.End(ex.bh)
-	if telemetry.Enabled() {
-		telemetry.ValidatorSubgraphs.Observe(uint64(ex.stats.ComponentCount))
-		for i := range components {
-			telemetry.ValidatorSubgraphTxs.Observe(uint64(len(components[i].TxIndices)))
-		}
-		// The paper's static plan, gas-LPT of the subgraphs onto the
-		// threads: its imbalance, which the lanes no longer follow.
-		sched := scheduler.AssignLPT(components, cfg.Threads)
-		var totalGas uint64
-		for _, g := range sched.ThreadGas {
-			totalGas += g
-		}
-		if mean := float64(totalGas) / float64(len(sched.ThreadGas)); mean > 0 {
-			telemetry.ValidatorLPTImbalance.Set(float64(slices.Max(sched.ThreadGas)) / mean)
-		}
-	}
-	var txComponent []int // the flight recorder's assign events name each transaction's subgraph
+	// Only the flight recorder's assign events name a transaction's subgraph.
+	var components []scheduler.Component
+	var txComponent []int
 	if flight.Enabled() {
+		components = scheduler.BuildComponents(block.Profile, true)
 		txComponent = make([]int, len(block.Txs))
 		for ci := range components {
 			for _, i := range components[ci].TxIndices {
@@ -408,7 +394,7 @@ func (ex *executed) commit(parent *state.Snapshot, params chain.Params) (*Result
 	}
 	stateCommit.End(ex.bh)
 	commit.End(ex.bh)
-	return &Result{State: postState, Receipts: ex.receipts, Stats: ex.stats, Reused: ex.reused}, nil
+	return &Result{State: postState, Receipts: ex.receipts, Reused: ex.reused, profile: ex.profile}, nil
 }
 
 // stopAt lowers stop to i, the lanes' first failing position in block order.

@@ -79,10 +79,10 @@ func TestValidateHonestBlockAcrossThreads(t *testing.T) {
 			if len(res.Receipts) != len(block.Txs) {
 				t.Fatalf("threads=%d %s: receipts", threads, name)
 			}
-			if stats == nil {
-				stats = &res.Stats
-			} else if res.Stats != *stats {
-				t.Fatalf("threads=%d %s: stats %+v, want %+v", threads, name, res.Stats, *stats)
+			if st := res.Stats(); stats == nil {
+				stats = &st
+			} else if st != *stats {
+				t.Fatalf("threads=%d %s: stats %+v, want %+v", threads, name, st, *stats)
 			}
 		}
 	}
@@ -360,14 +360,14 @@ func TestStatsReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.TxCount != 132 || res.Stats.ComponentCount == 0 {
-		t.Fatalf("stats = %+v", res.Stats)
+	if res.Stats().TxCount != 132 || res.Stats().ComponentCount == 0 {
+		t.Fatalf("stats = %+v", res.Stats())
 	}
-	if res.Stats.LargestRatio <= 0 || res.Stats.LargestRatio > 1 {
-		t.Fatalf("largest ratio = %f", res.Stats.LargestRatio)
+	if res.Stats().LargestRatio <= 0 || res.Stats().LargestRatio > 1 {
+		t.Fatalf("largest ratio = %f", res.Stats().LargestRatio)
 	}
 	t.Logf("block conflict structure: %d components, largest %.1f%%, parallelism bound %.2fx",
-		res.Stats.ComponentCount, res.Stats.LargestRatio*100, res.Stats.ParallelismUpper)
+		res.Stats().ComponentCount, res.Stats().LargestRatio*100, res.Stats().ParallelismUpper)
 }
 
 // TestExecuteOnUncommittedParent: a child C executed on its parent P's state

@@ -17,7 +17,7 @@ import (
 // positions whose profile writes it, newest first: head[k]−1 is k's newest
 // entry in list, and each entry's next its older one (−1 ends). Under
 // slotsOf(addr) it lists the positions that write any slot of addr. Built in
-// preparation, and pooled across blocks as follower is.
+// preparation (a follower's leader's too), pooled across blocks as follower is.
 type writerIndex struct {
 	head map[types.StateKey]int32
 	list []struct{ pos, next int32 }
