@@ -4,9 +4,9 @@
 # -cpu 1,2,4, so a 1-CPU runner cannot hide a scheduling-dependent bug; every
 # Propose test rides both engines with and without the adaptive controller) +
 # race detector on the concurrency-heavy packages (OCC-WSI core, MV-STM
-# engine, mempool, pipeline, validator, network, sim, telemetry, flight recorder, health
-# recorder, and the chain, which prunes its state window while pipeline goroutines read) + one disabled-path budget gate over telemetry, the flight
-# recorder and the block tracer (obs-budget) + the state path's lookup and
+# engine, mempool, pipeline, validator, network, sim, telemetry, trace recorder, health
+# recorder, and the chain, which prunes its state window while pipeline goroutines read) + one disabled-path budget gate over telemetry and the trace
+# recorder (obs-budget) + the state path's lookup and
 # allocation budget
 # (state-budget) + a live health-sampler smoke (health-smoke)
 # + the cluster-simulator scenario matrix with its
@@ -22,7 +22,7 @@
 # OTHER=b.json` gives the verdict between two sets of recorded runs. See
 # docs/PERFORMANCE.md.
 #
-# `make trace-demo` runs a short skewed workload with the flight recorder on
+# `make trace-demo` runs a short skewed workload with the trace recorder on
 # and leaves trace.json (open at https://ui.perfetto.dev) plus the hot-key
 # attribution report on stdout. See docs/OBSERVABILITY.md.
 #
@@ -70,23 +70,23 @@ CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... 
 test:
 	$(GO) test ./...
 	$(GO) test -cpu 1,2,4 $(CONCURRENCY_PKGS)
-	$(GO) test -count=20 -run 'TopK|TestVerdictFirstFailure|TestReadRules|TestSibling' ./internal/flight/ ./internal/validator/
+	$(GO) test -count=20 -run 'TopK|TestVerdictFirstFailure|TestReadRules|TestSibling' ./internal/trace/ ./internal/validator/
 
 race:
 	$(GO) test -race -timeout 30m -cpu 1,2,4 $(CONCURRENCY_PKGS)
-	$(GO) test -race ./internal/adaptive/... ./internal/chain/ ./internal/network/... ./internal/telemetry/... ./internal/flight/... ./internal/trace/... ./internal/health/... ./internal/trie/... ./internal/trie/store/...
+	$(GO) test -race ./internal/adaptive/... ./internal/chain/ ./internal/network/... ./internal/telemetry/... ./internal/trace/... ./internal/health/... ./internal/trie/... ./internal/trie/store/...
 
 # Race detector over the *entire* module, cluster simulator included. Slower
 # than `race`; run before merging concurrency changes.
 race-all:
 	$(GO) test -race ./...
 
-# The observability zero-cost gate: with telemetry off and no flight
-# recorder or block tracer installed, every hot-path helper — the Begin/End
-# pair that times each phase included — must stay atomic loads + nil checks:
+# The observability zero-cost gate: with telemetry off and no trace recorder
+# installed, every hot-path helper — the per-transaction helpers and the
+# Begin/End pair that times each phase — must stay atomic loads + nil checks:
 # 0 allocations, within a small factor of a reference atomic load.
 obs-budget:
-	$(GO) test -run TestDisabledPathBudget -count=1 ./internal/telemetry/ ./internal/flight/ ./internal/trace/
+	$(GO) test -run TestDisabledPathBudget -count=1 ./internal/telemetry/ ./internal/trace/
 
 # The state path's budget (docs/PERFORMANCE.md §9): an overlay costs its base
 # one Account call per account and one Code call per contract, through Memory
@@ -175,15 +175,15 @@ telemetry-bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/telemetry/
 
 flight-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/flight/
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/trace/
 
-# Flight-recorder walkthrough: a short Zipfian (hotspot) workload with the
+# Trace-recorder walkthrough: a short Zipfian (hotspot) workload with the
 # recorder enabled; writes trace.json and prints the hot-key report.
 trace-demo:
 	$(GO) run ./cmd/bpinspect hotkeys -blocks 3 -threads 8 -swap-ratio 0.85 -pairs 3 -trace-out trace.json
 
-# Critical-path walkthrough: the block lifecycle tracer over the default and
-# hotspot workloads; prints per-block waterfalls and the stall-attribution
+# Critical-path walkthrough: the trace recorder's block stages over the
+# default and hotspot workloads; prints per-block waterfalls and the stall-attribution
 # summary (see docs/OBSERVABILITY.md).
 crit-demo:
 	$(GO) run ./cmd/bpinspect crit -blocks 4 -threads 8

@@ -10,10 +10,11 @@
 // and the resulting head. Forked rounds demonstrate validators absorbing
 // multiple same-height blocks concurrently (paper §3.4 / Fig. 5).
 //
-// -trace enables the block lifecycle tracer: spans stitch across nodes via
-// contexts carried on gossip messages, /trace/blocks and /trace/critical-path
-// serve them live, and the run ends with a critical-path / stall-attribution
-// summary (drill in with `bpinspect crit -addr ...`).
+// -trace installs the trace recorder: per-transaction events and block
+// stages, stitched across nodes by each block's hash and the send time
+// carried on gossip messages, served live under /trace/ and /flight/; the
+// run ends with a critical-path / stall-attribution summary and the
+// conflict-attribution report (drill in with `bpinspect crit -addr ...`).
 package main
 
 import (
@@ -32,7 +33,6 @@ import (
 	"blockpilot/internal/blockdb"
 	"blockpilot/internal/chain"
 	"blockpilot/internal/consensus"
-	"blockpilot/internal/flight"
 	"blockpilot/internal/health"
 	"blockpilot/internal/network"
 	"blockpilot/internal/node"
@@ -68,9 +68,8 @@ func run(args []string, w io.Writer) error {
 	seed := fs.Int64("seed", 1, "workload + consensus seed")
 	datadir := fs.String("datadir", "", "persist validator-0's blocks to this directory (optional)")
 	telemetryAddr := fs.String("telemetry-addr", "", "serve /metrics, /metrics.json, /report and /debug/pprof on this address (e.g. :9090)")
-	flightOn := fs.Bool("flight", false, "enable the transaction flight recorder (per-tx lifecycle events + conflict attribution)")
-	flightOut := fs.String("flight-out", "", "write a Perfetto/Chrome trace.json of the run to this path (implies -flight and -trace)")
-	traceOn := fs.Bool("trace", false, "enable the block lifecycle tracer (cross-node spans, critical paths, stall attribution)")
+	traceOn := fs.Bool("trace", false, "enable the trace recorder (per-tx lifecycle events, conflict attribution, cross-node block stages, critical paths)")
+	traceOut := fs.String("trace-out", "", "write a Perfetto/Chrome trace.json of the run to this path (implies -trace)")
 	healthOn := fs.Bool("health", false, "enable the runtime health recorder (continuous sampling, stall watchdog, incident bundles)")
 	healthOut := fs.String("health-out", "", "append health samples as JSONL to this path (implies -health)")
 	healthIncidents := fs.String("health-incidents", "", "write watchdog incident bundles under this directory (implies -health)")
@@ -84,17 +83,9 @@ func run(args []string, w io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *flightOut != "" {
-		// The file's per-node phase slices are the block tracer's spans.
-		*flightOn, *traceOn = true, true
-	}
-	if *flightOn {
-		flight.Enable()
-		fmt.Fprintln(w, "flight recorder: enabled")
-	}
-	if *traceOn {
+	if *traceOn || *traceOut != "" {
 		trace.Enable()
-		fmt.Fprintln(w, "block tracer: enabled")
+		fmt.Fprintln(w, "trace recorder: enabled")
 	}
 	if *healthOut != "" || *healthIncidents != "" {
 		*healthOn = true
@@ -257,19 +248,15 @@ func run(args []string, w io.Writer) error {
 			s.Counter("blockpilot_validator_rejects_total"))
 	}
 	if tr := trace.Active(); tr != nil {
-		win := tr.Window(0, "")
 		fmt.Fprintln(w)
-		fmt.Fprintf(w, "block tracer: %d spans buffered (%d recorded)\n", tr.Len(), tr.Total())
-		fmt.Fprint(w, trace.RenderWindowView(win))
-	}
-	if rec := flight.Active(); rec != nil {
-		fmt.Fprintf(w, "flight recorder: %d events buffered\n", rec.Total())
-		fmt.Fprint(w, rec.Attribution(10).Render())
-		if *flightOut != "" {
-			if err := rec.WriteTraceFile(*flightOut); err != nil {
-				return fmt.Errorf("flight-out: %w", err)
+		fmt.Fprintf(w, "trace recorder: %d events recorded\n", tr.Total())
+		fmt.Fprint(w, trace.RenderWindowView(tr.Window(0, "")))
+		fmt.Fprint(w, tr.Attribution(10).Render())
+		if *traceOut != "" {
+			if err := tr.WriteTraceFile(*traceOut); err != nil {
+				return fmt.Errorf("trace-out: %w", err)
 			}
-			fmt.Fprintf(w, "flight recorder: wrote %s (open at https://ui.perfetto.dev)\n", *flightOut)
+			fmt.Fprintf(w, "trace recorder: wrote %s (open at https://ui.perfetto.dev)\n", *traceOut)
 		}
 	}
 	if rec := health.Active(); rec != nil {

@@ -185,7 +185,7 @@ func main() {
 	simValidators := flag.Int("sim-validators", 0, "sim: validator nodes per run (0 = scenario default)")
 	simMutation := flag.Bool("sim-mutation", true, "sim: also run the seeded-bug mutation self-check")
 	stateBackend := flag.String("state-backend", node.BackendMem, "sim: world-state backend (mem|disk); disk runs the whole cluster on the persistent node store")
-	traceOn := flag.Bool("trace", false, "enable the block lifecycle tracer and print a critical-path/stall summary after the run")
+	traceOn := flag.Bool("trace", false, "enable the trace recorder and print a critical-path/stall summary after the run")
 	flag.Parse()
 
 	telemetry.Enable()
@@ -230,7 +230,7 @@ func main() {
 	}
 	if tr := trace.Active(); tr != nil && !*jsonOut {
 		win := tr.Window(0, "")
-		fmt.Printf("block tracer: %d spans buffered (%d recorded)\n", tr.Len(), tr.Total())
+		fmt.Printf("trace recorder: %d events recorded\n", tr.Total())
 		fmt.Print(trace.RenderWindowView(win))
 	}
 }

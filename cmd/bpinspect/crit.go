@@ -1,7 +1,7 @@
 // The `bpinspect crit` subcommand: per-block critical-path waterfalls and
-// the windowed stall-attribution summary from the block lifecycle tracer's
+// the windowed stall-attribution summary from the trace recorder's
 // /trace/blocks and /trace/critical-path, on a running node or after a short
-// local proposer→pipeline run with tracing enabled.
+// local proposer→pipeline run with the recorder enabled.
 //
 //	bpinspect crit -blocks 4 -threads 8               # local, default workload
 //	bpinspect crit -swap-ratio 0.85 -pairs 3          # local, skewed hotspot
@@ -28,7 +28,7 @@ func critMain(args []string, w io.Writer) error {
 	maxPaths := fs.Int("paths", 8, "per-block waterfalls to print, newest last (0 = summary only)")
 	_ = fs.Parse(args)
 
-	if err := f.collect(false, true); err != nil {
+	if err := f.collect(); err != nil {
 		return err
 	}
 	q := fmt.Sprintf("?n=%d&node=%s", *window, url.QueryEscape(*node))

@@ -1,5 +1,5 @@
 // The `bpinspect txtrace` and `bpinspect hotkeys` subcommands: per-tx
-// lifecycle timelines and conflict attribution from the flight recorder's
+// lifecycle timelines and conflict attribution from the trace recorder's
 // /flight endpoints, on a running node or after a short local
 // proposer→pipeline run with the recorder enabled.
 //
@@ -17,7 +17,7 @@ import (
 	"net/url"
 	"os"
 
-	"blockpilot/internal/flight"
+	"blockpilot/internal/trace"
 )
 
 // hotkeysMain implements `bpinspect hotkeys`.
@@ -28,10 +28,10 @@ func hotkeysMain(args []string, w io.Writer) error {
 	topN := fs.Int("n", 10, "heavy hitters to report")
 	_ = fs.Parse(args)
 
-	if err := f.collect(true, false); err != nil {
+	if err := f.collect(); err != nil {
 		return err
 	}
-	var rep flight.AttributionReport
+	var rep trace.AttributionReport
 	if err := fetch(f.addr, fmt.Sprintf("/flight/hotkeys?n=%d", *topN), &rep); err != nil {
 		return err
 	}
@@ -48,12 +48,12 @@ func txtraceMain(args []string, w io.Writer) error {
 	f.register(fs)
 	_ = fs.Parse(args)
 
-	if err := f.collect(true, false); err != nil {
+	if err := f.collect(); err != nil {
 		return err
 	}
 	prefix := fs.Arg(0)
 	if prefix == "" {
-		var events []flight.EventView
+		var events []trace.EventView
 		if err := fetch(f.addr, "/flight/events", &events); err != nil {
 			return err
 		}
@@ -62,16 +62,16 @@ func txtraceMain(args []string, w io.Writer) error {
 		}
 		fmt.Fprintf(os.Stderr, "no tx given; showing the busiest one (%s)\n", prefix)
 	}
-	var views []flight.EventView
+	var views []trace.EventView
 	if err := fetch(f.addr, "/flight/txtrace?tx="+url.QueryEscape(prefix), &views); err != nil {
 		return err
 	}
-	fmt.Fprint(w, flight.RenderTimeline(views))
+	fmt.Fprint(w, trace.RenderTimeline(views))
 	return f.writeTrace()
 }
 
 // busiestTx returns the hash of the tx with the most events.
-func busiestTx(events []flight.EventView) string {
+func busiestTx(events []trace.EventView) string {
 	counts := map[string]int{}
 	best, bestN := "", 0
 	for _, v := range events {

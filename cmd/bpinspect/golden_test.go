@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"blockpilot/internal/flight"
 	"blockpilot/internal/health"
 	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trace"
@@ -47,67 +46,68 @@ func goldenTx(n byte) *types.Transaction {
 	return &types.Transaction{Nonce: uint64(n), Gas: 21000, To: types.HexToAddress("0xdead"), From: from}
 }
 
-// fillFlight records a fixed lifecycle for four transactions and two blocks,
-// and returns one that is not the busiest, for the prefix lookup. The short
-// sleeps keep every exec/replay slice longer than zero, so the Perfetto file
-// always carries its dur field.
+// fillFlight installs a fresh recorder, records a fixed lifecycle for four
+// transactions and two blocks, and returns one that is not the busiest, for
+// the prefix lookup. The short sleeps keep every exec/replay slice longer
+// than zero, so the Perfetto file always carries its dur field.
 func fillFlight() *types.Transaction {
-	flight.Enable()
+	trace.Enable()
 	a, b, c, d := goldenTx(1), goldenTx(2), goldenTx(3), goldenTx(4)
 	hotKey := types.AccountKey(types.HexToAddress("0xdead"))
 	slotKey := types.StorageKey(types.HexToAddress("0xbeef"), types.BytesToHash([]byte{7}))
 	for _, tx := range []*types.Transaction{a, b, c, d} {
-		flight.Admit(tx)
+		trace.Admit(tx)
 	}
-	flight.BlockSubmit(1)
-	flight.Pop(0, a, 1)
-	flight.ExecStart(0, a, 1)
+	trace.BlockSubmit(1)
+	trace.Pop(0, a, 1)
+	trace.ExecStart(0, a, 1)
 	time.Sleep(time.Microsecond)
-	flight.ExecEnd(0, a, 1)
-	flight.Abort(0, a, hotKey, 1, 2, 1)
-	flight.Requeue(0, a, 1)
-	flight.Pop(1, b, 1)
-	flight.ExecStart(1, b, 1)
+	trace.ExecEnd(0, a, 1)
+	trace.Abort(0, a, hotKey, 1, 2, 1)
+	trace.Requeue(0, a, 1)
+	trace.Pop(1, b, 1)
+	trace.ExecStart(1, b, 1)
 	time.Sleep(time.Microsecond)
-	flight.ExecEnd(1, b, 1)
-	flight.Commit(1, b, 1, 1)
-	flight.Pop(0, a, 1)
-	flight.ExecStart(0, a, 1)
-	flight.Extend(0, a, slotKey, 1, 2, 5, 1)
+	trace.ExecEnd(1, b, 1)
+	trace.Commit(1, b, 1, 1)
+	trace.Pop(0, a, 1)
+	trace.ExecStart(0, a, 1)
+	trace.Extend(0, a, slotKey, 1, 2, 5, 1)
 	time.Sleep(time.Microsecond)
-	flight.ExecEnd(0, a, 1)
-	flight.Commit(0, a, 2, 1)
+	trace.ExecEnd(0, a, 1)
+	trace.Commit(0, a, 2, 1)
 	for i := 0; i < 3; i++ {
-		flight.Pop(1, c, 1)
-		flight.Abort(1, c, hotKey, types.Version(3+i), 2, 1)
+		trace.Pop(1, c, 1)
+		trace.Abort(1, c, hotKey, types.Version(3+i), 2, 1)
 	}
-	flight.Abort(1, c, slotKey, 6, 5, 1)
-	flight.Drop(1, c, 1, true)
-	flight.Drop(0, d, 1, false)
-	flight.StripeWait(1<<2|1<<5, 1500*time.Nanosecond)
-	flight.StripeWait(1<<2, 500*time.Nanosecond)
-	flight.Seal(b, 1, 0, 1)
-	flight.Seal(a, 2, 1, 1)
-	flight.Assign(0, a, 0, 42000, 1)
-	flight.Assign(1, b, 1, 21000, 1)
-	flight.ReplayStart(0, a, 1)
+	trace.Abort(1, c, slotKey, 6, 5, 1)
+	trace.Drop(1, c, 1, true)
+	trace.Drop(0, d, 1, false)
+	trace.StripeWait(1<<2|1<<5, 1500*time.Nanosecond)
+	trace.StripeWait(1<<2, 500*time.Nanosecond)
+	trace.Seal(b, 1, 0, 1)
+	trace.Seal(a, 2, 1, 1)
+	trace.Assign(0, a, 1, 1, 1)
+	trace.Assign(1, b, 0, 0, 1)
+	trace.ReplayStart(0, a, 1)
 	time.Sleep(time.Microsecond)
-	flight.ReplayEnd(0, a, 1)
-	flight.Reuse(1, b, 0, 1)
-	flight.Verify(b, true, 1)
-	flight.Verify(a, false, 1)
-	flight.BlockDone(1, true)
-	flight.BlockSubmit(2)
-	flight.BlockDone(2, false)
+	trace.ReplayEnd(0, a, 1)
+	trace.Reuse(1, b, 0, 1)
+	trace.Verify(b, true, 1)
+	trace.Verify(a, false, 1)
+	trace.BlockDone(1, true)
+	trace.BlockSubmit(2)
+	trace.BlockDone(2, false)
 	return b
 }
 
-// fillTrace records two blocks on two validators at fixed times: block 1
-// complete on both, block 2 parked behind its parent on v0 and missing its
-// prepare span on v1. Each node's paths sum to 32ms, so every window share is
-// an exact binary fraction and sums the same in any order.
+// fillTrace records, into the recorder fillFlight installed, the stages of
+// two blocks on two validators at fixed times: block 1 complete on both,
+// block 2 parked behind its parent on v0 and missing its prepare span on v1.
+// Each node's paths sum to 32ms, so every window share is an exact binary
+// fraction and sums the same in any order.
 func fillTrace() {
-	c := trace.Enable()
+	c := trace.Active()
 	t0 := time.Unix(1700000000, 0).UTC()
 	at := func(ms int64) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
 	b1, b2 := types.Hash{0: 0xb1, 31: 1}, types.Hash{0: 0xb2, 31: 2}
@@ -196,7 +196,6 @@ func fillHealth(t *testing.T) {
 // path. Run with -update to rewrite testdata/golden.
 func TestGoldenViews(t *testing.T) {
 	t.Cleanup(func() {
-		flight.Disable()
 		trace.Disable()
 		health.Disable()
 	})

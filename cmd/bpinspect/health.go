@@ -30,7 +30,7 @@ func healthMain(args []string, w io.Writer) error {
 			return err
 		}
 	}
-	if err := f.collect(false, false); err != nil {
+	if err := f.collect(); err != nil {
 		return err
 	}
 	if rec := health.Active(); rec != nil {

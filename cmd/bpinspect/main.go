@@ -7,10 +7,9 @@
 //	bpinspect -swap-ratio 0.9 -pairs 1        # force a pathological hotspot
 //
 // The subcommands read a node's telemetry endpoints — the metrics registry
-// (`telemetry`), the transaction flight recorder's conflict attribution and
-// per-transaction timelines (`hotkeys`, `txtrace`), the block lifecycle
-// tracer's critical paths (`crit`) and the runtime health recorder
-// (`health`). With -addr they read a live node's -telemetry-addr; without
+// (`telemetry`), the trace recorder's conflict attribution, per-transaction
+// timelines and block critical paths (`hotkeys`, `txtrace`, `crit`) and the
+// runtime health recorder (`health`). With -addr they read a live node's -telemetry-addr; without
 // it they first drive a short local proposer→pipeline run and read the
 // same endpoints from this process, so both modes render the same JSON
 // views the same way:

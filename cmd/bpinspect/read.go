@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"blockpilot/internal/chain"
-	"blockpilot/internal/flight"
 	"blockpilot/internal/node"
 	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trace"
@@ -48,8 +47,8 @@ func (f *runFlags) registerRun(fs *flag.FlagSet, blocks int) {
 	f.swapRatio, f.pairs = -1, -1
 }
 
-// register adds what the flight, crit and health subcommands take on top:
-// the hotspot overrides and -trace-out.
+// register adds what the hotkeys, txtrace, crit and health subcommands take
+// on top: the hotspot overrides and -trace-out.
 func (f *runFlags) register(fs *flag.FlagSet) {
 	f.registerRun(fs, 3)
 	fs.Float64Var(&f.swapRatio, "swap-ratio", -1, "local collection: hotspot swap ratio override (0..1)")
@@ -58,26 +57,20 @@ func (f *runFlags) register(fs *flag.FlagSet) {
 }
 
 // collect does nothing with -addr. Without it, it runs collectLocal with
-// telemetry on, plus the flight recorder and the block tracer when the
-// subcommand reads them or -trace-out asks for the file they fill.
-func (f *runFlags) collect(withFlight, withTrace bool) error {
+// telemetry and the trace recorder on.
+func (f *runFlags) collect() error {
 	if f.addr != "" {
 		return nil
 	}
 	telemetry.Enable()
-	if withFlight || f.traceOut != "" {
-		flight.Enable()
-	}
-	if withTrace || f.traceOut != "" {
-		trace.Enable()
-	}
+	trace.Enable()
 	return collectLocal(f)
 }
 
 // collectLocal drives a proposer node and a validator node over a generated
 // workload so every hot-path metric fires at least once. A non-negative
 // swapRatio and a positive pairs override the workload's hotspot knobs —
-// the flight subcommands use them to force a skewed conflict distribution.
+// hotkeys and txtrace use them to force a skewed conflict distribution.
 func collectLocal(f *runFlags) error {
 	cfg := workload.Default()
 	cfg.Seed = f.seed

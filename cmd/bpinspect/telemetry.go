@@ -17,7 +17,7 @@ func telemetryMain(args []string, w io.Writer) error {
 	f.registerRun(fs, 4)
 	_ = fs.Parse(args)
 
-	if err := f.collect(false, false); err != nil {
+	if err := f.collect(); err != nil {
 		return err
 	}
 	var snap telemetry.Snapshot

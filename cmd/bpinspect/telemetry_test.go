@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"blockpilot/internal/flight"
 	"blockpilot/internal/telemetry"
+	"blockpilot/internal/trace"
 )
 
 func TestScrapeSnapshotOK(t *testing.T) {
@@ -92,7 +92,7 @@ func TestScrapeFlightOK(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	var rep flight.AttributionReport
+	var rep trace.AttributionReport
 	if err := fetch(strings.TrimPrefix(srv.URL, "http://"), "/flight/hotkeys?n=5", &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestScrapeFlightErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	var views []flight.EventView
+	var views []trace.EventView
 	if err := fetch(srv.URL, "/flight/events", &views); err == nil || !strings.Contains(err.Error(), "decoding /flight/events") {
 		t.Fatalf("malformed payload: err = %v", err)
 	}

@@ -1,7 +1,7 @@
-// Package adaptive closes the flight-recorder loop (ISSUE 9, the NEMO
+// Package adaptive closes the conflict-attribution loop (ISSUE 9, the NEMO
 // direction from PAPERS.md): a contention controller that consumes a
 // *windowed* (exponentially decaying) view of the abort-attribution stream —
-// the same hot-key / hot-sender heavy-hitter sketches the flight recorder
+// the same hot-key / hot-sender heavy-hitter sketches the trace recorder
 // keeps, plus per-stripe abort counters — and feeds three online scheduling
 // decisions back into the proposer:
 //
@@ -35,8 +35,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"blockpilot/internal/flight"
 	"blockpilot/internal/telemetry"
+	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 )
 
@@ -77,8 +77,8 @@ type HotSet struct {
 	// lane traffic) and hot senders.
 	Accounts map[types.Address]struct{}
 	// Keys / Senders are the windowed sketch rows the set was built from.
-	Keys    []flight.Counted[types.StateKey]
-	Senders []flight.Counted[types.Address]
+	Keys    []trace.Counted[types.StateKey]
+	Senders []trace.Counted[types.Address]
 	// WindowAborts is the decayed abort mass in the window at publish time.
 	WindowAborts uint64
 }
@@ -89,9 +89,9 @@ type Controller struct {
 	cfg Config
 
 	mu           sync.Mutex // guards the sketches + windowed counters
-	keys         *flight.TopK[types.StateKey]
-	senders      *flight.TopK[types.Address]
-	stripeAborts [flight.StripeSlots]float64
+	keys         *trace.TopK[types.StateKey]
+	senders      *trace.TopK[types.Address]
+	stripeAborts [trace.StripeSlots]float64
 	windowAborts float64
 
 	hot atomic.Pointer[HotSet]
@@ -106,8 +106,8 @@ type Controller struct {
 func New(cfg Config) *Controller {
 	return &Controller{
 		cfg:     cfg,
-		keys:    flight.NewTopK[types.StateKey](flight.DefaultTopK),
-		senders: flight.NewTopK[types.Address](flight.DefaultTopK),
+		keys:    trace.NewTopK[types.StateKey](trace.DefaultTopK),
+		senders: trace.NewTopK[types.Address](trace.DefaultTopK),
 	}
 }
 
@@ -120,14 +120,14 @@ func (c *Controller) DemotionEnabled() bool { return !c.cfg.DisableDemotion }
 // NoteAbort feeds one conflict abort into the windowed sketches: the
 // aborting sender, the conflicting key and its MVState stripe (-1 when the
 // engine has no stripe attribution, e.g. MV-STM validation fails). Called
-// by both engines right beside flight.Abort, so the controller works with
-// the flight recorder disabled.
+// by both engines right beside trace.Abort, so the controller works with
+// the trace recorder disabled.
 func (c *Controller) NoteAbort(sender types.Address, key types.StateKey, stripe int) {
 	c.abortsSeen.Add(1)
 	c.mu.Lock()
 	c.keys.Observe(key)
 	c.senders.Observe(sender)
-	if stripe >= 0 && stripe < flight.StripeSlots {
+	if stripe >= 0 && stripe < trace.StripeSlots {
 		c.stripeAborts[stripe]++
 	}
 	c.windowAborts++

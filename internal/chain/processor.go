@@ -182,7 +182,14 @@ func CheckLink(parent *types.Header, block *types.Block, params Params) error {
 		return fmt.Errorf("chain: parent hash mismatch")
 	case h.Number != parent.Number+1:
 		return fmt.Errorf("chain: height %d does not follow %d", h.Number, parent.Number)
-	case h.GasLimit != params.GasLimit:
+	}
+	return CheckGasLimit(h, params)
+}
+
+// CheckGasLimit checks the one link commitment that needs no parent: the
+// chain's gas limit. The pipeline runs it before a block can park.
+func CheckGasLimit(h *types.Header, params Params) error {
+	if h.GasLimit != params.GasLimit {
 		return fmt.Errorf("chain: gas limit %d, the chain's is %d", h.GasLimit, params.GasLimit)
 	}
 	return nil

@@ -10,7 +10,6 @@ import (
 	"blockpilot/internal/adaptive"
 	"blockpilot/internal/chain"
 	"blockpilot/internal/evm"
-	"blockpilot/internal/flight"
 	"blockpilot/internal/mempool"
 	"blockpilot/internal/state"
 	"blockpilot/internal/telemetry"
@@ -38,7 +37,7 @@ var mvSealOrderHook func(claimed, sealed []*types.Transaction)
 // out of the engine) and seal (block assembly, finalization credit, state
 // commit, header roots). An engine body supplies only what differs: how
 // claimed transactions are executed, ordered and retried. Validators, the
-// flight recorder and the sim oracles therefore cannot tell the engines
+// trace recorder and the sim oracles therefore cannot tell the engines
 // apart, and Engine stays a clean ablation by construction.
 type blockBuild struct {
 	parent *state.Snapshot
@@ -48,8 +47,8 @@ type blockBuild struct {
 	header *types.Header
 	bc     evm.BlockContext
 
-	tr      *trace.Collector // nil: block tracing off
-	sealing trace.Phase      // the whole packing run, begin to seal
+	tr      *trace.Recorder // nil: no stage events
+	sealing trace.Phase     // the whole packing run, begin to seal
 
 	// Contention-adaptive scheduling; all nil/zero with no controller, and
 	// every adaptive branch below is then dead — the engine runs stock.
@@ -110,15 +109,15 @@ func begin(parent *state.Snapshot, parentHeader *types.Header, pool *mempool.Poo
 	return b
 }
 
-// claim pops up to n transactions for the given flight-recorder lane and
+// claim pops up to n transactions for the given recorder lane and
 // splits them by the controller's hot set — lane traffic in hot, everything
 // else in cold, each preserving pop (price) order. The hot set is consulted
 // here and nowhere else; with no controller hot is always empty.
 func (b *blockBuild) claim(worker, n int) (cold, hot []*types.Transaction) {
 	txs := b.pool.PopBatch(n)
-	if flight.Enabled() {
+	if trace.Active() != nil {
 		for _, tx := range txs {
-			flight.Pop(worker, tx, b.header.Number)
+			trace.Pop(worker, tx, b.header.Number)
 		}
 	}
 	if b.ctrl == nil {
@@ -157,7 +156,7 @@ func (b *blockBuild) requeueOrDrop(worker int, tx *types.Transaction) {
 		return
 	}
 	telemetry.ProposerRetries.Inc()
-	flight.Requeue(worker, tx, b.header.Number)
+	trace.Requeue(worker, tx, b.header.Number)
 	b.pool.Requeue(tx)
 }
 
@@ -168,7 +167,7 @@ func (b *blockBuild) drop(worker int, tx *types.Transaction, retryBudget bool) {
 	if retryBudget {
 		telemetry.ProposerDroppedRetryBudget.Inc()
 	}
-	flight.Drop(worker, tx, b.header.Number, retryBudget)
+	trace.Drop(worker, tx, b.header.Number, retryBudget)
 }
 
 // commit records one transaction the engine has made final at serialization
@@ -189,7 +188,7 @@ func (b *blockBuild) commit(worker int, c committedTx, fee *uint256.Int, merged,
 	b.mu.Unlock()
 	b.pool.Done(c.tx)
 	telemetry.ProposerCommits.Inc()
-	flight.Commit(worker, c.tx, c.version, b.header.Number)
+	trace.Commit(worker, c.tx, c.version, b.header.Number)
 }
 
 // seal assembles and commits the block from what the engine made final:
@@ -211,7 +210,7 @@ func (b *blockBuild) seal(total *state.ChangeSet, gasUsed uint64, aborts int, cl
 		c.receipt.CumulativeGasUsed = cumulative
 		receipts[i] = c.receipt
 		profile.Txs[i] = c.profile
-		flight.Seal(c.tx, c.version, i, b.header.Number)
+		trace.Seal(c.tx, c.version, i, b.header.Number)
 	}
 
 	// Finalize: aggregate fee + reward credit to the coinbase, then commit.
@@ -238,8 +237,7 @@ func (b *blockBuild) seal(total *state.ChangeSet, gasUsed uint64, aborts int, cl
 
 	// The state root goes in last: it completes the header, so the block hash
 	// both phases are stored under exists right after the state commit they
-	// end on. ContextFor picks the seal span up as the trace root when the
-	// block is broadcast. The hash is only computed with a collector.
+	// end on. The hash is only computed with a recorder.
 	stateCommit := b.tr.Begin(b.cfg.Node, trace.StageStateCommit, header.Number)
 	postState, stateRoot := chain.CommitAndRoot(b.parent, total, b.params, header.Number)
 	header.StateRoot = stateRoot

@@ -13,9 +13,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blockpilot/internal/flight"
 	"blockpilot/internal/state"
 	"blockpilot/internal/telemetry"
+	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 	"blockpilot/internal/uint256"
 )
@@ -88,7 +88,7 @@ func (mv *MVState) commitStripes(access *types.AccessSet, cs *state.ChangeSet) u
 
 // CommitConflict describes why a TryCommitEx attempt aborted: the stale read
 // key, the committed version that overwrote it (the "winner"), and the
-// MVState stripe the key hashes to. It feeds the flight recorder's conflict
+// MVState stripe the key hashes to. It feeds the trace recorder's conflict
 // attribution; a zero value means no conflict.
 type CommitConflict struct {
 	Key    types.StateKey
@@ -114,12 +114,12 @@ func (mv *MVState) TryCommit(access *types.AccessSet, cs *state.ChangeSet) (type
 // locked; commits on disjoint stripe sets proceed fully in parallel.
 func (mv *MVState) TryCommitEx(access *types.AccessSet, cs *state.ChangeSet) (types.Version, CommitConflict, bool) {
 	set := mv.commitStripes(access, cs)
-	if telemetry.Enabled() || flight.Enabled() {
+	if telemetry.Enabled() || trace.Active() != nil {
 		start := time.Now()
 		mv.store.Lock(set)
 		wait := time.Since(start)
 		telemetry.ProposerStripeWaitNs.ObserveDuration(wait)
-		flight.StripeWait(set, wait)
+		trace.StripeWait(set, wait)
 	} else {
 		mv.store.Lock(set)
 	}
@@ -163,13 +163,13 @@ type mvView struct {
 	// Bound views only; a pinned view leaves all of it zero.
 	overlay *state.Overlay
 	held    []types.StateKey   // every key served to overlay since begin
-	lane    int                // the flight-recorder lane, block height and
+	lane    int                // the recorder lane, block height and
 	height  uint64             // transaction of the execution, for the
 	tx      *types.Transaction // extension event
 }
 
 // bind returns a view bound to an overlay of its own: what one proposer lane
-// (flight-recorder id lane, packing block height) runs its transactions on.
+// (recorder lane, packing block height) runs its transactions on.
 func (mv *MVState) bind(lane int, height uint64) *mvView {
 	return &mvView{mv: mv, overlay: state.NewOverlay(nil, 0), lane: lane, height: height}
 }
@@ -223,7 +223,7 @@ func (v *mvView) extend(key *types.StateKey) {
 		return
 	}
 	telemetry.ProposerSnapshotExtensions.Inc()
-	flight.Extend(v.lane, v.tx, *key, v.before-1, to, int(stripe), v.height)
+	trace.Extend(v.lane, v.tx, *key, v.before-1, to, int(stripe), v.height)
 	v.overlay.Rebase(to)
 	v.before = to + 1
 }

@@ -7,7 +7,6 @@ import (
 
 	"blockpilot/internal/adaptive"
 	"blockpilot/internal/chain"
-	"blockpilot/internal/flight"
 	"blockpilot/internal/mempool"
 	"blockpilot/internal/state"
 	"blockpilot/internal/telemetry"
@@ -30,11 +29,11 @@ type ProposerConfig struct {
 	// serializability oracle must reject the resulting blocks. Never set
 	// outside that check.
 	MVFaultStaleReads bool
-	// Node names this proposer in block-trace spans (default "proposer").
+	// Node names this proposer in its stage events (default "proposer").
 	Node string
-	// Tracer injects a block-trace collector; nil falls back to the
-	// process-global one (trace.Active).
-	Tracer *trace.Collector
+	// Tracer injects the recorder of the seal stage events; nil falls back
+	// to the installed one (trace.Active).
+	Tracer *trace.Recorder
 	// Adaptive, when set, turns on contention-adaptive scheduling (ISSUE 9):
 	// the controller's hot set routes transactions into the serial lane,
 	// qualifies pure credits for commutative merge, and its demotion policy
@@ -84,7 +83,7 @@ func Engines() []string { return []string{EngineOCCWSI, EngineMVSTM} }
 // Propose packs a new block from the pending pool with the configured
 // parallel engine (cfg.Engine): OCC-WSI (default) or MV-STM. Both run inside
 // the one blockBuild harness (build.go), so the ProposeResult, block
-// profile, header commitments, flight events and trace spans are
+// profile, header commitments and recorded events are
 // engine-agnostic.
 func Propose(parent *state.Snapshot, parentHeader *types.Header, pool *mempool.Pool,
 	cfg ProposerConfig, params chain.Params) (*ProposeResult, error) {
@@ -144,7 +143,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 		}
 	}
 
-	laneID := b.cfg.Threads // flight-recorder lane beyond the worker ids
+	laneID := b.cfg.Threads // recorder lane beyond the worker ids
 
 	// processOne executes and tries to commit a single claimed transaction on
 	// the calling goroutine's view, re-armed here for this execution. Its
@@ -152,12 +151,12 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 	// popped and started by another worker at once.
 	processOne := func(view *mvView, tx *types.Transaction) {
 		worker, overlay := view.lane, view.overlay
-		flight.ExecStart(worker, tx, b.header.Number)
+		trace.ExecStart(worker, tx, b.header.Number)
 		telemetry.ProposerSnapshotBuilds.Inc()
 		view.begin(tx)
 		receipt, fee, err := chain.ApplyTransaction(overlay, tx, b.bc)
 		if err != nil {
-			flight.ExecEnd(worker, tx, b.header.Number)
+			trace.ExecEnd(worker, tx, b.header.Number)
 			b.reject(worker, tx, err)
 			return
 		}
@@ -170,7 +169,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 			cur := gasUsed.Load()
 			if cur+receipt.GasUsed > gasLimit {
 				gasFull.Store(true)
-				flight.ExecEnd(worker, tx, b.header.Number)
+				trace.ExecEnd(worker, tx, b.header.Number)
 				pool.Requeue(tx) // leave it for the next block
 				wake()           // unblock idle workers so they observe gasFull
 				return
@@ -206,17 +205,17 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 			}
 			b.commit(worker, committedTx{version: version, tx: tx, receipt: receipt, profile: profile},
 				fee, merged, worker == laneID)
-			flight.ExecEnd(worker, tx, b.header.Number)
+			trace.ExecEnd(worker, tx, b.header.Number)
 			return
 		}
 		gasUsed.Add(^(receipt.GasUsed - 1)) // release the reservation
 		aborts.Add(1)
 		telemetry.ProposerAborts.Inc()
-		flight.Abort(worker, tx, conflict.Key, conflict.Winner, conflict.Stripe, b.header.Number)
+		trace.Abort(worker, tx, conflict.Key, conflict.Winner, conflict.Stripe, b.header.Number)
 		if ctrl != nil {
 			ctrl.NoteAbort(tx.From, conflict.Key, conflict.Stripe)
 		}
-		flight.ExecEnd(worker, tx, b.header.Number)
+		trace.ExecEnd(worker, tx, b.header.Number)
 		b.requeueOrDrop(worker, tx)
 	}
 

@@ -4,10 +4,10 @@ import (
 	"sync/atomic"
 
 	"blockpilot/internal/chain"
-	"blockpilot/internal/flight"
 	"blockpilot/internal/mv"
 	"blockpilot/internal/state"
 	"blockpilot/internal/telemetry"
+	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 	"blockpilot/internal/uint256"
 )
@@ -19,7 +19,7 @@ const mvRoundCap = 512
 // mvClaimBatch is the PopBatch size used while claiming a round.
 const mvClaimBatch = 64
 
-// mvLane is the flight-recorder lane for MV-STM claim/finalize events,
+// mvLane is the recorder lane for MV-STM claim/finalize events,
 // which happen on the orchestrating goroutine rather than a worker.
 const mvLane = 0
 
@@ -70,8 +70,8 @@ func proposeMV(b *blockBuild) *ProposeResult {
 	}
 	inst := mv.NewInstance(b.parent, func(idx, worker int, view state.Reader) mv.ExecResult {
 		tx := claimed[idx]
-		flight.ExecStart(worker, tx, b.header.Number)
-		defer flight.ExecEnd(worker, tx, b.header.Number)
+		trace.ExecStart(worker, tx, b.header.Number)
+		defer trace.ExecEnd(worker, tx, b.header.Number)
 		overlay := overlays[worker]
 		overlay.Reset(view, types.Version(idx+1))
 		receipt, fee, err := chain.ApplyTransaction(overlay, tx, b.bc)
@@ -185,7 +185,7 @@ func proposeMV(b *blockBuild) *ProposeResult {
 			for _, tx := range claimed[cut:] {
 				// Leave the tail for the next block (OCC does the same on a
 				// filled block), valid or not — the pool re-sorts it.
-				flight.Requeue(mvLane, tx, b.header.Number)
+				trace.Requeue(mvLane, tx, b.header.Number)
 				pool.Requeue(tx)
 				telemetry.ProposerRetries.Inc()
 			}

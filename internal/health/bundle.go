@@ -1,8 +1,8 @@
 // Auto-triage incident bundles: when a watchdog rule fires, the recorder
 // snapshots everything a human needs to diagnose the episode into a
 // timestamped directory — the incident record with its triggering sample
-// window, a full goroutine dump, the telemetry snapshot, and (when those
-// recorders are active) the recent flight events and trace window.
+// window, a full goroutine dump, the telemetry snapshot, and (when the trace
+// recorder is on) the Perfetto file of its buffered events.
 package health
 
 import (
@@ -13,7 +13,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"blockpilot/internal/flight"
 	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trace"
 )
@@ -54,15 +53,8 @@ func writeBundle(baseDir string, inc *Incident, window []Sample, reg *telemetry.
 	}))
 	keep(writeGoroutines(filepath.Join(dir, "goroutines.txt")))
 	keep(writeJSON(filepath.Join(dir, "telemetry.json"), reg.Snapshot()))
-	if fr := flight.Active(); fr != nil {
-		keep(writeJSON(filepath.Join(dir, "flight.json"), flight.Views(fr.Events())))
-	}
-	if spans := trace.Active().Spans(); len(spans) > 0 {
-		views := make([]trace.SpanView, len(spans))
-		for i := range spans {
-			views[i] = spans[i].View()
-		}
-		keep(writeJSON(filepath.Join(dir, "trace.json"), views))
+	if tr := trace.Active(); tr != nil {
+		keep(tr.WriteTraceFile(filepath.Join(dir, "trace.json")))
 	}
 	return dir, firstErr
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"blockpilot/internal/flight"
 	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
@@ -243,7 +242,7 @@ func TestDeterministicIncidents(t *testing.T) {
 func TestIncidentBundleContents(t *testing.T) {
 	dir := t.TempDir()
 	p := stallProbe()
-	// An installed block tracer contributes its spans as trace.json.
+	// An installed trace recorder contributes its Perfetto file as trace.json.
 	tr := trace.Enable()
 	t.Cleanup(func() { trace.Disable() })
 	tr.RecordSpan("v0", trace.StageCommit, types.Hash{1}, 1, time.Unix(1, 0), time.Unix(2, 0))
@@ -304,17 +303,40 @@ func TestIncidentBundleContents(t *testing.T) {
 		t.Fatal("telemetry.json lacks counters")
 	}
 
-	var spans []trace.SpanView
-	raw, err = os.ReadFile(filepath.Join(inc[0].BundleDir, "trace.json"))
+	var slices []traceSlice
+	for _, ev := range readTraceFile(t, inc[0].BundleDir) {
+		if ev.Ph == "X" {
+			slices = append(slices, ev)
+		}
+	}
+	if len(slices) != 1 || !strings.HasPrefix(slices[0].Name, "commit ") || slices[0].Pid != 4 || slices[0].Dur != 1e6 {
+		t.Fatalf("trace.json slices = %+v, want the recorder's one 1s commit stage", slices)
+	}
+}
+
+// traceSlice is the part of one Chrome trace event the bundle tests read.
+type traceSlice struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Pid  int            `json:"pid"`
+	Dur  float64        `json:"dur"`
+	Args map[string]any `json:"args"`
+}
+
+// readTraceFile decodes the trace.json of the bundle in dir.
+func readTraceFile(t *testing.T, dir string) []traceSlice {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "trace.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(raw, &spans); err != nil {
+	var file struct {
+		TraceEvents []traceSlice `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &file); err != nil {
 		t.Fatalf("trace.json invalid: %v", err)
 	}
-	if len(spans) != 1 || spans[0].Stage != "commit" || spans[0].Node != "v0" || spans[0].DurNS != int64(time.Second) {
-		t.Fatalf("trace.json = %+v, want the collector's one commit span", spans)
-	}
+	return file.TraceEvents
 }
 
 func TestMaxIncidentsCap(t *testing.T) {
@@ -349,13 +371,14 @@ func TestMaxIncidentsCap(t *testing.T) {
 	}
 }
 
-// TestIncidentBundleFlightViews: with the flight recorder installed, the
-// bundle's flight.json holds the events in the form /flight/events serves.
+// TestIncidentBundleFlightViews: with the trace recorder installed, the
+// bundle's one trace.json holds its transaction events too, as
+// /flight/trace.json serves them.
 func TestIncidentBundleFlightViews(t *testing.T) {
-	fr := flight.Enable()
-	t.Cleanup(func() { flight.Disable() })
+	trace.Enable()
+	t.Cleanup(func() { trace.Disable() })
 	tx := &types.Transaction{Nonce: 1, Gas: 21000, To: types.HexToAddress("0xdead")}
-	flight.Admit(tx)
+	trace.Admit(tx)
 	r := testRecorder(t, Options{
 		IncidentDir: t.TempDir(),
 		Rules: []Rule{&StallRule{
@@ -371,16 +394,16 @@ func TestIncidentBundleFlightViews(t *testing.T) {
 	if len(inc) != 1 || inc[0].BundleErr != "" {
 		t.Fatalf("incidents = %+v, want one bundle", inc)
 	}
-	raw, err := os.ReadFile(filepath.Join(inc[0].BundleDir, "flight.json"))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(inc[0].BundleDir, "flight.json")); !os.IsNotExist(err) {
+		t.Fatalf("bundle still writes flight.json (stat err %v)", err)
 	}
-	var views []flight.EventView
-	if err := json.Unmarshal(raw, &views); err != nil {
-		t.Fatalf("flight.json invalid: %v", err)
+	var admits []traceSlice
+	for _, ev := range readTraceFile(t, inc[0].BundleDir) {
+		if ev.Ph == "i" {
+			admits = append(admits, ev)
+		}
 	}
-	want := flight.Views(fr.Events())
-	if len(views) != 1 || views[0] != want[0] || views[0].Kind != "admit" || views[0].Tx != tx.Hash().String() {
-		t.Fatalf("flight.json = %+v, want %+v", views, want)
+	if len(admits) != 1 || !strings.HasPrefix(admits[0].Name, "admit ") || admits[0].Args["tx"] != tx.Hash().String() {
+		t.Fatalf("trace.json instants = %+v, want the one admit of %s", admits, tx.Hash())
 	}
 }

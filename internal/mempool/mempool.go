@@ -33,8 +33,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"blockpilot/internal/flight"
 	"blockpilot/internal/telemetry"
+	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 	"blockpilot/internal/uint256"
 )
@@ -199,7 +199,7 @@ func (p *Pool) Add(tx *types.Transaction) error {
 	telemetry.MempoolPending.Set(p.count.Load())
 	pushed := p.insert(sh, tx)
 	sh.mu.Unlock()
-	flight.Admit(tx)
+	trace.Admit(tx)
 	if pushed {
 		p.notifyExecutable()
 	}

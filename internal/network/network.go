@@ -26,14 +26,13 @@ import (
 	"blockpilot/internal/types"
 )
 
-// Message is one delivered broadcast. Trace carries the sender's block
-// tracing context (internal/trace) so validator-side spans stitch onto the
-// proposer's trace; it is three integers, so it serializes trivially once
-// the fabric moves to a real wire.
+// Message is one delivered broadcast. SentUnixNano is its trace header: the
+// sender's wall clock at broadcast, stamped while a recorder is on, against
+// which the receiver closes the block's transfer stage (internal/trace).
 type Message struct {
-	From  string
-	Block *types.Block
-	Trace trace.Context
+	From         string
+	Block        *types.Block
+	SentUnixNano int64
 }
 
 // LinkFaults configures injected faults on one directed link (from → to).
@@ -63,15 +62,15 @@ type Network struct {
 	groups   map[string]int       // node → partition group (absent = unpartitioned)
 	held     map[linkKey]*Message // one-deep reorder holdback per link
 
-	// tracer, when set, overrides the process-global trace collector for
-	// span context attachment and transfer spans (the simulator runs
-	// several fabrics concurrently and injects one collector per run).
-	tracer atomic.Pointer[trace.Collector]
+	// tracer, when set, overrides the installed trace recorder for send
+	// stamps and transfer stages (the simulator runs several fabrics
+	// concurrently and injects one recorder per run).
+	tracer atomic.Pointer[trace.Recorder]
 }
 
-// SetTracer injects a block-trace collector for this fabric. Passing nil
-// reverts to the process-global collector (trace.Active).
-func (n *Network) SetTracer(c *trace.Collector) { n.tracer.Store(c) }
+// SetTracer injects the trace recorder of this fabric. Passing nil reverts
+// to the installed one (trace.Active).
+func (n *Network) SetTracer(r *trace.Recorder) { n.tracer.Store(r) }
 
 // New creates a fabric with the given simulated propagation latency.
 // Fault decisions default to seed 1; use SeedFaults to change.
@@ -189,8 +188,8 @@ type delivery struct {
 func (node *Node) Broadcast(block *types.Block) {
 	n := node.net
 	msg := Message{From: node.name, Block: block}
-	if tr := trace.Resolve(n.tracer.Load()); tr != nil {
-		msg.Trace = tr.ContextFor(block.Hash())
+	if trace.Resolve(n.tracer.Load()) != nil {
+		msg.SentUnixNano = time.Now().UnixNano()
 	}
 
 	n.mu.Lock()
@@ -269,8 +268,8 @@ func (n *Network) send(t *Node, msg Message) {
 	select {
 	case t.inbox <- msg:
 		telemetry.NetworkMessages.Inc()
-		if tr := trace.Resolve(n.tracer.Load()); tr != nil && msg.Trace.TraceID != 0 {
-			tr.Delivered(msg.From, t.name, msg.Block.Header.Number, msg.Block.Hash(), msg.Trace)
+		if tr := trace.Resolve(n.tracer.Load()); tr != nil && msg.SentUnixNano != 0 {
+			tr.Delivered(msg.From, t.name, msg.Block.Header.Number, msg.Block.Hash(), msg.SentUnixNano)
 		}
 	default: // slow consumer: drop
 		telemetry.NetworkDropped.Inc()

@@ -3,7 +3,7 @@
 // pipeline it runs every other block through. Every front end — the
 // blockpilot binary, the cluster simulator, bpinspect and the root facade —
 // builds its proposers and validators here, so a node-wide policy (its name,
-// its trace collector, its worker pool, its proposer engine) is set once.
+// its trace recorder, its worker pool, its proposer engine) is set once.
 package node
 
 import (
@@ -27,8 +27,8 @@ import (
 
 // Config describes one node.
 type Config struct {
-	// Name identifies the node in block-trace spans: its seal spans, its
-	// validation spans and its insert marks. "" keeps the packages' defaults,
+	// Name identifies the node in its stage events: seal, validation
+	// stages and insert marks. "" keeps the packages' defaults,
 	// "proposer" when it proposes and "validator" when it validates.
 	Name     string
 	Genesis  *state.Snapshot
@@ -43,9 +43,9 @@ type Config struct {
 	// Workers is a worker pool shared with other pipelines; the node does
 	// not close it. Nil gives the pipeline its own pool of Threads workers.
 	Workers *pipeline.WorkerPool
-	// Tracer is the node's block-trace collector; nil falls back to the
-	// process-global one.
-	Tracer *trace.Collector
+	// Tracer is the recorder of the node's stage events; nil falls back to
+	// the installed one.
+	Tracer *trace.Recorder
 }
 
 // Node is a chain with its pool and pipeline. Blocks it proposes go into

@@ -18,12 +18,12 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"blockpilot/internal/chain"
-	"blockpilot/internal/flight"
 	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
@@ -166,9 +166,9 @@ type pendingBlock struct {
 }
 
 // New builds a pipeline over a chain. cfg.Threads bounds each block's lane
-// count, cfg.Node and cfg.Tracer name the node and collector of its spans;
-// pool is the shared execution pool (nil = create one with cfg.Threads
-// workers, owned and closed by the pipeline).
+// count, cfg.Node and cfg.Tracer name the node and recorder of its stage
+// events; pool is the shared execution pool (nil = create one with
+// cfg.Threads workers, owned and closed by the pipeline).
 func New(c *chain.Chain, cfg validator.Config, pool *WorkerPool) *Pipeline {
 	own := false
 	if pool == nil {
@@ -199,11 +199,14 @@ func (p *Pipeline) Results() <-chan Outcome { return p.results }
 
 // Submit hands a block to the pipeline. A block whose body its header does
 // not commit to (chain.CheckBody) gets its outcome at once and touches
-// nothing else. Blocks may arrive in any order; a block waits until its
-// parent has been validated and its outcome sent, and a block on the same
-// parent as one already running follows it (see the package comment).
+// nothing else: the right body may still arrive under the same hash. A
+// block that can never validate (see unvalidatable) gets its outcome at
+// once too, and so does every block parked behind it. Blocks may arrive in
+// any order; a block waits until its parent has been validated and its
+// outcome sent, and a block on the same parent as one already running
+// follows it (see the package comment).
 func (p *Pipeline) Submit(block *types.Block) {
-	flight.BlockSubmit(block.Header.Number)
+	trace.BlockSubmit(block.Header.Number)
 	arrived := time.Now()
 	if err := chain.CheckBody(block); err != nil {
 		p.results <- Outcome{Block: block, Err: err, Elapsed: time.Since(arrived)}
@@ -214,21 +217,37 @@ func (p *Pipeline) Submit(block *types.Block) {
 	pb := &pendingBlock{block: block, hash: block.Hash(), arrived: arrived}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	parent := block.Header.ParentHash
-	if p.chain.Block(parent) != nil && p.chain.StateOf(parent) == nil {
-		// The parent validated, but its state has left the chain's window:
-		// no commit will release this block, nor what waits on it. (Block
-		// is read first: an insert between the reads then shows its state.)
-		p.results <- Outcome{Block: block, Err: chain.ErrStatePruned, Elapsed: time.Since(pb.arrived)}
-		_ = p.failSubtreeLocked(pb.hash, chain.ErrStatePruned)
+	if err := p.unvalidatable(block); err != nil {
+		p.results <- Outcome{Block: block, Err: err, Elapsed: time.Since(pb.arrived)}
+		_ = p.failSubtreeLocked(pb.hash, err)
 		return
 	}
+	parent := block.Header.ParentHash
 	if p.chain.StateOf(parent) == nil || p.unsent[parent] {
 		p.waiting[parent] = append(p.waiting[parent], pb)
 		telemetry.PipelineWaiting.Add(1)
 		return
 	}
 	p.startLocked(pb)
+}
+
+// unvalidatable returns what a block's validation would reach however long
+// it waited, its header being fixed by its hash: another gas limit than the
+// chain's, or a height at or below head − chain.StateWindow, or a parent
+// that validated but whose state has left the window (a head that moved
+// past the bound after it was read). Caller holds p.mu.
+func (p *Pipeline) unvalidatable(block *types.Block) error {
+	if err := chain.CheckGasLimit(&block.Header, p.params); err != nil {
+		return fmt.Errorf("%w: %w", validator.ErrBadBlock, err)
+	}
+	if head := p.chain.Height(); head > chain.StateWindow && block.Number() <= head-chain.StateWindow {
+		return fmt.Errorf("%w: block %d, head %d", chain.ErrStatePruned, block.Number(), head)
+	}
+	// Block is read first: an insert between the reads then shows its state.
+	if parent := block.Header.ParentHash; p.chain.Block(parent) != nil && p.chain.StateOf(parent) == nil {
+		return chain.ErrStatePruned
+	}
+	return nil
 }
 
 // startLocked launches pb's validation. The first block started on a parent
@@ -281,8 +300,8 @@ func (p *Pipeline) run(pb *pendingBlock) {
 			out.Err = insErr
 		} else if tr != nil {
 			// Zero-duration mark: when the block became part of this node's
-			// chain (the span ring is time-ordered, so this anchors reorg and
-			// anti-entropy analysis without affecting critical-path tiling).
+			// chain (it anchors reorg and anti-entropy analysis without
+			// affecting critical-path tiling).
 			now := time.Now()
 			tr.RecordSpan(node, trace.StageInsert, bh, block.Header.Number, now, now)
 		}
@@ -291,7 +310,7 @@ func (p *Pipeline) run(pb *pendingBlock) {
 		afterInsert(block)
 	}
 	telemetry.PipelineBlockSeconds.ObserveDuration(out.Elapsed)
-	flight.BlockDone(block.Header.Number, out.Err == nil)
+	trace.BlockDone(block.Header.Number, out.Err == nil)
 	p.results <- out
 
 	// The outcome is sent: a child parked behind this block may start.

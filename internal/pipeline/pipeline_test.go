@@ -233,6 +233,84 @@ func TestChildReportsAfterParent(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnvalidatable: on a chain whose head is StateWindow+3
+// heights up, a block on an unknown parent that can never validate gets its
+// outcome at once and parks nothing — one under another gas limit, and one
+// at head − StateWindow, whose parent's state would be gone — and a child
+// parked behind it before it came gets the same error; a block one height
+// above that bound still parks behind its parent, its child behind it.
+func TestSubmitRejectsUnvalidatable(t *testing.T) {
+	g := workload.New(workload.Default())
+	genesis, params := g.GenesisState(), chain.DefaultParams()
+	c := chain.NewChain(genesis, params)
+	st, parent := genesis, c.Genesis()
+	for i := 0; i < chain.StateWindow+3; i++ {
+		res, err := core.Propose(st, &parent.Header, mempool.New(), core.ProposerConfig{
+			Threads: 1, Coinbase: coinbase, Time: uint64(i + 1),
+		}, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert(res.Block, res.State); err != nil {
+			t.Fatal(err)
+		}
+		st, parent = res.State, res.Block
+	}
+	head := c.Height()
+	block := func(parentHash types.Hash, height, gasLimit uint64) *types.Block {
+		b := *parent
+		b.Header.ParentHash = parentHash
+		b.Header.Number, b.Header.GasLimit = height, gasLimit
+		return &b
+	}
+	orphan := func(height, gasLimit uint64) *types.Block { return block(types.Hash{0xde, 0xad}, height, gasLimit) }
+	for _, tc := range []struct {
+		name  string
+		block *types.Block
+		want  error // nil: the block parks
+	}{
+		{"gas limit", orphan(head, params.GasLimit+1), validator.ErrBadBlock},
+		{"at the window's bound", orphan(head-chain.StateWindow, params.GasLimit), chain.ErrStatePruned},
+		{"one above the bound", orphan(head-chain.StateWindow+1, params.GasLimit), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New(c, validator.DefaultConfig(1), nil)
+			defer p.Close()
+			child := block(tc.block.Hash(), tc.block.Number()+1, params.GasLimit)
+			p.Submit(child)
+			if n := p.Pending(); n != 1 {
+				t.Fatalf("%d blocks pending, want the child parked", n)
+			}
+			p.Submit(tc.block)
+			if tc.want == nil {
+				select {
+				case out := <-p.Results():
+					t.Fatalf("block %d: unexpected outcome %v", out.Block.Number(), out.Err)
+				default:
+				}
+				if n := p.Pending(); n != 2 {
+					t.Fatalf("%d blocks pending, want the block and its child parked", n)
+				}
+				return
+			}
+			for _, want := range []*types.Block{tc.block, child} {
+				select {
+				case out := <-p.Results():
+					if out.Block != want || !errors.Is(out.Err, tc.want) {
+						t.Fatalf("block %d: outcome err = %v, want block %d with %v",
+							out.Block.Number(), out.Err, want.Number(), tc.want)
+					}
+				default:
+					t.Fatalf("block %d: no immediate outcome, it was parked", want.Number())
+				}
+			}
+			if n := p.Pending(); n != 0 {
+				t.Fatalf("%d blocks pending after the outcomes", n)
+			}
+		})
+	}
+}
+
 // TestSubmitBelowWindow: a block whose parent validated but has left the
 // chain's StateWindow fails at once with ErrStatePruned instead of parking
 // behind a parent state that will never come back.

@@ -80,7 +80,7 @@ func TestEndToEndTelemetry(t *testing.T) {
 }
 
 // TestPhaseTimedOnce: each phase is one interval with two sinks. With
-// telemetry on and a private collector, one proposed and validated block
+// telemetry on and a private recorder, one proposed and validated block
 // must leave, for seal / prepare / execute / verify / commit, a histogram
 // whose Sum grew by exactly the recorded span's duration — to the nanosecond,
 // which two separate clock pairs around the same code cannot produce. The
@@ -88,7 +88,7 @@ func TestEndToEndTelemetry(t *testing.T) {
 func TestPhaseTimedOnce(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()
-	tr := trace.NewCollector(0)
+	tr := trace.NewRecorder()
 
 	cfg := workload.Default()
 	cfg.NumAccounts = 400
@@ -130,7 +130,7 @@ func TestPhaseTimedOnce(t *testing.T) {
 		{trace.StageVerify, "blockpilot_pipeline_validate_duration_ns"},
 		{trace.StageCommit, "blockpilot_pipeline_commit_duration_ns"},
 	} {
-		var span *trace.Span
+		var span *trace.Event
 		for i := range spans {
 			if spans[i].Stage == tc.stage {
 				if span != nil {
@@ -152,9 +152,9 @@ func TestPhaseTimedOnce(t *testing.T) {
 			t.Errorf("%s: histogram observed %d ns, span lasted %d ns — the phase was timed twice", tc.stage, got, want)
 		}
 	}
-	inserted := false
+	inserted, nodes := false, tr.Nodes()
 	for _, sp := range spans {
-		inserted = inserted || sp.Stage == trace.StageInsert && sp.Node == "v0"
+		inserted = inserted || sp.Stage == trace.StageInsert && nodes[sp.Worker] == "v0"
 	}
 	if !inserted {
 		t.Error("validated block has no insert mark under node v0")

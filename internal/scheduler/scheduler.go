@@ -5,7 +5,7 @@
 // worker threads by gas-weighted LPT (heaviest component first onto the
 // least-loaded thread). The validator's lanes follow its writer index
 // instead (DESIGN.md §5.12): it builds components only for Result.Stats and
-// the flight recorder's assign events.
+// the tools.
 //
 // Gas is the scheduling weight because the costliest EVM operations (SLOAD,
 // SSTORE) carry the highest gas costs, making gas a usable execution-time

@@ -47,7 +47,7 @@ type valNode struct {
 	wpool  *pipeline.WorkerPool
 	db     *blockdb.Store
 	dbPath string
-	tracer *trace.Collector // the run's private block-trace collector
+	tracer *trace.Recorder // the run's private trace recorder
 
 	node *node.Node
 	done chan struct{}
@@ -155,7 +155,7 @@ type runner struct {
 	prop   *node.Node // the proposer; its chain holds every genuine block + post-state
 	net    *network.Network
 	vals   []*valNode
-	tracer *trace.Collector // private per-run collector (runs execute concurrently in tests)
+	tracer *trace.Recorder // private per-run recorder (runs execute concurrently in tests)
 
 	canonical []*types.Block                 // index h-1 = canonical block at height h
 	genuine   map[types.Hash]*types.Block    // every honest block ever broadcast
@@ -225,12 +225,13 @@ func Run(cfg Config) (*Report, error) {
 	}
 	defer closeGenesis()
 
-	// Every run gets a private collector — the scenario matrix runs
-	// simulations concurrently, so the process-global collector stays out
-	// of the picture. Capacity is sized far above the worst-case span count
-	// (heights x validators x ~8 spans, plus forks and replays) so the
+	// Every run gets a private recorder — the scenario matrix runs
+	// simulations concurrently, so the installed recorder stays out of the
+	// picture. It holds only stage events, and its stage ring
+	// (trace.DefaultStageCapacity) is sized far above the worst-case count
+	// (heights x validators x ~8 stages, plus forks and replays) so the
 	// tracing oracle and digest never observe ring eviction.
-	r.tracer = trace.NewCollector(32768)
+	r.tracer = trace.NewRecorder()
 	r.net.SetTracer(r.tracer)
 	r.prop = node.New(node.Config{
 		Name: "proposer", Genesis: genesis, Params: params, Threads: cfg.ProposerThreads,

@@ -13,7 +13,7 @@ import (
 
 // checkTracing is the tracing oracle: every block a validator committed must
 // carry a complete, gap-free span chain (queue → prepare → execute → verify
-// → commit) in the run's trace collector, whatever faults the scenario threw
+// → commit) in the run's trace recorder, whatever faults the scenario threw
 // at it — duplicate deliveries, crash replays and anti-entropy resubmissions
 // all funnel through the same instrumented pipeline. Canonical blocks must
 // additionally carry the proposer's seal span (fork siblings are built with

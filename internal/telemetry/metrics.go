@@ -42,7 +42,7 @@ var (
 		"MV-STM validation aborts: read sets invalidated by a lower transaction's write.")
 )
 
-// Flight recorder (conflict attribution, internal/flight). Pushed by
+// Conflict attribution (internal/trace). Pushed by
 // Recorder.Attribution whenever a hot-key report is computed.
 var (
 	FlightStripeAbortSkew = NewFloatGauge("blockpilot_flight_stripe_abort_skew",

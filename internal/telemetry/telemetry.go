@@ -237,7 +237,7 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 }
 
 // Span times one interval into one histogram — for the intervals that are not
-// a block lifecycle stage (those are timed by trace.Collector.Begin). It is a
+// a block lifecycle stage (those are timed by trace.Recorder.Begin). It is a
 // value type: starting and ending one allocates nothing, and the zero Span
 // (telemetry disabled) makes End a no-op.
 type Span struct {

@@ -146,7 +146,7 @@ func TestRingWraps(t *testing.T) {
 	if want := []uint64{99, 6, 7, 8, 9}; !slices.Equal(got, want) {
 		t.Fatalf("ring order: %v, want %v", got, want)
 	}
-	if small := NewRing[int](0); small.Len() != 0 || len(small.buf) != 1 {
+	if small := NewRing[int](0); small.Len() != 0 || small.size != 1 {
 		t.Fatalf("capacity floor: %+v", small)
 	}
 }

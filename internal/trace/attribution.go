@@ -2,13 +2,12 @@
 // OCC-WSI aborts, and how skewed the per-stripe load is. Fed from the abort
 // and commit hot paths; summarized into an AttributionReport and into the
 // telemetry registry's flight gauges.
-package flight
+package trace
 
 import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,19 +23,16 @@ type stripeStat struct {
 	waitNs   atomic.Uint64
 }
 
-// attribution guards the heavy-hitter sketches (abort path only).
-var attributionMu sync.Mutex
-
 // noteAbort feeds one abort into the sketches and stripe counters.
 func (r *Recorder) noteAbort(sender types.Address, key types.StateKey, stripe int) {
 	r.abortTotal.Add(1)
 	if stripe >= 0 && stripe < StripeSlots {
 		r.stripes[stripe].aborts.Add(1)
 	}
-	attributionMu.Lock()
+	r.attrMu.Lock()
 	r.hotKeys.Observe(key)
 	r.hotSenders.Observe(sender)
-	attributionMu.Unlock()
+	r.attrMu.Unlock()
 }
 
 // noteStripeWait attributes one commit attempt's lock wait to every stripe
@@ -91,35 +87,22 @@ func (r *Recorder) Attribution(topN int) *AttributionReport {
 	}
 	rep := &AttributionReport{TotalAborts: r.abortTotal.Load()}
 
-	attributionMu.Lock()
+	r.attrMu.Lock()
 	keys := r.hotKeys.Top(topN)
 	senders := r.hotSenders.Top(topN)
-	attributionMu.Unlock()
+	r.attrMu.Unlock()
 
-	total := float64(rep.TotalAborts)
+	share := func(n uint64) float64 { return float64(n) / float64(max(rep.TotalAborts, 1)) }
 	var top10 uint64
 	for i, c := range keys {
-		hk := HotKey{Key: c.Key.String(), Count: c.Count, Err: c.Err}
-		if total > 0 {
-			hk.Share = float64(c.Count) / total
-		}
-		rep.Keys = append(rep.Keys, hk)
+		rep.Keys = append(rep.Keys, HotKey{Key: c.Key.String(), Count: c.Count, Err: c.Err, Share: share(c.Count)})
 		if i < 10 {
 			top10 += c.Count
 		}
 	}
-	if total > 0 {
-		rep.TopKeyShare = float64(top10) / total
-		if rep.TopKeyShare > 1 {
-			rep.TopKeyShare = 1 // sketch overestimation can nudge past 1
-		}
-	}
+	rep.TopKeyShare = min(share(top10), 1) // sketch overestimation can nudge past 1
 	for _, c := range senders {
-		hk := HotKey{Key: c.Key.String(), Count: c.Count, Err: c.Err}
-		if total > 0 {
-			hk.Share = float64(c.Count) / total
-		}
-		rep.Senders = append(rep.Senders, hk)
+		rep.Senders = append(rep.Senders, HotKey{Key: c.Key.String(), Count: c.Count, Err: c.Err, Share: share(c.Count)})
 	}
 
 	// Per-stripe rows + skew over stripes with any commit attempt.
@@ -127,9 +110,7 @@ func (r *Recorder) Attribution(topN int) *AttributionReport {
 	var touched int
 	for i := range r.stripes {
 		st := &r.stripes[i]
-		attempts := st.attempts.Load()
-		aborts := st.aborts.Load()
-		wait := st.waitNs.Load()
+		attempts, aborts, wait := st.attempts.Load(), st.aborts.Load(), st.waitNs.Load()
 		if attempts == 0 && aborts == 0 {
 			continue
 		}
@@ -141,12 +122,7 @@ func (r *Recorder) Attribution(topN int) *AttributionReport {
 		touched++
 		abortSum += aborts
 		waitSum += wait
-		if aborts > abortMax {
-			abortMax = aborts
-		}
-		if wait > waitMax {
-			waitMax = wait
-		}
+		abortMax, waitMax = max(abortMax, aborts), max(waitMax, wait)
 	}
 	if touched > 0 {
 		if mean := float64(abortSum) / float64(touched); mean > 0 {

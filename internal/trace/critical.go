@@ -7,6 +7,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -26,7 +27,6 @@ const (
 type Segment struct {
 	Name  string        `json:"name"`
 	Kind  SegmentKind   `json:"kind"`
-	Start time.Time     `json:"-"`
 	Dur   time.Duration `json:"dur_ns"`
 	Share float64       `json:"share"` // fraction of the block's total latency
 }
@@ -74,111 +74,97 @@ func gapName(next Stage) string {
 	}
 }
 
-// PathFor assembles the critical path of one block on one node. The second
-// return is false when the node has no commit span for the block (it never
-// committed there). When some earlier stage is missing, Complete is false
-// and the partial path lists the gaps in Missing.
+// PathFor assembles the critical path of one block on one node from its
+// stage events. The second return is false when the node has no commit
+// stage for the block (it never committed there). When some earlier stage is
+// missing, Complete is false and the partial path lists the gaps in Missing.
 //
 // With several validation attempts buffered (duplicate delivery, crash
 // replay), the path follows the attempt that produced the last commit:
-// walking backward from it, each stage picks the latest candidate span
-// starting no later than its successor, which keeps the chain monotonic.
-func (c *Collector) PathFor(block types.Hash, node string) (BlockPath, bool) {
-	if c == nil {
-		return BlockPath{}, false
+// walking backward from it, each stage picks the latest candidate starting
+// no later than its successor, which keeps the chain monotonic.
+func (r *Recorder) PathFor(block types.Hash, node string) (BlockPath, bool) {
+	stages := r.SpansFor(block)
+	nodes := r.Nodes() // after the events it names
+	if id := slices.Index(nodes, node); id >= 0 {
+		return r.pathFor(stages, nodes, int16(id))
 	}
-	spans := c.SpansFor(block)
+	return BlockPath{}, false
+}
 
-	var commit *Span
-	for i := range spans {
-		sp := &spans[i]
-		if sp.Stage == StageCommit && sp.Node == node {
-			if commit == nil || sp.End.After(commit.End) {
-				commit = sp
-			}
+// pathFor is PathFor over stages, the buffered stage events of one block,
+// for the node at index node of the node table nodes.
+func (r *Recorder) pathFor(stages []Event, nodes []string, node int16) (BlockPath, bool) {
+	end := func(ev *Event) int64 { return ev.TS + max(ev.Dur(), 0) }
+
+	var commit *Event
+	for i := range stages {
+		ev := &stages[i]
+		if ev.Stage == StageCommit && ev.Worker == node && (commit == nil || end(ev) > end(commit)) {
+			commit = ev
 		}
 	}
 	if commit == nil {
 		return BlockPath{}, false
 	}
 
-	path := BlockPath{Node: node, Height: commit.Height, Block: block, TraceID: commit.TraceID, Complete: true}
+	path := BlockPath{Node: nodes[node], Height: commit.Height, Block: commit.Tx, TraceID: TraceID(commit.Tx), Complete: true}
 
-	// pick returns the latest span of `stage` (filtered to this node unless
-	// the stage belongs to another node) starting no later than `limit`.
-	pick := func(stage Stage, limit time.Time) *Span {
-		var best *Span
-		for i := range spans {
-			sp := &spans[i]
-			if sp.Stage != stage {
-				continue
-			}
-			if stage != StageSeal && sp.Node != node {
-				continue
-			}
-			if sp.Start.After(limit) {
-				continue
-			}
-			if best == nil || sp.Start.After(best.Start) {
-				best = sp
+	// pick returns the latest event of `stage` (on this node, unless the
+	// stage belongs to another node) starting no later than limit.
+	pick := func(stage Stage, limit int64) *Event {
+		var best *Event
+		for i := range stages {
+			ev := &stages[i]
+			if ev.Stage == stage && (stage == StageSeal || ev.Worker == node) && ev.TS <= limit &&
+				(best == nil || ev.TS > best.TS) {
+				best = ev
 			}
 		}
 		return best
 	}
 
 	// Backward walk over the required validation chain.
-	chain := []*Span{commit}
+	chain := []*Event{commit}
 	next := commit
 	for i := len(requiredStages) - 2; i >= 0; i-- {
-		sp := pick(requiredStages[i], next.Start)
-		if sp == nil {
+		ev := pick(requiredStages[i], next.TS)
+		if ev == nil {
 			path.Complete = false
 			path.Missing = append(path.Missing, requiredStages[i].String())
 			continue
 		}
-		chain = append(chain, sp)
-		next = sp
+		chain = append(chain, ev)
+		next = ev
 	}
 	// Contextual prefix: parent-wait, transfer, seal — whichever exist.
 	for _, stage := range []Stage{StageParentWait, StageTransfer, StageSeal} {
-		if sp := pick(stage, next.Start); sp != nil {
-			chain = append(chain, sp)
-			next = sp
+		if ev := pick(stage, next.TS); ev != nil {
+			chain = append(chain, ev)
+			next = ev
 		}
 	}
-	// chain was collected newest-first; tile oldest-first.
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
+	slices.Reverse(chain) // collected newest-first; tile oldest-first
 
-	origin := chain[0].Start
+	origin := chain[0].TS
 	cursor := origin
-	for _, sp := range chain {
-		if gap := sp.Start.Sub(cursor); gap > 0 {
-			path.Segments = append(path.Segments, Segment{
-				Name: gapName(sp.Stage), Kind: KindStall, Start: cursor, Dur: gap,
-			})
-			cursor = sp.Start
+	for _, ev := range chain {
+		if gap := ev.TS - cursor; gap > 0 {
+			path.Segments = append(path.Segments, Segment{Name: gapName(ev.Stage), Kind: KindStall, Dur: time.Duration(gap)})
+			cursor = ev.TS
 		}
-		segStart := cursor
-		segEnd := sp.End
-		if segEnd.Before(cursor) {
-			segEnd = cursor // fully overlapped by the previous stage
-		}
+		segEnd := max(end(ev), cursor) // a stage fully overlapped by the previous one adds nothing
 		kind := KindWork
-		if sp.Stage.stall() {
+		if ev.Stage.stall() {
 			kind = KindStall
 		}
-		if d := segEnd.Sub(segStart); d > 0 || !sp.Stage.stall() {
-			path.Segments = append(path.Segments, Segment{
-				Name: sp.Stage.String(), Kind: kind, Start: segStart, Dur: d,
-			})
+		if d := segEnd - cursor; d > 0 || !ev.Stage.stall() {
+			path.Segments = append(path.Segments, Segment{Name: ev.Stage.String(), Kind: kind, Dur: time.Duration(d)})
 		}
 		cursor = segEnd
 	}
-	path.Start = origin
-	path.End = cursor
-	path.Total = cursor.Sub(origin)
+	path.Start, path.End = r.at(origin), r.at(cursor)
+	path.Total = time.Duration(cursor - origin)
 
 	// Shares + the critical (largest-share work) segment.
 	var critDur time.Duration
@@ -193,43 +179,40 @@ func (c *Collector) PathFor(block types.Hash, node string) (BlockPath, bool) {
 		}
 	}
 
-	// Commit tail: the state-commit sub-span inside the commit stage.
-	for i := range spans {
-		sp := &spans[i]
-		if sp.Stage == StageStateCommit && sp.Node == node &&
-			!sp.Start.Before(commit.Start) && !sp.End.After(commit.End) {
-			path.CommitTail = sp.Dur()
+	// Commit tail: the state-commit stage inside the commit stage.
+	for i := range stages {
+		ev := &stages[i]
+		if ev.Stage == StageStateCommit && ev.Worker == node && ev.TS >= commit.TS && end(ev) <= end(commit) {
+			path.CommitTail = time.Duration(max(ev.Dur(), 0))
 		}
 	}
 	return path, true
 }
 
 // Paths assembles the critical path of every (block, node) pair with a
-// buffered commit span, ordered by (end time, height, node) oldest-first.
+// buffered commit stage, ordered by (end time, height, node) oldest-first.
 // node filters to one node when non-empty.
-func (c *Collector) Paths(node string) []BlockPath {
-	if c == nil {
-		return nil
-	}
+func (r *Recorder) Paths(node string) []BlockPath {
 	type key struct {
 		block types.Hash
-		node  string
+		node  int16
+	}
+	spans := r.Spans()
+	nodes := r.Nodes() // after the events it names
+
+	byBlock := map[types.Hash][]Event{} // one pass, not one ring copy per path
+	for _, ev := range spans {
+		byBlock[ev.Tx] = append(byBlock[ev.Tx], ev)
 	}
 	seen := map[key]bool{}
 	out := []BlockPath{}
-	for _, sp := range c.Spans() {
-		if sp.Stage != StageCommit {
-			continue
-		}
-		if node != "" && sp.Node != node {
-			continue
-		}
-		k := key{sp.Block, sp.Node}
-		if seen[k] {
+	for _, ev := range spans {
+		k := key{ev.Tx, ev.Worker}
+		if ev.Stage != StageCommit || node != "" && nodes[ev.Worker] != node || seen[k] {
 			continue
 		}
 		seen[k] = true
-		if p, ok := c.PathFor(sp.Block, sp.Node); ok {
+		if p, ok := r.pathFor(byBlock[ev.Tx], nodes, ev.Worker); ok {
 			out = append(out, p)
 		}
 	}
@@ -269,16 +252,11 @@ type WindowSummary struct {
 
 // Window summarizes the most recent n paths (0 = all buffered), optionally
 // filtered to one node.
-func (c *Collector) Window(n int, node string) WindowSummary {
-	paths := c.Paths(node)
+func (r *Recorder) Window(n int, node string) WindowSummary {
+	paths := r.Paths(node)
 	if n > 0 && len(paths) > n {
 		paths = paths[len(paths)-n:]
 	}
-	return Summarize(paths)
-}
-
-// Summarize aggregates an explicit set of paths into a window summary.
-func Summarize(paths []BlockPath) WindowSummary {
 	w := WindowSummary{Blocks: len(paths)}
 	agg := map[string]*Bucket{}
 	for i := range paths {
@@ -314,11 +292,10 @@ func Summarize(paths []BlockPath) WindowSummary {
 		}
 		return w.Buckets[i].Name < w.Buckets[j].Name
 	})
-	var critDur time.Duration
-	for _, b := range w.Buckets {
-		if b.Kind == KindWork && b.Total > critDur {
-			critDur = b.Total
+	for _, b := range w.Buckets { // the largest work bucket comes first
+		if b.Kind == KindWork && b.Total > 0 {
 			w.Critical = b.Name
+			break
 		}
 	}
 	return w

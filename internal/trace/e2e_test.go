@@ -1,29 +1,29 @@
-// End-to-end flight-recorder tests: drive the real proposer and validator
-// with a recorder installed and check the reconstructed per-transaction
-// timelines and the conflict-attribution acceptance bound. These live in the
-// external test package because core and validator import flight.
-package flight_test
+// End-to-end recorder tests: drive the real proposer and validator with a
+// recorder installed and check the reconstructed per-transaction timelines
+// and the conflict-attribution acceptance bound. These live in the external
+// test package because core and validator import trace.
+package trace_test
 
 import (
 	"testing"
 
 	"blockpilot/internal/chain"
 	"blockpilot/internal/core"
-	"blockpilot/internal/flight"
 	"blockpilot/internal/mempool"
 	"blockpilot/internal/pipeline"
+	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 	"blockpilot/internal/validator"
 	"blockpilot/internal/workload"
 )
 
 // proposeWithRecorder packs one block from a fresh workload with the given
-// config, with a flight recorder installed for the whole propose+validate
+// config, with a recorder installed for the whole propose+validate
 // round trip.
-func proposeWithRecorder(t *testing.T, cfg workload.Config, threads int) (*flight.Recorder, *core.ProposeResult, *validator.Result, []*types.Transaction) {
+func proposeWithRecorder(t *testing.T, cfg workload.Config, threads int) (*trace.Recorder, *core.ProposeResult, *validator.Result, []*types.Transaction) {
 	t.Helper()
-	rec := flight.Enable()
-	t.Cleanup(func() { flight.Disable() })
+	rec := trace.Enable()
+	t.Cleanup(func() { trace.Disable() })
 
 	g := workload.New(cfg)
 	parent := g.GenesisState()
@@ -64,31 +64,31 @@ func TestEndToEndTimeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		have := map[flight.EventKind]bool{}
+		have := map[trace.EventKind]bool{}
 		for _, ev := range tl {
 			have[ev.Kind] = true
 		}
-		for _, want := range []flight.EventKind{
-			flight.EvAdmit, flight.EvPop, flight.EvExecStart, flight.EvExecEnd,
-			flight.EvCommit, flight.EvSeal, flight.EvAssign,
-			flight.EvReplayStart, flight.EvReplayEnd, flight.EvVerifyPass,
+		for _, want := range []trace.EventKind{
+			trace.EvAdmit, trace.EvPop, trace.EvExecStart, trace.EvExecEnd,
+			trace.EvCommit, trace.EvSeal, trace.EvAssign,
+			trace.EvReplayStart, trace.EvReplayEnd, trace.EvVerifyPass,
 		} {
 			if !have[want] {
 				t.Fatalf("tx %s timeline missing %s: %s",
-					tx.Hash(), want, flight.RenderTimeline(flight.Views(tl)))
+					tx.Hash(), want, trace.RenderTimeline(trace.Views(tl)))
 			}
 		}
 		// Milestones appear in lifecycle order.
-		order := map[flight.EventKind]int{}
+		order := map[trace.EventKind]int{}
 		for i, ev := range tl {
 			if _, seen := order[ev.Kind]; !seen {
 				order[ev.Kind] = i
 			}
 		}
 		prev := -1
-		for _, k := range []flight.EventKind{flight.EvAdmit, flight.EvPop, flight.EvCommit, flight.EvSeal, flight.EvReplayStart, flight.EvVerifyPass} {
+		for _, k := range []trace.EventKind{trace.EvAdmit, trace.EvPop, trace.EvCommit, trace.EvSeal, trace.EvReplayStart, trace.EvVerifyPass} {
 			if order[k] <= prev {
-				t.Fatalf("tx %s: %s out of order:\n%s", tx.Hash(), k, flight.RenderTimeline(flight.Views(tl)))
+				t.Fatalf("tx %s: %s out of order:\n%s", tx.Hash(), k, trace.RenderTimeline(trace.Views(tl)))
 			}
 			prev = order[k]
 		}
@@ -116,9 +116,9 @@ func TestEndToEndAttribution(t *testing.T) {
 	// without a single abort. Propose the block again until some attempt
 	// aborts, so the bound below is checked on a loaded host too.
 	var (
-		rec *flight.Recorder
+		rec *trace.Recorder
 		res *core.ProposeResult
-		rep *flight.AttributionReport
+		rep *trace.AttributionReport
 	)
 	for attempt := 0; attempt < 30; attempt++ {
 		rec, res, _, _ = proposeWithRecorder(t, cfg, 8)
@@ -157,9 +157,9 @@ func TestEndToEndAbortEvents(t *testing.T) {
 	var aborts, commits int
 	for _, ev := range rec.Events() {
 		switch ev.Kind {
-		case flight.EvAbort:
+		case trace.EvAbort:
 			aborts++
-		case flight.EvCommit:
+		case trace.EvCommit:
 			commits++
 		}
 	}
@@ -198,21 +198,21 @@ func TestEndToEndExtendEvents(t *testing.T) {
 		var movedTo types.Version
 		for _, ev := range tl {
 			switch ev.Kind {
-			case flight.EvExecStart:
+			case trace.EvExecStart:
 				executing, movedTo = true, 0
-			case flight.EvExecEnd:
+			case trace.EvExecEnd:
 				executing = false
-			case flight.EvExtend:
+			case trace.EvExtend:
 				extends++
 				if !executing || ev.Version <= ev.Aux || ev.Key == (types.StateKey{}) {
 					t.Fatalf("tx %s: malformed extend event (executing=%v):\n%s",
-						tx.Hash(), executing, flight.RenderTimeline(flight.Views(tl)))
+						tx.Hash(), executing, trace.RenderTimeline(trace.Views(tl)))
 				}
 				movedTo = ev.Version
-			case flight.EvCommit:
+			case trace.EvCommit:
 				if executing && ev.Version <= movedTo {
 					t.Fatalf("tx %s committed at version %d after extending to %d:\n%s",
-						tx.Hash(), ev.Version, movedTo, flight.RenderTimeline(flight.Views(tl)))
+						tx.Hash(), ev.Version, movedTo, trace.RenderTimeline(trace.Views(tl)))
 				}
 			}
 		}
@@ -229,8 +229,8 @@ func TestEndToEndExtendEvents(t *testing.T) {
 // shows one `reuse` event on a validator lane, naming the leader's index of
 // that same transaction, and one replay (the leader's) instead of two.
 func TestEndToEndReuseEvents(t *testing.T) {
-	rec := flight.Enable()
-	t.Cleanup(func() { flight.Disable() })
+	rec := trace.Enable()
+	t.Cleanup(func() { trace.Disable() })
 
 	cfg := workload.Default()
 	cfg.TxPerBlock = 64
@@ -268,12 +268,12 @@ func TestEndToEndReuseEvents(t *testing.T) {
 	}
 
 	replays := map[types.Hash]int{}
-	var reuses []flight.Event
+	var reuses []trace.Event
 	for _, ev := range rec.Events() {
 		switch ev.Kind {
-		case flight.EvReplayStart:
+		case trace.EvReplayStart:
 			replays[ev.Tx]++
-		case flight.EvReuse:
+		case trace.EvReuse:
 			reuses = append(reuses, ev)
 		}
 	}
@@ -282,12 +282,12 @@ func TestEndToEndReuseEvents(t *testing.T) {
 	}
 	leader := blocks[0]
 	for _, ev := range reuses {
-		if int(ev.Worker) < flight.ValidatorLaneBase || ev.Aux >= uint64(len(leader.Txs)) || leader.Txs[ev.Aux].Hash() != ev.Tx {
+		if int(ev.Worker) < trace.ValidatorLaneBase || ev.Aux >= uint64(len(leader.Txs)) || leader.Txs[ev.Aux].Hash() != ev.Tx {
 			t.Fatalf("malformed reuse event %+v", ev.View())
 		}
 		if replays[ev.Tx] != 1 {
 			tl, _ := rec.TimelineByPrefix(ev.Tx.String())
-			t.Fatalf("taken tx %s replayed %d times:\n%s", ev.Tx, replays[ev.Tx], flight.RenderTimeline(flight.Views(tl)))
+			t.Fatalf("taken tx %s replayed %d times:\n%s", ev.Tx, replays[ev.Tx], trace.RenderTimeline(trace.Views(tl)))
 		}
 	}
 }

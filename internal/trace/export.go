@@ -1,9 +1,11 @@
-// Wire/JSON views of flight events: the per-tx timeline payload served by
-// /flight/txtrace and rendered by `bpinspect txtrace`, and the prefix lookup
-// that finds one transaction's events.
-package flight
+// Wire/JSON views of transaction events: the per-tx timeline payload served
+// by /flight/txtrace and rendered by `bpinspect txtrace`, and the prefix
+// lookup that finds one transaction's events. Stage events have their own
+// view, SpanView.
+package trace
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -67,11 +69,13 @@ func (ev Event) View() EventView {
 	return v
 }
 
-// Views converts a batch of events.
+// Views converts the transaction events of a batch, skipping stage events.
 func Views(evs []Event) []EventView {
-	out := make([]EventView, len(evs))
-	for i, ev := range evs {
-		out[i] = ev.View()
+	out := make([]EventView, 0, len(evs))
+	for _, ev := range evs {
+		if ev.Kind != EvStage {
+			out = append(out, ev.View())
+		}
 	}
 	return out
 }
@@ -93,7 +97,10 @@ func (v EventView) detail() string {
 		}
 		return "invalid"
 	case "assign":
-		return fmt.Sprintf("component=%d gas=%d", v.Aux, v.Aux2)
+		if v.Aux == 0 {
+			return fmt.Sprintf("writer=none reads=%d", v.Aux2)
+		}
+		return fmt.Sprintf("writer=%d reads=%d", v.Aux-1, v.Aux2)
 	case "reuse":
 		return fmt.Sprintf("taken from leader tx %d", v.Aux)
 	case "block_done":
@@ -132,39 +139,24 @@ func (r *Recorder) TimelineByPrefix(s string) ([]Event, error) {
 	if want == "" {
 		return nil, errEmptyPrefix
 	}
-	evs := r.Events()
-	var match types.Hash
-	found := false
-	for _, ev := range evs {
-		if ev.Tx == (types.Hash{}) {
+	var out []Event // the events of the one transaction that matches
+	for _, ev := range r.Events() {
+		if ev.Tx == (types.Hash{}) || ev.Kind == EvStage || !strings.HasPrefix(strings.TrimPrefix(ev.Tx.String(), "0x"), want) {
 			continue
 		}
-		h := strings.TrimPrefix(ev.Tx.String(), "0x")
-		if strings.HasPrefix(h, want) {
-			if found && ev.Tx != match {
-				return nil, errAmbiguousPrefix
-			}
-			match, found = ev.Tx, true
+		if len(out) > 0 && ev.Tx != out[0].Tx {
+			return nil, errAmbiguousPrefix
 		}
+		out = append(out, ev)
 	}
-	if !found {
+	if len(out) == 0 {
 		return nil, errNoSuchTx
-	}
-	out := evs[:0:0]
-	for _, ev := range evs {
-		if ev.Tx == match {
-			out = append(out, ev)
-		}
 	}
 	return out, nil
 }
 
 var (
-	errEmptyPrefix     = errString("empty tx prefix")
-	errAmbiguousPrefix = errString("tx prefix matches multiple transactions; give more digits")
-	errNoSuchTx        = errString("no buffered events match that tx")
+	errEmptyPrefix     = errors.New("empty tx prefix")
+	errAmbiguousPrefix = errors.New("tx prefix matches multiple transactions; give more digits")
+	errNoSuchTx        = errors.New("no buffered events match that tx")
 )
-
-type errString string
-
-func (e errString) Error() string { return string(e) }

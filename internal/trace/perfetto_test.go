@@ -1,4 +1,4 @@
-package flight
+package trace
 
 import (
 	"bytes"
@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 )
 
@@ -73,26 +72,26 @@ func validateSchema(t *testing.T, f exportFile) {
 	}
 }
 
-// TestWriteTraceMergedSchema drives both sources — flight events and block
-// lifecycle spans — through the one export and schema-validates the result.
+// TestWriteTraceMergedSchema drives both kinds — transaction events and
+// block stage events — through the one export and schema-validates the
+// result.
 func TestWriteTraceMergedSchema(t *testing.T) {
-	r := newRecorder(1, 64, DefaultTopK)
+	r := newRecorder(1, 64, 8, DefaultTopK)
 	var tx types.Hash
 	tx[0] = 0xaa
 	r.record(3, Event{Kind: EvExecStart, Tx: tx, Height: 7})
 	r.record(3, Event{Kind: EvExecEnd, Tx: tx, Height: 7})
 	r.record(WorkerSystem, Event{Kind: EvBlockSubmit, Height: 7, Aux: 1})
 
-	c := trace.NewCollector(64)
 	var blk types.Hash
 	blk[0] = 0x07
 	base := r.start.Add(2 * time.Millisecond)
-	c.RecordSpan("proposer", trace.StageSeal, blk, 7, base, base.Add(time.Millisecond))
-	c.RecordSpan("v0", trace.StageTransfer, blk, 7, base.Add(time.Millisecond), base.Add(2*time.Millisecond))
-	c.RecordSpan("v0", trace.StageCommit, blk, 7, base.Add(2*time.Millisecond), base.Add(3*time.Millisecond))
+	r.RecordSpan("proposer", StageSeal, blk, 7, base, base.Add(time.Millisecond))
+	r.RecordSpan("v0", StageTransfer, blk, 7, base.Add(time.Millisecond), base.Add(2*time.Millisecond))
+	r.RecordSpan("v0", StageCommit, blk, 7, base.Add(2*time.Millisecond), base.Add(3*time.Millisecond))
 
 	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf, c.Spans()); err != nil {
+	if err := r.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	f := decodeTrace(t, &buf)
@@ -112,23 +111,20 @@ func TestWriteTraceMergedSchema(t *testing.T) {
 	}
 }
 
-// TestWriteTraceMergedBlockOrdering checks the block-span section: spans
-// re-base onto the recorder epoch in recorded order, nodes map to stable
-// tids, and cross-node spans carry the shared trace id in args.
+// TestWriteTraceMergedBlockOrdering checks the block-stage section: stages
+// sit on the recorder epoch in start order, nodes map to stable tids, and
+// cross-node stages carry the shared trace id in args.
 func TestWriteTraceMergedBlockOrdering(t *testing.T) {
-	r := newRecorder(1, 8, DefaultTopK)
-	c := trace.NewCollector(64)
+	r := newRecorder(1, 8, 8, DefaultTopK)
 	var blk types.Hash
 	blk[0] = 0x42
 	base := r.start
-	c.RecordSpan("proposer", trace.StageSeal, blk, 3, base, base.Add(4*time.Millisecond))
-	ctx := c.ContextFor(blk)
-	ctx.SentUnixNano = base.Add(5 * time.Millisecond).UnixNano()
-	c.Delivered("proposer", "v0", 3, blk, ctx)
-	c.RecordSpan("v0", trace.StageCommit, blk, 3, base.Add(8*time.Millisecond), base.Add(9*time.Millisecond))
+	r.RecordSpan("proposer", StageSeal, blk, 3, base, base.Add(4*time.Millisecond))
+	r.Delivered("proposer", "v0", 3, blk, base.Add(5*time.Millisecond).UnixNano())
+	r.RecordSpan("v0", StageCommit, blk, 3, base.Add(8*time.Millisecond), base.Add(9*time.Millisecond))
 
 	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf, c.Spans()); err != nil {
+	if err := r.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	f := decodeTrace(t, &buf)
@@ -154,8 +150,8 @@ func TestWriteTraceMergedBlockOrdering(t *testing.T) {
 	if tids["node:proposer"] == tids["node:v0"] {
 		t.Fatalf("proposer and v0 share tid %d", tids["node:proposer"])
 	}
-	// Ring order is record order; re-based timestamps must be monotonic here
-	// and slices must land on their node's tid.
+	// Timestamps must be monotonic here and slices must land on their
+	// node's tid.
 	wantTid := []int{tids["node:proposer"], tids["node:v0"], tids["node:v0"]}
 	for i, ev := range blockEvents {
 		if ev.Tid != wantTid[i] {
@@ -180,9 +176,9 @@ func TestWriteTraceMergedBlockOrdering(t *testing.T) {
 // TestWriteTraceMergedEmpty: all-empty sources must still produce a valid,
 // loadable trace (process metadata only, no slices).
 func TestWriteTraceMergedEmpty(t *testing.T) {
-	r := newRecorder(1, 8, DefaultTopK)
+	r := newRecorder(1, 8, 8, DefaultTopK)
 	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf, nil); err != nil {
+	if err := r.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	f := decodeTrace(t, &buf)
@@ -194,13 +190,11 @@ func TestWriteTraceMergedEmpty(t *testing.T) {
 	}
 }
 
-// TestWriteTraceFile: the one helper behind -flight-out / -trace-out writes
-// the recorder plus the installed block tracer's spans, works with no tracer
-// installed, and reports an unwritable path.
+// TestWriteTraceFile: the one helper behind -trace-out and the incident
+// bundles writes every buffered event, stage events on the blocks process,
+// and reports an unwritable path.
 func TestWriteTraceFile(t *testing.T) {
-	trace.Disable()
-	t.Cleanup(func() { trace.Disable() })
-	r := newRecorder(1, 8, DefaultTopK)
+	r := newRecorder(1, 8, 8, DefaultTopK)
 	r.record(WorkerSystem, Event{Kind: EvBlockSubmit, Height: 1})
 	slicesIn := func(path string) int {
 		raw, err := os.ReadFile(path)
@@ -223,16 +217,15 @@ func TestWriteTraceFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := slicesIn(path); n != 0 {
-		t.Fatalf("no tracer installed, yet %d block slices", n)
+		t.Fatalf("no stage recorded, yet %d block slices", n)
 	}
 
-	c := trace.Enable()
-	c.RecordSpan("v0", trace.StageCommit, types.Hash{1}, 1, r.start, r.start.Add(time.Millisecond))
+	r.RecordSpan("v0", StageCommit, types.Hash{1}, 1, r.start, r.start.Add(time.Millisecond))
 	if err := r.WriteTraceFile(path); err != nil {
 		t.Fatal(err)
 	}
 	if n := slicesIn(path); n != 1 {
-		t.Fatalf("%d block slices, want the installed tracer's 1", n)
+		t.Fatalf("%d block slices, want the recorded 1", n)
 	}
 
 	if err := r.WriteTraceFile(filepath.Join(t.TempDir(), "no", "such", "dir.json")); err == nil {

@@ -1,6 +1,6 @@
 // Text rendering for block paths — the per-block waterfall + stall-bucket
 // table behind `bpinspect crit` — and the JSON wire form of one span, whose
-// duration is clamped and whose stage is named.
+// duration is clamped, whose stage is named and whose start reads in UTC.
 package trace
 
 import (
@@ -9,11 +9,11 @@ import (
 	"time"
 )
 
-// SpanView is the JSON wire form of one span.
+// SpanView is the JSON wire form of one stage event (its span_id is the
+// event's Seq).
 type SpanView struct {
 	TraceID uint64    `json:"trace_id"`
 	SpanID  uint64    `json:"span_id"`
-	Parent  uint64    `json:"parent,omitempty"`
 	Stage   string    `json:"stage"`
 	Node    string    `json:"node"`
 	From    string    `json:"from,omitempty"`
@@ -23,13 +23,13 @@ type SpanView struct {
 	DurNS   int64     `json:"dur_ns"`
 }
 
-// View converts a span to its wire form.
-func (s *Span) View() SpanView {
+// spanView converts a stage event to its wire form; nodes is the node table.
+func (r *Recorder) spanView(ev *Event, nodes []string) SpanView {
 	return SpanView{
-		TraceID: s.TraceID, SpanID: s.SpanID, Parent: s.Parent,
-		Stage: s.Stage.String(), Node: s.Node, From: s.From,
-		Height: s.Height, Block: s.Block.String(),
-		Start: s.Start, DurNS: s.Dur().Nanoseconds(),
+		TraceID: TraceID(ev.Tx), SpanID: ev.Seq,
+		Stage: ev.Stage.String(), Node: nodes[ev.Worker], From: nodes[ev.Stripe],
+		Height: ev.Height, Block: ev.Tx.String(),
+		Start: r.at(ev.TS).UTC(), DurNS: max(ev.Dur(), 0),
 	}
 }
 
@@ -46,12 +46,9 @@ func RenderPathView(p BlockPath) string {
 		p.Height, p.Block.String()[:10], p.Node, p.Total.Round(time.Microsecond), p.Critical, status)
 	var cum time.Duration
 	for _, seg := range p.Segments {
-		lead := 0
+		lead, width := 0, 0
 		if p.Total > 0 {
 			lead = int(float64(cum) / float64(p.Total) * waterfallWidth)
-		}
-		width := 0
-		if p.Total > 0 {
 			width = int(seg.Share*waterfallWidth + 0.5)
 		}
 		if width < 1 && seg.Dur > 0 {

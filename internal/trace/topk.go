@@ -1,4 +1,4 @@
-package flight
+package trace
 
 import (
 	"cmp"
@@ -92,9 +92,6 @@ func (t *TopK[K]) Top(n int) []Counted[K] {
 	}
 	return out
 }
-
-// Len returns how many candidates the sketch currently holds.
-func (t *TopK[K]) Len() int { return len(t.entries) }
 
 // Decay scales every candidate's count (and error bound) by factor in
 // [0, 1), evicting candidates whose count reaches zero. It turns the

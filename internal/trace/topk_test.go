@@ -1,4 +1,4 @@
-package flight
+package trace
 
 import "testing"
 
@@ -12,8 +12,8 @@ func TestTopKExactWhenSmall(t *testing.T) {
 	}
 	s.Observe("c")
 
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
+	if len(s.entries) != 3 {
+		t.Fatalf("Len = %d, want 3", len(s.entries))
 	}
 	top := s.Top(0)
 	if len(top) != 3 {
@@ -46,8 +46,8 @@ func TestTopKEviction(t *testing.T) {
 	s.Observe("b")
 	s.Observe("c") // evicts b (count 1): c gets count=2, err=1
 
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if len(s.entries) != 2 {
+		t.Fatalf("Len = %d, want 2", len(s.entries))
 	}
 	top := s.Top(0)
 	if top[0].Key != "a" || top[0].Count != 3 {
@@ -122,8 +122,8 @@ func TestTopKDecayMonotonic(t *testing.T) {
 		prevHot, prevWarm = counts["hot"], counts["warm"]
 	}
 	// 16 · 0.5⁶ < 1: everything has drained.
-	if s.Len() != 0 {
-		t.Fatalf("after 6 half-decays the sketch still holds %d entries: %v", s.Len(), s.Top(0))
+	if len(s.entries) != 0 {
+		t.Fatalf("after 6 half-decays the sketch still holds %d entries: %v", len(s.entries), s.Top(0))
 	}
 }
 
@@ -140,8 +140,8 @@ func TestTopKDecayEvictionInteraction(t *testing.T) {
 	}
 	s.Decay(0.25) // old-hot → 2, old-warm → 1
 	s.Observe("new")
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if len(s.entries) != 2 {
+		t.Fatalf("Len = %d, want 2", len(s.entries))
 	}
 	top := s.Top(0)
 	if top[0].Key != "old-hot" || top[0].Count != 2 {
@@ -164,8 +164,8 @@ func TestTopKDecayClampAndReset(t *testing.T) {
 		t.Fatalf("Decay(1.5) must be a no-op, got %v", top)
 	}
 	s.Decay(-1)
-	if s.Len() != 0 {
-		t.Fatalf("Decay(-1) must clear the sketch, Len = %d", s.Len())
+	if len(s.entries) != 0 {
+		t.Fatalf("Decay(-1) must clear the sketch, Len = %d", len(s.entries))
 	}
 }
 
@@ -173,8 +173,8 @@ func TestTopKMinCapacity(t *testing.T) {
 	s := NewTopK[string](0) // clamped to 1
 	s.Observe("a")
 	s.Observe("b")
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (k clamped to 1)", s.Len())
+	if len(s.entries) != 1 {
+		t.Fatalf("Len = %d, want 1 (k clamped to 1)", len(s.entries))
 	}
 }
 

@@ -17,14 +17,12 @@ func hash(b byte) types.Hash {
 
 // synthBlock records a full synthetic lifecycle for one block on one
 // validator, with deliberate gaps between stages, and returns the epoch.
-func synthBlock(c *Collector, blk types.Hash, height uint64, node string, t0 time.Time) {
+func synthBlock(c *Recorder, blk types.Hash, height uint64, node string, t0 time.Time) {
 	at := func(ms int64) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
 	// seal [0,4) on the proposer
 	c.RecordSpan("proposer", StageSeal, blk, height, at(0), at(4))
-	// transfer [11,13): 1ms broadcast_wait gap after seal
-	ctx := c.ContextFor(blk)
-	ctx.SentUnixNano = at(11).UnixNano()
-	c.Delivered("proposer", node, height, blk, ctx)
+	// transfer from 11ms: a broadcast_wait gap after seal
+	c.Delivered("proposer", node, height, blk, at(11).UnixNano())
 	// queue [14,15): 1ms inbox_wait gap — then the validation chain
 	c.RecordSpan(node, StageQueue, blk, height, at(14), at(15))
 	c.RecordSpan(node, StagePrepare, blk, height, at(16), at(18))
@@ -37,7 +35,7 @@ func synthBlock(c *Collector, blk types.Hash, height uint64, node string, t0 tim
 // The Delivered end time is time.Now(), so the synthetic transfer span ends
 // "now" — far beyond the at(...) timeline. Re-record it directly for tests
 // needing exact tiling.
-func synthExact(c *Collector, blk types.Hash, height uint64, node string, t0 time.Time) {
+func synthExact(c *Recorder, blk types.Hash, height uint64, node string, t0 time.Time) {
 	at := func(ms int64) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
 	c.RecordSpan("proposer", StageSeal, blk, height, at(0), at(4))
 	c.RecordSpan(node, StageTransfer, blk, height, at(11), at(13))
@@ -49,50 +47,46 @@ func synthExact(c *Collector, blk types.Hash, height uint64, node string, t0 tim
 	c.RecordSpan(node, StageStateCommit, blk, height, at(28), at(30))
 }
 
-func TestNilCollectorIsNoOp(t *testing.T) {
-	var c *Collector
+func TestNilRecorderIsNoOp(t *testing.T) {
+	var c *Recorder
 	c.RecordSpan("n", StageCommit, hash(1), 1, time.Now(), time.Now())
 	c.Begin("n", StagePrepare, 1).End(hash(1))
 	c.Begin("n", StageSeal, 1).End(hash(1))
 	c.Begin("n", StageCommit, 1).Drop()
-	c.Delivered("a", "b", 1, hash(1), Context{TraceID: 9})
-	if ctx := c.ContextFor(hash(1)); ctx.TraceID != 0 {
-		t.Fatalf("nil collector returned non-zero context %+v", ctx)
-	}
+	c.Delivered("a", "b", 1, hash(1), time.Now().UnixNano())
 	if got := c.Spans(); got != nil {
-		t.Fatalf("nil collector returned spans %v", got)
+		t.Fatalf("nil recorder returned spans %v", got)
+	}
+	if got := c.Events(); got != nil || c.Total() != 0 {
+		t.Fatalf("nil recorder returned events %v (total %d)", got, c.Total())
 	}
 	if _, ok := c.PathFor(hash(1), "n"); ok {
-		t.Fatal("nil collector returned a path")
+		t.Fatal("nil recorder returned a path")
 	}
 	if w := c.Window(0, ""); w.Blocks != 0 {
-		t.Fatalf("nil collector window has %d blocks", w.Blocks)
+		t.Fatalf("nil recorder window has %d blocks", w.Blocks)
 	}
 }
 
 func TestTraceIDStitchesAcrossNodes(t *testing.T) {
-	c := NewCollector(0)
+	c := NewRecorder()
 	blk := hash(7)
 	c.RecordSpan("proposer", StageSeal, blk, 3, time.Now(), time.Now())
-	ctx := c.ContextFor(blk)
-	if ctx.TraceID == 0 {
-		t.Fatal("ContextFor allocated no trace id")
-	}
-	if ctx.ParentSpan == 0 {
-		t.Fatal("ContextFor did not carry the seal span as parent")
-	}
-	c.Delivered("proposer", "v0", 3, blk, ctx)
+	c.Delivered("proposer", "v0", 3, blk, time.Now().UnixNano())
 	c.RecordSpan("v0", StageCommit, blk, 3, time.Now(), time.Now())
 	spans := c.SpansFor(blk)
 	if len(spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(spans))
 	}
+	if TraceID(blk) == 0 || TraceID(blk) == TraceID(hash(8)) {
+		t.Fatalf("trace id %d does not tell block 7 from block 8", TraceID(blk))
+	}
 	for _, sp := range spans {
-		if sp.TraceID != ctx.TraceID {
-			t.Fatalf("span %s has trace id %d, want %d", sp.Stage, sp.TraceID, ctx.TraceID)
+		if v := c.spanView(&sp, c.Nodes()); v.TraceID != TraceID(blk) {
+			t.Fatalf("span %s has trace id %d, want %d", sp.Stage, v.TraceID, TraceID(blk))
 		}
 	}
-	var transfer *Span
+	var transfer *Event
 	for i := range spans {
 		if spans[i].Stage == StageTransfer {
 			transfer = &spans[i]
@@ -101,30 +95,36 @@ func TestTraceIDStitchesAcrossNodes(t *testing.T) {
 	if transfer == nil {
 		t.Fatal("no transfer span recorded")
 	}
-	if transfer.From != "proposer" || transfer.Node != "v0" {
-		t.Fatalf("transfer endpoints %q → %q, want proposer → v0", transfer.From, transfer.Node)
-	}
-	if transfer.Parent != ctx.ParentSpan {
-		t.Fatalf("transfer parent %d, want %d", transfer.Parent, ctx.ParentSpan)
+	if v := c.spanView(transfer, c.Nodes()); v.From != "proposer" || v.Node != "v0" {
+		t.Fatalf("transfer endpoints %q → %q, want proposer → v0", v.From, v.Node)
 	}
 }
 
-// A receiver that sees a block before any local binding must adopt the
-// sender's trace id, not allocate a fresh one.
+// A receiver that records a block in a recorder of its own, with nothing
+// but the send time from the sender, carries the sender's trace id; a
+// message that carries no send time records no transfer.
 func TestDeliveredAdoptsSenderTraceID(t *testing.T) {
-	c := NewCollector(0)
+	sender, receiver := NewRecorder(), NewRecorder()
 	blk := hash(9)
-	c.Delivered("proposer", "v1", 2, blk, Context{TraceID: 424242, SentUnixNano: time.Now().UnixNano()})
-	c.RecordSpan("v1", StageQueue, blk, 2, time.Now(), time.Now())
-	for _, sp := range c.SpansFor(blk) {
-		if sp.TraceID != 424242 {
-			t.Fatalf("span %s trace id %d, want adopted 424242", sp.Stage, sp.TraceID)
+	sender.RecordSpan("proposer", StageSeal, blk, 2, time.Now(), time.Now())
+	receiver.Delivered("proposer", "v1", 2, blk, 0)
+	receiver.Delivered("proposer", "v1", 2, blk, time.Now().UnixNano())
+	receiver.RecordSpan("v1", StageQueue, blk, 2, time.Now(), time.Now())
+	seal := sender.SpansFor(blk)
+	want := sender.spanView(&seal[0], sender.Nodes()).TraceID
+	got := receiver.SpansFor(blk)
+	if len(got) != 2 {
+		t.Fatalf("receiver holds %d spans, want transfer + queue", len(got))
+	}
+	for _, sp := range got {
+		if v := receiver.spanView(&sp, receiver.Nodes()); v.TraceID != want {
+			t.Fatalf("span %s trace id %d, want the sender's %d", sp.Stage, v.TraceID, want)
 		}
 	}
 }
 
 func TestPathForTilesTo100Percent(t *testing.T) {
-	c := NewCollector(0)
+	c := NewRecorder()
 	t0 := time.Now()
 	blk := hash(1)
 	synthExact(c, blk, 5, "v0", t0)
@@ -177,7 +177,7 @@ func TestPathForTilesTo100Percent(t *testing.T) {
 }
 
 func TestPathForIncompleteChain(t *testing.T) {
-	c := NewCollector(0)
+	c := NewRecorder()
 	t0 := time.Now()
 	blk := hash(2)
 	// Commit without prepare/execute/verify/queue.
@@ -200,7 +200,7 @@ func TestPathForIncompleteChain(t *testing.T) {
 // With two buffered validation attempts (duplicate delivery), the path must
 // follow the attempt of the last commit and stay monotonic.
 func TestPathForPicksLastAttempt(t *testing.T) {
-	c := NewCollector(0)
+	c := NewRecorder()
 	t0 := time.Now()
 	blk := hash(3)
 	at := func(ms int64) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
@@ -225,7 +225,7 @@ func TestPathForPicksLastAttempt(t *testing.T) {
 }
 
 func TestWindowAggregation(t *testing.T) {
-	c := NewCollector(0)
+	c := NewRecorder()
 	t0 := time.Now()
 	synthExact(c, hash(1), 1, "v0", t0)
 	synthExact(c, hash(2), 2, "v0", t0.Add(time.Second))
@@ -250,17 +250,21 @@ func TestWindowAggregation(t *testing.T) {
 	}
 }
 
+// TestRingEviction: the stage ring keeps the newest stages, and per-
+// transaction traffic, which has rings of its own, evicts none of them.
 func TestRingEviction(t *testing.T) {
-	c := NewCollector(4)
+	c := newRecorder(1, 2, 4, DefaultTopK)
+	install(t, c)
 	t0 := time.Now()
 	for i := 0; i < 10; i++ {
 		c.RecordSpan("n", StageCommit, hash(byte(i)), uint64(i), t0, t0)
+		Commit(0, mktx(byte(i), 0), 1, uint64(i))
 	}
-	if c.Len() != 4 {
-		t.Fatalf("len %d, want capacity 4", c.Len())
+	if n := len(c.Events()); n != 4+2 {
+		t.Fatalf("%d events buffered, want stage capacity 4 + ring capacity 2", n)
 	}
-	if c.Total() != 10 {
-		t.Fatalf("total %d, want 10", c.Total())
+	if c.Total() != 20 {
+		t.Fatalf("total %d, want 20", c.Total())
 	}
 	spans := c.Spans()
 	if spans[0].Height != 6 || spans[3].Height != 9 {
@@ -268,92 +272,54 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-// The block → trace binding table must stay bounded by the span ring: a
-// binding goes when the last buffered span of its block is overwritten, and
-// a ContextFor for a block without spans stores nothing at all.
-func TestBindingsBoundedByRing(t *testing.T) {
-	const capacity = 64
-	c := NewCollector(capacity)
-	t0 := time.Now()
-	bindings := func() int {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return len(c.byBlock)
-	}
-	blockOf := func(i int) types.Hash {
-		var h types.Hash
-		h[0], h[1], h[2] = byte(i), byte(i>>8), 0xb1
-		return h
-	}
-	for i := 0; i < 10*capacity; i++ {
-		blk := blockOf(i)
-		if ctx := c.ContextFor(blockOf(i + 1<<20)); ctx.TraceID == 0 {
-			t.Fatal("ContextFor for an unsealed block carried no trace id")
-		}
-		c.RecordSpan("proposer", StageSeal, blk, uint64(i), t0, t0)
-		c.Delivered("proposer", "v0", uint64(i), blk, c.ContextFor(blk))
-		if n := bindings(); n > capacity {
-			t.Fatalf("after %d blocks the binding table holds %d entries, ring capacity %d", i+1, n, capacity)
-		}
-	}
-	if n, want := bindings(), capacity/2; n != want {
-		t.Fatalf("binding table holds %d entries, want one per buffered block (%d)", n, want)
-	}
-
-	// A block whose spans are all still buffered stitches as before, under
-	// one trace id, while older blocks keep leaving.
-	blk := hash(0xee)
-	synthExact(c, blk, 9, "v0", t0)
-	p, ok := c.PathFor(blk, "v0")
-	if !ok || !p.Complete {
-		t.Fatalf("buffered block did not stitch: ok=%v missing=%v", ok, p.Missing)
-	}
-	for _, sp := range c.SpansFor(blk) {
-		if sp.TraceID != p.TraceID {
-			t.Fatalf("span %s has trace id %d, path has %d", sp.Stage, sp.TraceID, p.TraceID)
-		}
-	}
-	// Once every span of it has been overwritten the binding is gone, and a
-	// late span starts a fresh trace instead of resurrecting the old id.
-	for i := 0; i < capacity; i++ {
-		c.RecordSpan("n", StageInsert, blockOf(i), 1, t0, t0)
-	}
-	c.mu.Lock()
-	_, kept := c.byBlock[blk]
-	c.mu.Unlock()
-	if kept {
-		t.Fatal("binding outlived the last buffered span of its block")
-	}
-	c.RecordSpan("v0", StageInsert, blk, 9, t0, t0)
-	if got := c.SpansFor(blk); len(got) != 1 || got[0].TraceID == p.TraceID {
-		t.Fatalf("late span after eviction: %+v (old trace id %d)", got, p.TraceID)
-	}
-}
-
+// TestEnableDisable checks the one install slot from both sides: the stage
+// writers resolve to the installed recorder, and the transaction events it
+// buffered stay readable after Disable.
 func TestEnableDisable(t *testing.T) {
 	prev := Active()
 	t.Cleanup(func() { active.Store(prev) })
-	c := Enable()
-	if Active() != c {
-		t.Fatal("Enable did not install the collector")
-	}
-	if Resolve(nil) != c {
-		t.Fatal("Resolve(nil) did not fall back to the installed collector")
-	}
-	other := NewCollector(8)
-	if Resolve(other) != other {
-		t.Fatal("Resolve must prefer the injected collector")
-	}
-	if got := Disable(); got != c {
-		t.Fatalf("Disable returned %p, want %p", got, c)
-	}
-	if Active() != nil {
-		t.Fatal("still enabled after Disable")
-	}
+
+	t.Run("stages", func(t *testing.T) {
+		c := Enable()
+		if Active() != c {
+			t.Fatal("Enable did not install the recorder")
+		}
+		if Resolve(nil) != c {
+			t.Fatal("Resolve(nil) did not fall back to the installed recorder")
+		}
+		other := NewRecorder()
+		if Resolve(other) != other {
+			t.Fatal("Resolve must prefer the injected recorder")
+		}
+		if got := Disable(); got != c {
+			t.Fatalf("Disable returned %p, want %p", got, c)
+		}
+		if Active() != nil {
+			t.Fatal("still enabled after Disable")
+		}
+	})
+
+	t.Run("events", func(t *testing.T) {
+		r := Enable()
+		if Active() != r {
+			t.Fatal("Enable did not install the recorder")
+		}
+		Commit(0, mktx(9, 9), 1, 1)
+		if got := Disable(); got != r {
+			t.Fatalf("Disable returned %p, want the installed recorder %p", got, r)
+		}
+		if Active() != nil {
+			t.Fatal("Disable left a recorder installed")
+		}
+		// The returned recorder still serves its buffered events.
+		if r.Total() != 1 {
+			t.Fatalf("post-Disable Total = %d, want 1", r.Total())
+		}
+	})
 }
 
 func TestRenderers(t *testing.T) {
-	c := NewCollector(0)
+	c := NewRecorder()
 	synthExact(c, hash(1), 5, "v0", time.Now())
 	p, _ := c.PathFor(hash(1), "v0")
 	out := RenderPathView(p)
@@ -374,7 +340,7 @@ func TestRenderers(t *testing.T) {
 func TestSynthBlockDeliveredPath(t *testing.T) {
 	// Delivered uses the real clock for the transfer end; the path must
 	// still assemble and clamp sensibly.
-	c := NewCollector(0)
+	c := NewRecorder()
 	blk := hash(8)
 	synthBlock(c, blk, 2, "v0", time.Now().Add(-40*time.Millisecond))
 	p, ok := c.PathFor(blk, "v0")

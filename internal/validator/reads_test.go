@@ -247,3 +247,25 @@ func TestReadRulesFailureInChain(t *testing.T) {
 		sib.Release()
 	}
 }
+
+// TestReadWriters: the assign event names, per transaction, 1 + the newest
+// writer below it that any of its reads waits on (0 for none), and how many
+// of its reads have a writer.
+func TestReadWriters(t *testing.T) {
+	a := types.AccountKey(types.Address{1})
+	b := types.AccountKey(types.Address{2})
+	c := types.AccountKey(types.Address{3})
+	txs := []*types.TxProfile{
+		{Reads: []types.KeyVersion{{Key: a}}, Writes: []types.StateKey{a}},
+		{Writes: []types.StateKey{b}},
+		{Reads: []types.KeyVersion{{Key: a}, {Key: b}, {Key: c}}, Writes: []types.StateKey{a}},
+		{Reads: []types.KeyVersion{{Key: a}}},
+		{},
+	}
+	wi := indexOf(txs)
+	for i, want := range [][2]int{{0, 0}, {0, 0}, {2, 2}, {3, 1}, {0, 0}} {
+		if w, n := wi.readWriters(txs[i].Reads, int32(i)); w != want[0] || n != want[1] {
+			t.Errorf("tx %d: writer %d, reads %d; want %d, %d", i, w, n, want[0], want[1])
+		}
+	}
+}

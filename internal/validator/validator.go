@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 
 	"blockpilot/internal/chain"
-	"blockpilot/internal/flight"
 	"blockpilot/internal/scheduler"
 	"blockpilot/internal/state"
 	"blockpilot/internal/telemetry"
@@ -63,11 +62,11 @@ type Config struct {
 	// (internal/sim/mutation.go), which proves the corruption oracle notices
 	// a validator that stopped checking profiles.
 	SkipProfileCheck bool
-	// Node names this validator in block-trace spans (default "validator").
+	// Node names this validator in its stage events (default "validator").
 	Node string
-	// Tracer injects a block-trace collector; nil falls back to the
-	// process-global one (trace.Active).
-	Tracer *trace.Collector
+	// Tracer injects the recorder of its stage events; nil falls back to
+	// the installed one (trace.Active).
+	Tracer *trace.Recorder
 }
 
 // DefaultConfig is the paper's configuration at the given thread count.
@@ -179,7 +178,7 @@ type executed struct {
 	gasUsed  uint64
 	profile  *types.BlockProfile
 	reused   int
-	tr       *trace.Collector
+	tr       *trace.Recorder
 	node     string
 	bh       types.Hash // only computed with a collector: Header.Hash is keccak over RLP
 }
@@ -225,18 +224,6 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 		}
 	}
 	prepare.End(ex.bh)
-	// Only the flight recorder's assign events name a transaction's subgraph.
-	var components []scheduler.Component
-	var txComponent []int
-	if flight.Enabled() {
-		components = scheduler.BuildComponents(block.Profile, true)
-		txComponent = make([]int, len(block.Txs))
-		for ci := range components {
-			for _, i := range components[ci].TxIndices {
-				txComponent[i] = ci
-			}
-		}
-	}
 
 	// A follower waits here, off the worker pool, until every lane of the
 	// leader has started: its own then run on the workers the leader frees,
@@ -282,9 +269,9 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 			overlay := state.NewOverlay(v, 0)
 			for i := next.Add(1) - 1; i < n; i = next.Add(1) - 1 {
 				r, want, accessOK := &res[i], block.Profile.Txs[i], true
-				if txComponent != nil {
-					ci := txComponent[i]
-					flight.Assign(laneID, block.Txs[i], ci, components[ci].Gas, h.Number)
+				if trace.Active() != nil {
+					writer, reads := wi.readWriters(want.Reads, i)
+					trace.Assign(laneID, block.Txs[i], writer, reads, h.Number)
 				}
 				if i > stop.Load() {
 					r.state.Store(failed)
@@ -292,15 +279,15 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 				}
 				if fw != nil && fw.takeable(i) {
 					l := &sib.results[fw.take[i]]
-					flight.Reuse(laneID, block.Txs[i], int(fw.take[i]), h.Number)
+					trace.Reuse(laneID, block.Txs[i], int(fw.take[i]), h.Number)
 					receipt := l.shared // this block's applier sets CumulativeGasUsed on its own copy
 					r.receipt, r.fee, r.changes, r.taken = &receipt, l.fee, l.changes, true
 				} else {
-					flight.ReplayStart(laneID, block.Txs[i], h.Number)
+					trace.ReplayStart(laneID, block.Txs[i], h.Number)
 					v.pos = i
 					overlay.Reset(v, types.Version(i))
 					receipt, fee, readCoinbase, err := apply(overlay, block.Txs[i], bc)
-					flight.ReplayEnd(laneID, block.Txs[i], h.Number)
+					trace.ReplayEnd(laneID, block.Txs[i], h.Number)
 					if err != nil {
 						r.err = err
 						if err != errWriterFailed {
@@ -351,7 +338,7 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 		if vErr = r.err; vErr != nil {
 			if errors.Is(vErr, ErrProfileMismatch) {
 				telemetry.ValidatorVerifyFailures.Inc()
-				flight.Verify(block.Txs[i], false, h.Number)
+				trace.Verify(block.Txs[i], false, h.Number)
 			}
 			break
 		}
@@ -359,7 +346,7 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 		r.receipt.CumulativeGasUsed = ex.gasUsed
 		ex.receipts[i], ex.parts[i] = r.receipt, r.changes
 		ex.fees.Add(&ex.fees, &r.fee)
-		flight.Verify(block.Txs[i], true, h.Number)
+		trace.Verify(block.Txs[i], true, h.Number)
 		if r.taken {
 			ex.reused++
 		}

@@ -62,6 +62,18 @@ func (wi *writerIndex) below(k types.StateKey, i int32) int32 {
 	return e
 }
 
+// readWriters returns 1 + the newest position below i that the index names
+// as a writer of any of reads (0 when none) and how many of reads name one:
+// the assign event's payload.
+func (wi *writerIndex) readWriters(reads []types.KeyVersion, i int32) (writer, named int) {
+	for _, kv := range reads {
+		if e := wi.below(kv.Key, i); e >= 0 {
+			writer, named = max(writer, int(wi.list[e].pos)+1), named+1
+		}
+	}
+	return writer, named
+}
+
 // view is the state.Reader a lane runs the transaction at position pos on.
 // Each read takes the value of the newest lower transaction that the index
 // names as a writer of its key and whose write set holds it, which is what
