@@ -60,17 +60,18 @@ build:
 # -race over it would buy nothing.
 CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/validator/... ./internal/evm/ ./internal/node/ ./internal/state/
 
-# The TopK pass repeats because an order-dependent heavy-hitter sketch (map
-# iteration deciding a tie) fails about one run in eight, not every run; the
-# validator's verdict test because a verdict that follows arrival order
-# rather than block order only shows on some interleavings, its read-rule
+# The TopK pass repeats because an order-dependent heavy-hitter sketch (the
+# adaptive controller's; map iteration deciding a tie) fails about one run in
+# eight, not every run; the validator's verdict test because a verdict that
+# follows arrival order rather than block order only shows on some
+# interleavings, its read-rule
 # tests because a reader that waits on, or skips past, the wrong writer only
 # shows on some too, and its sibling tests because takeable settles each
 # verdict across racing lanes.
 test:
 	$(GO) test ./...
 	$(GO) test -cpu 1,2,4 $(CONCURRENCY_PKGS)
-	$(GO) test -count=20 -run 'TopK|TestVerdictFirstFailure|TestReadRules|TestSibling' ./internal/trace/ ./internal/validator/
+	$(GO) test -count=20 -run 'TopK|TestVerdictFirstFailure|TestReadRules|TestSibling' ./internal/adaptive/ ./internal/validator/
 
 race:
 	$(GO) test -race -timeout 30m -cpu 1,2,4 $(CONCURRENCY_PKGS)

@@ -47,7 +47,7 @@ func goldenTx(n byte) *types.Transaction {
 }
 
 // fillFlight installs a fresh recorder, records a fixed lifecycle for four
-// transactions and two blocks, and returns one that is not the busiest, for
+// transactions, and returns one that is not the busiest, for
 // the prefix lookup. The short sleeps keep every exec/replay slice longer
 // than zero, so the Perfetto file always carries its dur field.
 func fillFlight() *types.Transaction {
@@ -58,7 +58,6 @@ func fillFlight() *types.Transaction {
 	for _, tx := range []*types.Transaction{a, b, c, d} {
 		trace.Admit(tx)
 	}
-	trace.BlockSubmit(1)
 	trace.Pop(0, a, 1)
 	trace.ExecStart(0, a, 1)
 	time.Sleep(time.Microsecond)
@@ -95,9 +94,6 @@ func fillFlight() *types.Transaction {
 	trace.Reuse(1, b, 0, 1)
 	trace.Verify(b, true, 1)
 	trace.Verify(a, false, 1)
-	trace.BlockDone(1, true)
-	trace.BlockSubmit(2)
-	trace.BlockDone(2, false)
 	return b
 }
 

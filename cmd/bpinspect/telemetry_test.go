@@ -20,7 +20,7 @@ func TestScrapeSnapshotOK(t *testing.T) {
 		_, _ = w.Write([]byte(`{
 			"taken_at": "2026-08-06T00:00:00Z",
 			"counters": [{"name": "blockpilot_proposer_tx_committed_total", "value": 264}],
-			"gauges": [{"name": "blockpilot_flight_hotkey_abort_share", "value": 0.93}]
+			"gauges": [{"name": "blockpilot_adaptive_lane_occupancy", "value": 0.93}]
 		}`))
 	}))
 	defer srv.Close()

@@ -1,8 +1,8 @@
 // Package adaptive closes the conflict-attribution loop (ISSUE 9, the NEMO
 // direction from PAPERS.md): a contention controller that consumes a
 // *windowed* (exponentially decaying) view of the abort-attribution stream —
-// the same hot-key / hot-sender heavy-hitter sketches the trace recorder
-// keeps, plus per-stripe abort counters — and feeds three online scheduling
+// hot-key / hot-sender heavy-hitter sketches (TopK) plus per-stripe abort
+// counters — and feeds three online scheduling
 // decisions back into the proposer:
 //
 //  1. Hot-key serial lane: transactions whose static access hints (sender
@@ -35,8 +35,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"blockpilot/internal/state"
 	"blockpilot/internal/telemetry"
-	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 )
 
@@ -55,6 +55,8 @@ const (
 	// the scheduling decisions each block. Small on purpose: the serial lane
 	// must stay a lane, not become the block.
 	hotN = 8
+	// sketchK is how many candidates each sketch holds.
+	sketchK = 64
 	// minCount is the windowed abort count a sketch entry needs before it is
 	// considered hot. Below it the controller publishes an empty hot set and
 	// the proposer runs exactly as with adaptive off — no contention, no
@@ -77,8 +79,8 @@ type HotSet struct {
 	// lane traffic) and hot senders.
 	Accounts map[types.Address]struct{}
 	// Keys / Senders are the windowed sketch rows the set was built from.
-	Keys    []trace.Counted[types.StateKey]
-	Senders []trace.Counted[types.Address]
+	Keys    []Counted[types.StateKey]
+	Senders []Counted[types.Address]
 	// WindowAborts is the decayed abort mass in the window at publish time.
 	WindowAborts uint64
 }
@@ -89,9 +91,9 @@ type Controller struct {
 	cfg Config
 
 	mu           sync.Mutex // guards the sketches + windowed counters
-	keys         *trace.TopK[types.StateKey]
-	senders      *trace.TopK[types.Address]
-	stripeAborts [trace.StripeSlots]float64
+	keys         *TopK[types.StateKey]
+	senders      *TopK[types.Address]
+	stripeAborts [state.DefaultStripes]float64
 	windowAborts float64
 
 	hot atomic.Pointer[HotSet]
@@ -106,8 +108,8 @@ type Controller struct {
 func New(cfg Config) *Controller {
 	return &Controller{
 		cfg:     cfg,
-		keys:    trace.NewTopK[types.StateKey](trace.DefaultTopK),
-		senders: trace.NewTopK[types.Address](trace.DefaultTopK),
+		keys:    NewTopK[types.StateKey](sketchK),
+		senders: NewTopK[types.Address](sketchK),
 	}
 }
 
@@ -127,7 +129,7 @@ func (c *Controller) NoteAbort(sender types.Address, key types.StateKey, stripe 
 	c.mu.Lock()
 	c.keys.Observe(key)
 	c.senders.Observe(sender)
-	if stripe >= 0 && stripe < trace.StripeSlots {
+	if stripe >= 0 && stripe < state.DefaultStripes {
 		c.stripeAborts[stripe]++
 	}
 	c.windowAborts++

@@ -1,4 +1,4 @@
-package trace
+package adaptive
 
 import (
 	"cmp"
@@ -11,17 +11,15 @@ import (
 // current minimum and inherits its count as over-estimation error. For any
 // key whose true frequency exceeds N/k the sketch is guaranteed to hold it,
 // and Count − Err is a lower bound on the true frequency. When the distinct
-// key population is ≤ k the counts are exact (Err = 0).
-//
-// The sketch is mutex-guarded: it is touched only on the abort path, which
-// is orders of magnitude rarer than the per-event ring writes.
+// key population is ≤ k the counts are exact (Err = 0). Not safe for
+// concurrent use: the Controller serializes every call under its mutex.
 //
 // Both orders the sketch exposes — which candidate is evicted, and the rank
 // order Top reports — are total: every candidate is stamped with the sequence
 // number at which it entered, and ties on count fall back to it, never to
 // map iteration order. The same observation stream therefore always yields
-// the same sketch and the same Top, so the adaptive hot set cut off at rank n
-// and the rows of `bpinspect hotkeys` do not vary run to run.
+// the same sketch and the same Top, so the hot set cut off at rank n does not
+// vary run to run.
 type TopK[K comparable] struct {
 	k       int
 	seq     uint64 // candidates admitted so far
@@ -50,8 +48,7 @@ func NewTopK[K comparable](k int) *TopK[K] {
 	return &TopK[K]{k: k, entries: make(map[K]*topkEntry, k+1)}
 }
 
-// Observe counts one occurrence of key. Not safe for concurrent use; the
-// Recorder serializes calls under its attribution mutex.
+// Observe counts one occurrence of key.
 func (t *TopK[K]) Observe(key K) {
 	if e, ok := t.entries[key]; ok {
 		e.count++

@@ -19,6 +19,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,6 +37,13 @@ var ErrParentUnavailable = errors.New("pipeline: parent block never validated")
 // afterInsert, when set (tests only), runs between a block's insert into the
 // chain and the send of its outcome.
 var afterInsert func(*types.Block)
+
+// ErrParkedCap fails a block more than chain.StateWindow above head, and the
+// oldest parked arrival once maxParked blocks wait. The honest partition and
+// lossy simulator scenarios park at most 16 at once (seeds 1 and 42).
+var ErrParkedCap = errors.New("pipeline: beyond the parked-block cap")
+
+const maxParked = 256
 
 // ErrPoolClosed reports a submission to a closed worker pool.
 var ErrPoolClosed = errors.New("pipeline: worker pool closed")
@@ -143,6 +151,7 @@ type Pipeline struct {
 	running  int                            // active validations
 	unsent   map[types.Hash]bool            // blocks in the chain whose commit outcome is not sent yet
 	waiting  map[types.Hash][]*pendingBlock // parent hash → parked blocks
+	parked   int                            // blocks in waiting
 	siblings map[types.Hash]siblingRef      // parent hash → the record its running children share
 
 	results chan Outcome
@@ -204,44 +213,72 @@ func (p *Pipeline) Results() <-chan Outcome { return p.results }
 // once too, and so does every block parked behind it. Blocks may arrive in
 // any order; a block waits until its parent has been validated and its
 // outcome sent, and a block on the same parent as one already running
-// follows it (see the package comment).
+// follows it (see the package comment). With maxParked blocks waiting, the
+// oldest arrival fails with ErrParkedCap, and every block parked behind it.
 func (p *Pipeline) Submit(block *types.Block) {
-	trace.BlockSubmit(block.Header.Number)
-	arrived := time.Now()
-	if err := chain.CheckBody(block); err != nil {
-		p.results <- Outcome{Block: block, Err: err, Elapsed: time.Since(arrived)}
-		return
-	}
 	// One header encoding + Keccak per block, taken outside p.mu: the hash
 	// keys the block's spans and, under the lock, its waiting children.
-	pb := &pendingBlock{block: block, hash: block.Hash(), arrived: arrived}
+	pb := &pendingBlock{block: block, arrived: time.Now(), hash: block.Hash()}
+	if err := chain.CheckBody(block); err != nil {
+		p.send(pb, Outcome{Block: block, Err: err, Elapsed: time.Since(pb.arrived)})
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.unvalidatable(block); err != nil {
-		p.results <- Outcome{Block: block, Err: err, Elapsed: time.Since(pb.arrived)}
+		p.send(pb, Outcome{Block: block, Err: err, Elapsed: time.Since(pb.arrived)})
 		_ = p.failSubtreeLocked(pb.hash, err)
 		return
 	}
 	parent := block.Header.ParentHash
 	if p.chain.StateOf(parent) == nil || p.unsent[parent] {
+		if p.parked == maxParked {
+			p.failOldestLocked()
+		}
 		p.waiting[parent] = append(p.waiting[parent], pb)
+		p.parked++
 		telemetry.PipelineWaiting.Add(1)
 		return
 	}
 	p.startLocked(pb)
 }
 
+// failOldestLocked fails the parked block that arrived first, and its
+// subtree, with ErrParkedCap. Caller holds p.mu.
+func (p *Pipeline) failOldestLocked() {
+	var oldest *pendingBlock
+	for _, parked := range p.waiting {
+		for _, pb := range parked {
+			if oldest == nil || pb.arrived.Before(oldest.arrived) {
+				oldest = pb
+			}
+		}
+	}
+	parent := oldest.block.Header.ParentHash
+	p.waiting[parent] = slices.DeleteFunc(p.waiting[parent], func(pb *pendingBlock) bool { return pb == oldest })
+	if len(p.waiting[parent]) == 0 {
+		delete(p.waiting, parent)
+	}
+	p.parked--
+	telemetry.PipelineWaiting.Add(-1)
+	p.send(oldest, Outcome{Block: oldest.block, Err: ErrParkedCap, Elapsed: time.Since(oldest.arrived)})
+	_ = p.failSubtreeLocked(oldest.hash, ErrParkedCap)
+}
+
 // unvalidatable returns what a block's validation would reach however long
 // it waited, its header being fixed by its hash: another gas limit than the
 // chain's, or a height at or below head − chain.StateWindow, or a parent
 // that validated but whose state has left the window (a head that moved
-// past the bound after it was read). Caller holds p.mu.
+// past the bound after it was read); or, the cap by height, one more than
+// chain.StateWindow above head. Caller holds p.mu.
 func (p *Pipeline) unvalidatable(block *types.Block) error {
 	if err := chain.CheckGasLimit(&block.Header, p.params); err != nil {
 		return fmt.Errorf("%w: %w", validator.ErrBadBlock, err)
 	}
 	if head := p.chain.Height(); head > chain.StateWindow && block.Number() <= head-chain.StateWindow {
 		return fmt.Errorf("%w: block %d, head %d", chain.ErrStatePruned, block.Number(), head)
+	} else if block.Number() > head+chain.StateWindow {
+		return fmt.Errorf("%w: block %d, head %d", ErrParkedCap, block.Number(), head)
 	}
 	// Block is read first: an insert between the reads then shows its state.
 	if parent := block.Header.ParentHash; p.chain.Block(parent) != nil && p.chain.StateOf(parent) == nil {
@@ -298,20 +335,15 @@ func (p *Pipeline) run(pb *pendingBlock) {
 		p.mu.Unlock()
 		if insErr := p.chain.InsertWithReceipts(block, res.State, res.Receipts); insErr != nil {
 			out.Err = insErr
-		} else if tr != nil {
-			// Zero-duration mark: when the block became part of this node's
-			// chain (it anchors reorg and anti-entropy analysis without
-			// affecting critical-path tiling).
-			now := time.Now()
-			tr.RecordSpan(node, trace.StageInsert, bh, block.Header.Number, now, now)
+		} else {
+			p.mark(trace.StageInsert, pb)
 		}
 	}
 	if afterInsert != nil {
 		afterInsert(block)
 	}
 	telemetry.PipelineBlockSeconds.ObserveDuration(out.Elapsed)
-	trace.BlockDone(block.Header.Number, out.Err == nil)
-	p.results <- out
+	p.send(pb, out)
 
 	// The outcome is sent: a child parked behind this block may start.
 	p.mu.Lock()
@@ -330,6 +362,7 @@ func (p *Pipeline) run(pb *pendingBlock) {
 		// Commitment done: release children waiting on this block.
 		children := p.waiting[bh]
 		delete(p.waiting, bh)
+		p.parked -= len(children)
 		telemetry.PipelineWaiting.Add(-int64(len(children)))
 		now := time.Now()
 		for _, c := range children {
@@ -351,13 +384,31 @@ func (p *Pipeline) run(pb *pendingBlock) {
 func (p *Pipeline) failSubtreeLocked(parent types.Hash, cause error) int {
 	children := p.waiting[parent]
 	delete(p.waiting, parent)
+	p.parked -= len(children)
 	telemetry.PipelineWaiting.Add(-int64(len(children)))
 	n := len(children)
 	for _, c := range children {
-		p.results <- Outcome{Block: c.block, Err: cause, Elapsed: time.Since(c.arrived)}
+		p.send(c, Outcome{Block: c.block, Err: cause, Elapsed: time.Since(c.arrived)})
 		n += p.failSubtreeLocked(c.hash, cause)
 	}
 	return n
+}
+
+// send delivers pb's outcome; a failed one leaves a reject mark first.
+func (p *Pipeline) send(pb *pendingBlock, out Outcome) {
+	if out.Err != nil {
+		p.mark(trace.StageReject, pb)
+	}
+	p.results <- out
+}
+
+// mark records a zero-duration stage of pb on this node — insert or reject:
+// it anchors reorg and anti-entropy analysis without entering the tiling.
+func (p *Pipeline) mark(stage trace.Stage, pb *pendingBlock) {
+	if tr := trace.Resolve(p.cfg.Tracer); tr != nil {
+		now := time.Now()
+		tr.RecordSpan(p.cfg.Node, stage, pb.hash, pb.block.Header.Number, now, now)
+	}
 }
 
 // Pending reports how many blocks the pipeline currently holds: active
@@ -366,11 +417,7 @@ func (p *Pipeline) failSubtreeLocked(parent types.Hash, cause error) int {
 func (p *Pipeline) Pending() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := p.running
-	for _, parked := range p.waiting {
-		n += len(parked)
-	}
-	return n
+	return p.running + p.parked
 }
 
 // Wait blocks until no validation is running. Blocks parked behind a parent

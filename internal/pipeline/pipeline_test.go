@@ -8,6 +8,7 @@ import (
 	"blockpilot/internal/core"
 	"blockpilot/internal/mempool"
 	"blockpilot/internal/telemetry"
+	"blockpilot/internal/trace"
 	"blockpilot/internal/types"
 	"blockpilot/internal/validator"
 	"blockpilot/internal/workload"
@@ -235,10 +236,13 @@ func TestChildReportsAfterParent(t *testing.T) {
 
 // TestSubmitRejectsUnvalidatable: on a chain whose head is StateWindow+3
 // heights up, a block on an unknown parent that can never validate gets its
-// outcome at once and parks nothing — one under another gas limit, and one
-// at head − StateWindow, whose parent's state would be gone — and a child
-// parked behind it before it came gets the same error; a block one height
-// above that bound still parks behind its parent, its child behind it.
+// outcome at once and parks nothing — one under another gas limit, one at
+// head − StateWindow, whose parent's state would be gone, and one more than
+// StateWindow above head, beyond the parked-block cap — and a child parked
+// behind it before it came gets the same error; a block one height inside
+// either bound still parks behind its parent, its child behind it. With
+// maxParked blocks parked, the next one fails the oldest arrival and its
+// subtree with ErrParkedCap, and the waiting gauge follows.
 func TestSubmitRejectsUnvalidatable(t *testing.T) {
 	g := workload.New(workload.Default())
 	genesis, params := g.GenesisState(), chain.DefaultParams()
@@ -272,11 +276,15 @@ func TestSubmitRejectsUnvalidatable(t *testing.T) {
 		{"gas limit", orphan(head, params.GasLimit+1), validator.ErrBadBlock},
 		{"at the window's bound", orphan(head-chain.StateWindow, params.GasLimit), chain.ErrStatePruned},
 		{"one above the bound", orphan(head-chain.StateWindow+1, params.GasLimit), nil},
+		{"above the window's top", orphan(head+chain.StateWindow+1, params.GasLimit), ErrParkedCap},
+		{"at the window's top", orphan(head+chain.StateWindow, params.GasLimit), nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := New(c, validator.DefaultConfig(1), nil)
 			defer p.Close()
-			child := block(tc.block.Hash(), tc.block.Number()+1, params.GasLimit)
+			// The child sits one height up, but no higher than the window's
+			// top, so that it parks.
+			child := block(tc.block.Hash(), min(tc.block.Number()+1, head+chain.StateWindow), params.GasLimit)
 			p.Submit(child)
 			if n := p.Pending(); n != 1 {
 				t.Fatalf("%d blocks pending, want the child parked", n)
@@ -308,6 +316,78 @@ func TestSubmitRejectsUnvalidatable(t *testing.T) {
 				t.Fatalf("%d blocks pending after the outcomes", n)
 			}
 		})
+	}
+	t.Run("parked cap full", func(t *testing.T) {
+		p := New(c, validator.DefaultConfig(1), nil)
+		defer p.Close()
+		waiting := telemetry.PipelineWaiting.Value()
+		oldest := orphan(head+1, params.GasLimit)
+		child := block(oldest.Hash(), head+2, params.GasLimit)
+		p.Submit(oldest)
+		p.Submit(child)
+		for i := 2; i <= maxParked; i++ { // the last one finds the cap full
+			p.Submit(block(types.Hash{0xca, byte(i), byte(i >> 8)}, head+1, params.GasLimit))
+		}
+		for _, want := range []*types.Block{oldest, child} {
+			select {
+			case out := <-p.Results():
+				if out.Block != want || !errors.Is(out.Err, ErrParkedCap) {
+					t.Fatalf("block %d: outcome err = %v, want block %d with ErrParkedCap",
+						out.Block.Number(), out.Err, want.Number())
+				}
+			default:
+				t.Fatalf("block %d: no outcome, the cap held it", want.Number())
+			}
+		}
+		if n := p.Pending(); n != maxParked-1 {
+			t.Fatalf("%d blocks pending, want %d", n, maxParked-1)
+		}
+		if got := telemetry.PipelineWaiting.Value() - waiting; got != maxParked-1 {
+			t.Fatalf("PipelineWaiting rose by %d, want %d", got, maxParked-1)
+		}
+	})
+}
+
+// TestRejectMarks: each failed outcome leaves one zero-duration reject mark
+// on the injected tracer and nothing on the installed recorder — for a block
+// that fails its body check, one that unvalidatable fails, and a child
+// parked behind that one, failed with its subtree.
+func TestRejectMarks(t *testing.T) {
+	c, g, params, root := forkFixture(t)
+	good, _ := proposeOn(t, g, root, g.NextBlockTxs(), 0, params)
+	tampered := *good // keeps the hash, fails the body check
+	tampered.Txs = tampered.Txs[1:]
+	bad := *good // fails unvalidatable
+	bad.Header.GasLimit++
+	child := *good // parks behind bad
+	child.Header.ParentHash, child.Header.Number = bad.Hash(), 2
+
+	installed := trace.Enable()
+	defer trace.Disable()
+	tr := trace.NewRecorder()
+	cfg := validator.DefaultConfig(1)
+	cfg.Node, cfg.Tracer = "v0", tr
+	p := New(c, cfg, nil)
+	defer p.Close()
+	p.Submit(&child)
+	p.Submit(&tampered)
+	p.Submit(&bad)
+	for _, want := range []*types.Block{&tampered, &bad, &child} {
+		if out := <-p.Results(); out.Block != want || out.Err == nil {
+			t.Fatalf("outcome: block %d, err %v; want block %d failed", out.Block.Number(), out.Err, want.Number())
+		}
+		var marks []trace.Event
+		for _, ev := range tr.SpansFor(want.Hash()) {
+			if ev.Stage == trace.StageReject {
+				marks = append(marks, ev)
+			}
+		}
+		if len(marks) != 1 || marks[0].Dur() != 0 || tr.Nodes()[marks[0].Worker] != "v0" || marks[0].Height != want.Number() {
+			t.Fatalf("block %d: reject marks %+v, want one zero-duration mark on v0", want.Number(), marks)
+		}
+	}
+	if n := len(installed.Events()); n != 0 {
+		t.Fatalf("the installed recorder holds %d events, want none", n)
 	}
 }
 

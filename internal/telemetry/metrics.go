@@ -42,17 +42,6 @@ var (
 		"MV-STM validation aborts: read sets invalidated by a lower transaction's write.")
 )
 
-// Conflict attribution (internal/trace). Pushed by
-// Recorder.Attribution whenever a hot-key report is computed.
-var (
-	FlightStripeAbortSkew = NewFloatGauge("blockpilot_flight_stripe_abort_skew",
-		"Max per-stripe abort count over the mean across touched MVState stripes (1.0 = even).")
-	FlightStripeWaitSkew = NewFloatGauge("blockpilot_flight_stripe_wait_skew",
-		"Max per-stripe cumulative lock wait over the mean across touched stripes (1.0 = even).")
-	FlightHotKeyAbortShare = NewFloatGauge("blockpilot_flight_hotkey_abort_share",
-		"Fraction of all WSI aborts attributed to the top-10 hot state keys.")
-)
-
 // Validator (profile-guided re-execution, internal/validator).
 var (
 	ValidatorBlocks = NewCounter("blockpilot_validator_blocks_total",

@@ -1,38 +1,25 @@
 // Conflict attribution: which state keys, senders and MVState stripes cause
-// OCC-WSI aborts, and how skewed the per-stripe load is. Fed from the abort
-// and commit hot paths; summarized into an AttributionReport and into the
-// telemetry registry's flight gauges.
+// OCC-WSI aborts, and how skewed the per-stripe load is — counted from the
+// buffered abort events, so the report's window is the rings'. The
+// per-stripe commit-lock waits, which no event carries, are the one counter
+// kept beside the rings.
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"blockpilot/internal/telemetry"
-	"blockpilot/internal/types"
 )
 
-// stripeStat is one stripe's attribution counters. Writers are the abort
-// path (aborts) and the commit path (attempts, waitNs); all atomic.
+// stripeStat is one stripe's commit-lock counters, written by the commit
+// path.
 type stripeStat struct {
-	aborts   atomic.Uint64
 	attempts atomic.Uint64
 	waitNs   atomic.Uint64
-}
-
-// noteAbort feeds one abort into the sketches and stripe counters.
-func (r *Recorder) noteAbort(sender types.Address, key types.StateKey, stripe int) {
-	r.abortTotal.Add(1)
-	if stripe >= 0 && stripe < StripeSlots {
-		r.stripes[stripe].aborts.Add(1)
-	}
-	r.attrMu.Lock()
-	r.hotKeys.Observe(key)
-	r.hotSenders.Observe(sender)
-	r.attrMu.Unlock()
 }
 
 // noteStripeWait attributes one commit attempt's lock wait to every stripe
@@ -50,8 +37,7 @@ func (r *Recorder) noteStripeWait(set uint64, d time.Duration) {
 type HotKey struct {
 	Key   string  `json:"key"`
 	Count uint64  `json:"count"`
-	Err   uint64  `json:"err,omitempty"` // space-saving overestimation bound
-	Share float64 `json:"share"`         // Count / TotalAborts
+	Share float64 `json:"share"` // Count / TotalAborts
 }
 
 // StripeReport is one stripe's attribution row.
@@ -79,50 +65,52 @@ type AttributionReport struct {
 	WaitSkew  float64 `json:"stripe_wait_skew"`
 }
 
-// Attribution freezes the recorder's conflict-attribution state, and pushes
-// the skew gauges into the telemetry registry.
+// Attribution counts the buffered abort events: the topN (default 10)
+// hottest keys and senders, highest count first and ties in first-seen
+// order, and every stripe's aborts beside its commit-lock waits. The counts
+// are exact over what the rings hold.
 func (r *Recorder) Attribution(topN int) *AttributionReport {
 	if topN <= 0 {
 		topN = 10
 	}
-	rep := &AttributionReport{TotalAborts: r.abortTotal.Load()}
-
-	r.attrMu.Lock()
-	keys := r.hotKeys.Top(topN)
-	senders := r.hotSenders.Top(topN)
-	r.attrMu.Unlock()
-
-	share := func(n uint64) float64 { return float64(n) / float64(max(rep.TotalAborts, 1)) }
-	var top10 uint64
-	for i, c := range keys {
-		rep.Keys = append(rep.Keys, HotKey{Key: c.Key.String(), Count: c.Count, Err: c.Err, Share: share(c.Count)})
-		if i < 10 {
-			top10 += c.Count
+	var keys, senders []string
+	var aborts [StripeSlots]uint64
+	for _, ev := range r.Events() {
+		if ev.Kind != EvAbort {
+			continue
+		}
+		keys, senders = append(keys, ev.Key.String()), append(senders, ev.Sender.String())
+		if ev.Stripe >= 0 && ev.Stripe < StripeSlots {
+			aborts[ev.Stripe]++
 		}
 	}
-	rep.TopKeyShare = min(share(top10), 1) // sketch overestimation can nudge past 1
-	for _, c := range senders {
-		rep.Senders = append(rep.Senders, HotKey{Key: c.Key.String(), Count: c.Count, Err: c.Err, Share: share(c.Count)})
+	rep := &AttributionReport{TotalAborts: uint64(len(keys))}
+	rep.Keys, rep.Senders = hottest(keys, rep.TotalAborts), hottest(senders, rep.TotalAborts)
+	var top10 uint64
+	for _, k := range rep.Keys[:min(len(rep.Keys), 10)] {
+		top10 += k.Count
 	}
+	rep.TopKeyShare = float64(top10) / float64(max(rep.TotalAborts, 1))
+	rep.Keys, rep.Senders = rep.Keys[:min(len(rep.Keys), topN)], rep.Senders[:min(len(rep.Senders), topN)]
 
 	// Per-stripe rows + skew over stripes with any commit attempt.
 	var abortMax, abortSum, waitMax, waitSum uint64
 	var touched int
 	for i := range r.stripes {
 		st := &r.stripes[i]
-		attempts, aborts, wait := st.attempts.Load(), st.aborts.Load(), st.waitNs.Load()
-		if attempts == 0 && aborts == 0 {
+		attempts, wait := st.attempts.Load(), st.waitNs.Load()
+		if attempts == 0 && aborts[i] == 0 {
 			continue
 		}
-		row := StripeReport{Stripe: i, Aborts: aborts, Attempts: attempts, WaitNs: wait}
+		row := StripeReport{Stripe: i, Aborts: aborts[i], Attempts: attempts, WaitNs: wait}
 		if attempts > 0 {
 			row.MeanWait = float64(wait) / float64(attempts)
 		}
 		rep.Stripes = append(rep.Stripes, row)
 		touched++
-		abortSum += aborts
+		abortSum += aborts[i]
 		waitSum += wait
-		abortMax, waitMax = max(abortMax, aborts), max(waitMax, wait)
+		abortMax, waitMax = max(abortMax, aborts[i]), max(waitMax, wait)
 	}
 	if touched > 0 {
 		if mean := float64(abortSum) / float64(touched); mean > 0 {
@@ -132,12 +120,27 @@ func (r *Recorder) Attribution(topN int) *AttributionReport {
 			rep.WaitSkew = float64(waitMax) / mean
 		}
 	}
-
-	// Wire the gauges into the telemetry registry (ISSUE 3 tentpole (a)).
-	telemetry.FlightStripeAbortSkew.Set(rep.AbortSkew)
-	telemetry.FlightStripeWaitSkew.Set(rep.WaitSkew)
-	telemetry.FlightHotKeyAbortShare.Set(rep.TopKeyShare)
 	return rep
+}
+
+// hottest counts each distinct name of names and returns one row per name,
+// highest count first and ties in first-seen order.
+func hottest(names []string, total uint64) []HotKey {
+	row := map[string]int{}
+	var rows []HotKey
+	for _, name := range names {
+		i, ok := row[name]
+		if !ok {
+			i, row[name] = len(rows), len(rows)
+			rows = append(rows, HotKey{Key: name})
+		}
+		rows[i].Count++
+	}
+	slices.SortStableFunc(rows, func(a, b HotKey) int { return cmp.Compare(b.Count, a.Count) })
+	for i := range rows {
+		rows[i].Share = float64(rows[i].Count) / float64(total)
+	}
+	return rows
 }
 
 // Render draws the attribution report as aligned text tables.
@@ -146,17 +149,17 @@ func (rep *AttributionReport) Render() string {
 	fmt.Fprintf(&b, "conflict attribution: %d aborts; top-10 keys cover %.1f%%; stripe skew abort=%.2f wait=%.2f\n",
 		rep.TotalAborts, rep.TopKeyShare*100, rep.AbortSkew, rep.WaitSkew)
 	if len(rep.Keys) > 0 {
-		fmt.Fprintf(&b, "  hot keys (space-saving sketch; count overestimates by ≤ err):\n")
-		fmt.Fprintf(&b, "    %-72s %8s %6s %7s\n", "key", "aborts", "err", "share")
+		fmt.Fprintf(&b, "  hot keys:\n")
+		fmt.Fprintf(&b, "    %-72s %8s %7s\n", "key", "aborts", "share")
 		for _, k := range rep.Keys {
-			fmt.Fprintf(&b, "    %-72s %8d %6d %6.1f%%\n", k.Key, k.Count, k.Err, k.Share*100)
+			fmt.Fprintf(&b, "    %-72s %8d %6.1f%%\n", k.Key, k.Count, k.Share*100)
 		}
 	}
 	if len(rep.Senders) > 0 {
 		fmt.Fprintf(&b, "  hot senders:\n")
-		fmt.Fprintf(&b, "    %-44s %8s %6s %7s\n", "sender", "aborts", "err", "share")
+		fmt.Fprintf(&b, "    %-44s %8s %7s\n", "sender", "aborts", "share")
 		for _, s := range rep.Senders {
-			fmt.Fprintf(&b, "    %-44s %8d %6d %6.1f%%\n", s.Key, s.Count, s.Err, s.Share*100)
+			fmt.Fprintf(&b, "    %-44s %8d %6.1f%%\n", s.Key, s.Count, s.Share*100)
 		}
 	}
 	if len(rep.Stripes) > 0 {

@@ -50,10 +50,6 @@ const (
 	// set and gas against the block profile.
 	EvVerifyPass
 	EvVerifyFail
-	// EvBlockSubmit / EvBlockDone: pipeline block milestones (Tx is zero;
-	// Aux = 1 on EvBlockDone means the block validated and committed).
-	EvBlockSubmit
-	EvBlockDone
 	// EvExtend: a proposer worker about to read a key overwritten after its
 	// snapshot re-based the execution on the newest commit instead (OCC-WSI
 	// snapshot extension). Key is that key, Stripe its MVState stripe,
@@ -86,8 +82,6 @@ var kindNames = [...]string{
 	EvReplayEnd:   "replay_end",
 	EvVerifyPass:  "verify_pass",
 	EvVerifyFail:  "verify_fail",
-	EvBlockSubmit: "block_submit",
-	EvBlockDone:   "block_done",
 	EvExtend:      "extend",
 	EvReuse:       "reuse",
 	EvStage:       "stage",
@@ -104,7 +98,7 @@ func (k EventKind) String() string {
 // Worker-id namespaces. Proposer workers use their plain index; validator
 // execution lanes are offset so one Perfetto track per lane renders
 // separately from the proposer lanes; System tags events raised outside any
-// worker loop (mempool admission, block assembly, pipeline milestones).
+// worker loop (mempool admission, block assembly, the applier's verify).
 const (
 	// ValidatorLaneBase offsets validator lane ids.
 	ValidatorLaneBase = 0x100
@@ -148,14 +142,6 @@ func txEvent(worker int, kind EventKind, tx *types.Transaction, height, aux, aux
 	}
 }
 
-// one is 1 for true: the Aux of a yes/no payload.
-func one(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // Admit records a mempool admission (no worker context).
 func Admit(tx *types.Transaction) { txEvent(WorkerSystem, EvAdmit, tx, 0, 0, 0) }
 
@@ -174,15 +160,14 @@ func ExecEnd(worker int, tx *types.Transaction, height uint64) {
 
 // Abort records a WSI conflict abort: key is the stale-read key that failed
 // the reserve-table validation, winner the committed version that overwrote
-// it, stripe the key's MVState stripe. The abort also feeds the hot-key /
-// hot-sender sketches and the per-stripe abort counters.
+// it, stripe the key's MVState stripe. Conflict attribution counts these
+// events.
 func Abort(worker int, tx *types.Transaction, key types.StateKey, winner types.Version, stripe int, height uint64) {
 	if r := active.Load(); r != nil {
 		r.record(worker, Event{
 			Kind: EvAbort, Tx: tx.Hash(), Sender: tx.From,
 			Key: key, Version: winner, Stripe: int16(stripe), Height: height,
 		})
-		r.noteAbort(tx.From, key, stripe)
 	}
 }
 
@@ -223,7 +208,11 @@ func Seal(tx *types.Transaction, version types.Version, position int, height uin
 // Drop records a permanently abandoned transaction. retryExhausted
 // distinguishes retry-budget exhaustion from outright invalidity.
 func Drop(worker int, tx *types.Transaction, height uint64, retryExhausted bool) {
-	txEvent(worker, EvDrop, tx, height, one(retryExhausted), 0)
+	var aux uint64
+	if retryExhausted {
+		aux = 1
+	}
+	txEvent(worker, EvDrop, tx, height, aux, 0)
 }
 
 // Assign records a validator lane's claim of tx: writer is 1 + the block
@@ -256,20 +245,6 @@ func Verify(tx *types.Transaction, pass bool, height uint64) {
 		kind = EvVerifyPass
 	}
 	txEvent(WorkerSystem, kind, tx, height, 0, 0)
-}
-
-// BlockSubmit records a block entering the validation pipeline.
-func BlockSubmit(height uint64) {
-	if r := active.Load(); r != nil {
-		r.record(WorkerSystem, Event{Kind: EvBlockSubmit, Height: height})
-	}
-}
-
-// BlockDone records a block leaving the pipeline (ok = validated+committed).
-func BlockDone(height uint64, ok bool) {
-	if r := active.Load(); r != nil {
-		r.record(WorkerSystem, Event{Kind: EvBlockDone, Aux: one(ok), Height: height})
-	}
 }
 
 // StripeWait attributes one commit attempt's stripe-lock wait to every

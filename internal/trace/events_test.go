@@ -3,12 +3,13 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
-	"blockpilot/internal/telemetry"
 	"blockpilot/internal/types"
 )
 
@@ -40,7 +41,7 @@ func TestEventSize(t *testing.T) {
 }
 
 func TestRingWraparound(t *testing.T) {
-	r := newRecorder(1, 4, 8, DefaultTopK)
+	r := newRecorder(1, 4, 8)
 	for i := 0; i < 10; i++ {
 		r.record(0, Event{Kind: EvPop, Height: uint64(i)})
 	}
@@ -63,7 +64,7 @@ func TestRingWraparound(t *testing.T) {
 }
 
 func TestEventsMergedAcrossRings(t *testing.T) {
-	r := newRecorder(4, 16, 8, DefaultTopK)
+	r := newRecorder(4, 16, 8)
 	// Interleave workers so each ring holds a strided slice of the sequence.
 	for i := 0; i < 32; i++ {
 		r.record(i%4, Event{Kind: EvExecStart, Height: uint64(i)})
@@ -95,7 +96,7 @@ func TestEventsMergedAcrossRings(t *testing.T) {
 // TestTimelineLifecycle drives the public helpers through one transaction's
 // full proposer+validator lifecycle and checks the reconstructed order.
 func TestTimelineLifecycle(t *testing.T) {
-	install(t, newRecorder(2, 64, 8, DefaultTopK))
+	install(t, newRecorder(2, 64, 8))
 	tx := mktx(1, 0)
 	other := mktx(2, 0)
 
@@ -161,7 +162,7 @@ func TestTimelineLifecycle(t *testing.T) {
 }
 
 func TestTimelineByPrefix(t *testing.T) {
-	r := newRecorder(1, 256, 8, DefaultTopK)
+	r := newRecorder(1, 256, 8)
 	// 17 distinct hashes guarantee (pigeonhole over 16 nibble values) that at
 	// least two share a first hex digit — a deterministic ambiguity case.
 	txs := make([]*types.Transaction, 17)
@@ -225,8 +226,6 @@ func TestDisabledHelpersAreNoops(t *testing.T) {
 	ReplayStart(0, tx, 1)
 	ReplayEnd(0, tx, 1)
 	Verify(tx, false, 1)
-	BlockSubmit(1)
-	BlockDone(1, true)
 	StripeWait(0b1011, time.Microsecond)
 	if Active() != nil {
 		t.Fatal("helpers must not install a recorder")
@@ -253,7 +252,7 @@ func TestLaneNames(t *testing.T) {
 // TestWriteTracePerfetto checks the Chrome trace-event export is valid JSON
 // with the expected track structure (the ISSUE 3 "loads in Perfetto" gate).
 func TestWriteTracePerfetto(t *testing.T) {
-	r := newRecorder(2, 128, 8, DefaultTopK)
+	r := newRecorder(2, 128, 8)
 	tx := mktx(1, 0)
 	tx2 := mktx(2, 1)
 
@@ -262,8 +261,8 @@ func TestWriteTracePerfetto(t *testing.T) {
 	r.record(0, Event{Kind: EvAbort, Tx: tx2.Hash(), Sender: tx2.From, Key: types.AccountKey(tx2.From), Version: 2, Stripe: 3, Height: 1})
 	r.record(ValidatorLane(1), Event{Kind: EvReplayStart, Tx: tx.Hash(), Height: 1})
 	r.record(ValidatorLane(1), Event{Kind: EvReplayEnd, Tx: tx.Hash(), Height: 1})
-	r.record(WorkerSystem, Event{Kind: EvBlockSubmit, Height: 1})
-	r.record(WorkerSystem, Event{Kind: EvBlockDone, Aux: 1, Height: 1})
+	r.record(WorkerSystem, Event{Kind: EvSeal, Tx: tx.Hash(), Sender: tx.From, Version: 1, Height: 1})
+	r.record(WorkerSystem, Event{Kind: EvVerifyPass, Tx: tx.Hash(), Sender: tx.From, Height: 1})
 
 	// The proposer's whole packing run: one seal stage.
 	sealStart := r.start.Add(time.Microsecond)
@@ -328,17 +327,21 @@ func TestWriteTracePerfetto(t *testing.T) {
 	if phaseSlices != 1 {
 		t.Fatal("seal span missing from the blocks process")
 	}
-	// abort instant + block_submit + block_done at minimum.
+	// abort instant + seal + verify_pass at minimum.
 	if instants < 3 {
 		t.Fatalf("only %d instants", instants)
 	}
 }
 
-// TestAttributionReport feeds a skewed abort stream directly into the
-// attribution layer and checks the ≥80% top-10 acceptance quantity, the
-// skew gauges and the stripe accounting.
+// recordAbort records one abort event of sender on key, in stripe, on worker.
+func recordAbort(r *Recorder, worker int, sender types.Address, key types.StateKey, stripe int) {
+	r.record(worker, Event{Kind: EvAbort, Sender: sender, Key: key, Stripe: int16(stripe)})
+}
+
+// TestAttributionReport records a skewed abort stream and checks the ≥80%
+// top-10 acceptance quantity, the skew and the stripe accounting.
 func TestAttributionReport(t *testing.T) {
-	r := newRecorder(1, 64, 8, 32)
+	r := newRecorder(1, 128, 8)
 
 	hotKey := types.AccountKey(types.HexToAddress("0xaaaa"))
 	warmKey := types.StorageKey(types.HexToAddress("0xbbbb"), types.Hash{1})
@@ -347,15 +350,15 @@ func TestAttributionReport(t *testing.T) {
 	// 90 aborts on two keys, 10 across a tail of distinct keys: top-10 must
 	// attribute ≥ 80%.
 	for i := 0; i < 60; i++ {
-		r.noteAbort(hotSender, hotKey, 3)
+		recordAbort(r, 0, hotSender, hotKey, 3)
 	}
 	for i := 0; i < 30; i++ {
-		r.noteAbort(hotSender, warmKey, 3)
+		recordAbort(r, 0, hotSender, warmKey, 3)
 	}
 	for i := 0; i < 10; i++ {
 		var a types.Address
 		a[0], a[1] = 0xcc, byte(i)
-		r.noteAbort(a, types.AccountKey(a), (10+i)%StripeSlots)
+		recordAbort(r, 0, a, types.AccountKey(a), (10+i)%StripeSlots)
 	}
 	r.noteStripeWait(1<<3|1<<5, 100*time.Microsecond)
 	r.noteStripeWait(1<<3, 50*time.Microsecond)
@@ -389,19 +392,131 @@ func TestAttributionReport(t *testing.T) {
 		t.Fatalf("stripe 3 mean wait = %.0f ns, want %.0f", stripe3.MeanWait, want)
 	}
 
-	// The gauges were pushed into the telemetry registry.
-	if got := telemetry.FlightHotKeyAbortShare.Value(); got != rep.TopKeyShare {
-		t.Fatalf("telemetry hotkey share gauge = %f, want %f", got, rep.TopKeyShare)
-	}
-	if got := telemetry.FlightStripeAbortSkew.Value(); got != rep.AbortSkew {
-		t.Fatalf("telemetry abort-skew gauge = %f, want %f", got, rep.AbortSkew)
-	}
-
 	// The rendered report names the acceptance quantity and the hot key.
 	text := rep.Render()
 	for _, want := range []string{"conflict attribution", "100 aborts", hotKey.String(), "stripe  3"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// bruteHot counts name(ev) over every abort event of evs by rescanning them
+// for each distinct name, then picks rows by repeated maximum, the earliest
+// first-seen name winning a tie.
+func bruteHot(evs []Event, name func(*Event) string, n int) []HotKey {
+	var names []string
+	var counts []uint64
+	var total uint64
+	for i := range evs {
+		if evs[i].Kind != EvAbort {
+			continue
+		}
+		total++
+		if !slices.Contains(names, name(&evs[i])) {
+			var c uint64
+			for j := range evs {
+				if evs[j].Kind == EvAbort && name(&evs[j]) == name(&evs[i]) {
+					c++
+				}
+			}
+			names, counts = append(names, name(&evs[i])), append(counts, c)
+		}
+	}
+	var rows []HotKey
+	for len(rows) < n {
+		best := -1
+		for i, c := range counts {
+			if c > 0 && (best < 0 || c > counts[best]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		rows = append(rows, HotKey{Key: names[best], Count: counts[best], Share: float64(counts[best]) / float64(total)})
+		counts[best] = 0
+	}
+	return rows
+}
+
+// TestAttributionMatchesEvents: for a seeded random abort stream spread over
+// four rings and mixed with other kinds, the report equals a brute-force
+// count over Events() — rows, order, shares, stripes and TopKeyShare — and
+// a wrapped ring reports only the aborts it still holds.
+func TestAttributionMatchesEvents(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	r := newRecorder(4, 1024, 8)
+	addr := func(i int) types.Address { return types.Address{0: 0xa0, 19: byte(i)} }
+	for i := 0; i < 600; i++ {
+		worker := rng.Intn(8)
+		if rng.Intn(4) == 0 {
+			r.record(worker, Event{Kind: EvCommit, Sender: addr(rng.Intn(6)), Key: types.AccountKey(addr(99))})
+			continue
+		}
+		// A small key and sender population, so counts tie often.
+		recordAbort(r, worker, addr(rng.Intn(6)), types.AccountKey(addr(rng.Intn(14))), rng.Intn(StripeSlots))
+	}
+	evs := r.Events()
+	for _, n := range []int{3, 10, 64} {
+		rep := r.Attribution(n)
+		wantKeys := bruteHot(evs, func(ev *Event) string { return ev.Key.String() }, n)
+		wantSenders := bruteHot(evs, func(ev *Event) string { return ev.Sender.String() }, n)
+		if !slices.Equal(rep.Keys, wantKeys) {
+			t.Fatalf("n=%d keys:\n got %+v\nwant %+v", n, rep.Keys, wantKeys)
+		}
+		if !slices.Equal(rep.Senders, wantSenders) {
+			t.Fatalf("n=%d senders:\n got %+v\nwant %+v", n, rep.Senders, wantSenders)
+		}
+		var top10 uint64
+		for _, k := range bruteHot(evs, func(ev *Event) string { return ev.Key.String() }, 10) {
+			top10 += k.Count
+		}
+		if want := float64(top10) / float64(rep.TotalAborts); rep.TopKeyShare != want {
+			t.Fatalf("n=%d TopKeyShare = %v, want %v", n, rep.TopKeyShare, want)
+		}
+	}
+	rep := r.Attribution(0)
+	var stripes [StripeSlots]uint64
+	var total uint64
+	for _, ev := range evs {
+		if ev.Kind == EvAbort {
+			stripes[ev.Stripe]++
+			total++
+		}
+	}
+	if rep.TotalAborts != total || len(rep.Keys) != 10 {
+		t.Fatalf("TotalAborts = %d with %d key rows, want %d with the default 10", rep.TotalAborts, len(rep.Keys), total)
+	}
+	for _, st := range rep.Stripes {
+		if st.Aborts != stripes[st.Stripe] {
+			t.Fatalf("stripe %d: %d aborts, want %d", st.Stripe, st.Aborts, stripes[st.Stripe])
+		}
+		stripes[st.Stripe] = 0
+	}
+	if stripes != ([StripeSlots]uint64{}) {
+		t.Fatalf("stripes with aborts but no row: %v", stripes)
+	}
+
+	// A ring of 8 that saw 20 aborts — 12 on one key, then 8 on another —
+	// reports the 8 it holds.
+	w := newRecorder(1, 8, 8)
+	old, kept := types.AccountKey(addr(1)), types.AccountKey(addr(2))
+	for i := 0; i < 20; i++ {
+		key, stripe := old, 1
+		if i >= 12 {
+			key, stripe = kept, 2
+		}
+		recordAbort(w, 0, addr(i%2), key, stripe)
+	}
+	rep = w.Attribution(0)
+	if rep.TotalAborts != 8 || len(rep.Keys) != 1 || rep.Keys[0].Key != kept.String() || rep.Keys[0].Count != 8 {
+		t.Fatalf("wrapped ring: %d aborts, keys %+v; want 8 on %s", rep.TotalAborts, rep.Keys, kept)
+	}
+	if len(rep.Stripes) != 1 || rep.Stripes[0].Stripe != 2 || rep.TopKeyShare != 1 {
+		t.Fatalf("wrapped ring: stripes %+v, top-10 share %v; want stripe 2 alone, share 1", rep.Stripes, rep.TopKeyShare)
+	}
+	if want := []HotKey{{addr(0).String(), 4, 0.5}, {addr(1).String(), 4, 0.5}}; !slices.Equal(rep.Senders, want) {
+		t.Fatalf("wrapped ring senders %+v, want %+v", rep.Senders, want)
 	}
 }

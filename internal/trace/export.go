@@ -80,40 +80,37 @@ func Views(evs []Event) []EventView {
 	return out
 }
 
-// detail renders the kind-specific payload of one view for the text table.
-func (v EventView) detail() string {
+// field is one named value of an event's kind-specific payload.
+type field struct {
+	name  string
+	value any
+}
+
+// payload names each kind's payload, once for both readers: the txtrace
+// detail column and the Perfetto instant's args.
+func (v EventView) payload() []field {
 	switch v.Kind {
 	case "abort":
-		return fmt.Sprintf("key=%s winner=v%d stripe=%d", v.Key, v.Version, v.Stripe)
+		return []field{{"key", v.Key}, {"winner_version", v.Version}, {"stripe", v.Stripe}}
 	case "extend":
-		return fmt.Sprintf("snapshot v%d -> v%d stale key=%s stripe=%d", v.Aux, v.Version, v.Key, v.Stripe)
+		return []field{{"key", v.Key}, {"from_version", v.Aux}, {"to_version", v.Version}, {"stripe", v.Stripe}}
 	case "commit":
-		return fmt.Sprintf("version=%d", v.Version)
+		return []field{{"version", v.Version}}
 	case "seal":
-		return fmt.Sprintf("version=%d position=%d", v.Version, v.Aux)
+		return []field{{"version", v.Version}, {"position", v.Aux}}
 	case "drop":
-		if v.Aux == 1 {
-			return "retry budget exhausted"
-		}
-		return "invalid"
+		return []field{{"retry_exhausted", v.Aux == 1}}
 	case "assign":
-		if v.Aux == 0 {
-			return fmt.Sprintf("writer=none reads=%d", v.Aux2)
-		}
-		return fmt.Sprintf("writer=%d reads=%d", v.Aux-1, v.Aux2)
+		return []field{{"writer", int64(v.Aux) - 1}, {"reads", v.Aux2}} // writer −1: no read waits on one
 	case "reuse":
-		return fmt.Sprintf("taken from leader tx %d", v.Aux)
-	case "block_done":
-		if v.Aux == 1 {
-			return "committed"
-		}
-		return "rejected"
+		return []field{{"leader_index", v.Aux}}
 	}
-	return ""
+	return nil
 }
 
 // RenderTimeline draws one transaction's lifecycle as an aligned table with
-// relative timing (Δ from the first event).
+// relative timing (Δ from the first event) and each payload as name=value
+// pairs.
 func RenderTimeline(views []EventView) string {
 	if len(views) == 0 {
 		return "no buffered events for this transaction\n"
@@ -124,9 +121,12 @@ func RenderTimeline(views []EventView) string {
 		fmt.Fprintf(&b, "tx %s (sender %s): %d events\n", views[0].Tx, views[0].Sender, len(views))
 	}
 	for _, v := range views {
-		d := time.Duration(v.TSNs - base)
-		fmt.Fprintf(&b, "  +%-12s %-14s %-13s height=%-5d %s\n",
-			d.Round(time.Microsecond), v.Lane, v.Kind, v.Height, v.detail())
+		var pairs []string
+		for _, f := range v.payload() {
+			pairs = append(pairs, fmt.Sprintf("%s=%v", f.name, f.value))
+		}
+		fmt.Fprintf(&b, "  +%-12s %-14s %-13s height=%-5d %s\n", time.Duration(v.TSNs-base).Round(time.Microsecond),
+			v.Lane, v.Kind, v.Height, strings.Join(pairs, " "))
 	}
 	return b.String()
 }

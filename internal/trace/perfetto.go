@@ -10,7 +10,7 @@
 //	                    drop as instant ("i") events
 //	pid 2 "validator" — one tid per execution lane: replay slices plus
 //	                    assign/reuse/verify instants
-//	pid 3 "pipeline"  — block_submit/block_done instants
+//	pid 3 "pipeline"  — the system lane: admit/seal/verify instants
 //	pid 4 "blocks"    — block stage slices (seal, transfer, queue, prepare,
 //	                    execute, verify, commit, …), one tid per node,
 //	                    tagged with the block's trace id
@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"strings"
 
 	"blockpilot/internal/types"
 )
@@ -107,14 +108,14 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 			})
 			continue
 		}
-		pid, tid, name := pidProposer, int(ev.Worker), LaneName(int(ev.Worker))
+		pid, tid := pidProposer, int(ev.Worker)
 		switch {
 		case ev.Worker == WorkerSystem:
-			pid, tid, name = pidPipeline, 0, "milestones"
+			pid, tid = pidPipeline, 0
 		case ev.Worker >= ValidatorLaneBase:
 			pid, tid = pidValidator, int(ev.Worker)-ValidatorLaneBase
 		}
-		thread(pid, tid, name)
+		thread(pid, tid, LaneName(int(ev.Worker)))
 		switch ev.Kind {
 		case EvExecStart, EvReplayStart:
 			started[attempt{ev.Worker, ev.Tx}] = ev.TS
@@ -122,44 +123,16 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 			k := attempt{ev.Worker, ev.Tx}
 			if ts, ok := started[k]; ok {
 				delete(started, k)
-				name := "exec " + short(ev.Tx)
-				if ev.Kind == EvReplayEnd {
-					name = "replay " + short(ev.Tx)
-				}
 				out.TraceEvents = append(out.TraceEvents, traceEvent{
-					Name: name, Ph: "X", TS: us(ts), Dur: us(ev.TS - ts), Pid: pid, Tid: tid,
+					Name: strings.TrimSuffix(ev.Kind.String(), "_end") + " " + short(ev.Tx), Ph: "X",
+					TS: us(ts), Dur: us(ev.TS - ts), Pid: pid, Tid: tid,
 					Args: map[string]any{"tx": ev.Tx.String(), "sender": ev.Sender.String(), "height": ev.Height},
 				})
 			}
-		case EvBlockSubmit, EvBlockDone:
-			out.TraceEvents = append(out.TraceEvents, traceEvent{
-				Name: ev.Kind.String(), Ph: "i", TS: us(ev.TS), Pid: pidPipeline, Tid: 0, S: "p",
-				Args: map[string]any{"height": ev.Height, "ok": ev.Aux == 1},
-			})
 		default:
 			args := map[string]any{"tx": ev.Tx.String(), "height": ev.Height}
-			switch ev.Kind {
-			case EvAbort:
-				args["key"] = ev.Key.String()
-				args["winner_version"] = ev.Version
-				args["stripe"] = ev.Stripe
-			case EvExtend:
-				args["key"] = ev.Key.String()
-				args["from_version"] = ev.Aux
-				args["to_version"] = ev.Version
-				args["stripe"] = ev.Stripe
-			case EvCommit:
-				args["version"] = ev.Version
-			case EvSeal:
-				args["version"] = ev.Version
-				args["position"] = ev.Aux
-			case EvAssign:
-				args["writer"] = int64(ev.Aux) - 1 // −1: no read waits on a writer
-				args["reads"] = ev.Aux2
-			case EvReuse:
-				args["leader_index"] = ev.Aux
-			case EvDrop:
-				args["retry_exhausted"] = ev.Aux == 1
+			for _, f := range ev.View().payload() {
+				args[f.name] = f.value
 			}
 			out.TraceEvents = append(out.TraceEvents, traceEvent{
 				Name: ev.Kind.String() + " " + short(ev.Tx), Ph: "i",

@@ -76,12 +76,12 @@ func validateSchema(t *testing.T, f exportFile) {
 // block stage events — through the one export and schema-validates the
 // result.
 func TestWriteTraceMergedSchema(t *testing.T) {
-	r := newRecorder(1, 64, 8, DefaultTopK)
+	r := newRecorder(1, 64, 8)
 	var tx types.Hash
 	tx[0] = 0xaa
 	r.record(3, Event{Kind: EvExecStart, Tx: tx, Height: 7})
 	r.record(3, Event{Kind: EvExecEnd, Tx: tx, Height: 7})
-	r.record(WorkerSystem, Event{Kind: EvBlockSubmit, Height: 7, Aux: 1})
+	r.record(WorkerSystem, Event{Kind: EvAdmit, Tx: tx, Height: 7})
 
 	var blk types.Hash
 	blk[0] = 0x07
@@ -115,7 +115,7 @@ func TestWriteTraceMergedSchema(t *testing.T) {
 // sit on the recorder epoch in start order, nodes map to stable tids, and
 // cross-node stages carry the shared trace id in args.
 func TestWriteTraceMergedBlockOrdering(t *testing.T) {
-	r := newRecorder(1, 8, 8, DefaultTopK)
+	r := newRecorder(1, 8, 8)
 	var blk types.Hash
 	blk[0] = 0x42
 	base := r.start
@@ -176,7 +176,7 @@ func TestWriteTraceMergedBlockOrdering(t *testing.T) {
 // TestWriteTraceMergedEmpty: all-empty sources must still produce a valid,
 // loadable trace (process metadata only, no slices).
 func TestWriteTraceMergedEmpty(t *testing.T) {
-	r := newRecorder(1, 8, 8, DefaultTopK)
+	r := newRecorder(1, 8, 8)
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -194,8 +194,8 @@ func TestWriteTraceMergedEmpty(t *testing.T) {
 // bundles writes every buffered event, stage events on the blocks process,
 // and reports an unwritable path.
 func TestWriteTraceFile(t *testing.T) {
-	r := newRecorder(1, 8, 8, DefaultTopK)
-	r.record(WorkerSystem, Event{Kind: EvBlockSubmit, Height: 1})
+	r := newRecorder(1, 8, 8)
+	r.record(WorkerSystem, Event{Kind: EvAdmit, Tx: types.Hash{1}})
 	slicesIn := func(path string) int {
 		raw, err := os.ReadFile(path)
 		if err != nil {

@@ -5,13 +5,14 @@
 // Every record is an Event in a ring. Package-level helpers (events.go)
 // record the transaction kinds: admit, pop, speculative attempt start/end,
 // WSI abort, snapshot extension, commit, seal, drop, validator assign,
-// replay or reuse, verify, and the pipeline's block milestones. A completed
-// block stage is one more kind, EvStage (stage.go), written by Phase.End,
-// RecordSpan and Delivered. The readers — critical paths and stall buckets
-// (critical.go), the waterfall and timeline views (render.go, export.go),
-// conflict attribution (attribution.go) and the Perfetto file (perfetto.go)
-// — read those events on the recorder's one clock, and the installed
-// recorder's telemetry.Slot serves them under /trace/ and /flight/.
+// replay or reuse, and verify. A completed block stage is one more kind,
+// EvStage (stage.go), written by Phase.End, RecordSpan and Delivered. The
+// readers — critical paths and stall buckets (critical.go), the waterfall
+// and timeline views (render.go, export.go), conflict attribution
+// (attribution.go) and the Perfetto file (perfetto.go) — read those events
+// on the recorder's one clock, and the installed recorder's telemetry.Slot
+// serves them under /trace/ and /flight/. The rings are the only store the
+// readers read, but for the per-stripe commit-lock waits no event carries.
 //
 //   - The disabled path (nothing installed, telemetry off) is atomic loads
 //     and a nil check: 0 allocations, within 100× of a bare atomic load —
@@ -24,8 +25,7 @@
 //     and the one interval feeds both the stage's telemetry histogram
 //     (stageHist) and its stage event.
 //   - Workers never contend: each writes its own ring; stage events have a
-//     ring of their own, so transaction traffic never evicts a block's path;
-//     the attribution sketch is touched on the abort path only.
+//     ring of their own, so transaction traffic never evicts a block's path.
 package trace
 
 import (
@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"blockpilot/internal/telemetry"
-	"blockpilot/internal/types"
 )
 
 // ring is one event buffer. Its owner (one worker, or the stage writers) is
@@ -63,21 +62,19 @@ func (rg *ring) snapshot(out []Event) []Event {
 
 // A recorder's sizes: 16 per-worker rings (worker id modulo DefaultRings
 // selects the ring) × 8192 events ≈ 131k buffered events — several blocks of
-// full lifecycle traffic at the paper's 132 tx/block — a 32768-event stage
-// ring, about ten events per (block, node), and a 64-entry heavy-hitter
-// sketch each for hot keys and hot senders. A ring fills as it is written,
-// so a recorder that records stages only holds only those.
+// full lifecycle traffic at the paper's 132 tx/block — and a 32768-event
+// stage ring, about ten events per (block, node). A ring fills as it is
+// written, so a recorder that records stages only holds only those.
 const (
 	DefaultRings         = 16
 	DefaultRingCapacity  = 8192
 	DefaultStageCapacity = 32768
-	DefaultTopK          = 64
 	// StripeSlots mirrors state.DefaultStripes: the per-stripe attribution
 	// arrays cover every possible MVState stripe index.
 	StripeSlots = 64
 )
 
-// Recorder owns the rings and the attribution aggregates. Its start is the
+// Recorder owns the rings and the stripe-wait counters. Its start is the
 // epoch every event's TS counts from.
 type Recorder struct {
 	start  time.Time
@@ -89,28 +86,21 @@ type Recorder struct {
 	nodeMu sync.Mutex
 	nodes  []string
 
-	// Conflict attribution (attribution.go); attrMu guards the sketches.
-	attrMu     sync.Mutex
-	abortTotal atomic.Uint64
-	hotKeys    *TopK[types.StateKey]
-	hotSenders *TopK[types.Address]
-	stripes    [StripeSlots]stripeStat
+	stripes [StripeSlots]stripeStat // commit-lock waits (attribution.go)
 }
 
 // NewRecorder builds a recorder without installing it (the cluster
 // simulator keeps one per run).
 func NewRecorder() *Recorder {
-	return newRecorder(DefaultRings, DefaultRingCapacity, DefaultStageCapacity, DefaultTopK)
+	return newRecorder(DefaultRings, DefaultRingCapacity, DefaultStageCapacity)
 }
 
 // newRecorder builds a recorder of the given sizes (tests want tiny rings).
-func newRecorder(rings, ringCapacity, stageCapacity, topK int) *Recorder {
+func newRecorder(rings, ringCapacity, stageCapacity int) *Recorder {
 	r := &Recorder{
-		start:      time.Now(),
-		rings:      make([]ring, rings),
-		nodes:      []string{""},
-		hotKeys:    NewTopK[types.StateKey](topK),
-		hotSenders: NewTopK[types.Address](topK),
+		start: time.Now(),
+		rings: make([]ring, rings),
+		nodes: []string{""},
 	}
 	for i := range r.rings {
 		r.rings[i].buf = telemetry.NewRing[Event](ringCapacity)

@@ -43,6 +43,9 @@ const (
 	StageStateCommit
 	// StageInsert: chain insertion milestone (zero-duration mark).
 	StageInsert
+	// StageReject: the pipeline sent the block a failed outcome
+	// (zero-duration mark).
+	StageReject
 )
 
 var stageNames = [...]string{
@@ -57,6 +60,7 @@ var stageNames = [...]string{
 	StageCommit:      "commit",
 	StageStateCommit: "state_commit",
 	StageInsert:      "insert",
+	StageReject:      "reject",
 }
 
 // stageHist is the latency histogram each stage's interval feeds while

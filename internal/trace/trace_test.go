@@ -253,7 +253,7 @@ func TestWindowAggregation(t *testing.T) {
 // TestRingEviction: the stage ring keeps the newest stages, and per-
 // transaction traffic, which has rings of its own, evicts none of them.
 func TestRingEviction(t *testing.T) {
-	c := newRecorder(1, 2, 4, DefaultTopK)
+	c := newRecorder(1, 2, 4)
 	install(t, c)
 	t0 := time.Now()
 	for i := 0; i < 10; i++ {
