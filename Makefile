@@ -66,12 +66,14 @@ CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... 
 # follows arrival order rather than block order only shows on some
 # interleavings, its read-rule
 # tests because a reader that waits on, or skips past, the wrong writer only
-# shows on some too, and its sibling tests because takeable settles each
-# verdict across racing lanes.
+# shows on some too, its sibling tests because takeable settles each
+# verdict across racing lanes, and the mempool's Add-against-pop test because
+# an Add that lands between a pop and its sender's in-flight mark only shows
+# on some interleavings.
 test:
 	$(GO) test ./...
 	$(GO) test -cpu 1,2,4 $(CONCURRENCY_PKGS)
-	$(GO) test -count=20 -run 'TopK|TestVerdictFirstFailure|TestReadRules|TestSibling' ./internal/adaptive/ ./internal/validator/
+	$(GO) test -count=20 -run 'TopK|TestVerdictFirstFailure|TestReadRules|TestSibling|TestAddRacesPop' ./internal/adaptive/ ./internal/validator/ ./internal/mempool/
 
 race:
 	$(GO) test -race -timeout 30m -cpu 1,2,4 $(CONCURRENCY_PKGS)

@@ -58,42 +58,42 @@ func fillFlight() *types.Transaction {
 	for _, tx := range []*types.Transaction{a, b, c, d} {
 		trace.Admit(tx)
 	}
-	trace.Pop(0, a, 1)
-	trace.ExecStart(0, a, 1)
+	trace.Pop(0, 0, a, 1)
+	trace.ExecStart(0, 0, a, 1)
 	time.Sleep(time.Microsecond)
-	trace.ExecEnd(0, a, 1)
-	trace.Abort(0, a, hotKey, 1, 2, 1)
-	trace.Requeue(0, a, 1)
-	trace.Pop(1, b, 1)
-	trace.ExecStart(1, b, 1)
+	trace.ExecEnd(0, 0, a, 1)
+	trace.Abort(0, 0, a, hotKey, 1, 2, 1)
+	trace.Requeue(0, 0, a, 1)
+	trace.Pop(0, 1, b, 1)
+	trace.ExecStart(0, 1, b, 1)
 	time.Sleep(time.Microsecond)
-	trace.ExecEnd(1, b, 1)
-	trace.Commit(1, b, 1, 1)
-	trace.Pop(0, a, 1)
-	trace.ExecStart(0, a, 1)
-	trace.Extend(0, a, slotKey, 1, 2, 5, 1)
+	trace.ExecEnd(0, 1, b, 1)
+	trace.Commit(0, 1, b, 1, 1)
+	trace.Pop(0, 0, a, 1)
+	trace.ExecStart(0, 0, a, 1)
+	trace.Extend(0, 0, a, slotKey, 1, 2, 5, 1)
 	time.Sleep(time.Microsecond)
-	trace.ExecEnd(0, a, 1)
-	trace.Commit(0, a, 2, 1)
+	trace.ExecEnd(0, 0, a, 1)
+	trace.Commit(0, 0, a, 2, 1)
 	for i := 0; i < 3; i++ {
-		trace.Pop(1, c, 1)
-		trace.Abort(1, c, hotKey, types.Version(3+i), 2, 1)
+		trace.Pop(0, 1, c, 1)
+		trace.Abort(0, 1, c, hotKey, types.Version(3+i), 2, 1)
 	}
-	trace.Abort(1, c, slotKey, 6, 5, 1)
-	trace.Drop(1, c, 1, true)
-	trace.Drop(0, d, 1, false)
+	trace.Abort(0, 1, c, slotKey, 6, 5, 1)
+	trace.Drop(0, 1, c, 1, true)
+	trace.Drop(0, 0, d, 1, false)
 	trace.StripeWait(1<<2|1<<5, 1500*time.Nanosecond)
 	trace.StripeWait(1<<2, 500*time.Nanosecond)
-	trace.Seal(b, 1, 0, 1)
-	trace.Seal(a, 2, 1, 1)
-	trace.Assign(0, a, 1, 1, 1)
-	trace.Assign(1, b, 0, 0, 1)
-	trace.ReplayStart(0, a, 1)
+	trace.Seal(0, b, 1, 0, 1)
+	trace.Seal(0, a, 2, 1, 1)
+	trace.Assign(0, 0, a, 1, 1, 1)
+	trace.Assign(0, 1, b, 0, 0, 1)
+	trace.ReplayStart(0, 0, a, 1)
 	time.Sleep(time.Microsecond)
-	trace.ReplayEnd(0, a, 1)
-	trace.Reuse(1, b, 0, 1)
-	trace.Verify(b, true, 1)
-	trace.Verify(a, false, 1)
+	trace.ReplayEnd(0, 0, a, 1)
+	trace.Reuse(0, 1, b, 0, 1)
+	trace.Verify(0, b, true, 1)
+	trace.Verify(0, a, false, 1)
 	return b
 }
 

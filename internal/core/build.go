@@ -49,6 +49,7 @@ type blockBuild struct {
 
 	tr      *trace.Recorder // nil: no stage events
 	sealing trace.Phase     // the whole packing run, begin to seal
+	node    int16           // cfg.Node in the installed recorder's node table
 
 	// Contention-adaptive scheduling; all nil/zero with no controller, and
 	// every adaptive branch below is then dead — the engine runs stock.
@@ -93,6 +94,7 @@ func begin(parent *state.Snapshot, parentHeader *types.Header, pool *mempool.Poo
 		header: header,
 		bc:     chain.BlockContextFor(header, params.ChainID),
 		tr:     trace.Resolve(cfg.Tracer),
+		node:   trace.NodeIndex(cfg.Node),
 		ctrl:   cfg.Adaptive,
 	}
 	b.sealing = b.tr.Begin(cfg.Node, trace.StageSeal, header.Number)
@@ -117,7 +119,7 @@ func (b *blockBuild) claim(worker, n int) (cold, hot []*types.Transaction) {
 	txs := b.pool.PopBatch(n)
 	if trace.Active() != nil {
 		for _, tx := range txs {
-			trace.Pop(worker, tx, b.header.Number)
+			trace.Pop(b.node, worker, tx, b.header.Number)
 		}
 	}
 	if b.ctrl == nil {
@@ -156,7 +158,7 @@ func (b *blockBuild) requeueOrDrop(worker int, tx *types.Transaction) {
 		return
 	}
 	telemetry.ProposerRetries.Inc()
-	trace.Requeue(worker, tx, b.header.Number)
+	trace.Requeue(b.node, worker, tx, b.header.Number)
 	b.pool.Requeue(tx)
 }
 
@@ -167,7 +169,7 @@ func (b *blockBuild) drop(worker int, tx *types.Transaction, retryBudget bool) {
 	if retryBudget {
 		telemetry.ProposerDroppedRetryBudget.Inc()
 	}
-	trace.Drop(worker, tx, b.header.Number, retryBudget)
+	trace.Drop(b.node, worker, tx, b.header.Number, retryBudget)
 }
 
 // commit records one transaction the engine has made final at serialization
@@ -188,7 +190,7 @@ func (b *blockBuild) commit(worker int, c committedTx, fee *uint256.Int, merged,
 	b.mu.Unlock()
 	b.pool.Done(c.tx)
 	telemetry.ProposerCommits.Inc()
-	trace.Commit(worker, c.tx, c.version, b.header.Number)
+	trace.Commit(b.node, worker, c.tx, c.version, b.header.Number)
 }
 
 // seal assembles and commits the block from what the engine made final:
@@ -210,7 +212,7 @@ func (b *blockBuild) seal(total *state.ChangeSet, gasUsed uint64, aborts int, cl
 		c.receipt.CumulativeGasUsed = cumulative
 		receipts[i] = c.receipt
 		profile.Txs[i] = c.profile
-		trace.Seal(c.tx, c.version, i, b.header.Number)
+		trace.Seal(b.node, c.tx, c.version, i, b.header.Number)
 	}
 
 	// Finalize: aggregate fee + reward credit to the coinbase, then commit.

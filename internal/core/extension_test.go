@@ -78,7 +78,7 @@ func (r *beforeStorage) Storage(addr types.Address, slot types.Hash) uint256.Int
 // begin opens an execution of tx on a bound view of its own, as a proposer
 // lane does.
 func (s *schedule) begin(tx *types.Transaction) *mvView {
-	view := s.mv.bind(0, s.header.Number)
+	view := s.mv.bind(0, 0, s.header.Number)
 	view.begin(tx)
 	return view
 }
@@ -313,7 +313,7 @@ func TestBoundViewHoldsEveryRecordedRead(t *testing.T) {
 	header := &types.Header{Number: 1, Coinbase: coinbase, GasLimit: params.GasLimit, Time: 1}
 	bc := chain.BlockContextFor(header, params.ChainID)
 	mv := NewMVState(parent)
-	view := mv.bind(0, header.Number)
+	view := mv.bind(0, 0, header.Number)
 	for i, tx := range txs {
 		view.begin(tx)
 		if _, _, err := chain.ApplyTransaction(view.overlay, tx, bc); err != nil {

@@ -162,16 +162,19 @@ type mvView struct {
 
 	// Bound views only; a pinned view leaves all of it zero.
 	overlay *state.Overlay
-	held    []types.StateKey   // every key served to overlay since begin
-	lane    int                // the recorder lane, block height and
-	height  uint64             // transaction of the execution, for the
-	tx      *types.Transaction // extension event
+	held    []types.StateKey // every key served to overlay since begin
+	// The recorder node and lane, block height and transaction of the
+	// execution, for the extension event.
+	node   int16
+	lane   int
+	height uint64
+	tx     *types.Transaction
 }
 
 // bind returns a view bound to an overlay of its own: what one proposer lane
-// (recorder lane, packing block height) runs its transactions on.
-func (mv *MVState) bind(lane int, height uint64) *mvView {
-	return &mvView{mv: mv, overlay: state.NewOverlay(nil, 0), lane: lane, height: height}
+// (recorder node and lane, packing block height) runs its transactions on.
+func (mv *MVState) bind(node int16, lane int, height uint64) *mvView {
+	return &mvView{mv: mv, overlay: state.NewOverlay(nil, 0), node: node, lane: lane, height: height}
 }
 
 // begin re-arms the bound view and its overlay for one execution of tx at the
@@ -223,7 +226,7 @@ func (v *mvView) extend(key *types.StateKey) {
 		return
 	}
 	telemetry.ProposerSnapshotExtensions.Inc()
-	trace.Extend(v.lane, v.tx, *key, v.before-1, to, int(stripe), v.height)
+	trace.Extend(v.node, v.lane, v.tx, *key, v.before-1, to, int(stripe), v.height)
 	v.overlay.Rebase(to)
 	v.before = to + 1
 }

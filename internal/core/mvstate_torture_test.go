@@ -408,7 +408,7 @@ func tortureExtension(t *testing.T, stripes int) {
 		go func(l int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(l)*104729 + 7))
-			view := mv.bind(l, 1)
+			view := mv.bind(0, l, 1)
 			o := view.overlay
 			tx := &types.Transaction{From: addrs[0]}
 			for i := 0; i < commitsPerLane; i++ {

@@ -151,12 +151,12 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 	// popped and started by another worker at once.
 	processOne := func(view *mvView, tx *types.Transaction) {
 		worker, overlay := view.lane, view.overlay
-		trace.ExecStart(worker, tx, b.header.Number)
+		trace.ExecStart(b.node, worker, tx, b.header.Number)
 		telemetry.ProposerSnapshotBuilds.Inc()
 		view.begin(tx)
 		receipt, fee, err := chain.ApplyTransaction(overlay, tx, b.bc)
 		if err != nil {
-			trace.ExecEnd(worker, tx, b.header.Number)
+			trace.ExecEnd(b.node, worker, tx, b.header.Number)
 			b.reject(worker, tx, err)
 			return
 		}
@@ -169,7 +169,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 			cur := gasUsed.Load()
 			if cur+receipt.GasUsed > gasLimit {
 				gasFull.Store(true)
-				trace.ExecEnd(worker, tx, b.header.Number)
+				trace.ExecEnd(b.node, worker, tx, b.header.Number)
 				pool.Requeue(tx) // leave it for the next block
 				wake()           // unblock idle workers so they observe gasFull
 				return
@@ -205,17 +205,17 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 			}
 			b.commit(worker, committedTx{version: version, tx: tx, receipt: receipt, profile: profile},
 				fee, merged, worker == laneID)
-			trace.ExecEnd(worker, tx, b.header.Number)
+			trace.ExecEnd(b.node, worker, tx, b.header.Number)
 			return
 		}
 		gasUsed.Add(^(receipt.GasUsed - 1)) // release the reservation
 		aborts.Add(1)
 		telemetry.ProposerAborts.Inc()
-		trace.Abort(worker, tx, conflict.Key, conflict.Winner, conflict.Stripe, b.header.Number)
+		trace.Abort(b.node, worker, tx, conflict.Key, conflict.Winner, conflict.Stripe, b.header.Number)
 		if ctrl != nil {
 			ctrl.NoteAbort(tx.From, conflict.Key, conflict.Stripe)
 		}
-		trace.ExecEnd(worker, tx, b.header.Number)
+		trace.ExecEnd(b.node, worker, tx, b.header.Number)
 		b.requeueOrDrop(worker, tx)
 	}
 
@@ -235,7 +235,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 	)
 	runLane := func() {
 		defer laneWg.Done()
-		view := mv.bind(laneID, b.header.Number)
+		view := mv.bind(b.node, laneID, b.header.Number)
 		for {
 			idleMu.Lock()
 			for lane.Len() == 0 && !laneClosed {
@@ -265,7 +265,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 	}
 
 	worker := func(id int) {
-		view := mv.bind(id, b.header.Number)
+		view := mv.bind(b.node, id, b.header.Number)
 		for !gasFull.Load() {
 			cold, hot := b.claim(id, DefaultPopBatch)
 			if len(cold)+len(hot) == 0 {

@@ -70,8 +70,8 @@ func proposeMV(b *blockBuild) *ProposeResult {
 	}
 	inst := mv.NewInstance(b.parent, func(idx, worker int, view state.Reader) mv.ExecResult {
 		tx := claimed[idx]
-		trace.ExecStart(worker, tx, b.header.Number)
-		defer trace.ExecEnd(worker, tx, b.header.Number)
+		trace.ExecStart(b.node, worker, tx, b.header.Number)
+		defer trace.ExecEnd(b.node, worker, tx, b.header.Number)
 		overlay := overlays[worker]
 		overlay.Reset(view, types.Version(idx+1))
 		receipt, fee, err := chain.ApplyTransaction(overlay, tx, b.bc)
@@ -185,7 +185,7 @@ func proposeMV(b *blockBuild) *ProposeResult {
 			for _, tx := range claimed[cut:] {
 				// Leave the tail for the next block (OCC does the same on a
 				// filled block), valid or not — the pool re-sorts it.
-				trace.Requeue(mvLane, tx, b.header.Number)
+				trace.Requeue(b.node, mvLane, tx, b.header.Number)
 				pool.Requeue(tx)
 				telemetry.ProposerRetries.Inc()
 			}

@@ -9,21 +9,15 @@
 // Aborted transactions re-enter through Requeue, exactly as Algorithm 1
 // pushes conflicted transactions back.
 //
-// The pool is safe for concurrent use by the proposer's worker threads and
-// is built for low contention under many workers:
-//
-//   - the price heap has its own short mutex, held only for heap surgery;
-//   - all per-sender bookkeeping (nonce queue, in-flight marker, resident
-//     pointer) lives in a sharded sender table keyed by sender address, so
-//     Add/Done/Requeue on different senders never collide;
-//   - PopBatch/RequeueBatch/DoneBatch amortize one heap-lock acquisition
-//     over several transactions (Pop is PopBatch(1)).
-//
-// Lock order: a sender-shard mutex may be held while taking the heap mutex,
-// never the reverse. Pop works heap-first and settles the sender shard
-// afterwards; the short window between the two is bridged by the item's
-// atomic `popped` flag, which Add/replace/promote treat as "sender has an
-// in-flight transaction whose settle is imminent".
+// The pool is safe for concurrent use by the proposer's worker threads. One
+// mutex guards the price heap and all per-sender bookkeeping (nonce queue,
+// in-flight count, resident pointer, abort pressure), so a pop marks its
+// sender in flight in the same critical section that takes it off the heap.
+// PopBatch/RequeueBatch/DoneBatch amortize one lock acquisition over several
+// transactions (Pop is PopBatch(1), Requeue and Done the one-element batches).
+// The pool costs about 2 µs of a transaction's 150 µs of EVM time, so the
+// lock is not where a block's time goes (docs/PERFORMANCE.md, "One-lock
+// mempool").
 package mempool
 
 import (
@@ -48,11 +42,6 @@ type item struct {
 	// tiers sort strictly after lower ones regardless of gas price. Always
 	// 0 while abort-aware ordering is off.
 	tier uint8
-	// popped is set (under the heap mutex) the instant the item leaves the
-	// heap through Pop/PopBatch. Until the popper settles the sender shard,
-	// the shard's resident pointer still names this item; popped tells
-	// every shard-side reader to treat the sender as blocked.
-	popped atomic.Bool
 }
 
 // Abort-aware ordering constants: a requeue bumps the sender's abort EWMA
@@ -79,70 +68,47 @@ func abortTierFor(ewma float64) uint8 {
 	return uint8(t)
 }
 
-// senderShardCount shards the sender table; a power of two.
-const senderShardCount = 16
+// Pool is a concurrent pending-transaction pool.
+type Pool struct {
+	mu    sync.Mutex
+	heap  priceHeap
+	count int
 
-// senderShard is one shard of the per-sender bookkeeping.
-type senderShard struct {
-	mu       sync.Mutex
 	queues   map[types.Address][]*types.Transaction // nonce-sorted backlog
-	inFlight map[types.Address]int                  // popped, neither Done nor Requeued
+	inFlight map[types.Address]int                  // taken by a pop, neither Done nor Requeued
 	resident map[types.Address]*item                // the sender's heap entry
 	// requeues counts lifetime requeue (abort-retry) events per sender —
 	// always tracked, so repeated aborters are observable even with the
-	// abort-aware ordering off (ISSUE 9 satellite).
+	// abort-aware ordering off.
 	requeues map[types.Address]uint64
 	// abortEWMA is the decaying abort pressure per sender; only maintained
 	// while abort-aware ordering is on.
 	abortEWMA map[types.Address]float64
-	_         [16]byte
-}
-
-// Pool is a concurrent pending-transaction pool.
-type Pool struct {
-	heapMu sync.Mutex
-	heap   priceHeap
-
-	shards [senderShardCount]senderShard
-	count  atomic.Int64
 
 	// abortAware switches the per-sender demotion-tier ordering on. Set by
 	// the proposer when the adaptive controller runs with demotion enabled.
-	abortAware atomic.Bool
+	abortAware bool
 
-	// executableHook, when set, is invoked (outside all pool locks) after
-	// an operation makes a transaction executable (a heap push). The
-	// proposer points it at its idle-worker wakeup.
+	// executableHook, when set, is invoked (outside the pool lock) after an
+	// operation makes a transaction executable (a heap push). The proposer
+	// points it at its idle-worker wakeup.
 	executableHook atomic.Pointer[func()]
 }
 
 // New returns an empty pool.
 func New() *Pool {
-	p := &Pool{}
-	for i := range p.shards {
-		p.shards[i] = senderShard{
-			queues:    make(map[types.Address][]*types.Transaction),
-			inFlight:  make(map[types.Address]int),
-			resident:  make(map[types.Address]*item),
-			requeues:  make(map[types.Address]uint64),
-			abortEWMA: make(map[types.Address]float64),
-		}
+	return &Pool{
+		queues:    make(map[types.Address][]*types.Transaction),
+		inFlight:  make(map[types.Address]int),
+		resident:  make(map[types.Address]*item),
+		requeues:  make(map[types.Address]uint64),
+		abortEWMA: make(map[types.Address]float64),
 	}
-	return p
-}
-
-// shardOf returns the sender's shard.
-func (p *Pool) shardOf(s types.Address) *senderShard {
-	h := uint64(14695981039346656037)
-	for _, b := range s {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return &p.shards[(h*0x9E3779B97F4A7C15)>>32&(senderShardCount-1)]
 }
 
 // SetExecutableHook installs (or, with nil, removes) the became-executable
-// callback. The hook runs outside every pool lock; it must be cheap and
-// must not call back into the pool's write paths.
+// callback. The hook runs outside the pool lock; it must be cheap and must
+// not call back into the pool's write paths.
 func (p *Pool) SetExecutableHook(f func()) {
 	if f == nil {
 		p.executableHook.Store(nil)
@@ -151,7 +117,7 @@ func (p *Pool) SetExecutableHook(f func()) {
 	p.executableHook.Store(&f)
 }
 
-// notifyExecutable fires the hook, if any. Called with no locks held.
+// notifyExecutable fires the hook, if any. Called with the lock released.
 func (p *Pool) notifyExecutable() {
 	if f := p.executableHook.Load(); f != nil {
 		(*f)()
@@ -160,15 +126,23 @@ func (p *Pool) notifyExecutable() {
 
 // Len returns the number of transactions currently held.
 func (p *Pool) Len() int {
-	return int(p.count.Load())
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.count
 }
 
 // Executable returns how many transactions are immediately poppable (the
 // price-heap size): at most one per pending sender.
 func (p *Pool) Executable() int {
-	p.heapMu.Lock()
-	defer p.heapMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return p.heap.Len()
+}
+
+// addCount adds d to the held-transaction count and publishes it (lock held).
+func (p *Pool) addCount(d int) {
+	p.count += d
+	telemetry.MempoolPending.Set(int64(p.count))
 }
 
 // PriceBumpPercent is the minimum price increase for a replacement
@@ -184,21 +158,18 @@ var ErrReplaceUnderpriced = errors.New("mempool: replacement transaction underpr
 // with the same (sender, nonce) as a pending one replaces it when its gas
 // price is at least PriceBumpPercent higher, and is rejected otherwise.
 func (p *Pool) Add(tx *types.Transaction) error {
-	sh := p.shardOf(tx.From)
-	sh.mu.Lock()
-	err := p.replaceIfPending(sh, tx)
-	if err != nil {
-		sh.mu.Unlock()
-		if errors.Is(err, errReplaced) {
-			p.notifyExecutable() // replacement re-enters the heap
-			return nil
+	p.mu.Lock()
+	if matched, err := p.replace(tx); matched {
+		p.mu.Unlock()
+		if err != nil {
+			return err
 		}
-		return err
+		p.notifyExecutable() // the replacement is pending in its place
+		return nil
 	}
-	p.count.Add(1)
-	telemetry.MempoolPending.Set(p.count.Load())
-	pushed := p.insert(sh, tx)
-	sh.mu.Unlock()
+	p.addCount(1)
+	pushed := p.insert(tx)
+	p.mu.Unlock()
 	trace.Admit(tx)
 	if pushed {
 		p.notifyExecutable()
@@ -206,13 +177,10 @@ func (p *Pool) Add(tx *types.Transaction) error {
 	return nil
 }
 
-// errReplaced signals that replaceIfPending already installed the tx.
-var errReplaced = errors.New("replaced")
-
-// replaceIfPending handles same-(sender, nonce) replacement (shard lock
-// held). Returns nil when no pending tx matches, errReplaced when the
-// replacement was installed, ErrReplaceUnderpriced when rejected.
-func (p *Pool) replaceIfPending(sh *senderShard, tx *types.Transaction) error {
+// replace handles a same-(sender, nonce) replacement (lock held). It reports
+// whether a pending transaction matched; the error is ErrReplaceUnderpriced
+// when the match was kept because tx does not outbid it.
+func (p *Pool) replace(tx *types.Transaction) (bool, error) {
 	s := tx.From
 	bumpOK := func(old *types.Transaction) bool {
 		// new price ≥ old price × (100 + bump) / 100, in integer math.
@@ -223,39 +191,28 @@ func (p *Pool) replaceIfPending(sh *senderShard, tx *types.Transaction) error {
 		threshold.Div(&threshold, &hundred)
 		return tx.GasPrice.Gt(&threshold) || tx.GasPrice.Eq(&threshold)
 	}
-	if res := sh.resident[s]; res != nil && res.tx.Nonce == tx.Nonce && !res.popped.Load() {
+	if res := p.resident[s]; res != nil && res.tx.Nonce == tx.Nonce {
 		if !bumpOK(res.tx) {
-			return ErrReplaceUnderpriced
+			return true, ErrReplaceUnderpriced
 		}
-		// Swap inside the heap under the heap lock; re-check popped there —
-		// a concurrent PopBatch may have taken the item between the check
-		// above and this critical section.
-		p.heapMu.Lock()
-		if res.popped.Load() {
-			p.heapMu.Unlock()
-			return nil // fell in flight: treat as no pending match
-		}
-		heap.Remove(&p.heap, res.index)
-		it := &item{tx: tx, tier: p.tierOf(sh, s)}
-		heap.Push(&p.heap, it)
-		p.heapMu.Unlock()
-		sh.resident[s] = it
+		res.tx, res.tier = tx, p.tierOf(s)
+		heap.Fix(&p.heap, res.index)
 		telemetry.MempoolReplacements.Inc()
-		return errReplaced
+		return true, nil
 	}
-	q := sh.queues[s]
+	q := p.queues[s]
 	for i, old := range q {
 		if old.Nonce != tx.Nonce {
 			continue
 		}
 		if !bumpOK(old) {
-			return ErrReplaceUnderpriced
+			return true, ErrReplaceUnderpriced
 		}
 		q[i] = tx
 		telemetry.MempoolReplacements.Inc()
-		return errReplaced
+		return true, nil
 	}
-	return nil
+	return false, nil
 }
 
 // AddAll inserts a batch of transactions, ignoring underpriced replacements.
@@ -268,204 +225,152 @@ func (p *Pool) AddAll(txs []*types.Transaction) {
 // Requeue returns an aborted in-flight transaction for retry. It clears one
 // in-flight slot for the sender; the transaction becomes eligible again once
 // no earlier in-flight transaction of the sender remains.
-func (p *Pool) Requeue(tx *types.Transaction) {
-	sh := p.shardOf(tx.From)
-	sh.mu.Lock()
-	pushed := p.requeueLocked(sh, tx)
-	sh.mu.Unlock()
-	p.count.Add(1)
-	telemetry.MempoolPending.Set(p.count.Load())
-	if pushed {
-		p.notifyExecutable()
-	}
-}
+func (p *Pool) Requeue(tx *types.Transaction) { p.RequeueBatch([]*types.Transaction{tx}) }
 
-// RequeueBatch returns several aborted transactions in one pass, taking each
-// sender shard at most once per transaction but signalling waiters once.
+// RequeueBatch returns several aborted transactions under one lock
+// acquisition, signalling waiters once.
 func (p *Pool) RequeueBatch(txs []*types.Transaction) {
 	if len(txs) == 0 {
 		return
 	}
 	pushed := false
+	p.mu.Lock()
 	for _, tx := range txs {
-		sh := p.shardOf(tx.From)
-		sh.mu.Lock()
-		if p.requeueLocked(sh, tx) {
+		s := tx.From
+		p.requeues[s]++
+		if p.abortAware {
+			before := p.abortEWMA[s]
+			after := before*abortAlpha + 1
+			p.abortEWMA[s] = after
+			if abortTierFor(before) == 0 && abortTierFor(after) > 0 {
+				telemetry.AdaptiveDemotedSenders.Inc()
+			}
+		}
+		p.decInFlight(s)
+		if p.insert(tx) {
 			pushed = true
 		}
-		sh.mu.Unlock()
 	}
-	p.count.Add(int64(len(txs)))
-	telemetry.MempoolPending.Set(p.count.Load())
+	p.addCount(len(txs))
+	p.mu.Unlock()
 	if pushed {
 		p.notifyExecutable()
 	}
 }
 
-// requeueLocked is Requeue's core (shard lock held). Reports whether a
-// transaction entered the heap.
-func (p *Pool) requeueLocked(sh *senderShard, tx *types.Transaction) bool {
-	s := tx.From
-	sh.requeues[s]++
-	if p.abortAware.Load() {
-		before := sh.abortEWMA[s]
-		after := before*abortAlpha + 1
-		sh.abortEWMA[s] = after
-		if abortTierFor(before) == 0 && abortTierFor(after) > 0 {
-			telemetry.AdaptiveDemotedSenders.Inc()
-		}
-	}
-	p.decInFlight(sh, s)
-	return p.insert(sh, tx)
-}
+// Done reports that a transaction taken by a pop is finished for good
+// (committed or permanently dropped), unblocking the sender's next nonce.
+func (p *Pool) Done(tx *types.Transaction) { p.DoneBatch([]*types.Transaction{tx}) }
 
-// Done reports that a popped transaction is finished for good (committed or
-// permanently dropped), unblocking the sender's next nonce.
-func (p *Pool) Done(tx *types.Transaction) {
-	sh := p.shardOf(tx.From)
-	sh.mu.Lock()
-	sh.decayAbort(tx.From)
-	p.decInFlight(sh, tx.From)
-	pushed := p.promote(sh, tx.From)
-	sh.mu.Unlock()
-	if pushed {
-		p.notifyExecutable()
-	}
-}
-
-// DoneBatch settles several popped transactions, signalling waiters once.
+// DoneBatch settles several taken transactions under one lock acquisition,
+// signalling waiters once.
 func (p *Pool) DoneBatch(txs []*types.Transaction) {
 	pushed := false
+	p.mu.Lock()
 	for _, tx := range txs {
-		sh := p.shardOf(tx.From)
-		sh.mu.Lock()
-		sh.decayAbort(tx.From)
-		p.decInFlight(sh, tx.From)
-		if p.promote(sh, tx.From) {
+		s := tx.From
+		if e, ok := p.abortEWMA[s]; ok {
+			p.decayAbort(s, e*abortAlpha)
+		}
+		p.decInFlight(s)
+		if p.promote(s) {
 			pushed = true
 		}
-		sh.mu.Unlock()
 	}
+	p.mu.Unlock()
 	if pushed {
 		p.notifyExecutable()
 	}
 }
 
-// decayAbort relaxes the sender's abort EWMA on a successful settle (shard
-// lock held); drained entries are deleted so the map tracks only pressure.
-func (sh *senderShard) decayAbort(s types.Address) {
-	if e, ok := sh.abortEWMA[s]; ok {
-		e *= abortAlpha
-		if e < 0.05 {
-			delete(sh.abortEWMA, s)
-		} else {
-			sh.abortEWMA[s] = e
-		}
+// decayAbort sets the sender's abort EWMA to e (lock held); a drained entry
+// is deleted so the map tracks only pressure.
+func (p *Pool) decayAbort(s types.Address, e float64) {
+	if e < 0.05 {
+		delete(p.abortEWMA, s)
+	} else {
+		p.abortEWMA[s] = e
 	}
 }
 
-// tierOf returns the sender's current demotion tier (shard lock held).
-func (p *Pool) tierOf(sh *senderShard, s types.Address) uint8 {
-	if !p.abortAware.Load() {
+// tierOf returns the sender's current demotion tier (lock held).
+func (p *Pool) tierOf(s types.Address) uint8 {
+	if !p.abortAware {
 		return 0
 	}
-	return abortTierFor(sh.abortEWMA[s])
+	return abortTierFor(p.abortEWMA[s])
 }
 
-func (p *Pool) decInFlight(sh *senderShard, s types.Address) {
-	if n := sh.inFlight[s]; n <= 1 {
-		delete(sh.inFlight, s)
+func (p *Pool) decInFlight(s types.Address) {
+	if n := p.inFlight[s]; n <= 1 {
+		delete(p.inFlight, s)
 	} else {
-		sh.inFlight[s] = n - 1
+		p.inFlight[s] = n - 1
 	}
-}
-
-// blocked reports whether the sender may not gain a new heap resident:
-// either a popped transaction is still in flight, or a pop is being settled
-// (resident pointer still names a popped item).
-func (sh *senderShard) blocked(s types.Address) bool {
-	if sh.inFlight[s] > 0 {
-		return true
-	}
-	if res := sh.resident[s]; res != nil && res.popped.Load() {
-		return true
-	}
-	return false
 }
 
 // promote moves the sender's queue head into the heap when the sender has
-// no in-flight transaction and no resident (shard lock held). Reports
-// whether a heap push happened.
-func (p *Pool) promote(sh *senderShard, s types.Address) bool {
-	if sh.blocked(s) || sh.resident[s] != nil {
+// no in-flight transaction and no resident (lock held). Reports whether a
+// heap push happened.
+func (p *Pool) promote(s types.Address) bool {
+	if p.inFlight[s] > 0 || p.resident[s] != nil {
 		return false
 	}
-	q := sh.queues[s]
+	q := p.queues[s]
 	if len(q) == 0 {
 		return false
 	}
 	if len(q) == 1 {
-		delete(sh.queues, s)
+		delete(p.queues, s)
 	} else {
-		sh.queues[s] = q[1:]
+		p.queues[s] = q[1:]
 	}
-	it := &item{tx: q[0], tier: p.tierOf(sh, s)}
-	p.heapMu.Lock()
+	it := &item{tx: q[0], tier: p.tierOf(s)}
 	heap.Push(&p.heap, it)
-	p.heapMu.Unlock()
-	sh.resident[s] = it
+	p.resident[s] = it
 	return true
 }
 
-// insert places tx into the sender's pending set (shard lock held): the tx
-// joins the nonce queue, a resident that it displaces is demoted, and the
-// lowest queued nonce is promoted into the heap when the sender is
-// unblocked. Reports whether a heap push happened.
-func (p *Pool) insert(sh *senderShard, tx *types.Transaction) bool {
+// insert places tx into the sender's pending set (lock held): the tx joins
+// the nonce queue, a resident that it displaces is demoted, and the lowest
+// queued nonce is promoted into the heap when the sender is unblocked.
+// Reports whether a heap push happened.
+func (p *Pool) insert(tx *types.Transaction) bool {
 	s := tx.From
-	if sh.blocked(s) {
-		// A sender with an in-flight transaction never gets a resident: its
-		// successors would only fail the nonce check until it settles.
-		queueInsert(sh, s, tx)
-		return false
-	}
-	if res := sh.resident[s]; res != nil {
+	// A sender in flight has no resident, and promote gives it none.
+	if res := p.resident[s]; res != nil {
 		if tx.Nonce >= res.tx.Nonce {
-			queueInsert(sh, s, tx)
+			p.queueInsert(tx)
 			return false
 		}
 		// Demote the current resident to the queue; the promote below
-		// re-installs the (new) lowest nonce. Re-check popped under the
-		// heap lock: a concurrent PopBatch may have just taken it.
-		p.heapMu.Lock()
-		if res.popped.Load() {
-			p.heapMu.Unlock()
-			queueInsert(sh, s, tx)
-			return false
-		}
+		// re-installs the (new) lowest nonce.
 		heap.Remove(&p.heap, res.index)
-		p.heapMu.Unlock()
-		delete(sh.resident, s)
-		queueInsert(sh, s, res.tx)
+		delete(p.resident, s)
+		p.queueInsert(res.tx)
 	}
-	queueInsert(sh, s, tx)
-	return p.promote(sh, s)
+	p.queueInsert(tx)
+	return p.promote(s)
 }
 
-func queueInsert(sh *senderShard, s types.Address, tx *types.Transaction) {
-	q := sh.queues[s]
+func (p *Pool) queueInsert(tx *types.Transaction) {
+	q := p.queues[tx.From]
 	i := sort.Search(len(q), func(i int) bool { return q[i].Nonce >= tx.Nonce })
 	q = append(q, nil)
 	copy(q[i+1:], q[i:])
 	q[i] = tx
-	sh.queues[s] = q
+	p.queues[tx.From] = q
 }
 
 // SetAbortAware switches the per-sender abort-EWMA demotion ordering on or
 // off. Requeue counts are tracked either way; only the EWMA bookkeeping and
 // the heap's tier comparison react to this flag. Items already resident in
 // the heap keep their frozen tier until they are next re-pushed.
-func (p *Pool) SetAbortAware(on bool) { p.abortAware.Store(on) }
+func (p *Pool) SetAbortAware(on bool) {
+	p.mu.Lock()
+	p.abortAware = on
+	p.mu.Unlock()
+}
 
 // AgeAborts decays every sender's abort EWMA by factor — the proposer calls
 // this once per block so demotion pressure fades with time as well as with
@@ -475,19 +380,11 @@ func (p *Pool) AgeAborts(factor float64) {
 	if factor < 0 || factor >= 1 {
 		return
 	}
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for s, e := range sh.abortEWMA {
-			e *= factor
-			if e < 0.05 {
-				delete(sh.abortEWMA, s)
-			} else {
-				sh.abortEWMA[s] = e
-			}
-		}
-		sh.mu.Unlock()
+	p.mu.Lock()
+	for s, e := range p.abortEWMA {
+		p.decayAbort(s, e*factor)
 	}
+	p.mu.Unlock()
 }
 
 // RequeueStat is one sender's requeue pressure for reporting.
@@ -502,14 +399,11 @@ type RequeueStat struct {
 // TopRequeued returns the n most-requeued senders, highest count first.
 func (p *Pool) TopRequeued(n int) []RequeueStat {
 	var out []RequeueStat
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for s, r := range sh.requeues {
-			out = append(out, RequeueStat{Sender: s, Requeues: r, Tier: p.tierOf(sh, s)})
-		}
-		sh.mu.Unlock()
+	p.mu.Lock()
+	for s, r := range p.requeues {
+		out = append(out, RequeueStat{Sender: s, Requeues: r, Tier: p.tierOf(s)})
 	}
+	p.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Requeues != out[j].Requeues {
 			return out[i].Requeues > out[j].Requeues
@@ -523,7 +417,7 @@ func (p *Pool) TopRequeued(n int) []RequeueStat {
 }
 
 // Pop removes and returns the highest-priced executable transaction, or nil
-// if none is currently executable. The popped transaction's sender is
+// if none is currently executable. The returned transaction's sender is
 // blocked (its next nonce stays queued) until the caller settles the pop
 // with Done or Requeue.
 func (p *Pool) Pop() *types.Transaction {
@@ -535,7 +429,7 @@ func (p *Pool) Pop() *types.Transaction {
 }
 
 // PopBatch removes and returns up to n executable transactions (highest
-// price first) under one heap-lock acquisition. Every returned transaction
+// price first) under one lock acquisition. Every returned transaction
 // is from a distinct sender (the one-resident-per-sender invariant), and
 // each must be settled with Done or Requeue. Returns nil when nothing is
 // executable.
@@ -552,34 +446,23 @@ func (p *Pool) PopBatch(n int) []*types.Transaction {
 	return buf[:got]
 }
 
-// popBatch fills buf with popped transactions and returns how many.
+// popBatch fills buf with transactions off the heap and returns how many.
+// Each sender leaves the heap and enters flight in one critical section.
 func (p *Pool) popBatch(buf []*types.Transaction) int {
-	items := make([]*item, 0, len(buf))
-	p.heapMu.Lock()
-	for len(items) < len(buf) && p.heap.Len() > 0 {
-		it := heap.Pop(&p.heap).(*item)
-		it.popped.Store(true)
-		items = append(items, it)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for n < len(buf) && p.heap.Len() > 0 {
+		tx := heap.Pop(&p.heap).(*item).tx
+		p.inFlight[tx.From]++
+		delete(p.resident, tx.From)
+		buf[n] = tx
+		n++
 	}
-	p.heapMu.Unlock()
-	if len(items) == 0 {
-		return 0
+	if n > 0 {
+		p.addCount(-n)
 	}
-	// Settle the sender shards: mark in flight, clear the resident pointer.
-	for i, it := range items {
-		s := it.tx.From
-		sh := p.shardOf(s)
-		sh.mu.Lock()
-		sh.inFlight[s]++
-		if sh.resident[s] == it {
-			delete(sh.resident, s)
-		}
-		sh.mu.Unlock()
-		buf[i] = it.tx
-	}
-	p.count.Add(int64(-len(items)))
-	telemetry.MempoolPending.Set(p.count.Load())
-	return len(items)
+	return n
 }
 
 // priceHeap orders items by demotion tier (ascending — tier 0 is normal

@@ -1,9 +1,11 @@
 package mempool
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"blockpilot/internal/types"
 )
@@ -612,4 +614,137 @@ func BenchmarkPoolPopRequeue(b *testing.B) {
 		}
 		p.Requeue(got)
 	}
+}
+
+// TestAddRacesPop races Add against the pops of the same senders: adders
+// bring same-nonce replacements and lower nonces (each displacing the
+// resident the poppers are taking), while poppers pop, requeue and settle.
+// A sender's transactions are only requeued until its adder is finished, so
+// its first resident, nonce low, stays pending while the nonces above it —
+// queued behind it since before the pops began, so never in flight — are
+// replaced. Each (sender, nonce) must settle exactly once, as the last
+// transaction admitted for it; each sender's settled nonces must ascend by
+// one; and the pool must drain.
+func TestAddRacesPop(t *testing.T) {
+	const senders, nonces, low = 16, 12, 6 // [low, nonces) are added up front
+	price := func(n uint64) uint64 {
+		if n > low {
+			return 100 + n // replaced below
+		}
+		return 10 + n
+	}
+	p := New()
+	for s := 0; s < senders; s++ {
+		for n := uint64(low); n < nonces; n++ {
+			p.Add(tx(byte(s+1), n, 10+n))
+		}
+	}
+	var open [senders]atomic.Bool // the sender's adder is finished
+	var adders sync.WaitGroup
+	for a := 0; a < 2; a++ {
+		adders.Add(1)
+		go func(a int) {
+			defer adders.Done()
+			for s := a; s < senders; s += 2 {
+				from := byte(s + 1)
+				for n := uint64(low + 1); n < nonces; n++ {
+					if err := p.Add(tx(from, n, price(n))); err != nil {
+						t.Error(err)
+					}
+				}
+				for n := low - 1; n >= 0; n-- {
+					if err := p.Add(tx(from, uint64(n), price(uint64(n)))); err != nil {
+						t.Error(err)
+					}
+				}
+				open[s].Store(true)
+			}
+		}(a)
+	}
+
+	var mu sync.Mutex
+	settled := make(map[types.Hash]bool)
+	next := make(map[types.Address]uint64)
+	deadline := time.Now().Add(30 * time.Second)
+	var poppers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		poppers.Add(1)
+		go func(w int) {
+			defer poppers.Done()
+			for time.Now().Before(deadline) {
+				// Read the gates before the pop, so a transaction popped
+				// before its adder finished is requeued, never settled.
+				var gate [senders]bool
+				all := true
+				for i := range gate {
+					gate[i] = open[i].Load()
+					all = all && gate[i]
+				}
+				got := p.PopBatch(1 + w%3)
+				if len(got) == 0 {
+					if all && p.Len() == 0 {
+						return
+					}
+					runtime.Gosched()
+					continue
+				}
+				var done, again []*types.Transaction
+				for _, x := range got {
+					if gate[x.From[types.AddressLength-1]-1] {
+						done = append(done, x)
+					} else {
+						again = append(again, x)
+					}
+				}
+				mu.Lock()
+				for _, x := range done {
+					if settled[x.Hash()] {
+						t.Errorf("sender %s nonce %d settled twice", x.From, x.Nonce)
+					}
+					settled[x.Hash()] = true
+					if x.Nonce != next[x.From] {
+						t.Errorf("sender %s settled nonce %d, want %d", x.From, x.Nonce, next[x.From])
+					}
+					next[x.From] = x.Nonce + 1
+					if x.GasPrice.Uint64() != price(x.Nonce) {
+						t.Errorf("sender %s nonce %d settled at price %d, want %d", x.From, x.Nonce, x.GasPrice.Uint64(), price(x.Nonce))
+					}
+				}
+				mu.Unlock()
+				p.RequeueBatch(again)
+				p.DoneBatch(done)
+			}
+			t.Error("pool did not drain before the deadline")
+		}(w)
+	}
+	adders.Wait()
+	poppers.Wait()
+	if len(settled) != senders*nonces {
+		t.Fatalf("settled %d, want %d", len(settled), senders*nonces)
+	}
+	if p.Len() != 0 || p.Executable() != 0 {
+		t.Fatalf("Len = %d, Executable = %d after the drain", p.Len(), p.Executable())
+	}
+}
+
+// BenchmarkPoolPopRequeueParallel is BenchmarkPoolPopRequeue from every
+// worker at once: each pops a batch of four, settles one, requeues the rest
+// and re-admits the settled one so the pool never drains.
+func BenchmarkPoolPopRequeueParallel(b *testing.B) {
+	p := New()
+	for i := 0; i < 1000; i++ {
+		p.Add(tx(byte(i%200), uint64(i/200), uint64(i%97)))
+	}
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			got := p.PopBatch(4)
+			if len(got) == 0 {
+				continue
+			}
+			p.Done(got[0])
+			p.RequeueBatch(got[1:])
+			p.Add(got[0])
+		}
+	})
 }

@@ -17,8 +17,10 @@
 package pipeline
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -152,6 +154,7 @@ type Pipeline struct {
 	unsent   map[types.Hash]bool            // blocks in the chain whose commit outcome is not sent yet
 	waiting  map[types.Hash][]*pendingBlock // parent hash → parked blocks
 	parked   int                            // blocks in waiting
+	failed   map[types.Hash]uint64          // hash → height of a block that failed for good (see rememberLocked)
 	siblings map[types.Hash]siblingRef      // parent hash → the record its running children share
 
 	results chan Outcome
@@ -196,6 +199,7 @@ func New(c *chain.Chain, cfg validator.Config, pool *WorkerPool) *Pipeline {
 		ownPool:  own,
 		unsent:   make(map[types.Hash]bool),
 		waiting:  make(map[types.Hash][]*pendingBlock),
+		failed:   make(map[types.Hash]uint64),
 		siblings: make(map[types.Hash]siblingRef),
 		results:  make(chan Outcome, 4096),
 	}
@@ -210,11 +214,12 @@ func (p *Pipeline) Results() <-chan Outcome { return p.results }
 // not commit to (chain.CheckBody) gets its outcome at once and touches
 // nothing else: the right body may still arrive under the same hash. A
 // block that can never validate (see unvalidatable) gets its outcome at
-// once too, and so does every block parked behind it. Blocks may arrive in
-// any order; a block waits until its parent has been validated and its
-// outcome sent, and a block on the same parent as one already running
-// follows it (see the package comment). With maxParked blocks waiting, the
-// oldest arrival fails with ErrParkedCap, and every block parked behind it.
+// once too, and so does every block parked behind it or arriving later on
+// it (ErrParentUnavailable). Blocks may arrive in any order; a block waits
+// until its parent has been validated and its outcome sent, and a block on
+// the same parent as one already running follows it (see the package
+// comment). With maxParked blocks waiting, the oldest arrival fails with
+// ErrParkedCap, and every block parked behind it.
 func (p *Pipeline) Submit(block *types.Block) {
 	// One header encoding + Keccak per block, taken outside p.mu: the hash
 	// keys the block's spans and, under the lock, its waiting children.
@@ -226,12 +231,16 @@ func (p *Pipeline) Submit(block *types.Block) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.unvalidatable(block); err != nil {
-		p.send(pb, Outcome{Block: block, Err: err, Elapsed: time.Since(pb.arrived)})
-		_ = p.failSubtreeLocked(pb.hash, err)
+		p.rejectLocked(pb, err)
 		return
 	}
+	delete(p.failed, pb.hash) // submitted again: children may wait for it
 	parent := block.Header.ParentHash
 	if p.chain.StateOf(parent) == nil || p.unsent[parent] {
+		if _, ok := p.failed[parent]; ok {
+			p.rejectLocked(pb, ErrParentUnavailable)
+			return
+		}
 		if p.parked == maxParked {
 			p.failOldestLocked()
 		}
@@ -241,6 +250,38 @@ func (p *Pipeline) Submit(block *types.Block) {
 		return
 	}
 	p.startLocked(pb)
+}
+
+// rejectLocked fails pb for a reason its header fixes, remembers that, and
+// fails every block parked behind it. Caller holds p.mu.
+func (p *Pipeline) rejectLocked(pb *pendingBlock, err error) {
+	p.send(pb, Outcome{Block: pb.block, Err: err, Elapsed: time.Since(pb.arrived)})
+	p.rememberLocked(pb.hash, pb.block.Number())
+	_ = p.failSubtreeLocked(pb.hash, err)
+}
+
+// rememberLocked records a block that failed for a reason its header fixes
+// (gas limit, the window bound, validation, insert, or such a parent), so
+// that a child submitted later fails at once instead of parking. A body
+// check failure is not one (the right body may still come under the hash),
+// nor a parked-cap eviction or an abandon. The record forgets a block whose
+// child is below the state window, and past maxParked entries its lowest.
+// Caller holds p.mu.
+func (p *Pipeline) rememberLocked(hash types.Hash, height uint64) {
+	head := p.chain.Height()
+	var low types.Hash
+	lowest := uint64(math.MaxUint64)
+	for h, n := range p.failed {
+		if n+chain.StateWindow < head {
+			delete(p.failed, h)
+		} else if n < lowest || n == lowest && bytes.Compare(h[:], low[:]) < 0 {
+			low, lowest = h, n
+		}
+	}
+	if len(p.failed) >= maxParked {
+		delete(p.failed, low)
+	}
+	p.failed[hash] = height
 }
 
 // failOldestLocked fails the parked block that arrived first, and its
@@ -370,7 +411,9 @@ func (p *Pipeline) run(pb *pendingBlock) {
 			p.startLocked(c)
 		}
 	} else {
-		// A rejected block strands its descendants: fail the subtree.
+		// A rejected block strands its descendants: fail the subtree, and
+		// the children still to come.
+		p.rememberLocked(bh, block.Number())
 		_ = p.failSubtreeLocked(bh, out.Err)
 	}
 	p.running--
@@ -380,15 +423,20 @@ func (p *Pipeline) run(pb *pendingBlock) {
 }
 
 // failSubtreeLocked rejects every block waiting (transitively) on a failed
-// parent, returning how many were failed. Caller holds p.mu.
+// parent, returning how many were failed. The children of a remembered
+// parent are remembered too. Caller holds p.mu.
 func (p *Pipeline) failSubtreeLocked(parent types.Hash, cause error) int {
 	children := p.waiting[parent]
 	delete(p.waiting, parent)
 	p.parked -= len(children)
 	telemetry.PipelineWaiting.Add(-int64(len(children)))
+	_, remember := p.failed[parent]
 	n := len(children)
 	for _, c := range children {
 		p.send(c, Outcome{Block: c.block, Err: cause, Elapsed: time.Since(c.arrived)})
+		if remember {
+			p.rememberLocked(c.hash, c.block.Number())
+		}
 		n += p.failSubtreeLocked(c.hash, cause)
 	}
 	return n

@@ -424,3 +424,83 @@ func TestSubmitBelowWindow(t *testing.T) {
 		t.Fatalf("PipelineWaiting = %d, want %d", got, waiting)
 	}
 }
+
+// TestLateChildOfFailedParent: a block that arrives after its parent failed
+// for a reason the parent's header fixes — at Submit (gas limit) or in
+// validation (state root) — fails at once with ErrParentUnavailable and one
+// reject mark, and so does its own child, instead of parking until Close.
+func TestLateChildOfFailedParent(t *testing.T) {
+	c, g, params, root := forkFixture(t)
+	good, _ := proposeOn(t, g, root, g.NextBlockTxs(), 0, params)
+	gasLimit := *good
+	gasLimit.Header.GasLimit++
+	stateRoot := *good
+	stateRoot.Header.StateRoot[0] ^= 1
+	for _, bad := range []*types.Block{&gasLimit, &stateRoot} {
+		tr := trace.NewRecorder()
+		cfg := validator.DefaultConfig(1)
+		cfg.Node, cfg.Tracer = "v0", tr
+		p := New(c, cfg, nil)
+		p.Submit(bad)
+		if out := <-p.Results(); out.Block != bad || out.Err == nil {
+			t.Fatalf("bad parent: block %d, err %v; want it failed", out.Block.Number(), out.Err)
+		}
+		p.Wait()
+		child := *good
+		child.Header.ParentHash, child.Header.Number = bad.Hash(), 2
+		grandchild := *good
+		grandchild.Header.ParentHash, grandchild.Header.Number = child.Hash(), 3
+		for _, late := range []*types.Block{&child, &grandchild} {
+			p.Submit(late)
+			select {
+			case out := <-p.Results():
+				if out.Block != late || !errors.Is(out.Err, ErrParentUnavailable) {
+					t.Fatalf("late block %d: err %v, want ErrParentUnavailable", out.Block.Number(), out.Err)
+				}
+			default:
+				t.Fatalf("late block %d: no outcome, it was parked", late.Number())
+			}
+			if n := p.Pending(); n != 0 {
+				t.Fatalf("%d blocks pending after the late block's outcome", n)
+			}
+			marks := 0
+			for _, ev := range tr.SpansFor(late.Hash()) {
+				if ev.Stage == trace.StageReject {
+					marks++
+				}
+			}
+			if marks != 1 {
+				t.Fatalf("late block %d: %d reject marks, want 1", late.Number(), marks)
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestBodyFailureNotRemembered: a copy that fails its body check leaves no
+// record, so a child that arrives after it parks, and both validate once the
+// right body comes under the same hash.
+func TestBodyFailureNotRemembered(t *testing.T) {
+	c, g, params, root := forkFixture(t)
+	good, br := proposeOn(t, g, root, g.NextBlockTxs(), 0, params)
+	child, _ := proposeOn(t, g, br, g.NextBlockTxs(), 0, params)
+	tampered := *good // keeps the hash, fails the body check
+	tampered.Txs = tampered.Txs[1:]
+
+	p := New(c, validator.DefaultConfig(2), nil)
+	defer p.Close()
+	p.Submit(&tampered)
+	if out := <-p.Results(); out.Block != &tampered || !errors.Is(out.Err, chain.ErrBodyMismatch) {
+		t.Fatalf("tampered copy: block %d, err %v; want its body mismatch", out.Block.Number(), out.Err)
+	}
+	p.Submit(child)
+	if n := p.Pending(); n != 1 {
+		t.Fatalf("%d blocks pending, want the child parked", n)
+	}
+	p.Submit(good)
+	for _, want := range []*types.Block{good, child} {
+		if out := <-p.Results(); out.Block != want || out.Err != nil {
+			t.Fatalf("outcome: block %d, err %v; want block %d committed", out.Block.Number(), out.Err, want.Number())
+		}
+	}
+}

@@ -238,33 +238,10 @@ func (s *Snapshot) Root() types.Hash {
 	return types.Hash(s.accounts.Hash())
 }
 
-// Copy returns an independent snapshot sharing all structure (O(#contracts)
-// in memory, O(1) on the disk backend — its maps are empty by design).
-func (s *Snapshot) Copy() *Snapshot {
-	s.wait()
-	if s.db != nil {
-		return &Snapshot{
-			accounts: s.accounts.Copy(),
-			storage:  s.storage,
-			codes:    s.codes,
-			keys:     s.keys,
-			db:       s.db,
-		}
-	}
-	ns := &Snapshot{
-		accounts: s.accounts.Copy(),
-		storage:  make(map[types.Address]*trie.Trie, len(s.storage)),
-		codes:    make(map[types.Hash][]byte, len(s.codes)),
-		keys:     s.keys,
-	}
-	for a, t := range s.storage {
-		ns.storage[a] = t // tries are persistent; Commit replaces, never mutates
-	}
-	for h, c := range s.codes {
-		ns.codes[h] = c
-	}
-	return ns
-}
+// Copy returns an independent snapshot sharing all structure: snapshots are
+// immutable, and a commit copies the storage and code maps before its first
+// write to either.
+func (s *Snapshot) Copy() *Snapshot { return s.child() }
 
 // resolvedChange is one account of a change set resolved against the parent
 // snapshot: what a commit path needs to install it.

@@ -51,16 +51,16 @@ func TestDisabledPathBudget(t *testing.T) {
 	key := types.AccountKey(benchTx.From)
 	t.Run("events", func(t *testing.T) {
 		checkDisabledBudget(t, func() {
-			Pop(1, benchTx, 7)
-			ExecStart(1, benchTx, 7)
-			ExecEnd(1, benchTx, 7)
-			Abort(1, benchTx, key, 3, 5, 7)
-			Commit(1, benchTx, 9, 7)
+			Pop(0, 1, benchTx, 7)
+			ExecStart(0, 1, benchTx, 7)
+			ExecEnd(0, 1, benchTx, 7)
+			Abort(0, 1, benchTx, key, 3, 5, 7)
+			Commit(0, 1, benchTx, 9, 7)
 			StripeWait(0b101, time.Microsecond)
 		}, []timedLoop{
 			{"Commit", func(n int) {
 				for i := 0; i < n; i++ {
-					Commit(1, benchTx, 9, 7)
+					Commit(0, 1, benchTx, 9, 7)
 				}
 			}},
 		})
@@ -191,7 +191,7 @@ func BenchmarkCommitDisabled(b *testing.B) {
 	disableForTest(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Commit(1, benchTx, 9, 7)
+		Commit(0, 1, benchTx, 9, 7)
 	}
 }
 
@@ -200,7 +200,7 @@ func BenchmarkAbortDisabled(b *testing.B) {
 	key := types.AccountKey(benchTx.From)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Abort(1, benchTx, key, 3, 5, 7)
+		Abort(0, 1, benchTx, key, 3, 5, 7)
 	}
 }
 
@@ -216,7 +216,7 @@ func enableForBench(b *testing.B) {
 func BenchmarkCommitEnabled(b *testing.B) {
 	enableForBench(b)
 	for i := 0; i < b.N; i++ {
-		Commit(1, benchTx, 9, 7)
+		Commit(0, 1, benchTx, 9, 7)
 	}
 }
 
@@ -224,7 +224,7 @@ func BenchmarkAbortEnabled(b *testing.B) {
 	key := types.AccountKey(benchTx.From)
 	enableForBench(b)
 	for i := 0; i < b.N; i++ {
-		Abort(1, benchTx, key, 3, 5, 7)
+		Abort(0, 1, benchTx, key, 3, 5, 7)
 	}
 }
 
@@ -234,7 +234,7 @@ func BenchmarkCommitEnabledParallel(b *testing.B) {
 		// Each goroutine writes its own worker ring in steady state.
 		worker := int(workerSeq.Add(1))
 		for pb.Next() {
-			Commit(worker, benchTx, 9, 7)
+			Commit(0, worker, benchTx, 9, 7)
 		}
 	})
 }

@@ -75,7 +75,7 @@ func TestEndToEndTimeline(t *testing.T) {
 		} {
 			if !have[want] {
 				t.Fatalf("tx %s timeline missing %s: %s",
-					tx.Hash(), want, trace.RenderTimeline(trace.Views(tl)))
+					tx.Hash(), want, trace.RenderTimeline(trace.Views(tl, nil)))
 			}
 		}
 		// Milestones appear in lifecycle order.
@@ -88,7 +88,7 @@ func TestEndToEndTimeline(t *testing.T) {
 		prev := -1
 		for _, k := range []trace.EventKind{trace.EvAdmit, trace.EvPop, trace.EvCommit, trace.EvSeal, trace.EvReplayStart, trace.EvVerifyPass} {
 			if order[k] <= prev {
-				t.Fatalf("tx %s: %s out of order:\n%s", tx.Hash(), k, trace.RenderTimeline(trace.Views(tl)))
+				t.Fatalf("tx %s: %s out of order:\n%s", tx.Hash(), k, trace.RenderTimeline(trace.Views(tl, nil)))
 			}
 			prev = order[k]
 		}
@@ -206,13 +206,13 @@ func TestEndToEndExtendEvents(t *testing.T) {
 				extends++
 				if !executing || ev.Version <= ev.Aux || ev.Key == (types.StateKey{}) {
 					t.Fatalf("tx %s: malformed extend event (executing=%v):\n%s",
-						tx.Hash(), executing, trace.RenderTimeline(trace.Views(tl)))
+						tx.Hash(), executing, trace.RenderTimeline(trace.Views(tl, nil)))
 				}
 				movedTo = ev.Version
 			case trace.EvCommit:
 				if executing && ev.Version <= movedTo {
 					t.Fatalf("tx %s committed at version %d after extending to %d:\n%s",
-						tx.Hash(), ev.Version, movedTo, trace.RenderTimeline(trace.Views(tl)))
+						tx.Hash(), ev.Version, movedTo, trace.RenderTimeline(trace.Views(tl, nil)))
 				}
 			}
 		}
@@ -287,7 +287,7 @@ func TestEndToEndReuseEvents(t *testing.T) {
 		}
 		if replays[ev.Tx] != 1 {
 			tl, _ := rec.TimelineByPrefix(ev.Tx.String())
-			t.Fatalf("taken tx %s replayed %d times:\n%s", ev.Tx, replays[ev.Tx], trace.RenderTimeline(trace.Views(tl)))
+			t.Fatalf("taken tx %s replayed %d times:\n%s", ev.Tx, replays[ev.Tx], trace.RenderTimeline(trace.Views(tl, nil)))
 		}
 	}
 }

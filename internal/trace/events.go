@@ -125,6 +125,10 @@ type Event struct {
 	Stage   Stage // EvStage only
 	Worker  int16
 	Stripe  int16 // EvAbort, EvExtend: the key's stripe
+	// Node is, on a transaction event, the node that recorded it as an
+	// index into the recorder's node table (Nodes); 0 = unnamed. Lanes of
+	// one id on two nodes stay apart by it.
+	Node int16
 }
 
 // Dur returns a stage event's duration in ns.
@@ -135,37 +139,51 @@ func (ev *Event) Dur() int64 { return int64(ev.Aux) }
 // argument evaluation must therefore stay allocation-free (transactions are
 // passed by pointer, hashes are computed only once recording is certain).
 
-// txEvent records one event of tx on worker with its kind-specific payload.
-func txEvent(worker int, kind EventKind, tx *types.Transaction, height, aux, aux2 uint64) {
+// NodeIndex returns the installed recorder's node-table index for name,
+// adding it on first use, or 0 with nothing installed. The proposer and the
+// validator call it once per block and pass the index as the node of every
+// transaction event they record in it.
+func NodeIndex(name string) int16 {
 	if r := active.Load(); r != nil {
-		r.record(worker, Event{Kind: kind, Tx: tx.Hash(), Sender: tx.From, Height: height, Aux: aux, Aux2: aux2})
+		return r.nodeID(name)
+	}
+	return 0
+}
+
+// txEvent records one event of tx on node's worker with its kind-specific
+// payload.
+func txEvent(node int16, worker int, kind EventKind, tx *types.Transaction, height, aux, aux2 uint64) {
+	if r := active.Load(); r != nil {
+		r.record(worker, Event{Kind: kind, Node: node, Tx: tx.Hash(), Sender: tx.From, Height: height, Aux: aux, Aux2: aux2})
 	}
 }
 
-// Admit records a mempool admission (no worker context).
-func Admit(tx *types.Transaction) { txEvent(WorkerSystem, EvAdmit, tx, 0, 0, 0) }
+// Admit records a mempool admission (no worker or node context).
+func Admit(tx *types.Transaction) { txEvent(0, WorkerSystem, EvAdmit, tx, 0, 0, 0) }
 
 // Pop records a proposer worker claiming tx from the pool.
-func Pop(worker int, tx *types.Transaction, height uint64) { txEvent(worker, EvPop, tx, height, 0, 0) }
+func Pop(node int16, worker int, tx *types.Transaction, height uint64) {
+	txEvent(node, worker, EvPop, tx, height, 0, 0)
+}
 
 // ExecStart records the beginning of one speculative execution attempt.
-func ExecStart(worker int, tx *types.Transaction, height uint64) {
-	txEvent(worker, EvExecStart, tx, height, 0, 0)
+func ExecStart(node int16, worker int, tx *types.Transaction, height uint64) {
+	txEvent(node, worker, EvExecStart, tx, height, 0, 0)
 }
 
 // ExecEnd records the end of one speculative execution attempt.
-func ExecEnd(worker int, tx *types.Transaction, height uint64) {
-	txEvent(worker, EvExecEnd, tx, height, 0, 0)
+func ExecEnd(node int16, worker int, tx *types.Transaction, height uint64) {
+	txEvent(node, worker, EvExecEnd, tx, height, 0, 0)
 }
 
 // Abort records a WSI conflict abort: key is the stale-read key that failed
 // the reserve-table validation, winner the committed version that overwrote
 // it, stripe the key's MVState stripe. Conflict attribution counts these
 // events.
-func Abort(worker int, tx *types.Transaction, key types.StateKey, winner types.Version, stripe int, height uint64) {
+func Abort(node int16, worker int, tx *types.Transaction, key types.StateKey, winner types.Version, stripe int, height uint64) {
 	if r := active.Load(); r != nil {
 		r.record(worker, Event{
-			Kind: EvAbort, Tx: tx.Hash(), Sender: tx.From,
+			Kind: EvAbort, Node: node, Tx: tx.Hash(), Sender: tx.From,
 			Key: key, Version: winner, Stripe: int16(stripe), Height: height,
 		})
 	}
@@ -174,32 +192,32 @@ func Abort(worker int, tx *types.Transaction, key types.StateKey, winner types.V
 // Extend records a snapshot extension: the execution of tx on worker moved
 // from snapshot version from to version to because key, which it was about to
 // read, had been overwritten in between.
-func Extend(worker int, tx *types.Transaction, key types.StateKey, from, to types.Version, stripe int, height uint64) {
+func Extend(node int16, worker int, tx *types.Transaction, key types.StateKey, from, to types.Version, stripe int, height uint64) {
 	if r := active.Load(); r != nil {
 		r.record(worker, Event{
-			Kind: EvExtend, Tx: tx.Hash(), Sender: tx.From,
+			Kind: EvExtend, Node: node, Tx: tx.Hash(), Sender: tx.From,
 			Key: key, Version: to, Aux: from, Stripe: int16(stripe), Height: height,
 		})
 	}
 }
 
 // Requeue records an aborted/nonce-blocked transaction returning to the pool.
-func Requeue(worker int, tx *types.Transaction, height uint64) {
-	txEvent(worker, EvRequeue, tx, height, 0, 0)
+func Requeue(node int16, worker int, tx *types.Transaction, height uint64) {
+	txEvent(node, worker, EvRequeue, tx, height, 0, 0)
 }
 
 // Commit records a successful commit with its serialization version.
-func Commit(worker int, tx *types.Transaction, version types.Version, height uint64) {
+func Commit(node int16, worker int, tx *types.Transaction, version types.Version, height uint64) {
 	if r := active.Load(); r != nil {
-		r.record(worker, Event{Kind: EvCommit, Tx: tx.Hash(), Sender: tx.From, Version: version, Height: height})
+		r.record(worker, Event{Kind: EvCommit, Node: node, Tx: tx.Hash(), Sender: tx.From, Version: version, Height: height})
 	}
 }
 
 // Seal records the transaction's final position in the assembled block.
-func Seal(tx *types.Transaction, version types.Version, position int, height uint64) {
+func Seal(node int16, tx *types.Transaction, version types.Version, position int, height uint64) {
 	if r := active.Load(); r != nil {
 		r.record(WorkerSystem, Event{
-			Kind: EvSeal, Tx: tx.Hash(), Sender: tx.From,
+			Kind: EvSeal, Node: node, Tx: tx.Hash(), Sender: tx.From,
 			Version: version, Aux: uint64(position), Height: height,
 		})
 	}
@@ -207,44 +225,44 @@ func Seal(tx *types.Transaction, version types.Version, position int, height uin
 
 // Drop records a permanently abandoned transaction. retryExhausted
 // distinguishes retry-budget exhaustion from outright invalidity.
-func Drop(worker int, tx *types.Transaction, height uint64, retryExhausted bool) {
+func Drop(node int16, worker int, tx *types.Transaction, height uint64, retryExhausted bool) {
 	var aux uint64
 	if retryExhausted {
 		aux = 1
 	}
-	txEvent(worker, EvDrop, tx, height, aux, 0)
+	txEvent(node, worker, EvDrop, tx, height, aux, 0)
 }
 
 // Assign records a validator lane's claim of tx: writer is 1 + the block
 // position of the newest writer its reads wait on (0 = none), reads how many
 // of its reads have a writer.
-func Assign(lane int, tx *types.Transaction, writer, reads int, height uint64) {
-	txEvent(ValidatorLane(lane), EvAssign, tx, height, uint64(writer), uint64(reads))
+func Assign(node int16, lane int, tx *types.Transaction, writer, reads int, height uint64) {
+	txEvent(node, ValidatorLane(lane), EvAssign, tx, height, uint64(writer), uint64(reads))
 }
 
 // ReplayStart records the beginning of the validator's re-execution of tx.
-func ReplayStart(lane int, tx *types.Transaction, height uint64) {
-	txEvent(ValidatorLane(lane), EvReplayStart, tx, height, 0, 0)
+func ReplayStart(node int16, lane int, tx *types.Transaction, height uint64) {
+	txEvent(node, ValidatorLane(lane), EvReplayStart, tx, height, 0, 0)
 }
 
 // ReplayEnd records the end of the validator's re-execution of tx.
-func ReplayEnd(lane int, tx *types.Transaction, height uint64) {
-	txEvent(ValidatorLane(lane), EvReplayEnd, tx, height, 0, 0)
+func ReplayEnd(node int16, lane int, tx *types.Transaction, height uint64) {
+	txEvent(node, ValidatorLane(lane), EvReplayEnd, tx, height, 0, 0)
 }
 
 // Reuse records validator lane taking the result of tx from the sibling block
 // that executed it first, where it sat at index leaderIndex.
-func Reuse(lane int, tx *types.Transaction, leaderIndex int, height uint64) {
-	txEvent(ValidatorLane(lane), EvReuse, tx, height, uint64(leaderIndex), 0)
+func Reuse(node int16, lane int, tx *types.Transaction, leaderIndex int, height uint64) {
+	txEvent(node, ValidatorLane(lane), EvReuse, tx, height, uint64(leaderIndex), 0)
 }
 
 // Verify records the applier's profile check outcome for tx.
-func Verify(tx *types.Transaction, pass bool, height uint64) {
+func Verify(node int16, tx *types.Transaction, pass bool, height uint64) {
 	kind := EvVerifyFail
 	if pass {
 		kind = EvVerifyPass
 	}
-	txEvent(WorkerSystem, kind, tx, height, 0, 0)
+	txEvent(node, WorkerSystem, kind, tx, height, 0, 0)
 }
 
 // StripeWait attributes one commit attempt's stripe-lock wait to every

@@ -102,21 +102,21 @@ func TestTimelineLifecycle(t *testing.T) {
 
 	Admit(tx)
 	Admit(other)
-	Pop(0, tx, 5)
-	ExecStart(0, tx, 5)
-	ExecEnd(0, tx, 5)
-	Abort(0, tx, types.AccountKey(tx.To), 3, 7, 5)
-	Requeue(0, tx, 5)
-	Pop(1, tx, 5)
-	ExecStart(1, tx, 5)
-	ExecEnd(1, tx, 5)
-	Commit(1, tx, 9, 5)
-	Seal(tx, 9, 4, 5)
-	Assign(2, tx, 4, 2, 5)
-	ReplayStart(2, tx, 5)
-	ReplayEnd(2, tx, 5)
-	Verify(tx, true, 5)
-	Commit(0, other, 1, 5)
+	Pop(0, 0, tx, 5)
+	ExecStart(0, 0, tx, 5)
+	ExecEnd(0, 0, tx, 5)
+	Abort(0, 0, tx, types.AccountKey(tx.To), 3, 7, 5)
+	Requeue(0, 0, tx, 5)
+	Pop(0, 1, tx, 5)
+	ExecStart(0, 1, tx, 5)
+	ExecEnd(0, 1, tx, 5)
+	Commit(0, 1, tx, 9, 5)
+	Seal(0, tx, 9, 4, 5)
+	Assign(0, 2, tx, 4, 2, 5)
+	ReplayStart(0, 2, tx, 5)
+	ReplayEnd(0, 2, tx, 5)
+	Verify(0, tx, true, 5)
+	Commit(0, 0, other, 1, 5)
 
 	tl, err := Active().TimelineByPrefix(tx.Hash().String())
 	if err != nil {
@@ -128,7 +128,7 @@ func TestTimelineLifecycle(t *testing.T) {
 		EvAssign, EvReplayStart, EvReplayEnd, EvVerifyPass,
 	}
 	if len(tl) != len(wantKinds) {
-		t.Fatalf("timeline has %d events, want %d: %+v", len(tl), len(wantKinds), Views(tl))
+		t.Fatalf("timeline has %d events, want %d: %+v", len(tl), len(wantKinds), Views(tl, nil))
 	}
 	for i, ev := range tl {
 		if ev.Kind != wantKinds[i] {
@@ -153,7 +153,7 @@ func TestTimelineLifecycle(t *testing.T) {
 	}
 
 	// The rendered table carries the whole lifecycle.
-	text := RenderTimeline(Views(tl))
+	text := RenderTimeline(Views(tl, nil))
 	for _, want := range []string{"admit", "abort", "requeue", "commit", "seal", "assign", "writer=3 reads=2", "replay_start", "verify_pass", "validator-2", "proposer-1"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("rendered timeline missing %q:\n%s", want, text)
@@ -214,18 +214,18 @@ func TestDisabledHelpersAreNoops(t *testing.T) {
 
 	tx := mktx(7, 0)
 	Admit(tx)
-	Pop(0, tx, 1)
-	ExecStart(0, tx, 1)
-	ExecEnd(0, tx, 1)
-	Abort(0, tx, types.AccountKey(tx.From), 1, 0, 1)
-	Requeue(0, tx, 1)
-	Commit(0, tx, 1, 1)
-	Seal(tx, 1, 0, 1)
-	Drop(0, tx, 1, true)
-	Assign(0, tx, 0, 0, 1)
-	ReplayStart(0, tx, 1)
-	ReplayEnd(0, tx, 1)
-	Verify(tx, false, 1)
+	Pop(0, 0, tx, 1)
+	ExecStart(0, 0, tx, 1)
+	ExecEnd(0, 0, tx, 1)
+	Abort(0, 0, tx, types.AccountKey(tx.From), 1, 0, 1)
+	Requeue(0, 0, tx, 1)
+	Commit(0, 0, tx, 1, 1)
+	Seal(0, tx, 1, 0, 1)
+	Drop(0, 0, tx, 1, true)
+	Assign(0, 0, tx, 0, 0, 1)
+	ReplayStart(0, 0, tx, 1)
+	ReplayEnd(0, 0, tx, 1)
+	Verify(0, tx, false, 1)
 	StripeWait(0b1011, time.Microsecond)
 	if Active() != nil {
 		t.Fatal("helpers must not install a recorder")

@@ -21,6 +21,7 @@ type EventView struct {
 	Kind    string `json:"kind"`
 	Worker  int    `json:"worker"`
 	Lane    string `json:"lane"`
+	Node    string `json:"node,omitempty"` // the recording node, when named
 	Tx      string `json:"tx,omitempty"`
 	Sender  string `json:"sender,omitempty"`
 	Height  uint64 `json:"height,omitempty"`
@@ -43,7 +44,7 @@ func LaneName(worker int) string {
 	}
 }
 
-// View converts an Event into its wire form.
+// View converts an Event into its wire form; Views names its node.
 func (ev Event) View() EventView {
 	v := EventView{
 		TSNs:    ev.TS,
@@ -69,15 +70,27 @@ func (ev Event) View() EventView {
 	return v
 }
 
-// Views converts the transaction events of a batch, skipping stage events.
-func Views(evs []Event) []EventView {
+// Views converts the transaction events of a batch, skipping stage events;
+// nodes, the recorder's node table (Nodes), names each event's node.
+func Views(evs []Event, nodes []string) []EventView {
 	out := make([]EventView, 0, len(evs))
 	for _, ev := range evs {
 		if ev.Kind != EvStage {
-			out = append(out, ev.View())
+			v := ev.View()
+			v.Node = nodeName(nodes, ev.Node)
+			out = append(out, v)
 		}
 	}
 	return out
+}
+
+// nodeName returns nodes[i], or "" for an index the table does not hold (a
+// transaction event whose node was interned in a recorder since replaced).
+func nodeName(nodes []string, i int16) string {
+	if int(i) < len(nodes) && i >= 0 {
+		return nodes[i]
+	}
+	return ""
 }
 
 // field is one named value of an event's kind-specific payload.
@@ -125,8 +138,12 @@ func RenderTimeline(views []EventView) string {
 		for _, f := range v.payload() {
 			pairs = append(pairs, fmt.Sprintf("%s=%v", f.name, f.value))
 		}
+		lane := v.Lane
+		if v.Node != "" {
+			lane = v.Node + "/" + lane
+		}
 		fmt.Fprintf(&b, "  +%-12s %-14s %-13s height=%-5d %s\n", time.Duration(v.TSNs-base).Round(time.Microsecond),
-			v.Lane, v.Kind, v.Height, strings.Join(pairs, " "))
+			lane, v.Kind, v.Height, strings.Join(pairs, " "))
 	}
 	return b.String()
 }

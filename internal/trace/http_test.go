@@ -88,9 +88,9 @@ func TestHTTPEndpoints(t *testing.T) {
 		// Install a recorder and record one abort-then-commit lifecycle.
 		Enable()
 		tx := mktx(0x11, 0)
-		Pop(0, tx, 3)
-		Abort(0, tx, types.AccountKey(tx.To), 1, 2, 3)
-		Commit(0, tx, 2, 3)
+		Pop(0, 0, tx, 3)
+		Abort(0, 0, tx, types.AccountKey(tx.To), 1, 2, 3)
+		Commit(0, 0, tx, 2, 3)
 
 		code, body := get(t, "/flight/events")
 		if code != http.StatusOK {

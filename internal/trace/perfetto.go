@@ -5,12 +5,13 @@
 //
 // Track layout:
 //
-//	pid 1 "proposer"  — one tid per proposer worker: exec attempts as
-//	                    complete ("X") slices, pop/abort/requeue/commit/
+//	pid 1 "proposer"  — one tid per (node, proposer worker): exec attempts
+//	                    as complete ("X") slices, pop/abort/requeue/commit/
 //	                    drop as instant ("i") events
-//	pid 2 "validator" — one tid per execution lane: replay slices plus
-//	                    assign/reuse/verify instants
-//	pid 3 "pipeline"  — the system lane: admit/seal/verify instants
+//	pid 2 "validator" — one tid per (node, execution lane): replay slices
+//	                    plus assign/reuse instants
+//	pid 3 "pipeline"  — the system lane, one tid per node: admit/seal/verify
+//	                    instants
 //	pid 4 "blocks"    — block stage slices (seal, transfer, queue, prepare,
 //	                    execute, verify, commit, …), one tid per node,
 //	                    tagged with the block's trace id
@@ -78,10 +79,10 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 	}
 	nodeTid := map[int16]int{}
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-	// Exec and replay starts, awaiting their end on the same worker.
+	// Exec and replay starts, awaiting their end on the same node's worker.
 	type attempt struct {
-		worker int16
-		tx     types.Hash
+		node, worker int16
+		tx           types.Hash
 	}
 	started := map[attempt]int64{}
 
@@ -108,19 +109,25 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 			})
 			continue
 		}
-		pid, tid := pidProposer, int(ev.Worker)
+		pid, lane := pidProposer, int(ev.Worker)
 		switch {
 		case ev.Worker == WorkerSystem:
-			pid, tid = pidPipeline, 0
+			pid, lane = pidPipeline, 0
 		case ev.Worker >= ValidatorLaneBase:
-			pid, tid = pidValidator, int(ev.Worker)-ValidatorLaneBase
+			pid, lane = pidValidator, int(ev.Worker)-ValidatorLaneBase
 		}
-		thread(pid, tid, LaneName(int(ev.Worker)))
+		// A node's lanes sit in a tid block of their own; an unnamed node's
+		// tid is the lane.
+		tid, name := int(ev.Node)<<9|lane, LaneName(int(ev.Worker))
+		if node := nodeName(nodes, ev.Node); node != "" {
+			name = node + "/" + name
+		}
+		thread(pid, tid, name)
 		switch ev.Kind {
 		case EvExecStart, EvReplayStart:
-			started[attempt{ev.Worker, ev.Tx}] = ev.TS
+			started[attempt{ev.Node, ev.Worker, ev.Tx}] = ev.TS
 		case EvExecEnd, EvReplayEnd:
-			k := attempt{ev.Worker, ev.Tx}
+			k := attempt{ev.Node, ev.Worker, ev.Tx}
 			if ts, ok := started[k]; ok {
 				delete(started, k)
 				out.TraceEvents = append(out.TraceEvents, traceEvent{

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -230,5 +231,52 @@ func TestWriteTraceFile(t *testing.T) {
 
 	if err := r.WriteTraceFile(filepath.Join(t.TempDir(), "no", "such", "dir.json")); err == nil {
 		t.Fatal("unwritable path reported no error")
+	}
+}
+
+// TestNodesKeepTheirLanes: two nodes replaying one transaction on the same
+// lane number stay apart — one replay slice each, on a track of its own that
+// names the node — and the wire views name each event's node.
+func TestNodesKeepTheirLanes(t *testing.T) {
+	r := install(t, NewRecorder())
+	tx := mktx(1, 0)
+	v0, v1 := NodeIndex("v0"), NodeIndex("v1")
+	ReplayStart(v0, 0, tx, 1)
+	ReplayStart(v1, 0, tx, 1)
+	time.Sleep(time.Millisecond)
+	ReplayEnd(v1, 0, tx, 1)
+	ReplayEnd(v0, 0, tx, 1)
+
+	var buf bytes.Buffer
+	if err := r.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	f := decodeTrace(t, &buf)
+	validateSchema(t, f)
+	threads := map[int]string{}
+	replays := map[string]exportEvent{} // thread name → its replay slice
+	for _, ev := range f.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" && ev.Pid == pidValidator {
+			threads[ev.Tid] = ev.Args["name"].(string)
+		}
+	}
+	for _, ev := range f.TraceEvents {
+		if ev.Ph == "X" && ev.Pid == pidValidator {
+			if _, dup := replays[threads[ev.Tid]]; dup {
+				t.Fatalf("two replay slices on %q", threads[ev.Tid])
+			}
+			replays[threads[ev.Tid]] = ev
+		}
+	}
+	outer, inner := replays["v0/validator-0"], replays["v1/validator-0"]
+	if len(replays) != 2 || outer.TS > inner.TS || outer.TS+outer.Dur < inner.TS+inner.Dur {
+		t.Fatalf("replay slices %+v, want v0's enclosing v1's on tracks of their own", replays)
+	}
+	var nodes []string
+	for _, v := range Views(r.Events(), r.Nodes()) {
+		nodes = append(nodes, v.Node)
+	}
+	if fmt.Sprint(nodes) != "[v0 v1 v1 v0]" {
+		t.Fatalf("view nodes %v, want [v0 v1 v1 v0]", nodes)
 	}
 }

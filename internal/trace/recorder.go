@@ -139,7 +139,10 @@ func init() {
 		"/trace/critical-path": func(r *Recorder, req *http.Request) (any, error) {
 			return r.Window(telemetry.QueryN(req), req.URL.Query().Get("node")), nil
 		},
-		"/flight/events": func(r *Recorder, _ *http.Request) (any, error) { return Views(r.Events()), nil },
+		"/flight/events": func(r *Recorder, _ *http.Request) (any, error) {
+			evs := r.Events()
+			return Views(evs, r.Nodes()), nil // the table after the events it names
+		},
 		// One transaction's timeline: ?tx=<hash or unique prefix>.
 		"/flight/txtrace": func(r *Recorder, req *http.Request) (any, error) {
 			tx := req.URL.Query().Get("tx")
@@ -150,7 +153,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return Views(evs), nil
+			return Views(evs, r.Nodes()), nil
 		},
 		// The conflict-attribution report: ?n= heavy hitters (default 10).
 		"/flight/hotkeys": func(r *Recorder, req *http.Request) (any, error) {

@@ -258,7 +258,7 @@ func TestRingEviction(t *testing.T) {
 	t0 := time.Now()
 	for i := 0; i < 10; i++ {
 		c.RecordSpan("n", StageCommit, hash(byte(i)), uint64(i), t0, t0)
-		Commit(0, mktx(byte(i), 0), 1, uint64(i))
+		Commit(0, 0, mktx(byte(i), 0), 1, uint64(i))
 	}
 	if n := len(c.Events()); n != 4+2 {
 		t.Fatalf("%d events buffered, want stage capacity 4 + ring capacity 2", n)
@@ -304,7 +304,7 @@ func TestEnableDisable(t *testing.T) {
 		if Active() != r {
 			t.Fatal("Enable did not install the recorder")
 		}
-		Commit(0, mktx(9, 9), 1, 1)
+		Commit(0, 0, mktx(9, 9), 1, 1)
 		if got := Disable(); got != r {
 			t.Fatalf("Disable returned %p, want the installed recorder %p", got, r)
 		}

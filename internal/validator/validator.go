@@ -207,6 +207,7 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 	if ex.node == "" {
 		ex.node = "validator"
 	}
+	node := trace.NodeIndex(ex.node) // of the transaction events
 	if ex.tr != nil {
 		ex.bh = block.Hash()
 	}
@@ -271,7 +272,7 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 				r, want, accessOK := &res[i], block.Profile.Txs[i], true
 				if trace.Active() != nil {
 					writer, reads := wi.readWriters(want.Reads, i)
-					trace.Assign(laneID, block.Txs[i], writer, reads, h.Number)
+					trace.Assign(node, laneID, block.Txs[i], writer, reads, h.Number)
 				}
 				if i > stop.Load() {
 					r.state.Store(failed)
@@ -279,15 +280,15 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 				}
 				if fw != nil && fw.takeable(i) {
 					l := &sib.results[fw.take[i]]
-					trace.Reuse(laneID, block.Txs[i], int(fw.take[i]), h.Number)
+					trace.Reuse(node, laneID, block.Txs[i], int(fw.take[i]), h.Number)
 					receipt := l.shared // this block's applier sets CumulativeGasUsed on its own copy
 					r.receipt, r.fee, r.changes, r.taken = &receipt, l.fee, l.changes, true
 				} else {
-					trace.ReplayStart(laneID, block.Txs[i], h.Number)
+					trace.ReplayStart(node, laneID, block.Txs[i], h.Number)
 					v.pos = i
 					overlay.Reset(v, types.Version(i))
 					receipt, fee, readCoinbase, err := apply(overlay, block.Txs[i], bc)
-					trace.ReplayEnd(laneID, block.Txs[i], h.Number)
+					trace.ReplayEnd(node, laneID, block.Txs[i], h.Number)
 					if err != nil {
 						r.err = err
 						if err != errWriterFailed {
@@ -338,7 +339,7 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 		if vErr = r.err; vErr != nil {
 			if errors.Is(vErr, ErrProfileMismatch) {
 				telemetry.ValidatorVerifyFailures.Inc()
-				trace.Verify(block.Txs[i], false, h.Number)
+				trace.Verify(node, block.Txs[i], false, h.Number)
 			}
 			break
 		}
@@ -346,7 +347,7 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 		r.receipt.CumulativeGasUsed = ex.gasUsed
 		ex.receipts[i], ex.parts[i] = r.receipt, r.changes
 		ex.fees.Add(&ex.fees, &r.fee)
-		trace.Verify(block.Txs[i], true, h.Number)
+		trace.Verify(node, block.Txs[i], true, h.Number)
 		if r.taken {
 			ex.reused++
 		}
