@@ -67,13 +67,16 @@ CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... 
 # interleavings, its read-rule
 # tests because a reader that waits on, or skips past, the wrong writer only
 # shows on some too, its sibling tests because takeable settles each
-# verdict across racing lanes, and the mempool's Add-against-pop test because
+# verdict across racing lanes, the mempool's Add-against-pop test because
 # an Add that lands between a pop and its sender's in-flight mark only shows
-# on some interleavings.
+# on some interleavings, and the version store's striped and extension
+# tortures (internal/core) because a commit that installs outside its locks,
+# or an extension that misses a writer on one of its held keys, only shows on
+# some interleavings too.
 test:
 	$(GO) test ./...
 	$(GO) test -cpu 1,2,4 $(CONCURRENCY_PKGS)
-	$(GO) test -count=20 -run 'TopK|TestVerdictFirstFailure|TestReadRules|TestSibling|TestAddRacesPop' ./internal/adaptive/ ./internal/validator/ ./internal/mempool/
+	$(GO) test -count=20 -run 'TopK|TestVerdictFirstFailure|TestReadRules|TestSibling|TestAddRacesPop|TestMVStateStripedTorture|TestExtensionTorture' ./internal/adaptive/ ./internal/validator/ ./internal/mempool/ ./internal/core/
 
 race:
 	$(GO) test -race -timeout 30m -cpu 1,2,4 $(CONCURRENCY_PKGS)
@@ -139,6 +142,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMempoolAdmit -fuzztime 3s ./internal/mempool/
 	$(GO) test -run '^$$' -fuzz FuzzMVVersionChain -fuzztime 3s ./internal/mv/
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateVsSerial$$' -fuzztime 3s ./internal/validator/
+	$(GO) test -run '^$$' -fuzz '^FuzzProposeSealsValidBlock$$' -fuzztime 3s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeNodeVsReference -fuzztime 3s ./internal/trie/
 	$(GO) test -run '^$$' -fuzz FuzzNodeEdgesVsReference -fuzztime 3s ./internal/trie/
 	$(GO) test -run '^$$' -fuzz FuzzAppendRefVsReference -fuzztime 3s ./internal/trie/

@@ -2,7 +2,7 @@
 // scheduler is seeing and doing. It drives a short contended local
 // proposer run with one controller attached across every block — the
 // production shape: the window persists, block 1 feeds it, later blocks
-// schedule around it — then prints the controller's hot-set / stripe-window
+// schedule around it — then prints the controller's hot-set / window
 // snapshot, the adaptive telemetry counters, and the mempool's most
 // requeued (and so most demoted) senders.
 //

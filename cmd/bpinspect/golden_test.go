@@ -62,7 +62,7 @@ func fillFlight() *types.Transaction {
 	trace.ExecStart(0, 0, a, 1)
 	time.Sleep(time.Microsecond)
 	trace.ExecEnd(0, 0, a, 1)
-	trace.Abort(0, 0, a, hotKey, 1, 2, 1)
+	trace.Abort(0, 0, a, hotKey, 1, 1)
 	trace.Requeue(0, 0, a, 1)
 	trace.Pop(0, 1, b, 1)
 	trace.ExecStart(0, 1, b, 1)
@@ -71,19 +71,17 @@ func fillFlight() *types.Transaction {
 	trace.Commit(0, 1, b, 1, 1)
 	trace.Pop(0, 0, a, 1)
 	trace.ExecStart(0, 0, a, 1)
-	trace.Extend(0, 0, a, slotKey, 1, 2, 5, 1)
+	trace.Extend(0, 0, a, slotKey, 1, 2, 1)
 	time.Sleep(time.Microsecond)
 	trace.ExecEnd(0, 0, a, 1)
 	trace.Commit(0, 0, a, 2, 1)
 	for i := 0; i < 3; i++ {
 		trace.Pop(0, 1, c, 1)
-		trace.Abort(0, 1, c, hotKey, types.Version(3+i), 2, 1)
+		trace.Abort(0, 1, c, hotKey, types.Version(3+i), 1)
 	}
-	trace.Abort(0, 1, c, slotKey, 6, 5, 1)
+	trace.Abort(0, 1, c, slotKey, 6, 1)
 	trace.Drop(0, 1, c, 1, true)
 	trace.Drop(0, 0, d, 1, false)
-	trace.StripeWait(1<<2|1<<5, 1500*time.Nanosecond)
-	trace.StripeWait(1<<2, 500*time.Nanosecond)
 	trace.Seal(0, b, 1, 0, 1)
 	trace.Seal(0, a, 2, 1, 1)
 	trace.Assign(0, 0, a, 1, 1, 1)

@@ -56,7 +56,7 @@ func TestTelemetryLocal(t *testing.T) {
 // that render without aborts are required.
 func TestHotkeysLocal(t *testing.T) {
 	out := runLocal(t, hotkeysMain, "-n", "3")
-	wantSections(t, out, "conflict attribution:", "aborts; top-10 keys cover", "stripes", "attempts")
+	wantSections(t, out, "conflict attribution:", "aborts; top-10 keys cover")
 }
 
 func TestTxtraceLocalPicksBusiest(t *testing.T) {

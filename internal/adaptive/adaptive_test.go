@@ -26,7 +26,7 @@ func TestControllerHotSetLifecycle(t *testing.T) {
 		t.Fatalf("hot set must be nil before the first BlockStart")
 	}
 	for i := 0; i < 8; i++ {
-		c.NoteAbort(hotSender, types.AccountKey(hotAccount), i%4)
+		c.NoteAbort(hotSender, types.AccountKey(hotAccount))
 	}
 	c.BlockStart()
 
@@ -66,7 +66,7 @@ func TestControllerHotSetLifecycle(t *testing.T) {
 func TestControllerMinCount(t *testing.T) {
 	c := New(Config{})
 	for i := 0; i < 5; i++ {
-		c.NoteAbort(addr(byte(10+i)), types.AccountKey(addr(byte(20+i))), -1)
+		c.NoteAbort(addr(byte(10+i)), types.AccountKey(addr(byte(20+i))))
 	}
 	c.BlockStart()
 	if hs := c.Hot(); len(hs.Accounts) != 0 {
@@ -82,7 +82,7 @@ func TestControllerStorageKeyMarksContract(t *testing.T) {
 	var slot types.Hash
 	slot[31] = 1
 	for i := 0; i < 4; i++ {
-		c.NoteAbort(addr(byte(30+i)), types.StorageKey(contract, slot), 0)
+		c.NoteAbort(addr(byte(30+i)), types.StorageKey(contract, slot))
 	}
 	c.BlockStart()
 	if !c.HotAccount(contract) {
@@ -170,7 +170,7 @@ func TestTxQueueOrder(t *testing.T) {
 func TestSnapshotRender(t *testing.T) {
 	c := New(Config{})
 	for i := 0; i < 4; i++ { // 4·Decay = minCount: just hot after one BlockStart
-		c.NoteAbort(addr(1), types.AccountKey(addr(2)), 3)
+		c.NoteAbort(addr(1), types.AccountKey(addr(2)))
 	}
 	c.BlockStart()
 	c.NoteLaneTx()

@@ -1,9 +1,8 @@
 // Package adaptive closes the conflict-attribution loop (ISSUE 9, the NEMO
 // direction from PAPERS.md): a contention controller that consumes a
 // *windowed* (exponentially decaying) view of the abort-attribution stream —
-// hot-key / hot-sender heavy-hitter sketches (TopK) plus per-stripe abort
-// counters — and feeds three online scheduling
-// decisions back into the proposer:
+// hot-key / hot-sender heavy-hitter sketches (TopK) — and feeds three online
+// scheduling decisions back into the proposer:
 //
 //  1. Hot-key serial lane: transactions whose static access hints (sender
 //     and recipient accounts) intersect the current hot set are diverted
@@ -35,7 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"blockpilot/internal/state"
 	"blockpilot/internal/telemetry"
 	"blockpilot/internal/types"
 )
@@ -64,10 +62,9 @@ const (
 	minCount = 2
 )
 
-// Decay is the per-block decay factor of the window: the sketches' and
-// stripe counters' here, and the pool's per-sender abort EWMA the proposer
-// ages alongside them. Counts halve per block, so the window is effectively
-// the last ~log₂(count) blocks.
+// Decay is the per-block decay factor of the window: the sketches' here, and
+// the pool's per-sender abort EWMA the proposer ages alongside them. Counts
+// halve per block, so the window is effectively the last ~log₂(count) blocks.
 const Decay = 0.5
 
 // HotSet is one published scheduling decision table: the accounts whose
@@ -93,7 +90,6 @@ type Controller struct {
 	mu           sync.Mutex // guards the sketches + windowed counters
 	keys         *TopK[types.StateKey]
 	senders      *TopK[types.Address]
-	stripeAborts [state.DefaultStripes]float64
 	windowAborts float64
 
 	hot atomic.Pointer[HotSet]
@@ -120,34 +116,27 @@ func (c *Controller) MergeEnabled() bool { return !c.cfg.DisableMerge }
 func (c *Controller) DemotionEnabled() bool { return !c.cfg.DisableDemotion }
 
 // NoteAbort feeds one conflict abort into the windowed sketches: the
-// aborting sender, the conflicting key and its MVState stripe (-1 when the
-// engine has no stripe attribution, e.g. MV-STM validation fails). Called
-// by both engines right beside trace.Abort, so the controller works with
-// the trace recorder disabled.
-func (c *Controller) NoteAbort(sender types.Address, key types.StateKey, stripe int) {
+// aborting sender and the conflicting key. Called by both engines right
+// beside trace.Abort, so the controller works with the trace recorder
+// disabled.
+func (c *Controller) NoteAbort(sender types.Address, key types.StateKey) {
 	c.abortsSeen.Add(1)
 	c.mu.Lock()
 	c.keys.Observe(key)
 	c.senders.Observe(sender)
-	if stripe >= 0 && stripe < state.DefaultStripes {
-		c.stripeAborts[stripe]++
-	}
 	c.windowAborts++
 	c.mu.Unlock()
 }
 
-// BlockStart rolls the window forward one block: decay the sketches and the
-// stripe counters, rebuild the hot set from the surviving heavy hitters,
-// and publish it atomically for the proposer's per-transaction queries.
-// Called by Propose at the top of every block (both engines).
+// BlockStart rolls the window forward one block: decay the sketches, rebuild
+// the hot set from the surviving heavy hitters, and publish it atomically for
+// the proposer's per-transaction queries. Called by Propose at the top of
+// every block (both engines).
 func (c *Controller) BlockStart() {
 	c.blocks.Add(1)
 	c.mu.Lock()
 	c.keys.Decay(Decay)
 	c.senders.Decay(Decay)
-	for i := range c.stripeAborts {
-		c.stripeAborts[i] *= Decay
-	}
 	c.windowAborts *= Decay
 
 	hs := &HotSet{

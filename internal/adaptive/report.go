@@ -5,12 +5,6 @@ import (
 	"strings"
 )
 
-// StripeAbortRow is one stripe's windowed (decayed) abort mass.
-type StripeAbortRow struct {
-	Stripe int     `json:"stripe"`
-	Aborts float64 `json:"aborts"`
-}
-
 // Snapshot is the controller's externally visible state: the payload of
 // `bpinspect adaptive`.
 type Snapshot struct {
@@ -22,9 +16,8 @@ type Snapshot struct {
 	WindowAborts uint64 `json:"window_aborts"`
 	HotAccounts  int    `json:"hot_accounts"`
 	// KeyRows / SenderRows are the published hot set's windowed sketch rows.
-	KeyRows    []HotRow         `json:"keys,omitempty"`
-	SenderRows []HotRow         `json:"senders,omitempty"`
-	Stripes    []StripeAbortRow `json:"stripes,omitempty"`
+	KeyRows    []HotRow `json:"keys,omitempty"`
+	SenderRows []HotRow `json:"senders,omitempty"`
 }
 
 // HotRow is one hot-set entry in printable form.
@@ -52,13 +45,6 @@ func (c *Controller) Snapshot() *Snapshot {
 			s.SenderRows = append(s.SenderRows, HotRow{Key: sd.Key.String(), Count: sd.Count, Err: sd.Err})
 		}
 	}
-	c.mu.Lock()
-	for i, a := range c.stripeAborts {
-		if a >= 1 {
-			s.Stripes = append(s.Stripes, StripeAbortRow{Stripe: i, Aborts: a})
-		}
-	}
-	c.mu.Unlock()
 	return s
 }
 
@@ -81,12 +67,6 @@ func (s *Snapshot) Render() string {
 		fmt.Fprintf(&b, "    %-44s %8s %6s\n", "sender", "aborts", "err")
 		for _, sd := range s.SenderRows {
 			fmt.Fprintf(&b, "    %-44s %8d %6d\n", sd.Key, sd.Count, sd.Err)
-		}
-	}
-	if len(s.Stripes) > 0 {
-		fmt.Fprintf(&b, "  windowed stripe aborts:\n")
-		for _, st := range s.Stripes {
-			fmt.Fprintf(&b, "    stripe %2d: %8.1f\n", st.Stripe, st.Aborts)
 		}
 	}
 	return b.String()

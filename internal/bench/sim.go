@@ -322,7 +322,7 @@ func simPropose(parent *state.Snapshot, parentHeader *types.Header, txs []*types
 		if coarseKeys {
 			commitView = coarsenAccessSet(commitView)
 		}
-		if _, ok := mv.TryCommit(commitView, ex.overlay.ChangeSet()); ok {
+		if _, _, ok := mv.TryCommit(commitView, ex.overlay.ChangeSet()); ok {
 			telemetry.ProposerCommits.Inc()
 			res.committed++
 			pool.Done(ex.tx)

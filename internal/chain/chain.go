@@ -9,22 +9,22 @@ import (
 	"blockpilot/internal/types"
 )
 
-// StateWindow is how many heights below its head a Chain keeps post-states,
-// receipts and index entries for: a block waits only for its parent, and
-// forks are siblings at one height (paper §3.4).
+// StateWindow is how many heights below its head a Chain keeps post-states
+// for: a block waits only for its parent, and forks are siblings at one
+// height (paper §3.4).
 const StateWindow = 64
 
 // ErrStatePruned reports a block on a parent, or at a height, below the window.
 var ErrStatePruned = errors.New("chain: state pruned below the window")
 
 // Chain stores blocks, the fork structure and, for the StateWindow heights
-// below the head, post-states, receipts and the tx index. Because validators
-// in a Byzantine network receive multiple blocks per height (paper §3.4),
-// the container indexes all blocks at every height, not just a canonical
-// spine; the head is the first block validated at the greatest height. When
-// the head reaches n, the blocks at n−StateWindow−1 keep only their place in
-// Block and BlocksAt, and an insert at such a height fails with
-// ErrStatePruned: a deeper re-org is an error.
+// below the head, post-states. Because validators in a Byzantine network
+// receive multiple blocks per height (paper §3.4), the container indexes all
+// blocks at every height, not just a canonical spine; the head is the first
+// block validated at the greatest height. When the head reaches n, the blocks
+// at n−StateWindow−1 keep only their place in Block and BlocksAt, and an
+// insert at such a height fails with ErrStatePruned: a deeper re-org is an
+// error.
 //
 // Chain is safe for concurrent use; the validator pipeline inserts from
 // several goroutines.
@@ -34,17 +34,8 @@ type Chain struct {
 	genesis  *types.Block
 	blocks   map[types.Hash]*types.Block
 	states   map[types.Hash]*state.Snapshot
-	receipts map[types.Hash][]*types.Receipt // block hash → receipts
-	txIndex  map[types.Hash]TxLocation       // tx hash → canonical location
 	byHeight map[uint64][]types.Hash
 	head     types.Hash
-}
-
-// TxLocation records where a transaction landed.
-type TxLocation struct {
-	BlockHash types.Hash
-	Height    uint64
-	Index     int
 }
 
 // NewChain creates a chain from a genesis state.
@@ -60,8 +51,6 @@ func NewChain(genesisState *state.Snapshot, params Params) *Chain {
 		genesis:  genesis,
 		blocks:   make(map[types.Hash]*types.Block),
 		states:   make(map[types.Hash]*state.Snapshot),
-		receipts: make(map[types.Hash][]*types.Receipt),
-		txIndex:  make(map[types.Hash]TxLocation),
 		byHeight: make(map[uint64][]types.Hash),
 	}
 	gh := genesis.Hash()
@@ -125,14 +114,9 @@ func (c *Chain) Height() uint64 {
 }
 
 // Insert records a validated block and its committed post-state. The parent
-// must already be present.
+// must already be present. An insert that moves the head to height n drops
+// the post-states at n − StateWindow − 1.
 func (c *Chain) Insert(block *types.Block, postState *state.Snapshot) error {
-	return c.InsertWithReceipts(block, postState, nil)
-}
-
-// InsertWithReceipts additionally stores the block's receipts and, when the
-// block extends the canonical head, indexes its transactions for lookup.
-func (c *Chain) InsertWithReceipts(block *types.Block, postState *state.Snapshot, receipts []*types.Receipt) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	h := block.Hash()
@@ -150,63 +134,20 @@ func (c *Chain) InsertWithReceipts(block *types.Block, postState *state.Snapshot
 	}
 	c.blocks[h] = block
 	c.states[h] = postState
-	if receipts != nil {
-		c.receipts[h] = receipts
-	}
 	c.byHeight[block.Number()] = append(c.byHeight[block.Number()], h)
 	if block.Number() > c.blocks[c.head].Number() {
 		c.head = h
-		for i, tx := range block.Txs {
-			c.txIndex[tx.Hash()] = TxLocation{BlockHash: h, Height: block.Number(), Index: i}
-		}
 		if block.Number() > StateWindow {
-			c.pruneLocked(block.Number() - StateWindow - 1)
+			for _, pruned := range c.byHeight[block.Number()-StateWindow-1] {
+				delete(c.states, pruned)
+			}
 		}
 	}
 	return nil
 }
 
-// pruneLocked drops the post-states, receipts and index entries of every
-// block at height. Caller holds c.mu.
-func (c *Chain) pruneLocked(height uint64) {
-	for _, h := range c.byHeight[height] {
-		delete(c.states, h)
-		delete(c.receipts, h)
-		for _, tx := range c.blocks[h].Txs {
-			if c.txIndex[tx.Hash()].BlockHash == h {
-				delete(c.txIndex, tx.Hash())
-			}
-		}
-	}
-}
-
-// Receipts returns a block's stored receipts (nil when not recorded).
-func (c *Chain) Receipts(blockHash types.Hash) []*types.Receipt {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.receipts[blockHash]
-}
-
-// FindTransaction locates a transaction on the canonical chain.
-func (c *Chain) FindTransaction(txHash types.Hash) (TxLocation, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	loc, ok := c.txIndex[txHash]
-	return loc, ok
-}
-
-// ReceiptOf returns the canonical receipt for a transaction, if both the
-// transaction and its block's receipts are recorded.
-func (c *Chain) ReceiptOf(txHash types.Hash) (*types.Receipt, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	loc, ok := c.txIndex[txHash]
-	if !ok {
-		return nil, false
-	}
-	rs := c.receipts[loc.BlockHash]
-	if loc.Index >= len(rs) {
-		return nil, false
-	}
-	return rs[loc.Index], true
+// InsertWithReceipts is Insert: the chain keeps no receipts. It stays for the
+// benchmark harness, which calls it by this name.
+func (c *Chain) InsertWithReceipts(block *types.Block, postState *state.Snapshot, _ []*types.Receipt) error {
+	return c.Insert(block, postState)
 }

@@ -307,43 +307,6 @@ func TestChainForksAndHead(t *testing.T) {
 	}
 }
 
-func TestChainReceiptsAndTxIndex(t *testing.T) {
-	gen := testGenesis()
-	params := DefaultParams()
-	c := NewChain(gen, params)
-	parentH := &c.Genesis().Header
-
-	txs := []*types.Transaction{
-		transferTx(0, alice, bob, 500, 3),
-		transferTx(1, alice, bob, 700, 2),
-	}
-	header := &types.Header{ParentHash: parentH.Hash(), Number: 1, Coinbase: miner,
-		GasLimit: params.GasLimit, Time: 5}
-	res, err := ExecuteSerial(gen, header, txs, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := SealBlock(parentH, miner, 5, txs, res, params)
-	if err := c.InsertWithReceipts(block, res.State, res.Receipts); err != nil {
-		t.Fatal(err)
-	}
-
-	if rs := c.Receipts(block.Hash()); len(rs) != 2 {
-		t.Fatalf("stored %d receipts", len(rs))
-	}
-	loc, ok := c.FindTransaction(txs[1].Hash())
-	if !ok || loc.Index != 1 || loc.Height != 1 || loc.BlockHash != block.Hash() {
-		t.Fatalf("location = %+v, ok=%v", loc, ok)
-	}
-	r, ok := c.ReceiptOf(txs[0].Hash())
-	if !ok || r.GasUsed != 21000 {
-		t.Fatalf("receipt lookup = %+v, ok=%v", r, ok)
-	}
-	if _, ok := c.FindTransaction(types.Hash{1, 2, 3}); ok {
-		t.Fatal("found nonexistent tx")
-	}
-}
-
 // finalizationChangeRef is Finalize's credit as it was when seal and commit
 // materialised the whole block into a Memory just to read the coinbase.
 func finalizationChangeRef(accum *state.Memory, coinbase types.Address, fees *uint256.Int, params Params) *state.ChangeSet {

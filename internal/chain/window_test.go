@@ -51,10 +51,10 @@ func (w *windowChain) grow(heights int, insert func()) {
 	for i := 0; i < heights; i++ {
 		b, res := w.build(parent, miner)
 		s, sres := w.build(parent, bob)
-		if err := w.c.InsertWithReceipts(b, res.State, res.Receipts); err != nil {
+		if err := w.c.Insert(b, res.State); err != nil {
 			w.t.Fatal(err)
 		}
-		if err := w.c.InsertWithReceipts(s, sres.State, sres.Receipts); err != nil {
+		if err := w.c.Insert(s, sres.State); err != nil {
 			w.t.Fatal(err)
 		}
 		w.canon, w.sibs = append(w.canon, b), append(w.sibs, s)
@@ -66,17 +66,16 @@ func (w *windowChain) grow(heights int, insert func()) {
 }
 
 // TestStateWindow: 3W heights with a sibling at each. A height more than
-// StateWindow below the head has lost its post-states, receipts and index
-// entries, and refuses new blocks; every block stays reachable.
+// StateWindow below the head has lost its post-states and refuses new
+// blocks; every block stays reachable.
 func TestStateWindow(t *testing.T) {
 	w := newWindowChain(t)
 	c := w.c
 	w.grow(3*StateWindow, func() {
 		c.mu.RLock()
 		defer c.mu.RUnlock()
-		if len(c.states) > 2*(StateWindow+1) || len(c.receipts) > 2*(StateWindow+1) || len(c.txIndex) > StateWindow+1 {
-			t.Fatalf("head %d: %d states, %d receipts, %d index entries",
-				c.blocks[c.head].Number(), len(c.states), len(c.receipts), len(c.txIndex))
+		if len(c.states) > 2*(StateWindow+1) {
+			t.Fatalf("head %d: %d states", c.blocks[c.head].Number(), len(c.states))
 		}
 	})
 
@@ -94,19 +93,12 @@ func TestStateWindow(t *testing.T) {
 			if c.Block(b.Hash()) != b {
 				t.Fatalf("height %d: block lost", h)
 			}
-			if (c.StateOf(b.Hash()) == nil) != pruned || (c.Receipts(b.Hash()) == nil) != pruned {
-				t.Fatalf("height %d (pruned=%v): state %v, receipts %v", h, pruned,
-					c.StateOf(b.Hash()) != nil, c.Receipts(b.Hash()) != nil)
+			if (c.StateOf(b.Hash()) == nil) != pruned {
+				t.Fatalf("height %d (pruned=%v): state %v", h, pruned, c.StateOf(b.Hash()) != nil)
 			}
 		}
 		if at := c.BlocksAt(h); len(at) != 2 || at[0] != canon || at[1] != sib {
 			t.Fatalf("height %d: BlocksAt = %v", h, at)
-		}
-		tx := canon.Txs[0].Hash()
-		loc, found := c.FindTransaction(tx)
-		_, hasReceipt := c.ReceiptOf(tx)
-		if found == pruned || hasReceipt == pruned || (found && loc.BlockHash != canon.Hash()) {
-			t.Fatalf("height %d (pruned=%v): FindTransaction %v %+v, ReceiptOf %v", h, pruned, found, loc, hasReceipt)
 		}
 	}
 

@@ -56,7 +56,7 @@ func adaptiveTortureWorld(senders, perSender int, hot types.Address) (*state.Sna
 func warmHot(ctrl *adaptive.Controller, addr types.Address) {
 	feeder := types.BytesToAddress([]byte("warm-feeder"))
 	for i := 0; i < 16; i++ {
-		ctrl.NoteAbort(feeder, types.AccountKey(addr), -1)
+		ctrl.NoteAbort(feeder, types.AccountKey(addr))
 	}
 }
 

@@ -52,7 +52,7 @@ func TestOverlayReadsEachAccountOnce(t *testing.T) {
 		}
 		o.GetCodeHash(to) // a second touch of the recipient is free
 		reads := db.Stats().LogicalReads - before
-		if _, ok := mv.TryCommit(o.Access(), o.ChangeSet()); !ok {
+		if _, _, ok := mv.TryCommit(o.Access(), o.ChangeSet()); !ok {
 			t.Fatal("commit aborted")
 		}
 		return reads

@@ -267,7 +267,7 @@ func TestMVStateVersionedReads(t *testing.T) {
 	acc := types.NewAccessSet()
 	acc.NoteWrite(types.AccountKey(addr))
 	cs := state.NewChangeSet(state.AccountChange{Addr: addr, Nonce: 1, Balance: *uint256.NewInt(50)})
-	if _, ok := mv.TryCommit(acc, cs); !ok {
+	if _, _, ok := mv.TryCommit(acc, cs); !ok {
 		t.Fatal("commit failed")
 	}
 
@@ -296,19 +296,19 @@ func TestMVStateWSIAbort(t *testing.T) {
 	wAcc := types.NewAccessSet()
 	wAcc.NoteWrite(key)
 	cs := state.NewChangeSet(state.AccountChange{Addr: addr, Balance: *uint256.NewInt(1)})
-	if _, ok := mv.TryCommit(wAcc, cs); !ok {
+	if _, _, ok := mv.TryCommit(wAcc, cs); !ok {
 		t.Fatal("writer commit failed")
 	}
 
 	// Now the reader must be rejected (stale read).
-	if _, ok := mv.TryCommit(readerAcc, state.NewChangeSet()); ok {
+	if _, _, ok := mv.TryCommit(readerAcc, state.NewChangeSet()); ok {
 		t.Fatal("stale reader committed — WSI violated")
 	}
 
 	// Write-write without reads is allowed (WSI property).
 	wAcc2 := types.NewAccessSet()
 	wAcc2.NoteWrite(key)
-	if _, ok := mv.TryCommit(wAcc2, cs); !ok {
+	if _, _, ok := mv.TryCommit(wAcc2, cs); !ok {
 		t.Fatal("blind write-write refused — WSI should allow it")
 	}
 }

@@ -98,9 +98,9 @@ func (s *schedule) exec(tx *types.Transaction, midway func()) (*mvView, *uint256
 	return view, fee
 }
 
-// commit is TryCommitEx on what the view's overlay recorded.
+// commit is TryCommit on what the view's overlay recorded.
 func (s *schedule) commit(view *mvView, fee *uint256.Int) (types.Version, bool) {
-	v, _, ok := s.mv.TryCommitEx(view.overlay.Access(), view.overlay.ChangeSet())
+	v, _, ok := s.mv.TryCommit(view.overlay.Access(), view.overlay.ChangeSet())
 	if ok {
 		s.sealed = append(s.sealed, view.tx)
 		s.fees.Add(&s.fees, fee)
@@ -207,7 +207,7 @@ func TestExtensionValidatesUnrecordedCachedAccounts(t *testing.T) {
 	if got := o.GetBalance(extCounter); got.Uint64() != 0 {
 		t.Fatalf("cached balance %d, want 0", got.Uint64())
 	}
-	if _, ok := s.mv.TryCommit(o.Access(), o.ChangeSet()); ok {
+	if _, _, ok := s.mv.TryCommit(o.Access(), o.ChangeSet()); ok {
 		t.Fatal("a stale cached balance committed")
 	}
 }
@@ -230,7 +230,7 @@ func TestExtensionExcludesTheFetchedKey(t *testing.T) {
 	if len(o.Access().Reads) != 2 {
 		t.Fatalf("%d reads recorded, want alice and carol", len(o.Access().Reads))
 	}
-	if _, ok := s.mv.TryCommit(o.Access(), o.ChangeSet()); !ok {
+	if _, _, ok := s.mv.TryCommit(o.Access(), o.ChangeSet()); !ok {
 		t.Fatal("extended read set refused")
 	}
 }
@@ -297,7 +297,7 @@ func TestExtensionInsideCallFrame(t *testing.T) {
 		t.Fatalf("alice's surviving change: %+v", ch)
 	}
 	readVersions(t, o, t2)
-	if _, ok := s.mv.TryCommit(o.Access(), cs); !ok {
+	if _, _, ok := s.mv.TryCommit(o.Access(), cs); !ok {
 		t.Fatal("commit refused")
 	}
 }
@@ -331,7 +331,7 @@ func TestBoundViewHoldsEveryRecordedRead(t *testing.T) {
 				t.Fatalf("tx %d: read of %s recorded but never served by the view", i, key)
 			}
 		}
-		if _, ok := mv.TryCommit(view.overlay.Access(), view.overlay.ChangeSet()); !ok {
+		if _, _, ok := mv.TryCommit(view.overlay.Access(), view.overlay.ChangeSet()); !ok {
 			t.Fatalf("tx %d: serial commit aborted", i)
 		}
 	}

@@ -59,7 +59,7 @@ func TestMVStateTorture(t *testing.T) {
 					// don't know it pre-commit, so write v+1 speculatively
 					// and retry if another writer takes that slot first.
 					cs := state.NewChangeSet(state.AccountChange{Addr: addr, Balance: *uint256.NewInt(uint64(v + 1))})
-					got, ok := mv.TryCommit(acc, cs)
+					got, _, ok := mv.TryCommit(acc, cs)
 					if ok {
 						_ = got
 						break
@@ -131,6 +131,12 @@ func TestMVStateTorture(t *testing.T) {
 	}
 }
 
+// newMVStateStripes is NewMVState over a store of n lock stripes: the tortures
+// below run 1, 4 and 64 (64 is the layout NewMVState builds).
+func newMVStateStripes(base *state.Snapshot, n int) *MVState {
+	return &MVState{base: base, store: state.NewVersionStore(n)}
+}
+
 // TestMVStateStripedTorture runs the torture workload across stripe
 // configurations, with every commit spanning two accounts (and so, almost
 // always, two stripes) plus a storage slot, to exercise multi-stripe lock
@@ -138,7 +144,7 @@ func TestMVStateTorture(t *testing.T) {
 // property the proposer relies on: the version order returned by TryCommit
 // IS the serialization order (commit order = version order). Run with -race.
 func TestMVStateStripedTorture(t *testing.T) {
-	for _, stripes := range []int{1, 4, state.DefaultStripes} {
+	for _, stripes := range []int{1, 4, 64} {
 		stripes := stripes
 		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
 			tortureStripes(t, stripes)
@@ -158,7 +164,7 @@ func tortureStripes(t *testing.T, stripes int) {
 		addrs[i] = types.BytesToAddress([]byte{byte(i + 1)})
 		g.AddAccount(addrs[i], uint256.NewInt(0))
 	}
-	mv := NewMVStateStripes(g.Build(), stripes)
+	mv := newMVStateStripes(g.Build(), stripes)
 
 	// Each commit writes one value into the balance of TWO accounts and into
 	// one storage slot of the first. Writers record every version TryCommit
@@ -203,7 +209,7 @@ func tortureStripes(t *testing.T, stripes int) {
 						Balance: val,
 						Slots:   []state.SlotChange{{Slot: slot, Val: val}},
 					}, state.AccountChange{Addr: addrs[bi], Balance: val})
-					got, ok := mv.TryCommit(acc, cs)
+					got, _, ok := mv.TryCommit(acc, cs)
 					if ok {
 						recs[w] = append(recs[w], record{v: got, a: ai, b: bi, val: val.Uint64()})
 						break
@@ -308,7 +314,7 @@ func TestMVStateStripedVsSingleLock(t *testing.T) {
 			addrs[i] = types.BytesToAddress([]byte{byte(i + 1)})
 			g.AddAccount(addrs[i], uint256.NewInt(1000))
 		}
-		mv := NewMVStateStripes(g.Build(), stripes)
+		mv := newMVStateStripes(g.Build(), stripes)
 		rng := rand.New(rand.NewSource(42))
 		slot := types.BytesToHash([]byte{0x55})
 		for i := 0; i < 400; i++ {
@@ -326,14 +332,14 @@ func TestMVStateStripedVsSingleLock(t *testing.T) {
 			}
 			bc.Slots = []state.SlotChange{{Slot: slot, Val: *uint256.NewInt(uint64(i * 3))}}
 			cs := state.NewChangeSet(ac, bc)
-			if _, ok := mv.TryCommit(acc, cs); !ok {
+			if _, _, ok := mv.TryCommit(acc, cs); !ok {
 				t.Fatalf("serial commit %d aborted", i)
 			}
 		}
 		return mv.Flatten()
 	}
 	single := build(1)
-	striped := build(state.DefaultStripes)
+	striped := build(64)
 	if len(single.Accounts) != len(striped.Accounts) {
 		t.Fatalf("account count differs: %d vs %d", len(single.Accounts), len(striped.Accounts))
 	}
@@ -355,7 +361,7 @@ func TestMVStateStripedVsSingleLock(t *testing.T) {
 	}
 }
 
-// TestExtensionTorture races snapshot extension against TryCommitEx across
+// TestExtensionTorture races snapshot extension against TryCommit across
 // stripe configurations (run with -race): eight lanes, each with its bound
 // view, run read-modify-write transactions over a small hot key space, with a
 // yield between their first read and the rest so that nearly every execution
@@ -368,7 +374,7 @@ func TestMVStateStripedVsSingleLock(t *testing.T) {
 // moved past a value the overlay held would commit a read nobody can place),
 // and the flattened store must equal the replay's final state.
 func TestExtensionTorture(t *testing.T) {
-	for _, stripes := range []int{1, 4, state.DefaultStripes} {
+	for _, stripes := range []int{1, 4, 64} {
 		stripes := stripes
 		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
 			tortureExtension(t, stripes)
@@ -388,7 +394,7 @@ func tortureExtension(t *testing.T, stripes int) {
 		addrs[i] = types.BytesToAddress([]byte{byte(i + 1)})
 		g.AddAccount(addrs[i], uint256.NewInt(uint64(i)))
 	}
-	mv := NewMVStateStripes(g.Build(), stripes)
+	mv := newMVStateStripes(g.Build(), stripes)
 
 	type record struct {
 		v          types.Version
@@ -438,7 +444,7 @@ func tortureExtension(t *testing.T, stripes int) {
 						}
 					}
 					var ok bool
-					if rec.v, _, ok = mv.TryCommitEx(o.Access(), o.ChangeSet()); ok {
+					if rec.v, _, ok = mv.TryCommit(o.Access(), o.ChangeSet()); ok {
 						if rec.readsStamp != pinned {
 							extended.Add(1)
 						}

@@ -102,7 +102,7 @@ func Propose(parent *state.Snapshot, parentHeader *types.Header, pool *mempool.P
 // proposeOCC packs a block using OCC-WSI parallel execution (paper
 // Algorithm 1). Worker threads claim transactions by gas price in small
 // batches, execute them against versioned snapshots, and commit through the
-// (striped) reserve-table validation; conflicted transactions return to the
+// reserve-table validation; conflicted transactions return to the
 // pool. The block's transaction order is the commit (serialization) order,
 // and the block profile carries each transaction's read/write sets.
 //
@@ -163,7 +163,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 
 		// Gas reservation: claim the receipt's gas with a CAS loop so the
 		// commit itself (Alg. 1 DetectConflict) can run outside any global
-		// lock — commits on disjoint stripe sets proceed fully in parallel.
+		// lock — commits on disjoint keys proceed fully in parallel.
 		// An aborted commit releases its reservation.
 		for {
 			cur := gasUsed.Load()
@@ -198,7 +198,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 			delete(access.Writes, key)
 			cs.Drop(tx.To)
 		}
-		version, conflict, ok := mv.TryCommitEx(access, cs)
+		version, conflict, ok := mv.TryCommit(access, cs)
 		if ok {
 			if profile == nil {
 				profile = types.ProfileFromAccessSet(access, receipt.GasUsed)
@@ -211,9 +211,9 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 		gasUsed.Add(^(receipt.GasUsed - 1)) // release the reservation
 		aborts.Add(1)
 		telemetry.ProposerAborts.Inc()
-		trace.Abort(b.node, worker, tx, conflict.Key, conflict.Winner, conflict.Stripe, b.header.Number)
+		trace.Abort(b.node, worker, tx, conflict.Key, conflict.Winner, b.header.Number)
 		if ctrl != nil {
-			ctrl.NoteAbort(tx.From, conflict.Key, conflict.Stripe)
+			ctrl.NoteAbort(tx.From, conflict.Key)
 		}
 		trace.ExecEnd(b.node, worker, tx, b.header.Number)
 		b.requeueOrDrop(worker, tx)

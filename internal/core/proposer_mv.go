@@ -102,10 +102,9 @@ func proposeMV(b *blockBuild) *ProposeResult {
 		// MV-STM contention surfaces two ways: read-set validation failures
 		// (rare — the window suppresses most doomed runs) and ESTIMATE
 		// suspensions (the common case). Both feed the controller's windowed
-		// sketches with the contended key; no stripe attribution in this
-		// engine.
+		// sketches with the contended key.
 		inst.SetContentionHook(func(idx int, key types.StateKey) {
-			ctrl.NoteAbort(claimed[idx].From, key, -1)
+			ctrl.NoteAbort(claimed[idx].From, key)
 		})
 	}
 	if b.cfg.MVFaultStaleReads {

@@ -110,7 +110,7 @@ type Memory struct {
 
 // NewMemory returns an empty multi-version memory over base.
 func NewMemory(base state.Reader) *Memory {
-	return &Memory{base: base, store: state.NewVersionStore(state.DefaultStripes)}
+	return &Memory{base: base, store: state.NewVersionStore(0)}
 }
 
 // grow extends the per-transaction bookkeeping to n transactions. Called
@@ -146,10 +146,7 @@ func (m *Memory) Record(tx, inc int, reads []ReadRecord, cs *state.ChangeSet) (w
 				locs = append(locs, writeLoc{addr: ch.Addr, slot: s.Slot, kind: readSlot})
 			}
 		}
-		set := m.store.StripesOf(cs)
-		m.store.Lock(set)
 		m.store.Put(uint64(tx), inc, cs)
-		m.store.Unlock(set)
 	}
 	prev := m.writes[tx]
 	for _, p := range prev {

@@ -88,7 +88,7 @@ func (n *Node) Propose() (*core.ProposeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := n.Chain.InsertWithReceipts(res.Block, res.State, res.Receipts); err != nil {
+	if err := n.Chain.Insert(res.Block, res.State); err != nil {
 		return nil, fmt.Errorf("node: insert own block: %w", err)
 	}
 	if tr := trace.Resolve(n.cfg.Tracer); tr != nil {

@@ -9,11 +9,12 @@
 // a follower, waits in its own goroutine until every lane of the leader has
 // started, then queues its own; a follower lane takes the leader's verified
 // result for every transaction the last-writer rule proves unchanged, and
-// executes the rest. Siblings therefore do not run
-// their executions side by side: a follower's lanes run in the leader's
-// execution tail and commit, on the workers the leader frees. All in-flight
-// blocks share one worker pool, so free workers execute transactions
-// regardless of which block they belong to.
+// executes the rest. Siblings therefore do not run their executions side by
+// side: a follower's lanes run in the leader's execution tail and commit, on
+// the workers the leader frees. At most maxSiblings validations run on one
+// parent at once; later siblings queue in arrival order, on the same record.
+// All in-flight blocks share one worker pool, so free workers execute
+// transactions regardless of which block they belong to.
 package pipeline
 
 import (
@@ -36,9 +37,10 @@ import (
 // ErrParentUnavailable fails blocks whose parent never validated.
 var ErrParentUnavailable = errors.New("pipeline: parent block never validated")
 
-// afterInsert, when set (tests only), runs between a block's insert into the
-// chain and the send of its outcome.
-var afterInsert func(*types.Block)
+// beforeValidate and afterInsert, when set (tests only), run as a block's
+// validation starts, and between its insert into the chain and the send of
+// its outcome.
+var beforeValidate, afterInsert func(*types.Block)
 
 // ErrParkedCap fails a block more than chain.StateWindow above head, and the
 // oldest parked arrival once maxParked blocks wait. The honest partition and
@@ -46,6 +48,12 @@ var afterInsert func(*types.Block)
 var ErrParkedCap = errors.New("pipeline: beyond the parked-block cap")
 
 const maxParked = 256
+
+// maxSiblings caps the validations that run at once on one parent; later
+// siblings queue in arrival order and start as running ones finish. The
+// cluster simulator's scenarios peak at 7 (seeds 1, 2, 7 and 42, both engines,
+// with and without the adaptive controller, also over 80 heights).
+const maxSiblings = 8
 
 // ErrPoolClosed reports a submission to a closed worker pool.
 var ErrPoolClosed = errors.New("pipeline: worker pool closed")
@@ -150,7 +158,7 @@ type Pipeline struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	running  int                            // active validations
+	running  int                            // validations started or queued behind their siblings
 	unsent   map[types.Hash]bool            // blocks in the chain whose commit outcome is not sent yet
 	waiting  map[types.Hash][]*pendingBlock // parent hash → parked blocks
 	parked   int                            // blocks in waiting
@@ -160,12 +168,14 @@ type Pipeline struct {
 	results chan Outcome
 }
 
-// siblingRef is one parent's sibling record and the number of running
-// validations that hold it: the record is recycled when the last returns,
-// never earlier, since a follower reads the leader's results in its lanes.
+// siblingRef is one parent's sibling record and the number of running or
+// queued validations that hold it: the record is recycled when the last
+// returns, never earlier, since a follower reads the leader's results in its
+// lanes.
 type siblingRef struct {
-	sib  *validator.Siblings
-	refs int
+	sib    *validator.Siblings
+	refs   int
+	queued []*pendingBlock // past maxSiblings, in arrival order
 }
 
 type pendingBlock struct {
@@ -328,8 +338,9 @@ func (p *Pipeline) unvalidatable(block *types.Block) error {
 	return nil
 }
 
-// startLocked launches pb's validation. The first block started on a parent
-// leads that parent's sibling record. Caller holds p.mu.
+// startLocked launches pb's validation, or queues it behind maxSiblings
+// running ones on its parent. The first block started on a parent leads that
+// parent's sibling record. Caller holds p.mu.
 func (p *Pipeline) startLocked(pb *pendingBlock) {
 	parent := pb.block.Header.ParentHash
 	ref, ok := p.siblings[parent]
@@ -338,16 +349,23 @@ func (p *Pipeline) startLocked(pb *pendingBlock) {
 		pb.lead = true
 	}
 	ref.refs++
-	p.siblings[parent] = ref
 	pb.sib = ref.sib
 	p.running++
 	telemetry.PipelineInflight.Add(1)
-	go p.run(pb)
+	if ref.refs-len(ref.queued) > maxSiblings {
+		ref.queued = append(ref.queued, pb)
+	} else {
+		go p.run(pb)
+	}
+	p.siblings[parent] = ref
 }
 
 // run validates one block whose parent state is available.
 func (p *Pipeline) run(pb *pendingBlock) {
 	block, bh := pb.block, pb.hash
+	if beforeValidate != nil {
+		beforeValidate(block)
+	}
 	node, tr := p.cfg.Node, trace.Resolve(p.cfg.Tracer)
 	if tr != nil {
 		// Attribute the pre-validation latency: time parked behind the
@@ -374,7 +392,7 @@ func (p *Pipeline) run(pb *pendingBlock) {
 		p.mu.Lock()
 		p.unsent[bh] = true
 		p.mu.Unlock()
-		if insErr := p.chain.InsertWithReceipts(block, res.State, res.Receipts); insErr != nil {
+		if insErr := p.chain.Insert(block, res.State); insErr != nil {
 			out.Err = insErr
 		} else {
 			p.mark(trace.StageInsert, pb)
@@ -397,6 +415,10 @@ func (p *Pipeline) run(pb *pendingBlock) {
 		ref.sib.Release()
 	} else {
 		ref.refs--
+		if len(ref.queued) > 0 {
+			go p.run(ref.queued[0])
+			ref.queued = ref.queued[1:]
+		}
 		p.siblings[parent] = ref
 	}
 	if out.Err == nil {
@@ -460,16 +482,18 @@ func (p *Pipeline) mark(stage trace.Stage, pb *pendingBlock) {
 }
 
 // Pending reports how many blocks the pipeline currently holds: active
-// validations plus blocks parked behind unresolved parents. The health
-// recorder's sim probe uses this as its work gauge.
+// validations, siblings queued behind them, and blocks parked behind
+// unresolved parents. The health recorder's sim probe uses this as its work
+// gauge.
 func (p *Pipeline) Pending() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.running + p.parked
 }
 
-// Wait blocks until no validation is running. Blocks parked behind a parent
-// that has not arrived are not flushed — Abandon or Close handles those.
+// Wait blocks until no validation is running or queued. Blocks parked behind
+// a parent that has not arrived are not flushed — Abandon or Close handles
+// those.
 func (p *Pipeline) Wait() {
 	p.mu.Lock()
 	for p.running > 0 {

@@ -187,3 +187,77 @@ func TestPipelineFollowerStalledAcrossRecycle(t *testing.T) {
 		t.Fatalf("follower took %d of %d results from its committed leader", res.Reused, len(follower.Txs))
 	}
 }
+
+// TestPipelineSiblingCap: 3 × maxSiblings blocks on one parent. While the
+// first maxSiblings validations hold, the rest wait in the parent's queue and
+// every block counts in Pending; at most maxSiblings validate at once and the
+// rest start as those finish; every block commits with exactly one outcome,
+// all on the leader's record, which outlives every one of them and is
+// released with the last.
+func TestPipelineSiblingCap(t *testing.T) {
+	c, g, params, root := forkFixture(t)
+	txs := g.NextBlockTxs()
+	var blocks []*types.Block
+	for tag := 0; tag < 3*maxSiblings; tag++ {
+		b, _ := serialOn(t, root, txs, byte(tag), params)
+		blocks = append(blocks, b)
+	}
+	p := New(c, validator.DefaultConfig(2), nil)
+	gate, started := make(chan struct{}), make(chan struct{}, len(blocks))
+	var mu sync.Mutex
+	var running, peak int
+	var sib *validator.Siblings
+	beforeValidate = func(*types.Block) {
+		mu.Lock()
+		running++
+		peak = max(peak, running)
+		mu.Unlock()
+		started <- struct{}{}
+		<-gate
+	}
+	afterInsert = func(*types.Block) {
+		p.mu.Lock()
+		ref := p.siblings[root.header.Hash()]
+		p.mu.Unlock()
+		mu.Lock()
+		defer mu.Unlock()
+		if sib == nil {
+			sib = ref.sib
+		}
+		if ref.sib == nil || ref.sib != sib {
+			t.Errorf("a validation ended on record %p, the parent's is %p", ref.sib, sib)
+		}
+		running--
+	}
+	t.Cleanup(func() { beforeValidate, afterInsert = nil, nil })
+	for _, b := range blocks {
+		p.Submit(b)
+	}
+	if n := p.Pending(); n != len(blocks) {
+		t.Fatalf("Pending = %d with every validation held, want %d", n, len(blocks))
+	}
+	p.mu.Lock()
+	queued := len(p.siblings[root.header.Hash()].queued)
+	p.mu.Unlock()
+	if queued != len(blocks)-maxSiblings {
+		t.Fatalf("%d siblings queued behind the running ones, want %d", queued, len(blocks)-maxSiblings)
+	}
+	for i := 0; i < maxSiblings; i++ {
+		<-started
+	}
+	close(gate)
+	outs := drain(p, len(blocks))
+	p.Close()
+	for out := range p.Results() {
+		t.Fatalf("a second outcome for block %s", out.Block.Hash())
+	}
+	for _, b := range blocks {
+		accepted(t, c, outs, b)
+	}
+	if peak != maxSiblings {
+		t.Fatalf("%d validations ran at once on one parent, want the cap %d", peak, maxSiblings)
+	}
+	if len(p.siblings) != 0 {
+		t.Fatalf("%d sibling records still held", len(p.siblings))
+	}
+}

@@ -6,8 +6,11 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"blockpilot/internal/crypto"
+	"blockpilot/internal/telemetry"
 	"blockpilot/internal/types"
 	"blockpilot/internal/uint256"
 )
@@ -46,25 +49,26 @@ type slotKey struct {
 	slot types.Hash
 }
 
-// DefaultStripes is the default lock-stripe count. 64 stripes keep the whole
+// defaultStripes is the lock-stripe count. 64 stripes keep the whole
 // touched-stripe set of one commit in a single uint64 bitmask (sorted,
 // deduped acquisition for free) while giving disjoint keys a <2% chance of
 // colliding on a lock even at 16 worker threads. It is also the maximum: a
 // stripe set must fit one 64-bit mask.
-const DefaultStripes = 64
+const defaultStripes = 64
 
-// versionStripe is one lock stripe of the version-chain maps. codeCnt counts
-// the code-setting entries per account chain so a code read on a chain
-// nobody deployed to (the overwhelmingly common case — a hotspot block calls
-// one contract thousands of times and deploys nothing) resolves without
-// scanning the chain at all. The padding rounds the stripe to a cache line so
-// neighbouring mutexes do not share one.
+// versionStripe is one lock stripe of the version-chain maps and of
+// Commit's reserve table. codeCnt counts the code-setting entries per account
+// chain so a code read on a chain nobody deployed to (the overwhelmingly
+// common case — a hotspot block calls one contract thousands of times and
+// deploys nothing) resolves without scanning the chain at all. The padding
+// rounds the stripe to a cache line so neighbouring mutexes do not share one.
 type versionStripe struct {
 	mu       sync.RWMutex
 	accounts chains[types.Address, AccountFields]
 	slots    chains[slotKey, uint256.Int]
 	codeCnt  map[types.Address]int
-	_        [16]byte
+	reserve  map[types.StateKey]uint64 // made by the first Commit that reserves a key here
+	_        [8]byte
 }
 
 // VersionStore is the striped multi-version store under both proposer
@@ -73,22 +77,29 @@ type versionStripe struct {
 // returns the newest entry with key < k, so a reader pinned at one point of
 // the serialization order stays consistent while later writers install.
 //
+// OCC-WSI writes through Commit, which also keeps Algorithm 1's reserve table
+// (every key → the version of its last committed writer) and the version
+// counter; MV-STM writes through Put, Remove and MarkEstimate, keyed by
+// transaction index. The two never share a store.
+//
 // The store is split into a power-of-two number of lock stripes keyed by
 // state key, so reads and writes on disjoint keys never touch the same lock.
-// Single-entry operations lock their one stripe themselves; Put runs inside
-// the caller's Lock(set) … Unlock(set), which is also how OCC-WSI holds its
-// validate → bump → install critical section.
+// Every call takes the stripes it needs itself: one for a single-entry
+// operation, and for Put, Commit and WrittenSince every stripe of their keys
+// at once, in ascending index order — the global order that keeps concurrent
+// holders deadlock-free.
 type VersionStore struct {
 	stripes []versionStripe
 	mask    uint64
+	version atomic.Uint64 // the newest version Commit installed
 }
 
 // NewVersionStore returns an empty store with n lock stripes, clamped to
-// [1, DefaultStripes] and rounded up to a power of two (n < 1 selects the
-// default; n = 1 is a single-lock store).
+// [1, 64] and rounded up to a power of two; n < 1 selects 64, the layout
+// both engines run on (n = 1 is a single-lock store).
 func NewVersionStore(n int) *VersionStore {
-	if n < 1 || n > DefaultStripes {
-		n = DefaultStripes
+	if n < 1 || n > defaultStripes {
+		n = defaultStripes
 	}
 	p := 1
 	for p < n {
@@ -102,9 +113,6 @@ func NewVersionStore(n int) *VersionStore {
 	}
 	return s
 }
-
-// Stripes returns the stripe count (a power of two).
-func (s *VersionStore) Stripes() int { return len(s.stripes) }
 
 // stripeHash is fnv-1a over an address, optionally mixed with a slot hash,
 // finalized with a Fibonacci multiply so the low bits (the stripe index)
@@ -123,19 +131,17 @@ func (s *VersionStore) stripeHash(addr *types.Address, slot *types.Hash) uint64 
 	return (h * 0x9E3779B97F4A7C15) >> 32 & s.mask
 }
 
-// StripeOfKey returns the index of the stripe owning a state key: the slot's
-// stripe for a storage key, the account's for everything else. Callers that
-// shard their own per-key tables alongside the store (OCC-WSI's reserve
-// table) index them by it and guard them with the same stripe locks.
-func (s *VersionStore) StripeOfKey(k *types.StateKey) uint64 {
+// keyStripe returns the index of the stripe owning a state key: the slot's
+// stripe for a storage key, the account's for everything else.
+func (s *VersionStore) keyStripe(k *types.StateKey) uint64 {
 	if k.Kind == types.KeyStorage {
 		return s.stripeHash(&k.Addr, &k.Slot)
 	}
 	return s.stripeHash(&k.Addr, nil)
 }
 
-// StripesOf returns the bitmask of stripes Put(…, cs) writes.
-func (s *VersionStore) StripesOf(cs *ChangeSet) uint64 {
+// changeStripes returns the bitmask of stripes put(…, cs) writes.
+func (s *VersionStore) changeStripes(cs *ChangeSet) uint64 {
 	var set uint64
 	for _, ch := range cs.Accounts {
 		set |= 1 << s.stripeHash(&ch.Addr, nil)
@@ -146,33 +152,31 @@ func (s *VersionStore) StripesOf(cs *ChangeSet) uint64 {
 	return set
 }
 
-// Lock acquires every stripe in set in ascending index order — the global
-// order that makes concurrent holders deadlock-free.
-func (s *VersionStore) Lock(set uint64) {
+// lock acquires every stripe in set in ascending index order.
+func (s *VersionStore) lock(set uint64) {
 	for ; set != 0; set &= set - 1 {
 		s.stripes[bits.TrailingZeros64(set)].mu.Lock()
 	}
 }
 
-// Unlock releases the stripes Lock(set) acquired.
-func (s *VersionStore) Unlock(set uint64) {
+// unlock releases the stripes lock(set) acquired.
+func (s *VersionStore) unlock(set uint64) {
 	for ; set != 0; set &= set - 1 {
 		s.stripes[bits.TrailingZeros64(set)].mu.Unlock()
 	}
 }
 
-// RLock is Lock for a holder that only reads what the stripes guard (OCC-WSI's
-// snapshot extension looking up the reserve table): same ascending order, so
-// readers and commits stay deadlock-free against each other, and readers do not
-// exclude one another.
-func (s *VersionStore) RLock(set uint64) {
+// rlock is lock for a holder that only reads: same ascending order, so
+// readers and commits stay deadlock-free against each other, and readers do
+// not exclude one another.
+func (s *VersionStore) rlock(set uint64) {
 	for ; set != 0; set &= set - 1 {
 		s.stripes[bits.TrailingZeros64(set)].mu.RLock()
 	}
 }
 
-// RUnlock releases the stripes RLock(set) acquired.
-func (s *VersionStore) RUnlock(set uint64) {
+// runlock releases the stripes rlock(set) acquired.
+func (s *VersionStore) runlock(set uint64) {
 	for ; set != 0; set &= set - 1 {
 		s.stripes[bits.TrailingZeros64(set)].mu.RUnlock()
 	}
@@ -329,10 +333,18 @@ func (f *AccountFields) Over(code *AccountFields, base Reader, addr types.Addres
 
 // Put installs cs as the writes of ordering key `key` (incarnation inc): one
 // account entry per changed account, one slot entry per dirty slot, each
-// replacing the key's previous entry on that chain if there is one. The
-// caller holds every stripe of StripesOf(cs), so the whole change set appears
+// replacing the key's previous entry on that chain if there is one. It holds
+// every stripe cs touches while it installs, so the whole change set appears
 // to readers at once.
 func (s *VersionStore) Put(key uint64, inc int, cs *ChangeSet) {
+	set := s.changeStripes(cs)
+	s.lock(set)
+	s.put(key, inc, cs)
+	s.unlock(set)
+}
+
+// put is Put with the stripes already held.
+func (s *VersionStore) put(key uint64, inc int, cs *ChangeSet) {
 	for _, ch := range cs.Accounts {
 		e := AccountVersion{Key: key, Inc: inc, Val: AccountFields{Nonce: ch.Nonce, Balance: ch.Balance}}
 		if ch.CodeSet {
@@ -345,6 +357,79 @@ func (s *VersionStore) Put(key uint64, inc int, cs *ChangeSet) {
 			ss.slots.upsert(slotKey{addr: ch.Addr, slot: sc.Slot}, SlotVersion{Key: key, Inc: inc, Val: sc.Val})
 		}
 	}
+}
+
+// Latest returns the newest version Commit installed (0 = none yet).
+func (s *VersionStore) Latest() uint64 { return s.version.Load() }
+
+// Commit is Algorithm 1's DetectConflict and commit. With every stripe its
+// read keys, write keys and change-set entries hash to held (the write set
+// does not always cover the change set: internal/bench's reserve-table
+// granularity ablation coarsens access-set keys to whole accounts while the
+// change set stays slot-granular), it checks each read key against the
+// reserve table; if a later version than the one read reserved it, Commit
+// installs nothing and returns that key and that version. Otherwise it
+// installs cs as the next version, reserves every write key at it — also a
+// write whose final value equals the base (conservative, and deterministic
+// across replays) — and returns the version.
+//
+// The version is bumped with the stripes held, so for any stripe two commits
+// share, version order is their critical-section order: chains only ever
+// append, and a reader that loads version v and then takes a stripe sees
+// every commit at or below v on it fully installed. Commits on disjoint
+// stripe sets proceed in parallel. The wait for the stripes is the
+// blockpilot_proposer_stripe_wait_ns histogram.
+func (s *VersionStore) Commit(access *types.AccessSet, cs *ChangeSet) (v uint64, stale types.StateKey, winner uint64, ok bool) {
+	set := s.changeStripes(cs)
+	for key := range access.Reads {
+		set |= 1 << s.keyStripe(&key)
+	}
+	for key := range access.Writes {
+		set |= 1 << s.keyStripe(&key)
+	}
+	if telemetry.Enabled() {
+		start := time.Now()
+		s.lock(set)
+		telemetry.ProposerStripeWaitNs.ObserveDuration(time.Since(start))
+	} else {
+		s.lock(set)
+	}
+	defer s.unlock(set)
+
+	for key, read := range access.Reads {
+		if w := s.stripes[s.keyStripe(&key)].reserve[key]; w > read {
+			return 0, key, w, false
+		}
+	}
+	v = s.version.Add(1)
+	s.put(v, 0, cs)
+	for key := range access.Writes {
+		st := &s.stripes[s.keyStripe(&key)]
+		if st.reserve == nil {
+			st.reserve = make(map[types.StateKey]uint64)
+		}
+		st.reserve[key] = v
+	}
+	return v, stale, 0, true
+}
+
+// WrittenSince reports whether Commit has reserved any of keys at version v
+// or later (v ≥ 1: a key nobody reserved reads 0). It looks with the stripes of every key held for reading, taken
+// together in ascending order, so an answer of false covers every commit
+// whose version was loaded before the call.
+func (s *VersionStore) WrittenSince(v uint64, keys ...types.StateKey) bool {
+	var set uint64
+	for i := range keys {
+		set |= 1 << s.keyStripe(&keys[i])
+	}
+	s.rlock(set)
+	defer s.runlock(set)
+	for i := range keys {
+		if s.stripes[s.keyStripe(&keys[i])].reserve[keys[i]] >= v {
+			return true
+		}
+	}
+	return false
 }
 
 // addCode keeps codeCnt[addr] equal to the number of code-setting entries on
@@ -364,7 +449,7 @@ func (st *versionStripe) addCode(addr types.Address, now, was bool) {
 // paths both: they share the entry) or one storage slot. A missing entry is a
 // no-op.
 func (s *VersionStore) Remove(k types.StateKey, key uint64) {
-	st := &s.stripes[s.StripeOfKey(&k)]
+	st := &s.stripes[s.keyStripe(&k)]
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if k.Kind == types.KeyStorage {
@@ -377,7 +462,7 @@ func (s *VersionStore) Remove(k types.StateKey, key uint64) {
 // MarkEstimate flips key's entry on the chain of one account or one storage
 // slot to an ESTIMATE.
 func (s *VersionStore) MarkEstimate(k types.StateKey, key uint64) {
-	st := &s.stripes[s.StripeOfKey(&k)]
+	st := &s.stripes[s.keyStripe(&k)]
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if k.Kind == types.KeyStorage {

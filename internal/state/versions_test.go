@@ -205,47 +205,99 @@ func checkAgainst(t *testing.T, s *VersionStore, ref refStore, max uint64) {
 	}
 }
 
-func put(s *VersionStore, key uint64, inc int, cs *ChangeSet) {
-	set := s.StripesOf(cs)
-	s.Lock(set)
-	s.Put(key, inc, cs)
-	s.Unlock(set)
+// vsKeys is every state key of the small key space: each address's account
+// key, then its slot keys.
+func vsKeys() []types.StateKey {
+	var keys []types.StateKey
+	for a := 0; a < vsAddrs; a++ {
+		keys = append(keys, types.AccountKey(vsAddr(a)))
+		for sl := 0; sl < vsSlots; sl++ {
+			keys = append(keys, types.StorageKey(vsAddr(a), vsSlot(sl)))
+		}
+	}
+	return keys
 }
 
 // TestVersionStoreAgainstReference drives the one store through the scripts of
-// its two callers. OCC shape (core.MVState): strictly ascending keys, reads
-// pinned below an arbitrary version — at 1, 4 and 64 stripes. MV shape (mv.Memory): writers arrive out of index
-// order, a re-execution replaces its entries and removes the locations it no
-// longer writes, aborted incarnations become ESTIMATEs, and the tail of the
-// block is purged highest index first.
+// its two callers. OCC shape (core.MVState): Commit with one read at a random
+// earlier version beside the change set's writes — it must abort exactly when
+// a later commit reserved the read key, naming that key and version, and
+// otherwise install at the next version — then chains, reserve table
+// (WrittenSince) and Flatten against the reference, at 1, 4 and 64 stripes.
+// MV shape (mv.Memory): writers arrive out of index order, a re-execution
+// replaces its entries and removes the locations it no longer writes, aborted
+// incarnations become ESTIMATEs, and the tail of the block is purged highest
+// index first.
 func TestVersionStoreAgainstReference(t *testing.T) {
-	for _, stripes := range []int{1, 4, DefaultStripes} {
+	keys := vsKeys()
+	for _, stripes := range []int{1, 4, defaultStripes} {
 		t.Run(fmt.Sprintf("occ-shape/stripes=%d", stripes), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(stripes)))
 			s, ref := NewVersionStore(stripes), refStore{}
-			if s.Stripes() != stripes {
-				t.Fatalf("Stripes() = %d, want %d", s.Stripes(), stripes)
+			if len(s.stripes) != stripes {
+				t.Fatalf("%d stripes, want %d", len(s.stripes), stripes)
 			}
+			reserved := map[types.StateKey]uint64{} // the reference reserve table
 			const commits = 40
-			for v := uint64(1); v <= commits; v++ {
+			aborts := 0
+			for v := uint64(1); v <= commits; {
 				cs := randomWrites(rng, v)
-				put(s, v, 0, cs)
+				access := types.NewAccessSet()
+				read, at := keys[rng.Intn(len(keys))], rng.Uint64()%v
+				access.NoteRead(read, at)
+				for _, ch := range cs.Accounts {
+					access.NoteWrite(types.AccountKey(ch.Addr))
+					for _, sc := range ch.Slots {
+						access.NoteWrite(types.StorageKey(ch.Addr, sc.Slot))
+					}
+				}
+				got, stale, winner, ok := s.Commit(access, cs)
+				if w := reserved[read]; w > at {
+					if ok || stale != read || winner != w {
+						t.Fatalf("read of %s at %d (reserved at %d): Commit = %d, %s, %d, %v; want an abort on it", read, at, w, got, stale, winner, ok)
+					}
+					aborts++
+					continue
+				}
+				if !ok || got != v || s.Latest() != v {
+					t.Fatalf("clean commit %d: Commit = %d, %v, Latest %d", v, got, ok, s.Latest())
+				}
 				ref.put(v, 0, cs)
+				for k := range access.Writes {
+					reserved[k] = v
+				}
+				v++
+			}
+			if aborts == 0 {
+				t.Fatal("no commit aborted: the script no longer exercises validation")
 			}
 			checkAgainst(t, s, ref, commits+1)
+			for v := uint64(1); v <= commits+1; v++ {
+				some := false
+				for _, k := range keys {
+					want := reserved[k] >= v
+					if got := s.WrittenSince(v, k); got != want {
+						t.Fatalf("WrittenSince(%d, %s) = %v, reserved at %d", v, k, got, reserved[k])
+					}
+					some = some || want
+				}
+				if got := s.WrittenSince(v, keys...); got != some {
+					t.Fatalf("WrittenSince(%d, every key) = %v, want %v", v, got, some)
+				}
+			}
 		})
 	}
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("mv-shape/seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			s, ref := NewVersionStore(DefaultStripes), refStore{}
+			s, ref := NewVersionStore(0), refStore{}
 			const txs = 24
 			writes := make([]*ChangeSet, txs)
 
 			// record installs tx's incarnation and drops what the previous
 			// one wrote and this one did not (mv.Memory.Record).
 			record := func(tx uint64, inc int, cs *ChangeSet) {
-				put(s, tx, inc, cs)
+				s.Put(tx, inc, cs)
 				ref.put(tx, inc, cs)
 				if prev := writes[tx]; prev != nil {
 					for _, ch := range prev.Accounts {

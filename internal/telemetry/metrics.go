@@ -26,7 +26,7 @@ var (
 	ProposerBlockTxs = NewHistogram("blockpilot_proposer_block_txs",
 		"Transactions packed per proposed block.", "")
 	ProposerStripeWaitNs = NewHistogram("blockpilot_proposer_stripe_wait_ns",
-		"Time one TryCommit spent acquiring its MVState stripe locks (lock-convoy probe).", "ns")
+		"Time one commit spent acquiring the version store's locks for its keys (lock-convoy probe).", "ns")
 	ProposerDroppedRetryBudget = NewCounter("blockpilot_proposer_dropped_total",
 		"Transactions dropped specifically because their abort-retry budget ran out.")
 )

@@ -54,9 +54,8 @@ func TestDisabledPathBudget(t *testing.T) {
 			Pop(0, 1, benchTx, 7)
 			ExecStart(0, 1, benchTx, 7)
 			ExecEnd(0, 1, benchTx, 7)
-			Abort(0, 1, benchTx, key, 3, 5, 7)
+			Abort(0, 1, benchTx, key, 3, 7)
 			Commit(0, 1, benchTx, 9, 7)
-			StripeWait(0b101, time.Microsecond)
 		}, []timedLoop{
 			{"Commit", func(n int) {
 				for i := 0; i < n; i++ {
@@ -200,7 +199,7 @@ func BenchmarkAbortDisabled(b *testing.B) {
 	key := types.AccountKey(benchTx.From)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Abort(0, 1, benchTx, key, 3, 5, 7)
+		Abort(0, 1, benchTx, key, 3, 7)
 	}
 }
 
@@ -224,7 +223,7 @@ func BenchmarkAbortEnabled(b *testing.B) {
 	key := types.AccountKey(benchTx.From)
 	enableForBench(b)
 	for i := 0; i < b.N; i++ {
-		Abort(0, 1, benchTx, key, 3, 5, 7)
+		Abort(0, 1, benchTx, key, 3, 7)
 	}
 }
 

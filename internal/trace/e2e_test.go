@@ -138,9 +138,6 @@ func TestEndToEndAttribution(t *testing.T) {
 	if len(rep.Keys) == 0 || len(rep.Senders) == 0 {
 		t.Fatal("attribution report missing hot keys / senders")
 	}
-	if len(rep.Stripes) == 0 {
-		t.Fatal("no stripe rows despite commit traffic")
-	}
 }
 
 // TestEndToEndAbortEvents cross-checks the recorder's abort stream against

@@ -3,11 +3,7 @@
 // the mempool, the validator and the pipeline call.
 package trace
 
-import (
-	"time"
-
-	"blockpilot/internal/types"
-)
+import "blockpilot/internal/types"
 
 // EventKind enumerates the lifecycle stages a transaction passes through.
 type EventKind uint8
@@ -23,8 +19,7 @@ const (
 	EvExecEnd
 	// EvAbort: the commit was rejected by the reserve-table validation.
 	// Key is the conflicting state key, Version the winning committed
-	// version that overwrote the stale read, Stripe the key's MVState
-	// stripe.
+	// version that overwrote the stale read.
 	EvAbort
 	// EvRequeue: the aborted or nonce-blocked transaction went back to the
 	// pool for retry.
@@ -52,8 +47,8 @@ const (
 	EvVerifyFail
 	// EvExtend: a proposer worker about to read a key overwritten after its
 	// snapshot re-based the execution on the newest commit instead (OCC-WSI
-	// snapshot extension). Key is that key, Stripe its MVState stripe,
-	// Aux the snapshot version left, Version the one moved to.
+	// snapshot extension). Key is that key, Aux the snapshot version left,
+	// Version the one moved to.
 	EvExtend
 	// EvReuse: a validator lane took a same-parent sibling's verified result
 	// for the transaction instead of re-executing it. Aux = the transaction's
@@ -61,7 +56,7 @@ const (
 	EvReuse
 	// EvStage: a block completed a stage on a node (stage.go). Tx is the
 	// block's hash, TS the stage's start, Aux its duration in ns (Dur),
-	// Worker its node and Stripe, for a transfer, the sending node, both as
+	// Worker its node and From, for a transfer, the sending node, both as
 	// indices into the recorder's node table (Nodes).
 	EvStage
 )
@@ -124,7 +119,7 @@ type Event struct {
 	Kind    EventKind
 	Stage   Stage // EvStage only
 	Worker  int16
-	Stripe  int16 // EvAbort, EvExtend: the key's stripe
+	From    int16 // EvStage transfer: the sending node
 	// Node is, on a transaction event, the node that recorded it as an
 	// index into the recorder's node table (Nodes); 0 = unnamed. Lanes of
 	// one id on two nodes stay apart by it.
@@ -178,13 +173,12 @@ func ExecEnd(node int16, worker int, tx *types.Transaction, height uint64) {
 
 // Abort records a WSI conflict abort: key is the stale-read key that failed
 // the reserve-table validation, winner the committed version that overwrote
-// it, stripe the key's MVState stripe. Conflict attribution counts these
-// events.
-func Abort(node int16, worker int, tx *types.Transaction, key types.StateKey, winner types.Version, stripe int, height uint64) {
+// it. Conflict attribution counts these events.
+func Abort(node int16, worker int, tx *types.Transaction, key types.StateKey, winner types.Version, height uint64) {
 	if r := active.Load(); r != nil {
 		r.record(worker, Event{
 			Kind: EvAbort, Node: node, Tx: tx.Hash(), Sender: tx.From,
-			Key: key, Version: winner, Stripe: int16(stripe), Height: height,
+			Key: key, Version: winner, Height: height,
 		})
 	}
 }
@@ -192,11 +186,11 @@ func Abort(node int16, worker int, tx *types.Transaction, key types.StateKey, wi
 // Extend records a snapshot extension: the execution of tx on worker moved
 // from snapshot version from to version to because key, which it was about to
 // read, had been overwritten in between.
-func Extend(node int16, worker int, tx *types.Transaction, key types.StateKey, from, to types.Version, stripe int, height uint64) {
+func Extend(node int16, worker int, tx *types.Transaction, key types.StateKey, from, to types.Version, height uint64) {
 	if r := active.Load(); r != nil {
 		r.record(worker, Event{
 			Kind: EvExtend, Node: node, Tx: tx.Hash(), Sender: tx.From,
-			Key: key, Version: to, Aux: from, Stripe: int16(stripe), Height: height,
+			Key: key, Version: to, Aux: from, Height: height,
 		})
 	}
 }
@@ -263,13 +257,4 @@ func Verify(node int16, tx *types.Transaction, pass bool, height uint64) {
 		kind = EvVerifyPass
 	}
 	txEvent(node, WorkerSystem, kind, tx, height, 0, 0)
-}
-
-// StripeWait attributes one commit attempt's stripe-lock wait to every
-// stripe in the touched set (a hot stripe appears in many sets, so convoy
-// time concentrates on it). set is the MVState stripe bitmask.
-func StripeWait(set uint64, d time.Duration) {
-	if r := active.Load(); r != nil {
-		r.noteStripeWait(set, d)
-	}
 }

@@ -105,7 +105,7 @@ func TestTimelineLifecycle(t *testing.T) {
 	Pop(0, 0, tx, 5)
 	ExecStart(0, 0, tx, 5)
 	ExecEnd(0, 0, tx, 5)
-	Abort(0, 0, tx, types.AccountKey(tx.To), 3, 7, 5)
+	Abort(0, 0, tx, types.AccountKey(tx.To), 3, 5)
 	Requeue(0, 0, tx, 5)
 	Pop(0, 1, tx, 5)
 	ExecStart(0, 1, tx, 5)
@@ -139,8 +139,8 @@ func TestTimelineLifecycle(t *testing.T) {
 		}
 	}
 	// Kind-specific payloads.
-	if ab := tl[4]; ab.Key != types.AccountKey(tx.To) || ab.Version != 3 || ab.Stripe != 7 {
-		t.Fatalf("abort payload = key=%s winner=%d stripe=%d", ab.Key, ab.Version, ab.Stripe)
+	if ab := tl[4]; ab.Key != types.AccountKey(tx.To) || ab.Version != 3 {
+		t.Fatalf("abort payload = key=%s winner=%d", ab.Key, ab.Version)
 	}
 	if cm := tl[9]; cm.Version != 9 || cm.Worker != 1 {
 		t.Fatalf("commit payload = version=%d worker=%d", cm.Version, cm.Worker)
@@ -217,7 +217,7 @@ func TestDisabledHelpersAreNoops(t *testing.T) {
 	Pop(0, 0, tx, 1)
 	ExecStart(0, 0, tx, 1)
 	ExecEnd(0, 0, tx, 1)
-	Abort(0, 0, tx, types.AccountKey(tx.From), 1, 0, 1)
+	Abort(0, 0, tx, types.AccountKey(tx.From), 1, 1)
 	Requeue(0, 0, tx, 1)
 	Commit(0, 0, tx, 1, 1)
 	Seal(0, tx, 1, 0, 1)
@@ -226,7 +226,6 @@ func TestDisabledHelpersAreNoops(t *testing.T) {
 	ReplayStart(0, 0, tx, 1)
 	ReplayEnd(0, 0, tx, 1)
 	Verify(0, tx, false, 1)
-	StripeWait(0b1011, time.Microsecond)
 	if Active() != nil {
 		t.Fatal("helpers must not install a recorder")
 	}
@@ -258,7 +257,7 @@ func TestWriteTracePerfetto(t *testing.T) {
 
 	r.record(0, Event{Kind: EvExecStart, Tx: tx.Hash(), Sender: tx.From, Height: 1})
 	r.record(0, Event{Kind: EvExecEnd, Tx: tx.Hash(), Sender: tx.From, Height: 1})
-	r.record(0, Event{Kind: EvAbort, Tx: tx2.Hash(), Sender: tx2.From, Key: types.AccountKey(tx2.From), Version: 2, Stripe: 3, Height: 1})
+	r.record(0, Event{Kind: EvAbort, Tx: tx2.Hash(), Sender: tx2.From, Key: types.AccountKey(tx2.From), Version: 2, Height: 1})
 	r.record(ValidatorLane(1), Event{Kind: EvReplayStart, Tx: tx.Hash(), Height: 1})
 	r.record(ValidatorLane(1), Event{Kind: EvReplayEnd, Tx: tx.Hash(), Height: 1})
 	r.record(WorkerSystem, Event{Kind: EvSeal, Tx: tx.Hash(), Sender: tx.From, Version: 1, Height: 1})
@@ -333,13 +332,13 @@ func TestWriteTracePerfetto(t *testing.T) {
 	}
 }
 
-// recordAbort records one abort event of sender on key, in stripe, on worker.
-func recordAbort(r *Recorder, worker int, sender types.Address, key types.StateKey, stripe int) {
-	r.record(worker, Event{Kind: EvAbort, Sender: sender, Key: key, Stripe: int16(stripe)})
+// recordAbort records one abort event of sender on key, on worker.
+func recordAbort(r *Recorder, worker int, sender types.Address, key types.StateKey) {
+	r.record(worker, Event{Kind: EvAbort, Sender: sender, Key: key})
 }
 
 // TestAttributionReport records a skewed abort stream and checks the ≥80%
-// top-10 acceptance quantity, the skew and the stripe accounting.
+// top-10 acceptance quantity and the hottest key and sender.
 func TestAttributionReport(t *testing.T) {
 	r := newRecorder(1, 128, 8)
 
@@ -350,18 +349,16 @@ func TestAttributionReport(t *testing.T) {
 	// 90 aborts on two keys, 10 across a tail of distinct keys: top-10 must
 	// attribute ≥ 80%.
 	for i := 0; i < 60; i++ {
-		recordAbort(r, 0, hotSender, hotKey, 3)
+		recordAbort(r, 0, hotSender, hotKey)
 	}
 	for i := 0; i < 30; i++ {
-		recordAbort(r, 0, hotSender, warmKey, 3)
+		recordAbort(r, 0, hotSender, warmKey)
 	}
 	for i := 0; i < 10; i++ {
 		var a types.Address
 		a[0], a[1] = 0xcc, byte(i)
-		recordAbort(r, 0, a, types.AccountKey(a), (10+i)%StripeSlots)
+		recordAbort(r, 0, a, types.AccountKey(a))
 	}
-	r.noteStripeWait(1<<3|1<<5, 100*time.Microsecond)
-	r.noteStripeWait(1<<3, 50*time.Microsecond)
 
 	rep := r.Attribution(10)
 	if rep.TotalAborts != 100 {
@@ -376,25 +373,10 @@ func TestAttributionReport(t *testing.T) {
 	if len(rep.Senders) == 0 || rep.Senders[0].Key != hotSender.String() || rep.Senders[0].Count != 90 {
 		t.Fatalf("hottest sender = %+v, want %s ×90", rep.Senders, hotSender)
 	}
-	if rep.AbortSkew <= 1 {
-		t.Fatalf("AbortSkew = %.2f, want > 1 for a skewed stream", rep.AbortSkew)
-	}
-	var stripe3 *StripeReport
-	for i := range rep.Stripes {
-		if rep.Stripes[i].Stripe == 3 {
-			stripe3 = &rep.Stripes[i]
-		}
-	}
-	if stripe3 == nil || stripe3.Aborts != 90 || stripe3.Attempts != 2 {
-		t.Fatalf("stripe 3 = %+v, want 90 aborts / 2 attempts", stripe3)
-	}
-	if want := float64(150*time.Microsecond) / 2; stripe3.MeanWait != want {
-		t.Fatalf("stripe 3 mean wait = %.0f ns, want %.0f", stripe3.MeanWait, want)
-	}
 
 	// The rendered report names the acceptance quantity and the hot key.
 	text := rep.Render()
-	for _, want := range []string{"conflict attribution", "100 aborts", hotKey.String(), "stripe  3"} {
+	for _, want := range []string{"conflict attribution", "100 aborts", hotKey.String(), hotSender.String()} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report missing %q:\n%s", want, text)
 		}
@@ -442,7 +424,7 @@ func bruteHot(evs []Event, name func(*Event) string, n int) []HotKey {
 
 // TestAttributionMatchesEvents: for a seeded random abort stream spread over
 // four rings and mixed with other kinds, the report equals a brute-force
-// count over Events() — rows, order, shares, stripes and TopKeyShare — and
+// count over Events() — rows, order, shares and TopKeyShare — and
 // a wrapped ring reports only the aborts it still holds.
 func TestAttributionMatchesEvents(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -455,7 +437,7 @@ func TestAttributionMatchesEvents(t *testing.T) {
 			continue
 		}
 		// A small key and sender population, so counts tie often.
-		recordAbort(r, worker, addr(rng.Intn(6)), types.AccountKey(addr(rng.Intn(14))), rng.Intn(StripeSlots))
+		recordAbort(r, worker, addr(rng.Intn(6)), types.AccountKey(addr(rng.Intn(14))))
 	}
 	evs := r.Events()
 	for _, n := range []int{3, 10, 64} {
@@ -477,25 +459,14 @@ func TestAttributionMatchesEvents(t *testing.T) {
 		}
 	}
 	rep := r.Attribution(0)
-	var stripes [StripeSlots]uint64
 	var total uint64
 	for _, ev := range evs {
 		if ev.Kind == EvAbort {
-			stripes[ev.Stripe]++
 			total++
 		}
 	}
 	if rep.TotalAborts != total || len(rep.Keys) != 10 {
 		t.Fatalf("TotalAborts = %d with %d key rows, want %d with the default 10", rep.TotalAborts, len(rep.Keys), total)
-	}
-	for _, st := range rep.Stripes {
-		if st.Aborts != stripes[st.Stripe] {
-			t.Fatalf("stripe %d: %d aborts, want %d", st.Stripe, st.Aborts, stripes[st.Stripe])
-		}
-		stripes[st.Stripe] = 0
-	}
-	if stripes != ([StripeSlots]uint64{}) {
-		t.Fatalf("stripes with aborts but no row: %v", stripes)
 	}
 
 	// A ring of 8 that saw 20 aborts — 12 on one key, then 8 on another —
@@ -503,18 +474,18 @@ func TestAttributionMatchesEvents(t *testing.T) {
 	w := newRecorder(1, 8, 8)
 	old, kept := types.AccountKey(addr(1)), types.AccountKey(addr(2))
 	for i := 0; i < 20; i++ {
-		key, stripe := old, 1
+		key := old
 		if i >= 12 {
-			key, stripe = kept, 2
+			key = kept
 		}
-		recordAbort(w, 0, addr(i%2), key, stripe)
+		recordAbort(w, 0, addr(i%2), key)
 	}
 	rep = w.Attribution(0)
 	if rep.TotalAborts != 8 || len(rep.Keys) != 1 || rep.Keys[0].Key != kept.String() || rep.Keys[0].Count != 8 {
 		t.Fatalf("wrapped ring: %d aborts, keys %+v; want 8 on %s", rep.TotalAborts, rep.Keys, kept)
 	}
-	if len(rep.Stripes) != 1 || rep.Stripes[0].Stripe != 2 || rep.TopKeyShare != 1 {
-		t.Fatalf("wrapped ring: stripes %+v, top-10 share %v; want stripe 2 alone, share 1", rep.Stripes, rep.TopKeyShare)
+	if rep.TopKeyShare != 1 {
+		t.Fatalf("wrapped ring: top-10 share %v, want 1", rep.TopKeyShare)
 	}
 	if want := []HotKey{{addr(0).String(), 4, 0.5}, {addr(1).String(), 4, 0.5}}; !slices.Equal(rep.Senders, want) {
 		t.Fatalf("wrapped ring senders %+v, want %+v", rep.Senders, want)

@@ -27,7 +27,6 @@ type EventView struct {
 	Height  uint64 `json:"height,omitempty"`
 	Version uint64 `json:"version,omitempty"`
 	Key     string `json:"key,omitempty"`
-	Stripe  int    `json:"stripe,omitempty"`
 	Aux     uint64 `json:"aux,omitempty"`
 	Aux2    uint64 `json:"aux2,omitempty"`
 }
@@ -65,7 +64,6 @@ func (ev Event) View() EventView {
 	}
 	if ev.Kind == EvAbort || ev.Kind == EvExtend {
 		v.Key = ev.Key.String()
-		v.Stripe = int(ev.Stripe)
 	}
 	return v
 }
@@ -104,9 +102,9 @@ type field struct {
 func (v EventView) payload() []field {
 	switch v.Kind {
 	case "abort":
-		return []field{{"key", v.Key}, {"winner_version", v.Version}, {"stripe", v.Stripe}}
+		return []field{{"key", v.Key}, {"winner_version", v.Version}}
 	case "extend":
-		return []field{{"key", v.Key}, {"from_version", v.Aux}, {"to_version", v.Version}, {"stripe", v.Stripe}}
+		return []field{{"key", v.Key}, {"from_version", v.Aux}, {"to_version", v.Version}}
 	case "commit":
 		return []field{{"version", v.Version}}
 	case "seal":

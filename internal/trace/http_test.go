@@ -89,7 +89,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		Enable()
 		tx := mktx(0x11, 0)
 		Pop(0, 0, tx, 3)
-		Abort(0, 0, tx, types.AccountKey(tx.To), 1, 2, 3)
+		Abort(0, 0, tx, types.AccountKey(tx.To), 1, 3)
 		Commit(0, 0, tx, 2, 3)
 
 		code, body := get(t, "/flight/events")

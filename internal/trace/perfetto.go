@@ -100,8 +100,8 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 				thread(pidBlocks, tid, "node:"+nodes[ev.Worker])
 			}
 			args := map[string]any{"height": ev.Height, "block": ev.Tx.String(), "trace_id": TraceID(ev.Tx), "span_id": ev.Seq}
-			if ev.Stripe != 0 {
-				args["from"] = nodes[ev.Stripe]
+			if ev.From != 0 {
+				args["from"] = nodes[ev.From]
 			}
 			out.TraceEvents = append(out.TraceEvents, traceEvent{
 				Name: ev.Stage.String() + " " + short(ev.Tx), Ph: "X", TS: us(ev.TS), Dur: us(max(ev.Dur(), 0)),

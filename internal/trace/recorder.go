@@ -12,7 +12,7 @@
 // (attribution.go) and the Perfetto file (perfetto.go) — read those events
 // on the recorder's one clock, and the installed recorder's telemetry.Slot
 // serves them under /trace/ and /flight/. The rings are the only store the
-// readers read, but for the per-stripe commit-lock waits no event carries.
+// readers read.
 //
 //   - The disabled path (nothing installed, telemetry off) is atomic loads
 //     and a nil check: 0 allocations, within 100× of a bare atomic load —
@@ -69,12 +69,9 @@ const (
 	DefaultRings         = 16
 	DefaultRingCapacity  = 8192
 	DefaultStageCapacity = 32768
-	// StripeSlots mirrors state.DefaultStripes: the per-stripe attribution
-	// arrays cover every possible MVState stripe index.
-	StripeSlots = 64
 )
 
-// Recorder owns the rings and the stripe-wait counters. Its start is the
+// Recorder owns the rings. Its start is the
 // epoch every event's TS counts from.
 type Recorder struct {
 	start  time.Time
@@ -85,8 +82,6 @@ type Recorder struct {
 	// The node table stage events index; nodes[0] is "" (no sender).
 	nodeMu sync.Mutex
 	nodes  []string
-
-	stripes [StripeSlots]stripeStat // commit-lock waits (attribution.go)
 }
 
 // NewRecorder builds a recorder without installing it (the cluster

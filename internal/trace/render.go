@@ -27,7 +27,7 @@ type SpanView struct {
 func (r *Recorder) spanView(ev *Event, nodes []string) SpanView {
 	return SpanView{
 		TraceID: TraceID(ev.Tx), SpanID: ev.Seq,
-		Stage: ev.Stage.String(), Node: nodes[ev.Worker], From: nodes[ev.Stripe],
+		Stage: ev.Stage.String(), Node: nodes[ev.Worker], From: nodes[ev.From],
 		Height: ev.Height, Block: ev.Tx.String(),
 		Start: r.at(ev.TS).UTC(), DurNS: max(ev.Dur(), 0),
 	}

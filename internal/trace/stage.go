@@ -113,7 +113,7 @@ func (r *Recorder) nodeID(node string) int16 {
 }
 
 // Nodes returns the node table: a stage event ran on Nodes()[ev.Worker] and
-// was sent from Nodes()[ev.Stripe]. The table only grows, so the slice
+// was sent from Nodes()[ev.From]. The table only grows, so the slice
 // stays valid for every event read before the call. Safe on nil.
 func (r *Recorder) Nodes() []string {
 	if r == nil {
@@ -138,7 +138,7 @@ func (r *Recorder) Delivered(from, to string, height uint64, block types.Hash, s
 	if start.After(end) {
 		start = end
 	}
-	r.recordStage(Event{Stage: StageTransfer, Worker: r.nodeID(to), Stripe: r.nodeID(from), Tx: block, Height: height}, start, end)
+	r.recordStage(Event{Stage: StageTransfer, Worker: r.nodeID(to), From: r.nodeID(from), Tx: block, Height: height}, start, end)
 }
 
 // Spans returns the buffered stage events, in the order they were recorded.
