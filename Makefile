@@ -1,10 +1,10 @@
 # BlockPilot CI entry points. `make ci` is what the tier-1 gate runs:
 # vet (go vet + a gofmt check) + build + full test suite (the concurrency packages — core, mv, mempool,
-# pipeline, validator, evm, node, state; not scheduler, which starts no goroutine — additionally under
+# pipeline, validator, evm, node, state, bench; not scheduler, which starts no goroutine — additionally under
 # -cpu 1,2,4, so a 1-CPU runner cannot hide a scheduling-dependent bug; every
 # Propose test rides both engines with and without the adaptive controller) +
 # race detector on the concurrency-heavy packages (OCC-WSI core, MV-STM
-# engine, mempool, pipeline, validator, network, sim, telemetry, trace recorder, health
+# engine, mempool, pipeline, validator, the Fig. 6 harness, network, sim, telemetry, trace recorder, health
 # recorder, and the chain, which prunes its state window while pipeline goroutines read) + one disabled-path budget gate over telemetry and the trace
 # recorder (obs-budget) + the state path's lookup and
 # allocation budget
@@ -55,10 +55,13 @@ build:
 # fill it, and the sibling record another block's lanes read.
 # internal/node for a proposer packing while a validator's pipeline runs
 # beside it. internal/state for the disk commit's persist goroutine, which
-# holds the node store's lock while the caller reads on.
+# holds the node store's lock while the caller reads on. internal/bench
+# because Fig. 6 runs the real proposer: core.Propose starts its worker
+# goroutines, and the virtual clock (a core.Stepper) hands them one turn at a
+# time, so a handoff that lets two run at once only shows on some schedules.
 # internal/scheduler is not: it starts no goroutine, so a -cpu sweep or
 # -race over it would buy nothing.
-CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/validator/... ./internal/evm/ ./internal/node/ ./internal/state/
+CONCURRENCY_PKGS = ./internal/core/... ./internal/mv/... ./internal/mempool/... ./internal/pipeline/... ./internal/validator/... ./internal/evm/ ./internal/node/ ./internal/state/ ./internal/bench/
 
 # The TopK pass repeats because an order-dependent heavy-hitter sketch (the
 # adaptive controller's; map iteration deciding a tie) fails about one run in

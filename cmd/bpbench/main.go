@@ -14,10 +14,11 @@
 // serializability / parity / pipeline-safety / corruption oracles and the
 // mutation self-check. Oracle failures print a repro line and exit 1.
 //
-// Every figure is in virtual time: each transaction's real execution cost is
-// measured and a deterministic simulator of the worker pool derives the
-// parallel makespans, so the tables do not depend on the host's core count.
-// They gate nothing; what real cores deliver is `go run ./benchmark`.
+// Every figure is in virtual time, so the tables do not depend on the host's
+// core count: Fig. 6 runs the real proposer with one clock per worker and one
+// worker running at a time, and the validator figures measure each
+// transaction's real execution cost and derive the parallel makespans from
+// it. They gate nothing; what real cores deliver is `go run ./benchmark`.
 package main
 
 import (
@@ -84,7 +85,6 @@ var experiments = []experiment{
 	}},
 	{"ablation-sched", true, paper(bench.RunSchedulingAblation)},
 	{"ablation-keys", true, paper(bench.RunGranularityAblation)},
-	{"ablation-proposer-keys", true, paper(bench.RunProposerKeysAblation)},
 	// The cluster simulator is a correctness harness, not a paper figure, so
 	// "all" skips it. A failing run renders its oracle violations and returns
 	// the exact repro line(s).

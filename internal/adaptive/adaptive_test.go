@@ -22,7 +22,7 @@ func TestControllerHotSetLifecycle(t *testing.T) {
 	c := New(Config{})
 	hotSender, hotAccount, cold := addr(1), addr(2), addr(3)
 
-	if c.Hot() != nil {
+	if c.hot.Load() != nil {
 		t.Fatalf("hot set must be nil before the first BlockStart")
 	}
 	for i := 0; i < 8; i++ {
@@ -30,7 +30,7 @@ func TestControllerHotSetLifecycle(t *testing.T) {
 	}
 	c.BlockStart()
 
-	hs := c.Hot()
+	hs := c.hot.Load()
 	if hs == nil || len(hs.Accounts) != 2 {
 		t.Fatalf("hot set = %+v, want {hotSender, hotAccount}", hs)
 	}
@@ -53,7 +53,7 @@ func TestControllerHotSetLifecycle(t *testing.T) {
 	// 8·0.5ⁿ drops below minCount=2 after 2 more blocks with no aborts.
 	c.BlockStart()
 	c.BlockStart()
-	if hs := c.Hot(); len(hs.Accounts) != 0 {
+	if hs := c.hot.Load(); len(hs.Accounts) != 0 {
 		t.Fatalf("hot set should have drained, still holds %d accounts", len(hs.Accounts))
 	}
 	if c.IsHot(mk(hotSender, hotAccount)) {
@@ -69,7 +69,7 @@ func TestControllerMinCount(t *testing.T) {
 		c.NoteAbort(addr(byte(10+i)), types.AccountKey(addr(byte(20+i))))
 	}
 	c.BlockStart()
-	if hs := c.Hot(); len(hs.Accounts) != 0 {
+	if hs := c.hot.Load(); len(hs.Accounts) != 0 {
 		t.Fatalf("one-off aborts below minCount published %d hot accounts", len(hs.Accounts))
 	}
 }

@@ -161,9 +161,6 @@ func (c *Controller) BlockStart() {
 	telemetry.AdaptiveHotAccounts.Set(int64(len(hs.Accounts)))
 }
 
-// Hot returns the published hot set (nil before the first BlockStart).
-func (c *Controller) Hot() *HotSet { return c.hot.Load() }
-
 // IsHot reports whether tx's static access hints — sender and recipient
 // account — intersect the hot set: lane traffic. Never blocks the worker hot
 // path.

@@ -7,11 +7,7 @@
 // two design ablations called out in DESIGN.md (scheduling policy and
 // conflict granularity).
 //
-// Every figure is in virtual time (sim.go): transactions execute for real
-// and are timed one by one, and the parallel makespan is derived from those
-// costs, so the tables are the same on one core as on sixteen. The
-// wall-clock counterpart on real cores is the regression harness,
-// `go run ./benchmark`, and nothing here gates anything.
+// Every figure is in virtual time (sim.go), and nothing here gates anything.
 //
 // Each Run* function returns a result struct with a Render method that
 // prints the same rows/series the paper reports.
@@ -50,14 +46,13 @@ func DefaultOptions() Options {
 }
 
 // fixture is a pre-built chain segment: for each measured block, its parent
-// state/header, the sealed block (with profile), the raw transactions, and
-// what every experiment derives its times from — the block's measured costs
-// and its account-level conflict components (the paper's graph).
+// state/header, the sealed block (with profile), and what every experiment
+// derives its times from — the block's measured costs and its account-level
+// conflict components (the paper's graph).
 type fixture struct {
 	parents       []*state.Snapshot
 	parentHeaders []*types.Header
 	blocks        []*types.Block
-	txs           [][]*types.Transaction
 	costs         []*blockCosts
 	comps         [][]scheduler.Component
 }
@@ -90,7 +85,6 @@ func buildFixture(o Options) (*fixture, error) {
 		f.parents = append(f.parents, st)
 		f.parentHeaders = append(f.parentHeaders, parentHeader)
 		f.blocks = append(f.blocks, block)
-		f.txs = append(f.txs, txs)
 		st = res.State
 		parentHeader = &block.Header
 	}
@@ -107,4 +101,15 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
+}
+
+// accelerated is the share of speedups above 1.
+func accelerated(speedups []float64) float64 {
+	n := 0
+	for _, s := range speedups {
+		if s > 1 {
+			n++
+		}
+	}
+	return float64(n) / float64(len(speedups))
 }

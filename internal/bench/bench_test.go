@@ -107,17 +107,6 @@ func TestCorrectnessExtended(t *testing.T) {
 	}
 }
 
-func TestRunProposerKeysAblation(t *testing.T) {
-	res, err := RunProposerKeysAblation(smallOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Variants) != 2 {
-		t.Fatal("variants")
-	}
-	t.Log("\n" + res.Render())
-}
-
 func TestRunAblations(t *testing.T) {
 	o := smallOptions()
 	sched, err := RunSchedulingAblation(o)

@@ -2,10 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"blockpilot/internal/chain"
+	"blockpilot/internal/core"
+	"blockpilot/internal/mempool"
 	"blockpilot/internal/node"
 	"blockpilot/internal/scheduler"
 	"blockpilot/internal/stats"
@@ -82,9 +85,14 @@ type ProposerResult struct {
 	TotalAborts map[int]int
 }
 
-// RunProposer measures OCC-WSI block packing against serial packing
-// (the Geth baseline) for each thread count. Only the execution phase counts
-// on either side (see simValidatorTime).
+// RunProposer measures OCC-WSI block packing, core.Propose on the virtual
+// clock (vclock), against serial packing (the Geth baseline) for each thread
+// count. The parallel side is the engine's whole packing loop (claims,
+// executions, commits, requeues) up to its last worker's exit, the serial
+// side the block's executions in order; sealing counts on neither. Each
+// repeat times the serial side right before the parallel one and each side
+// keeps its minimum, so a change in host load moves both. Every packed block
+// must hold all of the fixture block's transactions and replay serially.
 func RunProposer(o Options) (*ProposerResult, error) {
 	f, err := buildFixture(o)
 	if err != nil {
@@ -95,39 +103,43 @@ func RunProposer(o Options) (*ProposerResult, error) {
 		PerBlock:    make(map[int][]float64),
 		TotalAborts: make(map[int]int),
 	}
-	for b := range f.blocks {
-		serialTime := f.costs[b].exec
+	for b, blk := range f.blocks {
+		parent, parentHeader := f.parents[b], f.parentHeaders[b]
 		for _, threads := range o.Threads {
 			var aborts int
-			parTime := time.Duration(1<<62 - 1)
+			serTime, parTime := time.Duration(1<<62-1), time.Duration(1<<62-1)
 			for r := 0; r < o.Repeats; r++ {
-				sp, err := simPropose(f.parents[b], f.parentHeaders[b], f.txs[b], threads, o.Params, o.Coinbase, false)
+				costs, err := measureBlockCosts(parent, blk, o.Params, 1)
 				if err != nil {
 					return nil, err
 				}
-				if sp.parallel < parTime {
-					parTime = sp.parallel
-					aborts = sp.aborts
+				serTime = min(serTime, costs.exec)
+				pool := mempool.New()
+				pool.AddAll(blk.Txs)
+				clock := newVClock(threads)
+				cfg := core.ProposerConfig{Threads: threads, Coinbase: o.Coinbase, Time: blk.Header.Time, Step: clock}
+				pr, err := core.Propose(parent, parentHeader, pool, cfg, o.Params)
+				if err != nil {
+					return nil, err
 				}
-				if sp.committed != len(f.txs[b]) {
-					return nil, fmt.Errorf("sim proposer packed %d of %d", sp.committed, len(f.txs[b]))
+				if pr.Committed != len(blk.Txs) {
+					return nil, fmt.Errorf("block %d, %d threads: proposer packed %d of %d", b, threads, pr.Committed, len(blk.Txs))
+				}
+				if _, err := chain.VerifyBlockSerial(parent, parentHeader, pr.Block, o.Params); err != nil {
+					return nil, fmt.Errorf("block %d, %d threads: serial replay: %w", b, threads, err)
+				}
+				if d := slices.Max(clock.clock); d < parTime {
+					parTime, aborts = d, pr.Aborts
 				}
 			}
-			res.PerBlock[threads] = append(res.PerBlock[threads], float64(serialTime)/float64(parTime))
+			res.PerBlock[threads] = append(res.PerBlock[threads], float64(serTime)/float64(parTime))
 			res.TotalAborts[threads] += aborts
 		}
 	}
 	for _, t := range o.Threads {
 		res.MeanSpeedup = append(res.MeanSpeedup, mean(res.PerBlock[t]))
 	}
-	maxT := o.Threads[len(o.Threads)-1]
-	acc := 0
-	for _, s := range res.PerBlock[maxT] {
-		if s > 1 {
-			acc++
-		}
-	}
-	res.Accelerated = float64(acc) / float64(len(res.PerBlock[maxT]))
+	res.Accelerated = accelerated(res.PerBlock[o.Threads[len(o.Threads)-1]])
 	return res, nil
 }
 
@@ -179,7 +191,7 @@ func RunValidator(o Options) (*ValidatorResult, error) {
 		costs, comps := f.costs[b], f.comps[b]
 		dirty := speculateDirty(f.parents[b], f.blocks[b], o.Params)
 		ratios = append(ratios, scheduler.ComputeStats(comps).LargestRatio)
-		serial := simSerialTime(costs)
+		serial := costs.exec
 		for _, threads := range o.Threads {
 			par := simValidatorTime(costs, scheduler.AssignLPT(comps, threads))
 			res.PerBlock[threads] = append(res.PerBlock[threads], float64(serial)/float64(par))
@@ -191,14 +203,7 @@ func RunValidator(o Options) (*ValidatorResult, error) {
 		res.MeanSpeedup = append(res.MeanSpeedup, mean(res.PerBlock[t]))
 		res.MeanSpeedupOCC = append(res.MeanSpeedupOCC, mean(occPerBlock[t]))
 	}
-	maxT := o.Threads[len(o.Threads)-1]
-	acc := 0
-	for _, s := range res.PerBlock[maxT] {
-		if s > 1 {
-			acc++
-		}
-	}
-	res.Accelerated = float64(acc) / float64(len(res.PerBlock[maxT]))
+	res.Accelerated = accelerated(res.PerBlock[o.Threads[len(o.Threads)-1]])
 	res.MeanLargestRatio = mean(ratios)
 	return res, nil
 }
@@ -273,7 +278,7 @@ func RunHotspot(o Options) (*HotspotResult, error) {
 			sched := scheduler.AssignLPT(comps, threads)
 			samples = append(samples, sample{
 				ratio:   scheduler.ComputeStats(comps).LargestRatio,
-				speedup: float64(simSerialTime(costs)) / float64(simValidatorTime(costs, sched)),
+				speedup: float64(costs.exec) / float64(simValidatorTime(costs, sched)),
 			})
 		}
 	}
@@ -407,7 +412,7 @@ func RunSchedulingAblation(o Options) (*AblationResult, error) {
 		var speedups []float64
 		for b := range f.blocks {
 			sched := v.assign(f.comps[b], threads)
-			speedups = append(speedups, float64(simSerialTime(f.costs[b]))/float64(simValidatorTime(f.costs[b], sched)))
+			speedups = append(speedups, float64(f.costs[b].exec)/float64(simValidatorTime(f.costs[b], sched)))
 		}
 		res.Variants = append(res.Variants, v.name)
 		res.Speedup = append(res.Speedup, mean(speedups))
@@ -431,7 +436,7 @@ func RunGranularityAblation(o Options) (*AblationResult, error) {
 		for b := range f.blocks {
 			cc := scheduler.BuildComponents(f.blocks[b].Profile, accountLevel)
 			sched := scheduler.AssignLPT(cc, threads)
-			speedups = append(speedups, float64(simSerialTime(f.costs[b]))/float64(simValidatorTime(f.costs[b], sched)))
+			speedups = append(speedups, float64(f.costs[b].exec)/float64(simValidatorTime(f.costs[b], sched)))
 			comps = append(comps, float64(len(cc)))
 		}
 		name := "account-level (paper)"
@@ -441,38 +446,6 @@ func RunGranularityAblation(o Options) (*AblationResult, error) {
 		res.Variants = append(res.Variants, name)
 		res.Speedup = append(res.Speedup, mean(speedups))
 		res.Notes = append(res.Notes, fmt.Sprintf("avg %.1f components/block", mean(comps)))
-	}
-	return res, nil
-}
-
-// RunProposerKeysAblation compares the OCC-WSI reserve-table granularity:
-// account+slot keys (paper) against account-only keys. Coarser keys turn
-// distinct-slot accesses of one contract into conflicts, inflating aborts.
-func RunProposerKeysAblation(o Options) (*AblationResult, error) {
-	f, err := buildFixture(o)
-	if err != nil {
-		return nil, err
-	}
-	threads := o.Threads[len(o.Threads)-1]
-	res := &AblationResult{Name: "Proposer reserve-table granularity (DESIGN.md §5.1)"}
-	for _, coarse := range []bool{false, true} {
-		var speedups []float64
-		totalAborts := 0
-		for b := range f.blocks {
-			sp, err := simPropose(f.parents[b], f.parentHeaders[b], f.txs[b], threads, o.Params, o.Coinbase, coarse)
-			if err != nil {
-				return nil, err
-			}
-			speedups = append(speedups, float64(f.costs[b].exec)/float64(sp.parallel))
-			totalAborts += sp.aborts
-		}
-		name := "account+slot (paper)"
-		if coarse {
-			name = "account-only"
-		}
-		res.Variants = append(res.Variants, name)
-		res.Speedup = append(res.Speedup, mean(speedups))
-		res.Notes = append(res.Notes, fmt.Sprintf("%d aborts over %d blocks, %d threads", totalAborts, o.Blocks, threads))
 	}
 	return res, nil
 }

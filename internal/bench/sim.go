@@ -1,17 +1,15 @@
 package bench
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"blockpilot/internal/chain"
-	"blockpilot/internal/core"
-	"blockpilot/internal/mempool"
 	"blockpilot/internal/scheduler"
 	"blockpilot/internal/state"
-	"blockpilot/internal/telemetry"
 	"blockpilot/internal/types"
 	"blockpilot/internal/uint256"
 )
@@ -21,17 +19,16 @@ import (
 //
 // The paper evaluates on a 14-core i5-13600K; this repository's hosts have
 // one or two cores, where real threads show little or no speedup no matter
-// how good the algorithm is. So every transaction is executed for real —
-// same state transitions, same conflict structure, same aborts — but its
-// duration is *measured*, and a deterministic discrete-event simulator
-// derives the parallel makespan of the worker pool from those measured
-// costs. Serial phases (scheduling, applier verification, state commit and
-// root hashing) are measured for real and charged at full length.
-//
-// This is the documented substitution for the paper's multicore testbed
-// (DESIGN.md §4): speedup *shapes* are properties of the conflict structure
-// and the cost distribution, both of which are real here. What real cores
-// deliver is measured by `go run ./benchmark`, never here.
+// how good the algorithm is. So every transaction is executed for real, with
+// the same state transitions, conflicts and aborts, but parallel time is
+// virtual: the validator, OCC and pipeline figures derive their makespans
+// from each transaction's measured cost, and the proposer figure runs the
+// real engine on a clock per worker (vclock). Serial phases (scheduling,
+// applier verification, state commit and root hashing) are measured for real
+// and charged at full length. This is the documented substitution for the
+// paper's multicore testbed (DESIGN.md §4): speedup *shapes* are properties
+// of the conflict structure and the cost distribution, both real here. What
+// real cores deliver is measured by `go run ./benchmark`, never here.
 
 // blockCosts are the measured real costs of one block.
 type blockCosts struct {
@@ -125,11 +122,6 @@ func simValidatorTime(costs *blockCosts, sched *scheduler.Schedule) time.Duratio
 	return costs.prep + makespan + applier
 }
 
-// simSerialTime is the virtual serial time of the execution phase.
-func simSerialTime(costs *blockCosts) time.Duration {
-	return costs.exec
-}
-
 // speculateDirty is phase one of the OCC comparison validator of Fig. 7(a)
 // (the method of Saraph & Herlihy): every transaction executes against the
 // block-start state, and one whose read set overlaps an earlier transaction's
@@ -203,157 +195,107 @@ func simOCCTime(costs *blockCosts, dirty []bool, threads int) time.Duration {
 	return phase1 + phase2
 }
 
-// ---------------------------------------------------------------------
-// Event-driven OCC-WSI proposer simulation: real executions, real pool,
-// real conflict detection — virtual worker clock.
-// ---------------------------------------------------------------------
-
-// workerEvent is a worker finishing a speculative execution.
-type workerEvent struct {
-	finish time.Duration
-	worker int
-	seq    int // tie-break for determinism
+// vclock is a core.Stepper with a virtual clock per worker. Once every worker
+// has called in, one runs at a time: the ready one with the lowest clock, the
+// lower id on a tie. A worker's clock advances by the real time it ran between
+// two scheduling points, a woken worker's starts no earlier than its waker's,
+// and the largest clock is the makespan on as many cores as workers. The PCT
+// stepper in internal/core/pct_test.go keeps the same turn protocol with a
+// priority pick; a fix to either belongs in both.
+type vclock struct {
+	mu      sync.Mutex
+	turn    *sync.Cond // broadcast when holder changes
+	clock   []time.Duration
+	state   []int8    // 0 until the worker calls in
+	started int       // workers that have called in
+	holder  int       // the running worker; -1: none
+	resumed time.Time // when holder resumed
 }
 
-type eventHeap []workerEvent
+// Worker states.
+const (
+	vcReady  int8 = iota + 1 // in Yield
+	vcParked                 // in Park, until a Wake
+	vcGone                   // returned
+)
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].finish != h[j].finish {
-		return h[i].finish < h[j].finish
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(workerEvent)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// inFlightExec is one worker's in-flight speculative execution.
-type inFlightExec struct {
-	tx      *types.Transaction
-	overlay *state.Overlay
-}
-
-// coarsenAccessSet maps every key of an access set to its account-level key
-// (the reserve-table granularity ablation).
-func coarsenAccessSet(a *types.AccessSet) *types.AccessSet {
-	c := types.NewAccessSet()
-	for k, v := range a.Reads {
-		c.NoteRead(types.AccountKey(k.Addr), v)
-	}
-	for k := range a.Writes {
-		c.NoteWrite(types.AccountKey(k.Addr))
-	}
+func newVClock(workers int) *vclock {
+	c := &vclock{clock: make([]time.Duration, workers), state: make([]int8, workers), holder: -1}
+	c.turn = sync.NewCond(&c.mu)
 	return c
 }
 
-// simProposeResult is the outcome of a virtual-time OCC-WSI packing run.
-type simProposeResult struct {
-	parallel  time.Duration // virtual time of the parallel packing
-	committed int
-	aborts    int
+// stop ends w's turn at time at, moves it into state st and hands the turn
+// on. Caller holds mu.
+func (c *vclock) stop(w int, at time.Time, st int8) {
+	if c.state[w] == 0 {
+		c.started++
+	} else if c.holder == w {
+		c.clock[w] += at.Sub(c.resumed)
+		c.holder = -1
+	}
+	c.state[w] = st
+	c.next()
 }
 
-// simPropose packs one block with W virtual workers. Executions, the
-// pending pool, snapshot versions and the reserve-table validation are all
-// real (borrowed from internal/core); only worker time is virtual.
-// coarseKeys selects the account-level reserve-table ablation.
-func simPropose(parent *state.Snapshot, parentHeader *types.Header, txs []*types.Transaction,
-	workers int, params chain.Params, coinbase types.Address, coarseKeys bool) (*simProposeResult, error) {
-
-	pool := mempool.New()
-	pool.AddAll(txs)
-	header := &types.Header{
-		ParentHash: parentHeader.Hash(), Number: parentHeader.Number + 1,
-		Coinbase: coinbase, GasLimit: params.GasLimit, Time: 1,
+// next hands a free turn to the ready worker with the lowest clock, once
+// every worker has called in. Caller holds mu.
+func (c *vclock) next() {
+	if c.holder >= 0 || c.started < len(c.state) {
+		return
 	}
-	bc := chain.BlockContextFor(header, params.ChainID)
-	mv := core.NewMVState(parent)
-
-	res := &simProposeResult{}
-	inFlight := make([]*inFlightExec, workers)
-	var events eventHeap
-	seq := 0
-	var clock time.Duration
-	idle := make([]int, 0, workers)
-
-	// assign pops and (really) executes the next tx on a worker, pushing
-	// its virtual completion event.
-	var assign func(w int, now time.Duration) bool
-	assign = func(w int, now time.Duration) bool {
-		tx := pool.Pop()
-		if tx == nil {
-			return false
-		}
-		v := mv.Version()
-		overlay := state.NewOverlay(mv.View(v), v)
-		start := time.Now()
-		_, _, err := chain.ApplyTransaction(overlay, tx, bc)
-		d := time.Since(start)
-		if err != nil {
-			// Invalid here (nonce gaps cannot happen: the pool blocks
-			// successors); drop.
-			pool.Done(tx)
-			return assign(w, now)
-		}
-		inFlight[w] = &inFlightExec{tx: tx, overlay: overlay}
-		seq++
-		heap.Push(&events, workerEvent{finish: now + d, worker: w, seq: seq})
-		return true
-	}
-
-	for w := 0; w < workers; w++ {
-		if !assign(w, 0) {
-			idle = append(idle, w)
+	for w, st := range c.state {
+		if st == vcReady && (c.holder < 0 || c.clock[w] < c.clock[c.holder]) {
+			c.holder = w
 		}
 	}
-	for events.Len() > 0 {
-		e := heap.Pop(&events).(workerEvent)
-		clock = e.finish
-		ex := inFlight[e.worker]
-		inFlight[e.worker] = nil
-		commitView := ex.overlay.Access()
-		if coarseKeys {
-			commitView = coarsenAccessSet(commitView)
-		}
-		if _, _, ok := mv.TryCommit(commitView, ex.overlay.ChangeSet()); ok {
-			telemetry.ProposerCommits.Inc()
-			res.committed++
-			pool.Done(ex.tx)
-		} else {
-			telemetry.ProposerAborts.Inc()
-			telemetry.ProposerRetries.Inc()
-			res.aborts++
-			pool.Requeue(ex.tx)
-		}
-		// This worker continues; requeues may also wake idle workers.
-		if !assign(e.worker, clock) {
-			idle = append(idle, e.worker)
-		} else {
-			for len(idle) > 0 {
-				w := idle[len(idle)-1]
-				if !assign(w, clock) {
-					break
-				}
-				idle = idle[:len(idle)-1]
-			}
+	c.turn.Broadcast()
+}
+
+// await waits for w's turn. Caller holds mu.
+func (c *vclock) await(w int) {
+	for c.holder != w {
+		c.turn.Wait()
+	}
+	c.resumed = time.Now()
+}
+
+func (c *vclock) Yield(w int) {
+	at := time.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stop(w, at, vcReady)
+	c.await(w)
+}
+
+func (c *vclock) Park(w int, mu *sync.Mutex) {
+	at := time.Now()
+	c.mu.Lock()
+	if mu == nil {
+		c.stop(w, at, vcGone)
+		c.mu.Unlock()
+		return
+	}
+	c.stop(w, at, vcParked)
+	mu.Unlock()
+	c.await(w)
+	c.mu.Unlock()
+	mu.Lock()
+}
+
+func (c *vclock) Wake() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := slices.Max(c.clock)
+	if c.holder >= 0 {
+		now = c.clock[c.holder] + time.Since(c.resumed)
+	}
+	for w, st := range c.state {
+		if st == vcParked {
+			c.state[w], c.clock[w] = vcReady, max(c.clock[w], now)
 		}
 	}
-
-	// Sanity: the packed schedule must commit to a valid state.
-	post := parent.Commit(mv.Flatten())
-	_ = post.Root()
-
-	// Execution-phase time only — block sealing (commit + roots) is the
-	// same serial work for serial and parallel packing.
-	res.parallel = clock
-	return res, nil
+	c.next()
 }
 
 // simPipelineTime derives the virtual time of validating k identical

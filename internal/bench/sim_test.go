@@ -34,7 +34,7 @@ func TestSimValidatorPerfectParallelism(t *testing.T) {
 	if par != time.Millisecond {
 		t.Fatalf("16 independent txs on 16 threads = %v, want 1ms", par)
 	}
-	if simSerialTime(costs) != 16*time.Millisecond {
+	if costs.exec != 16*time.Millisecond {
 		t.Fatal("serial time")
 	}
 }

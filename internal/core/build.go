@@ -136,6 +136,13 @@ func (b *blockBuild) claim(worker, n int) (cold, hot []*types.Transaction) {
 	return cold, hot
 }
 
+// yield is a scheduling point for the stepper, if any (ProposerConfig.Step).
+func (b *blockBuild) yield(worker int) {
+	if b.cfg.Step != nil {
+		b.cfg.Step.Yield(worker)
+	}
+}
+
 // reject retires a claimed transaction that failed its validity checks.
 func (b *blockBuild) reject(worker int, tx *types.Transaction, err error) {
 	if errors.Is(err, chain.ErrNonceTooHigh) {
@@ -152,6 +159,7 @@ func (b *blockBuild) reject(worker int, tx *types.Transaction, err error) {
 // case it is dropped for good and counted under both the general drops metric
 // and the retry-budget-specific blockpilot_proposer_dropped_total.
 func (b *blockBuild) requeueOrDrop(worker int, tx *types.Transaction) {
+	b.yield(worker)
 	counter, _ := b.retries.LoadOrStore(tx.Hash(), new(atomic.Int64))
 	if counter.(*atomic.Int64).Add(1) > DefaultMaxRetries {
 		b.drop(worker, tx, true)

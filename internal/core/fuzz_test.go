@@ -55,11 +55,15 @@ func fuzzPool(rng *rand.Rand) (parent *state.Snapshot, txs []*types.Transaction,
 	return b.Build(), txs, hot
 }
 
-// FuzzProposeSealsValidBlock: whatever the pool, the engine and the worker
-// count, Propose seals a block that the parallel validator accepts and the
-// serial baseline re-executes to the state root its header commits to. The
-// fuzzed seed picks the mix and its size (fuzzPool) and the worker count,
-// 1 to 4; both engines propose from it.
+// FuzzProposeSealsValidBlock: whatever the pool, the engine, the worker
+// count and the schedule, Propose seals a block that the parallel validator
+// accepts and the serial baseline re-executes to the state root its header
+// commits to. The fuzzed seed picks the mix and its size (fuzzPool) and the
+// worker count, 1 to 4; both engines propose from it on the Go scheduler's
+// interleaving, then OCC-WSI twice on the PCT schedule the seed also picks:
+// the first block is checked, and the replay must seal it again, so a
+// failing schedule replays exactly (a replay that seals the checked block
+// needs no checks of its own).
 func FuzzProposeSealsValidBlock(f *testing.F) {
 	for _, seed := range []int64{1, 2, 5, 6, 11} { // every mix
 		f.Add(seed)
@@ -70,10 +74,10 @@ func FuzzProposeSealsValidBlock(f *testing.F) {
 		parent, txs, hot := fuzzPool(rng)
 		threads := 1 + rng.Intn(4)
 		parentHeader := &types.Header{Number: 0, StateRoot: parent.Root(), GasLimit: params.GasLimit}
-		for _, engine := range Engines() {
+		propose := func(name string, cfg ProposerConfig, check bool) types.Hash {
 			pool := mempool.New()
 			pool.AddAll(txs)
-			cfg := ProposerConfig{Engine: engine, Threads: threads, Coinbase: coinbase, Time: 1}
+			cfg.Threads, cfg.Coinbase, cfg.Time = threads, coinbase, 1
 			if hot != (types.Address{}) {
 				cfg.Coinbase, cfg.Adaptive = hot, adaptive.New(adaptive.Config{})
 				warmHot(cfg.Adaptive, hot)
@@ -82,12 +86,15 @@ func FuzzProposeSealsValidBlock(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if !check {
+				return res.Block.Hash()
+			}
 			if res.Committed == 0 {
-				t.Fatalf("%s on %d workers packed none of %d transactions", engine, threads, len(txs))
+				t.Fatalf("%s on %d workers packed none of %d transactions", name, threads, len(txs))
 			}
 			serial, err := chain.VerifyBlockSerial(parent, parentHeader, res.Block, params)
 			if err != nil {
-				t.Fatalf("%s on %d workers (%d aborts): serial validator: %v", engine, threads, res.Aborts, err)
+				t.Fatalf("%s on %d workers (%d aborts): serial validator: %v", name, threads, res.Aborts, err)
 			}
 			blk, err := types.DecodeBlock(res.Block.Encode())
 			if err != nil {
@@ -95,12 +102,26 @@ func FuzzProposeSealsValidBlock(f *testing.F) {
 			}
 			val, err := validator.ValidateParallel(parent, parentHeader, blk, validator.DefaultConfig(threads), params)
 			if err != nil {
-				t.Fatalf("%s on %d workers (%d aborts): parallel validator: %v", engine, threads, res.Aborts, err)
+				t.Fatalf("%s on %d workers (%d aborts): parallel validator: %v", name, threads, res.Aborts, err)
 			}
 			if root := serial.State.Root(); val.State.Root() != root || res.Block.Header.StateRoot != root {
 				t.Fatalf("%s on %d workers: proposed root %s, parallel validator %s, serial %s",
-					engine, threads, res.Block.Header.StateRoot, val.State.Root(), root)
+					name, threads, res.Block.Header.StateRoot, val.State.Root(), root)
 			}
+			return res.Block.Hash()
+		}
+		for _, engine := range Engines() {
+			propose(engine, ProposerConfig{Engine: engine}, true)
+		}
+		workers := threads
+		if hot != (types.Address{}) {
+			workers++ // the serial lane
+		}
+		pctRun := func(check bool) types.Hash {
+			return propose("pct", ProposerConfig{Step: newPCT(seed, workers, 4*len(txs))}, check)
+		}
+		if first, again := pctRun(true), pctRun(false); first != again {
+			t.Fatalf("one PCT schedule sealed %s, then %s", first, again)
 		}
 	})
 }

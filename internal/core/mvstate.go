@@ -17,7 +17,7 @@ import (
 	"blockpilot/internal/uint256"
 )
 
-// MVState is the proposer's shared multi-version state: the parent snapshot
+// mvState is the proposer's shared multi-version state: the parent snapshot
 // plus, in a state.VersionStore ordered by commit version, every committed
 // write of the block. Reads at snapshot version v return the newest value
 // with version ≤ v, so a worker's view stays consistent while other workers
@@ -25,63 +25,29 @@ import (
 // also keeps Algorithm 1's reserve table and the commit counter, under the
 // locks that guard its chains, so a commit validates, takes its version and
 // installs as one step (state.VersionStore.Commit).
-type MVState struct {
+type mvState struct {
 	base  *state.Snapshot
 	store *state.VersionStore
+	step  Stepper // ProposerConfig.Step, which bound views yield to
 }
 
-// NewMVState wraps a committed parent snapshot.
-func NewMVState(base *state.Snapshot) *MVState {
-	return &MVState{base: base, store: state.NewVersionStore(0)}
-}
-
-// Version returns the latest committed version (0 = parent state only).
-func (mv *MVState) Version() types.Version {
-	return mv.store.Latest()
+// newMVState wraps a committed parent snapshot.
+func newMVState(base *state.Snapshot) *mvState {
+	return &mvState{base: base, store: state.NewVersionStore(0)}
 }
 
 // View returns a state.Reader pinned at snapshot version v, for callers with
 // no read set to keep current: it never moves.
-func (mv *MVState) View(v types.Version) state.Reader {
+func (mv *mvState) View(v types.Version) state.Reader {
 	return &mvView{mv: mv, before: v + 1}
 }
 
-// CommitConflict describes why a TryCommit attempt aborted: the stale read
-// key and the committed version that overwrote it (the "winner"). It feeds
-// the trace recorder's conflict attribution; a zero value means no conflict.
-type CommitConflict struct {
-	Key    types.StateKey
-	Winner types.Version
-}
-
-// TryCommit implements Algorithm 1's DetectConflict + commit: it validates
-// the access set against the reserve table and, when clean, installs the
-// write set as the next version and updates the reserve table. It returns
-// the assigned version (the transaction's sequence in the block) and whether
-// the commit succeeded; on abort, which read key was stale and the version
-// that beat it.
-func (mv *MVState) TryCommit(access *types.AccessSet, cs *state.ChangeSet) (types.Version, CommitConflict, bool) {
-	v, key, winner, ok := mv.store.Commit(access, cs)
-	if !ok {
-		// Stale read: the reserve-table check (the CAS of Alg. 1's
-		// DetectConflict) failed — abort back to the pool.
-		telemetry.ProposerReserveConflicts.Inc()
-		return 0, CommitConflict{Key: key, Winner: winner}, false
-	}
-	return v, CommitConflict{}, true
-}
-
-// Flatten returns the merged change set of all commits so far, equivalent to
-// merging every committed change set in version order (last writer wins per
-// key). The caller must be done committing (proposer finalization).
-func (mv *MVState) Flatten() *state.ChangeSet { return mv.store.Flatten() }
-
-// mvView is a read-only view of MVState at one snapshot version: the store
+// mvView is a read-only view of mvState at one snapshot version: the store
 // read before version+1, the parent snapshot underneath. View hands out pinned
 // ones. A proposer lane's is bound to the lane's overlay and extends the
 // snapshot under it (extend) rather than serve a read that dooms the commit.
 type mvView struct {
-	mv     *MVState
+	mv     *mvState
 	before uint64
 
 	// Bound views only; a pinned view leaves all of it zero.
@@ -97,20 +63,20 @@ type mvView struct {
 
 // bind returns a view bound to an overlay of its own: what one proposer lane
 // (recorder node and lane, packing block height) runs its transactions on.
-func (mv *MVState) bind(node int16, lane int, height uint64) *mvView {
+func (mv *mvState) bind(node int16, lane int, height uint64) *mvView {
 	return &mvView{mv: mv, overlay: state.NewOverlay(nil, 0), node: node, lane: lane, height: height}
 }
 
 // begin re-arms the bound view and its overlay for one execution of tx at the
 // latest committed version.
 func (v *mvView) begin(tx *types.Transaction) {
-	snapshot := v.mv.Version()
+	snapshot := v.mv.store.Latest()
 	v.before, v.held, v.tx = snapshot+1, v.held[:0], tx
 	v.overlay.Reset(v, snapshot)
 }
 
 // extend runs before a bound view serves key with commits above its snapshot.
-// If one of them wrote key — by the reserve table, the authority TryCommit
+// If one of them wrote key — by the reserve table, the authority the commit
 // aborts on; a chain also grows on storage-only changes that leave the account
 // key alone — the snapshot's value dooms the execution, so the view tries to
 // move to the newest commit instead: it loads that version, then asks the
@@ -137,12 +103,16 @@ func (v *mvView) extend(key *types.StateKey) {
 	v.before = to + 1
 }
 
-// serving runs before a view serves key. A bound one looks at extending when
-// something has committed since its snapshot, and notes that its overlay holds
-// key's value from here on; the rest of the time it costs one atomic load.
+// serving runs before a view serves key. A bound one yields to a stepper,
+// looks at extending when something has committed since its snapshot, and
+// notes that its overlay holds key's value from here on; the rest of the time
+// it costs one atomic load.
 func (v *mvView) serving(key types.StateKey) {
 	if v.overlay == nil {
 		return
+	}
+	if v.mv.step != nil {
+		v.mv.step.Yield(v.lane)
 	}
 	if v.mv.store.Latest() >= v.before {
 		v.extend(&key)

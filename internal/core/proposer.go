@@ -41,7 +41,39 @@ type ProposerConfig struct {
 	// blocks — its decaying window is the whole point. Nil (the default)
 	// runs both engines stock.
 	Adaptive *adaptive.Controller
+	// Step, when set, schedules the OCC-WSI workers (Stepper). Nil in
+	// production, where it costs one nil check per scheduling point.
+	Step Stepper
 }
+
+// Stepper decides when each OCC-WSI worker runs (workers 0 to Threads-1, the
+// adaptive serial lane as worker Threads): a worker waits inside Yield or
+// Park until the stepper resumes it, so one that resumes one worker at a time
+// runs the engine on the schedule it picks.
+type Stepper interface {
+	// Yield is a scheduling point: before every claim (a worker's first
+	// call), store commit, extension check and requeue.
+	Yield(worker int)
+	// Park replaces the idle wait: called with mu held, it releases mu until
+	// a Wake has made the worker runnable and the stepper resumes it. A
+	// worker that returns for good calls it with a nil mu, which never waits.
+	Park(worker int, mu *sync.Mutex)
+	Wake() // makes every parked worker runnable
+}
+
+// condIdle is the idle half of the seam when no stepper is set: workers wait
+// on a condition variable and run as the Go scheduler runs them.
+type condIdle struct{ *sync.Cond }
+
+func (condIdle) Yield(int) {}
+
+func (c condIdle) Park(_ int, mu *sync.Mutex) {
+	if mu != nil {
+		c.Wait()
+	}
+}
+
+func (c condIdle) Wake() { c.Broadcast() }
 
 // DefaultMaxRetries is how many aborts a transaction is allowed before it is
 // dropped: it bounds livelock from pathologically conflicting txs.
@@ -92,6 +124,9 @@ func Propose(parent *state.Snapshot, parentHeader *types.Header, pool *mempool.P
 	case "", EngineOCCWSI:
 		engine = proposeOCC
 	case EngineMVSTM:
+		if cfg.Step != nil {
+			return nil, fmt.Errorf("core: a Stepper drives the %q engine only", EngineOCCWSI)
+		}
 		engine = proposeMV
 	default:
 		return nil, fmt.Errorf("core: unknown proposer engine %q (want %q or %q)", cfg.Engine, EngineOCCWSI, EngineMVSTM)
@@ -111,8 +146,9 @@ func Propose(parent *state.Snapshot, parentHeader *types.Header, pool *mempool.P
 // nonce promotion), and the worker that retires the last in-flight
 // transaction broadcasts so everyone observes the drained pool and exits.
 func proposeOCC(b *blockBuild) *ProposeResult {
-	pool, ctrl, gasLimit := b.pool, b.ctrl, b.params.GasLimit
-	mv := NewMVState(b.parent)
+	pool, ctrl, gasLimit, step := b.pool, b.ctrl, b.params.GasLimit, b.cfg.Step
+	mv := newMVState(b.parent)
+	mv.step = step
 
 	var (
 		gasUsed  atomic.Uint64
@@ -124,12 +160,16 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 	// Idle-worker wakeup: waiters hold idleMu while checking the predicate
 	// (pool.Executable, inFlight, gasFull); every signaller acquires idleMu
 	// around the broadcast, so a predicate change can never slip between a
-	// waiter's check and its Wait (no lost wakeups, no busy spin).
+	// waiter's check and its Wait (no lost wakeups, no busy spin). A stepper
+	// parks and wakes the workers in place of the condition variable.
 	var idleMu sync.Mutex
-	idleCond := sync.NewCond(&idleMu)
+	idle := Stepper(condIdle{sync.NewCond(&idleMu)})
+	if step != nil {
+		idle = step
+	}
 	wake := func() {
 		idleMu.Lock()
-		idleCond.Broadcast()
+		idle.Wake()
 		idleMu.Unlock()
 	}
 	pool.SetExecutableHook(wake)
@@ -170,6 +210,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 			if cur+receipt.GasUsed > gasLimit {
 				gasFull.Store(true)
 				trace.ExecEnd(b.node, worker, tx, b.header.Number)
+				b.yield(worker)
 				pool.Requeue(tx) // leave it for the next block
 				wake()           // unblock idle workers so they observe gasFull
 				return
@@ -198,7 +239,11 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 			delete(access.Writes, key)
 			cs.Drop(tx.To)
 		}
-		version, conflict, ok := mv.TryCommit(access, cs)
+		// Algorithm 1's DetectConflict + commit, in one step of the store: on
+		// a stale read, key is the read that aborts and winner the version
+		// that overwrote it.
+		b.yield(worker)
+		version, key, winner, ok := mv.store.Commit(access, cs)
 		if ok {
 			if profile == nil {
 				profile = types.ProfileFromAccessSet(access, receipt.GasUsed)
@@ -210,10 +255,11 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 		}
 		gasUsed.Add(^(receipt.GasUsed - 1)) // release the reservation
 		aborts.Add(1)
+		telemetry.ProposerReserveConflicts.Inc()
 		telemetry.ProposerAborts.Inc()
-		trace.Abort(b.node, worker, tx, conflict.Key, conflict.Winner, b.header.Number)
+		trace.Abort(b.node, worker, tx, key, winner, b.header.Number)
 		if ctrl != nil {
-			ctrl.NoteAbort(tx.From, conflict.Key)
+			ctrl.NoteAbort(tx.From, key)
 		}
 		trace.ExecEnd(b.node, worker, tx, b.header.Number)
 		b.requeueOrDrop(worker, tx)
@@ -235,11 +281,12 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 	)
 	runLane := func() {
 		defer laneWg.Done()
+		defer idle.Park(laneID, nil)
 		view := mv.bind(b.node, laneID, b.header.Number)
 		for {
 			idleMu.Lock()
 			for lane.Len() == 0 && !laneClosed {
-				idleCond.Wait()
+				idle.Park(laneID, &idleMu)
 			}
 			if lane.Len() == 0 {
 				idleMu.Unlock()
@@ -267,6 +314,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 	worker := func(id int) {
 		view := mv.bind(b.node, id, b.header.Number)
 		for !gasFull.Load() {
+			b.yield(id)
 			cold, hot := b.claim(id, DefaultPopBatch)
 			if len(cold)+len(hot) == 0 {
 				// Blocking wait with a drained-pool exit path: no spin when
@@ -285,7 +333,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 						wake() // make sure peers re-check and exit too
 						return
 					}
-					idleCond.Wait()
+					idle.Park(id, &idleMu)
 				}
 				idleMu.Unlock()
 				continue
@@ -298,7 +346,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 				for _, tx := range hot {
 					lane.Push(tx)
 				}
-				idleCond.Broadcast()
+				idle.Wake()
 				idleMu.Unlock()
 			}
 			for i, tx := range cold {
@@ -320,6 +368,7 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			defer idle.Park(id, nil)
 			worker(id)
 		}(i)
 	}
@@ -327,10 +376,10 @@ func proposeOCC(b *blockBuild) *ProposeResult {
 	if ctrl != nil {
 		idleMu.Lock()
 		laneClosed = true
-		idleCond.Broadcast()
+		idle.Wake()
 		idleMu.Unlock()
 		laneWg.Wait()
 	}
 
-	return b.seal(mv.Flatten(), gasUsed.Load(), int(aborts.Load()), nil)
+	return b.seal(mv.store.Flatten(), gasUsed.Load(), int(aborts.Load()), nil)
 }

@@ -36,7 +36,7 @@ func TestLinkDropFault(t *testing.T) {
 	a := n.Join("a", 256)
 	b := n.Join("b", 256)
 	_ = a
-	n.SetLinkFaults("a", "b", LinkFaults{Drop: 0.5})
+	n.SetDefaultFaults(LinkFaults{Drop: 0.5})
 	const total = 200
 	for i := 1; i <= total; i++ {
 		a.Broadcast(block(uint64(i)))
@@ -58,7 +58,7 @@ func TestLinkDuplicateFault(t *testing.T) {
 	n.SeedFaults(7)
 	a := n.Join("a", 1024)
 	b := n.Join("b", 1024)
-	n.SetLinkFaults("a", "b", LinkFaults{Duplicate: 1.0})
+	n.SetDefaultFaults(LinkFaults{Duplicate: 1.0})
 	for i := 1; i <= 10; i++ {
 		a.Broadcast(block(uint64(i)))
 	}
@@ -80,7 +80,7 @@ func TestLinkReorderFault(t *testing.T) {
 	n.SeedFaults(1)
 	a := n.Join("a", 1024)
 	b := n.Join("b", 1024)
-	n.SetLinkFaults("a", "b", LinkFaults{Reorder: 1.0})
+	n.SetDefaultFaults(LinkFaults{Reorder: 1.0})
 	// With p=1 every message is held until the next one arrives, producing
 	// pairwise swaps: 1,2,3,4 → 2,1,4,3.
 	for i := 1; i <= 4; i++ {
@@ -104,7 +104,7 @@ func TestReorderHoldbackFlushedOnClose(t *testing.T) {
 	n := New(0)
 	a := n.Join("a", 16)
 	b := n.Join("b", 16)
-	n.SetLinkFaults("a", "b", LinkFaults{Reorder: 1.0})
+	n.SetDefaultFaults(LinkFaults{Reorder: 1.0})
 	a.Broadcast(block(1)) // held back, no successor
 	n.Close()
 	msgs := drain(b)
@@ -119,7 +119,7 @@ func TestFaultDeterminism(t *testing.T) {
 		n.SeedFaults(seed)
 		a := n.Join("a", 2048)
 		b := n.Join("b", 2048)
-		n.SetLinkFaults("a", "b", LinkFaults{Drop: 0.3, Duplicate: 0.2, Reorder: 0.2})
+		n.SetDefaultFaults(LinkFaults{Drop: 0.3, Duplicate: 0.2, Reorder: 0.2})
 		for i := 1; i <= 100; i++ {
 			a.Broadcast(block(uint64(i)))
 		}

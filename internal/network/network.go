@@ -5,10 +5,9 @@
 // framework under test only cares that blocks arrive, possibly out of
 // order and in fork multiples.
 //
-// Fault injection: every directed link can be configured (SetLinkFaults /
-// SetDefaultFaults) with probabilistic drop, duplication, reordering and
-// extra per-link delay, and the node set can be split into partitions
-// (SetPartitions). Fault decisions are drawn from a single seeded PRNG
+// Fault injection: the links can be configured (SetDefaultFaults) with
+// probabilistic drop, duplication, reordering and extra per-link delay, and
+// the node set can be split into partitions (SetPartitions). Fault decisions are drawn from a single seeded PRNG
 // under the fabric mutex, so a fixed seed plus a serialized broadcast
 // sequence replays the exact same fault pattern — the property the cluster
 // simulator (internal/sim) relies on for reproducible runs.
@@ -35,7 +34,7 @@ type Message struct {
 	SentUnixNano int64
 }
 
-// LinkFaults configures injected faults on one directed link (from → to).
+// LinkFaults configures the faults injected on every directed link.
 // Zero value = perfect link.
 type LinkFaults struct {
 	Drop       float64       // probability a message is silently lost
@@ -57,7 +56,6 @@ type Network struct {
 
 	// Fault-injection state (all guarded by mu).
 	rng      *rand.Rand
-	faults   map[linkKey]LinkFaults
 	defaults LinkFaults
 	groups   map[string]int       // node → partition group (absent = unpartitioned)
 	held     map[linkKey]*Message // one-deep reorder holdback per link
@@ -79,7 +77,6 @@ func New(latency time.Duration) *Network {
 		nodes:   make(map[string]*Node),
 		latency: latency,
 		rng:     rand.New(rand.NewSource(1)),
-		faults:  make(map[linkKey]LinkFaults),
 		groups:  make(map[string]int),
 		held:    make(map[linkKey]*Message),
 	}
@@ -93,15 +90,8 @@ func (n *Network) SeedFaults(seed int64) {
 	n.rng = rand.New(rand.NewSource(seed))
 }
 
-// SetLinkFaults configures the directed link from → to.
-func (n *Network) SetLinkFaults(from, to string, f LinkFaults) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.faults[linkKey{from, to}] = f
-}
-
-// SetDefaultFaults configures every link without an explicit SetLinkFaults
-// entry (including links to nodes that join later).
+// SetDefaultFaults configures every link (including links to nodes that join
+// later).
 func (n *Network) SetDefaultFaults(f LinkFaults) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -127,14 +117,6 @@ func (n *Network) Heal() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.groups = make(map[string]int)
-}
-
-// faultsFor returns the effective fault config for a link. Caller holds mu.
-func (n *Network) faultsFor(k linkKey) LinkFaults {
-	if f, ok := n.faults[k]; ok {
-		return f
-	}
-	return n.defaults
 }
 
 // blocked reports whether an active partition separates from and to.
@@ -213,7 +195,7 @@ func (node *Node) Broadcast(block *types.Block) {
 			telemetry.NetworkPartitionBlocked.Inc()
 			continue
 		}
-		f := n.faultsFor(k)
+		f := n.defaults
 		delay := n.latency + f.ExtraDelay
 
 		// A held-back message is released right after the current one,

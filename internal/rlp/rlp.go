@@ -279,15 +279,3 @@ func SplitUint(b []byte) (v uint64, rest []byte, err error) {
 	v, err = DecodeUint(content)
 	return v, rest, err
 }
-
-// DecodeFull reads exactly one item and fails if any bytes remain.
-func DecodeFull(b []byte) (kind Kind, content []byte, err error) {
-	kind, content, rest, err := Split(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(rest) != 0 {
-		return 0, nil, ErrTrailing
-	}
-	return kind, content, nil
-}

@@ -125,17 +125,6 @@ func TestDecodeUintStrict(t *testing.T) {
 	}
 }
 
-func TestDecodeFull(t *testing.T) {
-	enc := EncodeUint(5)
-	if _, _, err := DecodeFull(append(enc, 0x00)); err != ErrTrailing {
-		t.Errorf("want ErrTrailing, got %v", err)
-	}
-	kind, content, err := DecodeFull(enc)
-	if err != nil || kind != KindString || len(content) != 1 {
-		t.Errorf("DecodeFull: %v %v % x", kind, err, content)
-	}
-}
-
 func TestAppendReusesBuffer(t *testing.T) {
 	buf := make([]byte, 0, 64)
 	buf = AppendUint(buf, 7)

@@ -165,11 +165,28 @@ func TestNoCrossComponentConflicts(t *testing.T) {
 			if i >= j || compOf[i] == compOf[j] {
 				continue
 			}
-			if bp.Txs[i].Conflicts(bp.Txs[j], false) {
+			if conflicts(bp.Txs[i], bp.Txs[j]) || conflicts(bp.Txs[j], bp.Txs[i]) {
 				t.Fatalf("txs %d and %d conflict across components", i, j)
 			}
 		}
 	}
+}
+
+// conflicts reports whether p writes a key q reads or writes (slot level).
+func conflicts(p, q *types.TxProfile) bool {
+	for _, w := range p.Writes {
+		for _, k := range q.Writes {
+			if k == w {
+				return true
+			}
+		}
+		for _, r := range q.Reads {
+			if r.Key == w {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func TestLPTBalancesGas(t *testing.T) {

@@ -129,11 +129,6 @@ func (m *Memory) SetCode(addr types.Address, code []byte) {
 	a.hasCode = true
 }
 
-// SetStorage sets one storage slot (creating the account).
-func (m *Memory) SetStorage(addr types.Address, slot types.Hash, v uint256.Int) {
-	m.ensure(addr).setSlot(slot, v)
-}
-
 // ApplyChangeSet applies a materialized write set to the memory state. A
 // change carries the account's full post-nonce and post-balance, so nothing
 // is read from the base: code and untouched slots keep falling through.

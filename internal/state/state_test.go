@@ -133,7 +133,7 @@ func TestMemoryShadowing(t *testing.T) {
 	if a, _ := m.Account(addr(1)); !a.Balance.Eq(u(5)) || a.CodeHash != base.CodeHash(addr(1)) {
 		t.Fatal("fall-through account")
 	}
-	m.SetStorage(addr(1), slot(1), *u(99))
+	m.ensure(addr(1)).setSlot(slot(1), *u(99))
 	if v := m.Storage(addr(1), slot(1)); !v.Eq(u(99)) {
 		t.Fatal("shadowed slot")
 	}

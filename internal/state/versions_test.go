@@ -219,7 +219,7 @@ func vsKeys() []types.StateKey {
 }
 
 // TestVersionStoreAgainstReference drives the one store through the scripts of
-// its two callers. OCC shape (core.MVState): Commit with one read at a random
+// its two callers. OCC shape (core's OCC-WSI): Commit with one read at a random
 // earlier version beside the change set's writes — it must abort exactly when
 // a later commit reserved the read key, naming that key and version, and
 // otherwise install at the next version — then chains, reserve table

@@ -107,9 +107,6 @@ func (h *Histogram) AddN(v float64, n int) {
 // Total returns the number of samples, underflow included.
 func (h *Histogram) Total() int { return h.total }
 
-// Underflow returns the number of samples below the first edge.
-func (h *Histogram) Underflow() int { return h.underflow }
-
 // Fraction returns the share of samples in bucket i.
 func (h *Histogram) Fraction(i int) float64 {
 	if h.total == 0 {

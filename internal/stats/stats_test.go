@@ -113,8 +113,8 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.counts[0] != 1 || h.counts[1] != 2 || h.counts[2] != 2 {
 		t.Fatalf("counts = %v", h.counts)
 	}
-	if h.Underflow() != 1 {
-		t.Fatalf("underflow = %d", h.Underflow())
+	if h.underflow != 1 {
+		t.Fatalf("underflow = %d", h.underflow)
 	}
 	if f := h.Fraction(1); math.Abs(f-2.0/6) > 1e-9 {
 		t.Fatalf("fraction = %f", f)
@@ -129,8 +129,8 @@ func TestHistogramUnderflow(t *testing.T) {
 	h.Add(-3) // below first edge
 	h.Add(10) // bucket 0
 	h.Add(25) // overflow bucket
-	if h.Underflow() != 2 {
-		t.Fatalf("underflow = %d, want 2", h.Underflow())
+	if h.underflow != 2 {
+		t.Fatalf("underflow = %d, want 2", h.underflow)
 	}
 	if h.counts[0] != 1 {
 		t.Fatalf("bucket 0 = %d, want 1 (underflow must not fold in)", h.counts[0])
@@ -156,8 +156,8 @@ func TestHistogramAddN(t *testing.T) {
 	h.AddN(-1, 2)
 	h.AddN(3, 0)  // no-op
 	h.AddN(3, -4) // no-op
-	if h.Total() != 9 || h.counts[0] != 7 || h.Underflow() != 2 {
-		t.Fatalf("total=%d counts=%v underflow=%d", h.Total(), h.counts, h.Underflow())
+	if h.Total() != 9 || h.counts[0] != 7 || h.underflow != 2 {
+		t.Fatalf("total=%d counts=%v underflow=%d", h.Total(), h.counts, h.underflow)
 	}
 }
 

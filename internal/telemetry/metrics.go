@@ -18,9 +18,9 @@ var (
 	ProposerDrops = NewCounter("blockpilot_proposer_drops_total",
 		"Transactions abandoned for good (invalid, unfunded, or retry cap).")
 	ProposerReserveConflicts = NewCounter("blockpilot_proposer_reserve_conflicts_total",
-		"Reserve-table CAS failures inside MVState.TryCommit (stale-read detections).")
+		"OCC-WSI store commits refused by the reserve-table check (stale-read detections).")
 	ProposerSnapshotBuilds = NewCounter("blockpilot_proposer_snapshot_builds_total",
-		"Versioned MVState snapshot views built for speculative execution.")
+		"Versioned snapshot views armed for speculative OCC-WSI execution.")
 	ProposerBlockSeconds = NewHistogram("blockpilot_proposer_block_duration_ns",
 		"Wall time of one Propose call (block packing).", "ns")
 	ProposerBlockTxs = NewHistogram("blockpilot_proposer_block_txs",

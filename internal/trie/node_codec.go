@@ -224,3 +224,23 @@ func accountEdge(val []byte, has func([32]byte) bool, out *[][32]byte) {
 		*out = append(*out, root)
 	}
 }
+
+// decodeHexPrefix undoes hexPrefix: returns the nibble path and whether the
+// node is a leaf.
+func decodeHexPrefix(b []byte) (nibbles []byte, isLeaf bool) {
+	if len(b) == 0 {
+		return nil, false
+	}
+	odd := b[0]>>4&1 == 1
+	nibbles = make([]byte, 0, 2*len(b))
+	if odd {
+		nibbles = append(nibbles, b[0]&0x0f)
+	}
+	for _, c := range b[1:] {
+		nibbles = append(nibbles, c>>4, c&0x0f)
+	}
+	return nibbles, isLeafPath(b)
+}
+
+// isLeafPath reads a hex-prefix path's leaf flag without decoding the path.
+func isLeafPath(b []byte) bool { return len(b) > 0 && b[0]>>4 >= 2 }

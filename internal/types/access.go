@@ -143,45 +143,6 @@ func AccessSetFromProfile(p *TxProfile) *AccessSet {
 	return a
 }
 
-// Conflicts reports whether two transaction profiles must be ordered:
-// any write∩(write∪read) overlap, optionally coarsened to account level.
-//
-// accountLevel mirrors the paper's validator, which detects conflicts "from
-// the account level" because counters change in every transaction; the
-// slot-granular variant is kept for the ablation study.
-func (p *TxProfile) Conflicts(q *TxProfile, accountLevel bool) bool {
-	norm := func(k StateKey) StateKey {
-		if accountLevel {
-			return AccountKey(k.Addr)
-		}
-		return k
-	}
-	pw := make(map[StateKey]struct{}, len(p.Writes))
-	for _, k := range p.Writes {
-		pw[norm(k)] = struct{}{}
-	}
-	for _, k := range q.Writes {
-		if _, ok := pw[norm(k)]; ok {
-			return true
-		}
-	}
-	for _, kv := range q.Reads {
-		if _, ok := pw[norm(kv.Key)]; ok {
-			return true
-		}
-	}
-	qw := make(map[StateKey]struct{}, len(q.Writes))
-	for _, k := range q.Writes {
-		qw[norm(k)] = struct{}{}
-	}
-	for _, kv := range p.Reads {
-		if _, ok := qw[norm(kv.Key)]; ok {
-			return true
-		}
-	}
-	return false
-}
-
 // BlockProfile is the execution metadata the proposer broadcasts alongside
 // the block (paper §4.2): one TxProfile per transaction, in block order.
 type BlockProfile struct {

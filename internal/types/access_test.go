@@ -101,23 +101,6 @@ func TestBlockProfileDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestProfileConflictsGranularity(t *testing.T) {
-	// p writes slot (1,1); q writes slot (1,2). Different slots of the same
-	// contract: no conflict at slot granularity, conflict at account level.
-	sp := NewAccessSet()
-	sp.NoteWrite(sk(1, 1))
-	sq := NewAccessSet()
-	sq.NoteWrite(sk(1, 2))
-	p := ProfileFromAccessSet(sp, 1)
-	q := ProfileFromAccessSet(sq, 1)
-	if p.Conflicts(q, false) {
-		t.Fatal("slot-granular: false conflict")
-	}
-	if !p.Conflicts(q, true) {
-		t.Fatal("account-level: missed conflict")
-	}
-}
-
 func TestSameAccessKeysIgnoresVersions(t *testing.T) {
 	a := NewAccessSet()
 	a.NoteRead(k(1), 3)

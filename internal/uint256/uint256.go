@@ -427,19 +427,6 @@ func (z *Int) Mod(x, y *Int) *Int {
 	return z
 }
 
-// DivMod sets z = x / y and m = x % y in one pass.
-func (z *Int) DivMod(x, y *Int, m *Int) (*Int, *Int) {
-	if y.IsZero() {
-		return z.Clear(), m.Clear()
-	}
-	var quot [8]uint64
-	u := [8]uint64{x[0], x[1], x[2], x[3]}
-	rem := udivrem(quot[:], u[:4], y)
-	*m = rem
-	z[0], z[1], z[2], z[3] = quot[0], quot[1], quot[2], quot[3]
-	return z, m
-}
-
 // SDiv sets z = x / y with both interpreted as two's complement (truncated
 // toward zero, EVM SDIV semantics). Division by zero yields zero.
 func (z *Int) SDiv(x, y *Int) *Int {

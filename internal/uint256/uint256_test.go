@@ -360,7 +360,8 @@ func TestDivModProperty(t *testing.T) {
 			continue
 		}
 		var q, m Int
-		q.DivMod(&x, &y, &m)
+		q.Div(&x, &y)
+		m.Mod(&x, &y)
 		if !m.Lt(&y) {
 			t.Fatalf("rem %s >= divisor %s", m.Hex(), y.Hex())
 		}

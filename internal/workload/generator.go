@@ -148,12 +148,6 @@ func deriveAddresses(kind string, n int) []types.Address {
 // Accounts returns the EOA population.
 func (g *Generator) Accounts() []types.Address { return g.accounts }
 
-// Pairs returns the AMM pair contract addresses.
-func (g *Generator) Pairs() []types.Address { return g.pairs }
-
-// Tokens returns the token contract addresses.
-func (g *Generator) Tokens() []types.Address { return g.tokens }
-
 // initialEOABalance funds every account far beyond what a run can spend.
 const initialEOABalance = 1 << 60
 

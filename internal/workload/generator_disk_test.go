@@ -50,7 +50,7 @@ func TestTokenHoldersCap(t *testing.T) {
 	if capped.Root() == uncapped {
 		t.Fatal("capping holders did not change the genesis root")
 	}
-	token := New(cfg).Tokens()[0]
+	token := New(cfg).tokens[0]
 	accounts := New(cfg).Accounts()
 	if v := capped.Storage(token, accounts[4].Hash()); v.IsZero() {
 		t.Fatal("holder inside the cap has no seeded balance")

@@ -38,7 +38,7 @@ func TestGenesisPopulation(t *testing.T) {
 			t.Fatalf("account %s unfunded", a)
 		}
 	}
-	for _, tok := range g.Tokens() {
+	for _, tok := range g.tokens {
 		if len(s.Code(tok)) == 0 {
 			t.Fatalf("token %s missing code", tok)
 		}
@@ -46,7 +46,7 @@ func TestGenesisPopulation(t *testing.T) {
 			t.Fatal("token holder not seeded")
 		}
 	}
-	for _, p := range g.Pairs() {
+	for _, p := range g.pairs {
 		if v := s.Storage(p, types.BytesToHash(nil)); v.IsZero() {
 			t.Fatal("pair reserve0 not seeded")
 		}
@@ -141,7 +141,7 @@ func TestTokenConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tok := range g.Tokens() {
+	for _, tok := range g.tokens {
 		var before, after uint64
 		for _, a := range g.Accounts() {
 			vb := st.Storage(tok, a.Hash())
@@ -267,7 +267,7 @@ func TestSwapConstantProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range g.Pairs() {
+	for _, p := range g.pairs {
 		r0b := st.Storage(p, types.BytesToHash(nil))
 		r1b := st.Storage(p, types.BytesToHash([]byte{1}))
 		r0a := res.State.Storage(p, types.BytesToHash(nil))
