@@ -66,7 +66,7 @@ func run(args []string, w io.Writer) error {
 	forkProb := fs.Float64("fork-prob", 0.35, "per-round fork probability")
 	txs := fs.Int("txs", 132, "transactions per block")
 	seed := fs.Int64("seed", 1, "workload + consensus seed")
-	datadir := fs.String("datadir", "", "persist validator-0's blocks to this directory (optional)")
+	datadir := fs.String("datadir", "", "keep validator-0's blocks in DIR/blocks.log and, with -state-backend disk, the node store in DIR/state.db (\"\" = no block log; disk state in a temp dir removed at exit)")
 	telemetryAddr := fs.String("telemetry-addr", "", "serve /metrics, /metrics.json, /report and /debug/pprof on this address (e.g. :9090)")
 	traceOn := fs.Bool("trace", false, "enable the trace recorder (per-tx lifecycle events, conflict attribution, cross-node block stages, critical paths)")
 	traceOut := fs.String("trace-out", "", "write a Perfetto/Chrome trace.json of the run to this path (implies -trace)")
@@ -74,7 +74,6 @@ func run(args []string, w io.Writer) error {
 	healthOut := fs.String("health-out", "", "append health samples as JSONL to this path (implies -health)")
 	healthIncidents := fs.String("health-incidents", "", "write watchdog incident bundles under this directory (implies -health)")
 	stateBackend := fs.String("state-backend", node.BackendMem, "world-state backend: mem (per-process maps) or disk (persistent node store read through its node cache)")
-	stateDir := fs.String("state-dir", "", "disk backend: directory for the node store (\"\" = temp dir, removed at exit)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -130,7 +129,7 @@ func run(args []string, w io.Writer) error {
 		}
 		defer store.Close()
 		if n := store.Len(); n > 0 {
-			fmt.Fprintf(w, "block store: resuming with %d blocks on disk (max height %d)\n", n, store.MaxHeight())
+			fmt.Fprintf(w, "block store: resuming with %d blocks on disk (max height %d); they are not replayed, the run starts from genesis\n", n, store.MaxHeight())
 		}
 	}
 
@@ -138,7 +137,7 @@ func run(args []string, w io.Writer) error {
 	cfg.Seed = *seed
 	cfg.TxPerBlock = *txs
 	gen := workload.New(cfg)
-	genesis, closeGenesis, err := node.OpenGenesis(gen, *stateBackend, *stateDir)
+	genesis, closeGenesis, err := node.OpenGenesis(gen, *stateBackend, *datadir)
 	if err != nil {
 		return err
 	}
@@ -222,6 +221,13 @@ func run(args []string, w io.Writer) error {
 		// Lockstep: every other node reports one outcome per block.
 		for i := len(packed) * (len(members) - 1); i > 0; i-- {
 			fmt.Fprintln(w, <-outcomes)
+		}
+		// "Committed" means durable: on disk, the round ends with one fsync
+		// of the node store every node shares.
+		if db := genesis.Database(); db != nil {
+			if err := db.Store().Sync(); err != nil {
+				return fmt.Errorf("round %d: sync: %w", r+1, err)
+			}
 		}
 		head := members[0].Chain.Head()
 		fmt.Fprintf(w, "  head: %s (height %d, %d block(s) stored at this height)\n\n",

@@ -11,8 +11,9 @@
 //
 // `-exp sim` runs the deterministic cluster simulator (internal/sim): every
 // scenario (or one, with -scenario) at the given -seed, checking the
-// serializability / parity / pipeline-safety / corruption oracles and the
-// mutation self-check. Oracle failures print a repro line and exit 1.
+// serializability / parity / pipeline-safety / corruption oracles, then the
+// mutation self-check once for the seed. Oracle failures print a repro line
+// and exit 1.
 //
 // Every figure is in virtual time, so the tables do not depend on the host's
 // core count: Fig. 6 runs the real proposer with one clock per worker and one
@@ -50,6 +51,9 @@ type runConfig struct {
 	// sim carries the -exp sim flags laid over each scenario's preset:
 	// Scenario may be "all"; Heights/Validators 0 keep the preset's value.
 	sim sim.Config
+	// mutants runs the seeded-bug self-check once after the scenarios: it
+	// depends on the seed alone.
+	mutants bool
 }
 
 // experiment is one -exp value. The table below is the single source of the
@@ -100,13 +104,26 @@ func experimentNames() string {
 	return strings.Join(names, "|")
 }
 
-// simReports renders every scenario's report in run order.
-type simReports []*sim.Report
+// simReports renders every scenario's report in run order, then the
+// self-check's mutants.
+type simReports struct {
+	reports []*sim.Report
+	seed    int64
+	mutants []sim.Mutant
+}
 
 func (rs simReports) Render() string {
-	parts := make([]string, len(rs))
-	for i, r := range rs {
-		parts[i] = r.Render()
+	parts := make([]string, 0, len(rs.reports)+1)
+	for _, r := range rs.reports {
+		parts = append(parts, r.Render())
+	}
+	if len(rs.mutants) > 0 {
+		var b strings.Builder
+		fmt.Fprintf(&b, "sim self-check seed=%d\n", rs.seed)
+		for _, m := range rs.mutants {
+			fmt.Fprintf(&b, "  %s\n", m)
+		}
+		parts = append(parts, b.String())
 	}
 	return strings.Join(parts, "\n")
 }
@@ -116,10 +133,8 @@ func runSim(c runConfig) (renderer, error) {
 	if c.sim.Scenario != "all" {
 		scenarios = []string{c.sim.Scenario}
 	}
-	var (
-		reports simReports
-		failed  []error
-	)
+	rs := simReports{seed: c.sim.Seed}
+	var failed []error
 	for _, name := range scenarios {
 		cfg, err := sim.Preset(name, c.sim.Seed)
 		if err != nil {
@@ -132,19 +147,25 @@ func runSim(c runConfig) (renderer, error) {
 			cfg.Validators = c.sim.Validators
 		}
 		cfg.Engine = c.sim.Engine
-		cfg.Adaptive = c.sim.Adaptive
 		cfg.StateBackend = c.sim.StateBackend
-		cfg.MutationCheck = c.sim.MutationCheck
 		rep, err := sim.Run(cfg)
 		if err != nil {
 			return nil, err
 		}
-		reports = append(reports, rep)
+		rs.reports = append(rs.reports, rep)
 		if !rep.OK() {
 			failed = append(failed, fmt.Errorf("sim oracle failure — repro: %s", rep.ReproLine()))
 		}
 	}
-	return reports, errors.Join(failed...)
+	if c.mutants {
+		rs.mutants = sim.SelfCheck(c.sim.Seed)
+		for _, m := range rs.mutants {
+			if !m.Caught {
+				failed = append(failed, fmt.Errorf("sim self-check: %s missed — repro: bpbench -exp sim -seed %d", m.Name, c.sim.Seed))
+			}
+		}
+	}
+	return rs, errors.Join(failed...)
 }
 
 // run executes the experiment named exp ("all" = every inAll row), writing
@@ -179,7 +200,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the end-of-run telemetry snapshot as JSON on stdout")
 	report := flag.Bool("telemetry-report", true, "print the telemetry report table after the run (text mode)")
 	engine := flag.String("engine", core.EngineOCCWSI, "sim: proposer execution engine ("+strings.Join(core.Engines(), "|")+")")
-	adaptiveOn := flag.Bool("adaptive", false, "sim: attach the contention-adaptive scheduler to the canonical proposer")
 	scenario := flag.String("scenario", "all", "sim: fault scenario ("+strings.Join(sim.Scenarios(), "|")+") or \"all\"")
 	simHeights := flag.Int("sim-heights", 0, "sim: canonical blocks per run (0 = scenario default)")
 	simValidators := flag.Int("sim-validators", 0, "sim: validator nodes per run (0 = scenario default)")
@@ -198,8 +218,9 @@ func main() {
 		maxPipeline: *maxPipeline,
 		sim: sim.Config{
 			Scenario: *scenario, Seed: *seed, Heights: *simHeights, Validators: *simValidators,
-			Engine: *engine, Adaptive: *adaptiveOn, StateBackend: *stateBackend, MutationCheck: *simMutation,
+			Engine: *engine, StateBackend: *stateBackend,
 		},
+		mutants: *simMutation,
 	}
 	c.opts.Blocks = *blocks
 	c.opts.Repeats = *repeats

@@ -18,8 +18,9 @@ func smallConfig() runConfig {
 		maxPipeline: 2,
 		sim: sim.Config{
 			Scenario: "baseline", Seed: 1, Engine: core.EngineOCCWSI,
-			StateBackend: node.BackendMem, MutationCheck: true,
+			StateBackend: node.BackendMem,
 		},
+		mutants: true,
 	}
 	c.opts.Blocks = 2
 	c.opts.Repeats = 1

@@ -23,12 +23,6 @@ type ProposerConfig struct {
 	// default, also selected by "") or EngineMVSTM, the Block-STM-style
 	// multi-version engine in internal/mv (DESIGN.md §5.7).
 	Engine string
-	// MVFaultStaleReads breaks the MV-STM engine on purpose — every read
-	// resolves from the parent snapshot and validation passes vacuously —
-	// for the simulator's mutation self-check (docs/TESTING.md): the
-	// serializability oracle must reject the resulting blocks. Never set
-	// outside that check.
-	MVFaultStaleReads bool
 	// Node names this proposer in its stage events (default "proposer").
 	Node string
 	// Tracer injects the recorder of the seal stage events; nil falls back

@@ -107,9 +107,6 @@ func proposeMV(b *blockBuild) *ProposeResult {
 			ctrl.NoteAbort(claimed[idx].From, key)
 		})
 	}
-	if b.cfg.MVFaultStaleReads {
-		inst.SetStaleReads(true)
-	}
 	if h := mvWindowHint.Load(); h > 0 {
 		inst.SetWindowHint(h - 1)
 	}

@@ -75,13 +75,6 @@ func (in *Instance) SetContentionHook(f func(idx int, key types.StateKey)) {
 	in.contentionHook = f
 }
 
-// SetStaleReads enables the seeded-bug fault injection used by the
-// simulator's mutation self-check (docs/TESTING.md): every read resolves
-// from the base snapshot and validation passes vacuously, i.e. MV-STM with
-// its multi-version resolution and validation pass broken out. The
-// serializability oracle must catch the resulting block.
-func (in *Instance) SetStaleReads(v bool) { in.mem.stale = v }
-
 // WindowHint returns the speculation window after the last round, or -1 if
 // no round has run. The proposer carries it across blocks the way TCP
 // carries congestion state across segments: a hotspot that collapsed the

@@ -92,12 +92,6 @@ type Memory struct {
 	base  state.Reader
 	store *state.VersionStore
 
-	// stale, when set, makes every read resolve from the base snapshot and
-	// every validation pass vacuously — the seeded-bug fault injection for
-	// the simulator's mutation self-check (DESIGN.md §6). Never set in
-	// production paths.
-	stale bool
-
 	// Per-transaction bookkeeping, indexed by absolute transaction index.
 	// The slices grow only between rounds (no workers running); during a
 	// round, writes[i] is owned by whichever worker holds i's execution or
@@ -204,7 +198,7 @@ func (m *Memory) Purge(tx int) {
 // recorded reads (never executed) is vacuously valid.
 func (m *Memory) ValidateReadSet(tx int) (stale ReadRecord, ok bool) {
 	recs := m.reads[tx].Load()
-	if m.stale || recs == nil {
+	if recs == nil {
 		return ReadRecord{}, true
 	}
 	before := uint64(tx)

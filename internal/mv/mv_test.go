@@ -491,28 +491,6 @@ func TestViewCodeMatchesHashAcrossReRecord(t *testing.T) {
 	}
 }
 
-// TestStaleReadsFault checks the mutation-check fault injection: reads skip
-// the chains and validation passes vacuously.
-func TestStaleReadsFault(t *testing.T) {
-	base := &fakeBase{bal: map[types.Address]uint64{addrOf(0): 100}}
-	m := NewMemory(base)
-	m.grow(4)
-	m.stale = true
-	a := addrOf(0)
-	ch := &state.AccountChange{}
-	ch.Balance.SetUint64(999)
-	ch.Addr = a
-	cs := state.NewChangeSet(*ch)
-	m.Record(0, 0, nil, cs)
-	if got := balanceOf(newView(m, 2), a); got.Uint64() != 100 {
-		t.Fatalf("stale view must read the base: got %d", got.Uint64())
-	}
-	m.Record(2, 0, []ReadRecord{{Addr: a, Kind: readScalar, Tx: baseVersion}}, nil)
-	if _, ok := m.ValidateReadSet(2); !ok {
-		t.Fatal("stale-mode validation must pass vacuously")
-	}
-}
-
 // TestSpeculationWindow pins the bounded-speculation machinery: the
 // window starts fully open, a validation conflict slams it to zero, a
 // streak of windowProbeStreak clean validations reopens it one index at a

@@ -70,9 +70,7 @@ func (v *view) resolve(addr types.Address) *viewAcct {
 	va := v.acct[addr]
 	if va == nil {
 		va = &viewAcct{}
-		if !v.m.stale {
-			va.e, va.code, va.chain = v.m.store.ResolveAccount(addr, uint64(v.idx))
-		}
+		va.e, va.code, va.chain = v.m.store.ResolveAccount(addr, uint64(v.idx))
 		v.acct[addr] = va
 	}
 	return va
@@ -126,19 +124,15 @@ func (v *view) Storage(addr types.Address, slot types.Hash) uint256.Int {
 	if val, ok := v.slots[sk]; ok {
 		return val
 	}
-	var val uint256.Int
-	if !v.m.stale {
-		if e, ok := v.m.store.ResolveSlot(addr, slot, uint64(v.idx)); ok {
-			if e.Estimate {
-				panic(depError{blocking: int(e.Key), key: types.StorageKey(addr, slot)})
-			}
-			val = e.Val
-			v.slots[sk] = val
-			v.recs = append(v.recs, ReadRecord{Addr: addr, Slot: slot, Kind: readSlot, Tx: int(e.Key), Inc: e.Inc})
-			return val
+	if e, ok := v.m.store.ResolveSlot(addr, slot, uint64(v.idx)); ok {
+		if e.Estimate {
+			panic(depError{blocking: int(e.Key), key: types.StorageKey(addr, slot)})
 		}
+		v.slots[sk] = e.Val
+		v.recs = append(v.recs, ReadRecord{Addr: addr, Slot: slot, Kind: readSlot, Tx: int(e.Key), Inc: e.Inc})
+		return e.Val
 	}
-	val = v.m.base.Storage(addr, slot)
+	val := v.m.base.Storage(addr, slot)
 	v.slots[sk] = val
 	v.recs = append(v.recs, ReadRecord{Addr: addr, Slot: slot, Kind: readSlot, Tx: baseVersion})
 	return val

@@ -6,11 +6,12 @@
 // order and in fork multiples.
 //
 // Fault injection: the links can be configured (SetDefaultFaults) with
-// probabilistic drop, duplication, reordering and extra per-link delay, and
-// the node set can be split into partitions (SetPartitions). Fault decisions are drawn from a single seeded PRNG
-// under the fabric mutex, so a fixed seed plus a serialized broadcast
-// sequence replays the exact same fault pattern — the property the cluster
-// simulator (internal/sim) relies on for reproducible runs.
+// probabilistic drop, duplication and reordering, and the node set can be
+// split into partitions (SetPartitions). Fault decisions are drawn from a
+// single seeded PRNG under the fabric mutex, so a fixed seed plus a
+// serialized broadcast sequence replays the exact same fault pattern — the
+// property the cluster simulator (internal/sim) relies on for reproducible
+// runs.
 package network
 
 import (
@@ -37,10 +38,9 @@ type Message struct {
 // LinkFaults configures the faults injected on every directed link.
 // Zero value = perfect link.
 type LinkFaults struct {
-	Drop       float64       // probability a message is silently lost
-	Duplicate  float64       // probability a message is delivered twice
-	Reorder    float64       // probability a message is held back and delivered after the link's next message
-	ExtraDelay time.Duration // additional propagation delay on this link
+	Drop      float64 // probability a message is silently lost
+	Duplicate float64 // probability a message is delivered twice
+	Reorder   float64 // probability a message is held back and delivered after the link's next message
 }
 
 // linkKey identifies a directed link.
@@ -196,7 +196,6 @@ func (node *Node) Broadcast(block *types.Block) {
 			continue
 		}
 		f := n.defaults
-		delay := n.latency + f.ExtraDelay
 
 		// A held-back message is released right after the current one,
 		// whatever happens to the current one next (the swap that Reorder
@@ -216,14 +215,14 @@ func (node *Node) Broadcast(block *types.Block) {
 			n.held[k] = &m
 			telemetry.NetworkFaultReorders.Inc()
 		default:
-			plan = append(plan, delivery{target: t, msg: msg, delay: delay})
+			plan = append(plan, delivery{target: t, msg: msg, delay: n.latency})
 			if f.Duplicate > 0 && n.rng.Float64() < f.Duplicate {
-				plan = append(plan, delivery{target: t, msg: msg, delay: delay})
+				plan = append(plan, delivery{target: t, msg: msg, delay: n.latency})
 				telemetry.NetworkFaultDups.Inc()
 			}
 		}
 		if release != nil {
-			plan = append(plan, delivery{target: t, msg: *release, delay: delay})
+			plan = append(plan, delivery{target: t, msg: *release, delay: n.latency})
 		}
 	}
 	n.deliver.Add(len(plan))

@@ -503,15 +503,21 @@ func (p *Pipeline) Wait() {
 }
 
 // Abandon fails all blocks still parked behind unavailable parents and
-// returns how many were abandoned.
+// returns how many were abandoned. It starts from the parents that are not
+// parked themselves, so a parked block's outcome comes before its children's.
 func (p *Pipeline) Abandon(cause error) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	parked := make(map[types.Hash]bool, p.parked)
+	for _, children := range p.waiting {
+		for _, c := range children {
+			parked[c.hash] = true
+		}
+	}
 	n := 0
-	for len(p.waiting) > 0 {
-		for h := range p.waiting {
+	for h := range p.waiting {
+		if !parked[h] {
 			n += p.failSubtreeLocked(h, cause)
-			break
 		}
 	}
 	return n

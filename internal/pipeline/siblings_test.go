@@ -13,7 +13,7 @@ import (
 // serialOn executes txs serially on b and seals the block with coinbase tag
 // tag: siblings built this way share their transaction order, so a follower
 // can take every result of a leader that verified them all.
-func serialOn(t *testing.T, b branch, txs []*types.Transaction, tag byte, params chain.Params) (*types.Block, branch) {
+func serialOn(t testing.TB, b branch, txs []*types.Transaction, tag byte, params chain.Params) (*types.Block, branch) {
 	t.Helper()
 	cb := coinbase
 	cb[19] = tag

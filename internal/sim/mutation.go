@@ -14,52 +14,58 @@ import (
 	"blockpilot/internal/workload"
 )
 
-// MutationCheck is one seeded bug and whether the oracles caught it. The
-// self-check exists to prove the oracles are *load-bearing*: each mutation
-// is a real mis-execution of the kind the paper's machinery prevents, fed
-// through the same invariant checks the simulator applies to honest runs —
-// if any mutation slips through, the oracle suite is vacuous and the run
-// must fail.
-type MutationCheck struct {
+// Mutant is one seeded bug and whether the oracles caught it. The
+// self-check exists to prove the oracles are *load-bearing*: each mutant is
+// a real mis-execution of the kind the paper's machinery prevents, built
+// here from exported API (no production package carries a switch for it)
+// and fed through the same invariant checks the simulator applies to honest
+// runs — if any mutant slips through, the oracle suite is vacuous and the
+// run must fail.
+type Mutant struct {
 	Name   string
 	Caught bool
 	Detail string
 }
 
+// String is the mutant's report line.
+func (m Mutant) String() string {
+	status := "caught"
+	if !m.Caught {
+		status = "MISSED"
+	}
+	return fmt.Sprintf("mutation %-22s %s — %s", m.Name, status, m.Detail)
+}
+
 // SelfCheck runs the three seeded bugs on a small conflict-heavy fixture
-// derived from cfg.Seed:
+// derived from seed. It depends on nothing else, so one run per seed covers
+// every scenario:
 //
 //   - bad-dependency-graph: a scheduler that ignores the dependency graph
 //     (modeled as executing the block's transactions in reverse order) must
 //     be caught by the parity oracle — its root cannot match the header;
-//   - skipped-wsi-validation: an OCC proposer that skips write-set
-//     validation (every tx reads the stale parent snapshot, change sets
-//     merged blindly) must be caught by the serializability oracle;
-//   - tamper-accepted: a validator with the profile check disabled accepts
-//     a block whose proposer committed an additively tampered profile
-//     (execution is unchanged, so the root matches) — the corruption oracle
-//     must flag the commitment;
-//   - mv-stale-reads: an MV-STM proposer whose multi-version resolution and
-//     read-set validation are disabled (ProposerConfig.MVFaultStaleReads)
-//     commits conflicting transactions that all read the parent snapshot —
-//     the serializability oracle must see a root no serial order produces.
-func SelfCheck(cfg Config) []MutationCheck {
-	cfg.Normalize()
-	fixture, err := mutationFixture(cfg.Seed)
+//   - skipped-wsi-validation: a proposer that skips conflict validation
+//     (every tx reads the stale parent snapshot, change sets merged
+//     blindly) must be caught by the serializability oracle. It is the bug
+//     of either engine with its validation removed: OCC-WSI without write-set
+//     validation, MV-STM without read-set validation;
+//   - tamper-accepted: a validator that accepts on the state root alone
+//     (no per-transaction profile check) accepts a block whose proposer
+//     committed an additively tampered profile (execution is unchanged, so
+//     the root matches) — the corruption oracle must flag the commitment.
+func SelfCheck(seed int64) []Mutant {
+	fixture, err := mutationFixture(seed)
 	if err != nil {
-		return []MutationCheck{{Name: "fixture", Caught: false, Detail: err.Error()}}
+		return []Mutant{{Name: "fixture", Caught: false, Detail: err.Error()}}
 	}
-	return []MutationCheck{
+	return []Mutant{
 		checkBadDependencyGraph(fixture),
 		checkSkippedWSI(fixture),
 		checkTamperAccepted(fixture),
-		checkMVStaleReads(fixture),
 	}
 }
 
 // mutFixture is one proposed conflict-heavy block plus its parent state.
 type mutFixture struct {
-	seed    int64
 	genesis *state.Snapshot
 	gHeader *types.Header
 	block   *types.Block
@@ -70,7 +76,18 @@ type mutFixture struct {
 // workload (half the block swaps against two AMM pairs), so any execution
 // that breaks the serialization order diverges in state, not just in gas.
 func mutationFixture(seed int64) (*mutFixture, error) {
-	g := mutationWorkload(seed) // hotspot pressure: swaps on one pair all conflict
+	wcfg := workload.Default() // hotspot pressure: swaps on one pair all conflict
+	wcfg.NumAccounts = 60
+	wcfg.TxPerBlock = 24
+	wcfg.NumTokens = 3
+	wcfg.NumPairs = 2
+	wcfg.NumMixers = 2
+	wcfg.NativeRatio = 0.15
+	wcfg.SwapRatio = 0.55
+	wcfg.MixerRatio = 0.05
+	wcfg.SpinMin, wcfg.SpinMax = 20, 80
+	wcfg.Source = rand.NewSource(seed)
+	g := workload.New(wcfg)
 	genesis := g.GenesisState()
 	params := chain.DefaultParams()
 	c := chain.NewChain(genesis, params)
@@ -83,24 +100,7 @@ func mutationFixture(seed int64) (*mutFixture, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: mutation fixture propose: %w", err)
 	}
-	return &mutFixture{seed: seed, genesis: genesis, gHeader: &c.Genesis().Header, block: res.Block, params: params}, nil
-}
-
-// mutationWorkload rebuilds the fixture's conflict-heavy generator (same
-// seed, same mix) for checks that need to propose their own block.
-func mutationWorkload(seed int64) *workload.Generator {
-	wcfg := workload.Default()
-	wcfg.NumAccounts = 60
-	wcfg.TxPerBlock = 24
-	wcfg.NumTokens = 3
-	wcfg.NumPairs = 2
-	wcfg.NumMixers = 2
-	wcfg.NativeRatio = 0.15
-	wcfg.SwapRatio = 0.55
-	wcfg.MixerRatio = 0.05
-	wcfg.SpinMin, wcfg.SpinMax = 20, 80
-	wcfg.Source = rand.NewSource(seed)
-	return workload.New(wcfg)
+	return &mutFixture{genesis: genesis, gHeader: &c.Genesis().Header, block: res.Block, params: params}, nil
 }
 
 // checkBadDependencyGraph executes the block's transactions in reverse
@@ -109,8 +109,8 @@ func mutationWorkload(seed int64) *workload.Generator {
 // notices. Either the re-execution faults outright (nonce order broken) or
 // it completes with a different root; both count as caught. Only a
 // bit-identical root would mean the oracle missed the bug.
-func checkBadDependencyGraph(f *mutFixture) MutationCheck {
-	m := MutationCheck{Name: "bad-dependency-graph"}
+func checkBadDependencyGraph(f *mutFixture) Mutant {
+	m := Mutant{Name: "bad-dependency-graph"}
 	rev := make([]*types.Transaction, len(f.block.Txs))
 	for i, tx := range f.block.Txs {
 		rev[len(rev)-1-i] = tx
@@ -135,8 +135,8 @@ func checkBadDependencyGraph(f *mutFixture) MutationCheck {
 // (stale reads are never detected, conflicting writes never re-executed)
 // and the change sets are merged blindly. The serializability oracle must
 // see a different root than the serial execution.
-func checkSkippedWSI(f *mutFixture) MutationCheck {
-	m := MutationCheck{Name: "skipped-wsi-validation"}
+func checkSkippedWSI(f *mutFixture) Mutant {
+	m := Mutant{Name: "skipped-wsi-validation"}
 	bc := chain.BlockContextFor(&f.block.Header, f.params.ChainID)
 	var parts []*state.ChangeSet
 	applied := 0
@@ -163,75 +163,40 @@ func checkSkippedWSI(f *mutFixture) MutationCheck {
 	return m
 }
 
-// checkTamperAccepted disables the validator's per-transaction profile
-// check (the seeded bug) and replays a block whose header commits to an
-// additively tampered profile, a proposer's lie that passes the body check:
-// execution is unchanged, so the root matches and the buggy validator
-// accepts. The corruption oracle must flag the acceptance; the control arm
-// confirms the unbroken validator rejects the same block with the expected
-// class.
-func checkTamperAccepted(f *mutFixture) MutationCheck {
-	m := MutationCheck{Name: "tamper-accepted"}
+// checkTamperAccepted replays a block whose header commits to an
+// additively tampered profile, a proposer's lie that passes the body check,
+// through a validator that accepts on the state root alone — the seeded
+// bug: CheckBody, then a serial execution whose root is compared to the
+// header's. Execution is unchanged, so the root matches and the buggy
+// validator accepts. The corruption oracle must flag the acceptance; the
+// control arm confirms the real validator rejects the same block with the
+// expected class.
+func checkTamperAccepted(f *mutFixture) Mutant {
+	m := Mutant{Name: "tamper-accepted"}
 	ti, err := makeTamper(f.block, tamperPhantomWrite)
 	if err != nil {
 		m.Detail = err.Error()
 		return m
 	}
-	buggy := validator.DefaultConfig(4)
-	buggy.SkipProfileCheck = true
-	_, errBuggy := validator.ValidateParallel(f.genesis, f.gHeader, ti.instance, buggy, f.params)
+	errBuggy := chain.CheckBody(ti.instance)
+	if errBuggy == nil {
+		var res *chain.ProcessResult
+		if res, errBuggy = chain.ExecuteSerial(f.genesis, &ti.instance.Header, ti.instance.Txs, f.params); errBuggy == nil {
+			errBuggy = chain.CheckStateRoot(&ti.instance.Header, res.State.Root())
+		}
+	}
 	_, errGood := validator.ValidateParallel(f.genesis, f.gHeader, ti.instance, validator.DefaultConfig(4), f.params)
 	switch {
 	case errBuggy != nil:
-		m.Detail = fmt.Sprintf("seeded bug did not reproduce: buggy validator rejected anyway (%v)", errBuggy)
+		m.Detail = fmt.Sprintf("seeded bug did not reproduce: root-only acceptance rejected anyway (%v)", errBuggy)
 	case !errors.Is(errGood, validator.ErrProfileMismatch):
-		m.Detail = fmt.Sprintf("control arm broken: unbroken validator returned %v, want profile mismatch", errGood)
+		m.Detail = fmt.Sprintf("control arm broken: the validator returned %v, want profile mismatch", errGood)
 	default:
-		// Buggy validator committed a tampered block; the corruption
+		// The buggy validator committed a tampered block; the corruption
 		// oracle's rule — a tampered instance with a nil-error outcome is a
 		// failure — fires on exactly this record.
 		m.Caught = true
-		m.Detail = "buggy validator committed the tampered block; corruption oracle flags the nil-error outcome"
-	}
-	return m
-}
-
-// checkMVStaleReads breaks the MV-STM engine on purpose: with
-// ProposerConfig.MVFaultStaleReads every read resolves from the parent
-// snapshot and read-set validation passes vacuously — Block-STM with its
-// conflict detection ripped out. On the conflict-heavy fixture workload the
-// committed root must then differ from a serial execution of the sealed
-// transactions, which is exactly what the serializability oracle compares.
-func checkMVStaleReads(f *mutFixture) MutationCheck {
-	m := MutationCheck{Name: "mv-stale-reads"}
-	g := mutationWorkload(f.seed)
-	genesis := g.GenesisState()
-	pool := mempool.New()
-	pool.AddAll(g.NextBlockTxs())
-	res, err := core.Propose(genesis, f.gHeader, pool, core.ProposerConfig{
-		Engine:            core.EngineMVSTM,
-		MVFaultStaleReads: true,
-		Threads:           4, Coinbase: proposerCoinbase, Time: 1,
-	}, f.params)
-	if err != nil {
-		m.Detail = fmt.Sprintf("faulty propose failed outright: %v", err)
-		return m
-	}
-	if res.Committed < 2 {
-		m.Detail = "faulty proposer committed too few txs to conflict"
-		return m
-	}
-	serial, err := chain.ExecuteSerial(genesis, &res.Block.Header, res.Block.Txs, f.params)
-	switch {
-	case err != nil:
-		m.Caught = true
-		m.Detail = fmt.Sprintf("serial replay of the stale-read block faults: %v", err)
-	case serial.State.Root() != res.Block.Header.StateRoot:
-		m.Caught = true
-		m.Detail = fmt.Sprintf("stale-read root %s != serial root %s (%d txs committed)",
-			res.Block.Header.StateRoot, serial.State.Root(), res.Committed)
-	default:
-		m.Detail = "disabling MV validation still produced the serializable root — oracle blind to stale reads"
+		m.Detail = "root-only acceptance committed the tampered block; corruption oracle flags the nil-error outcome"
 	}
 	return m
 }

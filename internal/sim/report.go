@@ -34,7 +34,6 @@ type Report struct {
 	Digest      string // scheduling-independent run fingerprint
 	TraceDigest string // span-coverage fingerprint (see traceDigest)
 	Problems    []string
-	Mutations   []MutationCheck
 	Stats       Stats
 
 	// Health recorder results (cfg.Health): quiesced samples taken and the
@@ -46,26 +45,12 @@ type Report struct {
 	HealthDropped   uint64
 }
 
-// OK reports whether every oracle held and (when run) every seeded bug in
-// the mutation self-check was caught.
-func (r *Report) OK() bool {
-	if len(r.Problems) > 0 {
-		return false
-	}
-	for _, m := range r.Mutations {
-		if !m.Caught {
-			return false
-		}
-	}
-	return true
-}
+// OK reports whether every oracle held.
+func (r *Report) OK() bool { return len(r.Problems) == 0 }
 
 // ReproLine is the command that replays this exact run.
 func (r *Report) ReproLine() string {
 	line := fmt.Sprintf("bpbench -exp sim -scenario %s -seed %d -engine %s", r.Cfg.Scenario, r.Cfg.Seed, r.Cfg.Engine)
-	if r.Cfg.Adaptive {
-		line += " -adaptive"
-	}
 	if p, err := Preset(r.Cfg.Scenario, r.Cfg.Seed); err == nil && p.Heights != r.Cfg.Heights {
 		line += fmt.Sprintf(" -sim-heights %d", r.Cfg.Heights)
 	}
@@ -78,8 +63,8 @@ func (r *Report) ReproLine() string {
 // Render formats the report for the CLI.
 func (r *Report) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "sim scenario=%s seed=%d engine=%s adaptive=%v state=%s heights=%d validators=%d\n",
-		r.Cfg.Scenario, r.Cfg.Seed, r.Cfg.Engine, r.Cfg.Adaptive, r.Cfg.StateBackend, r.Cfg.Heights, r.Cfg.Validators)
+	fmt.Fprintf(&b, "sim scenario=%s seed=%d engine=%s state=%s heights=%d validators=%d\n",
+		r.Cfg.Scenario, r.Cfg.Seed, r.Cfg.Engine, r.Cfg.StateBackend, r.Cfg.Heights, r.Cfg.Validators)
 	fmt.Fprintf(&b, "  blocks: %d canonical, %d fork, %d tampered copies\n",
 		r.Stats.CanonicalBlocks, r.Stats.ForkBlocks, r.Stats.TamperedCopies)
 	fmt.Fprintf(&b, "  txs: %d generated, %d committed, %d pending, %d dropped\n",
@@ -100,13 +85,6 @@ func (r *Report) Render() string {
 		for _, inc := range r.HealthIncidents {
 			fmt.Fprintf(&b, "    incident #%d %s @sample %d: %s\n", inc.Seq, inc.Rule, inc.SampleSeq, inc.Detail)
 		}
-	}
-	for _, m := range r.Mutations {
-		status := "caught"
-		if !m.Caught {
-			status = "MISSED"
-		}
-		fmt.Fprintf(&b, "  mutation %-20s %s — %s\n", m.Name, status, m.Detail)
 	}
 	if len(r.Problems) == 0 {
 		fmt.Fprintf(&b, "  oracles: all held\n")

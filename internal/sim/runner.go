@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blockpilot/internal/adaptive"
 	"blockpilot/internal/blockdb"
 	"blockpilot/internal/chain"
 	"blockpilot/internal/health"
@@ -164,9 +163,8 @@ type runner struct {
 	tampers   []*tamperedInstance            // creation order
 	byPointer map[*types.Block]*tamperedInstance
 
-	health    *health.Recorder     // deterministic v0 recorder (cfg.Health)
-	stallGate chan struct{}        // open while the stall injection freezes v0
-	adaptive  *adaptive.Controller // run-scoped contention controller (cfg.Adaptive)
+	health    *health.Recorder // deterministic v0 recorder (cfg.Health)
+	stallGate chan struct{}    // open while the stall injection freezes v0
 
 	txGenerated int
 	txCommitted int
@@ -213,9 +211,6 @@ func Run(cfg Config) (*Report, error) {
 		heights:   make(map[types.Hash]uint64),
 		byPointer: make(map[*types.Block]*tamperedInstance),
 	}
-	if cfg.Adaptive {
-		r.adaptive = adaptive.New(adaptive.Config{})
-	}
 	// On disk, one persistent node store backs the whole cluster: the
 	// proposer and every validator incarnation commit through it, so
 	// crash-replay re-validation also runs disk-backed.
@@ -235,7 +230,7 @@ func Run(cfg Config) (*Report, error) {
 	r.net.SetTracer(r.tracer)
 	r.prop = node.New(node.Config{
 		Name: "proposer", Genesis: genesis, Params: params, Threads: cfg.ProposerThreads,
-		Coinbase: proposerCoinbase, Engine: cfg.Engine, Adaptive: r.adaptive, Tracer: r.tracer,
+		Coinbase: proposerCoinbase, Engine: cfg.Engine, Tracer: r.tracer,
 	})
 	defer r.prop.Close()
 
@@ -311,9 +306,6 @@ func Run(cfg Config) (*Report, error) {
 		if err := v.db.Close(); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.MutationCheck {
-		rep.Mutations = SelfCheck(cfg)
 	}
 	return rep, nil
 }

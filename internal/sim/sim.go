@@ -21,9 +21,9 @@
 // fork/tamper choices, and the network fault pattern all derive from the
 // seed, so a failing run reproduces exactly from its repro line
 // (`bpbench -exp sim -scenario S -seed N`). A mutation self-check
-// (Mutations) seeds real bugs — a dependency-ignoring schedule, a skipped
-// WSI validation, a tamper-accepting validator — and proves the oracles
-// catch each one.
+// (SelfCheck) seeds real bugs — a dependency-ignoring schedule, a skipped
+// conflict validation, a validator that accepts on the root alone — and
+// proves the oracles catch each one.
 package sim
 
 import (
@@ -52,14 +52,6 @@ type Config struct {
 	// byte-identical across backends (state persistence cannot change
 	// consensus). Part of the repro line.
 	StateBackend string
-
-	// Adaptive attaches one contention controller to the canonical
-	// proposer for the whole run (the window persists across heights, as in
-	// production): hot-key serial lane, commutative credit merge, and
-	// abort-aware mempool ordering all come on. The oracles are
-	// scheduling-blind — every scenario must hold with it on or off. Part
-	// of the repro line.
-	Adaptive bool
 
 	Heights          int // canonical blocks proposed
 	Validators       int // validator node count
@@ -112,9 +104,6 @@ type Config struct {
 	// through the frozen window, so the stall watchdog must fire exactly
 	// once, with a complete incident bundle (0 = no injection).
 	StallProbeAt int
-
-	// MutationCheck also runs the seeded-bug self-check (Mutations).
-	MutationCheck bool
 
 	// Dir holds the validators' blockdb logs ("" = fresh temp dir).
 	Dir string

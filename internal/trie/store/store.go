@@ -95,9 +95,6 @@ type Options struct {
 	// Release prunes, once the release barrier is durable: the hook by which
 	// a cache of nodes drops what the store no longer holds.
 	Pruned func(h [32]byte)
-	// Sync fsyncs the file after every barrier (off by default: the crash
-	// battery models torn tails, not lying disks).
-	Sync bool
 }
 
 // Stats is a snapshot of the store's read/write counters.
@@ -387,15 +384,11 @@ func appendRecord(buf []byte, kind byte, key [32]byte, payload []byte) []byte {
 }
 
 // appendBarrier writes buf — records ending in a barrier — at the end of the
-// file and, when it is durable, accounts for it.
+// file and accounts for it. It does not fsync: durability is the caller's
+// (*Store).Sync.
 func (s *Store) appendBarrier(buf []byte) error {
 	if _, err := s.f.WriteAt(buf, s.size); err != nil {
 		return err
-	}
-	if s.opts.Sync {
-		if err := s.f.Sync(); err != nil {
-			return err
-		}
 	}
 	s.size += int64(len(buf))
 	return nil

@@ -130,19 +130,6 @@ func ProfileFromAccessSet(a *AccessSet, gasUsed uint64) *TxProfile {
 	return p
 }
 
-// AccessSetFromProfile reconstructs an access set (inverse of
-// ProfileFromAccessSet), used by validators for conflict analysis.
-func AccessSetFromProfile(p *TxProfile) *AccessSet {
-	a := NewAccessSet()
-	for _, kv := range p.Reads {
-		a.Reads[kv.Key] = kv.Version
-	}
-	for _, k := range p.Writes {
-		a.Writes[k] = struct{}{}
-	}
-	return a
-}
-
 // BlockProfile is the execution metadata the proposer broadcasts alongside
 // the block (paper §4.2): one TxProfile per transaction, in block order.
 type BlockProfile struct {
@@ -282,25 +269,6 @@ func decodeKeyFields(k *StateKey, content []byte) ([]byte, error) {
 	}
 	k.Slot = BytesToHash(s)
 	return content, nil
-}
-
-// Equal reports whether two profiles are identical (used by the applier to
-// check a worker's observed access set against the proposer's claim).
-func (p *TxProfile) Equal(q *TxProfile) bool {
-	if p.GasUsed != q.GasUsed || len(p.Reads) != len(q.Reads) || len(p.Writes) != len(q.Writes) {
-		return false
-	}
-	for i := range p.Reads {
-		if p.Reads[i] != q.Reads[i] {
-			return false
-		}
-	}
-	for i := range p.Writes {
-		if p.Writes[i] != q.Writes[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SameAccessKeys reports whether two profiles touch exactly the same keys in

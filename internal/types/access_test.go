@@ -19,29 +19,6 @@ func TestNoteReadFirstObservationWins(t *testing.T) {
 	}
 }
 
-func TestProfileRoundTripThroughAccessSet(t *testing.T) {
-	s := NewAccessSet()
-	s.NoteRead(k(3), 7)
-	s.NoteRead(sk(2, 9), 1)
-	s.NoteWrite(k(3))
-	s.NoteWrite(sk(5, 5))
-	p := ProfileFromAccessSet(s, 33000)
-	back := AccessSetFromProfile(p)
-	if len(back.Reads) != len(s.Reads) || len(back.Writes) != len(s.Writes) {
-		t.Fatal("size mismatch")
-	}
-	for key, v := range s.Reads {
-		if back.Reads[key] != v {
-			t.Fatalf("read %v version mismatch", key)
-		}
-	}
-	for key := range s.Writes {
-		if _, ok := back.Writes[key]; !ok {
-			t.Fatalf("write %v missing", key)
-		}
-	}
-}
-
 func TestProfileDeterministicOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {

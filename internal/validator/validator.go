@@ -55,13 +55,6 @@ type Config struct {
 	// workers execute transactions "regardless of the block information"
 	// (paper §4.3).
 	Spawn func(f func())
-	// SkipProfileCheck disables the applier's per-transaction access-set and
-	// gas verification against the block profile, leaving the state root as
-	// the sole acceptance criterion. No production path sets it: it is the
-	// seeded bug of the simulator's mutation self-check
-	// (internal/sim/mutation.go), which proves the corruption oracle notices
-	// a validator that stopped checking profiles.
-	SkipProfileCheck bool
 	// Node names this validator in its stage events (default "validator").
 	Node string
 	// Tracer injects the recorder of its stage events; nil falls back to
@@ -112,7 +105,6 @@ type result struct {
 const (
 	pending int32 = iota
 	failed        // err is set, or the position is past the first failure
-	applied       // accepted without its profile check (Config.SkipProfileCheck)
 	matched       // matches the profile's keys and gas: a follower may take it
 )
 
@@ -307,9 +299,6 @@ func execute(base state.Reader, parentHeader *types.Header, block *types.Block, 
 						r.shared = *r.receipt
 					}
 					r.state.Store(matched)
-					continue
-				case cfg.SkipProfileCheck:
-					r.state.Store(applied) // never matched: no follower takes it
 					continue
 				case !accessOK:
 					r.err = fmt.Errorf("%w: tx %d access set differs", ErrProfileMismatch, i)
